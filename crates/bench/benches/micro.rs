@@ -134,7 +134,7 @@ fn events_per_sec() {
     let (jobs, layers, width) = (8, 16, 16);
     let mut last = (0usize, 0u64, std::time::Duration::ZERO);
     let stats = bench_named("executor/rack_stress_8x16x16", opts, || {
-        last = driver::stress_run(jobs, layers, width, 1);
+        last = driver::stress_run(jobs, layers, width);
     });
     let (tasks, events, _) = last;
     let eps = events as f64 / stats.min.as_secs_f64();

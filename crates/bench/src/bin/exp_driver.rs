@@ -1,74 +1,123 @@
 //! Parallel experiment driver: fans the `exp_*` suite across cores,
-//! measures simulator throughput, and emits `BENCH_disagg.json`.
+//! measures simulator throughput, and (with `--json`) emits the
+//! `BENCH_disagg.json` record.
 //!
 //! Stdout carries only the deterministic experiment tables (in registry
 //! order — byte-identical between serial and parallel runs, and across
 //! repeated runs). Timing lives on stderr and in the JSON record.
 //!
-//! Flags:
-//!   --quick          shrink workloads (CI mode)
-//!   --serial         run on one thread (reference path)
-//!   --threads N      worker count (default: available parallelism)
-//!   --only a,b       run only the listed experiment ids
-//!   --json PATH      where to write the benchmark record
-//!                    (default BENCH_disagg.json; --no-json disables)
-//!   --no-thru        skip the throughput measurement
-//!   --thru-only      skip the experiment suite and chaos record; only
-//!                    measure throughput (what scripts/bench_guard.sh
-//!                    runs)
-//!   --shards N       drive the throughput stress runs on N event-loop
-//!                    shards (default 1; results are bit-for-bit
-//!                    shard-invariant, so only wall-clock moves)
-//!   --no-scaling     skip the shard-scaling sweep
-//!   --verify         additionally run serially and fail (exit 1) if
-//!                    parallel output is not byte-identical
-//!   --trace-out DIR  re-run each experiment's representative workload
-//!                    with a full observer and write Perfetto-loadable
-//!                    Chrome traces, folded flamegraph stacks, and
-//!                    critical-path reports under DIR (validated before
-//!                    writing; exit 1 on an invalid trace); also writes
-//!                    a traced serving pass as serving.trace.json (one
-//!                    request-span lane per tenant) plus the
-//!                    exemplar-only serving.exemplars.trace.json
-//!   --metrics-out P  write the per-experiment metrics snapshots as one
-//!                    JSON object to P
+//! Flags are parsed strictly — see [`USAGE`] (`--help`).
 
 use std::io::Write;
 
 use disagg_bench::driver;
 
+const USAGE: &str = "\
+usage: exp_driver [flags]
+  --quick          shrink workloads (CI mode)
+  --serial         run on one thread (reference path)
+  --threads N      worker count (default: available parallelism)
+  --only a,b       run only the listed experiment ids
+  --json PATH      write the benchmark record to PATH (no record is
+                   written without it)
+  --no-thru        skip the throughput measurement
+  --thru-only      skip the experiment suite and chaos record; only
+                   measure throughput (what scripts/bench_guard.sh runs)
+  --verify         additionally run serially and fail (exit 1) if
+                   parallel output is not byte-identical
+  --trace-out DIR  re-run each experiment's representative workload
+                   with a full observer and write Perfetto-loadable
+                   Chrome traces, folded flamegraph stacks, and
+                   critical-path reports under DIR (validated before
+                   writing; exit 1 on an invalid trace); also writes a
+                   traced serving pass as serving.trace.json (one
+                   request-span lane per tenant) plus the exemplar-only
+                   serving.exemplars.trace.json
+  --metrics-out P  write the per-experiment metrics snapshots as one
+                   JSON object to P
+  --help           print this and exit
+";
+
+#[derive(Default)]
+struct Opts {
+    quick: bool,
+    serial: bool,
+    threads: Option<usize>,
+    only: Vec<String>,
+    json: Option<String>,
+    no_thru: bool,
+    thru_only: bool,
+    verify: bool,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+}
+
+/// Strict flag parsing: an unknown flag, a missing value, or an
+/// unparsable value is an error, never silently ignored. `Ok(None)` is
+/// a request for the usage text.
+fn parse(args: &[String]) -> Result<Option<Opts>, String> {
+    let mut o = Opts::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--quick" => o.quick = true,
+            "--serial" => o.serial = true,
+            "--no-thru" => o.no_thru = true,
+            "--thru-only" => o.thru_only = true,
+            "--verify" => o.verify = true,
+            "--help" => return Ok(None),
+            "--threads" => {
+                let v = value()?;
+                o.threads = Some(
+                    v.parse()
+                        .map_err(|_| format!("--threads: not a count: {v}"))?,
+                );
+            }
+            "--only" => o.only = value()?.split(',').map(|s| s.trim().to_string()).collect(),
+            "--json" => o.json = Some(value()?),
+            "--trace-out" => o.trace_out = Some(value()?),
+            "--metrics-out" => o.metrics_out = Some(value()?),
+            other => return Err(format!("unknown flag: {other}")),
+        }
+    }
+    Ok(Some(o))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let opts = match parse(&args) {
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            print!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprint!("exp_driver: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
     };
-
-    let quick = flag("--quick");
-    let verify = flag("--verify");
-    let no_json = flag("--no-json");
-    let no_thru = flag("--no-thru");
-    let thru_only = flag("--thru-only");
-    let no_scaling = flag("--no-scaling");
-    let shards: usize = value("--shards").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let json_path = value("--json").unwrap_or_else(|| "BENCH_disagg.json".to_string());
-    let threads = if flag("--serial") {
+    let Opts {
+        quick,
+        serial,
+        threads,
+        only,
+        json,
+        no_thru,
+        thru_only,
+        verify,
+        trace_out,
+        metrics_out,
+    } = opts;
+    let threads = if serial {
         1
     } else {
-        value("--threads")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
     };
-    let only: Vec<String> = value("--only")
-        .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())
-        .unwrap_or_default();
 
     let t0 = std::time::Instant::now();
     let results = if thru_only {
@@ -103,8 +152,6 @@ fn main() {
         eprintln!("verify: parallel output byte-identical to serial");
     }
 
-    let trace_out = value("--trace-out");
-    let metrics_out = value("--metrics-out");
     if trace_out.is_some() || metrics_out.is_some() {
         if let Some(dir) = &trace_out {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -187,69 +234,26 @@ fn main() {
     let throughputs: Vec<driver::Throughput> = if no_thru {
         Vec::new()
     } else {
+        // The serving mix rides along in the same guarded format.
         driver::throughput_suite(quick)
             .into_iter()
-            .map(|(j, l, w)| {
-                let t = driver::measure_throughput(j, l, w, reps, shards);
+            .map(|(j, l, w)| driver::measure_throughput(j, l, w, reps))
+            .chain(std::iter::once_with(|| driver::measure_serving_throughput(reps, quick)))
+            .inspect(|t| {
                 eprintln!(
-                    "throughput {} ({} shard(s)): {} tasks, {} events, {:.4}s → {:.0} events/sec ({:.0} tasks/sec)",
+                    "throughput {}: {} tasks, {} events, {:.4}s → {:.0} events/sec ({:.0} tasks/sec)",
                     t.name,
-                    shards,
                     t.tasks,
                     t.events,
                     t.wall.as_secs_f64(),
                     t.events_per_sec(),
                     t.tasks_per_sec()
                 );
-                t
             })
             .collect()
     };
-    let throughputs: Vec<driver::Throughput> = if no_thru {
-        throughputs
-    } else {
-        // The serving mix rides along in the same guarded format.
-        let mut all = throughputs;
-        let t = driver::measure_serving_throughput(reps, quick);
-        eprintln!(
-            "throughput {} ({} shard(s)): {} tasks, {} events, {:.4}s → {:.0} events/sec ({:.0} tasks/sec)",
-            t.name,
-            shards,
-            t.tasks,
-            t.events,
-            t.wall.as_secs_f64(),
-            t.events_per_sec(),
-            t.tasks_per_sec()
-        );
-        all.push(t);
-        all
-    };
 
-    // Shard-scaling sweep: the largest stress configuration driven at
-    // 1/2/4/8 shards (quick mode shrinks the workload and the counts).
-    let scaling: Vec<driver::ShardScalingRow> = if no_thru || no_scaling {
-        Vec::new()
-    } else {
-        let ((j, l, w), counts): ((usize, usize, usize), &[usize]) = if quick {
-            ((4, 8, 8), &[1, 4])
-        } else {
-            ((16, 24, 24), &[1, 2, 4, 8])
-        };
-        let rows = driver::measure_shard_scaling(j, l, w, reps, counts);
-        for r in &rows {
-            eprintln!(
-                "shard_scaling {} @{} shard(s): {} events, {:.4}s → {:.0} events/sec",
-                r.name,
-                r.shards,
-                r.events,
-                r.wall.as_secs_f64(),
-                r.events_per_sec()
-            );
-        }
-        rows
-    };
-
-    if !no_json {
+    if let Some(json_path) = json {
         // The chaos section carries only virtual-time fields, so the
         // record's chaos entries are byte-identical between runs.
         let chaos = if !thru_only && (only.is_empty() || only.iter().any(|o| o == "chaos")) {
@@ -276,7 +280,6 @@ fn main() {
         let json = driver::bench_json(
             &results,
             &throughputs,
-            &scaling,
             &chaos,
             serving.as_ref(),
             chaos_serve.as_ref(),

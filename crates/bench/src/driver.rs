@@ -162,13 +162,11 @@ impl Throughput {
     }
 }
 
-/// Runs the stress batch once on the rack-scale preset with the event
-/// loop split across `shards` and returns `(tasks, events, wall)`. The
-/// report — including the event count — is bit-for-bit identical at
-/// every shard count; only the wall-clock may differ.
-pub fn stress_run(jobs: usize, layers: usize, width: usize, shards: usize) -> (usize, u64, Duration) {
+/// Runs the stress batch once on the rack-scale preset and returns
+/// `(tasks, events, wall)`.
+pub fn stress_run(jobs: usize, layers: usize, width: usize) -> (usize, u64, Duration) {
     let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
-    let mut rt = Runtime::new(topo, RuntimeConfig::default().with_shards(shards));
+    let mut rt = Runtime::new(topo, RuntimeConfig::default());
     let batch = stress_jobs(jobs, layers, width);
     let t = Instant::now();
     let report = rt.execute(batch).expect("stress batch runs");
@@ -176,65 +174,16 @@ pub fn stress_run(jobs: usize, layers: usize, width: usize, shards: usize) -> (u
 }
 
 /// Best-of-`reps` throughput for one stress configuration.
-pub fn measure_throughput(
-    jobs: usize,
-    layers: usize,
-    width: usize,
-    reps: usize,
-    shards: usize,
-) -> Throughput {
+pub fn measure_throughput(jobs: usize, layers: usize, width: usize, reps: usize) -> Throughput {
     let mut best: Option<(usize, u64, Duration)> = None;
     for _ in 0..reps.max(1) {
-        let r = stress_run(jobs, layers, width, shards);
+        let r = stress_run(jobs, layers, width);
         if best.as_ref().map(|b| r.2 < b.2).unwrap_or(true) {
             best = Some(r);
         }
     }
     let (tasks, events, wall) = best.expect("at least one rep");
     Throughput { name: format!("j{jobs}_l{layers}_w{width}"), tasks, events, wall }
-}
-
-/// One row of the shard-scaling sweep: the same stress configuration
-/// driven at a different shard count.
-#[derive(Debug, Clone)]
-pub struct ShardScalingRow {
-    /// Stress configuration label (same format as [`Throughput::name`]).
-    pub name: String,
-    /// Requested shard count.
-    pub shards: usize,
-    /// Tasks executed (shard-invariant).
-    pub tasks: usize,
-    /// Events committed (shard-invariant — the equivalence goldens pin
-    /// this, so a cross-count mismatch here is a correctness bug, not a
-    /// perf artifact).
-    pub events: u64,
-    /// Best wall-clock over the measurement repetitions.
-    pub wall: Duration,
-}
-
-impl ShardScalingRow {
-    /// Events per host second at this shard count.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64()
-    }
-}
-
-/// Measures one stress configuration across `counts` shard counts
-/// (best-of-`reps` each). The first row is the reference for speedup.
-pub fn measure_shard_scaling(
-    jobs: usize,
-    layers: usize,
-    width: usize,
-    reps: usize,
-    counts: &[usize],
-) -> Vec<ShardScalingRow> {
-    counts
-        .iter()
-        .map(|&shards| {
-            let t = measure_throughput(jobs, layers, width, reps, shards);
-            ShardScalingRow { name: t.name, shards, tasks: t.tasks, events: t.events, wall: t.wall }
-        })
-        .collect()
 }
 
 /// Pre-refactor (seed executor) tasks/sec on the same stress configs and
@@ -405,14 +354,14 @@ pub fn chaos_record(quick: bool) -> Vec<ChaosRow> {
 
 /// Re-measures the serving sweep for the benchmark record. Like the
 /// chaos section, every field is virtual-time-only, so the section is
-/// byte-identical across runs and shard counts.
+/// byte-identical across runs.
 pub fn serving_record(quick: bool) -> ServingRecord {
     exp::serving::measure(quick)
 }
 
 /// Re-measures the chaos-under-load sweep (fault-aware controls vs the
 /// uncontrolled baseline) for the `serving.chaos` section. Virtual-time
-/// only, byte-identical across runs and shard counts.
+/// only, byte-identical across runs.
 pub fn chaos_serve_record(quick: bool) -> ChaosServeRecord {
     exp::chaos_serve::measure(quick)
 }
@@ -474,11 +423,9 @@ pub fn serving_trace_artifacts(quick: bool) -> Result<(String, String), String> 
 
 /// Renders the machine-readable benchmark record (`BENCH_disagg.json`).
 /// Hand-rolled JSON keeps the workspace dependency-free.
-#[allow(clippy::too_many_arguments)]
 pub fn bench_json(
     experiments: &[ExpResult],
     throughputs: &[Throughput],
-    shard_scaling: &[ShardScalingRow],
     chaos: &[ChaosRow],
     serving: Option<&ServingRecord>,
     chaos_serve: Option<&ChaosServeRecord>,
@@ -509,27 +456,6 @@ pub fn bench_json(
             baseline.map(|b| format!("{b:.0}")).unwrap_or_else(|| "null".into()),
             speedup.map(|s| format!("{s:.2}")).unwrap_or_else(|| "null".into()),
             if i + 1 < throughputs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    // The same stress configuration driven at increasing shard counts.
-    // `tasks`/`events` are shard-invariant by construction; only the
-    // wall-clock (and the rates derived from it) may move.
-    out.push_str("  \"shard_scaling\": [\n");
-    let reference = shard_scaling.first().map(|r| r.wall.as_secs_f64());
-    for (i, r) in shard_scaling.iter().enumerate() {
-        let speedup = reference.map(|w1| w1 / r.wall.as_secs_f64()).unwrap_or(1.0);
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"shards\": {}, \"tasks\": {}, \"events\": {}, \
-             \"wall_s\": {:.6}, \"events_per_sec\": {:.0}, \"speedup_vs_1shard\": {:.2}}}{}\n",
-            json_escape(&r.name),
-            r.shards,
-            r.tasks,
-            r.events,
-            r.wall.as_secs_f64(),
-            r.events_per_sec(),
-            speedup,
-            if i + 1 < shard_scaling.len() { "," } else { "" },
         ));
     }
     out.push_str("  ],\n");
@@ -635,7 +561,7 @@ pub fn bench_json(
             // the exact p99, the five-component breakdown (sums to the
             // tenant's total request time), exemplar request ids, and
             // the SLO burn curve. Virtual-time only, byte-identical
-            // across runs and shard counts.
+            // across runs.
             out.push_str("    \"tail_attribution\": [\n");
             for (i, ta) in rec.tail_attribution.iter().enumerate() {
                 let a = &ta.total;
@@ -751,32 +677,12 @@ mod tests {
 
     #[test]
     fn stress_batch_is_deterministic() {
-        let a = stress_run(2, 3, 3, 1);
-        let b = stress_run(2, 3, 3, 1);
+        let a = stress_run(2, 3, 3);
+        let b = stress_run(2, 3, 3);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1, b.1);
         assert_eq!(a.0, 2 * 3 * 3, "every stress task executes");
         assert!(a.1 >= a.0 as u64, "at least one event per task");
-    }
-
-    #[test]
-    fn stress_batch_is_shard_invariant() {
-        let one = stress_run(2, 3, 3, 1);
-        for shards in [2, 4] {
-            let n = stress_run(2, 3, 3, shards);
-            assert_eq!(n.0, one.0, "task count diverged at {shards} shards");
-            assert_eq!(n.1, one.1, "event count diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn shard_scaling_rows_carry_invariant_counts() {
-        let rows = measure_shard_scaling(2, 3, 3, 1, &[1, 2, 4]);
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().all(|r| r.name == "j2_l3_w3"));
-        assert_eq!(rows[0].shards, 1);
-        assert!(rows.iter().all(|r| r.tasks == rows[0].tasks));
-        assert!(rows.iter().all(|r| r.events == rows[0].events));
     }
 
     #[test]
@@ -801,22 +707,6 @@ mod tests {
             detected: 1,
             reconstructs: 1,
         }];
-        let scaling = vec![
-            ShardScalingRow {
-                name: "j4_l8_w8".into(),
-                shards: 1,
-                tasks: 256,
-                events: 1024,
-                wall: Duration::from_millis(4),
-            },
-            ShardScalingRow {
-                name: "j4_l8_w8".into(),
-                shards: 4,
-                tasks: 256,
-                events: 1024,
-                wall: Duration::from_millis(1),
-            },
-        ];
         let serving = ServingRecord {
             tenants: 2,
             requests: 8,
@@ -897,7 +787,6 @@ mod tests {
         let s = bench_json(
             &exps,
             &thru,
-            &scaling,
             &chaos,
             Some(&serving),
             Some(&chaos_serve),
@@ -918,13 +807,12 @@ mod tests {
         assert!(s.contains("\"burn_during\": 7.5000"));
         assert!(s.contains("\"recovered\": true"));
         assert!(s.contains("\"recovery_ns\": 1500"));
-        let without = bench_json(&exps, &thru, &scaling, &chaos, None, None, true, 4);
+        let without = bench_json(&exps, &thru, &chaos, None, None, true, 4);
         assert!(without.contains("\"serving\": null"));
         assert_eq!(without.matches('{').count(), without.matches('}').count());
         let chaos_only = bench_json(
             &exps,
             &thru,
-            &scaling,
             &chaos,
             Some(&serving),
             None,
@@ -935,8 +823,6 @@ mod tests {
         assert_eq!(chaos_only.matches('{').count(), chaos_only.matches('}').count());
         assert!(s.contains("\"name\": \"j4_l8_w8\""));
         assert!(s.contains("\"speedup_vs_seed\""));
-        assert!(s.contains("\"shard_scaling\""));
-        assert!(s.contains("\"speedup_vs_1shard\": 4.00"));
         assert!(s.contains("\"id\": \"table1\""));
         assert!(s.contains("\"workload\": \"dbms\""));
         assert!(s.contains("\"slowdown\": 1.5000"));

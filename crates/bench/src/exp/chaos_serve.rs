@@ -12,8 +12,7 @@
 //! once with the full control plane. Goodput here is *SLO goodput*:
 //! requests that completed within their tenant's p99 SLO. Everything is
 //! virtual time, so the sweep — and the `serving.chaos` section of
-//! `BENCH_disagg.json` it feeds — is byte-identical across runs and
-//! shard counts.
+//! `BENCH_disagg.json` it feeds — is byte-identical across runs.
 
 use disagg_core::prelude::{Runtime, RuntimeConfig};
 use disagg_core::{BreakerPolicy, FaultControlPolicy, RecoveryPolicy, RetryBudgetPolicy};

@@ -8,7 +8,7 @@
 //! between requests; past the knee, queueing blows the p99 up. Every
 //! number is virtual-time-only, so the sweep — and the `serving`
 //! section of `BENCH_disagg.json` it feeds — is byte-identical across
-//! runs and shard counts.
+//! runs.
 
 use disagg_core::prelude::{Runtime, RuntimeConfig};
 use disagg_dataflow::{JobBuilder, TaskSpec};

@@ -2,9 +2,9 @@
 //! per-tenant retry budgets.
 //!
 //! Both live on the [`crate::Runtime`] and are mutated **only from the
-//! executor's serial commit path**, so every transition lands in the
-//! same wave-global `(time, seq)` order at every shard count — the
-//! breaker log is as deterministic as the trace itself.
+//! executor's commit path**, so every transition lands in the event
+//! loop's `(time, seq)` order — the breaker log is as deterministic as
+//! the trace itself.
 //!
 //! The breaker state machine is the classic three-state one, driven
 //! entirely by virtual time:

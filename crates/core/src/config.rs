@@ -268,13 +268,6 @@ pub struct RuntimeConfig {
     /// *different failure domains*, so a node loss cannot erase a result
     /// the application was promised would survive.
     pub persistent_replicas: usize,
-    /// Event-loop shards: the topology is partitioned along node
-    /// boundaries into this many per-shard event loops, synchronized
-    /// with conservative virtual-time windows. Clamped to the node
-    /// count. Reports, traces, and metrics are bit-for-bit identical at
-    /// every shard count (pinned by the equivalence goldens); sharding
-    /// only changes how the simulation is *driven*.
-    pub shards: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -292,7 +285,6 @@ impl Default for RuntimeConfig {
             fault_control: FaultControlPolicy::default(),
             admission_watermark: None,
             persistent_replicas: 1,
-            shards: 1,
         }
     }
 }
@@ -386,11 +378,14 @@ impl RuntimeConfig {
         self
     }
 
-    /// Runs the event loop on `n` topology shards (n >= 1; clamped to
-    /// the node count at runtime). Output is identical at every shard
-    /// count.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
+    /// Ignored: the executor has exactly one event loop. The sharded
+    /// loop this used to select was deleted after it measured 3.7–7.0×
+    /// slower at 2 shards (DESIGN.md §11). The method remains, inert,
+    /// only because `benchmark/` (frozen for the PR that removed the
+    /// loop) still calls it for its `core.shards2_over_shards1_host`
+    /// probe, which now reads ≈ 1.0; the `benchmark` PR that retires
+    /// that probe removes this method with it.
+    pub fn with_shards(self, _n: usize) -> Self {
         self
     }
 }

@@ -1,4 +1,4 @@
-//! The discrete-event, out-of-order executor — sharded.
+//! The discrete-event, out-of-order executor.
 //!
 //! [`run_wave`] drives one admission wave of jobs through virtual time
 //! as a proper event simulation instead of a serial drain:
@@ -19,33 +19,10 @@
 //!   pairs), so independent DAG branches advance concurrently on
 //!   different devices while transfers are still in flight elsewhere.
 //!
-//! # Sharding: conservative virtual-time windows
-//!
-//! With [`RuntimeConfig::shards`](crate::RuntimeConfig) > 1 the
-//! topology is partitioned along node boundaries
-//! ([`ShardMap::partition`]) and the single event heap becomes one heap
-//! **per shard**, each owning its shard's ready queues, lane tables,
-//! and deferred exits. The loop then alternates two phases:
-//!
-//! - **Stage** (parallel): every shard pops its own heap for events in
-//!   the window `[T, T + lookahead)`, where `T` is the global minimum
-//!   pending time and the lookahead is the cheapest cross-shard link
-//!   latency — no cross-shard effect can land sooner, so the pops are
-//!   causally independent and run under [`std::thread::scope`] when
-//!   the backlog is worth it.
-//! - **Commit** (serial): the coordinator repeatedly takes the global
-//!   minimum `(time, seq)` across all staged fronts and heap heads and
-//!   applies that one event against the shared runtime state. Events
-//!   a commit emits for *other* shards land in per-destination
-//!   mailboxes and are flushed into the target heaps between commits.
-//!
-//! Every event carries a sequence number from one wave-global counter,
-//! so the union of the shard heaps is totally ordered exactly like the
-//! old single heap — commits happen in the identical order at any
-//! shard count, making reports, traces, and metrics **bit-for-bit
-//! identical** whether the wave runs on 1 shard or 8 (pinned by
-//! `tests/equivalence.rs`). Sharding changes how the simulation is
-//! *driven*, never what it computes.
+//! There is exactly one loop: pop the minimum `(time, seq)` event, apply
+//! it against the runtime, repeat until the heap is empty. Every commit
+//! mutates the one shared [`Runtime`], so there is nothing for a second
+//! loop to run beside it (DESIGN.md §11 has the measurement).
 //!
 //! Determinism: the heap breaks time ties by the monotone sequence
 //! number, queue pops break policy ties by (queue time, job, task), and
@@ -57,43 +34,34 @@
 //! Per-task state is kept in dense arenas indexed by a one-time global
 //! task numbering (`task_base[ji] + task.index()`), not `(job, task)`
 //! hash maps: dependency counts, pending inputs, and start/finish times
-//! are all O(1) array hits. Ready queues are binary heaps whose key
-//! *is* the dispatch policy (see [`task::QueueEntry`]). Deferred task
-//! exits live in per-shard min-heaps ordered by `(finish, seq)` with a
-//! wave-global seq, merged on drain — the same order the old single
-//! heap produced, without ever re-sorting inside the event loop.
+//! are all O(1) array hits. Ready queues and lane tables are indexed
+//! directly by [`ComputeId::index`]; ready queues are binary heaps whose
+//! key *is* the dispatch policy (see [`task::QueueEntry`]). Deferred
+//! task exits live in one min-heap ordered by `(finish, seq)`, so the
+//! event loop never re-sorts.
 
-mod shard;
 mod task;
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_dataflow::task::TaskId;
 use disagg_hwsim::contention::ResourceKey;
 use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::ComputeId;
-use disagg_hwsim::shard::ShardMap;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::TraceEvent;
-use disagg_obs::sharded::{ShardLanes, Stamped};
 use disagg_region::pool::RegionId;
 use disagg_region::region::OwnerId;
 use disagg_region::typed::RegionType;
 use disagg_sched::schedule::{Schedule, Scheduler};
-use disagg_sched::shard::ShardTables;
 
 use crate::error::DisaggError;
 use crate::report::{DeviceSummary, RunReport};
 use crate::runtime::Runtime;
 
-use shard::{flush_exits, ShardState};
-use task::{enqueue, service};
-
-/// Minimum total heap backlog before window staging fans out to OS
-/// threads; below this the spawn overhead outweighs the pop work and
-/// staging runs inline.
-const PAR_STAGE_THRESHOLD: usize = 256;
+use task::{enqueue, service, QueueEntry};
 
 /// What can happen at an instant of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -112,32 +80,27 @@ pub(crate) enum EventKind {
 pub(crate) struct Wave {
     pub job_ids: Vec<JobId>,
     pub schedule: Schedule,
-    /// Per-shard event loops (one when sharding is off).
-    pub shards: Vec<ShardState>,
-    /// The topology partition this wave runs on.
-    pub map: ShardMap,
-    /// Dense task → shard routing derived from the schedule.
-    pub tables: ShardTables,
-    /// The shard whose event is being committed right now; events it
-    /// emits for itself go straight to its heap, events for peers go
-    /// through its outboxes.
-    pub current: usize,
-    /// Outstanding (unflushed) cross-shard mailbox entries.
-    pub pending_mail: usize,
-    /// Wave-global event sequence: assigned at push time, totally
-    /// ordering the union of all shard heaps.
+    /// The event heap (min on `(time, seq)`).
+    pub heap: BinaryHeap<Reverse<(SimTime, u64, EventKind)>>,
+    /// Event sequence, assigned at push time: breaks time ties in push
+    /// order, so the heap is totally ordered.
     pub seq: u64,
+    /// Ready queues, one per compute device, indexed by
+    /// [`ComputeId::index`] (min-heap on [`QueueEntry`]).
+    pub queues: Vec<BinaryHeap<Reverse<QueueEntry>>>,
+    /// Lane free times per compute device ([`ComputeId::index`]).
+    pub lane_free: Vec<Vec<SimTime>>,
+    /// Task-exit cleanup deferred until virtual time passes the task's
+    /// finish. Min-heap on `(finish, seq)`.
+    pub pending_exits: BinaryHeap<Reverse<(SimTime, u64, OwnerId)>>,
+    /// Exit sequence (same trick as `seq`: equal finishes drain in
+    /// deferral order).
+    pub exit_seq: u64,
     /// Global task numbering: task `(ji, t)` owns arena slot
     /// `task_base[ji] + t.index()`.
     pub task_base: Vec<usize>,
     /// Unsatisfied incoming-edge counts, indexed by global task number.
     pub deps_left: Vec<u32>,
-    /// Wave-global exit sequence (same trick as `seq`: the merged
-    /// per-shard exit drain reproduces the old single heap's order).
-    pub exit_seq: u64,
-    /// Reusable merge buffers for the cross-shard exit drain.
-    pub exit_lanes: ShardLanes<OwnerId>,
-    pub exit_scratch: Vec<Stamped<OwnerId>>,
     /// Handed-over input regions awaiting each consumer (global task
     /// number).
     pub inputs: Vec<Vec<RegionId>>,
@@ -158,71 +121,17 @@ pub(crate) struct Wave {
     /// Tasks cancelled by fail-fast isolation, for the end-of-wave
     /// drain accounting.
     pub failed_tasks: usize,
-    /// Events committed (the loop's unit of work); identical at every
-    /// shard count.
+    /// Events committed (the loop's unit of work).
     pub events: u64,
     pub report: RunReport,
 }
 
 impl Wave {
-    /// The shard that owns an event: task events go to the planned
-    /// compute's shard (a fault reroute may *execute* elsewhere — that
-    /// only moves which heap holds the event, never the commit order),
-    /// lane events to the lane's device's shard.
-    fn route(&self, kind: EventKind) -> usize {
-        match kind {
-            EventKind::Ready { ji, task } | EventKind::EdgeDone { ji, task } => self
-                .tables
-                .shard_of(self.job_ids[ji], task)
-                .unwrap_or(0),
-            EventKind::LaneFree { compute } => self.map.shard_of_compute(compute),
-        }
-    }
-
-    /// Emits an event from the currently-committing shard: own-shard
-    /// events go straight onto the heap, cross-shard events into the
-    /// destination's mailbox (flushed before the next commit; heap
-    /// order restores the total order, so flush order is irrelevant).
+    /// Schedules an event at `at`, behind everything already scheduled
+    /// for the same instant.
     pub(crate) fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        let dst = self.route(kind);
-        let e = (at, self.seq, kind);
+        self.heap.push(Reverse((at, self.seq, kind)));
         self.seq += 1;
-        if dst == self.current {
-            self.shards[dst].heap.push(Reverse(e));
-        } else {
-            self.shards[self.current].outboxes[dst].push_back(e);
-            self.pending_mail += 1;
-        }
-    }
-
-    /// Seeds an event before the loop starts (no committing shard yet):
-    /// straight onto the owning shard's heap.
-    fn seed_event(&mut self, at: SimTime, kind: EventKind) {
-        let dst = self.route(kind);
-        self.shards[dst].heap.push(Reverse((at, self.seq, kind)));
-        self.seq += 1;
-    }
-
-    /// Drains every outbox into its destination heap.
-    fn flush_mail(&mut self) {
-        if self.pending_mail == 0 {
-            return;
-        }
-        for s in 0..self.shards.len() {
-            for d in 0..self.shards.len() {
-                if d == s || self.shards[s].outboxes[d].is_empty() {
-                    continue;
-                }
-                // Swap the mailbox out to sidestep the double borrow,
-                // then back in so its allocation is reused.
-                let mut mail = std::mem::take(&mut self.shards[s].outboxes[d]);
-                for e in mail.drain(..) {
-                    self.shards[d].heap.push(Reverse(e));
-                }
-                self.shards[s].outboxes[d] = mail;
-            }
-        }
-        self.pending_mail = 0;
     }
 
     /// Global arena slot of a task.
@@ -230,19 +139,29 @@ impl Wave {
         self.task_base[ji] + task.index()
     }
 
-    /// Defers a task's exit to the shard owning the device it finished
-    /// on, stamped with the wave-global exit sequence.
-    pub(crate) fn defer_exit(&mut self, finish: SimTime, who: OwnerId, compute: ComputeId) {
-        let s = self.map.shard_of_compute(compute);
-        self.shards[s]
-            .pending_exits
+    /// Defers a task's exit cleanup until virtual time passes `finish`.
+    pub(crate) fn defer_exit(&mut self, finish: SimTime, who: OwnerId) {
+        self.pending_exits
             .push(Reverse((finish, self.exit_seq, who)));
         self.exit_seq += 1;
     }
+
+    /// Applies deferred task exits to the pool in `(finish, seq)` order:
+    /// those with `finish <= t` for `upto = Some(t)` (the pre-allocation
+    /// flush in [`task::run_task`]), all of them for `None` (end of
+    /// wave).
+    pub(crate) fn flush_exits(&mut self, rt: &mut Runtime, upto: Option<SimTime>) {
+        while let Some(&Reverse((t, _, who))) = self.pending_exits.peek() {
+            if upto.is_some_and(|b| t > b) {
+                break;
+            }
+            self.pending_exits.pop();
+            rt.lifetime.task_exit(&mut rt.mgr, &mut rt.trace, who, t);
+        }
+    }
 }
 
-/// Applies one event against the shared runtime state. Called serially,
-/// in global `(time, seq)` order, regardless of shard count.
+/// Applies one event against the runtime state, in `(time, seq)` order.
 fn commit(
     rt: &mut Runtime,
     w: &mut Wave,
@@ -273,36 +192,6 @@ fn commit(
             }
         }
         EventKind::LaneFree { compute } => service(rt, w, jobs, compute, at),
-    }
-}
-
-/// Cores the host actually has. On a single-core host fanning staging
-/// out to threads is pure spawn overhead, so the loop stays inline.
-fn host_threads() -> usize {
-    static N: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *N.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// Stages the current window on every shard — in parallel when the
-/// host has cores to spare and the backlog justifies the thread
-/// spawns, inline otherwise. Staging only touches each shard's own
-/// heap, so the parallel arm shares nothing.
-fn stage_all(shards: &mut [ShardState], window_end: Option<SimTime>) {
-    let backlog: usize = shards.iter().map(|s| s.heap.len()).sum();
-    if backlog >= PAR_STAGE_THRESHOLD && host_threads() > 1 {
-        std::thread::scope(|scope| {
-            for sh in shards.iter_mut() {
-                scope.spawn(move || sh.stage(window_end));
-            }
-        });
-    } else {
-        for sh in shards.iter_mut() {
-            sh.stage(window_end);
-        }
     }
 }
 
@@ -384,27 +273,21 @@ pub(crate) fn run_wave(
         deps_left.extend(spec.dag.indegrees().into_iter().map(|d| d as u32));
     }
 
-    let map = rt.shard_map.clone();
-    let tables = ShardTables::build(&schedule, &map);
-    let shards: Vec<ShardState> = (0..map.shards())
-        .map(|s| ShardState::new(&map, s, &rt.topo, t0))
-        .collect();
-    let n_shards = shards.len();
-
     let mut w = Wave {
         job_ids,
         schedule,
-        shards,
-        map,
-        tables,
-        current: 0,
-        pending_mail: 0,
+        heap: BinaryHeap::new(),
         seq: 0,
+        queues: rt.topo.compute_ids().map(|_| BinaryHeap::new()).collect(),
+        lane_free: rt
+            .topo
+            .compute_ids()
+            .map(|c| vec![t0; rt.topo.compute(c).slots as usize])
+            .collect(),
+        pending_exits: BinaryHeap::new(),
+        exit_seq: 0,
         task_base,
         deps_left,
-        exit_seq: 0,
-        exit_lanes: ShardLanes::new(n_shards),
-        exit_scratch: Vec::new(),
         inputs: vec![Vec::new(); total_tasks],
         start_at: vec![SimTime::ZERO; total_tasks],
         finish_at: vec![SimTime::ZERO; total_tasks],
@@ -420,8 +303,7 @@ pub(crate) fn run_wave(
 
     // Seed the frontier: source tasks become ready when their job
     // arrives. Request-tagged jobs stamp their identity into the trace
-    // here — serially, before any event commits, so the tag block is
-    // bit-for-bit identical at every shard count.
+    // here, before any event commits, so the tag block leads the wave.
     for (ji, spec) in jobs.iter().enumerate() {
         let arrival = t0 + offsets[ji];
         if let Some(&Some((request, tenant))) = tags.get(ji) {
@@ -433,73 +315,12 @@ pub(crate) fn run_wave(
             });
         }
         for task in spec.dag.frontier() {
-            w.seed_event(arrival, EventKind::Ready { ji, task });
+            w.push_event(arrival, EventKind::Ready { ji, task });
         }
     }
 
-    if n_shards == 1 {
-        // Fast path: one shard is the classic single-heap loop — no
-        // windows, no staging, no mailboxes.
-        while let Some(Reverse((at, _, kind))) = w.shards[0].heap.pop() {
-            commit(rt, &mut w, &jobs, at, kind)?;
-        }
-    } else {
-        let lookahead = w.map.lookahead();
-        loop {
-            w.flush_mail();
-            let Some(t_min) = w.shards.iter().filter_map(ShardState::next_time).min() else {
-                break;
-            };
-            // Conservative window: nothing committed at or after t_min
-            // can affect another shard before t_min + lookahead, so
-            // each shard may pop its own backlog below that bound
-            // independently. Unbounded when nothing crosses shards.
-            let window_end = lookahead.map(|la| t_min + la);
-            stage_all(&mut w.shards, window_end);
-
-            // Commit serially in global (time, seq) order, considering
-            // both staged fronts and heap heads (commits emit new
-            // events, possibly inside the current window).
-            loop {
-                w.flush_mail();
-                let mut best: Option<(SimTime, u64, usize, bool)> = None;
-                let mut any_staged = false;
-                for (si, sh) in w.shards.iter().enumerate() {
-                    if let Some(&(t, seq, _)) = sh.staged.get(sh.cursor) {
-                        any_staged = true;
-                        if best.is_none_or(|(bt, bs, _, _)| (t, seq) < (bt, bs)) {
-                            best = Some((t, seq, si, true));
-                        }
-                    }
-                    if let Some(&Reverse((t, seq, _))) = sh.heap.peek() {
-                        if best.is_none_or(|(bt, bs, _, _)| (t, seq) < (bt, bs)) {
-                            best = Some((t, seq, si, false));
-                        }
-                    }
-                }
-                let Some((_, _, si, from_staged)) = best else {
-                    break;
-                };
-                if !from_staged && !any_staged {
-                    // Window exhausted and the next event sits in a
-                    // heap: re-window so its shard's peers can stage
-                    // their (possibly earlier-than-lookahead) backlog
-                    // around it first.
-                    break;
-                }
-                let (at, _, kind) = if from_staged {
-                    let sh = &mut w.shards[si];
-                    let e = sh.staged[sh.cursor];
-                    sh.cursor += 1;
-                    e
-                } else {
-                    let Reverse(e) = w.shards[si].heap.pop().expect("peeked above");
-                    e
-                };
-                w.current = si;
-                commit(rt, &mut w, &jobs, at, kind)?;
-            }
-        }
+    while let Some(Reverse((at, _, kind))) = w.heap.pop() {
+        commit(rt, &mut w, &jobs, at, kind)?;
     }
     assert_eq!(
         w.report.tasks.len() + w.failed_tasks,
@@ -507,10 +328,10 @@ pub(crate) fn run_wave(
         "event heap drained with tasks unrun; DAG validation should prevent this"
     );
 
-    // End of wave: flush the remaining task exits in merged time order,
-    // then release job-scoped regions; App-scoped (persistent) regions
+    // End of wave: flush the remaining task exits in time order, then
+    // release job-scoped regions; App-scoped (persistent) regions
     // survive.
-    flush_exits(rt, &mut w.shards, &mut w.exit_lanes, &mut w.exit_scratch, None);
+    w.flush_exits(rt, None);
     for &jid in &w.job_ids {
         let _ = rt.mgr.release_all(OwnerId::Job(jid.0));
     }

@@ -1,10 +1,9 @@
 //! Task-level execution: dispatch, region allocation, body execution,
 //! fault retries, and successor handover.
 //!
-//! Everything here runs inside the coordinator's serial commit step
-//! (see the module docs in [`super`]): handlers may freely mutate the
-//! shared [`Runtime`] — the pool, ledger, trace, and auditor — because
-//! exactly one event is ever being committed at a time, in global
+//! Everything here runs inside the event loop's commit step (see the
+//! module docs in [`super`]): handlers mutate the [`Runtime`] — the
+//! pool, ledger, trace, and auditor — one event at a time, in
 //! `(SimTime, seq)` order.
 
 use std::cmp::Reverse;
@@ -34,7 +33,6 @@ use crate::error::DisaggError;
 use crate::report::{FailReason, FailedJob, TaskReport};
 use crate::runtime::Runtime;
 
-use super::shard::flush_exits;
 use super::{EventKind, Wave};
 
 /// Streaming producers release their first chunk after 1/DEPTH of their
@@ -254,10 +252,9 @@ fn fail_job(
         // Handed-over inputs awaiting a task that will never run are
         // owned by that task; schedule their release at the fail time.
         // (The failing task's own exit below also covers its placements.)
-        w.defer_exit(at, OwnerId::Task { job: jid.0, task: u64::from(t_id.0) }, compute);
+        w.defer_exit(at, OwnerId::Task { job: jid.0, task: u64::from(t_id.0) });
     }
-    let (fsi, fli) = w.map.local_compute(compute);
-    let lanes = &mut w.shards[fsi].lane_free[fli];
+    let lanes = &mut w.lane_free[compute.index()];
     let lane = lane.min(lanes.len() - 1);
     lanes[lane] = at;
     w.push_event(at, EventKind::LaneFree { compute });
@@ -317,8 +314,7 @@ pub(crate) fn enqueue(
         on: compute,
         at,
     });
-    let (si, li) = w.map.local_compute(compute);
-    w.shards[si].queues[li].push(Reverse(queue_key(
+    w.queues[compute.index()].push(Reverse(queue_key(
         rt.config.queue,
         entry.rank,
         entry.est_duration(),
@@ -339,12 +335,12 @@ pub(crate) fn service(
     compute: ComputeId,
     now: SimTime,
 ) -> Result<(), DisaggError> {
-    let (si, li) = w.map.local_compute(compute);
+    let ci = compute.index();
     loop {
-        if w.shards[si].queues[li].is_empty() {
+        if w.queues[ci].is_empty() {
             return Ok(());
         }
-        let Some(lane) = w.shards[si].lane_free[li]
+        let Some(lane) = w.lane_free[ci]
             .iter()
             .enumerate()
             .filter(|&(_, &f)| f <= now)
@@ -354,7 +350,7 @@ pub(crate) fn service(
             return Ok(());
         };
         let Reverse((_, queued_at, ji, task, est)) =
-            w.shards[si].queues[li].pop().expect("checked non-empty");
+            w.queues[ci].pop().expect("checked non-empty");
         if w.failed[ji] {
             // The job failed fast after this entry was queued; discard
             // it without consuming the lane.
@@ -398,13 +394,7 @@ pub(crate) fn run_task(
 
     // Flush exits whose virtual finish precedes this start: their
     // regions are genuinely gone by the time this task allocates.
-    flush_exits(
-        rt,
-        &mut w.shards,
-        &mut w.exit_lanes,
-        &mut w.exit_scratch,
-        Some(start),
-    );
+    w.flush_exits(rt, Some(start));
 
     // --- Region allocation, by declared properties. ---
     let g = w.gx(ji, task);
@@ -715,11 +705,9 @@ pub(crate) fn run_task(
         }
     }
     // A crash retry may have moved the task to a device with fewer
-    // lanes (possibly on another shard); clamp the lane index before
-    // booking, and free the lane by event so queued work dispatches the
-    // instant it opens.
-    let (fsi, fli) = w.map.local_compute(compute);
-    let lanes = &mut w.shards[fsi].lane_free[fli];
+    // lanes; clamp the lane index before booking, and free the lane by
+    // event so queued work dispatches the instant it opens.
+    let lanes = &mut w.lane_free[compute.index()];
     let lane = lane.min(lanes.len() - 1);
     lanes[lane] = finish;
     w.push_event(finish, EventKind::LaneFree { compute });
@@ -842,7 +830,7 @@ pub(crate) fn run_task(
             rt.mgr.transfer(r, who, OwnerId::Job(jid.0))?;
         }
     }
-    w.defer_exit(finish, who, compute);
+    w.defer_exit(finish, who);
 
     w.ran[g] = true;
     w.report.tasks.push(TaskReport {

@@ -24,7 +24,6 @@ use disagg_hwsim::fx::FxHashMap;
 use disagg_dataflow::job::JobSpec;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
-use disagg_hwsim::shard::ShardMap;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::{Trace, TraceEvent};
@@ -58,12 +57,9 @@ pub struct Runtime {
     pub(crate) hotness: HotnessTracker,
     /// Application-scope named regions published across jobs.
     pub(crate) app_published: FxHashMap<String, RegionId>,
-    /// Node-aligned topology partition for the sharded event loop
-    /// (built once; the topology is immutable for the runtime's life).
-    pub(crate) shard_map: ShardMap,
     /// Per-node circuit breakers — `Some` only when
     /// [`crate::FaultControlPolicy::breakers`] is configured. Mutated
-    /// exclusively from the executor's serial commit path.
+    /// exclusively from the executor's commit path.
     pub(crate) breakers: Option<BreakerBank>,
     /// Per-tenant retry-budget buckets — `Some` only when
     /// [`crate::FaultControlPolicy::retry_budget`] is configured.
@@ -98,7 +94,6 @@ impl Runtime {
             auditor: Auditor::new(),
             hotness: HotnessTracker::new(),
             app_published: FxHashMap::default(),
-            shard_map: ShardMap::partition(&topo, config.shards),
             breakers: config.fault_control.breakers.map(BreakerBank::new),
             retry_budgets: config.fault_control.retry_budget.map(RetryBudgets::new),
             next_job: 0,
@@ -106,12 +101,6 @@ impl Runtime {
             topo,
             config,
         }
-    }
-
-    /// The effective shard count of the event loop (the configured
-    /// count clamped to the topology's node count).
-    pub fn shards(&self) -> usize {
-        self.shard_map.shards()
     }
 
     /// The hardware topology.
@@ -329,32 +318,6 @@ impl Runtime {
             merge_reports(&mut combined, report);
         }
         Ok(combined)
-    }
-
-    /// Convenience: run a single job.
-    #[deprecated(note = "use `Runtime::execute(Submission::job(job))`")]
-    pub fn submit(&mut self, job: JobSpec) -> Result<RunReport, RuntimeError> {
-        self.execute(Submission::job(job))
-    }
-
-    /// Runs a batch of jobs concurrently and returns the report.
-    #[deprecated(note = "use `Runtime::execute(Submission::batch(jobs))`")]
-    pub fn run(&mut self, jobs: Vec<JobSpec>) -> Result<RunReport, RuntimeError> {
-        self.execute(Submission::batch(jobs))
-    }
-
-    /// Runs jobs that *arrive over time*: each job's tasks may not start
-    /// before its arrival offset (relative to the current virtual time).
-    /// Admission control composes with arrivals exactly as in
-    /// [`Runtime::execute`]: with a configured watermark, an arrival
-    /// stream too big for the pool degrades into admission waves that
-    /// preserve each job's absolute arrival.
-    #[deprecated(note = "use `Runtime::execute(Submission::arriving(arrivals))`")]
-    pub fn run_arrivals(
-        &mut self,
-        arrivals: Vec<(SimDuration, JobSpec)>,
-    ) -> Result<RunReport, RuntimeError> {
-        self.execute(Submission::arriving(arrivals))
     }
 
     /// Modelled repair arithmetic for online reconstruction, mirroring

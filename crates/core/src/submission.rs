@@ -1,9 +1,9 @@
 //! The unified submission API.
 //!
-//! The runtime used to expose three overlapping entry points — `submit`
-//! (one job), `run` (a batch with optional admission waves), and
-//! `run_arrivals` (a batch whose jobs arrive over virtual time, no
-//! admission). A [`Submission`] folds all three into one builder:
+//! [`Runtime::execute`](crate::Runtime::execute) is the runtime's only
+//! entry point. A [`Submission`] covers the three shapes of work — one
+//! job, a closed batch (with optional admission waves), and a batch
+//! whose jobs arrive over virtual time — in one builder:
 //!
 //! ```
 //! use disagg_core::prelude::*;
@@ -32,10 +32,6 @@
 //!     .unwrap();
 //! assert_eq!(report.tasks.len(), 2);
 //! ```
-//!
-//! The old methods survive as thin deprecated shims over
-//! [`Runtime::execute`](crate::Runtime::execute), so applications can
-//! migrate incrementally.
 
 use disagg_dataflow::job::JobSpec;
 use disagg_hwsim::time::SimDuration;
@@ -79,14 +75,14 @@ impl Submission {
         Submission { jobs, offsets: None, admission: None, tags: None }
     }
 
-    /// A single job (the old `submit` shape).
+    /// A single job.
     pub fn job(job: JobSpec) -> Submission {
         Submission::batch(vec![job])
     }
 
-    /// An arrival stream given as `(offset, job)` pairs (the old
-    /// `run_arrivals` shape): each job's tasks may not start before its
-    /// offset relative to the current virtual time.
+    /// An arrival stream given as `(offset, job)` pairs: each job's
+    /// tasks may not start before its offset relative to the current
+    /// virtual time.
     pub fn arriving(arrivals: Vec<(SimDuration, JobSpec)>) -> Submission {
         let (offsets, jobs): (Vec<_>, Vec<_>) = arrivals.into_iter().unzip();
         Submission { jobs, offsets: Some(offsets), admission: None, tags: None }

@@ -37,7 +37,6 @@ pub mod fx;
 pub mod ids;
 pub mod presets;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -49,7 +48,6 @@ pub use fault::{FaultEvent, FaultInjector, FaultKind};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ids::{ComputeId, LinkId, MemDeviceId, NodeId};
 pub use rng::SimRng;
-pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkKind, PathCost, Topology, TopologyBuilder};
 pub use trace::{Trace, TraceEvent};

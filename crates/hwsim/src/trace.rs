@@ -179,8 +179,8 @@ pub enum TraceEvent {
     },
     /// A circuit breaker opened: enough `FaultDetected` strikes landed
     /// on one node that placement stops offering it candidates until the
-    /// cool-down elapses. Emitted serially from the commit path, so the
-    /// transition order is deterministic at every shard count.
+    /// cool-down elapses. Emitted from the executor's commit path, so
+    /// the transition order is deterministic.
     BreakerTrip {
         /// The node the breaker guards.
         node: NodeId,

@@ -41,7 +41,6 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod request;
-pub mod sharded;
 pub mod timeline;
 
 pub use analyze::{critical_paths, render_critical_paths, CriticalPath, TaskSpan};
@@ -55,5 +54,4 @@ pub use request::{
     assemble_request_spans, slo_burn, slo_burn_by, tail_attribution, Attribution, BurnWindow,
     RequestSpan, Segment, SegmentKind, TenantAttribution, TenantBurn,
 };
-pub use sharded::{merge_stamped, merge_stamped_into, ShardLanes, Stamped};
 pub use timeline::{DeviceTimelines, Timeline, TimelineRecorder};

@@ -23,7 +23,7 @@
 //! before the first enqueue, transfer after), so the components **sum
 //! exactly to the end-to-end latency** — conservative and complete by
 //! construction. The sweep consumes only committed trace events, whose
-//! order and content are bit-for-bit shard-invariant, so spans and
+//! order and content are bit-for-bit deterministic, so spans and
 //! attributions are too.
 
 use std::collections::BTreeMap;

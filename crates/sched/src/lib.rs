@@ -24,11 +24,9 @@ pub mod enforce;
 pub mod lifetime;
 pub mod placement;
 pub mod schedule;
-pub mod shard;
 
 pub use cost::{CostModel, CostWeights, TopologyAwareness};
 pub use enforce::{needs_encryption, xor_cipher, Auditor, Violation};
 pub use lifetime::{HandoverOutcome, HandoverPolicy, LifetimeManager, TRANSFER_OVERHEAD};
 pub use placement::{PlacementDecision, PlacementEngine, PlacementPolicy};
 pub use schedule::{QueuePolicy, SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};
-pub use shard::ShardTables;

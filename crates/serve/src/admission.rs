@@ -5,8 +5,8 @@
 //! admission waves charge ([`disagg_core::Runtime::predicted_footprint`])
 //! plus a calibrated per-template service-time estimate. Decisions are
 //! therefore causal (made in arrival order, from information available
-//! at the arrival instant) and independent of shard count — a rejected
-//! request is rejected identically on every execution.
+//! at the arrival instant) — a rejected request is rejected identically
+//! on every execution.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

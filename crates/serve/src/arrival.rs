@@ -6,7 +6,7 @@
 //! Markov-modulated Poisson process ([`ArrivalProcess::Mmpp`]) whose
 //! calm/burst phases model diurnal or flash-crowd traffic. Every sample
 //! comes from a [`SimRng`] fork, so a seeded process yields the same
-//! arrival sequence on every run and at every shard count.
+//! arrival sequence on every run.
 
 use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::SimDuration;

@@ -4,7 +4,7 @@
 //! to completion. A production disaggregated runtime instead faces an
 //! *open* stream of requests from many tenants — "disaggregation must
 //! be evaluated against live application traffic, not beside it". This
-//! crate puts that traffic in front of the sharded executor:
+//! crate puts that traffic in front of the executor:
 //!
 //! - **Arrival processes** ([`ArrivalProcess`]): Poisson and bursty
 //!   (two-phase MMPP) arrivals in virtual time, seeded via `SimRng`.
@@ -15,7 +15,7 @@
 //! - **Admission** ([`QuotaTracker`]): per-tenant memory-pool quotas
 //!   charged with the runtime's own footprint predictor and a
 //!   calibrated service-time estimate; decisions are causal and
-//!   identical at every shard count.
+//!   identical on every execution.
 //! - **SLOs** ([`Slo`]): per-tenant p50/p99 sojourn targets in virtual
 //!   time, extracted from `disagg-obs` log2 histograms.
 //!
@@ -266,7 +266,7 @@ impl ServeLayer {
 
     /// Calibrates each template's service-time estimate: one
     /// representative request per template, run alone on a fresh
-    /// single-shard runtime over a clone of `topo`-shaped hardware.
+    /// runtime over a clone of `topo`-shaped hardware.
     /// Estimates feed quota admission only; measured latencies always
     /// come from the real run.
     fn calibrate(&self, rt: &Runtime, cfg: &ServeConfig) -> Vec<SimDuration> {

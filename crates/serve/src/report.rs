@@ -2,8 +2,8 @@
 //!
 //! Everything here is measured in *virtual* time and derived from the
 //! executor's deterministic output, so a seeded serving run produces a
-//! bit-for-bit identical [`ServeReport`] on every execution and at
-//! every shard count — latency SLOs included.
+//! bit-for-bit identical [`ServeReport`] on every execution — latency
+//! SLOs included.
 
 use disagg_core::breaker::BreakerTransition;
 use disagg_core::report::RunReport;

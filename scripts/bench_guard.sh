@@ -74,10 +74,10 @@ cargo build --release --offline -p disagg-bench --bin exp_driver >&2
 declare -A fresh
 for cfg in $CONFIGS; do fresh[$cfg]=0; done
 for run in $(seq "$RUNS"); do
-  fresh_log=$(./target/release/exp_driver --thru-only --no-scaling --no-json 2>&1 >/dev/null)
+  fresh_log=$(./target/release/exp_driver --thru-only 2>&1 >/dev/null)
   for cfg in $CONFIGS; do
     sample=$(printf '%s\n' "$fresh_log" \
-      | sed -n "s/^throughput ${cfg} .*→ \([0-9][0-9]*\) events\/sec.*/\1/p")
+      | sed -n "s/^throughput ${cfg}: .*→ \([0-9][0-9]*\) events\/sec.*/\1/p")
     if [ -z "$sample" ]; then
       echo "bench_guard: no fresh measurement for ${cfg} in driver output" >&2
       exit 1

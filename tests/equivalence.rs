@@ -3,19 +3,11 @@
 //! Earlier refactors replaced the executor's per-task hash maps with
 //! dense arenas, the contention ledger's per-quantum maps with ring
 //! buffers, the memory pool's region maps with an id-indexed slab, and
-//! the schedule's `(job, task)` map with an indexed slice; this PR
-//! shards the event loop itself into per-shard heaps synchronized by
-//! conservative virtual-time windows. None of that may change
-//! observable behavior: the digests below were captured from the
-//! pre-refactor executor on the diamond, quickstart, and rack-scale
+//! the schedule's `(job, task)` map with an indexed slice. None of that
+//! may change observable behavior: the digests below were captured from
+//! the pre-refactor executor on the diamond, quickstart, and rack-scale
 //! workloads, and the runtime must reproduce them bit-for-bit (task
-//! order, makespan, movement counters, and the full trace) — at
-//! **every shard count**, including under fault injection.
-//!
-//! Deliberately stays on the deprecated `Runtime::run` shim: these
-//! goldens double as proof that the legacy entry points still route
-//! through `Runtime::execute` without changing a single byte.
-#![allow(deprecated)]
+//! order, makespan, movement counters, and the full trace).
 
 use disagg::hwsim::compute::ComputeModel;
 use disagg::hwsim::device::{MemDeviceKind, MemDeviceModel};
@@ -51,7 +43,7 @@ fn report_digest(report: &RunReport, trace: &disagg::hwsim::trace::Trace) -> (u6
     (h, th)
 }
 
-fn diamond_workload(shards: usize) -> (Runtime, JobSpec) {
+fn diamond_workload() -> (Runtime, JobSpec) {
     let mut b = Topology::builder();
     let mut serial_cpu = ComputeModel::preset(ComputeKind::Cpu);
     serial_cpu.slots = 1;
@@ -69,7 +61,7 @@ fn diamond_workload(shards: usize) -> (Runtime, JobSpec) {
     b.link(Endpoint::Hub(w0), dram0, LinkKind::MemBus);
     b.link(Endpoint::Hub(w1), dram1, LinkKind::MemBus);
     let topo = b.build().unwrap();
-    let rt = Runtime::new(topo, RuntimeConfig::traced().with_shards(shards));
+    let rt = Runtime::new(topo, RuntimeConfig::traced());
     let mut job = JobBuilder::new("diamond");
     let mk = |name: &str| {
         TaskSpec::new(name)
@@ -92,9 +84,9 @@ fn diamond_workload(shards: usize) -> (Runtime, JobSpec) {
     (rt, job.build().unwrap())
 }
 
-fn quickstart_workload(shards: usize) -> (Runtime, JobSpec) {
+fn quickstart_workload() -> (Runtime, JobSpec) {
     let (topo, _ids) = disagg::presets::single_server();
-    let rt = Runtime::new(topo, RuntimeConfig::traced().with_shards(shards));
+    let rt = Runtime::new(topo, RuntimeConfig::traced());
     let mut job = JobBuilder::new("quickstart");
     let produce = job.task(
         TaskSpec::new("produce")
@@ -124,12 +116,9 @@ fn quickstart_workload(shards: usize) -> (Runtime, JobSpec) {
     (rt, job.build().unwrap())
 }
 
-fn rack_batch(shards: usize) -> (Runtime, Vec<JobSpec>) {
+fn rack_batch() -> (Runtime, Vec<JobSpec>) {
     let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
-    let rt = Runtime::new(
-        topo,
-        RuntimeConfig::traced().with_admission(0.8).with_shards(shards),
-    );
+    let rt = Runtime::new(topo, RuntimeConfig::traced().with_admission(0.8));
     let jobs = vec![
         dbms::query_job(dbms::DbmsConfig {
             tuples: 8_000,
@@ -161,7 +150,7 @@ struct Golden {
 }
 
 fn check(name: &str, mut rt: Runtime, jobs: Vec<JobSpec>, golden: Golden) {
-    let report = rt.run(jobs).unwrap();
+    let report = rt.execute(Submission::batch(jobs)).unwrap();
     let (task_hash, trace_hash) = report_digest(&report, rt.trace());
     assert_eq!(report.makespan.as_nanos(), golden.makespan, "{name}: makespan");
     assert_eq!(report.tasks.len(), golden.tasks, "{name}: task count");
@@ -214,86 +203,20 @@ fn rack_golden() -> Golden {
 
 #[test]
 fn diamond_matches_pre_refactor_golden() {
-    let (rt, job) = diamond_workload(1);
+    let (rt, job) = diamond_workload();
     check("diamond", rt, vec![job], diamond_golden());
 }
 
 #[test]
 fn quickstart_matches_pre_refactor_golden() {
-    let (rt, job) = quickstart_workload(1);
+    let (rt, job) = quickstart_workload();
     check("quickstart", rt, vec![job], quickstart_golden());
 }
 
 #[test]
 fn rack_scale_batch_matches_pre_refactor_golden() {
-    let (rt, jobs) = rack_batch(1);
+    let (rt, jobs) = rack_batch();
     check("rack", rt, jobs, rack_golden());
-}
-
-/// The tentpole invariant of the sharded event loop: the shard count is
-/// a *driving* detail, never a semantic one. Every pinned golden must
-/// reproduce bit-for-bit — same makespan, movement counters, task
-/// schedule digest, and full trace digest — whether the wave runs on
-/// one event loop or eight (requests beyond the node count clamp).
-#[test]
-fn sharding_is_bit_for_bit_invariant() {
-    for shards in [2, 4, 8] {
-        let (rt, job) = diamond_workload(shards);
-        check(&format!("diamond@{shards}"), rt, vec![job], diamond_golden());
-        let (rt, job) = quickstart_workload(shards);
-        check(&format!("quickstart@{shards}"), rt, vec![job], quickstart_golden());
-        let (rt, jobs) = rack_batch(shards);
-        check(&format!("rack@{shards}"), rt, jobs, rack_golden());
-    }
-}
-
-/// Shard invariance must also hold on the ugly paths: mid-task node
-/// crashes, recovery, memory corruption, detection delays, and retry
-/// backoff all route through the same serially-committed event order,
-/// so a chaos run replays identically at every shard count.
-#[test]
-fn faulty_run_is_shard_invariant() {
-    use disagg::hwsim::fault::{FaultInjector, FaultKind};
-
-    let run = |shards: usize| {
-        let (topo, rack) = disagg::presets::disaggregated_rack(2, 16, 2, 64);
-        let mut faults = FaultInjector::none();
-        faults.schedule(SimTime(20_000), FaultKind::NodeCrash(rack.nodes[0]));
-        faults.schedule(SimTime(60_000), FaultKind::NodeRecover(rack.nodes[0]));
-        faults.schedule(
-            SimTime(10_000),
-            FaultKind::Corrupt { dev: rack.drams[0], offset: 0, len: 1 << 20 },
-        );
-        let config = RuntimeConfig::traced()
-            .with_faults(faults)
-            .with_recovery(
-                RecoveryPolicy::default()
-                    .with_detection_delay(SimDuration(2_000))
-                    .with_backoff(SimDuration(1_000)),
-            )
-            .with_shards(shards);
-        let mut rt = Runtime::new(topo, config);
-        let job = dbms::query_job(dbms::DbmsConfig {
-            tuples: 2_000,
-            probe_tuples: 1_000,
-            ..dbms::DbmsConfig::default()
-        });
-        let report = rt.run(vec![job]).unwrap();
-        let digests = report_digest(&report, rt.trace());
-        (
-            digests,
-            report.makespan,
-            report.events,
-            report.ownership_transfers,
-            report.handover_copies,
-            report.bytes_moved,
-        )
-    };
-
-    let baseline = run(1);
-    for shards in [2, 4, 8] {
-        assert_eq!(run(shards), baseline, "chaos run diverged at {shards} shards");
-    }
 }
 
 /// The streaming observer sees the exact event sequence the buffered
@@ -314,8 +237,8 @@ fn streaming_observer_matches_buffered_trace() {
             .with_admission(0.8)
             .with_observer(ObserverSlot::shared(sink.clone())),
     );
-    let (_, jobs) = rack_batch(1);
-    rt.run(jobs).unwrap();
+    let (_, jobs) = rack_batch();
+    rt.execute(Submission::batch(jobs)).unwrap();
 
     let digest = |events: &[disagg::hwsim::trace::TraceEvent]| {
         let mut h = 0xcbf29ce484222325u64;
@@ -344,8 +267,8 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
     use std::sync::{Arc, Mutex};
 
     // NullObserver (the default slot) — re-derive the pinned digests.
-    let (mut rt, jobs) = rack_batch(1);
-    let report = rt.run(jobs).unwrap();
+    let (mut rt, jobs) = rack_batch();
+    let report = rt.execute(Submission::batch(jobs)).unwrap();
     let null_digests = report_digest(&report, rt.trace());
 
     // FullObserver riding the same run.
@@ -357,8 +280,8 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
             .with_admission(0.8)
             .with_observer(ObserverSlot::shared(sink.clone())),
     );
-    let (_, jobs) = rack_batch(1);
-    let report = rt.run(jobs).unwrap();
+    let (_, jobs) = rack_batch();
+    let report = rt.execute(Submission::batch(jobs)).unwrap();
     let full_digests = report_digest(&report, rt.trace());
 
     let golden = rack_golden();
@@ -375,8 +298,8 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
 #[test]
 fn repeated_runs_are_bit_for_bit_identical() {
     let digest = || {
-        let (mut rt, jobs) = rack_batch(1);
-        let report = rt.run(jobs).unwrap();
+        let (mut rt, jobs) = rack_batch();
+        let report = rt.execute(Submission::batch(jobs)).unwrap();
         (report_digest(&report, rt.trace()), report.events)
     };
     assert_eq!(digest(), digest());

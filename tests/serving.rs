@@ -1,5 +1,5 @@
 //! Serving-layer integration: the open-loop request stream must be
-//! bit-for-bit deterministic across executions and shard counts, quotas
+//! bit-for-bit deterministic across executions, quotas
 //! must bind per tenant, and the SLO histograms must agree with the
 //! underlying executor report.
 
@@ -82,36 +82,34 @@ fn cfg() -> ServeConfig {
     }
 }
 
-fn serve_once(shards: usize) -> (ServeReport, u64) {
+fn serve_once() -> (ServeReport, u64) {
     let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_shards(shards));
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
     let report = mix().run(&mut rt, &cfg()).expect("serving run");
     let digest = run_digest(&report.run);
     (report, digest)
 }
 
 /// The same seeded stream must reproduce byte-identically across two
-/// executions and across shard counts — arrivals, tenant mix, admission
-/// verdicts, latencies, histograms, and the executor schedule itself.
+/// executions — arrivals, tenant mix, admission verdicts, latencies,
+/// histograms, and the executor schedule itself.
 #[test]
-fn serving_is_deterministic_across_runs_and_shards() {
-    let (base, base_digest) = serve_once(1);
+fn serving_is_deterministic_across_runs() {
+    let (base, base_digest) = serve_once();
     assert!(base.admitted > 0, "stream must admit work");
-    for shards in [1usize, 4] {
-        let (rep, digest) = serve_once(shards);
-        assert_eq!(
-            format!("{:?}", rep.requests),
-            format!("{:?}", base.requests),
-            "request records diverged at {shards} shard(s)"
-        );
-        assert_eq!(
-            format!("{:?}", rep.sojourn),
-            format!("{:?}", base.sojourn),
-            "sojourn histogram diverged at {shards} shard(s)"
-        );
-        assert_eq!(rep.makespan, base.makespan, "makespan diverged at {shards} shard(s)");
-        assert_eq!(digest, base_digest, "executor schedule diverged at {shards} shard(s)");
-    }
+    let (rep, digest) = serve_once();
+    assert_eq!(
+        format!("{:?}", rep.requests),
+        format!("{:?}", base.requests),
+        "request records diverged"
+    );
+    assert_eq!(
+        format!("{:?}", rep.sojourn),
+        format!("{:?}", base.sojourn),
+        "sojourn histogram diverged"
+    );
+    assert_eq!(rep.makespan, base.makespan, "makespan diverged");
+    assert_eq!(digest, base_digest, "executor schedule diverged");
 }
 
 /// A tenant whose quota cannot hold even one request footprint is
@@ -144,9 +142,9 @@ fn tenant_quota_rejects_without_collateral_damage() {
 /// recovery) sum *exactly* to its end-to-end latency — conservative and
 /// complete, even with crashes, corruption, retries, and online
 /// reconstruction in the run — and the spans, tail attribution, and
-/// burn curves are bit-for-bit identical at 1 and 4 shards.
+/// burn curves are bit-for-bit identical across two executions.
 #[test]
-fn request_attribution_is_conservative_and_shard_invariant_under_faults() {
+fn request_attribution_is_conservative_and_deterministic_under_faults() {
     use disagg::hwsim::fault::{FaultInjector, FaultKind};
     use disagg::hwsim::trace::TraceEvent;
 
@@ -165,7 +163,7 @@ fn request_attribution_is_conservative_and_shard_invariant_under_faults() {
         mix().run(&mut rt, &dense()).expect("probe run").makespan
     };
 
-    let serve_faulty = |shards: usize| {
+    let serve_faulty = || {
         let (topo, rack) = disaggregated_rack(2, 4, 1, 8);
         let mut faults = FaultInjector::none();
         // Rotating crash/recover pairs across the whole horizon, each
@@ -185,7 +183,6 @@ fn request_attribution_is_conservative_and_shard_invariant_under_faults() {
             );
         }
         let config = RuntimeConfig::traced()
-            .with_shards(shards)
             .with_faults(faults)
             .with_recovery(
                 RecoveryPolicy::default()
@@ -205,7 +202,7 @@ fn request_attribution_is_conservative_and_shard_invariant_under_faults() {
         (report, fault_activity)
     };
 
-    let (base, faults_hit) = serve_faulty(1);
+    let (base, faults_hit) = serve_faulty();
     assert!(base.admitted > 0, "stream must admit work");
     assert!(faults_hit, "the chaos schedule must actually disturb the run");
     assert_eq!(base.spans.len(), base.admitted, "one span per admitted request");
@@ -231,31 +228,31 @@ fn request_attribution_is_conservative_and_shard_invariant_under_faults() {
         }
     }
 
-    let (other, _) = serve_faulty(4);
+    let (other, _) = serve_faulty();
     assert_eq!(
         format!("{:?}", other.spans),
         format!("{:?}", base.spans),
-        "request spans diverged at 4 shards"
+        "request spans diverged on re-execution"
     );
     assert_eq!(
         format!("{:?}", other.tail_attribution),
         format!("{:?}", base.tail_attribution),
-        "tail attribution diverged at 4 shards"
+        "tail attribution diverged on re-execution"
     );
     assert_eq!(
         format!("{:?}", other.burn),
         format!("{:?}", base.burn),
-        "burn curves diverged at 4 shards"
+        "burn curves diverged on re-execution"
     );
 }
 
 /// The full fault-aware control plane — retry budgets, circuit
 /// breakers, deadline shedding, and brownout degradation — must be
-/// bit-for-bit deterministic across two executions and across shard
-/// counts under an active fault plan: every request verdict, latency,
-/// breaker transition, and shed/degraded/fast-failed count agrees.
+/// bit-for-bit deterministic across two executions under an active
+/// fault plan: every request verdict, latency, breaker transition, and
+/// shed/degraded/fast-failed count agrees.
 #[test]
-fn fault_aware_controls_are_deterministic_across_runs_and_shards() {
+fn fault_aware_controls_are_deterministic_across_runs() {
     use disagg::hwsim::fault::{FaultInjector, FaultKind};
     use disagg::serve::ControlPlane;
 
@@ -273,7 +270,7 @@ fn fault_aware_controls_are_deterministic_across_runs_and_shards() {
         mix().run(&mut rt, &dense()).expect("probe run").makespan
     };
 
-    let serve_controlled = |shards: usize| {
+    let serve_controlled = || {
         let (topo, rack) = disaggregated_rack(2, 4, 1, 8);
         let mut faults = FaultInjector::none();
         let mttf = horizon.0 / 4;
@@ -283,7 +280,6 @@ fn fault_aware_controls_are_deterministic_across_runs_and_shards() {
             faults.schedule(SimTime(k * mttf + mttf / 2), FaultKind::NodeRecover(node));
         }
         let config = RuntimeConfig::traced()
-            .with_shards(shards)
             .with_faults(faults)
             .with_recovery(
                 RecoveryPolicy::default()
@@ -312,7 +308,7 @@ fn fault_aware_controls_are_deterministic_across_runs_and_shards() {
         (report, digest)
     };
 
-    let (base, base_digest) = serve_controlled(1);
+    let (base, base_digest) = serve_controlled();
     assert!(base.admitted > 0, "stream must admit work");
     assert!(
         !base.breaker_transitions.is_empty(),
@@ -329,31 +325,29 @@ fn fault_aware_controls_are_deterministic_across_runs_and_shards() {
         "verdicts partition the offered stream"
     );
 
-    for shards in [1usize, 4] {
-        let (rep, digest) = serve_controlled(shards);
-        assert_eq!(
-            format!("{:?}", rep.requests),
-            format!("{:?}", base.requests),
-            "request records diverged at {shards} shard(s)"
-        );
-        assert_eq!(
-            format!("{:?}", rep.breaker_transitions),
-            format!("{:?}", base.breaker_transitions),
-            "breaker transitions diverged at {shards} shard(s)"
-        );
-        assert_eq!(
-            format!("{:?}", rep.tenants),
-            format!("{:?}", base.tenants),
-            "tenant stats diverged at {shards} shard(s)"
-        );
-        assert_eq!(
-            (rep.shed, rep.degraded, rep.fast_failed),
-            (base.shed, base.degraded, base.fast_failed),
-            "control verdicts diverged at {shards} shard(s)"
-        );
-        assert_eq!(rep.makespan, base.makespan, "makespan diverged at {shards} shard(s)");
-        assert_eq!(digest, base_digest, "executor schedule diverged at {shards} shard(s)");
-    }
+    let (rep, digest) = serve_controlled();
+    assert_eq!(
+        format!("{:?}", rep.requests),
+        format!("{:?}", base.requests),
+        "request records diverged"
+    );
+    assert_eq!(
+        format!("{:?}", rep.breaker_transitions),
+        format!("{:?}", base.breaker_transitions),
+        "breaker transitions diverged"
+    );
+    assert_eq!(
+        format!("{:?}", rep.tenants),
+        format!("{:?}", base.tenants),
+        "tenant stats diverged"
+    );
+    assert_eq!(
+        (rep.shed, rep.degraded, rep.fast_failed),
+        (base.shed, base.degraded, base.fast_failed),
+        "control verdicts diverged"
+    );
+    assert_eq!(rep.makespan, base.makespan, "makespan diverged");
+    assert_eq!(digest, base_digest, "executor schedule diverged");
 }
 
 /// The per-tenant SLO histograms must agree with latencies derived
@@ -362,7 +356,7 @@ fn fault_aware_controls_are_deterministic_across_runs_and_shards() {
 /// p50/p99 bounds exactly.
 #[test]
 fn slo_histograms_agree_with_run_report_task_spans() {
-    let (report, _) = serve_once(1);
+    let (report, _) = serve_once();
 
     // Admitted requests map to jobs in admission order starting at the
     // smallest JobId in the batch.
