@@ -132,11 +132,11 @@ fn events_per_sec() {
         ..BenchOpts::default()
     };
     let (jobs, layers, width) = (8, 16, 16);
-    let mut last = (0usize, 0u64, std::time::Duration::ZERO);
+    let mut last = None;
     let stats = bench_named("executor/rack_stress_8x16x16", opts, || {
-        last = driver::stress_run(jobs, layers, width);
+        last = Some(driver::stress_run(jobs, layers, width));
     });
-    let (tasks, events, _) = last;
+    let driver::Throughput { tasks, events, .. } = last.expect("at least one iteration ran");
     let eps = events as f64 / stats.min.as_secs_f64();
     println!(
         "executor/events_per_sec            {tasks} tasks, {events} events → {eps:.0} events/sec (best iter)"

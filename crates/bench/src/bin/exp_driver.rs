@@ -241,13 +241,15 @@ fn main() {
             .chain(std::iter::once_with(|| driver::measure_serving_throughput(reps, quick)))
             .inspect(|t| {
                 eprintln!(
-                    "throughput {}: {} tasks, {} events, {:.4}s → {:.0} events/sec ({:.0} tasks/sec)",
+                    "throughput {}: {} tasks, {} events, {:.4}s → {:.0} events/sec ({:.0} tasks/sec), \
+                     {} B materialized",
                     t.name,
                     t.tasks,
                     t.events,
                     t.wall.as_secs_f64(),
                     t.events_per_sec(),
-                    t.tasks_per_sec()
+                    t.tasks_per_sec(),
+                    t.materialized
                 );
             })
             .collect()

@@ -22,7 +22,7 @@ use disagg_core::obs::{
     chrome_trace, folded_stacks, render_critical_paths, validate_chrome_trace, FullObserver,
     ObserverSlot,
 };
-use disagg_core::prelude::{RecoveryPolicy, Runtime, RuntimeConfig};
+use disagg_core::prelude::{RecoveryPolicy, RunReport, Runtime, RuntimeConfig};
 use disagg_dataflow::job::JobSpec;
 use disagg_dataflow::task::TaskId;
 use disagg_dataflow::{JobBuilder, TaskSpec};
@@ -148,9 +148,24 @@ pub struct Throughput {
     pub events: u64,
     /// Best wall-clock over the measurement repetitions.
     pub wall: Duration,
+    /// Pool backing bytes the pass materialized
+    /// (`MemoryPool::bytes_materialized`; exact per configuration).
+    pub materialized: u64,
 }
 
 impl Throughput {
+    /// The record of one timed pass: counts from its report, the pool
+    /// counter from the runtime it ran on.
+    fn of(name: String, run: &RunReport, wall: Duration, rt: &Runtime) -> Self {
+        Throughput {
+            name,
+            tasks: run.tasks.len(),
+            events: run.events,
+            wall,
+            materialized: rt.manager().pool().bytes_materialized(),
+        }
+    }
+
     /// Events per host second.
     pub fn events_per_sec(&self) -> f64 {
         self.events as f64 / self.wall.as_secs_f64()
@@ -162,28 +177,25 @@ impl Throughput {
     }
 }
 
-/// Runs the stress batch once on the rack-scale preset and returns
-/// `(tasks, events, wall)`.
-pub fn stress_run(jobs: usize, layers: usize, width: usize) -> (usize, u64, Duration) {
+/// Runs the stress batch once on the rack-scale preset.
+pub fn stress_run(jobs: usize, layers: usize, width: usize) -> Throughput {
     let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
     let mut rt = Runtime::new(topo, RuntimeConfig::default());
     let batch = stress_jobs(jobs, layers, width);
     let t = Instant::now();
     let report = rt.execute(batch).expect("stress batch runs");
-    (report.tasks.len(), report.events, t.elapsed())
+    let wall = t.elapsed();
+    Throughput::of(format!("j{jobs}_l{layers}_w{width}"), &report, wall, &rt)
+}
+
+/// The fastest of `reps` passes (at least one).
+fn best_of(reps: usize, pass: impl Fn() -> Throughput) -> Throughput {
+    (0..reps.max(1)).map(|_| pass()).min_by_key(|t| t.wall).expect("at least one rep")
 }
 
 /// Best-of-`reps` throughput for one stress configuration.
 pub fn measure_throughput(jobs: usize, layers: usize, width: usize, reps: usize) -> Throughput {
-    let mut best: Option<(usize, u64, Duration)> = None;
-    for _ in 0..reps.max(1) {
-        let r = stress_run(jobs, layers, width);
-        if best.as_ref().map(|b| r.2 < b.2).unwrap_or(true) {
-            best = Some(r);
-        }
-    }
-    let (tasks, events, wall) = best.expect("at least one rep");
-    Throughput { name: format!("j{jobs}_l{layers}_w{width}"), tasks, events, wall }
+    best_of(reps, || stress_run(jobs, layers, width))
 }
 
 /// Pre-refactor (seed executor) tasks/sec on the same stress configs and
@@ -373,19 +385,14 @@ pub fn measure_serving_throughput(reps: usize, quick: bool) -> Throughput {
     let requests = if quick { 32 } else { 96 };
     let layer = exp::serving::templates();
     let cfg = exp::serving::saturated_config(requests);
-    let mut best: Option<(usize, u64, Duration)> = None;
-    for _ in 0..reps.max(1) {
+    best_of(reps, || {
         let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
         let mut rt = Runtime::new(topo, RuntimeConfig::default());
         let t = Instant::now();
         let report = layer.run(&mut rt, &cfg).expect("serving throughput pass");
-        let r = (report.run.tasks.len(), report.run.events, t.elapsed());
-        if best.as_ref().map(|b| r.2 < b.2).unwrap_or(true) {
-            best = Some(r);
-        }
-    }
-    let (tasks, events, wall) = best.expect("at least one rep");
-    Throughput { name: "serving_mix".into(), tasks, events, wall }
+        let wall = t.elapsed();
+        Throughput::of("serving_mix".into(), &report.run, wall, &rt)
+    })
 }
 
 /// One traced saturation serving pass rendered as Perfetto documents:
@@ -679,10 +686,9 @@ mod tests {
     fn stress_batch_is_deterministic() {
         let a = stress_run(2, 3, 3);
         let b = stress_run(2, 3, 3);
-        assert_eq!(a.0, b.0);
-        assert_eq!(a.1, b.1);
-        assert_eq!(a.0, 2 * 3 * 3, "every stress task executes");
-        assert!(a.1 >= a.0 as u64, "at least one event per task");
+        assert_eq!((a.tasks, a.events, a.materialized), (b.tasks, b.events, b.materialized));
+        assert_eq!(a.tasks, 2 * 3 * 3, "every stress task executes");
+        assert!(a.events >= a.tasks as u64, "at least one event per task");
     }
 
     #[test]
@@ -692,6 +698,7 @@ mod tests {
             tasks: 256,
             events: 1024,
             wall: Duration::from_millis(2),
+            materialized: 0,
         }];
         let exps = vec![ExpResult {
             id: "table1",

@@ -144,6 +144,25 @@ mod tests {
         }
     }
 
+    /// The sweep's largest point charges 5 GiB of copies in virtual
+    /// time; on the host each stage writes a 64-byte header, so each
+    /// output and each copy of it may hold one sparse page, not a GiB.
+    #[test]
+    fn gib_copies_cost_the_host_a_page_each() {
+        let (n, buffer) = (6, 1 << 30);
+        let (topo, _) = single_server();
+        let config = RuntimeConfig::traced().with_handover(HandoverPolicy::AlwaysCopy);
+        let mut rt = Runtime::new(topo, config);
+        rt.execute(pipeline_job(n, buffer)).expect("pipeline runs");
+        let copies = rt
+            .trace()
+            .count(|e| matches!(e, disagg_hwsim::trace::TraceEvent::Migrate { .. }));
+        assert_eq!(copies, n - 1, "every edge copied");
+        let materialized = rt.manager().pool().bytes_materialized();
+        assert!(materialized > 0, "the headers are real bytes");
+        assert!(materialized <= n as u64 * 2 * (64 << 10), "{materialized} bytes materialized");
+    }
+
     #[test]
     fn copy_penalty_grows_with_buffer_size() {
         let points = measure(true);

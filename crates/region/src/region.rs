@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use disagg_hwsim::ids::MemDeviceId;
+use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::SimTime;
 use disagg_hwsim::topology::Topology;
 
@@ -118,6 +118,17 @@ pub enum RegionError {
         /// The job that tried to read it.
         accessor_job: Option<u64>,
     },
+    /// A copy of the region has nowhere to go: no memory device reachable
+    /// from the consumer satisfies the region's properties with `size`
+    /// bytes free.
+    NoPlacement {
+        /// The region that was to be copied.
+        region: RegionId,
+        /// The compute device the copy was for.
+        consumer: ComputeId,
+        /// Bytes the copy needs.
+        size: u64,
+    },
 }
 
 impl From<AllocError> for RegionError {
@@ -146,6 +157,12 @@ impl std::fmt::Display for RegionError {
                 write!(
                     f,
                     "job {accessor_job:?} touched confidential region {region} of job {owner_job:?}"
+                )
+            }
+            RegionError::NoPlacement { region, consumer, size } => {
+                write!(
+                    f,
+                    "no device reachable from {consumer} can hold a {size}-byte copy of region {region}"
                 )
             }
         }
@@ -365,8 +382,8 @@ impl RegionManager {
     }
 
     /// Copies the full contents of `src` into `dst` (both must be live;
-    /// `dst` must be at least as large). Streams in bounded chunks, so it
-    /// works for sparse-backed regions of any size. Ownership checks are
+    /// `dst` must be at least as large). Works for regions of any size and
+    /// moves only bytes that were ever written. Ownership checks are
     /// the caller's job — this is runtime-internal plumbing for handover
     /// copies and migrations.
     pub fn copy_contents(&mut self, src: RegionId, dst: RegionId) -> Result<u64, RegionError> {

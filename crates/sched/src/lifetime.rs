@@ -142,21 +142,18 @@ impl LifetimeManager {
         now: SimTime,
     ) -> Result<HandoverOutcome, RegionError> {
         let placement = mgr.placement(region)?;
-        let meta = mgr.meta(region)?;
-        let props = meta.props.clone();
-        let src_owner = meta.ownership.owners()[0];
+        let props = mgr.meta(region)?.props.clone();
 
         let dst_dev = engine
             .choose(topo, mgr.pool(), consumer_compute, &props, placement.size)
-            .ok_or(RegionError::Alloc(disagg_region::pool::AllocError::OutOfMemory {
-                dev: placement.dev,
-                requested: placement.size,
-                free: 0,
-            }))?;
+            .ok_or(RegionError::NoPlacement {
+                region,
+                consumer: consumer_compute,
+                size: placement.size,
+            })?;
         let new = mgr.alloc(dst_dev, placement.size, RegionType::Input, props, to, now)?;
 
-        // Real byte copy, streamed so arbitrarily large regions work.
-        let _ = src_owner;
+        // Real byte copy of whatever the source ever had written.
         mgr.copy_contents(region, new)?;
 
         // Charge the physical movement on both devices and trace it.
@@ -237,6 +234,7 @@ fn owner_task_ids(from: OwnerId, to: OwnerId) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::placement::PlacementPolicy;
+    use disagg_hwsim::ids::MemDeviceId;
     use disagg_hwsim::presets::{disaggregated_rack, single_server};
     use disagg_region::props::PropertySet;
 
@@ -296,14 +294,13 @@ mod tests {
         assert_eq!(trace.bytes_moved(), 1 << 20);
     }
 
-    #[test]
-    fn unaddressable_region_falls_back_to_copy() {
-        // Two fully disjoint islands: the consumer's CPU has no route to
-        // the producer's DRAM (think: another host's private memory with
-        // no RDMA window). Handover must fall back to a physical copy.
+    /// Two fully disjoint islands `(topo, d0, cpu1, d1)`: `cpu1` has no
+    /// route to `d0` (think: another host's private memory with no RDMA
+    /// window), only to its own `d1`. Both DRAMs hold 16 MiB.
+    fn islands() -> (Topology, MemDeviceId, ComputeId, MemDeviceId) {
         use disagg_hwsim::compute::{ComputeKind, ComputeModel};
         use disagg_hwsim::device::{MemDeviceKind, MemDeviceModel};
-        use disagg_hwsim::topology::{LinkKind, Topology};
+        use disagg_hwsim::topology::LinkKind;
 
         let mut b = Topology::builder();
         let n0 = b.node("a");
@@ -314,8 +311,14 @@ mod tests {
         let d1 = b.mem(n1, MemDeviceModel::preset_with_capacity(MemDeviceKind::Dram, 1 << 24));
         b.link(cpu0, d0, LinkKind::MemBus);
         b.link(cpu1, d1, LinkKind::MemBus);
-        let topo = b.build().unwrap();
-        let _ = cpu0;
+        (b.build().unwrap(), d0, cpu1, d1)
+    }
+
+    #[test]
+    fn unaddressable_region_falls_back_to_copy() {
+        // The consumer cannot address the producer's DRAM: handover must
+        // fall back to a physical copy.
+        let (topo, d0, cpu1, d1) = islands();
 
         let mut mgr = RegionManager::new(&topo);
         let mut ledger = BandwidthLedger::default_buckets();
@@ -333,6 +336,37 @@ mod tests {
         assert!(!o.transferred, "cpu1 cannot address d0; must copy");
         assert_eq!(mgr.placement(o.region).unwrap().dev, d1);
         assert_eq!(&mgr.bytes(o.region, C).unwrap()[..8], &[7; 8]);
+    }
+
+    #[test]
+    fn copy_with_nowhere_to_go_names_the_consumer_and_keeps_the_source() {
+        // cpu1 reaches only d1, and d1 is full.
+        let (topo, d0, cpu1, d1) = islands();
+
+        let mut mgr = RegionManager::new(&topo);
+        let mut ledger = BandwidthLedger::default_buckets();
+        let mut trace = Trace::enabled();
+        let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
+        let lm = LifetimeManager::default();
+
+        let out = mgr
+            .alloc(d0, 4096, RegionType::Output, PropertySet::new(), P, SimTime::ZERO)
+            .unwrap();
+        mgr.write(out, P, 0, &[7; 8]).unwrap();
+        mgr.alloc(d1, 1 << 24, RegionType::GlobalScratch, PropertySet::new(), OwnerId::App, SimTime::ZERO)
+            .unwrap();
+
+        let err = lm
+            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, cpu1, SimTime::ZERO)
+            .unwrap_err();
+        assert_eq!(err, RegionError::NoPlacement { region: out, consumer: cpu1, size: 4096 });
+        let msg = err.to_string();
+        assert!(msg.contains(&cpu1.to_string()) && msg.contains("4096"), "{msg}");
+        // Nothing was released, allocated or traced on the way out.
+        assert_eq!(&mgr.bytes(out, P).unwrap()[..8], &[7; 8]);
+        assert_eq!(mgr.owned_by(C), vec![]);
+        assert_eq!(mgr.live_count(), 2);
+        assert_eq!(trace.bytes_moved(), 0);
     }
 
     #[test]

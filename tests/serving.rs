@@ -112,6 +112,18 @@ fn serving_is_deterministic_across_runs() {
     assert_eq!(digest, base_digest, "executor schedule diverged");
 }
 
+/// Bodies that only charge compute time write no byte, so neither their
+/// MiB outputs nor the fan-out copies of them may cost host memory.
+#[test]
+fn compute_only_serving_materializes_no_bytes() {
+    let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let report = mix().run(&mut rt, &cfg()).expect("serving run");
+    assert!(report.admitted > 0, "stream must admit work");
+    assert!(rt.trace().bytes_moved() > 0, "the fan-out edges must have copied");
+    assert_eq!(rt.manager().pool().bytes_materialized(), 0);
+}
+
 /// A tenant whose quota cannot hold even one request footprint is
 /// starved out while every other tenant proceeds untouched.
 #[test]
