@@ -6,11 +6,13 @@ use std::hint::black_box;
 
 use disagg_bench::harness::{bench, bench_named, header, BenchOpts};
 use disagg_core::prelude::*;
+use disagg_ftol::gf256;
 use disagg_ftol::reedsolomon::ReedSolomon;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::single_server;
+use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::SimTime;
 use disagg_region::pool::MemoryPool;
 use disagg_sched::cost::CostModel;
@@ -63,9 +65,32 @@ fn ledger_reserve() {
     });
 }
 
+/// Four 64 KiB shards of random bytes. (Constant fills flatter a coding
+/// kernel: shard 0 of `vec![i as u8; ..]` is all zeros, which the old
+/// log/exp loop skipped outright.)
+fn random_shards() -> Vec<Vec<u8>> {
+    let mut rng = SimRng::new(0x5EED);
+    (0..4)
+        .map(|_| {
+            let mut shard = vec![0u8; 64 << 10];
+            rng.fill_bytes(&mut shard);
+            shard
+        })
+        .collect()
+}
+
+fn gf256_row() {
+    let shards = random_shards();
+    let srcs: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+    let mut out = vec![0u8; 64 << 10];
+    bench("gf256/row_4x64k", || {
+        gf256::mul_row(black_box(&mut out), black_box(&[0x1B, 0x8E, 0xF3, 0x47]), black_box(&srcs));
+    });
+}
+
 fn reed_solomon() {
     let rs = ReedSolomon::new(4, 2).expect("params");
-    let shards: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8; 64 << 10]).collect();
+    let shards = random_shards();
     bench("rs/encode_4+2_64k", || {
         black_box(rs.encode(black_box(&shards)).expect("encode"));
     });
@@ -221,11 +246,12 @@ fn main() {
         .collect();
     let wants =
         |name: &str| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()));
-    let groups: [(&str, fn()); 10] = [
+    let groups: [(&str, fn()); 11] = [
         ("topology/access_cost", access_cost),
         ("cost/rank_all_devices", cost_model_rank),
         ("pool/alloc_free", pool_alloc_free),
         ("ledger/reserve", ledger_reserve),
+        ("gf256/row", gf256_row),
         ("rs/reed_solomon", reed_solomon),
         ("enforce/xor_cipher", cipher),
         ("sched/heft", schedule_dag),

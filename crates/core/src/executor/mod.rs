@@ -207,6 +207,8 @@ pub(crate) fn run_wave(
 ) -> Result<RunReport, DisaggError> {
     let t0 = rt.clock;
     let trace_mark = rt.trace.len();
+    let moved_mark = rt.trace.bytes_moved();
+    let ownership_mark = rt.trace.bytes_transferred_by_ownership();
     // Report only this run's audit findings, not the runtime's whole
     // history.
     let audit_mark = rt.auditor.violations.len();
@@ -356,8 +358,11 @@ pub(crate) fn run_wave(
     let mut report = w.report;
     report.events = w.events;
     report.makespan = end - t0;
-    report.bytes_moved = rt.trace.bytes_moved();
-    report.bytes_ownership_transferred = rt.trace.bytes_transferred_by_ownership();
+    // This wave's share of the trace's running totals: reports are
+    // summed across waves and epochs, so each must carry only its own.
+    report.bytes_moved = rt.trace.bytes_moved() - moved_mark;
+    report.bytes_ownership_transferred =
+        rt.trace.bytes_transferred_by_ownership() - ownership_mark;
     report.placements = std::mem::take(&mut rt.engine.decisions);
     report.violations = rt.auditor.violations[audit_mark..].to_vec();
     report.denials = rt.auditor.denials - denial_mark;

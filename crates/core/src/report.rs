@@ -101,9 +101,10 @@ pub struct RunReport {
     pub makespan: SimDuration,
     /// One report per executed task, in completion order.
     pub tasks: Vec<TaskReport>,
-    /// Bytes physically moved (accesses, copies, migrations).
+    /// Bytes physically moved (accesses, copies, migrations) by this run
+    /// alone: reports of one runtime add up to its trace's total.
     pub bytes_moved: u64,
-    /// Bytes whose movement was avoided by ownership transfer.
+    /// Bytes whose movement was avoided by ownership transfer, this run.
     pub bytes_ownership_transferred: u64,
     /// Number of pure ownership transfers.
     pub ownership_transfers: u64,

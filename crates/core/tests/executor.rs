@@ -66,6 +66,35 @@ fn always_copy_baseline_moves_every_byte() {
 }
 
 #[test]
+fn a_second_execute_reports_only_its_own_bytes() {
+    let copying_runtime = || {
+        let (topo, _) = single_server();
+        Runtime::new(topo, RuntimeConfig::traced().with_handover(HandoverPolicy::AlwaysCopy))
+    };
+    let pipe = |len: usize| {
+        let mut job = JobBuilder::new("pipe");
+        let ids: Vec<TaskId> = (0..len)
+            .map(|i| {
+                job.task(
+                    TaskSpec::new(format!("t{i}"))
+                        .output_bytes(1 << 20)
+                        .body(passthrough(1 << 20)),
+                )
+            })
+            .collect();
+        job.chain(&ids);
+        job.build().unwrap()
+    };
+    let mut rt = copying_runtime();
+    let first = rt.execute(pipe(3)).unwrap();
+    let second = rt.execute(pipe(2)).unwrap();
+    assert!(first.bytes_moved > second.bytes_moved && second.bytes_moved > 0);
+    assert_eq!(first.bytes_moved + second.bytes_moved, rt.trace().bytes_moved());
+    // The same job on a fresh runtime moves what the second run reported.
+    assert_eq!(copying_runtime().execute(pipe(2)).unwrap().bytes_moved, second.bytes_moved);
+}
+
+#[test]
 fn hospital_dataflow_properties_are_honored() {
     // Figure 2: the five-task hospital job with its property annotations.
     let (topo, _) = single_server();

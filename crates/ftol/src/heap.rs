@@ -333,4 +333,61 @@ mod tests {
         assert_eq!(heap.free_tail(), 3_000);
         assert_eq!(heap.dead_fraction(), 0.0);
     }
+
+    #[test]
+    fn empty_objects_round_trip_without_touching_the_spans() {
+        let (topo, mut mgr, mut ledger, mut heap) = fixture();
+        let calm = FaultInjector::none();
+        // At offset 0 (where `(end - 1) / span_size` used to underflow) …
+        let (first, took) = heap.put(&mut mgr, &topo, &mut ledger, &[], SimTime::ZERO).unwrap();
+        assert_eq!(took, SimDuration::ZERO);
+        // … and flush against the end of a full heap.
+        heap.put(&mut mgr, &topo, &mut ledger, &obj(4_000, 1), SimTime::ZERO).unwrap();
+        let (last, _) = heap.put(&mut mgr, &topo, &mut ledger, &[], SimTime(1)).unwrap();
+        for id in [first, last] {
+            let got = heap.get(&mgr, &topo, &mut ledger, &calm, id, SimTime(2)).unwrap();
+            assert_eq!(got, (Vec::new(), SimDuration::ZERO, false));
+        }
+        assert_eq!(heap.len(), 3);
+        assert_eq!(heap.live_bytes(), 4_000);
+    }
+
+    #[test]
+    fn a_small_put_after_a_large_one_keeps_parity_consistent() {
+        // RS(4+2), 1000-byte spans. Parity is re-encoded only over the
+        // columns a put touches; the six spans must still verify.
+        let (topo, rack) = disaggregated_rack(2, 32, 6, 64);
+        let mut mgr = RegionManager::new(&topo);
+        let mut ledger = BandwidthLedger::default_buckets();
+        let mut heap =
+            StripedHeap::create(&mut mgr, &topo, &rack.pool[..6], 4_000, 4, 2, OWNER, SimTime::ZERO)
+                .unwrap();
+        let rs = crate::ReedSolomon::new(4, 2).unwrap();
+        // Across three spans (every column); inside span 2; the tail of
+        // span 2 plus a shorter head of span 3 (two column ranges);
+        // inside span 3; the last byte.
+        let mut ids = Vec::new();
+        for (n, tag) in [(2_500, 1u8), (100, 2), (450, 3), (949, 4), (1, 5)] {
+            let (id, _) = heap.put(&mut mgr, &topo, &mut ledger, &obj(n, tag), SimTime::ZERO).unwrap();
+            ids.push((id, n, tag));
+            let spans: Vec<Vec<u8>> = heap
+                .store
+                .spans
+                .iter()
+                .map(|&s| mgr.bytes(s, OWNER).unwrap().to_vec())
+                .collect();
+            assert!(rs.verify(&spans).unwrap(), "after the {n}-byte put");
+        }
+        // And a crash of any one data span still reads every object back.
+        for lost in 0..4 {
+            let crash = FaultInjector::with_events(vec![disagg_hwsim::fault::FaultEvent {
+                at: SimTime(1),
+                kind: disagg_hwsim::fault::FaultKind::DeviceFail(heap.store.devs[lost]),
+            }]);
+            for &(id, n, tag) in &ids {
+                let (data, _, _) = heap.get(&mgr, &topo, &mut ledger, &crash, id, SimTime(2)).unwrap();
+                assert_eq!(data, obj(n, tag), "object of {n} bytes with span {lost} lost");
+            }
+        }
+    }
 }

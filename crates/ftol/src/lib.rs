@@ -9,6 +9,11 @@
 //! - [`replicate`]: N-way replication — simple, fast recovery, N× storage.
 //! - [`stripe`] + [`reedsolomon`] + [`gf256`]: Carbink-style erasure-coded
 //!   spans — `(k+m)/k` storage, degraded reads and reconstruction cost.
+//!
+//! The coding arithmetic is portable safe Rust by construction: no
+//! intrinsics, no per-platform path (see [`gf256`] for why).
+
+#![forbid(unsafe_code)]
 
 pub mod gf256;
 pub mod heap;

@@ -5,8 +5,20 @@
 //! from-scratch implementation of the standard construction: start from a
 //! Vandermonde matrix, Gauss–Jordan the top `k × k` block to the identity
 //! so the code is *systematic* (data shards are stored verbatim), and use
-//! the bottom `m` rows to produce parity. Reconstruction inverts the
-//! submatrix of surviving rows.
+//! the bottom `m` rows to produce parity.
+//!
+//! All bulk arithmetic is [`gf256::mul_row`], one call per shard
+//! produced, and the codec follows one rule: **decode only what was lost;
+//! borrow, don't copy.** With `E` the `(k+m) × k` encoding matrix and
+//! `from` any `k` surviving shard indices, shard `t` — data *or* parity —
+//! is the row product `(E[t] · E[from]⁻¹) · shards[from]`, so
+//!
+//! - [`ReedSolomon::encode`] is `m` kernel calls (rows `k..k+m` of `E`);
+//! - [`ReedSolomon::reconstruct`] is one kernel call per `None` entry and
+//!   never recomputes, clones or reallocates a shard that is present;
+//! - [`ReedSolomon::encode_slices`] and [`ReedSolomon::decode_shard`] do
+//!   the same over borrowed `&[u8]` (any column range of a stripe), which
+//!   is what lets [`crate::stripe`] code straight out of pool memory.
 
 use crate::gf256;
 
@@ -210,6 +222,12 @@ impl ReedSolomon {
 
     /// Computes the `m` parity shards for `k` equal-length data shards.
     pub fn encode(&self, data: &[Vec<u8>]) -> Result<Vec<Vec<u8>>, RsError> {
+        let views: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        self.encode_slices(&views)
+    }
+
+    /// [`ReedSolomon::encode`] over borrowed data shards.
+    pub fn encode_slices(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, RsError> {
         if data.len() != self.k {
             return Err(RsError::WrongShardCount);
         }
@@ -217,14 +235,13 @@ impl ReedSolomon {
         if data.iter().any(|s| s.len() != len) {
             return Err(RsError::ShardSizeMismatch);
         }
-        let mut parity = vec![vec![0u8; len]; self.m];
-        for (p, out) in parity.iter_mut().enumerate() {
-            let row = self.encode_matrix.row(self.k + p);
-            for (i, shard) in data.iter().enumerate() {
-                gf256::mul_acc(out, shard, row[i]);
-            }
-        }
-        Ok(parity)
+        Ok((self.k..self.k + self.m)
+            .map(|row| {
+                let mut out = vec![0u8; len];
+                gf256::mul_row(&mut out, self.encode_matrix.row(row), data);
+                out
+            })
+            .collect())
     }
 
     /// Verifies that a full shard set (data + parity) is consistent.
@@ -236,60 +253,86 @@ impl ReedSolomon {
         Ok(parity.iter().zip(&shards[self.k..]).all(|(a, b)| a == b))
     }
 
+    /// One coefficient row per entry of `targets`: shard `t` equals
+    /// `row · shards[from]`. Data and parity targets alike, because the
+    /// rows are `E[targets] · E[from]⁻¹` (for a data target `E[t]` is a
+    /// unit vector and the product is a row of the inverse).
+    fn rebuild_rows(&self, from: &[usize], targets: &[usize]) -> Matrix {
+        let dec = self
+            .encode_matrix
+            .select_rows(from)
+            .invert()
+            .expect("any k distinct rows of an RS matrix are independent");
+        self.encode_matrix.select_rows(targets).mul(&dec)
+    }
+
     /// Reconstructs all missing shards in place. `shards` must have
     /// exactly `k + m` entries; `None` marks an erasure. At least `k`
-    /// shards must be present.
+    /// shards must be present. Only the `None` entries are computed;
+    /// present shards are read, never touched.
     pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
         if shards.len() != self.k + self.m {
             return Err(RsError::WrongShardCount);
         }
-        let present: Vec<usize> = (0..shards.len()).filter(|&i| shards[i].is_some()).collect();
+        let (present, missing): (Vec<usize>, Vec<usize>) =
+            (0..shards.len()).partition(|&i| shards[i].is_some());
         if present.len() < self.k {
             return Err(RsError::TooFewShards {
                 present: present.len(),
                 needed: self.k,
             });
         }
-        if present.len() == shards.len() {
+        if missing.is_empty() {
             return Ok(());
         }
-        let len = shards[present[0]].as_ref().expect("present").len();
-        if present
-            .iter()
-            .any(|&i| shards[i].as_ref().expect("present").len() != len)
-        {
+        let view = |i: usize| shards[i].as_deref().expect("present");
+        let len = view(present[0]).len();
+        if present.iter().any(|&i| view(i).len() != len) {
             return Err(RsError::ShardSizeMismatch);
         }
 
-        // Decode matrix: rows of the encode matrix for k surviving shards.
-        let use_rows: Vec<usize> = present.iter().copied().take(self.k).collect();
-        let sub = self.encode_matrix.select_rows(&use_rows);
-        let dec = sub.invert().expect("any k rows of an RS matrix are independent");
+        let from = &present[..self.k];
+        let rows = self.rebuild_rows(from, &missing);
+        let srcs: Vec<&[u8]> = from.iter().map(|&i| view(i)).collect();
+        let rebuilt: Vec<Vec<u8>> = (0..missing.len())
+            .map(|r| {
+                let mut out = vec![0u8; len];
+                gf256::mul_row(&mut out, rows.row(r), &srcs);
+                out
+            })
+            .collect();
+        for (i, shard) in missing.into_iter().zip(rebuilt) {
+            shards[i] = Some(shard);
+        }
+        Ok(())
+    }
 
-        // Recover data shards: data = dec × surviving.
-        let mut data: Vec<Vec<u8>> = Vec::with_capacity(self.k);
-        for r in 0..self.k {
-            let mut out = vec![0u8; len];
-            for (i, &src_row) in use_rows.iter().enumerate() {
-                let c = dec.get(r, i);
-                let src = shards[src_row].as_ref().expect("present");
-                gf256::mul_acc(&mut out, src, c);
-            }
-            data.push(out);
+    /// Decodes shard `target` (data or parity) into `out` from borrowed
+    /// survivors: `present` pairs a shard index with its bytes, the first
+    /// `k` entries are used, and all of them must be as long as `out` —
+    /// any column range of the stripe will do, as long as every slice
+    /// covers the same one.
+    pub fn decode_shard(
+        &self,
+        present: &[(usize, &[u8])],
+        target: usize,
+        out: &mut [u8],
+    ) -> Result<(), RsError> {
+        if present.len() < self.k {
+            return Err(RsError::TooFewShards {
+                present: present.len(),
+                needed: self.k,
+            });
         }
-        // Fill missing data shards.
-        for i in 0..self.k {
-            if shards[i].is_none() {
-                shards[i] = Some(data[i].clone());
-            }
+        let (from, srcs): (Vec<usize>, Vec<&[u8]>) = present[..self.k].iter().copied().unzip();
+        let distinct = from.iter().enumerate().all(|(n, i)| !from[..n].contains(i));
+        if target >= self.k + self.m || from.iter().any(|&i| i >= self.k + self.m) || !distinct {
+            return Err(RsError::WrongShardCount);
         }
-        // Recompute missing parity from the (now complete) data.
-        let parity = self.encode(&data)?;
-        for p in 0..self.m {
-            if shards[self.k + p].is_none() {
-                shards[self.k + p] = Some(parity[p].clone());
-            }
+        if srcs.iter().any(|s| s.len() != out.len()) {
+            return Err(RsError::ShardSizeMismatch);
         }
+        gf256::mul_row(out, self.rebuild_rows(&from, &[target]).row(0), &srcs);
         Ok(())
     }
 }
@@ -297,6 +340,7 @@ impl ReedSolomon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disagg_hwsim::rng::SimRng;
 
     fn shards(k: usize, len: usize, seed: u8) -> Vec<Vec<u8>> {
         (0..k)
@@ -473,5 +517,151 @@ mod tests {
         for i in 0..10 {
             assert_eq!(set[i].as_ref().unwrap(), &data[i]);
         }
+    }
+
+    /// A random full shard set for a random `(k, m)` up to 10+4; shard
+    /// lengths include 0 and non-multiples of 8.
+    fn random_code(rng: &mut SimRng) -> (ReedSolomon, Vec<Vec<u8>>) {
+        let k = rng.range(1, 11) as usize;
+        let m = rng.range(1, 5) as usize;
+        let len = *rng.pick(&[0usize, 1, 7, 8, 9, 63, 64, 65, 129, 1000, 1021]);
+        let rs = ReedSolomon::new(k, m).unwrap();
+        let mut full: Vec<Vec<u8>> = (0..k)
+            .map(|_| {
+                let mut s = vec![0u8; len];
+                rng.fill_bytes(&mut s);
+                s
+            })
+            .collect();
+        let parity = rs.encode(&full).unwrap();
+        full.extend(parity);
+        (rs, full)
+    }
+
+    /// Erases `lost` from `full`, reconstructs, and checks the rule: the
+    /// original bytes come back, and every shard that was present is the
+    /// same allocation with the same contents (never recomputed).
+    fn check_reconstruct(rs: &ReedSolomon, full: &[Vec<u8>], lost: &[usize]) {
+        let mut set: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+        for &i in lost {
+            set[i] = None;
+        }
+        let ptrs: Vec<Option<*const u8>> =
+            set.iter().map(|s| s.as_ref().map(|v| v.as_ptr())).collect();
+        rs.reconstruct(&mut set).unwrap();
+        for (i, shard) in set.iter().enumerate() {
+            let shard = shard.as_ref().expect("every entry is filled");
+            assert_eq!(shard, &full[i], "shard {i} after losing {lost:?}");
+            if let Some(p) = ptrs[i] {
+                assert_eq!(shard.as_ptr(), p, "present shard {i} was reallocated");
+            }
+        }
+        // The borrowed decode of each lost shard agrees, from the same k
+        // survivors `reconstruct` uses (the first k present).
+        let present: Vec<(usize, &[u8])> = (0..full.len())
+            .filter(|i| !lost.contains(i))
+            .map(|i| (i, full[i].as_slice()))
+            .collect();
+        for &t in lost {
+            let mut out = vec![0x5Au8; full[t].len()];
+            rs.decode_shard(&present, t, &mut out).unwrap();
+            assert_eq!(out, full[t], "decode_shard({t}) after losing {lost:?}");
+        }
+    }
+
+    #[test]
+    fn every_erasure_class_reconstructs_and_leaves_present_shards_alone() {
+        for seed in [1u64, 2, 3, 5, 8, 13, 21, 34] {
+            let mut rng = SimRng::new(seed);
+            for _ in 0..12 {
+                let (rs, full) = random_code(&mut rng);
+                let (k, m) = (rs.data_shards(), rs.parity_shards());
+                let mut data: Vec<usize> = (0..k).collect();
+                let mut parity: Vec<usize> = (k..k + m).collect();
+                let mut all: Vec<usize> = (0..k + m).collect();
+                rng.shuffle(&mut data);
+                rng.shuffle(&mut parity);
+                rng.shuffle(&mut all);
+                let n_data = rng.range(1, k.min(m) as u64 + 1) as usize;
+                let n_parity = rng.range(1, m as u64 + 1) as usize;
+                check_reconstruct(&rs, &full, &[]);
+                check_reconstruct(&rs, &full, &data[..n_data]);
+                check_reconstruct(&rs, &full, &parity[..n_parity]);
+                check_reconstruct(&rs, &full, &all[..m]);
+                if m >= 2 {
+                    check_reconstruct(&rs, &full, &[data[0], parity[0]]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_shard_rebuilds_every_single_shard_data_or_parity() {
+        let mut rng = SimRng::new(77);
+        for _ in 0..20 {
+            let (rs, full) = random_code(&mut rng);
+            for t in 0..full.len() {
+                check_reconstruct(&rs, &full, &[t]);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_shard_works_on_any_column_window() {
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        let mut full = shards(4, 500, 3);
+        full.extend(rs.encode(&full).unwrap());
+        let present: Vec<(usize, &[u8])> =
+            [1usize, 2, 4, 5].iter().map(|&i| (i, &full[i][37..290])).collect();
+        for t in [0, 3] {
+            let mut out = vec![0u8; 253];
+            rs.decode_shard(&present, t, &mut out).unwrap();
+            assert_eq!(out, full[t][37..290]);
+        }
+    }
+
+    #[test]
+    fn hostile_decode_inputs_get_typed_errors() {
+        let rs = ReedSolomon::new(3, 2).unwrap();
+        let mut full = shards(3, 16, 4);
+        full.extend(rs.encode(&full).unwrap());
+        let view = |i: usize| (i, full[i].as_slice());
+        let mut out = vec![0u8; 16];
+        assert_eq!(
+            rs.decode_shard(&[view(0), view(4)], 1, &mut out).unwrap_err(),
+            RsError::TooFewShards { present: 2, needed: 3 }
+        );
+        // A duplicate survivor, an out-of-range survivor or target.
+        for (present, target) in [
+            (vec![view(0), view(0), view(3)], 1),
+            (vec![view(0), (9, full[1].as_slice()), view(3)], 1),
+            (vec![view(0), view(2), view(3)], 5),
+        ] {
+            assert_eq!(
+                rs.decode_shard(&present, target, &mut out).unwrap_err(),
+                RsError::WrongShardCount
+            );
+        }
+        // Ragged survivors, or an output of another length.
+        let short = (2usize, &full[2][..15]);
+        assert_eq!(
+            rs.decode_shard(&[view(0), short, view(3)], 1, &mut out).unwrap_err(),
+            RsError::ShardSizeMismatch
+        );
+        assert_eq!(
+            rs.decode_shard(&[view(0), view(2), view(3)], 1, &mut out[..15]).unwrap_err(),
+            RsError::ShardSizeMismatch
+        );
+        // reconstruct: more than m erasures, ragged present shards.
+        let mut set: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
+        set[4].as_mut().unwrap().pop();
+        set[0] = None;
+        assert_eq!(rs.reconstruct(&mut set).unwrap_err(), RsError::ShardSizeMismatch);
+        set[1] = None;
+        set[2] = None;
+        assert_eq!(
+            rs.reconstruct(&mut set).unwrap_err(),
+            RsError::TooFewShards { present: 2, needed: 3 }
+        );
     }
 }

@@ -215,7 +215,8 @@ impl ReplicatedRegion {
         if alive.contains(&lost) {
             return Err(FtolError::ReplicaNotLost(lost));
         }
-        // Allocate the new replica and copy the survivor's bytes.
+        // Allocate the new replica and copy the survivor's bytes: one
+        // pool-to-pool copy of what was ever written, no bounce buffer.
         let new = mgr.alloc(
             spare,
             self.size,
@@ -224,15 +225,12 @@ impl ReplicatedRegion {
             self.owner,
             now,
         )?;
-        let data = mgr.bytes(self.replicas[src], self.owner)?.to_vec();
-        mgr.write(new, self.owner, 0, &data)?;
+        mgr.copy_contents(self.replicas[src], new)?;
         // The old replica's backing is gone with its device; drop our
         // handle without double-freeing if the pool still tracks it.
         let _ = mgr.release(self.replicas[lost], self.owner);
         self.replicas[lost] = new;
-        let old_dev = self.devs[lost];
         self.devs[lost] = spare;
-        let _ = old_dev;
 
         let base = topo
             .transfer_cost(self.devs[src], spare, self.size)

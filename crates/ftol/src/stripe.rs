@@ -8,6 +8,20 @@
 //! recovery. This matches the paper's pointer to "a combination of
 //! erasure-coding, one-sided remote memory accesses ... as it is used by
 //! Carbink".
+//!
+//! Two clocks, kept apart. **Virtual time** is the model: every span
+//! fetched or written is a [`BandwidthLedger`] reservation on its device,
+//! a write pays a full parity rewrite, a degraded read or a recovery
+//! fetches `k` whole spans, and the arithmetic costs
+//! [`ParityEngine::ns_per_byte`] — none of which depends on how the host
+//! computes the bytes. **Host time** follows one rule: *move each byte
+//! once, decode only what was lost*. Coding reads the survivors where they
+//! lie ([`RegionManager::bytes`] views, no staging copy); a write
+//! re-encodes parity only over the span columns it changed (the code is
+//! column-wise, so parity elsewhere is still valid — a 100-byte heap
+//! `put` codes 100 columns, not `k × span_size` bytes); a degraded read
+//! serves surviving spans from the pool and decodes just the lost windows
+//! straight into the caller's buffer; recovery decodes the one lost span.
 
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::fault::FaultInjector;
@@ -36,7 +50,8 @@ pub enum ParityEngine {
 }
 
 impl ParityEngine {
-    /// Modelled GF(2⁸) arithmetic cost per byte, nanoseconds.
+    /// Modelled GF(2⁸) arithmetic cost per byte, nanoseconds. A constant
+    /// of the model, independent of the host's [`crate::gf256`] speed.
     pub fn ns_per_byte(self) -> f64 {
         match self {
             ParityEngine::Host => 0.5,
@@ -190,9 +205,68 @@ impl StripedRegion {
         fin - now
     }
 
+    /// Charges a parallel read of the whole spans `from` (what a decode
+    /// fetches) and returns when the slowest arrives.
+    fn charge_fetch(
+        &self,
+        topo: &Topology,
+        ledger: &mut BandwidthLedger,
+        from: &[usize],
+        now: SimTime,
+    ) -> SimDuration {
+        from.iter().fold(SimDuration::ZERO, |slowest, &i| {
+            slowest.max(self.charge_span(topo, ledger, i, self.span_size, false, now))
+        })
+    }
+
+    /// The modelled duration of one GF(2⁸) pass over `bytes` on the
+    /// configured engine. Virtual time only: it does not depend on how
+    /// fast the host runs [`crate::gf256::mul_row`].
+    fn arithmetic_cost(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_nanos_f64(bytes as f64 * self.parity_engine.ns_per_byte())
+    }
+
+    /// The pieces of logical `[offset, end)`, one per data span it
+    /// touches: `(span, offset within the span, bytes)`. `end` must not
+    /// exceed `self.size`.
+    fn pieces(&self, offset: u64, end: u64) -> impl Iterator<Item = (usize, u64, usize)> {
+        let span_size = self.span_size;
+        let mut cursor = offset;
+        std::iter::from_fn(move || {
+            (cursor < end).then(|| {
+                let within = cursor % span_size;
+                let take = (span_size - within).min(end - cursor);
+                let piece = ((cursor / span_size) as usize, within, take as usize);
+                cursor += take;
+                piece
+            })
+        })
+    }
+
+    /// The span columns `[lo, hi)` a non-empty write of logical `[offset,
+    /// end)` changes, in at most two ranges; parity outside them is still
+    /// valid. One span touched: its window. Two spans, tail of one and a
+    /// shorter head of the next: both windows. Anything more covers every
+    /// column.
+    fn touched_columns(&self, offset: u64, end: u64) -> Vec<(u64, u64)> {
+        let (first, last) = (offset / self.span_size, (end - 1) / self.span_size);
+        let lo = offset % self.span_size;
+        let hi = (end - 1) % self.span_size + 1;
+        if first == last {
+            vec![(lo, hi)]
+        } else if last == first + 1 && hi < lo {
+            vec![(0, hi), (lo, self.span_size)]
+        } else {
+            vec![(0, self.span_size)]
+        }
+    }
+
     /// Writes `data` at logical `offset`, updating the touched data spans
-    /// and recomputing parity. Span I/O proceeds in parallel; the write
-    /// completes with the slowest span.
+    /// and their parity. Span I/O proceeds in parallel; the write
+    /// completes with the slowest span. The model charges a full parity
+    /// rewrite (Carbink re-encodes the span set); the host re-encodes only
+    /// the columns the write changed, straight from the pool's bytes. An
+    /// empty write changes nothing and costs nothing.
     pub fn write(
         &mut self,
         mgr: &mut RegionManager,
@@ -202,53 +276,58 @@ impl StripedRegion {
         data: &[u8],
         now: SimTime,
     ) -> Result<SimDuration, FtolError> {
-        let end = offset + data.len() as u64;
-        if end > self.size {
-            return Err(FtolError::OutOfBounds {
-                offset,
-                len: data.len() as u64,
-                size: self.size,
-            });
+        let end = self.check_window(offset, data.len())?;
+        if data.is_empty() {
+            return Ok(SimDuration::ZERO);
         }
         let k = self.k();
         // Scatter the write across the affected data spans.
         let mut slowest = SimDuration::ZERO;
-        let mut cursor = offset;
         let mut src = 0usize;
-        while cursor < end {
-            let span = (cursor / self.span_size) as usize;
-            let within = cursor % self.span_size;
-            let take = ((self.span_size - within) as usize).min(data.len() - src);
+        for (span, within, take) in self.pieces(offset, end) {
             mgr.write(self.spans[span], self.owner, within, &data[src..src + take])?;
             slowest = slowest.max(self.charge_span(topo, ledger, span, take as u64, true, now));
             self.bytes_written += take as u64;
-            cursor += take as u64;
             src += take;
         }
-        // Recompute parity from the full data spans and rewrite it.
-        let data_spans: Vec<Vec<u8>> = (0..k)
-            .map(|i| mgr.bytes(self.spans[i], self.owner).map(|b| b.to_vec()))
-            .collect::<Result<_, _>>()?;
-        let parity = self.rs.encode(&data_spans)?;
+        // Re-encode parity over the touched columns.
+        for (lo, hi) in self.touched_columns(offset, end) {
+            let columns: Vec<&[u8]> = (0..k)
+                .map(|i| Ok(&mgr.bytes(self.spans[i], self.owner)?[lo as usize..hi as usize]))
+                .collect::<Result<_, FtolError>>()?;
+            let parity = self.rs.encode_slices(&columns)?;
+            for (p, bytes) in parity.iter().enumerate() {
+                mgr.write(self.spans[k + p], self.owner, lo, bytes)?;
+            }
+        }
         // Parity arithmetic reads k spans and produces m spans.
-        let parity_cost = SimDuration::from_nanos_f64(
-            (k as u64 * self.span_size) as f64 * self.parity_engine.ns_per_byte(),
-        );
-        for (p, bytes) in parity.iter().enumerate() {
-            mgr.write(self.spans[k + p], self.owner, 0, bytes)?;
-            slowest = slowest.max(self.charge_span(topo, ledger, k + p, self.span_size, true, now));
+        let parity_cost = self.arithmetic_cost(k as u64 * self.span_size);
+        for p in k..k + self.m() {
+            slowest = slowest.max(self.charge_span(topo, ledger, p, self.span_size, true, now));
             self.bytes_written += self.span_size;
         }
         Ok(slowest + parity_cost)
+    }
+
+    /// Bounds-checks the logical window `[offset, offset + len)` and
+    /// returns its end.
+    fn check_window(&self, offset: u64, len: usize) -> Result<u64, FtolError> {
+        let len = len as u64;
+        match offset.checked_add(len) {
+            Some(end) if end <= self.size => Ok(end),
+            _ => Err(FtolError::OutOfBounds { offset, len, size: self.size }),
+        }
     }
 
     /// Reads `buf.len()` bytes at logical `offset`. If every needed data
     /// span is alive and uncorrupted this is a plain parallel read; if
     /// any is lost — its device failed, its node crashed, or its bytes
     /// overlap a corrupted range — the read degrades to reconstruction:
-    /// fetch `k` trustworthy surviving spans, decode, and serve from the
-    /// decoded data. Returns the duration and whether the read was
-    /// degraded.
+    /// fetch `k` trustworthy surviving spans and decode the lost ones.
+    /// (On the host, needed spans that survive are served from the pool
+    /// and only the lost windows are decoded, straight into `buf`.)
+    /// Returns the duration and whether the read was degraded; an empty
+    /// read is `(ZERO, false)`.
     #[allow(clippy::too_many_arguments)]
     pub fn read(
         &self,
@@ -260,13 +339,9 @@ impl StripedRegion {
         buf: &mut [u8],
         now: SimTime,
     ) -> Result<(SimDuration, bool), FtolError> {
-        let end = offset + buf.len() as u64;
-        if end > self.size {
-            return Err(FtolError::OutOfBounds {
-                offset,
-                len: buf.len() as u64,
-                size: self.size,
-            });
+        let end = self.check_window(offset, buf.len())?;
+        if buf.is_empty() {
+            return Ok((SimDuration::ZERO, false));
         }
         let tainted = self.tainted(mgr, faults, now);
         let alive: Vec<usize> = self
@@ -275,64 +350,62 @@ impl StripedRegion {
             .filter(|i| !tainted.contains(i))
             .collect();
         let k = self.k();
-        let needed: Vec<usize> = ((offset / self.span_size) as usize
-            ..=((end - 1) / self.span_size) as usize)
-            .collect();
-        let all_alive = needed.iter().all(|s| alive.contains(s));
 
-        if all_alive {
+        if self.pieces(offset, end).all(|(span, ..)| alive.contains(&span)) {
             let mut slowest = SimDuration::ZERO;
-            let mut cursor = offset;
             let mut dst = 0usize;
-            while cursor < end {
-                let span = (cursor / self.span_size) as usize;
-                let within = cursor % self.span_size;
-                let take = ((self.span_size - within) as usize).min(buf.len() - dst);
+            for (span, within, take) in self.pieces(offset, end) {
                 mgr.read(self.spans[span], self.owner, within, &mut buf[dst..dst + take])?;
                 slowest =
                     slowest.max(self.charge_span(topo, ledger, span, take as u64, false, now));
-                cursor += take as u64;
                 dst += take;
             }
             return Ok((slowest, false));
         }
 
-        // Degraded read: gather k surviving spans, reconstruct, serve.
+        // Degraded read: fetch k surviving spans, decode what is missing.
         if alive.len() < k {
             return Err(FtolError::Unrecoverable {
                 alive: alive.len(),
                 needed: k,
             });
         }
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.spans.len()];
-        let mut slowest = SimDuration::ZERO;
-        for &i in alive.iter().take(k) {
-            shards[i] = Some(mgr.bytes(self.spans[i], self.owner)?.to_vec());
-            slowest = slowest.max(self.charge_span(topo, ledger, i, self.span_size, false, now));
-        }
-        self.rs.reconstruct(&mut shards)?;
-        let decode = SimDuration::from_nanos_f64(
-            self.span_size as f64 * self.parity_engine.ns_per_byte(),
-        );
-        let total = slowest + decode;
+        let fetch = self.charge_fetch(topo, ledger, &alive[..k], now);
+        let total = fetch + self.arithmetic_cost(self.span_size);
 
-        let mut cursor = offset;
         let mut dst = 0usize;
-        while cursor < end {
-            let span = (cursor / self.span_size) as usize;
-            let within = (cursor % self.span_size) as usize;
-            let take = (self.span_size as usize - within).min(buf.len() - dst);
-            let shard = shards[span].as_ref().expect("reconstructed");
-            buf[dst..dst + take].copy_from_slice(&shard[within..within + take]);
-            cursor += take as u64;
+        for (span, within, take) in self.pieces(offset, end) {
+            let out = &mut buf[dst..dst + take];
+            if alive.contains(&span) {
+                mgr.read(self.spans[span], self.owner, within, out)?;
+            } else {
+                self.decode_into(mgr, &alive[..k], span, within as usize, out)?;
+            }
             dst += take;
         }
         Ok((total, true))
     }
 
+    /// Decodes columns `[lo, lo + out.len())` of span `target` from the
+    /// pool's bytes of the `k` spans `from`.
+    fn decode_into(
+        &self,
+        mgr: &RegionManager,
+        from: &[usize],
+        target: usize,
+        lo: usize,
+        out: &mut [u8],
+    ) -> Result<(), FtolError> {
+        let present: Vec<(usize, &[u8])> = from
+            .iter()
+            .map(|&i| Ok((i, &mgr.bytes(self.spans[i], self.owner)?[lo..lo + out.len()])))
+            .collect::<Result<_, FtolError>>()?;
+        Ok(self.rs.decode_shard(&present, target, out)?)
+    }
+
     /// Rebuilds the span lost on `lost` onto `spare`: read `k` surviving
-    /// spans, decode, write the reconstructed span. Returns the recovery
-    /// duration.
+    /// spans, decode the lost one (and only it), write it. Returns the
+    /// recovery duration.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         &mut self,
@@ -355,16 +428,10 @@ impl StripedRegion {
                 needed: k,
             });
         }
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.spans.len()];
-        let mut slowest = SimDuration::ZERO;
-        for &i in alive.iter().take(k) {
-            shards[i] = Some(mgr.bytes(self.spans[i], self.owner)?.to_vec());
-            slowest = slowest.max(self.charge_span(topo, ledger, i, self.span_size, false, now));
-        }
-        self.rs.reconstruct(&mut shards)?;
-        let decode = SimDuration::from_nanos_f64(
-            self.span_size as f64 * self.parity_engine.ns_per_byte(),
-        );
+        let fetch = self.charge_fetch(topo, ledger, &alive[..k], now);
+        let mut rebuilt = vec![0u8; self.span_size as usize];
+        self.decode_into(mgr, &alive[..k], lost, 0, &mut rebuilt)?;
+        let decode = self.arithmetic_cost(self.span_size);
 
         let new = mgr.alloc(
             spare,
@@ -374,13 +441,13 @@ impl StripedRegion {
             self.owner,
             now,
         )?;
-        mgr.write(new, self.owner, 0, shards[lost].as_ref().expect("reconstructed"))?;
+        mgr.write(new, self.owner, 0, &rebuilt)?;
         let _ = mgr.release(self.spans[lost], self.owner);
         self.spans[lost] = new;
         self.devs[lost] = spare;
         let write = self.charge_span(topo, ledger, lost, self.span_size, true, now);
         self.bytes_written += self.span_size;
-        Ok(slowest + decode + write)
+        Ok(fetch + decode + write)
     }
 }
 
@@ -577,5 +644,159 @@ mod tests {
             sr.read(&mgr, &topo, &mut ledger, &faults, 990, &mut buf, SimTime::ZERO),
             Err(FtolError::OutOfBounds { .. })
         ));
+    }
+
+    #[test]
+    fn empty_reads_and_writes_cost_nothing_and_never_underflow() {
+        let (topo, mut mgr, mut ledger, pool) = fixture(4);
+        let mut sr =
+            StripedRegion::create(&mut mgr, &topo, &pool[..4], 3000, 3, 1, OWNER, SimTime::ZERO)
+                .unwrap();
+        sr.write(&mut mgr, &topo, &mut ledger, 0, &payload(3000), SimTime::ZERO)
+            .unwrap();
+        let written = sr.bytes_written;
+        let crash = FaultInjector::with_events(vec![FaultEvent {
+            at: SimTime(1),
+            kind: FaultKind::DeviceFail(sr.devs[0]),
+        }]);
+        for faults in [&FaultInjector::none(), &crash] {
+            for offset in [0u64, 1, 1000, 3000] {
+                assert_eq!(
+                    sr.read(&mgr, &topo, &mut ledger, faults, offset, &mut [], SimTime(2)),
+                    Ok((SimDuration::ZERO, false)),
+                    "empty read at {offset}"
+                );
+                assert_eq!(
+                    sr.write(&mut mgr, &topo, &mut ledger, offset, &[], SimTime(2)),
+                    Ok(SimDuration::ZERO),
+                    "empty write at {offset}"
+                );
+            }
+        }
+        assert_eq!(sr.bytes_written, written, "an empty write rewrites no parity");
+        // Past the end — and past u64 — is still a typed error.
+        for offset in [3001, u64::MAX] {
+            assert!(matches!(
+                sr.read(&mgr, &topo, &mut ledger, &crash, offset, &mut [], SimTime(2)),
+                Err(FtolError::OutOfBounds { .. })
+            ));
+            assert!(matches!(
+                sr.write(&mut mgr, &topo, &mut ledger, offset, &[0u8; 2], SimTime(2)),
+                Err(FtolError::OutOfBounds { .. })
+            ));
+        }
+    }
+
+    /// The six spans of `sr` as the codec sees them.
+    fn span_bytes(sr: &StripedRegion, mgr: &RegionManager) -> Vec<Vec<u8>> {
+        sr.spans.iter().map(|&s| mgr.bytes(s, OWNER).unwrap().to_vec()).collect()
+    }
+
+    /// RS(4+2) over `size` bytes: every single- and double-span loss is
+    /// read back degraded at unaligned windows, recovered, and read back
+    /// healthy; every returned duration is the one the pre-kernel code
+    /// returned (`want`, harvested by running this test on PR 13's tree).
+    fn exercise_rs42(size: usize, windows: &[(usize, usize)], want: &Durations) {
+        let (topo, mut mgr, mut ledger, pool) = fixture(8);
+        let mut sr = StripedRegion::create(
+            &mut mgr, &topo, &pool[..6], size as u64, 4, 2, OWNER, SimTime::ZERO,
+        )
+        .unwrap();
+        let mut data = vec![0u8; size];
+        disagg_hwsim::rng::SimRng::new(size as u64).fill_bytes(&mut data);
+        let took = sr.write(&mut mgr, &topo, &mut ledger, 0, &data, SimTime::ZERO).unwrap();
+        assert_eq!(took.as_nanos(), want.write, "write");
+        let spans = span_bytes(&sr, &mgr);
+        assert!(ReedSolomon::new(4, 2).unwrap().verify(&spans).unwrap());
+
+        let mut spares = vec![pool[6], pool[7]];
+        let mut buf = vec![0u8; size];
+        let losses = (0..6).flat_map(|a| (a..6).map(move |b| (a, b)));
+        for (a, b) in losses {
+            // `a == b` is the single loss of span a.
+            let lost: Vec<usize> = if a == b { vec![a] } else { vec![a, b] };
+            let faults = FaultInjector::with_events(
+                lost.iter()
+                    .map(|&i| FaultEvent { at: SimTime(5), kind: FaultKind::DeviceFail(sr.devs[i]) })
+                    .collect(),
+            );
+            let degraded_expected = lost.iter().any(|&i| i < 4);
+
+            let mut ledger = BandwidthLedger::default_buckets();
+            buf.fill(0);
+            let (took, degraded) = sr
+                .read(&mgr, &topo, &mut ledger, &faults, 0, &mut buf, SimTime(10))
+                .unwrap();
+            assert_eq!(degraded, degraded_expected, "lost {lost:?}");
+            assert!(buf == data, "full read after losing {lost:?}");
+            let full = if degraded { want.degraded } else { want.healthy_full };
+            assert_eq!(took.as_nanos(), full, "full read, lost {lost:?}");
+
+            for (w, &(offset, len)) in windows.iter().enumerate() {
+                let mut ledger = BandwidthLedger::default_buckets();
+                let out = &mut buf[..len];
+                out.fill(0);
+                let (took, degraded) = sr
+                    .read(&mgr, &topo, &mut ledger, &faults, offset as u64, out, SimTime(10))
+                    .unwrap();
+                assert!(out == &data[offset..offset + len], "window {w}, lost {lost:?}");
+                if degraded {
+                    // k whole spans are fetched however small the window.
+                    assert_eq!(took.as_nanos(), want.degraded, "window {w}, lost {lost:?}");
+                }
+            }
+
+            for &i in &lost {
+                let mut ledger = BandwidthLedger::default_buckets();
+                let spare = spares.remove(0);
+                spares.push(sr.devs[i]);
+                let took = sr
+                    .recover(&mut mgr, &topo, &mut ledger, &faults, i, spare, SimTime(20))
+                    .unwrap();
+                assert_eq!(took.as_nanos(), want.recover, "recover {i} of {lost:?}");
+            }
+            let mut ledger = BandwidthLedger::default_buckets();
+            buf.fill(0);
+            let (took, degraded) = sr
+                .read(&mgr, &topo, &mut ledger, &faults, 0, &mut buf, SimTime(30))
+                .unwrap();
+            assert!(!degraded && buf == data, "healthy read after recovering {lost:?}");
+            assert_eq!(took.as_nanos(), want.healthy_full, "healthy read after {lost:?}");
+            // Rebuilt spans, parity included, hold what was encoded.
+            for (i, want) in spans.iter().enumerate() {
+                assert!(mgr.bytes(sr.spans[i], OWNER).unwrap() == want, "span {i} after {lost:?}");
+            }
+        }
+    }
+
+    /// Virtual-time results of [`exercise_rs42`], nanoseconds.
+    struct Durations {
+        write: u64,
+        healthy_full: u64,
+        degraded: u64,
+        recover: u64,
+    }
+
+    #[test]
+    fn rs42_over_block_aligned_spans_survives_every_loss_at_the_pinned_cost() {
+        // The benchmark's 12 MiB shape (spans a multiple of the kernel's
+        // 128-byte block) at an eighth of the size, for debug-build time.
+        let span = 3 << 17;
+        exercise_rs42(
+            4 * span,
+            &[(1, 4097), (span - 13, 29), (2 * span + 5, span + 777), (4 * span - 1, 1)],
+            &Durations { write: 799_790, healthy_full: 13_358, degraded: 209_966, recover: 223_324 },
+        );
+    }
+
+    #[test]
+    fn rs42_over_an_odd_sized_region_survives_every_loss_at_the_pinned_cost() {
+        // 1 000 003 % 4 == 3: the last data span is part padding.
+        let span = 250_001;
+        exercise_rs42(
+            1_000_003,
+            &[(1, 4097), (span - 13, 29), (2 * span + 5, span + 777), (1_000_002, 1)],
+            &Durations { write: 508_587, healthy_full: 8_585, degraded: 133_586, recover: 142_171 },
+        );
     }
 }

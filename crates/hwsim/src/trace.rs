@@ -279,6 +279,10 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
     tap: Option<TraceTap>,
+    /// Running totals over `events`, kept by `push` so the accessors (and
+    /// the executor's per-wave deltas) never rescan the log.
+    bytes_moved: u64,
+    bytes_by_ownership: u64,
 }
 
 impl std::fmt::Debug for Trace {
@@ -287,6 +291,8 @@ impl std::fmt::Debug for Trace {
             .field("events", &self.events)
             .field("enabled", &self.enabled)
             .field("tap", &self.tap.as_ref().map(|_| "..."))
+            .field("bytes_moved", &self.bytes_moved)
+            .field("bytes_by_ownership", &self.bytes_by_ownership)
             .finish()
     }
 }
@@ -295,9 +301,8 @@ impl Trace {
     /// A trace that records events.
     pub fn enabled() -> Self {
         Trace {
-            events: Vec::new(),
             enabled: true,
-            tap: None,
+            ..Trace::default()
         }
     }
 
@@ -330,6 +335,13 @@ impl Trace {
             tap(&event);
         }
         if self.enabled {
+            match event {
+                TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => {
+                    self.bytes_moved += bytes;
+                }
+                TraceEvent::OwnershipTransfer { bytes, .. } => self.bytes_by_ownership += bytes,
+                _ => {}
+            }
             self.events.push(event);
         }
     }
@@ -349,26 +361,16 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Total bytes physically moved (accesses + migrations).
+    /// Total bytes physically moved (accesses + migrations) by the
+    /// recorded events. O(1): a running total, not a scan.
     pub fn bytes_moved(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match *e {
-                TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
+        self.bytes_moved
     }
 
-    /// Total bytes whose movement was *avoided* by ownership transfer.
+    /// Total bytes whose movement was *avoided* by ownership transfer,
+    /// over the recorded events. O(1).
     pub fn bytes_transferred_by_ownership(&self) -> u64 {
-        self.events
-            .iter()
-            .map(|e| match *e {
-                TraceEvent::OwnershipTransfer { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
+        self.bytes_by_ownership
     }
 
     /// Count of events matching a predicate.
@@ -392,9 +394,11 @@ impl Trace {
         acc.into_iter().collect()
     }
 
-    /// Clears all events.
+    /// Clears all events (and the byte totals over them).
     pub fn clear(&mut self) {
         self.events.clear();
+        self.bytes_moved = 0;
+        self.bytes_by_ownership = 0;
     }
 
     /// Renders the trace as CSV (`kind,at_ns,detail...`) for offline
@@ -551,6 +555,35 @@ mod tests {
         t.push(access(0, 64));
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
+        // The byte totals describe the recorded events: none.
+        assert_eq!(t.bytes_moved(), 0);
+    }
+
+    #[test]
+    fn byte_totals_count_moves_and_transfers_only_and_reset_on_clear() {
+        let mut t = Trace::enabled();
+        t.push(access(0, 64));
+        t.push(TraceEvent::Migrate {
+            region: 1,
+            from: MemDeviceId(0),
+            to: MemDeviceId(1),
+            bytes: 50,
+            at: SimTime(0),
+            took: SimDuration(1),
+        });
+        t.push(TraceEvent::OwnershipTransfer {
+            region: 1,
+            from_task: 0,
+            to_task: 1,
+            bytes: 1_000,
+            at: SimTime(5),
+        });
+        // Carries a byte count but moves nothing.
+        t.push(TraceEvent::Free { region: 1, dev: MemDeviceId(1), bytes: 4_096, at: SimTime(6) });
+        assert_eq!(t.bytes_moved(), 114);
+        assert_eq!(t.bytes_transferred_by_ownership(), 1_000);
+        t.clear();
+        assert_eq!((t.bytes_moved(), t.bytes_transferred_by_ownership()), (0, 0));
     }
 
     #[test]

@@ -124,6 +124,26 @@ fn compute_only_serving_materializes_no_bytes() {
     assert_eq!(rt.manager().pool().bytes_materialized(), 0);
 }
 
+/// Each epoch's executor report carries only that epoch's bytes, so the
+/// run-wide sum is the trace's total — not a sum of cumulative totals.
+#[test]
+fn multi_epoch_run_reports_the_trace_byte_totals_once() {
+    use disagg::serve::ControlPlane;
+    let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let cfg = ServeConfig {
+        control: Some(ControlPlane { epochs: 4, ..ControlPlane::default() }),
+        ..cfg()
+    };
+    let report = mix().run(&mut rt, &cfg).expect("serving run");
+    assert!(report.run.bytes_moved > 0, "the fan-out edges must have copied");
+    assert_eq!(report.run.bytes_moved, rt.trace().bytes_moved());
+    assert_eq!(
+        report.run.bytes_ownership_transferred,
+        rt.trace().bytes_transferred_by_ownership()
+    );
+}
+
 /// A tenant whose quota cannot hold even one request footprint is
 /// starved out while every other tenant proceeds untouched.
 #[test]
