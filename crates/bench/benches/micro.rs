@@ -145,6 +145,187 @@ fn schedule_dag() {
     });
 }
 
+/// `n` serving-shaped requests off `SimRng`: two-task lookups and
+/// four-task fan-outs with jittered scalar work and KiB outputs.
+fn serving_jobs(n: usize, rng: &mut SimRng) -> Vec<JobSpec> {
+    use disagg_dataflow::TaskSpec;
+    let task = |name: &str, rng: &mut SimRng| {
+        TaskSpec::new(name)
+            .work(WorkClass::Scalar, 2_000 + rng.next_below(500))
+            .output_bytes(1 << 10)
+    };
+    (0..n)
+        .map(|_| {
+            let mut job = JobBuilder::new("req");
+            let head = job.task(task("head", rng));
+            let tail = job.task(task("tail", rng));
+            if rng.chance(0.5) {
+                job.edge(head, tail);
+            } else {
+                for name in ["left", "right"] {
+                    let mid = job.task(task(name, rng));
+                    job.edge(head, mid);
+                    job.edge(mid, tail);
+                }
+            }
+            job.build().expect("valid")
+        })
+        .collect()
+}
+
+/// One serving epoch's plan: 4 000 small requests on the rack.
+fn plan_serving() {
+    use disagg_hwsim::presets::disaggregated_rack;
+    use disagg_sched::schedule::{SchedPolicy, Scheduler};
+    let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
+    let specs = serving_jobs(4_000, &mut SimRng::new(0x5EED));
+    let jobs: Vec<(JobId, &JobSpec)> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (JobId(100 + i as u64), s))
+        .collect();
+    bench("sched/plan_serving_4k", || {
+        black_box(
+            Scheduler::new(SchedPolicy::Heft)
+                .plan(&topo, black_box(&jobs))
+                .expect("plan"),
+        );
+    });
+}
+
+/// Span assembly over the trace of a 32 000-request serving run: every
+/// job tagged, two to four tasks each with queue, dispatch, start and
+/// finish events, among the pool and access events a real trace carries
+/// (≈ 0.7 M events).
+fn assemble_spans() {
+    use disagg_hwsim::device::AccessOp;
+    use disagg_hwsim::ids::ComputeId;
+    use disagg_hwsim::time::SimDuration;
+    use disagg_hwsim::trace::TraceEvent;
+    let mut rng = SimRng::new(0x5EED);
+    let (on, dev) = (ComputeId(0), MemDeviceId(0));
+    let mut events: Vec<TraceEvent> = Vec::new();
+    for request in 0..32_000u64 {
+        let job = 7 + request;
+        let arrival = request * 100;
+        events.push(TraceEvent::RequestTag {
+            request,
+            tenant: request % 6,
+            job,
+            at: SimTime(arrival),
+        });
+        let mut at = arrival;
+        for task in 0..2 + rng.next_below(3) {
+            let waited = rng.next_below(400);
+            events.push(TraceEvent::TaskQueued {
+                job,
+                task,
+                on,
+                at: SimTime(at),
+            });
+            at += waited;
+            let region = job * 4 + task;
+            events.push(TraceEvent::TaskDispatch {
+                job,
+                task,
+                on,
+                at: SimTime(at),
+                waited: SimDuration(waited),
+            });
+            events.push(TraceEvent::Alloc {
+                region,
+                dev,
+                bytes: 1 << 10,
+                at: SimTime(at),
+            });
+            events.push(TraceEvent::TaskStart {
+                job,
+                task,
+                on,
+                at: SimTime(at),
+            });
+            let took = 1_500 + rng.next_below(600);
+            events.push(TraceEvent::Access {
+                region,
+                dev,
+                bytes: 1 << 10,
+                op: AccessOp::Write,
+                at: SimTime(at),
+                took: SimDuration(took),
+            });
+            at += took;
+            events.push(TraceEvent::TaskFinish {
+                job,
+                task,
+                on,
+                at: SimTime(at),
+            });
+            events.push(TraceEvent::Free {
+                region,
+                dev,
+                bytes: 1 << 10,
+                at: SimTime(at),
+            });
+            at += rng.next_below(50);
+        }
+    }
+    // Requests overlap in time; a trace is in commit (time) order.
+    events.sort_by_key(TraceEvent::at);
+    let opts = BenchOpts {
+        max_iters: 20,
+        max_time: std::time::Duration::from_secs(2),
+        ..BenchOpts::default()
+    };
+    let stats = bench_named("obs/assemble_spans_32k", opts, || {
+        black_box(disagg_obs::assemble_request_spans(black_box(&events)));
+    });
+    println!(
+        "obs/assemble_spans_ns_per_event    {} events → {:.1} ns/event (best iter)",
+        events.len(),
+        stats.min.as_nanos() as f64 / events.len() as f64
+    );
+}
+
+/// The ownership bookkeeping one task costs the region manager: an
+/// output allocated to its producer, checked, handed to the consumer,
+/// and released at the consumer's exit — 1 000 producer/consumer pairs
+/// an iteration, region sizes off `SimRng`.
+fn region_manager() {
+    use disagg_region::region::{OwnerId, RegionManager};
+    let (topo, h) = single_server();
+    let mut mgr = RegionManager::new(&topo);
+    let mut rng = SimRng::new(0x5EED);
+    let sizes: Vec<u64> = (0..1_000).map(|_| 64 + rng.next_below(4_096)).collect();
+    let mut job = 0u64;
+    bench("region/manager_alloc_transfer_release", || {
+        job += 1;
+        for (task, &size) in sizes.iter().enumerate() {
+            let producer = OwnerId::Task {
+                job,
+                task: task as u64,
+            };
+            let consumer = OwnerId::Task {
+                job,
+                task: task as u64 + 1,
+            };
+            let rtype = RegionType::Output;
+            let id = mgr
+                .alloc(
+                    h.dram,
+                    size,
+                    rtype,
+                    rtype.properties(),
+                    producer,
+                    SimTime::ZERO,
+                )
+                .expect("alloc");
+            black_box(mgr.meta(id).expect("live").ownership.is_owner(producer));
+            mgr.transfer(id, producer, consumer).expect("transfer");
+            black_box(mgr.release_all(consumer));
+        }
+    });
+}
+
 /// Event-loop throughput on the rack-scale preset: the stress batch
 /// from the parallel driver, reported as events/sec (the executor's
 /// unit of work). Compare against `driver::BASELINE_TASKS_PER_SEC` for
@@ -246,7 +427,7 @@ fn main() {
         .collect();
     let wants =
         |name: &str| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()));
-    let groups: [(&str, fn()); 11] = [
+    let groups: [(&str, fn()); 14] = [
         ("topology/access_cost", access_cost),
         ("cost/rank_all_devices", cost_model_rank),
         ("pool/alloc_free", pool_alloc_free),
@@ -255,6 +436,9 @@ fn main() {
         ("rs/reed_solomon", reed_solomon),
         ("enforce/xor_cipher", cipher),
         ("sched/heft", schedule_dag),
+        ("sched/plan_serving", plan_serving),
+        ("obs/assemble_spans", assemble_spans),
+        ("region/manager", region_manager),
         ("executor/events_per_sec", events_per_sec),
         ("trace_overhead", trace_overhead),
         ("e2e/hospital_job", end_to_end),

@@ -80,6 +80,13 @@ pub enum DisaggError {
         /// Number of arrival offsets attached.
         offsets: usize,
     },
+    /// A configuration a layer above the executor was handed cannot
+    /// describe any run (e.g. a serving run with no template or no
+    /// tenant).
+    InvalidConfig {
+        /// What is wrong with it.
+        what: &'static str,
+    },
     /// A task body returned an error.
     Task {
         /// The job.
@@ -159,6 +166,7 @@ impl std::fmt::Display for DisaggError {
                     "malformed submission: {jobs} jobs but {offsets} arrival offsets"
                 )
             }
+            DisaggError::InvalidConfig { what } => write!(f, "invalid configuration: {what}"),
             DisaggError::Task { job, task, name, error } => {
                 write!(f, "{job}/{task} ('{name}') failed: {error}")
             }

@@ -90,6 +90,11 @@ pub(crate) struct Wave {
     pub queues: Vec<BinaryHeap<Reverse<QueueEntry>>>,
     /// Lane free times per compute device ([`ComputeId::index`]).
     pub lane_free: Vec<Vec<SimTime>>,
+    /// Per device, a min-heap of `(free time, lane)` that always holds
+    /// every lane's current `lane_free` entry, so the earliest-free lane
+    /// is its top. An entry whose time no longer matches `lane_free` is
+    /// stale and dropped when it surfaces.
+    pub lane_heap: Vec<BinaryHeap<Reverse<(SimTime, u32)>>>,
     /// Task-exit cleanup deferred until virtual time passes the task's
     /// finish. Min-heap on `(finish, seq)`.
     pub pending_exits: BinaryHeap<Reverse<(SimTime, u64, OwnerId)>>,
@@ -132,6 +137,32 @@ impl Wave {
     pub(crate) fn push_event(&mut self, at: SimTime, kind: EventKind) {
         self.heap.push(Reverse((at, self.seq, kind)));
         self.seq += 1;
+    }
+
+    /// The lane a dispatch at `now` takes on device `ci`: the earliest
+    /// free one, lowest-numbered on ties, if it is free by `now`.
+    pub(crate) fn free_lane(&mut self, ci: usize, now: SimTime) -> Option<usize> {
+        let heap = &mut self.lane_heap[ci];
+        while let Some(&Reverse((free, lane))) = heap.peek() {
+            if self.lane_free[ci][lane as usize] == free {
+                return (free <= now).then_some(lane as usize);
+            }
+            heap.pop();
+        }
+        None
+    }
+
+    /// Occupies a lane of `compute` until `until`. A crash retry may
+    /// have moved the task to a device with fewer lanes than the one
+    /// that dispatched it, so the lane index is clamped.
+    pub(crate) fn book_lane(&mut self, compute: ComputeId, lane: usize, until: SimTime) {
+        let ci = compute.index();
+        let lanes = &mut self.lane_free[ci];
+        let lane = lane.min(lanes.len() - 1);
+        if lanes[lane] != until {
+            lanes[lane] = until;
+            self.lane_heap[ci].push(Reverse((until, lane as u32)));
+        }
     }
 
     /// Global arena slot of a task.
@@ -275,6 +306,7 @@ pub(crate) fn run_wave(
         deps_left.extend(spec.dag.indegrees().into_iter().map(|d| d as u32));
     }
 
+    let slots = |c: ComputeId| rt.topo.compute(c).slots;
     let mut w = Wave {
         job_ids,
         schedule,
@@ -284,7 +316,12 @@ pub(crate) fn run_wave(
         lane_free: rt
             .topo
             .compute_ids()
-            .map(|c| vec![t0; rt.topo.compute(c).slots as usize])
+            .map(|c| vec![t0; slots(c) as usize])
+            .collect(),
+        lane_heap: rt
+            .topo
+            .compute_ids()
+            .map(|c| (0..slots(c)).map(|lane| Reverse((t0, lane))).collect())
             .collect(),
         pending_exits: BinaryHeap::new(),
         exit_seq: 0,
@@ -376,7 +413,10 @@ pub(crate) fn run_wave(
             bytes_transferred: rt.ledger.stats(ResourceKey::Mem(dev)).bytes.round() as u64,
         })
         .collect();
-    report.tasks.sort_by_key(|t| (t.finish, t.job, t.task));
+    // `(job, task)` is unique per report, so the order is fully decided.
+    report
+        .tasks
+        .sort_unstable_by_key(|t| (t.finish, t.job, t.task));
     // The DAG the wave honored, for critical-path analysis.
     for (ji, spec) in jobs.iter().enumerate() {
         let jid = w.job_ids[ji];

@@ -254,9 +254,7 @@ fn fail_job(
         // (The failing task's own exit below also covers its placements.)
         w.defer_exit(at, OwnerId::Task { job: jid.0, task: u64::from(t_id.0) });
     }
-    let lanes = &mut w.lane_free[compute.index()];
-    let lane = lane.min(lanes.len() - 1);
-    lanes[lane] = at;
+    w.book_lane(compute, lane, at);
     w.push_event(at, EventKind::LaneFree { compute });
     w.report.failed_jobs.push(FailedJob {
         job: jid,
@@ -340,13 +338,7 @@ pub(crate) fn service(
         if w.queues[ci].is_empty() {
             return Ok(());
         }
-        let Some(lane) = w.lane_free[ci]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| f <= now)
-            .min_by_key(|&(i, &f)| (f, i))
-            .map(|(i, _)| i)
-        else {
+        let Some(lane) = w.free_lane(ci, now) else {
             return Ok(());
         };
         let Reverse((_, queued_at, ji, task, est)) =
@@ -704,12 +696,9 @@ pub(crate) fn run_task(
             rt.trace.push(TraceEvent::BreakerClose { node: t.node, at: finish });
         }
     }
-    // A crash retry may have moved the task to a device with fewer
-    // lanes; clamp the lane index before booking, and free the lane by
-    // event so queued work dispatches the instant it opens.
-    let lanes = &mut w.lane_free[compute.index()];
-    let lane = lane.min(lanes.len() - 1);
-    lanes[lane] = finish;
+    // Free the lane by event so queued work dispatches the instant it
+    // opens.
+    w.book_lane(compute, lane, finish);
     w.push_event(finish, EventKind::LaneFree { compute });
     w.start_at[g] = start;
     w.finish_at[g] = finish;

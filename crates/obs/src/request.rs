@@ -26,7 +26,8 @@
 //! order and content are bit-for-bit deterministic, so spans and
 //! attributions are too.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::TraceEvent;
@@ -199,143 +200,208 @@ struct Covering {
     task: Option<u64>,
 }
 
-/// Sweep priority: when intervals overlap, the highest class claims the
-/// time. Recovery loss always shows (it *is* wasted time even while a
-/// sibling task computes); compute beats queue (a queued task is not
-/// the bottleneck while another makes progress).
-fn priority(kind: SegmentKind) -> u8 {
-    match kind {
-        SegmentKind::Recovery => 3,
-        SegmentKind::Compute => 2,
-        SegmentKind::Queue => 1,
-        // Admission/transfer never appear as covering intervals; they
-        // classify uncovered time.
-        SegmentKind::Admission | SegmentKind::Transfer => 0,
-    }
+/// The covering kinds in sweep-priority order: when intervals overlap,
+/// the lowest rank claims the time. Recovery loss always shows (it *is*
+/// wasted time even while a sibling task computes); compute beats queue
+/// (a queued task is not the bottleneck while another makes progress).
+const KIND_BY_RANK: [SegmentKind; 3] = [
+    SegmentKind::Recovery,
+    SegmentKind::Compute,
+    SegmentKind::Queue,
+];
+
+/// A covering kind's index in [`KIND_BY_RANK`].
+fn sweep_rank(kind: SegmentKind) -> u8 {
+    let rank = KIND_BY_RANK.iter().position(|&k| k == kind);
+    rank.expect("admission and transfer classify uncovered time, never cover it") as u8
+}
+
+/// Everything the collection pass keeps about one job, in the table
+/// [`assemble_request_spans`] indexes by `job - lowest tagged job`.
+#[derive(Debug, Default)]
+struct JobRecord {
+    /// `(request, tenant, arrival)` of the job's last `RequestTag`;
+    /// `None` for an untagged job inside the tagged id range.
+    tag: Option<(u64, u64, u64)>,
+    /// Earliest `TaskQueued`.
+    first_queued: Option<u64>,
+    /// Latest `TaskFinish`.
+    last_finish: Option<u64>,
+    /// Latest `TaskStart` per task, indexed by the task's job-local
+    /// index.
+    starts: Vec<Option<u64>>,
+    /// Classified intervals, in trace order.
+    covering: Vec<Covering>,
+}
+
+/// The record of a tagged job. A job below `lo` wraps to an index past
+/// the table.
+fn tagged(table: &mut [JobRecord], lo: u64, job: u64) -> Option<&mut JobRecord> {
+    table
+        .get_mut(job.wrapping_sub(lo) as usize)
+        .filter(|rec| rec.tag.is_some())
 }
 
 /// Assembles one [`RequestSpan`] per tagged request found in `events`.
 /// Requests whose jobs never finished a task (nothing executed) are
 /// skipped. Output is ordered by request id.
+///
+/// A runtime issues job ids consecutively and task ids are job-local
+/// indices, so per-job state lives in one `Vec` indexed by `job - lowest
+/// tagged job` (sized by the tagged job-id range, whatever the trace
+/// holds besides) and per-task start times in a `Vec` indexed by task:
+/// an array hit per trace event, no tree or hash lookup.
 pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
-    // Tag pass: job -> (request, tenant, arrival).
-    let mut tag_of_job: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+    // Tag pass: the tagged job-id range, then job -> (request, tenant,
+    // arrival); a job's last tag wins.
+    let mut tags: Vec<(u64, (u64, u64, u64))> = Vec::new();
+    let (mut lo, mut hi) = (u64::MAX, 0u64);
     for e in events {
         if let TraceEvent::RequestTag { request, tenant, job, at } = *e {
-            tag_of_job.insert(job, (request, tenant, at.as_nanos()));
+            lo = lo.min(job);
+            hi = hi.max(job);
+            tags.push((job, (request, tenant, at.as_nanos())));
         }
     }
-    if tag_of_job.is_empty() {
+    if tags.is_empty() {
         return Vec::new();
+    }
+    let mut table: Vec<JobRecord> = Vec::new();
+    table.resize_with((hi - lo) as usize + 1, JobRecord::default);
+    for (job, tag) in tags {
+        table[(job - lo) as usize].tag = Some(tag);
     }
 
     // Collection pass: per tagged job, the classified intervals plus
     // the sojourn bounds.
-    let mut first_queued: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut last_finish: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut task_start: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    let mut covering: BTreeMap<u64, Vec<Covering>> = BTreeMap::new();
-    let tagged = |job: u64| tag_of_job.contains_key(&job);
     for e in events {
         match *e {
-            TraceEvent::TaskQueued { job, at, .. } if tagged(job) => {
-                let t = at.as_nanos();
-                first_queued
-                    .entry(job)
-                    .and_modify(|f| *f = (*f).min(t))
-                    .or_insert(t);
+            TraceEvent::TaskQueued { job, at, .. } => {
+                if let Some(rec) = tagged(&mut table, lo, job) {
+                    let t = at.as_nanos();
+                    rec.first_queued = Some(rec.first_queued.map_or(t, |f| f.min(t)));
+                }
             }
-            TraceEvent::TaskDispatch { job, task, at, waited, .. }
-                if tagged(job) && waited > SimDuration::ZERO =>
-            {
-                covering.entry(job).or_default().push(Covering {
-                    start: at.as_nanos() - waited.as_nanos(),
-                    end: at.as_nanos(),
-                    kind: SegmentKind::Queue,
-                    task: Some(task),
-                });
-            }
-            TraceEvent::TaskStart { job, task, at, .. } if tagged(job) => {
-                task_start.insert((job, task), at.as_nanos());
-            }
-            TraceEvent::TaskFinish { job, task, at, .. } if tagged(job) => {
-                let t = at.as_nanos();
-                last_finish
-                    .entry(job)
-                    .and_modify(|f| *f = (*f).max(t))
-                    .or_insert(t);
-                if let Some(&start) = task_start.get(&(job, task)) {
-                    covering.entry(job).or_default().push(Covering {
-                        start,
-                        end: t,
-                        kind: SegmentKind::Compute,
+            TraceEvent::TaskDispatch {
+                job,
+                task,
+                at,
+                waited,
+                ..
+            } if waited > SimDuration::ZERO => {
+                if let Some(rec) = tagged(&mut table, lo, job) {
+                    rec.covering.push(Covering {
+                        start: at.as_nanos() - waited.as_nanos(),
+                        end: at.as_nanos(),
+                        kind: SegmentKind::Queue,
                         task: Some(task),
                     });
                 }
             }
-            TraceEvent::TaskRetry { job, task, at, lost, .. }
-                if tagged(job) && lost > SimDuration::ZERO =>
-            {
-                covering.entry(job).or_default().push(Covering {
-                    start: at.as_nanos() - lost.as_nanos(),
-                    end: at.as_nanos(),
-                    kind: SegmentKind::Recovery,
-                    task: Some(task),
-                });
+            TraceEvent::TaskStart { job, task, at, .. } => {
+                if let Some(rec) = tagged(&mut table, lo, job) {
+                    let ti = task as usize;
+                    if ti >= rec.starts.len() {
+                        rec.starts.resize(ti + 1, None);
+                    }
+                    rec.starts[ti] = Some(at.as_nanos());
+                }
+            }
+            TraceEvent::TaskFinish { job, task, at, .. } => {
+                if let Some(rec) = tagged(&mut table, lo, job) {
+                    let t = at.as_nanos();
+                    rec.last_finish = Some(rec.last_finish.map_or(t, |f| f.max(t)));
+                    if let Some(&Some(start)) = rec.starts.get(task as usize) {
+                        rec.covering.push(Covering {
+                            start,
+                            end: t,
+                            kind: SegmentKind::Compute,
+                            task: Some(task),
+                        });
+                    }
+                }
+            }
+            TraceEvent::TaskRetry {
+                job,
+                task,
+                at,
+                lost,
+                ..
+            } if lost > SimDuration::ZERO => {
+                if let Some(rec) = tagged(&mut table, lo, job) {
+                    rec.covering.push(Covering {
+                        start: at.as_nanos() - lost.as_nanos(),
+                        end: at.as_nanos(),
+                        kind: SegmentKind::Recovery,
+                        task: Some(task),
+                    });
+                }
             }
             TraceEvent::Reconstruct { job: Some(job), task, at, took, .. }
-                if tagged(job) && took > SimDuration::ZERO =>
+                if took > SimDuration::ZERO =>
             {
-                covering.entry(job).or_default().push(Covering {
-                    start: at.as_nanos(),
-                    end: at.as_nanos() + took.as_nanos(),
-                    kind: SegmentKind::Recovery,
-                    task,
-                });
+                if let Some(rec) = tagged(&mut table, lo, job) {
+                    rec.covering.push(Covering {
+                        start: at.as_nanos(),
+                        end: at.as_nanos() + took.as_nanos(),
+                        kind: SegmentKind::Recovery,
+                        task,
+                    });
+                }
             }
             _ => {}
         }
     }
 
     // Sweep pass: tile each request's sojourn with single-component
-    // segments.
-    let mut spans: Vec<RequestSpan> = Vec::with_capacity(tag_of_job.len());
-    for (&job, &(request, tenant, arrival)) in &tag_of_job {
-        let Some(&end) = last_finish.get(&job) else {
-            continue; // nothing executed for this request
+    // segments, in job order. `cuts` and `open` are scratch reused
+    // across requests.
+    let mut spans: Vec<RequestSpan> = Vec::new();
+    let mut cuts: Vec<u64> = Vec::new();
+    // The intervals open at the sweep position as `(rank, task, end)`,
+    // best claim on top. The window's kind and task are the key itself,
+    // so equal keys need no further order.
+    let mut open: BinaryHeap<Reverse<(u8, Option<u64>, u64)>> = BinaryHeap::new();
+    for (i, rec) in table.iter_mut().enumerate() {
+        let (Some((request, tenant, arrival)), Some(end)) = (rec.tag, rec.last_finish) else {
+            continue; // untagged, or nothing executed for this request
         };
         let end = end.max(arrival);
-        let fq = first_queued.get(&job).copied().unwrap_or(end).clamp(arrival, end);
-        let mut ivs: Vec<Covering> = covering.remove(&job).unwrap_or_default();
+        let fq = rec.first_queued.unwrap_or(end).clamp(arrival, end);
+        let mut ivs = std::mem::take(&mut rec.covering);
         for iv in &mut ivs {
             iv.start = iv.start.clamp(arrival, end);
             iv.end = iv.end.clamp(arrival, end);
         }
         ivs.retain(|iv| iv.end > iv.start);
-        // Stable winner selection: sort by (priority desc, task, start)
-        // so the covering scan below is deterministic.
-        ivs.sort_by_key(|iv| (std::cmp::Reverse(priority(iv.kind)), iv.task, iv.start));
+        ivs.sort_unstable_by_key(|iv| iv.start);
 
-        let mut cuts: Vec<u64> = Vec::with_capacity(ivs.len() * 2 + 3);
-        cuts.push(arrival);
-        cuts.push(fq);
-        cuts.push(end);
-        for iv in &ivs {
-            cuts.push(iv.start);
-            cuts.push(iv.end);
-        }
+        cuts.clear();
+        cuts.extend([arrival, fq, end]);
+        cuts.extend(ivs.iter().flat_map(|iv| [iv.start, iv.end]));
         cuts.sort_unstable();
         cuts.dedup();
 
+        // Every interval bound is a cut, so an interval covers the
+        // window [a, b) exactly when it starts at or before `a` and ends
+        // after it: open what the sweep has reached, drop the top while
+        // it has ended, and the top is the highest-priority claim (lowest
+        // task on priority ties).
+        open.clear();
+        let mut reached = 0usize;
         let mut segments: Vec<Segment> = Vec::new();
         let mut attribution = Attribution::default();
         for pair in cuts.windows(2) {
             let (a, b) = (pair[0], pair[1]);
-            // Highest-priority covering interval wins; first in the
-            // sorted order on priority ties.
-            let winner = ivs.iter().find(|iv| iv.start <= a && iv.end >= b);
-            let (kind, task) = match winner {
-                Some(iv) => (iv.kind, iv.task),
+            while let Some(iv) = ivs.get(reached).filter(|iv| iv.start <= a) {
+                open.push(Reverse((sweep_rank(iv.kind), iv.task, iv.end)));
+                reached += 1;
+            }
+            while open.peek().is_some_and(|&Reverse((_, _, end))| end <= a) {
+                open.pop();
+            }
+            let (kind, task) = match open.peek() {
+                Some(&Reverse((rank, task, _))) => (KIND_BY_RANK[rank as usize], task),
                 None if a < fq => (SegmentKind::Admission, None),
                 None => (SegmentKind::Transfer, None),
             };
@@ -360,7 +426,7 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
         spans.push(RequestSpan {
             request,
             tenant,
-            job,
+            job: lo + i as u64,
             arrival: SimTime(arrival),
             end: SimTime(end),
             segments,
@@ -532,7 +598,8 @@ pub fn slo_burn_by(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disagg_hwsim::ids::ComputeId;
+    use disagg_hwsim::ids::{ComputeId, MemDeviceId};
+    use disagg_hwsim::rng::SimRng;
 
     fn tag(request: u64, tenant: u64, job: u64, at: u64) -> TraceEvent {
         TraceEvent::RequestTag { request, tenant, job, at: SimTime(at) }
@@ -558,6 +625,530 @@ mod tests {
 
     fn finish(job: u64, task: u64, at: u64) -> TraceEvent {
         TraceEvent::TaskFinish { job, task, on: ComputeId(0), at: SimTime(at) }
+    }
+
+    fn retry(job: u64, task: u64, at: u64, lost: u64) -> TraceEvent {
+        TraceEvent::TaskRetry {
+            job,
+            task,
+            from: ComputeId(0),
+            to: ComputeId(1),
+            attempt: 1,
+            at: SimTime(at),
+            lost: SimDuration(lost),
+        }
+    }
+
+    fn reconstruct(job: Option<u64>, task: Option<u64>, at: u64, took: u64) -> TraceEvent {
+        TraceEvent::Reconstruct {
+            region: 0,
+            dev: MemDeviceId(0),
+            bytes: 64,
+            at: SimTime(at),
+            took: SimDuration(took),
+            job,
+            task,
+        }
+    }
+
+    /// Sweep priority: when intervals overlap, the highest class claims the
+    /// time. Recovery loss always shows (it *is* wasted time even while a
+    /// sibling task computes); compute beats queue (a queued task is not
+    /// the bottleneck while another makes progress).
+    fn priority(kind: SegmentKind) -> u8 {
+        match kind {
+            SegmentKind::Recovery => 3,
+            SegmentKind::Compute => 2,
+            SegmentKind::Queue => 1,
+            // Admission/transfer never appear as covering intervals; they
+            // classify uncovered time.
+            SegmentKind::Admission | SegmentKind::Transfer => 0,
+        }
+    }
+
+    /// The `BTreeMap`-keyed assembly this module shipped before the dense
+    /// table, kept verbatim as the oracle the tests below compare against.
+    fn reference_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
+        // Tag pass: job -> (request, tenant, arrival).
+        let mut tag_of_job: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
+        for e in events {
+            if let TraceEvent::RequestTag {
+                request,
+                tenant,
+                job,
+                at,
+            } = *e
+            {
+                tag_of_job.insert(job, (request, tenant, at.as_nanos()));
+            }
+        }
+        if tag_of_job.is_empty() {
+            return Vec::new();
+        }
+
+        // Collection pass: per tagged job, the classified intervals plus
+        // the sojourn bounds.
+        let mut first_queued: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut last_finish: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut task_start: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut covering: BTreeMap<u64, Vec<Covering>> = BTreeMap::new();
+        let tagged = |job: u64| tag_of_job.contains_key(&job);
+        for e in events {
+            match *e {
+                TraceEvent::TaskQueued { job, at, .. } if tagged(job) => {
+                    let t = at.as_nanos();
+                    first_queued
+                        .entry(job)
+                        .and_modify(|f| *f = (*f).min(t))
+                        .or_insert(t);
+                }
+                TraceEvent::TaskDispatch {
+                    job,
+                    task,
+                    at,
+                    waited,
+                    ..
+                } if tagged(job) && waited > SimDuration::ZERO => {
+                    covering.entry(job).or_default().push(Covering {
+                        start: at.as_nanos() - waited.as_nanos(),
+                        end: at.as_nanos(),
+                        kind: SegmentKind::Queue,
+                        task: Some(task),
+                    });
+                }
+                TraceEvent::TaskStart { job, task, at, .. } if tagged(job) => {
+                    task_start.insert((job, task), at.as_nanos());
+                }
+                TraceEvent::TaskFinish { job, task, at, .. } if tagged(job) => {
+                    let t = at.as_nanos();
+                    last_finish
+                        .entry(job)
+                        .and_modify(|f| *f = (*f).max(t))
+                        .or_insert(t);
+                    if let Some(&start) = task_start.get(&(job, task)) {
+                        covering.entry(job).or_default().push(Covering {
+                            start,
+                            end: t,
+                            kind: SegmentKind::Compute,
+                            task: Some(task),
+                        });
+                    }
+                }
+                TraceEvent::TaskRetry {
+                    job,
+                    task,
+                    at,
+                    lost,
+                    ..
+                } if tagged(job) && lost > SimDuration::ZERO => {
+                    covering.entry(job).or_default().push(Covering {
+                        start: at.as_nanos() - lost.as_nanos(),
+                        end: at.as_nanos(),
+                        kind: SegmentKind::Recovery,
+                        task: Some(task),
+                    });
+                }
+                TraceEvent::Reconstruct {
+                    job: Some(job),
+                    task,
+                    at,
+                    took,
+                    ..
+                } if tagged(job) && took > SimDuration::ZERO => {
+                    covering.entry(job).or_default().push(Covering {
+                        start: at.as_nanos(),
+                        end: at.as_nanos() + took.as_nanos(),
+                        kind: SegmentKind::Recovery,
+                        task,
+                    });
+                }
+                _ => {}
+            }
+        }
+
+        // Sweep pass: tile each request's sojourn with single-component
+        // segments.
+        let mut spans: Vec<RequestSpan> = Vec::with_capacity(tag_of_job.len());
+        for (&job, &(request, tenant, arrival)) in &tag_of_job {
+            let Some(&end) = last_finish.get(&job) else {
+                continue; // nothing executed for this request
+            };
+            let end = end.max(arrival);
+            let fq = first_queued
+                .get(&job)
+                .copied()
+                .unwrap_or(end)
+                .clamp(arrival, end);
+            let mut ivs: Vec<Covering> = covering.remove(&job).unwrap_or_default();
+            for iv in &mut ivs {
+                iv.start = iv.start.clamp(arrival, end);
+                iv.end = iv.end.clamp(arrival, end);
+            }
+            ivs.retain(|iv| iv.end > iv.start);
+            // Stable winner selection: sort by (priority desc, task, start)
+            // so the covering scan below is deterministic.
+            ivs.sort_by_key(|iv| (std::cmp::Reverse(priority(iv.kind)), iv.task, iv.start));
+
+            let mut cuts: Vec<u64> = Vec::with_capacity(ivs.len() * 2 + 3);
+            cuts.push(arrival);
+            cuts.push(fq);
+            cuts.push(end);
+            for iv in &ivs {
+                cuts.push(iv.start);
+                cuts.push(iv.end);
+            }
+            cuts.sort_unstable();
+            cuts.dedup();
+
+            let mut segments: Vec<Segment> = Vec::new();
+            let mut attribution = Attribution::default();
+            for pair in cuts.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                // Highest-priority covering interval wins; first in the
+                // sorted order on priority ties.
+                let winner = ivs.iter().find(|iv| iv.start <= a && iv.end >= b);
+                let (kind, task) = match winner {
+                    Some(iv) => (iv.kind, iv.task),
+                    None if a < fq => (SegmentKind::Admission, None),
+                    None => (SegmentKind::Transfer, None),
+                };
+                attribution.add(kind, SimDuration(b - a));
+                match segments.last_mut() {
+                    Some(s) if s.kind == kind && s.task == task && s.end == SimTime(a) => {
+                        s.end = SimTime(b);
+                    }
+                    _ => segments.push(Segment {
+                        kind,
+                        start: SimTime(a),
+                        end: SimTime(b),
+                        task,
+                    }),
+                }
+            }
+            debug_assert_eq!(
+                attribution.total(),
+                SimTime(end) - SimTime(arrival),
+                "sweep must tile the sojourn exactly"
+            );
+            spans.push(RequestSpan {
+                request,
+                tenant,
+                job,
+                arrival: SimTime(arrival),
+                end: SimTime(end),
+                segments,
+                attribution,
+            });
+        }
+        spans.sort_by_key(|s| s.request);
+        spans
+    }
+
+    /// A random trace that is hostile rather than causal: two disjoint
+    /// tagged job-id ranges with untagged jobs inside, between and
+    /// around them, times drawn from a small range so intervals overlap
+    /// and tie, re-tagged jobs, restarted and twice-finished tasks,
+    /// finishes with no start, retries that lost time, reconstructions
+    /// with and without an owner — all shuffled, so events of a job
+    /// precede its tag.
+    fn random_trace(seed: u64) -> Vec<TraceEvent> {
+        let mut rng = SimRng::new(seed);
+        let mut events = Vec::new();
+        let base = rng.range(3, 40);
+        for job in base - 3..base + 45 {
+            let in_range =
+                (base..base + 12).contains(&job) || (base + 30..base + 40).contains(&job);
+            if in_range && rng.chance(0.85) {
+                for _ in 0..1 + rng.next_below(2) {
+                    events.push(tag(
+                        rng.next_below(64),
+                        rng.next_below(4),
+                        job,
+                        rng.next_below(300),
+                    ));
+                }
+            }
+            for task in 0..1 + rng.next_below(6) {
+                let at = rng.range(50, 1_000);
+                events.push(queued(job, task, at));
+                let dispatched = at + rng.next_below(80);
+                events.push(dispatch(
+                    job,
+                    task,
+                    dispatched,
+                    rng.next_below(dispatched.min(120)),
+                ));
+                if rng.chance(0.9) {
+                    events.push(start(job, task, dispatched));
+                }
+                if rng.chance(0.2) {
+                    events.push(start(job, task, dispatched + rng.next_below(40)));
+                }
+                if rng.chance(0.3) {
+                    let relaunch = dispatched + rng.range(1, 200);
+                    events.push(retry(
+                        job,
+                        task,
+                        relaunch,
+                        rng.next_below(150).min(relaunch),
+                    ));
+                }
+                if rng.chance(0.3) {
+                    let owner = rng.chance(0.7).then_some(job);
+                    let task = rng.chance(0.6).then_some(task);
+                    events.push(reconstruct(
+                        owner,
+                        task,
+                        dispatched + rng.next_below(100),
+                        rng.next_below(60),
+                    ));
+                }
+                for _ in 0..rng.next_below(3) {
+                    events.push(finish(job, task, dispatched + rng.next_below(400)));
+                }
+            }
+        }
+        rng.shuffle(&mut events);
+        events
+    }
+
+    #[test]
+    fn dense_assembly_equals_the_reference_on_random_traces() {
+        let mut tagged_spans = 0;
+        for seed in [1, 7, 23, 99, 0xdead, 0xbeef] {
+            let events = random_trace(seed);
+            let spans = assemble_request_spans(&events);
+            assert_eq!(spans, reference_spans(&events), "seed {seed}");
+            for s in &spans {
+                assert_eq!(
+                    s.attribution.total(),
+                    s.latency(),
+                    "seed {seed} request {}",
+                    s.request
+                );
+            }
+            tagged_spans += spans.len();
+        }
+        assert!(
+            tagged_spans > 60,
+            "the generator must tag work: {tagged_spans}"
+        );
+    }
+
+    /// The trace of a real serving run: the two-template mix of
+    /// `tests/serving.rs` under its chaos plan (rotating node crashes,
+    /// two corruption bursts), with `ControlPlane::default()` so the run
+    /// spans eight epochs of tagged job ids.
+    #[test]
+    fn dense_assembly_equals_the_reference_on_a_chaotic_serving_trace() {
+        use disagg_core::prelude::{
+            JobBuilder, RecoveryPolicy, Runtime, RuntimeConfig, TaskSpec, WorkClass,
+        };
+        use disagg_hwsim::fault::{FaultInjector, FaultKind};
+        use disagg_hwsim::presets::disaggregated_rack;
+        use disagg_serve::{ArrivalProcess, ControlPlane, Request, ServeConfig, ServeLayer, Slo};
+
+        let mut layer = ServeLayer::new();
+        layer.register("chain", |req: &Request| {
+            let mut j = JobBuilder::new("chain");
+            let a = j.task(
+                TaskSpec::new("a")
+                    .work(WorkClass::Scalar, 20_000 + req.seed % 1_000)
+                    .output_bytes(1 << 20),
+            );
+            let b = j.task(TaskSpec::new("b").work(WorkClass::Scalar, 10_000));
+            j.edge(a, b);
+            j.build().expect("chain template")
+        });
+        layer.register("fan", |req: &Request| {
+            let mut j = JobBuilder::new("fan");
+            let src = j.task(
+                TaskSpec::new("src")
+                    .work(WorkClass::Vector, 30_000 + req.seed % 2_000)
+                    .output_bytes(4 << 20),
+            );
+            let sink = j.task(TaskSpec::new("sink").work(WorkClass::Scalar, 5_000));
+            for i in 0..3 {
+                let mid = j.task(
+                    TaskSpec::new(format!("mid{i}"))
+                        .work(WorkClass::Vector, 10_000)
+                        .output_bytes(1 << 20),
+                );
+                j.edge(src, mid);
+                j.edge(mid, sink);
+            }
+            j.build().expect("fan template")
+        });
+        let cfg = ServeConfig {
+            arrivals: ArrivalProcess::Poisson {
+                mean_gap: SimDuration::from_micros(15),
+            },
+            requests: 48,
+            tenants: 4,
+            zipf_theta: 0.9,
+            seed: 0xbeef,
+            slo: Some(Slo {
+                p50: SimDuration::from_micros(200),
+                p99: SimDuration::from_millis(5),
+            }),
+            control: Some(ControlPlane::default()),
+            ..ServeConfig::default()
+        };
+
+        // Probe the healthy horizon so the chaos schedule lands mid-run.
+        let horizon = {
+            let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+            let mut rt = Runtime::new(topo, RuntimeConfig::default());
+            layer.run(&mut rt, &cfg).expect("probe run").makespan
+        };
+        let (topo, rack) = disaggregated_rack(2, 4, 1, 8);
+        let mut faults = FaultInjector::none();
+        let mttf = horizon.0 / 4;
+        for k in 1..=4u64 {
+            let node = rack.nodes[(k as usize - 1) % rack.nodes.len()];
+            faults.schedule(SimTime(k * mttf), FaultKind::NodeCrash(node));
+            faults.schedule(SimTime(k * mttf + mttf / 2), FaultKind::NodeRecover(node));
+        }
+        for dev in [rack.drams[0], rack.pool[0]] {
+            faults.schedule(
+                SimTime(horizon.0 / 8),
+                FaultKind::Corrupt {
+                    dev,
+                    offset: 0,
+                    len: 4 << 20,
+                },
+            );
+        }
+        let config = RuntimeConfig::traced().with_faults(faults).with_recovery(
+            RecoveryPolicy::default()
+                .with_detection_delay(SimDuration(2_000))
+                .with_backoff(SimDuration(1_000)),
+        );
+        let mut rt = Runtime::new(topo, config);
+        let report = layer.run(&mut rt, &cfg).expect("faulty serving run");
+
+        let events = rt.trace().events();
+        let disturbed = |e: &TraceEvent| {
+            matches!(
+                e,
+                TraceEvent::TaskRetry { .. } | TraceEvent::Reconstruct { .. }
+            )
+        };
+        assert!(
+            events.iter().any(disturbed),
+            "the chaos plan must disturb the run"
+        );
+        let spans = assemble_request_spans(events);
+        assert_eq!(
+            spans.len(),
+            report.admitted,
+            "one span per admitted request"
+        );
+        assert!(spans
+            .iter()
+            .any(|s| s.attribution.recovery > SimDuration::ZERO));
+        assert_eq!(spans, reference_spans(events));
+    }
+
+    /// One 512-task fan-out request: a source, 510 staggered middles on
+    /// a few lanes, a sink. The old sweep compared every cut window with
+    /// every interval (~10⁶ here); the sorted sweep must give the same
+    /// segments, and they are known.
+    #[test]
+    fn a_512_task_fan_out_sweeps_like_the_reference() {
+        const MID: u64 = 510;
+        let mut events = vec![
+            tag(9, 2, 100, 0),
+            queued(100, 0, 5),
+            dispatch(100, 0, 5, 0),
+            start(100, 0, 5),
+        ];
+        events.push(finish(100, 0, 20));
+        // Middles become ready at 30 (a 10 ns handover), wait for one of
+        // 8 lanes, and run 16 ns each: lane round `r` starts at 30 + 16 r.
+        for m in 0..MID {
+            let task = 1 + m;
+            let begin = 30 + 16 * (m / 8);
+            events.push(queued(100, task, 30));
+            events.push(dispatch(100, task, begin, begin - 30));
+            events.push(start(100, task, begin));
+        }
+        for m in 0..MID {
+            events.push(finish(100, 1 + m, 30 + 16 * (m / 8) + 16));
+        }
+        let last_mid_end = 30 + 16 * ((MID - 1) / 8) + 16;
+        // Two reconstructions in the middle of the fan-out, one owned by
+        // task 7, one ambient; recovery outranks the compute under it.
+        events.push(reconstruct(Some(100), Some(7), 100, 10));
+        events.push(reconstruct(Some(100), None, 200, 4));
+        let sink = MID + 1;
+        events.push(queued(100, sink, last_mid_end + 6));
+        events.push(dispatch(100, sink, last_mid_end + 6, 0));
+        events.push(start(100, sink, last_mid_end + 6));
+        events.push(finish(100, sink, last_mid_end + 26));
+
+        let spans = assemble_request_spans(&events);
+        assert_eq!(spans, reference_spans(&events));
+        assert_eq!(spans.len(), 1);
+        let s = &spans[0];
+        assert_eq!((s.request, s.tenant, s.job), (9, 2, 100));
+        assert_eq!(s.latency(), SimDuration(last_mid_end + 26));
+        let a = &s.attribution;
+        assert_eq!(a.admission, SimDuration(5));
+        assert_eq!(
+            a.queue,
+            SimDuration(0),
+            "something of the request always computes while middles wait"
+        );
+        assert_eq!(a.recovery, SimDuration(14));
+        assert_eq!(a.transfer, SimDuration(10 + 6));
+        assert_eq!(a.compute, SimDuration(15 + (last_mid_end - 30) - 14 + 20));
+        assert_eq!(a.total(), s.latency());
+        // Compute time goes to the lowest-numbered task running: the
+        // first task of each lane round. Task 7's rebuild takes the end
+        // of its round (one more segment), the ambient one the middle of
+        // its round (two more).
+        let rounds = MID.div_ceil(8) as usize;
+        assert_eq!(s.segments.len(), 1 + 1 + 1 + rounds + 3 + 1 + 1);
+        let seg = |kind, start, end, task| Segment {
+            kind,
+            start: SimTime(start),
+            end: SimTime(end),
+            task,
+        };
+        assert_eq!(s.segments[0], seg(SegmentKind::Admission, 0, 5, None));
+        assert_eq!(s.segments[1], seg(SegmentKind::Compute, 5, 20, Some(0)));
+        assert_eq!(s.segments[2], seg(SegmentKind::Transfer, 20, 30, None));
+        assert_eq!(s.segments[3], seg(SegmentKind::Compute, 30, 46, Some(1)));
+        // Round 4 is [94, 110), led by task 33; task 7's rebuild cuts it.
+        let at = s
+            .segments
+            .iter()
+            .position(|g| g.kind == SegmentKind::Recovery)
+            .unwrap();
+        assert_eq!(
+            s.segments[at - 1],
+            seg(SegmentKind::Compute, 94, 100, Some(33))
+        );
+        assert_eq!(
+            s.segments[at],
+            seg(SegmentKind::Recovery, 100, 110, Some(7))
+        );
+        assert_eq!(
+            s.segments[at + 1],
+            seg(SegmentKind::Compute, 110, 126, Some(41))
+        );
+        let ambient = s
+            .segments
+            .iter()
+            .find(|g| g.kind == SegmentKind::Recovery && g.task.is_none());
+        assert_eq!(ambient, Some(&seg(SegmentKind::Recovery, 200, 204, None)));
+        let n = s.segments.len();
+        assert_eq!(
+            s.segments[n - 2],
+            seg(SegmentKind::Transfer, last_mid_end, last_mid_end + 6, None)
+        );
+        assert_eq!(s.segments[n - 1].task, Some(sink));
     }
 
     /// A two-task chain with admission delay, queue wait, a handover

@@ -11,8 +11,7 @@
 //! - [`HotnessTracker`] keeps exponentially decayed access statistics per
 //!   region, feeding the tiering policy in [`mod@crate::migrate`].
 
-use std::collections::HashMap;
-
+use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::SimTime;
 
@@ -121,7 +120,11 @@ pub struct HotStat {
 /// Tracks region hotness with exponential decay.
 #[derive(Debug, Default)]
 pub struct HotnessTracker {
-    stats: HashMap<RegionId, HotStat>,
+    /// Hashed, not a slab beside the pool's: the executor forgets a
+    /// region when it is freed, so the live set stays small while ids
+    /// grow without bound, and `decay` must visit live entries only.
+    /// `hot`/`cold` sort what they collect, so map order never shows.
+    stats: FxHashMap<RegionId, HotStat>,
     /// Decay factor applied per decay tick.
     alpha: f64,
 }
@@ -130,7 +133,7 @@ impl HotnessTracker {
     /// Creates a tracker with the default decay factor (0.5 per tick).
     pub fn new() -> Self {
         HotnessTracker {
-            stats: HashMap::new(),
+            stats: FxHashMap::default(),
             alpha: 0.5,
         }
     }
@@ -143,7 +146,7 @@ impl HotnessTracker {
     pub fn with_alpha(alpha: f64) -> Self {
         assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
         HotnessTracker {
-            stats: HashMap::new(),
+            stats: FxHashMap::default(),
             alpha,
         }
     }

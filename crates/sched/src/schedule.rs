@@ -10,12 +10,15 @@
 //! compute-class requirements. A round-robin baseline is included for the
 //! ablation experiments.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use disagg_hwsim::ids::ComputeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 
 use disagg_dataflow::job::{JobId, JobSpec};
-use disagg_dataflow::task::{ComputePref, TaskId};
+use disagg_dataflow::task::{ComputePref, TaskId, TaskSpec};
 
 /// Scheduling strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -80,24 +83,59 @@ const NO_ENTRY: u32 = u32::MAX;
 ///
 /// Lookups are hot — the executor resolves every dispatch decision
 /// through [`Schedule::entry`] — so instead of a `(JobId, TaskId)` hash
-/// map the schedule keeps an indexed slice: job ids within one plan are
+/// map the schedule keeps one flat table: job ids within one plan are
 /// clustered (the runtime issues them consecutively per wave), so
-/// `index[job - base_job][task]` resolves a rank/assignment lookup with
-/// two array indexes.
+/// `index[row_start[job - base_job] + task]` resolves a rank/assignment
+/// lookup with two array indexes. The table is built once, from the
+/// entries in their final order.
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
     /// Entries in estimated execution order.
     pub entries: Vec<ScheduleEntry>,
-    /// Lowest job id in the plan; row 0 of `index` belongs to it.
+    /// Lowest job id in the plan; row 0 of the table belongs to it.
     base_job: u64,
-    /// `index[job - base_job][task]` → entry position ([`NO_ENTRY`] if absent).
-    index: Vec<Vec<u32>>,
+    /// Row `job - base_job` of `index` is
+    /// `row_start[row]..row_start[row + 1]`, one slot per task index.
+    row_start: Vec<u32>,
+    /// Entry position per `(row, task)` ([`NO_ENTRY`] if absent).
+    index: Vec<u32>,
 }
 
 impl Schedule {
+    /// Indexes `entries`, which are in their final order. When an entry
+    /// repeats a `(job, task)`, the later one answers lookups.
+    fn indexed(entries: Vec<ScheduleEntry>) -> Schedule {
+        let Some(base_job) = entries.iter().map(|e| e.job.0).min() else {
+            return Schedule::default();
+        };
+        let row = |e: &ScheduleEntry| (e.job.0 - base_job) as usize;
+        let rows = entries.iter().map(row).max().unwrap_or(0) + 1;
+        // Row widths (highest task index + 1), then their running sum.
+        let mut row_start = vec![0u32; rows + 1];
+        for e in &entries {
+            let width = &mut row_start[row(e) + 1];
+            *width = (*width).max(e.task.0 + 1);
+        }
+        for r in 0..rows {
+            row_start[r + 1] += row_start[r];
+        }
+        let mut index = vec![NO_ENTRY; row_start[rows] as usize];
+        for (i, e) in entries.iter().enumerate() {
+            index[row_start[row(e)] as usize + e.task.index()] = i as u32;
+        }
+        Schedule {
+            entries,
+            base_job,
+            row_start,
+            index,
+        }
+    }
+
     fn slot(&self, job: JobId, task: TaskId) -> Option<usize> {
         let row = job.0.checked_sub(self.base_job)? as usize;
-        let &i = self.index.get(row)?.get(task.index())?;
+        let lo = *self.row_start.get(row)? as usize;
+        let hi = *self.row_start.get(row + 1)? as usize;
+        let &i = self.index[lo..hi].get(task.index())?;
         (i != NO_ENTRY).then_some(i as usize)
     }
 
@@ -118,49 +156,6 @@ impl Schedule {
             .map(|e| e.est_finish)
             .fold(SimTime::ZERO, SimTime::max)
             - SimTime::ZERO
-    }
-
-    fn set_slot(&mut self, job: JobId, task: TaskId, i: u32) {
-        if self.index.is_empty() {
-            self.base_job = job.0;
-        } else if job.0 < self.base_job {
-            // A lower job id arrived after the base was fixed: shift the
-            // table down (rare — plans are built from one job list).
-            let shift = (self.base_job - job.0) as usize;
-            let mut rows = vec![Vec::new(); shift];
-            rows.append(&mut self.index);
-            self.index = rows;
-            self.base_job = job.0;
-        }
-        let row = (job.0 - self.base_job) as usize;
-        if row >= self.index.len() {
-            self.index.resize(row + 1, Vec::new());
-        }
-        let cols = &mut self.index[row];
-        if task.index() >= cols.len() {
-            cols.resize(task.index() + 1, NO_ENTRY);
-        }
-        cols[task.index()] = i;
-    }
-
-    fn push(&mut self, entry: ScheduleEntry) {
-        let i = self.entries.len() as u32;
-        self.set_slot(entry.job, entry.task, i);
-        self.entries.push(entry);
-    }
-
-    fn sort_by_start(&mut self) {
-        self.entries.sort_by_key(|e| (e.est_start, e.job, e.task));
-        for (i, (job, task)) in self
-            .entries
-            .iter()
-            .map(|e| (e.job, e.task))
-            .collect::<Vec<_>>()
-            .into_iter()
-            .enumerate()
-        {
-            self.set_slot(job, task, i as u32);
-        }
     }
 }
 
@@ -187,6 +182,14 @@ impl std::fmt::Display for SchedError {
 }
 
 impl std::error::Error for SchedError {}
+
+/// `f64::total_cmp` as an integer key: `total_order_key(a).cmp(&total_order_key(b))`
+/// equals `a.total_cmp(&b)` (the same sign-magnitude flip `total_cmp`
+/// itself does).
+fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
 
 /// Average fabric bandwidth used for cross-device communication estimates
 /// (bytes/ns). A constant keeps ranking cheap; the executor charges real
@@ -233,29 +236,28 @@ impl Scheduler {
             .collect()
     }
 
-    /// Estimated duration of a task on a device: launch + compute +
-    /// optimistic memory traffic at the device's best reachable bandwidth
-    /// (precomputed in `bw`, see [`Scheduler::best_bws`]).
-    fn estimate_with(
-        topo: &Topology,
-        bw: &[f64],
-        spec: &JobSpec,
-        task: TaskId,
-        c: ComputeId,
-    ) -> f64 {
+    /// The memory traffic a task's estimate charges, whatever device it
+    /// runs on: dataflow in/out plus created scratch streams. The
+    /// private-scratch *footprint* is capacity, not traffic — a job with
+    /// a large working set does not necessarily stream all of it.
+    fn traffic_bytes(spec: &JobSpec, task: TaskId) -> u64 {
         let t = &spec.tasks[task.index()];
-        let model = topo.compute(c);
-        let exec = model.exec_cost(t.work.class, t.work.elems).as_nanos_f64();
         let input_bytes: u64 = spec
             .dag
             .predecessors(task)
             .iter()
             .map(|p| spec.tasks[p.index()].output_bytes)
             .sum();
-        // Traffic estimate: dataflow in/out plus created scratch streams.
-        // The private-scratch *footprint* is capacity, not traffic — a job
-        // with a large working set does not necessarily stream all of it.
-        let bytes = input_bytes + t.output_bytes + t.global_scratch;
+        input_bytes + t.output_bytes + t.global_scratch
+    }
+
+    /// Estimated duration of a task on a device: launch + compute +
+    /// optimistic traffic (`bytes`, see [`Scheduler::traffic_bytes`]) at
+    /// the device's best reachable bandwidth (precomputed in `bw`, see
+    /// [`Scheduler::best_bws`]).
+    fn estimate_with(topo: &Topology, bw: &[f64], t: &TaskSpec, bytes: u64, c: ComputeId) -> f64 {
+        let model = topo.compute(c);
+        let exec = model.exec_cost(t.work.class, t.work.elems).as_nanos_f64();
         let mem = bytes as f64 / bw[c.index()];
         let base = exec + mem;
         match t.compute {
@@ -288,12 +290,13 @@ impl Scheduler {
         pred: impl Fn(ComputeId) -> bool,
     ) -> Vec<(ComputeId, f64)> {
         let bw = Self::best_bws(topo);
-        let mut ranked: Vec<(ComputeId, f64)> =
-            Self::eligible(topo, spec.tasks[task.index()].compute)
-                .into_iter()
-                .filter(|&c| pred(c))
-                .map(|c| (c, Self::estimate_with(topo, &bw, spec, task, c)))
-                .collect();
+        let t = &spec.tasks[task.index()];
+        let bytes = Self::traffic_bytes(spec, task);
+        let mut ranked: Vec<(ComputeId, f64)> = Self::eligible(topo, t.compute)
+            .into_iter()
+            .filter(|&c| pred(c))
+            .map(|c| (c, Self::estimate_with(topo, &bw, t, bytes, c)))
+            .collect();
         ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         ranked
     }
@@ -308,15 +311,22 @@ impl Scheduler {
         // job-local task's global item index (no per-task hashing).
         struct Item {
             job: JobId,
-            spec_idx: usize,
             task: TaskId,
+            /// The item's predecessors, as item indices: this range of
+            /// `preds` (the placement loop visits items in rank order,
+            /// and must not chase each one's `JobSpec` for them).
+            preds: std::ops::Range<u32>,
             /// Index into `elig_sets`: tasks sharing a compute
             /// preference share one eligible-device list.
             elig: u32,
-            /// Estimated duration per eligible device (parallel to the
-            /// item's eligible list).
-            est: Vec<f64>,
+            /// Where the item's estimated durations start in `durs`: one
+            /// per eligible device, parallel to the eligible list.
+            durs_at: u32,
+            /// Mean estimate over the eligible devices (ns).
             avg: f64,
+            /// What a consumer on another device waits for this task's
+            /// output after it finishes.
+            comm: SimDuration,
         }
         let bw = Self::best_bws(topo);
         // Distinct compute preferences per batch are few (Any plus a
@@ -325,8 +335,11 @@ impl Scheduler {
         let mut elig_sets: Vec<(ComputePref, Vec<ComputeId>)> = Vec::new();
         let mut base: Vec<usize> = Vec::with_capacity(jobs.len());
         let mut items: Vec<Item> = Vec::new();
-        for (si, &(job, spec)) in jobs.iter().enumerate() {
-            base.push(items.len());
+        let mut durs: Vec<SimDuration> = Vec::new();
+        let mut preds: Vec<u32> = Vec::new();
+        for &(job, spec) in jobs {
+            let first = items.len();
+            base.push(first);
             for ti in 0..spec.tasks.len() {
                 let task = TaskId(ti as u32);
                 let pref = spec.tasks[ti].compute;
@@ -341,12 +354,31 @@ impl Scheduler {
                 if eligible.is_empty() {
                     return Err(SchedError::NoEligibleDevice { job, task });
                 }
-                let est: Vec<f64> = eligible
-                    .iter()
-                    .map(|&c| Self::estimate_with(topo, &bw, spec, task, c))
-                    .collect();
-                let avg = est.iter().sum::<f64>() / est.len() as f64;
-                items.push(Item { job, spec_idx: si, task, elig: elig as u32, est, avg });
+                let t = &spec.tasks[ti];
+                let bytes = Self::traffic_bytes(spec, task);
+                let durs_at = durs.len();
+                let mut sum = 0.0f64;
+                for &c in eligible {
+                    let est = Self::estimate_with(topo, &bw, t, bytes, c);
+                    sum += est;
+                    durs.push(SimDuration::from_nanos_f64(est));
+                }
+                let preds_at = preds.len() as u32;
+                preds.extend(
+                    spec.dag
+                        .predecessors(task)
+                        .iter()
+                        .map(|p| (first + p.index()) as u32),
+                );
+                items.push(Item {
+                    job,
+                    task,
+                    preds: preds_at..preds.len() as u32,
+                    elig: elig as u32,
+                    durs_at: durs_at as u32,
+                    avg: sum / eligible.len() as f64,
+                    comm: SimDuration::from_nanos_f64(t.output_bytes as f64 / AVG_COMM_BW),
+                });
             }
         }
 
@@ -365,32 +397,36 @@ impl Scheduler {
             }
         }
 
-        // Processing order: HEFT = rank descending; round-robin = job
-        // submission then topological order.
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        match self.policy {
+        // Processing order: HEFT = rank descending, then job, then task
+        // (sorted on precomputed keys; the trailing item index keeps a
+        // repeated `(job, task)` in push order); round-robin = job
+        // submission then topological order, which is how items were
+        // pushed.
+        let order: Vec<usize> = match self.policy {
             SchedPolicy::Heft => {
-                order.sort_by(|&a, &b| {
-                    rank[b]
-                        .total_cmp(&rank[a])
-                        .then(items[a].job.cmp(&items[b].job))
-                        .then(items[a].task.cmp(&items[b].task))
-                });
+                let mut keyed: Vec<(Reverse<i64>, JobId, TaskId, u32)> = items
+                    .iter()
+                    .zip(&rank)
+                    .enumerate()
+                    .map(|(i, (it, &r))| (Reverse(total_order_key(r)), it.job, it.task, i as u32))
+                    .collect();
+                keyed.sort_unstable();
+                keyed.into_iter().map(|k| k.3 as usize).collect()
             }
-            SchedPolicy::RoundRobin => {
-                // Topological order is already how items were pushed.
-            }
-        }
+            SchedPolicy::RoundRobin => (0..items.len()).collect(),
+        };
 
-        // Per-device lanes (slots) with free times.
-        let mut lanes: Vec<Vec<SimTime>> = topo
+        // Per-device lanes (slots) as a min-heap of free times: placing
+        // a task reads the earliest-free lane and replaces it, and which
+        // lane that is never shows in the schedule.
+        let mut lanes: Vec<BinaryHeap<Reverse<SimTime>>> = topo
             .compute_devices()
             .iter()
-            .map(|m| vec![SimTime::ZERO; m.slots as usize])
+            .map(|m| (0..m.slots).map(|_| Reverse(SimTime::ZERO)).collect())
             .collect();
         // Finish time + device per item, indexed like `items`.
         let mut finish: Vec<Option<(SimTime, ComputeId)>> = vec![None; items.len()];
-        let mut schedule = Schedule::default();
+        let mut entries: Vec<ScheduleEntry> = Vec::with_capacity(items.len());
         let mut rr_cursor = 0usize;
         // Tasks assigned per device: breaks exact EFT ties toward the
         // least-loaded device so equal work spreads across equal hardware
@@ -407,10 +443,8 @@ impl Scheduler {
         let mut fins: Vec<SimTime> = Vec::new();
         while let Some(i) = pending.pop_front() {
             let item = &items[i];
-            let (job, spec) = jobs[item.spec_idx];
-            let preds = spec.dag.predecessors(item.task);
-            let pred_idx = |p: TaskId| base[item.spec_idx] + p.index();
-            if !preds.iter().all(|&p| finish[pred_idx(p)].is_some()) {
+            let preds = &preds[item.preds.start as usize..item.preds.end as usize];
+            if !preds.iter().all(|&p| finish[p as usize].is_some()) {
                 pending.push_back(i);
                 guard += 1;
                 assert!(
@@ -422,29 +456,25 @@ impl Scheduler {
             guard = 0;
             let eligible: &[ComputeId] = &elig_sets[item.elig as usize].1;
 
-            let choose_on = |ei: usize, lanes: &[Vec<SimTime>]| -> (usize, SimTime, SimTime) {
+            // `(start, finish)` of the item on its `ei`-th eligible device.
+            let choose_on = |ei: usize, lanes: &[BinaryHeap<Reverse<SimTime>>]| {
                 let c = eligible[ei];
                 let ready = preds
                     .iter()
                     .map(|&p| {
-                        let (f, pc) = finish[pred_idx(p)].expect("preds checked above");
+                        let (f, pc) = finish[p as usize].expect("preds checked above");
                         if pc == c {
                             f
                         } else {
-                            let comm = spec.tasks[p.index()].output_bytes as f64 / AVG_COMM_BW;
-                            f + SimDuration::from_nanos_f64(comm)
+                            f + items[p as usize].comm
                         }
                     })
                     .fold(SimTime::ZERO, SimTime::max);
-                let lane_times = &lanes[c.index()];
-                let (lane, &free) = lane_times
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| *t)
+                let &Reverse(free) = lanes[c.index()]
+                    .peek()
                     .expect("devices have at least one slot");
                 let start = ready.max(free);
-                let dur = SimDuration::from_nanos_f64(items[i].est[ei]);
-                (lane, start, start + dur)
+                (start, start + durs[item.durs_at as usize + ei])
             };
 
             let ei = match self.policy {
@@ -453,7 +483,7 @@ impl Scheduler {
                     // recompute per comparison), then min with the same
                     // EFT → least-assigned → id tie-break.
                     fins.clear();
-                    fins.extend((0..eligible.len()).map(|ei| choose_on(ei, &lanes).2));
+                    fins.extend((0..eligible.len()).map(|ei| choose_on(ei, &lanes).1));
                     (0..eligible.len())
                         .min_by(|&a, &b| {
                             let (ca, cb) = (eligible[a], eligible[b]);
@@ -471,21 +501,25 @@ impl Scheduler {
                 }
             };
             let c = eligible[ei];
-            let (lane, start, fin) = choose_on(ei, &lanes);
+            let (start, fin) = choose_on(ei, &lanes);
             assigned[c.index()] += 1;
-            lanes[c.index()][lane] = fin;
-            finish[base[item.spec_idx] + items[i].task.index()] = Some((fin, c));
-            schedule.push(ScheduleEntry {
-                job,
-                task: items[i].task,
+            *lanes[c.index()]
+                .peek_mut()
+                .expect("devices have at least one slot") = Reverse(fin);
+            finish[i] = Some((fin, c));
+            entries.push(ScheduleEntry {
+                job: item.job,
+                task: item.task,
                 compute: c,
                 est_start: start,
                 est_finish: fin,
                 rank: rank[i],
             });
         }
-        schedule.sort_by_start();
-        Ok(schedule)
+        // `(job, task)` is unique per entry, so the unstable sort has
+        // one possible outcome.
+        entries.sort_unstable_by_key(|e| (e.est_start, e.job, e.task));
+        Ok(Schedule::indexed(entries))
     }
 }
 
@@ -664,6 +698,62 @@ mod tests {
         assert_eq!(sched.entries.len(), 6);
         assert!(sched.assignment(JobId(1), TaskId(2)).is_some());
         assert!(sched.est_makespan() > SimDuration::ZERO);
+    }
+
+    #[test]
+    fn total_order_key_sorts_like_total_cmp() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1.5e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            7.25e18,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    total_order_key(a).cmp(&total_order_key(b)),
+                    a.total_cmp(&b),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lookups_cover_sparse_job_ids_and_reject_everything_else() {
+        let (topo, _) = single_server();
+        let a = pipeline(3, WorkClass::Scalar, 1_000_000);
+        let b = pipeline(5, WorkClass::Vector, 1_000_000);
+        // Not in id order, with a gap between the ids.
+        let sched = Scheduler::new(SchedPolicy::Heft)
+            .plan(&topo, &[(JobId(9), &b), (JobId(6), &a)])
+            .unwrap();
+        for (i, e) in sched.entries.iter().enumerate() {
+            assert_eq!(sched.entry(e.job, e.task), Some(e), "entry {i}");
+            assert_eq!(sched.assignment(e.job, e.task), Some(e.compute));
+        }
+        assert_eq!(sched.entries.len(), 8);
+        for (job, task) in [
+            (5, 0),
+            (6, 3),
+            (7, 0),
+            (8, 0),
+            (9, 5),
+            (10, 0),
+            (u64::MAX, 0),
+        ] {
+            assert_eq!(sched.entry(JobId(job), TaskId(task)), None, "{job}/{task}");
+        }
+        assert_eq!(Schedule::default().entry(JobId(0), TaskId(0)), None);
     }
 
     #[test]

@@ -293,12 +293,21 @@ impl ServeLayer {
     /// executes the admitted stream on `rt` with each request held to
     /// its arrival offset.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no template is registered or `cfg.tenants == 0`.
+    /// [`RuntimeError::InvalidConfig`] if no template is registered or
+    /// `cfg.tenants == 0`; otherwise whatever the executor returns.
     pub fn run(&self, rt: &mut Runtime, cfg: &ServeConfig) -> Result<ServeReport, RuntimeError> {
-        assert!(!self.templates.is_empty(), "register at least one template");
-        assert!(cfg.tenants > 0, "need at least one tenant");
+        if self.templates.is_empty() {
+            return Err(RuntimeError::InvalidConfig {
+                what: "no template registered",
+            });
+        }
+        if cfg.tenants == 0 {
+            return Err(RuntimeError::InvalidConfig {
+                what: "a serving run needs at least one tenant",
+            });
+        }
 
         let mut rng = SimRng::new(cfg.seed);
         let offsets = cfg.arrivals.sample_offsets(cfg.requests, &mut rng.fork(0));
@@ -769,6 +778,36 @@ mod tests {
             .requests
             .iter()
             .all(|r| r.latency.unwrap() > SimDuration::ZERO));
+    }
+
+    #[test]
+    fn an_empty_registry_is_a_typed_error() {
+        let (topo, _ids) = single_server();
+        let mut rt = Runtime::new(topo, RuntimeConfig::default());
+        let got = ServeLayer::new().run(&mut rt, &ServeConfig::default());
+        assert!(
+            matches!(got, Err(RuntimeError::InvalidConfig { .. })),
+            "{:?}",
+            got.err()
+        );
+        assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
+    }
+
+    #[test]
+    fn zero_tenants_is_a_typed_error() {
+        let (topo, _ids) = single_server();
+        let mut rt = Runtime::new(topo, RuntimeConfig::default());
+        let cfg = ServeConfig {
+            tenants: 0,
+            ..ServeConfig::default()
+        };
+        let got = layer().run(&mut rt, &cfg);
+        assert!(
+            matches!(got, Err(RuntimeError::InvalidConfig { .. })),
+            "{:?}",
+            got.err()
+        );
+        assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
     }
 
     #[test]

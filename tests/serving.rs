@@ -436,3 +436,78 @@ fn slo_histograms_agree_with_run_report_task_spans() {
         assert_eq!(t.slo_met, t.p50 <= slo.p50 && t.p99 <= slo.p99);
     }
 }
+
+/// ROADMAP item 4's known-answer case for span assembly: one compute
+/// lane, every request the same single task of service time `s`,
+/// arrivals a fixed gap `g < s` apart. The backlog grows by `s − g` a
+/// request, so request `k` must read queue = `k·(s − g)`, compute = `s`,
+/// and no admission or transfer time — computable by hand, with real
+/// queueing in it.
+#[test]
+fn one_lane_fixed_service_known_answer() {
+    use disagg::hwsim::compute::ComputeModel;
+    use disagg::hwsim::device::MemDeviceModel;
+    use disagg::hwsim::topology::LinkKind;
+    use disagg::obs::{assemble_request_spans, SegmentKind};
+
+    const REQUESTS: u64 = 12;
+    let one_lane = || {
+        let mut b = Topology::builder();
+        let n = b.node("host");
+        let cpu = b.compute(
+            n,
+            ComputeModel {
+                slots: 1,
+                ..ComputeModel::preset(ComputeKind::Cpu)
+            },
+        );
+        let dram = b.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
+        b.link(cpu, dram, LinkKind::MemBus);
+        b.build().expect("one-lane topology")
+    };
+    let request = || {
+        let mut j = JobBuilder::new("unit");
+        j.task(TaskSpec::new("work").work(WorkClass::Scalar, 40_000));
+        j.build().expect("unit job")
+    };
+    // The service time, from one request alone on the lane.
+    let s = Runtime::new(one_lane(), RuntimeConfig::default())
+        .execute(request())
+        .expect("lone request")
+        .makespan;
+    let g = SimDuration(s.0 * 3 / 5);
+    assert!(
+        SimDuration::ZERO < g && g < s,
+        "arrivals must outpace service: g {g} s {s}"
+    );
+
+    let mut rt = Runtime::new(one_lane(), RuntimeConfig::traced());
+    let submission = Submission::batch((0..REQUESTS).map(|_| request()).collect())
+        .arrivals((0..REQUESTS).map(|k| SimDuration(k * g.0)).collect())
+        .requests((0..REQUESTS).map(|k| (k, 0)).collect());
+    rt.execute(submission).expect("backlogged run");
+
+    let spans = assemble_request_spans(rt.trace().events());
+    assert_eq!(spans.len() as u64, REQUESTS);
+    for (k, span) in spans.iter().enumerate() {
+        let k = k as u64;
+        assert_eq!(span.request, k);
+        assert_eq!(span.arrival, SimTime(k * g.0));
+        let a = &span.attribution;
+        assert_eq!(a.queue, SimDuration(k * (s.0 - g.0)), "request {k} queue");
+        assert_eq!(a.compute, s, "request {k} compute");
+        assert_eq!(
+            (a.admission, a.transfer, a.recovery),
+            (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO),
+            "request {k}"
+        );
+        assert_eq!(span.latency(), SimDuration(k * (s.0 - g.0) + s.0));
+        let kinds: Vec<SegmentKind> = span.segments.iter().map(|seg| seg.kind).collect();
+        let expected: &[SegmentKind] = if k == 0 {
+            &[SegmentKind::Compute]
+        } else {
+            &[SegmentKind::Queue, SegmentKind::Compute]
+        };
+        assert_eq!(kinds, expected, "request {k}");
+    }
+}
