@@ -193,6 +193,57 @@ fn plan_serving() {
     });
 }
 
+/// What placing one task's regions costs the engine on the rack: its
+/// output shared with one to three accessors, then a fan-out copy for
+/// one consumer, 1 000 such tasks an iteration while the pool's fill
+/// drifts (utilization is the only score input that moves).
+fn place_output_rack() {
+    use disagg_hwsim::presets::disaggregated_rack;
+    use disagg_region::props::PropertySet;
+    use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
+    let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
+    let computes: Vec<_> = topo.compute_ids().collect();
+    let mut rng = SimRng::new(0x5EED);
+    let lists: Vec<Vec<_>> = (0..1_000)
+        .map(|_| (0..1 + rng.next_below(3)).map(|_| *rng.pick(&computes)).collect())
+        .collect();
+    let props = PropertySet::new();
+    let mut pool = MemoryPool::new(&topo);
+    let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
+    let mut held = std::collections::VecDeque::new();
+    bench("sched/place_output_rack", || {
+        for list in &lists {
+            let dev = engine
+                .choose_shared(&topo, &pool, list, &props, 4096)
+                .expect("the rack has room");
+            held.push_back(pool.alloc(dev, 4096).expect("chosen for its room"));
+            black_box(engine.choose(&topo, &pool, list[0], &props, 4096));
+            if held.len() > 512 {
+                pool.free(held.pop_front().expect("non-empty")).expect("live");
+            }
+        }
+        engine.decisions.clear();
+    });
+}
+
+/// Building the DAG of a 24 x 24 layered job, two parents per task —
+/// what every request's `JobBuilder::build` pays, at batch size.
+fn dag_new_fanout() {
+    use disagg_dataflow::graph::Dag;
+    let (layers, width) = (24u32, 24u32);
+    let mut edges = Vec::new();
+    for l in 1..layers {
+        for i in 0..width {
+            let t = TaskId(l * width + i);
+            edges.push((TaskId((l - 1) * width + i), t));
+            edges.push((TaskId((l - 1) * width + (i + 1) % width), t));
+        }
+    }
+    bench("dataflow/dag_new_fanout", || {
+        black_box(Dag::new((layers * width) as usize, black_box(&edges)).expect("acyclic"));
+    });
+}
+
 /// Span assembly over the trace of a 32 000-request serving run: every
 /// job tagged, two to four tasks each with queue, dispatch, start and
 /// finish events, among the pool and access events a real trace carries
@@ -427,7 +478,7 @@ fn main() {
         .collect();
     let wants =
         |name: &str| filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str()));
-    let groups: [(&str, fn()); 14] = [
+    let groups: [(&str, fn()); 16] = [
         ("topology/access_cost", access_cost),
         ("cost/rank_all_devices", cost_model_rank),
         ("pool/alloc_free", pool_alloc_free),
@@ -437,6 +488,8 @@ fn main() {
         ("enforce/xor_cipher", cipher),
         ("sched/heft", schedule_dag),
         ("sched/plan_serving", plan_serving),
+        ("sched/place_output", place_output_rack),
+        ("dataflow/dag_new", dag_new_fanout),
         ("obs/assemble_spans", assemble_spans),
         ("region/manager", region_manager),
         ("executor/events_per_sec", events_per_sec),

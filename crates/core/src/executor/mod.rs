@@ -19,10 +19,16 @@
 //!   pairs), so independent DAG branches advance concurrently on
 //!   different devices while transfers are still in flight elsewhere.
 //!
-//! There is exactly one loop: pop the minimum `(time, seq)` event, apply
-//! it against the runtime, repeat until the heap is empty. Every commit
+//! There is exactly one loop: take the minimum `(time, seq)` event, apply
+//! it against the runtime, repeat until none is left. Every commit
 //! mutates the one shared [`Runtime`], so there is nothing for a second
 //! loop to run beside it (DESIGN.md §11 has the measurement).
+//!
+//! Events known before the loop starts — every job's source tasks
+//! becoming ready at its arrival — never enter the heap: they are a
+//! `(time, seq)`-sorted vector consumed by a cursor and merged with the
+//! heap's top, so the heap holds in-flight events only (an epoch of
+//! 4 000 requests used to sit under every one of them).
 //!
 //! Determinism: the heap breaks time ties by the monotone sequence
 //! number, queue pops break policy ties by (queue time, job, task), and
@@ -39,6 +45,15 @@
 //! key *is* the dispatch policy (see [`task::QueueEntry`]). Deferred
 //! task exits live in one min-heap ordered by `(finish, seq)`, so the
 //! event loop never re-sorts.
+//!
+//! Committing a task allocates nothing: the inputs handed to each
+//! consumer sit in one flat buffer sliced by prefix sums of the
+//! in-degrees ([`Wave::push_input`]), the co-placement accessor list is a
+//! reused scratch, a [`TaskReport`](crate::report::TaskReport) keeps its
+//! placements inline and is given its spec's name at the end of the
+//! wave, and `report.tasks`, the engine's decision log and the pool's
+//! slot table are reserved from the wave's task and edge counts
+//! (`tests/alloc_budget.rs` holds the whole path to a budget).
 
 mod task;
 
@@ -106,9 +121,16 @@ pub(crate) struct Wave {
     pub task_base: Vec<usize>,
     /// Unsatisfied incoming-edge counts, indexed by global task number.
     pub deps_left: Vec<u32>,
-    /// Handed-over input regions awaiting each consumer (global task
-    /// number).
-    pub inputs: Vec<Vec<RegionId>>,
+    /// Handed-over input regions awaiting each consumer, all in one
+    /// buffer: task `g`'s are `inputs[inputs_at[g]..][..inputs_len[g]]`.
+    /// `inputs_at` is the prefix sums of the in-degrees (one more entry
+    /// than tasks), which bound how many regions a task can be handed.
+    pub inputs: Vec<RegionId>,
+    pub inputs_at: Vec<u32>,
+    pub inputs_len: Vec<u32>,
+    /// Scratch for the compute devices that will touch a region being
+    /// placed (`PlacementEngine::choose_shared`'s accessor list).
+    pub accessors: Vec<ComputeId>,
     pub start_at: Vec<SimTime>,
     pub finish_at: Vec<SimTime>,
     /// Job-scoped published-region maps (user-facing string keys).
@@ -168,6 +190,14 @@ impl Wave {
     /// Global arena slot of a task.
     pub(crate) fn gx(&self, ji: usize, task: TaskId) -> usize {
         self.task_base[ji] + task.index()
+    }
+
+    /// Hands `region` over to task `g` as its next input.
+    pub(crate) fn push_input(&mut self, g: usize, region: RegionId) {
+        let at = self.inputs_at[g] + self.inputs_len[g];
+        debug_assert!(at < self.inputs_at[g + 1], "more inputs than incoming edges");
+        self.inputs[at as usize] = region;
+        self.inputs_len[g] += 1;
     }
 
     /// Defers a task's exit cleanup until virtual time passes `finish`.
@@ -232,7 +262,7 @@ fn commit(
 /// into the trace at arrival for request-centric attribution.
 pub(crate) fn run_wave(
     rt: &mut Runtime,
-    jobs: Vec<JobSpec>,
+    mut jobs: Vec<JobSpec>,
     offsets: Vec<SimDuration>,
     tags: Vec<Option<(u64, u64)>>,
 ) -> Result<RunReport, DisaggError> {
@@ -301,10 +331,21 @@ pub(crate) fn run_wave(
         task_base.push(total_tasks);
         total_tasks += spec.tasks.len();
     }
-    let mut deps_left = Vec::with_capacity(total_tasks);
+    let mut deps_left: Vec<u32> = Vec::with_capacity(total_tasks);
     for spec in &jobs {
-        deps_left.extend(spec.dag.indegrees().into_iter().map(|d| d as u32));
+        deps_left.extend(spec.dag.indegrees());
     }
+    let mut inputs_at = Vec::with_capacity(total_tasks + 1);
+    let mut total_edges = 0u32;
+    inputs_at.push(0);
+    for &d in &deps_left {
+        total_edges += d;
+        inputs_at.push(total_edges);
+    }
+    // A wave allocates about a region per task and a copy per fan-out
+    // edge, and places each of them once.
+    rt.mgr.pool_mut().reserve(total_tasks + total_edges as usize);
+    rt.engine.decisions.reserve(total_tasks + total_edges as usize);
 
     let slots = |c: ComputeId| rt.topo.compute(c).slots;
     let mut w = Wave {
@@ -327,7 +368,10 @@ pub(crate) fn run_wave(
         exit_seq: 0,
         task_base,
         deps_left,
-        inputs: vec![Vec::new(); total_tasks],
+        inputs: vec![RegionId(0); total_edges as usize],
+        inputs_at,
+        inputs_len: vec![0; total_tasks],
+        accessors: Vec::new(),
         start_at: vec![SimTime::ZERO; total_tasks],
         finish_at: vec![SimTime::ZERO; total_tasks],
         published: jobs.iter().map(|_| FxHashMap::default()).collect(),
@@ -337,12 +381,16 @@ pub(crate) fn run_wave(
         ran: vec![false; total_tasks],
         failed_tasks: 0,
         events: 0,
-        report: RunReport::default(),
+        report: RunReport {
+            tasks: Vec::with_capacity(total_tasks),
+            ..RunReport::default()
+        },
     };
 
     // Seed the frontier: source tasks become ready when their job
     // arrives. Request-tagged jobs stamp their identity into the trace
     // here, before any event commits, so the tag block leads the wave.
+    let mut arrivals: Vec<(SimTime, u64, EventKind)> = Vec::new();
     for (ji, spec) in jobs.iter().enumerate() {
         let arrival = t0 + offsets[ji];
         if let Some(&Some((request, tenant))) = tags.get(ji) {
@@ -354,11 +402,32 @@ pub(crate) fn run_wave(
             });
         }
         for task in spec.dag.frontier() {
-            w.push_event(arrival, EventKind::Ready { ji, task });
+            arrivals.push((arrival, w.seq, EventKind::Ready { ji, task }));
+            w.seq += 1;
         }
     }
+    // Sequence numbers rise in push order, so a stable sort on time
+    // alone leaves the vector in the `(time, seq)` order the heap would
+    // have popped it in.
+    arrivals.sort_by_key(|&(at, _, _)| at);
 
-    while let Some(Reverse((at, _, kind))) = w.heap.pop() {
+    let mut arrivals = arrivals.into_iter().peekable();
+    loop {
+        // The next event is the smaller of the next arrival and the
+        // heap's top; sequence numbers are unique, so there is no tie.
+        let arrival_first = match (arrivals.peek(), w.heap.peek()) {
+            (Some(&(at, seq, _)), Some(&Reverse((top_at, top_seq, _)))) => {
+                (at, seq) < (top_at, top_seq)
+            }
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (None, None) => break,
+        };
+        let (at, _, kind) = if arrival_first {
+            arrivals.next().expect("peeked")
+        } else {
+            w.heap.pop().expect("peeked").0
+        };
         commit(rt, &mut w, &jobs, at, kind)?;
     }
     assert_eq!(
@@ -417,6 +486,14 @@ pub(crate) fn run_wave(
     report
         .tasks
         .sort_unstable_by_key(|t| (t.finish, t.job, t.task));
+    // The specs die with this call and each task ran once, so its report
+    // takes the name rather than a copy of it.
+    if let Some(&JobId(first)) = w.job_ids.first() {
+        for t in &mut report.tasks {
+            let spec = &mut jobs[(t.job.0 - first) as usize];
+            t.name = std::mem::take(&mut spec.tasks[t.task.index()].name);
+        }
+    }
     // The DAG the wave honored, for critical-path analysis.
     for (ji, spec) in jobs.iter().enumerate() {
         let jid = w.job_ids[ji];

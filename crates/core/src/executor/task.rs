@@ -14,7 +14,6 @@ use disagg_dataflow::task::{TaskError, TaskId, TaskSpec};
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::fault::FaultKind;
-use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
@@ -30,7 +29,7 @@ use disagg_sched::schedule::{QueuePolicy, Scheduler};
 
 use crate::breaker::BreakerState;
 use crate::error::DisaggError;
-use crate::report::{FailReason, FailedJob, TaskReport};
+use crate::report::{FailReason, FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
 use crate::runtime::Runtime;
 
 use super::{EventKind, Wave};
@@ -104,18 +103,28 @@ impl Placer for EnginePlacer<'_> {
     }
 }
 
-/// Runs the task body once on `compute`, starting at `at` plus the
-/// device's launch overhead. Returns the attempt's virtual finish time,
-/// its access statistics, and the body's result.
+/// Runs the body of task `g` of job `ji` once on `compute`, starting at
+/// `at` plus the device's launch overhead, over `regions` plus the
+/// inputs handed over to it so far. Returns the attempt's virtual finish
+/// time, its access statistics, and the body's result.
+#[allow(clippy::too_many_arguments)]
 fn run_body_once(
     rt: &mut Runtime,
-    published: &mut FxHashMap<String, RegionId>,
+    w: &mut Wave,
+    ji: usize,
+    g: usize,
     tspec: &TaskSpec,
-    regions: TaskRegions,
+    regions: TaskRegions<'_>,
     compute: ComputeId,
     who: OwnerId,
     at: SimTime,
 ) -> (SimTime, AccessStats, Result<(), TaskError>) {
+    let first = w.inputs_at[g] as usize;
+    let regions = TaskRegions {
+        inputs: &w.inputs[first..first + w.inputs_len[g] as usize],
+        ..regions
+    };
+    let published = &mut w.published[ji];
     let launch = SimDuration::from_nanos_f64(rt.topo.compute(compute).launch_overhead_ns);
     let mut acc = Accessor::new(
         &rt.topo,
@@ -148,7 +157,7 @@ fn run_body_once(
 fn first_interrupt(
     rt: &Runtime,
     compute: ComputeId,
-    placements: &[(&'static str, RegionId, MemDeviceId)],
+    placements: &[Placed],
     after: Option<usize>,
     from: SimTime,
     to: SimTime,
@@ -390,9 +399,9 @@ pub(crate) fn run_task(
 
     // --- Region allocation, by declared properties. ---
     let g = w.gx(ji, task);
-    let mut placements: Vec<(&'static str, RegionId, MemDeviceId)> = Vec::new();
+    let mut placements = TaskPlacements::default();
+    // Output, scratch and state handles; `run_body_once` adds the inputs.
     let mut regions = TaskRegions {
-        inputs: std::mem::take(&mut w.inputs[g]),
         global_state: w.global_state[ji],
         ..TaskRegions::default()
     };
@@ -417,7 +426,7 @@ pub(crate) fn run_task(
         )?;
         rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
         rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: tspec.private_scratch, at: start });
-        placements.push(("private_scratch", id, dev));
+        placements.push((PlacedKind::PrivateScratch, id, dev));
         regions.private_scratch = Some(id);
     }
 
@@ -427,17 +436,18 @@ pub(crate) fn run_task(
         props.confidential = eff.confidential;
         // Co-placement: every consumer must be able to address the
         // output for handover to be a pure transfer.
-        let mut accessors = vec![compute];
+        w.accessors.clear();
+        w.accessors.push(compute);
         for &s in spec.dag.successors(task) {
             if let Some(c) = w.schedule.assignment(jid, s) {
-                if !accessors.contains(&c) {
-                    accessors.push(c);
+                if !w.accessors.contains(&c) {
+                    w.accessors.push(c);
                 }
             }
         }
         let dev = rt
             .engine
-            .choose_shared(&rt.topo, rt.mgr.pool(), &accessors, &props, tspec.output_bytes)
+            .choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, tspec.output_bytes)
             .or_else(|| {
                 // Fall back to producer-only placement (handover will
                 // copy).
@@ -455,20 +465,21 @@ pub(crate) fn run_task(
         )?;
         rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
         rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: tspec.output_bytes, at: start });
-        placements.push(("output", id, dev));
+        placements.push((PlacedKind::Output, id, dev));
         regions.output = Some(id);
     }
 
     if tspec.global_scratch > 0 {
         let mut props = RegionType::GlobalScratch.properties();
         props.confidential = eff.confidential;
-        let mut computes: Vec<ComputeId> = (0..spec.tasks.len())
-            .filter_map(|t| w.schedule.assignment(jid, TaskId(t as u32)))
-            .collect();
-        computes.dedup();
+        w.accessors.clear();
+        w.accessors.extend(
+            (0..spec.tasks.len()).filter_map(|t| w.schedule.assignment(jid, TaskId(t as u32))),
+        );
+        w.accessors.dedup();
         let dev = rt
             .engine
-            .choose_shared(&rt.topo, rt.mgr.pool(), &computes, &props, tspec.global_scratch)
+            .choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, tspec.global_scratch)
             .ok_or(DisaggError::Placement { job: jid, task, what: "global scratch" })?;
         let id = rt.mgr.alloc(
             dev,
@@ -480,7 +491,7 @@ pub(crate) fn run_task(
         )?;
         rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
         rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: tspec.global_scratch, at: start });
-        placements.push(("global_scratch", id, dev));
+        placements.push((PlacedKind::GlobalScratch, id, dev));
         regions.global_scratch = Some(id);
     }
 
@@ -493,7 +504,7 @@ pub(crate) fn run_task(
     });
     let policy = rt.config.recovery;
     let (mut finish, mut stats, mut body_result) =
-        run_body_once(rt, &mut w.published[ji], tspec, regions.clone(), compute, who, start);
+        run_body_once(rt, w, ji, g, tspec, regions, compute, who, start);
 
     // Mid-task fault recovery: if a fault interrupted the attempt while
     // it ran — the executing node crashing, a backing device failing,
@@ -570,7 +581,7 @@ pub(crate) fn run_task(
                 task: task.0 as u64,
                 from: compute,
                 to: replacement,
-                attempt: u64::from(retries),
+                attempt: retries,
                 at: relaunch_at,
                 lost: detect_at - attempt_start,
             });
@@ -578,9 +589,11 @@ pub(crate) fn run_task(
             attempt_start = relaunch_at;
             let (f, s, r) = run_body_once(
                 rt,
-                &mut w.published[ji],
+                w,
+                ji,
+                g,
                 tspec,
-                regions.clone(),
+                regions,
                 compute,
                 who,
                 attempt_start,
@@ -624,15 +637,17 @@ pub(crate) fn run_task(
                     task: task.0 as u64,
                     from: compute,
                     to: backup,
-                    attempt: u64::from(retries),
+                    attempt: retries,
                     at: spawn_at,
                     lost: SimDuration::ZERO,
                 });
                 let (f, s, r) = run_body_once(
                     rt,
-                    &mut w.published[ji],
+                    w,
+                    ji,
+                    g,
                     tspec,
-                    regions.clone(),
+                    regions,
                     backup,
                     who,
                     spawn_at,
@@ -745,7 +760,7 @@ pub(crate) fn run_task(
                     .map_err(DisaggError::Region)?;
                 w.report.handover_copies += 1;
                 let gs = w.gx(ji, s);
-                w.inputs[gs].push(o.region);
+                w.push_input(gs, o.region);
                 w.push_event(finish + o.took, EventKind::EdgeDone { ji, task: s });
             }
             // ...then the transfer (or copy) to the first.
@@ -773,7 +788,7 @@ pub(crate) fn run_task(
                 w.report.handover_copies += 1;
             }
             let gs0 = w.gx(ji, s0);
-            w.inputs[gs0].push(o.region);
+            w.push_input(gs0, o.region);
             let consumer_streams =
                 spec.tasks[s0.index()].props.effective(&spec.defaults).streaming;
             let release = if o.transferred && eff.streaming && consumer_streams {
@@ -825,7 +840,8 @@ pub(crate) fn run_task(
     w.report.tasks.push(TaskReport {
         job: jid,
         task,
-        name: tspec.name.clone(),
+        // Moved in from the spec when the wave ends (`run_wave`).
+        name: String::new(),
         compute,
         start,
         finish,

@@ -15,7 +15,97 @@ use disagg_region::pool::RegionId;
 use disagg_sched::enforce::Violation;
 use disagg_sched::placement::PlacementDecision;
 
-/// Where one task ran and what it did.
+/// Which of a task's declared regions a placement is for. A byte, where
+/// the `&'static str` it replaces was sixteen in every [`TaskReport`]
+/// three times over; it still compares with and prints as that string.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PlacedKind {
+    /// The task's private scratch.
+    PrivateScratch,
+    /// The task's output.
+    Output,
+    /// The global scratch the task creates.
+    GlobalScratch,
+}
+
+impl PlacedKind {
+    /// `"private_scratch"`, `"output"` or `"global_scratch"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            PlacedKind::PrivateScratch => "private_scratch",
+            PlacedKind::Output => "output",
+            PlacedKind::GlobalScratch => "global_scratch",
+        }
+    }
+}
+
+impl PartialEq<&str> for PlacedKind {
+    fn eq(&self, other: &&str) -> bool {
+        self.name() == *other
+    }
+}
+
+impl std::fmt::Display for PlacedKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// One placed region of a task: `(kind, region, device)`.
+pub type Placed = (PlacedKind, RegionId, MemDeviceId);
+
+/// The devices chosen for a task's regions. A task declares at most one
+/// each of private scratch, output and global scratch, so the list lives
+/// inline in the report instead of in a heap `Vec` per task; it reads as
+/// a slice of [`Placed`].
+#[derive(Debug, Clone, Copy)]
+pub struct TaskPlacements {
+    len: u8,
+    slots: [Placed; 3],
+}
+
+impl Default for TaskPlacements {
+    fn default() -> Self {
+        TaskPlacements {
+            len: 0,
+            slots: [(PlacedKind::Output, RegionId(0), MemDeviceId(0)); 3],
+        }
+    }
+}
+
+impl TaskPlacements {
+    /// Appends a placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a fourth: the three region kinds are the type's bound.
+    pub fn push(&mut self, placed: Placed) {
+        self.slots[usize::from(self.len)] = placed;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for TaskPlacements {
+    type Target = [Placed];
+
+    fn deref(&self) -> &[Placed] {
+        &self.slots[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a TaskPlacements {
+    type Item = &'a Placed;
+    type IntoIter = std::slice::Iter<'a, Placed>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// Where one task ran and what it did. Built without touching the
+/// allocator: the placements are inline and the name is the
+/// [`TaskSpec`](disagg_dataflow::task::TaskSpec)'s own string, moved in
+/// when the wave that consumed the spec ends.
 #[derive(Debug, Clone)]
 pub struct TaskReport {
     /// The job.
@@ -32,8 +122,8 @@ pub struct TaskReport {
     pub finish: SimTime,
     /// Access statistics from the task's accessor.
     pub stats: AccessStats,
-    /// Devices chosen for the task's regions: (kind, region, device).
-    pub placements: Vec<(&'static str, RegionId, MemDeviceId)>,
+    /// Devices chosen for the task's regions.
+    pub placements: TaskPlacements,
 }
 
 impl TaskReport {
@@ -136,7 +226,41 @@ pub struct RunReport {
     pub failed_jobs: Vec<FailedJob>,
 }
 
+/// `into` followed by `next`; a first batch is moved, not copied.
+fn append<T>(into: &mut Vec<T>, mut next: Vec<T>) {
+    if into.is_empty() {
+        *into = next;
+    } else {
+        into.append(&mut next);
+    }
+}
+
 impl RunReport {
+    /// Folds in the report of the run that followed this one on the same
+    /// runtime — the next admission wave, the next serving epoch. Runs
+    /// are back to back, so makespans and counters add and lists extend;
+    /// per-device summaries and the metrics snapshot are cumulative
+    /// inside the runtime, so the later run's replace the earlier's.
+    pub fn absorb(&mut self, next: RunReport) {
+        self.makespan += next.makespan;
+        append(&mut self.tasks, next.tasks);
+        self.bytes_moved += next.bytes_moved;
+        self.bytes_ownership_transferred += next.bytes_ownership_transferred;
+        self.ownership_transfers += next.ownership_transfers;
+        self.handover_copies += next.handover_copies;
+        append(&mut self.placements, next.placements);
+        append(&mut self.violations, next.violations);
+        self.denials += next.denials;
+        self.devices = next.devices;
+        append(&mut self.persistent_replicas, next.persistent_replicas);
+        self.events += next.events;
+        append(&mut self.edges, next.edges);
+        append(&mut self.failed_jobs, next.failed_jobs);
+        if next.metrics.is_some() {
+            self.metrics = next.metrics;
+        }
+    }
+
     /// Reports for one job.
     pub fn job_tasks(&self, job: JobId) -> impl Iterator<Item = &TaskReport> {
         self.tasks.iter().filter(move |t| t.job == job)
@@ -198,6 +322,49 @@ mod tests {
             handover_copies: copies,
             ..RunReport::default()
         }
+    }
+
+    #[test]
+    fn task_placements_read_as_a_slice_of_string_like_kinds() {
+        let mut p = TaskPlacements::default();
+        assert!(p.is_empty());
+        p.push((PlacedKind::PrivateScratch, RegionId(7), MemDeviceId(1)));
+        p.push((PlacedKind::Output, RegionId(8), MemDeviceId(2)));
+        assert_eq!(p.len(), 2);
+        let (kind, region, dev) = p.iter().find(|(k, _, _)| *k == "output").unwrap();
+        assert_eq!((*region, *dev), (RegionId(8), MemDeviceId(2)));
+        assert_eq!(kind.to_string(), "output");
+        let kinds: Vec<&str> = (&p).into_iter().map(|(k, _, _)| k.name()).collect();
+        assert_eq!(kinds, ["private_scratch", "output"]);
+        assert_eq!(PlacedKind::GlobalScratch.name(), "global_scratch");
+    }
+
+    #[test]
+    fn absorb_adds_counters_appends_lists_and_keeps_the_latest_devices() {
+        let device = |peak_bytes| DeviceSummary {
+            dev: MemDeviceId(0),
+            peak_bytes,
+            capacity: 100,
+            bytes_transferred: 0,
+        };
+        let run = |makespan, edge: u32, peak| RunReport {
+            makespan: SimDuration(makespan),
+            events: 3,
+            bytes_moved: 10,
+            edges: vec![(JobId(0), TaskId(edge), TaskId(edge + 1))],
+            devices: vec![device(peak)],
+            ..RunReport::default()
+        };
+        let mut all = RunReport::default();
+        all.absorb(run(5, 0, 40));
+        all.absorb(run(7, 2, 60));
+        assert_eq!(all.makespan, SimDuration(12));
+        assert_eq!((all.events, all.bytes_moved), (6, 20));
+        assert_eq!(
+            all.edges,
+            vec![(JobId(0), TaskId(0), TaskId(1)), (JobId(0), TaskId(2), TaskId(3))]
+        );
+        assert_eq!(all.devices, vec![device(60)]);
     }
 
     #[test]

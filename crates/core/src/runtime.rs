@@ -26,7 +26,7 @@ use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
-use disagg_hwsim::trace::{Trace, TraceEvent};
+use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
 use disagg_region::hotness::HotnessTracker;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
@@ -302,7 +302,7 @@ impl Runtime {
                     offs,
                     std::mem::take(&mut wave_tags),
                 )?;
-                merge_reports(&mut combined, report);
+                combined.absorb(report);
                 wave_bytes = 0;
             }
             wave_bytes += fp;
@@ -315,7 +315,7 @@ impl Runtime {
             let offs: Vec<SimDuration> =
                 wave_offsets.drain(..).map(|o| (t0 + o) - start).collect();
             let report = crate::executor::run_wave(self, wave, offs, wave_tags)?;
-            merge_reports(&mut combined, report);
+            combined.absorb(report);
         }
         Ok(combined)
     }
@@ -384,8 +384,7 @@ impl Runtime {
                 bytes: placement.size,
                 at: now,
                 took,
-                job: None,
-                task: None,
+                by: RebuildFor::Nobody,
             });
             longest = longest.max(took);
             healed.push((id, dev));
@@ -457,29 +456,5 @@ impl Runtime {
             copies.push(copy);
         }
         Ok(copies)
-    }
-}
-
-/// Folds a wave's report into the combined batch report (waves run
-/// back-to-back, so makespans add).
-fn merge_reports(into: &mut RunReport, wave: RunReport) {
-    into.makespan += wave.makespan;
-    into.tasks.extend(wave.tasks);
-    into.bytes_moved += wave.bytes_moved;
-    into.bytes_ownership_transferred += wave.bytes_ownership_transferred;
-    into.ownership_transfers += wave.ownership_transfers;
-    into.handover_copies += wave.handover_copies;
-    into.placements.extend(wave.placements);
-    into.violations.extend(wave.violations);
-    into.denials += wave.denials;
-    into.devices = wave.devices;
-    into.persistent_replicas.extend(wave.persistent_replicas);
-    into.events += wave.events;
-    into.edges.extend(wave.edges);
-    into.failed_jobs.extend(wave.failed_jobs);
-    // Metrics accumulate in the observer across waves; the last wave's
-    // snapshot is the complete one.
-    if wave.metrics.is_some() {
-        into.metrics = wave.metrics;
     }
 }

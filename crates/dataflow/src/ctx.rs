@@ -40,12 +40,15 @@ pub trait Placer {
     ) -> Option<MemDeviceId>;
 }
 
-/// The regions the runtime pre-allocated for a task.
-#[derive(Debug, Clone, Default)]
-pub struct TaskRegions {
+/// The regions the runtime pre-allocated for a task. Handles only: the
+/// input list is lent by the executor's wave arena, so handing the set
+/// to a body — or to its retry — copies a few words.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TaskRegions<'a> {
     /// The predecessors' outputs, now owned by this task (one per
-    /// incoming dataflow edge, in predecessor order).
-    pub inputs: Vec<RegionId>,
+    /// incoming dataflow edge that carried a region, in hand-over
+    /// order).
+    pub inputs: &'a [RegionId],
     /// This task's output region.
     pub output: Option<RegionId>,
     /// Thread-local scratch.
@@ -61,7 +64,7 @@ pub struct TaskCtx<'a, 'b> {
     /// The cost-charging gateway to memory and compute.
     pub acc: &'a mut Accessor<'b>,
     /// Pre-placed regions.
-    pub regions: TaskRegions,
+    pub regions: TaskRegions<'a>,
     placer: &'a mut dyn Placer,
     /// Named global-scratch publications, shared across the job
     /// (e.g. a bloom filter another operator can reuse).
@@ -79,7 +82,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
     /// Assembles a context (called by the executor, not by applications).
     pub fn new(
         acc: &'a mut Accessor<'b>,
-        regions: TaskRegions,
+        regions: TaskRegions<'a>,
         placer: &'a mut dyn Placer,
         published: &'a mut FxHashMap<String, RegionId>,
         app_published: &'a mut FxHashMap<String, RegionId>,
@@ -105,7 +108,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
 
     /// All input region handles (fan-in tasks have several).
     pub fn inputs(&self) -> &[RegionId] {
-        &self.regions.inputs
+        self.regions.inputs
     }
 
     /// The output region handle.
@@ -331,10 +334,11 @@ mod tests {
         let mut placer = FixedPlacer(ids.dram);
         let mut published = FxHashMap::default();
         let mut app_published = FxHashMap::default();
+        let inputs = [input];
         let mut ctx = TaskCtx::new(
             &mut acc,
             TaskRegions {
-                inputs: vec![input],
+                inputs: &inputs,
                 output: Some(output),
                 private_scratch: Some(scratch),
                 ..Default::default()
@@ -400,7 +404,6 @@ mod tests {
         let r = ctx
             .alloc(RegionType::GlobalScratch, PropertySet::new().persistent(true), 256)
             .unwrap();
-        drop(ctx);
         assert_eq!(mgr.placement(r).unwrap().dev, ids.pmem);
     }
 

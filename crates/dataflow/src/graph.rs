@@ -31,22 +31,45 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// An immutable, validated DAG over `n` tasks.
+///
+/// Adjacency is two CSR arrays (offsets + one flat list each way), not a
+/// `Vec` per task: a job is built once per request on the serving path,
+/// and a 576-task DAG used to cost over a thousand allocations here.
 #[derive(Debug, Clone)]
 pub struct Dag {
     n: usize,
-    /// Successors per task.
-    succ: Vec<Vec<TaskId>>,
-    /// Predecessors per task.
-    pred: Vec<Vec<TaskId>>,
+    /// Task `t`'s successors are `succ[succ_at[t]..succ_at[t + 1]]`, in
+    /// edge-insertion order.
+    succ_at: Vec<u32>,
+    succ: Vec<TaskId>,
+    /// Predecessors, same layout.
+    pred_at: Vec<u32>,
+    pred: Vec<TaskId>,
     /// A topological order.
     topo: Vec<TaskId>,
+}
+
+/// Closes the gaps a CSR fill leaves when rows were sized for more
+/// entries than they received (`filled[t]` of them): shifts every row
+/// down and rewrites `at` to the tight offsets.
+fn compact(at: &mut [u32], filled: &[u32], data: &mut Vec<TaskId>) {
+    let mut write = 0usize;
+    for (t, &len) in filled.iter().enumerate() {
+        let read = at[t] as usize;
+        data.copy_within(read..read + len as usize, write);
+        at[t] = write as u32;
+        write += len as usize;
+    }
+    at[filled.len()] = write as u32;
+    data.truncate(write);
 }
 
 impl Dag {
     /// Validates edges over `n` tasks and builds the DAG.
     pub fn new(n: usize, edges: &[(TaskId, TaskId)]) -> Result<Dag, GraphError> {
-        let mut succ = vec![Vec::new(); n];
-        let mut pred = vec![Vec::new(); n];
+        // Size each row for every edge naming it, duplicates included...
+        let mut succ_at = vec![0u32; n + 1];
+        let mut pred_at = vec![0u32; n + 1];
         for &(a, b) in edges {
             if a.index() >= n {
                 return Err(GraphError::UnknownTask(a));
@@ -57,27 +80,50 @@ impl Dag {
             if a == b {
                 return Err(GraphError::SelfLoop(a));
             }
-            if !succ[a.index()].contains(&b) {
-                succ[a.index()].push(b);
-                pred[b.index()].push(a);
-            }
+            succ_at[a.index() + 1] += 1;
+            pred_at[b.index() + 1] += 1;
         }
-        // Kahn's algorithm: a full ordering exists iff the graph is acyclic.
-        let mut indeg: Vec<usize> = pred.iter().map(Vec::len).collect();
-        let mut queue: Vec<TaskId> = (0..n)
-            .filter(|&i| indeg[i] == 0)
-            .map(|i| TaskId(i as u32))
-            .collect();
-        let mut topo = Vec::with_capacity(n);
+        for t in 0..n {
+            succ_at[t + 1] += succ_at[t];
+            pred_at[t + 1] += pred_at[t];
+        }
+        // ...fill in edge order, skipping an edge its row already holds...
+        let mut succ = vec![TaskId(0); edges.len()];
+        let mut pred = vec![TaskId(0); edges.len()];
+        let mut outdeg = vec![0u32; n];
+        let mut indeg = vec![0u32; n];
+        let mut kept = 0usize;
+        for &(a, b) in edges {
+            let row = succ_at[a.index()] as usize;
+            let len = outdeg[a.index()] as usize;
+            if succ[row..row + len].contains(&b) {
+                continue;
+            }
+            succ[row + len] = b;
+            outdeg[a.index()] += 1;
+            pred[(pred_at[b.index()] + indeg[b.index()]) as usize] = a;
+            indeg[b.index()] += 1;
+            kept += 1;
+        }
+        // ...and close the gaps duplicates left, if there were any.
+        if kept < edges.len() {
+            compact(&mut succ_at, &outdeg, &mut succ);
+            compact(&mut pred_at, &indeg, &mut pred);
+        }
+
+        // Kahn's algorithm: a full ordering exists iff the graph is
+        // acyclic. The FIFO work list *is* the order, and `indeg` is
+        // spent as the countdown.
+        let mut topo: Vec<TaskId> = Vec::with_capacity(n);
+        topo.extend((0..n).filter(|&i| indeg[i] == 0).map(|i| TaskId(i as u32)));
         let mut head = 0;
-        while head < queue.len() {
-            let t = queue[head];
+        while head < topo.len() {
+            let t = topo[head].index();
             head += 1;
-            topo.push(t);
-            for &s in &succ[t.index()] {
+            for &s in &succ[succ_at[t] as usize..succ_at[t + 1] as usize] {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
-                    queue.push(s);
+                    topo.push(s);
                 }
             }
         }
@@ -88,7 +134,7 @@ impl Dag {
                 .collect();
             return Err(GraphError::Cycle(stuck));
         }
-        Ok(Dag { n, succ, pred, topo })
+        Ok(Dag { n, succ_at, succ, pred_at, pred, topo })
     }
 
     /// Number of tasks.
@@ -103,12 +149,12 @@ impl Dag {
 
     /// Successors of a task.
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        &self.succ[t.index()]
+        &self.succ[self.succ_at[t.index()] as usize..self.succ_at[t.index() + 1] as usize]
     }
 
     /// Predecessors of a task.
     pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
-        &self.pred[t.index()]
+        &self.pred[self.pred_at[t.index()] as usize..self.pred_at[t.index() + 1] as usize]
     }
 
     /// A topological order (stable across runs).
@@ -121,28 +167,29 @@ impl Dag {
         self.frontier().collect()
     }
 
-    /// In-degree (predecessor count) per task, indexed by task id.
+    /// In-degree (predecessor count) per task, in task-id order.
     ///
     /// This is the seed state for dependency-counting dispatch: an
     /// executor decrements a task's count as each incoming edge is
     /// satisfied and enqueues the task when it reaches zero.
-    pub fn indegrees(&self) -> Vec<usize> {
-        self.pred.iter().map(Vec::len).collect()
+    pub fn indegrees(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.pred_at.windows(2).map(|w| w[1] - w[0])
     }
 
     /// Iterates the initial ready frontier: tasks with no predecessors,
     /// in task-id order.
     pub fn frontier(&self) -> impl Iterator<Item = TaskId> + '_ {
-        (0..self.n)
-            .filter(|&i| self.pred[i].is_empty())
-            .map(|i| TaskId(i as u32))
+        self.indegrees()
+            .enumerate()
+            .filter(|&(_, d)| d == 0)
+            .map(|(i, _)| TaskId(i as u32))
     }
 
     /// Tasks with no successors.
     pub fn sinks(&self) -> Vec<TaskId> {
         (0..self.n)
-            .filter(|&i| self.succ[i].is_empty())
             .map(|i| TaskId(i as u32))
+            .filter(|&t| self.successors(t).is_empty())
             .collect()
     }
 
@@ -150,7 +197,7 @@ impl Dag {
     pub fn levels(&self) -> Vec<u32> {
         let mut level = vec![0u32; self.n];
         for &t in &self.topo {
-            for &s in &self.succ[t.index()] {
+            for &s in self.successors(t) {
                 level[s.index()] = level[s.index()].max(level[t.index()] + 1);
             }
         }
@@ -165,7 +212,7 @@ impl Dag {
         for &t in &self.topo {
             let w = best[t.index()] + weight(t);
             max = max.max(w);
-            for &s in &self.succ[t.index()] {
+            for &s in self.successors(t) {
                 if w > best[s.index()] {
                     best[s.index()] = w;
                 }
@@ -256,8 +303,91 @@ mod tests {
     #[test]
     fn indegrees_and_frontier_match_edges() {
         let dag = Dag::new(4, &[(t(0), t(1)), (t(0), t(2)), (t(1), t(3)), (t(2), t(3))]).unwrap();
-        assert_eq!(dag.indegrees(), vec![0, 1, 1, 2]);
+        assert_eq!(dag.indegrees().collect::<Vec<_>>(), vec![0, 1, 1, 2]);
         assert_eq!(dag.frontier().collect::<Vec<_>>(), vec![t(0)]);
+    }
+
+    /// The adjacency-list construction the CSR arrays replaced, kept as
+    /// the oracle: `(successors, predecessors, topological order)`.
+    #[allow(clippy::type_complexity)]
+    fn reference(
+        n: usize,
+        edges: &[(TaskId, TaskId)],
+    ) -> (Vec<Vec<TaskId>>, Vec<Vec<TaskId>>, Vec<TaskId>) {
+        let mut succ = vec![Vec::new(); n];
+        let mut pred = vec![Vec::new(); n];
+        for &(a, b) in edges {
+            if !succ[a.index()].contains(&b) {
+                succ[a.index()].push(b);
+                pred[b.index()].push(a);
+            }
+        }
+        let mut indeg: Vec<usize> = pred.iter().map(Vec::len).collect();
+        let mut queue: Vec<TaskId> = (0..n).filter(|&i| indeg[i] == 0).map(|i| t(i as u32)).collect();
+        let mut topo = Vec::new();
+        let mut head = 0;
+        while head < queue.len() {
+            let x = queue[head];
+            head += 1;
+            topo.push(x);
+            for &s in &succ[x.index()] {
+                indeg[s.index()] -= 1;
+                if indeg[s.index()] == 0 {
+                    queue.push(s);
+                }
+            }
+        }
+        (succ, pred, topo)
+    }
+
+    #[test]
+    fn csr_matches_adjacency_lists_on_random_dags_with_duplicate_edges() {
+        use disagg_hwsim::rng::SimRng;
+        for seed in [1u64, 2, 3, 23] {
+            let mut rng = SimRng::new(seed);
+            for round in 0..60 {
+                let n = 1 + rng.next_below(40) as usize;
+                let mut edges = Vec::new();
+                for _ in 0..rng.next_below(4 * n as u64) {
+                    // Forward edges only, so the graph is acyclic.
+                    let a = rng.next_below(n as u64) as u32;
+                    let b = rng.next_below(n as u64) as u32;
+                    if a != b {
+                        edges.push((t(a.min(b)), t(a.max(b))));
+                    }
+                    // Repeat an earlier edge now and then, anywhere in
+                    // the list.
+                    if !edges.is_empty() && rng.chance(0.3) {
+                        edges.push(*rng.pick(&edges));
+                    }
+                }
+                let dag = Dag::new(n, &edges).unwrap();
+                let (succ, pred, topo) = reference(n, &edges);
+                let mut level = vec![0u32; n];
+                for &x in &topo {
+                    for &s in &succ[x.index()] {
+                        level[s.index()] = level[s.index()].max(level[x.index()] + 1);
+                    }
+                }
+                let what = format!("seed {seed} round {round}");
+                for i in 0..n {
+                    assert_eq!(dag.successors(t(i as u32)), &succ[i][..], "{what}: succ {i}");
+                    assert_eq!(dag.predecessors(t(i as u32)), &pred[i][..], "{what}: pred {i}");
+                }
+                assert_eq!(dag.topo_order(), &topo[..], "{what}");
+                assert_eq!(dag.levels(), level, "{what}");
+                assert_eq!(
+                    dag.indegrees().collect::<Vec<_>>(),
+                    pred.iter().map(|p| p.len() as u32).collect::<Vec<_>>(),
+                    "{what}"
+                );
+                assert_eq!(
+                    dag.frontier().collect::<Vec<_>>(),
+                    (0..n).filter(|&i| pred[i].is_empty()).map(|i| t(i as u32)).collect::<Vec<_>>(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

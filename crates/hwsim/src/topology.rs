@@ -14,9 +14,11 @@
 //! realistic penalties.
 
 use std::collections::BinaryHeap;
+use std::hash::Hasher;
 
 use crate::compute::ComputeModel;
 use crate::device::{AccessOp, AccessPattern, MemDeviceModel};
+use crate::fx::FxHasher;
 use crate::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
 use crate::time::SimDuration;
 
@@ -223,6 +225,8 @@ pub struct Topology {
     paths: Vec<Vec<Option<PathCost>>>,
     /// `mem_paths[a][b]`: resolved memory→memory path (for copies).
     mem_paths: Vec<Vec<Option<PathCost>>>,
+    /// See [`Topology::fingerprint`].
+    fingerprint: u64,
 }
 
 impl Topology {
@@ -291,6 +295,15 @@ impl Topology {
     /// migrations), or `None` if no route exists.
     pub fn mem_path(&self, from: MemDeviceId, to: MemDeviceId) -> Option<PathCost> {
         self.mem_paths[from.index()][to.index()]
+    }
+
+    /// A hash of every memory-device model and every compute→memory
+    /// path, computed once by [`TopologyBuilder::build`]. Caches of
+    /// values derived from those (the placement engine's score table)
+    /// compare it to tell whether they were filled from this topology's
+    /// content; clones share it because they share the content.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// True if `mem` is addressable from `compute`.
@@ -622,7 +635,29 @@ impl TopologyBuilder {
             }
         }
 
+        let mut h = FxHasher::default();
+        for m in &self.mem {
+            for x in [m.read_lat_ns, m.write_lat_ns, m.read_bw_bpns, m.write_bw_bpns, m.cost_per_gib] {
+                h.write_u64(x.to_bits());
+            }
+            h.write_u64(m.granularity);
+            h.write_u64(m.capacity);
+            h.write_u8(m.sync as u8);
+            h.write_u8(u8::from(m.persistent) | u8::from(m.coherent) << 1);
+        }
+        for p in paths.iter().flatten() {
+            match p {
+                Some(p) => {
+                    h.write_u64(p.latency_ns.to_bits());
+                    h.write_u64(p.bandwidth_bpns.to_bits());
+                }
+                None => h.write_u8(0),
+            }
+        }
+        h.write_usize(nc);
+
         Ok(Topology {
+            fingerprint: h.finish(),
             nodes: self.nodes,
             compute,
             mem: self.mem,

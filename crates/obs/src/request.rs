@@ -337,9 +337,9 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
                     });
                 }
             }
-            TraceEvent::Reconstruct { job: Some(job), task, at, took, .. }
-                if took > SimDuration::ZERO =>
-            {
+            TraceEvent::Reconstruct { by, at, took, .. } if took > SimDuration::ZERO => {
+                let Some(job) = by.job() else { continue };
+                let task = by.task();
                 if let Some(rec) = tagged(&mut table, lo, job) {
                     rec.covering.push(Covering {
                         start: at.as_nanos(),
@@ -600,6 +600,7 @@ mod tests {
     use super::*;
     use disagg_hwsim::ids::{ComputeId, MemDeviceId};
     use disagg_hwsim::rng::SimRng;
+    use disagg_hwsim::trace::RebuildFor;
 
     fn tag(request: u64, tenant: u64, job: u64, at: u64) -> TraceEvent {
         TraceEvent::RequestTag { request, tenant, job, at: SimTime(at) }
@@ -646,8 +647,11 @@ mod tests {
             bytes: 64,
             at: SimTime(at),
             took: SimDuration(took),
-            job,
-            task,
+            by: match (job, task) {
+                (Some(job), Some(task)) => RebuildFor::Task { job, task: task as u32 },
+                (Some(job), None) => RebuildFor::Job(job),
+                (None, _) => RebuildFor::Nobody,
+            },
         }
     }
 
@@ -748,19 +752,15 @@ mod tests {
                         task: Some(task),
                     });
                 }
-                TraceEvent::Reconstruct {
-                    job: Some(job),
-                    task,
-                    at,
-                    took,
-                    ..
-                } if tagged(job) && took > SimDuration::ZERO => {
-                    covering.entry(job).or_default().push(Covering {
-                        start: at.as_nanos(),
-                        end: at.as_nanos() + took.as_nanos(),
-                        kind: SegmentKind::Recovery,
-                        task,
-                    });
+                TraceEvent::Reconstruct { by, at, took, .. } if took > SimDuration::ZERO => {
+                    if let Some(job) = by.job().filter(|&job| tagged(job)) {
+                        covering.entry(job).or_default().push(Covering {
+                            start: at.as_nanos(),
+                            end: at.as_nanos() + took.as_nanos(),
+                            kind: SegmentKind::Recovery,
+                            task: by.task(),
+                        });
+                    }
                 }
                 _ => {}
             }

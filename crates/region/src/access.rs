@@ -24,7 +24,7 @@ use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::ComputeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
-use disagg_hwsim::trace::{Trace, TraceEvent};
+use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
 
 use crate::pool::RegionId;
 use crate::region::{OwnerId, RegionError, RegionManager};
@@ -253,10 +253,11 @@ impl<'a> Accessor<'a> {
         let decode =
             SimDuration::from_nanos_f64(bytes as f64 * Self::RECONSTRUCT_DECODE_NS_PER_BYTE);
         let took = (finish - self.now) + decode;
-        let (job, task) = match self.who {
-            OwnerId::Task { job, task } => (Some(job), Some(task)),
-            OwnerId::Job(job) => (Some(job), None),
-            OwnerId::App => (None, None),
+        let by = match self.who {
+            // Task indices are `TaskId`'s `u32` widened by the executor.
+            OwnerId::Task { job, task } => RebuildFor::Task { job, task: task as u32 },
+            OwnerId::Job(job) => RebuildFor::Job(job),
+            OwnerId::App => RebuildFor::Nobody,
         };
         self.trace.push(TraceEvent::Reconstruct {
             region: region.0,
@@ -264,8 +265,7 @@ impl<'a> Accessor<'a> {
             bytes,
             at: self.now,
             took,
-            job,
-            task,
+            by,
         });
         Ok(took)
     }

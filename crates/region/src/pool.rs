@@ -130,6 +130,10 @@ struct Arena {
     free: Vec<(u64, u64)>,
     allocated: u64,
     peak: u64,
+    /// `allocated / capacity`, refreshed wherever `allocated` changes:
+    /// every placement reads it for every device, far more often than
+    /// any one device's fill moves.
+    utilization: f64,
 }
 
 impl Arena {
@@ -139,11 +143,22 @@ impl Arena {
             free: if capacity > 0 { vec![(0, capacity)] } else { Vec::new() },
             allocated: 0,
             peak: 0,
+            utilization: 0.0,
         }
     }
 
     fn free_bytes(&self) -> u64 {
         self.capacity - self.allocated
+    }
+
+    fn set_allocated(&mut self, allocated: u64) {
+        self.allocated = allocated;
+        self.peak = self.peak.max(allocated);
+        self.utilization = if self.capacity == 0 {
+            0.0
+        } else {
+            allocated as f64 / self.capacity as f64
+        };
     }
 
     fn alloc(&mut self, size: u64) -> Option<u64> {
@@ -155,8 +170,7 @@ impl Arena {
         } else {
             self.free[idx] = (off + size, len - size);
         }
-        self.allocated += size;
-        self.peak = self.peak.max(self.allocated);
+        self.set_allocated(self.allocated + size);
         Some(off)
     }
 
@@ -180,7 +194,7 @@ impl Arena {
                 self.free.remove(pos);
             }
         }
-        self.allocated -= size;
+        self.set_allocated(self.allocated - size);
     }
 
     /// `1 - largest_free / total_free`; 0 when unfragmented or full.
@@ -464,6 +478,13 @@ impl MemoryPool {
             .ok_or(AllocError::UnknownRegion(id))
     }
 
+    /// Makes room in the slot table for `regions` more allocations, so a
+    /// caller that knows how many it is about to make (an executor wave)
+    /// spares the table its doubling reallocations.
+    pub fn reserve(&mut self, regions: usize) {
+        self.slots.reserve(regions);
+    }
+
     /// Allocates `size` bytes on `dev`. The region reads as zeros; no host
     /// memory backs it until it is written (see the module docs).
     pub fn alloc(&mut self, dev: MemDeviceId, size: u64) -> Result<RegionId, AllocError> {
@@ -618,12 +639,7 @@ impl MemoryPool {
 
     /// Fraction of a device's capacity currently allocated.
     pub fn utilization(&self, dev: MemDeviceId) -> f64 {
-        let a = &self.arenas[dev.index()];
-        if a.capacity == 0 {
-            0.0
-        } else {
-            a.allocated as f64 / a.capacity as f64
-        }
+        self.arenas[dev.index()].utilization
     }
 
     /// Fragmentation of a device arena (`1 - largest_free/total_free`).
@@ -1040,6 +1056,13 @@ mod tests {
             let mut model: BTreeMap<RegionId, ModelRegion> = BTreeMap::new();
 
             for _ in 0..400 {
+                // The arena's running figures follow every alloc, free
+                // and rebind so far.
+                for dev in devs {
+                    let held: u64 = model.values().filter(|m| m.dev == dev).map(|m| m.size).sum();
+                    assert_eq!(pool.allocated(dev), held);
+                    assert_eq!(pool.utilization(dev), held as f64 / (1u64 << 30) as f64);
+                }
                 let before = pool.bytes_materialized();
                 let ids: Vec<RegionId> = model.keys().copied().collect();
                 let op = rng.next_below(10);

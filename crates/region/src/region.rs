@@ -11,6 +11,8 @@
 //! with its type, declared properties, and owner set, and enforces the
 //! ownership rules on every access.
 
+use std::collections::hash_map::Entry;
+
 use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::SimTime;
@@ -187,6 +189,70 @@ pub struct RegionMeta {
     pub origin_job: Option<u64>,
 }
 
+/// One owner's entry in the owner → regions index: the regions it holds,
+/// in grant order, possibly naming one twice (a self-share). Nearly every
+/// owner is a task holding its inputs and its output, which fit inline;
+/// only a longer list goes to the heap.
+#[derive(Debug)]
+enum Owned {
+    Few { len: u8, ids: [RegionId; Owned::INLINE] },
+    Many(Vec<RegionId>),
+}
+
+impl Owned {
+    const INLINE: usize = 4;
+
+    fn one(id: RegionId) -> Owned {
+        let mut ids = [RegionId(0); Owned::INLINE];
+        ids[0] = id;
+        Owned::Few { len: 1, ids }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [RegionId] {
+        match self {
+            Owned::Few { len, ids } => &mut ids[..usize::from(*len)],
+            Owned::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, id: RegionId) {
+        match self {
+            Owned::Few { len, ids } if usize::from(*len) < Owned::INLINE => {
+                ids[usize::from(*len)] = id;
+                *len += 1;
+            }
+            Owned::Few { ids, .. } => {
+                let mut v = Vec::with_capacity(2 * Owned::INLINE);
+                v.extend_from_slice(ids);
+                v.push(id);
+                *self = Owned::Many(v);
+            }
+            Owned::Many(v) => v.push(id),
+        }
+    }
+
+    /// Drops every mention of `id`; true when nothing is left.
+    fn remove(&mut self, id: RegionId) -> bool {
+        match self {
+            Owned::Few { len, ids } => {
+                let mut kept = 0;
+                for i in 0..usize::from(*len) {
+                    if ids[i] != id {
+                        ids[kept] = ids[i];
+                        kept += 1;
+                    }
+                }
+                *len = kept as u8;
+                kept == 0
+            }
+            Owned::Many(v) => {
+                v.retain(|&r| r != id);
+                v.is_empty()
+            }
+        }
+    }
+}
+
 /// The ownership bookkeeper on top of the [`MemoryPool`].
 #[derive(Debug)]
 pub struct RegionManager {
@@ -198,10 +264,10 @@ pub struct RegionManager {
     /// from the pool, so the unkeyed Fx hash is safe; never iterated.
     meta: FxHashMap<RegionId, RegionMeta>,
     /// Owner → regions index, kept in sync with `meta` ownership so
-    /// task-exit cleanup (`owned_by`/`release_all`, called once per
-    /// task) is O(regions of that owner), not a scan of every live
-    /// region. Never iterated.
-    owners: FxHashMap<OwnerId, Vec<RegionId>>,
+    /// task-exit cleanup (`release_all_with`, called once per task) is
+    /// O(regions of that owner), not a scan of every live region. Never
+    /// iterated.
+    owners: FxHashMap<OwnerId, Owned>,
 }
 
 impl RegionManager {
@@ -215,15 +281,20 @@ impl RegionManager {
     }
 
     fn index_add(&mut self, owner: OwnerId, id: RegionId) {
-        self.owners.entry(owner).or_default().push(id);
+        match self.owners.entry(owner) {
+            Entry::Vacant(e) => {
+                e.insert(Owned::one(id));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(id),
+        }
     }
 
     fn index_remove(&mut self, owner: OwnerId, id: RegionId) {
-        if let Some(v) = self.owners.get_mut(&owner) {
-            v.retain(|&r| r != id);
-            if v.is_empty() {
-                self.owners.remove(&owner);
-            }
+        let Entry::Occupied(mut e) = self.owners.entry(owner) else {
+            return;
+        };
+        if e.get_mut().remove(id) {
+            e.remove();
         }
     }
 
@@ -284,8 +355,12 @@ impl RegionManager {
 
     /// Live regions owned (exclusively or shared) by `owner`.
     pub fn owned_by(&self, owner: OwnerId) -> Vec<RegionId> {
-        let mut v = self.owners.get(&owner).cloned().unwrap_or_default();
-        v.sort();
+        let mut v = match self.owners.get(&owner) {
+            None => Vec::new(),
+            Some(Owned::Few { len, ids }) => ids[..usize::from(*len)].to_vec(),
+            Some(Owned::Many(v)) => v.clone(),
+        };
+        v.sort_unstable();
         v.dedup();
         v
     }
@@ -473,46 +548,70 @@ impl RegionManager {
     /// Releases `who`'s ownership. When the last owner releases, the
     /// region is freed and `Ok(true)` is returned.
     pub fn release(&mut self, id: RegionId, who: OwnerId) -> Result<bool, RegionError> {
-        let meta = self.meta(id)?;
+        let freed = self.drop_owner(id, who)?;
+        self.index_remove(who, id);
+        Ok(freed.is_some())
+    }
+
+    /// [`release`](Self::release) without the owner-index update:
+    /// strikes `who` from the region's owners and, when none remain,
+    /// frees it and returns where it lay.
+    fn drop_owner(&mut self, id: RegionId, who: OwnerId) -> Result<Option<Placement>, RegionError> {
+        let meta = self
+            .meta
+            .get_mut(&id)
+            .ok_or(RegionError::Alloc(AllocError::UnknownRegion(id)))?;
         if !meta.ownership.is_owner(who) {
             return Err(RegionError::NotOwner { region: id, who });
         }
-        let empty = {
-            let meta = self.meta.get_mut(&id).expect("checked above");
-            match &mut meta.ownership {
-                Ownership::Exclusive(_) => true,
-                Ownership::Shared(v) => {
-                    v.retain(|&o| o != who);
-                    match v.len() {
-                        0 => true,
-                        1 => {
-                            let last = v[0];
-                            meta.ownership = Ownership::Exclusive(last);
-                            false
-                        }
-                        _ => false,
+        let empty = match &mut meta.ownership {
+            Ownership::Exclusive(_) => true,
+            Ownership::Shared(v) => {
+                v.retain(|&o| o != who);
+                match v.len() {
+                    0 => true,
+                    1 => {
+                        let last = v[0];
+                        meta.ownership = Ownership::Exclusive(last);
+                        false
                     }
+                    _ => false,
                 }
             }
         };
-        self.index_remove(who, id);
-        if empty {
-            self.meta.remove(&id);
-            self.pool.free(id)?;
+        if !empty {
+            return Ok(None);
         }
-        Ok(empty)
+        self.meta.remove(&id);
+        Ok(Some(self.pool.free(id)?))
     }
 
-    /// Releases everything a given owner holds (task-exit cleanup).
-    /// Returns the regions that were freed outright.
-    pub fn release_all(&mut self, who: OwnerId) -> Vec<RegionId> {
-        let owned = self.owned_by(who);
-        let mut freed = Vec::new();
-        for id in owned {
-            if self.release(id, who).unwrap_or(false) {
-                freed.push(id);
+    /// Releases everything a given owner holds (task-exit cleanup), in
+    /// region-id order, calling `freed(region, former placement)` for
+    /// each region that was freed outright. The owner's index entry is
+    /// taken, not copied, and no release searches it again.
+    pub fn release_all_with(&mut self, who: OwnerId, mut freed: impl FnMut(RegionId, Placement)) {
+        let Some(mut owned) = self.owners.remove(&who) else {
+            return;
+        };
+        let owned = owned.as_mut_slice();
+        owned.sort_unstable();
+        let mut last = None;
+        for &id in owned.iter() {
+            if last.replace(id) == Some(id) {
+                continue;
+            }
+            if let Ok(Some(placement)) = self.drop_owner(id, who) {
+                freed(id, placement);
             }
         }
+    }
+
+    /// [`release_all_with`](Self::release_all_with), returning the
+    /// regions that were freed outright.
+    pub fn release_all(&mut self, who: OwnerId) -> Vec<RegionId> {
+        let mut freed = Vec::new();
+        self.release_all_with(who, |id, _| freed.push(id));
         freed
     }
 

@@ -59,8 +59,18 @@ pub enum TopologyAwareness {
     Blind,
 }
 
+/// The utilization-independent part of a score (see
+/// [`CostModel::static_score`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StaticScore {
+    /// Weighted latency + transfer time, uncontended.
+    base: f64,
+    /// The dollar-cost tiebreaker.
+    dollars: f64,
+}
+
 /// The cost model.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostModel {
     /// Blend weights.
     pub weights: CostWeights,
@@ -81,6 +91,10 @@ impl CostModel {
     ///
     /// `utilization` is the device's current memory-capacity utilization
     /// in `[0, 1]`, used as the contention proxy.
+    ///
+    /// This is [`static_score`](Self::static_score) followed by
+    /// [`finish`](Self::finish): the reference the placement engine's
+    /// score table is checked against, and what `rank` uses.
     pub fn score(
         &self,
         topo: &Topology,
@@ -90,6 +104,25 @@ impl CostModel {
         size: u64,
         utilization: f64,
     ) -> Option<f64> {
+        self.static_score(topo, compute, dev, props, size)
+            .map(|s| self.finish(s, utilization))
+    }
+
+    /// The part of [`score`](Self::score) that does not depend on the
+    /// device's utilization: feasibility, the uncontended latency +
+    /// transfer blend, and the dollar tiebreaker. It reads the topology
+    /// (path and device model), the latency/bandwidth/dollar weights,
+    /// the awareness switch, `size`, and these `props` fields: the two
+    /// requirement classes, `persistent`, `coherent`, `mode`, and from
+    /// the hint the dominant op, the pattern and `typical_bytes`.
+    pub fn static_score(
+        &self,
+        topo: &Topology,
+        compute: ComputeId,
+        dev: MemDeviceId,
+        props: &PropertySet,
+        size: u64,
+    ) -> Option<StaticScore> {
         let real_path = topo.path(compute, dev)?;
         let path = match self.awareness {
             TopologyAwareness::Aware => real_path,
@@ -115,11 +148,21 @@ impl CostModel {
         let latency_term = chunks * per_chunk_lat;
         let transfer_term = size as f64 / bw;
 
-        let base = self.weights.latency * latency_term + self.weights.bandwidth * transfer_term;
-        let contended = base * (1.0 + self.weights.contention * utilization.clamp(0.0, 1.0));
-        let pressure = self.weights.pressure * base * utilization.clamp(0.0, 1.0);
-        let dollars = self.weights.dollars * model.cost_per_gib;
-        Some(contended + pressure + dollars)
+        Some(StaticScore {
+            base: self.weights.latency * latency_term + self.weights.bandwidth * transfer_term,
+            dollars: self.weights.dollars * model.cost_per_gib,
+        })
+    }
+
+    /// Completes a [`StaticScore`] with the device's current
+    /// utilization. The three operations and their order are part of the
+    /// goldens: every placement tie-break compares these `f64`s bit for
+    /// bit.
+    pub fn finish(&self, s: StaticScore, utilization: f64) -> f64 {
+        let u = utilization.clamp(0.0, 1.0);
+        let contended = s.base * (1.0 + self.weights.contention * u);
+        let pressure = self.weights.pressure * s.base * u;
+        contended + pressure + s.dollars
     }
 
     /// Scores every feasible device, cheapest first.

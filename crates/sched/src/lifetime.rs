@@ -206,18 +206,14 @@ impl LifetimeManager {
 
     /// End-of-task cleanup: releases everything the task still owns.
     pub fn task_exit(&self, mgr: &mut RegionManager, trace: &mut Trace, who: OwnerId, now: SimTime) {
-        for id in mgr.owned_by(who) {
-            if let Ok(p) = mgr.placement(id) {
-                if mgr.release(id, who).unwrap_or(false) {
-                    trace.push(TraceEvent::Free {
-                        region: id.0,
-                        dev: p.dev,
-                        bytes: p.size,
-                        at: now,
-                    });
-                }
-            }
-        }
+        mgr.release_all_with(who, |id, p| {
+            trace.push(TraceEvent::Free {
+                region: id.0,
+                dev: p.dev,
+                bytes: p.size,
+                at: now,
+            });
+        });
     }
 }
 

@@ -13,12 +13,14 @@
 //! local memory — today's default), and a **worst-feasible** adversary
 //! used to bound how bad naïve placement can get (experiment E9).
 
+use disagg_hwsim::device::{AccessOp, AccessPattern};
+use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::PropertySet;
 
-use crate::cost::CostModel;
+use crate::cost::{CostModel, StaticScore};
 
 /// Placement strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +54,99 @@ pub struct PlacementDecision {
     pub feasible: usize,
 }
 
+/// What a [`ScoreTable`] row is keyed on: the executing device, the
+/// request size, and every [`PropertySet`] field
+/// [`CostModel::static_score`] reads (`confidential` is not one). The
+/// small fields share one word so a lookup hashes three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct RowKey {
+    /// `compute` in the high half; below it a byte each for the latency
+    /// class, the bandwidth class, the access mode, and one of flags
+    /// (dominant op, pattern, persistent, coherent).
+    who_and_how: u64,
+    size: u64,
+    typical_bytes: u64,
+}
+
+impl RowKey {
+    fn new(compute: ComputeId, props: &PropertySet, size: u64) -> RowKey {
+        let flags = u64::from(props.hint.dominant_op() == AccessOp::Write)
+            | u64::from(props.hint.pattern == AccessPattern::Random) << 1
+            | u64::from(props.persistent) << 2
+            | u64::from(props.coherent) << 3;
+        RowKey {
+            who_and_how: u64::from(compute.0) << 32
+                | (props.latency as u64) << 24
+                | (props.bandwidth as u64) << 16
+                | (props.mode as u64) << 8
+                | flags,
+            size,
+            typical_bytes: props.hint.typical_bytes,
+        }
+    }
+}
+
+/// The utilization-independent part of every score the engine has been
+/// asked for, one row of [`CostModel::static_score`] results per
+/// [`RowKey`] with one cell per memory device (`None`: infeasible),
+/// filled on first use. A placement then costs one row lookup per
+/// accessor and one [`CostModel::finish`] per feasible device.
+#[derive(Debug, Default)]
+struct ScoreTable {
+    /// The model and topology the cells were computed from. Anyone may
+    /// assign the engine's public `model` (E13 does) or pass another
+    /// topology, so both are compared on every placement and a mismatch
+    /// empties the table.
+    model: CostModel,
+    topo: u64,
+    /// Row key → offset of the row's first cell.
+    rows: FxHashMap<RowKey, u32>,
+    cells: Vec<Option<StaticScore>>,
+}
+
+impl ScoreTable {
+    /// Rows kept before the table starts over. Runs place a handful of
+    /// region shapes (a few KiB of table); one that draws a fresh size
+    /// per request would otherwise grow it without bound, and refilling
+    /// a row costs what every placement cost before there was a table.
+    const MAX_ROWS: usize = 1024;
+
+    /// Readies the table for one placement that will ask for up to
+    /// `rows` rows: empties it if it was filled under another model or
+    /// topology, or has no room left. (Once per placement, not per row:
+    /// `choose_shared` holds row offsets across its lookups.)
+    fn prepare(&mut self, model: &CostModel, topo: &Topology, rows: usize) {
+        let stale = self.topo != topo.fingerprint() || self.model != *model;
+        if stale || self.rows.len() + rows > Self::MAX_ROWS {
+            self.rows.clear();
+            self.cells.clear();
+            self.model = model.clone();
+            self.topo = topo.fingerprint();
+        }
+    }
+
+    /// Offset into `cells` of the row for `(compute, props, size)`,
+    /// after [`prepare`](Self::prepare).
+    fn row(
+        &mut self,
+        model: &CostModel,
+        topo: &Topology,
+        compute: ComputeId,
+        props: &PropertySet,
+        size: u64,
+    ) -> usize {
+        let cells = &mut self.cells;
+        *self.rows.entry(RowKey::new(compute, props, size)).or_insert_with(|| {
+            let at = cells.len() as u32;
+            cells.extend(
+                topo.mem_ids()
+                    .map(|dev| model.static_score(topo, compute, dev, props, size)),
+            );
+            at
+        }) as usize
+    }
+}
+
 /// Resolves declarative requests to devices under a chosen policy.
 #[derive(Debug, Default)]
 pub struct PlacementEngine {
@@ -61,15 +156,18 @@ pub struct PlacementEngine {
     pub policy: PlacementPolicy,
     /// Decision log (cleared by the caller between runs as needed).
     pub decisions: Vec<PlacementDecision>,
+    table: ScoreTable,
+    /// `choose_shared`'s row offsets, one per accessor (accessor lists
+    /// are not deduplicated and have no fixed bound).
+    shared_rows: Vec<usize>,
 }
 
 impl PlacementEngine {
     /// An engine with the given policy and a default cost model.
     pub fn new(policy: PlacementPolicy) -> Self {
         PlacementEngine {
-            model: CostModel::new(),
             policy,
-            decisions: Vec::new(),
+            ..PlacementEngine::default()
         }
     }
 
@@ -96,6 +194,8 @@ impl PlacementEngine {
             PlacementPolicy::ComputeCentric => Some(&topo.compute(compute).local_mem),
             _ => None,
         };
+        self.table.prepare(&self.model, topo, 1);
+        let row = self.table.row(&self.model, topo, compute, props, size);
         let mut feasible = 0usize;
         // Minimum (score, id): Declarative's pick and everyone's fallback.
         let mut best: Option<(MemDeviceId, f64)> = None;
@@ -105,16 +205,15 @@ impl PlacementEngine {
         let mut first: Option<(MemDeviceId, f64)> = None;
         // Minimum (score, id) among the executor's local devices.
         let mut best_local: Option<(MemDeviceId, f64)> = None;
-        for dev in topo.mem_ids() {
+        let cells = &self.table.cells[row..];
+        for (dev, cell) in topo.mem_ids().zip(cells) {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
             }
-            let Some(score) = self
-                .model
-                .score(topo, compute, dev, props, size, pool.utilization(dev))
-            else {
+            let Some(cell) = *cell else {
                 continue;
             };
+            let score = self.model.finish(cell, pool.utilization(dev));
             feasible += 1;
             if first.is_none() {
                 first = Some((dev, score));
@@ -160,20 +259,25 @@ impl PlacementEngine {
         size: u64,
     ) -> Option<MemDeviceId> {
         assert!(!computes.is_empty(), "choose_shared needs at least one accessor");
+        self.table.prepare(&self.model, topo, computes.len());
+        self.shared_rows.clear();
+        for &c in computes {
+            let row = self.table.row(&self.model, topo, c, props, size);
+            self.shared_rows.push(row);
+        }
         let mut best: Option<(MemDeviceId, f64)> = None;
         let mut feasible = 0usize;
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
             }
+            let utilization = pool.utilization(dev);
+            // Summed in accessor order: the total's bits depend on it.
             let mut total = 0.0;
             let mut ok = true;
-            for &c in computes {
-                match self
-                    .model
-                    .score(topo, c, dev, props, size, pool.utilization(dev))
-                {
-                    Some(s) => total += s,
+            for &row in &self.shared_rows {
+                match self.table.cells[row + dev.index()] {
+                    Some(cell) => total += self.model.finish(cell, utilization),
                     None => {
                         ok = false;
                         break;
@@ -209,6 +313,7 @@ impl PlacementEngine {
 mod tests {
     use super::*;
     use disagg_hwsim::presets::single_server;
+    use disagg_hwsim::rng::SimRng;
     use disagg_region::props::{AccessHint, LatencyClass};
 
     #[test]
@@ -339,6 +444,292 @@ mod tests {
         // First feasible by id order: the cache (mem0) qualifies for a
         // property-free 1 MiB request.
         assert_eq!(dev, ids.cache);
+    }
+
+    /// `choose` as it was before the score table — a scan over
+    /// [`CostModel::score`] — kept as the oracle.
+    fn reference_choose(
+        model: &CostModel,
+        policy: PlacementPolicy,
+        topo: &Topology,
+        pool: &MemoryPool,
+        compute: ComputeId,
+        props: &PropertySet,
+        size: u64,
+    ) -> Option<PlacementDecision> {
+        use std::cmp::Ordering;
+        let locals = &topo.compute(compute).local_mem;
+        let mut feasible = 0usize;
+        let (mut best, mut worst, mut first, mut best_local) = (None, None, None, None);
+        for dev in topo.mem_ids() {
+            if pool.capacity(dev) - pool.allocated(dev) < size {
+                continue;
+            }
+            let Some(score) = model.score(topo, compute, dev, props, size, pool.utilization(dev))
+            else {
+                continue;
+            };
+            feasible += 1;
+            if first.is_none() {
+                first = Some((dev, score));
+            }
+            if best.is_none_or(|(_, b): (_, f64)| score.total_cmp(&b) == Ordering::Less) {
+                best = Some((dev, score));
+            }
+            if worst.is_none_or(|(_, w): (_, f64)| score.total_cmp(&w) != Ordering::Less) {
+                worst = Some((dev, score));
+            }
+            if locals.contains(&dev)
+                && best_local.is_none_or(|(_, b): (_, f64)| score.total_cmp(&b) == Ordering::Less)
+            {
+                best_local = Some((dev, score));
+            }
+        }
+        let (dev, score) = match policy {
+            PlacementPolicy::Declarative => best?,
+            PlacementPolicy::WorstFeasible => worst?,
+            PlacementPolicy::FirstFit => first?,
+            PlacementPolicy::ComputeCentric => best_local.or(best)?,
+        };
+        Some(PlacementDecision { compute, size, dev, score, feasible })
+    }
+
+    /// `choose_shared` before the score table.
+    fn reference_choose_shared(
+        model: &CostModel,
+        policy: PlacementPolicy,
+        topo: &Topology,
+        pool: &MemoryPool,
+        computes: &[ComputeId],
+        props: &PropertySet,
+        size: u64,
+    ) -> Option<PlacementDecision> {
+        let mut best: Option<(MemDeviceId, f64)> = None;
+        let mut feasible = 0usize;
+        for dev in topo.mem_ids() {
+            if pool.capacity(dev) - pool.allocated(dev) < size {
+                continue;
+            }
+            let mut total = 0.0;
+            let mut ok = true;
+            for &c in computes {
+                match model.score(topo, c, dev, props, size, pool.utilization(dev)) {
+                    Some(s) => total += s,
+                    None => {
+                        ok = false;
+                        break;
+                    }
+                }
+            }
+            if !ok {
+                continue;
+            }
+            feasible += 1;
+            let better = match (policy, best) {
+                (_, None) => true,
+                (PlacementPolicy::WorstFeasible, Some((_, b))) => total > b,
+                (_, Some((_, b))) => total < b,
+            };
+            if better {
+                best = Some((dev, total));
+            }
+        }
+        let (dev, score) = best?;
+        Some(PlacementDecision { compute: computes[0], size, dev, score, feasible })
+    }
+
+    fn random_props(rng: &mut SimRng, size: u64) -> PropertySet {
+        use disagg_region::props::{AccessHint, AccessMode, BandwidthClass};
+        const LAT: [LatencyClass; 4] =
+            [LatencyClass::Low, LatencyClass::Medium, LatencyClass::High, LatencyClass::Any];
+        const BW: [BandwidthClass; 4] =
+            [BandwidthClass::High, BandwidthClass::Medium, BandwidthClass::Low, BandwidthClass::Any];
+        // Requirements are drawn sparsely so that most requests stay
+        // feasible somewhere.
+        let pick_req = |rng: &mut SimRng| rng.chance(0.3);
+        PropertySet {
+            latency: if pick_req(rng) { *rng.pick(&LAT) } else { LatencyClass::Any },
+            bandwidth: if pick_req(rng) { *rng.pick(&BW) } else { BandwidthClass::Any },
+            persistent: rng.chance(0.15),
+            coherent: rng.chance(0.2),
+            confidential: rng.chance(0.5),
+            mode: if rng.chance(0.5) { AccessMode::Sync } else { AccessMode::Async },
+            hint: AccessHint {
+                pattern: if rng.chance(0.5) { AccessPattern::Random } else { AccessPattern::Sequential },
+                read_fraction: *rng.pick(&[0.0, 0.3, 0.49, 0.5, 0.8, 1.0]),
+                // Chunks larger and smaller than the request, and 0.
+                typical_bytes: match rng.next_below(4) {
+                    0 => 0,
+                    1 => 1 + rng.next_below(size.max(2)),
+                    2 => size.saturating_mul(2).max(64),
+                    _ => *rng.pick(&[64, 256, 4096, 1 << 20]),
+                },
+            },
+        }
+    }
+
+    #[test]
+    fn table_backed_placement_matches_a_scan_over_score() {
+        use crate::cost::{CostWeights, TopologyAwareness};
+        use disagg_hwsim::presets::disaggregated_rack;
+
+        let topologies = [single_server().0, disaggregated_rack(4, 16, 4, 256).0];
+        let policies = [
+            PlacementPolicy::Declarative,
+            PlacementPolicy::ComputeCentric,
+            PlacementPolicy::WorstFeasible,
+            PlacementPolicy::FirstFit,
+        ];
+        let (mut placed, mut refused, mut repeats) = (0usize, 0usize, 0usize);
+        for seed in [1u64, 2, 3, 23] {
+            for (ti, topo) in topologies.iter().enumerate() {
+                for policy in policies {
+                    let what = format!("seed {seed} topo {ti} {policy:?}");
+                    let mut rng = SimRng::new(seed ^ (ti as u64) << 8);
+                    let computes: Vec<ComputeId> = topo.compute_ids().collect();
+                    let mems: Vec<MemDeviceId> = topo.mem_ids().collect();
+                    let mut pool = MemoryPool::new(topo);
+                    let mut held = Vec::new();
+                    // Some devices full from the start, some part-filled.
+                    for &dev in &mems {
+                        let cap = pool.capacity(dev);
+                        let fill = match rng.next_below(4) {
+                            0 => cap,
+                            1 => 0,
+                            _ => rng.next_below(cap),
+                        };
+                        if fill > 0 {
+                            held.push(pool.alloc(dev, fill).unwrap());
+                        }
+                    }
+                    let mut eng = PlacementEngine::new(policy);
+                    // A handful of shapes recur, as they do in a real run.
+                    let sizes = [0, 1, 4096, 1 + rng.next_below(1 << 16), 1 << 30];
+                    let shapes: Vec<PropertySet> = (0..6)
+                        .map(|_| {
+                            let size = *rng.pick(&sizes);
+                            random_props(&mut rng, size)
+                        })
+                        .collect();
+                    for step in 0..400 {
+                        if step == 200 {
+                            // E13-style: the public model changes under
+                            // a warm table.
+                            eng.model.weights = CostWeights {
+                                latency: 0.5 + rng.next_f64(),
+                                bandwidth: 0.5 + rng.next_f64(),
+                                contention: 2.0 * rng.next_f64(),
+                                pressure: rng.next_f64(),
+                                dollars: rng.next_f64(),
+                            };
+                            eng.model.awareness = if rng.chance(0.5) {
+                                TopologyAwareness::Blind
+                            } else {
+                                TopologyAwareness::Aware
+                            };
+                        }
+                        // Drift the fill.
+                        if !held.is_empty() && rng.chance(0.2) {
+                            let i = rng.next_below(held.len() as u64) as usize;
+                            pool.free(held.swap_remove(i)).unwrap();
+                        }
+                        let size = *rng.pick(&sizes);
+                        let props = if rng.chance(0.7) {
+                            repeats += 1;
+                            rng.pick(&shapes).clone()
+                        } else {
+                            random_props(&mut rng, size)
+                        };
+                        let logged = eng.decisions.len();
+                        let (got, want) = if rng.chance(0.5) {
+                            let c = *rng.pick(&computes);
+                            (
+                                eng.choose(topo, &pool, c, &props, size),
+                                reference_choose(&eng.model, policy, topo, &pool, c, &props, size),
+                            )
+                        } else {
+                            // Un-deduplicated, up to twelve entries.
+                            let list: Vec<ComputeId> = (0..1 + rng.next_below(12))
+                                .map(|_| *rng.pick(&computes))
+                                .collect();
+                            (
+                                eng.choose_shared(topo, &pool, &list, &props, size),
+                                reference_choose_shared(
+                                    &eng.model, policy, topo, &pool, &list, &props, size,
+                                ),
+                            )
+                        };
+                        assert_eq!(got, want.as_ref().map(|d| d.dev), "{what} step {step}");
+                        match want {
+                            None => {
+                                refused += 1;
+                                assert_eq!(eng.decisions.len(), logged, "{what} step {step}");
+                            }
+                            Some(want) => {
+                                placed += 1;
+                                let d = eng.decisions.last().unwrap();
+                                assert_eq!(eng.decisions.len(), logged + 1);
+                                assert_eq!(
+                                    (d.compute, d.size, d.dev, d.score.to_bits(), d.feasible),
+                                    (want.compute, want.size, want.dev, want.score.to_bits(), want.feasible),
+                                    "{what} step {step}"
+                                );
+                                // (A fragmented arena may refuse what
+                                // its free total would hold.)
+                                if size > 0 && rng.chance(0.5) {
+                                    held.extend(pool.alloc(want.dev, size));
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(placed > 5_000 && refused > 500 && repeats > 5_000, "{placed} {refused} {repeats}");
+    }
+
+    #[test]
+    fn the_score_table_is_bounded() {
+        let (topo, ids) = single_server();
+        let pool = MemoryPool::new(&topo);
+        let mut eng = PlacementEngine::new(PlacementPolicy::Declarative);
+        let props = PropertySet::new();
+        let both = [ids.cpu, ids.gpu];
+        // One row, then two a call: the limit falls between the two
+        // lookups of one placement, whose first offset must stay good.
+        eng.choose(&topo, &pool, ids.cpu, &props, 1 << 40);
+        for size in 1..=3 * ScoreTable::MAX_ROWS as u64 {
+            let got = eng.choose_shared(&topo, &pool, &both, &props, size);
+            let want =
+                reference_choose_shared(&eng.model, eng.policy, &topo, &pool, &both, &props, size);
+            assert_eq!(got, want.as_ref().map(|d| d.dev), "size {size}");
+            assert_eq!(
+                eng.decisions.last().map(|d| d.score.to_bits()),
+                want.map(|d| d.score.to_bits()),
+                "size {size}"
+            );
+            assert!(eng.table.rows.len() <= ScoreTable::MAX_ROWS);
+            assert_eq!(eng.table.cells.len(), eng.table.rows.len() * topo.mem_devices().len());
+        }
+    }
+
+    #[test]
+    fn one_engine_follows_a_change_of_topology() {
+        // The same warm engine asked about another machine must not
+        // answer from the first one's rows.
+        use disagg_hwsim::presets::disaggregated_rack;
+        let (a, _) = single_server();
+        let (b, _) = disaggregated_rack(2, 8, 2, 64);
+        let mut eng = PlacementEngine::new(PlacementPolicy::Declarative);
+        let props = PropertySet::new();
+        for topo in [&a, &b, &a] {
+            let pool = MemoryPool::new(topo);
+            for c in topo.compute_ids() {
+                let got = eng.choose(topo, &pool, c, &props, 4096);
+                let want = reference_choose(&eng.model, eng.policy, topo, &pool, c, &props, 4096);
+                assert_eq!(got, want.map(|d| d.dev));
+            }
+        }
     }
 
     #[test]

@@ -382,10 +382,10 @@ impl ServeLayer {
             // quota admission; browned-out tenants instantiate their
             // degraded template.
             let epoch_start = rt.now();
-            let mut jobs: Vec<JobSpec> = Vec::new();
-            let mut offs: Vec<SimDuration> = Vec::new();
-            let mut tags: Vec<(u64, u64)> = Vec::new();
-            let mut epoch_slots: Vec<usize> = Vec::new();
+            let mut jobs: Vec<JobSpec> = Vec::with_capacity(chunk.len());
+            let mut offs: Vec<SimDuration> = Vec::with_capacity(chunk.len());
+            let mut tags: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
+            let mut epoch_slots: Vec<usize> = Vec::with_capacity(chunk.len());
             for req in chunk {
                 let arrival_abs = t0 + req.arrival;
                 let svc = est_service[req.tenant % est_service.len()];
@@ -495,7 +495,17 @@ impl ServeLayer {
                     fate[ri] = Fate::Failed { degraded };
                 }
             }
-            merge_runs(&mut run_acc, run);
+            // The first epoch's lists are moved in; sizing the rest
+            // from them lets the later epochs append without the
+            // accumulator doubling its way up through reallocations.
+            let first = run_acc.tasks.is_empty();
+            run_acc.absorb(run);
+            if first {
+                let rest = epochs - 1;
+                run_acc.tasks.reserve(run_acc.tasks.len() * rest);
+                run_acc.placements.reserve(run_acc.placements.len() * rest);
+                run_acc.edges.reserve(run_acc.edges.len() * rest);
+            }
 
             // Brownout decision at the epoch boundary: any open breaker
             // or a tenant burning SLO too fast switches that tenant's
@@ -648,30 +658,6 @@ impl ServeLayer {
             run: run_acc,
         })
     }
-}
-
-/// Folds one epoch's executor report into the run-wide accumulator,
-/// mirroring the runtime's own cross-wave merge: counters add, lists
-/// extend, per-device summaries and metrics snapshots are replaced by
-/// the latest epoch's (they are cumulative inside the runtime).
-fn merge_runs(into: &mut RunReport, epoch: RunReport) {
-    into.makespan += epoch.makespan;
-    into.tasks.extend(epoch.tasks);
-    into.bytes_moved += epoch.bytes_moved;
-    into.bytes_ownership_transferred += epoch.bytes_ownership_transferred;
-    into.ownership_transfers += epoch.ownership_transfers;
-    into.handover_copies += epoch.handover_copies;
-    into.placements.extend(epoch.placements);
-    into.violations.extend(epoch.violations);
-    into.denials += epoch.denials;
-    into.devices = epoch.devices;
-    into.persistent_replicas.extend(epoch.persistent_replicas);
-    into.events += epoch.events;
-    into.edges.extend(epoch.edges);
-    if epoch.metrics.is_some() {
-        into.metrics = epoch.metrics;
-    }
-    into.failed_jobs.extend(epoch.failed_jobs);
 }
 
 /// Windows in a serving run's SLO burn curve — matches the granularity

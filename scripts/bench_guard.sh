@@ -7,10 +7,12 @@
 # record carries one, the serving-mix measurement (the open-loop
 # multi-tenant stream from crates/serve driven at saturation).
 #
-# Also gates observer overhead: the trace_overhead microbenchmark
-# measures the same stress batch with no observer and with a streaming
-# FullObserver attached, and the guard fails if having observability
-# *on* costs more than OBS_OVERHEAD_MAX percent of events/sec.
+# Also gates observer cost: the trace_overhead microbenchmark measures
+# the same stress batch with no observer, with a streaming FullObserver
+# attached, and with buffered tracing only. The guard fails if the
+# full-observer run's events/sec drops below its own committed figure
+# (OBS_FULL_COMMITTED x TOLERANCE), or if buffered tracing costs more
+# than OBS_OVERHEAD_MAX percent of the null-observer run.
 #
 # Also gates goodput under chaos: when the committed record carries a
 # serving.chaos section, a fresh quick chaos-under-load sweep must keep
@@ -25,7 +27,8 @@
 #   scripts/bench_guard.sh j8_l16_w16      # guard another config
 #   TOLERANCE=0.80 scripts/bench_guard.sh  # loosen the floor
 #   RUNS=5 scripts/bench_guard.sh          # more samples (best-of)
-#   OBS_OVERHEAD_MAX=15 scripts/bench_guard.sh  # loosen the observer gate
+#   OBS_OVERHEAD_MAX=15 scripts/bench_guard.sh  # loosen the buffered-trace gate
+#   OBS_FULL_COMMITTED=700000 scripts/bench_guard.sh  # another host class
 #   CHAOS_TOLERANCE=0.80 scripts/bench_guard.sh # loosen the chaos floor
 #
 # Wall-clock numbers only compare within one host class: run this on the
@@ -87,57 +90,57 @@ for run in $(seq "$RUNS"); do
   done
 done
 
-# Observer-overhead gate: re-run only the trace_overhead group of the
-# micro suite (the bench binary accepts substring filters) and parse the
-# summary line
+# Observer gate: re-run only the trace_overhead group of the micro suite
+# (the bench binary accepts substring filters) and parse the summary line
 #   trace_overhead/events_per_sec  null N | full observer M (X% slower) | ...
 # Two thresholds:
-#   - the streaming FullObserver legitimately costs events/sec
-#     (OBS_BASELINE is the committed overhead); the gate fails if it
-#     regresses more than OBS_OVERHEAD_MAX percentage points past that.
+#   - the streaming FullObserver run is held to its own committed
+#     events/sec (OBS_FULL_COMMITTED, the low middle of nine samples on the
+#     box that produced BENCH_disagg.json), with the same TOLERANCE as
+#     the stress configurations. It used to be held to a *ratio* to the
+#     null-observer run, which every executor speed-up raised while the
+#     observer's own work stood still: that baseline had to move
+#     40 -> 60 once, and the next speed-up read 48-71 % against it.
 #   - buffered tracing (RuntimeConfig::traced) must stay within
-#     OBS_OVERHEAD_MAX points of the null-observer run outright — the
-#     design claims having observability *available* is near-free.
-# The ratio is noisy on shared hosts, so keep the best (lowest
-# overhead) of $RUNS samples: a real regression slows every sample.
-# It is a ratio to the null-observer run, so a change that speeds that
-# run up and leaves the observer's own work alone raises it: re-baselined
-# 40 -> 60 when the planner and region bookkeeping got cheaper (null
-# 0.85-0.94 M -> 1.03-1.17 M events/s, full observer 575-615 k ->
-# 650-700 k events/s, six alternating samples a side on one box).
-OBS_BASELINE=${OBS_BASELINE:-60}
+#     OBS_OVERHEAD_MAX points of the null-observer run — the design
+#     claims having observability *available* is near-free, and both
+#     sides of that ratio share the executor.
+# Noisy on shared hosts, so keep the best of $RUNS samples: a real
+# regression slows every sample.
+OBS_FULL_COMMITTED=${OBS_FULL_COMMITTED:-850000}
 OBS_OVERHEAD_MAX=${OBS_OVERHEAD_MAX:-10}
 obs_cmd=(cargo bench --offline -p disagg-bench --bench micro -- trace_overhead)
 echo "==> ${obs_cmd[*]} (x${RUNS})" >&2
-full_best=""
+full_best=0
 traced_best=""
 for run in $(seq "$RUNS"); do
   obs_line=$("${obs_cmd[@]}" 2>/dev/null | grep '^trace_overhead/events_per_sec' || true)
   full=$(printf '%s\n' "$obs_line" \
-    | sed -n 's/.*full observer [0-9]* (\(-\{0,1\}[0-9.]*\)% slower).*/\1/p')
+    | sed -n 's/.*full observer \([0-9][0-9]*\) (.*/\1/p')
   traced=$(printf '%s\n' "$obs_line" \
     | sed -n 's/.*buffered trace [0-9]* (\(-\{0,1\}[0-9.]*\)% slower).*/\1/p')
   if [ -z "$full" ] || [ -z "$traced" ]; then
-    echo "bench_guard: could not parse observer overheads from micro output" >&2
+    echo "bench_guard: could not parse observer figures from micro output" >&2
     exit 1
   fi
-  echo "bench_guard: observer sample ${run}/${RUNS}: full ${full}% traced ${traced}%" >&2
-  full_best=$(awk -v a="${full_best:-$full}" -v b="$full" 'BEGIN { print (a < b) ? a : b }')
+  echo "bench_guard: observer sample ${run}/${RUNS}: full ${full} events/sec, traced ${traced}% slower" >&2
+  if [ "$full" -gt "$full_best" ]; then full_best=$full; fi
   traced_best=$(awk -v a="${traced_best:-$traced}" -v b="$traced" 'BEGIN { print (a < b) ? a : b }')
 done
 
 status=0
-obs_ok=$(awk -v f="$full_best" -v base="$OBS_BASELINE" -v m="$OBS_OVERHEAD_MAX" \
-  -v t="$traced_best" 'BEGIN { print (f <= base + m && t <= m) ? 1 : 0 }')
+obs_ok=$(awk -v f="$full_best" -v c="$OBS_FULL_COMMITTED" -v tol="$TOLERANCE" \
+  -v m="$OBS_OVERHEAD_MAX" -v t="$traced_best" \
+  'BEGIN { print (f >= c * tol && t <= m) ? 1 : 0 }')
 if [ "$obs_ok" != "1" ]; then
-  echo "bench_guard: observer overhead REGRESSED: full observer ${full_best}%" \
-       "(committed ${OBS_BASELINE}% + ${OBS_OVERHEAD_MAX} margin)," \
-       "buffered trace ${traced_best}% (max ${OBS_OVERHEAD_MAX}%)" >&2
+  echo "bench_guard: observer cost REGRESSED: full observer ${full_best} events/sec" \
+       "(floor ${TOLERANCE} x committed ${OBS_FULL_COMMITTED})," \
+       "buffered trace ${traced_best}% slower than null (max ${OBS_OVERHEAD_MAX}%)" >&2
   status=1
 else
-  echo "bench_guard: observer overhead OK: full observer ${full_best}%" \
-       "(committed ${OBS_BASELINE}% + ${OBS_OVERHEAD_MAX} margin)," \
-       "buffered trace ${traced_best}% (max ${OBS_OVERHEAD_MAX}%)"
+  echo "bench_guard: observer cost OK: full observer ${full_best} events/sec" \
+       "(floor ${TOLERANCE} x committed ${OBS_FULL_COMMITTED})," \
+       "buffered trace ${traced_best}% slower than null (max ${OBS_OVERHEAD_MAX}%)"
 fi
 
 for cfg in $CONFIGS; do

@@ -1,0 +1,184 @@
+//! Allocation budget of the task commit path: a counting global
+//! allocator around `Runtime::execute` and `ServeLayer::run`.
+//!
+//! Committing a task is meant to cost a constant, allocation-free
+//! amount of work (DESIGN.md "Hot-path layout"): what is left per task
+//! is amortised growth of a few wave-wide vectors, and per request the
+//! job the template builds. The budgets below sit about a quarter above
+//! what this commit measures, so the next per-task `Vec` fails a test
+//! rather than waiting for someone to profile.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use disagg::hwsim::presets::disaggregated_rack;
+use disagg::hwsim::time::SimDuration;
+use disagg::prelude::*;
+
+/// Counts every request for memory (`alloc`, `alloc_zeroed`, `realloc`);
+/// frees are not counted.
+struct Counting;
+
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`; the caller vouched for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls made while `f` runs. The one test below is this
+/// binary's only thread that allocates while a count is open.
+fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (out, CALLS.load(Ordering::Relaxed) - before)
+}
+
+/// Allocator calls per executed task allowed in a closed batch, with
+/// the jobs built beforehand (measured: 228 calls for 9 216 tasks,
+/// 0.025; 7.75 before the commit path stopped allocating).
+const BATCH_CALLS_PER_TASK: f64 = 0.031;
+/// The same for a traced serving run, end to end: request stream,
+/// template instantiation, planning, execution, span assembly
+/// (measured: 7.78, most of it the template building its job; 14.5
+/// before).
+const SERVE_CALLS_PER_TASK: f64 = 9.75;
+
+/// `layers` x `width` tasks, every non-source task fed by two tasks of
+/// the layer before, each with a 4 KiB output.
+fn layered_job(j: usize, layers: usize, width: usize) -> JobSpec {
+    let mut job = JobBuilder::new(format!("dag{j}"));
+    let mut prev: Vec<TaskId> = Vec::new();
+    for l in 0..layers {
+        let cur: Vec<TaskId> = (0..width)
+            .map(|i| {
+                job.task(
+                    TaskSpec::new(format!("t{l}_{i}"))
+                        .work(WorkClass::Scalar, 10_000 + (7 * i + l) as u64 % 2_000)
+                        .output_bytes(4096)
+                        .body(|ctx| {
+                            ctx.compute(WorkClass::Scalar, 10_000);
+                            Ok(())
+                        }),
+                )
+            })
+            .collect();
+        if l > 0 {
+            for (i, &t) in cur.iter().enumerate() {
+                job.edge(prev[i % width], t);
+                job.edge(prev[(i + 1) % width], t);
+            }
+        }
+        prev = cur;
+    }
+    job.build().expect("layered DAG is valid")
+}
+
+/// A two-step lookup and a 1 -> 2 -> 1 fan-out with KiB outputs.
+fn templates() -> ServeLayer {
+    fn cpu(name: &str, elems: u64) -> TaskSpec {
+        TaskSpec::new(name)
+            .work(WorkClass::Scalar, elems)
+            .require(ComputeKind::Cpu)
+            .body(move |ctx| {
+                ctx.compute(WorkClass::Scalar, elems);
+                Ok(())
+            })
+    }
+    let mut layer = ServeLayer::new();
+    layer.register("lookup", |req: &Request| {
+        let mut j = JobBuilder::new("lookup");
+        let a = j.task(cpu("probe", 2_000 + req.seed % 400).output_bytes(1 << 10));
+        let b = j.task(cpu("reply", 1_000));
+        j.edge(a, b);
+        j.build().expect("lookup template")
+    });
+    layer.register("fanout", |req: &Request| {
+        let mut j = JobBuilder::new("fanout");
+        let split = j.task(cpu("split", 2_000 + req.seed % 400).output_bytes(4 << 10));
+        let join = j.task(cpu("join", 1_000).output_bytes(1 << 10));
+        for name in ["part0", "part1"] {
+            let part = j.task(cpu(name, 2_000).output_bytes(2 << 10));
+            j.edge(split, part);
+            j.edge(part, join);
+        }
+        j.build().expect("fanout template")
+    });
+    layer
+}
+
+#[test]
+fn committing_a_task_stays_within_its_allocation_budget() {
+    // Closed batch: 16 x 24 x 24 two-parent DAGs, built outside the count.
+    let jobs: Vec<JobSpec> = (0..16).map(|j| layered_job(j, 24, 24)).collect();
+    let (topo, _) = disaggregated_rack(4, 16, 4, 256);
+    let mut rt = Runtime::new(topo, RuntimeConfig::default());
+    let (report, calls) = calls_during(|| rt.execute(jobs).expect("batch runs"));
+    let tasks = report.tasks.len();
+    assert_eq!(tasks, 16 * 24 * 24);
+    let per_task = calls as f64 / tasks as f64;
+    eprintln!("batch: {calls} allocator calls, {per_task:.3} per task");
+    assert!(
+        per_task <= BATCH_CALLS_PER_TASK,
+        "a batch of {tasks} tasks made {calls} allocator calls ({per_task:.2} per task, \
+         budget {BATCH_CALLS_PER_TASK}): something on the commit path allocates per task again"
+    );
+    drop((rt, report));
+
+    // Open-loop serving, traced, with quota, SLO and the control plane.
+    let layer = templates();
+    let cfg = ServeConfig {
+        arrivals: ArrivalProcess::Poisson {
+            mean_gap: SimDuration(100),
+        },
+        requests: 2_000,
+        tenants: 6,
+        zipf_theta: 1.0,
+        seed: 7,
+        quota: Some(1 << 20),
+        slo: Some(Slo {
+            p50: SimDuration(4_000),
+            p99: SimDuration(40_000),
+        }),
+        control: Some(ControlPlane::default()),
+        ..ServeConfig::default()
+    };
+    let (topo, _) = disaggregated_rack(4, 8, 2, 32);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let (served, calls) = calls_during(|| layer.run(&mut rt, &cfg).expect("serving run"));
+    let tasks = served.run.tasks.len();
+    assert!(tasks >= 2_000, "most requests are admitted and run: {tasks} tasks");
+    let per_task = calls as f64 / tasks as f64;
+    eprintln!("serve: {calls} allocator calls, {per_task:.3} per task");
+    assert!(
+        per_task <= SERVE_CALLS_PER_TASK,
+        "serving {tasks} tasks made {calls} allocator calls ({per_task:.2} per task, \
+         budget {SERVE_CALLS_PER_TASK})"
+    );
+}
