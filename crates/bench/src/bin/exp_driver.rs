@@ -1,10 +1,10 @@
-//! Parallel experiment driver: fans the `exp_*` suite across cores,
-//! measures simulator throughput, and (with `--json`) emits the
-//! `BENCH_disagg.json` record.
+//! Parallel experiment driver: fans the experiment suite across cores
+//! and (with `--json`) emits the `BENCH_disagg.json` record.
 //!
 //! Stdout carries only the deterministic experiment tables (in registry
 //! order — byte-identical between serial and parallel runs, and across
-//! repeated runs). Timing lives on stderr and in the JSON record.
+//! repeated runs), and the record is those tables plus the raw numbers
+//! behind them. Progress timing lives on stderr and nowhere else.
 //!
 //! Flags are parsed strictly — see [`USAGE`] (`--help`).
 
@@ -18,11 +18,10 @@ usage: exp_driver [flags]
   --serial         run on one thread (reference path)
   --threads N      worker count (default: available parallelism)
   --only a,b       run only the listed experiment ids
+  --markdown       print the tables as Markdown (what EXPERIMENTS.md
+                   embeds) instead of aligned ASCII
   --json PATH      write the benchmark record to PATH (no record is
                    written without it)
-  --no-thru        skip the throughput measurement
-  --thru-only      skip the experiment suite and chaos record; only
-                   measure throughput (what scripts/bench_guard.sh runs)
   --verify         additionally run serially and fail (exit 1) if
                    parallel output is not byte-identical
   --trace-out DIR  re-run each experiment's representative workload
@@ -44,9 +43,8 @@ struct Opts {
     serial: bool,
     threads: Option<usize>,
     only: Vec<String>,
+    markdown: bool,
     json: Option<String>,
-    no_thru: bool,
-    thru_only: bool,
     verify: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -63,8 +61,7 @@ fn parse(args: &[String]) -> Result<Option<Opts>, String> {
         match flag.as_str() {
             "--quick" => o.quick = true,
             "--serial" => o.serial = true,
-            "--no-thru" => o.no_thru = true,
-            "--thru-only" => o.thru_only = true,
+            "--markdown" => o.markdown = true,
             "--verify" => o.verify = true,
             "--help" => return Ok(None),
             "--threads" => {
@@ -74,7 +71,13 @@ fn parse(args: &[String]) -> Result<Option<Opts>, String> {
                         .map_err(|_| format!("--threads: not a count: {v}"))?,
                 );
             }
-            "--only" => o.only = value()?.split(',').map(|s| s.trim().to_string()).collect(),
+            "--only" => {
+                o.only = value()?.split(',').map(|s| s.trim().to_string()).collect();
+                let known = disagg_bench::exp::all();
+                if let Some(id) = o.only.iter().find(|o| !known.iter().any(|(id, _)| id == o)) {
+                    return Err(format!("--only: no such experiment: {id}"));
+                }
+            }
             "--json" => o.json = Some(value()?),
             "--trace-out" => o.trace_out = Some(value()?),
             "--metrics-out" => o.metrics_out = Some(value()?),
@@ -102,9 +105,8 @@ fn main() {
         serial,
         threads,
         only,
+        markdown,
         json,
-        no_thru,
-        thru_only,
         verify,
         trace_out,
         metrics_out,
@@ -119,33 +121,14 @@ fn main() {
         })
     };
 
-    let t0 = std::time::Instant::now();
-    let results = if thru_only {
-        Vec::new()
-    } else {
-        driver::run_experiments(&only, quick, threads)
-    };
-    if !thru_only && results.is_empty() && !only.is_empty() {
-        eprintln!("no experiment matches --only {}", only.join(","));
-        std::process::exit(2);
+    let tables = driver::run_experiments(&only, quick, threads);
+    for t in &tables {
+        println!("{}", if markdown { t.render_markdown() } else { t.render() });
     }
-    for r in &results {
-        print!("{}", r.output);
-        println!();
-        eprintln!("{:<10} {:>10.3}s", r.id, r.wall.as_secs_f64());
-    }
-    eprintln!(
-        "suite: {} experiments on {} thread(s) in {:.3}s",
-        results.len(),
-        threads,
-        t0.elapsed().as_secs_f64()
-    );
 
     if verify {
-        let serial = driver::run_experiments(&only, quick, 1);
-        let parallel_out: String = results.iter().map(|r| r.output.as_str()).collect();
-        let serial_out: String = serial.iter().map(|r| r.output.as_str()).collect();
-        if parallel_out != serial_out {
+        let render = |ts: &[disagg_bench::Table]| ts.iter().map(|t| t.render()).collect::<String>();
+        if render(&tables) != render(&driver::run_experiments(&only, quick, 1)) {
             eprintln!("VERIFY FAILED: parallel output differs from serial run");
             std::process::exit(1);
         }
@@ -160,8 +143,8 @@ fn main() {
             }
         }
         let mut metrics_entries: Vec<(String, String)> = Vec::new();
-        for r in &results {
-            let Some(outcome) = driver::observed_artifacts(r.id, quick) else {
+        for t in &tables {
+            let Some(outcome) = driver::observed_artifacts(t.id, quick) else {
                 continue;
             };
             let art = match outcome {
@@ -230,64 +213,8 @@ fn main() {
         }
     }
 
-    let reps = if quick { 1 } else { 3 };
-    let throughputs: Vec<driver::Throughput> = if no_thru {
-        Vec::new()
-    } else {
-        // The serving mix rides along in the same guarded format.
-        driver::throughput_suite(quick)
-            .into_iter()
-            .map(|(j, l, w)| driver::measure_throughput(j, l, w, reps))
-            .chain(std::iter::once_with(|| driver::measure_serving_throughput(reps, quick)))
-            .inspect(|t| {
-                eprintln!(
-                    "throughput {}: {} tasks, {} events, {:.4}s → {:.0} events/sec ({:.0} tasks/sec), \
-                     {} B materialized",
-                    t.name,
-                    t.tasks,
-                    t.events,
-                    t.wall.as_secs_f64(),
-                    t.events_per_sec(),
-                    t.tasks_per_sec(),
-                    t.materialized
-                );
-            })
-            .collect()
-    };
-
     if let Some(json_path) = json {
-        // The chaos section carries only virtual-time fields, so the
-        // record's chaos entries are byte-identical between runs.
-        let chaos = if !thru_only && (only.is_empty() || only.iter().any(|o| o == "chaos")) {
-            driver::chaos_record(quick)
-        } else {
-            Vec::new()
-        };
-        // Like chaos, the serving section is virtual-time-only and
-        // byte-identical between runs.
-        let serving = if !thru_only && (only.is_empty() || only.iter().any(|o| o == "serving")) {
-            Some(driver::serving_record(quick))
-        } else {
-            None
-        };
-        // The chaos-under-load sweep nests under `serving.chaos`; like
-        // the sections above it is virtual-time-only and byte-identical
-        // between runs.
-        let chaos_serve =
-            if !thru_only && (only.is_empty() || only.iter().any(|o| o == "chaos_serve")) {
-                Some(driver::chaos_serve_record(quick))
-            } else {
-                None
-            };
-        let json = driver::bench_json(
-            &results,
-            &throughputs,
-            &chaos,
-            serving.as_ref(),
-            chaos_serve.as_ref(),
-            quick,
-            threads,
-        );
+        let json = driver::bench_json(&tables, quick);
         match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(json.as_bytes())) {
             Ok(()) => eprintln!("wrote {json_path}"),
             Err(e) => {

@@ -2,27 +2,28 @@
 //!
 //! Virtual time is single-threaded by design — one event loop per
 //! [`Runtime`] keeps the simulation bit-for-bit deterministic. Sweeps
-//! are not: the 16 `exp_*` experiments and intra-experiment config
+//! are not: the 18 experiments and intra-experiment config
 //! sweeps are independent simulations, so the driver fans them across
 //! cores with `std::thread::scope` (no external dependencies) and
 //! merges results back in submission order. The merge is index-stable:
 //! result `i` always lands in slot `i` no matter which worker finishes
 //! first, so parallel output is byte-identical to a serial run.
 //!
-//! The driver also measures simulator throughput (events/sec of the
-//! executor's event loop on a rack-scale stress batch) and emits a
-//! machine-readable `BENCH_disagg.json` so successive PRs accumulate a
-//! performance trajectory.
+//! The driver also renders the machine-readable `BENCH_disagg.json`:
+//! every table plus the raw records behind three of them, all virtual
+//! time, so the record is a pure function of the source and a model
+//! change shows up as a diff. Host wall-clock is `benchmark/`'s job;
+//! the only clock read here is the progress timer on stderr.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use disagg_core::obs::{
     chrome_trace, folded_stacks, render_critical_paths, validate_chrome_trace, FullObserver,
     ObserverSlot,
 };
-use disagg_core::prelude::{RecoveryPolicy, RunReport, Runtime, RuntimeConfig};
+use disagg_core::prelude::{RecoveryPolicy, Runtime, RuntimeConfig};
 use disagg_dataflow::job::JobSpec;
 use disagg_dataflow::task::TaskId;
 use disagg_dataflow::{JobBuilder, TaskSpec};
@@ -39,10 +40,7 @@ use disagg_workloads::hpc::{stencil_job, HpcConfig};
 use disagg_workloads::ml::{training_job, MlConfig};
 use disagg_workloads::streaming::{windowed_job, StreamConfig};
 
-use crate::exp;
-use crate::exp::chaos::ChaosRow;
-use crate::exp::chaos_serve::ChaosServeRecord;
-use crate::exp::serving::ServingRecord;
+use crate::{exp, Table};
 
 /// Order-preserving parallel map: runs `f` over `items` on up to
 /// `threads` workers and returns results in input order. `threads <= 1`
@@ -80,21 +78,11 @@ where
         .collect()
 }
 
-/// One experiment's outcome: rendered table plus its wall-clock.
-#[derive(Debug, Clone)]
-pub struct ExpResult {
-    /// Experiment id ("table1", "fig4", ...).
-    pub id: &'static str,
-    /// The rendered ASCII table (deterministic; what gets printed).
-    pub output: String,
-    /// Host wall-clock the experiment took.
-    pub wall: Duration,
-}
-
 /// Runs the experiment suite — all of it, or the ids in `only` — across
-/// `threads` workers. Results come back in registry order regardless of
-/// completion order.
-pub fn run_experiments(only: &[String], quick: bool, threads: usize) -> Vec<ExpResult> {
+/// `threads` workers, each experiment once. Tables come back in
+/// registry order regardless of completion order; the seconds each took
+/// go to stderr as progress and nowhere else.
+pub fn run_experiments(only: &[String], quick: bool, threads: usize) -> Vec<Table> {
     let suite: Vec<exp::Experiment> = exp::all()
         .into_iter()
         .filter(|(id, _)| only.is_empty() || only.iter().any(|o| o == id))
@@ -102,7 +90,8 @@ pub fn run_experiments(only: &[String], quick: bool, threads: usize) -> Vec<ExpR
     sweep(suite, threads, |(id, runner)| {
         let t = Instant::now();
         let table = runner(quick);
-        ExpResult { id, output: table.render(), wall: t.elapsed() }
+        eprintln!("{id:<12} {:>8.3}s", t.elapsed().as_secs_f64());
+        table
     })
 }
 
@@ -135,87 +124,6 @@ pub fn stress_jobs(jobs: usize, layers: usize, width: usize) -> Vec<JobSpec> {
             job.build().expect("stress job is a valid DAG")
         })
         .collect()
-}
-
-/// Simulator throughput on one stress configuration.
-#[derive(Debug, Clone)]
-pub struct Throughput {
-    /// Configuration label, e.g. `"j8_l16_w16"`.
-    pub name: String,
-    /// Tasks executed.
-    pub tasks: usize,
-    /// Executor event-loop events processed.
-    pub events: u64,
-    /// Best wall-clock over the measurement repetitions.
-    pub wall: Duration,
-    /// Pool backing bytes the pass materialized
-    /// (`MemoryPool::bytes_materialized`; exact per configuration).
-    pub materialized: u64,
-}
-
-impl Throughput {
-    /// The record of one timed pass: counts from its report, the pool
-    /// counter from the runtime it ran on.
-    fn of(name: String, run: &RunReport, wall: Duration, rt: &Runtime) -> Self {
-        Throughput {
-            name,
-            tasks: run.tasks.len(),
-            events: run.events,
-            wall,
-            materialized: rt.manager().pool().bytes_materialized(),
-        }
-    }
-
-    /// Events per host second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.wall.as_secs_f64()
-    }
-
-    /// Tasks per host second.
-    pub fn tasks_per_sec(&self) -> f64 {
-        self.tasks as f64 / self.wall.as_secs_f64()
-    }
-}
-
-/// Runs the stress batch once on the rack-scale preset.
-pub fn stress_run(jobs: usize, layers: usize, width: usize) -> Throughput {
-    let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
-    let mut rt = Runtime::new(topo, RuntimeConfig::default());
-    let batch = stress_jobs(jobs, layers, width);
-    let t = Instant::now();
-    let report = rt.execute(batch).expect("stress batch runs");
-    let wall = t.elapsed();
-    Throughput::of(format!("j{jobs}_l{layers}_w{width}"), &report, wall, &rt)
-}
-
-/// The fastest of `reps` passes (at least one).
-fn best_of(reps: usize, pass: impl Fn() -> Throughput) -> Throughput {
-    (0..reps.max(1)).map(|_| pass()).min_by_key(|t| t.wall).expect("at least one rep")
-}
-
-/// Best-of-`reps` throughput for one stress configuration.
-pub fn measure_throughput(jobs: usize, layers: usize, width: usize, reps: usize) -> Throughput {
-    best_of(reps, || stress_run(jobs, layers, width))
-}
-
-/// Pre-refactor (seed executor) tasks/sec on the same stress configs and
-/// host class, captured before this PR's hot-path work landed. The event
-/// sequence per workload is unchanged (bit-for-bit identical reports),
-/// so tasks/sec ratios equal events/sec ratios.
-pub const BASELINE_TASKS_PER_SEC: [(&str, f64); 3] = [
-    ("j4_l8_w8", 142_951.0),
-    ("j8_l16_w16", 116_836.0),
-    ("j16_l24_w24", 79_527.0),
-];
-
-/// The stress configurations the driver measures (quick keeps only the
-/// smallest).
-pub fn throughput_suite(quick: bool) -> Vec<(usize, usize, usize)> {
-    if quick {
-        vec![(4, 8, 8)]
-    } else {
-        vec![(4, 8, 8), (8, 16, 16), (16, 24, 24)]
-    }
 }
 
 /// A representative observed workload for one experiment id: the
@@ -344,57 +252,6 @@ pub fn observed_artifacts(id: &str, quick: bool) -> Option<Result<Artifacts, Str
     }))
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// Re-measures the chaos sweep for the benchmark record. Unlike the
-/// rendered table, these rows carry raw virtual-time numbers; every
-/// field is simulation-derived (no wall-clock), so the section is
-/// byte-identical across runs.
-pub fn chaos_record(quick: bool) -> Vec<ChaosRow> {
-    exp::chaos::measure(quick)
-}
-
-/// Re-measures the serving sweep for the benchmark record. Like the
-/// chaos section, every field is virtual-time-only, so the section is
-/// byte-identical across runs.
-pub fn serving_record(quick: bool) -> ServingRecord {
-    exp::serving::measure(quick)
-}
-
-/// Re-measures the chaos-under-load sweep (fault-aware controls vs the
-/// uncontrolled baseline) for the `serving.chaos` section. Virtual-time
-/// only, byte-identical across runs.
-pub fn chaos_serve_record(quick: bool) -> ChaosServeRecord {
-    exp::chaos_serve::measure(quick)
-}
-
-/// Best-of-`reps` wall-clock throughput of one saturation-load serving
-/// pass (the `serving_mix` record `scripts/bench_guard.sh` watches).
-/// The virtual outputs are deterministic; only the wall-clock moves.
-pub fn measure_serving_throughput(reps: usize, quick: bool) -> Throughput {
-    let requests = if quick { 32 } else { 96 };
-    let layer = exp::serving::templates();
-    let cfg = exp::serving::saturated_config(requests);
-    best_of(reps, || {
-        let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
-        let mut rt = Runtime::new(topo, RuntimeConfig::default());
-        let t = Instant::now();
-        let report = layer.run(&mut rt, &cfg).expect("serving throughput pass");
-        let wall = t.elapsed();
-        Throughput::of("serving_mix".into(), &report.run, wall, &rt)
-    })
-}
-
 /// One traced saturation serving pass rendered as Perfetto documents:
 /// the full trace (device lanes plus one request-span lane per tenant)
 /// and the exemplar-only view (each tenant's p99 exemplar requests
@@ -428,250 +285,37 @@ pub fn serving_trace_artifacts(quick: bool) -> Result<(String, String), String> 
     Ok((doc, exemplars))
 }
 
-/// Renders the machine-readable benchmark record (`BENCH_disagg.json`).
-/// Hand-rolled JSON keeps the workspace dependency-free.
-pub fn bench_json(
-    experiments: &[ExpResult],
-    throughputs: &[Throughput],
-    chaos: &[ChaosRow],
-    serving: Option<&ServingRecord>,
-    chaos_serve: Option<&ChaosServeRecord>,
-    quick: bool,
-    threads: usize,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"disagg-bench-v1\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"throughput\": [\n");
-    for (i, t) in throughputs.iter().enumerate() {
-        let baseline = BASELINE_TASKS_PER_SEC
-            .iter()
-            .find(|(n, _)| *n == t.name)
-            .map(|&(_, b)| b);
-        let speedup = baseline.map(|b| t.tasks_per_sec() / b);
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"tasks\": {}, \"events\": {}, \"wall_s\": {:.6}, \
-             \"events_per_sec\": {:.0}, \"tasks_per_sec\": {:.0}, \
-             \"baseline_tasks_per_sec\": {}, \"speedup_vs_seed\": {}}}{}\n",
-            json_escape(&t.name),
-            t.tasks,
-            t.events,
-            t.wall.as_secs_f64(),
-            t.events_per_sec(),
-            t.tasks_per_sec(),
-            baseline.map(|b| format!("{b:.0}")).unwrap_or_else(|| "null".into()),
-            speedup.map(|s| format!("{s:.2}")).unwrap_or_else(|| "null".into()),
-            if i + 1 < throughputs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"experiments\": [\n");
-    for (i, e) in experiments.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"wall_s\": {:.6}}}{}\n",
-            json_escape(e.id),
-            e.wall.as_secs_f64(),
-            if i + 1 < experiments.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    // Virtual-time only — this section must be byte-identical between
-    // runs (CI diffs it to police chaos-sweep determinism).
-    out.push_str("  \"chaos\": [\n");
-    for (i, r) in chaos.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"mttf\": \"{}\", \"makespan_ns\": {}, \
-             \"baseline_ns\": {}, \"slowdown\": {:.4}, \"retries\": {}, \
-             \"detected\": {}, \"reconstructs\": {}}}{}\n",
-            json_escape(r.workload),
-            json_escape(r.mttf),
-            r.makespan.0,
-            r.baseline.0,
-            r.slowdown(),
-            r.retries,
-            r.detected,
-            r.reconstructs,
-            if i + 1 < chaos.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    // Virtual-time only, like the chaos section — CI diffs two runs of
-    // this section to police serving determinism. The chaos-under-load
-    // record nests inside it as `serving.chaos` (emitted alone when
-    // only the chaos-serve sweep ran).
-    match (serving, chaos_serve) {
-        (None, None) => out.push_str("  \"serving\": null\n"),
-        (None, Some(cs)) => {
-            out.push_str("  \"serving\": {\n");
-            push_serving_chaos(&mut out, cs);
-            out.push_str("  }\n");
-        }
-        (Some(rec), cs) => {
-            out.push_str("  \"serving\": {\n");
-            out.push_str(&format!(
-                "    \"tenants\": {}, \"requests\": {}, \"seed\": {},\n",
-                rec.tenants, rec.requests, rec.seed
-            ));
-            out.push_str("    \"sweep\": [\n");
-            for (i, r) in rec.sweep.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"load\": \"{}\", \"mean_gap_ns\": {}, \"offered\": {}, \
-                     \"admitted\": {}, \"rejected\": {}, \"makespan_ns\": {}, \
-                     \"p50_ns\": {}, \"p99_ns\": {}, \"peak_util\": {:.6}}}{}\n",
-                    json_escape(r.load),
-                    r.mean_gap.0,
-                    r.offered,
-                    r.admitted,
-                    r.rejected,
-                    r.makespan.0,
-                    r.p50.0,
-                    r.p99.0,
-                    r.peak_util,
-                    if i + 1 < rec.sweep.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("    ],\n");
-            out.push_str(&format!(
-                "    \"knee\": {{\"load\": \"{}\", \"mean_gap_ns\": {}, \"p99_ns\": {}}},\n",
-                json_escape(rec.sweep[rec.knee].load),
-                rec.sweep[rec.knee].mean_gap.0,
-                rec.sweep[rec.knee].p99.0,
-            ));
-            out.push_str("    \"knee_tenants\": [\n");
-            for (i, t) in rec.knee_tenants.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"tenant\": {}, \"offered\": {}, \"admitted\": {}, \
-                     \"rejected\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"slo_met\": {}}}{}\n",
-                    t.tenant,
-                    t.offered,
-                    t.admitted,
-                    t.rejected,
-                    t.p50.0,
-                    t.p99.0,
-                    t.slo_met,
-                    if i + 1 < rec.knee_tenants.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("    ],\n");
-            out.push_str("    \"util_curve\": [\n");
-            for (i, (at, frac)) in rec.util_curve.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"at_ns\": {}, \"frac\": {:.6}}}{}\n",
-                    at.0,
-                    frac,
-                    if i + 1 < rec.util_curve.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("    ],\n");
-            // Request-centric tail attribution at the knee: per tenant,
-            // the exact p99, the five-component breakdown (sums to the
-            // tenant's total request time), exemplar request ids, and
-            // the SLO burn curve. Virtual-time only, byte-identical
-            // across runs.
-            out.push_str("    \"tail_attribution\": [\n");
-            for (i, ta) in rec.tail_attribution.iter().enumerate() {
-                let a = &ta.total;
-                let exemplars: Vec<String> =
-                    ta.exemplars.iter().map(u64::to_string).collect();
-                out.push_str(&format!(
-                    "      {{\"tenant\": {}, \"requests\": {}, \"p99_ns\": {}, \
-                     \"admission_ns\": {}, \"queue_ns\": {}, \"compute_ns\": {}, \
-                     \"transfer_ns\": {}, \"recovery_ns\": {}, \"dominant\": \"{}\", \
-                     \"exemplars\": [{}], \"burn\": [",
-                    ta.tenant,
-                    ta.requests,
-                    ta.p99.0,
-                    a.admission.0,
-                    a.queue.0,
-                    a.compute.0,
-                    a.transfer.0,
-                    a.recovery.0,
-                    ta.dominant.name(),
-                    exemplars.join(", "),
-                ));
-                let burn = rec
-                    .burn
-                    .iter()
-                    .find(|b| b.tenant == ta.tenant)
-                    .map(|b| b.windows.as_slice())
-                    .unwrap_or(&[]);
-                for (j, w) in burn.iter().enumerate() {
-                    out.push_str(&format!(
-                        "{}{{\"start_ns\": {}, \"end_ns\": {}, \"good\": {}, \"bad\": {}, \
-                         \"rate\": {:.4}}}",
-                        if j == 0 { "" } else { ", " },
-                        w.start.0,
-                        w.end.0,
-                        w.good,
-                        w.bad,
-                        w.burn_rate(),
-                    ));
-                }
-                out.push_str(&format!(
-                    "]}}{}\n",
-                    if i + 1 < rec.tail_attribution.len() { "," } else { "" },
-                ));
-            }
-            out.push_str("    ],\n");
-            match cs {
-                None => out.push_str("    \"chaos\": null\n"),
-                Some(cs) => push_serving_chaos(&mut out, cs),
-            }
-            out.push_str("  }\n");
+/// Renders the machine-readable benchmark record (`BENCH_disagg.json`):
+/// every table, then the raw-record fragments the tables carry — at the
+/// top level, or grouped under the object a fragment names. Hand-rolled
+/// JSON keeps the workspace dependency-free.
+pub fn bench_json(tables: &[Table], quick: bool) -> String {
+    let experiments: Vec<String> = tables.iter().map(|t| format!("    {}", t.to_json())).collect();
+    let mut members = vec![
+        "\"schema\": \"disagg-bench-v2\"".to_string(),
+        format!("\"quick\": {quick}"),
+        format!("\"experiments\": [\n{}\n  ]", experiments.join(",\n")),
+    ];
+    let mut objects: Vec<(&str, Vec<&str>)> = Vec::new();
+    for f in tables.iter().filter_map(|t| t.record.as_ref()) {
+        if f.parent.is_empty() {
+            members.push(f.members.clone());
+        } else if let Some((_, parts)) = objects.iter_mut().find(|(name, _)| *name == f.parent) {
+            parts.push(&f.members);
+        } else {
+            objects.push((f.parent, vec![&f.members]));
         }
     }
-    out.push_str("}\n");
-    out
-}
-
-/// Emits the `serving.chaos` object body (the chaos-under-load sweep):
-/// per (load, variant) row, admission/shed/degrade/fast-fail counts,
-/// SLO goodput, breaker trips, the fault window, and burn
-/// during/after with the measured recovery. All fields virtual-time.
-fn push_serving_chaos(out: &mut String, rec: &ChaosServeRecord) {
-    out.push_str("    \"chaos\": {\n");
-    out.push_str(&format!(
-        "      \"tenants\": {}, \"requests\": {}, \"seed\": {}, \"slo_p99_ns\": {},\n",
-        rec.tenants, rec.requests, rec.seed, rec.slo_p99.0
-    ));
-    out.push_str("      \"rows\": [\n");
-    for (i, r) in rec.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"load\": \"{}\", \"controls\": {}, \"mean_gap_ns\": {}, \
-             \"offered\": {}, \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \
-             \"degraded\": {}, \"fast_failed\": {}, \"goodput\": {}, \"p99_ns\": {}, \
-             \"makespan_ns\": {}, \"breaker_trips\": {}, \"fault_start_ns\": {}, \
-             \"fault_end_ns\": {}, \"burn_during\": {:.4}, \"burn_after\": {:.4}, \
-             \"recovered\": {}, \"recovery_ns\": {}}}{}\n",
-            json_escape(r.load),
-            r.controls,
-            r.mean_gap.0,
-            r.offered,
-            r.admitted,
-            r.rejected,
-            r.shed,
-            r.degraded,
-            r.fast_failed,
-            r.goodput,
-            r.p99.0,
-            r.makespan.0,
-            r.breaker_trips,
-            r.fault_start.0,
-            r.fault_end.0,
-            r.burn_during,
-            r.burn_after,
-            r.recovered,
-            r.recovery.0,
-            if i + 1 < rec.rows.len() { "," } else { "" },
-        ));
+    for (name, parts) in objects {
+        members.push(format!("\"{name}\": {{\n{}\n  }}", parts.join(",\n")));
     }
-    out.push_str("      ]\n    }\n");
+    format!("{{\n  {}\n}}\n", members.join(",\n  "))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fragment;
 
     #[test]
     fn sweep_preserves_input_order() {
@@ -683,157 +327,37 @@ mod tests {
     }
 
     #[test]
-    fn stress_batch_is_deterministic() {
-        let a = stress_run(2, 3, 3);
-        let b = stress_run(2, 3, 3);
-        assert_eq!((a.tasks, a.events, a.materialized), (b.tasks, b.events, b.materialized));
-        assert_eq!(a.tasks, 2 * 3 * 3, "every stress task executes");
-        assert!(a.events >= a.tasks as u64, "at least one event per task");
-    }
-
-    #[test]
     fn bench_json_is_well_formed_enough() {
-        let thru = vec![Throughput {
-            name: "j4_l8_w8".into(),
-            tasks: 256,
-            events: 1024,
-            wall: Duration::from_millis(2),
-            materialized: 0,
-        }];
-        let exps = vec![ExpResult {
-            id: "table1",
-            output: String::new(),
-            wall: Duration::from_millis(1),
-        }];
-        let chaos = vec![ChaosRow {
-            workload: "dbms",
-            mttf: "0.50T",
-            makespan: SimDuration(3_000),
-            baseline: SimDuration(2_000),
-            retries: 2,
-            detected: 1,
-            reconstructs: 1,
-        }];
-        let serving = ServingRecord {
-            tenants: 2,
-            requests: 8,
-            seed: 7,
-            sweep: vec![crate::exp::serving::ServingRow {
-                load: "1.00x",
-                mean_gap: SimDuration(1_000),
-                offered: 8,
-                admitted: 7,
-                rejected: 1,
-                makespan: SimDuration(9_000),
-                p50: SimDuration(2_000),
-                p99: SimDuration(5_000),
-                peak_util: 0.125,
-            }],
-            knee: 0,
-            knee_tenants: vec![crate::exp::serving::TenantRow {
-                tenant: 0,
-                offered: 8,
-                admitted: 7,
-                rejected: 1,
-                p50: SimDuration(2_000),
-                p99: SimDuration(5_000),
-                slo_met: true,
-            }],
-            util_curve: vec![(SimDuration::ZERO, 0.0), (SimDuration(4_500), 0.125)],
-            tail_attribution: vec![disagg_obs::TenantAttribution {
-                tenant: 0,
-                requests: 7,
-                total: disagg_obs::Attribution {
-                    admission: SimDuration(100),
-                    queue: SimDuration(5_000),
-                    compute: SimDuration(3_000),
-                    transfer: SimDuration(400),
-                    recovery: SimDuration(0),
-                },
-                p99: SimDuration(5_000),
-                exemplars: vec![3, 5],
-                dominant: disagg_obs::SegmentKind::Queue,
-            }],
-            burn: vec![disagg_obs::TenantBurn {
-                tenant: 0,
-                windows: vec![disagg_obs::BurnWindow {
-                    start: disagg_hwsim::time::SimTime(0),
-                    end: disagg_hwsim::time::SimTime(4_500),
-                    good: 6,
-                    bad: 1,
-                }],
-            }],
+        let table = |id, record| {
+            let mut t = Table::new(id, format!("Title of {id}"), &["Name", "Value"]);
+            t.row(vec!["a".into(), "1".into()]);
+            t.record = record;
+            t
         };
-        let chaos_serve = crate::exp::chaos_serve::ChaosServeRecord {
-            tenants: 2,
-            requests: 8,
-            seed: 7,
-            slo_p99: SimDuration(16_000),
-            rows: vec![crate::exp::chaos_serve::ChaosServeRow {
-                load: "1.00x",
-                mean_gap: SimDuration(1_000),
-                controls: true,
-                offered: 8,
-                admitted: 6,
-                rejected: 1,
-                shed: 1,
-                degraded: 2,
-                fast_failed: 1,
-                goodput: 5,
-                p99: SimDuration(5_000),
-                makespan: SimDuration(9_000),
-                breaker_trips: 3,
-                fault_start: disagg_hwsim::time::SimTime(2_000),
-                fault_end: disagg_hwsim::time::SimTime(4_000),
-                burn_during: 7.5,
-                burn_after: 0.25,
-                recovered: true,
-                recovery: SimDuration(1_500),
-            }],
-        };
-        let s = bench_json(
-            &exps,
-            &thru,
-            &chaos,
-            Some(&serving),
-            Some(&chaos_serve),
-            true,
-            4,
-        );
-        assert!(s.contains("\"schema\": \"disagg-bench-v1\""));
-        assert!(s.contains("\"serving\": {"));
-        assert!(s.contains("\"knee\": {\"load\": \"1.00x\""));
-        assert!(s.contains("\"tail_attribution\": ["));
-        assert!(s.contains("\"dominant\": \"queue\""));
-        assert!(s.contains("\"exemplars\": [3, 5]"));
-        assert!(s.contains("\"rate\": 14.2857"), "1 bad of 7 burns ~14x the 1% budget");
-        assert!(s.contains("\"peak_util\": 0.125000"));
-        assert!(s.contains("\"slo_met\": true"));
-        assert!(s.contains("\"chaos\": {"));
-        assert!(s.contains("\"breaker_trips\": 3"));
-        assert!(s.contains("\"burn_during\": 7.5000"));
-        assert!(s.contains("\"recovered\": true"));
-        assert!(s.contains("\"recovery_ns\": 1500"));
-        let without = bench_json(&exps, &thru, &chaos, None, None, true, 4);
-        assert!(without.contains("\"serving\": null"));
-        assert_eq!(without.matches('{').count(), without.matches('}').count());
-        let chaos_only = bench_json(
-            &exps,
-            &thru,
-            &chaos,
-            Some(&serving),
-            None,
-            true,
-            4,
-        );
-        assert!(chaos_only.contains("\"chaos\": null"));
-        assert_eq!(chaos_only.matches('{').count(), chaos_only.matches('}').count());
-        assert!(s.contains("\"name\": \"j4_l8_w8\""));
-        assert!(s.contains("\"speedup_vs_seed\""));
-        assert!(s.contains("\"id\": \"table1\""));
-        assert!(s.contains("\"workload\": \"dbms\""));
-        assert!(s.contains("\"slowdown\": 1.5000"));
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
+        let frag = |parent, members: &str| Some(Fragment { parent, members: members.into() });
+        let tables = vec![
+            table("table1", None),
+            table("chaos", frag("", "\"chaos\": [{\"slowdown\": 1.5000}]")),
+            table("serving", frag("serving", "\"tenants\": 2, \"sweep\": []")),
+            table("chaos_serve", frag("serving", "\"chaos\": {\"rows\": []}")),
+        ];
+        let s = bench_json(&tables, true);
+        let v = disagg_obs::json::parse(&s).expect("the record is valid JSON");
+        assert_eq!(v.get("schema").and_then(|v| v.as_str()), Some("disagg-bench-v2"));
+        assert_eq!(v.get("quick"), Some(&disagg_obs::json::Value::Bool(true)));
+        let exps = v.get("experiments").and_then(|v| v.as_arr()).expect("experiments");
+        let ids: Vec<_> = exps.iter().map(|e| e.get("id").and_then(|v| v.as_str())).collect();
+        assert_eq!(ids, [Some("table1"), Some("chaos"), Some("serving"), Some("chaos_serve")]);
+        assert_eq!(exps[0].get("rows").and_then(|v| v.as_arr()).map(<[_]>::len), Some(1));
+        // Top-level fragments stand alone; fragments naming the same
+        // object merge into it.
+        let chaos = v.get("chaos").and_then(|v| v.as_arr()).expect("chaos section");
+        assert_eq!(chaos[0].get("slowdown").and_then(|v| v.as_f64()), Some(1.5));
+        let serving = v.get("serving").expect("serving section");
+        assert_eq!(serving.get("tenants").and_then(|v| v.as_f64()), Some(2.0));
+        assert!(serving.get("chaos").and_then(|c| c.get("rows")).is_some(), "serving.chaos nests");
+        // A partial suite simply lacks the sections nobody measured.
+        let partial = disagg_obs::json::parse(&bench_json(&tables[..1], false)).unwrap();
+        assert!(partial.get("chaos").is_none() && partial.get("serving").is_none());
     }
 }

@@ -22,7 +22,7 @@ use disagg_workloads::dbms::{query_job, DbmsConfig};
 use disagg_workloads::ml::{training_job, MlConfig};
 use disagg_workloads::streaming::{windowed_job, StreamConfig};
 
-use crate::{fmt_dur, Table};
+use crate::{fmt_dur, Fragment, Table};
 
 /// One (workload, MTTF) sweep point.
 #[derive(Debug, Clone)]
@@ -48,6 +48,30 @@ impl ChaosRow {
     pub fn slowdown(&self) -> f64 {
         self.makespan.as_nanos_f64() / self.baseline.as_nanos_f64()
     }
+}
+
+/// The `chaos` section of the benchmark record: the sweep points with
+/// their raw virtual-time numbers (the table rounds them).
+fn fragment(rows: &[ChaosRow]) -> Fragment {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"workload\": \"{}\", \"mttf\": \"{}\", \"makespan_ns\": {}, \
+                 \"baseline_ns\": {}, \"slowdown\": {:.4}, \"retries\": {}, \
+                 \"detected\": {}, \"reconstructs\": {}}}",
+                r.workload,
+                r.mttf,
+                r.makespan.0,
+                r.baseline.0,
+                r.slowdown(),
+                r.retries,
+                r.detected,
+                r.reconstructs,
+            )
+        })
+        .collect();
+    Fragment { parent: "", members: format!("\"chaos\": [\n{}\n  ]", rows.join(",\n")) }
 }
 
 /// A workload builder: `quick` in, a fresh job out.
@@ -200,6 +224,7 @@ pub fn run(quick: bool) -> Table {
     }
     t.note("fault plan is derived from the fault-free makespan T; all detection/backoff/retry is virtual time, so the sweep is bit-for-bit deterministic");
     t.note("shorter MTTF -> more crash/recover cycles and retries; the corruption burst and degraded-link window also scale with MTTF, so slowdown is not monotone in it");
+    t.record = Some(fragment(&rows));
     t
 }
 

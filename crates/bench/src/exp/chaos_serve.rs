@@ -23,7 +23,7 @@ use disagg_serve::{
     ArrivalProcess, ControlPlane, Request, ServeConfig, ServeLayer, Slo, Verdict,
 };
 
-use crate::{fmt_dur, Table};
+use crate::{fmt_dur, Fragment, Table};
 
 /// One (load, variant) sweep point.
 #[derive(Debug, Clone)]
@@ -97,6 +97,58 @@ impl ChaosServeRecord {
             [base, ctrl] => Some((base, ctrl)),
             _ => None,
         })
+    }
+
+    /// The `serving.chaos` section of the benchmark record: per (load,
+    /// variant) row, admission/shed/degrade/fast-fail counts, SLO
+    /// goodput, breaker trips, the fault window, and burn during/after
+    /// with the measured recovery.
+    fn fragment(&self) -> Fragment {
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| {
+                format!(
+                    "        {{\"load\": \"{}\", \"controls\": {}, \"mean_gap_ns\": {}, \
+                     \"offered\": {}, \"admitted\": {}, \"rejected\": {}, \"shed\": {}, \
+                     \"degraded\": {}, \"fast_failed\": {}, \"goodput\": {}, \"p99_ns\": {}, \
+                     \"makespan_ns\": {}, \"breaker_trips\": {}, \"fault_start_ns\": {}, \
+                     \"fault_end_ns\": {}, \"burn_during\": {:.4}, \"burn_after\": {:.4}, \
+                     \"recovered\": {}, \"recovery_ns\": {}}}",
+                    r.load,
+                    r.controls,
+                    r.mean_gap.0,
+                    r.offered,
+                    r.admitted,
+                    r.rejected,
+                    r.shed,
+                    r.degraded,
+                    r.fast_failed,
+                    r.goodput,
+                    r.p99.0,
+                    r.makespan.0,
+                    r.breaker_trips,
+                    r.fault_start.0,
+                    r.fault_end.0,
+                    r.burn_during,
+                    r.burn_after,
+                    r.recovered,
+                    r.recovery.0,
+                )
+            })
+            .collect();
+        Fragment {
+            parent: "serving",
+            members: format!(
+                "    \"chaos\": {{\n      \"tenants\": {}, \"requests\": {}, \"seed\": {}, \
+                 \"slo_p99_ns\": {},\n      \"rows\": [\n{}\n      ]\n    }}",
+                self.tenants,
+                self.requests,
+                self.seed,
+                self.slo_p99.0,
+                rows.join(",\n"),
+            ),
+        }
     }
 }
 
@@ -513,6 +565,7 @@ pub fn run(quick: bool) -> Table {
         fmt_dur(rec.slo_p99)
     ));
     t.note("burn rates are against the 1% error budget (1.0 = at budget), peak over the shared window grid; all fields are virtual time, so the sweep is bit-for-bit deterministic");
+    t.record = Some(rec.fragment());
     t
 }
 

@@ -18,7 +18,7 @@ use disagg_hwsim::time::SimDuration;
 use disagg_obs::{TenantAttribution, TenantBurn};
 use disagg_serve::{ArrivalProcess, Request, ServeConfig, ServeLayer, Slo};
 
-use crate::{fmt_dur, Table};
+use crate::{fmt_dur, Fragment, Table};
 
 /// One offered-load sweep point.
 #[derive(Debug, Clone)]
@@ -90,6 +90,116 @@ pub struct ServingRecord {
     /// Per-tenant SLO burn curves at the knee (aligned virtual-time
     /// windows of good/bad counts against each tenant's p99 SLO).
     pub burn: Vec<TenantBurn>,
+}
+
+impl ServingRecord {
+    /// The `serving` section of the benchmark record: the sweep, the
+    /// knee, and at the knee the per-tenant outcomes, the utilization
+    /// curve and the request-centric tail attribution — per tenant the
+    /// exact p99, the five-component breakdown (sums to the tenant's
+    /// total request time), exemplar request ids and the SLO burn curve.
+    fn fragment(&self) -> Fragment {
+        let sweep: Vec<String> = self
+            .sweep
+            .iter()
+            .map(|r| {
+                format!(
+                    "      {{\"load\": \"{}\", \"mean_gap_ns\": {}, \"offered\": {}, \
+                     \"admitted\": {}, \"rejected\": {}, \"makespan_ns\": {}, \
+                     \"p50_ns\": {}, \"p99_ns\": {}, \"peak_util\": {:.6}}}",
+                    r.load,
+                    r.mean_gap.0,
+                    r.offered,
+                    r.admitted,
+                    r.rejected,
+                    r.makespan.0,
+                    r.p50.0,
+                    r.p99.0,
+                    r.peak_util,
+                )
+            })
+            .collect();
+        let knee = &self.sweep[self.knee];
+        let tenants: Vec<String> = self
+            .knee_tenants
+            .iter()
+            .map(|t| {
+                format!(
+                    "      {{\"tenant\": {}, \"offered\": {}, \"admitted\": {}, \
+                     \"rejected\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"slo_met\": {}}}",
+                    t.tenant, t.offered, t.admitted, t.rejected, t.p50.0, t.p99.0, t.slo_met,
+                )
+            })
+            .collect();
+        let util: Vec<String> = self
+            .util_curve
+            .iter()
+            .map(|(at, frac)| format!("      {{\"at_ns\": {}, \"frac\": {:.6}}}", at.0, frac))
+            .collect();
+        let tails: Vec<String> = self
+            .tail_attribution
+            .iter()
+            .map(|ta| {
+                let a = &ta.total;
+                let exemplars: Vec<String> = ta.exemplars.iter().map(u64::to_string).collect();
+                let burn: Vec<String> = self
+                    .burn
+                    .iter()
+                    .filter(|b| b.tenant == ta.tenant)
+                    .flat_map(|b| &b.windows)
+                    .map(|w| {
+                        format!(
+                            "{{\"start_ns\": {}, \"end_ns\": {}, \"good\": {}, \"bad\": {}, \
+                             \"rate\": {:.4}}}",
+                            w.start.0,
+                            w.end.0,
+                            w.good,
+                            w.bad,
+                            w.burn_rate(),
+                        )
+                    })
+                    .collect();
+                format!(
+                    "      {{\"tenant\": {}, \"requests\": {}, \"p99_ns\": {}, \
+                     \"admission_ns\": {}, \"queue_ns\": {}, \"compute_ns\": {}, \
+                     \"transfer_ns\": {}, \"recovery_ns\": {}, \"dominant\": \"{}\", \
+                     \"exemplars\": [{}], \"burn\": [{}]}}",
+                    ta.tenant,
+                    ta.requests,
+                    ta.p99.0,
+                    a.admission.0,
+                    a.queue.0,
+                    a.compute.0,
+                    a.transfer.0,
+                    a.recovery.0,
+                    ta.dominant.name(),
+                    exemplars.join(", "),
+                    burn.join(", "),
+                )
+            })
+            .collect();
+        Fragment {
+            parent: "serving",
+            members: format!(
+                "    \"tenants\": {}, \"requests\": {}, \"seed\": {},\n    \
+                 \"sweep\": [\n{}\n    ],\n    \
+                 \"knee\": {{\"load\": \"{}\", \"mean_gap_ns\": {}, \"p99_ns\": {}}},\n    \
+                 \"knee_tenants\": [\n{}\n    ],\n    \
+                 \"util_curve\": [\n{}\n    ],\n    \
+                 \"tail_attribution\": [\n{}\n    ]",
+                self.tenants,
+                self.requests,
+                self.seed,
+                sweep.join(",\n"),
+                knee.load,
+                knee.mean_gap.0,
+                knee.p99.0,
+                tenants.join(",\n"),
+                util.join(",\n"),
+                tails.join(",\n"),
+            ),
+        }
+    }
 }
 
 /// The heterogeneous template mix: an interactive point lookup, a small
@@ -263,8 +373,8 @@ pub fn measure(quick: bool) -> ServingRecord {
     }
 }
 
-/// The saturation-load serving config the throughput guard wall-clocks
-/// (`driver::measure_serving_throughput`). Arrivals ~8x denser than the
+/// The saturation-load serving config of the traced serving pass
+/// (`driver::serving_trace_artifacts`). Arrivals ~8x denser than the
 /// mean service time keep the executor busy end to end without piling
 /// up hundreds of concurrent bulk transfers (which would stress the
 /// contention ledger, not the serving path).
@@ -327,6 +437,7 @@ pub fn run(quick: bool) -> Table {
             .collect();
         t.note(format!("tail attribution at the knee: {}", parts.join("; ")));
     }
+    t.record = Some(rec.fragment());
     t
 }
 

@@ -1,33 +1,48 @@
-//! The benchmark harness: one experiment per table/figure of the paper,
-//! plus one per quantitative claim in its text.
+//! The paper's artifacts, regenerated: one experiment per table/figure
+//! of the paper, plus one per quantitative claim in its text.
 //!
-//! Each experiment module exposes `run(quick) -> Table`; the `exp_*`
-//! binaries print them and `exp_all` regenerates the full evaluation.
-//! `quick = true` shrinks workloads for CI/tests; the *shape* assertions
-//! in each module's tests hold in both modes.
+//! Each experiment module exposes `run(quick) -> Table`; the one binary,
+//! `exp_driver`, prints them (`--only <id>` for one) and writes them all
+//! into `BENCH_disagg.json`. Everything here is virtual time: the record
+//! is a pure function of the source, and host wall-clock is measured by
+//! `benchmark/` alone. `quick = true` shrinks workloads for CI/tests; the
+//! *shape* assertions in each module's tests hold in both modes.
 //!
-//! | Experiment | Paper artifact | Binary |
+//! | Experiment | Paper artifact | `--only` |
 //! |---|---|---|
-//! | [`exp::table1`] | Table 1 (device properties) | `exp_table1` |
-//! | [`exp::table2`] | Table 2 (region types → devices) | `exp_table2` |
-//! | [`exp::table3`] | Table 3 (application types) | `exp_table3` |
-//! | [`exp::fig1`] | Figure 1 (compute- vs memory-centric) | `exp_fig1` |
-//! | [`exp::fig2`] | Figure 2 (hospital dataflow) | `exp_fig2` |
-//! | [`exp::fig3`] | Figure 3 (per-device region mapping) | `exp_fig3` |
-//! | [`exp::fig4`] | Figure 4 (ownership transfer vs copy) | `exp_fig4` |
-//! | [`exp::numa`] | §1 "NUMA up to 3×" | `exp_numa` |
-//! | [`exp::naive`] | §1 "naïve placement up to 3×" | `exp_naive` |
-//! | [`exp::asynk`] | §2.2(3) sync/async crossover | `exp_async` |
-//! | [`exp::fig1`] | §1 utilization / cost claims (E11) | `exp_fig1` |
-//! | [`exp::ftol`] | Challenge 8(3) replication vs erasure coding | `exp_ftol` |
-//! | [`exp::tiering`] | hotness-driven tiering (Challenges 1-3) | `exp_tiering` |
-//! | [`exp::ablation`] | design-choice ablations | `exp_ablation` |
+//! | [`exp::table1`] | Table 1 (device properties) | `table1` |
+//! | [`exp::table2`] | Table 2 (region types → devices) | `table2` |
+//! | [`exp::table3`] | Table 3 (application types) | `table3` |
+//! | [`exp::fig1`] | Figure 1 (compute- vs memory-centric) | `fig1` |
+//! | [`exp::fig2`] | Figure 2 (hospital dataflow) | `fig2` |
+//! | [`exp::fig3`] | Figure 3 (per-device region mapping) | `fig3` |
+//! | [`exp::fig4`] | Figure 4 (ownership transfer vs copy) | `fig4` |
+//! | [`exp::numa`] | §1 "NUMA up to 3×" | `numa` |
+//! | [`exp::naive`] | §1 "naïve placement up to 3×" | `naive` |
+//! | [`exp::asynk`] | §2.2(3) sync/async crossover | `async` |
+//! | [`exp::fig1`] | §1 utilization / cost claims (E11) | `fig1` |
+//! | [`exp::ftol`] | Challenge 8(3) replication vs erasure coding | `ftol` |
+//! | [`exp::tiering`] | hotness-driven tiering (Challenges 1-3) | `tiering` |
+//! | [`exp::ablation`] | design-choice ablations | `ablation` |
 
 pub mod driver;
 pub mod exp;
-pub mod harness;
 
 use disagg_hwsim::time::SimDuration;
+use disagg_obs::json::escape;
+
+/// The raw numbers behind an experiment's table, as the JSON object
+/// members (`"key": value, ...`) it contributes to the benchmark
+/// record. Each record-bearing experiment renders its own, beside its
+/// record type; [`driver::bench_json`] only concatenates them.
+#[derive(Debug, Clone)]
+pub(crate) struct Fragment {
+    /// The top-level object the members belong to (`"serving"`), or
+    /// `""` for the record's top level itself.
+    pub(crate) parent: &'static str,
+    /// Comma-joined members, every field virtual-time-only.
+    pub(crate) members: String,
+}
 
 /// A rendered experiment result: paper-style rows plus notes.
 #[derive(Debug, Clone)]
@@ -42,6 +57,9 @@ pub struct Table {
     pub rows: Vec<Vec<String>>,
     /// Free-form notes (expected shape, observations).
     pub notes: Vec<String>,
+    /// The record the rows were rendered from, for the experiments
+    /// that publish one.
+    pub(crate) record: Option<Fragment>,
 }
 
 impl Table {
@@ -53,6 +71,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            record: None,
         }
     }
 
@@ -118,6 +137,25 @@ impl Table {
         out
     }
 
+    /// Renders as one JSON object, `{id, title, headers, rows, notes}`
+    /// with every cell a string — the `experiments[i]` entry of the
+    /// benchmark record.
+    pub fn to_json(&self) -> String {
+        let strs = |cells: &[String]| -> String {
+            let quoted: Vec<String> = cells.iter().map(|c| format!("\"{}\"", escape(c))).collect();
+            format!("[{}]", quoted.join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(|r| format!("\n      {}", strs(r))).collect();
+        format!(
+            "{{\"id\": \"{}\", \"title\": \"{}\",\n     \"headers\": {},\n     \"rows\": [{}],\n     \"notes\": {}}}",
+            escape(self.id),
+            escape(&self.title),
+            strs(&self.headers),
+            rows.join(","),
+            strs(&self.notes),
+        )
+    }
+
     /// Finds a cell by row label (first column) and column header.
     pub fn cell(&self, row_label: &str, column: &str) -> Option<&str> {
         let col = self.headers.iter().position(|h| h == column)?;
@@ -175,6 +213,23 @@ mod tests {
         let md = t.render_markdown();
         assert!(md.contains("| Name | Value |"));
         assert!(md.contains("| a | 1 |"));
+    }
+
+    #[test]
+    fn table_json_round_trips_every_cell() {
+        let mut t = Table::new("t", "Quote \"me\"", &["Name", "Value"]);
+        t.row(vec!["a\\b".into(), "1 → 2".into()]);
+        t.note("line\nbreak");
+        let v = disagg_obs::json::parse(&t.to_json()).expect("valid JSON");
+        assert_eq!(v.get("id").and_then(|v| v.as_str()), Some("t"));
+        assert_eq!(v.get("title").and_then(|v| v.as_str()), Some("Quote \"me\""));
+        let cells = |v: &disagg_obs::json::Value| -> Vec<String> {
+            v.as_arr().unwrap().iter().map(|c| c.as_str().unwrap().to_string()).collect()
+        };
+        assert_eq!(cells(v.get("headers").unwrap()), t.headers);
+        let rows = v.get("rows").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(rows.iter().map(cells).collect::<Vec<_>>(), t.rows);
+        assert_eq!(cells(v.get("notes").unwrap()), t.notes);
     }
 
     #[test]

@@ -49,6 +49,8 @@ fn removed_and_unknown_flags_fail_loudly() {
     assert_usage_error("shards", &["--shards", "4"], "--shards");
     assert_usage_error("scaling", &["--quick", "--no-scaling"], "--no-scaling");
     assert_usage_error("nojson", &["--no-json"], "--no-json");
+    assert_usage_error("nothru", &["--quick", "--no-thru"], "--no-thru");
+    assert_usage_error("thruonly", &["--thru-only"], "--thru-only");
     assert_usage_error("bogus", &["--bogus"], "--bogus");
 }
 
@@ -56,6 +58,9 @@ fn removed_and_unknown_flags_fail_loudly() {
 fn bad_and_missing_values_fail_loudly() {
     assert_usage_error("threads", &["--threads", "x"], "--threads");
     assert_usage_error("json", &["--json"], "--json");
+    // One unknown id fails the whole list, even beside a known one.
+    assert_usage_error("only", &["--quick", "--only", "table2,figg4"], "figg4");
+    assert_usage_error("onlyall", &["--only", "no-such-exp"], "no-such-exp");
 }
 
 #[test]
@@ -68,7 +73,7 @@ fn help_prints_usage_and_exits_zero() {
 
 #[test]
 fn record_is_written_only_when_asked() {
-    let args = ["--quick", "--only", "table2", "--no-thru"];
+    let args = ["--quick", "--only", "table2"];
     let (out, left) = run("norecord", &args);
     assert_eq!(out.status.code(), Some(0));
     assert!(left.is_empty(), "a run without --json wrote {left:?}");
@@ -77,4 +82,16 @@ fn record_is_written_only_when_asked() {
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(left.len(), 1, "exactly the requested record: {left:?}");
     assert!(left[0].ends_with("rec.json"));
+}
+
+#[test]
+fn record_bearing_experiments_are_measured_once() {
+    let ids = ["chaos", "serving", "chaos_serve"];
+    let (out, _) = run("once", &["--quick", "--only", &ids.join(","), "--json", "rec.json"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for id in ids {
+        let runs = stderr.lines().filter(|l| l.split_whitespace().next() == Some(id)).count();
+        assert_eq!(runs, 1, "{id} progress lines: {stderr}");
+    }
 }

@@ -1,15 +1,17 @@
 //! Parallel driver determinism: fanning the experiment suite across
 //! worker threads must not change a single output byte relative to the
-//! serial reference path, and repeated runs must agree with themselves.
+//! serial reference path, repeated runs must agree with themselves, and
+//! the record rendered from them is a pure function of the source.
 
-use disagg_bench::driver;
+use disagg_bench::{driver, exp, Table};
+use disagg_obs::json::{parse, Value};
 
-fn ids(results: &[driver::ExpResult]) -> Vec<&'static str> {
-    results.iter().map(|r| r.id).collect()
+fn ids(tables: &[Table]) -> Vec<&'static str> {
+    tables.iter().map(|t| t.id).collect()
 }
 
-fn outputs(results: &[driver::ExpResult]) -> Vec<String> {
-    results.iter().map(|r| r.output.clone()).collect()
+fn outputs(tables: &[Table]) -> Vec<String> {
+    tables.iter().map(Table::render).collect()
 }
 
 #[test]
@@ -20,7 +22,7 @@ fn parallel_output_is_byte_identical_to_serial() {
     assert_eq!(ids(&serial), vec!["table2", "fig4"], "registry order preserved");
     assert_eq!(ids(&serial), ids(&parallel));
     assert_eq!(outputs(&serial), outputs(&parallel));
-    assert!(serial.iter().all(|r| !r.output.is_empty()));
+    assert!(serial.iter().all(|t| !t.rows.is_empty()));
 }
 
 #[test]
@@ -35,4 +37,32 @@ fn repeated_parallel_runs_agree() {
 fn unknown_only_filter_yields_empty_suite() {
     let only: Vec<String> = vec!["no-such-exp".into()];
     assert!(driver::run_experiments(&only, true, 2).is_empty());
+}
+
+#[test]
+fn quick_record_is_exact_complete_and_clock_free() {
+    let record = |threads| driver::bench_json(&driver::run_experiments(&[], true, threads), true);
+    let one = record(1);
+    assert_eq!(one, record(4), "the record does not depend on the thread count");
+
+    let doc = parse(&one).expect("the record is valid JSON");
+    let exps = doc.get("experiments").and_then(Value::as_arr).expect("experiments");
+    let listed: Vec<&str> = exps.iter().filter_map(|e| e.get("id")?.as_str()).collect();
+    let registry: Vec<&str> = exp::all().iter().map(|(id, _)| *id).collect();
+    assert_eq!(listed, registry, "all 18 tables, in registry order");
+    for e in exps {
+        let arity = e.get("headers").and_then(Value::as_arr).expect("headers").len();
+        let rows = e.get("rows").and_then(Value::as_arr).expect("rows");
+        assert!(!rows.is_empty(), "{:?} has no rows", e.get("id"));
+        for r in rows {
+            assert_eq!(r.as_arr().map(<[_]>::len), Some(arity), "{:?}: row arity", e.get("id"));
+        }
+    }
+    let serving = doc.get("serving").expect("serving section");
+    assert!(doc.get("chaos").and_then(Value::as_arr).is_some_and(|c| !c.is_empty()));
+    assert!(serving.get("sweep").and_then(Value::as_arr).is_some_and(|s| !s.is_empty()));
+    assert!(serving.get("chaos").and_then(|c| c.get("rows")).is_some(), "serving.chaos nests");
+    for gone in ["wall_s", "throughput", "threads", "events_per_sec", "speedup_vs_seed"] {
+        assert!(!one.contains(gone), "no host-clock field in the record: {gone}");
+    }
 }

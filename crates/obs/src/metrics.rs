@@ -149,37 +149,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// Virtual-time epoch length for per-region access-temperature
-/// tracking: accesses are bucketed into fixed 1 ms windows of virtual
-/// time, the granularity an epoch re-planner would act on.
-pub const TEMP_EPOCH_NS: u64 = 1_000_000;
-
-/// One region's access temperature over one epoch window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionTemperature {
-    /// Region identifier.
-    pub region: u64,
-    /// Epoch index (`at / TEMP_EPOCH_NS` of the accesses).
-    pub epoch: u64,
-    /// Accesses (reads, writes, migrations) landing in the window.
-    pub accesses: u64,
-    /// Bytes touched in the window.
-    pub bytes: u64,
-    /// log2 bucket of the access count — the "heat" a tiering policy
-    /// compares against thresholds.
-    pub heat: u8,
-    /// log2 bucket of the bytes touched.
-    pub heat_bytes: u8,
-}
-
-/// Counters + histograms keyed by name, plus per-region per-epoch
-/// access temperatures.
+/// Counters + histograms keyed by name.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    /// `(region, epoch) -> (accesses, bytes)`, ordered for determinism.
-    temps: BTreeMap<(u64, u64), (u64, u64)>,
 }
 
 impl MetricsRegistry {
@@ -231,21 +205,19 @@ impl MetricsRegistry {
                 self.incr(&format!("dev.mem{}.allocs", dev.0), 1);
             }
             TraceEvent::Free { .. } => self.incr("events.free", 1),
-            TraceEvent::Access { region, dev, bytes, at, took, .. } => {
+            TraceEvent::Access { dev, bytes, took, .. } => {
                 self.incr("events.access", 1);
                 self.incr("bytes.moved", bytes);
                 self.incr(&format!("dev.mem{}.bytes", dev.0), bytes);
                 self.observe("access_ns", took.as_nanos());
-                self.touch_region(region, at.as_nanos(), bytes);
             }
-            TraceEvent::Migrate { region, from, to, bytes, at, took } => {
+            TraceEvent::Migrate { from, to, bytes, took, .. } => {
                 self.incr("events.migrate", 1);
                 self.incr("bytes.moved", bytes);
                 self.incr(&format!("dev.mem{}.bytes", from.0), bytes);
                 self.incr(&format!("dev.mem{}.bytes", to.0), bytes);
                 self.observe("migrate_bytes", bytes);
                 self.observe("migrate_ns", took.as_nanos());
-                self.touch_region(region, at.as_nanos(), bytes);
             }
             TraceEvent::OwnershipTransfer { bytes, .. } => {
                 self.incr("events.transfer", 1);
@@ -304,32 +276,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Charges one access against a region's current epoch window.
-    fn touch_region(&mut self, region: u64, at_ns: u64, bytes: u64) {
-        let e = self
-            .temps
-            .entry((region, at_ns / TEMP_EPOCH_NS))
-            .or_insert((0, 0));
-        e.0 += 1;
-        e.1 += bytes;
-    }
-
-    /// The per-region per-epoch access temperatures recorded so far,
-    /// in `(region, epoch)` order.
-    pub fn temperatures(&self) -> Vec<RegionTemperature> {
-        self.temps
-            .iter()
-            .map(|(&(region, epoch), &(accesses, bytes))| RegionTemperature {
-                region,
-                epoch,
-                accesses,
-                bytes,
-                heat: bucket_of(accesses) as u8,
-                heat_bytes: bucket_of(bytes) as u8,
-            })
-            .collect()
-    }
-
     /// An immutable snapshot of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -343,7 +289,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, h)| (k.clone(), HistogramSnapshot::of(h)))
                 .collect(),
-            temperatures: self.temperatures(),
         }
     }
 }
@@ -373,9 +318,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// `(name, summary)` in name order.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Per-region per-epoch access temperatures in `(region, epoch)`
-    /// order — the telemetry substrate for adaptive tiering.
-    pub temperatures: Vec<RegionTemperature>,
 }
 
 impl MetricsSnapshot {
@@ -396,17 +338,9 @@ impl MetricsSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// A region's temperature windows, in epoch order.
-    pub fn region_temperature(&self, region: u64) -> Vec<&RegionTemperature> {
-        self.temperatures
-            .iter()
-            .filter(|t| t.region == region)
-            .collect()
-    }
-
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty() && self.temperatures.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Renders an aligned human-readable listing.
@@ -427,13 +361,6 @@ impl MetricsSnapshot {
                 out,
                 "{k:<width$}  count={} sum={} min={} p50<={} p99<={} max={}",
                 h.count, h.sum, h.min, h.p50, h.p99, h.max
-            );
-        }
-        for t in &self.temperatures {
-            let _ = writeln!(
-                out,
-                "temp region={} epoch={} accesses={} bytes={} heat={} heat_bytes={}",
-                t.region, t.epoch, t.accesses, t.bytes, t.heat, t.heat_bytes
             );
         }
         out
@@ -469,17 +396,7 @@ impl MetricsSnapshot {
                 buckets.join(", ")
             );
         }
-        out.push_str("\n  },\n  \"temperatures\": [");
-        for (i, t) in self.temperatures.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    {{\"region\": {}, \"epoch\": {}, \"accesses\": {}, \"bytes\": {}, \
-                 \"heat\": {}, \"heat_bytes\": {}}}",
-                t.region, t.epoch, t.accesses, t.bytes, t.heat, t.heat_bytes
-            );
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 }
@@ -559,34 +476,6 @@ mod tests {
         h.observe(1);
         assert_eq!(h.quantile_bound(0.50), 0);
         assert_eq!(h.quantile_bound(1.0), 1);
-    }
-
-    #[test]
-    fn temperatures_bucket_accesses_per_region_and_epoch() {
-        let mut r = MetricsRegistry::new();
-        let access = |region, at, bytes| TraceEvent::Access {
-            region,
-            dev: MemDeviceId(0),
-            bytes,
-            op: AccessOp::Read,
-            at: SimTime(at),
-            took: SimDuration(10),
-        };
-        r.record(&access(1, 0, 100));
-        r.record(&access(1, 50, 100));
-        r.record(&access(1, TEMP_EPOCH_NS - 1, 56));
-        r.record(&access(1, 2 * TEMP_EPOCH_NS, 4));
-        r.record(&access(2, 10, 1));
-        let snap = r.snapshot();
-        assert_eq!(snap.temperatures.len(), 3, "two windows for region 1, one for region 2");
-        let hot = snap.region_temperature(1);
-        assert_eq!((hot[0].epoch, hot[0].accesses, hot[0].bytes), (0, 3, 256));
-        assert_eq!(hot[0].heat, bucket_of(3) as u8);
-        assert_eq!(hot[0].heat_bytes, bucket_of(256) as u8);
-        assert_eq!((hot[1].epoch, hot[1].accesses), (2, 1));
-        assert_eq!(snap.region_temperature(2)[0].bytes, 1);
-        assert!(snap.to_json().contains("\"temperatures\""));
-        assert!(snap.render().contains("temp region=1 epoch=0"));
     }
 
     #[test]
