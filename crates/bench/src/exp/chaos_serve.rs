@@ -299,26 +299,6 @@ pub fn templates() -> ServeLayer {
     layer
 }
 
-/// Calibrates the mean healthy service time of the chaos mix: each
-/// template instantiated once with a fixed representative request and
-/// run alone on the sweep's rack shape.
-fn mean_service() -> SimDuration {
-    let layer = templates();
-    let mut total = SimDuration::ZERO;
-    for ti in 0..layer.len() {
-        let req = Request {
-            index: 0,
-            tenant: ti,
-            arrival: SimDuration::ZERO,
-            seed: 0x5eed ^ ti as u64,
-        };
-        let job = layer.instantiate(ti, &req);
-        let mut rt = Runtime::new(disaggregated_rack(4, 8, 2, 32).0, RuntimeConfig::default());
-        total += rt.execute(job).expect("calibration run").makespan;
-    }
-    SimDuration(total.0 / layer.len().max(1) as u64)
-}
-
 /// Offered-load levels as (label, gap divisor): `mean_gap = svc * 4 /
 /// divisor` (same convention as the serving sweep).
 fn levels(quick: bool) -> &'static [(&'static str, u64)] {
@@ -484,7 +464,7 @@ fn run_point(
 
 /// Runs the full chaos-under-load sweep.
 pub fn measure(quick: bool) -> ChaosServeRecord {
-    let svc = mean_service();
+    let svc = super::serving::mean_service(&templates());
     let tenants = 6;
     let requests = if quick { 36 } else { 72 };
     let seed = 0xfa_0175_u64;

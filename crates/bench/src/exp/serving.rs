@@ -259,24 +259,22 @@ pub fn templates() -> ServeLayer {
     layer
 }
 
-/// Calibrates the mean service time of the template mix: each template
-/// instantiated once with a fixed representative request and run alone
-/// on the same rack shape the sweep uses.
-fn mean_service() -> SimDuration {
-    let layer = templates();
-    let mut total = SimDuration::ZERO;
-    for ti in 0..layer.len() {
-        let req = Request {
-            index: 0,
-            tenant: ti,
-            arrival: SimDuration::ZERO,
-            seed: 0x5eed ^ ti as u64,
-        };
-        let job = layer.instantiate(ti, &req);
-        let mut rt = Runtime::new(disaggregated_rack(4, 8, 2, 32).0, RuntimeConfig::default());
-        total += rt.execute(job).expect("calibration run").makespan;
-    }
-    SimDuration(total.0 / layer.len().max(1) as u64)
+/// The mean service time of a template mix on the sweeps' rack shape:
+/// each template's fixed representative request, timed alone.
+pub(crate) fn mean_service(layer: &ServeLayer) -> SimDuration {
+    let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
+    let total: u64 = (0..layer.len())
+        .map(|ti| {
+            let probe = Request {
+                index: 0,
+                tenant: ti,
+                arrival: SimDuration::ZERO,
+                seed: 0x5eed ^ ti as u64,
+            };
+            layer.service_time(&topo, &probe).0
+        })
+        .sum();
+    SimDuration(total / layer.len().max(1) as u64)
 }
 
 /// Offered-load levels as (label, gap divisor): `mean_gap = svc * 4 /
@@ -291,7 +289,7 @@ fn levels(quick: bool) -> &'static [(&'static str, u64)] {
 
 /// Runs the sweep and extracts the knee.
 pub fn measure(quick: bool) -> ServingRecord {
-    let svc = mean_service();
+    let svc = mean_service(&templates());
     let tenants = 6;
     let requests = if quick { 48 } else { 160 };
     let seed = 0xd15a66_u64;

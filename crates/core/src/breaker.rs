@@ -160,10 +160,10 @@ impl BreakerBank {
 
     /// Reports a clean task finish of `key` on `node`. A closed breaker
     /// on `node` forgets its strikes, and **any** half-open breaker whose
-    /// probe was `key` closes — speculative re-execution can finish a
-    /// probe task on a different node than the one being probed, and a
-    /// probe that ran to completion anywhere proves the retry path is
-    /// healthy again. Returns the close transitions (nodes in id order).
+    /// probe was `key` closes — a retry can finish a probe task on a
+    /// different node than the one being probed, and a probe that ran to
+    /// completion anywhere proves the retry path is healthy again.
+    /// Returns the close transitions (nodes in id order).
     pub fn on_success(
         &mut self,
         node: NodeId,
@@ -297,7 +297,7 @@ mod tests {
         let (other, _) = b.allows(n, SimTime(121), (8, 0));
         assert!(!other, "only the probe holder passes while half-open");
         // Clean probe closes; strikes are forgotten. The close fires even
-        // when the probe task finished on a *different* node (stragglers).
+        // when the probe task finished on a *different* node (a retry moved it).
         let close = b.on_success(NodeId(9), (7, 1), SimTime(150));
         assert_eq!(close.len(), 1, "probe closes");
         assert_eq!(close[0].node, n);

@@ -26,11 +26,6 @@ pub struct RecoveryPolicy {
     /// elsewhere, so repeated failures of the same task back off
     /// exponentially.
     pub backoff: SimDuration,
-    /// Straggler mitigation: when `Some(k)`, a task whose attempt runs
-    /// longer than `k` times its cost-model estimate is re-executed
-    /// speculatively on the next-best surviving device, and the task
-    /// finishes with whichever attempt completes first.
-    pub straggler_factor: Option<f64>,
 }
 
 impl Default for RecoveryPolicy {
@@ -39,7 +34,6 @@ impl Default for RecoveryPolicy {
             max_retries: 3,
             detection_delay: SimDuration::ZERO,
             backoff: SimDuration::ZERO,
-            straggler_factor: None,
         }
     }
 }
@@ -60,12 +54,6 @@ impl RecoveryPolicy {
     /// Sets the base relaunch backoff (doubled per attempt).
     pub fn with_backoff(mut self, d: SimDuration) -> Self {
         self.backoff = d;
-        self
-    }
-
-    /// Enables straggler re-execution at `k` times the estimate.
-    pub fn with_straggler_factor(mut self, k: f64) -> Self {
-        self.straggler_factor = Some(k);
         self
     }
 
@@ -426,10 +414,8 @@ mod tests {
         let p = RecoveryPolicy::default()
             .with_max_retries(5)
             .with_detection_delay(SimDuration(100))
-            .with_backoff(SimDuration(1_000))
-            .with_straggler_factor(4.0);
+            .with_backoff(SimDuration(1_000));
         assert_eq!(p.max_retries, 5);
-        assert_eq!(p.straggler_factor, Some(4.0));
         assert_eq!(p.backoff_for(1), SimDuration(1_000));
         assert_eq!(p.backoff_for(2), SimDuration(2_000));
         assert_eq!(p.backoff_for(4), SimDuration(8_000));

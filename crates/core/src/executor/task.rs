@@ -27,7 +27,6 @@ use disagg_sched::enforce::needs_encryption;
 use disagg_sched::placement::PlacementEngine;
 use disagg_sched::schedule::{QueuePolicy, Scheduler};
 
-use crate::breaker::BreakerState;
 use crate::error::DisaggError;
 use crate::report::{FailReason, FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
 use crate::runtime::Runtime;
@@ -40,16 +39,15 @@ use super::{EventKind, Wave};
 /// paper's stream-vs-batch property made operational.
 pub(crate) const PIPELINE_DEPTH: u64 = 8;
 
-/// A ready-queue entry: `(policy key, queue time, ji, task, est)`.
+/// A ready-queue entry: `(policy key, queue time, ji, task)`.
 ///
 /// The tuple's lexicographic `Ord` *is* the dispatch order, so the
 /// per-device ready queue can be a binary heap (O(log n) pop) instead
 /// of the old linear `pick()` scan. The leading `u64` encodes the
 /// active [`QueuePolicy`]'s primary criterion (see [`queue_key`]); the
 /// `(queue time, ji, task)` tail reproduces `pick()`'s deterministic
-/// tie-break exactly. `est` rides along for the straggler check and
-/// never influences ordering — `(ji, task)` is unique per queue.
-pub(crate) type QueueEntry = (u64, SimTime, usize, TaskId, SimDuration);
+/// tie-break exactly — `(ji, task)` is unique per queue.
+pub(crate) type QueueEntry = (u64, SimTime, usize, TaskId);
 
 /// The heap key's primary criterion under a queue policy (smallest
 /// pops first):
@@ -73,7 +71,7 @@ pub(crate) fn queue_key(
         QueuePolicy::Fifo => 0,
         QueuePolicy::ShortestFirst => est.0,
     };
-    (primary, queued_at, ji, task, est)
+    (primary, queued_at, ji, task)
 }
 
 /// A dispatched queue entry, decoded.
@@ -81,7 +79,6 @@ pub(crate) struct Queued {
     pub ji: usize,
     pub task: TaskId,
     pub queued_at: SimTime,
-    pub est: SimDuration,
 }
 
 /// Adapter exposing the placement engine as the programming model's
@@ -350,14 +347,13 @@ pub(crate) fn service(
         let Some(lane) = w.free_lane(ci, now) else {
             return Ok(());
         };
-        let Reverse((_, queued_at, ji, task, est)) =
-            w.queues[ci].pop().expect("checked non-empty");
+        let Reverse((_, queued_at, ji, task)) = w.queues[ci].pop().expect("checked non-empty");
         if w.failed[ji] {
             // The job failed fast after this entry was queued; discard
             // it without consuming the lane.
             continue;
         }
-        run_task(rt, w, jobs, Queued { ji, task, queued_at, est }, compute, lane, now)?;
+        run_task(rt, w, jobs, Queued { ji, task, queued_at }, compute, lane, now)?;
     }
 }
 
@@ -604,64 +600,6 @@ pub(crate) fn run_task(
         }
     }
 
-    // Straggler mitigation: when enabled, an attempt that overran `k`
-    // times its cost-model estimate gets a speculative twin on the
-    // next-best surviving device, and the task finishes with whichever
-    // attempt completes first (the loser's work is sunk cost).
-    if let Some(k) = policy.straggler_factor {
-        let allowance = SimDuration::from_nanos_f64(q.est.0 as f64 * k);
-        if body_result.is_ok()
-            && allowance > SimDuration::ZERO
-            && finish - attempt_start > allowance
-        {
-            let spawn_at = attempt_start + allowance;
-            // Speculation is optional work: when breakers are active a
-            // backup only goes to a fully healthy node (read-only check;
-            // probe slots are reserved for mandatory retries).
-            let backup = Scheduler::ranked_candidates(&rt.topo, spec, task)
-                .into_iter()
-                .map(|(c, _)| c)
-                .find(|&c| {
-                    let node = rt.topo.node_of_compute(c);
-                    c != compute
-                        && !rt.config.faults.node_down(node, spawn_at)
-                        && rt
-                            .breakers
-                            .as_ref()
-                            .is_none_or(|b| b.state(node) == BreakerState::Closed)
-                });
-            if let Some(backup) = backup {
-                retries += 1;
-                rt.trace.push(TraceEvent::TaskRetry {
-                    job: jid.0,
-                    task: task.0 as u64,
-                    from: compute,
-                    to: backup,
-                    attempt: retries,
-                    at: spawn_at,
-                    lost: SimDuration::ZERO,
-                });
-                let (f, s, r) = run_body_once(
-                    rt,
-                    w,
-                    ji,
-                    g,
-                    tspec,
-                    regions,
-                    backup,
-                    who,
-                    spawn_at,
-                );
-                if r.is_ok() && f < finish {
-                    compute = backup;
-                    finish = f;
-                    stats = s;
-                    body_result = r;
-                }
-            }
-        }
-    }
-
     if let Err(error) = body_result {
         // Record the denial if it was a confidentiality rejection.
         if error.is_confidentiality_denial() {
@@ -698,8 +636,7 @@ pub(crate) fn run_task(
         at: finish,
     });
     // A clean finish heals: the node's strike count resets, and any
-    // breaker this task held a half-open probe slot on closes — even
-    // when speculation moved the winning attempt to a different node.
+    // breaker this task held a half-open probe slot on closes.
     if rt.breakers.is_some() {
         let node = rt.topo.node_of_compute(compute);
         let closed = rt

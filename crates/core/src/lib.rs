@@ -57,7 +57,7 @@ pub use report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
 pub use runtime::Runtime;
 pub use submission::{AdmissionPolicy, Submission};
 
-/// Re-export of the observability crate (observers, metrics, timelines,
+/// Re-export of the observability crate (observers, metrics,
 /// exporters), so `disagg_core::obs::*` is the one-stop surface.
 pub use disagg_obs as obs;
 

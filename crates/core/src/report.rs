@@ -301,11 +301,6 @@ impl RunReport {
             .all(|v| matches!(v, Violation::ConfidentialAccessDenied { .. }))
     }
 
-    /// Total virtual time tasks spent stalled on synchronous memory.
-    pub fn total_sync_stall(&self) -> SimDuration {
-        self.tasks.iter().map(|t| t.stats.sync_stall).sum()
-    }
-
     /// Device summary for one device.
     pub fn device(&self, dev: MemDeviceId) -> Option<&DeviceSummary> {
         self.devices.iter().find(|d| d.dev == dev)

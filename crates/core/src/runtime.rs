@@ -21,7 +21,7 @@
 
 use disagg_hwsim::fx::FxHashMap;
 
-use disagg_dataflow::job::JobSpec;
+use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -36,7 +36,7 @@ use disagg_sched::enforce::Auditor;
 use disagg_sched::lifetime::LifetimeManager;
 use disagg_sched::placement::PlacementEngine;
 
-use crate::breaker::{BreakerBank, BreakerState, BreakerTransition, RetryBudgets};
+use crate::breaker::{BreakerBank, BreakerTransition, RetryBudgets};
 use crate::config::RuntimeConfig;
 use crate::report::RunReport;
 use crate::submission::{AdmissionPolicy, Submission};
@@ -129,6 +129,13 @@ impl Runtime {
         self.clock
     }
 
+    /// The id the next submitted job will receive: ids are handed out
+    /// sequentially in submission order, so job `i` of the next
+    /// [`execute`](Self::execute) is `JobId(next_job_id().0 + i)`.
+    pub fn next_job_id(&self) -> JobId {
+        JobId(self.next_job)
+    }
+
     /// The decayed hotness statistics accumulated from traced accesses.
     /// Only populated when the runtime is configured with `trace: true`.
     pub fn hotness(&self) -> &HotnessTracker {
@@ -151,14 +158,6 @@ impl Runtime {
     /// Nodes whose breakers are currently Open or HalfOpen, sorted.
     pub fn unhealthy_nodes(&self) -> Vec<disagg_hwsim::ids::NodeId> {
         self.breakers.as_ref().map(|b| b.unhealthy()).unwrap_or_default()
-    }
-
-    /// The breaker state of `node` (Closed when breakers are off).
-    pub fn breaker_state(&self, node: disagg_hwsim::ids::NodeId) -> BreakerState {
-        self.breakers
-            .as_ref()
-            .map(|b| b.state(node))
-            .unwrap_or(BreakerState::Closed)
     }
 
     /// Runs one hotness-driven tiering pass over the surviving regions
@@ -432,6 +431,9 @@ impl Runtime {
                 now,
             )?;
             self.mgr.copy_contents(primary, copy)?;
+            // Not `region::migrate::charge_copy`: this copy reserves no
+            // link and has no `transfer_cost` floor. Pricing it like the
+            // others moves virtual time, so it waits for ROADMAP 4(b).
             let f1 = self.ledger.reserve(
                 ResourceKey::Mem(placement.dev),
                 now,

@@ -176,8 +176,8 @@ pub enum TraceEvent {
         /// Detection time.
         at: SimTime,
     },
-    /// A task attempt was abandoned and the task re-placed elsewhere
-    /// (crash retry or straggler speculation).
+    /// A task attempt was abandoned to a fault and the task re-placed
+    /// elsewhere.
     TaskRetry {
         /// Job identifier.
         job: u64,

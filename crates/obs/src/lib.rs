@@ -15,8 +15,6 @@
 //!   log2-bucket histograms (queue wait, access latency, migration
 //!   sizes, per-device bytes), all recorded in *virtual* time so two
 //!   runs of the same submission produce identical snapshots;
-//! - [`timeline`] — per-device utilization and queue-depth timelines
-//!   sampled on event boundaries;
 //! - [`analyze`] — critical-path extraction over the executed task/edge
 //!   DAG with per-layer attribution (compute / memory stall / runtime);
 //! - [`export`] — Chrome trace-event JSON (loadable in Perfetto, one
@@ -41,7 +39,6 @@ pub mod json;
 pub mod metrics;
 pub mod observer;
 pub mod request;
-pub mod timeline;
 
 pub use analyze::{critical_paths, render_critical_paths, CriticalPath, TaskSpan};
 pub use export::{
@@ -54,4 +51,3 @@ pub use request::{
     assemble_request_spans, slo_burn, slo_burn_by, tail_attribution, Attribution, BurnWindow,
     RequestSpan, Segment, SegmentKind, TenantAttribution, TenantBurn,
 };
-pub use timeline::{DeviceTimelines, Timeline, TimelineRecorder};

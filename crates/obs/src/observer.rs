@@ -6,8 +6,7 @@
 //! happens* instead of waiting for the run to finish. The buffered
 //! [`Trace`] is itself one sink implementation; [`NullObserver`] is the
 //! zero-overhead default (no tap is even installed); [`FullObserver`]
-//! buffers events, maintains the metrics registry, and records device
-//! timelines all at once.
+//! buffers events and maintains the metrics registry at once.
 //!
 //! [`ObserverSlot`] is the handle a [`RuntimeConfig`] carries: a
 //! cloneable, shareable reference so the caller keeps access to the
@@ -23,7 +22,6 @@ use std::sync::{Arc, Mutex};
 use disagg_hwsim::trace::{Trace, TraceEvent};
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::timeline::TimelineRecorder;
 
 /// A streaming sink for execution events.
 ///
@@ -73,16 +71,14 @@ impl Observer for Trace {
     }
 }
 
-/// The everything sink: buffered events + metrics registry + device
-/// timelines, maintained incrementally from one stream.
+/// The everything sink: buffered events + metrics registry,
+/// maintained incrementally from one stream.
 #[derive(Debug, Default)]
 pub struct FullObserver {
     /// Raw events in emission order (feed to the exporters).
     pub events: Vec<TraceEvent>,
     /// Counters and histograms.
     pub registry: MetricsRegistry,
-    /// Per-device utilization / queue-depth recorder.
-    pub timelines: TimelineRecorder,
 }
 
 impl FullObserver {
@@ -95,7 +91,6 @@ impl FullObserver {
 impl Observer for FullObserver {
     fn on_event(&mut self, event: &TraceEvent) {
         self.registry.record(event);
-        self.timelines.record(event);
         self.events.push(event.clone());
     }
 

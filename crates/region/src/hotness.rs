@@ -125,30 +125,15 @@ pub struct HotnessTracker {
     /// grow without bound, and `decay` must visit live entries only.
     /// `hot`/`cold` sort what they collect, so map order never shows.
     stats: FxHashMap<RegionId, HotStat>,
-    /// Decay factor applied per decay tick.
-    alpha: f64,
 }
 
-impl HotnessTracker {
-    /// Creates a tracker with the default decay factor (0.5 per tick).
-    pub fn new() -> Self {
-        HotnessTracker {
-            stats: FxHashMap::default(),
-            alpha: 0.5,
-        }
-    }
+/// Factor every score is multiplied by per [`HotnessTracker::decay`] tick.
+const DECAY: f64 = 0.5;
 
-    /// Creates a tracker with a custom decay factor in `(0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is outside `(0, 1)`.
-    pub fn with_alpha(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "alpha must be in (0, 1)");
-        HotnessTracker {
-            stats: FxHashMap::default(),
-            alpha,
-        }
+impl HotnessTracker {
+    /// Creates an empty tracker.
+    pub fn new() -> Self {
+        HotnessTracker::default()
     }
 
     /// Records an access of `bytes` to `region` at time `now`.
@@ -164,7 +149,7 @@ impl HotnessTracker {
     /// Applies one decay tick to every region.
     pub fn decay(&mut self) {
         for stat in self.stats.values_mut() {
-            stat.score *= self.alpha;
+            stat.score *= DECAY;
         }
     }
 

@@ -43,35 +43,49 @@ pub fn migrate(
             dev: to,
         })?;
     let new = mgr.pool_mut().rebind(id, to)?;
-    // The copy occupies read bandwidth at the source and write bandwidth
-    // at the destination for its duration.
-    let src_bw = topo.mem(old.dev).read_bw_bpns;
-    let dst_bw = topo.mem(to).write_bw_bpns;
-    let f1 = ledger.reserve(ResourceKey::Mem(old.dev), now, old.size as f64, src_bw);
-    let f2 = ledger.reserve(ResourceKey::Mem(to), now, old.size as f64, dst_bw);
+    let took = charge_copy(topo, ledger, trace, id, old, to, base, now);
+    Ok((new, took))
+}
+
+/// Charges one device-to-device copy of the region at `src` onto `to`,
+/// starting at `now`, and traces it as one [`TraceEvent::Migrate`]. The
+/// copy occupies read bandwidth at the source, write bandwidth at the
+/// destination and the narrowest interconnect link between them (which
+/// other traffic contends with) for its duration; it takes the longest
+/// of those reservations and `base`, the uncontended
+/// [`Topology::transfer_cost`] (the caller decides what a missing route
+/// means). Every physical copy the runtime makes — migration, handover
+/// copies, fan-out — is priced here.
+#[allow(clippy::too_many_arguments)]
+pub fn charge_copy(
+    topo: &Topology,
+    ledger: &mut BandwidthLedger,
+    trace: &mut Trace,
+    region: RegionId,
+    src: Placement,
+    to: MemDeviceId,
+    base: SimDuration,
+    now: SimTime,
+) -> SimDuration {
+    let bytes = src.size as f64;
+    let f1 = ledger.reserve(ResourceKey::Mem(src.dev), now, bytes, topo.mem(src.dev).read_bw_bpns);
+    let f2 = ledger.reserve(ResourceKey::Mem(to), now, bytes, topo.mem(to).write_bw_bpns);
     let mut took = base.max(f1.max(f2) - now);
-    // The copy also occupies the narrowest interconnect link between the
-    // devices, which other traffic contends with.
-    if let Some(path) = topo.mem_path(old.dev, to) {
+    if let Some(path) = topo.mem_path(src.dev, to) {
         if let Some(link) = path.bottleneck_link {
-            let f3 = ledger.reserve(
-                ResourceKey::Link(link),
-                now,
-                old.size as f64,
-                path.bandwidth_bpns,
-            );
+            let f3 = ledger.reserve(ResourceKey::Link(link), now, bytes, path.bandwidth_bpns);
             took = took.max(f3 - now);
         }
     }
     trace.push(TraceEvent::Migrate {
-        region: id.0,
-        from: old.dev,
+        region: region.0,
+        from: src.dev,
         to,
-        bytes: old.size,
+        bytes: src.size,
         at: now,
         took,
     });
-    Ok((new, took))
+    took
 }
 
 /// A tier list, fastest first, with promote/demote watermarks.

@@ -15,11 +15,12 @@
 //! The manager also implements release-on-last-owner cleanup for task
 //! exit.
 
-use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
+use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::ids::ComputeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::{Trace, TraceEvent};
+use disagg_region::migrate::charge_copy;
 use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionError, RegionManager};
 use disagg_region::typed::RegionType;
@@ -156,42 +157,11 @@ impl LifetimeManager {
         // Real byte copy of whatever the source ever had written.
         mgr.copy_contents(region, new)?;
 
-        // Charge the physical movement on both devices and trace it.
+        // Charge the physical movement and trace it.
         let base = topo
             .transfer_cost(placement.dev, dst_dev, placement.size)
             .unwrap_or(SimDuration::ZERO);
-        let f1 = ledger.reserve(
-            ResourceKey::Mem(placement.dev),
-            now,
-            placement.size as f64,
-            topo.mem(placement.dev).read_bw_bpns,
-        );
-        let f2 = ledger.reserve(
-            ResourceKey::Mem(dst_dev),
-            now,
-            placement.size as f64,
-            topo.mem(dst_dev).write_bw_bpns,
-        );
-        let mut took = base.max(f1.max(f2) - now);
-        if let Some(path) = topo.mem_path(placement.dev, dst_dev) {
-            if let Some(link) = path.bottleneck_link {
-                let f3 = ledger.reserve(
-                    ResourceKey::Link(link),
-                    now,
-                    placement.size as f64,
-                    path.bandwidth_bpns,
-                );
-                took = took.max(f3 - now);
-            }
-        }
-        trace.push(TraceEvent::Migrate {
-            region: region.0,
-            from: placement.dev,
-            to: dst_dev,
-            bytes: placement.size,
-            at: now,
-            took,
-        });
+        let took = charge_copy(topo, ledger, trace, region, placement, dst_dev, base, now);
 
         if let Some(from) = release_from {
             mgr.release(region, from)?;

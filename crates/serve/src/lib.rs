@@ -6,8 +6,8 @@
 //! be evaluated against live application traffic, not beside it". This
 //! crate puts that traffic in front of the executor:
 //!
-//! - **Arrival processes** ([`ArrivalProcess`]): Poisson and bursty
-//!   (two-phase MMPP) arrivals in virtual time, seeded via `SimRng`.
+//! - **Arrival processes** ([`ArrivalProcess`]): Poisson arrivals in
+//!   virtual time, seeded via `SimRng`.
 //! - **Tenant mix**: requests are attributed to tenants by a Zipf draw
 //!   (`disagg_workloads::gen::Zipf`) — tenant 0 is the hottest.
 //! - **Templates**: each tenant maps to a registered job template; a
@@ -60,6 +60,7 @@ use disagg_core::{Runtime, RuntimeConfig, RuntimeError, Submission};
 use disagg_dataflow::job::JobSpec;
 use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::{SimDuration, SimTime};
+use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::TraceEvent;
 use disagg_obs::Histogram;
 use disagg_workloads::gen::Zipf;
@@ -77,65 +78,30 @@ pub struct Request {
     pub seed: u64,
 }
 
-/// Overload- and fault-aware serving controls, all deterministic in
-/// virtual time. `None` on [`ServeConfig::control`] keeps the legacy
-/// single-batch pipeline bit-for-bit unchanged.
+/// Turns on the overload- and fault-aware serving controls, all
+/// deterministic in virtual time; `None` on [`ServeConfig::control`]
+/// runs the whole stream as one batch under quota admission only. The
+/// control law has no settings — its constants are the four below:
 ///
-/// The control plane splits the request stream into **epochs**: each
-/// epoch's admitted jobs run as one submission, and at the epoch
-/// boundary the layer reads the runtime's circuit-breaker state and the
-/// epoch's per-tenant SLO outcomes to steer the next epoch (brownout).
-/// Deadline shedding is per-arrival: a request whose completion
-/// estimate — the calibrated service time inflated by the tenant's
-/// in-flight queue depth — already misses its p99 SLO never enters the
-/// system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ControlPlane {
-    /// Number of control epochs the request stream is split into
-    /// (clamped to at least 1). More epochs react faster but batch
-    /// less.
-    pub epochs: usize,
-    /// Shed requests whose completion estimate misses the tenant's p99
-    /// SLO at arrival (no-op for tenants without an SLO).
-    pub shed_deadlines: bool,
-    /// Queue-depth sensitivity of the completion estimate: each
-    /// in-flight request of the tenant inflates the estimate by this
-    /// fraction of the calibrated service time.
-    pub depth_factor: f64,
-    /// Brownout trigger: at an epoch boundary a tenant switches to its
-    /// degraded template when any breaker is open **or** the tenant's
-    /// bad fraction (fast-failed or over-p99) in the closing epoch
-    /// exceeded this threshold; it switches back when both clear.
-    /// `None` disables brownout.
-    pub brownout_bad_fraction: Option<f64>,
-    /// Assumed service-time ratio of a tenant's degraded template
-    /// relative to its primary. Deadline shedding degrades before it
-    /// drops: a request whose full-template estimate misses its p99 is
-    /// re-estimated at this ratio and admitted degraded if that fits.
-    pub degraded_cost_ratio: f64,
-}
+/// - The request stream is split into `EPOCHS` **epochs**; each epoch's
+///   admitted jobs run as one submission.
+/// - **Deadline shedding**, per arrival: a request whose completion
+///   estimate — the calibrated service time inflated by `DEPTH_FACTOR`
+///   per in-flight request of its tenant, plus the wait for its epoch —
+///   misses the tenant's p99 SLO is admitted on the tenant's degraded
+///   template if the estimate at `DEGRADED_COST_RATIO` fits, and shed
+///   otherwise. Tenants without an SLO are never shed.
+/// - **Brownout**, per epoch boundary: a tenant switches to its
+///   degraded template while any circuit breaker is open or more than
+///   `BROWNOUT_BAD_FRACTION` of its requests in the closing epoch were
+///   shed, failed fast or finished over p99.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ControlPlane {}
 
-impl Default for ControlPlane {
-    fn default() -> ControlPlane {
-        ControlPlane {
-            epochs: 8,
-            shed_deadlines: true,
-            depth_factor: 0.5,
-            brownout_bad_fraction: Some(0.25),
-            degraded_cost_ratio: 0.25,
-        }
-    }
-}
-
-/// How one request left the serving loop (internal bookkeeping behind
-/// [`Verdict`]; `Ran` becomes `Completed` once its finish is known).
-#[derive(Clone, Copy)]
-enum Fate {
-    Rejected,
-    Shed,
-    Ran { degraded: bool },
-    Failed { degraded: bool },
-}
+const EPOCHS: usize = 8;
+const DEPTH_FACTOR: f64 = 0.5;
+const DEGRADED_COST_RATIO: f64 = 0.25;
+const BROWNOUT_BAD_FRACTION: f64 = 0.25;
 
 /// Describes one open-loop serving run.
 #[derive(Debug, Clone)]
@@ -158,8 +124,8 @@ pub struct ServeConfig {
     pub slo: Option<Slo>,
     /// Per-tenant SLO overrides as `(tenant, slo)`.
     pub tenant_slos: Vec<(usize, Slo)>,
-    /// Overload/fault controls; `None` keeps the legacy single-batch
-    /// pipeline bit-for-bit unchanged.
+    /// Overload/fault controls; `None` runs one batch under quota
+    /// admission only.
     pub control: Option<ControlPlane>,
 }
 
@@ -252,11 +218,6 @@ impl ServeLayer {
         self.templates.is_empty()
     }
 
-    /// Template name serving a tenant.
-    pub fn template_for(&self, tenant: usize) -> &str {
-        &self.templates[tenant % self.templates.len()].name
-    }
-
     /// Instantiates one request's job from the template serving
     /// `tenant` — what the serving loop does internally, exposed for
     /// calibration and tests.
@@ -264,28 +225,16 @@ impl ServeLayer {
         (self.templates[tenant % self.templates.len()].make)(req)
     }
 
-    /// Calibrates each template's service-time estimate: one
-    /// representative request per template, run alone on a fresh
-    /// runtime over a clone of `topo`-shaped hardware.
-    /// Estimates feed quota admission only; measured latencies always
-    /// come from the real run.
-    fn calibrate(&self, rt: &Runtime, cfg: &ServeConfig) -> Vec<SimDuration> {
-        let mut est = Vec::with_capacity(self.templates.len());
-        for (ti, template) in self.templates.iter().enumerate() {
-            let req = Request {
-                index: 0,
-                tenant: ti,
-                arrival: SimDuration::ZERO,
-                seed: SimRng::new(cfg.seed ^ ti as u64).next_u64(),
-            };
-            let mut probe = Runtime::new(rt.topology().clone(), RuntimeConfig::default());
-            let makespan = probe
-                .execute((template.make)(&req))
-                .map(|r| r.makespan)
-                .unwrap_or(SimDuration::ZERO);
-            est.push(makespan);
-        }
-        est
+    /// The virtual time `req`'s job takes alone on a fresh default
+    /// runtime over `topo`: the service-time probe behind admission
+    /// estimates (one representative request per template) and behind
+    /// experiments that scale SLOs and arrival gaps to the workload.
+    /// Zero when the probe run fails; the serving run itself then
+    /// surfaces the error. Measured latencies never come from here.
+    pub fn service_time(&self, topo: &Topology, req: &Request) -> SimDuration {
+        Runtime::new(topo.clone(), RuntimeConfig::default())
+            .execute(self.instantiate(req.tenant, req))
+            .map_or(SimDuration::ZERO, |r| r.makespan)
     }
 
     /// Runs one open-loop serving pass: draws arrivals and the tenant
@@ -295,18 +244,25 @@ impl ServeLayer {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::InvalidConfig`] if no template is registered or
-    /// `cfg.tenants == 0`; otherwise whatever the executor returns.
+    /// [`RuntimeError::InvalidConfig`], before anything runs, if no
+    /// template is registered, `cfg.tenants == 0`, or a per-tenant
+    /// quota or SLO names a tenant `>= cfg.tenants`; otherwise whatever
+    /// the executor returns.
     pub fn run(&self, rt: &mut Runtime, cfg: &ServeConfig) -> Result<ServeReport, RuntimeError> {
+        let invalid = |what| Err(RuntimeError::InvalidConfig { what });
         if self.templates.is_empty() {
-            return Err(RuntimeError::InvalidConfig {
-                what: "no template registered",
-            });
+            return invalid("no template registered");
         }
         if cfg.tenants == 0 {
-            return Err(RuntimeError::InvalidConfig {
-                what: "a serving run needs at least one tenant",
-            });
+            return invalid("a serving run needs at least one tenant");
+        }
+        let mut overridden = cfg
+            .tenant_quotas
+            .iter()
+            .map(|&(t, _)| t)
+            .chain(cfg.tenant_slos.iter().map(|&(t, _)| t));
+        if overridden.any(|t| t >= cfg.tenants) {
+            return invalid("a per-tenant quota or SLO names a tenant the run does not have");
         }
 
         let mut rng = SimRng::new(cfg.seed);
@@ -326,9 +282,19 @@ impl ServeLayer {
             });
         }
 
-        // Quota admission over the arrival sequence, using calibrated
-        // service estimates and the runtime's own footprint predictor.
-        let est_service = self.calibrate(rt, cfg);
+        // Admission estimates: one representative request per template,
+        // timed alone; footprints come from the runtime's own predictor.
+        let est_service: Vec<SimDuration> = (0..self.templates.len())
+            .map(|ti| {
+                let probe = Request {
+                    index: 0,
+                    tenant: ti,
+                    arrival: SimDuration::ZERO,
+                    seed: SimRng::new(cfg.seed ^ ti as u64).next_u64(),
+                };
+                self.service_time(rt.topology(), &probe)
+            })
+            .collect();
         let mut quotas = QuotaTracker::new(cfg.tenants, cfg.quota);
         for &(tenant, bytes) in &cfg.tenant_quotas {
             quotas.set_quota(tenant, bytes);
@@ -358,10 +324,9 @@ impl ServeLayer {
             .map(|d| rt.manager().pool().allocated(d))
             .sum();
 
-        let t0 = rt.now();
-        let cp = cfg.control;
-        let epochs = cp.map_or(1, |c| c.epochs.max(1));
-        let chunk_size = cfg.requests.div_ceil(epochs).max(1);
+        // The run's one set of books: a record per request, pushed at
+        // admission and completed when its epoch has executed, and the
+        // per-tenant tallies kept in step with them.
         let slo_for = |tenant: usize| -> Option<Slo> {
             cfg.tenant_slos
                 .iter()
@@ -369,19 +334,41 @@ impl ServeLayer {
                 .map(|(_, s)| *s)
                 .or(cfg.slo)
         };
-
-        let mut fate: Vec<Fate> = vec![Fate::Rejected; cfg.requests];
-        let mut finish_abs: Vec<SimTime> = vec![t0; cfg.requests];
-        let mut browned: Vec<bool> = vec![false; cfg.tenants];
+        let mut tenants: Vec<TenantStats> = (0..cfg.tenants)
+            .map(|tenant| TenantStats {
+                tenant,
+                offered: 0,
+                admitted: 0,
+                rejected: 0,
+                shed: 0,
+                fast_failed: 0,
+                degraded: 0,
+                sojourn: Histogram::default(),
+                p50: SimDuration::ZERO,
+                p99: SimDuration::ZERO,
+                slo: slo_for(tenant),
+                slo_met: true,
+            })
+            .collect();
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(cfg.requests);
+        let mut sojourn = Histogram::default();
         let mut run_acc = RunReport::default();
 
-        for chunk in requests.chunks(chunk_size) {
+        let t0 = rt.now();
+        let trace_mark = rt.trace().len();
+        let control = cfg.control.is_some();
+        let epochs = if control { EPOCHS } else { 1 };
+        let mut browned = vec![false; cfg.tenants];
+        let (mut ran, mut bad) = (vec![0usize; cfg.tenants], vec![0usize; cfg.tenants]);
+
+        for chunk in requests.chunks(cfg.requests.div_ceil(epochs).max(1)) {
             // Admission over this epoch's arrivals, causal in arrival
             // order: deadline shedding first (a request whose completion
             // estimate already misses its p99 SLO never enters), then
             // quota admission; browned-out tenants instantiate their
             // degraded template.
             let epoch_start = rt.now();
+            let epoch_records = records.len();
             let mut jobs: Vec<JobSpec> = Vec::with_capacity(chunk.len());
             let mut offs: Vec<SimDuration> = Vec::with_capacity(chunk.len());
             let mut tags: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
@@ -390,9 +377,11 @@ impl ServeLayer {
                 let arrival_abs = t0 + req.arrival;
                 let svc = est_service[req.tenant % est_service.len()];
                 let template = &self.templates[req.tenant % self.templates.len()];
+                let ts = &mut tenants[req.tenant];
+                ts.offered += 1;
                 let mut degrade = browned[req.tenant] && template.degraded.is_some();
-                if let Some(c) = cp.filter(|c| c.shed_deadlines) {
-                    if let Some(slo) = slo_for(req.tenant) {
+                let verdict = 'admit: {
+                    if let (true, Some(slo)) = (control, ts.slo) {
                         quotas.release_until(arrival_abs);
                         let depth = quotas.inflight(req.tenant);
                         // Latency budget already burned waiting for this
@@ -400,45 +389,36 @@ impl ServeLayer {
                         // is only being admitted now, at `epoch_start`.
                         // Under overload this lag, not the queue depth,
                         // is what makes a request hopeless.
-                        let lag = if epoch_start > arrival_abs {
-                            epoch_start - arrival_abs
-                        } else {
-                            SimDuration::ZERO
-                        };
+                        let lag = epoch_start - arrival_abs;
                         let est_at = |cost: f64| {
                             lag + SimDuration::from_nanos_f64(
-                                cost * (1.0 + c.depth_factor * depth as f64),
+                                cost * (1.0 + DEPTH_FACTOR * depth as f64),
                             )
                         };
                         if est_at(svc.as_nanos() as f64) > slo.p99 {
                             // Degrade before drop: a hopeless full
                             // request may still meet its deadline on
                             // the tenant's cheaper template.
-                            let deg_cost =
-                                svc.as_nanos() as f64 * c.degraded_cost_ratio;
-                            if template.degraded.is_some()
-                                && est_at(deg_cost) <= slo.p99
-                            {
-                                degrade = true;
-                            } else {
-                                fate[req.index] = Fate::Shed;
+                            let deg_cost = svc.as_nanos() as f64 * DEGRADED_COST_RATIO;
+                            if template.degraded.is_none() || est_at(deg_cost) > slo.p99 {
                                 rt.annotate(TraceEvent::RequestShed {
                                     request: req.index as u64,
                                     tenant: req.tenant as u64,
                                     at: arrival_abs,
                                 });
-                                continue;
+                                break 'admit Verdict::Shed;
                             }
+                            degrade = true;
                         }
                     }
-                }
-                let job = if degrade {
-                    (template.degraded.as_ref().expect("checked"))(req)
-                } else {
-                    (template.make)(req)
-                };
-                let footprint = Runtime::predicted_footprint(&job);
-                if quotas.admit(req.tenant, footprint, arrival_abs, svc) {
+                    let job = match &template.degraded {
+                        Some(lite) if degrade => lite(req),
+                        _ => (template.make)(req),
+                    };
+                    let footprint = Runtime::predicted_footprint(&job);
+                    if !quotas.admit(req.tenant, footprint, arrival_abs, svc) {
+                        break 'admit Verdict::Rejected;
+                    }
                     if degrade {
                         rt.annotate(TraceEvent::RequestDegraded {
                             request: req.index as u64,
@@ -446,54 +426,56 @@ impl ServeLayer {
                             at: arrival_abs,
                         });
                     }
-                    fate[req.index] = Fate::Ran { degraded: degrade };
                     epoch_slots.push(req.index);
                     jobs.push(job);
                     // Arrival offsets stay anchored at t0; an epoch
                     // starting after a request's arrival runs it
                     // immediately (the request was ready, batching was
                     // the gate).
-                    offs.push(if arrival_abs > epoch_start {
-                        arrival_abs - epoch_start
-                    } else {
-                        SimDuration::ZERO
-                    });
+                    offs.push(arrival_abs - epoch_start);
                     tags.push((req.index as u64, req.tenant as u64));
-                } else {
-                    fate[req.index] = Fate::Rejected;
+                    // Until its epoch has run and says otherwise.
+                    Verdict::Completed
+                };
+                let admitted = verdict == Verdict::Completed;
+                match verdict {
+                    Verdict::Shed => ts.shed += 1,
+                    Verdict::Rejected => ts.rejected += 1,
+                    _ => {
+                        ts.admitted += 1;
+                        ts.degraded += usize::from(degrade);
+                    }
                 }
+                records.push(RequestRecord {
+                    index: req.index,
+                    tenant: req.tenant,
+                    arrival: req.arrival,
+                    admitted,
+                    latency: None,
+                    verdict,
+                    degraded: admitted && degrade,
+                });
             }
             if jobs.is_empty() {
                 continue;
             }
 
             // Execute the epoch; runtime-level admission (watermark
-            // waves) still applies underneath the quotas.
-            let run: RunReport = rt.execute(
-                Submission::batch(jobs).arrivals(offs).requests(tags),
-            )?;
-
-            // Map the epoch's requests back to their jobs: the executor
-            // hands out sequential JobIds in submission order. Jobs that
-            // failed fast may have run no task at all, so the base is
-            // the minimum over completed *and* failed jobs.
-            let base = run
-                .tasks
-                .iter()
-                .map(|t| t.job.0)
-                .chain(run.failed_jobs.iter().map(|f| f.job.0))
-                .min()
-                .unwrap_or(0);
+            // waves) still applies underneath the quotas. The executor
+            // hands out sequential JobIds in submission order, so job
+            // `base + k` is the request in `epoch_slots[k]`.
+            let base = rt.next_job_id().0;
+            let run: RunReport =
+                rt.execute(Submission::batch(jobs).arrivals(offs).requests(tags))?;
             for t in &run.tasks {
-                if let Some(&ri) = epoch_slots.get((t.job.0 - base) as usize) {
-                    finish_abs[ri] = finish_abs[ri].max(t.finish);
-                }
+                let rec = &mut records[epoch_slots[(t.job.0 - base) as usize]];
+                let lat = t.finish - (t0 + rec.arrival);
+                rec.latency = Some(rec.latency.map_or(lat, |l| l.max(lat)));
             }
             for f in &run.failed_jobs {
-                if let Some(&ri) = epoch_slots.get((f.job.0 - base) as usize) {
-                    let degraded = matches!(fate[ri], Fate::Ran { degraded: true });
-                    fate[ri] = Fate::Failed { degraded };
-                }
+                let rec = &mut records[epoch_slots[(f.job.0 - base) as usize]];
+                rec.verdict = Verdict::FastFailed;
+                rec.latency = None;
             }
             // The first epoch's lists are moved in; sizing the rest
             // from them lets the later epochs append without the
@@ -507,128 +489,64 @@ impl ServeLayer {
                 run_acc.edges.reserve(run_acc.edges.len() * rest);
             }
 
+            // Close the epoch's books. A shed admission is an SLO miss
+            // the control plane took pre-emptively: it counts toward the
+            // tenant's bad fraction, or heavy shedding masks the very
+            // overload brownout exists to relieve.
+            ran.fill(0);
+            bad.fill(0);
+            for rec in &records[epoch_records..] {
+                let ts = &mut tenants[rec.tenant];
+                let missed = match rec.verdict {
+                    Verdict::Rejected => continue,
+                    Verdict::Shed => true,
+                    Verdict::FastFailed => {
+                        ts.fast_failed += 1;
+                        true
+                    }
+                    Verdict::Completed => {
+                        let lat = rec.latency.expect("a job that did not fail ran its tasks");
+                        ts.sojourn.observe(lat.as_nanos());
+                        sojourn.observe(lat.as_nanos());
+                        ts.slo.is_some_and(|slo| lat > slo.p99)
+                    }
+                };
+                ran[rec.tenant] += 1;
+                bad[rec.tenant] += usize::from(missed);
+            }
             // Brownout decision at the epoch boundary: any open breaker
             // or a tenant burning SLO too fast switches that tenant's
             // *next* instantiations to the degraded template; both
             // clearing switches it back.
-            if let Some(threshold) = cp.and_then(|c| c.brownout_bad_fraction) {
+            if control {
                 let tripped = !rt.unhealthy_nodes().is_empty();
-                let mut ran = vec![0usize; cfg.tenants];
-                let mut bad = vec![0usize; cfg.tenants];
-                for req in chunk {
-                    match fate[req.index] {
-                        // A shed admission is an SLO miss the control
-                        // plane took pre-emptively: it must count
-                        // toward the tenant's bad fraction, or heavy
-                        // shedding masks the very overload brownout
-                        // exists to relieve.
-                        Fate::Failed { .. } | Fate::Shed => {
-                            ran[req.tenant] += 1;
-                            bad[req.tenant] += 1;
-                        }
-                        Fate::Ran { .. } => {
-                            ran[req.tenant] += 1;
-                            if let Some(slo) = slo_for(req.tenant) {
-                                let lat = finish_abs[req.index] - (t0 + req.arrival);
-                                if lat > slo.p99 {
-                                    bad[req.tenant] += 1;
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
                 for t in 0..cfg.tenants {
-                    browned[t] =
-                        tripped || (ran[t] > 0 && bad[t] as f64 > threshold * ran[t] as f64);
+                    browned[t] = tripped
+                        || (ran[t] > 0 && bad[t] as f64 > BROWNOUT_BAD_FRACTION * ran[t] as f64);
                 }
             }
         }
 
-        // Per-request and per-tenant accounting.
-        let mut records = Vec::with_capacity(cfg.requests);
-        let mut sojourn = Histogram::default();
-        let mut tenants: Vec<TenantStats> = (0..cfg.tenants)
-            .map(|tenant| TenantStats {
-                tenant,
-                offered: 0,
-                admitted: 0,
-                rejected: 0,
-                shed: 0,
-                fast_failed: 0,
-                degraded: 0,
-                sojourn: Histogram::default(),
-                p50: SimDuration::ZERO,
-                p99: SimDuration::ZERO,
-                slo: None,
-                slo_met: true,
-            })
-            .collect();
-        for req in &requests {
-            let ts = &mut tenants[req.tenant];
-            ts.offered += 1;
-            let (verdict, degraded, latency) = match fate[req.index] {
-                Fate::Rejected => {
-                    ts.rejected += 1;
-                    (Verdict::Rejected, false, None)
-                }
-                Fate::Shed => {
-                    ts.shed += 1;
-                    (Verdict::Shed, false, None)
-                }
-                Fate::Failed { degraded } => {
-                    ts.admitted += 1;
-                    ts.fast_failed += 1;
-                    if degraded {
-                        ts.degraded += 1;
-                    }
-                    (Verdict::FastFailed, degraded, None)
-                }
-                Fate::Ran { degraded } => {
-                    ts.admitted += 1;
-                    if degraded {
-                        ts.degraded += 1;
-                    }
-                    let lat = finish_abs[req.index] - (t0 + req.arrival);
-                    ts.sojourn.observe(lat.as_nanos());
-                    sojourn.observe(lat.as_nanos());
-                    (Verdict::Completed, degraded, Some(lat))
-                }
-            };
-            records.push(RequestRecord {
-                index: req.index,
-                tenant: req.tenant,
-                arrival: req.arrival,
-                admitted: matches!(verdict, Verdict::Completed | Verdict::FastFailed),
-                latency,
-                verdict,
-                degraded,
-            });
-        }
         for ts in &mut tenants {
             ts.p50 = SimDuration::from_nanos(ts.sojourn.quantile_bound(0.50));
             ts.p99 = SimDuration::from_nanos(ts.sojourn.quantile_bound(0.99));
-            ts.slo = cfg
-                .tenant_slos
-                .iter()
-                .find(|(t, _)| *t == ts.tenant)
-                .map(|(_, s)| *s)
-                .or(cfg.slo);
             ts.slo_met = match ts.slo {
                 Some(slo) if ts.admitted > 0 => ts.p50 <= slo.p50 && ts.p99 <= slo.p99,
                 _ => true,
             };
         }
 
+        // Everything below reads this run's own slice of the trace
+        // (empty when the runtime does not trace).
+        let events = &rt.trace().events()[trace_mark..];
         let (util_curve, peak_util) =
-            util_curve(rt, t0, run_acc.makespan, pool_at_start, pool_capacity);
+            util_curve(events, t0, run_acc.makespan, pool_at_start, pool_capacity);
 
-        // Request-centric observability, when the runtime traces: one
-        // causal span per admitted request (assembled from the
-        // `RequestTag`-stamped event stream), per-tenant tail
-        // attribution, and SLO burn curves against each tenant's p99.
-        let mut spans = disagg_obs::assemble_request_spans(rt.trace().events());
-        spans.retain(|s| s.arrival >= t0); // this run only
+        // Request-centric observability: one causal span per admitted
+        // request (assembled from the `RequestTag`-stamped event
+        // stream), per-tenant tail attribution, and SLO burn curves
+        // against each tenant's p99.
+        let spans = disagg_obs::assemble_request_spans(events);
         let tail = disagg_obs::tail_attribution(&spans);
         let slo_of = |tenant: u64| {
             tenants
@@ -665,15 +583,15 @@ impl ServeLayer {
 const BURN_WINDOWS: usize = 16;
 
 /// Samples pooled-memory utilization at 33 evenly spaced instants over
-/// the run, reconstructed from the trace's Alloc/Free events; also
-/// returns the *exact* peak fraction from the full event walk (the
-/// sampled curve can miss allocations shorter than a sample gap).
-/// Fractions are clamped to 1.0 — resident bytes can overshoot a
-/// quota-denominated pool because quotas account predicted footprints,
-/// not scratch allocations. Empty when the runtime traces nothing or
-/// the run was empty.
+/// the run that started at `t0`, reconstructed from the Alloc/Free
+/// events among the run's `events`; also returns the *exact* peak
+/// fraction from the full event walk (the sampled curve can miss
+/// allocations shorter than a sample gap). Fractions are clamped to
+/// 1.0 — resident bytes can overshoot a quota-denominated pool because
+/// quotas account predicted footprints, not scratch allocations. Empty
+/// when the runtime traces nothing or the run was empty.
 fn util_curve(
-    rt: &Runtime,
+    events: &[TraceEvent],
     t0: SimTime,
     makespan: SimDuration,
     at_start: u64,
@@ -683,18 +601,14 @@ fn util_curve(
         return (Vec::new(), 0.0);
     }
     // (time, signed delta) of every pool movement inside the run.
-    let mut deltas: Vec<(SimTime, i64)> = Vec::new();
-    for e in rt.trace().events() {
-        match *e {
-            TraceEvent::Alloc { bytes, at, .. } if at >= t0 => {
-                deltas.push((at, bytes as i64));
-            }
-            TraceEvent::Free { bytes, at, .. } if at >= t0 => {
-                deltas.push((at, -(bytes as i64)));
-            }
-            _ => {}
-        }
-    }
+    let mut deltas: Vec<(SimTime, i64)> = events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Alloc { bytes, at, .. } => Some((at, bytes as i64)),
+            TraceEvent::Free { bytes, at, .. } => Some((at, -(bytes as i64))),
+            _ => None,
+        })
+        .collect();
     if deltas.is_empty() {
         return (Vec::new(), 0.0);
     }
@@ -794,6 +708,25 @@ mod tests {
             got.err()
         );
         assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
+    }
+
+    #[test]
+    fn an_override_for_a_tenant_the_run_lacks_is_a_typed_error() {
+        let slo = Slo { p50: SimDuration::from_micros(1), p99: SimDuration::from_micros(1) };
+        for cfg in [
+            ServeConfig { tenants: 2, tenant_quotas: vec![(2, 1 << 20)], ..ServeConfig::default() },
+            ServeConfig { tenants: 2, tenant_slos: vec![(0, slo), (7, slo)], ..ServeConfig::default() },
+        ] {
+            let (topo, _ids) = single_server();
+            let mut rt = Runtime::new(topo, RuntimeConfig::default());
+            let got = layer().run(&mut rt, &cfg);
+            assert!(
+                matches!(got, Err(RuntimeError::InvalidConfig { .. })),
+                "{:?}",
+                got.err()
+            );
+            assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
+        }
     }
 
     #[test]
@@ -937,41 +870,6 @@ mod tests {
     }
 
     #[test]
-    fn inert_control_plane_matches_legacy_exactly() {
-        let run_with = |control: Option<ControlPlane>| {
-            let (topo, _ids) = single_server();
-            let mut rt = Runtime::new(topo, RuntimeConfig::default());
-            let cfg = ServeConfig {
-                requests: 24,
-                tenants: 3,
-                slo: Some(Slo {
-                    p50: SimDuration::from_micros(50),
-                    p99: SimDuration::from_millis(1),
-                }),
-                control,
-                ..ServeConfig::default()
-            };
-            layer().run(&mut rt, &cfg).unwrap()
-        };
-        let legacy = run_with(None);
-        // One epoch, no shedding, no brownout: the unified path must
-        // reduce to the legacy single-batch pipeline bit-for-bit.
-        let inert = run_with(Some(ControlPlane {
-            epochs: 1,
-            shed_deadlines: false,
-            depth_factor: 0.0,
-            brownout_bad_fraction: None,
-            degraded_cost_ratio: 0.25,
-        }));
-        assert_eq!(legacy.requests, inert.requests);
-        assert_eq!(legacy.sojourn, inert.sojourn);
-        assert_eq!(legacy.makespan, inert.makespan);
-        assert_eq!(legacy.tenants, inert.tenants);
-        assert_eq!(legacy.shed, 0);
-        assert_eq!(inert.shed, 0);
-    }
-
-    #[test]
     fn deadline_shedding_sheds_hopeless_requests() {
         let (topo, _ids) = single_server();
         let mut rt = Runtime::new(topo, RuntimeConfig::default());
@@ -997,12 +895,20 @@ mod tests {
     #[test]
     fn queue_depth_inflates_the_shedding_estimate() {
         // SLO sits above the bare service estimate but below the
-        // depth-inflated one: early (shallow-queue) requests pass the
-        // check, later ones behind a standing queue are shed.
+        // depth-inflated one (half a service time per in-flight
+        // request): early (shallow-queue) requests pass the check,
+        // later ones behind a standing queue are shed.
         let (topo, _ids) = single_server();
+        let seed = ServeConfig::default().seed;
+        // The run's own calibration probe for template 0.
+        let probe = Request {
+            index: 0,
+            tenant: 0,
+            arrival: SimDuration::ZERO,
+            seed: SimRng::new(seed).next_u64(),
+        };
+        let svc = layer().service_time(&topo, &probe);
         let mut rt = Runtime::new(topo, RuntimeConfig::default());
-        let probe_cfg = ServeConfig { requests: 1, tenants: 1, ..ServeConfig::default() };
-        let svc = layer().calibrate(&rt, &probe_cfg)[0];
 
         let cfg = ServeConfig {
             // Arrivals far denser than the service time → queue builds.
@@ -1011,52 +917,69 @@ mod tests {
             },
             requests: 64,
             tenants: 1,
+            seed,
             slo: Some(Slo {
                 p50: svc,
                 p99: SimDuration::from_nanos(svc.as_nanos() * 2),
             }),
-            control: Some(ControlPlane { depth_factor: 1.0, ..ControlPlane::default() }),
+            control: Some(ControlPlane::default()),
             ..ServeConfig::default()
         };
         let report = layer().run(&mut rt, &cfg).unwrap();
         assert!(report.shed > 0, "standing queue must trigger sheds");
         assert!(report.admitted > 0, "shallow-queue arrivals still pass");
-        assert_eq!(report.requests[0].verdict, Verdict::Completed, "first request sees depth 0");
+        let verdicts: Vec<Verdict> = report.requests.iter().take(4).map(|r| r.verdict).collect();
+        assert_eq!(
+            verdicts,
+            [Verdict::Completed, Verdict::Completed, Verdict::Completed, Verdict::Shed],
+            "depths 0..=2 estimate at most 2x the service time, depth 3 estimates 2.5x"
+        );
     }
 
     #[test]
     fn brownout_switches_to_the_degraded_template() {
-        let mut l = layer();
+        // The calibration probe (request index 0) is 40x cheaper than a
+        // live request, so every admission estimate fits the SLO while
+        // every real latency burns it: the first epoch's bad fraction
+        // browns the tenant out for the next.
+        let mut l = ServeLayer::new();
+        l.register("unit", |req: &Request| {
+            let mut j = JobBuilder::new("unit");
+            let ops = if req.index == 0 { 5_000 } else { 200_000 };
+            j.task(TaskSpec::new("work").body(move |ctx| {
+                ctx.compute(WorkClass::Scalar, ops);
+                Ok(())
+            }));
+            j.build().unwrap()
+        });
         l.register_degraded("unit", |req: &Request| {
             let mut j = JobBuilder::new("unit-lite");
             j.task(TaskSpec::new("work").work(WorkClass::Scalar, 500 + (req.seed % 500)));
             j.build().unwrap()
         });
         let (topo, _ids) = single_server();
+        let at = |index| Request { index, tenant: 0, arrival: SimDuration::ZERO, seed: 0 };
+        let (est, live) = (l.service_time(&topo, &at(0)), l.service_time(&topo, &at(1)));
         let mut rt = Runtime::new(topo, RuntimeConfig::default());
         let cfg = ServeConfig {
+            // Sparse arrivals: no queue depth and no epoch lag, so the
+            // estimate at admission is the bare calibrated one.
+            arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration(live.0 * 8) },
             requests: 32,
             tenants: 1,
-            // An SLO every completed request misses, with shedding off:
-            // the first epoch's 100% bad fraction browns the tenant out
-            // for every later epoch.
-            slo: Some(Slo {
-                p50: SimDuration::from_nanos(1),
-                p99: SimDuration::from_nanos(1),
-            }),
-            control: Some(ControlPlane {
-                epochs: 4,
-                shed_deadlines: false,
-                brownout_bad_fraction: Some(0.5),
-                ..ControlPlane::default()
-            }),
+            slo: Some(Slo { p50: est, p99: SimDuration(est.0 * 4) }),
+            control: Some(ControlPlane::default()),
             ..ServeConfig::default()
         };
         let report = l.run(&mut rt, &cfg).unwrap();
         assert!(report.degraded > 0, "later epochs must serve the degraded template");
         assert!(
-            report.requests.iter().take(8).all(|r| !r.degraded),
-            "the first epoch runs before any brownout signal exists"
+            report.requests.iter().take(4).all(|r| r.verdict == Verdict::Completed && !r.degraded),
+            "the first epoch runs in full before any brownout signal exists"
+        );
+        assert!(
+            report.requests[4..8].iter().all(|r| r.degraded || r.verdict == Verdict::Shed),
+            "the second epoch is browned out"
         );
         assert_eq!(
             report.requests.iter().filter(|r| r.degraded).count(),

@@ -48,8 +48,8 @@ pub struct RequestRecord {
     /// Sojourn time (arrival → last task finish); `None` unless the
     /// request completed.
     pub latency: Option<SimDuration>,
-    /// How the control plane disposed of it. Always `Completed` or
-    /// `Rejected` when the run has no [`crate::ControlPlane`].
+    /// How the run disposed of it. Never `Shed` when the run has no
+    /// [`crate::ControlPlane`].
     pub verdict: Verdict,
     /// Whether a brownout served this request from its tenant's
     /// degraded template.
@@ -160,14 +160,6 @@ impl ServeReport {
     /// p99 sojourn bound across all admitted requests.
     pub fn p99(&self) -> SimDuration {
         SimDuration::from_nanos(self.sojourn.quantile_bound(0.99))
-    }
-
-    /// Admitted fraction of offered load.
-    pub fn admit_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 1.0;
-        }
-        self.admitted as f64 / self.offered as f64
     }
 
     /// Requests that completed successfully (admitted minus fast-fails).

@@ -259,9 +259,9 @@ fn streaming_observer_matches_buffered_trace() {
 /// Observation is free of semantic weight at both extremes: the default
 /// [`NullObserver`] run (what every golden above uses) and a run with
 /// the everything-sink [`FullObserver`] attached — metrics registry,
-/// timelines, buffered events — produce the *same pinned golden
-/// digests*. Attaching full observability never moves a byte of the
-/// schedule or the trace.
+/// buffered events — produce the *same pinned golden digests*.
+/// Attaching full observability never moves a byte of the schedule or
+/// the trace.
 #[test]
 fn null_and_full_observers_agree_on_the_golden_digest() {
     use std::sync::{Arc, Mutex};

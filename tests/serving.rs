@@ -132,7 +132,7 @@ fn multi_epoch_run_reports_the_trace_byte_totals_once() {
     let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());
     let cfg = ServeConfig {
-        control: Some(ControlPlane { epochs: 4, ..ControlPlane::default() }),
+        control: Some(ControlPlane::default()),
         ..cfg()
     };
     let report = mix().run(&mut rt, &cfg).expect("serving run");
@@ -142,6 +142,66 @@ fn multi_epoch_run_reports_the_trace_byte_totals_once() {
         report.run.bytes_ownership_transferred,
         rt.trace().bytes_transferred_by_ownership()
     );
+}
+
+/// A serving run keeps its books against its own start: on a runtime
+/// that has already executed a batch (job ids, the clock and the trace
+/// all past zero) it reports the same verdicts, latencies, spans and
+/// utilization as on a fresh one.
+#[test]
+fn a_used_runtime_serves_like_a_fresh_one() {
+    use disagg::serve::ControlPlane;
+    // One tenant, so only the `chain` template runs: its handover is an
+    // ownership transfer, and nothing reserves ledger bandwidth — whose
+    // fixed 10 us buckets are the one thing in the simulator that is
+    // not invariant under a shift of the start time. Arrivals far
+    // denser than the service time build in-flight depth, so some are shed.
+    let cfg = ServeConfig {
+        arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_nanos(150) },
+        requests: 96,
+        tenants: 1,
+        quota: Some(8 << 20),
+        slo: Some(Slo { p50: SimDuration::from_nanos(600), p99: SimDuration::from_nanos(1_500) }),
+        control: Some(ControlPlane::default()),
+        ..cfg()
+    };
+    let serve = |warm_up: bool| {
+        let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+        if warm_up {
+            let probe = |tenant| Request { index: 0, tenant, arrival: SimDuration::ZERO, seed: 7 };
+            let batch: Vec<JobSpec> = (0..5).map(|t| mix().instantiate(t, &probe(t))).collect();
+            rt.execute(batch).expect("warm-up batch");
+        }
+        let (t0, job0) = (rt.now(), rt.next_job_id().0);
+        let report = mix().run(&mut rt, &cfg).expect("serving run");
+        // Spans carry absolute times and job ids; rebase them on the run.
+        let spans: Vec<_> = report
+            .spans
+            .iter()
+            .map(|s| {
+                let segments: Vec<_> = s
+                    .segments
+                    .iter()
+                    .map(|g| (g.kind, g.start - t0, g.end - t0, g.task))
+                    .collect();
+                (s.request, s.tenant, s.job - job0, s.arrival - t0, s.end - t0, segments, s.attribution)
+            })
+            .collect();
+        (t0, report, spans)
+    };
+    let (fresh_t0, fresh, fresh_spans) = serve(false);
+    let (used_t0, used, used_spans) = serve(true);
+    assert_eq!(fresh_t0, SimTime::ZERO);
+    assert!(used_t0 > SimTime::ZERO, "the warm-up batch must advance the clock");
+    assert_eq!(fresh.spans.len(), fresh.admitted);
+    assert!(fresh.shed > 0 && fresh.admitted > 0, "shed {} admitted {}", fresh.shed, fresh.admitted);
+    assert!(0.0 < fresh.peak_util && fresh.peak_util < 1.0, "peak {}", fresh.peak_util);
+    assert_eq!(used.requests, fresh.requests, "verdicts and latencies");
+    assert_eq!(used_spans, fresh_spans);
+    assert_eq!(used.peak_util, fresh.peak_util);
+    assert_eq!(used.util_curve, fresh.util_curve);
+    assert_eq!(used.makespan, fresh.makespan);
 }
 
 /// A tenant whose quota cannot hold even one request footprint is
@@ -291,7 +351,7 @@ fn fault_aware_controls_are_deterministic_across_runs() {
     let dense = || ServeConfig {
         arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(15) },
         requests: 48,
-        control: Some(ControlPlane { epochs: 4, ..ControlPlane::default() }),
+        control: Some(ControlPlane::default()),
         ..cfg()
     };
 
