@@ -154,7 +154,7 @@ impl ChaosServeRecord {
 
 /// The chaos mix: the same three request shapes as the serving sweep
 /// (point lookup, analytics fan-out, sharded ingest) but compute-bound
-/// — every task's body charges real device time via [`ctx.compute`]
+/// — every task's body charges real device time via `ctx.compute`
 /// (the declared `.work(...)` estimate alone is only a scheduler hint),
 /// so server compute is the scarce resource. That matters for a
 /// node-crash experiment: crashes must interrupt in-flight work and a

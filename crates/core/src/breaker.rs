@@ -20,7 +20,7 @@
 
 use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::NodeId;
-use disagg_hwsim::time::SimTime;
+use disagg_hwsim::time::{SimDuration, SimTime};
 
 use crate::config::{BreakerPolicy, RetryBudgetPolicy};
 
@@ -218,8 +218,12 @@ impl BreakerBank {
     }
 }
 
-/// Per-tenant retry budgets: continuous-refill token buckets in virtual
-/// time, charged once per executor retry.
+/// Virtual time per retry token refilled.
+const REFILL_INTERVAL: SimDuration = SimDuration::from_micros(100);
+
+/// Per-tenant retry budgets: token buckets in virtual time, charged once
+/// per executor retry and refilled one token per 100 µs up to the
+/// policy's capacity.
 #[derive(Debug)]
 pub struct RetryBudgets {
     policy: RetryBudgetPolicy,
@@ -238,18 +242,18 @@ impl RetryBudgets {
     /// false when the bucket is empty — the caller fails the request
     /// fast instead of retrying.
     pub fn charge(&mut self, tenant: u64, now: SimTime) -> bool {
-        let (capacity, interval) = (self.policy.capacity, self.policy.refill_interval);
+        let capacity = self.policy.capacity;
         let (tokens, anchor) = self
             .buckets
             .entry(tenant)
             .or_insert((capacity, SimTime::ZERO));
-        if interval.0 > 0 && now > *anchor {
-            let refills = now.since(*anchor).0 / interval.0;
+        if now > *anchor {
+            let refills = now.since(*anchor).0 / REFILL_INTERVAL.0;
             let refill = refills.min(capacity as u64) as u32;
             if *tokens < capacity {
                 *tokens = (*tokens + refill).min(capacity);
             }
-            *anchor = SimTime(anchor.0 + refills * interval.0);
+            *anchor = SimTime(anchor.0 + refills * REFILL_INTERVAL.0);
         }
         if *tokens > 0 {
             *tokens -= 1;
@@ -271,7 +275,6 @@ impl RetryBudgets {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use disagg_hwsim::time::SimDuration;
 
     #[test]
     fn breaker_trips_after_consecutive_strikes_and_probes_after_cooldown() {
@@ -328,22 +331,18 @@ mod tests {
 
     #[test]
     fn retry_budget_spends_and_refills_in_virtual_time() {
-        let mut r = RetryBudgets::new(
-            RetryBudgetPolicy::default()
-                .with_capacity(2)
-                .with_refill_interval(SimDuration(1_000)),
-        );
+        let mut r = RetryBudgets::new(RetryBudgetPolicy::default().with_capacity(2));
         assert_eq!(r.remaining(5), 2);
         assert!(r.charge(5, SimTime(0)));
-        assert!(r.charge(5, SimTime(10)));
-        assert!(!r.charge(5, SimTime(20)), "bucket empty");
-        assert!(!r.charge(5, SimTime(999)), "not a full interval yet");
-        assert!(r.charge(5, SimTime(1_001)), "one token refilled");
-        assert!(!r.charge(5, SimTime(1_100)));
+        assert!(r.charge(5, SimTime(1_000)));
+        assert!(!r.charge(5, SimTime(2_000)), "bucket empty");
+        assert!(!r.charge(5, SimTime(99_999)), "not a full interval yet");
+        assert!(r.charge(5, SimTime(100_001)), "one token refilled");
+        assert!(!r.charge(5, SimTime(110_000)));
         // Refill caps at capacity no matter how long the idle gap.
-        assert!(r.charge(5, SimTime(1_000_000)));
-        assert!(r.charge(5, SimTime(1_000_000)));
-        assert!(!r.charge(5, SimTime(1_000_000)));
+        assert!(r.charge(5, SimTime(100_000_000)));
+        assert!(r.charge(5, SimTime(100_000_000)));
+        assert!(!r.charge(5, SimTime(100_000_000)));
         // Tenants are independent.
         assert!(r.charge(6, SimTime(0)));
     }

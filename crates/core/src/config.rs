@@ -6,7 +6,7 @@ use disagg_obs::ObserverSlot;
 use disagg_sched::cost::TopologyAwareness;
 use disagg_sched::lifetime::HandoverPolicy;
 use disagg_sched::placement::PlacementPolicy;
-use disagg_sched::schedule::{QueuePolicy, SchedPolicy};
+use disagg_sched::schedule::SchedPolicy;
 
 /// How the runtime detects and recovers from mid-task faults
 /// (Challenge 8(3)). All delays are virtual time, so recovery behavior
@@ -94,26 +94,21 @@ impl RecoveryPolicy {
 }
 
 /// Per-tenant retry budget: a virtual-time token bucket charged once per
-/// executor `TaskRetry`. When a tenant's bucket is empty, its requests
-/// fail fast with [`crate::DisaggError::RetryBudgetExhausted`] instead
-/// of grinding through the full [`RecoveryPolicy`] — a fault storm
-/// cannot metastasize into a retry storm.
+/// executor `TaskRetry` and refilled one token per 100 µs. When a
+/// tenant's bucket is empty, its requests fail fast with
+/// [`crate::DisaggError::RetryBudgetExhausted`] instead of grinding
+/// through the full [`RecoveryPolicy`] — a fault storm cannot
+/// metastasize into a retry storm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudgetPolicy {
     /// Bucket capacity (tokens): the burst of retries one tenant may
     /// spend before refills gate further attempts.
     pub capacity: u32,
-    /// Virtual time per token refilled (buckets refill continuously and
-    /// cap at `capacity`).
-    pub refill_interval: SimDuration,
 }
 
 impl Default for RetryBudgetPolicy {
     fn default() -> Self {
-        RetryBudgetPolicy {
-            capacity: 8,
-            refill_interval: SimDuration::from_micros(100),
-        }
+        RetryBudgetPolicy { capacity: 8 }
     }
 }
 
@@ -121,12 +116,6 @@ impl RetryBudgetPolicy {
     /// Sets the bucket capacity.
     pub fn with_capacity(mut self, n: u32) -> Self {
         self.capacity = n;
-        self
-    }
-
-    /// Sets the per-token refill interval.
-    pub fn with_refill_interval(mut self, d: SimDuration) -> Self {
-        self.refill_interval = d;
         self
     }
 }
@@ -168,9 +157,8 @@ impl BreakerPolicy {
 }
 
 /// Fault-aware control-plane knobs layered over [`RecoveryPolicy`]. All
-/// default **off** (`FaultControlPolicy::default()` is inert), so plain
-/// runs — and every existing equivalence golden — execute byte-for-byte
-/// the same code path.
+/// default **off**, so plain runs — and every existing equivalence
+/// golden — execute byte-for-byte the same code path.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultControlPolicy {
     /// Per-tenant retry budgets (`None` = unbounded, the legacy
@@ -188,12 +176,6 @@ pub struct FaultControlPolicy {
 }
 
 impl FaultControlPolicy {
-    /// True when every mechanism is off — the executor takes the legacy
-    /// path with zero extra state.
-    pub fn is_inert(&self) -> bool {
-        self.retry_budget.is_none() && self.breakers.is_none() && !self.isolate_failures
-    }
-
     /// Enables per-tenant retry budgets.
     pub fn with_retry_budget(mut self, p: RetryBudgetPolicy) -> Self {
         self.retry_budget = Some(p);
@@ -219,62 +201,47 @@ impl FaultControlPolicy {
 /// The defaults are the paper's vision: declarative placement, HEFT
 /// scheduling, ownership-transfer handover, topology-aware costs. Every
 /// knob exists so an experiment can switch one ingredient to a baseline
-/// and measure the difference.
-#[derive(Debug, Clone)]
+/// and measure the difference; each field names the experiment
+/// (`exp_driver --only <id>`), benchmark workload or example that does.
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
     /// How declarative memory requests are resolved to devices.
+    /// Switched by `table3`, `fig1`, `online` and `ablation`
+    /// (compute-centric and worst-feasible baselines).
     pub placement: PlacementPolicy,
-    /// How tasks are assigned to compute devices.
+    /// How tasks are assigned to compute devices. Switched by
+    /// `ablation` (round-robin).
     pub sched: SchedPolicy,
-    /// How each device's ready queue orders dispatch when several
-    /// assigned tasks are ready at once (out-of-order executor).
-    pub queue: QueuePolicy,
-    /// How outputs reach successors (transfer vs copy).
+    /// How outputs reach successors (transfer vs copy). Switched by
+    /// `fig4`, `ablation` and every compute-centric baseline.
     pub handover: HandoverPolicy,
-    /// Cost-model topology awareness (ablation).
+    /// Cost-model topology awareness. Switched by `ablation` (E13).
     pub awareness: TopologyAwareness,
-    /// Record a full event trace (costs memory on big runs).
+    /// Record a full event trace (costs memory on big runs). On in
+    /// almost every experiment; off in the benchmark's `batch_dag`.
     pub trace: bool,
     /// Streaming event sink: sees every trace event at emission time,
     /// independent of whether `trace` buffers them. The default is the
     /// null slot — no tap is installed and observability costs nothing.
+    /// Attached by `exp_driver --trace-out`/`--metrics-out` and the
+    /// benchmark's `batch_dag` observer probe.
     pub observer: ObserverSlot,
-    /// Injected faults for this run.
+    /// Injected faults for this run. Set by `chaos`, `chaos_serve`,
+    /// the benchmark's `apps_chaos` and `examples/far_memory_resilience`.
     pub faults: FaultInjector,
-    /// How mid-task faults are detected and retried.
+    /// How mid-task faults are detected and retried. Set wherever
+    /// `faults` is.
     pub recovery: RecoveryPolicy,
     /// Overload/fault control plane on top of `recovery`: retry
-    /// budgets, circuit breakers, failure isolation. Inert by default.
+    /// budgets, circuit breakers, failure isolation. Inert by default;
+    /// armed by `chaos_serve`.
     pub fault_control: FaultControlPolicy,
     /// Memory-aware admission control: when set, a submitted batch is
     /// split into waves so that each wave's *predicted* memory footprint
     /// stays below this fraction of the pool's free capacity. `None`
     /// admits everything at once (a too-big batch then fails placement).
+    /// Set by `examples/rack_scale`.
     pub admission_watermark: Option<f64>,
-    /// Copies kept of every persistent output (Challenge 8(3)): 1 keeps
-    /// just the primary; 2+ adds replicas on persistent devices in
-    /// *different failure domains*, so a node loss cannot erase a result
-    /// the application was promised would survive.
-    pub persistent_replicas: usize,
-}
-
-impl Default for RuntimeConfig {
-    fn default() -> Self {
-        RuntimeConfig {
-            placement: PlacementPolicy::default(),
-            sched: SchedPolicy::default(),
-            queue: QueuePolicy::default(),
-            handover: HandoverPolicy::default(),
-            awareness: TopologyAwareness::default(),
-            trace: false,
-            observer: ObserverSlot::default(),
-            faults: FaultInjector::default(),
-            recovery: RecoveryPolicy::default(),
-            fault_control: FaultControlPolicy::default(),
-            admission_watermark: None,
-            persistent_replicas: 1,
-        }
-    }
 }
 
 impl RuntimeConfig {
@@ -307,12 +274,6 @@ impl RuntimeConfig {
     /// Sets the scheduling policy.
     pub fn with_sched(mut self, s: SchedPolicy) -> Self {
         self.sched = s;
-        self
-    }
-
-    /// Sets the device ready-queue dispatch policy.
-    pub fn with_queue(mut self, q: QueuePolicy) -> Self {
-        self.queue = q;
         self
     }
 
@@ -354,15 +315,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enables memory-aware admission control at the given watermark.
+    /// Enables memory-aware admission control at the given watermark
+    /// (clamped to `[0.05, 1.0]`; [`crate::Runtime::execute`] rejects a
+    /// non-finite one).
     pub fn with_admission(mut self, watermark: f64) -> Self {
         self.admission_watermark = Some(watermark);
-        self
-    }
-
-    /// Keeps `n` copies of every persistent output (n >= 1).
-    pub fn with_persistent_replicas(mut self, n: usize) -> Self {
-        self.persistent_replicas = n.max(1);
         self
     }
 
@@ -445,7 +402,6 @@ mod tests {
     #[test]
     fn fault_control_defaults_inert() {
         let fc = FaultControlPolicy::default();
-        assert!(fc.is_inert());
         assert!(fc.retry_budget.is_none());
         assert!(fc.breakers.is_none());
         assert!(!fc.isolate_failures);
@@ -453,7 +409,6 @@ mod tests {
             .with_retry_budget(RetryBudgetPolicy::default().with_capacity(4))
             .with_breakers(BreakerPolicy::default().with_trip_after(2))
             .with_isolation();
-        assert!(!armed.is_inert());
         assert_eq!(armed.retry_budget.unwrap().capacity, 4);
         assert_eq!(armed.breakers.unwrap().trip_after, 2);
         assert!(armed.isolate_failures);

@@ -1,6 +1,6 @@
 //! The discrete-event, out-of-order executor.
 //!
-//! [`run_wave`] drives one admission wave of jobs through virtual time
+//! `run_wave` drives one admission wave of jobs through virtual time
 //! as a proper event simulation instead of a serial drain:
 //!
 //! - an **event heap** keyed on [`SimTime`] orders everything that can
@@ -11,9 +11,8 @@
 //!   in-degrees moves a task into its assigned device's **ready queue**
 //!   the instant its last incoming edge is satisfied;
 //! - each compute device **dispatches** queued tasks into free lanes
-//!   according to the configured
-//!   [`QueuePolicy`](disagg_sched::schedule::QueuePolicy) (the
-//!   scheduler's cost model feeds the default rank order);
+//!   highest upward rank first (the scheduler's cost model feeds the
+//!   order);
 //! - compute and region transfer **overlap**: a producer's successors
 //!   are unblocked by per-edge events (pipelined early for streaming
 //!   pairs), so independent DAG branches advance concurrently on
@@ -31,7 +30,7 @@
 //! 4 000 requests used to sit under every one of them).
 //!
 //! Determinism: the heap breaks time ties by the monotone sequence
-//! number, queue pops break policy ties by (queue time, job, task), and
+//! number, queue pops break rank ties by (queue time, job, task), and
 //! the bandwidth ledger is charged in event order — two runs of the
 //! same submission produce identical reports.
 //!
@@ -42,13 +41,13 @@
 //! hash maps: dependency counts, pending inputs, and start/finish times
 //! are all O(1) array hits. Ready queues and lane tables are indexed
 //! directly by [`ComputeId::index`]; ready queues are binary heaps whose
-//! key *is* the dispatch policy (see [`task::QueueEntry`]). Deferred
+//! key *is* the dispatch order (see `task::QueueEntry`). Deferred
 //! task exits live in one min-heap ordered by `(finish, seq)`, so the
 //! event loop never re-sorts.
 //!
 //! Committing a task allocates nothing: the inputs handed to each
 //! consumer sit in one flat buffer sliced by prefix sums of the
-//! in-degrees ([`Wave::push_input`]), the co-placement accessor list is a
+//! in-degrees (`Wave::push_input`), the co-placement accessor list is a
 //! reused scratch, a [`TaskReport`](crate::report::TaskReport) keeps its
 //! placements inline and is given its spec's name at the end of the
 //! wave, and `report.tasks`, the engine's decision log and the pool's

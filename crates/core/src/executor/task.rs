@@ -25,7 +25,7 @@ use disagg_region::region::OwnerId;
 use disagg_region::typed::RegionType;
 use disagg_sched::enforce::needs_encryption;
 use disagg_sched::placement::PlacementEngine;
-use disagg_sched::schedule::{QueuePolicy, Scheduler};
+use disagg_sched::schedule::Scheduler;
 
 use crate::error::DisaggError;
 use crate::report::{FailReason, FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
@@ -39,39 +39,20 @@ use super::{EventKind, Wave};
 /// paper's stream-vs-batch property made operational.
 pub(crate) const PIPELINE_DEPTH: u64 = 8;
 
-/// A ready-queue entry: `(policy key, queue time, ji, task)`.
+/// A ready-queue entry: `(rank key, queue time, ji, task)`.
 ///
 /// The tuple's lexicographic `Ord` *is* the dispatch order, so the
-/// per-device ready queue can be a binary heap (O(log n) pop) instead
-/// of the old linear `pick()` scan. The leading `u64` encodes the
-/// active [`QueuePolicy`]'s primary criterion (see [`queue_key`]); the
-/// `(queue time, ji, task)` tail reproduces `pick()`'s deterministic
-/// tie-break exactly — `(ji, task)` is unique per queue.
+/// per-device ready queue is a binary heap (O(log n) pop): highest
+/// upward rank first, then the `(queue time, ji, task)` tail as the
+/// deterministic tie-break — `(ji, task)` is unique per queue.
 pub(crate) type QueueEntry = (u64, SimTime, usize, TaskId);
 
-/// The heap key's primary criterion under a queue policy (smallest
-/// pops first):
-///
-/// - `CostRank`: `!rank.to_bits()`. Upward ranks are finite and
-///   non-negative, where `f64::to_bits` is monotone increasing, so the
-///   bitwise complement is monotone *decreasing* — the min-heap pops
-///   the highest rank first, matching `total_cmp` descending.
-/// - `Fifo`: constant; ordering falls through to queue-arrival time.
-/// - `ShortestFirst`: the estimated duration in nanoseconds.
-pub(crate) fn queue_key(
-    policy: QueuePolicy,
-    rank: f64,
-    est: SimDuration,
-    queued_at: SimTime,
-    ji: usize,
-    task: TaskId,
-) -> QueueEntry {
-    let primary = match policy {
-        QueuePolicy::CostRank => !rank.to_bits(),
-        QueuePolicy::Fifo => 0,
-        QueuePolicy::ShortestFirst => est.0,
-    };
-    (primary, queued_at, ji, task)
+/// The heap key (smallest pops first). Upward ranks are finite and
+/// non-negative, where `f64::to_bits` is monotone increasing, so the
+/// bitwise complement is monotone *decreasing* — the min-heap pops the
+/// highest rank first, matching `total_cmp` descending.
+pub(crate) fn queue_key(rank: f64, queued_at: SimTime, ji: usize, task: TaskId) -> QueueEntry {
+    (!rank.to_bits(), queued_at, ji, task)
 }
 
 /// A dispatched queue entry, decoded.
@@ -318,20 +299,13 @@ pub(crate) fn enqueue(
         on: compute,
         at,
     });
-    w.queues[compute.index()].push(Reverse(queue_key(
-        rt.config.queue,
-        entry.rank,
-        entry.est_duration(),
-        at,
-        ji,
-        task,
-    )));
+    w.queues[compute.index()].push(Reverse(queue_key(entry.rank, at, ji, task)));
     service(rt, w, jobs, compute, at)
 }
 
 /// Dispatches queued tasks into free lanes until the device runs out
 /// of either. The ready queue is a min-heap on [`QueueEntry`], so the
-/// pop *is* the policy decision.
+/// pop *is* the dispatch order.
 pub(crate) fn service(
     rt: &mut Runtime,
     w: &mut Wave,
@@ -663,17 +637,6 @@ pub(crate) fn run_task(
             if eff.persistent {
                 // Persistent results outlive the job (App scope).
                 rt.mgr.transfer(out, who, OwnerId::App)?;
-                // Fault tolerance: keep extra copies on persistent
-                // devices in other failure domains.
-                if rt.config.persistent_replicas > 1 {
-                    let copies = rt.replicate_persistent(
-                        out,
-                        compute,
-                        rt.config.persistent_replicas - 1,
-                        finish,
-                    )?;
-                    w.report.persistent_replicas.push((out, copies));
-                }
             }
         } else {
             // Copies for fan-out consumers beyond the first...

@@ -55,7 +55,7 @@ pub use error::{DisaggError, RuntimeError};
 pub use profile::{RunProfile, TaskProfile};
 pub use report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
 pub use runtime::Runtime;
-pub use submission::{AdmissionPolicy, Submission};
+pub use submission::Submission;
 
 /// Re-export of the observability crate (observers, metrics,
 /// exporters), so `disagg_core::obs::*` is the one-stop surface.
@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::profile::{RunProfile, TaskProfile};
     pub use crate::report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
     pub use crate::runtime::Runtime;
-    pub use crate::submission::{AdmissionPolicy, Submission};
+    pub use crate::submission::Submission;
     pub use disagg_dataflow::ctx::TaskCtx;
     pub use disagg_dataflow::job::{JobBuilder, JobId, JobSpec};
     pub use disagg_dataflow::task::{TaskError, TaskId, TaskProps, TaskSpec};
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use disagg_hwsim::time::{SimDuration, SimTime};
     pub use disagg_hwsim::topology::Topology;
     pub use disagg_obs::{
-        CollectingObserver, FullObserver, MetricsSnapshot, NullObserver, Observer, ObserverSlot,
+        CollectingObserver, FullObserver, MetricsSnapshot, Observer, ObserverSlot,
     };
     pub use disagg_region::props::{
         AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet,
@@ -88,5 +88,5 @@ pub mod prelude {
     pub use disagg_region::typed::RegionType;
     pub use disagg_sched::lifetime::HandoverPolicy;
     pub use disagg_sched::placement::PlacementPolicy;
-    pub use disagg_sched::schedule::{QueuePolicy, SchedPolicy};
+    pub use disagg_sched::schedule::SchedPolicy;
 }

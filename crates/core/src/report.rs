@@ -208,8 +208,6 @@ pub struct RunReport {
     pub denials: u64,
     /// Per-device usage.
     pub devices: Vec<DeviceSummary>,
-    /// Replicas created for persistent outputs: `(primary, copies)`.
-    pub persistent_replicas: Vec<(RegionId, Vec<RegionId>)>,
     /// Simulation events processed by the executor's event loop (ready,
     /// edge-done, and lane-free events across all waves). Dividing by
     /// wall-clock gives the simulator's events/sec throughput.
@@ -252,7 +250,6 @@ impl RunReport {
         append(&mut self.violations, next.violations);
         self.denials += next.denials;
         self.devices = next.devices;
-        append(&mut self.persistent_replicas, next.persistent_replicas);
         self.events += next.events;
         append(&mut self.edges, next.edges);
         append(&mut self.failed_jobs, next.failed_jobs);
@@ -278,19 +275,6 @@ impl RunReport {
             0.0
         } else {
             self.ownership_transfers as f64 / total as f64
-        }
-    }
-
-    /// Aggregate peak memory utilization across devices with capacity.
-    pub fn aggregate_peak_utilization(&self) -> f64 {
-        let (used, cap) = self
-            .devices
-            .iter()
-            .fold((0u64, 0u64), |(u, c), d| (u + d.peak_bytes, c + d.capacity));
-        if cap == 0 {
-            0.0
-        } else {
-            used as f64 / cap as f64
         }
     }
 
@@ -385,24 +369,6 @@ mod tests {
             bytes_transferred: 0,
         };
         assert_eq!(empty.peak_utilization(), 0.0);
-    }
-
-    #[test]
-    fn aggregate_utilization_weights_by_capacity() {
-        let mut r = RunReport::default();
-        r.devices.push(DeviceSummary {
-            dev: MemDeviceId(0),
-            peak_bytes: 100,
-            capacity: 100,
-            bytes_transferred: 0,
-        });
-        r.devices.push(DeviceSummary {
-            dev: MemDeviceId(1),
-            peak_bytes: 0,
-            capacity: 300,
-            bytes_transferred: 0,
-        });
-        assert_eq!(r.aggregate_peak_utilization(), 0.25);
     }
 
     #[test]

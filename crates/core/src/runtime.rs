@@ -1,6 +1,6 @@
 //! The runtime: placement + scheduling + execution of dataflow jobs.
 //!
-//! [`Runtime::run`] is where the paper's vision comes together. For each
+//! [`Runtime::execute`] is where the paper's vision comes together. For each
 //! submitted batch of jobs it:
 //!
 //! 1. plans a schedule (HEFT by default) mapping tasks to compute devices;
@@ -23,7 +23,7 @@ use disagg_hwsim::fx::FxHashMap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
-use disagg_hwsim::ids::{ComputeId, MemDeviceId};
+use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
@@ -31,7 +31,6 @@ use disagg_region::hotness::HotnessTracker;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionManager};
-use disagg_region::typed::RegionType;
 use disagg_sched::enforce::Auditor;
 use disagg_sched::lifetime::LifetimeManager;
 use disagg_sched::placement::PlacementEngine;
@@ -39,7 +38,7 @@ use disagg_sched::placement::PlacementEngine;
 use crate::breaker::{BreakerBank, BreakerTransition, RetryBudgets};
 use crate::config::RuntimeConfig;
 use crate::report::RunReport;
-use crate::submission::{AdmissionPolicy, Submission};
+use crate::submission::Submission;
 
 pub use crate::error::{DisaggError, RuntimeError};
 
@@ -71,8 +70,7 @@ pub struct Runtime {
 impl Runtime {
     /// Creates a runtime over a topology.
     pub fn new(topo: Topology, config: RuntimeConfig) -> Self {
-        let mut engine = PlacementEngine::new(config.placement);
-        engine.model.awareness = config.awareness;
+        let engine = PlacementEngine::with_awareness(config.placement, config.awareness);
         let mut trace = if config.trace {
             Trace::enabled()
         } else {
@@ -210,15 +208,21 @@ impl Runtime {
     /// A closed batch runs at the current virtual time; with arrival
     /// offsets attached, each job's tasks may not start before its
     /// offset — an open stream of submissions rather than a closed
-    /// batch. Admission control (the submission's
-    /// [`AdmissionPolicy`] override, falling back to
-    /// [`RuntimeConfig::admission_watermark`]) applies to both shapes:
-    /// jobs whose combined predicted footprint would overflow the
-    /// watermark wait for the previous wave to finish, with arrival
-    /// offsets preserved across waves — resource-aware scheduling
-    /// instead of a hard placement failure.
+    /// batch. Admission control ([`RuntimeConfig::admission_watermark`])
+    /// applies to both shapes: jobs whose combined predicted footprint
+    /// would overflow the watermark wait for the previous wave to
+    /// finish, with arrival offsets preserved across waves —
+    /// resource-aware scheduling instead of a hard placement failure. A
+    /// non-finite watermark is [`DisaggError::InvalidConfig`], before
+    /// anything runs.
     pub fn execute(&mut self, sub: impl Into<Submission>) -> Result<RunReport, RuntimeError> {
-        let Submission { jobs, offsets, admission, tags } = sub.into();
+        let Submission { jobs, offsets, tags } = sub.into();
+        let watermark = self.config.admission_watermark;
+        if watermark.is_some_and(|w| !w.is_finite()) {
+            return Err(DisaggError::InvalidConfig {
+                what: "admission watermark is not a finite number",
+            });
+        }
         if let Some(offs) = &offsets {
             if offs.len() != jobs.len() {
                 return Err(DisaggError::Submission {
@@ -240,11 +244,6 @@ impl Runtime {
         let tags: Vec<Option<(u64, u64)>> = match tags {
             Some(t) => t.into_iter().map(Some).collect(),
             None => vec![None; n],
-        };
-        let watermark = match admission {
-            Some(AdmissionPolicy::Open) => None,
-            Some(AdmissionPolicy::Watermark(w)) => Some(w),
-            None => self.config.admission_watermark,
         };
         let report = self.run_waves(jobs, offsets, tags, watermark)?;
         // Online reconstruction: heal persistent regions whose device
@@ -357,7 +356,7 @@ impl Runtime {
             let props = self.mgr.meta(id)?.props.clone();
             let ranked =
                 self.engine
-                    .model
+                    .model()
                     .rank(&self.topo, self.mgr.pool(), vantage, &props, placement.size);
             let Some((dev, _)) = ranked.into_iter().find(|&(d, _)| {
                 self.topo.node_of_mem(d) != failed_node
@@ -392,71 +391,5 @@ impl Runtime {
         // costs the longest one.
         self.clock += longest;
         Ok(healed)
-    }
-
-    /// Creates `n` App-owned copies of a persistent region, each on a
-    /// persistent device in a failure domain different from the primary
-    /// (and from each other, as far as the topology allows). Charges the
-    /// copies on the bandwidth ledger.
-    pub(crate) fn replicate_persistent(
-        &mut self,
-        primary: RegionId,
-        compute: ComputeId,
-        n: usize,
-        now: SimTime,
-    ) -> Result<Vec<RegionId>, RuntimeError> {
-        let placement = self.mgr.placement(primary)?;
-        let props = self.mgr.meta(primary)?.props.clone();
-        let mut used_nodes = vec![self.topo.node_of_mem(placement.dev)];
-        let mut copies = Vec::new();
-        for _ in 0..n {
-            let ranked =
-                self.engine
-                    .model
-                    .rank(&self.topo, self.mgr.pool(), compute, &props, placement.size);
-            let Some((dev, _)) = ranked
-                .into_iter()
-                .find(|&(d, _)| !used_nodes.contains(&self.topo.node_of_mem(d)))
-            else {
-                // No further failure domain available: keep what we have.
-                break;
-            };
-            used_nodes.push(self.topo.node_of_mem(dev));
-            let copy = self.mgr.alloc(
-                dev,
-                placement.size,
-                RegionType::GlobalScratch,
-                props.clone(),
-                OwnerId::App,
-                now,
-            )?;
-            self.mgr.copy_contents(primary, copy)?;
-            // Not `region::migrate::charge_copy`: this copy reserves no
-            // link and has no `transfer_cost` floor. Pricing it like the
-            // others moves virtual time, so it waits for ROADMAP 4(b).
-            let f1 = self.ledger.reserve(
-                ResourceKey::Mem(placement.dev),
-                now,
-                placement.size as f64,
-                self.topo.mem(placement.dev).read_bw_bpns,
-            );
-            let f2 = self.ledger.reserve(
-                ResourceKey::Mem(dev),
-                now,
-                placement.size as f64,
-                self.topo.mem(dev).write_bw_bpns,
-            );
-            let took = (f1.max(f2)) - now;
-            self.trace.push(TraceEvent::Migrate {
-                region: primary.0,
-                from: placement.dev,
-                to: dev,
-                bytes: placement.size,
-                at: now,
-                took,
-            });
-            copies.push(copy);
-        }
-        Ok(copies)
     }
 }

@@ -17,13 +17,12 @@
 //!     j.build().unwrap()
 //! };
 //!
-//! // A closed batch, admitted in memory-aware waves:
-//! let report = rt
-//!     .execute(Submission::batch(vec![mk("a"), mk("b")]).admission(AdmissionPolicy::Watermark(0.8)))
-//!     .unwrap();
+//! // A closed batch (admitted in memory-aware waves when the runtime
+//! // is configured `with_admission`):
+//! let report = rt.execute(Submission::batch(vec![mk("a"), mk("b")])).unwrap();
 //! assert_eq!(report.tasks.len(), 2);
 //!
-//! // An open arrival stream — arrivals and admission now compose.
+//! // An open arrival stream — arrivals and admission compose.
 //! let report = rt
 //!     .execute(
 //!         Submission::batch(vec![mk("c"), mk("d")])
@@ -36,31 +35,19 @@
 use disagg_dataflow::job::JobSpec;
 use disagg_hwsim::time::SimDuration;
 
-/// How a submission's jobs are admitted against pool capacity.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionPolicy {
-    /// Admit every job at once; an infeasible batch fails placement.
-    Open,
-    /// Memory-aware admission: split into waves so each wave's
-    /// *predicted* footprint stays below this fraction of the pool's
-    /// free capacity (clamped to `[0.05, 1.0]` at execution time).
-    Watermark(f64),
-}
-
 /// One unit of work handed to [`Runtime::execute`](crate::Runtime::execute):
-/// a batch of jobs, optional per-job arrival offsets, and an optional
-/// admission-policy override.
+/// a batch of jobs, optional per-job arrival offsets, and optional
+/// request identities.
 ///
 /// Built with [`Submission::batch`] / [`Submission::job`] /
-/// [`Submission::arriving`] and refined with the builder methods. When
-/// no [`AdmissionPolicy`] is set, the runtime's configured
+/// [`Submission::arriving`] and refined with the builder methods. The
+/// runtime's configured
 /// [`admission_watermark`](crate::RuntimeConfig::admission_watermark)
-/// applies — to arrival streams just like to closed batches.
+/// applies to arrival streams just like to closed batches.
 #[derive(Debug)]
 pub struct Submission {
     pub(crate) jobs: Vec<JobSpec>,
     pub(crate) offsets: Option<Vec<SimDuration>>,
-    pub(crate) admission: Option<AdmissionPolicy>,
     /// Per-job `(request, tenant)` identities for request-centric
     /// observability. When set, the executor stamps a
     /// [`TraceEvent::RequestTag`](disagg_hwsim::trace::TraceEvent) per
@@ -72,7 +59,7 @@ pub struct Submission {
 impl Submission {
     /// A closed batch: every job arrives at the current virtual time.
     pub fn batch(jobs: Vec<JobSpec>) -> Submission {
-        Submission { jobs, offsets: None, admission: None, tags: None }
+        Submission { jobs, offsets: None, tags: None }
     }
 
     /// A single job.
@@ -85,19 +72,13 @@ impl Submission {
     /// virtual time.
     pub fn arriving(arrivals: Vec<(SimDuration, JobSpec)>) -> Submission {
         let (offsets, jobs): (Vec<_>, Vec<_>) = arrivals.into_iter().unzip();
-        Submission { jobs, offsets: Some(offsets), admission: None, tags: None }
+        Submission { jobs, offsets: Some(offsets), tags: None }
     }
 
     /// Attaches per-job arrival offsets (must be one per job; checked
     /// at execution time).
     pub fn arrivals(mut self, offsets: Vec<SimDuration>) -> Submission {
         self.offsets = Some(offsets);
-        self
-    }
-
-    /// Overrides the runtime's admission policy for this submission.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Submission {
-        self.admission = Some(policy);
         self
     }
 
@@ -157,15 +138,12 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
         assert!(s.offsets.is_none());
-        assert!(s.admission.is_none());
 
         let s = Submission::job(job("solo"))
             .arrivals(vec![SimDuration::from_nanos(5)])
-            .admission(AdmissionPolicy::Watermark(0.5))
             .requests(vec![(17, 3)]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.offsets.as_ref().unwrap().len(), 1);
-        assert_eq!(s.admission, Some(AdmissionPolicy::Watermark(0.5)));
         assert_eq!(s.tags.as_ref().unwrap(), &[(17, 3)]);
 
         let s = Submission::arriving(vec![

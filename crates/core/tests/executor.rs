@@ -869,23 +869,80 @@ fn same_submission_is_bit_for_bit_deterministic() {
 }
 
 #[test]
-fn every_queue_policy_runs_the_full_dag() {
-    for policy in [
-        QueuePolicy::CostRank,
-        QueuePolicy::Fifo,
-        QueuePolicy::ShortestFirst,
-    ] {
-        let mut rt = Runtime::new(
-            two_workers(),
-            RuntimeConfig::traced().with_queue(policy),
-        );
-        let report = rt.execute(diamond_job()).unwrap();
-        assert_eq!(report.tasks.len(), 4, "{policy:?} ran every task");
-        let serial_sum: SimDuration = report.tasks.iter().map(|t| t.duration()).sum();
-        assert!(
-            report.makespan < serial_sum,
-            "{policy:?} still overlaps the arms"
-        );
+fn a_ready_queue_dispatches_highest_upward_rank_first() {
+    use disagg_hwsim::compute::ComputeModel;
+    use disagg_hwsim::device::{MemDeviceKind, MemDeviceModel};
+    use disagg_hwsim::topology::{LinkKind, Topology};
+    use disagg_hwsim::trace::TraceEvent;
+    use disagg_sched::schedule::Scheduler;
+
+    // One single-slot CPU: whatever is ready while it is busy queues.
+    let mut b = Topology::builder();
+    let node = b.node("host");
+    let mut serial_cpu = ComputeModel::preset(ComputeKind::Cpu);
+    serial_cpu.slots = 1;
+    let cpu = b.compute(node, serial_cpu);
+    let dram = b.mem(node, MemDeviceModel::preset(MemDeviceKind::Dram));
+    b.link(cpu, dram, LinkKind::MemBus);
+    let topo = b.build().unwrap();
+
+    let job = |name: &str, tasks: &[u64]| {
+        let mut j = JobBuilder::new(name);
+        for (i, &elems) in tasks.iter().enumerate() {
+            j.task(
+                TaskSpec::new(format!("{name}{i}"))
+                    .work(WorkClass::Scalar, elems)
+                    .body(move |ctx| {
+                        ctx.compute(WorkClass::Scalar, elems);
+                        Ok(())
+                    }),
+            );
+        }
+        j.build().unwrap()
+    };
+    // Job 0 holds the lane from t = 0; everything else arrives while it
+    // runs, in an order (light before heavy, the early twin last) that
+    // neither arrival nor id order would reproduce.
+    let at = SimDuration::from_micros;
+    let arrivals = vec![
+        (at(0), job("blocker", &[5_000_000])),
+        (at(2), job("light", &[1_000_000])),
+        (at(2), job("heavy", &[3_000_000, 3_000_000])),
+        (at(2), job("middle", &[2_000_000])),
+        (at(2), job("heavy-twin", &[3_000_000])),
+        (at(1), job("heavy-early", &[3_000_000])),
+    ];
+    let planned: Vec<(JobId, &JobSpec)> =
+        arrivals.iter().enumerate().map(|(i, (_, j))| (JobId(i as u64), j)).collect();
+    let schedule = Scheduler::default().plan(&topo, &planned).unwrap();
+    let rank = |job: u64, task: u64| schedule.entry(JobId(job), TaskId(task as u32)).unwrap().rank;
+
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    rt.execute(Submission::arriving(arrivals)).unwrap();
+    let dispatched: Vec<(u64, u64)> = rt
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::TaskDispatch { job, task, .. } => Some((job, task)),
+            _ => None,
+        })
+        .collect();
+    // Highest rank first; equal ranks by queue time, then job, then task.
+    assert_eq!(dispatched, [(0, 0), (5, 0), (2, 0), (2, 1), (4, 0), (3, 0), (1, 0)]);
+    assert!(rank(2, 0) > rank(3, 0) && rank(3, 0) > rank(1, 0), "more work, higher rank");
+    for twin in [(2, 1), (4, 0), (5, 0)] {
+        assert_eq!(rank(twin.0, twin.1).to_bits(), rank(2, 0).to_bits(), "equal work, equal rank");
+    }
+    // Everything but the blocker was queued before the lane opened.
+    let first_free = rt.trace().events().iter().find_map(|e| match *e {
+        TraceEvent::TaskFinish { job: 0, at, .. } => Some(at),
+        _ => None,
+    });
+    for e in rt.trace().events() {
+        if let TraceEvent::TaskQueued { at, .. } = *e {
+            assert!(Some(at) < first_free, "queued at {at:?}, lane free at {first_free:?}");
+        }
     }
 }
 

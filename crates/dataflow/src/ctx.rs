@@ -131,15 +131,6 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         Self::require(self.regions.global_scratch, "global scratch")
     }
 
-    /// Size of the first input region in bytes (0 when there is none).
-    pub fn input_len(&self) -> u64 {
-        self.regions
-            .inputs
-            .first()
-            .and_then(|&r| self.acc.manager_ref().placement(r).ok())
-            .map_or(0, |p| p.size)
-    }
-
     /// Size of any region in bytes.
     pub fn region_len(&self, region: RegionId) -> u64 {
         self.acc
@@ -348,7 +339,6 @@ mod tests {
             &mut app_published,
         );
 
-        assert_eq!(ctx.input_len(), 128);
         let mut buf = [0u8; 5];
         ctx.read_input(0, &mut buf).unwrap();
         assert_eq!(&buf, b"hello");
@@ -381,7 +371,6 @@ mod tests {
         let err = ctx.read_input(0, &mut buf).unwrap_err();
         assert!(err.msg.contains("input"));
         assert!(ctx.global_state().is_err());
-        assert_eq!(ctx.input_len(), 0);
     }
 
     #[test]

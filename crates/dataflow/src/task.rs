@@ -154,12 +154,6 @@ impl TaskError {
         }
     }
 
-    /// Tags the error with a specific kind.
-    pub fn with_kind(mut self, kind: TaskErrorKind) -> Self {
-        self.kind = kind;
-        self
-    }
-
     /// True if this is a confidentiality denial.
     pub fn is_confidentiality_denial(&self) -> bool {
         self.kind == TaskErrorKind::ConfidentialityDenied
@@ -391,9 +385,6 @@ mod tests {
         .into();
         assert!(e.is_confidentiality_denial());
         assert_eq!(e.kind, TaskErrorKind::ConfidentialityDenied);
-        // Re-wrapping with a custom message keeps the kind explicit.
-        let tagged = TaskError::new("custom").with_kind(TaskErrorKind::ConfidentialityDenied);
-        assert!(tagged.is_confidentiality_denial());
         assert!(!TaskError::new("plain").is_confidentiality_denial());
     }
 }

@@ -16,12 +16,10 @@
 #![forbid(unsafe_code)]
 
 pub mod gf256;
-pub mod heap;
 pub mod reedsolomon;
 pub mod replicate;
 pub mod stripe;
 
-pub use heap::{ObjId, StripedHeap};
 pub use reedsolomon::{ReedSolomon, RsError};
 pub use replicate::ReplicatedRegion;
 pub use stripe::{ParityEngine, StripedRegion};
@@ -52,8 +50,6 @@ pub enum FtolError {
     },
     /// The index given to recover() is still alive.
     ReplicaNotLost(usize),
-    /// Unknown or deleted heap object.
-    UnknownObject(u64),
     /// No route between the given devices.
     Unreachable(MemDeviceId, MemDeviceId),
     /// Access outside the logical region.
@@ -97,7 +93,6 @@ impl std::fmt::Display for FtolError {
                 write!(f, "unrecoverable: {alive} spans alive, {needed} needed")
             }
             FtolError::ReplicaNotLost(i) => write!(f, "replica {i} is still alive"),
-            FtolError::UnknownObject(i) => write!(f, "unknown or deleted object o{i}"),
             FtolError::Unreachable(a, b) => write!(f, "no route from {a} to {b}"),
             FtolError::OutOfBounds { offset, len, size } => {
                 write!(f, "access [{offset}, {offset}+{len}) outside {size}-byte region")

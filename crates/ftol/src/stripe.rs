@@ -18,8 +18,8 @@
 //! once, decode only what was lost*. Coding reads the survivors where they
 //! lie ([`RegionManager::bytes`] views, no staging copy); a write
 //! re-encodes parity only over the span columns it changed (the code is
-//! column-wise, so parity elsewhere is still valid — a 100-byte heap
-//! `put` codes 100 columns, not `k × span_size` bytes); a degraded read
+//! column-wise, so parity elsewhere is still valid — a 100-byte
+//! write codes 100 columns, not `k × span_size` bytes); a degraded read
 //! serves surviving spans from the pool and decodes just the lost windows
 //! straight into the caller's buffer; recovery decodes the one lost span.
 

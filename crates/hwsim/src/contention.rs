@@ -274,12 +274,6 @@ impl BandwidthLedger {
         let bytes = self.stats(resource).bytes;
         (bytes / (bw_bpns * horizon.as_nanos_f64())).min(1.0)
     }
-
-    /// Clears all reservations and statistics.
-    pub fn reset(&mut self) {
-        self.lane_of.clear();
-        self.lanes.clear();
-    }
 }
 
 #[cfg(test)]
@@ -358,16 +352,6 @@ mod tests {
         let u = ledger.utilization(DEV, 10.0, SimDuration::from_nanos(2_000));
         assert!((u - 0.5).abs() < 1e-9, "expected 50% utilization, got {u}");
         assert_eq!(ledger.utilization(DEV, 10.0, SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_clears_reservations() {
-        let mut ledger = BandwidthLedger::new(1_000);
-        ledger.reserve(DEV, SimTime(0), 10_000.0, 10.0);
-        ledger.reset();
-        let finish = ledger.reserve(DEV, SimTime(0), 10_000.0, 10.0);
-        assert_eq!(finish, SimTime(1_000));
-        assert_eq!(ledger.stats(DEV).reservations, 1);
     }
 
     #[test]

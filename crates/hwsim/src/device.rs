@@ -339,17 +339,6 @@ impl MemDeviceModel {
         }
     }
 
-    /// A persistent CXL expander (Table 1 marks CXL persistence "yes/no";
-    /// this is the "yes" variant, e.g. a battery-backed or NV-DIMM device).
-    pub fn cxl_persistent() -> MemDeviceModel {
-        MemDeviceModel {
-            persistent: true,
-            write_lat_ns: 300.0,
-            cost_per_gib: 5.5,
-            ..MemDeviceModel::preset(MemDeviceKind::CxlDram)
-        }
-    }
-
     /// Device latency for a single access, before interconnect hops.
     pub fn latency(&self, op: AccessOp) -> f64 {
         match op {
@@ -398,16 +387,6 @@ impl MemDeviceModel {
             AccessPattern::Sequential => self.latency(op) + transfer,
         };
         SimDuration::from_nanos_f64(ns)
-    }
-
-    /// Measured-style bandwidth for a large sequential transfer (bytes/ns),
-    /// used by the Table 1 experiment to report observable bandwidth.
-    pub fn observed_bandwidth(&self, op: AccessOp, bytes: u64) -> f64 {
-        let cost = self.access_cost(bytes, op, AccessPattern::Sequential);
-        if cost == SimDuration::ZERO {
-            return 0.0;
-        }
-        bytes as f64 / cost.as_nanos_f64()
     }
 }
 
@@ -458,9 +437,8 @@ mod tests {
         assert!(MemDeviceModel::preset(Pmem).persistent);
         assert!(MemDeviceModel::preset(Ssd).persistent);
         assert!(MemDeviceModel::preset(Hdd).persistent);
-        // CXL is "yes/no": the default is volatile, the variant persistent.
+        // CXL is "yes/no": the preset is the volatile variant.
         assert!(!MemDeviceModel::preset(CxlDram).persistent);
-        assert!(MemDeviceModel::cxl_persistent().persistent);
     }
 
     #[test]
@@ -525,7 +503,8 @@ mod tests {
     #[test]
     fn observed_bandwidth_approaches_rated_for_large_transfers() {
         let dram = MemDeviceModel::preset(MemDeviceKind::Dram);
-        let obs = dram.observed_bandwidth(AccessOp::Read, 1 << 30);
+        let cost = dram.access_cost(1 << 30, AccessOp::Read, AccessPattern::Sequential);
+        let obs = (1u64 << 30) as f64 / cost.as_nanos_f64();
         assert!((obs - dram.read_bw_bpns).abs() / dram.read_bw_bpns < 0.01);
     }
 

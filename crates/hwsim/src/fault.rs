@@ -93,21 +93,6 @@ impl FaultInjector {
         self.events.is_empty()
     }
 
-    /// Events in the half-open window `[from, to)`.
-    pub fn events_between(&self, from: SimTime, to: SimTime) -> &[FaultEvent] {
-        let lo = self.events.partition_point(|e| e.at < from);
-        let hi = self.events.partition_point(|e| e.at < to);
-        &self.events[lo..hi]
-    }
-
-    /// Events in the closed window `[from, to]` — what a task that ran
-    /// from `from` to `to` could have been interrupted by.
-    pub fn events_in_window(&self, from: SimTime, to: SimTime) -> &[FaultEvent] {
-        let lo = self.events.partition_point(|e| e.at < from);
-        let hi = self.events.partition_point(|e| e.at <= to);
-        &self.events[lo..hi]
-    }
-
     /// True if `node` is down at time `t` (crashed without a later
     /// recovery at or before `t`).
     pub fn node_down(&self, node: NodeId, t: SimTime) -> bool {
@@ -142,23 +127,6 @@ impl FaultInjector {
         failed
     }
 
-    /// True if `link` is down at time `t` (down without a later
-    /// [`FaultKind::LinkUp`] at or before `t`).
-    pub fn link_down(&self, link: LinkId, t: SimTime) -> bool {
-        let mut down = false;
-        for e in &self.events {
-            if e.at > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::LinkDown(l) if l == link => down = true,
-                FaultKind::LinkUp(l) if l == link => down = false,
-                _ => {}
-            }
-        }
-        down
-    }
-
     /// The bandwidth multiplier in effect on `link` at time `t`: 1.0
     /// when healthy, `factor_pct / 100` while degraded. A
     /// [`FaultKind::LinkUp`] restores full bandwidth. Going down and
@@ -191,14 +159,6 @@ impl FaultInjector {
             })
             .collect()
     }
-
-    /// The time of the first fault affecting the given node, if any.
-    pub fn first_node_crash(&self, node: NodeId) -> Option<SimTime> {
-        self.events.iter().find_map(|e| match e.kind {
-            FaultKind::NodeCrash(n) if n == node => Some(e.at),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +170,7 @@ mod tests {
         let inj = FaultInjector::none();
         assert!(!inj.node_down(NodeId(0), SimTime(1_000)));
         assert!(!inj.device_failed(MemDeviceId(0), SimTime(1_000)));
-        assert!(!inj.link_down(LinkId(0), SimTime(1_000)));
+        assert_eq!(inj.link_degradation(LinkId(0), SimTime(1_000)), 1.0);
     }
 
     #[test]
@@ -244,28 +204,13 @@ mod tests {
     #[test]
     fn events_are_sorted_regardless_of_insertion_order() {
         let mut inj = FaultInjector::none();
+        assert!(inj.is_empty());
         inj.schedule(SimTime(900), FaultKind::DeviceFail(MemDeviceId(2)));
         inj.schedule(SimTime(100), FaultKind::LinkDown(LinkId(0)));
         inj.schedule(SimTime(500), FaultKind::NodeCrash(NodeId(0)));
         let times: Vec<u64> = inj.events().iter().map(|e| e.at.as_nanos()).collect();
         assert_eq!(times, vec![100, 500, 900]);
-    }
-
-    #[test]
-    fn events_between_is_half_open() {
-        let inj = FaultInjector::with_events(vec![
-            FaultEvent {
-                at: SimTime(100),
-                kind: FaultKind::LinkDown(LinkId(0)),
-            },
-            FaultEvent {
-                at: SimTime(200),
-                kind: FaultKind::LinkDown(LinkId(1)),
-            },
-        ]);
-        assert_eq!(inj.events_between(SimTime(100), SimTime(200)).len(), 1);
-        assert_eq!(inj.events_between(SimTime(0), SimTime(300)).len(), 2);
-        assert_eq!(inj.events_between(SimTime(201), SimTime(300)).len(), 0);
+        assert!(!inj.is_empty());
     }
 
     #[test]
@@ -332,8 +277,6 @@ mod tests {
                 kind: FaultKind::LinkUp(LinkId(5)),
             },
         ]);
-        assert!(inj.link_down(LinkId(5), SimTime(15)));
-        assert!(!inj.link_down(LinkId(5), SimTime(20)));
         assert_eq!(inj.link_degradation(LinkId(5), SimTime(25)), 1.0);
         assert_eq!(inj.link_degradation(LinkId(5), SimTime(35)), 0.25);
         assert_eq!(inj.link_degradation(LinkId(5), SimTime(40)), 1.0);
@@ -347,41 +290,5 @@ mod tests {
             kind: FaultKind::LinkDegraded { link: LinkId(0), factor_pct: 0 },
         }]);
         assert_eq!(inj.link_degradation(LinkId(0), SimTime(1)), 0.01);
-    }
-
-    #[test]
-    fn window_queries_and_emptiness() {
-        assert!(FaultInjector::none().is_empty());
-        let inj = FaultInjector::with_events(vec![
-            FaultEvent {
-                at: SimTime(100),
-                kind: FaultKind::LinkDown(LinkId(0)),
-            },
-            FaultEvent {
-                at: SimTime(200),
-                kind: FaultKind::LinkUp(LinkId(0)),
-            },
-        ]);
-        assert!(!inj.is_empty());
-        // Closed window includes both endpoints, unlike events_between.
-        assert_eq!(inj.events_in_window(SimTime(100), SimTime(200)).len(), 2);
-        assert_eq!(inj.events_between(SimTime(100), SimTime(200)).len(), 1);
-        assert_eq!(inj.events_in_window(SimTime(101), SimTime(199)).len(), 0);
-    }
-
-    #[test]
-    fn first_node_crash_reports_earliest() {
-        let inj = FaultInjector::with_events(vec![
-            FaultEvent {
-                at: SimTime(700),
-                kind: FaultKind::NodeCrash(NodeId(3)),
-            },
-            FaultEvent {
-                at: SimTime(300),
-                kind: FaultKind::NodeCrash(NodeId(3)),
-            },
-        ]);
-        assert_eq!(inj.first_node_crash(NodeId(3)), Some(SimTime(300)));
-        assert_eq!(inj.first_node_crash(NodeId(4)), None);
     }
 }

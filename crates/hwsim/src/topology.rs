@@ -432,14 +432,6 @@ impl Topology {
     pub fn total_mem_capacity(&self) -> u64 {
         self.mem.iter().map(|m| m.capacity).sum()
     }
-
-    /// Total purchase cost of all memory, in dollars (drives E11).
-    pub fn total_mem_cost(&self) -> f64 {
-        self.mem
-            .iter()
-            .map(|m| m.cost_per_gib * (m.capacity as f64 / (1u64 << 30) as f64))
-            .sum()
-    }
 }
 
 /// Incrementally builds a [`Topology`].
@@ -805,7 +797,6 @@ mod tests {
         let t = tiny();
         let cap: u64 = t.mem_devices().iter().map(|m| m.capacity).sum();
         assert_eq!(t.total_mem_capacity(), cap);
-        assert!(t.total_mem_cost() > 0.0);
     }
 
     #[test]

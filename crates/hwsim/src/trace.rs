@@ -355,16 +355,6 @@ impl Trace {
         self.tap = Some(tap);
     }
 
-    /// Removes the streaming tap, if any.
-    pub fn clear_tap(&mut self) {
-        self.tap = None;
-    }
-
-    /// True if a streaming tap is installed.
-    pub fn has_tap(&self) -> bool {
-        self.tap.is_some()
-    }
-
     /// Records an event: streams it to the tap (if installed), then
     /// buffers it (if enabled).
     pub fn push(&mut self, event: TraceEvent) {
@@ -415,159 +405,11 @@ impl Trace {
         self.events.iter().filter(|e| pred(e)).count()
     }
 
-    /// Bytes accessed per device, as `(device, bytes)` pairs sorted by id.
-    pub fn bytes_per_device(&self) -> Vec<(MemDeviceId, u64)> {
-        let mut acc: std::collections::BTreeMap<MemDeviceId, u64> = Default::default();
-        for e in &self.events {
-            match *e {
-                TraceEvent::Access { dev, bytes, .. } => *acc.entry(dev).or_default() += bytes,
-                TraceEvent::Migrate { from, to, bytes, .. } => {
-                    *acc.entry(from).or_default() += bytes;
-                    *acc.entry(to).or_default() += bytes;
-                }
-                _ => {}
-            }
-        }
-        acc.into_iter().collect()
-    }
-
     /// Clears all events (and the byte totals over them).
     pub fn clear(&mut self) {
         self.events.clear();
         self.bytes_moved = 0;
         self.bytes_by_ownership = 0;
-    }
-
-    /// Renders the trace as CSV (`kind,at_ns,detail...`) for offline
-    /// debugging — the paper's Challenge 8(1) asks how to debug across
-    /// abstraction layers; the answer starts with being able to get the
-    /// events out.
-    pub fn to_csv(&self) -> String {
-        // Request attribution pre-pass: `RequestTag` events map jobs to
-        // the serving request that instantiated them, so every
-        // job-carrying row can be grepped per request.
-        let mut req_of_job: std::collections::BTreeMap<u64, u64> = Default::default();
-        for e in &self.events {
-            if let TraceEvent::RequestTag { request, job, .. } = *e {
-                req_of_job.insert(job, request);
-            }
-        }
-        let req = |job: u64| req_of_job.get(&job).map(|r| r.to_string()).unwrap_or_default();
-        let mut out = String::from(
-            "kind,at_ns,took_ns,region,dev_from,dev_to,bytes,job,task,from_task,to_task,op,request\n",
-        );
-        for e in &self.events {
-            let request = match *e {
-                TraceEvent::TaskStart { job, .. }
-                | TraceEvent::TaskFinish { job, .. }
-                | TraceEvent::TaskQueued { job, .. }
-                | TraceEvent::TaskDispatch { job, .. }
-                | TraceEvent::FaultDetected { job, .. }
-                | TraceEvent::TaskRetry { job, .. } => req(job),
-                TraceEvent::Reconstruct { by, .. } => by.job().map(req).unwrap_or_default(),
-                TraceEvent::RequestTag { request, .. }
-                | TraceEvent::RequestShed { request, .. }
-                | TraceEvent::RequestDegraded { request, .. } => request.to_string(),
-                _ => String::new(),
-            };
-            let line = match *e {
-                TraceEvent::Alloc { region, dev, bytes, at } => {
-                    format!("alloc,{},,{region},{},,{bytes},,,,,", at.as_nanos(), dev.0)
-                }
-                TraceEvent::Free { region, dev, bytes, at } => {
-                    format!("free,{},,{region},{},,{bytes},,,,,", at.as_nanos(), dev.0)
-                }
-                TraceEvent::Access { region, dev, bytes, op, at, took } => {
-                    let opn = match op {
-                        AccessOp::Read => "read",
-                        AccessOp::Write => "write",
-                    };
-                    format!(
-                        "access,{},{},{region},{},,{bytes},,,,,{opn}",
-                        at.as_nanos(),
-                        took.as_nanos(),
-                        dev.0
-                    )
-                }
-                TraceEvent::Migrate { region, from, to, bytes, at, took } => {
-                    format!(
-                        "migrate,{},{},{region},{},{},{bytes},,,,,",
-                        at.as_nanos(),
-                        took.as_nanos(),
-                        from.0,
-                        to.0
-                    )
-                }
-                TraceEvent::OwnershipTransfer { region, from_task, to_task, bytes, at } => {
-                    format!(
-                        "transfer,{},,{region},,,{bytes},,,{from_task},{to_task},",
-                        at.as_nanos()
-                    )
-                }
-                TraceEvent::TaskStart { job, task, on, at } => {
-                    format!("task_start,{},,,{},,,{job},{task},,,", at.as_nanos(), on.0)
-                }
-                TraceEvent::TaskFinish { job, task, on, at } => {
-                    format!("task_finish,{},,,{},,,{job},{task},,,", at.as_nanos(), on.0)
-                }
-                TraceEvent::TaskQueued { job, task, on, at } => {
-                    format!("task_queued,{},,,{},,,{job},{task},,,", at.as_nanos(), on.0)
-                }
-                TraceEvent::TaskDispatch { job, task, on, at, waited } => {
-                    format!(
-                        "task_dispatch,{},{},,{},,,{job},{task},,,",
-                        at.as_nanos(),
-                        waited.as_nanos(),
-                        on.0
-                    )
-                }
-                TraceEvent::FaultDetected { job, task, on, at } => {
-                    format!("fault_detected,{},,,{},,,{job},{task},,,", at.as_nanos(), on.0)
-                }
-                TraceEvent::TaskRetry { job, task, from, to, attempt, at, lost } => {
-                    format!(
-                        "task_retry,{},{},,{},{},,{job},{task},,,attempt{attempt}",
-                        at.as_nanos(),
-                        lost.as_nanos(),
-                        from.0,
-                        to.0
-                    )
-                }
-                TraceEvent::Reconstruct { region, dev, bytes, at, took, by } => {
-                    format!(
-                        "reconstruct,{},{},{region},{},,{bytes},{},{},,,",
-                        at.as_nanos(),
-                        took.as_nanos(),
-                        dev.0,
-                        by.job().map(|j| j.to_string()).unwrap_or_default(),
-                        by.task().map(|t| t.to_string()).unwrap_or_default()
-                    )
-                }
-                TraceEvent::BreakerTrip { node, at } => {
-                    format!("breaker_trip,{},,,,,,,,,,node{}", at.as_nanos(), node.0)
-                }
-                TraceEvent::BreakerProbe { node, at } => {
-                    format!("breaker_probe,{},,,,,,,,,,node{}", at.as_nanos(), node.0)
-                }
-                TraceEvent::BreakerClose { node, at } => {
-                    format!("breaker_close,{},,,,,,,,,,node{}", at.as_nanos(), node.0)
-                }
-                TraceEvent::RequestShed { request: _, tenant, at } => {
-                    format!("request_shed,{},,,,,,,,,,tenant{tenant}", at.as_nanos())
-                }
-                TraceEvent::RequestDegraded { request: _, tenant, at } => {
-                    format!("request_degraded,{},,,,,,,,,,tenant{tenant}", at.as_nanos())
-                }
-                TraceEvent::RequestTag { request: _, tenant, job, at } => {
-                    format!("request_tag,{},,,,,,{job},,,,tenant{tenant}", at.as_nanos())
-                }
-            };
-            out.push_str(&line);
-            out.push(',');
-            out.push_str(&request);
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -648,22 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn migrations_count_on_both_devices() {
-        let mut t = Trace::enabled();
-        t.push(TraceEvent::Migrate {
-            region: 1,
-            from: MemDeviceId(0),
-            to: MemDeviceId(1),
-            bytes: 50,
-            at: SimTime(0),
-            took: SimDuration(1),
-        });
-        let per_dev = t.bytes_per_device();
-        assert_eq!(per_dev, vec![(MemDeviceId(0), 50), (MemDeviceId(1), 50)]);
-        assert_eq!(t.bytes_moved(), 50);
-    }
-
-    #[test]
     fn count_filters_events() {
         let mut t = Trace::enabled();
         t.push(access(0, 1));
@@ -689,122 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_covers_every_event_kind() {
-        let mut t = Trace::enabled();
-        t.push(TraceEvent::RequestTag { request: 7, tenant: 2, job: 0, at: SimTime(0) });
-        t.push(TraceEvent::Alloc { region: 1, dev: MemDeviceId(0), bytes: 64, at: SimTime(1) });
-        t.push(access(0, 64));
-        t.push(TraceEvent::Migrate {
-            region: 1,
-            from: MemDeviceId(0),
-            to: MemDeviceId(1),
-            bytes: 64,
-            at: SimTime(2),
-            took: SimDuration(3),
-        });
-        t.push(TraceEvent::OwnershipTransfer {
-            region: 1,
-            from_task: 0,
-            to_task: 1,
-            bytes: 64,
-            at: SimTime(3),
-        });
-        t.push(TraceEvent::TaskQueued { job: 0, task: 1, on: ComputeId(0), at: SimTime(3) });
-        t.push(TraceEvent::TaskDispatch {
-            job: 0,
-            task: 1,
-            on: ComputeId(0),
-            at: SimTime(4),
-            waited: SimDuration(1),
-        });
-        t.push(TraceEvent::TaskStart { job: 0, task: 1, on: ComputeId(0), at: SimTime(4) });
-        t.push(TraceEvent::FaultDetected { job: 0, task: 1, on: ComputeId(0), at: SimTime(4) });
-        t.push(TraceEvent::TaskRetry {
-            job: 0,
-            task: 1,
-            from: ComputeId(0),
-            to: ComputeId(1),
-            attempt: 1,
-            at: SimTime(5),
-            lost: SimDuration(2),
-        });
-        t.push(TraceEvent::Reconstruct {
-            region: 1,
-            dev: MemDeviceId(1),
-            bytes: 64,
-            at: SimTime(5),
-            took: SimDuration(7),
-            by: RebuildFor::Task { job: 0, task: 1 },
-        });
-        t.push(TraceEvent::TaskFinish { job: 0, task: 1, on: ComputeId(0), at: SimTime(5) });
-        t.push(TraceEvent::Free { region: 1, dev: MemDeviceId(1), bytes: 64, at: SimTime(6) });
-        t.push(TraceEvent::BreakerTrip { node: NodeId(0), at: SimTime(6) });
-        t.push(TraceEvent::BreakerProbe { node: NodeId(0), at: SimTime(7) });
-        t.push(TraceEvent::BreakerClose { node: NodeId(0), at: SimTime(8) });
-        t.push(TraceEvent::RequestShed { request: 9, tenant: 3, at: SimTime(8) });
-        t.push(TraceEvent::RequestDegraded { request: 10, tenant: 3, at: SimTime(9) });
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 19, "header + 18 events");
-        assert!(lines[0].starts_with("kind,at_ns"));
-        for kind in [
-            "request_tag",
-            "alloc",
-            "access",
-            "migrate",
-            "transfer",
-            "task_queued",
-            "task_dispatch",
-            "task_start",
-            "fault_detected",
-            "task_retry",
-            "reconstruct",
-            "task_finish",
-            "free",
-            "breaker_trip",
-            "breaker_probe",
-            "breaker_close",
-            "request_shed",
-            "request_degraded",
-        ] {
-            assert!(csv.lines().any(|l| l.starts_with(kind)), "missing {kind}");
-        }
-        // Every row has the header's arity.
-        let cols = lines[0].matches(',').count();
-        for l in &lines[1..] {
-            assert_eq!(l.matches(',').count(), cols, "bad row: {l}");
-        }
-        // Ownership transfers carry their endpoints in dedicated
-        // columns, not stuffed into the task field.
-        let header: Vec<&str> = lines[0].split(',').collect();
-        let from_col = header.iter().position(|&h| h == "from_task").unwrap();
-        let to_col = header.iter().position(|&h| h == "to_task").unwrap();
-        let transfer = lines.iter().find(|l| l.starts_with("transfer")).unwrap();
-        let fields: Vec<&str> = transfer.split(',').collect();
-        assert_eq!(fields[from_col], "0");
-        assert_eq!(fields[to_col], "1");
-        assert!(!transfer.contains("->"), "no packed endpoints: {transfer}");
-        // The request column resolves every job-0 row to request 7 via
-        // the tag, including the reconstruct's owning task.
-        let req_col = header.iter().position(|&h| h == "request").unwrap();
-        for kind in ["task_start", "task_retry", "fault_detected", "reconstruct", "request_tag"] {
-            let row = lines.iter().find(|l| l.starts_with(kind)).unwrap();
-            let fields: Vec<&str> = row.split(',').collect();
-            assert_eq!(fields[req_col], "7", "{kind} row carries its owning request");
-        }
-        // Non-job rows leave the column empty.
-        let alloc = lines.iter().find(|l| l.starts_with("alloc")).unwrap();
-        assert_eq!(alloc.split(',').nth(req_col).unwrap(), "");
-        // Shed/degraded requests carry their own request id; breaker
-        // rows carry the node in the op column and no request.
-        let shed = lines.iter().find(|l| l.starts_with("request_shed")).unwrap();
-        assert_eq!(shed.split(',').nth(req_col).unwrap(), "9");
-        let trip = lines.iter().find(|l| l.starts_with("breaker_trip")).unwrap();
-        assert!(trip.contains("node0"), "breaker row names its node: {trip}");
-        assert_eq!(trip.split(',').nth(req_col).unwrap(), "");
-    }
-
-    #[test]
     fn tap_streams_every_event_even_when_buffering_is_off() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
@@ -814,13 +524,9 @@ mod tests {
             t.set_tap(Box::new(move |_| {
                 n.fetch_add(1, Ordering::Relaxed);
             }));
-            assert!(t.has_tap());
             t.push(access(0, 64));
             t.push(access(1, 64));
             assert_eq!(t.len(), buffered);
-            t.clear_tap();
-            t.push(access(0, 64)); // not streamed
-            assert!(!t.has_tap());
         }
         assert_eq!(seen.load(Ordering::Relaxed), 4, "2 taps x 2 pushes");
     }

@@ -9,8 +9,8 @@
 //! why — while the run is still in flight:
 //!
 //! - [`observer`] — the streaming [`Observer`] event sink the executor
-//!   emits into as events happen, a zero-overhead [`NullObserver`]
-//!   default, and the cloneable [`ObserverSlot`] config handle;
+//!   emits into as events happen, and the cloneable [`ObserverSlot`]
+//!   config handle whose default — no sink — costs nothing;
 //! - [`metrics`] — a deterministic [`MetricsRegistry`] of counters and
 //!   log2-bucket histograms (queue wait, access latency, migration
 //!   sizes, per-device bytes), all recorded in *virtual* time so two
@@ -45,8 +45,8 @@ pub use export::{
     chrome_trace, exemplar_chrome_trace, folded_stacks, serving_chrome_trace,
     validate_chrome_trace, ChromeTraceStats,
 };
-pub use metrics::{Histogram, HistogramSnapshot, MetricsObserver, MetricsRegistry, MetricsSnapshot};
-pub use observer::{CollectingObserver, FullObserver, NullObserver, Observer, ObserverSlot};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use observer::{CollectingObserver, FullObserver, Observer, ObserverSlot};
 pub use request::{
     assemble_request_spans, slo_burn, slo_burn_by, tail_attribution, Attribution, BurnWindow,
     RequestSpan, Segment, SegmentKind, TenantAttribution, TenantBurn,

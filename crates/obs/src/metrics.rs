@@ -12,8 +12,6 @@ use std::fmt::Write as _;
 
 use disagg_hwsim::trace::TraceEvent;
 
-use crate::observer::Observer;
-
 /// Number of log2 buckets: bucket `i` holds values `v` with
 /// `bit_len(v) == i`, i.e. bucket 0 is `v == 0`, bucket 1 is `v == 1`,
 /// bucket 2 is `2..=3`, and so on up to `u64::MAX`.
@@ -290,23 +288,6 @@ impl MetricsRegistry {
                 .map(|(k, h)| (k.clone(), HistogramSnapshot::of(h)))
                 .collect(),
         }
-    }
-}
-
-/// A metrics-only streaming sink.
-#[derive(Debug, Default)]
-pub struct MetricsObserver {
-    /// The registry being maintained.
-    pub registry: MetricsRegistry,
-}
-
-impl Observer for MetricsObserver {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.registry.record(event);
-    }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(self.registry.snapshot())
     }
 }
 

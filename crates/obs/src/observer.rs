@@ -3,10 +3,10 @@
 //! The runtime's execution machinery (executor, accessors, migration,
 //! lifetime handover) already funnels every observable action through
 //! [`Trace::push`]; an [`Observer`] taps that same stream *as it
-//! happens* instead of waiting for the run to finish. The buffered
-//! [`Trace`] is itself one sink implementation; [`NullObserver`] is the
-//! zero-overhead default (no tap is even installed); [`FullObserver`]
-//! buffers events and maintains the metrics registry at once.
+//! happens* instead of waiting for the run to finish. The default is no
+//! sink at all (the null [`ObserverSlot`]: no tap is even installed);
+//! [`FullObserver`] buffers events and maintains the metrics registry at
+//! once.
 //!
 //! [`ObserverSlot`] is the handle a [`RuntimeConfig`] carries: a
 //! cloneable, shareable reference so the caller keeps access to the
@@ -19,7 +19,7 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use disagg_hwsim::trace::{Trace, TraceEvent};
+use disagg_hwsim::trace::TraceEvent;
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 
@@ -40,16 +40,6 @@ pub trait Observer: Send {
     }
 }
 
-/// The default sink: drops everything. The runtime never installs a
-/// trace tap for it, so observability-off costs one untaken branch per
-/// event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn on_event(&mut self, _event: &TraceEvent) {}
-}
-
 /// Buffers the raw event stream (for equivalence tests and custom
 /// post-processing).
 #[derive(Debug, Default)]
@@ -61,13 +51,6 @@ pub struct CollectingObserver {
 impl Observer for CollectingObserver {
     fn on_event(&mut self, event: &TraceEvent) {
         self.events.push(event.clone());
-    }
-}
-
-/// The buffered trace is itself a valid streaming sink.
-impl Observer for Trace {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.push(event.clone());
     }
 }
 
@@ -101,8 +84,9 @@ impl Observer for FullObserver {
 
 /// The observer handle a runtime config carries.
 ///
-/// `Default` is the null slot: no sink, no tap, no overhead. Build an
-/// active slot with [`ObserverSlot::new`] (slot owns the sink) or
+/// `Default` is the null slot: no sink, no tap, and observability-off
+/// costs one untaken branch per event. Build an active slot with
+/// [`ObserverSlot::new`] (slot owns the sink) or
 /// [`ObserverSlot::shared`] (caller keeps an `Arc` to read results back
 /// out after the run):
 ///
@@ -128,12 +112,6 @@ impl ObserverSlot {
     /// A slot sharing an existing sink with the caller.
     pub fn shared<O: Observer + 'static>(observer: Arc<Mutex<O>>) -> Self {
         ObserverSlot(Some(observer))
-    }
-
-    /// The inert slot (equivalent to [`NullObserver`], but cheaper: no
-    /// tap is installed at all).
-    pub fn null() -> Self {
-        ObserverSlot(None)
     }
 
     /// True if a sink is attached (the runtime only installs a trace
@@ -202,14 +180,6 @@ mod tests {
         for (i, e) in got.iter().enumerate() {
             assert_eq!(e.at(), SimTime(i as u64 * 10));
         }
-    }
-
-    #[test]
-    fn trace_is_a_sink() {
-        let mut t = Trace::enabled();
-        t.on_event(&ev(0, 1));
-        t.on_event(&ev(1, 2));
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -441,11 +441,6 @@ impl<'a> Accessor<'a> {
         self.stats.compute_time += cost;
         cost
     }
-
-    /// Number of operations still pending.
-    pub fn pending_ops(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -561,7 +556,6 @@ mod tests {
         acc.overlap_compute(WorkClass::Scalar, 1_000_000_000);
         let stall = acc.wait_async();
         assert_eq!(stall, SimDuration::ZERO);
-        assert_eq!(acc.pending_ops(), 0);
     }
 
     #[test]

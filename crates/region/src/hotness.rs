@@ -85,11 +85,6 @@ impl TaggedPtr {
         )
     }
 
-    /// Returns the pointer with hotness halved (decay tick).
-    pub fn decayed(self) -> TaggedPtr {
-        TaggedPtr::pack(self.device(), self.offset(), self.hotness() / 2, self.is_remote())
-    }
-
     /// Swizzles the pointer to a new (local) location.
     pub fn swizzle(self, device: MemDeviceId, offset: u64) -> TaggedPtr {
         TaggedPtr::pack(device, offset, self.hotness(), false)
@@ -221,13 +216,6 @@ mod tests {
         p = p.touched();
         assert_eq!(p.hotness(), TaggedPtr::MAX_HOT, "must saturate, not wrap");
         assert_eq!(p.offset(), 0, "saturation must not bleed into offset");
-    }
-
-    #[test]
-    fn decay_halves_hotness() {
-        let p = TaggedPtr::pack(MemDeviceId(1), 99, 64, false);
-        assert_eq!(p.decayed().hotness(), 32);
-        assert_eq!(p.decayed().offset(), 99);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!
 //! - a region up to [`DENSE_BACKING_LIMIT`] gets its one contiguous,
 //!   zeroed buffer on the first `write_at`, or on the first contiguous
-//!   view (`data`/`data_mut`) — a view has to point at something;
+//!   view (`data`) — a view has to point at something;
 //! - a larger region materializes one `SPARSE_PAGE` at a time, on write;
 //! - `read_at` of bytes nobody wrote zero-fills the caller's buffer and
 //!   materializes nothing;
@@ -542,15 +542,6 @@ impl MemoryPool {
             .ok_or(AllocError::NotContiguous(id))
     }
 
-    /// Write access to an allocation's bytes as one contiguous slice.
-    /// Fails with [`AllocError::NotContiguous`] for sparse-backed regions.
-    pub fn data_mut(&mut self, id: RegionId) -> Result<&mut [u8], AllocError> {
-        self.slot_mut(id)?
-            .backing
-            .as_mut_slice()
-            .ok_or(AllocError::NotContiguous(id))
-    }
-
     /// Reads `buf.len()` bytes at `offset` (works for any backing).
     /// The caller checks bounds; out-of-range access panics.
     pub fn read_at(&self, id: RegionId, offset: u64, buf: &mut [u8]) -> Result<(), AllocError> {
@@ -739,7 +730,7 @@ mod tests {
         let (mut pool, dev) = pool_with_capacity(1024);
         let id = pool.alloc(dev, 16).unwrap();
         assert!(pool.data(id).unwrap().iter().all(|&b| b == 0));
-        pool.data_mut(id).unwrap()[0] = 0xAB;
+        pool.write_at(id, 0, &[0xAB]).unwrap();
         assert_eq!(pool.data(id).unwrap()[0], 0xAB);
     }
 
@@ -786,7 +777,7 @@ mod tests {
         let mut pool = MemoryPool::new(&topo);
 
         let id = pool.alloc(d0, 64).unwrap();
-        pool.data_mut(id).unwrap()[7] = 42;
+        pool.write_at(id, 7, &[42]).unwrap();
         let new = pool.rebind(id, d1).unwrap();
         assert_eq!(new.dev, d1);
         assert_eq!(pool.allocated(d0), 0);
@@ -867,7 +858,6 @@ mod tests {
         let (mut pool, dev) = pool_with_capacity(1 << 30);
         let id = pool.alloc(dev, 512 << 20).unwrap();
         assert!(matches!(pool.data(id), Err(AllocError::NotContiguous(_))));
-        assert!(matches!(pool.data_mut(id), Err(AllocError::NotContiguous(_))));
         // But offset I/O works anywhere, and unwritten bytes read zero.
         pool.write_at(id, 400 << 20, b"far out").unwrap();
         let mut buf = [0u8; 7];
@@ -1111,14 +1101,11 @@ mod tests {
                     }
                     6 if is_sparse(m) => {
                         assert_eq!(pool.data(id), Err(AllocError::NotContiguous(id)));
-                        assert_eq!(pool.data_mut(id), Err(AllocError::NotContiguous(id)));
                     }
                     6 => {
                         assert!(pool.data(id).unwrap() == m.bytes(0, m.size as usize));
-                        let view = pool.data_mut(id).unwrap();
-                        assert!(view == m.bytes(0, m.size as usize));
                         let at = rng.next_below(m.size);
-                        view[at as usize] = 0x5A;
+                        pool.write_at(id, at, &[0x5A]).unwrap();
                         m.written.insert(at, 0x5A);
                     }
                     _ => {

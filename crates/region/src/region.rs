@@ -453,13 +453,6 @@ impl RegionManager {
         Ok(self.pool.data(id)?)
     }
 
-    /// Borrows a region's bytes mutably (zero-copy view for owners).
-    /// Dense-backed regions only; see [`RegionManager::bytes`].
-    pub fn bytes_mut(&mut self, id: RegionId, who: OwnerId) -> Result<&mut [u8], RegionError> {
-        self.check_access(id, who)?;
-        Ok(self.pool.data_mut(id)?)
-    }
-
     /// Copies the full contents of `src` into `dst` (both must be live;
     /// `dst` must be at least as large). Works for regions of any size and
     /// moves only bytes that were ever written. Ownership checks are
@@ -1019,7 +1012,7 @@ mod tests {
     fn zero_copy_views_respect_ownership() {
         let (_topo, mut mgr, dram, _) = setup();
         let id = alloc(&mut mgr, dram, RegionType::Output, T0);
-        mgr.bytes_mut(id, T0).unwrap()[0] = 5;
+        mgr.write(id, T0, 0, &[5]).unwrap();
         assert_eq!(mgr.bytes(id, T0).unwrap()[0], 5);
         assert!(mgr.bytes(id, T1).is_err());
     }

@@ -20,32 +20,19 @@ use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::PropertySet;
 
-/// Tunable weights for the cost blend.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Weight of the latency term.
-    pub latency: f64,
-    /// Weight of the bandwidth (transfer-time) term.
-    pub bandwidth: f64,
-    /// Multiplier applied per unit of current device utilization.
-    pub contention: f64,
-    /// Weight of the capacity-pressure tiebreaker.
-    pub pressure: f64,
-    /// Weight of the dollar-cost tiebreaker.
-    pub dollars: f64,
-}
-
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights {
-            latency: 1.0,
-            bandwidth: 1.0,
-            contention: 1.0,
-            pressure: 0.05,
-            dollars: 0.01,
-        }
-    }
-}
+// The weights of the cost blend. No experiment re-weights the model, so
+// they are constants: the placement engine's score table can then be
+// keyed on the request and the topology alone.
+/// Weight of the latency term.
+const W_LATENCY: f64 = 1.0;
+/// Weight of the bandwidth (transfer-time) term.
+const W_BANDWIDTH: f64 = 1.0;
+/// Multiplier applied per unit of current device utilization.
+const W_CONTENTION: f64 = 1.0;
+/// Weight of the capacity-pressure tiebreaker.
+const W_PRESSURE: f64 = 0.05;
+/// Weight of the dollar-cost tiebreaker.
+const W_DOLLARS: f64 = 0.01;
 
 /// Ablation switch: ignore the interconnect path entirely (treat every
 /// device as if it were local). Used by experiment E13 to show what
@@ -70,16 +57,14 @@ pub struct StaticScore {
 }
 
 /// The cost model.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    /// Blend weights.
-    pub weights: CostWeights,
     /// Topology awareness (ablation switch).
     pub awareness: TopologyAwareness,
 }
 
 impl CostModel {
-    /// A model with default weights.
+    /// The topology-aware model.
     pub fn new() -> Self {
         CostModel::default()
     }
@@ -111,10 +96,10 @@ impl CostModel {
     /// The part of [`score`](Self::score) that does not depend on the
     /// device's utilization: feasibility, the uncontended latency +
     /// transfer blend, and the dollar tiebreaker. It reads the topology
-    /// (path and device model), the latency/bandwidth/dollar weights,
-    /// the awareness switch, `size`, and these `props` fields: the two
-    /// requirement classes, `persistent`, `coherent`, `mode`, and from
-    /// the hint the dominant op, the pattern and `typical_bytes`.
+    /// (path and device model), the awareness switch, `size`, and these
+    /// `props` fields: the two requirement classes, `persistent`,
+    /// `coherent`, `mode`, and from the hint the dominant op, the pattern
+    /// and `typical_bytes`.
     pub fn static_score(
         &self,
         topo: &Topology,
@@ -149,8 +134,8 @@ impl CostModel {
         let transfer_term = size as f64 / bw;
 
         Some(StaticScore {
-            base: self.weights.latency * latency_term + self.weights.bandwidth * transfer_term,
-            dollars: self.weights.dollars * model.cost_per_gib,
+            base: W_LATENCY * latency_term + W_BANDWIDTH * transfer_term,
+            dollars: W_DOLLARS * model.cost_per_gib,
         })
     }
 
@@ -160,8 +145,8 @@ impl CostModel {
     /// bit.
     pub fn finish(&self, s: StaticScore, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
-        let contended = s.base * (1.0 + self.weights.contention * u);
-        let pressure = self.weights.pressure * s.base * u;
+        let contended = s.base * (1.0 + W_CONTENTION * u);
+        let pressure = W_PRESSURE * s.base * u;
         contended + pressure + s.dollars
     }
 
@@ -274,10 +259,7 @@ mod tests {
     #[test]
     fn blind_model_cannot_tell_local_from_remote() {
         let (topo, ids) = single_server();
-        let blind = CostModel {
-            awareness: TopologyAwareness::Blind,
-            ..CostModel::new()
-        };
+        let blind = CostModel { awareness: TopologyAwareness::Blind };
         let props = PropertySet::new()
             .with_mode(AccessMode::Async)
             .with_hint(AccessHint::streaming());

@@ -25,8 +25,8 @@ pub mod lifetime;
 pub mod placement;
 pub mod schedule;
 
-pub use cost::{CostModel, CostWeights, TopologyAwareness};
+pub use cost::{CostModel, TopologyAwareness};
 pub use enforce::{needs_encryption, xor_cipher, Auditor, Violation};
 pub use lifetime::{HandoverOutcome, HandoverPolicy, LifetimeManager, TRANSFER_OVERHEAD};
 pub use placement::{PlacementDecision, PlacementEngine, PlacementPolicy};
-pub use schedule::{QueuePolicy, SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};
+pub use schedule::{SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};

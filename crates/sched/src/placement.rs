@@ -20,7 +20,7 @@ use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::PropertySet;
 
-use crate::cost::{CostModel, StaticScore};
+use crate::cost::{CostModel, StaticScore, TopologyAwareness};
 
 /// Placement strategy selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -93,11 +93,10 @@ impl RowKey {
 /// accessor and one [`CostModel::finish`] per feasible device.
 #[derive(Debug, Default)]
 struct ScoreTable {
-    /// The model and topology the cells were computed from. Anyone may
-    /// assign the engine's public `model` (E13 does) or pass another
-    /// topology, so both are compared on every placement and a mismatch
-    /// empties the table.
-    model: CostModel,
+    /// Fingerprint of the topology the cells were computed from. A
+    /// caller may pass another topology, so it is compared on every
+    /// placement and a mismatch empties the table. (The engine's model
+    /// is fixed at construction.)
     topo: u64,
     /// Row key → offset of the row's first cell.
     rows: FxHashMap<RowKey, u32>,
@@ -112,16 +111,15 @@ impl ScoreTable {
     const MAX_ROWS: usize = 1024;
 
     /// Readies the table for one placement that will ask for up to
-    /// `rows` rows: empties it if it was filled under another model or
-    /// topology, or has no room left. (Once per placement, not per row:
+    /// `rows` rows: empties it if it was filled under another topology,
+    /// or has no room left. (Once per placement, not per row:
     /// `choose_shared` holds row offsets across its lookups.)
-    fn prepare(&mut self, model: &CostModel, topo: &Topology, rows: usize) {
-        let stale = self.topo != topo.fingerprint() || self.model != *model;
-        if stale || self.rows.len() + rows > Self::MAX_ROWS {
+    fn prepare(&mut self, topo: &Topology, rows: usize) {
+        let fingerprint = topo.fingerprint();
+        if self.topo != fingerprint || self.rows.len() + rows > Self::MAX_ROWS {
             self.rows.clear();
             self.cells.clear();
-            self.model = model.clone();
-            self.topo = topo.fingerprint();
+            self.topo = fingerprint;
         }
     }
 
@@ -150,8 +148,9 @@ impl ScoreTable {
 /// Resolves declarative requests to devices under a chosen policy.
 #[derive(Debug, Default)]
 pub struct PlacementEngine {
-    /// The cost model used for ranking.
-    pub model: CostModel,
+    /// The cost model used for ranking, fixed at construction (the
+    /// score table is filled under it).
+    model: CostModel,
     /// Active policy.
     pub policy: PlacementPolicy,
     /// Decision log (cleared by the caller between runs as needed).
@@ -163,12 +162,24 @@ pub struct PlacementEngine {
 }
 
 impl PlacementEngine {
-    /// An engine with the given policy and a default cost model.
+    /// An engine with the given policy and the topology-aware cost model.
     pub fn new(policy: PlacementPolicy) -> Self {
+        PlacementEngine::with_awareness(policy, TopologyAwareness::Aware)
+    }
+
+    /// An engine whose cost model sees interconnect paths, or not (the
+    /// E13 ablation).
+    pub fn with_awareness(policy: PlacementPolicy, awareness: TopologyAwareness) -> Self {
         PlacementEngine {
+            model: CostModel { awareness },
             policy,
             ..PlacementEngine::default()
         }
+    }
+
+    /// The cost model placements are ranked under.
+    pub fn model(&self) -> &CostModel {
+        &self.model
     }
 
     /// Chooses a device for a request from a single compute device.
@@ -194,7 +205,7 @@ impl PlacementEngine {
             PlacementPolicy::ComputeCentric => Some(&topo.compute(compute).local_mem),
             _ => None,
         };
-        self.table.prepare(&self.model, topo, 1);
+        self.table.prepare(topo, 1);
         let row = self.table.row(&self.model, topo, compute, props, size);
         let mut feasible = 0usize;
         // Minimum (score, id): Declarative's pick and everyone's fallback.
@@ -259,7 +270,7 @@ impl PlacementEngine {
         size: u64,
     ) -> Option<MemDeviceId> {
         assert!(!computes.is_empty(), "choose_shared needs at least one accessor");
-        self.table.prepare(&self.model, topo, computes.len());
+        self.table.prepare(topo, computes.len());
         self.shared_rows.clear();
         for &c in computes {
             let row = self.table.row(&self.model, topo, c, props, size);
@@ -570,7 +581,6 @@ mod tests {
 
     #[test]
     fn table_backed_placement_matches_a_scan_over_score() {
-        use crate::cost::{CostWeights, TopologyAwareness};
         use disagg_hwsim::presets::disaggregated_rack;
 
         let topologies = [single_server().0, disaggregated_rack(4, 16, 4, 256).0];
@@ -582,102 +592,96 @@ mod tests {
         ];
         let (mut placed, mut refused, mut repeats) = (0usize, 0usize, 0usize);
         for seed in [1u64, 2, 3, 23] {
-            for (ti, topo) in topologies.iter().enumerate() {
-                for policy in policies {
-                    let what = format!("seed {seed} topo {ti} {policy:?}");
-                    let mut rng = SimRng::new(seed ^ (ti as u64) << 8);
-                    let computes: Vec<ComputeId> = topo.compute_ids().collect();
-                    let mems: Vec<MemDeviceId> = topo.mem_ids().collect();
-                    let mut pool = MemoryPool::new(topo);
-                    let mut held = Vec::new();
-                    // Some devices full from the start, some part-filled.
-                    for &dev in &mems {
-                        let cap = pool.capacity(dev);
-                        let fill = match rng.next_below(4) {
-                            0 => cap,
-                            1 => 0,
-                            _ => rng.next_below(cap),
-                        };
-                        if fill > 0 {
-                            held.push(pool.alloc(dev, fill).unwrap());
-                        }
-                    }
-                    let mut eng = PlacementEngine::new(policy);
-                    // A handful of shapes recur, as they do in a real run.
-                    let sizes = [0, 1, 4096, 1 + rng.next_below(1 << 16), 1 << 30];
-                    let shapes: Vec<PropertySet> = (0..6)
-                        .map(|_| {
-                            let size = *rng.pick(&sizes);
-                            random_props(&mut rng, size)
-                        })
-                        .collect();
-                    for step in 0..400 {
-                        if step == 200 {
-                            // E13-style: the public model changes under
-                            // a warm table.
-                            eng.model.weights = CostWeights {
-                                latency: 0.5 + rng.next_f64(),
-                                bandwidth: 0.5 + rng.next_f64(),
-                                contention: 2.0 * rng.next_f64(),
-                                pressure: rng.next_f64(),
-                                dollars: rng.next_f64(),
+            for policy in policies {
+                for awareness in [TopologyAwareness::Aware, TopologyAwareness::Blind] {
+                    // One engine, warm from the first topology when it
+                    // meets the second.
+                    let mut eng = PlacementEngine::with_awareness(policy, awareness);
+                    for (ti, topo) in topologies.iter().enumerate() {
+                        let what = format!("seed {seed} topo {ti} {policy:?} {awareness:?}");
+                        let mut rng = SimRng::new(seed ^ (ti as u64) << 8);
+                        let computes: Vec<ComputeId> = topo.compute_ids().collect();
+                        let mems: Vec<MemDeviceId> = topo.mem_ids().collect();
+                        let mut pool = MemoryPool::new(topo);
+                        let mut held = Vec::new();
+                        // Some devices full from the start, some part-filled.
+                        for &dev in &mems {
+                            let cap = pool.capacity(dev);
+                            let fill = match rng.next_below(4) {
+                                0 => cap,
+                                1 => 0,
+                                _ => rng.next_below(cap),
                             };
-                            eng.model.awareness = if rng.chance(0.5) {
-                                TopologyAwareness::Blind
-                            } else {
-                                TopologyAwareness::Aware
-                            };
-                        }
-                        // Drift the fill.
-                        if !held.is_empty() && rng.chance(0.2) {
-                            let i = rng.next_below(held.len() as u64) as usize;
-                            pool.free(held.swap_remove(i)).unwrap();
-                        }
-                        let size = *rng.pick(&sizes);
-                        let props = if rng.chance(0.7) {
-                            repeats += 1;
-                            rng.pick(&shapes).clone()
-                        } else {
-                            random_props(&mut rng, size)
-                        };
-                        let logged = eng.decisions.len();
-                        let (got, want) = if rng.chance(0.5) {
-                            let c = *rng.pick(&computes);
-                            (
-                                eng.choose(topo, &pool, c, &props, size),
-                                reference_choose(&eng.model, policy, topo, &pool, c, &props, size),
-                            )
-                        } else {
-                            // Un-deduplicated, up to twelve entries.
-                            let list: Vec<ComputeId> = (0..1 + rng.next_below(12))
-                                .map(|_| *rng.pick(&computes))
-                                .collect();
-                            (
-                                eng.choose_shared(topo, &pool, &list, &props, size),
-                                reference_choose_shared(
-                                    &eng.model, policy, topo, &pool, &list, &props, size,
-                                ),
-                            )
-                        };
-                        assert_eq!(got, want.as_ref().map(|d| d.dev), "{what} step {step}");
-                        match want {
-                            None => {
-                                refused += 1;
-                                assert_eq!(eng.decisions.len(), logged, "{what} step {step}");
+                            if fill > 0 {
+                                held.push(pool.alloc(dev, fill).unwrap());
                             }
-                            Some(want) => {
-                                placed += 1;
-                                let d = eng.decisions.last().unwrap();
-                                assert_eq!(eng.decisions.len(), logged + 1);
-                                assert_eq!(
-                                    (d.compute, d.size, d.dev, d.score.to_bits(), d.feasible),
-                                    (want.compute, want.size, want.dev, want.score.to_bits(), want.feasible),
-                                    "{what} step {step}"
-                                );
-                                // (A fragmented arena may refuse what
-                                // its free total would hold.)
-                                if size > 0 && rng.chance(0.5) {
-                                    held.extend(pool.alloc(want.dev, size));
+                        }
+                        // A handful of shapes recur, as they do in a real run.
+                        let sizes = [0, 1, 4096, 1 + rng.next_below(1 << 16), 1 << 30];
+                        let shapes: Vec<PropertySet> = (0..6)
+                            .map(|_| {
+                                let size = *rng.pick(&sizes);
+                                random_props(&mut rng, size)
+                            })
+                            .collect();
+                        for step in 0..200 {
+                            // Drift the fill.
+                            if !held.is_empty() && rng.chance(0.2) {
+                                let i = rng.next_below(held.len() as u64) as usize;
+                                pool.free(held.swap_remove(i)).unwrap();
+                            }
+                            let size = *rng.pick(&sizes);
+                            let props = if rng.chance(0.7) {
+                                repeats += 1;
+                                rng.pick(&shapes).clone()
+                            } else {
+                                random_props(&mut rng, size)
+                            };
+                            let logged = eng.decisions.len();
+                            let (got, want) = if rng.chance(0.5) {
+                                let c = *rng.pick(&computes);
+                                (
+                                    eng.choose(topo, &pool, c, &props, size),
+                                    reference_choose(&eng.model, policy, topo, &pool, c, &props, size),
+                                )
+                            } else {
+                                // Un-deduplicated, up to twelve entries.
+                                let list: Vec<ComputeId> = (0..1 + rng.next_below(12))
+                                    .map(|_| *rng.pick(&computes))
+                                    .collect();
+                                (
+                                    eng.choose_shared(topo, &pool, &list, &props, size),
+                                    reference_choose_shared(
+                                        &eng.model, policy, topo, &pool, &list, &props, size,
+                                    ),
+                                )
+                            };
+                            assert_eq!(got, want.as_ref().map(|d| d.dev), "{what} step {step}");
+                            match want {
+                                None => {
+                                    refused += 1;
+                                    assert_eq!(eng.decisions.len(), logged, "{what} step {step}");
+                                }
+                                Some(want) => {
+                                    placed += 1;
+                                    let d = eng.decisions.last().unwrap();
+                                    assert_eq!(eng.decisions.len(), logged + 1);
+                                    assert_eq!(
+                                        (d.compute, d.size, d.dev, d.score.to_bits(), d.feasible),
+                                        (
+                                            want.compute,
+                                            want.size,
+                                            want.dev,
+                                            want.score.to_bits(),
+                                            want.feasible
+                                        ),
+                                        "{what} step {step}"
+                                    );
+                                    // (A fragmented arena may refuse what
+                                    // its free total would hold.)
+                                    if size > 0 && rng.chance(0.5) {
+                                        held.extend(pool.alloc(want.dev, size));
+                                    }
                                 }
                             }
                         }

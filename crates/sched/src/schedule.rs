@@ -30,26 +30,6 @@ pub enum SchedPolicy {
     RoundRobin,
 }
 
-/// How a per-device ready queue admits tasks into free lanes.
-///
-/// The schedule's device *assignment* stays authoritative, but under
-/// out-of-order execution several assigned tasks can be ready on the
-/// same device at once; the queue policy decides which one a freed
-/// lane dispatches next.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueuePolicy {
-    /// Highest upward rank first: the cost model's critical-path
-    /// estimate orders dispatch, so list-scheduling priorities carry
-    /// through to execution (the HEFT-consistent default).
-    #[default]
-    CostRank,
-    /// Queue-arrival order (breaks ties by job then task id).
-    Fifo,
-    /// Shortest estimated duration first (maximizes lane turnover,
-    /// risks starving long tasks).
-    ShortestFirst,
-}
-
 /// One scheduled task.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleEntry {
@@ -63,17 +43,10 @@ pub struct ScheduleEntry {
     pub est_start: SimTime,
     /// Estimated finish time.
     pub est_finish: SimTime,
-    /// Upward rank (estimated critical path to a sink, ns). Feeds
-    /// [`QueuePolicy::CostRank`] dispatch ordering; 0 under policies
-    /// that do not rank (round-robin).
+    /// Upward rank (estimated critical path to a sink, ns). The
+    /// executor's ready queues dispatch the highest rank first; 0 under
+    /// policies that do not rank (round-robin).
     pub rank: f64,
-}
-
-impl ScheduleEntry {
-    /// The cost model's estimated duration for this placement.
-    pub fn est_duration(&self) -> SimDuration {
-        self.est_finish - self.est_start
-    }
 }
 
 /// Sentinel for "no entry" in the dense lookup table.
@@ -266,22 +239,11 @@ impl Scheduler {
         }
     }
 
-    /// Eligible devices for a task, ranked cheapest-first by the same
-    /// cost model `plan` uses (estimated duration, ties broken by
-    /// device id). The recovery layer re-places interrupted tasks with
-    /// this: instead of grabbing the first surviving device, it walks
-    /// the ranking and takes the best candidate that is still alive.
-    pub fn ranked_candidates(
-        topo: &Topology,
-        spec: &JobSpec,
-        task: TaskId,
-    ) -> Vec<(ComputeId, f64)> {
-        Self::ranked_candidates_where(topo, spec, task, |_| true)
-    }
-
-    /// [`ranked_candidates`](Self::ranked_candidates) restricted to
-    /// devices passing `pred` — the fault-aware control plane filters
-    /// out nodes whose circuit breaker is open *before* ranking, so an
+    /// Eligible devices for a task that pass `pred`, ranked
+    /// cheapest-first by the same cost model `plan` uses (estimated
+    /// duration, ties broken by device id). The recovery layer re-places
+    /// interrupted tasks with this: it filters out dead devices and
+    /// nodes whose circuit breaker is open *before* ranking, so an
     /// excluded device never shadows a healthy one in the ordering.
     pub fn ranked_candidates_where(
         topo: &Topology,
@@ -762,7 +724,7 @@ mod tests {
         let mut job = JobBuilder::new("rank");
         job.task(TaskSpec::new("train").work(WorkClass::Tensor, 100_000_000));
         let spec = job.build().unwrap();
-        let ranked = Scheduler::ranked_candidates(&topo, &spec, TaskId(0));
+        let ranked = Scheduler::ranked_candidates_where(&topo, &spec, TaskId(0), |_| true);
         assert!(!ranked.is_empty());
         assert_eq!(ranked[0].0, ids.gpu, "tensor work ranks the GPU first");
         for w in ranked.windows(2) {

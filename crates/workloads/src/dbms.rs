@@ -85,7 +85,7 @@ fn table_slots(key_space: usize) -> u64 {
 }
 
 /// Bytes of private scratch the aggregate table needs.
-pub fn agg_table_bytes(cfg: &DbmsConfig) -> u64 {
+fn agg_table_bytes(cfg: &DbmsConfig) -> u64 {
     table_slots(cfg.key_space) * SLOT_BYTES
 }
 
@@ -258,154 +258,6 @@ pub fn decode_result(out: &[u8]) -> (u64, u64, u64) {
 }
 
 
-
-/// Parameters for the external-sort top-k query.
-#[derive(Debug, Clone, Copy)]
-pub struct TopkConfig {
-    /// Tuples in the scanned relation.
-    pub tuples: usize,
-    /// Distinct keys.
-    pub key_space: usize,
-    /// Key skew.
-    pub theta: f64,
-    /// Tuples per in-memory sort run.
-    pub run_tuples: usize,
-    /// Results to keep.
-    pub k: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for TopkConfig {
-    fn default() -> Self {
-        TopkConfig {
-            tuples: 10_000,
-            key_space: 512,
-            theta: 0.6,
-            run_tuples: 1_024,
-            k: 32,
-            seed: 99,
-        }
-    }
-}
-
-fn topk_order(a: &Tuple, b: &Tuple) -> std::cmp::Ordering {
-    b.val.cmp(&a.val).then(a.key.cmp(&b.key))
-}
-
-/// Reference answer: the top-k tuples by value (ties by key).
-pub fn expected_topk(cfg: &TopkConfig) -> Vec<Tuple> {
-    let mut r = relation(cfg.tuples, cfg.key_space, cfg.theta, cfg.seed);
-    r.sort_by(topk_order);
-    r.truncate(cfg.k);
-    r
-}
-
-/// Builds the external-sort top-k query:
-/// `scan → sort-runs (private scratch + spill to global scratch) →
-/// merge-topk (persistent output)`.
-pub fn topk_job(cfg: TopkConfig) -> JobSpec {
-    let mut job = JobBuilder::new("dbms-topk").global_state(4096);
-    let rel_bytes = (cfg.tuples * TUPLE_BYTES + 8) as u64;
-
-    let scan = job.task(
-        TaskSpec::new("scan")
-            .work(WorkClass::Scalar, cfg.tuples as u64)
-            .output_bytes(rel_bytes)
-            .body(move |ctx| {
-                let r = relation(cfg.tuples, cfg.key_space, cfg.theta, cfg.seed);
-                ctx.compute(WorkClass::Scalar, cfg.tuples as u64);
-                write_counted_output(ctx, &encode_tuples(&r))
-            }),
-    );
-
-    let run_bytes = (cfg.run_tuples * TUPLE_BYTES) as u64;
-    let sort = job.task(
-        TaskSpec::new("sort-runs")
-            .work(WorkClass::Scalar, (cfg.tuples * 12) as u64)
-            .mem_latency(LatencyClass::Low)
-            .private_scratch(run_bytes)
-            .global_scratch(rel_bytes)
-            .output_bytes(64)
-            .body(move |ctx| {
-                let input = read_counted_input(ctx)?;
-                let tuples = decode_tuples(&input);
-                let spill = ctx.global_scratch()?;
-                let mut spilled = 0u64;
-                let mut runs = 0u64;
-                for run in tuples.chunks(cfg.run_tuples) {
-                    // Stage the run in private scratch (real traffic), sort
-                    // it, spill the sorted run to the shared scratch.
-                    let mut sorted = run.to_vec();
-                    ctx.scratch_write(0, &encode_tuples(&sorted))?;
-                    // n log n comparison work.
-                    let n = sorted.len() as u64;
-                    ctx.compute(WorkClass::Scalar, n * (64 - n.leading_zeros() as u64));
-                    sorted.sort_by(topk_order);
-                    let bytes = encode_tuples(&sorted);
-                    ctx.async_write(spill, spilled, &bytes)?;
-                    spilled += bytes.len() as u64;
-                    runs += 1;
-                }
-                ctx.wait_async();
-                ctx.publish("sorted-runs", spill);
-                ctx.state_write(0, &runs.to_le_bytes())?;
-                let mut manifest = Vec::new();
-                manifest.extend_from_slice(&runs.to_le_bytes());
-                manifest.extend_from_slice(&spilled.to_le_bytes());
-                write_counted_output(ctx, &manifest)
-            }),
-    );
-
-    let merge = job.task(
-        TaskSpec::new("merge-topk")
-            .work(WorkClass::Scalar, cfg.tuples as u64)
-            .persistent(true)
-            .output_bytes((cfg.k * TUPLE_BYTES + 8) as u64)
-            .body(move |ctx| {
-                let manifest = read_counted_input(ctx)?;
-                let spilled =
-                    u64::from_le_bytes(manifest[8..16].try_into().expect("8"));
-                let runs_region = ctx
-                    .lookup("sorted-runs")
-                    .ok_or_else(|| TaskError::new("sorted runs not published"))?;
-                let mut raw = vec![0u8; spilled as usize];
-                ctx.async_read(runs_region, 0, &mut raw)?;
-                ctx.overlap_compute(WorkClass::Scalar, cfg.tuples as u64);
-                ctx.wait_async();
-                // K-way merge over sorted runs, keeping only the top k.
-                let run_len = cfg.run_tuples * TUPLE_BYTES;
-                let mut heads: Vec<Vec<Tuple>> = raw
-                    .chunks(run_len)
-                    .map(decode_tuples)
-                    .collect();
-                let mut top: Vec<Tuple> = Vec::with_capacity(cfg.k);
-                while top.len() < cfg.k {
-                    let best = heads
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, r)| !r.is_empty())
-                        .min_by(|a, b| topk_order(&a.1[0], &b.1[0]))
-                        .map(|(i, _)| i);
-                    match best {
-                        Some(i) => top.push(heads[i].remove(0)),
-                        None => break,
-                    }
-                }
-                write_counted_output(ctx, &encode_tuples(&top))
-            }),
-    );
-
-    job.edge(scan, sort);
-    job.edge(sort, merge);
-    job.build().expect("topk job is a valid DAG")
-}
-
-/// Decodes the merge task's output tuples.
-pub fn decode_topk(out: &[u8]) -> Vec<Tuple> {
-    decode_tuples(&crate::util::decode_counted(out))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,34 +309,5 @@ mod tests {
         assert!(e.join_matches <= cfg.probe_tuples as u64);
         // With heavy skew and enough tuples most probe keys should match.
         assert!(e.join_matches > 0);
-    }
-
-    #[test]
-    fn topk_query_matches_the_reference() {
-        let cfg = TopkConfig::default();
-        let exp = expected_topk(&cfg);
-        let (topo, _) = single_server();
-        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-        let report = rt.execute(topk_job(cfg)).unwrap();
-        let got = decode_topk(&final_output(&rt, &report, JobId(0), "merge-topk"));
-        assert_eq!(got, exp);
-        assert!(report.placements_clean());
-    }
-
-    #[test]
-    fn topk_handles_k_larger_than_relation() {
-        let cfg = TopkConfig {
-            tuples: 10,
-            k: 50,
-            run_tuples: 4,
-            ..TopkConfig::default()
-        };
-        let exp = expected_topk(&cfg);
-        assert_eq!(exp.len(), 10);
-        let (topo, _) = single_server();
-        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-        let report = rt.execute(topk_job(cfg)).unwrap();
-        let got = decode_topk(&final_output(&rt, &report, JobId(0), "merge-topk"));
-        assert_eq!(got, exp);
     }
 }

@@ -152,210 +152,6 @@ pub fn decode_sum(out: &[u8]) -> i64 {
 }
 
 
-
-/// Parameters for the domain-decomposed stencil.
-#[derive(Debug, Clone, Copy)]
-pub struct DistributedConfig {
-    /// Grid cells (split evenly across partitions).
-    pub cells: usize,
-    /// Partitions (parallel workers per sweep).
-    pub partitions: usize,
-    /// Smoothing sweeps (task layers).
-    pub sweeps: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for DistributedConfig {
-    fn default() -> Self {
-        DistributedConfig {
-            cells: 4_096,
-            partitions: 4,
-            sweeps: 4,
-            seed: 11,
-        }
-    }
-}
-
-/// Reflective-boundary sweep (used by the distributed variant so the
-/// domain decomposition has well-defined edges).
-fn sweep_reflective(grid: &[i64]) -> Vec<i64> {
-    let n = grid.len();
-    (0..n)
-        .map(|i| {
-            let l = grid[if i == 0 { 0 } else { i - 1 }];
-            let r = grid[if i + 1 == n { n - 1 } else { i + 1 }];
-            (l + 2 * grid[i] + r) / 4
-        })
-        .collect()
-}
-
-/// Reference result for the distributed stencil.
-pub fn expected_distributed_sum(cfg: &DistributedConfig) -> i64 {
-    let hcfg = HpcConfig {
-        cells: cfg.cells,
-        sweeps: 0,
-        checkpoint_every: 0,
-        seed: cfg.seed,
-    };
-    let mut grid = initial_grid(&hcfg);
-    for _ in 0..cfg.sweeps {
-        grid = sweep_reflective(&grid);
-    }
-    grid.iter().sum()
-}
-
-/// Serialized partition: 8-byte partition index, then the cells.
-fn encode_part(part: usize, cells: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + cells.len() * 8);
-    out.extend_from_slice(&(part as u64).to_le_bytes());
-    out.extend(cells.iter().flat_map(|v| v.to_le_bytes()));
-    out
-}
-
-fn decode_part(bytes: &[u8]) -> (usize, Vec<i64>) {
-    let part = u64::from_le_bytes(bytes[..8].try_into().expect("8")) as usize;
-    (part, decode_grid(&bytes[8..]))
-}
-
-/// Builds the domain-decomposed stencil: `init → (sweep layer x S of P
-/// partition tasks, exchanging halos through the dataflow) → reduce`.
-///
-/// Each sweep task consumes its own partition plus its neighbours'
-/// partitions from the previous layer (inputs are identified by an
-/// embedded partition tag — fan-in order is a runtime detail), computes
-/// the new interior using one halo cell from each side, and emits its
-/// partition for the next layer.
-pub fn distributed_stencil_job(cfg: DistributedConfig) -> JobSpec {
-    assert!(cfg.partitions >= 2, "decomposition needs >= 2 partitions");
-    assert!(cfg.cells.is_multiple_of(cfg.partitions), "cells must split evenly");
-    let part_cells = cfg.cells / cfg.partitions;
-    assert!(part_cells >= 2, "partitions need at least 2 cells");
-
-    let mut job = JobBuilder::new("hpc-distributed").global_state(4096);
-    let part_bytes = (8 + part_cells * 8 + 8) as u64;
-
-    // Layer 0: per-partition init tasks.
-    let mut prev: Vec<TaskId> = (0..cfg.partitions)
-        .map(|p| {
-            job.task(
-                TaskSpec::new(format!("init-p{p}"))
-                    .work(WorkClass::Vector, part_cells as u64)
-                    .output_bytes(part_bytes)
-                    .body(move |ctx| {
-                        let hcfg = HpcConfig {
-                            cells: cfg.cells,
-                            sweeps: 0,
-                            checkpoint_every: 0,
-                            seed: cfg.seed,
-                        };
-                        let grid = initial_grid(&hcfg);
-                        let mine = &grid[p * part_cells..(p + 1) * part_cells];
-                        ctx.compute(WorkClass::Vector, part_cells as u64);
-                        write_counted_output(ctx, &encode_part(p, mine))
-                    }),
-            )
-        })
-        .collect();
-
-    // Sweep layers: each partition task reads itself + neighbours.
-    for s in 0..cfg.sweeps {
-        let layer: Vec<TaskId> = (0..cfg.partitions)
-            .map(|p| {
-                job.task(
-                    TaskSpec::new(format!("sweep{s}-p{p}"))
-                        .work(WorkClass::Vector, part_cells as u64)
-                        .mem_latency(LatencyClass::Low)
-                        .private_scratch((part_cells * 8) as u64)
-                        .output_bytes(part_bytes)
-                        .body(move |ctx| {
-                            // Gather this partition and its halos from the
-                            // tagged inputs.
-                            let mut mine: Option<Vec<i64>> = None;
-                            let mut left_halo: Option<i64> = None;
-                            let mut right_halo: Option<i64> = None;
-                            let inputs = ctx.inputs().to_vec();
-                            for region in inputs {
-                                let len = ctx.region_len(region);
-                                let mut raw = vec![0u8; len as usize];
-                                ctx.acc.read(
-                                    region,
-                                    0,
-                                    &mut raw,
-                                    AccessPattern::Sequential,
-                                )?;
-                                let payload = crate::util::decode_counted(&raw);
-                                let (tag, cells) = decode_part(&payload);
-                                if tag == p {
-                                    mine = Some(cells);
-                                } else if tag + 1 == p {
-                                    left_halo = cells.last().copied();
-                                } else if tag == p + 1 {
-                                    right_halo = cells.first().copied();
-                                }
-                            }
-                            let mine = mine
-                                .ok_or_else(|| TaskError::new("own partition missing"))?;
-                            // Reflective domain boundary when no neighbour.
-                            let l = left_halo.unwrap_or(mine[0]);
-                            let r = right_halo.unwrap_or(*mine.last().expect("nonempty"));
-                            let n = mine.len();
-                            let new: Vec<i64> = (0..n)
-                                .map(|i| {
-                                    let lv = if i == 0 { l } else { mine[i - 1] };
-                                    let rv = if i + 1 == n { r } else { mine[i + 1] };
-                                    (lv + 2 * mine[i] + rv) / 4
-                                })
-                                .collect();
-                            ctx.scratch_write(0, &encode_grid(&new))?;
-                            ctx.compute(WorkClass::Vector, n as u64);
-                            ctx.state_write((p * 8) as u64, &(s as u64 + 1).to_le_bytes())?;
-                            write_counted_output(ctx, &encode_part(p, &new))
-                        }),
-                )
-            })
-            .collect();
-        for p in 0..cfg.partitions {
-            // Halo edges: previous layer's p-1, p, p+1 feed this task.
-            if p > 0 {
-                job.edge(prev[p - 1], layer[p]);
-            }
-            job.edge(prev[p], layer[p]);
-            if p + 1 < cfg.partitions {
-                job.edge(prev[p + 1], layer[p]);
-            }
-        }
-        prev = layer;
-    }
-
-    // Reduce: fan-in of all final partitions.
-    let reduce = job.task(
-        TaskSpec::new("reduce")
-            .work(WorkClass::Scalar, cfg.cells as u64)
-            .persistent(true)
-            .output_bytes(64)
-            .body(move |ctx| {
-                let mut sum = 0i64;
-                let inputs = ctx.inputs().to_vec();
-                for region in inputs {
-                    let len = ctx.region_len(region);
-                    let mut raw = vec![0u8; len as usize];
-                    ctx.acc
-                        .read(region, 0, &mut raw, AccessPattern::Sequential)?;
-                    let payload = crate::util::decode_counted(&raw);
-                    let (_, cells) = decode_part(&payload);
-                    sum += cells.iter().sum::<i64>();
-                }
-                ctx.compute(WorkClass::Scalar, cfg.cells as u64);
-                write_counted_output(ctx, &sum.to_le_bytes())
-            }),
-    );
-    for &t in &prev {
-        job.edge(t, reduce);
-    }
-    job.build().expect("distributed stencil is a valid DAG")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,64 +191,5 @@ mod tests {
         let start: i64 = initial_grid(&cfg).iter().sum();
         assert!(expected_sum(&cfg) <= start);
         assert!(expected_sum(&cfg) > 0);
-    }
-
-    #[test]
-    fn distributed_stencil_matches_the_sequential_reference() {
-        let cfg = DistributedConfig::default();
-        let (topo, _) = single_server();
-        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-        let report = rt.execute(distributed_stencil_job(cfg)).unwrap();
-        let got = decode_sum(&final_output(&rt, &report, JobId(0), "reduce"));
-        assert_eq!(got, expected_distributed_sum(&cfg));
-        assert!(report.placements_clean());
-        // P inits + P x S sweeps + reduce.
-        assert_eq!(
-            report.tasks.len(),
-            cfg.partitions * (cfg.sweeps + 1) + 1
-        );
-    }
-
-    #[test]
-    fn distributed_stencil_parallelizes_across_partitions() {
-        // Sweep tasks of the same layer overlap in virtual time.
-        let cfg = DistributedConfig {
-            cells: 8_192,
-            partitions: 4,
-            sweeps: 2,
-            ..DistributedConfig::default()
-        };
-        let (topo, _) = single_server();
-        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-        let report = rt.execute(distributed_stencil_job(cfg)).unwrap();
-        let layer: Vec<_> = report
-            .tasks
-            .iter()
-            .filter(|t| t.name.starts_with("sweep0-"))
-            .collect();
-        assert_eq!(layer.len(), 4);
-        let earliest_finish = layer.iter().map(|t| t.finish).min().unwrap();
-        let latest_start = layer.iter().map(|t| t.start).max().unwrap();
-        assert!(
-            latest_start < earliest_finish,
-            "layer tasks should overlap: starts {:?} finishes {:?}",
-            layer.iter().map(|t| t.start).collect::<Vec<_>>(),
-            layer.iter().map(|t| t.finish).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn distributed_stencil_works_on_a_rack() {
-        let cfg = DistributedConfig {
-            cells: 2_048,
-            partitions: 4,
-            sweeps: 3,
-            ..DistributedConfig::default()
-        };
-        let (topo, _) = disagg_hwsim::presets::disaggregated_rack(3, 16, 2, 64);
-        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-        let report = rt.execute(distributed_stencil_job(cfg)).unwrap();
-        let got = decode_sum(&final_output(&rt, &report, JobId(0), "reduce"));
-        assert_eq!(got, expected_distributed_sum(&cfg));
     }
 }

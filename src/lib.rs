@@ -57,8 +57,8 @@ pub use disagg_workloads as workloads;
 // The runtime's own modules and top-level types.
 pub use disagg_core::{config, error, executor, profile, report, runtime};
 pub use disagg_core::{
-    AdmissionPolicy, DeviceSummary, DisaggError, RunProfile, RunReport, Runtime, RuntimeConfig,
-    RuntimeError, Submission, TaskProfile, TaskReport,
+    DeviceSummary, DisaggError, RunProfile, RunReport, Runtime, RuntimeConfig, RuntimeError,
+    Submission, TaskProfile, TaskReport,
 };
 pub use disagg_serve::{
     ArrivalProcess, ControlPlane, Request, RequestRecord, ServeConfig, ServeLayer, ServeReport,
@@ -74,7 +74,7 @@ pub mod presets {
 ///
 /// `use disagg::prelude::*;` brings in the runtime types, the job and
 /// task builders, property vocabulary, policies, the virtual clock, and
-/// the deterministic RNG. [`presets`](crate::presets) is re-exported as
+/// the deterministic RNG. [`presets`] is re-exported as
 /// a module so topology constructors stay one path segment away.
 pub mod prelude {
     pub use crate::presets;
@@ -86,5 +86,4 @@ pub mod prelude {
     pub use disagg_hwsim::fault::{FaultEvent, FaultInjector, FaultKind};
     pub use disagg_hwsim::rng::SimRng;
     pub use disagg_region::region::OwnerId;
-    pub use disagg_sched::schedule::QueuePolicy;
 }

@@ -90,3 +90,19 @@ fn a_single_oversized_job_is_still_admitted_alone() {
     let report = rt.execute(burst(1, 7 * GIB)).expect("solo admission");
     assert_eq!(report.tasks.len(), 1);
 }
+
+#[test]
+fn a_non_finite_watermark_is_rejected_before_anything_runs() {
+    // NaN survives `clamp` and zeroes the wave budget: every job would
+    // silently run in a wave of its own.
+    for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut rt = Runtime::new(tight_host(), RuntimeConfig::traced().with_admission(w));
+        let got = rt.execute(burst(3, 256 << 20));
+        assert!(matches!(got, Err(RuntimeError::InvalidConfig { .. })), "{w}: {got:?}");
+        assert_eq!(rt.now(), SimTime::ZERO, "{w}: nothing ran");
+        assert!(rt.trace().is_empty(), "{w}: nothing was traced");
+    }
+    // Finite values keep the documented clamp to [0.05, 1.0].
+    let mut rt = Runtime::new(tight_host(), RuntimeConfig::traced().with_admission(7.0));
+    assert_eq!(rt.execute(burst(3, 256 << 20)).unwrap().tasks.len(), 3);
+}

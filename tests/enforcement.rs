@@ -158,93 +158,3 @@ fn audit_counts_every_placement_in_a_run() {
     assert_eq!(report.placements.len(), 4);
     assert!(report.placements_clean());
 }
-
-#[test]
-fn persistent_outputs_are_replicated_across_failure_domains() {
-    // Two persistent failure domains: local PMem and a battery-backed
-    // far blade. With persistent_replicas = 2, a persistent result
-    // survives losing the primary's node.
-    let topo = {
-        let mut b = Topology::builder();
-        let host = b.node("host");
-        let blade = b.node("blade");
-        let cpu = b.compute(host, ComputeModel::preset(ComputeKind::Cpu));
-        let dram = b.mem(host, MemDeviceModel::preset(MemDeviceKind::Dram));
-        let pmem = b.mem(host, MemDeviceModel::preset(MemDeviceKind::Pmem));
-        let mut far = MemDeviceModel::preset(MemDeviceKind::FarMemory);
-        far.persistent = true;
-        far.sync = disagg::hwsim::device::SyncSupport::Either;
-        let far = b.mem(blade, far);
-        b.link(cpu, dram, LinkKind::MemBus);
-        b.link(cpu, pmem, LinkKind::MemBus);
-        b.link(cpu, Endpoint::Hub(host), LinkKind::PcieCxl);
-        b.link(Endpoint::Hub(host), Endpoint::Hub(blade), LinkKind::Nic);
-        b.link(Endpoint::Hub(blade), far, LinkKind::MemBus);
-        b.build().expect("valid")
-    };
-    let mut rt = Runtime::new(
-        topo,
-        RuntimeConfig::traced().with_persistent_replicas(2),
-    );
-    let mut j = JobBuilder::new("durable");
-    j.task(
-        TaskSpec::new("persist")
-            .persistent(true)
-            .output_bytes(4096)
-            .body(|ctx| {
-                ctx.write_output(0, b"must survive")?;
-                Ok(())
-            }),
-    );
-    let report = rt.execute(j.build().unwrap()).unwrap();
-    assert_eq!(report.persistent_replicas.len(), 1);
-    let (primary, copies) = &report.persistent_replicas[0];
-    assert_eq!(copies.len(), 1, "one extra copy requested");
-    // Replica is on a persistent device in a different failure domain.
-    let pdev = rt.manager().placement(*primary).unwrap().dev;
-    let cdev = rt.manager().placement(copies[0]).unwrap().dev;
-    assert!(rt.topology().mem(cdev).persistent);
-    assert_ne!(
-        rt.topology().node_of_mem(pdev),
-        rt.topology().node_of_mem(cdev),
-        "replica must live in another failure domain"
-    );
-    // Contents match.
-    let mut a = [0u8; 12];
-    let mut b = [0u8; 12];
-    rt.manager().read(*primary, OwnerId::App, 0, &mut a).unwrap();
-    rt.manager().read(copies[0], OwnerId::App, 0, &mut b).unwrap();
-    assert_eq!(&a, b"must survive");
-    assert_eq!(a, b);
-}
-
-#[test]
-fn replication_degrades_gracefully_when_no_second_domain_exists() {
-    // A single-node host has one failure domain: the runtime keeps the
-    // primary and reports zero copies instead of failing.
-    use disagg::hwsim::compute::{ComputeKind, ComputeModel};
-    use disagg::hwsim::device::{MemDeviceKind, MemDeviceModel};
-    let mut b = Topology::builder();
-    let n = b.node("host");
-    let cpu = b.compute(n, ComputeModel::preset(ComputeKind::Cpu));
-    let dram = b.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
-    let pmem = b.mem(n, MemDeviceModel::preset(MemDeviceKind::Pmem));
-    b.link(cpu, dram, LinkKind::MemBus);
-    b.link(cpu, pmem, LinkKind::MemBus);
-    let topo = b.build().unwrap();
-
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_persistent_replicas(3));
-    let mut j = JobBuilder::new("lonely");
-    j.task(
-        TaskSpec::new("persist")
-            .persistent(true)
-            .output_bytes(1024)
-            .body(|ctx| {
-                ctx.write_output(0, &[1u8; 64])?;
-                Ok(())
-            }),
-    );
-    let report = rt.execute(j.build().unwrap()).unwrap();
-    let (_, copies) = &report.persistent_replicas[0];
-    assert!(copies.is_empty(), "no second failure domain exists");
-}

@@ -257,7 +257,7 @@ fn streaming_observer_matches_buffered_trace() {
 }
 
 /// Observation is free of semantic weight at both extremes: the default
-/// [`NullObserver`] run (what every golden above uses) and a run with
+/// null-slot run (what every golden above uses) and a run with
 /// the everything-sink [`FullObserver`] attached — metrics registry,
 /// buffered events — produce the *same pinned golden digests*.
 /// Attaching full observability never moves a byte of the schedule or
@@ -266,7 +266,7 @@ fn streaming_observer_matches_buffered_trace() {
 fn null_and_full_observers_agree_on_the_golden_digest() {
     use std::sync::{Arc, Mutex};
 
-    // NullObserver (the default slot) — re-derive the pinned digests.
+    // No observer (the default slot) — re-derive the pinned digests.
     let (mut rt, jobs) = rack_batch();
     let report = rt.execute(Submission::batch(jobs)).unwrap();
     let null_digests = report_digest(&report, rt.trace());

@@ -319,81 +319,6 @@ fn region_rw_round_trips() {
     });
 }
 
-/// The striped heap conserves live objects through arbitrary
-/// put/delete/compact sequences, and compaction always zeroes the
-/// dead count.
-#[test]
-fn striped_heap_conserves_live_objects() {
-    for_cases("striped_heap_conserves_live_objects", 12, 32, |rng| {
-        use disagg::ftol::heap::StripedHeap;
-        use disagg::hwsim::contention::BandwidthLedger;
-        use disagg::hwsim::fault::FaultInjector;
-        use disagg::presets::disaggregated_rack;
-
-        let n_ops = rng.range(1, 40) as usize;
-        let (topo, rack) = disaggregated_rack(2, 32, 4, 64);
-        let mut mgr = RegionManager::new(&topo);
-        let mut ledger = BandwidthLedger::default_buckets();
-        let mut heap = StripedHeap::create(
-            &mut mgr,
-            &topo,
-            &rack.pool[..4],
-            16_000,
-            3,
-            1,
-            OwnerId::App,
-            SimTime::ZERO,
-        )
-        .unwrap();
-        let calm = FaultInjector::none();
-        let mut model: std::collections::BTreeMap<disagg::ftol::heap::ObjId, Vec<u8>> =
-            Default::default();
-
-        for _ in 0..n_ops {
-            let op = rng.next_below(10) as u8;
-            let size = rng.range(1, 400) as usize;
-            match op {
-                0..=5 => {
-                    // Put (compact first if the tail is exhausted).
-                    let data = random_bytes(rng, size);
-                    if heap.free_tail() < size as u64 {
-                        heap.compact(&mut mgr, &topo, &mut ledger, SimTime(1)).unwrap();
-                    }
-                    if heap.free_tail() >= size as u64 {
-                        let (id, _) = heap
-                            .put(&mut mgr, &topo, &mut ledger, &data, SimTime(1))
-                            .unwrap();
-                        model.insert(id, data);
-                    }
-                }
-                6..=8 => {
-                    // Delete a random live object.
-                    if let Some(&id) = model.keys().next() {
-                        heap.delete(id).unwrap();
-                        model.remove(&id);
-                    }
-                }
-                _ => {
-                    heap.compact(&mut mgr, &topo, &mut ledger, SimTime(1)).unwrap();
-                    assert_eq!(heap.dead_bytes(), 0);
-                }
-            }
-            assert_eq!(heap.len(), model.len());
-            assert_eq!(
-                heap.live_bytes(),
-                model.values().map(|d| d.len() as u64).sum::<u64>()
-            );
-        }
-        // Every surviving object reads back exactly.
-        for (&id, data) in &model {
-            let (got, _, _) = heap
-                .get(&mgr, &topo, &mut ledger, &calm, id, SimTime(2))
-                .unwrap();
-            assert_eq!(&got, data);
-        }
-    });
-}
-
 /// Tiering plans never violate declared properties, whatever the
 /// hotness distribution: a persistent region never lands on volatile
 /// memory, a sync region never on async-only storage.
