@@ -3,8 +3,10 @@
 //!
 //! Stdout carries only the deterministic experiment tables (in registry
 //! order — byte-identical between serial and parallel runs, and across
-//! repeated runs), and the record is those tables plus the raw numbers
-//! behind them. Progress timing lives on stderr and nowhere else.
+//! repeated runs), each followed by its claims and their verdicts, and
+//! the record is those tables and verdicts plus the raw numbers behind
+//! them. A claim that does not hold is named on stderr. Progress timing
+//! lives on stderr and nowhere else.
 //!
 //! Flags are parsed strictly — see [`USAGE`] (`--help`).
 
@@ -18,12 +20,13 @@ usage: exp_driver [flags]
   --serial         run on one thread (reference path)
   --threads N      worker count (default: available parallelism)
   --only a,b       run only the listed experiment ids
-  --markdown       print the tables as Markdown (what EXPERIMENTS.md
-                   embeds) instead of aligned ASCII
+  --markdown       print a claim scorecard and the tables as Markdown
+                   (what EXPERIMENTS.md embeds) instead of aligned ASCII
   --json PATH      write the benchmark record to PATH (no record is
                    written without it)
-  --verify         additionally run serially and fail (exit 1) if
-                   parallel output is not byte-identical
+  --verify         fail (exit 1) if a claim does not hold, and
+                   additionally run serially and fail if parallel
+                   output is not byte-identical
   --trace-out DIR  re-run each experiment's representative workload
                    with a full observer and write Perfetto-loadable
                    Chrome traces, folded flamegraph stacks, and
@@ -122,11 +125,23 @@ fn main() {
     };
 
     let tables = driver::run_experiments(&only, quick, threads);
-    for t in &tables {
-        println!("{}", if markdown { t.render_markdown() } else { t.render() });
+    if markdown {
+        print!("{}", driver::markdown(&tables));
+    } else {
+        for t in &tables {
+            println!("{}", t.render());
+        }
     }
 
+    let failed = driver::failed_claims(&tables);
+    for f in &failed {
+        eprintln!("claim {f}");
+    }
     if verify {
+        if !failed.is_empty() {
+            eprintln!("VERIFY FAILED: {} claim(s) do not hold", failed.len());
+            std::process::exit(1);
+        }
         let render = |ts: &[disagg_bench::Table]| ts.iter().map(|t| t.render()).collect::<String>();
         if render(&tables) != render(&driver::run_experiments(&only, quick, 1)) {
             eprintln!("VERIFY FAILED: parallel output differs from serial run");

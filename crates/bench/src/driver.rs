@@ -10,10 +10,11 @@
 //! first, so parallel output is byte-identical to a serial run.
 //!
 //! The driver also renders the machine-readable `BENCH_disagg.json`:
-//! every table plus the raw records behind three of them, all virtual
-//! time, so the record is a pure function of the source and a model
-//! change shows up as a diff. Host wall-clock is `benchmark/`'s job;
-//! the only clock read here is the progress timer on stderr.
+//! every table, every claim with its verdict, plus the raw records
+//! behind three of the tables, all virtual time, so the record is a
+//! pure function of the source and a model change shows up as a diff.
+//! Host wall-clock is `benchmark/`'s job; the only clock read here is
+//! the progress timer on stderr.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,7 +41,9 @@ use disagg_workloads::hpc::{stencil_job, HpcConfig};
 use disagg_workloads::ml::{training_job, MlConfig};
 use disagg_workloads::streaming::{windowed_job, StreamConfig};
 
-use crate::{exp, Table};
+use disagg_obs::json::escape;
+
+use crate::{exp, Claim, Table, Verdict};
 
 /// Order-preserving parallel map: runs `f` over `items` on up to
 /// `threads` workers and returns results in input order. `threads <= 1`
@@ -160,7 +163,7 @@ pub fn representative(id: &str, quick: bool) -> Option<(Topology, RuntimeConfig,
         // two_socket is DRAM-only, so the NUMA representative runs a
         // plain layered DAG (no persistent outputs to place).
         "numa" => some(two_socket().0, stress_jobs(1, 4, 4)),
-        "fig4" | "hpc" => some(
+        "fig4" => some(
             single_server().0,
             vec![stencil_job(HpcConfig {
                 cells: if quick { 2_048 } else { 8_192 },
@@ -285,16 +288,71 @@ pub fn serving_trace_artifacts(quick: bool) -> Result<(String, String), String> 
     Ok((doc, exemplars))
 }
 
+/// Every claim that does not hold, as `experiment.id FAILS (margin …):
+/// text [shape]` — what `exp_driver` prints on stderr and `--verify`
+/// exits 1 on.
+pub fn failed_claims(tables: &[Table]) -> Vec<String> {
+    verdicts(tables)
+        .filter(|(_, _, v)| !v.holds)
+        .map(|(t, c, _)| format!("{}.{}", t.id, c.describe(t)))
+        .collect()
+}
+
+/// Every claim of every table with its verdict, in registry order.
+fn verdicts(tables: &[Table]) -> impl Iterator<Item = (&Table, &Claim, Verdict)> {
+    tables.iter().flat_map(|t| t.claims.iter().map(move |c| (t, c, c.evaluate(t))))
+}
+
+/// The form EXPERIMENTS.md embeds: a scorecard with one row per claim,
+/// then every table, both in registry order.
+pub fn markdown(tables: &[Table]) -> String {
+    let mut out = String::from(
+        "| Experiment | Claim | Shape | Holds | Margin |\n|---|---|---|---|---|\n",
+    );
+    for (t, c, v) in verdicts(tables) {
+        out.push_str(&format!(
+            "| `{}` | `{}`: {} | {} | {} | {} |\n",
+            t.id,
+            c.id,
+            c.text,
+            c.shape,
+            if v.holds { "yes" } else { "NO" },
+            v.margin.map_or("—".to_string(), |m| format!("{m:.4}")),
+        ));
+    }
+    for t in tables {
+        out.push('\n');
+        out.push_str(&t.render_markdown());
+    }
+    out
+}
+
 /// Renders the machine-readable benchmark record (`BENCH_disagg.json`):
-/// every table, then the raw-record fragments the tables carry — at the
-/// top level, or grouped under the object a fragment names. Hand-rolled
-/// JSON keeps the workspace dependency-free.
+/// every table, every claim with its verdict, then the raw-record
+/// fragments the tables carry — at the top level, or grouped under the
+/// object a fragment names. Hand-rolled JSON keeps the workspace
+/// dependency-free.
 pub fn bench_json(tables: &[Table], quick: bool) -> String {
     let experiments: Vec<String> = tables.iter().map(|t| format!("    {}", t.to_json())).collect();
+    let claims: Vec<String> = verdicts(tables)
+        .map(|(t, c, v)| {
+            format!(
+                "    {{\"experiment\": \"{}\", \"id\": \"{}\", \"text\": \"{}\",\n     \
+                 \"shape\": \"{}\", \"holds\": {}, \"margin\": {}}}",
+                t.id,
+                c.id,
+                escape(&c.text),
+                escape(&c.shape.to_string()),
+                v.holds,
+                v.margin.map_or("null".to_string(), |m| format!("{m:.4}")),
+            )
+        })
+        .collect();
     let mut members = vec![
-        "\"schema\": \"disagg-bench-v2\"".to_string(),
+        "\"schema\": \"disagg-bench-v3\"".to_string(),
         format!("\"quick\": {quick}"),
         format!("\"experiments\": [\n{}\n  ]", experiments.join(",\n")),
+        format!("\"claims\": [\n{}\n  ]", claims.join(",\n")),
     ];
     let mut objects: Vec<(&str, Vec<&str>)> = Vec::new();
     for f in tables.iter().filter_map(|t| t.record.as_ref()) {
@@ -315,7 +373,7 @@ pub fn bench_json(tables: &[Table], quick: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Fragment;
+    use crate::{Fragment, Shape};
 
     #[test]
     fn sweep_preserves_input_order() {
@@ -343,7 +401,7 @@ mod tests {
         ];
         let s = bench_json(&tables, true);
         let v = disagg_obs::json::parse(&s).expect("the record is valid JSON");
-        assert_eq!(v.get("schema").and_then(|v| v.as_str()), Some("disagg-bench-v2"));
+        assert_eq!(v.get("schema").and_then(|v| v.as_str()), Some("disagg-bench-v3"));
         assert_eq!(v.get("quick"), Some(&disagg_obs::json::Value::Bool(true)));
         let exps = v.get("experiments").and_then(|v| v.as_arr()).expect("experiments");
         let ids: Vec<_> = exps.iter().map(|e| e.get("id").and_then(|v| v.as_str())).collect();
@@ -359,5 +417,32 @@ mod tests {
         // A partial suite simply lacks the sections nobody measured.
         let partial = disagg_obs::json::parse(&bench_json(&tables[..1], false)).unwrap();
         assert!(partial.get("chaos").is_none() && partial.get("serving").is_none());
+    }
+
+    /// `exp_driver --verify` exits 1 exactly when this list is not
+    /// empty, so a hand-built failure stands in for a flag to force one.
+    #[test]
+    fn a_claim_that_does_not_hold_is_what_verify_reports() {
+        use disagg_obs::json::{parse, Value};
+        let mut t = Table::new("t", "Test", &["Name", "Value"]);
+        t.row(vec!["a".into(), "1".into()]);
+        t.claim("a-is-one", "a reads 1", Shape::Cells(vec![["a", "Value", "1"]]), vec![]);
+        assert!(failed_claims(std::slice::from_ref(&t)).is_empty());
+        t.claim("big-enough", "the value reaches 2", Shape::AtLeast(2.0), vec![1.0]);
+        let tables = [t];
+        let failed = "big-enough FAILS (margin -0.5000): the value reaches 2 [every value >= 2]";
+        assert_eq!(failed_claims(&tables), [format!("t.{failed}")]);
+        // Every rendering carries the same verdict.
+        assert!(tables[0].render().ends_with(&format!("claim: {failed}\n")));
+        let row = "| `t` | `big-enough`: the value reaches 2 | every value >= 2 | NO | -0.5000 |";
+        assert!(markdown(&tables).contains(row));
+        let v = parse(&bench_json(&tables, true)).expect("valid JSON");
+        let claims = v.get("claims").and_then(Value::as_arr).expect("claims");
+        assert_eq!(claims[0].get("holds"), Some(&Value::Bool(true)));
+        assert_eq!(claims[0].get("margin"), Some(&Value::Null));
+        assert_eq!(claims[1].get("experiment").and_then(Value::as_str), Some("t"));
+        assert_eq!(claims[1].get("id").and_then(Value::as_str), Some("big-enough"));
+        assert_eq!(claims[1].get("holds"), Some(&Value::Bool(false)));
+        assert_eq!(claims[1].get("margin").and_then(Value::as_f64), Some(-0.5));
     }
 }

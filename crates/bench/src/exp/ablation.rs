@@ -13,16 +13,7 @@ use disagg_hwsim::presets::single_server;
 use disagg_sched::cost::TopologyAwareness;
 use disagg_workloads::{dbms, ml, streaming};
 
-use crate::{fmt_dur, fmt_ratio, Table};
-
-/// One ablation row.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Configuration label.
-    pub config: &'static str,
-    /// Mixed-batch makespan.
-    pub makespan: SimDuration,
-}
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 fn batch(quick: bool) -> Vec<JobSpec> {
     let scale = if quick { 1 } else { 4 };
@@ -44,8 +35,8 @@ fn batch(quick: bool) -> Vec<JobSpec> {
     ]
 }
 
-/// Runs the mixed batch under each configuration.
-pub fn measure(quick: bool) -> Vec<AblationRow> {
+/// Runs E13: the mixed batch under each configuration.
+pub fn run(quick: bool) -> Table {
     let configs: Vec<(&'static str, RuntimeConfig)> = vec![
         ("full vision (baseline)", RuntimeConfig::traced()),
         (
@@ -65,92 +56,43 @@ pub fn measure(quick: bool) -> Vec<AblationRow> {
             RuntimeConfig::traced().with_placement(PlacementPolicy::WorstFeasible),
         ),
     ];
-    configs
+    let makespans: Vec<(&str, SimDuration)> = configs
         .into_iter()
         .map(|(name, config)| {
             let (topo, _) = single_server();
             let mut rt = Runtime::new(topo, config);
-            let report = rt.execute(batch(quick)).expect("batch runs");
-            AblationRow {
-                config: name,
-                makespan: report.makespan,
-            }
+            (name, rt.execute(batch(quick)).expect("batch runs").makespan)
         })
-        .collect()
-}
-
-/// Runs E13.
-pub fn run(quick: bool) -> Table {
-    let rows = measure(quick);
-    let base = rows[0].makespan.as_nanos_f64();
+        .collect();
+    let base = makespans[0].1.as_nanos_f64();
+    let slowdowns: Vec<f64> = makespans.iter().map(|(_, m)| m.as_nanos_f64() / base).collect();
     let mut t = Table::new(
         "ablation",
         "Ablations: removing one RTS ingredient at a time",
         &["Configuration", "Makespan", "Slowdown vs full"],
     );
-    for r in &rows {
-        t.row(vec![
-            r.config.to_string(),
-            fmt_dur(r.makespan),
-            fmt_ratio(r.makespan.as_nanos_f64() / base),
-        ]);
+    for (&(name, makespan), &slowdown) in makespans.iter().zip(&slowdowns) {
+        t.row(vec![name.to_string(), fmt_dur(makespan), fmt_ratio(slowdown)]);
     }
     t.note("mixed batch: DBMS query + ML training + streaming windows, co-scheduled");
+    // Individual knobs can jitter a few percent on the quick batch;
+    // nothing should *substantially* beat the full configuration.
+    t.claim(
+        "no-ablation-beats-full-badly",
+        "every ablation completes, and none beats the full configuration by more than 25% (slowdown vs full)",
+        Shape::AtLeast(0.75),
+        slowdowns[1..].to_vec(),
+    );
+    t.claim(
+        "scheduler-and-optimizer-are-load-bearing",
+        "removing HEFT or the placement optimizer hurts by more than 1.5x",
+        Shape::AtLeast(1.5),
+        makespans
+            .iter()
+            .zip(&slowdowns)
+            .filter(|((name, _), _)| name.contains("HEFT") || name.contains("optimizer"))
+            .map(|(_, &s)| s)
+            .collect(),
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn no_ablation_beats_the_full_configuration_badly() {
-        // Individual knobs can jitter a few percent on the quick batch;
-        // nothing should *substantially* beat the full configuration.
-        let rows = measure(true);
-        let base = rows[0].makespan.as_nanos_f64();
-        for r in &rows[1..] {
-            assert!(
-                r.makespan.as_nanos_f64() >= base * 0.75,
-                "{} beat the full config by >25%: {} vs {}",
-                r.config,
-                r.makespan,
-                rows[0].makespan
-            );
-        }
-    }
-
-    #[test]
-    fn scheduler_and_optimizer_are_the_load_bearing_ingredients() {
-        let rows = measure(true);
-        let base = rows[0].makespan.as_nanos_f64();
-        let slowdown = |name: &str| {
-            rows.iter()
-                .find(|r| r.config.contains(name))
-                .unwrap()
-                .makespan
-                .as_nanos_f64()
-                / base
-        };
-        assert!(
-            slowdown("HEFT") > 1.5,
-            "removing HEFT should hurt >1.5x, got {:.2}",
-            slowdown("HEFT")
-        );
-        assert!(
-            slowdown("optimizer") > 1.5,
-            "removing the optimizer should hurt >1.5x, got {:.2}",
-            slowdown("optimizer")
-        );
-    }
-
-    #[test]
-    fn results_stay_correct_under_every_ablation() {
-        // Ablations change performance, never answers: the workload tests
-        // inside each body (assertions in the tasks) all passed, so a
-        // successful run is itself the correctness check here.
-        for r in measure(true) {
-            assert!(r.makespan > SimDuration::ZERO, "{}", r.config);
-        }
-    }
 }

@@ -15,38 +15,20 @@ use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::single_server;
 use disagg_hwsim::rng::SimRng;
-use disagg_hwsim::time::{SimDuration, SimTime};
+use disagg_hwsim::time::SimTime;
 use disagg_hwsim::trace::Trace;
 use disagg_region::access::Accessor;
 use disagg_region::props::PropertySet;
 use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
 
-use crate::{fmt_dur, fmt_ratio, Table};
-
-/// One device tier's sync-vs-async measurement.
-#[derive(Debug, Clone)]
-pub struct TierRow {
-    /// Device name.
-    pub device: String,
-    /// Synchronous elapsed time.
-    pub sync: SimDuration,
-    /// Asynchronous (pipelined) elapsed time.
-    pub asynk: SimDuration,
-}
-
-impl TierRow {
-    /// sync / async improvement factor (< 1 means sync wins).
-    pub fn gain(&self) -> f64 {
-        self.sync.as_nanos_f64() / self.asynk.as_nanos_f64()
-    }
-}
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 const WHO: OwnerId = OwnerId::App;
 const PAGE: u64 = 4096;
 
-/// Measures both interfaces on every tier.
-pub fn measure(quick: bool) -> Vec<TierRow> {
+/// Runs E10: both interfaces on every tier.
+pub fn run(quick: bool) -> Table {
     let (topo, h) = single_server();
     let pages: u64 = if quick { 256 } else { 4_096 };
     let region_bytes = 64 << 20;
@@ -58,117 +40,81 @@ pub fn measure(quick: bool) -> Vec<TierRow> {
         (h.far, "Disagg. Mem."),
         (h.ssd, "SSD"),
     ];
-    tiers
-        .iter()
-        .map(|&(dev, name)| {
-            let mut mgr = RegionManager::new(&topo);
-            let region = mgr
-                .alloc(dev, region_bytes, RegionType::GlobalScratch, PropertySet::new(), WHO, SimTime::ZERO)
-                .expect("tier allocable");
-            let mut offsets = SimRng::new(7 + dev.0 as u64);
-            let offs: Vec<u64> = (0..pages)
-                .map(|_| offsets.next_below(region_bytes / PAGE) * PAGE)
-                .collect();
-            let mut buf = vec![0u8; PAGE as usize];
-
-            // Synchronous: fetch page, compute, repeat.
-            let sync = {
-                let mut ledger = BandwidthLedger::default_buckets();
-                let mut trace = Trace::disabled();
-                let mut acc = Accessor::new(
-                    &topo, &mut ledger, &mut mgr, &mut trace, h.cpu, WHO, SimTime::ZERO,
-                );
-                for &off in &offs {
-                    // Each page fetch is one contiguous access; the
-                    // randomness is across pages.
-                    acc.read(region, off, &mut buf, disagg_hwsim::device::AccessPattern::Sequential)
-                        .expect("read");
-                    acc.compute_work(WorkClass::Scalar, compute_per_page);
-                }
-                acc.now - SimTime::ZERO
-            };
-
-            // Asynchronous: issue a window of fetches, overlap the
-            // compute, drain, repeat (queue depth 32).
-            let asynk = {
-                let mut ledger = BandwidthLedger::default_buckets();
-                let mut trace = Trace::disabled();
-                let mut acc = Accessor::new(
-                    &topo, &mut ledger, &mut mgr, &mut trace, h.cpu, WHO, SimTime::ZERO,
-                );
-                for window in offs.chunks(32) {
-                    for &off in window {
-                        acc.async_read(
-                            region,
-                            off,
-                            &mut buf,
-                            disagg_hwsim::device::AccessPattern::Sequential,
-                        )
-                        .expect("read");
-                    }
-                    acc.overlap_compute(WorkClass::Scalar, compute_per_page * window.len() as u64);
-                    acc.wait_async();
-                }
-                acc.now - SimTime::ZERO
-            };
-            TierRow {
-                device: name.to_string(),
-                sync,
-                asynk,
-            }
-        })
-        .collect()
-}
-
-/// Runs E10.
-pub fn run(quick: bool) -> Table {
-    let rows = measure(quick);
     let mut t = Table::new(
         "async",
         "Claim: sync for near memory, async for far memory (random 4 KiB pages)",
         &["Device", "Sync", "Async (depth 32)", "Async gain"],
     );
-    for r in &rows {
-        t.row(vec![
-            r.device.clone(),
-            fmt_dur(r.sync),
-            fmt_dur(r.asynk),
-            fmt_ratio(r.gain()),
-        ]);
+    // sync / async improvement factor per tier (< 1 means sync wins).
+    let mut gains = Vec::new();
+    for (dev, name) in tiers {
+        let mut mgr = RegionManager::new(&topo);
+        let region = mgr
+            .alloc(dev, region_bytes, RegionType::GlobalScratch, PropertySet::new(), WHO, SimTime::ZERO)
+            .expect("tier allocable");
+        let mut offsets = SimRng::new(7 + dev.0 as u64);
+        let offs: Vec<u64> = (0..pages)
+            .map(|_| offsets.next_below(region_bytes / PAGE) * PAGE)
+            .collect();
+        let mut buf = vec![0u8; PAGE as usize];
+
+        // Synchronous: fetch page, compute, repeat.
+        let sync = {
+            let mut ledger = BandwidthLedger::default_buckets();
+            let mut trace = Trace::disabled();
+            let mut acc = Accessor::new(
+                &topo, &mut ledger, &mut mgr, &mut trace, h.cpu, WHO, SimTime::ZERO,
+            );
+            for &off in &offs {
+                // Each page fetch is one contiguous access; the
+                // randomness is across pages.
+                acc.read(region, off, &mut buf, disagg_hwsim::device::AccessPattern::Sequential)
+                    .expect("read");
+                acc.compute_work(WorkClass::Scalar, compute_per_page);
+            }
+            acc.now - SimTime::ZERO
+        };
+
+        // Asynchronous: issue a window of fetches, overlap the
+        // compute, drain, repeat (queue depth 32).
+        let asynk = {
+            let mut ledger = BandwidthLedger::default_buckets();
+            let mut trace = Trace::disabled();
+            let mut acc = Accessor::new(
+                &topo, &mut ledger, &mut mgr, &mut trace, h.cpu, WHO, SimTime::ZERO,
+            );
+            for window in offs.chunks(32) {
+                for &off in window {
+                    acc.async_read(
+                        region,
+                        off,
+                        &mut buf,
+                        disagg_hwsim::device::AccessPattern::Sequential,
+                    )
+                    .expect("read");
+                }
+                acc.overlap_compute(WorkClass::Scalar, compute_per_page * window.len() as u64);
+                acc.wait_async();
+            }
+            acc.now - SimTime::ZERO
+        };
+        let gain = sync.as_nanos_f64() / asynk.as_nanos_f64();
+        gains.push(gain);
+        t.row(vec![name.to_string(), fmt_dur(sync), fmt_dur(asynk), fmt_ratio(gain)]);
     }
     t.note("async pipelining hides per-access latency but pays a fixed issue toll per op");
-    t.note("expected shape: ~1x (or below) for DRAM, growing with device distance");
+    t.claim(
+        "gain-grows-with-distance",
+        "the async gain grows with device distance (DRAM, CXL, disaggregated memory, SSD)",
+        Shape::Ascending { slack: 0.0 },
+        gains.clone(),
+    );
+    t.claim(
+        "near-memory-prefers-sync",
+        "~1x (or below) for DRAM: the issue toll eats the win, so sync is the right interface",
+        Shape::AtMost(1.15),
+        gains[..1].to_vec(),
+    );
+    t.claim("far-memory-wants-async", "disaggregated memory gains more than 2x from async", Shape::AtLeast(2.0), gains[2..3].to_vec());
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn gain(rows: &[TierRow], name: &str) -> f64 {
-        rows.iter().find(|r| r.device == name).unwrap().gain()
-    }
-
-    #[test]
-    fn async_gain_grows_with_distance() {
-        let rows = measure(true);
-        let dram = gain(&rows, "DRAM");
-        let cxl = gain(&rows, "CXL-DRAM");
-        let far = gain(&rows, "Disagg. Mem.");
-        let ssd = gain(&rows, "SSD");
-        assert!(cxl > dram, "CXL {cxl:.2} should beat DRAM {dram:.2}");
-        assert!(far > cxl, "far {far:.2} should beat CXL {cxl:.2}");
-        assert!(ssd > far, "SSD {ssd:.2} should beat far {far:.2}");
-        assert!(far > 2.0, "far-memory async gain {far:.2} should exceed 2x");
-    }
-
-    #[test]
-    fn near_memory_prefers_sync() {
-        let rows = measure(true);
-        let dram = gain(&rows, "DRAM");
-        assert!(
-            dram < 1.15,
-            "DRAM should gain little or nothing from async, got {dram:.2}"
-        );
-    }
 }

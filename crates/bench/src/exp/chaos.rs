@@ -22,7 +22,7 @@ use disagg_workloads::dbms::{query_job, DbmsConfig};
 use disagg_workloads::ml::{training_job, MlConfig};
 use disagg_workloads::streaming::{windowed_job, StreamConfig};
 
-use crate::{fmt_dur, Fragment, Table};
+use crate::{fmt_dur, Fragment, Shape, Table};
 
 /// One (workload, MTTF) sweep point.
 #[derive(Debug, Clone)]
@@ -224,53 +224,33 @@ pub fn run(quick: bool) -> Table {
     }
     t.note("fault plan is derived from the fault-free makespan T; all detection/backoff/retry is virtual time, so the sweep is bit-for-bit deterministic");
     t.note("shorter MTTF -> more crash/recover cycles and retries; the corruption burst and degraded-link window also scale with MTTF, so slowdown is not monotone in it");
+    let (clean, faulty): (Vec<&ChaosRow>, Vec<&ChaosRow>) = rows.iter().partition(|r| r.mttf == "none");
+    t.claim(
+        "fault-free-runs-are-clean",
+        "a run with no faults injected detects and retries nothing (detections + retries per baseline)",
+        Shape::AtMost(0.0),
+        clean.iter().map(|r| (r.detected + r.retries) as f64).collect(),
+    );
+    t.claim(
+        "faults-never-speed-a-run-up",
+        "every faulty run survives at a makespan no shorter than its fault-free baseline (slowdown)",
+        Shape::AtLeast(1.0),
+        faulty.iter().map(|r| r.slowdown()).collect(),
+    );
+    let total = |f: fn(&ChaosRow) -> u64| rows.iter().map(f).sum::<u64>() as f64;
+    let (detected, retries) = (total(|r| r.detected), total(|r| r.retries));
+    t.claim(
+        "faults-are-detected-and-retried",
+        "the sweep exercises mid-task fault detection and the retry path (detections, retries, across the sweep)",
+        Shape::AtLeast(1.0),
+        vec![detected, retries],
+    );
+    t.claim(
+        "every-detection-relaunches",
+        "every detected fault relaunches its task at least once (detections, then retries)",
+        Shape::Ascending { slack: 0.0 },
+        vec![detected, retries],
+    );
     t.record = Some(fragment(&rows));
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn point<'a>(rows: &'a [ChaosRow], w: &str, m: &str) -> &'a ChaosRow {
-        rows.iter().find(|r| r.workload == w && r.mttf == m).unwrap()
-    }
-
-    #[test]
-    fn every_workload_has_a_baseline_and_sweep_points() {
-        let rows = measure(true);
-        for w in ["dbms", "ml", "stream"] {
-            let base = point(&rows, w, "none");
-            assert_eq!(base.makespan, base.baseline);
-            assert_eq!(base.retries, 0, "{w}: fault-free run must not retry");
-            assert_eq!(base.detected, 0);
-            let faulty = point(&rows, w, "0.50T");
-            assert_eq!(faulty.baseline, base.makespan);
-            assert!(faulty.makespan >= base.makespan, "{w}: faults cannot speed a run up");
-        }
-    }
-
-    #[test]
-    fn faults_are_detected_and_retried_somewhere_in_the_sweep() {
-        let rows = measure(true);
-        let detected: u64 = rows.iter().map(|r| r.detected).sum();
-        let retries: u64 = rows.iter().map(|r| r.retries).sum();
-        assert!(detected > 0, "the sweep must exercise mid-task fault detection");
-        assert!(retries > 0, "the sweep must exercise the retry path");
-        assert!(retries >= detected, "every detected fault relaunches at least once");
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        let a = measure(true);
-        let b = measure(true);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn table_has_one_row_per_point() {
-        let t = run(true);
-        assert_eq!(t.rows.len(), 3 * (1 + levels(true).len()));
-        assert!(t.cell("dbms", "MTTF").is_some());
-    }
 }

@@ -23,7 +23,7 @@ use disagg_serve::{
     ArrivalProcess, ControlPlane, Request, ServeConfig, ServeLayer, Slo, Verdict,
 };
 
-use crate::{fmt_dur, Fragment, Table};
+use crate::{fmt_dur, Fragment, Shape, Table};
 
 /// One (load, variant) sweep point.
 #[derive(Debug, Clone)]
@@ -91,14 +91,6 @@ pub struct ChaosServeRecord {
 }
 
 impl ChaosServeRecord {
-    /// (baseline, controls) row pairs, one per load level.
-    pub fn pairs(&self) -> impl Iterator<Item = (&ChaosServeRow, &ChaosServeRow)> {
-        self.rows.chunks(2).filter_map(|c| match c {
-            [base, ctrl] => Some((base, ctrl)),
-            _ => None,
-        })
-    }
-
     /// The `serving.chaos` section of the benchmark record: per (load,
     /// variant) row, admission/shed/degrade/fast-fail counts, SLO
     /// goodput, breaker trips, the fault window, and burn during/after
@@ -545,59 +537,38 @@ pub fn run(quick: bool) -> Table {
         fmt_dur(rec.slo_p99)
     ));
     t.note("burn rates are against the 1% error budget (1.0 = at budget), peak over the shared window grid; all fields are virtual time, so the sweep is bit-for-bit deterministic");
+    let (base, ctrl): (Vec<&ChaosServeRow>, Vec<&ChaosServeRow>) = rec.rows.iter().partition(|r| !r.controls);
+    let goodput = |rows: &[&ChaosServeRow]| rows.iter().map(|r| r.goodput).sum::<usize>() as f64;
+    t.claim(
+        "baseline-is-uncontrolled",
+        "the baseline runs without breakers, shedding, degradation or fast-fails (their count per baseline run)",
+        Shape::AtMost(0.0),
+        base.iter().map(|r| (r.breaker_trips + r.shed + r.degraded + r.fast_failed) as f64).collect(),
+    );
+    t.claim(
+        "controls-beat-the-baseline",
+        "across the sweep the controlled runs complete strictly more requests within the SLO (controlled minus baseline goodput)",
+        Shape::AtLeast(1.0),
+        vec![goodput(&ctrl) - goodput(&base)],
+    );
+    t.claim(
+        "crashes-trip-breakers",
+        "node crashes trip breakers in the controlled runs (trips across the sweep)",
+        Shape::AtLeast(1.0),
+        vec![ctrl.iter().map(|r| r.breaker_trips).sum::<usize>() as f64],
+    );
+    t.claim(
+        "burn-recovers-after-the-faults",
+        "every controlled run returns to the 1% burn budget in some post-fault window (1 = recovered)",
+        Shape::AtLeast(1.0),
+        ctrl.iter().map(|r| f64::from(r.recovered)).collect(),
+    );
+    t.claim(
+        "post-fault-burn-stays-in-budget",
+        "controlled runs: peak post-fault burn rate, and recovery time over makespan",
+        Shape::AtMost(1.0),
+        ctrl.iter().flat_map(|r| [r.burn_after, r.recovery.as_nanos_f64() / r.makespan.as_nanos_f64()]).collect(),
+    );
     t.record = Some(rec.fragment());
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn controls_beat_the_uncontrolled_baseline_under_chaos() {
-        let rec = measure(true);
-        assert_eq!(rec.rows.len(), 2 * levels(true).len());
-        let (mut base_total, mut ctrl_total) = (0usize, 0usize);
-        for (base, ctrl) in rec.pairs() {
-            assert_eq!(base.load, ctrl.load);
-            assert!(!base.controls && ctrl.controls);
-            assert_eq!(base.breaker_trips, 0, "baseline runs without breakers");
-            assert_eq!(base.shed + base.degraded + base.fast_failed, 0);
-            base_total += base.goodput;
-            ctrl_total += ctrl.goodput;
-        }
-        assert!(
-            ctrl_total > base_total,
-            "controls must strictly beat the baseline on SLO goodput: {ctrl_total} vs {base_total}"
-        );
-        let trips: usize = rec.rows.iter().map(|r| r.breaker_trips).sum();
-        assert!(trips > 0, "node crashes must trip breakers in the controlled runs");
-    }
-
-    #[test]
-    fn burn_recovers_below_budget_after_the_fault_windows() {
-        let rec = measure(true);
-        for (_, ctrl) in rec.pairs() {
-            assert!(
-                ctrl.recovered,
-                "{}: controlled run must return below the 1% burn budget after the faults",
-                ctrl.load
-            );
-            assert!(ctrl.burn_after <= 1.0, "{}: post-fault burn stays at/below budget", ctrl.load);
-            assert!(ctrl.recovery <= SimDuration(ctrl.makespan.0), "recovery window is in-run");
-        }
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        let a = measure(true);
-        let b = measure(true);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn table_has_two_rows_per_level() {
-        let t = run(true);
-        assert_eq!(t.rows.len(), 2 * levels(true).len());
-    }
 }

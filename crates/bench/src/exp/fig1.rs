@@ -22,7 +22,7 @@ use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::{compute_centric_rack, cxl_pool_rack};
 use disagg_workloads::gen::skewed_demands;
 
-use crate::{fmt_bytes, fmt_dur, Table};
+use crate::{fmt_bytes, fmt_dur, Shape, Table};
 
 const GIB: u64 = 1 << 30;
 
@@ -230,41 +230,29 @@ pub fn run(quick: bool) -> Table {
         b.avg_utilization / a.avg_utilization,
         b.dollars / a.dollars * 100.0
     ));
-    t.note("paper: static fleets sit at 50-65% utilization; pooling multiplexes skewed demand");
+    t.claim(
+        "pooling-raises-utilization",
+        "pooling multiplexes skewed demand: memory-centric over compute-centric average utilization",
+        Shape::AtLeast(1.0),
+        vec![b.avg_utilization / a.avg_utilization],
+    );
+    t.claim(
+        "pooling-cuts-provisioning",
+        "the pooled rack buys less memory: memory-centric over compute-centric dollars and bytes",
+        Shape::AtMost(1.0),
+        vec![b.dollars / a.dollars, b.provisioned as f64 / a.provisioned as f64],
+    );
+    t.claim(
+        "static-utilization-is-low",
+        "paper: static fleets sit at 50-65% utilization; the peak-provisioned rack stays under 70%",
+        Shape::AtMost(0.70),
+        vec![a.avg_utilization],
+    );
+    t.claim(
+        "both-racks-run-the-waves",
+        "both architectures run every wave (total makespan, ns)",
+        Shape::AtLeast(1.0),
+        vec![a.total_makespan.as_nanos_f64(), b.total_makespan.as_nanos_f64()],
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pooling_raises_utilization_and_cuts_cost() {
-        let (a, b) = measure(true);
-        assert!(
-            b.avg_utilization > a.avg_utilization,
-            "pooled {:.2} vs static {:.2}",
-            b.avg_utilization,
-            a.avg_utilization
-        );
-        assert!(b.dollars < a.dollars, "pooled ${} vs static ${}", b.dollars, a.dollars);
-        assert!(b.provisioned < a.provisioned);
-    }
-
-    #[test]
-    fn static_utilization_sits_in_the_papers_low_band() {
-        let (a, _) = measure(true);
-        assert!(
-            a.avg_utilization < 0.70,
-            "static rack utilization {:.2} should be under 70%",
-            a.avg_utilization
-        );
-    }
-
-    #[test]
-    fn both_architectures_actually_run_the_waves() {
-        let (a, b) = measure(true);
-        assert!(a.total_makespan > SimDuration::ZERO);
-        assert!(b.total_makespan > SimDuration::ZERO);
-    }
 }

@@ -11,7 +11,7 @@ use disagg_hwsim::presets::single_server;
 use disagg_workloads::hospital::{decode_count, expected, hospital_job, HospitalConfig};
 use disagg_workloads::util::final_output;
 
-use crate::{fmt_dur, Table};
+use crate::{fmt_dur, Shape, Table};
 
 /// Runs E5.
 pub fn run(quick: bool) -> Table {
@@ -58,36 +58,32 @@ pub fn run(quick: bool) -> Table {
         report.placements.len(),
         report.violations.len()
     ));
-    t.note("T5's output is persistent: it survives the job on PMem-class memory");
+    t.claim(
+        "alerts-match-ground-truth",
+        "the pipeline's persistent output carries the ground-truth patient count",
+        Shape::Within { lo: exp.patients as f64, hi: exp.patients as f64 },
+        vec![patients as f64],
+    );
+    t.claim(
+        "audit-clean",
+        "every declared property is honored: placement-audit violations",
+        Shape::AtMost(0.0),
+        vec![report.violations.len() as f64],
+    );
+    t.claim(
+        "figure-2c-placements",
+        "five tasks on their declared compute devices; GPU tasks scratch on GDDR; T5's persistent output survives on PMem, the one sync persistent device",
+        Shape::Cells(vec![
+            ["preprocessing", "Compute", "GPU"],
+            ["face-recognition", "Compute", "GPU"],
+            ["compute-utilization", "Compute", "CPU"],
+            ["track-hours", "Compute", "CPU"],
+            ["alert-caregivers", "Compute", "CPU"],
+            ["preprocessing", "Scratch on", "GDDR"],
+            ["face-recognition", "Scratch on", "GDDR"],
+            ["alert-caregivers", "Output on", "PMem"],
+        ]),
+        vec![],
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hospital_table_has_five_tasks_and_clean_audit() {
-        let t = run(true);
-        assert_eq!(t.rows.len(), 5);
-        assert!(t.notes.iter().any(|n| n.contains("0 violations")), "{:?}", t.notes);
-    }
-
-    #[test]
-    fn gpu_tasks_show_gddr_scratch() {
-        let t = run(true);
-        assert_eq!(t.cell("face-recognition", "Compute"), Some("GPU"));
-        assert_eq!(t.cell("face-recognition", "Scratch on"), Some("GDDR"));
-        assert_eq!(t.cell("preprocessing", "Scratch on"), Some("GDDR"));
-    }
-
-    #[test]
-    fn persistent_output_lands_on_persistent_device() {
-        let t = run(true);
-        let out = t.cell("alert-caregivers", "Output on").unwrap();
-        assert!(out == "PMem" || out == "SSD" || out == "HDD" || out == "CXL-DRAM",
-            "alert output on {out}");
-        // In this topology PMem is the only sync persistent device.
-        assert_eq!(out, "PMem");
-    }
 }

@@ -14,31 +14,12 @@ use disagg_region::pool::MemoryPool;
 use disagg_region::props::{AccessHint, LatencyClass, PropertySet};
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
 
-use crate::{fmt_ratio, Table};
+use crate::{fmt_ratio, Shape, Table};
 
-/// One viewpoint's resolution and the penalty for swapping it.
-#[derive(Debug, Clone)]
-pub struct Mapping {
-    /// Executing device label.
-    pub from: &'static str,
-    /// Chosen device name.
-    pub chosen: String,
-    /// Cost of the workload on the chosen device (ns).
-    pub chosen_ns: f64,
-    /// Cost on the device the *other* viewpoint chose (ns).
-    pub swapped_ns: f64,
-}
-
-impl Mapping {
-    /// Penalty factor for using the other viewpoint's placement.
-    pub fn penalty(&self) -> f64 {
-        self.swapped_ns / self.chosen_ns
-    }
-}
-
-/// Resolves the Figure 3 request from both devices and measures the swap
-/// penalty with a mixed random workload of `bytes`.
-pub fn measure(bytes: u64) -> Vec<Mapping> {
+/// Runs E6: resolves the Figure 3 request from both devices and measures
+/// the swap penalty with a mixed random workload.
+pub fn run(quick: bool) -> Table {
+    let bytes: u64 = if quick { 8 << 20 } else { 64 << 20 };
     let (topo, h) = single_server();
     let pool = MemoryPool::new(&topo);
     let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
@@ -58,67 +39,40 @@ pub fn measure(bytes: u64) -> Vec<Mapping> {
     let gpu_choice = engine
         .choose(&topo, &pool, h.gpu, &props, size)
         .expect("GPU viewpoint resolvable");
-    vec![
-        Mapping {
-            from: "CPU",
-            chosen: topo.mem(cpu_choice).kind.name().to_string(),
-            chosen_ns: cost(h.cpu, cpu_choice),
-            swapped_ns: cost(h.cpu, gpu_choice),
-        },
-        Mapping {
-            from: "GPU",
-            chosen: topo.mem(gpu_choice).kind.name().to_string(),
-            chosen_ns: cost(h.gpu, gpu_choice),
-            swapped_ns: cost(h.gpu, cpu_choice),
-        },
-    ]
-}
-
-/// Runs E6.
-pub fn run(quick: bool) -> Table {
-    let bytes = if quick { 8 << 20 } else { 64 << 20 };
-    let rows = measure(bytes);
     let mut t = Table::new(
         "fig3",
         "Figure 3: 'fast local scratch' resolved per executing device",
         &["From", "Runtime picks", "Cost (ms)", "Other view's pick (ms)", "Swap penalty"],
     );
-    for m in &rows {
+    // Per viewpoint: the cost on its own pick, and on the *other*
+    // viewpoint's pick.
+    let mut penalties = Vec::new();
+    for (from, c, chosen, other) in
+        [("CPU", h.cpu, cpu_choice, gpu_choice), ("GPU", h.gpu, gpu_choice, cpu_choice)]
+    {
+        let (chosen_ns, swapped_ns) = (cost(c, chosen), cost(c, other));
+        let penalty = swapped_ns / chosen_ns;
+        penalties.push(penalty);
         t.row(vec![
-            m.from.to_string(),
-            m.chosen.clone(),
-            format!("{:.2}", m.chosen_ns / 1e6),
-            format!("{:.2}", m.swapped_ns / 1e6),
-            fmt_ratio(m.penalty()),
+            from.to_string(),
+            topo.mem(chosen).kind.name().to_string(),
+            format!("{:.2}", chosen_ns / 1e6),
+            format!("{:.2}", swapped_ns / 1e6),
+            fmt_ratio(penalty),
         ]);
     }
-    t.note("the identical declarative request lands on DRAM for the CPU and GDDR for the GPU");
     t.note("location-based placement cannot express this; property-based placement gets it for free");
+    t.claim(
+        "picks-follow-the-viewpoint",
+        "the identical declarative request lands on DRAM for the CPU and GDDR for the GPU",
+        Shape::Cells(vec![["CPU", "Runtime picks", "DRAM"], ["GPU", "Runtime picks", "GDDR"]]),
+        vec![],
+    );
+    t.claim(
+        "swapping-is-expensive",
+        "using the other viewpoint's pick costs both devices more than 1.5x (swap penalty)",
+        Shape::AtLeast(1.5),
+        penalties,
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cpu_gets_dram_gpu_gets_gddr() {
-        let rows = measure(8 << 20);
-        assert_eq!(rows[0].from, "CPU");
-        assert_eq!(rows[0].chosen, "DRAM");
-        assert_eq!(rows[1].from, "GPU");
-        assert_eq!(rows[1].chosen, "GDDR");
-    }
-
-    #[test]
-    fn swapping_viewpoints_is_expensive_for_both() {
-        for m in measure(8 << 20) {
-            assert!(
-                m.penalty() > 1.5,
-                "{}: penalty {:.2} should exceed 1.5x",
-                m.from,
-                m.penalty()
-            );
-        }
-    }
 }

@@ -10,24 +10,7 @@ use disagg_core::prelude::*;
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::single_server;
 
-use crate::{fmt_bytes, fmt_dur, fmt_ratio, Table};
-
-/// One sweep point.
-#[derive(Debug, Clone)]
-pub struct HandoverPoint {
-    /// Buffer bytes per edge.
-    pub buffer: u64,
-    /// Pipeline length.
-    pub tasks: usize,
-    /// Handover bytes physically moved under ownership transfer.
-    pub transfer_moved: u64,
-    /// Handover bytes physically moved under copy.
-    pub copy_moved: u64,
-    /// Makespan under ownership transfer.
-    pub transfer_makespan: SimDuration,
-    /// Makespan under copy.
-    pub copy_makespan: SimDuration,
-}
+use crate::{fmt_bytes, fmt_dur, fmt_ratio, Shape, Table};
 
 fn pipeline_job(n: usize, buffer: u64) -> JobSpec {
     let mut job = JobBuilder::new("fig4-pipe");
@@ -73,35 +56,14 @@ fn run_once(policy: HandoverPolicy, n: usize, buffer: u64) -> (u64, SimDuration)
     (moved, report.makespan)
 }
 
-/// Sweeps buffer sizes.
-pub fn measure(quick: bool) -> Vec<HandoverPoint> {
+/// Runs E7: sweeps the buffer size under both handover policies.
+pub fn run(quick: bool) -> Table {
     let n = 6;
     let sizes: &[u64] = if quick {
         &[1 << 16, 1 << 20, 16 << 20]
     } else {
         &[1 << 16, 1 << 20, 16 << 20, 128 << 20, 1 << 30]
     };
-    sizes
-        .iter()
-        .map(|&buffer| {
-            let (transfer_moved, transfer_makespan) =
-                run_once(HandoverPolicy::TransferWhenPossible, n, buffer);
-            let (copy_moved, copy_makespan) = run_once(HandoverPolicy::AlwaysCopy, n, buffer);
-            HandoverPoint {
-                buffer,
-                tasks: n,
-                transfer_moved,
-                copy_moved,
-                transfer_makespan,
-                copy_makespan,
-            }
-        })
-        .collect()
-}
-
-/// Runs E7.
-pub fn run(quick: bool) -> Table {
-    let points = measure(quick);
     let mut t = Table::new(
         "fig4",
         "Figure 4: ownership transfer vs physical copy at task handover",
@@ -114,35 +76,54 @@ pub fn run(quick: bool) -> Table {
             "Speedup",
         ],
     );
-    for p in &points {
+    let (mut transferred, mut copied_per_edge, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
+    for &buffer in sizes {
+        let (transfer_moved, transfer_makespan) =
+            run_once(HandoverPolicy::TransferWhenPossible, n, buffer);
+        let (copy_moved, copy_makespan) = run_once(HandoverPolicy::AlwaysCopy, n, buffer);
+        let speedup = copy_makespan.as_nanos_f64() / transfer_makespan.as_nanos_f64();
+        transferred.push(transfer_moved as f64);
+        copied_per_edge.push(copy_moved as f64 / (buffer * (n as u64 - 1)) as f64);
+        speedups.push(speedup);
         t.row(vec![
-            fmt_bytes(p.buffer),
-            fmt_bytes(p.transfer_moved),
-            fmt_bytes(p.copy_moved),
-            fmt_dur(p.transfer_makespan),
-            fmt_dur(p.copy_makespan),
-            fmt_ratio(p.copy_makespan.as_nanos_f64() / p.transfer_makespan.as_nanos_f64()),
+            fmt_bytes(buffer),
+            fmt_bytes(transfer_moved),
+            fmt_bytes(copy_moved),
+            fmt_dur(transfer_makespan),
+            fmt_dur(copy_makespan),
+            fmt_ratio(speedup),
         ]);
     }
-    t.note("ownership transfer moves 0 handover bytes regardless of buffer size: O(1) vs O(B*N)");
+    t.claim(
+        "transfer-moves-nothing",
+        "ownership transfer moves 0 handover bytes regardless of buffer size: O(1) vs O(B*N)",
+        Shape::AtMost(0.0),
+        transferred,
+    );
+    t.claim(
+        "copy-moves-a-buffer-per-edge",
+        "the copy baseline moves exactly B bytes on each of the N-1 edges (bytes moved over B*(N-1))",
+        Shape::Within { lo: 1.0, hi: 1.0 },
+        copied_per_edge,
+    );
+    t.claim(
+        "copy-penalty-grows-with-buffer",
+        "the copy/transfer makespan ratio does not shrink as buffers grow",
+        Shape::Ascending { slack: 0.05 },
+        speedups.clone(),
+    );
+    t.claim(
+        "large-buffers-pay-over-2x",
+        "at the largest buffer the copy costs more than twice the transfer",
+        Shape::AtLeast(2.0),
+        speedups[speedups.len() - 1..].to_vec(),
+    );
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn transfer_moves_zero_handover_bytes() {
-        for p in measure(true) {
-            assert_eq!(p.transfer_moved, 0, "buffer {}", p.buffer);
-            assert_eq!(
-                p.copy_moved,
-                p.buffer * (p.tasks as u64 - 1),
-                "copy moves B bytes per edge"
-            );
-        }
-    }
 
     /// The sweep's largest point charges 5 GiB of copies in virtual
     /// time; on the host each stage writes a 64-byte header, so each
@@ -161,22 +142,5 @@ mod tests {
         let materialized = rt.manager().pool().bytes_materialized();
         assert!(materialized > 0, "the headers are real bytes");
         assert!(materialized <= n as u64 * 2 * (64 << 10), "{materialized} bytes materialized");
-    }
-
-    #[test]
-    fn copy_penalty_grows_with_buffer_size() {
-        let points = measure(true);
-        let ratios: Vec<f64> = points
-            .iter()
-            .map(|p| p.copy_makespan.as_nanos_f64() / p.transfer_makespan.as_nanos_f64())
-            .collect();
-        assert!(
-            ratios.windows(2).all(|w| w[1] >= w[0] * 0.95),
-            "ratios should be non-decreasing: {ratios:?}"
-        );
-        assert!(
-            *ratios.last().unwrap() > 2.0,
-            "16 MiB buffers should show >2x copy penalty, got {ratios:?}"
-        );
     }
 }

@@ -14,7 +14,7 @@ use disagg_hwsim::presets::disaggregated_rack;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_region::region::{OwnerId, RegionManager};
 
-use crate::{fmt_dur, Table};
+use crate::{fmt_dur, Shape, Table};
 
 /// One scheme's measurements.
 #[derive(Debug, Clone)]
@@ -164,62 +164,40 @@ pub fn run(quick: bool) -> Table {
             fmt_dur(r.recovery),
         ]);
     }
-    t.note("erasure coding: ~1.5x storage vs 2-3x for replication; the bill arrives at degraded reads and recovery");
+    let [rep2, rep3, rs, dpu] = &rows[..] else { panic!("four schemes measured") };
+    let penalty = |r: &SchemeRow| r.degraded_read.as_nanos_f64() / r.read.as_nanos_f64();
+    t.claim(
+        "storage-matches-theory",
+        "erasure coding: 1.5x storage vs 2-3x for replication (storage overhead over n, n, (k+m)/k)",
+        Shape::Within { lo: 1.0, hi: 1.0 },
+        vec![rep2.storage_overhead / 2.0, rep3.storage_overhead / 3.0, rs.storage_overhead / 1.5, dpu.storage_overhead / 1.5],
+    );
+    t.claim(
+        "replication-writes-every-copy",
+        "n-way replication amplifies writes n times (write amplification minus n)",
+        Shape::Within { lo: -0.01, hi: 0.01 },
+        vec![rep2.write_amp - 2.0, rep3.write_amp - 3.0],
+    );
+    t.claim(
+        "ec-writes-less-than-replication",
+        "RS(4+2) writes fewer bytes per logical byte than 2x replication",
+        Shape::Ascending { slack: 0.0 },
+        vec![rs.write_amp, rep2.write_amp],
+    );
+    t.claim(
+        "ec-pays-on-degraded-reads",
+        "the bill arrives at degraded reads: RS(4+2)'s degraded/healthy read time, alone and over 2x replication's",
+        Shape::AtLeast(1.0),
+        vec![penalty(rs), penalty(rs) / penalty(rep2)],
+    );
+    t.claim(
+        "parity-offload-shortens-the-failure-path",
+        "DPU parity offload over host parity: degraded read and recovery time",
+        Shape::AtMost(1.0),
+        vec![
+            dpu.degraded_read.as_nanos_f64() / rs.degraded_read.as_nanos_f64(),
+            dpu.recovery.as_nanos_f64() / rs.recovery.as_nanos_f64(),
+        ],
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn find<'a>(rows: &'a [SchemeRow], prefix: &str) -> &'a SchemeRow {
-        rows.iter().find(|r| r.scheme.starts_with(prefix)).unwrap()
-    }
-
-    #[test]
-    fn storage_overheads_match_theory() {
-        let rows = measure(true);
-        assert_eq!(find(&rows, "2x").storage_overhead, 2.0);
-        assert_eq!(find(&rows, "3x").storage_overhead, 3.0);
-        assert!((find(&rows, "RS").storage_overhead - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn erasure_coding_saves_storage_but_pays_on_recovery_path() {
-        let rows = measure(true);
-        let rs = find(&rows, "RS");
-        let rep2 = find(&rows, "2x");
-        assert!(rs.storage_overhead < rep2.storage_overhead);
-        // Degraded reads must cost more than healthy reads for RS.
-        assert!(rs.degraded_read > rs.read);
-        // And reconstruction reads k spans + decodes, while replication
-        // recovery is a single copy of the region. Degradation factor:
-        let rs_penalty = rs.degraded_read.as_nanos_f64() / rs.read.as_nanos_f64();
-        let rep_penalty = rep2.degraded_read.as_nanos_f64() / rep2.read.as_nanos_f64();
-        assert!(
-            rs_penalty > rep_penalty,
-            "RS degraded penalty {rs_penalty:.2} should exceed replication's {rep_penalty:.2}"
-        );
-    }
-
-    #[test]
-    fn parity_offload_shortens_the_failure_path() {
-        let rows = measure(true);
-        let host = find(&rows, "RS(4+2) erasure coding");
-        let dpu = find(&rows, "RS(4+2) + DPU");
-        assert!(dpu.degraded_read < host.degraded_read);
-        assert!(dpu.recovery < host.recovery);
-        assert_eq!(dpu.storage_overhead, host.storage_overhead);
-    }
-
-    #[test]
-    fn write_amplification_ordering_holds() {
-        let rows = measure(true);
-        let rs = find(&rows, "RS").write_amp;
-        let rep2 = find(&rows, "2x").write_amp;
-        let rep3 = find(&rows, "3x").write_amp;
-        assert!((rep2 - 2.0).abs() < 0.01);
-        assert!((rep3 - 3.0).abs() < 0.01);
-        assert!(rs < rep2, "RS write amp {rs:.2} must beat 2x replication");
-    }
 }

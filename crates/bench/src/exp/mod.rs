@@ -48,18 +48,3 @@ pub fn all() -> Vec<Experiment> {
         ("chaos_serve", chaos_serve::run),
     ]
 }
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn every_experiment_is_registered() {
-        let ids: Vec<&str> = super::all().iter().map(|(id, _)| *id).collect();
-        for id in [
-            "table1", "table2", "table3", "fig1", "fig2", "fig3", "fig4", "numa", "naive",
-            "async", "ftol", "tiering", "stream", "online", "ablation", "chaos", "serving",
-            "chaos_serve",
-        ] {
-            assert!(ids.contains(&id), "missing experiment {id}");
-        }
-    }
-}

@@ -21,7 +21,7 @@ use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
 
-use crate::{fmt_dur, fmt_ratio, Table};
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 /// One tier's query cost.
 #[derive(Debug, Clone)]
@@ -122,53 +122,42 @@ pub fn run(quick: bool) -> Table {
         "Claim: naive placement in heterogeneous storage costs up to 3x",
         &["Working set on", "Query mix time", "vs best tier"],
     );
-    for r in &rows {
-        t.row(vec![
-            r.tier.clone(),
-            fmt_dur(r.time),
-            fmt_ratio(r.time.as_nanos_f64() / best),
-        ]);
+    let vs_best: Vec<f64> = rows.iter().map(|r| r.time.as_nanos_f64() / best).collect();
+    for (r, &ratio) in rows.iter().zip(&vs_best) {
+        t.row(vec![r.tier.clone(), fmt_dur(r.time), fmt_ratio(ratio)]);
     }
     for (policy, pick) in &picks {
         t.note(format!("{policy} places the working set on {pick}"));
     }
-    t.note("paper cites Mosaic [59]: a tier-misplaced working set costs up to 3x (and worse further down)");
+    t.claim(
+        "one-tier-down-costs-3x",
+        "paper cites Mosaic [59]: a tier-misplaced working set costs up to 3x; PMem over DRAM is at least that",
+        Shape::AtLeast(3.0),
+        vec![rows[1].time.as_nanos_f64() / rows[0].time.as_nanos_f64()],
+    );
+    t.claim("further-tiers-cost-more", "each further tier costs more (DRAM, PMem, SSD)", Shape::Ascending { slack: 0.0 }, vs_best);
+    let on_dram = |policy: &str| {
+        let (_, pick) = picks.iter().find(|(p, _)| p.starts_with(policy)).expect("policy measured");
+        vec![f64::from(pick == "DRAM")]
+    };
+    t.claim(
+        "optimizer-picks-the-fast-tier",
+        "the declarative optimizer places the working set on DRAM (1 = yes)",
+        Shape::AtLeast(1.0),
+        on_dram("declarative"),
+    );
+    t.claim(
+        "adversary-does-not",
+        "the worst-feasible bound places it anywhere but DRAM (1 = on DRAM)",
+        Shape::AtMost(0.0),
+        on_dram("worst feasible"),
+    );
     t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn one_tier_down_costs_at_least_3x() {
-        let (rows, _) = measure(true);
-        let time = |n: &str| rows.iter().find(|r| r.tier == n).unwrap().time.as_nanos_f64();
-        let dram = time("DRAM");
-        let pmem = time("PMem");
-        let ssd = time("SSD");
-        assert!(
-            pmem / dram >= 3.0,
-            "PMem/DRAM = {:.2}, expected >= 3x",
-            pmem / dram
-        );
-        assert!(ssd > pmem, "each further tier must cost more");
-    }
-
-    #[test]
-    fn the_optimizer_picks_the_fast_tier_and_the_adversary_does_not() {
-        let (_, picks) = measure(true);
-        let pick = |name: &str| {
-            picks
-                .iter()
-                .find(|(p, _)| p.starts_with(name))
-                .unwrap()
-                .1
-                .clone()
-        };
-        assert_eq!(pick("declarative"), "DRAM");
-        assert_ne!(pick("worst feasible"), "DRAM");
-    }
 
     #[test]
     fn query_results_do_not_depend_on_tier() {

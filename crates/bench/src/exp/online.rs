@@ -5,26 +5,14 @@
 //! arrives with exponential-ish gaps. We measure the mean job *sojourn*
 //! (arrival → last task finish) under the full declarative runtime and
 //! under the compute-centric baseline, across arrival rates. The shape:
-//! the declarative runtime holds lower sojourn at every load, and the gap
-//! widens as the system saturates.
+//! the declarative runtime holds lower sojourn at every load.
 
 use disagg_core::prelude::*;
 use disagg_hwsim::presets::single_server;
 use disagg_hwsim::rng::SimRng;
 use disagg_workloads::{dbms, ml, streaming};
 
-use crate::{fmt_dur, fmt_ratio, Table};
-
-/// One arrival-rate measurement.
-#[derive(Debug, Clone)]
-pub struct LoadPoint {
-    /// Mean inter-arrival gap.
-    pub gap: SimDuration,
-    /// Mean sojourn under the declarative runtime.
-    pub declarative: SimDuration,
-    /// Mean sojourn under the compute-centric baseline.
-    pub compute_centric: SimDuration,
-}
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 fn job_mix(i: usize, quick: bool) -> JobSpec {
     let scale = if quick { 1 } else { 2 };
@@ -79,71 +67,46 @@ fn mean_sojourn(config: RuntimeConfig, jobs: usize, gap_ns: u64, quick: bool) ->
     total / offsets.len() as u64
 }
 
-/// Measures sojourn across arrival rates.
-pub fn measure(quick: bool) -> Vec<LoadPoint> {
+/// Runs E16: mean sojourn across arrival rates, light load (big gap)
+/// first.
+pub fn run(quick: bool) -> Table {
     let jobs = if quick { 9 } else { 30 };
     let gaps: &[u64] = if quick {
         &[1_000_000, 100_000, 10_000]
     } else {
         &[10_000_000, 1_000_000, 100_000, 10_000]
     };
-    gaps.iter()
-        .map(|&gap_ns| LoadPoint {
-            gap: SimDuration::from_nanos(gap_ns),
-            declarative: mean_sojourn(RuntimeConfig::traced(), jobs, gap_ns, quick),
-            compute_centric: mean_sojourn(RuntimeConfig::compute_centric(), jobs, gap_ns, quick),
-        })
-        .collect()
-}
-
-/// Runs E16.
-pub fn run(quick: bool) -> Table {
-    let points = measure(quick);
     let mut t = Table::new(
         "online",
         "Online serving: mean job sojourn under arrival load",
         &["Mean gap", "Declarative", "Compute-centric", "Gap"],
     );
-    for p in &points {
+    let (mut sojourns, mut ratios) = (Vec::new(), Vec::new());
+    for &gap_ns in gaps {
+        let declarative = mean_sojourn(RuntimeConfig::traced(), jobs, gap_ns, quick);
+        let compute_centric = mean_sojourn(RuntimeConfig::compute_centric(), jobs, gap_ns, quick);
+        let ratio = compute_centric.as_nanos_f64() / declarative.as_nanos_f64();
+        sojourns.push(declarative.as_nanos_f64());
+        ratios.push(ratio);
         t.row(vec![
-            fmt_dur(p.gap),
-            fmt_dur(p.declarative),
-            fmt_dur(p.compute_centric),
-            fmt_ratio(p.compute_centric.as_nanos_f64() / p.declarative.as_nanos_f64()),
+            fmt_dur(SimDuration::from_nanos(gap_ns)),
+            fmt_dur(declarative),
+            fmt_dur(compute_centric),
+            fmt_ratio(ratio),
         ]);
     }
     t.note("mixed stream: DBMS / ML / streaming jobs with randomized inter-arrival gaps");
-    t.note("the declarative runtime holds lower sojourn at every load level");
+    t.claim(
+        "declarative-no-slower-at-any-load",
+        "the declarative runtime holds lower sojourn at every load level (compute-centric over declarative)",
+        Shape::AtLeast(1.0),
+        ratios,
+    );
+    t.claim(
+        "load-never-reduces-sojourn",
+        "declarative mean sojourn (ns) does not improve as arrivals tighten",
+        Shape::Ascending { slack: 0.1 },
+        sojourns,
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn declarative_beats_compute_centric_at_every_load() {
-        for p in measure(true) {
-            assert!(
-                p.declarative <= p.compute_centric,
-                "gap {}: declarative {} vs compute-centric {}",
-                p.gap,
-                p.declarative,
-                p.compute_centric
-            );
-        }
-    }
-
-    #[test]
-    fn higher_load_never_reduces_sojourn() {
-        let points = measure(true);
-        // Points are ordered from light load (big gap) to heavy load.
-        for w in points.windows(2) {
-            assert!(
-                w[1].declarative.as_nanos_f64() >= w[0].declarative.as_nanos_f64() * 0.9,
-                "sojourn should not improve under load: {:?}",
-                points.iter().map(|p| p.declarative).collect::<Vec<_>>()
-            );
-        }
-    }
 }

@@ -16,9 +16,9 @@ use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::disaggregated_rack;
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::{TenantAttribution, TenantBurn};
-use disagg_serve::{ArrivalProcess, Request, ServeConfig, ServeLayer, Slo};
+use disagg_serve::{ArrivalProcess, Request, ServeConfig, ServeLayer, Slo, TenantStats};
 
-use crate::{fmt_dur, Fragment, Table};
+use crate::{fmt_dur, Fragment, Shape, Table};
 
 /// One offered-load sweep point.
 #[derive(Debug, Clone)]
@@ -43,25 +43,6 @@ pub struct ServingRow {
     pub peak_util: f64,
 }
 
-/// One tenant's outcome at the saturation knee.
-#[derive(Debug, Clone)]
-pub struct TenantRow {
-    /// Tenant index (Zipf rank; 0 = hottest).
-    pub tenant: usize,
-    /// Requests the tenant offered.
-    pub offered: usize,
-    /// Requests admitted.
-    pub admitted: usize,
-    /// Requests rejected by its quota.
-    pub rejected: usize,
-    /// Median sojourn.
-    pub p50: SimDuration,
-    /// Tail sojourn.
-    pub p99: SimDuration,
-    /// Whether the tenant's SLO held at the knee.
-    pub slo_met: bool,
-}
-
 /// The full serving record: the sweep, where it saturates, and the
 /// per-tenant + utilization detail at that point.
 #[derive(Debug, Clone)]
@@ -79,7 +60,7 @@ pub struct ServingRecord {
     /// none does).
     pub knee: usize,
     /// Per-tenant outcomes at the knee.
-    pub knee_tenants: Vec<TenantRow>,
+    pub knee_tenants: Vec<TenantStats>,
     /// Pooled-memory utilization over the knee run as
     /// `(offset, fraction)` samples.
     pub util_curve: Vec<(SimDuration, f64)>,
@@ -339,19 +320,6 @@ pub fn measure(quick: bool) -> ServingRecord {
         .unwrap_or(sweep.len().saturating_sub(1));
 
     let knee_report = &reports[knee];
-    let knee_tenants = knee_report
-        .tenants
-        .iter()
-        .map(|t| TenantRow {
-            tenant: t.tenant,
-            offered: t.offered,
-            admitted: t.admitted,
-            rejected: t.rejected,
-            p50: t.p50,
-            p99: t.p99,
-            slo_met: t.slo_met,
-        })
-        .collect();
     let util_curve = knee_report
         .util_curve
         .iter()
@@ -364,7 +332,7 @@ pub fn measure(quick: bool) -> ServingRecord {
         seed,
         sweep,
         knee,
-        knee_tenants,
+        knee_tenants: knee_report.tenants.clone(),
         util_curve,
         tail_attribution: knee_report.tail_attribution.clone(),
         burn: knee_report.burn.clone(),
@@ -435,51 +403,31 @@ pub fn run(quick: bool) -> Table {
             .collect();
         t.note(format!("tail attribution at the knee: {}", parts.join("; ")));
     }
+    t.claim(
+        "heavier-load-cannot-shrink-the-tail",
+        "p99 (ns) at the heaviest offered load is no lower than at the lightest",
+        Shape::Ascending { slack: 0.0 },
+        vec![rec.sweep[0].p99.0 as f64, rec.sweep[rec.sweep.len() - 1].p99.0 as f64],
+    );
+    t.claim(
+        "knee-is-a-sweep-point",
+        "the knee marks one of the sweep's points (index)",
+        Shape::Within { lo: 0.0, hi: (rec.sweep.len() - 1) as f64 },
+        vec![rec.knee as f64],
+    );
+    t.claim(
+        "knee-run-explains-itself",
+        "the traced knee run carries every tenant, a utilization curve, burn curves, and per attributed tenant exemplars and a non-zero breakdown",
+        Shape::AtLeast(1.0),
+        vec![
+            rec.knee_tenants.len() as f64 / rec.tenants as f64,
+            rec.util_curve.len() as f64,
+            rec.burn.len() as f64,
+            rec.tail_attribution.len() as f64,
+            rec.tail_attribution.iter().map(|ta| ta.exemplars.len()).min().unwrap_or(0) as f64,
+            rec.tail_attribution.iter().map(|ta| ta.total.total().0).min().unwrap_or(0) as f64,
+        ],
+    );
     t.record = Some(rec.fragment());
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sweep_saturates_as_load_grows() {
-        let rec = measure(true);
-        assert_eq!(rec.sweep.len(), levels(true).len());
-        let first = &rec.sweep[0];
-        let last = rec.sweep.last().unwrap();
-        assert!(
-            last.p99 >= first.p99,
-            "heavier load cannot shrink the tail: {:?} vs {:?}",
-            last.p99,
-            first.p99
-        );
-        assert!(rec.knee < rec.sweep.len());
-        assert_eq!(rec.knee_tenants.len(), rec.tenants);
-        assert!(!rec.util_curve.is_empty(), "traced runs carry a utilization curve");
-        assert!(
-            !rec.tail_attribution.is_empty(),
-            "traced knee run carries tail attribution"
-        );
-        for ta in &rec.tail_attribution {
-            assert!(!ta.exemplars.is_empty(), "tenant {} has exemplars", ta.tenant);
-            assert!(ta.total.total() > SimDuration::ZERO);
-        }
-        assert!(!rec.burn.is_empty(), "SLO-carrying tenants burn budget visibly");
-    }
-
-    #[test]
-    fn record_is_deterministic() {
-        let a = measure(true);
-        let b = measure(true);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    #[test]
-    fn table_marks_exactly_one_knee() {
-        let t = run(true);
-        let marks = t.rows.iter().filter(|r| r.last().map(String::as_str) == Some("<-")).count();
-        assert_eq!(marks, 1);
-    }
 }

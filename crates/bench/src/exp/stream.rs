@@ -11,25 +11,7 @@ use disagg_core::prelude::*;
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::single_server;
 
-use crate::{fmt_dur, fmt_ratio, Table};
-
-/// One chain-length measurement.
-#[derive(Debug, Clone)]
-pub struct ChainPoint {
-    /// Number of stages.
-    pub stages: usize,
-    /// Batch makespan.
-    pub batch: SimDuration,
-    /// Streaming makespan.
-    pub streamed: SimDuration,
-}
-
-impl ChainPoint {
-    /// batch / streamed.
-    pub fn speedup(&self) -> f64 {
-        self.batch.as_nanos_f64() / self.streamed.as_nanos_f64()
-    }
-}
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 fn chain_job(stages: usize, streaming: bool, elems: u64) -> JobSpec {
     let mut job = JobBuilder::new("chain");
@@ -52,77 +34,43 @@ fn chain_job(stages: usize, streaming: bool, elems: u64) -> JobSpec {
     job.build().expect("chain job is valid")
 }
 
-/// Measures both modes over a sweep of chain depths.
-pub fn measure(quick: bool) -> Vec<ChainPoint> {
+/// Runs E15: both modes over a sweep of chain depths.
+pub fn run(quick: bool) -> Table {
     let elems: u64 = if quick { 500_000 } else { 5_000_000 };
     let depths: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16, 24] };
-    depths
-        .iter()
-        .map(|&stages| {
-            let run = |streaming| {
-                let (topo, _) = single_server();
-                let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-                rt.execute(chain_job(stages, streaming, elems))
-                    .expect("chain runs")
-                    .makespan
-            };
-            ChainPoint {
-                stages,
-                batch: run(false),
-                streamed: run(true),
-            }
-        })
-        .collect()
-}
-
-/// Runs E15.
-pub fn run(quick: bool) -> Table {
-    let points = measure(quick);
     let mut t = Table::new(
         "stream",
         "Batch vs stream: pipelined task chains (the Figure 2c property)",
         &["Stages", "Batch", "Streamed", "Speedup"],
     );
-    for p in &points {
-        t.row(vec![
-            p.stages.to_string(),
-            fmt_dur(p.batch),
-            fmt_dur(p.streamed),
-            fmt_ratio(p.speedup()),
-        ]);
+    let mut speedups = Vec::new();
+    for &stages in depths {
+        let run = |streaming| {
+            let (topo, _) = single_server();
+            let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+            rt.execute(chain_job(stages, streaming, elems))
+                .expect("chain runs")
+                .makespan
+        };
+        let (batch, streamed) = (run(false), run(true));
+        let speedup = batch.as_nanos_f64() / streamed.as_nanos_f64();
+        speedups.push(speedup);
+        t.row(vec![stages.to_string(), fmt_dur(batch), fmt_dur(streamed), fmt_ratio(speedup)]);
     }
     t.note("streaming edges release consumers at first-chunk time (pipeline depth 8)");
-    t.note("speedup grows with chain depth and saturates near the pipeline depth");
+    t.claim(
+        "speedup-grows-with-depth",
+        "speedup grows with chain depth and saturates near the pipeline depth",
+        Shape::Ascending { slack: 0.05 },
+        speedups.clone(),
+    );
+    t.claim("deep-chains-pipeline-well", "the deepest chain gains more than 2x", Shape::AtLeast(2.0), speedups[speedups.len() - 1..].to_vec());
+    t.claim(
+        "bounded-by-stage-count",
+        "n stages cannot beat n-fold: speedup over stage count",
+        Shape::AtMost(1.0),
+        depths.iter().zip(&speedups).map(|(&n, s)| s / n as f64).collect(),
+    );
+    t.claim("two-stages-gain-modestly", "a 2-stage chain gains, but less than 2x", Shape::Within { lo: 1.0, hi: 2.0 }, speedups[..1].to_vec());
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn streaming_speedup_grows_with_depth_and_stays_bounded() {
-        let points = measure(true);
-        let s: Vec<f64> = points.iter().map(ChainPoint::speedup).collect();
-        for w in s.windows(2) {
-            assert!(w[1] >= w[0] * 0.95, "speedups should grow: {s:?}");
-        }
-        assert!(*s.last().unwrap() > 2.0, "deep chains pipeline well: {s:?}");
-        for (p, &v) in points.iter().zip(&s) {
-            assert!(
-                v <= p.stages as f64,
-                "{} stages cannot beat {}x, got {v:.2}",
-                p.stages,
-                p.stages
-            );
-        }
-    }
-
-    #[test]
-    fn two_stage_chains_gain_modestly() {
-        let points = measure(true);
-        let two = points.iter().find(|p| p.stages == 2).unwrap();
-        assert!(two.speedup() < 2.0);
-        assert!(two.speedup() > 1.0);
-    }
 }

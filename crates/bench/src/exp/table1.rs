@@ -4,36 +4,19 @@
 //! (`++`/`--` glyphs). We regenerate it by measurement: a 64-byte random
 //! pointer-chase gives the observed latency, a large sequential scan the
 //! observed bandwidth, and the model reports granularity, attachment,
-//! sync capability, and persistence. The assertable reproduction target
-//! is the *orderings* the glyph columns express.
+//! sync capability, and persistence. The reproduction target — the
+//! table's claims — is the *orderings* the glyph columns express plus
+//! the qualitative columns cell for cell.
 
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::single_server;
 
-use crate::Table;
+use crate::{Shape, Table};
 
-/// Observed properties for each Table 1 row.
-#[derive(Debug, Clone)]
-pub struct DeviceRow {
-    /// Device name (paper spelling).
-    pub name: String,
-    /// Observed 64 B random-read latency, ns.
-    pub latency_ns: f64,
-    /// Observed large sequential read bandwidth, GB/s.
-    pub bandwidth_gbps: f64,
-    /// Access granularity, bytes.
-    pub granularity: u64,
-    /// Attachment column.
-    pub attached: &'static str,
-    /// Sync column.
-    pub sync: &'static str,
-    /// Persistence column.
-    pub persistent: bool,
-}
-
-/// Measures every Table 1 device from the CPU's viewpoint.
-pub fn measure(quick: bool) -> Vec<DeviceRow> {
+/// Runs E1: measures every Table 1 device from the CPU's viewpoint and
+/// renders the paper-style table.
+pub fn run(quick: bool) -> Table {
     let (topo, h) = single_server();
     let scan_bytes: u64 = if quick { 16 << 20 } else { 256 << 20 };
     let devices: [(MemDeviceId, &str); 8] = [
@@ -46,116 +29,89 @@ pub fn measure(quick: bool) -> Vec<DeviceRow> {
         (h.ssd, "SSD"),
         (h.hdd, "HDD"),
     ];
-    devices
-        .iter()
-        .map(|&(dev, name)| {
-            let lat = topo
-                .access_cost(h.cpu, dev, 64, AccessOp::Read, AccessPattern::Random)
-                .expect("reachable")
-                .as_nanos_f64();
-            let scan = topo
-                .access_cost(h.cpu, dev, scan_bytes, AccessOp::Read, AccessPattern::Sequential)
-                .expect("reachable")
-                .as_nanos_f64();
-            let model = topo.mem(dev);
-            DeviceRow {
-                name: name.to_string(),
-                latency_ns: lat,
-                bandwidth_gbps: scan_bytes as f64 / scan,
-                granularity: model.granularity,
-                attached: model.attachment.name(),
-                sync: model.sync.symbol(),
-                persistent: model.persistent,
-            }
-        })
-        .collect()
-}
-
-/// Runs E1 and renders the paper-style table.
-pub fn run(quick: bool) -> Table {
-    let rows = measure(quick);
     let mut t = Table::new(
         "table1",
         "Table 1: Memory device properties as seen from a CPU (measured)",
         &["Name", "Bw (GB/s)", "Lat (ns)", "Gran", "Attached", "Sync", "Persist"],
     );
-    for r in &rows {
+    // Observed 64 B random-read latency (ns) and large sequential read
+    // bandwidth (GB/s), in `devices` order.
+    let (mut lat, mut bw) = (Vec::new(), Vec::new());
+    for &(dev, name) in &devices {
+        let cost = |bytes, pattern| {
+            topo.access_cost(h.cpu, dev, bytes, AccessOp::Read, pattern)
+                .expect("reachable")
+                .as_nanos_f64()
+        };
+        lat.push(cost(64, AccessPattern::Random));
+        bw.push(scan_bytes as f64 / cost(scan_bytes, AccessPattern::Sequential));
+        let model = topo.mem(dev);
         t.row(vec![
-            r.name.clone(),
-            format!("{:.1}", r.bandwidth_gbps),
-            format!("{:.0}", r.latency_ns),
-            format!("{} B", r.granularity),
-            r.attached.to_string(),
-            r.sync.to_string(),
-            if r.persistent { "yes" } else { "no" }.to_string(),
+            name.to_string(),
+            format!("{:.1}", bw[bw.len() - 1]),
+            format!("{:.0}", lat[lat.len() - 1]),
+            format!("{} B", model.granularity),
+            model.attachment.name().to_string(),
+            model.sync.symbol().to_string(),
+            if model.persistent { "yes" } else { "no" }.to_string(),
         ]);
     }
-    t.note("paper: Bw ordering Cache/HBM ++ > DRAM + > PMem/CXL/Disagg o > SSD - > HDD --");
-    t.note("paper: Lat ordering Cache ++ < HBM/DRAM + < PMem/CXL o < Disagg - < SSD - < HDD --");
+    let ladder = |v: &[f64], names: &[&str]| -> Vec<f64> {
+        let at = |name: &&str| devices.iter().position(|(_, n)| n == name).expect("a Table 1 device");
+        names.iter().map(|n| v[at(n)]).collect()
+    };
+    let ascending = Shape::Ascending { slack: 0.0 };
+    t.claim(
+        "lat-ladder",
+        "paper: Lat ordering Cache ++ < HBM/DRAM + < PMem/CXL o < Disagg - < SSD - < HDD --",
+        ascending.clone(),
+        ladder(&lat, &["Cache", "DRAM", "PMem", "Disagg. Mem.", "SSD", "HDD"]),
+    );
+    t.claim(
+        "lat-cxl-below-far",
+        "CXL-DRAM is nearer than NIC-attached memory",
+        ascending.clone(),
+        ladder(&lat, &["CXL-DRAM", "Disagg. Mem."]),
+    );
+    let hbm_dram = ladder(&lat, &["HBM", "DRAM"]);
+    t.claim(
+        "lat-hbm-dram-class",
+        "HBM and DRAM share a latency glyph: DRAM latency over HBM latency",
+        Shape::AtMost(1.5),
+        vec![hbm_dram[1] / hbm_dram[0]],
+    );
+    t.claim(
+        "bw-ladder",
+        "paper: Bw ordering Cache/HBM ++ > DRAM + > PMem/CXL/Disagg o > SSD - > HDD --",
+        ascending.clone(),
+        ladder(&bw, &["HDD", "SSD", "PMem", "DRAM", "Cache"]),
+    );
+    t.claim("bw-hbm-above-dram", "HBM out-streams DRAM", ascending.clone(), ladder(&bw, &["DRAM", "HBM"]));
+    t.claim("bw-cxl-above-ssd", "CXL-DRAM out-streams the SSD", ascending, ladder(&bw, &["SSD", "CXL-DRAM"]));
+    // Pond (ASPLOS '23) reports CXL ≈ NUMA-remote latency: roughly
+    // 150-400 ns.
+    t.claim(
+        "cxl-in-pond-band",
+        "CXL-DRAM latency (ns) lands in the NUMA-remote band Pond reports",
+        Shape::Within { lo: 150.0, hi: 450.0 },
+        ladder(&lat, &["CXL-DRAM"]),
+    );
+    t.claim(
+        "qualitative-columns",
+        "Gran / Attached / Sync / Persist match the paper's Table 1",
+        Shape::Cells(vec![
+            ["Cache", "Gran", "1 B"],
+            ["PMem", "Gran", "256 B"],
+            ["SSD", "Gran", "4096 B"],
+            ["CXL-DRAM", "Attached", "PCIe"],
+            ["Disagg. Mem.", "Attached", "NIC"],
+            ["HDD", "Attached", "SATA"],
+            ["CXL-DRAM", "Sync", "yes/no"],
+            ["Disagg. Mem.", "Sync", "no"],
+            ["PMem", "Persist", "yes"],
+            ["DRAM", "Persist", "no"],
+        ]),
+        vec![],
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn by_name(rows: &[DeviceRow], name: &str) -> DeviceRow {
-        rows.iter().find(|r| r.name == name).expect(name).clone()
-    }
-
-    #[test]
-    fn latency_ordering_matches_table1_glyphs() {
-        let rows = measure(true);
-        let lat = |n: &str| by_name(&rows, n).latency_ns;
-        assert!(lat("Cache") < lat("DRAM"));
-        assert!(lat("DRAM") <= lat("HBM") * 1.5);
-        assert!(lat("DRAM") < lat("PMem"));
-        assert!(lat("PMem") < lat("Disagg. Mem."));
-        assert!(lat("CXL-DRAM") < lat("Disagg. Mem."));
-        assert!(lat("Disagg. Mem.") < lat("SSD"));
-        assert!(lat("SSD") < lat("HDD"));
-    }
-
-    #[test]
-    fn bandwidth_ordering_matches_table1_glyphs() {
-        let rows = measure(true);
-        let bw = |n: &str| by_name(&rows, n).bandwidth_gbps;
-        assert!(bw("Cache") > bw("DRAM"));
-        assert!(bw("HBM") > bw("DRAM"));
-        assert!(bw("DRAM") > bw("PMem"));
-        assert!(bw("CXL-DRAM") > bw("SSD"));
-        assert!(bw("SSD") > bw("HDD"));
-    }
-
-    #[test]
-    fn qualitative_columns_match_the_paper() {
-        let rows = measure(true);
-        assert_eq!(by_name(&rows, "Cache").granularity, 1);
-        assert_eq!(by_name(&rows, "PMem").granularity, 256);
-        assert_eq!(by_name(&rows, "SSD").granularity, 4096);
-        assert_eq!(by_name(&rows, "CXL-DRAM").attached, "PCIe");
-        assert_eq!(by_name(&rows, "Disagg. Mem.").attached, "NIC");
-        assert_eq!(by_name(&rows, "HDD").attached, "SATA");
-        assert_eq!(by_name(&rows, "CXL-DRAM").sync, "yes/no");
-        assert_eq!(by_name(&rows, "Disagg. Mem.").sync, "no");
-        assert!(by_name(&rows, "PMem").persistent);
-        assert!(!by_name(&rows, "DRAM").persistent);
-    }
-
-    #[test]
-    fn cxl_latency_lands_in_the_pond_band() {
-        // Pond (ASPLOS '23) reports CXL ≈ NUMA-remote latency: roughly
-        // 150-400 ns. Our measured value should land in that band.
-        let rows = measure(true);
-        let cxl = by_name(&rows, "CXL-DRAM").latency_ns;
-        assert!((150.0..450.0).contains(&cxl), "CXL latency {cxl} ns");
-    }
-
-    #[test]
-    fn table_renders_all_eight_rows() {
-        let t = run(true);
-        assert_eq!(t.rows.len(), 8);
-        assert_eq!(t.cell("DRAM", "Persist"), Some("no"));
-        assert_eq!(t.cell("PMem", "Persist"), Some("yes"));
-    }
 }

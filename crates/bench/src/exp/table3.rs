@@ -10,25 +10,7 @@ use disagg_core::prelude::*;
 use disagg_hwsim::presets::single_server;
 use disagg_workloads::{dbms, hpc, ml, streaming};
 
-use crate::{fmt_dur, fmt_ratio, Table};
-
-/// One application row.
-#[derive(Debug, Clone)]
-pub struct AppRow {
-    /// Application class.
-    pub app: &'static str,
-    /// Declarative-placement makespan.
-    pub declarative: SimDuration,
-    /// Worst-feasible-placement makespan.
-    pub naive: SimDuration,
-}
-
-impl AppRow {
-    /// naive / declarative.
-    pub fn speedup(&self) -> f64 {
-        self.naive.as_nanos_f64() / self.declarative.as_nanos_f64().max(1.0)
-    }
-}
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 fn job_for(app: &str, quick: bool) -> JobSpec {
     let scale = if quick { 1 } else { 4 };
@@ -56,69 +38,32 @@ fn job_for(app: &str, quick: bool) -> JobSpec {
     }
 }
 
-/// Runs every application under both placement policies.
-pub fn measure(quick: bool) -> Vec<AppRow> {
-    ["DBMS", "ML/AI", "HPC", "Streaming"]
-        .into_iter()
-        .map(|app| {
-            let run = |policy: PlacementPolicy| {
-                let (topo, _) = single_server();
-                let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_placement(policy));
-                rt.execute(job_for(app, quick)).expect("workload runs").makespan
-            };
-            AppRow {
-                app,
-                declarative: run(PlacementPolicy::Declarative),
-                naive: run(PlacementPolicy::WorstFeasible),
-            }
-        })
-        .collect()
-}
-
-/// Runs E3.
+/// Runs E3: every application under both placement policies.
 pub fn run(quick: bool) -> Table {
-    let rows = measure(quick);
     let mut t = Table::new(
         "table3",
         "Table 3: Application types on the three Memory Regions",
         &["Application", "Declarative", "Naive (worst feasible)", "Speedup"],
     );
-    for r in &rows {
-        t.row(vec![
-            r.app.to_string(),
-            fmt_dur(r.declarative),
-            fmt_dur(r.naive),
-            fmt_ratio(r.speedup()),
-        ]);
+    let mut speedups = Vec::new();
+    for app in ["DBMS", "ML/AI", "HPC", "Streaming"] {
+        let run = |policy: PlacementPolicy| {
+            let (topo, _) = single_server();
+            let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_placement(policy));
+            rt.execute(job_for(app, quick)).expect("workload runs").makespan
+        };
+        let declarative = run(PlacementPolicy::Declarative);
+        let naive = run(PlacementPolicy::WorstFeasible);
+        let speedup = naive.as_nanos_f64() / declarative.as_nanos_f64().max(1.0);
+        t.row(vec![app.to_string(), fmt_dur(declarative), fmt_dur(naive), fmt_ratio(speedup)]);
+        speedups.push(speedup);
     }
     t.note("each app uses private scratch / global state / global scratch per Table 3");
-    t.note("expected shape: declarative wins on every application class");
+    t.claim(
+        "declarative-wins",
+        "declarative placement beats worst-feasible placement on every application class (speedup)",
+        Shape::AtLeast(1.0),
+        speedups,
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn declarative_wins_on_every_application_class() {
-        for r in measure(true) {
-            assert!(
-                r.speedup() > 1.0,
-                "{}: declarative {} vs naive {}",
-                r.app,
-                r.declarative,
-                r.naive
-            );
-        }
-    }
-
-    #[test]
-    fn all_four_rows_present() {
-        let t = run(true);
-        assert_eq!(t.rows.len(), 4);
-        for app in ["DBMS", "ML/AI", "HPC", "Streaming"] {
-            assert!(t.cell(app, "Speedup").is_some(), "missing {app}");
-        }
-    }
 }

@@ -25,7 +25,7 @@ use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
 use disagg_workloads::gen::Zipf;
 
-use crate::{fmt_dur, fmt_ratio, Table};
+use crate::{fmt_dur, fmt_ratio, Shape, Table};
 
 const WHO: OwnerId = OwnerId::App;
 
@@ -128,62 +128,43 @@ pub fn run(quick: bool) -> Table {
         "Hotness-driven tiering: per-epoch access time, static vs tiered",
         &["Epoch", "Static spread", "Tiering on", "Migration cost", "Speedup"],
     );
-    for i in 0..off.epoch_access.len() {
+    let ns = |d: &SimDuration| d.as_nanos_f64();
+    let speedups: Vec<f64> =
+        off.epoch_access.iter().zip(&on.epoch_access).map(|(off, on)| ns(off) / ns(on)).collect();
+    for (i, &speedup) in speedups.iter().enumerate() {
         t.row(vec![
             format!("{}", i + 1),
             fmt_dur(off.epoch_access[i]),
             fmt_dur(on.epoch_access[i]),
             fmt_dur(on.epoch_migration[i]),
-            fmt_ratio(
-                off.epoch_access[i].as_nanos_f64() / on.epoch_access[i].as_nanos_f64(),
-            ),
+            fmt_ratio(speedup),
         ]);
     }
     t.note("Zipf(1.1) accesses over 48 regions spread round-robin across DRAM/CXL/far memory");
-    t.note("hot regions promote to DRAM after the first epoch; the migration toll amortizes");
+    let last = speedups.len() - 1;
+    t.claim(
+        "tiering-converges-faster",
+        "with tiering on, the last epoch's access time sits well below the static spread's (speedup)",
+        Shape::AtLeast(1.5),
+        vec![speedups[last]],
+    );
+    t.claim(
+        "static-spread-stays-flat",
+        "without tiering nothing improves: last over first epoch access time",
+        Shape::Within { lo: 0.8, hi: 1.2 },
+        vec![ns(&off.epoch_access[last]) / ns(&off.epoch_access[0])],
+    );
+    t.claim(
+        "migration-is-paid-up-front",
+        "hot regions promote to DRAM after the first epoch; the first epoch pays a migration toll (ns)",
+        Shape::AtLeast(1.0),
+        vec![ns(&on.epoch_migration[0])],
+    );
+    t.claim(
+        "migration-subsides",
+        "the last epoch migrates no more than the first (last over first migration time)",
+        Shape::AtMost(1.0),
+        vec![ns(&on.epoch_migration[last]) / ns(&on.epoch_migration[0])],
+    );
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tiering_converges_to_a_faster_steady_state() {
-        let off = measure_one(false, true);
-        let on = measure_one(true, true);
-        let last = off.epoch_access.len() - 1;
-        let speedup = off.epoch_access[last].as_nanos_f64()
-            / on.epoch_access[last].as_nanos_f64();
-        assert!(
-            speedup > 1.5,
-            "steady-state speedup {speedup:.2} should exceed 1.5x"
-        );
-    }
-
-    #[test]
-    fn static_spread_never_improves() {
-        let off = measure_one(false, true);
-        let first = off.epoch_access[0].as_nanos_f64();
-        let last = off.epoch_access.last().unwrap().as_nanos_f64();
-        assert!(
-            (last / first) > 0.8 && (last / first) < 1.2,
-            "static epochs should be flat, got first {first} last {last}"
-        );
-    }
-
-    #[test]
-    fn migration_happens_early_then_subsides() {
-        let on = measure_one(true, true);
-        assert!(
-            on.epoch_migration[0] > SimDuration::ZERO,
-            "first epoch should migrate"
-        );
-        let late = *on.epoch_migration.last().unwrap();
-        assert!(
-            late <= on.epoch_migration[0],
-            "late migrations {late} should not exceed the initial burst {}",
-            on.epoch_migration[0]
-        );
-    }
 }

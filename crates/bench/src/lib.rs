@@ -5,8 +5,16 @@
 //! `exp_driver`, prints them (`--only <id>` for one) and writes them all
 //! into `BENCH_disagg.json`. Everything here is virtual time: the record
 //! is a pure function of the source, and host wall-clock is measured by
-//! `benchmark/` alone. `quick = true` shrinks workloads for CI/tests; the
-//! *shape* assertions in each module's tests hold in both modes.
+//! `benchmark/` alone. `quick = true` shrinks workloads for CI/tests.
+//!
+//! What the numbers are supposed to show — who wins, by roughly what
+//! factor, where a crossover falls — is data too: the code that fills a
+//! table's rows pushes [`Claim`]s onto it from the same typed values,
+//! and the run evaluates them ([`driver::failed_claims`]). They hold in
+//! both modes, and that is enforced: `exp_driver --verify` exits 1 on
+//! one that does not, `scripts/bench_guard.sh` runs it on the full-size
+//! numbers it then compares with `BENCH_disagg.json`, and
+//! `tests/driver.rs` checks every claim of the `--quick` suite.
 //!
 //! | Experiment | Paper artifact | `--only` |
 //! |---|---|---|
@@ -29,8 +37,11 @@
 //! | [`exp::serving`] | §2.1 open-loop multi-tenant serving sweep | `serving` |
 //! | [`exp::chaos_serve`] | Challenge 8 fault-aware serving control plane | `chaos_serve` |
 
+mod claim;
 pub mod driver;
 pub mod exp;
+
+pub use claim::{Claim, Shape, Verdict};
 
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::json::escape;
@@ -59,8 +70,10 @@ pub struct Table {
     pub headers: Vec<String>,
     /// Row cells (same arity as `headers`).
     pub rows: Vec<Vec<String>>,
-    /// Free-form notes (expected shape, observations).
+    /// Free-form notes (setup, observations).
     pub notes: Vec<String>,
+    /// What the rows are supposed to show, checked by [`Claim::evaluate`].
+    pub claims: Vec<Claim>,
     /// The record the rows were rendered from, for the experiments
     /// that publish one.
     pub(crate) record: Option<Fragment>,
@@ -75,6 +88,7 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            claims: Vec::new(),
             record: None,
         }
     }
@@ -88,6 +102,12 @@ impl Table {
     /// Appends a note.
     pub fn note(&mut self, n: impl Into<String>) {
         self.notes.push(n.into());
+    }
+
+    /// Appends a claim about the rows; `values` are the typed numbers
+    /// the rows were rendered from (empty for [`Shape::Cells`]).
+    pub fn claim(&mut self, id: &'static str, text: impl Into<String>, shape: Shape, values: Vec<f64>) {
+        self.claims.push(Claim { id, text: text.into(), shape, values });
     }
 
     /// Renders an aligned ASCII table.
@@ -119,6 +139,9 @@ impl Table {
         for n in &self.notes {
             out.push_str(&format!("note: {n}\n"));
         }
+        for c in &self.claims {
+            out.push_str(&format!("claim: {}\n", c.describe(self)));
+        }
         out
     }
 
@@ -136,6 +159,9 @@ impl Table {
         }
         for n in &self.notes {
             out.push_str(&format!("\n> {n}\n"));
+        }
+        for c in &self.claims {
+            out.push_str(&format!("\n> claim: {}\n", c.describe(self)));
         }
         out.push('\n');
         out
@@ -160,12 +186,14 @@ impl Table {
         )
     }
 
-    /// Finds a cell by row label (first column) and column header.
+    /// Finds a cell by row label and column header. The label is the
+    /// first column, or as many leading columns as it takes to name the
+    /// row, joined by `" / "` (`"Private Scratch / GPU"`).
     pub fn cell(&self, row_label: &str, column: &str) -> Option<&str> {
         let col = self.headers.iter().position(|h| h == column)?;
         self.rows
             .iter()
-            .find(|r| r[0] == row_label)
+            .find(|r| (1..=r.len()).any(|k| r[..k].join(" / ") == row_label))
             .map(|r| r[col].as_str())
     }
 }
@@ -194,11 +222,6 @@ pub fn fmt_dur(d: SimDuration) -> String {
 /// Formats a ratio like "2.9x".
 pub fn fmt_ratio(r: f64) -> String {
     format!("{r:.2}x")
-}
-
-/// Parses a ratio cell back ("2.90x" → 2.9) — used by shape tests.
-pub fn parse_ratio(s: &str) -> f64 {
-    s.trim_end_matches('x').parse().expect("ratio cell")
 }
 
 #[cfg(test)]
@@ -258,6 +281,5 @@ mod tests {
         assert_eq!(fmt_bytes(2048), "2.0 KiB");
         assert_eq!(fmt_bytes(3 << 30), "3.0 GiB");
         assert_eq!(fmt_ratio(2.9), "2.90x");
-        assert!((parse_ratio("2.90x") - 2.9).abs() < 1e-9);
     }
 }

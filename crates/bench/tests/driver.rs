@@ -58,6 +58,19 @@ fn quick_record_is_exact_complete_and_clock_free() {
             assert_eq!(r.as_arr().map(<[_]>::len), Some(arity), "{:?}: row arity", e.get("id"));
         }
     }
+    // Every experiment states at least one claim, under ids unique
+    // within it, and every claim holds at the quick sizes too.
+    let claims = doc.get("claims").and_then(Value::as_arr).expect("claims");
+    let mut seen = std::collections::BTreeSet::new();
+    for c in claims {
+        let key = (c.get("experiment").and_then(Value::as_str), c.get("id").and_then(Value::as_str));
+        assert!(key.0.is_some() && key.1.is_some(), "claim without experiment or id: {c:?}");
+        assert!(seen.insert(key), "duplicate claim {key:?}");
+        assert_eq!(c.get("holds"), Some(&Value::Bool(true)), "{key:?} does not hold: {c:?}");
+    }
+    for id in &registry {
+        assert!(seen.iter().any(|(e, _)| e == &Some(*id)), "{id} states no claim");
+    }
     let serving = doc.get("serving").expect("serving section");
     assert!(doc.get("chaos").and_then(Value::as_arr).is_some_and(|c| !c.is_empty()));
     assert!(serving.get("sweep").and_then(Value::as_arr).is_some_and(|s| !s.is_empty()));
