@@ -10,17 +10,17 @@
 //! — is virtual time, so two runs of the sweep are byte-identical.
 
 use disagg_core::prelude::{Runtime, RuntimeConfig};
-use disagg_core::RecoveryPolicy;
-use disagg_dataflow::job::JobSpec;
-use disagg_hwsim::device::{AccessOp, AccessPattern};
+use disagg_core::{RecoveryPolicy, RunReport};
+use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
 use disagg_hwsim::presets::{disaggregated_rack, Rack};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::TraceEvent;
-use disagg_workloads::dbms::{query_job, DbmsConfig};
-use disagg_workloads::ml::{training_job, MlConfig};
-use disagg_workloads::streaming::{windowed_job, StreamConfig};
+use disagg_workloads::dbms::{self, DbmsConfig};
+use disagg_workloads::ml::{self, MlConfig};
+use disagg_workloads::streaming::{self, StreamConfig};
+use disagg_workloads::util::final_output;
 
 use crate::{fmt_dur, Fragment, Shape, Table};
 
@@ -41,6 +41,9 @@ pub struct ChaosRow {
     pub detected: u64,
     /// Online reconstructions (corrupt reads healed + re-replications).
     pub reconstructs: u64,
+    /// Whether the run's final output, decoded, equals the workload's
+    /// own reference.
+    pub output_matches: bool,
 }
 
 impl ChaosRow {
@@ -74,32 +77,59 @@ fn fragment(rows: &[ChaosRow]) -> Fragment {
     Fragment { parent: "", members: format!("\"chaos\": [\n{}\n  ]", rows.join(",\n")) }
 }
 
-/// A workload builder: `quick` in, a fresh job out.
-type JobFn = fn(bool) -> JobSpec;
+/// One workload of the sweep. Function pointers because [`JobSpec`]
+/// bodies are one-shot: every run rebuilds its job.
+struct Workload {
+    name: &'static str,
+    /// `quick` in, a fresh job out.
+    job: fn(bool) -> JobSpec,
+    /// Whether a finished run's final output, decoded, equals the
+    /// workload's own reference for the same `quick`.
+    output_matches: fn(bool, &Runtime, &RunReport) -> bool,
+}
 
-/// The three workloads of the sweep. Function pointers because
-/// [`JobSpec`] bodies are one-shot: every run rebuilds its job.
-fn workloads() -> Vec<(&'static str, JobFn)> {
-    fn dbms(quick: bool) -> JobSpec {
-        query_job(DbmsConfig {
+/// The three workloads of the sweep.
+fn workloads() -> [Workload; 3] {
+    fn dbms(quick: bool) -> DbmsConfig {
+        DbmsConfig {
             tuples: if quick { 2_000 } else { 20_000 },
             probe_tuples: if quick { 1_000 } else { 10_000 },
             ..DbmsConfig::default()
-        })
+        }
     }
-    fn ml(quick: bool) -> JobSpec {
-        training_job(MlConfig {
-            samples: if quick { 1_024 } else { 4_096 },
-            ..MlConfig::default()
-        })
+    fn ml(quick: bool) -> MlConfig {
+        MlConfig { samples: if quick { 1_024 } else { 4_096 }, ..MlConfig::default() }
     }
-    fn stream(quick: bool) -> JobSpec {
-        windowed_job(StreamConfig {
-            events: if quick { 4_000 } else { 20_000 },
-            ..StreamConfig::default()
-        })
+    fn stream(quick: bool) -> StreamConfig {
+        StreamConfig { events: if quick { 4_000 } else { 20_000 }, ..StreamConfig::default() }
     }
-    vec![("dbms", dbms), ("ml", ml), ("stream", stream)]
+    [
+        Workload {
+            name: "dbms",
+            job: |quick| dbms::query_job(dbms(quick)),
+            output_matches: |quick, rt, report| {
+                let want = dbms::expected(&dbms(quick));
+                dbms::decode_result(&final_output(rt, report, JobId(0), "hash-join"))
+                    == (want.join_matches, want.groups as u64, want.total_sum)
+            },
+        },
+        Workload {
+            name: "ml",
+            job: |quick| ml::training_job(ml(quick)),
+            output_matches: |quick, rt, report| {
+                ml::decode_model(&final_output(rt, report, JobId(0), "train"))
+                    == ml::expected_model(&ml(quick))
+            },
+        },
+        Workload {
+            name: "stream",
+            job: |quick| streaming::windowed_job(stream(quick)),
+            output_matches: |quick, rt, report| {
+                streaming::decode_result(&final_output(rt, report, JobId(0), "sink"))
+                    == streaming::expected_windows(&stream(quick))
+            },
+        },
+    ]
 }
 
 /// MTTF levels as (label, divisor): `mttf = baseline / divisor`.
@@ -142,21 +172,20 @@ fn chaos_plan(topo: &Topology, rack: &Rack, baseline: SimDuration, mttf: SimDura
         f.schedule(SimTime(mttf.0 / 3), FaultKind::Corrupt { dev, offset: 0, len: 4 << 20 });
     }
     // A degraded-fabric window on the CPU→pool bottleneck link.
-    if let Some(link) = topo
-        .access_cost_parts(rack.cpus[0], rack.pool[0], 1, AccessOp::Read, AccessPattern::Sequential)
-        .and_then(|p| p.bottleneck_link)
-    {
+    if let Some(link) = topo.path(rack.cpus[0], rack.pool[0]).and_then(|p| p.bottleneck_link) {
         f.schedule(SimTime(mttf.0 / 2), FaultKind::LinkDegraded { link, factor_pct: 25 });
         f.schedule(SimTime(mttf.0 / 2 + mttf.0 / 4), FaultKind::LinkUp(link));
     }
     f
 }
 
-fn run_once(jobs: Vec<JobSpec>, faults: FaultInjector) -> ChaosRow {
+fn run_once(w: &Workload, quick: bool, faults: FaultInjector) -> ChaosRow {
     let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
     let config = RuntimeConfig::traced().with_faults(faults).with_recovery(policy());
     let mut rt = Runtime::new(topo, config);
-    let report = rt.execute(jobs).expect("chaos sweep point completes within its retry budget");
+    let report = rt
+        .execute((w.job)(quick))
+        .expect("chaos sweep point completes within its retry budget");
     let (mut retries, mut detected, mut reconstructs) = (0u64, 0u64, 0u64);
     for e in rt.trace().events() {
         match e {
@@ -167,13 +196,14 @@ fn run_once(jobs: Vec<JobSpec>, faults: FaultInjector) -> ChaosRow {
         }
     }
     ChaosRow {
-        workload: "",
-        mttf: "",
+        workload: w.name,
+        mttf: "none",
         makespan: report.makespan,
-        baseline: SimDuration::ZERO,
+        baseline: report.makespan,
         retries,
         detected,
         reconstructs,
+        output_matches: (w.output_matches)(quick, &rt, &report),
     }
 }
 
@@ -181,22 +211,15 @@ fn run_once(jobs: Vec<JobSpec>, faults: FaultInjector) -> ChaosRow {
 /// one faulty run per MTTF level.
 pub fn measure(quick: bool) -> Vec<ChaosRow> {
     let mut rows = Vec::new();
-    for (name, job) in workloads() {
-        let mut base = run_once(vec![job(quick)], FaultInjector::none());
-        base.workload = name;
-        base.mttf = "none";
-        base.baseline = base.makespan;
+    for w in workloads() {
+        let base = run_once(&w, quick, FaultInjector::none());
         let baseline = base.makespan;
         rows.push(base);
         for &(label, divisor) in levels(quick) {
             let mttf = SimDuration(baseline.0 / divisor);
             let (topo, rack) = disaggregated_rack(4, 16, 4, 256);
             let plan = chaos_plan(&topo, &rack, baseline, mttf);
-            let mut row = run_once(vec![job(quick)], plan);
-            row.workload = name;
-            row.mttf = label;
-            row.baseline = baseline;
-            rows.push(row);
+            rows.push(ChaosRow { mttf: label, baseline, ..run_once(&w, quick, plan) });
         }
     }
     rows
@@ -236,6 +259,12 @@ pub fn run(quick: bool) -> Table {
         "every faulty run survives at a makespan no shorter than its fault-free baseline (slowdown)",
         Shape::AtLeast(1.0),
         faulty.iter().map(|r| r.slowdown()).collect(),
+    );
+    t.claim(
+        "faulty-outputs-match-the-reference",
+        "every faulty run's final output, decoded, equals the workload's own reference (mismatches per faulty run)",
+        Shape::AtMost(0.0),
+        faulty.iter().map(|r| f64::from(u8::from(!r.output_matches))).collect(),
     );
     let total = |f: fn(&ChaosRow) -> u64| rows.iter().map(f).sum::<u64>() as f64;
     let (detected, retries) = (total(|r| r.detected), total(|r| r.retries));

@@ -15,7 +15,7 @@
 //! `BENCH_disagg.json` it feeds — is byte-identical across runs.
 
 use disagg_core::prelude::{Runtime, RuntimeConfig};
-use disagg_core::{BreakerPolicy, FaultControlPolicy, RecoveryPolicy, RetryBudgetPolicy};
+use disagg_core::RecoveryPolicy;
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
 use disagg_hwsim::presets::disaggregated_rack;
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -310,18 +310,6 @@ fn recovery() -> RecoveryPolicy {
         .with_backoff(SimDuration(1_000))
 }
 
-/// The fault-aware executor controls of the controlled variant.
-fn fault_control() -> FaultControlPolicy {
-    FaultControlPolicy::default()
-        .with_retry_budget(RetryBudgetPolicy::default().with_capacity(4))
-        .with_breakers(
-            BreakerPolicy::default()
-                .with_trip_after(2)
-                .with_cooldown(SimDuration::from_micros(200)),
-        )
-        .with_isolation()
-}
-
 /// Rotating node-crash windows derived from the arrival span `A` (the
 /// last request's arrival time): six crash/recover pairs cycling over
 /// three of the four servers (node 3 never fails, so the rack always
@@ -365,7 +353,7 @@ fn run_point(
     let (faults, fault_start, fault_end) = fault_plan(span);
     let mut config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery());
     if controls {
-        config = config.with_fault_control(fault_control());
+        config = config.with_fault_control();
     }
     let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, config);

@@ -10,9 +10,9 @@
 //! entirely by virtual time:
 //!
 //! ```text
-//!            trip_after consecutive FaultDetected
+//!            TRIP_AFTER consecutive FaultDetected
 //!   Closed ────────────────────────────────────────▶ Open
-//!     ▲                                               │ cooldown
+//!     ▲                                               │ COOLDOWN
 //!     │ probe task finishes cleanly                   ▼ elapses
 //!     └───────────────────────────────────────── HalfOpen
 //!                       (a probe-time fault re-opens)
@@ -21,8 +21,6 @@
 use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::NodeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
-
-use crate::config::{BreakerPolicy, RetryBudgetPolicy};
 
 /// One breaker's position in the state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,24 +70,20 @@ impl Entry {
     }
 }
 
-/// All per-node breakers of one runtime.
-#[derive(Debug)]
+/// Consecutive detected faults on one node that open its breaker.
+const TRIP_AFTER: u32 = 2;
+
+/// Virtual time an open breaker waits before admitting a probe.
+const COOLDOWN: SimDuration = SimDuration::from_micros(200);
+
+/// All per-node breakers of one runtime; every node starts Closed.
+#[derive(Debug, Default)]
 pub struct BreakerBank {
-    policy: BreakerPolicy,
     entries: FxHashMap<NodeId, Entry>,
     transitions: Vec<BreakerTransition>,
 }
 
 impl BreakerBank {
-    /// An empty bank under `policy`; every node starts Closed.
-    pub fn new(policy: BreakerPolicy) -> Self {
-        BreakerBank {
-            policy,
-            entries: FxHashMap::default(),
-            transitions: Vec::new(),
-        }
-    }
-
     fn entry(&mut self, node: NodeId) -> &mut Entry {
         self.entries.entry(node).or_insert_with(Entry::new)
     }
@@ -97,12 +91,11 @@ impl BreakerBank {
     /// Charges one detected fault against `node`. Returns the
     /// transition if the breaker opened (first trip or a failed probe).
     pub fn on_fault(&mut self, node: NodeId, now: SimTime) -> Option<BreakerTransition> {
-        let trip_after = self.policy.trip_after;
         let e = self.entry(node);
         match e.state {
             BreakerState::Closed => {
                 e.strikes += 1;
-                if e.strikes >= trip_after {
+                if e.strikes >= TRIP_AFTER {
                     e.state = BreakerState::Open;
                     e.opened_at = now;
                     e.probe = None;
@@ -118,7 +111,7 @@ impl BreakerBank {
                 e.state = BreakerState::Open;
                 e.opened_at = now;
                 e.probe = None;
-                e.strikes = trip_after;
+                e.strikes = TRIP_AFTER;
                 let t = BreakerTransition { node, at: now, to: BreakerState::Open };
                 self.transitions.push(t);
                 Some(t)
@@ -139,12 +132,11 @@ impl BreakerBank {
         now: SimTime,
         key: (u64, u64),
     ) -> (bool, Option<BreakerTransition>) {
-        let cooldown = self.policy.cooldown;
         let e = self.entry(node);
         match e.state {
             BreakerState::Closed => (true, None),
             BreakerState::Open => {
-                if now >= e.opened_at + cooldown {
+                if now >= e.opened_at + COOLDOWN {
                     e.state = BreakerState::HalfOpen;
                     e.probe = Some(key);
                     let t = BreakerTransition { node, at: now, to: BreakerState::HalfOpen };
@@ -221,37 +213,36 @@ impl BreakerBank {
 /// Virtual time per retry token refilled.
 const REFILL_INTERVAL: SimDuration = SimDuration::from_micros(100);
 
+/// Retry-token bucket capacity: the burst of retries one tenant may
+/// spend before refills gate further attempts.
+const RETRY_BUDGET_CAPACITY: u32 = 4;
+
 /// Per-tenant retry budgets: token buckets in virtual time, charged once
-/// per executor retry and refilled one token per 100 µs up to the
-/// policy's capacity.
-#[derive(Debug)]
+/// per executor `TaskRetry` and refilled one token per 100 µs up to
+/// `RETRY_BUDGET_CAPACITY`; every tenant starts full. When a tenant's
+/// bucket is empty its requests fail fast instead of retrying — a fault
+/// storm cannot metastasize into a retry storm.
+#[derive(Debug, Default)]
 pub struct RetryBudgets {
-    policy: RetryBudgetPolicy,
     /// tenant -> (tokens, refill anchor). The anchor only advances by
     /// whole refill intervals so fractional refill time is never lost.
     buckets: FxHashMap<u64, (u32, SimTime)>,
 }
 
 impl RetryBudgets {
-    /// Fresh buckets under `policy`; every tenant starts full.
-    pub fn new(policy: RetryBudgetPolicy) -> Self {
-        RetryBudgets { policy, buckets: FxHashMap::default() }
-    }
-
     /// Tries to spend one retry token for `tenant` at `now`. Returns
     /// false when the bucket is empty — the caller fails the request
     /// fast instead of retrying.
     pub fn charge(&mut self, tenant: u64, now: SimTime) -> bool {
-        let capacity = self.policy.capacity;
         let (tokens, anchor) = self
             .buckets
             .entry(tenant)
-            .or_insert((capacity, SimTime::ZERO));
+            .or_insert((RETRY_BUDGET_CAPACITY, SimTime::ZERO));
         if now > *anchor {
             let refills = now.since(*anchor).0 / REFILL_INTERVAL.0;
-            let refill = refills.min(capacity as u64) as u32;
-            if *tokens < capacity {
-                *tokens = (*tokens + refill).min(capacity);
+            let refill = refills.min(u64::from(RETRY_BUDGET_CAPACITY)) as u32;
+            if *tokens < RETRY_BUDGET_CAPACITY {
+                *tokens = (*tokens + refill).min(RETRY_BUDGET_CAPACITY);
             }
             *anchor = SimTime(anchor.0 + refills * REFILL_INTERVAL.0);
         }
@@ -268,7 +259,7 @@ impl RetryBudgets {
         self.buckets
             .get(&tenant)
             .map(|&(t, _)| t)
-            .unwrap_or(self.policy.capacity)
+            .unwrap_or(RETRY_BUDGET_CAPACITY)
     }
 }
 
@@ -278,11 +269,7 @@ mod tests {
 
     #[test]
     fn breaker_trips_after_consecutive_strikes_and_probes_after_cooldown() {
-        let mut b = BreakerBank::new(
-            BreakerPolicy::default()
-                .with_trip_after(2)
-                .with_cooldown(SimDuration(100)),
-        );
+        let mut b = BreakerBank::default();
         let n = NodeId(3);
         assert_eq!(b.state(n), BreakerState::Closed);
         assert!(b.on_fault(n, SimTime(10)).is_none(), "one strike stays closed");
@@ -294,54 +281,55 @@ mod tests {
         assert!(!ok);
         assert!(t.is_none());
         // Cool-down elapsed: exactly one probe gets through.
-        let (ok, t) = b.allows(n, SimTime(120), (7, 1));
+        let cooled = SimTime(20) + COOLDOWN;
+        let (ok, t) = b.allows(n, cooled, (7, 1));
         assert!(ok);
         assert_eq!(t.unwrap().to, BreakerState::HalfOpen);
-        let (other, _) = b.allows(n, SimTime(121), (8, 0));
+        let (other, _) = b.allows(n, cooled + SimDuration(1), (8, 0));
         assert!(!other, "only the probe holder passes while half-open");
         // Clean probe closes; strikes are forgotten. The close fires even
         // when the probe task finished on a *different* node (a retry moved it).
-        let close = b.on_success(NodeId(9), (7, 1), SimTime(150));
+        let close = b.on_success(NodeId(9), (7, 1), cooled + SimDuration(30));
         assert_eq!(close.len(), 1, "probe closes");
         assert_eq!(close[0].node, n);
         assert_eq!(close[0].to, BreakerState::Closed);
         assert!(b.unhealthy().is_empty());
-        assert!(b.on_fault(n, SimTime(200)).is_none(), "strike count restarted");
+        assert!(b.on_fault(n, cooled + SimDuration(80)).is_none(), "strike count restarted");
     }
 
     #[test]
     fn failed_probe_reopens_with_fresh_cooldown() {
-        let mut b = BreakerBank::new(
-            BreakerPolicy::default()
-                .with_trip_after(1)
-                .with_cooldown(SimDuration(100)),
-        );
+        let mut b = BreakerBank::default();
         let n = NodeId(0);
-        b.on_fault(n, SimTime(0)).expect("trips immediately");
-        let (ok, _) = b.allows(n, SimTime(100), (1, 0));
+        b.on_fault(n, SimTime(0));
+        b.on_fault(n, SimTime(0)).expect("second strike trips");
+        let (ok, _) = b.allows(n, SimTime::ZERO + COOLDOWN, (1, 0));
         assert!(ok);
-        let reopen = b.on_fault(n, SimTime(110)).expect("probe fault re-opens");
+        let refault = SimTime::ZERO + COOLDOWN + SimDuration(10);
+        let reopen = b.on_fault(n, refault).expect("probe fault re-opens");
         assert_eq!(reopen.to, BreakerState::Open);
-        let (ok, _) = b.allows(n, SimTime(150), (2, 0));
+        let (ok, _) = b.allows(n, SimTime::ZERO + COOLDOWN + COOLDOWN, (2, 0));
         assert!(!ok, "cool-down restarted at the probe failure");
-        let (ok, _) = b.allows(n, SimTime(210), (2, 0));
+        let (ok, _) = b.allows(n, refault + COOLDOWN, (2, 0));
         assert!(ok);
         assert_eq!(b.transitions().len(), 4, "trip, probe, re-trip, re-probe");
     }
 
     #[test]
     fn retry_budget_spends_and_refills_in_virtual_time() {
-        let mut r = RetryBudgets::new(RetryBudgetPolicy::default().with_capacity(2));
-        assert_eq!(r.remaining(5), 2);
-        assert!(r.charge(5, SimTime(0)));
-        assert!(r.charge(5, SimTime(1_000)));
-        assert!(!r.charge(5, SimTime(2_000)), "bucket empty");
+        let mut r = RetryBudgets::default();
+        assert_eq!(r.remaining(5), RETRY_BUDGET_CAPACITY);
+        for k in 0..RETRY_BUDGET_CAPACITY {
+            assert!(r.charge(5, SimTime(u64::from(k) * 1_000)));
+        }
+        assert!(!r.charge(5, SimTime(5_000)), "bucket empty");
         assert!(!r.charge(5, SimTime(99_999)), "not a full interval yet");
         assert!(r.charge(5, SimTime(100_001)), "one token refilled");
         assert!(!r.charge(5, SimTime(110_000)));
         // Refill caps at capacity no matter how long the idle gap.
-        assert!(r.charge(5, SimTime(100_000_000)));
-        assert!(r.charge(5, SimTime(100_000_000)));
+        for _ in 0..RETRY_BUDGET_CAPACITY {
+            assert!(r.charge(5, SimTime(100_000_000)));
+        }
         assert!(!r.charge(5, SimTime(100_000_000)));
         // Tenants are independent.
         assert!(r.charge(6, SimTime(0)));

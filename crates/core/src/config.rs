@@ -93,109 +93,6 @@ impl RecoveryPolicy {
     }
 }
 
-/// Per-tenant retry budget: a virtual-time token bucket charged once per
-/// executor `TaskRetry` and refilled one token per 100 µs. When a
-/// tenant's bucket is empty, its requests fail fast with
-/// [`crate::DisaggError::RetryBudgetExhausted`] instead of grinding
-/// through the full [`RecoveryPolicy`] — a fault storm cannot
-/// metastasize into a retry storm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryBudgetPolicy {
-    /// Bucket capacity (tokens): the burst of retries one tenant may
-    /// spend before refills gate further attempts.
-    pub capacity: u32,
-}
-
-impl Default for RetryBudgetPolicy {
-    fn default() -> Self {
-        RetryBudgetPolicy { capacity: 8 }
-    }
-}
-
-impl RetryBudgetPolicy {
-    /// Sets the bucket capacity.
-    pub fn with_capacity(mut self, n: u32) -> Self {
-        self.capacity = n;
-        self
-    }
-}
-
-/// Per-node circuit breaker: consecutive `FaultDetected` strikes trip
-/// the breaker, the scheduler's candidate ranking then excludes the
-/// node, and after a virtual-time cool-down a *single* probe task is
-/// admitted (half-open). A clean probe closes the breaker; a probe-time
-/// fault re-opens it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerPolicy {
-    /// Consecutive detected faults on one node that open its breaker.
-    pub trip_after: u32,
-    /// Virtual time an open breaker waits before admitting a probe.
-    pub cooldown: SimDuration,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            trip_after: 2,
-            cooldown: SimDuration::from_micros(200),
-        }
-    }
-}
-
-impl BreakerPolicy {
-    /// Sets the trip threshold.
-    pub fn with_trip_after(mut self, n: u32) -> Self {
-        self.trip_after = n.max(1);
-        self
-    }
-
-    /// Sets the cool-down before a probe.
-    pub fn with_cooldown(mut self, d: SimDuration) -> Self {
-        self.cooldown = d;
-        self
-    }
-}
-
-/// Fault-aware control-plane knobs layered over [`RecoveryPolicy`]. All
-/// default **off**, so plain runs — and every existing equivalence
-/// golden — execute byte-for-byte the same code path.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FaultControlPolicy {
-    /// Per-tenant retry budgets (`None` = unbounded, the legacy
-    /// behavior). Budgets only bind request-tagged jobs: untagged batch
-    /// jobs have no tenant to charge.
-    pub retry_budget: Option<RetryBudgetPolicy>,
-    /// Per-node circuit breakers (`None` = placement never excludes a
-    /// faulty-but-up node).
-    pub breakers: Option<BreakerPolicy>,
-    /// When true, a request-tagged job whose task exhausts its retries
-    /// or budget fails *alone*: the job is marked failed in the report
-    /// (`RunReport::failed_jobs`) and the wave continues, instead of the
-    /// whole submission erroring out.
-    pub isolate_failures: bool,
-}
-
-impl FaultControlPolicy {
-    /// Enables per-tenant retry budgets.
-    pub fn with_retry_budget(mut self, p: RetryBudgetPolicy) -> Self {
-        self.retry_budget = Some(p);
-        self
-    }
-
-    /// Enables per-node circuit breakers.
-    pub fn with_breakers(mut self, p: BreakerPolicy) -> Self {
-        self.breakers = Some(p);
-        self
-    }
-
-    /// Lets request-tagged jobs fail individually instead of failing
-    /// the whole submission.
-    pub fn with_isolation(mut self) -> Self {
-        self.isolate_failures = true;
-        self
-    }
-}
-
 /// Configuration for a [`crate::Runtime`].
 ///
 /// The defaults are the paper's vision: declarative placement, HEFT
@@ -232,10 +129,20 @@ pub struct RuntimeConfig {
     /// How mid-task faults are detected and retried. Set wherever
     /// `faults` is.
     pub recovery: RecoveryPolicy,
-    /// Overload/fault control plane on top of `recovery`: retry
-    /// budgets, circuit breakers, failure isolation. Inert by default;
-    /// armed by `chaos_serve`.
-    pub fault_control: FaultControlPolicy,
+    /// The fault-control plane on top of `recovery`, as one switch
+    /// (the settings are constants in [`crate::breaker`]): per-tenant
+    /// retry budgets that fail a request fast with
+    /// [`crate::DisaggError::RetryBudgetExhausted`] instead of grinding
+    /// through the full `recovery` policy, per-node circuit breakers
+    /// that take a node that keeps faulting out of the candidate
+    /// ranking, and failure isolation — a request-tagged job whose task
+    /// exhausts its retries or budget fails *alone*
+    /// ([`crate::RunReport::failed_jobs`]) while the wave continues.
+    /// Budgets and isolation only bind request-tagged jobs: untagged
+    /// batch jobs have no tenant to charge. Off by default, so plain
+    /// runs execute the same code path as ever; turned on by
+    /// `chaos_serve`'s controlled runs.
+    pub fault_control: bool,
     /// Memory-aware admission control: when set, a submitted batch is
     /// split into waves so that each wave's *predicted* memory footprint
     /// stays below this fraction of the pool's free capacity. `None`
@@ -302,10 +209,10 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the overload/fault control plane (retry budgets, breakers,
+    /// Turns on the fault-control plane (retry budgets, breakers,
     /// failure isolation).
-    pub fn with_fault_control(mut self, fc: FaultControlPolicy) -> Self {
-        self.fault_control = fc;
+    pub fn with_fault_control(mut self) -> Self {
+        self.fault_control = true;
         self
     }
 
@@ -397,22 +304,5 @@ mod tests {
         assert!(!p.exhausted(3));
         assert!(p.exhausted(4));
         assert!(p.exhausted(100));
-    }
-
-    #[test]
-    fn fault_control_defaults_inert() {
-        let fc = FaultControlPolicy::default();
-        assert!(fc.retry_budget.is_none());
-        assert!(fc.breakers.is_none());
-        assert!(!fc.isolate_failures);
-        let armed = FaultControlPolicy::default()
-            .with_retry_budget(RetryBudgetPolicy::default().with_capacity(4))
-            .with_breakers(BreakerPolicy::default().with_trip_after(2))
-            .with_isolation();
-        assert_eq!(armed.retry_budget.unwrap().capacity, 4);
-        assert_eq!(armed.breakers.unwrap().trip_after, 2);
-        assert!(armed.isolate_failures);
-        let c = RuntimeConfig::default().with_fault_control(armed);
-        assert!(c.fault_control.isolate_failures);
     }
 }

@@ -59,7 +59,7 @@ pub enum DisaggError {
         attempts: u32,
     },
     /// A task was interrupted by a fault but its tenant's retry budget
-    /// (token bucket, [`crate::RetryBudgetPolicy`]) was empty: the
+    /// (token bucket, [`crate::RetryBudgets`]) was empty: the
     /// request fails fast instead of spending more of the
     /// [`crate::RecoveryPolicy`] cap during a fault storm.
     RetryBudgetExhausted {

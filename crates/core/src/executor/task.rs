@@ -9,10 +9,9 @@
 use std::cmp::Reverse;
 
 use disagg_dataflow::ctx::{Placer, TaskCtx, TaskRegions};
-use disagg_dataflow::job::JobSpec;
+use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_dataflow::task::{TaskError, TaskId, TaskSpec};
 use disagg_hwsim::compute::WorkClass;
-use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::fault::FaultKind;
 use disagg_hwsim::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -124,6 +123,98 @@ fn run_body_once(
     (acc.now, acc.stats, result)
 }
 
+/// How a task's declared region of `kind` comes to exist at `at`, for an
+/// attempt running on `compute`: properties from the region type and
+/// the task's resolved declarations, a device chosen by them — or `on`,
+/// the device an interrupted attempt's region lay on — then the
+/// allocation (zeroed, owned by the task), the audit of the placement,
+/// the `Alloc` event, and the entry in `placements` / `regions`. A kind
+/// the task declares no bytes for is skipped.
+#[allow(clippy::too_many_arguments)]
+fn create_declared(
+    rt: &mut Runtime,
+    w: &mut Wave,
+    spec: &JobSpec,
+    jid: JobId,
+    task: TaskId,
+    kind: PlacedKind,
+    on: Option<MemDeviceId>,
+    compute: ComputeId,
+    at: SimTime,
+    placements: &mut TaskPlacements,
+    regions: &mut TaskRegions<'_>,
+) -> Result<(), DisaggError> {
+    let tspec = &spec.tasks[task.index()];
+    let eff = tspec.props.effective(&spec.defaults);
+    let (bytes, rtype, what, slot) = match kind {
+        PlacedKind::PrivateScratch => (
+            tspec.private_scratch,
+            RegionType::PrivateScratch,
+            "private scratch",
+            &mut regions.private_scratch,
+        ),
+        PlacedKind::Output => {
+            (tspec.output_bytes, RegionType::Output, "output", &mut regions.output)
+        }
+        PlacedKind::GlobalScratch => (
+            tspec.global_scratch,
+            RegionType::GlobalScratch,
+            "global scratch",
+            &mut regions.global_scratch,
+        ),
+    };
+    if bytes == 0 {
+        return Ok(());
+    }
+    let mut props = rtype.properties();
+    props.confidential = eff.confidential;
+    let chosen = match kind {
+        PlacedKind::PrivateScratch => {
+            if let Some(latency) = eff.mem_latency {
+                props.latency = latency;
+            }
+            on.or_else(|| rt.engine.choose(&rt.topo, rt.mgr.pool(), compute, &props, bytes))
+        }
+        PlacedKind::Output => {
+            props.persistent = eff.persistent;
+            on.or_else(|| {
+                // Co-placement: every consumer must be able to address
+                // the output for handover to be a pure transfer.
+                w.accessors.clear();
+                w.accessors.push(compute);
+                for &s in spec.dag.successors(task) {
+                    if let Some(c) = w.schedule.assignment(jid, s) {
+                        if !w.accessors.contains(&c) {
+                            w.accessors.push(c);
+                        }
+                    }
+                }
+                // Failing that, producer-only placement (handover will
+                // copy).
+                rt.engine
+                    .choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, bytes)
+                    .or_else(|| rt.engine.choose(&rt.topo, rt.mgr.pool(), compute, &props, bytes))
+            })
+        }
+        PlacedKind::GlobalScratch => on.or_else(|| {
+            w.accessors.clear();
+            w.accessors.extend(
+                (0..spec.tasks.len()).filter_map(|t| w.schedule.assignment(jid, TaskId(t as u32))),
+            );
+            w.accessors.dedup();
+            rt.engine.choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, bytes)
+        }),
+    };
+    let dev = chosen.ok_or(DisaggError::Placement { job: jid, task, what })?;
+    let who = OwnerId::Task { job: jid.0, task: task.0 as u64 };
+    let id = rt.mgr.alloc(dev, bytes, rtype, props.clone(), who, at)?;
+    rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
+    rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes, at });
+    placements.push((kind, id, dev));
+    *slot = Some(id);
+    Ok(())
+}
+
 /// The first fault event in the closed attempt window `[from, to]`,
 /// past the progress cursor `after`, that interrupts an attempt running
 /// on `compute`: the node hosting it crashing, a device backing one of
@@ -143,11 +234,7 @@ fn first_interrupt(
     let node = rt.topo.node_of_compute(compute);
     let links: Vec<LinkId> = placements
         .iter()
-        .filter_map(|&(_, _, dev)| {
-            rt.topo
-                .access_cost_parts(compute, dev, 1, AccessOp::Read, AccessPattern::Sequential)
-                .and_then(|p| p.bottleneck_link)
-        })
+        .filter_map(|&(_, _, dev)| rt.topo.path(compute, dev)?.bottleneck_link)
         .collect();
     for (i, e) in rt.config.faults.events().iter().enumerate() {
         if e.at > to {
@@ -169,14 +256,25 @@ fn first_interrupt(
     None
 }
 
-/// The cheapest live candidate for (re)placing `task` at `at`,
-/// consulting the circuit-breaker bank when one is configured: nodes
-/// with open breakers are excluded from the ranking, a cooled-down
-/// breaker grants `key` its half-open probe slot (traced), and when
-/// *every* live candidate is breaker-blocked the pick falls back to
-/// plain liveness — breakers degrade placement quality, never
-/// availability. With breakers off this is exactly the legacy
-/// "cheapest candidate whose node is up" walk.
+/// Whether `node`'s circuit breaker lets the task `key` through at `at`
+/// — always, without a breaker bank. A cooled-down breaker grants `key`
+/// its half-open probe slot, which is traced.
+fn breaker_admits(rt: &mut Runtime, node: NodeId, at: SimTime, key: (u64, u64)) -> bool {
+    let Some(bank) = rt.breakers.as_mut() else {
+        return true;
+    };
+    let (ok, probe) = bank.allows(node, at, key);
+    if probe.is_some() {
+        rt.trace.push(TraceEvent::BreakerProbe { node, at });
+    }
+    ok
+}
+
+/// The cheapest live candidate for (re)placing `task` at `at`: the
+/// first in the scheduler's cost ranking whose node is up and whose
+/// breaker admits `key`. When *every* live candidate is breaker-blocked
+/// the pick falls back to plain liveness — breakers degrade placement
+/// quality, never availability.
 fn pick_candidate(
     rt: &mut Runtime,
     spec: &JobSpec,
@@ -191,27 +289,14 @@ fn pick_candidate(
         .into_iter()
         .map(|(c, _)| (c, rt.topo.node_of_compute(c)))
         .collect();
-    if let Some(bank) = rt.breakers.as_mut() {
-        let mut chosen = None;
-        for &(c, n) in &live {
-            let (ok, probe) = bank.allows(n, at, key);
-            if ok {
-                chosen = Some((c, n, probe.is_some()));
-                break;
-            }
-        }
-        if let Some((c, n, probed)) = chosen {
-            if probed {
-                rt.trace.push(TraceEvent::BreakerProbe { node: n, at });
-            }
-            return Some(c);
-        }
-    }
-    live.first().map(|&(c, _)| c)
+    live.iter()
+        .find(|&&(_, node)| breaker_admits(rt, node, at, key))
+        .or(live.first())
+        .map(|&(c, _)| c)
 }
 
 /// Fails a whole job fast under
-/// [`isolate_failures`](crate::FaultControlPolicy::isolate_failures):
+/// [`fault_control`](crate::RuntimeConfig::fault_control):
 /// the wave keeps draining, every not-yet-run task of the job is
 /// cancelled (its pending events commit as no-ops), the regions already
 /// handed over to cancelled tasks are scheduled for release, and the
@@ -270,27 +355,10 @@ pub(crate) fn enqueue(
     // breakers are configured) if its node's breaker is open.
     let mut compute = entry.compute;
     let key = (jid.0, u64::from(task.0));
-    if rt
-        .config
-        .faults
-        .node_down(rt.topo.node_of_compute(compute), at)
-    {
+    let node = rt.topo.node_of_compute(compute);
+    if rt.config.faults.node_down(node, at) || !breaker_admits(rt, node, at, key) {
         compute = pick_candidate(rt, &jobs[ji], task, at, key)
             .ok_or(DisaggError::NoComputeAvailable { job: jid, task })?;
-    } else if rt.breakers.is_some() {
-        let node = rt.topo.node_of_compute(compute);
-        let (ok, probed) = {
-            let bank = rt.breakers.as_mut().expect("checked above");
-            let (ok, probe) = bank.allows(node, at, key);
-            (ok, probe.is_some())
-        };
-        if probed {
-            rt.trace.push(TraceEvent::BreakerProbe { node, at });
-        }
-        if !ok {
-            compute = pick_candidate(rt, &jobs[ji], task, at, key)
-                .ok_or(DisaggError::NoComputeAvailable { job: jid, task })?;
-        }
     }
 
     rt.trace.push(TraceEvent::TaskQueued {
@@ -376,93 +444,10 @@ pub(crate) fn run_task(
         ..TaskRegions::default()
     };
 
-    if tspec.private_scratch > 0 {
-        let mut props = RegionType::PrivateScratch.properties();
-        if let Some(latency) = eff.mem_latency {
-            props.latency = latency;
-        }
-        props.confidential = eff.confidential;
-        let dev = rt
-            .engine
-            .choose(&rt.topo, rt.mgr.pool(), compute, &props, tspec.private_scratch)
-            .ok_or(DisaggError::Placement { job: jid, task, what: "private scratch" })?;
-        let id = rt.mgr.alloc(
-            dev,
-            tspec.private_scratch,
-            RegionType::PrivateScratch,
-            props.clone(),
-            who,
-            start,
+    for kind in [PlacedKind::PrivateScratch, PlacedKind::Output, PlacedKind::GlobalScratch] {
+        create_declared(
+            rt, w, spec, jid, task, kind, None, compute, start, &mut placements, &mut regions,
         )?;
-        rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
-        rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: tspec.private_scratch, at: start });
-        placements.push((PlacedKind::PrivateScratch, id, dev));
-        regions.private_scratch = Some(id);
-    }
-
-    if tspec.output_bytes > 0 {
-        let mut props = RegionType::Output.properties();
-        props.persistent = eff.persistent;
-        props.confidential = eff.confidential;
-        // Co-placement: every consumer must be able to address the
-        // output for handover to be a pure transfer.
-        w.accessors.clear();
-        w.accessors.push(compute);
-        for &s in spec.dag.successors(task) {
-            if let Some(c) = w.schedule.assignment(jid, s) {
-                if !w.accessors.contains(&c) {
-                    w.accessors.push(c);
-                }
-            }
-        }
-        let dev = rt
-            .engine
-            .choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, tspec.output_bytes)
-            .or_else(|| {
-                // Fall back to producer-only placement (handover will
-                // copy).
-                rt.engine
-                    .choose(&rt.topo, rt.mgr.pool(), compute, &props, tspec.output_bytes)
-            })
-            .ok_or(DisaggError::Placement { job: jid, task, what: "output" })?;
-        let id = rt.mgr.alloc(
-            dev,
-            tspec.output_bytes,
-            RegionType::Output,
-            props.clone(),
-            who,
-            start,
-        )?;
-        rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
-        rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: tspec.output_bytes, at: start });
-        placements.push((PlacedKind::Output, id, dev));
-        regions.output = Some(id);
-    }
-
-    if tspec.global_scratch > 0 {
-        let mut props = RegionType::GlobalScratch.properties();
-        props.confidential = eff.confidential;
-        w.accessors.clear();
-        w.accessors.extend(
-            (0..spec.tasks.len()).filter_map(|t| w.schedule.assignment(jid, TaskId(t as u32))),
-        );
-        w.accessors.dedup();
-        let dev = rt
-            .engine
-            .choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, tspec.global_scratch)
-            .ok_or(DisaggError::Placement { job: jid, task, what: "global scratch" })?;
-        let id = rt.mgr.alloc(
-            dev,
-            tspec.global_scratch,
-            RegionType::GlobalScratch,
-            props.clone(),
-            who,
-            start,
-        )?;
-        rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
-        rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: tspec.global_scratch, at: start });
-        placements.push((PlacedKind::GlobalScratch, id, dev));
-        regions.global_scratch = Some(id);
     }
 
     // --- Execute the body. ---
@@ -512,7 +497,7 @@ pub(crate) fn run_task(
                 None
             };
             if let Some(reason) = exhausted {
-                if rt.config.fault_control.isolate_failures && tenant.is_some() {
+                if rt.config.fault_control && tenant.is_some() {
                     fail_job(w, spec, ji, task, compute, lane, detect_at, reason);
                     return Ok(());
                 }
@@ -536,10 +521,9 @@ pub(crate) fn run_task(
             });
             // Charge the node that faulted; a trip excludes it from the
             // replacement ranking below (and from everyone else's).
-            if rt.breakers.is_some() {
+            if let Some(bank) = rt.breakers.as_mut() {
                 let node = rt.topo.node_of_compute(compute);
-                let tripped = rt.breakers.as_mut().and_then(|b| b.on_fault(node, detect_at));
-                if tripped.is_some() {
+                if bank.on_fault(node, detect_at).is_some() {
                     rt.trace.push(TraceEvent::BreakerTrip { node, at: detect_at });
                 }
             }
@@ -555,6 +539,32 @@ pub(crate) fn run_task(
                 at: relaunch_at,
                 lost: detect_at - attempt_start,
             });
+            // An interrupted attempt loses its work: the regions it
+            // allocated are released when the fault is detected and
+            // re-created, on the devices that attempt chose, when the
+            // task relaunches — the retry sees zeroed regions exactly as
+            // the first attempt did, never its own partial results.
+            let lost = std::mem::take(&mut placements);
+            for &(_, id, dev) in &lost {
+                let bytes = rt.mgr.placement(id)?.size;
+                rt.mgr.release(id, who)?;
+                rt.trace.push(TraceEvent::Free { region: id.0, dev, bytes, at: detect_at });
+            }
+            for &(kind, _, dev) in &lost {
+                create_declared(
+                    rt,
+                    w,
+                    spec,
+                    jid,
+                    task,
+                    kind,
+                    Some(dev),
+                    replacement,
+                    relaunch_at,
+                    &mut placements,
+                    &mut regions,
+                )?;
+            }
             compute = replacement;
             attempt_start = relaunch_at;
             let (f, s, r) = run_body_once(
@@ -611,14 +621,9 @@ pub(crate) fn run_task(
     });
     // A clean finish heals: the node's strike count resets, and any
     // breaker this task held a half-open probe slot on closes.
-    if rt.breakers.is_some() {
+    if let Some(bank) = rt.breakers.as_mut() {
         let node = rt.topo.node_of_compute(compute);
-        let closed = rt
-            .breakers
-            .as_mut()
-            .map(|b| b.on_success(node, (jid.0, u64::from(task.0)), finish))
-            .unwrap_or_default();
-        for t in closed {
+        for t in bank.on_success(node, (jid.0, u64::from(task.0)), finish) {
             rt.trace.push(TraceEvent::BreakerClose { node: t.node, at: finish });
         }
     }
@@ -632,6 +637,17 @@ pub(crate) fn run_task(
     // --- Handover to successors: emit one EdgeDone per outgoing edge
     // at the instant the consumer can actually address the data. ---
     let succs = spec.dag.successors(task);
+    // When an edge to `s` releases: a streaming producer feeding a
+    // streaming consumer over a `pipelined` edge lets the consumer start
+    // on the first chunk while its own tail is still streaming.
+    let release_to = |s: TaskId, pipelined: bool| {
+        let consumer_streams = spec.tasks[s.index()].props.effective(&spec.defaults).streaming;
+        if pipelined && eff.streaming && consumer_streams {
+            start + (finish - start) / PIPELINE_DEPTH
+        } else {
+            finish
+        }
+    };
     if let Some(out) = regions.output {
         if succs.is_empty() {
             if eff.persistent {
@@ -689,29 +705,15 @@ pub(crate) fn run_task(
             }
             let gs0 = w.gx(ji, s0);
             w.push_input(gs0, o.region);
-            let consumer_streams =
-                spec.tasks[s0.index()].props.effective(&spec.defaults).streaming;
-            let release = if o.transferred && eff.streaming && consumer_streams {
-                // Pipelined edge: the consumer may start on the first
-                // chunk while the producer's tail is still streaming.
-                start + (finish - start) / PIPELINE_DEPTH
-            } else {
-                finish
-            };
+            // Only a pure ownership transfer can pipeline.
+            let release = release_to(s0, o.transferred);
             w.push_event(release + o.took, EventKind::EdgeDone { ji, task: s0 });
         }
     } else {
         // No output region: successors are gated on (pipelined) finish
         // alone.
         for &s in succs {
-            let consumer_streams =
-                spec.tasks[s.index()].props.effective(&spec.defaults).streaming;
-            let release = if eff.streaming && consumer_streams {
-                start + (finish - start) / PIPELINE_DEPTH
-            } else {
-                finish
-            };
-            w.push_event(release, EventKind::EdgeDone { ji, task: s });
+            w.push_event(release_to(s, true), EventKind::EdgeDone { ji, task: s });
         }
     }
 
@@ -719,19 +721,11 @@ pub(crate) fn run_task(
     // use them; app-published ones get App scope so later *jobs* can.
     // Everything else the task still owns is released (the §2.3
     // lifetime rule) when virtual time passes its finish.
-    for &r in rt.app_published.values() {
-        if rt.mgr.is_live(r)
-            && rt.mgr.meta(r).map(|m| m.ownership.is_owner(who)).unwrap_or(false)
-        {
-            rt.mgr.transfer(r, who, OwnerId::App)?;
-        }
-    }
-    let job_published: Vec<RegionId> = w.published[ji].values().copied().collect();
-    for r in job_published {
-        if rt.mgr.is_live(r)
-            && rt.mgr.meta(r).map(|m| m.ownership.is_owner(who)).unwrap_or(false)
-        {
-            rt.mgr.transfer(r, who, OwnerId::Job(jid.0))?;
+    let app = rt.app_published.values().map(|&r| (r, OwnerId::App));
+    let job = w.published[ji].values().map(|&r| (r, OwnerId::Job(jid.0)));
+    for (r, scope) in app.chain(job) {
+        if rt.mgr.meta(r).is_ok_and(|m| m.ownership.is_owner(who)) {
+            rt.mgr.transfer(r, who, scope)?;
         }
     }
     w.defer_exit(finish, who);

@@ -48,9 +48,7 @@ pub mod runtime;
 pub mod submission;
 
 pub use breaker::{BreakerBank, BreakerState, BreakerTransition, RetryBudgets};
-pub use config::{
-    BreakerPolicy, FaultControlPolicy, RecoveryPolicy, RetryBudgetPolicy, RuntimeConfig,
-};
+pub use config::{RecoveryPolicy, RuntimeConfig};
 pub use error::{DisaggError, RuntimeError};
 pub use profile::{RunProfile, TaskProfile};
 pub use report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
@@ -64,9 +62,7 @@ pub use disagg_obs as obs;
 /// Everything an application or experiment typically imports.
 pub mod prelude {
     pub use crate::breaker::{BreakerBank, BreakerState, BreakerTransition, RetryBudgets};
-    pub use crate::config::{
-        BreakerPolicy, FaultControlPolicy, RecoveryPolicy, RetryBudgetPolicy, RuntimeConfig,
-    };
+    pub use crate::config::{RecoveryPolicy, RuntimeConfig};
     pub use crate::error::{DisaggError, RuntimeError};
     pub use crate::profile::{RunProfile, TaskProfile};
     pub use crate::report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};

@@ -22,6 +22,7 @@
 use disagg_hwsim::fx::FxHashMap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
+use disagg_hwsim::compute::HOST_DECODE_NS_PER_BYTE;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -56,12 +57,12 @@ pub struct Runtime {
     pub(crate) hotness: HotnessTracker,
     /// Application-scope named regions published across jobs.
     pub(crate) app_published: FxHashMap<String, RegionId>,
-    /// Per-node circuit breakers — `Some` only when
-    /// [`crate::FaultControlPolicy::breakers`] is configured. Mutated
-    /// exclusively from the executor's commit path.
+    /// Per-node circuit breakers — `Some` only under
+    /// [`RuntimeConfig::fault_control`]. Mutated exclusively from the
+    /// executor's commit path.
     pub(crate) breakers: Option<BreakerBank>,
-    /// Per-tenant retry-budget buckets — `Some` only when
-    /// [`crate::FaultControlPolicy::retry_budget`] is configured.
+    /// Per-tenant retry-budget buckets — `Some` only under
+    /// [`RuntimeConfig::fault_control`].
     pub(crate) retry_budgets: Option<RetryBudgets>,
     pub(crate) next_job: u64,
     pub(crate) clock: SimTime,
@@ -92,8 +93,8 @@ impl Runtime {
             auditor: Auditor::new(),
             hotness: HotnessTracker::new(),
             app_published: FxHashMap::default(),
-            breakers: config.fault_control.breakers.map(BreakerBank::new),
-            retry_budgets: config.fault_control.retry_budget.map(RetryBudgets::new),
+            breakers: config.fault_control.then(BreakerBank::default),
+            retry_budgets: config.fault_control.then(RetryBudgets::default),
             next_job: 0,
             clock: SimTime::ZERO,
             topo,
@@ -223,23 +224,11 @@ impl Runtime {
                 what: "admission watermark is not a finite number",
             });
         }
-        if let Some(offs) = &offsets {
-            if offs.len() != jobs.len() {
-                return Err(DisaggError::Submission {
-                    jobs: jobs.len(),
-                    offsets: offs.len(),
-                });
-            }
-        }
-        if let Some(tags) = &tags {
-            if tags.len() != jobs.len() {
-                return Err(DisaggError::Submission {
-                    jobs: jobs.len(),
-                    offsets: tags.len(),
-                });
-            }
-        }
         let n = jobs.len();
+        let attached = [offsets.as_ref().map(Vec::len), tags.as_ref().map(Vec::len)];
+        if let Some(len) = attached.into_iter().flatten().find(|&len| len != n) {
+            return Err(DisaggError::Submission { jobs: n, offsets: len });
+        }
         let offsets = offsets.unwrap_or_else(|| vec![SimDuration::ZERO; n]);
         let tags: Vec<Option<(u64, u64)>> = match tags {
             Some(t) => t.into_iter().map(Some).collect(),
@@ -248,9 +237,7 @@ impl Runtime {
         let report = self.run_waves(jobs, offsets, tags, watermark)?;
         // Online reconstruction: heal persistent regions whose device
         // died during the run (a no-op without scheduled faults).
-        if !self.config.faults.is_empty() {
-            self.heal_failed_persistent()?;
-        }
+        self.heal_failed_persistent()?;
         Ok(report)
     }
 
@@ -281,16 +268,18 @@ impl Runtime {
         let mut wave_offsets: Vec<SimDuration> = Vec::new();
         let mut wave_tags: Vec<Option<(u64, u64)>> = Vec::new();
         let mut wave_bytes = 0u64;
-        type Pending = (JobSpec, SimDuration, Option<(u64, u64)>);
-        let mut queue: std::collections::VecDeque<Pending> = jobs
-            .into_iter()
-                .zip(offsets)
-                .zip(tags)
-                .map(|((j, o), t)| (j, o, t))
-                .collect();
-        while let Some((job, offset, tag)) = queue.pop_front() {
-            let fp = Self::predicted_footprint(&job);
-            if !wave.is_empty() && wave_bytes + fp > budget {
+        let mut queue = jobs.into_iter().zip(offsets).zip(tags).peekable();
+        while let Some(((job, offset), tag)) = queue.next() {
+            wave_bytes += Self::predicted_footprint(&job);
+            wave.push(job);
+            wave_offsets.push(offset);
+            wave_tags.push(tag);
+            // The wave closes when the next job would overflow the
+            // budget, or when there is no next job.
+            let closes = queue
+                .peek()
+                .is_none_or(|((next, _), _)| wave_bytes + Self::predicted_footprint(next) > budget);
+            if closes {
                 let start = self.clock;
                 let offs: Vec<SimDuration> =
                     wave_offsets.drain(..).map(|o| (t0 + o) - start).collect();
@@ -303,24 +292,9 @@ impl Runtime {
                 combined.absorb(report);
                 wave_bytes = 0;
             }
-            wave_bytes += fp;
-            wave.push(job);
-            wave_offsets.push(offset);
-            wave_tags.push(tag);
-        }
-        if !wave.is_empty() {
-            let start = self.clock;
-            let offs: Vec<SimDuration> =
-                wave_offsets.drain(..).map(|o| (t0 + o) - start).collect();
-            let report = crate::executor::run_wave(self, wave, offs, wave_tags)?;
-            combined.absorb(report);
         }
         Ok(combined)
     }
-
-    /// Modelled repair arithmetic for online reconstruction, mirroring
-    /// the region layer's host-side decode cost.
-    const HEAL_DECODE_NS_PER_BYTE: f64 = 0.5;
 
     /// Online reconstruction after device loss (Challenge 8(3)): every
     /// App-scoped region whose backing device has failed by the current
@@ -372,9 +346,8 @@ impl Runtime {
                 placement.size as f64,
                 self.topo.mem(dev).write_bw_bpns,
             );
-            let decode = SimDuration::from_nanos_f64(
-                placement.size as f64 * Self::HEAL_DECODE_NS_PER_BYTE,
-            );
+            let decode =
+                SimDuration::from_nanos_f64(placement.size as f64 * HOST_DECODE_NS_PER_BYTE);
             let took = (fin - now) + decode;
             self.trace.push(TraceEvent::Reconstruct {
                 region: id.0,

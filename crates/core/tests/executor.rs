@@ -567,6 +567,73 @@ fn mid_task_node_crash_retries_on_a_survivor() {
 }
 
 #[test]
+fn an_interrupted_attempt_leaves_nothing_in_the_retrys_scratch() {
+    // The body read-modify-writes a counter in its private scratch. A
+    // node crash halfway through loses the attempt; the retry must see
+    // zeroed scratch exactly as the first attempt did, so the output is
+    // the fault-free one — not the lost attempt's count plus one.
+    use disagg_hwsim::trace::TraceEvent;
+    use disagg_region::region::OwnerId;
+    let mk_job = || {
+        let mut j = JobBuilder::new("counter");
+        j.task(
+            TaskSpec::new("count")
+                .require(ComputeKind::Cpu)
+                .work(WorkClass::Scalar, 2_000_000)
+                .private_scratch(1 << 20)
+                .output_bytes(8)
+                .persistent(true)
+                .body(|ctx| {
+                    let mut counter = [0u8; 8];
+                    ctx.scratch_read(0, &mut counter)?;
+                    let bumped = u64::from_le_bytes(counter) + 1;
+                    ctx.scratch_write(0, &bumped.to_le_bytes())?;
+                    ctx.compute(WorkClass::Scalar, 2_000_000);
+                    ctx.scratch_read(0, &mut counter)?;
+                    ctx.write_output(0, &counter)?;
+                    Ok(())
+                }),
+        );
+        j.build().unwrap()
+    };
+    let output = |rt: &Runtime, report: &RunReport| {
+        let (_, region, _) = report.tasks[0]
+            .placements
+            .iter()
+            .find(|(kind, _, _)| *kind == "output")
+            .expect("the task declares an output");
+        rt.manager().bytes(*region, OwnerId::App).expect("persistent output").to_vec()
+    };
+
+    let (topo, rack) = disaggregated_rack(2, 32, 2, 64);
+    let victim = topo.node_of_compute(rack.cpus[0]);
+    let mut healthy_rt = Runtime::new(topo.clone(), RuntimeConfig::traced());
+    let healthy = healthy_rt.execute(mk_job()).unwrap();
+    let want = output(&healthy_rt, &healthy);
+    assert_eq!(want, 1u64.to_le_bytes());
+
+    let t = &healthy.tasks[0];
+    assert_eq!(healthy_rt.topology().node_of_compute(t.compute), victim);
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: t.start + t.duration() / 2,
+        kind: FaultKind::NodeCrash(victim),
+    }]);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_faults(faults));
+    let report = rt.execute(mk_job()).unwrap();
+    let retries = rt
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::TaskRetry { .. }))
+        .count();
+    assert_eq!(retries, 1, "the crash interrupts the attempt once");
+    assert_eq!(output(&rt, &report), want, "the retry's answer is the fault-free one");
+    // The lost attempt's regions were released, not leaked: only the
+    // persistent output outlives the run, as in the healthy run.
+    assert_eq!(rt.manager().live_count(), healthy_rt.manager().live_count());
+}
+
+#[test]
 fn arrivals_gate_job_starts_and_makespan_extends_past_the_last_one() {
     let (topo, _) = single_server();
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());

@@ -23,6 +23,7 @@
 //! serves surviving spans from the pool and decodes just the lost windows
 //! straight into the caller's buffer; recovery decodes the one lost span.
 
+use disagg_hwsim::compute::HOST_DECODE_NS_PER_BYTE;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::MemDeviceId;
@@ -54,7 +55,7 @@ impl ParityEngine {
     /// of the model, independent of the host's [`crate::gf256`] speed.
     pub fn ns_per_byte(self) -> f64 {
         match self {
-            ParityEngine::Host => 0.5,
+            ParityEngine::Host => HOST_DECODE_NS_PER_BYTE,
             ParityEngine::Offload => 0.05,
         }
     }

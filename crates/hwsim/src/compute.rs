@@ -10,6 +10,12 @@
 use crate::ids::MemDeviceId;
 use crate::time::SimDuration;
 
+/// Modelled cost of GF(2⁸) decode arithmetic on a host CPU, nanoseconds
+/// per byte: what erasure-coded parity and decode (`ftol`'s host parity
+/// engine), transparent reconstruction under a read (`region`) and
+/// online healing after device loss (`core`) all charge.
+pub const HOST_DECODE_NS_PER_BYTE: f64 = 0.5;
+
 /// The classes of compute devices in the disaggregated pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ComputeKind {

@@ -9,6 +9,7 @@
 //! *orderings and ratios* Table 1 expresses with `++`/`--` symbols.
 
 use crate::time::SimDuration;
+use crate::topology::{AccessCostParts, PathCost};
 
 /// The device classes of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -364,29 +365,15 @@ impl MemDeviceModel {
         bytes.div_ceil(self.granularity) * self.granularity
     }
 
-    /// Uncontended cost of one access at the device itself.
+    /// Uncontended cost of one access at the device itself: the cost
+    /// model's formula ([`AccessCostParts::of`]) over the zero-cost
+    /// local path.
     ///
     /// Random accesses pay full latency plus the (granularity-rounded)
     /// transfer; sequential accesses amortize latency over the stream and
     /// are bandwidth-bound, paying latency once.
     pub fn access_cost(&self, bytes: u64, op: AccessOp, pattern: AccessPattern) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        let eff = self.effective_bytes(bytes) as f64;
-        let transfer = eff / self.bandwidth(op);
-        let ns = match pattern {
-            AccessPattern::Random => {
-                // Each access unit pays device latency independently. The
-                // unit is the device granularity, floored at a cache line:
-                // byte-granular devices still move whole lines per access.
-                let unit = self.granularity.max(64) as f64;
-                let accesses = (eff / unit).max(1.0).ceil();
-                accesses * self.latency(op) + transfer
-            }
-            AccessPattern::Sequential => self.latency(op) + transfer,
-        };
-        SimDuration::from_nanos_f64(ns)
+        AccessCostParts::of(self, PathCost::LOCAL, bytes, op, pattern).total()
     }
 }
 

@@ -176,6 +176,48 @@ pub struct AccessCostParts {
 }
 
 impl AccessCostParts {
+    /// The cost model's one access formula: `bytes` of `op` on `dev`
+    /// reached over `path`. Random accesses pay the per-access latency
+    /// (device plus path) once per access unit — the device granularity,
+    /// floored at a cache line, since byte-granular devices still move
+    /// whole lines; sequential accesses pay it once. Either way the
+    /// granularity-rounded bytes stream at the narrower of the device's
+    /// and the path's bandwidth.
+    pub fn of(
+        dev: &MemDeviceModel,
+        path: PathCost,
+        bytes: u64,
+        op: AccessOp,
+        pattern: AccessPattern,
+    ) -> AccessCostParts {
+        if bytes == 0 {
+            return AccessCostParts {
+                latency_ns: 0.0,
+                eff_bytes: 0,
+                bandwidth_bpns: f64::INFINITY,
+                bottleneck_link: None,
+                link_bandwidth_bpns: f64::INFINITY,
+            };
+        }
+        let eff = dev.effective_bytes(bytes);
+        let per_access_lat = dev.latency(op) + path.latency_ns;
+        let latency_ns = match pattern {
+            AccessPattern::Random => {
+                let unit = dev.granularity.max(64) as f64;
+                let accesses = (eff as f64 / unit).max(1.0).ceil();
+                accesses * per_access_lat
+            }
+            AccessPattern::Sequential => per_access_lat,
+        };
+        AccessCostParts {
+            latency_ns,
+            eff_bytes: eff,
+            bandwidth_bpns: dev.bandwidth(op).min(path.bandwidth_bpns),
+            bottleneck_link: path.bottleneck_link,
+            link_bandwidth_bpns: path.bandwidth_bpns,
+        }
+    }
+
     /// The uncontended total cost implied by the parts.
     pub fn total(&self) -> SimDuration {
         if self.eff_bytes == 0 {
@@ -311,7 +353,8 @@ impl Topology {
         self.path(compute, mem).is_some()
     }
 
-    /// Decomposed cost of an access from `compute` to `mem`: the latency
+    /// Decomposed cost of an access from `compute` to `mem`
+    /// ([`AccessCostParts::of`] over the resolved path): the latency
     /// component (paid per access), the effective bytes after granularity
     /// rounding, and the bottleneck bandwidth. The contention layer charges
     /// the bandwidth component against the device's ledger; latency is
@@ -327,39 +370,13 @@ impl Topology {
         pattern: AccessPattern,
     ) -> Option<AccessCostParts> {
         let path = self.path(compute, mem)?;
-        let dev = self.mem(mem);
-        if bytes == 0 {
-            return Some(AccessCostParts {
-                latency_ns: 0.0,
-                eff_bytes: 0,
-                bandwidth_bpns: f64::INFINITY,
-                bottleneck_link: None,
-                link_bandwidth_bpns: f64::INFINITY,
-            });
-        }
-        let eff = dev.effective_bytes(bytes);
-        let bw = dev.bandwidth(op).min(path.bandwidth_bpns);
-        let per_access_lat = dev.latency(op) + path.latency_ns;
-        let latency_ns = match pattern {
-            AccessPattern::Random => {
-                let unit = dev.granularity.max(64) as f64;
-                let accesses = (eff as f64 / unit).max(1.0).ceil();
-                accesses * per_access_lat
-            }
-            AccessPattern::Sequential => per_access_lat,
-        };
-        Some(AccessCostParts {
-            latency_ns,
-            eff_bytes: eff,
-            bandwidth_bpns: bw,
-            bottleneck_link: path.bottleneck_link,
-            link_bandwidth_bpns: path.bandwidth_bpns,
-        })
+        Some(AccessCostParts::of(self.mem(mem), path, bytes, op, pattern))
     }
 
     /// Uncontended cost of an access from `compute` to `mem`, including
-    /// interconnect hops. This is the canonical cost primitive used by the
-    /// region access interfaces and the scheduler's cost model.
+    /// interconnect hops: the total of [`Topology::access_cost_parts`].
+    /// This is the canonical cost primitive used by the region access
+    /// interfaces and the scheduler's cost model.
     ///
     /// Returns `None` if the memory is unreachable from the compute device.
     pub fn access_cost(
@@ -370,25 +387,8 @@ impl Topology {
         op: AccessOp,
         pattern: AccessPattern,
     ) -> Option<SimDuration> {
-        let path = self.path(compute, mem)?;
-        let dev = self.mem(mem);
-        if bytes == 0 {
-            return Some(SimDuration::ZERO);
-        }
-        let eff = dev.effective_bytes(bytes) as f64;
-        let bw = dev.bandwidth(op).min(path.bandwidth_bpns);
-        let transfer = eff / bw;
-        let per_access_lat = dev.latency(op) + path.latency_ns;
-        let ns = match pattern {
-            AccessPattern::Random => {
-                // Unit floored at a cache line, matching the device model.
-                let unit = dev.granularity.max(64) as f64;
-                let accesses = (eff / unit).max(1.0).ceil();
-                accesses * per_access_lat + transfer
-            }
-            AccessPattern::Sequential => per_access_lat + transfer,
-        };
-        Some(SimDuration::from_nanos_f64(ns))
+        self.access_cost_parts(compute, mem, bytes, op, pattern)
+            .map(|parts| parts.total())
     }
 
     /// Uncontended cost of copying `bytes` from one memory device to
@@ -799,19 +799,152 @@ mod tests {
         assert_eq!(t.total_mem_capacity(), cap);
     }
 
+    /// The three access-cost formulas as they were written out before
+    /// [`AccessCostParts::of`] became the one formula, kept verbatim as
+    /// the reference the entry points are held to bit for bit.
+    mod reference {
+        use super::*;
+
+        pub fn device_access_cost(
+            dev: &MemDeviceModel,
+            bytes: u64,
+            op: AccessOp,
+            pattern: AccessPattern,
+        ) -> SimDuration {
+            if bytes == 0 {
+                return SimDuration::ZERO;
+            }
+            let eff = dev.effective_bytes(bytes) as f64;
+            let transfer = eff / dev.bandwidth(op);
+            let ns = match pattern {
+                AccessPattern::Random => {
+                    let unit = dev.granularity.max(64) as f64;
+                    let accesses = (eff / unit).max(1.0).ceil();
+                    accesses * dev.latency(op) + transfer
+                }
+                AccessPattern::Sequential => dev.latency(op) + transfer,
+            };
+            SimDuration::from_nanos_f64(ns)
+        }
+
+        pub fn access_cost_parts(
+            t: &Topology,
+            compute: ComputeId,
+            mem: MemDeviceId,
+            bytes: u64,
+            op: AccessOp,
+            pattern: AccessPattern,
+        ) -> Option<AccessCostParts> {
+            let path = t.path(compute, mem)?;
+            let dev = t.mem(mem);
+            if bytes == 0 {
+                return Some(AccessCostParts {
+                    latency_ns: 0.0,
+                    eff_bytes: 0,
+                    bandwidth_bpns: f64::INFINITY,
+                    bottleneck_link: None,
+                    link_bandwidth_bpns: f64::INFINITY,
+                });
+            }
+            let eff = dev.effective_bytes(bytes);
+            let bw = dev.bandwidth(op).min(path.bandwidth_bpns);
+            let per_access_lat = dev.latency(op) + path.latency_ns;
+            let latency_ns = match pattern {
+                AccessPattern::Random => {
+                    let unit = dev.granularity.max(64) as f64;
+                    let accesses = (eff as f64 / unit).max(1.0).ceil();
+                    accesses * per_access_lat
+                }
+                AccessPattern::Sequential => per_access_lat,
+            };
+            Some(AccessCostParts {
+                latency_ns,
+                eff_bytes: eff,
+                bandwidth_bpns: bw,
+                bottleneck_link: path.bottleneck_link,
+                link_bandwidth_bpns: path.bandwidth_bpns,
+            })
+        }
+
+        pub fn access_cost(
+            t: &Topology,
+            compute: ComputeId,
+            mem: MemDeviceId,
+            bytes: u64,
+            op: AccessOp,
+            pattern: AccessPattern,
+        ) -> Option<SimDuration> {
+            let path = t.path(compute, mem)?;
+            let dev = t.mem(mem);
+            if bytes == 0 {
+                return Some(SimDuration::ZERO);
+            }
+            let eff = dev.effective_bytes(bytes) as f64;
+            let bw = dev.bandwidth(op).min(path.bandwidth_bpns);
+            let transfer = eff / bw;
+            let per_access_lat = dev.latency(op) + path.latency_ns;
+            let ns = match pattern {
+                AccessPattern::Random => {
+                    let unit = dev.granularity.max(64) as f64;
+                    let accesses = (eff / unit).max(1.0).ceil();
+                    accesses * per_access_lat + transfer
+                }
+                AccessPattern::Sequential => per_access_lat + transfer,
+            };
+            Some(SimDuration::from_nanos_f64(ns))
+        }
+    }
+
     #[test]
-    fn access_cost_parts_total_matches_access_cost() {
-        let t = tiny();
-        let parts = t
-            .access_cost_parts(ComputeId(0), MemDeviceId(1), 1 << 20, AccessOp::Read, AccessPattern::Sequential)
-            .unwrap();
-        let total = t
-            .access_cost(ComputeId(0), MemDeviceId(1), 1 << 20, AccessOp::Read, AccessPattern::Sequential)
-            .unwrap();
-        assert_eq!(parts.total(), total);
-        let zero = t
-            .access_cost_parts(ComputeId(0), MemDeviceId(1), 0, AccessOp::Read, AccessPattern::Random)
-            .unwrap();
-        assert_eq!(zero.total(), SimDuration::ZERO);
+    fn the_three_access_cost_entry_points_match_the_written_out_formulas() {
+        // Every preset device one hop from the CPU, and every one of
+        // them again from the GPU across the hub (three hops).
+        let mut b = Topology::builder();
+        let n = b.node("host");
+        let cpu = b.compute(n, ComputeModel::preset(ComputeKind::Cpu));
+        let gpu = b.compute(n, ComputeModel::preset(ComputeKind::Gpu));
+        b.link(cpu, Endpoint::Hub(n), LinkKind::PcieCxl);
+        b.link(gpu, Endpoint::Hub(n), LinkKind::PcieCxl);
+        for kind in MemDeviceKind::ALL {
+            let dev = b.mem(n, MemDeviceModel::preset(kind));
+            b.link(cpu, dev, LinkKind::MemBus);
+        }
+        let t = b.build().expect("valid topology");
+        assert!(t.path(gpu, MemDeviceId(0)).unwrap().hops > 1, "a multi-hop path");
+
+        let bits = |p: AccessCostParts| {
+            (
+                p.latency_ns.to_bits(),
+                p.eff_bytes,
+                p.bandwidth_bpns.to_bits(),
+                p.bottleneck_link,
+                p.link_bandwidth_bpns.to_bits(),
+            )
+        };
+        for mem in t.mem_ids() {
+            for op in [AccessOp::Read, AccessOp::Write] {
+                for pattern in [AccessPattern::Random, AccessPattern::Sequential] {
+                    for bytes in [0, 1, 63, 64, 4 << 10, 1 << 30] {
+                        let what = format!("{:?} {op:?} {pattern:?} {bytes} B", t.mem(mem).kind);
+                        assert_eq!(
+                            t.mem(mem).access_cost(bytes, op, pattern),
+                            reference::device_access_cost(t.mem(mem), bytes, op, pattern),
+                            "device-local {what}"
+                        );
+                        for from in [cpu, gpu] {
+                            let parts = t.access_cost_parts(from, mem, bytes, op, pattern).unwrap();
+                            let want =
+                                reference::access_cost_parts(&t, from, mem, bytes, op, pattern).unwrap();
+                            assert_eq!(bits(parts), bits(want), "parts from {from:?}: {what}");
+                            assert_eq!(
+                                t.access_cost(from, mem, bytes, op, pattern),
+                                reference::access_cost(&t, from, mem, bytes, op, pattern),
+                                "total from {from:?}: {what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

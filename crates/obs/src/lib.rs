@@ -45,7 +45,9 @@ pub use export::{
     chrome_trace, exemplar_chrome_trace, folded_stacks, serving_chrome_trace,
     validate_chrome_trace, ChromeTraceStats,
 };
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{
+    nearest_rank, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+};
 pub use observer::{CollectingObserver, FullObserver, Observer, ObserverSlot};
 pub use request::{
     assemble_request_spans, slo_burn, slo_burn_by, tail_attribution, Attribution, BurnWindow,

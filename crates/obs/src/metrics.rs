@@ -78,14 +78,16 @@ impl Histogram {
         }
     }
 
-    /// Deterministic percentile estimate (`p` in `[0, 1]`): locates the
-    /// bucket holding the p-quantile's rank, then linearly interpolates
-    /// *within* the bucket assuming its values spread evenly over
-    /// `[lo, hi]` — the `pos`-th of `n` values lands at
+    /// Deterministic percentile estimate (`p` in `[0, 1]`) for when the
+    /// samples themselves were not kept (the [`MetricsRegistry`]); with
+    /// the samples in hand, use [`nearest_rank`], the one percentile
+    /// definition. Locates the bucket holding the same rank
+    /// `nearest_rank` reads — so the estimate and the exact value share
+    /// a log2 bucket and differ by less than 2× — then linearly
+    /// interpolates *within* the bucket assuming its values spread
+    /// evenly over `[lo, hi]`: the `pos`-th of `n` values lands at
     /// `lo + span * pos / (n + 1)`. Integer math throughout, so the
-    /// estimate is bit-for-bit reproducible; before this interpolation
-    /// the function returned the bucket's upper bound, quantizing every
-    /// percentile to a power of two.
+    /// estimate is bit-for-bit reproducible.
     pub fn quantile_bound(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -108,6 +110,17 @@ impl Histogram {
     }
 }
 
+/// The `p`-quantile (`p` in `[0, 1]`) of ascending-`sorted` samples by
+/// nearest rank: the sample at 1-based rank `ceil(p·n)`, an exact order
+/// statistic. This is the one percentile definition — serving's p50/p99,
+/// SLO verdicts and tail attribution all read it. `None` when there are
+/// no samples.
+pub fn nearest_rank(sorted: &[u64], p: f64) -> Option<u64> {
+    let n = sorted.len();
+    let rank = ((p * n as f64).ceil() as usize).min(n);
+    sorted.get(rank.max(1) - 1).copied()
+}
+
 /// An immutable histogram summary carried in snapshots.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
@@ -119,9 +132,9 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest value.
     pub max: u64,
-    /// p50 bucket upper bound.
+    /// p50 estimate ([`Histogram::quantile_bound`]).
     pub p50: u64,
-    /// p99 bucket upper bound.
+    /// p99 estimate ([`Histogram::quantile_bound`]).
     pub p99: u64,
     /// Non-empty log2 buckets as `(bucket_index, occupancy)`.
     pub buckets: Vec<(u8, u64)>,
@@ -414,6 +427,50 @@ mod tests {
         assert!(h.quantile_bound(0.5) >= 4);
         assert!(h.quantile_bound(0.99) >= 1024);
         assert_eq!(Histogram::default().quantile_bound(0.5), 0);
+    }
+
+    #[test]
+    fn nearest_rank_is_the_exact_order_statistic() {
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&v, 0.50), Some(50));
+        assert_eq!(nearest_rank(&v, 0.99), Some(99));
+        assert_eq!(nearest_rank(&v, 1.0), Some(100));
+        assert_eq!(nearest_rank(&[7], 0.99), Some(7));
+        // Nearest rank never interpolates: 4 samples, p50 is the 2nd.
+        assert_eq!(nearest_rank(&[10, 20, 30, 40], 0.50), Some(20));
+        assert_eq!(nearest_rank(&[10, 20, 30, 40], 0.75), Some(30));
+        assert_eq!(nearest_rank(&[10, 20, 30, 40], 0.76), Some(40));
+        // p = 0 is the minimum, not rank zero.
+        assert_eq!(nearest_rank(&[10, 20, 30, 40], 0.0), Some(10));
+        // No samples, no percentile — a typed answer, not a panic.
+        assert_eq!(nearest_rank(&[], 0.99), None);
+    }
+
+    /// The bound `quantile_bound` can promise without the samples: its
+    /// estimate lands in the log2 bucket that holds the exact order
+    /// statistic, so the two differ by less than 2×.
+    #[test]
+    fn quantile_bound_shares_a_log2_bucket_with_the_exact_value() {
+        let mut rng = disagg_hwsim::rng::SimRng::new(0x9a471e);
+        for n in [1usize, 2, 7, 64, 1_000] {
+            // Spread over ~40 octaves so most buckets hold a few values.
+            let mut samples: Vec<u64> =
+                (0..n).map(|_| rng.next_u64() >> rng.next_below(40)).collect();
+            let mut h = Histogram::default();
+            for &v in &samples {
+                h.observe(v);
+            }
+            samples.sort_unstable();
+            for p in [0.0, 0.01, 0.25, 0.50, 0.75, 0.90, 0.99, 1.0] {
+                let exact = nearest_rank(&samples, p).expect("n >= 1");
+                let bound = h.quantile_bound(p);
+                assert_eq!(
+                    bucket_of(bound),
+                    bucket_of(exact),
+                    "n={n} p={p}: estimate {bound} vs exact {exact}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::TraceEvent;
 
+use crate::metrics::nearest_rank;
+
 /// The latency component a span segment belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SegmentKind {
@@ -474,9 +476,7 @@ pub fn tail_attribution(spans: &[RequestSpan]) -> Vec<TenantAttribution> {
             }
             let mut lats: Vec<u64> = group.iter().map(|s| s.latency().as_nanos()).collect();
             lats.sort_unstable();
-            let n = lats.len();
-            let rank = ((n as f64 * 0.99).ceil() as usize).clamp(1, n);
-            let p99 = lats[rank - 1];
+            let p99 = nearest_rank(&lats, 0.99).expect("a tenant is listed for its spans");
             let mut tail: Vec<&&RequestSpan> = group
                 .iter()
                 .filter(|s| s.latency().as_nanos() >= p99)

@@ -17,13 +17,13 @@
 //! - [`Accessor::compute_work`] charges pure execution time for the
 //!   task's compute device.
 
-use disagg_hwsim::compute::WorkClass;
+use disagg_hwsim::compute::{WorkClass, HOST_DECODE_NS_PER_BYTE};
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::fault::FaultInjector;
-use disagg_hwsim::ids::ComputeId;
+use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::{SimDuration, SimTime};
-use disagg_hwsim::topology::Topology;
+use disagg_hwsim::topology::{AccessCostParts, Topology};
 use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
 
 use crate::pool::RegionId;
@@ -146,14 +146,40 @@ impl<'a> Accessor<'a> {
         self.topo
     }
 
-    /// The bandwidth multiplier of the access path's bottleneck link at
-    /// `self.now` (1.0 when no injector is attached or the link is
-    /// healthy).
-    fn link_factor(&self, link: Option<disagg_hwsim::ids::LinkId>) -> f64 {
-        match (self.faults, link) {
-            (Some(f), Some(l)) => f.link_degradation(l, self.now),
-            _ => 1.0,
+    /// Books one transfer on the ledger from `start`: `parts.eff_bytes`
+    /// on the device, and on the path's bottleneck link when it has one.
+    /// A narrow interconnect contends independently of the device — two
+    /// streams to different devices behind the same uplink still share
+    /// the uplink — and a degraded link carries traffic at a fraction of
+    /// its nominal bandwidth until it heals. Returns the later finish
+    /// and the link's bandwidth multiplier at `self.now` (1.0 when no
+    /// injector is attached or the link is healthy).
+    fn reserve_transfer(
+        &mut self,
+        dev: MemDeviceId,
+        parts: &AccessCostParts,
+        start: SimTime,
+    ) -> (SimTime, f64) {
+        let mut finish = self.ledger.reserve(
+            ResourceKey::Mem(dev),
+            start,
+            parts.eff_bytes as f64,
+            parts.bandwidth_bpns,
+        );
+        let mut factor = 1.0;
+        if let Some(link) = parts.bottleneck_link {
+            if let Some(faults) = self.faults {
+                factor = faults.link_degradation(link, self.now);
+            }
+            let link_finish = self.ledger.reserve(
+                ResourceKey::Link(link),
+                start,
+                parts.eff_bytes as f64,
+                parts.link_bandwidth_bpns * factor,
+            );
+            finish = finish.max(link_finish);
         }
+        (finish, factor)
     }
 
     fn charge(
@@ -169,26 +195,7 @@ impl<'a> Accessor<'a> {
             .access_cost_parts(self.compute, dev, bytes, op, pattern)
             .expect("placement guaranteed reachable by the runtime");
         let transfer_start = self.now + SimDuration::from_nanos_f64(parts.latency_ns);
-        let mut finish = self.ledger.reserve(
-            ResourceKey::Mem(dev),
-            transfer_start,
-            parts.eff_bytes as f64,
-            parts.bandwidth_bpns,
-        );
-        // A narrow interconnect contends independently of the device: two
-        // streams to different devices behind the same uplink still share
-        // the uplink. A degraded link carries traffic at a fraction of
-        // its nominal bandwidth until it heals.
-        let factor = self.link_factor(parts.bottleneck_link);
-        if let Some(link) = parts.bottleneck_link {
-            let link_finish = self.ledger.reserve(
-                ResourceKey::Link(link),
-                transfer_start,
-                parts.eff_bytes as f64,
-                parts.link_bandwidth_bpns * factor,
-            );
-            finish = finish.max(link_finish);
-        }
+        let (finish, factor) = self.reserve_transfer(dev, &parts, transfer_start);
         let took = finish - self.now;
         if factor < 1.0 {
             self.stats.degraded_time += took;
@@ -221,10 +228,6 @@ impl<'a> Accessor<'a> {
             .sum()
     }
 
-    /// GF(2⁸)-style decode arithmetic charged per reconstructed byte
-    /// (matches the ftol crate's host parity engine).
-    const RECONSTRUCT_DECODE_NS_PER_BYTE: f64 = 0.5;
-
     /// Pays for serving `bytes` of a read from redundancy after a
     /// checksum mismatch: a second fetch of the granule plus decode
     /// arithmetic, recorded as a [`TraceEvent::Reconstruct`].
@@ -235,23 +238,8 @@ impl<'a> Accessor<'a> {
             .access_cost_parts(self.compute, dev, bytes, AccessOp::Read, AccessPattern::Sequential)
             .expect("placement guaranteed reachable by the runtime");
         let transfer_start = self.now + SimDuration::from_nanos_f64(parts.latency_ns);
-        let mut finish = self.ledger.reserve(
-            ResourceKey::Mem(dev),
-            transfer_start,
-            parts.eff_bytes as f64,
-            parts.bandwidth_bpns,
-        );
-        if let Some(link) = parts.bottleneck_link {
-            let link_finish = self.ledger.reserve(
-                ResourceKey::Link(link),
-                transfer_start,
-                parts.eff_bytes as f64,
-                parts.link_bandwidth_bpns * self.link_factor(parts.bottleneck_link),
-            );
-            finish = finish.max(link_finish);
-        }
-        let decode =
-            SimDuration::from_nanos_f64(bytes as f64 * Self::RECONSTRUCT_DECODE_NS_PER_BYTE);
+        let (finish, _) = self.reserve_transfer(dev, &parts, transfer_start);
+        let decode = SimDuration::from_nanos_f64(bytes as f64 * HOST_DECODE_NS_PER_BYTE);
         let took = (finish - self.now) + decode;
         let by = match self.who {
             // Task indices are `TaskId`'s `u32` widened by the executor.
@@ -362,22 +350,7 @@ impl<'a> Accessor<'a> {
         self.now += SimDuration::from_nanos_f64(ASYNC_ISSUE_OVERHEAD_NS);
         // Transfers queue on the device ledger from "now": they run in the
         // background while the task keeps computing.
-        let mut device_done = self.ledger.reserve(
-            ResourceKey::Mem(dev),
-            self.now,
-            parts.eff_bytes as f64,
-            parts.bandwidth_bpns,
-        );
-        let factor = self.link_factor(parts.bottleneck_link);
-        if let Some(link) = parts.bottleneck_link {
-            let link_done = self.ledger.reserve(
-                ResourceKey::Link(link),
-                self.now,
-                parts.eff_bytes as f64,
-                parts.link_bandwidth_bpns * factor,
-            );
-            device_done = device_done.max(link_done);
-        }
+        let (device_done, factor) = self.reserve_transfer(dev, &parts, self.now);
         if factor < 1.0 {
             self.stats.degraded_time += device_done - self.now;
         }

@@ -17,7 +17,8 @@
 //!   calibrated service-time estimate; decisions are causal and
 //!   identical on every execution.
 //! - **SLOs** ([`Slo`]): per-tenant p50/p99 sojourn targets in virtual
-//!   time, extracted from `disagg-obs` log2 histograms.
+//!   time, held against exact order statistics
+//!   (`disagg_obs::nearest_rank`) of the completed requests' latencies.
 //!
 //! The whole pipeline is virtual-time-only: a seeded [`ServeConfig`]
 //! produces a bit-for-bit identical [`ServeReport`] on every run.
@@ -62,7 +63,6 @@ use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::TraceEvent;
-use disagg_obs::Histogram;
 use disagg_workloads::gen::Zipf;
 
 /// Context handed to a job template when instantiating one request.
@@ -343,7 +343,6 @@ impl ServeLayer {
                 shed: 0,
                 fast_failed: 0,
                 degraded: 0,
-                sojourn: Histogram::default(),
                 p50: SimDuration::ZERO,
                 p99: SimDuration::ZERO,
                 slo: slo_for(tenant),
@@ -351,7 +350,6 @@ impl ServeLayer {
             })
             .collect();
         let mut records: Vec<RequestRecord> = Vec::with_capacity(cfg.requests);
-        let mut sojourn = Histogram::default();
         let mut run_acc = RunReport::default();
 
         let t0 = rt.now();
@@ -506,8 +504,6 @@ impl ServeLayer {
                     }
                     Verdict::Completed => {
                         let lat = rec.latency.expect("a job that did not fail ran its tasks");
-                        ts.sojourn.observe(lat.as_nanos());
-                        sojourn.observe(lat.as_nanos());
                         ts.slo.is_some_and(|slo| lat > slo.p99)
                     }
                 };
@@ -528,8 +524,8 @@ impl ServeLayer {
         }
 
         for ts in &mut tenants {
-            ts.p50 = SimDuration::from_nanos(ts.sojourn.quantile_bound(0.50));
-            ts.p99 = SimDuration::from_nanos(ts.sojourn.quantile_bound(0.99));
+            (ts.p50, ts.p99) =
+                report::sojourn_quantiles(records.iter().filter(|r| r.tenant == ts.tenant));
             ts.slo_met = match ts.slo {
                 Some(slo) if ts.admitted > 0 => ts.p50 <= slo.p50 && ts.p99 <= slo.p99,
                 _ => true,
@@ -564,7 +560,6 @@ impl ServeLayer {
             fast_failed: tenants.iter().map(|t| t.fast_failed).sum(),
             degraded: tenants.iter().map(|t| t.degraded).sum(),
             makespan: run_acc.makespan,
-            sojourn,
             tenants,
             requests: records,
             util_curve,
@@ -671,7 +666,6 @@ mod tests {
         assert_eq!(report.admitted, 24, "no quota — everything admitted");
         assert_eq!(report.requests.len(), 24);
         assert_eq!(report.tenants.iter().map(|t| t.offered).sum::<usize>(), 24);
-        assert!(report.sojourn.count == 24);
         assert!(report.p99() >= report.p50());
         // Latency = finish − arrival is positive for every request.
         assert!(report
@@ -756,7 +750,7 @@ mod tests {
         };
         let (a, b) = (run(), run());
         assert_eq!(a.requests, b.requests);
-        assert_eq!(a.sojourn, b.sojourn);
+        assert_eq!(a.tenants, b.tenants);
         assert_eq!(a.makespan, b.makespan);
     }
 
@@ -779,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_verdicts_follow_the_histograms() {
+    fn slo_verdicts_follow_the_quantiles() {
         let (topo, _ids) = single_server();
         let mut rt = Runtime::new(topo, RuntimeConfig::default());
         let generous = Slo {
@@ -1009,7 +1003,6 @@ mod tests {
             fast_failed: 3,
             degraded: 0,
             makespan: SimDuration::ZERO,
-            sojourn: Histogram::default(),
             tenants: Vec::new(),
             requests: Vec::new(),
             util_curve: Vec::new(),

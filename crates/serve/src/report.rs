@@ -8,7 +8,7 @@
 use disagg_core::breaker::BreakerTransition;
 use disagg_core::report::RunReport;
 use disagg_hwsim::time::SimDuration;
-use disagg_obs::{Histogram, RequestSpan, TenantAttribution, TenantBurn};
+use disagg_obs::{nearest_rank, RequestSpan, TenantAttribution, TenantBurn};
 
 /// A per-tenant latency SLO in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,11 +74,10 @@ pub struct TenantStats {
     pub fast_failed: usize,
     /// Admitted requests served from the tenant's degraded template.
     pub degraded: usize,
-    /// Sojourn-time distribution (log2 buckets over virtual ns).
-    pub sojourn: Histogram,
-    /// Median sojourn bound from the histogram.
+    /// Median sojourn of the tenant's completed requests (an exact
+    /// order statistic, [`nearest_rank`]; zero when none completed).
     pub p50: SimDuration,
-    /// Tail sojourn bound from the histogram.
+    /// Tail sojourn of the tenant's completed requests.
     pub p99: SimDuration,
     /// The SLO this tenant was held to, if any.
     pub slo: Option<Slo>,
@@ -115,8 +114,6 @@ pub struct ServeReport {
     pub degraded: usize,
     /// Virtual time from run start to the last task finish.
     pub makespan: SimDuration,
-    /// Sojourn-time distribution across all admitted requests.
-    pub sojourn: Histogram,
     /// Per-tenant outcomes, indexed by tenant.
     pub tenants: Vec<TenantStats>,
     /// Every request in arrival order.
@@ -151,15 +148,27 @@ pub struct ServeReport {
     pub run: RunReport,
 }
 
+/// The p50 and p99 sojourn of the completed requests among `requests`:
+/// exact order statistics ([`nearest_rank`]) over the latencies the
+/// records hold; zero when none completed.
+pub(crate) fn sojourn_quantiles<'a>(
+    requests: impl Iterator<Item = &'a RequestRecord>,
+) -> (SimDuration, SimDuration) {
+    let mut lats: Vec<u64> = requests.filter_map(|r| r.latency).map(|l| l.as_nanos()).collect();
+    lats.sort_unstable();
+    let at = |p| nearest_rank(&lats, p).map_or(SimDuration::ZERO, SimDuration::from_nanos);
+    (at(0.50), at(0.99))
+}
+
 impl ServeReport {
-    /// p50 sojourn bound across all admitted requests.
+    /// p50 sojourn across all completed requests.
     pub fn p50(&self) -> SimDuration {
-        SimDuration::from_nanos(self.sojourn.quantile_bound(0.50))
+        sojourn_quantiles(self.requests.iter()).0
     }
 
-    /// p99 sojourn bound across all admitted requests.
+    /// p99 sojourn across all completed requests.
     pub fn p99(&self) -> SimDuration {
-        SimDuration::from_nanos(self.sojourn.quantile_bound(0.99))
+        sojourn_quantiles(self.requests.iter()).1
     }
 
     /// Requests that completed successfully (admitted minus fast-fails).
