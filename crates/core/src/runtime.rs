@@ -23,11 +23,13 @@ use disagg_hwsim::fx::FxHashMap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_hwsim::compute::HOST_DECODE_NS_PER_BYTE;
-use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
+use disagg_hwsim::contention::BandwidthLedger;
+use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
-use disagg_hwsim::topology::Topology;
+use disagg_hwsim::topology::{AccessCostParts, PathCost, Topology};
 use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
+use disagg_region::access::book_access;
 use disagg_region::hotness::HotnessTracker;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
@@ -300,7 +302,8 @@ impl Runtime {
     /// App-scoped region whose backing device has failed by the current
     /// virtual time is rebuilt onto a live device in another failure
     /// domain. The pool rebinds the region id in place, the destination
-    /// pays write bandwidth plus a decode toll on the ledger, and a
+    /// pays a device-local sequential write of the region, booked like
+    /// any access, plus the host decode toll, and a
     /// [`TraceEvent::Reconstruct`] records the repair. In the simulation
     /// the manager still holds the bytes, which stands in for restoring
     /// from a surviving replica or erasure-coded stripe. Regions with no
@@ -340,12 +343,14 @@ impl Runtime {
                 continue;
             };
             self.mgr.pool_mut().rebind(id, dev)?;
-            let fin = self.ledger.reserve(
-                ResourceKey::Mem(dev),
-                now,
-                placement.size as f64,
-                self.topo.mem(dev).write_bw_bpns,
+            let parts = AccessCostParts::of(
+                self.topo.mem(dev),
+                PathCost::LOCAL,
+                placement.size,
+                AccessOp::Write,
+                AccessPattern::Sequential,
             );
+            let (fin, _) = book_access(&mut self.ledger, None, dev, &parts, now);
             let decode =
                 SimDuration::from_nanos_f64(placement.size as f64 * HOST_DECODE_NS_PER_BYTE);
             let took = (fin - now) + decode;

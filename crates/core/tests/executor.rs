@@ -634,6 +634,109 @@ fn an_interrupted_attempt_leaves_nothing_in_the_retrys_scratch() {
 }
 
 #[test]
+fn healing_a_failed_persistent_region_pays_a_device_local_write_plus_decode() {
+    use disagg_hwsim::compute::{ComputeModel, HOST_DECODE_NS_PER_BYTE};
+    use disagg_hwsim::contention::BandwidthLedger;
+    use disagg_hwsim::device::{AccessOp, MemDeviceModel};
+    use disagg_hwsim::topology::{AccessCostParts, LinkKind, PathCost};
+    use disagg_hwsim::trace::TraceEvent;
+    use disagg_region::access::book_access;
+    use disagg_region::region::OwnerId;
+
+    // One host and two persistent blades, each its own failure domain.
+    let mut b = Topology::builder();
+    let host = b.node("host");
+    let cpu = b.compute(host, ComputeModel::preset(ComputeKind::Cpu));
+    let dram = b.mem(host, MemDeviceModel::preset(MemDeviceKind::Dram));
+    b.link(cpu, dram, LinkKind::MemBus);
+    for name in ["pmem-a", "pmem-b"] {
+        let blade = b.node(name);
+        let pmem = b.mem(blade, MemDeviceModel::preset(MemDeviceKind::Pmem));
+        b.link(cpu, pmem, LinkKind::PcieCxl);
+    }
+    let topo = b.build().unwrap();
+    let keep = || {
+        let mut j = JobBuilder::new("keep");
+        j.task(
+            TaskSpec::new("keep")
+                .output_bytes(1000)
+                .persistent(true)
+                .body(|ctx| ctx.write_output(0, &[9u8; 1000]).map(|_| ())),
+        );
+        j.build().unwrap()
+    };
+    let later = || {
+        let mut j = JobBuilder::new("later");
+        j.task(TaskSpec::new("later").work(WorkClass::Scalar, 1_000).body(|ctx| {
+            ctx.compute(WorkClass::Scalar, 1_000);
+            Ok(())
+        }));
+        j.build().unwrap()
+    };
+    let output = |report: &RunReport| {
+        let (_, region, dev) = report.tasks[0]
+            .placements
+            .iter()
+            .find(|(kind, _, _)| *kind == "output")
+            .copied()
+            .expect("the task declares an output");
+        (region, dev)
+    };
+
+    // Where the output lands, from a healthy run.
+    let mut healthy = Runtime::new(topo.clone(), RuntimeConfig::traced());
+    let (_, home) = output(&healthy.execute(keep()).unwrap());
+    let failed_at = healthy.now() + SimDuration::from_micros(10);
+
+    // The same run, then the home blade fails while a later job runs;
+    // healing after that job rebinds the region to the other blade.
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: failed_at,
+        kind: FaultKind::DeviceFail(home),
+    }]);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_faults(faults));
+    let (region, placed) = output(&rt.execute(keep()).unwrap());
+    assert_eq!(placed, home);
+    rt.execute(vec![(SimDuration::from_millis(1), later())]).unwrap();
+    let healed: Vec<_> = rt
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Reconstruct { region: r, dev, bytes, at, took, .. } => {
+                Some((r, dev, bytes, at, took))
+            }
+            _ => None,
+        })
+        .collect();
+    let [(r, dev, bytes, at, took)] = healed[..] else {
+        panic!("one rebuild expected: {healed:?}")
+    };
+    assert_eq!((r, bytes), (region.0, 1000));
+    assert!(at >= failed_at);
+    assert_ne!(dev, home);
+    assert_eq!(rt.manager().placement(region).unwrap().dev, dev);
+    assert_eq!(rt.manager().bytes(region, OwnerId::App).unwrap(), &[9u8; 1000][..]);
+
+    // The charge: a device-local sequential write of the region on the
+    // idle destination, booked like any access, plus the decode toll.
+    let parts = AccessCostParts::of(
+        rt.topology().mem(dev),
+        PathCost::LOCAL,
+        bytes,
+        AccessOp::Write,
+        AccessPattern::Sequential,
+    );
+    let (write_done, _) =
+        book_access(&mut BandwidthLedger::default_buckets(), None, dev, &parts, at);
+    let decode = SimDuration::from_nanos_f64(bytes as f64 * HOST_DECODE_NS_PER_BYTE);
+    assert_eq!(took, (write_done - at) + decode);
+    // Known answer on Pmem: 450 ns write latency, 1000 B rounded to four
+    // 256 B granules streamed at 3 B/ns (341.3 → 342 ns), 500 ns decode.
+    assert_eq!(took.as_nanos(), 450 + 342 + 500);
+}
+
+#[test]
 fn arrivals_gate_job_starts_and_makespan_extends_past_the_last_one() {
     let (topo, _) = single_server();
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());

@@ -24,8 +24,85 @@ pub use reedsolomon::{ReedSolomon, RsError};
 pub use replicate::ReplicatedRegion;
 pub use stripe::{ParityEngine, StripedRegion};
 
+use disagg_hwsim::contention::BandwidthLedger;
+use disagg_hwsim::device::{AccessOp, AccessPattern};
+use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::MemDeviceId;
-use disagg_region::region::RegionError;
+use disagg_hwsim::time::{SimDuration, SimTime};
+use disagg_hwsim::topology::{AccessCostParts, PathCost, Topology};
+use disagg_region::access::book_access;
+use disagg_region::pool::RegionId;
+use disagg_region::props::{AccessMode, PropertySet};
+use disagg_region::region::{OwnerId, RegionError, RegionManager};
+use disagg_region::typed::RegionType;
+
+/// Fails unless `devices` sit on pairwise distinct nodes.
+fn distinct_domains(topo: &Topology, devices: &[MemDeviceId]) -> Result<(), FtolError> {
+    for (i, &a) in devices.iter().enumerate() {
+        for &b in &devices[i + 1..] {
+            if topo.node_of_mem(a) == topo.node_of_mem(b) {
+                return Err(FtolError::SharedFailureDomain(a, b));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Allocates one replica or span of `size` bytes on each of `devices`.
+fn alloc_on(
+    mgr: &mut RegionManager,
+    devices: &[MemDeviceId],
+    size: u64,
+    owner: OwnerId,
+    now: SimTime,
+) -> Result<Vec<RegionId>, FtolError> {
+    let props = PropertySet::new().with_mode(AccessMode::Async);
+    let alloc = |&dev| mgr.alloc(dev, size, RegionType::GlobalScratch, props.clone(), owner, now);
+    Ok(devices.iter().map(alloc).collect::<Result<_, _>>()?)
+}
+
+/// Indices into `devs` whose device and node are alive at `t`.
+fn alive(devs: &[MemDeviceId], topo: &Topology, faults: &FaultInjector, t: SimTime) -> Vec<usize> {
+    (0..devs.len())
+        .filter(|&i| {
+            let dev = devs[i];
+            !faults.device_failed(dev, t) && !faults.node_down(topo.node_of_mem(dev), t)
+        })
+        .collect()
+}
+
+/// True if `region`'s bytes `[offset, offset + len)` overlap a range
+/// corrupted on its device at `t`: the copy is alive, but its answer
+/// would fail the checksum.
+fn corrupted(
+    mgr: &RegionManager,
+    faults: &FaultInjector,
+    region: RegionId,
+    offset: u64,
+    len: u64,
+    t: SimTime,
+) -> bool {
+    mgr.placement(region).is_ok_and(|p| {
+        let lo = p.offset + offset;
+        faults.corrupted_ranges(p.dev, t).iter().any(|&(o, l)| o < lo + len && lo < o + l)
+    })
+}
+
+/// Books `bytes` of `op` at `dev` itself from `now` — span and replica
+/// I/O on the device-local path, which has no link — and returns how
+/// long it takes.
+fn charge_local(
+    topo: &Topology,
+    ledger: &mut BandwidthLedger,
+    dev: MemDeviceId,
+    bytes: u64,
+    op: AccessOp,
+    now: SimTime,
+) -> SimDuration {
+    let parts =
+        AccessCostParts::of(topo.mem(dev), PathCost::LOCAL, bytes, op, AccessPattern::Sequential);
+    book_access(ledger, None, dev, &parts, now).0 - now
+}
 
 /// Errors from the fault-tolerance layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

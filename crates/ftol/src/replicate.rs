@@ -7,17 +7,18 @@
 //! survivor. The erasure-coded alternative lives in [`crate::stripe`];
 //! experiment E12 compares the two, reproducing the Carbink trade-off.
 
-use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
+use disagg_hwsim::contention::BandwidthLedger;
+use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
+use disagg_region::access::book_access;
+use disagg_region::migrate::reserve_copy;
 use disagg_region::pool::RegionId;
-use disagg_region::props::PropertySet;
 use disagg_region::region::{OwnerId, RegionManager};
-use disagg_region::typed::RegionType;
 
-use crate::FtolError;
+use crate::{alive, alloc_on, charge_local, corrupted, distinct_domains, FtolError};
 
 /// A region kept as N full replicas in distinct failure domains.
 #[derive(Debug, Clone)]
@@ -51,25 +52,8 @@ impl ReplicatedRegion {
                 need: 2,
             });
         }
-        for (i, &a) in devices.iter().enumerate() {
-            for &b in &devices[i + 1..] {
-                if topo.node_of_mem(a) == topo.node_of_mem(b) {
-                    return Err(FtolError::SharedFailureDomain(a, b));
-                }
-            }
-        }
-        let mut replicas = Vec::with_capacity(devices.len());
-        for &dev in devices {
-            let id = mgr.alloc(
-                dev,
-                size,
-                RegionType::GlobalScratch,
-                PropertySet::new().with_mode(disagg_region::props::AccessMode::Async),
-                owner,
-                now,
-            )?;
-            replicas.push(id);
-        }
+        distinct_domains(topo, devices)?;
+        let replicas = alloc_on(mgr, devices, size, owner, now)?;
         Ok(ReplicatedRegion {
             replicas,
             devs: devices.to_vec(),
@@ -86,12 +70,7 @@ impl ReplicatedRegion {
 
     /// Indices of replicas whose device and node are alive at `t`.
     pub fn alive(&self, topo: &Topology, faults: &FaultInjector, t: SimTime) -> Vec<usize> {
-        (0..self.devs.len())
-            .filter(|&i| {
-                let dev = self.devs[i];
-                !faults.device_failed(dev, t) && !faults.node_down(topo.node_of_mem(dev), t)
-            })
-            .collect()
+        alive(&self.devs, topo, faults, t)
     }
 
     /// Writes to *all* live replicas (replication writes are mirrored).
@@ -113,40 +92,37 @@ impl ReplicatedRegion {
             return Err(FtolError::AllReplicasDown);
         }
         let mut slowest = SimDuration::ZERO;
+        let bytes = data.len() as u64;
         for &i in &alive {
             mgr.write(self.replicas[i], self.owner, offset, data)?;
-            let dev = self.devs[i];
-            let model = topo.mem(dev);
-            let eff = model.effective_bytes(data.len() as u64) as f64;
-            let start = now + SimDuration::from_nanos_f64(model.write_lat_ns);
-            let fin = ledger.reserve(ResourceKey::Mem(dev), start, eff, model.write_bw_bpns);
-            slowest = slowest.max(fin - now);
-            self.bytes_written += data.len() as u64;
+            slowest = slowest.max(charge_local(topo, ledger, self.devs[i], bytes, AccessOp::Write, now));
+            self.bytes_written += bytes;
         }
         Ok(slowest)
     }
 
-    /// True if replica `i`'s bytes for the window `[offset,
-    /// offset + len)` overlap a corrupted range on its device at `t` —
-    /// the replica is alive but its answer would fail the checksum.
-    fn tainted(
+    /// The replicas of `alive` a read of `[offset, offset + len)` may
+    /// use: those whose window is not corrupted, or — when every one is
+    /// — all of them, leaving the repair to the caller's checksum layer.
+    fn sources(
         &self,
         mgr: &RegionManager,
         faults: &FaultInjector,
-        i: usize,
+        alive: Vec<usize>,
         offset: u64,
         len: u64,
         t: SimTime,
-    ) -> bool {
-        let Ok(p) = mgr.placement(self.replicas[i]) else {
-            return false;
-        };
-        let lo = p.offset + offset;
-        let hi = lo + len;
-        faults
-            .corrupted_ranges(p.dev, t)
+    ) -> Vec<usize> {
+        let clean: Vec<usize> = alive
             .iter()
-            .any(|&(o, l)| o < hi && lo < o + l)
+            .copied()
+            .filter(|&i| !corrupted(mgr, faults, self.replicas[i], offset, len, t))
+            .collect();
+        if clean.is_empty() {
+            alive
+        } else {
+            clean
+        }
     }
 
     /// Reads from the live replica nearest to `compute`, failing over
@@ -167,12 +143,7 @@ impl ReplicatedRegion {
         now: SimTime,
     ) -> Result<(SimDuration, usize), FtolError> {
         let alive = self.alive(topo, faults, now);
-        let clean: Vec<usize> = alive
-            .iter()
-            .copied()
-            .filter(|&i| !self.tainted(mgr, faults, i, offset, buf.len() as u64, now))
-            .collect();
-        let candidates = if clean.is_empty() { &alive } else { &clean };
+        let candidates = self.sources(mgr, faults, alive, offset, buf.len() as u64, now);
         // Nearest = lowest path latency from the reader.
         let best = candidates
             .iter()
@@ -183,22 +154,18 @@ impl ReplicatedRegion {
             .ok_or(FtolError::AllReplicasDown)?;
         mgr.read(self.replicas[best], self.owner, offset, buf)?;
         let dev = self.devs[best];
-        let model = topo.mem(dev);
-        let path = topo.path(compute, dev).expect("filtered to reachable");
-        let eff = model.effective_bytes(buf.len() as u64) as f64;
-        let start =
-            now + SimDuration::from_nanos_f64(model.read_lat_ns + path.latency_ns);
-        let fin = ledger.reserve(
-            ResourceKey::Mem(dev),
-            start,
-            eff,
-            model.read_bw_bpns.min(path.bandwidth_bpns),
-        );
+        let bytes = buf.len() as u64;
+        let parts = topo
+            .access_cost_parts(compute, dev, bytes, AccessOp::Read, AccessPattern::Sequential)
+            .expect("filtered to reachable");
+        let (fin, _) = book_access(ledger, Some(faults), dev, &parts, now);
         Ok((fin - now, best))
     }
 
-    /// Re-creates a lost replica on `spare` by copying from the first live
-    /// survivor. Returns the recovery duration.
+    /// Re-creates a lost replica on `spare` by copying from the first
+    /// survivor a whole-region read would trust (the same choice
+    /// [`read`](Self::read) makes: a corrupted replica is a source only
+    /// when every survivor is). Returns the recovery duration.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         &mut self,
@@ -211,20 +178,14 @@ impl ReplicatedRegion {
         now: SimTime,
     ) -> Result<SimDuration, FtolError> {
         let alive = self.alive(topo, faults, now);
-        let src = *alive.first().ok_or(FtolError::AllReplicasDown)?;
         if alive.contains(&lost) {
             return Err(FtolError::ReplicaNotLost(lost));
         }
+        let sources = self.sources(mgr, faults, alive, 0, self.size, now);
+        let src = *sources.first().ok_or(FtolError::AllReplicasDown)?;
         // Allocate the new replica and copy the survivor's bytes: one
         // pool-to-pool copy of what was ever written, no bounce buffer.
-        let new = mgr.alloc(
-            spare,
-            self.size,
-            RegionType::GlobalScratch,
-            PropertySet::new().with_mode(disagg_region::props::AccessMode::Async),
-            self.owner,
-            now,
-        )?;
+        let new = alloc_on(mgr, &[spare], self.size, self.owner, now)?[0];
         mgr.copy_contents(self.replicas[src], new)?;
         // The old replica's backing is gone with its device; drop our
         // handle without double-freeing if the pool still tracks it.
@@ -235,26 +196,16 @@ impl ReplicatedRegion {
         let base = topo
             .transfer_cost(self.devs[src], spare, self.size)
             .ok_or(FtolError::Unreachable(self.devs[src], spare))?;
-        let f1 = ledger.reserve(
-            ResourceKey::Mem(self.devs[src]),
-            now,
-            self.size as f64,
-            topo.mem(self.devs[src]).read_bw_bpns,
-        );
-        let f2 = ledger.reserve(
-            ResourceKey::Mem(spare),
-            now,
-            self.size as f64,
-            topo.mem(spare).write_bw_bpns,
-        );
+        let fin = reserve_copy(topo, ledger, self.devs[src], spare, self.size, now);
         self.bytes_written += self.size;
-        Ok(base.max(f1.max(f2) - now))
+        Ok(base.max(fin - now))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disagg_hwsim::contention::ResourceKey;
     use disagg_hwsim::fault::FaultKind;
     use disagg_hwsim::presets::disaggregated_rack;
 
@@ -437,5 +388,98 @@ mod tests {
             rr.recover(&mut mgr, &topo, &mut ledger, &faults, 0, pool[2], SimTime(1)),
             Err(FtolError::ReplicaNotLost(0))
         ));
+    }
+
+    #[test]
+    fn recovery_copies_from_a_survivor_a_read_would_trust() {
+        let (topo, mut mgr, _, pool, _) = fixture();
+        let size = 8192;
+        let mut rr = ReplicatedRegion::create(&mut mgr, &topo, &pool[..3], size, OWNER, SimTime::ZERO)
+            .unwrap();
+        let none = FaultInjector::none();
+        let mut ledger = BandwidthLedger::default_buckets();
+        rr.write(&mut mgr, &topo, &mut ledger, &none, 0, &[4u8; 8192], SimTime::ZERO)
+            .unwrap();
+        // Replica 0's node crashes; replica 1 is alive but its whole
+        // window is corrupted, so only replica 2 is a trustworthy source.
+        let p1 = mgr.placement(rr.replicas[1]).unwrap();
+        let faults = FaultInjector::with_events(vec![
+            disagg_hwsim::fault::FaultEvent {
+                at: SimTime(10),
+                kind: FaultKind::NodeCrash(topo.node_of_mem(rr.devs[0])),
+            },
+            disagg_hwsim::fault::FaultEvent {
+                at: SimTime(10),
+                kind: FaultKind::Corrupt { dev: p1.dev, offset: p1.offset, len: size },
+            },
+        ]);
+        let (tainted, clean) = (rr.devs[1], rr.devs[2]);
+        let mut ledger = BandwidthLedger::default_buckets();
+        rr.recover(&mut mgr, &topo, &mut ledger, &faults, 0, pool[3], SimTime(100))
+            .unwrap();
+        assert_eq!(ledger.stats(ResourceKey::Mem(clean)).bytes, size as f64);
+        assert_eq!(ledger.stats(ResourceKey::Mem(tainted)).reservations, 0);
+    }
+
+    /// `a` and `b` agree to the nanosecond the ledger rounds a
+    /// transfer's end up by.
+    fn within_a_ns(a: SimDuration, b: SimDuration) -> bool {
+        a.as_nanos().abs_diff(b.as_nanos()) <= 1
+    }
+
+    #[test]
+    fn every_charge_on_an_idle_ledger_is_the_access_formula() {
+        use disagg_hwsim::topology::{AccessCostParts, PathCost};
+        let (topo, mut mgr, _, pool, cpus) = fixture();
+        let size = 1u64 << 20;
+        let mut rr =
+            ReplicatedRegion::create(&mut mgr, &topo, &[pool[0], pool[1]], size, OWNER, SimTime::ZERO)
+                .unwrap();
+        let none = FaultInjector::none();
+        let data = vec![6u8; size as usize];
+        let idle = BandwidthLedger::default_buckets;
+        let write = rr
+            .write(&mut mgr, &topo, &mut idle(), &none, 0, &data, SimTime::ZERO)
+            .unwrap();
+        let local = AccessCostParts::of(
+            topo.mem(pool[0]),
+            PathCost::LOCAL,
+            size,
+            AccessOp::Write,
+            AccessPattern::Sequential,
+        );
+        assert!(within_a_ns(write, local.total()), "write {write} vs {}", local.total());
+
+        let mut buf = vec![0u8; size as usize];
+        let read = |ledger: &mut BandwidthLedger, faults: &FaultInjector, buf: &mut [u8]| {
+            rr.read(&mgr, &topo, ledger, faults, cpus[0], 0, buf, SimTime(10)).unwrap()
+        };
+        let (healthy, used) = read(&mut idle(), &none, &mut buf);
+        let parts = topo
+            .access_cost_parts(cpus[0], rr.devs[used], size, AccessOp::Read, AccessPattern::Sequential)
+            .unwrap();
+        assert!(within_a_ns(healthy, parts.total()), "read {healthy} vs {}", parts.total());
+        assert_eq!(read(&mut idle(), &none, &mut []).0, SimDuration::ZERO);
+
+        // Behind a busy uplink: another stream from the same reader to
+        // the other replica's device holds the link the read needs.
+        let link = parts.bottleneck_link.expect("the pool sits behind the fabric");
+        let other = rr.devs[1 - used];
+        let mut busy = idle();
+        let stream = topo
+            .access_cost_parts(cpus[0], other, 4 << 20, AccessOp::Read, AccessPattern::Sequential)
+            .unwrap();
+        book_access(&mut busy, None, other, &stream, SimTime(10));
+        assert!(busy.stats(ResourceKey::Link(link)).reservations > 0);
+        let (contended, _) = read(&mut busy, &none, &mut buf);
+        assert!(contended > healthy, "busy uplink {contended} vs idle {healthy}");
+
+        // Inside a LinkDegraded window the link runs at a quarter speed.
+        let degraded = FaultInjector::with_events(vec![disagg_hwsim::fault::FaultEvent {
+            at: SimTime::ZERO,
+            kind: FaultKind::LinkDegraded { link, factor_pct: 25 },
+        }]);
+        let (slow, _) = read(&mut idle(), &degraded, &mut buf);
+        assert!(slow > healthy, "degraded link {slow} vs healthy {healthy}");
     }
 }

@@ -24,18 +24,17 @@
 //! straight into the caller's buffer; recovery decodes the one lost span.
 
 use disagg_hwsim::compute::HOST_DECODE_NS_PER_BYTE;
-use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
+use disagg_hwsim::contention::BandwidthLedger;
+use disagg_hwsim::device::AccessOp;
 use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_region::pool::RegionId;
-use disagg_region::props::{AccessMode, PropertySet};
 use disagg_region::region::{OwnerId, RegionManager};
-use disagg_region::typed::RegionType;
 
 use crate::reedsolomon::ReedSolomon;
-use crate::FtolError;
+use crate::{alive, alloc_on, charge_local, corrupted, distinct_domains, FtolError};
 
 /// Where parity/decode arithmetic runs (Carbink's "off-loadable parity
 /// calculations"): on the host CPU, or offloaded to a DPU/accelerator
@@ -102,26 +101,9 @@ impl StripedRegion {
                 need: k + m,
             });
         }
-        for (i, &a) in devices.iter().enumerate() {
-            for &b in &devices[i + 1..] {
-                if topo.node_of_mem(a) == topo.node_of_mem(b) {
-                    return Err(FtolError::SharedFailureDomain(a, b));
-                }
-            }
-        }
+        distinct_domains(topo, devices)?;
         let span_size = size.div_ceil(k as u64).max(1);
-        let mut spans = Vec::with_capacity(k + m);
-        for &dev in devices {
-            let id = mgr.alloc(
-                dev,
-                span_size,
-                RegionType::GlobalScratch,
-                PropertySet::new().with_mode(AccessMode::Async),
-                owner,
-                now,
-            )?;
-            spans.push(id);
-        }
+        let spans = alloc_on(mgr, devices, span_size, owner, now)?;
         Ok(StripedRegion {
             spans,
             devs: devices.to_vec(),
@@ -157,53 +139,22 @@ impl StripedRegion {
 
     /// Span indices whose device and node are alive at `t`.
     pub fn alive(&self, topo: &Topology, faults: &FaultInjector, t: SimTime) -> Vec<usize> {
-        (0..self.devs.len())
-            .filter(|&i| {
-                let dev = self.devs[i];
-                !faults.device_failed(dev, t) && !faults.node_down(topo.node_of_mem(dev), t)
-            })
-            .collect()
+        alive(&self.devs, topo, faults, t)
     }
 
-    /// Span indices whose bytes overlap a corrupted range on their
-    /// device at `t`: the span is alive but its contents are suspect,
-    /// so reads must not trust it as a reconstruction source.
-    fn tainted(&self, mgr: &RegionManager, faults: &FaultInjector, t: SimTime) -> Vec<usize> {
-        if faults.is_empty() {
-            return Vec::new();
-        }
-        (0..self.spans.len())
-            .filter(|&i| {
-                mgr.placement(self.spans[i]).is_ok_and(|p| {
-                    faults
-                        .corrupted_ranges(p.dev, t)
-                        .iter()
-                        .any(|&(o, l)| o < p.offset + p.size && p.offset < o + l)
-                })
-            })
-            .collect()
-    }
-
-    fn charge_span(
+    /// Span indices alive at `t` whose bytes overlap no corrupted range
+    /// on their device: the spans a read or a recovery may trust as a
+    /// source. A corrupt span is alive but its contents are suspect.
+    fn trusted(
         &self,
+        mgr: &RegionManager,
         topo: &Topology,
-        ledger: &mut BandwidthLedger,
-        span: usize,
-        bytes: u64,
-        write: bool,
-        now: SimTime,
-    ) -> SimDuration {
-        let dev = self.devs[span];
-        let model = topo.mem(dev);
-        let (lat, bw) = if write {
-            (model.write_lat_ns, model.write_bw_bpns)
-        } else {
-            (model.read_lat_ns, model.read_bw_bpns)
-        };
-        let eff = model.effective_bytes(bytes) as f64;
-        let start = now + SimDuration::from_nanos_f64(lat);
-        let fin = ledger.reserve(ResourceKey::Mem(dev), start, eff, bw);
-        fin - now
+        faults: &FaultInjector,
+        t: SimTime,
+    ) -> Vec<usize> {
+        let mut alive = self.alive(topo, faults, t);
+        alive.retain(|&i| !corrupted(mgr, faults, self.spans[i], 0, self.span_size, t));
+        alive
     }
 
     /// Charges a parallel read of the whole spans `from` (what a decode
@@ -216,7 +167,8 @@ impl StripedRegion {
         now: SimTime,
     ) -> SimDuration {
         from.iter().fold(SimDuration::ZERO, |slowest, &i| {
-            slowest.max(self.charge_span(topo, ledger, i, self.span_size, false, now))
+            let fetched = charge_local(topo, ledger, self.devs[i], self.span_size, AccessOp::Read, now);
+            slowest.max(fetched)
         })
     }
 
@@ -287,7 +239,8 @@ impl StripedRegion {
         let mut src = 0usize;
         for (span, within, take) in self.pieces(offset, end) {
             mgr.write(self.spans[span], self.owner, within, &data[src..src + take])?;
-            slowest = slowest.max(self.charge_span(topo, ledger, span, take as u64, true, now));
+            let dev = self.devs[span];
+            slowest = slowest.max(charge_local(topo, ledger, dev, take as u64, AccessOp::Write, now));
             self.bytes_written += take as u64;
             src += take;
         }
@@ -304,7 +257,8 @@ impl StripedRegion {
         // Parity arithmetic reads k spans and produces m spans.
         let parity_cost = self.arithmetic_cost(k as u64 * self.span_size);
         for p in k..k + self.m() {
-            slowest = slowest.max(self.charge_span(topo, ledger, p, self.span_size, true, now));
+            let dev = self.devs[p];
+            slowest = slowest.max(charge_local(topo, ledger, dev, self.span_size, AccessOp::Write, now));
             self.bytes_written += self.span_size;
         }
         Ok(slowest + parity_cost)
@@ -344,12 +298,7 @@ impl StripedRegion {
         if buf.is_empty() {
             return Ok((SimDuration::ZERO, false));
         }
-        let tainted = self.tainted(mgr, faults, now);
-        let alive: Vec<usize> = self
-            .alive(topo, faults, now)
-            .into_iter()
-            .filter(|i| !tainted.contains(i))
-            .collect();
+        let alive = self.trusted(mgr, topo, faults, now);
         let k = self.k();
 
         if self.pieces(offset, end).all(|(span, ..)| alive.contains(&span)) {
@@ -357,8 +306,8 @@ impl StripedRegion {
             let mut dst = 0usize;
             for (span, within, take) in self.pieces(offset, end) {
                 mgr.read(self.spans[span], self.owner, within, &mut buf[dst..dst + take])?;
-                slowest =
-                    slowest.max(self.charge_span(topo, ledger, span, take as u64, false, now));
+                let dev = self.devs[span];
+                slowest = slowest.max(charge_local(topo, ledger, dev, take as u64, AccessOp::Read, now));
                 dst += take;
             }
             return Ok((slowest, false));
@@ -405,8 +354,8 @@ impl StripedRegion {
     }
 
     /// Rebuilds the span lost on `lost` onto `spare`: read `k` surviving
-    /// spans, decode the lost one (and only it), write it. Returns the
-    /// recovery duration.
+    /// spans a read would trust (alive and uncorrupted), decode the lost
+    /// one (and only it), write it. Returns the recovery duration.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         &mut self,
@@ -418,10 +367,10 @@ impl StripedRegion {
         spare: MemDeviceId,
         now: SimTime,
     ) -> Result<SimDuration, FtolError> {
-        let alive = self.alive(topo, faults, now);
-        if alive.contains(&lost) {
+        if self.alive(topo, faults, now).contains(&lost) {
             return Err(FtolError::ReplicaNotLost(lost));
         }
+        let alive = self.trusted(mgr, topo, faults, now);
         let k = self.k();
         if alive.len() < k {
             return Err(FtolError::Unrecoverable {
@@ -434,19 +383,12 @@ impl StripedRegion {
         self.decode_into(mgr, &alive[..k], lost, 0, &mut rebuilt)?;
         let decode = self.arithmetic_cost(self.span_size);
 
-        let new = mgr.alloc(
-            spare,
-            self.span_size,
-            RegionType::GlobalScratch,
-            PropertySet::new().with_mode(AccessMode::Async),
-            self.owner,
-            now,
-        )?;
+        let new = alloc_on(mgr, &[spare], self.span_size, self.owner, now)?[0];
         mgr.write(new, self.owner, 0, &rebuilt)?;
         let _ = mgr.release(self.spans[lost], self.owner);
         self.spans[lost] = new;
         self.devs[lost] = spare;
-        let write = self.charge_span(topo, ledger, lost, self.span_size, true, now);
+        let write = charge_local(topo, ledger, spare, self.span_size, AccessOp::Write, now);
         self.bytes_written += self.span_size;
         Ok(fetch + decode + write)
     }
@@ -455,6 +397,8 @@ impl StripedRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disagg_hwsim::contention::ResourceKey;
+    use disagg_hwsim::device::AccessPattern;
     use disagg_hwsim::fault::{FaultEvent, FaultKind};
     use disagg_hwsim::presets::disaggregated_rack;
 
@@ -686,6 +630,92 @@ mod tests {
                 Err(FtolError::OutOfBounds { .. })
             ));
         }
+    }
+
+    #[test]
+    fn recovery_decodes_only_from_spans_a_read_would_trust() {
+        let (topo, mut mgr, mut ledger, pool) = fixture(7);
+        let mut sr =
+            StripedRegion::create(&mut mgr, &topo, &pool[..6], 4000, 4, 2, OWNER, SimTime::ZERO)
+                .unwrap();
+        let data = payload(4000);
+        sr.write(&mut mgr, &topo, &mut ledger, 0, &data, SimTime::ZERO).unwrap();
+        // Span 0's device fails and span 1 is silently corrupted: the
+        // decode must fetch spans 2..6, never span 1.
+        let p1 = mgr.placement(sr.spans[1]).unwrap();
+        let faults = FaultInjector::with_events(vec![
+            FaultEvent { at: SimTime(5), kind: FaultKind::DeviceFail(sr.devs[0]) },
+            FaultEvent {
+                at: SimTime(5),
+                kind: FaultKind::Corrupt { dev: p1.dev, offset: p1.offset + 10, len: 4 },
+            },
+        ]);
+        let corrupt = sr.devs[1];
+        let mut ledger = BandwidthLedger::default_buckets();
+        sr.recover(&mut mgr, &topo, &mut ledger, &faults, 0, pool[6], SimTime(10))
+            .unwrap();
+        assert_eq!(ledger.stats(ResourceKey::Mem(corrupt)).reservations, 0);
+        for &dev in &sr.devs[2..] {
+            assert_eq!(ledger.stats(ResourceKey::Mem(dev)).reservations, 1, "fetched {dev}");
+        }
+        assert!(mgr.bytes(sr.spans[0], OWNER).unwrap() == &data[..1000], "span 0 rebuilt");
+
+        // With one more span lost, fewer than k clean spans survive.
+        let faults = FaultInjector::with_events(vec![
+            FaultEvent { at: SimTime(5), kind: FaultKind::DeviceFail(sr.devs[0]) },
+            FaultEvent { at: SimTime(5), kind: FaultKind::DeviceFail(sr.devs[2]) },
+            FaultEvent {
+                at: SimTime(5),
+                kind: FaultKind::Corrupt { dev: p1.dev, offset: p1.offset, len: 1 },
+            },
+        ]);
+        assert!(matches!(
+            sr.recover(&mut mgr, &topo, &mut ledger, &faults, 0, pool[2], SimTime(10)),
+            Err(FtolError::Unrecoverable { alive: 3, needed: 4 })
+        ));
+    }
+
+    #[test]
+    fn every_charge_on_an_idle_ledger_is_the_access_formula() {
+        use disagg_hwsim::topology::{AccessCostParts, PathCost};
+        let (topo, mut mgr, _, pool) = fixture(7);
+        let span = 1u64 << 18;
+        let mut sr =
+            StripedRegion::create(&mut mgr, &topo, &pool[..6], 4 * span, 4, 2, OWNER, SimTime::ZERO)
+                .unwrap();
+        let local = |bytes, op| {
+            let cxl = topo.mem(pool[0]);
+            AccessCostParts::of(cxl, PathCost::LOCAL, bytes, op, AccessPattern::Sequential).total()
+        };
+        let idle = BandwidthLedger::default_buckets;
+        let near = |a: SimDuration, b: SimDuration| a.as_nanos().abs_diff(b.as_nanos()) <= 1;
+
+        // A full write: every span written in parallel, plus parity
+        // arithmetic over the k data spans.
+        let data = payload(4 * span as usize);
+        let write = sr
+            .write(&mut mgr, &topo, &mut idle(), 0, &data, SimTime::ZERO)
+            .unwrap();
+        let want = local(span, AccessOp::Write) + sr.arithmetic_cost(4 * span);
+        assert!(near(write, want), "write {write} vs {want}");
+
+        let none = FaultInjector::none();
+        let mut buf = vec![0u8; 4096];
+        let (read, _) = sr
+            .read(&mgr, &topo, &mut idle(), &none, 7, &mut buf, SimTime(1))
+            .unwrap();
+        assert!(near(read, local(4096, AccessOp::Read)), "read {read}");
+
+        // A degraded read fetches k whole spans, then decodes one.
+        let crash = FaultInjector::with_events(vec![FaultEvent {
+            at: SimTime::ZERO,
+            kind: FaultKind::DeviceFail(sr.devs[0]),
+        }]);
+        let (degraded, _) = sr
+            .read(&mgr, &topo, &mut idle(), &crash, 7, &mut buf, SimTime(1))
+            .unwrap();
+        let want = local(span, AccessOp::Read) + sr.arithmetic_cost(span);
+        assert!(near(degraded, want), "degraded read {degraded} vs {want}");
     }
 
     /// The six spans of `sr` as the codec sees them.

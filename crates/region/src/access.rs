@@ -62,6 +62,51 @@ pub struct AccessStats {
 /// when the device latency is smaller than the bookkeeping, sync wins.
 pub const ASYNC_ISSUE_OVERHEAD_NS: f64 = 150.0;
 
+/// Books one access's transfer on the ledger from `start` — every access
+/// the runtime charges, the [`Accessor`]'s, `ftol`'s and healing's, is
+/// booked here: `parts.eff_bytes` on the device, and on the path's
+/// bottleneck link when it has one. A narrow interconnect contends
+/// independently of the device — two streams to different devices
+/// behind the same uplink still share the uplink — and a degraded link
+/// carries traffic at a fraction of its nominal bandwidth until it
+/// heals. Returns the later finish and the link's bandwidth multiplier
+/// at `now`, when the access was issued (1.0 without an injector or on
+/// a healthy link). A copy is booked by [`crate::migrate::reserve_copy`].
+pub fn reserve_transfer(
+    ledger: &mut BandwidthLedger,
+    faults: Option<&FaultInjector>,
+    dev: MemDeviceId,
+    parts: &AccessCostParts,
+    now: SimTime,
+    start: SimTime,
+) -> (SimTime, f64) {
+    let bytes = parts.eff_bytes as f64;
+    let mut finish = ledger.reserve(ResourceKey::Mem(dev), start, bytes, parts.bandwidth_bpns);
+    let mut factor = 1.0;
+    if let Some(link) = parts.bottleneck_link {
+        if let Some(faults) = faults {
+            factor = faults.link_degradation(link, now);
+        }
+        let bw = parts.link_bandwidth_bpns * factor;
+        finish = finish.max(ledger.reserve(ResourceKey::Link(link), start, bytes, bw));
+    }
+    (finish, factor)
+}
+
+/// A synchronous access issued at `now`: its latency passes, then its
+/// bytes are booked ([`reserve_transfer`]). Returns the finish and the
+/// link factor.
+pub fn book_access(
+    ledger: &mut BandwidthLedger,
+    faults: Option<&FaultInjector>,
+    dev: MemDeviceId,
+    parts: &AccessCostParts,
+    now: SimTime,
+) -> (SimTime, f64) {
+    let start = now + SimDuration::from_nanos_f64(parts.latency_ns);
+    reserve_transfer(ledger, faults, dev, parts, now, start)
+}
+
 /// One pending asynchronous operation.
 #[derive(Debug, Clone, Copy)]
 struct PendingOp {
@@ -146,42 +191,6 @@ impl<'a> Accessor<'a> {
         self.topo
     }
 
-    /// Books one transfer on the ledger from `start`: `parts.eff_bytes`
-    /// on the device, and on the path's bottleneck link when it has one.
-    /// A narrow interconnect contends independently of the device — two
-    /// streams to different devices behind the same uplink still share
-    /// the uplink — and a degraded link carries traffic at a fraction of
-    /// its nominal bandwidth until it heals. Returns the later finish
-    /// and the link's bandwidth multiplier at `self.now` (1.0 when no
-    /// injector is attached or the link is healthy).
-    fn reserve_transfer(
-        &mut self,
-        dev: MemDeviceId,
-        parts: &AccessCostParts,
-        start: SimTime,
-    ) -> (SimTime, f64) {
-        let mut finish = self.ledger.reserve(
-            ResourceKey::Mem(dev),
-            start,
-            parts.eff_bytes as f64,
-            parts.bandwidth_bpns,
-        );
-        let mut factor = 1.0;
-        if let Some(link) = parts.bottleneck_link {
-            if let Some(faults) = self.faults {
-                factor = faults.link_degradation(link, self.now);
-            }
-            let link_finish = self.ledger.reserve(
-                ResourceKey::Link(link),
-                start,
-                parts.eff_bytes as f64,
-                parts.link_bandwidth_bpns * factor,
-            );
-            finish = finish.max(link_finish);
-        }
-        (finish, factor)
-    }
-
     fn charge(
         &mut self,
         region: RegionId,
@@ -194,8 +203,7 @@ impl<'a> Accessor<'a> {
             .topo
             .access_cost_parts(self.compute, dev, bytes, op, pattern)
             .expect("placement guaranteed reachable by the runtime");
-        let transfer_start = self.now + SimDuration::from_nanos_f64(parts.latency_ns);
-        let (finish, factor) = self.reserve_transfer(dev, &parts, transfer_start);
+        let (finish, factor) = book_access(self.ledger, self.faults, dev, &parts, self.now);
         let took = finish - self.now;
         if factor < 1.0 {
             self.stats.degraded_time += took;
@@ -237,8 +245,7 @@ impl<'a> Accessor<'a> {
             .topo
             .access_cost_parts(self.compute, dev, bytes, AccessOp::Read, AccessPattern::Sequential)
             .expect("placement guaranteed reachable by the runtime");
-        let transfer_start = self.now + SimDuration::from_nanos_f64(parts.latency_ns);
-        let (finish, _) = self.reserve_transfer(dev, &parts, transfer_start);
+        let (finish, _) = book_access(self.ledger, self.faults, dev, &parts, self.now);
         let decode = SimDuration::from_nanos_f64(bytes as f64 * HOST_DECODE_NS_PER_BYTE);
         let took = (finish - self.now) + decode;
         let by = match self.who {
@@ -350,7 +357,8 @@ impl<'a> Accessor<'a> {
         self.now += SimDuration::from_nanos_f64(ASYNC_ISSUE_OVERHEAD_NS);
         // Transfers queue on the device ledger from "now": they run in the
         // background while the task keeps computing.
-        let (device_done, factor) = self.reserve_transfer(dev, &parts, self.now);
+        let (device_done, factor) =
+            reserve_transfer(self.ledger, self.faults, dev, &parts, self.now, self.now);
         if factor < 1.0 {
             self.stats.degraded_time += device_done - self.now;
         }

@@ -47,15 +47,39 @@ pub fn migrate(
     Ok((new, took))
 }
 
+/// Books one copy of `bytes` from device `src` onto `to`, starting at
+/// `now`: read bandwidth at the source, write bandwidth at the
+/// destination and the narrowest interconnect link between them (which
+/// other traffic contends with). Returns when the last of the three
+/// reservations finishes. Every physical copy the runtime makes is
+/// booked here: [`charge_copy`]'s and `ftol`'s replica recovery.
+pub fn reserve_copy(
+    topo: &Topology,
+    ledger: &mut BandwidthLedger,
+    src: MemDeviceId,
+    to: MemDeviceId,
+    bytes: u64,
+    now: SimTime,
+) -> SimTime {
+    let bytes = bytes as f64;
+    let f1 = ledger.reserve(ResourceKey::Mem(src), now, bytes, topo.mem(src).read_bw_bpns);
+    let f2 = ledger.reserve(ResourceKey::Mem(to), now, bytes, topo.mem(to).write_bw_bpns);
+    let mut finish = f1.max(f2);
+    if let Some(path) = topo.mem_path(src, to) {
+        if let Some(link) = path.bottleneck_link {
+            let f3 = ledger.reserve(ResourceKey::Link(link), now, bytes, path.bandwidth_bpns);
+            finish = finish.max(f3);
+        }
+    }
+    finish
+}
+
 /// Charges one device-to-device copy of the region at `src` onto `to`,
 /// starting at `now`, and traces it as one [`TraceEvent::Migrate`]. The
-/// copy occupies read bandwidth at the source, write bandwidth at the
-/// destination and the narrowest interconnect link between them (which
-/// other traffic contends with) for its duration; it takes the longest
-/// of those reservations and `base`, the uncontended
-/// [`Topology::transfer_cost`] (the caller decides what a missing route
-/// means). Every physical copy the runtime makes — migration, handover
-/// copies, fan-out — is priced here.
+/// copy is booked by [`reserve_copy`] and takes the longer of that and
+/// `base`, the uncontended [`Topology::transfer_cost`] (the caller
+/// decides what a missing route means). Migration, handover copies and
+/// fan-out are all priced here.
 #[allow(clippy::too_many_arguments)]
 pub fn charge_copy(
     topo: &Topology,
@@ -67,16 +91,7 @@ pub fn charge_copy(
     base: SimDuration,
     now: SimTime,
 ) -> SimDuration {
-    let bytes = src.size as f64;
-    let f1 = ledger.reserve(ResourceKey::Mem(src.dev), now, bytes, topo.mem(src.dev).read_bw_bpns);
-    let f2 = ledger.reserve(ResourceKey::Mem(to), now, bytes, topo.mem(to).write_bw_bpns);
-    let mut took = base.max(f1.max(f2) - now);
-    if let Some(path) = topo.mem_path(src.dev, to) {
-        if let Some(link) = path.bottleneck_link {
-            let f3 = ledger.reserve(ResourceKey::Link(link), now, bytes, path.bandwidth_bpns);
-            took = took.max(f3 - now);
-        }
-    }
+    let took = base.max(reserve_copy(topo, ledger, src.dev, to, src.size, now) - now);
     trace.push(TraceEvent::Migrate {
         region: region.0,
         from: src.dev,

@@ -5,28 +5,24 @@
 //! [`CostModel`] estimates, for a declarative memory request, how expensive
 //! it would be to serve that request from each candidate device *as seen
 //! from the executing compute device* — the quantity the placement
-//! optimizer minimizes. It blends:
+//! optimizer minimizes. It combines:
 //!
-//! - the achieved per-access latency (device + interconnect path), weighted
-//!   by how latency-bound the declared access hint is;
-//! - the achieved bandwidth for the streaming share of the traffic;
+//! - what the region's accesses cost uncontended: the declared volume
+//!   touched in `typical_bytes` calls of the declared pattern and
+//!   dominant op, each priced by the one access formula
+//!   ([`AccessCostParts::of`]) exactly as the region accessor charges it;
 //! - a contention estimate from the device's current utilization; and
 //! - a small capacity-pressure and dollar-cost tiebreaker, so equal
 //!   candidates prefer the cheaper, emptier device.
 
-use disagg_hwsim::device::AccessPattern;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
-use disagg_hwsim::topology::Topology;
+use disagg_hwsim::topology::{AccessCostParts, Topology};
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::PropertySet;
 
-// The weights of the cost blend. No experiment re-weights the model, so
-// they are constants: the placement engine's score table can then be
-// keyed on the request and the topology alone.
-/// Weight of the latency term.
-const W_LATENCY: f64 = 1.0;
-/// Weight of the bandwidth (transfer-time) term.
-const W_BANDWIDTH: f64 = 1.0;
+// The weights of the score. No experiment re-weights the model, so they
+// are constants: the placement engine's score table can then be keyed on
+// the request and the topology alone.
 /// Multiplier applied per unit of current device utilization.
 const W_CONTENTION: f64 = 1.0;
 /// Weight of the capacity-pressure tiebreaker.
@@ -50,7 +46,7 @@ pub enum TopologyAwareness {
 /// [`CostModel::static_score`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaticScore {
-    /// Weighted latency + transfer time, uncontended.
+    /// The uncontended cost of the region's accesses, nanoseconds.
     base: f64,
     /// The dollar-cost tiebreaker.
     dollars: f64,
@@ -94,8 +90,8 @@ impl CostModel {
     }
 
     /// The part of [`score`](Self::score) that does not depend on the
-    /// device's utilization: feasibility, the uncontended latency +
-    /// transfer blend, and the dollar tiebreaker. It reads the topology
+    /// device's utilization: feasibility, the uncontended access cost,
+    /// and the dollar tiebreaker. It reads the topology
     /// (path and device model), the awareness switch, `size`, and these
     /// `props` fields: the two requirement classes, `persistent`,
     /// `coherent`, `mode`, and from the hint the dominant op, the pattern
@@ -117,24 +113,15 @@ impl CostModel {
             return None;
         }
         let model = topo.mem(dev);
-        let op = props.hint.dominant_op();
-        let lat = model.latency(op) + path.latency_ns;
-        let bw = model.bandwidth(op).min(path.bandwidth_bpns);
-
-        // Expected time to push `size` bytes through in `typical_bytes`
-        // chunks under the declared pattern.
+        // The body touches the region in `typical_bytes` calls (one call
+        // for a smaller region); each costs what the accessor charges
+        // it, unrounded.
         let chunk = props.hint.typical_bytes.max(1).min(size.max(1));
         let chunks = (size.max(1) as f64 / chunk as f64).ceil();
-        let per_chunk_lat = match props.hint.pattern {
-            AccessPattern::Random => lat,
-            // Streaming amortizes latency across the whole volume.
-            AccessPattern::Sequential => lat / chunks.max(1.0),
-        };
-        let latency_term = chunks * per_chunk_lat;
-        let transfer_term = size as f64 / bw;
-
+        let parts =
+            AccessCostParts::of(model, path, chunk, props.hint.dominant_op(), props.hint.pattern);
         Some(StaticScore {
-            base: W_LATENCY * latency_term + W_BANDWIDTH * transfer_term,
+            base: chunks * (parts.latency_ns + parts.eff_bytes as f64 / parts.bandwidth_bpns),
             dollars: W_DOLLARS * model.cost_per_gib,
         })
     }
@@ -288,6 +275,80 @@ mod tests {
             f / d
         };
         assert!(ratio(&random) > ratio(&streaming));
+    }
+
+    /// What an `Accessor` charges one access of `bytes` to a fresh
+    /// region on `dev` from `compute`, on an idle ledger.
+    fn accessor_charge(
+        topo: &Topology,
+        compute: ComputeId,
+        dev: MemDeviceId,
+        bytes: u64,
+        hint: AccessHint,
+    ) -> f64 {
+        use disagg_hwsim::contention::BandwidthLedger;
+        use disagg_hwsim::device::AccessOp;
+        use disagg_hwsim::time::SimTime;
+        use disagg_hwsim::trace::Trace;
+        use disagg_region::access::Accessor;
+        use disagg_region::region::{OwnerId, RegionManager};
+        use disagg_region::typed::RegionType;
+
+        const WHO: OwnerId = OwnerId::App;
+        let mut mgr = RegionManager::new(topo);
+        let props = PropertySet::new();
+        let region = mgr
+            .alloc(dev, bytes, RegionType::GlobalScratch, props, WHO, SimTime::ZERO)
+            .unwrap();
+        let mut ledger = BandwidthLedger::default_buckets();
+        let mut trace = Trace::disabled();
+        let mut acc =
+            Accessor::new(topo, &mut ledger, &mut mgr, &mut trace, compute, WHO, SimTime::ZERO);
+        let mut buf = vec![0u8; bytes as usize];
+        let took = match hint.dominant_op() {
+            AccessOp::Read => acc.read(region, 0, &mut buf, hint.pattern),
+            AccessOp::Write => acc.write(region, 0, &buf, hint.pattern),
+        };
+        took.unwrap().as_nanos_f64()
+    }
+
+    #[test]
+    fn the_placement_estimate_is_the_accessors_charge() {
+        use disagg_hwsim::device::AccessPattern;
+        use disagg_hwsim::presets::disaggregated_rack;
+
+        let (server, ids) = single_server();
+        let (rack, r) = disaggregated_rack(2, 32, 2, 64);
+        let m = CostModel::new();
+        let mut checked = 0;
+        for (topo, compute) in [(&server, ids.cpu), (&rack, r.cpus[0])] {
+            for dev in topo.mem_ids().filter(|&d| topo.reachable(compute, d)) {
+                for pattern in [AccessPattern::Random, AccessPattern::Sequential] {
+                    for read_fraction in [1.0, 0.0] {
+                        for typical_bytes in [1, 64, 256, 4096, 1 << 20] {
+                            let hint = AccessHint { pattern, read_fraction, typical_bytes };
+                            let props = PropertySet::new().with_mode(AccessMode::Async).with_hint(hint);
+                            for size in [0u64, 1, 63, 4096, 1 << 20] {
+                                let base = m
+                                    .static_score(topo, compute, dev, &props, size)
+                                    .expect("every reachable device takes an async request")
+                                    .base;
+                                // The region is touched in chunks of `typical_bytes`.
+                                let chunk = typical_bytes.min(size.max(1));
+                                let chunks = size.max(1).div_ceil(chunk) as f64;
+                                let charged = chunks * accessor_charge(topo, compute, dev, chunk, hint);
+                                assert!(
+                                    (base - charged).abs() <= chunks,
+                                    "{dev} {hint:?} size {size}: estimate {base} vs charged {charged}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked >= 1000, "{checked} cases");
     }
 
     #[test]
