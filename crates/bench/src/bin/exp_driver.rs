@@ -5,14 +5,16 @@
 //! order — byte-identical between serial and parallel runs, and across
 //! repeated runs), each followed by its claims and their verdicts, and
 //! the record is those tables and verdicts plus the raw numbers behind
-//! them. A claim that does not hold is named on stderr. Progress timing
-//! lives on stderr and nowhere else.
+//! them. Where a verdict is written down (`--markdown`, `--json`), the
+//! suite also runs at the grid's seeds and each claim says in how many
+//! of them it holds. A claim that does not hold at the record's seed is
+//! named on stderr. Progress timing lives on stderr and nowhere else.
 //!
 //! Flags are parsed strictly — see [`USAGE`] (`--help`).
 
 use std::io::Write;
 
-use disagg_bench::driver;
+use disagg_bench::{driver, Scenario};
 
 const USAGE: &str = "\
 usage: exp_driver [flags]
@@ -24,6 +26,9 @@ usage: exp_driver [flags]
                    (what EXPERIMENTS.md embeds) instead of aligned ASCII
   --json PATH      write the benchmark record to PATH (no record is
                    written without it)
+                   (with --markdown or --json, the suite also runs at
+                   seeds 1..=10, and each claim's scorecard row and
+                   record entry say in how many of them it holds)
   --verify         fail (exit 1) if a claim does not hold, and
                    additionally run serially and fail if parallel
                    output is not byte-identical
@@ -42,7 +47,7 @@ usage: exp_driver [flags]
 
 #[derive(Default)]
 struct Opts {
-    quick: bool,
+    scenario: Scenario,
     serial: bool,
     threads: Option<usize>,
     only: Vec<String>,
@@ -62,7 +67,7 @@ fn parse(args: &[String]) -> Result<Option<Opts>, String> {
     while let Some(flag) = it.next() {
         let mut value = || it.next().cloned().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--quick" => o.quick = true,
+            "--quick" => o.scenario.quick = true,
             "--serial" => o.serial = true,
             "--markdown" => o.markdown = true,
             "--verify" => o.verify = true,
@@ -104,7 +109,7 @@ fn main() {
         }
     };
     let Opts {
-        quick,
+        scenario,
         serial,
         threads,
         only,
@@ -124,9 +129,14 @@ fn main() {
         })
     };
 
-    let tables = driver::run_experiments(&only, quick, threads);
+    let tables = driver::run_experiments(&only, &scenario, threads);
+    let grid = if markdown || json.is_some() {
+        driver::seed_grid(&only, &scenario, threads)
+    } else {
+        Vec::new()
+    };
     if markdown {
-        print!("{}", driver::markdown(&tables));
+        print!("{}", driver::markdown(&tables, &grid));
     } else {
         for t in &tables {
             println!("{}", t.render());
@@ -143,7 +153,7 @@ fn main() {
             std::process::exit(1);
         }
         let render = |ts: &[disagg_bench::Table]| ts.iter().map(|t| t.render()).collect::<String>();
-        if render(&tables) != render(&driver::run_experiments(&only, quick, 1)) {
+        if render(&tables) != render(&driver::run_experiments(&only, &scenario, 1)) {
             eprintln!("VERIFY FAILED: parallel output differs from serial run");
             std::process::exit(1);
         }
@@ -159,7 +169,7 @@ fn main() {
         }
         let mut metrics_entries: Vec<(String, String)> = Vec::new();
         for t in &tables {
-            let Some(outcome) = driver::observed_artifacts(t.id, quick) else {
+            let Some(outcome) = driver::observed_artifacts(t.id, &scenario) else {
                 continue;
             };
             let art = match outcome {
@@ -187,7 +197,7 @@ fn main() {
         // A traced serving pass rides along: the full device+tenant
         // trace plus the exemplar-only tail view, both validated.
         if let Some(dir) = &trace_out {
-            match driver::serving_trace_artifacts(quick) {
+            match driver::serving_trace_artifacts(&scenario) {
                 Ok((full, exemplars)) => {
                     for (name, body) in [
                         ("serving.trace.json", &full),
@@ -229,7 +239,7 @@ fn main() {
     }
 
     if let Some(json_path) = json {
-        let json = driver::bench_json(&tables, quick);
+        let json = driver::bench_json(&tables, &grid, &scenario);
         match std::fs::File::create(&json_path).and_then(|mut f| f.write_all(json.as_bytes())) {
             Ok(()) => eprintln!("wrote {json_path}"),
             Err(e) => {

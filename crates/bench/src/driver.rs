@@ -10,11 +10,12 @@
 //! first, so parallel output is byte-identical to a serial run.
 //!
 //! The driver also renders the machine-readable `BENCH_disagg.json`:
-//! every table, every claim with its verdict, plus the raw records
-//! behind three of the tables, all virtual time, so the record is a
-//! pure function of the source and a model change shows up as a diff.
-//! Host wall-clock is `benchmark/`'s job; the only clock read here is
-//! the progress timer on stderr.
+//! every table, every claim with its verdict — at the scenario's seed,
+//! and across the [`seed_grid`] — plus the raw records behind three of
+//! the tables, all virtual time, so the record is a pure function of
+//! the source and a model change shows up as a diff. Host wall-clock is
+//! `benchmark/`'s job; the only clock read here is the progress timer
+//! on stderr.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,15 +36,20 @@ use disagg_hwsim::presets::{
 };
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
-use disagg_workloads::dbms::{query_job, DbmsConfig};
-use disagg_workloads::hospital::{hospital_job, HospitalConfig};
+use disagg_workloads::dbms::query_job;
+use disagg_workloads::hospital::hospital_job;
 use disagg_workloads::hpc::{stencil_job, HpcConfig};
-use disagg_workloads::ml::{training_job, MlConfig};
-use disagg_workloads::streaming::{windowed_job, StreamConfig};
+use disagg_workloads::ml::training_job;
+use disagg_workloads::streaming::windowed_job;
 
 use disagg_obs::json::escape;
 
-use crate::{exp, Claim, Table, Verdict};
+use crate::exp::{chaos, fig2};
+use crate::{exp, Claim, Scenario, Table, Verdict};
+
+/// The grid's seeds besides the record's: [`seed_grid`] re-runs the
+/// suite at seeds `1..=SEEDS`.
+pub const SEEDS: u64 = 10;
 
 /// Order-preserving parallel map: runs `f` over `items` on up to
 /// `threads` workers and returns results in input order. `threads <= 1`
@@ -81,21 +87,34 @@ where
         .collect()
 }
 
-/// Runs the experiment suite — all of it, or the ids in `only` — across
-/// `threads` workers, each experiment once. Tables come back in
-/// registry order regardless of completion order; the seconds each took
-/// go to stderr as progress and nowhere else.
-pub fn run_experiments(only: &[String], quick: bool, threads: usize) -> Vec<Table> {
+/// Runs the experiment suite — all of it, or the ids in `only` — at
+/// `scenario` across `threads` workers, each experiment once. Tables
+/// come back in registry order regardless of completion order; the
+/// seconds each took go to stderr as progress (`id`, or `id@seed` off
+/// the record's seed 0) and nowhere else.
+pub fn run_experiments(only: &[String], scenario: &Scenario, threads: usize) -> Vec<Table> {
     let suite: Vec<exp::Experiment> = exp::all()
         .into_iter()
         .filter(|(id, _)| only.is_empty() || only.iter().any(|o| o == id))
         .collect();
     sweep(suite, threads, |(id, runner)| {
         let t = Instant::now();
-        let table = runner(quick);
-        eprintln!("{id:<12} {:>8.3}s", t.elapsed().as_secs_f64());
+        let table = runner(scenario);
+        let label = match scenario.seed {
+            0 => id.to_string(),
+            seed => format!("{id}@{seed}"),
+        };
+        eprintln!("{label:<12} {:>8.3}s", t.elapsed().as_secs_f64());
         table
     })
+}
+
+/// The suite at `scenario`'s size and each seed `1..=`[`SEEDS`], as
+/// `(seed, tables)` in seed order.
+pub fn seed_grid(only: &[String], scenario: &Scenario, threads: usize) -> Vec<(u64, Vec<Table>)> {
+    (1..=SEEDS)
+        .map(|seed| (seed, run_experiments(only, &Scenario { seed, ..*scenario }, threads)))
+        .collect()
 }
 
 /// The rack-scale event-loop stress workload: `jobs` layered DAGs of
@@ -135,15 +154,13 @@ pub fn stress_jobs(jobs: usize, layers: usize, width: usize) -> Vec<JobSpec> {
 /// internally (often many per sweep), so trace artifacts re-run one
 /// matching workload with an observer attached instead of threading an
 /// observer through every sweep point.
-pub fn representative(id: &str, quick: bool) -> Option<(Topology, RuntimeConfig, Vec<JobSpec>)> {
+pub fn representative(
+    id: &str,
+    scenario: &Scenario,
+) -> Option<(Topology, RuntimeConfig, Vec<JobSpec>)> {
+    let quick = scenario.quick;
     let config = RuntimeConfig::default();
-    let dbms = || {
-        query_job(DbmsConfig {
-            tuples: if quick { 2_000 } else { 20_000 },
-            probe_tuples: if quick { 1_000 } else { 10_000 },
-            ..DbmsConfig::default()
-        })
-    };
+    let dbms = || query_job(chaos::dbms(scenario));
     let some = |topo: Topology, jobs: Vec<JobSpec>| Some((topo, config.clone(), jobs));
     match id {
         // Static tables: a small pipeline on the plain server stands in.
@@ -153,13 +170,7 @@ pub fn representative(id: &str, quick: bool) -> Option<(Topology, RuntimeConfig,
         // The CXL-pool rack of fig1 has no persistent tier, so the rack
         // representative is the fully disaggregated one.
         "fig1" => some(disaggregated_rack(4, 16, 4, 256).0, vec![dbms()]),
-        "fig2" => some(
-            single_server().0,
-            vec![hospital_job(HospitalConfig {
-                frames: if quick { 4 } else { 16 },
-                ..HospitalConfig::default()
-            })],
-        ),
+        "fig2" => some(single_server().0, vec![hospital_job(fig2::config(scenario))]),
         // two_socket is DRAM-only, so the NUMA representative runs a
         // plain layered DAG (no persistent outputs to place).
         "numa" => some(two_socket().0, stress_jobs(1, 4, 4)),
@@ -167,24 +178,17 @@ pub fn representative(id: &str, quick: bool) -> Option<(Topology, RuntimeConfig,
             single_server().0,
             vec![stencil_job(HpcConfig {
                 cells: if quick { 2_048 } else { 8_192 },
+                seed: scenario.stream(HpcConfig::default().seed),
                 ..HpcConfig::default()
             })],
         ),
         "naive" | "tiering" => some(hetero_storage_server().0, vec![dbms()]),
-        "async" | "stream" => some(
-            single_server().0,
-            vec![windowed_job(StreamConfig {
-                events: if quick { 4_000 } else { 20_000 },
-                ..StreamConfig::default()
-            })],
-        ),
-        "ftol" => some(
-            disaggregated_rack(4, 16, 4, 256).0,
-            vec![training_job(MlConfig {
-                samples: if quick { 1_024 } else { 4_096 },
-                ..MlConfig::default()
-            })],
-        ),
+        "async" | "stream" => {
+            some(single_server().0, vec![windowed_job(chaos::stream(scenario))])
+        }
+        "ftol" => {
+            some(disaggregated_rack(4, 16, 4, 256).0, vec![training_job(chaos::ml(scenario))])
+        }
         "online" => some(
             disaggregated_rack(4, 16, 4, 256).0,
             stress_jobs(if quick { 2 } else { 4 }, 4, 4),
@@ -227,8 +231,8 @@ pub struct Artifacts {
 /// attached and returns its artifacts. The emitted Chrome trace is
 /// round-trip validated before being returned; a validation failure is
 /// a bug, so it errors rather than writing a broken file.
-pub fn observed_artifacts(id: &str, quick: bool) -> Option<Result<Artifacts, String>> {
-    let (topo, config, jobs) = representative(id, quick)?;
+pub fn observed_artifacts(id: &str, scenario: &Scenario) -> Option<Result<Artifacts, String>> {
+    let (topo, config, jobs) = representative(id, scenario)?;
     let sink = Arc::new(Mutex::new(FullObserver::new()));
     let mut rt = Runtime::new(topo, config.with_observer(ObserverSlot::shared(sink.clone())));
     let report = match rt.execute(jobs) {
@@ -261,10 +265,9 @@ pub fn observed_artifacts(id: &str, quick: bool) -> Option<Result<Artifacts, Str
 /// broken into latency-component segments). Both documents are
 /// validated before being returned, so callers never write a file
 /// Perfetto would reject.
-pub fn serving_trace_artifacts(quick: bool) -> Result<(String, String), String> {
-    let requests = if quick { 32 } else { 96 };
+pub fn serving_trace_artifacts(scenario: &Scenario) -> Result<(String, String), String> {
     let layer = exp::serving::templates();
-    let cfg = exp::serving::saturated_config(requests);
+    let cfg = exp::serving::saturated_config(scenario);
     let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());
     let report = layer
@@ -303,15 +306,70 @@ fn verdicts(tables: &[Table]) -> impl Iterator<Item = (&Table, &Claim, Verdict)>
     tables.iter().flat_map(|t| t.claims.iter().map(move |c| (t, c, c.evaluate(t))))
 }
 
-/// The form EXPERIMENTS.md embeds: a scorecard with one row per claim,
-/// then every table, both in registry order.
-pub fn markdown(tables: &[Table]) -> String {
+/// How one claim fares across a seed grid.
+struct Spread {
+    /// Grid seeds the claim holds at.
+    held: usize,
+    /// Grid seeds.
+    seeds: usize,
+    /// The worst verdict — a failure before a pass, then the smaller
+    /// margin — and its seed, the lowest on ties; `None` on an empty
+    /// grid.
+    worst: Option<(u64, Verdict)>,
+}
+
+impl Spread {
+    /// `claim` of `table` at every seed of `grid`. A seed whose suite
+    /// lacks the claim counts as a failure without a margin.
+    fn of(grid: &[(u64, Vec<Table>)], table: &Table, claim: &Claim) -> Spread {
+        let at: Vec<(u64, Verdict)> = grid
+            .iter()
+            .map(|(seed, tables)| {
+                let found = verdicts(tables).find(|(t, c, _)| t.id == table.id && c.id == claim.id);
+                (*seed, found.map_or(Verdict { holds: false, margin: None }, |(_, _, v)| v))
+            })
+            .collect();
+        // A missing margin ranks below every failure and above every pass.
+        let rank = |v: &Verdict| {
+            (v.holds, v.margin.unwrap_or(if v.holds { f64::INFINITY } else { f64::NEG_INFINITY }))
+        };
+        Spread {
+            held: at.iter().filter(|(_, v)| v.holds).count(),
+            seeds: at.len(),
+            worst: at.into_iter().min_by(|(_, a), (_, b)| {
+                let (a, b) = (rank(a), rank(b));
+                a.0.cmp(&b.0).then(a.1.total_cmp(&b.1))
+            }),
+        }
+    }
+
+    /// `k/n`, the record's `holds_in`.
+    fn holds_in(&self) -> String {
+        format!("{}/{}", self.held, self.seeds)
+    }
+}
+
+/// The form EXPERIMENTS.md embeds: a scorecard with one row per claim —
+/// its verdict at the tables' seed, and in how many of `grid`'s seeds it
+/// holds with the worst of them — then every table, both in registry
+/// order.
+pub fn markdown(tables: &[Table], grid: &[(u64, Vec<Table>)]) -> String {
     let mut out = String::from(
-        "| Experiment | Claim | Shape | Holds | Margin |\n|---|---|---|---|---|\n",
+        "| Experiment | Claim | Shape | Holds | Margin | Seeds |\n|---|---|---|---|---|---|\n",
     );
     for (t, c, v) in verdicts(tables) {
+        let spread = Spread::of(grid, t, c);
+        let seeds = match spread.worst {
+            Some((seed, Verdict { margin: Some(m), .. })) => {
+                format!("{}, min {m:.4} at seed {seed}", spread.holds_in())
+            }
+            Some((seed, Verdict { holds: false, .. })) => {
+                format!("{}, fails at seed {seed}", spread.holds_in())
+            }
+            _ => spread.holds_in(),
+        };
         out.push_str(&format!(
-            "| `{}` | `{}`: {} | {} | {} | {} |\n",
+            "| `{}` | `{}`: {} | {} | {} | {} | {seeds} |\n",
             t.id,
             c.id,
             c.text,
@@ -327,30 +385,38 @@ pub fn markdown(tables: &[Table]) -> String {
     out
 }
 
-/// Renders the machine-readable benchmark record (`BENCH_disagg.json`):
-/// every table, every claim with its verdict, then the raw-record
-/// fragments the tables carry — at the top level, or grouped under the
-/// object a fragment names. Hand-rolled JSON keeps the workspace
-/// dependency-free.
-pub fn bench_json(tables: &[Table], quick: bool) -> String {
+/// Renders the machine-readable benchmark record (`BENCH_disagg.json`)
+/// of `tables`, run at `scenario`: every table, every claim with its
+/// verdict and how it fares across `grid` (`holds_in` seeds of the
+/// grid's, and the worst verdict's `min_margin` and `min_seed`), then
+/// the raw-record fragments the tables carry — at the top level, or
+/// grouped under the object a fragment names. Hand-rolled JSON keeps
+/// the workspace dependency-free.
+pub fn bench_json(tables: &[Table], grid: &[(u64, Vec<Table>)], scenario: &Scenario) -> String {
+    let number = |m: Option<f64>| m.map_or("null".to_string(), |m| format!("{m:.4}"));
     let experiments: Vec<String> = tables.iter().map(|t| format!("    {}", t.to_json())).collect();
     let claims: Vec<String> = verdicts(tables)
         .map(|(t, c, v)| {
+            let spread = Spread::of(grid, t, c);
             format!(
                 "    {{\"experiment\": \"{}\", \"id\": \"{}\", \"text\": \"{}\",\n     \
-                 \"shape\": \"{}\", \"holds\": {}, \"margin\": {}}}",
+                 \"shape\": \"{}\", \"holds\": {}, \"margin\": {},\n     \
+                 \"holds_in\": \"{}\", \"min_margin\": {}, \"min_seed\": {}}}",
                 t.id,
                 c.id,
                 escape(&c.text),
                 escape(&c.shape.to_string()),
                 v.holds,
-                v.margin.map_or("null".to_string(), |m| format!("{m:.4}")),
+                number(v.margin),
+                spread.holds_in(),
+                number(spread.worst.and_then(|(_, v)| v.margin)),
+                spread.worst.map_or("null".to_string(), |(seed, _)| seed.to_string()),
             )
         })
         .collect();
     let mut members = vec![
         "\"schema\": \"disagg-bench-v3\"".to_string(),
-        format!("\"quick\": {quick}"),
+        format!("\"quick\": {}", scenario.quick),
         format!("\"experiments\": [\n{}\n  ]", experiments.join(",\n")),
         format!("\"claims\": [\n{}\n  ]", claims.join(",\n")),
     ];
@@ -399,7 +465,7 @@ mod tests {
             table("serving", frag("serving", "\"tenants\": 2, \"sweep\": []")),
             table("chaos_serve", frag("serving", "\"chaos\": {\"rows\": []}")),
         ];
-        let s = bench_json(&tables, true);
+        let s = bench_json(&tables, &[], &Scenario { quick: true, seed: 0 });
         let v = disagg_obs::json::parse(&s).expect("the record is valid JSON");
         assert_eq!(v.get("schema").and_then(|v| v.as_str()), Some("disagg-bench-v3"));
         assert_eq!(v.get("quick"), Some(&disagg_obs::json::Value::Bool(true)));
@@ -415,7 +481,7 @@ mod tests {
         assert_eq!(serving.get("tenants").and_then(|v| v.as_f64()), Some(2.0));
         assert!(serving.get("chaos").and_then(|c| c.get("rows")).is_some(), "serving.chaos nests");
         // A partial suite simply lacks the sections nobody measured.
-        let partial = disagg_obs::json::parse(&bench_json(&tables[..1], false)).unwrap();
+        let partial = disagg_obs::json::parse(&bench_json(&tables[..1], &[], &Scenario::default())).unwrap();
         assert!(partial.get("chaos").is_none() && partial.get("serving").is_none());
     }
 
@@ -435,8 +501,8 @@ mod tests {
         // Every rendering carries the same verdict.
         assert!(tables[0].render().ends_with(&format!("claim: {failed}\n")));
         let row = "| `t` | `big-enough`: the value reaches 2 | every value >= 2 | NO | -0.5000 |";
-        assert!(markdown(&tables).contains(row));
-        let v = parse(&bench_json(&tables, true)).expect("valid JSON");
+        assert!(markdown(&tables, &[]).contains(row));
+        let v = parse(&bench_json(&tables, &[], &Scenario::default())).expect("valid JSON");
         let claims = v.get("claims").and_then(Value::as_arr).expect("claims");
         assert_eq!(claims[0].get("holds"), Some(&Value::Bool(true)));
         assert_eq!(claims[0].get("margin"), Some(&Value::Null));
@@ -444,5 +510,42 @@ mod tests {
         assert_eq!(claims[1].get("id").and_then(Value::as_str), Some("big-enough"));
         assert_eq!(claims[1].get("holds"), Some(&Value::Bool(false)));
         assert_eq!(claims[1].get("margin").and_then(Value::as_f64), Some(-0.5));
+    }
+
+    /// A claim's grid columns: in how many seeds it holds, and its worst
+    /// verdict — a failure first, the smaller margin next, the lower
+    /// seed on ties — with the seed that gave it.
+    #[test]
+    fn the_seed_columns_count_the_grid_and_name_its_worst_seed() {
+        use disagg_obs::json::{parse, Value};
+        let table = |value: Option<f64>| {
+            let mut t = Table::new("t", "Test", &["Name", "Value"]);
+            t.row(vec!["a".into(), "1".into()]);
+            t.claim("a-is-one", "a reads 1", Shape::Cells(vec![["a", "Value", "1"]]), vec![]);
+            if let Some(x) = value {
+                t.claim("big-enough", "the value reaches 2", Shape::AtLeast(2.0), vec![x]);
+            }
+            t
+        };
+        let tables = [table(Some(4.0))];
+        let grid: Vec<(u64, Vec<Table>)> =
+            [3.0, 1.0, 8.0, 1.0].iter().zip(1..).map(|(&x, seed)| (seed, vec![table(Some(x))])).collect();
+        let row = "| `t` | `big-enough`: the value reaches 2 | every value >= 2 | yes | 0.5000 | \
+                   2/4, min -0.5000 at seed 2 |";
+        assert!(markdown(&tables, &grid).contains(row), "{}", markdown(&tables, &grid));
+        assert!(markdown(&tables, &grid).contains("| yes | — | 4/4 |"), "a cell claim has no margin");
+        let v = parse(&bench_json(&tables, &grid, &Scenario::default())).expect("valid JSON");
+        let claims = v.get("claims").and_then(Value::as_arr).expect("claims");
+        let field = |i: usize, k: &str| claims[i].get(k).cloned();
+        assert_eq!(field(0, "holds_in"), Some(Value::Str("4/4".into())));
+        assert_eq!(field(0, "min_margin"), Some(Value::Null));
+        assert_eq!(field(0, "min_seed").and_then(|v| v.as_f64()), Some(1.0));
+        assert_eq!(field(1, "holds_in"), Some(Value::Str("2/4".into())));
+        assert_eq!(field(1, "min_margin").and_then(|v| v.as_f64()), Some(-0.5));
+        assert_eq!(field(1, "min_seed").and_then(|v| v.as_f64()), Some(2.0));
+        // A seed whose suite lacks the claim is a failure with no margin,
+        // worse than any failure that has one.
+        let lacking = [(1, vec![table(Some(1.0))]), (5, vec![table(None)])];
+        assert!(markdown(&tables, &lacking).contains("| 0.5000 | 0/2, fails at seed 5 |"));
     }
 }

@@ -13,30 +13,33 @@ use disagg_hwsim::presets::single_server;
 use disagg_sched::cost::TopologyAwareness;
 use disagg_workloads::{dbms, ml, streaming};
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
-fn batch(quick: bool) -> Vec<JobSpec> {
-    let scale = if quick { 1 } else { 4 };
+fn batch(scenario: &Scenario) -> Vec<JobSpec> {
+    let scale = if scenario.quick { 1 } else { 4 };
     vec![
         dbms::query_job(dbms::DbmsConfig {
             tuples: 4_000 * scale,
             probe_tuples: 2_000 * scale,
+            seed: scenario.stream(dbms::DbmsConfig::default().seed),
             ..dbms::DbmsConfig::default()
         }),
         ml::training_job(ml::MlConfig {
             samples: 2_048 * scale,
             epochs: 2,
+            seed: scenario.stream(ml::MlConfig::default().seed),
             ..ml::MlConfig::default()
         }),
         streaming::windowed_job(streaming::StreamConfig {
             events: 5_000 * scale,
+            seed: scenario.stream(streaming::StreamConfig::default().seed),
             ..streaming::StreamConfig::default()
         }),
     ]
 }
 
 /// Runs E13: the mixed batch under each configuration.
-pub fn run(quick: bool) -> Table {
+pub fn run(scenario: &Scenario) -> Table {
     let configs: Vec<(&'static str, RuntimeConfig)> = vec![
         ("full vision (baseline)", RuntimeConfig::traced()),
         (
@@ -61,7 +64,7 @@ pub fn run(quick: bool) -> Table {
         .map(|(name, config)| {
             let (topo, _) = single_server();
             let mut rt = Runtime::new(topo, config);
-            (name, rt.execute(batch(quick)).expect("batch runs").makespan)
+            (name, rt.execute(batch(scenario)).expect("batch runs").makespan)
         })
         .collect();
     let base = makespans[0].1.as_nanos_f64();

@@ -1,8 +1,11 @@
 //! E10 — the §2.2(3) claim: near memory wants synchronous loads/stores;
 //! far memory wants an asynchronous interface.
 //!
-//! The workload fetches P random 4 KiB pages and runs a little compute
-//! per page. Synchronously, every fetch pays the full device latency in
+//! The workload fetches P 4 KiB pages and runs a little compute per
+//! page. Each page is one contiguous access and an access's cost does
+//! not depend on its address, so the pages are simply consecutive: no
+//! random offset could change a number. Synchronously, every fetch pays
+//! the full device latency in
 //! series. Asynchronously, fetches pipeline: all but one latency is
 //! hidden and the stream becomes bandwidth-bound — but every issued
 //! operation pays a fixed software toll (submission + completion
@@ -14,7 +17,6 @@ use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::single_server;
-use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::SimTime;
 use disagg_hwsim::trace::Trace;
 use disagg_region::access::Accessor;
@@ -22,15 +24,15 @@ use disagg_region::props::PropertySet;
 use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
 const WHO: OwnerId = OwnerId::App;
 const PAGE: u64 = 4096;
 
 /// Runs E10: both interfaces on every tier.
-pub fn run(quick: bool) -> Table {
+pub fn run(scenario: &Scenario) -> Table {
     let (topo, h) = single_server();
-    let pages: u64 = if quick { 256 } else { 4_096 };
+    let pages: u64 = if scenario.quick { 256 } else { 4_096 };
     let region_bytes = 64 << 20;
     let compute_per_page: u64 = 20; // Scalar elements (~20 ns on a CPU).
 
@@ -52,10 +54,7 @@ pub fn run(quick: bool) -> Table {
         let region = mgr
             .alloc(dev, region_bytes, RegionType::GlobalScratch, PropertySet::new(), WHO, SimTime::ZERO)
             .expect("tier allocable");
-        let mut offsets = SimRng::new(7 + dev.0 as u64);
-        let offs: Vec<u64> = (0..pages)
-            .map(|_| offsets.next_below(region_bytes / PAGE) * PAGE)
-            .collect();
+        let offs: Vec<u64> = (0..pages).map(|i| i * PAGE).collect();
         let mut buf = vec![0u8; PAGE as usize];
 
         // Synchronous: fetch page, compute, repeat.
@@ -66,8 +65,6 @@ pub fn run(quick: bool) -> Table {
                 &topo, &mut ledger, &mut mgr, &mut trace, h.cpu, WHO, SimTime::ZERO,
             );
             for &off in &offs {
-                // Each page fetch is one contiguous access; the
-                // randomness is across pages.
                 acc.read(region, off, &mut buf, disagg_hwsim::device::AccessPattern::Sequential)
                     .expect("read");
                 acc.compute_work(WorkClass::Scalar, compute_per_page);

@@ -22,7 +22,7 @@ use disagg_workloads::ml::{self, MlConfig};
 use disagg_workloads::streaming::{self, StreamConfig};
 use disagg_workloads::util::final_output;
 
-use crate::{fmt_dur, Fragment, Shape, Table};
+use crate::{fmt_dur, Fragment, Scenario, Shape, Table};
 
 /// One (workload, MTTF) sweep point.
 #[derive(Debug, Clone)]
@@ -81,60 +81,75 @@ fn fragment(rows: &[ChaosRow]) -> Fragment {
 /// bodies are one-shot: every run rebuilds its job.
 struct Workload {
     name: &'static str,
-    /// `quick` in, a fresh job out.
-    job: fn(bool) -> JobSpec,
+    /// A fresh job at the scenario's size and seed.
+    job: fn(&Scenario) -> JobSpec,
     /// Whether a finished run's final output, decoded, equals the
-    /// workload's own reference for the same `quick`.
-    output_matches: fn(bool, &Runtime, &RunReport) -> bool,
+    /// workload's own reference for the same scenario.
+    output_matches: fn(&Scenario, &Runtime, &RunReport) -> bool,
+}
+
+/// The sweep's DBMS query at `scenario`'s size and seed.
+pub(crate) fn dbms(scenario: &Scenario) -> DbmsConfig {
+    DbmsConfig {
+        tuples: if scenario.quick { 2_000 } else { 20_000 },
+        probe_tuples: if scenario.quick { 1_000 } else { 10_000 },
+        seed: scenario.stream(DbmsConfig::default().seed),
+        ..DbmsConfig::default()
+    }
+}
+
+/// The sweep's ML training job at `scenario`'s size and seed.
+pub(crate) fn ml(scenario: &Scenario) -> MlConfig {
+    MlConfig {
+        samples: if scenario.quick { 1_024 } else { 4_096 },
+        seed: scenario.stream(MlConfig::default().seed),
+        ..MlConfig::default()
+    }
+}
+
+/// The sweep's streaming job at `scenario`'s size and seed.
+pub(crate) fn stream(scenario: &Scenario) -> StreamConfig {
+    StreamConfig {
+        events: if scenario.quick { 4_000 } else { 20_000 },
+        seed: scenario.stream(StreamConfig::default().seed),
+        ..StreamConfig::default()
+    }
 }
 
 /// The three workloads of the sweep.
 fn workloads() -> [Workload; 3] {
-    fn dbms(quick: bool) -> DbmsConfig {
-        DbmsConfig {
-            tuples: if quick { 2_000 } else { 20_000 },
-            probe_tuples: if quick { 1_000 } else { 10_000 },
-            ..DbmsConfig::default()
-        }
-    }
-    fn ml(quick: bool) -> MlConfig {
-        MlConfig { samples: if quick { 1_024 } else { 4_096 }, ..MlConfig::default() }
-    }
-    fn stream(quick: bool) -> StreamConfig {
-        StreamConfig { events: if quick { 4_000 } else { 20_000 }, ..StreamConfig::default() }
-    }
     [
         Workload {
             name: "dbms",
-            job: |quick| dbms::query_job(dbms(quick)),
-            output_matches: |quick, rt, report| {
-                let want = dbms::expected(&dbms(quick));
+            job: |scenario| dbms::query_job(dbms(scenario)),
+            output_matches: |scenario, rt, report| {
+                let want = dbms::expected(&dbms(scenario));
                 dbms::decode_result(&final_output(rt, report, JobId(0), "hash-join"))
                     == (want.join_matches, want.groups as u64, want.total_sum)
             },
         },
         Workload {
             name: "ml",
-            job: |quick| ml::training_job(ml(quick)),
-            output_matches: |quick, rt, report| {
+            job: |scenario| ml::training_job(ml(scenario)),
+            output_matches: |scenario, rt, report| {
                 ml::decode_model(&final_output(rt, report, JobId(0), "train"))
-                    == ml::expected_model(&ml(quick))
+                    == ml::expected_model(&ml(scenario))
             },
         },
         Workload {
             name: "stream",
-            job: |quick| streaming::windowed_job(stream(quick)),
-            output_matches: |quick, rt, report| {
+            job: |scenario| streaming::windowed_job(stream(scenario)),
+            output_matches: |scenario, rt, report| {
                 streaming::decode_result(&final_output(rt, report, JobId(0), "sink"))
-                    == streaming::expected_windows(&stream(quick))
+                    == streaming::expected_windows(&stream(scenario))
             },
         },
     ]
 }
 
 /// MTTF levels as (label, divisor): `mttf = baseline / divisor`.
-fn levels(quick: bool) -> &'static [(&'static str, u64)] {
-    if quick {
+fn levels(scenario: &Scenario) -> &'static [(&'static str, u64)] {
+    if scenario.quick {
         &[("0.50T", 2)]
     } else {
         &[("1.00T", 1), ("0.50T", 2), ("0.25T", 4)]
@@ -179,12 +194,12 @@ fn chaos_plan(topo: &Topology, rack: &Rack, baseline: SimDuration, mttf: SimDura
     f
 }
 
-fn run_once(w: &Workload, quick: bool, faults: FaultInjector) -> ChaosRow {
+fn run_once(w: &Workload, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
     let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
     let config = RuntimeConfig::traced().with_faults(faults).with_recovery(policy());
     let mut rt = Runtime::new(topo, config);
     let report = rt
-        .execute((w.job)(quick))
+        .execute((w.job)(scenario))
         .expect("chaos sweep point completes within its retry budget");
     let (mut retries, mut detected, mut reconstructs) = (0u64, 0u64, 0u64);
     for e in rt.trace().events() {
@@ -203,31 +218,31 @@ fn run_once(w: &Workload, quick: bool, faults: FaultInjector) -> ChaosRow {
         retries,
         detected,
         reconstructs,
-        output_matches: (w.output_matches)(quick, &rt, &report),
+        output_matches: (w.output_matches)(scenario, &rt, &report),
     }
 }
 
 /// Runs the full sweep: for each workload, one fault-free baseline plus
 /// one faulty run per MTTF level.
-pub fn measure(quick: bool) -> Vec<ChaosRow> {
+pub fn measure(scenario: &Scenario) -> Vec<ChaosRow> {
     let mut rows = Vec::new();
     for w in workloads() {
-        let base = run_once(&w, quick, FaultInjector::none());
+        let base = run_once(&w, scenario, FaultInjector::none());
         let baseline = base.makespan;
         rows.push(base);
-        for &(label, divisor) in levels(quick) {
+        for &(label, divisor) in levels(scenario) {
             let mttf = SimDuration(baseline.0 / divisor);
             let (topo, rack) = disaggregated_rack(4, 16, 4, 256);
             let plan = chaos_plan(&topo, &rack, baseline, mttf);
-            rows.push(ChaosRow { mttf: label, baseline, ..run_once(&w, quick, plan) });
+            rows.push(ChaosRow { mttf: label, baseline, ..run_once(&w, scenario, plan) });
         }
     }
     rows
 }
 
 /// Runs E16.
-pub fn run(quick: bool) -> Table {
-    let rows = measure(quick);
+pub fn run(scenario: &Scenario) -> Table {
+    let rows = measure(scenario);
     let mut t = Table::new(
         "chaos",
         "Chaos sweep: makespan under faults vs. fault-free baseline",

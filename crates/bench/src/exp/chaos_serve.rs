@@ -23,7 +23,7 @@ use disagg_serve::{
     ArrivalProcess, ControlPlane, Request, ServeConfig, ServeLayer, Slo, Verdict,
 };
 
-use crate::{fmt_dur, Fragment, Shape, Table};
+use crate::{fmt_dur, Fragment, Scenario, Shape, Table};
 
 /// One (load, variant) sweep point.
 #[derive(Debug, Clone)]
@@ -293,8 +293,8 @@ pub fn templates() -> ServeLayer {
 
 /// Offered-load levels as (label, gap divisor): `mean_gap = svc * 4 /
 /// divisor` (same convention as the serving sweep).
-fn levels(quick: bool) -> &'static [(&'static str, u64)] {
-    if quick {
+fn levels(scenario: &Scenario) -> &'static [(&'static str, u64)] {
+    if scenario.quick {
         &[("16.00x", 64), ("24.00x", 96)]
     } else {
         &[("12.00x", 48), ("16.00x", 64), ("24.00x", 96)]
@@ -443,11 +443,11 @@ fn run_point(
 }
 
 /// Runs the full chaos-under-load sweep.
-pub fn measure(quick: bool) -> ChaosServeRecord {
-    let svc = super::serving::mean_service(&templates());
+pub fn measure(scenario: &Scenario) -> ChaosServeRecord {
+    let svc = super::serving::mean_service(&templates(), scenario);
     let tenants = 6;
-    let requests = if quick { 36 } else { 72 };
-    let seed = 0xfa_0175_u64;
+    let requests = if scenario.quick { 36 } else { 72 };
+    let seed = scenario.stream(0xfa_0175);
     // p99 at 6× the calibrated mean service: the healthy rack's drain
     // tail rides just under it at 8×, so SLO misses at that load are
     // fault-caused — the uncontrolled baseline only burns when the
@@ -455,7 +455,7 @@ pub fn measure(quick: bool) -> ChaosServeRecord {
     let slo = Slo { p50: SimDuration(svc.0 * 2), p99: SimDuration(svc.0 * 6) };
 
     let mut rows = Vec::new();
-    for &(label, divisor) in levels(quick) {
+    for &(label, divisor) in levels(scenario) {
         let mean_gap = SimDuration((svc.0 * 4) / divisor);
         // Arrival span of this load level, probed on a healthy rack
         // with no controls. The fault plan is anchored to the span
@@ -490,8 +490,8 @@ pub fn measure(quick: bool) -> ChaosServeRecord {
 }
 
 /// Runs E18.
-pub fn run(quick: bool) -> Table {
-    let rec = measure(quick);
+pub fn run(scenario: &Scenario) -> Table {
+    let rec = measure(scenario);
     let mut t = Table::new(
         "chaos_serve",
         "Chaos under load: fault-aware controls vs uncontrolled baseline (goodput = completions within p99 SLO)",

@@ -22,7 +22,7 @@ use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::{compute_centric_rack, cxl_pool_rack};
 use disagg_workloads::gen::skewed_demands;
 
-use crate::{fmt_bytes, fmt_dur, Shape, Table};
+use crate::{fmt_bytes, fmt_dur, Scenario, Shape, Table};
 
 const GIB: u64 = 1 << 30;
 
@@ -81,13 +81,14 @@ pub struct Plan {
 }
 
 /// Builds the shared plan.
-pub fn plan(quick: bool) -> Plan {
+pub fn plan(scenario: &Scenario) -> Plan {
     let servers = 8;
-    let waves = if quick { 3 } else { 8 };
+    let waves = if scenario.quick { 3 } else { 8 };
+    let seed = scenario.stream(20_230_622);
     Plan {
-        demands: skewed_demands(servers * waves, GIB / 4, 24 * GIB, 1.1, 20_230_622),
+        demands: skewed_demands(servers * waves, GIB / 4, 24 * GIB, 1.1, seed),
         servers,
-        traffic: if quick { 8 << 20 } else { 64 << 20 },
+        traffic: if scenario.quick { 8 << 20 } else { 64 << 20 },
     }
 }
 
@@ -132,8 +133,8 @@ fn run_waves(
 }
 
 /// Runs both architectures over the same plan.
-pub fn measure(quick: bool) -> (ArchResult, ArchResult) {
-    let p = plan(quick);
+pub fn measure(scenario: &Scenario) -> (ArchResult, ArchResult) {
+    let p = plan(scenario);
     let max_demand = *p.demands.iter().max().expect("nonempty plan");
     let total_per_wave: Vec<u64> = p
         .demands
@@ -209,8 +210,8 @@ pub fn measure(quick: bool) -> (ArchResult, ArchResult) {
 }
 
 /// Runs E4 + E11.
-pub fn run(quick: bool) -> Table {
-    let (a, b) = measure(quick);
+pub fn run(scenario: &Scenario) -> Table {
+    let (a, b) = measure(scenario);
     let mut t = Table::new(
         "fig1",
         "Figure 1: compute-centric vs memory-centric rack (pooling economics)",

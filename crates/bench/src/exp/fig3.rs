@@ -14,12 +14,12 @@ use disagg_region::pool::MemoryPool;
 use disagg_region::props::{AccessHint, LatencyClass, PropertySet};
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
 
-use crate::{fmt_ratio, Shape, Table};
+use crate::{fmt_ratio, Scenario, Shape, Table};
 
 /// Runs E6: resolves the Figure 3 request from both devices and measures
 /// the swap penalty with a mixed random workload.
-pub fn run(quick: bool) -> Table {
-    let bytes: u64 = if quick { 8 << 20 } else { 64 << 20 };
+pub fn run(scenario: &Scenario) -> Table {
+    let bytes: u64 = if scenario.quick { 8 << 20 } else { 64 << 20 };
     let (topo, h) = single_server();
     let pool = MemoryPool::new(&topo);
     let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);

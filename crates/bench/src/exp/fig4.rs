@@ -10,7 +10,7 @@ use disagg_core::prelude::*;
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::single_server;
 
-use crate::{fmt_bytes, fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_bytes, fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
 fn pipeline_job(n: usize, buffer: u64) -> JobSpec {
     let mut job = JobBuilder::new("fig4-pipe");
@@ -57,9 +57,9 @@ fn run_once(policy: HandoverPolicy, n: usize, buffer: u64) -> (u64, SimDuration)
 }
 
 /// Runs E7: sweeps the buffer size under both handover policies.
-pub fn run(quick: bool) -> Table {
+pub fn run(scenario: &Scenario) -> Table {
     let n = 6;
-    let sizes: &[u64] = if quick {
+    let sizes: &[u64] = if scenario.quick {
         &[1 << 16, 1 << 20, 16 << 20]
     } else {
         &[1 << 16, 1 << 20, 16 << 20, 128 << 20, 1 << 30]

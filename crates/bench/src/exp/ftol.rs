@@ -14,7 +14,7 @@ use disagg_hwsim::presets::disaggregated_rack;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_region::region::{OwnerId, RegionManager};
 
-use crate::{fmt_dur, Shape, Table};
+use crate::{fmt_dur, Scenario, Shape, Table};
 
 /// One scheme's measurements.
 #[derive(Debug, Clone)]
@@ -36,8 +36,8 @@ pub struct SchemeRow {
 const OWNER: OwnerId = OwnerId::App;
 
 /// Measures both schemes over the same blades.
-pub fn measure(quick: bool) -> Vec<SchemeRow> {
-    let size: u64 = if quick { 3 << 20 } else { 48 << 20 };
+pub fn measure(scenario: &Scenario) -> Vec<SchemeRow> {
+    let size: u64 = if scenario.quick { 3 << 20 } else { 48 << 20 };
     let mut out = Vec::new();
 
     // --- 2x and 3x replication. ---
@@ -140,8 +140,8 @@ pub fn measure(quick: bool) -> Vec<SchemeRow> {
 }
 
 /// Runs E12.
-pub fn run(quick: bool) -> Table {
-    let rows = measure(quick);
+pub fn run(scenario: &Scenario) -> Table {
+    let rows = measure(scenario);
     let mut t = Table::new(
         "ftol",
         "Fault tolerance: replication vs erasure coding (Carbink trade-off)",

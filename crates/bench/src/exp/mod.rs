@@ -20,15 +20,15 @@ pub mod stream;
 pub mod table3;
 pub mod tiering;
 
-use crate::Table;
+use crate::{Scenario, Table};
 
-/// An experiment entry: id plus its quick/full runner.
-pub type Experiment = (&'static str, fn(bool) -> Table);
+/// An experiment entry: id plus its runner.
+pub type Experiment = (&'static str, fn(&Scenario) -> Table);
 
 /// Every experiment as `(id, runner)`, in report order.
 pub fn all() -> Vec<Experiment> {
     vec![
-        ("table1", table1::run as fn(bool) -> Table),
+        ("table1", table1::run as fn(&Scenario) -> Table),
         ("table2", table2::run),
         ("table3", table3::run),
         ("fig1", fig1::run),

@@ -21,7 +21,7 @@ use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
 /// One tier's query cost.
 #[derive(Debug, Clone)]
@@ -76,10 +76,10 @@ fn query_time(
 
 /// Measures the query mix per tier, plus the tiers the placement
 /// policies would pick.
-pub fn measure(quick: bool) -> (Vec<TierRow>, Vec<(String, String)>) {
+pub fn measure(scenario: &Scenario) -> (Vec<TierRow>, Vec<(String, String)>) {
     let (topo, h) = hetero_storage_server();
-    let bytes: u64 = if quick { 16 << 20 } else { 256 << 20 };
-    let probes: u64 = if quick { 2_000 } else { 20_000 };
+    let bytes: u64 = if scenario.quick { 16 << 20 } else { 256 << 20 };
+    let probes: u64 = if scenario.quick { 2_000 } else { 20_000 };
 
     let tiers = [(h.dram, "DRAM"), (h.pmem, "PMem"), (h.ssd, "SSD")];
     let rows: Vec<TierRow> = tiers
@@ -111,8 +111,8 @@ pub fn measure(quick: bool) -> (Vec<TierRow>, Vec<(String, String)>) {
 }
 
 /// Runs E9.
-pub fn run(quick: bool) -> Table {
-    let (rows, picks) = measure(quick);
+pub fn run(scenario: &Scenario) -> Table {
+    let (rows, picks) = measure(scenario);
     let best = rows
         .iter()
         .map(|r| r.time.as_nanos_f64())

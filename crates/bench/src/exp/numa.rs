@@ -10,13 +10,13 @@ use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::two_socket;
 
-use crate::{fmt_ratio, Shape, Table};
+use crate::{fmt_ratio, Scenario, Shape, Table};
 
 /// Runs E8: the NUMA penalty for both access shapes.
-pub fn run(quick: bool) -> Table {
+pub fn run(scenario: &Scenario) -> Table {
     let (topo, h) = two_socket();
-    let chase_bytes: u64 = if quick { 1 << 20 } else { 16 << 20 };
-    let scan_bytes: u64 = if quick { 64 << 20 } else { 1 << 30 };
+    let chase_bytes: u64 = if scenario.quick { 1 << 20 } else { 16 << 20 };
+    let scan_bytes: u64 = if scenario.quick { 64 << 20 } else { 1 << 30 };
     let cost = |dev: MemDeviceId, bytes: u64, pattern: AccessPattern| {
         topo.access_cost(h.cpu0, dev, bytes, AccessOp::Read, pattern)
             .expect("reachable")

@@ -12,42 +12,47 @@ use disagg_hwsim::presets::single_server;
 use disagg_hwsim::rng::SimRng;
 use disagg_workloads::{dbms, ml, streaming};
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
-fn job_mix(i: usize, quick: bool) -> JobSpec {
-    let scale = if quick { 1 } else { 2 };
+fn job_mix(i: usize, scenario: &Scenario) -> JobSpec {
+    let scale = if scenario.quick { 1 } else { 2 };
     match i % 3 {
         0 => dbms::query_job(dbms::DbmsConfig {
             tuples: 2_000 * scale,
             probe_tuples: 1_000 * scale,
-            seed: 42 + i as u64,
+            seed: scenario.stream(42 + i as u64),
             ..dbms::DbmsConfig::default()
         }),
         1 => ml::training_job(ml::MlConfig {
             samples: 1_024 * scale,
             epochs: 1,
-            seed: 7 + i as u64,
+            seed: scenario.stream(7 + i as u64),
             ..ml::MlConfig::default()
         }),
         _ => streaming::windowed_job(streaming::StreamConfig {
             events: 2_000 * scale,
-            seed: 13 + i as u64,
+            seed: scenario.stream(13 + i as u64),
             ..streaming::StreamConfig::default()
         }),
     }
 }
 
-fn mean_sojourn(config: RuntimeConfig, jobs: usize, gap_ns: u64, quick: bool) -> SimDuration {
+fn mean_sojourn(
+    config: RuntimeConfig,
+    jobs: usize,
+    gap_ns: u64,
+    scenario: &Scenario,
+) -> SimDuration {
     let (topo, _) = single_server();
     let mut rt = Runtime::new(topo, config);
-    let mut rng = SimRng::new(2_023);
+    let mut rng = SimRng::new(scenario.stream(2_023));
     let mut at = 0u64;
     let arrivals: Vec<(SimDuration, JobSpec)> = (0..jobs)
         .map(|i| {
             let offset = SimDuration::from_nanos(at);
             // Exponential-ish gaps: uniform in [0.5, 1.5] x mean.
             at += gap_ns / 2 + rng.next_below(gap_ns.max(1));
-            (offset, job_mix(i, quick))
+            (offset, job_mix(i, scenario))
         })
         .collect();
     let offsets: Vec<SimDuration> = arrivals.iter().map(|(o, _)| *o).collect();
@@ -69,9 +74,9 @@ fn mean_sojourn(config: RuntimeConfig, jobs: usize, gap_ns: u64, quick: bool) ->
 
 /// Runs E16: mean sojourn across arrival rates, light load (big gap)
 /// first.
-pub fn run(quick: bool) -> Table {
-    let jobs = if quick { 9 } else { 30 };
-    let gaps: &[u64] = if quick {
+pub fn run(scenario: &Scenario) -> Table {
+    let jobs = if scenario.quick { 9 } else { 30 };
+    let gaps: &[u64] = if scenario.quick {
         &[1_000_000, 100_000, 10_000]
     } else {
         &[10_000_000, 1_000_000, 100_000, 10_000]
@@ -83,8 +88,8 @@ pub fn run(quick: bool) -> Table {
     );
     let (mut sojourns, mut ratios) = (Vec::new(), Vec::new());
     for &gap_ns in gaps {
-        let declarative = mean_sojourn(RuntimeConfig::traced(), jobs, gap_ns, quick);
-        let compute_centric = mean_sojourn(RuntimeConfig::compute_centric(), jobs, gap_ns, quick);
+        let declarative = mean_sojourn(RuntimeConfig::traced(), jobs, gap_ns, scenario);
+        let compute_centric = mean_sojourn(RuntimeConfig::compute_centric(), jobs, gap_ns, scenario);
         let ratio = compute_centric.as_nanos_f64() / declarative.as_nanos_f64();
         sojourns.push(declarative.as_nanos_f64());
         ratios.push(ratio);

@@ -11,7 +11,7 @@ use disagg_core::prelude::*;
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::presets::single_server;
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
 fn chain_job(stages: usize, streaming: bool, elems: u64) -> JobSpec {
     let mut job = JobBuilder::new("chain");
@@ -35,9 +35,9 @@ fn chain_job(stages: usize, streaming: bool, elems: u64) -> JobSpec {
 }
 
 /// Runs E15: both modes over a sweep of chain depths.
-pub fn run(quick: bool) -> Table {
-    let elems: u64 = if quick { 500_000 } else { 5_000_000 };
-    let depths: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16, 24] };
+pub fn run(scenario: &Scenario) -> Table {
+    let elems: u64 = if scenario.quick { 500_000 } else { 5_000_000 };
+    let depths: &[usize] = if scenario.quick { &[2, 4, 8] } else { &[2, 4, 8, 16, 24] };
     let mut t = Table::new(
         "stream",
         "Batch vs stream: pipelined task chains (the Figure 2c property)",

@@ -12,13 +12,13 @@ use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::single_server;
 
-use crate::{Shape, Table};
+use crate::{Scenario, Shape, Table};
 
 /// Runs E1: measures every Table 1 device from the CPU's viewpoint and
 /// renders the paper-style table.
-pub fn run(quick: bool) -> Table {
+pub fn run(scenario: &Scenario) -> Table {
     let (topo, h) = single_server();
-    let scan_bytes: u64 = if quick { 16 << 20 } else { 256 << 20 };
+    let scan_bytes: u64 = if scenario.quick { 16 << 20 } else { 256 << 20 };
     let devices: [(MemDeviceId, &str); 8] = [
         (h.cache, "Cache"),
         (h.hbm, "HBM"),

@@ -14,10 +14,10 @@ use disagg_region::pool::MemoryPool;
 use disagg_region::typed::RegionType;
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
 
-use crate::{Shape, Table};
+use crate::{Scenario, Shape, Table};
 
 /// Runs E2: resolves each Table 2 region type from the CPU and the GPU.
-pub fn run(_quick: bool) -> Table {
+pub fn run(_: &Scenario) -> Table {
     let (topo, h) = single_server();
     let pool = MemoryPool::new(&topo);
     let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);

@@ -10,28 +10,32 @@ use disagg_core::prelude::*;
 use disagg_hwsim::presets::single_server;
 use disagg_workloads::{dbms, hpc, ml, streaming};
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
-fn job_for(app: &str, quick: bool) -> JobSpec {
-    let scale = if quick { 1 } else { 4 };
+fn job_for(app: &str, scenario: &Scenario) -> JobSpec {
+    let scale = if scenario.quick { 1 } else { 4 };
     match app {
         "DBMS" => dbms::query_job(dbms::DbmsConfig {
             tuples: 4_000 * scale,
             probe_tuples: 2_000 * scale,
+            seed: scenario.stream(dbms::DbmsConfig::default().seed),
             ..dbms::DbmsConfig::default()
         }),
         "ML/AI" => ml::training_job(ml::MlConfig {
             samples: 2_048 * scale,
             epochs: 2 * scale,
+            seed: scenario.stream(ml::MlConfig::default().seed),
             ..ml::MlConfig::default()
         }),
         "HPC" => hpc::stencil_job(hpc::HpcConfig {
             cells: 4_096 * scale,
             sweeps: 6 * scale,
+            seed: scenario.stream(hpc::HpcConfig::default().seed),
             ..hpc::HpcConfig::default()
         }),
         "Streaming" => streaming::windowed_job(streaming::StreamConfig {
             events: 5_000 * scale,
+            seed: scenario.stream(streaming::StreamConfig::default().seed),
             ..streaming::StreamConfig::default()
         }),
         other => panic!("unknown app {other}"),
@@ -39,7 +43,7 @@ fn job_for(app: &str, quick: bool) -> JobSpec {
 }
 
 /// Runs E3: every application under both placement policies.
-pub fn run(quick: bool) -> Table {
+pub fn run(scenario: &Scenario) -> Table {
     let mut t = Table::new(
         "table3",
         "Table 3: Application types on the three Memory Regions",
@@ -50,7 +54,7 @@ pub fn run(quick: bool) -> Table {
         let run = |policy: PlacementPolicy| {
             let (topo, _) = single_server();
             let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_placement(policy));
-            rt.execute(job_for(app, quick)).expect("workload runs").makespan
+            rt.execute(job_for(app, scenario)).expect("workload runs").makespan
         };
         let declarative = run(PlacementPolicy::Declarative);
         let naive = run(PlacementPolicy::WorstFeasible);

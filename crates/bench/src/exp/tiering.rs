@@ -25,7 +25,7 @@ use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
 use disagg_workloads::gen::Zipf;
 
-use crate::{fmt_dur, fmt_ratio, Shape, Table};
+use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
 
 const WHO: OwnerId = OwnerId::App;
 
@@ -42,12 +42,12 @@ pub struct EpochSeries {
 
 /// Runs `epochs` of Zipf-skewed accesses over `regions` regions, with or
 /// without a tiering pass between epochs.
-pub fn measure_one(tiering_on: bool, quick: bool) -> EpochSeries {
+pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
     let (topo, h) = single_server();
     let regions_n = 48usize;
     let region_bytes: u64 = 2 << 20;
-    let epochs = if quick { 5 } else { 8 };
-    let accesses_per_epoch = if quick { 400 } else { 2_000 };
+    let epochs = if scenario.quick { 5 } else { 8 };
+    let accesses_per_epoch = if scenario.quick { 400 } else { 2_000 };
 
     let mut mgr = RegionManager::new(&topo);
     let mut ledger = BandwidthLedger::default_buckets();
@@ -72,7 +72,7 @@ pub fn measure_one(tiering_on: bool, quick: bool) -> EpochSeries {
         .collect();
 
     let zipf = Zipf::new(regions_n, 1.1);
-    let mut rng = SimRng::new(99);
+    let mut rng = SimRng::new(scenario.stream(99));
     let mut tracker = HotnessTracker::new();
     // Tier order restricted to the three homes: tiering moves data among
     // the pool tiers, not onto the CPU cache.
@@ -120,9 +120,9 @@ pub fn measure_one(tiering_on: bool, quick: bool) -> EpochSeries {
 }
 
 /// Runs E14.
-pub fn run(quick: bool) -> Table {
-    let off = measure_one(false, quick);
-    let on = measure_one(true, quick);
+pub fn run(scenario: &Scenario) -> Table {
+    let off = measure_one(false, scenario);
+    let on = measure_one(true, scenario);
     let mut t = Table::new(
         "tiering",
         "Hotness-driven tiering: per-epoch access time, static vs tiered",

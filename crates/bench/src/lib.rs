@@ -1,20 +1,25 @@
 //! The paper's artifacts, regenerated: one experiment per table/figure
 //! of the paper, plus one per quantitative claim in its text.
 //!
-//! Each experiment module exposes `run(quick) -> Table`; the one binary,
-//! `exp_driver`, prints them (`--only <id>` for one) and writes them all
-//! into `BENCH_disagg.json`. Everything here is virtual time: the record
-//! is a pure function of the source, and host wall-clock is measured by
-//! `benchmark/` alone. `quick = true` shrinks workloads for CI/tests.
+//! Each experiment module exposes `run(&Scenario) -> Table`; the one
+//! binary, `exp_driver`, prints them (`--only <id>` for one) and writes
+//! them all into `BENCH_disagg.json`. Everything here is virtual time:
+//! the record is a pure function of the source, and host wall-clock is
+//! measured by `benchmark/` alone. A [`Scenario`] is the experiments'
+//! one input: `quick` shrinks workloads for CI/tests, and every random
+//! stream an experiment draws forks from its `seed`
+//! ([`Scenario::stream`]).
 //!
 //! What the numbers are supposed to show — who wins, by roughly what
 //! factor, where a crossover falls — is data too: the code that fills a
 //! table's rows pushes [`Claim`]s onto it from the same typed values,
 //! and the run evaluates them ([`driver::failed_claims`]). They hold in
-//! both modes, and that is enforced: `exp_driver --verify` exits 1 on
-//! one that does not, `scripts/bench_guard.sh` runs it on the full-size
-//! numbers it then compares with `BENCH_disagg.json`, and
-//! `tests/driver.rs` checks every claim of the `--quick` suite.
+//! both modes at the default seed, and that is enforced: `exp_driver
+//! --verify` exits 1 on one that does not, `scripts/bench_guard.sh` runs
+//! it on the full-size numbers it then compares with
+//! `BENCH_disagg.json`, and `tests/driver.rs` checks every claim of the
+//! `--quick` suite. How many of the seeds `1..=`[`driver::SEEDS`] each
+//! claim also holds at is recorded beside it, not enforced.
 //!
 //! | Experiment | Paper artifact | `--only` |
 //! |---|---|---|
@@ -40,8 +45,10 @@
 mod claim;
 pub mod driver;
 pub mod exp;
+mod scenario;
 
 pub use claim::{Claim, Shape, Verdict};
+pub use scenario::Scenario;
 
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::json::escape;
