@@ -150,6 +150,14 @@ impl Runtime {
         self.trace.push(e);
     }
 
+    /// Makes room in the trace for `events` more events at once — a
+    /// capacity hint for a caller that knows how big its next runs are
+    /// (the serving loop, after its first epoch). A no-op when the
+    /// runtime does not trace.
+    pub fn reserve_trace(&mut self, events: usize) {
+        self.trace.reserve(events);
+    }
+
     /// Every circuit-breaker transition so far, in commit order (empty
     /// when breakers are not configured).
     pub fn breaker_transitions(&self) -> &[BreakerTransition] {

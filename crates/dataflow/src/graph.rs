@@ -32,28 +32,26 @@ impl std::error::Error for GraphError {}
 
 /// An immutable, validated DAG over `n` tasks.
 ///
-/// Adjacency is two CSR arrays (offsets + one flat list each way), not a
-/// `Vec` per task: a job is built once per request on the serving path,
-/// and a 576-task DAG used to cost over a thousand allocations here.
+/// Adjacency is CSR (offsets + flat lists), not a `Vec` per task, and
+/// the whole graph lives in two buffers: a job is built once per request
+/// on the serving path, so every allocation here is paid per request.
 #[derive(Debug, Clone)]
 pub struct Dag {
     n: usize,
-    /// Task `t`'s successors are `succ[succ_at[t]..succ_at[t + 1]]`, in
-    /// edge-insertion order.
-    succ_at: Vec<u32>,
-    succ: Vec<TaskId>,
-    /// Predecessors, same layout.
-    pred_at: Vec<u32>,
-    pred: Vec<TaskId>,
-    /// A topological order.
-    topo: Vec<TaskId>,
+    /// Row offsets into `data`, `2n + 2` of them: task `t`'s successors
+    /// are `data[at[t]..at[t + 1]]` and its predecessors
+    /// `data[at[n + 1 + t]..at[n + 2 + t]]`, each in edge-insertion order.
+    at: Vec<u32>,
+    /// Every successor row, then every predecessor row, then a
+    /// topological order (`data[at[2n + 1]..]`).
+    data: Vec<TaskId>,
 }
 
 /// Closes the gaps a CSR fill leaves when rows were sized for more
 /// entries than they received (`filled[t]` of them): shifts every row
-/// down and rewrites `at` to the tight offsets.
-fn compact(at: &mut [u32], filled: &[u32], data: &mut Vec<TaskId>) {
-    let mut write = 0usize;
+/// down to start at `write` and rewrites `at` (one more entry than
+/// `filled`) to the tight offsets. Returns where the rows now end.
+fn compact(at: &mut [u32], filled: &[u32], data: &mut [TaskId], mut write: usize) -> usize {
     for (t, &len) in filled.iter().enumerate() {
         let read = at[t] as usize;
         data.copy_within(read..read + len as usize, write);
@@ -61,15 +59,16 @@ fn compact(at: &mut [u32], filled: &[u32], data: &mut Vec<TaskId>) {
         write += len as usize;
     }
     at[filled.len()] = write as u32;
-    data.truncate(write);
+    write
 }
 
 impl Dag {
     /// Validates edges over `n` tasks and builds the DAG.
     pub fn new(n: usize, edges: &[(TaskId, TaskId)]) -> Result<Dag, GraphError> {
+        let e = edges.len();
         // Size each row for every edge naming it, duplicates included...
-        let mut succ_at = vec![0u32; n + 1];
-        let mut pred_at = vec![0u32; n + 1];
+        let mut at = vec![0u32; 2 * n + 2];
+        let (succ_at, pred_at) = at.split_at_mut(n + 1);
         for &(a, b) in edges {
             if a.index() >= n {
                 return Err(GraphError::UnknownTask(a));
@@ -83,58 +82,75 @@ impl Dag {
             succ_at[a.index() + 1] += 1;
             pred_at[b.index() + 1] += 1;
         }
+        pred_at[0] = e as u32;
         for t in 0..n {
             succ_at[t + 1] += succ_at[t];
             pred_at[t + 1] += pred_at[t];
         }
         // ...fill in edge order, skipping an edge its row already holds...
-        let mut succ = vec![TaskId(0); edges.len()];
-        let mut pred = vec![TaskId(0); edges.len()];
-        let mut outdeg = vec![0u32; n];
-        let mut indeg = vec![0u32; n];
+        let mut data = vec![TaskId(0); 2 * e + n];
+        let mut deg = vec![0u32; 2 * n];
+        let (outdeg, indeg) = deg.split_at_mut(n);
         let mut kept = 0usize;
         for &(a, b) in edges {
             let row = succ_at[a.index()] as usize;
             let len = outdeg[a.index()] as usize;
-            if succ[row..row + len].contains(&b) {
+            if data[row..row + len].contains(&b) {
                 continue;
             }
-            succ[row + len] = b;
+            data[row + len] = b;
             outdeg[a.index()] += 1;
-            pred[(pred_at[b.index()] + indeg[b.index()]) as usize] = a;
+            data[(pred_at[b.index()] + indeg[b.index()]) as usize] = a;
             indeg[b.index()] += 1;
             kept += 1;
         }
         // ...and close the gaps duplicates left, if there were any.
-        if kept < edges.len() {
-            compact(&mut succ_at, &outdeg, &mut succ);
-            compact(&mut pred_at, &indeg, &mut pred);
+        if kept < e {
+            let end = compact(succ_at, outdeg, &mut data, 0);
+            compact(pred_at, indeg, &mut data, end);
         }
 
         // Kahn's algorithm: a full ordering exists iff the graph is
-        // acyclic. The FIFO work list *is* the order, and `indeg` is
-        // spent as the countdown.
-        let mut topo: Vec<TaskId> = Vec::with_capacity(n);
-        topo.extend((0..n).filter(|&i| indeg[i] == 0).map(|i| TaskId(i as u32)));
-        let mut head = 0;
-        while head < topo.len() {
-            let t = topo[head].index();
+        // acyclic. The FIFO work list *is* the order, written after the
+        // rows, and `indeg` is spent as the countdown.
+        let topo_at = 2 * kept;
+        let mut tail = topo_at;
+        for i in (0..n).filter(|&i| indeg[i] == 0) {
+            data[tail] = TaskId(i as u32);
+            tail += 1;
+        }
+        let mut head = topo_at;
+        while head < tail {
+            let t = data[head].index();
             head += 1;
-            for &s in &succ[succ_at[t] as usize..succ_at[t + 1] as usize] {
+            for k in succ_at[t] as usize..succ_at[t + 1] as usize {
+                let s = data[k];
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
-                    topo.push(s);
+                    data[tail] = s;
+                    tail += 1;
                 }
             }
         }
-        if topo.len() != n {
+        if tail - topo_at != n {
             let stuck: Vec<TaskId> = (0..n)
                 .filter(|&i| indeg[i] > 0)
                 .map(|i| TaskId(i as u32))
                 .collect();
             return Err(GraphError::Cycle(stuck));
         }
-        Ok(Dag { n, succ_at, succ, pred_at, pred, topo })
+        data.truncate(tail);
+        Ok(Dag { n, at, data })
+    }
+
+    /// Offsets of the successor rows (`n + 1`).
+    fn succ_at(&self) -> &[u32] {
+        &self.at[..=self.n]
+    }
+
+    /// Offsets of the predecessor rows (`n + 1`).
+    fn pred_at(&self) -> &[u32] {
+        &self.at[self.n + 1..]
     }
 
     /// Number of tasks.
@@ -149,17 +165,19 @@ impl Dag {
 
     /// Successors of a task.
     pub fn successors(&self, t: TaskId) -> &[TaskId] {
-        &self.succ[self.succ_at[t.index()] as usize..self.succ_at[t.index() + 1] as usize]
+        let at = self.succ_at();
+        &self.data[at[t.index()] as usize..at[t.index() + 1] as usize]
     }
 
     /// Predecessors of a task.
     pub fn predecessors(&self, t: TaskId) -> &[TaskId] {
-        &self.pred[self.pred_at[t.index()] as usize..self.pred_at[t.index() + 1] as usize]
+        let at = self.pred_at();
+        &self.data[at[t.index()] as usize..at[t.index() + 1] as usize]
     }
 
     /// A topological order (stable across runs).
     pub fn topo_order(&self) -> &[TaskId] {
-        &self.topo
+        &self.data[self.at[2 * self.n + 1] as usize..]
     }
 
     /// Tasks with no predecessors.
@@ -173,7 +191,7 @@ impl Dag {
     /// executor decrements a task's count as each incoming edge is
     /// satisfied and enqueues the task when it reaches zero.
     pub fn indegrees(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
-        self.pred_at.windows(2).map(|w| w[1] - w[0])
+        self.pred_at().windows(2).map(|w| w[1] - w[0])
     }
 
     /// Iterates the initial ready frontier: tasks with no predecessors,
@@ -196,7 +214,7 @@ impl Dag {
     /// Level (longest distance from any source) per task.
     pub fn levels(&self) -> Vec<u32> {
         let mut level = vec![0u32; self.n];
-        for &t in &self.topo {
+        for &t in self.topo_order() {
             for &s in self.successors(t) {
                 level[s.index()] = level[s.index()].max(level[t.index()] + 1);
             }
@@ -209,7 +227,7 @@ impl Dag {
     pub fn critical_path(&self, weight: impl Fn(TaskId) -> f64) -> f64 {
         let mut best = vec![0.0f64; self.n];
         let mut max = 0.0f64;
-        for &t in &self.topo {
+        for &t in self.topo_order() {
             let w = best[t.index()] + weight(t);
             max = max.max(w);
             for &s in self.successors(t) {

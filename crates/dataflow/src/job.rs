@@ -141,11 +141,15 @@ impl JobBuilder {
         if self.tasks.is_empty() {
             return Err(JobError::Empty);
         }
-        let mut seen = std::collections::HashSet::new();
-        for t in &self.tasks {
-            if !seen.insert(t.name.as_str()) {
-                return Err(JobError::DuplicateTaskName(t.name.clone()));
-            }
+        // Sorted by name, then position, every repeat of a name sits
+        // right after an earlier use of it; the first repeat in task
+        // order is the one reported.
+        let mut names: Vec<(&str, usize)> =
+            self.tasks.iter().enumerate().map(|(i, t)| (t.name.as_str(), i)).collect();
+        names.sort_unstable();
+        let repeat = names.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
+        if let Some(i) = repeat {
+            return Err(JobError::DuplicateTaskName(self.tasks[i].name.clone()));
         }
         let dag = Dag::new(self.tasks.len(), &self.edges)?;
         Ok(JobSpec {
@@ -223,6 +227,21 @@ mod tests {
             job.build().unwrap_err(),
             JobError::DuplicateTaskName("same".into())
         );
+    }
+
+    #[test]
+    fn the_first_repeat_in_task_order_is_the_duplicate_reported() {
+        for (names, first_repeat) in [(["a", "b", "b", "a"], "b"), (["a", "b", "a", "b"], "a")] {
+            let mut job = JobBuilder::new("dups");
+            for name in names {
+                job.task(TaskSpec::new(name));
+            }
+            assert_eq!(
+                job.build().unwrap_err(),
+                JobError::DuplicateTaskName(first_repeat.into()),
+                "{names:?}"
+            );
+        }
     }
 
     #[test]

@@ -373,6 +373,16 @@ impl Trace {
         }
     }
 
+    /// Makes room for `additional` more events in one step, so a caller
+    /// that knows a run's size spares the log its doublings (each one
+    /// copies everything recorded before it).
+    /// Does nothing when buffering is disabled.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.enabled {
+            self.events.reserve_exact(additional);
+        }
+    }
+
     /// All recorded events in insertion order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -463,6 +473,17 @@ mod tests {
         assert_eq!(t.bytes_transferred_by_ownership(), 1_000);
         t.clear();
         assert_eq!((t.bytes_moved(), t.bytes_transferred_by_ownership()), (0, 0));
+    }
+
+    #[test]
+    fn reserve_sizes_a_buffering_trace_only() {
+        let mut t = Trace::enabled();
+        t.push(access(0, 1));
+        t.reserve(100);
+        assert!(t.events.capacity() >= 101);
+        let mut off = Trace::disabled();
+        off.reserve(100);
+        assert_eq!(off.events.capacity(), 0);
     }
 
     #[test]

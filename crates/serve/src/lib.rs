@@ -359,7 +359,9 @@ impl ServeLayer {
         let mut browned = vec![false; cfg.tenants];
         let (mut ran, mut bad) = (vec![0usize; cfg.tenants], vec![0usize; cfg.tenants]);
 
-        for chunk in requests.chunks(cfg.requests.div_ceil(epochs).max(1)) {
+        let mut chunks = requests.chunks(cfg.requests.div_ceil(epochs).max(1));
+        let mut sized = false;
+        while let Some(chunk) = chunks.next() {
             // Admission over this epoch's arrivals, causal in arrival
             // order: deadline shedding first (a request whose completion
             // estimate already misses its p99 SLO never enters), then
@@ -475,16 +477,20 @@ impl ServeLayer {
                 rec.verdict = Verdict::FastFailed;
                 rec.latency = None;
             }
-            // The first epoch's lists are moved in; sizing the rest
-            // from them lets the later epochs append without the
-            // accumulator doubling its way up through reallocations.
-            let first = run_acc.tasks.is_empty();
             run_acc.absorb(run);
-            if first {
-                let rest = epochs - 1;
-                run_acc.tasks.reserve(run_acc.tasks.len() * rest);
-                run_acc.placements.reserve(run_acc.placements.len() * rest);
-                run_acc.edges.reserve(run_acc.edges.len() * rest);
+            // Size the run once: the first epoch that ran stands for
+            // the epochs still to come, so the trace and the report's
+            // lists grow in one step instead of doubling their way up
+            // (each doubling copies everything before it). Unwritten
+            // capacity is untouched virtual memory.
+            if !sized {
+                sized = true;
+                let rest = chunks.len();
+                let room = |first: usize| first * rest + first * rest / 4;
+                rt.reserve_trace(room(rt.trace().len() - trace_mark));
+                run_acc.tasks.reserve_exact(room(run_acc.tasks.len()));
+                run_acc.placements.reserve_exact(room(run_acc.placements.len()));
+                run_acc.edges.reserve_exact(room(run_acc.edges.len()));
             }
 
             // Close the epoch's books. A shed admission is an SLO miss

@@ -6,7 +6,10 @@
 //! is amortised growth of a few wave-wide vectors, and per request the
 //! job the template builds. The budgets below sit about a quarter above
 //! what this commit measures, so the next per-task `Vec` fails a test
-//! rather than waiting for someone to profile.
+//! rather than waiting for someone to profile. A serving run is also
+//! held to sizing its run-wide buffers once: few reallocations of large
+//! blocks, and a report whose task list is not left half empty by a
+//! doubling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,11 +18,18 @@ use disagg::hwsim::presets::disaggregated_rack;
 use disagg::hwsim::time::SimDuration;
 use disagg::prelude::*;
 
-/// Counts every request for memory (`alloc`, `alloc_zeroed`, `realloc`);
+/// Counts every request for memory (`alloc`, `alloc_zeroed`, `realloc`),
+/// and separately the `realloc`s of blocks of [`BIG`] bytes or more;
 /// frees are not counted.
 struct Counting;
 
 static CALLS: AtomicU64 = AtomicU64::new(0);
+static BIG_REALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// A block this large is a run-wide buffer (the trace, the report's
+/// lists, the planner's decision log): growing it copies everything
+/// written so far.
+const BIG: usize = 256 << 10;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counter is a statistic.
@@ -38,6 +48,9 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        if layout.size() >= BIG {
+            BIG_REALLOCS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: `ptr` came from this allocator, i.e. from `System`,
         // with `layout`; the caller vouched for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -52,12 +65,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Allocator calls made while `f` runs. The one test below is this
-/// binary's only thread that allocates while a count is open.
-fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = CALLS.load(Ordering::Relaxed);
+/// Allocator calls, and reallocations of [`BIG`] blocks, made while `f`
+/// runs. The one test below is this binary's only thread that allocates
+/// while a count is open.
+fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let before = (CALLS.load(Ordering::Relaxed), BIG_REALLOCS.load(Ordering::Relaxed));
     let out = f();
-    (out, CALLS.load(Ordering::Relaxed) - before)
+    (
+        out,
+        CALLS.load(Ordering::Relaxed) - before.0,
+        BIG_REALLOCS.load(Ordering::Relaxed) - before.1,
+    )
 }
 
 /// Allocator calls per executed task allowed in a closed batch, with
@@ -66,9 +84,15 @@ fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const BATCH_CALLS_PER_TASK: f64 = 0.031;
 /// The same for a traced serving run, end to end: request stream,
 /// template instantiation, planning, execution, span assembly
-/// (measured: 7.78, most of it the template building its job; 14.5
-/// before).
-const SERVE_CALLS_PER_TASK: f64 = 9.75;
+/// (measured: 30 607 calls for 4 964 tasks, 6.17, most of it the
+/// template building its job; 7.78 while `Dag::new` took seven arrays
+/// and a name check a hash set, 14.5 before that).
+const SERVE_CALLS_PER_TASK: f64 = 7.7;
+/// Reallocations of [`BIG`] blocks allowed in that serving run
+/// (measured: 2 — the trace sized once after the first epoch, and the
+/// planner's decision log; 5 while the trace doubled its way up and the
+/// report's reservation fell short).
+const SERVE_BIG_REALLOCS: u64 = 2;
 
 /// `layers` x `width` tasks, every non-source task fed by two tasks of
 /// the layer before, each with a 4 KiB output.
@@ -139,7 +163,7 @@ fn committing_a_task_stays_within_its_allocation_budget() {
     let jobs: Vec<JobSpec> = (0..16).map(|j| layered_job(j, 24, 24)).collect();
     let (topo, _) = disaggregated_rack(4, 16, 4, 256);
     let mut rt = Runtime::new(topo, RuntimeConfig::default());
-    let (report, calls) = calls_during(|| rt.execute(jobs).expect("batch runs"));
+    let (report, calls, _) = calls_during(|| rt.execute(jobs).expect("batch runs"));
     let tasks = report.tasks.len();
     assert_eq!(tasks, 16 * 24 * 24);
     let per_task = calls as f64 / tasks as f64;
@@ -171,14 +195,27 @@ fn committing_a_task_stays_within_its_allocation_budget() {
     };
     let (topo, _) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-    let (served, calls) = calls_during(|| layer.run(&mut rt, &cfg).expect("serving run"));
+    let (served, calls, big) = calls_during(|| layer.run(&mut rt, &cfg).expect("serving run"));
     let tasks = served.run.tasks.len();
     assert!(tasks >= 2_000, "most requests are admitted and run: {tasks} tasks");
     let per_task = calls as f64 / tasks as f64;
-    eprintln!("serve: {calls} allocator calls, {per_task:.3} per task");
+    let slots = served.run.tasks.capacity();
+    eprintln!(
+        "serve: {calls} allocator calls, {per_task:.3} per task; {big} reallocations of \
+         blocks >= {BIG} B; {slots} task-report slots"
+    );
     assert!(
         per_task <= SERVE_CALLS_PER_TASK,
         "serving {tasks} tasks made {calls} allocator calls ({per_task:.2} per task, \
          budget {SERVE_CALLS_PER_TASK})"
+    );
+    assert!(
+        big <= SERVE_BIG_REALLOCS,
+        "serving made {big} reallocations of blocks >= {BIG} B (budget {SERVE_BIG_REALLOCS}): \
+         a run-wide buffer is doubling its way up again"
+    );
+    assert!(
+        slots as f64 <= 1.5 * tasks as f64,
+        "the run report holds {slots} task slots for {tasks} tasks: sized short, it doubled"
     );
 }
