@@ -429,11 +429,12 @@ pub fn run(scenario: &Scenario) -> Table {
     }
     t.claim(
         "knee-run-explains-itself",
-        "the traced knee run carries every tenant, a utilization curve, burn curves, and per attributed tenant exemplars and a non-zero breakdown",
+        "the traced knee run carries every tenant, a utilization curve that rises above zero (1 = it does), burn curves, and per attributed tenant exemplars and a non-zero breakdown",
         Shape::AtLeast(1.0),
         vec![
             rec.knee_tenants.len() as f64 / rec.tenants as f64,
             rec.util_curve.len() as f64,
+            f64::from(rec.util_curve.iter().any(|&(_, frac)| frac > 0.0)),
             rec.burn.len() as f64,
             rec.tail_attribution.len() as f64,
             rec.tail_attribution.iter().map(|ta| ta.exemplars.len()).min().unwrap_or(0) as f64,

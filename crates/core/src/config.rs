@@ -116,6 +116,7 @@ pub struct RuntimeConfig {
     pub awareness: TopologyAwareness,
     /// Record a full event trace (costs memory on big runs). On in
     /// almost every experiment; off in the benchmark's `batch_dag`.
+    /// The report's aggregates read the same either way.
     pub trace: bool,
     /// Streaming event sink: sees every trace event at emission time,
     /// independent of whether `trace` buffers them. The default is the

@@ -216,7 +216,7 @@ impl Wave {
                 break;
             }
             self.pending_exits.pop();
-            rt.lifetime.task_exit(&mut rt.mgr, &mut rt.trace, who, t);
+            rt.mgr.release_all_traced(&mut rt.trace, who, t);
         }
     }
 }
@@ -272,7 +272,6 @@ pub(crate) fn run_wave(
     // Report only this run's audit findings, not the runtime's whole
     // history.
     let audit_mark = rt.auditor.violations.len();
-    let denial_mark = rt.auditor.denials;
     let job_ids: Vec<JobId> = jobs
         .iter()
         .map(|_| {
@@ -304,7 +303,8 @@ pub(crate) fn run_wave(
                 task: TaskId(0),
                 what: "global state",
             })?;
-        let id = rt.mgr.alloc(
+        let id = rt.mgr.alloc_traced(
+            &mut rt.trace,
             dev,
             spec.global_state_bytes,
             RegionType::GlobalState,
@@ -314,12 +314,6 @@ pub(crate) fn run_wave(
         )?;
         rt.auditor
             .check_placement(&rt.topo, computes[0], id, dev, &props);
-        rt.trace.push(TraceEvent::Alloc {
-            region: id.0,
-            dev,
-            bytes: spec.global_state_bytes,
-            at: t0,
-        });
         global_state[ji] = Some(id);
     }
 
@@ -436,15 +430,17 @@ pub(crate) fn run_wave(
     );
 
     // End of wave: flush the remaining task exits in time order, then
-    // release job-scoped regions; App-scoped (persistent) regions
-    // survive.
+    // release job-scoped regions as the last task finishes; App-scoped
+    // (persistent) regions survive.
+    let end = w.finish_at.iter().copied().fold(t0, SimTime::max);
     w.flush_exits(rt, None);
     for &jid in &w.job_ids {
-        let _ = rt.mgr.release_all(OwnerId::Job(jid.0));
+        rt.mgr.release_all_traced(&mut rt.trace, OwnerId::Job(jid.0), end);
     }
 
     // Feed the wave's accesses into the hotness tracker (one decay tick
-    // per wave so old heat fades).
+    // per wave so old heat fades). Only a buffering trace feeds it: on
+    // an untraced runtime the tracker stays empty.
     rt.hotness.decay();
     for e in &rt.trace.events()[trace_mark..] {
         match *e {
@@ -458,7 +454,6 @@ pub(crate) fn run_wave(
         }
     }
 
-    let end = w.finish_at.iter().copied().fold(t0, SimTime::max);
     rt.clock = end;
     let mut report = w.report;
     report.events = w.events;
@@ -470,7 +465,6 @@ pub(crate) fn run_wave(
         rt.trace.bytes_transferred_by_ownership() - ownership_mark;
     report.placements = std::mem::take(&mut rt.engine.decisions);
     report.violations = rt.auditor.violations[audit_mark..].to_vec();
-    report.denials = rt.auditor.denials - denial_mark;
     report.devices = rt
         .topo
         .mem_ids()

@@ -126,9 +126,9 @@ fn run_body_once(
 /// How a task's declared region of `kind` comes to exist at `at`, for an
 /// attempt running on `compute`: properties from the region type and
 /// the task's resolved declarations, a device chosen by them — or `on`,
-/// the device an interrupted attempt's region lay on — then the
+/// the device an interrupted attempt's region lay on — then the traced
 /// allocation (zeroed, owned by the task), the audit of the placement,
-/// the `Alloc` event, and the entry in `placements` / `regions`. A kind
+/// and the entry in `placements` / `regions`. A kind
 /// the task declares no bytes for is skipped.
 #[allow(clippy::too_many_arguments)]
 fn create_declared(
@@ -207,9 +207,8 @@ fn create_declared(
     };
     let dev = chosen.ok_or(DisaggError::Placement { job: jid, task, what })?;
     let who = OwnerId::Task { job: jid.0, task: task.0 as u64 };
-    let id = rt.mgr.alloc(dev, bytes, rtype, props.clone(), who, at)?;
+    let id = rt.mgr.alloc_traced(&mut rt.trace, dev, bytes, rtype, props.clone(), who, at)?;
     rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
-    rt.trace.push(TraceEvent::Alloc { region: id.0, dev, bytes, at });
     placements.push((kind, id, dev));
     *slot = Some(id);
     Ok(())
@@ -545,10 +544,8 @@ pub(crate) fn run_task(
             // task relaunches — the retry sees zeroed regions exactly as
             // the first attempt did, never its own partial results.
             let lost = std::mem::take(&mut placements);
-            for &(_, id, dev) in &lost {
-                let bytes = rt.mgr.placement(id)?.size;
-                rt.mgr.release(id, who)?;
-                rt.trace.push(TraceEvent::Free { region: id.0, dev, bytes, at: detect_at });
+            for &(_, id, _) in &lost {
+                rt.mgr.release_traced(&mut rt.trace, id, who, detect_at)?;
             }
             for &(kind, _, dev) in &lost {
                 create_declared(

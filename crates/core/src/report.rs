@@ -204,8 +204,6 @@ pub struct RunReport {
     pub placements: Vec<PlacementDecision>,
     /// Property-audit findings (empty placements-clean run ⇒ all good).
     pub violations: Vec<Violation>,
-    /// Denied confidential accesses (enforcement events).
-    pub denials: u64,
     /// Per-device usage.
     pub devices: Vec<DeviceSummary>,
     /// Simulation events processed by the executor's event loop (ready,
@@ -248,7 +246,6 @@ impl RunReport {
         self.handover_copies += next.handover_copies;
         append(&mut self.placements, next.placements);
         append(&mut self.violations, next.violations);
-        self.denials += next.denials;
         self.devices = next.devices;
         self.events += next.events;
         append(&mut self.edges, next.edges);
@@ -280,9 +277,16 @@ impl RunReport {
 
     /// True if every placement honored its declared properties.
     pub fn placements_clean(&self) -> bool {
+        self.denials() == self.violations.len()
+    }
+
+    /// Denied confidential accesses (enforcement events) among the
+    /// violations: enforcement working, not a breach.
+    pub fn denials(&self) -> usize {
         self.violations
             .iter()
-            .all(|v| matches!(v, Violation::ConfidentialAccessDenied { .. }))
+            .filter(|v| matches!(v, Violation::ConfidentialAccessDenied { .. }))
+            .count()
     }
 
     /// Device summary for one device.
@@ -381,10 +385,12 @@ mod tests {
             accessor_job: Some(1),
         });
         assert!(r.placements_clean());
+        assert_eq!(r.denials(), 1);
         r.violations.push(Violation::Persistence {
             region: RegionId(2),
             dev: MemDeviceId(0),
         });
         assert!(!r.placements_clean());
+        assert_eq!(r.denials(), 1, "a breach is not a denial");
     }
 }

@@ -92,7 +92,7 @@ impl Runtime {
             trace,
             engine,
             lifetime: LifetimeManager::new(config.handover),
-            auditor: Auditor::new(),
+            auditor: Auditor::default(),
             hotness: HotnessTracker::new(),
             app_published: FxHashMap::default(),
             breakers: config.fault_control.then(BreakerBank::default),

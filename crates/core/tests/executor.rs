@@ -1224,7 +1224,7 @@ fn reports_contain_only_their_own_runs_findings() {
     clean.task(TaskSpec::new("noop").body(|_| Ok(())));
     let r2 = rt.execute(clean.build().unwrap()).unwrap();
     assert!(
-        r2.violations.is_empty() && r2.denials == 0,
+        r2.violations.is_empty(),
         "run 2 must not inherit run 1's audit history"
     );
 }

@@ -134,7 +134,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
     /// Size of any region in bytes.
     pub fn region_len(&self, region: RegionId) -> u64 {
         self.acc
-            .manager_ref()
+            .manager()
             .placement(region)
             .map_or(0, |p| p.size)
     }
@@ -224,23 +224,17 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         props: PropertySet,
         size: u64,
     ) -> Result<RegionId, TaskError> {
-        let compute = self.acc.compute;
-        let who = self.acc.who;
-        let now = self.acc.now;
         let dev = self
             .placer
             .place(
                 self.acc.topology(),
-                self.acc.manager_ref().pool(),
-                compute,
+                self.acc.manager().pool(),
+                self.acc.compute,
                 &props,
                 size,
             )
             .ok_or_else(|| TaskError::new("no device satisfies the requested properties"))?;
-        Ok(self
-            .acc
-            .manager()
-            .alloc(dev, size, rtype, props, who, now)?)
+        Ok(self.acc.alloc(dev, size, rtype, props)?)
     }
 
     /// Publishes a region under a name for other tasks of the job to
@@ -271,7 +265,7 @@ mod tests {
     use disagg_hwsim::contention::BandwidthLedger;
     use disagg_hwsim::presets::single_server;
     use disagg_hwsim::time::SimTime;
-    use disagg_hwsim::trace::Trace;
+    use disagg_hwsim::trace::{Trace, TraceEvent};
     use disagg_region::region::{OwnerId, RegionManager};
 
     struct FixedPlacer(MemDeviceId);
@@ -394,6 +388,10 @@ mod tests {
             .alloc(RegionType::GlobalScratch, PropertySet::new().persistent(true), 256)
             .unwrap();
         assert_eq!(mgr.placement(r).unwrap().dev, ids.pmem);
+        assert_eq!(
+            trace.events(),
+            &[TraceEvent::Alloc { region: r.0, dev: ids.pmem, bytes: 256, at: SimTime::ZERO }]
+        );
     }
 
     #[test]

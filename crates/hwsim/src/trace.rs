@@ -316,8 +316,8 @@ pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
     tap: Option<TraceTap>,
-    /// Running totals over `events`, kept by `push` so the accessors (and
-    /// the executor's per-wave deltas) never rescan the log.
+    /// Running totals over every pushed event, buffered or not, so the
+    /// accessors (and the executor's per-wave deltas) never scan.
     bytes_moved: u64,
     bytes_by_ownership: u64,
 }
@@ -343,7 +343,7 @@ impl Trace {
         }
     }
 
-    /// A trace that drops everything (zero overhead for large runs).
+    /// A trace that buffers nothing; it still counts bytes and feeds the tap.
     pub fn disabled() -> Self {
         Trace::default()
     }
@@ -355,20 +355,20 @@ impl Trace {
         self.tap = Some(tap);
     }
 
-    /// Records an event: streams it to the tap (if installed), then
-    /// buffers it (if enabled).
+    /// Records an event: streams it to the tap (if installed), counts its
+    /// bytes (buffered or not), then buffers it (if enabled).
     pub fn push(&mut self, event: TraceEvent) {
         if let Some(tap) = &mut self.tap {
             tap(&event);
         }
-        if self.enabled {
-            match event {
-                TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => {
-                    self.bytes_moved += bytes;
-                }
-                TraceEvent::OwnershipTransfer { bytes, .. } => self.bytes_by_ownership += bytes,
-                _ => {}
+        match event {
+            TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => {
+                self.bytes_moved += bytes;
             }
+            TraceEvent::OwnershipTransfer { bytes, .. } => self.bytes_by_ownership += bytes,
+            _ => {}
+        }
+        if self.enabled {
             self.events.push(event);
         }
     }
@@ -399,13 +399,13 @@ impl Trace {
     }
 
     /// Total bytes physically moved (accesses + migrations) by the
-    /// recorded events. O(1): a running total, not a scan.
+    /// pushed events, buffered or not. O(1): a running total, not a scan.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
     }
 
     /// Total bytes whose movement was *avoided* by ownership transfer,
-    /// over the recorded events. O(1).
+    /// over the pushed events, buffered or not. O(1).
     pub fn bytes_transferred_by_ownership(&self) -> u64 {
         self.bytes_by_ownership
     }
@@ -415,7 +415,7 @@ impl Trace {
         self.events.iter().filter(|e| pred(e)).count()
     }
 
-    /// Clears all events (and the byte totals over them).
+    /// Clears all events and the byte totals.
     pub fn clear(&mut self) {
         self.events.clear();
         self.bytes_moved = 0;
@@ -442,10 +442,18 @@ mod tests {
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
         t.push(access(0, 64));
+        t.push(TraceEvent::OwnershipTransfer {
+            region: 1,
+            from_task: 0,
+            to_task: 1,
+            bytes: 1_000,
+            at: SimTime(5),
+        });
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
-        // The byte totals describe the recorded events: none.
-        assert_eq!(t.bytes_moved(), 0);
+        // Nothing is buffered, but the byte totals count every push.
+        assert_eq!(t.bytes_moved(), 64);
+        assert_eq!(t.bytes_transferred_by_ownership(), 1_000);
     }
 
     #[test]

@@ -27,7 +27,9 @@ use disagg_hwsim::topology::{AccessCostParts, Topology};
 use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
 
 use crate::pool::RegionId;
+use crate::props::PropertySet;
 use crate::region::{OwnerId, RegionError, RegionManager};
+use crate::typed::RegionType;
 
 /// Statistics an accessor accumulates over a task's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -176,14 +178,21 @@ impl<'a> Accessor<'a> {
         self
     }
 
-    /// The region manager (for allocation through a task context).
-    pub fn manager(&mut self) -> &mut RegionManager {
+    /// Read-only access to the region manager.
+    pub fn manager(&self) -> &RegionManager {
         self.mgr
     }
 
-    /// Read-only access to the region manager.
-    pub fn manager_ref(&self) -> &RegionManager {
+    /// A task body's own traced allocation on `dev`, owned by `who` at `now`.
+    pub fn alloc(
+        &mut self,
+        dev: MemDeviceId,
+        size: u64,
+        rtype: RegionType,
+        props: PropertySet,
+    ) -> Result<RegionId, RegionError> {
         self.mgr
+            .alloc_traced(self.trace, dev, size, rtype, props, self.who, self.now)
     }
 
     /// The topology.

@@ -10,6 +10,10 @@
 //! The [`RegionManager`] is the bookkeeper: it pairs every pool allocation
 //! with its type, declared properties, and owner set, and enforces the
 //! ownership rules on every access.
+//! Inside a run every allocation and free goes through its `*_traced`
+//! methods, which push an `Alloc` or `Free` event exactly when the pool
+//! allocated or freed; code that owns a bare manager (`ftol`, tests)
+//! uses the untraced `alloc` / `release`.
 
 use std::collections::hash_map::Entry;
 
@@ -17,6 +21,7 @@ use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::SimTime;
 use disagg_hwsim::topology::Topology;
+use disagg_hwsim::trace::{Trace, TraceEvent};
 
 use crate::pool::{AllocError, MemoryPool, Placement, RegionId};
 use crate::props::PropertySet;
@@ -264,7 +269,7 @@ pub struct RegionManager {
     /// from the pool, so the unkeyed Fx hash is safe; never iterated.
     meta: FxHashMap<RegionId, RegionMeta>,
     /// Owner → regions index, kept in sync with `meta` ownership so
-    /// task-exit cleanup (`release_all_with`, called once per task) is
+    /// task-exit cleanup (`release_all_traced`, called once per task) is
     /// O(regions of that owner), not a scan of every live region. Never
     /// iterated.
     owners: FxHashMap<OwnerId, Owned>,
@@ -333,6 +338,23 @@ impl RegionManager {
             },
         );
         self.index_add(owner, id);
+        Ok(id)
+    }
+
+    /// [`alloc`](Self::alloc), booked in `trace` as an `Alloc` at `now`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn alloc_traced(
+        &mut self,
+        trace: &mut Trace,
+        dev: MemDeviceId,
+        size: u64,
+        rtype: RegionType,
+        props: PropertySet,
+        owner: OwnerId,
+        now: SimTime,
+    ) -> Result<RegionId, RegionError> {
+        let id = self.alloc(dev, size, rtype, props, owner, now)?;
+        trace.push(TraceEvent::Alloc { region: id.0, dev, bytes: size, at: now });
         Ok(id)
     }
 
@@ -541,8 +563,23 @@ impl RegionManager {
     /// Releases `who`'s ownership. When the last owner releases, the
     /// region is freed and `Ok(true)` is returned.
     pub fn release(&mut self, id: RegionId, who: OwnerId) -> Result<bool, RegionError> {
+        self.release_traced(&mut Trace::disabled(), id, who, SimTime::ZERO)
+    }
+
+    /// [`release`](Self::release), booking a freed region in `trace` as
+    /// a `Free` event at `now`.
+    pub fn release_traced(
+        &mut self,
+        trace: &mut Trace,
+        id: RegionId,
+        who: OwnerId,
+        now: SimTime,
+    ) -> Result<bool, RegionError> {
         let freed = self.drop_owner(id, who)?;
         self.index_remove(who, id);
+        if let Some(p) = freed {
+            trace.push(TraceEvent::Free { region: id.0, dev: p.dev, bytes: p.size, at: now });
+        }
         Ok(freed.is_some())
     }
 
@@ -579,11 +616,11 @@ impl RegionManager {
         Ok(Some(self.pool.free(id)?))
     }
 
-    /// Releases everything a given owner holds (task-exit cleanup), in
-    /// region-id order, calling `freed(region, former placement)` for
-    /// each region that was freed outright. The owner's index entry is
+    /// Releases everything a given owner holds (task-exit and end-of-wave
+    /// cleanup), in region-id order, booking each region freed outright
+    /// in `trace` as a `Free` event at `now`. The owner's index entry is
     /// taken, not copied, and no release searches it again.
-    pub fn release_all_with(&mut self, who: OwnerId, mut freed: impl FnMut(RegionId, Placement)) {
+    pub fn release_all_traced(&mut self, trace: &mut Trace, who: OwnerId, now: SimTime) {
         let Some(mut owned) = self.owners.remove(&who) else {
             return;
         };
@@ -594,18 +631,10 @@ impl RegionManager {
             if last.replace(id) == Some(id) {
                 continue;
             }
-            if let Ok(Some(placement)) = self.drop_owner(id, who) {
-                freed(id, placement);
+            if let Ok(Some(p)) = self.drop_owner(id, who) {
+                trace.push(TraceEvent::Free { region: id.0, dev: p.dev, bytes: p.size, at: now });
             }
         }
-    }
-
-    /// [`release_all_with`](Self::release_all_with), returning the
-    /// regions that were freed outright.
-    pub fn release_all(&mut self, who: OwnerId) -> Vec<RegionId> {
-        let mut freed = Vec::new();
-        self.release_all_with(who, |id, _| freed.push(id));
-        freed
     }
 
     /// Number of live regions.
@@ -784,17 +813,63 @@ mod tests {
         mgr.transfer(id, T1, T0).unwrap();
     }
 
+    /// The regions `trace` records as freed from event `mark` on.
+    fn freed_since(trace: &Trace, mark: usize) -> Vec<RegionId> {
+        trace.events()[mark..]
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Free { region, .. } => Some(RegionId(region)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn release_all_cleans_up_task_state() {
         let (_topo, mut mgr, dram, _) = setup();
         let a = alloc(&mut mgr, dram, RegionType::PrivateScratch, T0);
         let b = alloc(&mut mgr, dram, RegionType::Output, T0);
         let c = alloc(&mut mgr, dram, RegionType::Output, T1);
-        let freed = mgr.release_all(T0);
-        assert_eq!(freed.len(), 2);
-        assert!(freed.contains(&a) && freed.contains(&b));
+        let mut trace = Trace::enabled();
+        mgr.release_all_traced(&mut trace, T0, SimTime(100));
+        assert_eq!(freed_since(&trace, 0), vec![a, b]);
+        assert!(trace.events().iter().all(|e| e.at() == SimTime(100)));
         assert!(mgr.is_live(c));
         assert_eq!(mgr.live_count(), 1);
+    }
+
+    #[test]
+    fn the_traced_path_books_exactly_what_the_pool_does() {
+        let (topo, mut mgr, dram, far) = setup();
+        let mut trace = Trace::enabled();
+        let t = |n| SimTime(n);
+        let props = RegionType::GlobalScratch.properties();
+        let a = mgr
+            .alloc_traced(&mut trace, dram, 300, RegionType::GlobalScratch, props.clone(), T0, t(1))
+            .unwrap();
+        let b = mgr
+            .alloc_traced(&mut trace, far, 500, RegionType::Output, props.clone(), T0, t(2))
+            .unwrap();
+        // A failed allocation books nothing.
+        assert!(mgr
+            .alloc_traced(&mut trace, dram, 2 << 20, RegionType::Output, props, T0, t(3))
+            .is_err());
+        mgr.share(a, T0, T1, &topo).unwrap();
+        // Dropping one of two owners frees nothing, so books nothing.
+        assert!(!mgr.release_traced(&mut trace, a, T0, t(4)).unwrap());
+        assert!(mgr.release_traced(&mut trace, a, T0, t(5)).is_err());
+        assert!(mgr.release_traced(&mut trace, a, T1, t(6)).unwrap());
+        mgr.release_all_traced(&mut trace, T0, t(7));
+        assert_eq!(
+            trace.events(),
+            &[
+                TraceEvent::Alloc { region: a.0, dev: dram, bytes: 300, at: t(1) },
+                TraceEvent::Alloc { region: b.0, dev: far, bytes: 500, at: t(2) },
+                TraceEvent::Free { region: a.0, dev: dram, bytes: 300, at: t(6) },
+                TraceEvent::Free { region: b.0, dev: far, bytes: 500, at: t(7) },
+            ]
+        );
+        assert_eq!(mgr.pool().allocated(dram) + mgr.pool().allocated(far), 0);
     }
 
     #[test]
@@ -819,9 +894,9 @@ mod tests {
         shared: bool,
     }
 
-    /// Seeded random alloc / share / transfer / release / `release_all`
-    /// against the naive model: every result, error, freed set and
-    /// `owned_by` list must agree after every step.
+    /// Seeded random alloc / share / transfer / release /
+    /// `release_all_traced` against the naive model: every result, error,
+    /// freed set and `owned_by` list must agree after every step.
     #[test]
     fn random_operations_agree_with_a_naive_model() {
         use disagg_hwsim::rng::SimRng;
@@ -957,10 +1032,12 @@ mod tests {
                             }
                             !freed
                         });
+                        let mut trace = Trace::enabled();
+                        mgr.release_all_traced(&mut trace, who, SimTime::ZERO);
                         assert_eq!(
-                            mgr.release_all(who),
+                            freed_since(&trace, 0),
                             want,
-                            "seed {seed} step {step}: release_all"
+                            "seed {seed} step {step}: release_all_traced"
                         );
                     }
                     _ => {

@@ -66,20 +66,12 @@ pub enum Violation {
 /// Audits placements and records enforcement events.
 #[derive(Debug, Default)]
 pub struct Auditor {
-    /// Violations found (empty after a clean run).
+    /// Violations found (empty after a clean run), denied confidential
+    /// accesses among them.
     pub violations: Vec<Violation>,
-    /// Count of placements checked.
-    pub checked: u64,
-    /// Count of denied confidential accesses (enforcement *working*).
-    pub denials: u64,
 }
 
 impl Auditor {
-    /// A fresh auditor.
-    pub fn new() -> Self {
-        Auditor::default()
-    }
-
     /// Verifies that `region`'s placement on `dev` honors `props` as seen
     /// from `compute`. Any breach is recorded.
     pub fn check_placement(
@@ -90,7 +82,6 @@ impl Auditor {
         dev: MemDeviceId,
         props: &PropertySet,
     ) {
-        self.checked += 1;
         let model = topo.mem(dev);
         if props.persistent && !model.persistent {
             self.violations.push(Violation::Persistence { region, dev });
@@ -125,29 +116,19 @@ impl Auditor {
     }
 
     /// Records a *denied* cross-job access to a confidential region. A
-    /// denial is enforcement working as intended — it increments
-    /// `denials`, and also lands in `violations` so reports can show the
-    /// attempted breach.
+    /// denial is enforcement working as intended; it lands in
+    /// `violations` so reports can show the attempted breach.
     pub fn record_denial(
         &mut self,
         region: RegionId,
         owner_job: Option<u64>,
         accessor_job: Option<u64>,
     ) {
-        self.denials += 1;
         self.violations.push(Violation::ConfidentialAccessDenied {
             region,
             owner_job,
             accessor_job,
         });
-    }
-
-    /// True if no placement violated its declared properties. (Denied
-    /// confidential accesses do not count: the denial *is* enforcement.)
-    pub fn placements_clean(&self) -> bool {
-        self.violations
-            .iter()
-            .all(|v| matches!(v, Violation::ConfidentialAccessDenied { .. }))
     }
 }
 
@@ -187,27 +168,25 @@ mod tests {
     #[test]
     fn clean_placement_passes() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::new();
+        let mut a = Auditor::default();
         let props = PropertySet::new().with_latency(LatencyClass::Low);
         a.check_placement(&topo, ids.cpu, RegionId(1), ids.dram, &props);
-        assert!(a.placements_clean());
-        assert_eq!(a.checked, 1);
+        assert!(a.violations.is_empty());
     }
 
     #[test]
     fn persistent_on_volatile_is_flagged() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::new();
+        let mut a = Auditor::default();
         let props = PropertySet::new().persistent(true);
         a.check_placement(&topo, ids.cpu, RegionId(1), ids.dram, &props);
-        assert!(!a.placements_clean());
-        assert!(matches!(a.violations[0], Violation::Persistence { .. }));
+        assert!(matches!(a.violations[..], [Violation::Persistence { .. }]));
     }
 
     #[test]
     fn latency_breach_reports_required_and_achieved() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::new();
+        let mut a = Auditor::default();
         let props = PropertySet::new().with_latency(LatencyClass::Low);
         a.check_placement(&topo, ids.cpu, RegionId(2), ids.far, &props);
         match &a.violations[0] {
@@ -222,7 +201,7 @@ mod tests {
     #[test]
     fn bandwidth_breach_is_flagged() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::new();
+        let mut a = Auditor::default();
         let props = PropertySet::new().with_bandwidth(BandwidthClass::High);
         a.check_placement(&topo, ids.cpu, RegionId(3), ids.pmem, &props);
         assert!(a
@@ -234,7 +213,7 @@ mod tests {
     #[test]
     fn coherent_outside_domain_is_flagged() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::new();
+        let mut a = Auditor::default();
         let props = PropertySet::new()
             .coherent(true)
             .with_mode(disagg_region::props::AccessMode::Async);
@@ -247,11 +226,17 @@ mod tests {
 
     #[test]
     fn denials_count_as_enforcement_not_breach() {
-        let mut a = Auditor::new();
+        let mut a = Auditor::default();
         a.record_denial(RegionId(5), Some(1), Some(2));
-        assert_eq!(a.denials, 1);
-        assert!(a.placements_clean(), "a denial means enforcement worked");
-        assert_eq!(a.violations.len(), 1, "but it is still reported");
+        assert_eq!(
+            a.violations,
+            [Violation::ConfidentialAccessDenied {
+                region: RegionId(5),
+                owner_job: Some(1),
+                accessor_job: Some(2),
+            }],
+            "a denial is reported once, as what it is"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   experiment E7), a new region is allocated near the consumer and the
 //!   bytes are copied at full transfer cost.
 //!
-//! The manager also implements release-on-last-owner cleanup for task
-//! exit.
+//! The copy's allocation and the source's release go through the
+//! [`RegionManager`]'s traced path, like every allocation in a run.
 
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::ids::ComputeId;
@@ -54,7 +54,7 @@ pub struct HandoverOutcome {
     pub took: SimDuration,
 }
 
-/// Manages handover and end-of-task cleanup.
+/// Manages handover.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LifetimeManager {
     /// Active handover policy.
@@ -152,7 +152,7 @@ impl LifetimeManager {
                 consumer: consumer_compute,
                 size: placement.size,
             })?;
-        let new = mgr.alloc(dst_dev, placement.size, RegionType::Input, props, to, now)?;
+        let new = mgr.alloc_traced(trace, dst_dev, placement.size, RegionType::Input, props, to, now)?;
 
         // Real byte copy of whatever the source ever had written.
         mgr.copy_contents(region, new)?;
@@ -164,7 +164,7 @@ impl LifetimeManager {
         let took = charge_copy(topo, ledger, trace, region, placement, dst_dev, base, now);
 
         if let Some(from) = release_from {
-            mgr.release(region, from)?;
+            mgr.release_traced(trace, region, from, now)?;
         }
         Ok(HandoverOutcome {
             region: new,
@@ -172,18 +172,6 @@ impl LifetimeManager {
             bytes_copied: placement.size,
             took,
         })
-    }
-
-    /// End-of-task cleanup: releases everything the task still owns.
-    pub fn task_exit(&self, mgr: &mut RegionManager, trace: &mut Trace, who: OwnerId, now: SimTime) {
-        mgr.release_all_with(who, |id, p| {
-            trace.push(TraceEvent::Free {
-                region: id.0,
-                dev: p.dev,
-                bytes: p.size,
-                at: now,
-            });
-        });
     }
 }
 
@@ -255,9 +243,20 @@ mod tests {
         assert_ne!(o.region, out);
         assert!(o.took > TRANSFER_OVERHEAD);
         assert_eq!(&mgr.bytes(o.region, C).unwrap()[..32], &[0xAB; 32]);
-        // Producer's region was released.
+        // Producer's region was released, and the trace books the copy's
+        // allocation and the source's free.
         assert!(!mgr.is_live(out));
         assert_eq!(trace.bytes_moved(), 1 << 20);
+        let books: Vec<(bool, u64)> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Alloc { region, .. } => Some((true, region)),
+                TraceEvent::Free { region, .. } => Some((false, region)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(books, [(true, o.region.0), (false, out.0)]);
     }
 
     /// Two fully disjoint islands `(topo, d0, cpu1, d1)`: `cpu1` has no
@@ -369,15 +368,25 @@ mod tests {
     fn task_exit_releases_everything() {
         let (topo, ids) = single_server();
         let mut mgr = RegionManager::new(&topo);
+        let mut ledger = BandwidthLedger::default_buckets();
         let mut trace = Trace::enabled();
+        let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
         let lm = LifetimeManager::default();
         for _ in 0..3 {
             mgr.alloc(ids.dram, 4096, RegionType::PrivateScratch, PropertySet::new(), P, SimTime::ZERO)
                 .unwrap();
         }
-        assert_eq!(mgr.live_count(), 3);
-        lm.task_exit(&mut mgr, &mut trace, P, SimTime(100));
-        assert_eq!(mgr.live_count(), 0);
+        let out = mgr
+            .alloc(ids.dram, 4096, RegionType::Output, PropertySet::new(), P, SimTime::ZERO)
+            .unwrap();
+        lm.handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, ids.gpu, SimTime::ZERO)
+            .unwrap();
+        assert_eq!(mgr.live_count(), 4);
+        // The producer's exit frees its three scratch regions; the output it
+        // handed over belongs to the consumer and stays live.
+        mgr.release_all_traced(&mut trace, P, SimTime(100));
+        assert_eq!(mgr.live_count(), 1);
+        assert!(mgr.is_live(out));
         assert_eq!(trace.count(|e| matches!(e, TraceEvent::Free { .. })), 3);
     }
 }

@@ -587,10 +587,10 @@ const BURN_WINDOWS: usize = 16;
 /// the run that started at `t0`, reconstructed from the Alloc/Free
 /// events among the run's `events`; also returns the *exact* peak
 /// fraction from the full event walk (the sampled curve can miss
-/// allocations shorter than a sample gap). Fractions are clamped to
-/// 1.0 — resident bytes can overshoot a quota-denominated pool because
-/// quotas account predicted footprints, not scratch allocations. Empty
-/// when the runtime traces nothing or the run was empty.
+/// allocations shorter than a sample gap). Every allocation and free of
+/// a run is traced, so the walk never goes below zero and ends where the
+/// pool ends. Fractions are not clamped (see [`UtilSample::frac`]).
+/// Empty when the runtime traces nothing or the run was empty.
 fn util_curve(
     events: &[TraceEvent],
     t0: SimTime,
@@ -617,8 +617,9 @@ fn util_curve(
 
     let mut peak = at_start as i64;
     let mut walk = at_start as i64;
-    for &(_, d) in &deltas {
+    for &(at, d) in &deltas {
         walk += d;
+        debug_assert!(walk >= 0, "resident bytes below zero at {at}: a free without its alloc");
         peak = peak.max(walk);
     }
 
@@ -634,12 +635,9 @@ fn util_curve(
             level += deltas[next].1;
             next += 1;
         }
-        curve.push(UtilSample {
-            at: off,
-            frac: ((level.max(0) as f64) / (capacity as f64)).min(1.0),
-        });
+        curve.push(UtilSample { at: off, frac: level as f64 / capacity as f64 });
     }
-    (curve, ((peak.max(0) as f64) / (capacity as f64)).min(1.0))
+    (curve, peak as f64 / capacity as f64)
 }
 
 #[cfg(test)]

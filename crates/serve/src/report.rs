@@ -91,7 +91,8 @@ pub struct TenantStats {
 pub struct UtilSample {
     /// Offset from the serving run's start.
     pub at: SimDuration,
-    /// Allocated fraction of total pooled capacity, `0.0..=1.0`.
+    /// Allocated bytes over the managed pool's capacity; above `1.0` when
+    /// they exceed a quota pool (quotas leave out handover copies).
     pub frac: f64,
 }
 
@@ -125,7 +126,8 @@ pub struct ServeReport {
     pub util_curve: Vec<UtilSample>,
     /// Exact peak utilization over the run — computed from the full
     /// Alloc/Free event walk, so it catches allocations too short-lived
-    /// for the sampled curve. `0.0` without a trace.
+    /// for the sampled curve. Unclamped, like [`UtilSample::frac`]; `0.0`
+    /// without a trace.
     pub peak_util: f64,
     /// One causal span per admitted request (arrival → last task
     /// finish, tiled into admission / queue / compute / transfer /

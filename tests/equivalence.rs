@@ -43,7 +43,7 @@ fn report_digest(report: &RunReport, trace: &disagg::hwsim::trace::Trace) -> (u6
     (h, th)
 }
 
-fn diamond_workload() -> (Runtime, JobSpec) {
+fn diamond_workload(config: RuntimeConfig) -> (Runtime, JobSpec) {
     let mut b = Topology::builder();
     let mut serial_cpu = ComputeModel::preset(ComputeKind::Cpu);
     serial_cpu.slots = 1;
@@ -61,7 +61,7 @@ fn diamond_workload() -> (Runtime, JobSpec) {
     b.link(Endpoint::Hub(w0), dram0, LinkKind::MemBus);
     b.link(Endpoint::Hub(w1), dram1, LinkKind::MemBus);
     let topo = b.build().unwrap();
-    let rt = Runtime::new(topo, RuntimeConfig::traced());
+    let rt = Runtime::new(topo, config);
     let mut job = JobBuilder::new("diamond");
     let mk = |name: &str| {
         TaskSpec::new(name)
@@ -116,9 +116,9 @@ fn quickstart_workload() -> (Runtime, JobSpec) {
     (rt, job.build().unwrap())
 }
 
-fn rack_batch() -> (Runtime, Vec<JobSpec>) {
+fn rack_batch(config: RuntimeConfig) -> (Runtime, Vec<JobSpec>) {
     let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
-    let rt = Runtime::new(topo, RuntimeConfig::traced().with_admission(0.8));
+    let rt = Runtime::new(topo, config.with_admission(0.8));
     let jobs = vec![
         dbms::query_job(dbms::DbmsConfig {
             tuples: 8_000,
@@ -173,7 +173,9 @@ fn diamond_golden() -> Golden {
         ownership_transfers: 3,
         handover_copies: 1,
         task_hash: 0xe293e7ebc900f096,
-        trace_hash: 0x9e3410eef683d00f,
+        // Re-pinned when every allocation in a run became traced: the
+        // trace gained the `Alloc` of the fan-out handover copy.
+        trace_hash: 0x35c809dc1e4db700,
     }
 }
 
@@ -197,13 +199,16 @@ fn rack_golden() -> Golden {
         ownership_transfers: 8,
         handover_copies: 2,
         task_hash: 0xbdf775c46689c0e8,
-        trace_hash: 0xf23d67c2969759eb,
+        // Re-pinned when every allocation in a run became traced: the
+        // trace gained the two handover copies' `Alloc`s and seven
+        // `Free`s of job-scoped regions released at wave end.
+        trace_hash: 0x55826fa98cc3d234,
     }
 }
 
 #[test]
 fn diamond_matches_pre_refactor_golden() {
-    let (rt, job) = diamond_workload();
+    let (rt, job) = diamond_workload(RuntimeConfig::traced());
     check("diamond", rt, vec![job], diamond_golden());
 }
 
@@ -215,7 +220,7 @@ fn quickstart_matches_pre_refactor_golden() {
 
 #[test]
 fn rack_scale_batch_matches_pre_refactor_golden() {
-    let (rt, jobs) = rack_batch();
+    let (rt, jobs) = rack_batch(RuntimeConfig::traced());
     check("rack", rt, jobs, rack_golden());
 }
 
@@ -237,7 +242,7 @@ fn streaming_observer_matches_buffered_trace() {
             .with_admission(0.8)
             .with_observer(ObserverSlot::shared(sink.clone())),
     );
-    let (_, jobs) = rack_batch();
+    let (_, jobs) = rack_batch(RuntimeConfig::traced());
     rt.execute(Submission::batch(jobs)).unwrap();
 
     let digest = |events: &[disagg::hwsim::trace::TraceEvent]| {
@@ -251,7 +256,8 @@ fn streaming_observer_matches_buffered_trace() {
     let buffered = digest(rt.trace().events());
     assert_eq!(streamed, buffered, "streamed events diverge from buffered trace");
     assert_eq!(
-        buffered, 0xf23d67c2969759eb,
+        buffered,
+        rack_golden().trace_hash,
         "attaching an observer must not perturb the golden trace"
     );
 }
@@ -267,7 +273,7 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
     use std::sync::{Arc, Mutex};
 
     // No observer (the default slot) — re-derive the pinned digests.
-    let (mut rt, jobs) = rack_batch();
+    let (mut rt, jobs) = rack_batch(RuntimeConfig::traced());
     let report = rt.execute(Submission::batch(jobs)).unwrap();
     let null_digests = report_digest(&report, rt.trace());
 
@@ -280,7 +286,7 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
             .with_admission(0.8)
             .with_observer(ObserverSlot::shared(sink.clone())),
     );
-    let (_, jobs) = rack_batch();
+    let (_, jobs) = rack_batch(RuntimeConfig::traced());
     let report = rt.execute(Submission::batch(jobs)).unwrap();
     let full_digests = report_digest(&report, rt.trace());
 
@@ -298,9 +304,47 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
 #[test]
 fn repeated_runs_are_bit_for_bit_identical() {
     let digest = || {
-        let (mut rt, jobs) = rack_batch();
+        let (mut rt, jobs) = rack_batch(RuntimeConfig::traced());
         let report = rt.execute(Submission::batch(jobs)).unwrap();
         (report_digest(&report, rt.trace()), report.events)
     };
     assert_eq!(digest(), digest());
+}
+
+/// Whether the trace buffers changes what can be replayed, never what
+/// the report says: traced and untraced runs of `workload` agree on
+/// every aggregate.
+fn assert_untraced_reports_the_same(
+    name: &str,
+    workload: impl Fn(RuntimeConfig) -> (Runtime, Vec<JobSpec>),
+) {
+    let aggregates = |(mut rt, jobs): (Runtime, Vec<JobSpec>)| {
+        let r = rt.execute(Submission::batch(jobs)).unwrap();
+        (
+            r.makespan,
+            r.events,
+            r.bytes_moved,
+            r.bytes_ownership_transferred,
+            r.ownership_transfers,
+            r.handover_copies,
+            r.devices,
+        )
+    };
+    let traced = aggregates(workload(RuntimeConfig::traced()));
+    let untraced = aggregates(workload(RuntimeConfig::default()));
+    assert!(traced.2 > 0, "{name}: the workload must move bytes");
+    assert_eq!(untraced, traced, "{name}: aggregates depend on buffering");
+}
+
+#[test]
+fn untraced_runs_report_what_traced_runs_report() {
+    assert_untraced_reports_the_same("diamond", |config| {
+        let (rt, job) = diamond_workload(config);
+        (rt, vec![job])
+    });
+    assert_untraced_reports_the_same("rack", rack_batch);
+    assert_untraced_reports_the_same("dbms", |config| {
+        let (topo, _ids) = disagg::presets::single_server();
+        (Runtime::new(topo, config), vec![dbms::query_job(dbms::DbmsConfig::default())])
+    });
 }
