@@ -351,10 +351,7 @@ fn run_point(
     span: SimDuration,
 ) -> ChaosServeRow {
     let (faults, fault_start, fault_end) = fault_plan(span);
-    let mut config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery());
-    if controls {
-        config = config.with_fault_control();
-    }
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery());
     let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, config);
     let cfg = ServeConfig {

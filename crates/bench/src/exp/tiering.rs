@@ -17,7 +17,6 @@ use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::Trace;
 use disagg_region::access::Accessor;
-use disagg_region::hotness::HotnessTracker;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::props::{AccessMode, PropertySet};
@@ -73,7 +72,6 @@ pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
 
     let zipf = Zipf::new(regions_n, 1.1);
     let mut rng = SimRng::new(scenario.stream(99));
-    let mut tracker = HotnessTracker::new();
     // Tier order restricted to the three homes: tiering moves data among
     // the pool tiers, not onto the CPU cache.
     let mut policy = TieringPolicy::new(vec![h.dram, h.cxl, h.far]);
@@ -85,14 +83,13 @@ pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
     let mut epoch_migration = Vec::with_capacity(epochs);
     let mut buf = vec![0u8; 64 << 10];
     for _ in 0..epochs {
-        // The access epoch.
+        // The access epoch; the manager records every read's hotness.
         let mut acc = Accessor::new(&topo, &mut ledger, &mut mgr, &mut trace, h.cpu, WHO, now);
         for _ in 0..accesses_per_epoch {
             let r = ids[zipf.sample(&mut rng)];
             let off = rng.next_below(region_bytes - buf.len() as u64);
             acc.read(r, off, &mut buf, AccessPattern::Sequential)
                 .expect("read");
-            tracker.record(r, buf.len() as u64, acc.now);
         }
         let end = acc.now;
         epoch_access.push(end - now);
@@ -101,7 +98,7 @@ pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
         // The tiering pass.
         let mut mig_time = SimDuration::ZERO;
         if tiering_on {
-            for (id, to) in policy.plan(&mgr, &topo, &tracker) {
+            for (id, to) in policy.plan(&mgr, &topo, mgr.hotness()) {
                 let (_, took) =
                     migrate(&mut mgr, &topo, &mut ledger, &mut trace, id, to, now)
                         .expect("migration");
@@ -110,7 +107,7 @@ pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
             now += mig_time;
         }
         epoch_migration.push(mig_time);
-        tracker.decay();
+        mgr.hotness_mut().decay();
     }
     EpochSeries {
         config: if tiering_on { "tiering on" } else { "static spread" },

@@ -80,8 +80,7 @@ fn a_controlled_serving_run_under_faults_balances() {
                 .with_max_retries(1)
                 .with_detection_delay(SimDuration(2_000))
                 .with_backoff(SimDuration(1_000)),
-        )
-        .with_fault_control();
+        );
     let mut rt = Runtime::new(topo, config);
     let cfg = ServeConfig {
         arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(20) },

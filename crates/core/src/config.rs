@@ -130,20 +130,6 @@ pub struct RuntimeConfig {
     /// How mid-task faults are detected and retried. Set wherever
     /// `faults` is.
     pub recovery: RecoveryPolicy,
-    /// The fault-control plane on top of `recovery`, as one switch
-    /// (the settings are constants in [`crate::breaker`]): per-tenant
-    /// retry budgets that fail a request fast with
-    /// [`crate::DisaggError::RetryBudgetExhausted`] instead of grinding
-    /// through the full `recovery` policy, per-node circuit breakers
-    /// that take a node that keeps faulting out of the candidate
-    /// ranking, and failure isolation — a request-tagged job whose task
-    /// exhausts its retries or budget fails *alone*
-    /// ([`crate::RunReport::failed_jobs`]) while the wave continues.
-    /// Budgets and isolation only bind request-tagged jobs: untagged
-    /// batch jobs have no tenant to charge. Off by default, so plain
-    /// runs execute the same code path as ever; turned on by
-    /// `chaos_serve`'s controlled runs.
-    pub fault_control: bool,
     /// Memory-aware admission control: when set, a submitted batch is
     /// split into waves so that each wave's *predicted* memory footprint
     /// stays below this fraction of the pool's free capacity. `None`
@@ -207,13 +193,6 @@ impl RuntimeConfig {
     /// Sets the failure-recovery policy.
     pub fn with_recovery(mut self, r: RecoveryPolicy) -> Self {
         self.recovery = r;
-        self
-    }
-
-    /// Turns on the fault-control plane (retry budgets, breakers,
-    /// failure isolation).
-    pub fn with_fault_control(mut self) -> Self {
-        self.fault_control = true;
         self
     }
 

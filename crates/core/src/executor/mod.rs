@@ -266,7 +266,6 @@ pub(crate) fn run_wave(
     tags: Vec<Option<(u64, u64)>>,
 ) -> Result<RunReport, DisaggError> {
     let t0 = rt.clock;
-    let trace_mark = rt.trace.len();
     let moved_mark = rt.trace.bytes_moved();
     let ownership_mark = rt.trace.bytes_transferred_by_ownership();
     // Report only this run's audit findings, not the runtime's whole
@@ -404,6 +403,9 @@ pub(crate) fn run_wave(
     // have popped it in.
     arrivals.sort_by_key(|&(at, _, _)| at);
 
+    // One hotness decay tick per wave, so old heat fades before this
+    // wave's accesses are recorded.
+    rt.mgr.hotness_mut().decay();
     let mut arrivals = arrivals.into_iter().peekable();
     loop {
         // The next event is the smaller of the next arrival and the
@@ -436,22 +438,6 @@ pub(crate) fn run_wave(
     w.flush_exits(rt, None);
     for &jid in &w.job_ids {
         rt.mgr.release_all_traced(&mut rt.trace, OwnerId::Job(jid.0), end);
-    }
-
-    // Feed the wave's accesses into the hotness tracker (one decay tick
-    // per wave so old heat fades). Only a buffering trace feeds it: on
-    // an untraced runtime the tracker stays empty.
-    rt.hotness.decay();
-    for e in &rt.trace.events()[trace_mark..] {
-        match *e {
-            TraceEvent::Access { region, bytes, at, .. } => {
-                rt.hotness.record(RegionId(region), bytes, at);
-            }
-            TraceEvent::Free { region, .. } => {
-                rt.hotness.forget(RegionId(region));
-            }
-            _ => {}
-        }
     }
 
     rt.clock = end;

@@ -11,6 +11,7 @@ use std::cmp::Reverse;
 use disagg_dataflow::ctx::{Placer, TaskCtx, TaskRegions};
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_dataflow::task::{TaskError, TaskId, TaskSpec};
+use disagg_hwsim::calibration;
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::fault::FaultKind;
 use disagg_hwsim::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
@@ -31,12 +32,6 @@ use crate::report::{FailReason, FailedJob, Placed, PlacedKind, TaskPlacements, T
 use crate::runtime::Runtime;
 
 use super::{EventKind, Wave};
-
-/// Streaming producers release their first chunk after 1/DEPTH of their
-/// runtime: a streaming consumer on a pure ownership-transfer edge may
-/// start that early instead of waiting for the whole batch — the
-/// paper's stream-vs-batch property made operational.
-pub(crate) const PIPELINE_DEPTH: u64 = 8;
 
 /// A ready-queue entry: `(rank key, queue time, ji, task)`.
 ///
@@ -294,8 +289,8 @@ fn pick_candidate(
         .map(|&(c, _)| c)
 }
 
-/// Fails a whole job fast under
-/// [`fault_control`](crate::RuntimeConfig::fault_control):
+/// Fails a whole job fast under fault control
+/// ([`Runtime::enable_fault_control`]):
 /// the wave keeps draining, every not-yet-run task of the job is
 /// cancelled (its pending events commit as no-ops), the regions already
 /// handed over to cancelled tasks are scheduled for release, and the
@@ -496,7 +491,9 @@ pub(crate) fn run_task(
                 None
             };
             if let Some(reason) = exhausted {
-                if rt.config.fault_control && tenant.is_some() {
+                // Isolation is part of the control plane: on exactly
+                // when the breakers are.
+                if rt.breakers.is_some() && tenant.is_some() {
                     fail_job(w, spec, ji, task, compute, lane, detect_at, reason);
                     return Ok(());
                 }
@@ -635,12 +632,15 @@ pub(crate) fn run_task(
     // at the instant the consumer can actually address the data. ---
     let succs = spec.dag.successors(task);
     // When an edge to `s` releases: a streaming producer feeding a
-    // streaming consumer over a `pipelined` edge lets the consumer start
-    // on the first chunk while its own tail is still streaming.
+    // streaming consumer over a `pipelined` edge releases its first chunk
+    // after 1/depth of its runtime, so the consumer starts on it while the
+    // producer's tail is still streaming — the paper's stream-vs-batch
+    // property made operational.
+    let depth = calibration::mechanisms().pipeline_depth.value;
     let release_to = |s: TaskId, pipelined: bool| {
         let consumer_streams = spec.tasks[s.index()].props.effective(&spec.defaults).streaming;
         if pipelined && eff.streaming && consumer_streams {
-            start + (finish - start) / PIPELINE_DEPTH
+            start + (finish - start) / depth
         } else {
             finish
         }

@@ -134,7 +134,7 @@ impl TaskReport {
 }
 
 /// Why a fault-isolated job failed (see
-/// [`crate::RuntimeConfig::fault_control`]).
+/// [`crate::Runtime::enable_fault_control`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailReason {
     /// The task burned through the [`crate::RecoveryPolicy`] retry cap.
@@ -217,7 +217,7 @@ pub struct RunReport {
     /// (see [`crate::RuntimeConfig::with_observer`]).
     pub metrics: Option<MetricsSnapshot>,
     /// Request-tagged jobs that failed fast under failure isolation
-    /// ([`crate::RuntimeConfig::fault_control`]); empty on every
+    /// ([`crate::Runtime::enable_fault_control`]); empty on every
     /// run that completes normally or does not isolate.
     pub failed_jobs: Vec<FailedJob>,
 }

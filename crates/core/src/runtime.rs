@@ -22,7 +22,7 @@
 use disagg_hwsim::fx::FxHashMap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
-use disagg_hwsim::compute::HOST_DECODE_NS_PER_BYTE;
+use disagg_hwsim::calibration;
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
@@ -30,7 +30,6 @@ use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::{AccessCostParts, PathCost, Topology};
 use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
 use disagg_region::access::book_access;
-use disagg_region::hotness::HotnessTracker;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionManager};
@@ -56,15 +55,14 @@ pub struct Runtime {
     pub(crate) engine: PlacementEngine,
     pub(crate) lifetime: LifetimeManager,
     pub(crate) auditor: Auditor,
-    pub(crate) hotness: HotnessTracker,
     /// Application-scope named regions published across jobs.
     pub(crate) app_published: FxHashMap<String, RegionId>,
-    /// Per-node circuit breakers — `Some` only under
-    /// [`RuntimeConfig::fault_control`]. Mutated exclusively from the
-    /// executor's commit path.
+    /// Per-node circuit breakers — `Some` once
+    /// [`Runtime::enable_fault_control`] ran. Mutated exclusively from
+    /// the executor's commit path.
     pub(crate) breakers: Option<BreakerBank>,
-    /// Per-tenant retry-budget buckets — `Some` only under
-    /// [`RuntimeConfig::fault_control`].
+    /// Per-tenant retry-budget buckets — `Some` exactly when `breakers`
+    /// is.
     pub(crate) retry_budgets: Option<RetryBudgets>,
     pub(crate) next_job: u64,
     pub(crate) clock: SimTime,
@@ -93,10 +91,9 @@ impl Runtime {
             engine,
             lifetime: LifetimeManager::new(config.handover),
             auditor: Auditor::default(),
-            hotness: HotnessTracker::new(),
             app_published: FxHashMap::default(),
-            breakers: config.fault_control.then(BreakerBank::default),
-            retry_budgets: config.fault_control.then(RetryBudgets::default),
+            breakers: None,
+            retry_budgets: None,
             next_job: 0,
             clock: SimTime::ZERO,
             topo,
@@ -137,12 +134,6 @@ impl Runtime {
         JobId(self.next_job)
     }
 
-    /// The decayed hotness statistics accumulated from traced accesses.
-    /// Only populated when the runtime is configured with `trace: true`.
-    pub fn hotness(&self) -> &HotnessTracker {
-        &self.hotness
-    }
-
     /// Pushes an externally produced event into the runtime's trace —
     /// the serving layer uses this to annotate shed and degraded
     /// requests so the observer pipeline sees them in order.
@@ -156,6 +147,23 @@ impl Runtime {
     /// runtime does not trace.
     pub fn reserve_trace(&mut self, events: usize) {
         self.trace.reserve(events);
+    }
+
+    /// Turns on the runtime half of the fault-control plane, for good
+    /// (the settings are constants in [`crate::breaker`]): per-node
+    /// circuit breakers that take a node that keeps faulting out of the
+    /// candidate ranking, per-tenant retry budgets that fail a request
+    /// fast with [`DisaggError::RetryBudgetExhausted`] instead of
+    /// grinding through the full [`RuntimeConfig::recovery`] policy, and
+    /// failure isolation — a request-tagged job whose task exhausts its
+    /// retries or budget fails *alone* ([`RunReport::failed_jobs`])
+    /// while the wave continues. Budgets and isolation only bind
+    /// request-tagged jobs: untagged batch jobs have no tenant to
+    /// charge. A serving run with `ServeConfig::control` set calls this;
+    /// without it a runtime executes the same code path as ever.
+    pub fn enable_fault_control(&mut self) {
+        self.breakers.get_or_insert_with(BreakerBank::default);
+        self.retry_budgets.get_or_insert_with(RetryBudgets::default);
     }
 
     /// Every circuit-breaker transition so far, in commit order (empty
@@ -177,7 +185,7 @@ impl Runtime {
         &mut self,
         policy: &TieringPolicy,
     ) -> Result<Vec<(RegionId, MemDeviceId, SimDuration)>, RuntimeError> {
-        let planned = policy.plan(&self.mgr, &self.topo, &self.hotness);
+        let planned = policy.plan(&self.mgr, &self.topo, self.mgr.hotness());
         let mut done = Vec::with_capacity(planned.len());
         let mut longest = SimDuration::ZERO;
         for (id, to) in planned {
@@ -359,8 +367,8 @@ impl Runtime {
                 AccessPattern::Sequential,
             );
             let (fin, _) = book_access(&mut self.ledger, None, dev, &parts, now);
-            let decode =
-                SimDuration::from_nanos_f64(placement.size as f64 * HOST_DECODE_NS_PER_BYTE);
+            let per_byte = calibration::mechanisms().host_decode_ns_per_byte.value;
+            let decode = SimDuration::from_nanos_f64(placement.size as f64 * per_byte);
             let took = (fin - now) + decode;
             self.trace.push(TraceEvent::Reconstruct {
                 region: id.0,

@@ -635,7 +635,8 @@ fn an_interrupted_attempt_leaves_nothing_in_the_retrys_scratch() {
 
 #[test]
 fn healing_a_failed_persistent_region_pays_a_device_local_write_plus_decode() {
-    use disagg_hwsim::compute::{ComputeModel, HOST_DECODE_NS_PER_BYTE};
+    use disagg_hwsim::calibration;
+    use disagg_hwsim::compute::ComputeModel;
     use disagg_hwsim::contention::BandwidthLedger;
     use disagg_hwsim::device::{AccessOp, MemDeviceModel};
     use disagg_hwsim::topology::{AccessCostParts, LinkKind, PathCost};
@@ -729,7 +730,8 @@ fn healing_a_failed_persistent_region_pays_a_device_local_write_plus_decode() {
     );
     let (write_done, _) =
         book_access(&mut BandwidthLedger::default_buckets(), None, dev, &parts, at);
-    let decode = SimDuration::from_nanos_f64(bytes as f64 * HOST_DECODE_NS_PER_BYTE);
+    let per_byte = calibration::mechanisms().host_decode_ns_per_byte.value;
+    let decode = SimDuration::from_nanos_f64(bytes as f64 * per_byte);
     assert_eq!(took, (write_done - at) + decode);
     // Known answer on Pmem: 450 ns write latency, 1000 B rounded to four
     // 256 B granules streamed at 3 B/ns (341.3 → 342 ns), 500 ns decode.
@@ -894,7 +896,7 @@ fn runtime_tiering_promotes_hot_app_regions_and_respects_properties() {
         )
         .unwrap();
 
-    // A job hammers the CXL region (heat flows in through the trace).
+    // A job hammers the CXL region (heat flows in through the accessor).
     let mut j = JobBuilder::new("heater");
     j.task(TaskSpec::new("hammer").body(move |ctx| {
         let mut buf = [0u8; 4096];
@@ -905,7 +907,7 @@ fn runtime_tiering_promotes_hot_app_regions_and_respects_properties() {
         Ok(())
     }));
     rt.execute(j.build().unwrap()).unwrap();
-    assert!(rt.hotness().stat(hot).score > 0.0, "heat must accumulate");
+    assert!(rt.manager().hotness().stat(hot).score > 0.0, "heat must accumulate");
 
     let mut policy = TieringPolicy::new(vec![dram, cxl, pmem]);
     policy.promote_score = 4.0;
@@ -920,6 +922,59 @@ fn runtime_tiering_promotes_hot_app_regions_and_respects_properties() {
     );
     assert_eq!(rt.manager().placement(hot).unwrap().dev, dram);
     assert_eq!(rt.manager().placement(pinned).unwrap().dev, pmem);
+}
+
+/// Hotness is recorded where an access is charged, not read back from a
+/// buffered trace: a traced and an untraced runtime running the same
+/// jobs end with the same hotness, and tiering plans the same moves.
+#[test]
+fn hotness_and_tiering_do_not_depend_on_tracing() {
+    use disagg_region::migrate::TieringPolicy;
+    use disagg_region::props::{AccessMode, PropertySet};
+    use disagg_region::region::OwnerId;
+    use disagg_region::typed::RegionType;
+
+    let run = |config: RuntimeConfig| {
+        let (topo, ids) = single_server();
+        let mut rt = Runtime::new(topo, config);
+        let hot = rt
+            .manager_mut()
+            .alloc(
+                ids.cxl,
+                1 << 20,
+                RegionType::GlobalScratch,
+                PropertySet::new().with_mode(AccessMode::Async),
+                OwnerId::App,
+                SimTime::ZERO,
+            )
+            .unwrap();
+        // Two runs, so a decay tick falls between them; each task also
+        // heats its own scratch, which is freed (and forgotten) at exit.
+        for _ in 0..2 {
+            let mut j = JobBuilder::new("heater");
+            j.task(TaskSpec::new("hammer").private_scratch(4096).body(move |ctx| {
+                let mut buf = [0u8; 4096];
+                for i in 0..48u64 {
+                    ctx.acc
+                        .read(hot, (i * 4096) % ((1 << 20) - 4096), &mut buf, AccessPattern::Random)?;
+                }
+                ctx.scratch_write(0, &buf)?;
+                Ok(())
+            }));
+            rt.execute(j.build().unwrap()).unwrap();
+        }
+        let heat = rt.manager().hotness().hot(0.0);
+        let mut policy = TieringPolicy::new(vec![ids.dram, ids.cxl, ids.pmem]);
+        policy.promote_score = 4.0;
+        let moved = rt.run_tiering(&policy).unwrap();
+        (hot, heat, moved)
+    };
+    let (hot, traced_heat, traced_moved) = run(RuntimeConfig::traced());
+    assert_eq!(traced_heat.len(), 1, "only the live region is tracked: {traced_heat:?}");
+    assert!(traced_moved.iter().any(|&(r, _, _)| r == hot), "{traced_moved:?}");
+    let (_, heat, moved) = run(RuntimeConfig::default());
+    assert_eq!(heat, traced_heat, "untraced hotness");
+    assert_eq!(moved, traced_moved, "untraced tiering");
 }
 
 // ---------------------------------------------------------------------

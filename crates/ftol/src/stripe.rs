@@ -23,7 +23,7 @@
 //! serves surviving spans from the pool and decodes just the lost windows
 //! straight into the caller's buffer; recovery decodes the one lost span.
 
-use disagg_hwsim::compute::HOST_DECODE_NS_PER_BYTE;
+use disagg_hwsim::calibration;
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::device::AccessOp;
 use disagg_hwsim::fault::FaultInjector;
@@ -42,20 +42,22 @@ use crate::{alive, alloc_on, charge_local, corrupted, distinct_domains, FtolErro
 /// faster and off the critical path of the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParityEngine {
-    /// Host CPU computes parity and decodes (0.5 ns/B).
+    /// Host CPU computes parity and decodes.
     #[default]
     Host,
-    /// DPU/accelerator offload (0.05 ns/B).
+    /// DPU/accelerator offload.
     Offload,
 }
 
 impl ParityEngine {
-    /// Modelled GF(2⁸) arithmetic cost per byte, nanoseconds. A constant
-    /// of the model, independent of the host's [`crate::gf256`] speed.
+    /// Modelled GF(2⁸) arithmetic cost per byte, nanoseconds: the
+    /// engine's entry in the machine table, independent of the host's
+    /// [`crate::gf256`] speed.
     pub fn ns_per_byte(self) -> f64 {
+        let m = calibration::mechanisms();
         match self {
-            ParityEngine::Host => HOST_DECODE_NS_PER_BYTE,
-            ParityEngine::Offload => 0.05,
+            ParityEngine::Host => m.host_decode_ns_per_byte.value,
+            ParityEngine::Offload => m.offload_parity_ns_per_byte.value,
         }
     }
 }

@@ -7,14 +7,9 @@
 //! the crux of Figure 3, where the "fast and local" region maps to DRAM for
 //! a CPU but GDDR for a GPU.
 
+use crate::calibration;
 use crate::ids::MemDeviceId;
 use crate::time::SimDuration;
-
-/// Modelled cost of GF(2⁸) decode arithmetic on a host CPU, nanoseconds
-/// per byte: what erasure-coded parity and decode (`ftol`'s host parity
-/// engine), transparent reconstruction under a read (`region`) and
-/// online healing after device loss (`core`) all charge.
-pub const HOST_DECODE_NS_PER_BYTE: f64 = 0.5;
 
 /// The classes of compute devices in the disaggregated pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -87,49 +82,16 @@ pub struct ComputeModel {
 }
 
 impl ComputeModel {
-    /// Returns the calibrated default model for a compute kind.
-    ///
-    /// The per-element costs encode *relative* strengths: GPUs/TPUs are an
-    /// order of magnitude faster on data-parallel and tensor work but
-    /// slower and launch-heavy for scalar work; DPUs are modest but sit
-    /// next to the network.
+    /// The default model for a compute kind: its record in the machine
+    /// table ([`calibration::compute`]).
     pub fn preset(kind: ComputeKind) -> ComputeModel {
-        match kind {
-            ComputeKind::Cpu => ComputeModel {
-                kind,
-                slots: 32,
-                ns_per_elem: [1.0, 0.25, 1.0, 2.0],
-                local_mem: Vec::new(),
-                launch_overhead_ns: 200.0,
-            },
-            ComputeKind::Gpu => ComputeModel {
-                kind,
-                slots: 8,
-                ns_per_elem: [8.0, 0.02, 0.05, 0.5],
-                local_mem: Vec::new(),
-                launch_overhead_ns: 10_000.0,
-            },
-            ComputeKind::Tpu => ComputeModel {
-                kind,
-                slots: 4,
-                ns_per_elem: [20.0, 0.10, 0.01, 4.0],
-                local_mem: Vec::new(),
-                launch_overhead_ns: 20_000.0,
-            },
-            ComputeKind::Fpga => ComputeModel {
-                kind,
-                slots: 4,
-                ns_per_elem: [4.0, 0.05, 0.20, 0.05],
-                local_mem: Vec::new(),
-                launch_overhead_ns: 50_000.0,
-            },
-            ComputeKind::Dpu => ComputeModel {
-                kind,
-                slots: 8,
-                ns_per_elem: [2.0, 0.50, 4.0, 0.8],
-                local_mem: Vec::new(),
-                launch_overhead_ns: 1_000.0,
-            },
+        let r = calibration::compute(kind);
+        ComputeModel {
+            kind,
+            slots: r.slots.value,
+            ns_per_elem: r.ns_per_elem.map(|e| e.value),
+            local_mem: Vec::new(),
+            launch_overhead_ns: r.launch_overhead_ns.value,
         }
     }
 

@@ -24,7 +24,7 @@
 //! newer buckets.
 
 use crate::fx::FxHashMap;
-use crate::ids::{ComputeId, LinkId, MemDeviceId};
+use crate::ids::{LinkId, MemDeviceId};
 use crate::time::{SimDuration, SimTime};
 
 /// A contended resource.
@@ -34,8 +34,6 @@ pub enum ResourceKey {
     Mem(MemDeviceId),
     /// An interconnect link.
     Link(LinkId),
-    /// A compute device's execution slots.
-    Compute(ComputeId),
 }
 
 /// Per-resource usage statistics.

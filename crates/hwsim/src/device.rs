@@ -3,11 +3,12 @@
 //! Table 1 ("Memory device properties as seen from a CPU") characterizes
 //! each device by bandwidth, latency, access granularity, attachment point,
 //! synchronous-access capability, and persistence. We turn each row into a
-//! calibrated quantitative model. Absolute numbers follow public
-//! measurements (Intel/CXL consortium figures, PMem and NVMe datasheets);
-//! what the experiments rely on — and what we assert in tests — are the
+//! calibrated quantitative model. The numbers, each with its source,
+//! live in the machine table ([`crate::calibration`]); what the
+//! experiments rely on — and what we assert in tests — are the
 //! *orderings and ratios* Table 1 expresses with `++`/`--` symbols.
 
+use crate::calibration;
 use crate::time::SimDuration;
 use crate::topology::{AccessCostParts, PathCost};
 
@@ -187,147 +188,24 @@ pub struct MemDeviceModel {
     pub cost_per_gib: f64,
 }
 
-const KIB: u64 = 1024;
-const MIB: u64 = 1024 * KIB;
-const GIB: u64 = 1024 * MIB;
-const TIB: u64 = 1024 * GIB;
-
 impl MemDeviceModel {
-    /// Returns the calibrated default model for a device kind.
-    ///
-    /// Calibration sources: CXL consortium and Pond (ASPLOS '23) for
-    /// CXL-DRAM (roughly NUMA-remote latency, x8 PCIe 5.0 bandwidth);
-    /// Optane DC characterization for PMem (256 B granularity, asymmetric
-    /// read/write); typical DDR5/HBM2e/GDDR6 datasheet figures; NVMe and
-    /// 7200-rpm HDD datasheets for storage.
+    /// The default model for a device kind: its record in the machine
+    /// table ([`calibration::mem`]).
     pub fn preset(kind: MemDeviceKind) -> MemDeviceModel {
-        match kind {
-            MemDeviceKind::Cache => MemDeviceModel {
-                kind,
-                read_lat_ns: 10.0,
-                write_lat_ns: 10.0,
-                read_bw_bpns: 400.0,
-                write_bw_bpns: 400.0,
-                granularity: 1,
-                attachment: Attachment::Cpu,
-                sync: SyncSupport::Sync,
-                persistent: false,
-                coherent: true,
-                capacity: 96 * MIB,
-                cost_per_gib: 0.0, // Comes with the CPU; not separately purchasable.
-            },
-            MemDeviceKind::Hbm => MemDeviceModel {
-                kind,
-                read_lat_ns: 110.0,
-                write_lat_ns: 110.0,
-                read_bw_bpns: 800.0,
-                write_bw_bpns: 800.0,
-                granularity: 64,
-                attachment: Attachment::Cpu,
-                sync: SyncSupport::Sync,
-                persistent: false,
-                coherent: true,
-                capacity: 16 * GIB,
-                cost_per_gib: 25.0,
-            },
-            MemDeviceKind::Dram => MemDeviceModel {
-                kind,
-                read_lat_ns: 90.0,
-                write_lat_ns: 90.0,
-                read_bw_bpns: 100.0,
-                write_bw_bpns: 100.0,
-                granularity: 64,
-                attachment: Attachment::Cpu,
-                sync: SyncSupport::Sync,
-                persistent: false,
-                coherent: true,
-                capacity: 256 * GIB,
-                cost_per_gib: 4.0,
-            },
-            MemDeviceKind::Gddr => MemDeviceModel {
-                kind,
-                read_lat_ns: 120.0,
-                write_lat_ns: 120.0,
-                read_bw_bpns: 600.0,
-                write_bw_bpns: 600.0,
-                granularity: 64,
-                attachment: Attachment::Gpu,
-                sync: SyncSupport::Sync,
-                persistent: false,
-                coherent: false,
-                capacity: 24 * GIB,
-                cost_per_gib: 15.0,
-            },
-            MemDeviceKind::Pmem => MemDeviceModel {
-                kind,
-                read_lat_ns: 300.0,
-                write_lat_ns: 450.0,
-                read_bw_bpns: 8.0,
-                write_bw_bpns: 3.0,
-                granularity: 256,
-                attachment: Attachment::Cpu,
-                sync: SyncSupport::Sync,
-                persistent: true,
-                coherent: true,
-                capacity: TIB,
-                cost_per_gib: 2.0,
-            },
-            MemDeviceKind::CxlDram => MemDeviceModel {
-                kind,
-                read_lat_ns: 250.0,
-                write_lat_ns: 250.0,
-                read_bw_bpns: 30.0,
-                write_bw_bpns: 30.0,
-                granularity: 64,
-                attachment: Attachment::Pcie,
-                sync: SyncSupport::Either,
-                persistent: false,
-                coherent: true,
-                capacity: 512 * GIB,
-                cost_per_gib: 4.5,
-            },
-            MemDeviceKind::FarMemory => MemDeviceModel {
-                kind,
-                read_lat_ns: 2_000.0,
-                write_lat_ns: 2_000.0,
-                read_bw_bpns: 12.0,
-                write_bw_bpns: 12.0,
-                granularity: 256,
-                attachment: Attachment::Nic,
-                sync: SyncSupport::AsyncOnly,
-                persistent: false,
-                coherent: false,
-                capacity: 4 * TIB,
-                cost_per_gib: 3.0,
-            },
-            MemDeviceKind::Ssd => MemDeviceModel {
-                kind,
-                read_lat_ns: 80_000.0,
-                write_lat_ns: 20_000.0,
-                read_bw_bpns: 3.5,
-                write_bw_bpns: 2.5,
-                granularity: 4 * KIB,
-                attachment: Attachment::Pcie,
-                sync: SyncSupport::AsyncOnly,
-                persistent: true,
-                coherent: false,
-                capacity: 8 * TIB,
-                cost_per_gib: 0.10,
-            },
-            MemDeviceKind::Hdd => MemDeviceModel {
-                kind,
-                read_lat_ns: 4_000_000.0,
-                write_lat_ns: 4_000_000.0,
-                read_bw_bpns: 0.2,
-                write_bw_bpns: 0.2,
-                granularity: 4 * KIB,
-                attachment: Attachment::Sata,
-                sync: SyncSupport::AsyncOnly,
-                persistent: true,
-                coherent: false,
-                capacity: 16 * TIB,
-                cost_per_gib: 0.02,
-            },
+        let r = calibration::mem(kind);
+        MemDeviceModel {
+            kind,
+            read_lat_ns: r.read_lat_ns.value,
+            write_lat_ns: r.write_lat_ns.value,
+            read_bw_bpns: r.read_bw_bpns.value,
+            write_bw_bpns: r.write_bw_bpns.value,
+            granularity: r.granularity.value,
+            attachment: r.attachment,
+            sync: r.sync,
+            persistent: r.persistent,
+            coherent: r.coherent,
+            capacity: r.capacity.value,
+            cost_per_gib: r.cost_per_gib.value,
         }
     }
 
@@ -382,11 +260,34 @@ mod tests {
     use super::*;
 
     fn lat(kind: MemDeviceKind) -> f64 {
-        MemDeviceModel::preset(kind).read_lat_ns
+        calibration::mem(kind).read_lat_ns.value
     }
 
     fn bw(kind: MemDeviceKind) -> f64 {
-        MemDeviceModel::preset(kind).read_bw_bpns
+        calibration::mem(kind).read_bw_bpns.value
+    }
+
+    #[test]
+    fn a_preset_is_its_table_record() {
+        for kind in MemDeviceKind::ALL {
+            let (m, r) = (MemDeviceModel::preset(kind), calibration::mem(kind));
+            assert_eq!(m.kind, r.kind);
+            assert_eq!(
+                [m.read_lat_ns, m.write_lat_ns, m.read_bw_bpns, m.write_bw_bpns, m.cost_per_gib],
+                [
+                    r.read_lat_ns.value,
+                    r.write_lat_ns.value,
+                    r.read_bw_bpns.value,
+                    r.write_bw_bpns.value,
+                    r.cost_per_gib.value
+                ]
+            );
+            assert_eq!((m.granularity, m.capacity), (r.granularity.value, r.capacity.value));
+            assert_eq!(
+                (m.attachment, m.sync, m.persistent, m.coherent),
+                (r.attachment, r.sync, r.persistent, r.coherent)
+            );
+        }
     }
 
     #[test]
@@ -418,36 +319,39 @@ mod tests {
     #[test]
     fn table1_persistence_flags_match() {
         use MemDeviceKind::*;
-        assert!(!MemDeviceModel::preset(Cache).persistent);
-        assert!(!MemDeviceModel::preset(Hbm).persistent);
-        assert!(!MemDeviceModel::preset(Dram).persistent);
-        assert!(MemDeviceModel::preset(Pmem).persistent);
-        assert!(MemDeviceModel::preset(Ssd).persistent);
-        assert!(MemDeviceModel::preset(Hdd).persistent);
-        // CXL is "yes/no": the preset is the volatile variant.
-        assert!(!MemDeviceModel::preset(CxlDram).persistent);
+        let persistent = |kind| calibration::mem(kind).persistent;
+        assert!(!persistent(Cache));
+        assert!(!persistent(Hbm));
+        assert!(!persistent(Dram));
+        assert!(persistent(Pmem));
+        assert!(persistent(Ssd));
+        assert!(persistent(Hdd));
+        // CXL is "yes/no": the table holds the volatile variant.
+        assert!(!persistent(CxlDram));
     }
 
     #[test]
     fn table1_granularities_match() {
         use MemDeviceKind::*;
-        assert_eq!(MemDeviceModel::preset(Cache).granularity, 1);
-        assert_eq!(MemDeviceModel::preset(Hbm).granularity, 64);
-        assert_eq!(MemDeviceModel::preset(Dram).granularity, 64);
-        assert_eq!(MemDeviceModel::preset(Pmem).granularity, 256);
-        assert_eq!(MemDeviceModel::preset(CxlDram).granularity, 64);
-        assert_eq!(MemDeviceModel::preset(Ssd).granularity, 4096);
-        assert_eq!(MemDeviceModel::preset(Hdd).granularity, 4096);
+        let gran = |kind| calibration::mem(kind).granularity.value;
+        assert_eq!(gran(Cache), 1);
+        assert_eq!(gran(Hbm), 64);
+        assert_eq!(gran(Dram), 64);
+        assert_eq!(gran(Pmem), 256);
+        assert_eq!(gran(CxlDram), 64);
+        assert_eq!(gran(Ssd), 4096);
+        assert_eq!(gran(Hdd), 4096);
     }
 
     #[test]
     fn table1_sync_column_matches() {
         use MemDeviceKind::*;
-        assert_eq!(MemDeviceModel::preset(Dram).sync, SyncSupport::Sync);
-        assert_eq!(MemDeviceModel::preset(CxlDram).sync, SyncSupport::Either);
-        assert_eq!(MemDeviceModel::preset(FarMemory).sync, SyncSupport::AsyncOnly);
-        assert!(MemDeviceModel::preset(CxlDram).sync.allows_sync());
-        assert!(!MemDeviceModel::preset(Ssd).sync.allows_sync());
+        let sync = |kind| calibration::mem(kind).sync;
+        assert_eq!(sync(Dram), SyncSupport::Sync);
+        assert_eq!(sync(CxlDram), SyncSupport::Either);
+        assert_eq!(sync(FarMemory), SyncSupport::AsyncOnly);
+        assert!(sync(CxlDram).allows_sync());
+        assert!(!sync(Ssd).allows_sync());
     }
 
     #[test]
@@ -507,7 +411,8 @@ mod tests {
     #[test]
     fn storage_costs_reflect_capacity_tiering() {
         use MemDeviceKind::*;
-        assert!(MemDeviceModel::preset(Dram).cost_per_gib > MemDeviceModel::preset(Ssd).cost_per_gib);
-        assert!(MemDeviceModel::preset(Ssd).cost_per_gib > MemDeviceModel::preset(Hdd).cost_per_gib);
+        let cost = |kind| calibration::mem(kind).cost_per_gib.value;
+        assert!(cost(Dram) > cost(Ssd));
+        assert!(cost(Ssd) > cost(Hdd));
     }
 }

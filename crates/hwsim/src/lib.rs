@@ -6,6 +6,9 @@
 //! rack-scale fabrics. This crate provides a deterministic, laptop-scale
 //! software model of that landscape:
 //!
+//! - [`calibration`]: the machine table — every latency, bandwidth,
+//!   granularity, capacity, price, compute rate and mechanism cost the
+//!   models below read, each with its source.
 //! - [`device`]: memory-device models for every row of the paper's Table 1
 //!   (cache, HBM, DRAM, PMem, CXL-DRAM, disaggregated/far memory, SSD, HDD),
 //!   parameterized by latency, bandwidth, access granularity, attachment,
@@ -29,6 +32,7 @@
 //! programming model reasons about (which device is faster, closer,
 //! persistent, coherent), which is what placement decisions depend on.
 
+pub mod calibration;
 pub mod compute;
 pub mod contention;
 pub mod device;

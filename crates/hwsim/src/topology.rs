@@ -2,20 +2,21 @@
 //!
 //! A topology is a set of *nodes* (servers, memory blades) holding compute
 //! and memory devices, wired together by *links* (memory bus, NUMA
-//! interconnect, PCIe/CXL, NIC, rack fabric). Placement quality in the
+//! interconnect, PCIe/CXL, CXL fabric, NIC). Placement quality in the
 //! paper hinges on topology awareness: the cost of an access is the
 //! device's own latency/bandwidth *plus* every interconnect hop between the
 //! executing compute device and the memory.
 //!
 //! Device presets in [`crate::device`] are calibrated "as seen from a local
 //! CPU" (matching Table 1), so attachment links carry near-zero extra
-//! latency; only *additional* hops — a NUMA crossing, a rack switch — add
-//! cost. This avoids double-counting while letting remote placements pay
-//! realistic penalties.
+//! latency; only *additional* hops — a NUMA crossing, the CXL fabric, the
+//! NIC — add cost. This avoids double-counting while letting remote
+//! placements pay realistic penalties.
 
 use std::collections::BinaryHeap;
 use std::hash::Hasher;
 
+use crate::calibration;
 use crate::compute::ComputeModel;
 use crate::device::{AccessOp, AccessPattern, MemDeviceModel};
 use crate::fx::FxHasher;
@@ -45,8 +46,8 @@ impl From<MemDeviceId> for Endpoint {
     }
 }
 
-/// The physical technology of a link, with calibrated default latency and
-/// bandwidth.
+/// The physical technology of a link; its default latency and bandwidth
+/// are its record in the machine table ([`calibration::link`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// On-package memory bus (CPU ↔ cache/HBM/DRAM/PMem).
@@ -65,40 +66,22 @@ pub enum LinkKind {
     CxlFabric,
     /// Network link through the NIC.
     Nic,
-    /// Rack-level switch hop.
-    RackSwitch,
     /// SATA attachment.
     Sata,
 }
 
 impl LinkKind {
-    /// Default (added) latency of one traversal, in nanoseconds.
-    pub fn default_latency_ns(self) -> f64 {
-        match self {
-            LinkKind::MemBus | LinkKind::GpuBus => 0.0,
-            LinkKind::Numa => 70.0,
-            LinkKind::PcieCxl => 20.0,
-            LinkKind::PciePeer => 400.0,
-            LinkKind::CxlFabric => 90.0,
-            LinkKind::Nic => 300.0,
-            LinkKind::RackSwitch => 500.0,
-            LinkKind::Sata => 1_000.0,
-        }
-    }
-
-    /// Default bandwidth in bytes per nanosecond (== GB/s).
-    pub fn default_bandwidth_bpns(self) -> f64 {
-        match self {
-            LinkKind::MemBus | LinkKind::GpuBus => 1_000.0,
-            LinkKind::Numa => 40.0,
-            LinkKind::PcieCxl => 32.0,
-            LinkKind::PciePeer => 32.0,
-            LinkKind::CxlFabric => 28.0,
-            LinkKind::Nic => 12.0,
-            LinkKind::RackSwitch => 50.0,
-            LinkKind::Sata => 0.6,
-        }
-    }
+    /// All link kinds.
+    pub const ALL: [LinkKind; 8] = [
+        LinkKind::MemBus,
+        LinkKind::GpuBus,
+        LinkKind::Numa,
+        LinkKind::PcieCxl,
+        LinkKind::PciePeer,
+        LinkKind::CxlFabric,
+        LinkKind::Nic,
+        LinkKind::Sata,
+    ];
 }
 
 /// One bidirectional link in the topology graph.
@@ -476,16 +459,11 @@ impl TopologyBuilder {
         id
     }
 
-    /// Connects two endpoints with a link of the given kind's default
-    /// latency and bandwidth.
+    /// Connects two endpoints with a link of the given kind's latency and
+    /// bandwidth from the machine table ([`calibration::link`]).
     pub fn link(&mut self, a: impl Into<Endpoint>, b: impl Into<Endpoint>, kind: LinkKind) -> LinkId {
-        self.link_custom(
-            a,
-            b,
-            kind,
-            kind.default_latency_ns(),
-            kind.default_bandwidth_bpns(),
-        )
+        let r = calibration::link(kind);
+        self.link_custom(a, b, kind, r.latency_ns.value, r.bandwidth_bpns.value)
     }
 
     /// Connects two endpoints with explicit latency/bandwidth.
@@ -712,7 +690,7 @@ mod tests {
         // CPU → GDDR: cpu —hub— gpu —gpubus— gddr = 3 hops.
         let p = t.path(ComputeId(0), MemDeviceId(2)).unwrap();
         assert_eq!(p.hops, 3);
-        assert!(p.latency_ns >= 2.0 * LinkKind::PcieCxl.default_latency_ns());
+        assert!(p.latency_ns >= 2.0 * calibration::link(LinkKind::PcieCxl).latency_ns.value);
     }
 
     #[test]
@@ -734,7 +712,7 @@ mod tests {
     fn bottleneck_bandwidth_is_path_minimum() {
         let t = tiny();
         let p = t.path(ComputeId(0), MemDeviceId(1)).unwrap();
-        assert_eq!(p.bandwidth_bpns, LinkKind::PcieCxl.default_bandwidth_bpns());
+        assert_eq!(p.bandwidth_bpns, calibration::link(LinkKind::PcieCxl).bandwidth_bpns.value);
     }
 
     #[test]

@@ -938,7 +938,7 @@ mod tests {
     /// The trace of a real serving run: the two-template mix of
     /// `tests/serving.rs` under its chaos plan (rotating node crashes,
     /// two corruption bursts), with `ControlPlane::default()` so the run
-    /// spans eight epochs of tagged job ids.
+    /// spans eight epochs of tagged job ids and its breakers trip.
     #[test]
     fn dense_assembly_equals_the_reference_on_a_chaotic_serving_trace() {
         use disagg_core::prelude::{
@@ -1038,6 +1038,10 @@ mod tests {
             events.iter().any(disturbed),
             "the chaos plan must disturb the run"
         );
+        // `control: Some` also turns on the runtime's breakers, so the
+        // differential covers a trace with trips and probes in it.
+        assert!(!report.breaker_transitions.is_empty(), "the crashes must trip a breaker");
+        assert!(events.iter().any(|e| matches!(e, TraceEvent::BreakerTrip { .. })));
         let spans = assemble_request_spans(events);
         assert_eq!(
             spans.len(),

@@ -17,7 +17,8 @@
 //! - [`Accessor::compute_work`] charges pure execution time for the
 //!   task's compute device.
 
-use disagg_hwsim::compute::{WorkClass, HOST_DECODE_NS_PER_BYTE};
+use disagg_hwsim::calibration;
+use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::fault::FaultInjector;
@@ -57,12 +58,6 @@ pub struct AccessStats {
     /// nominal bandwidth (a `LinkDegraded` fault window).
     pub degraded_time: SimDuration,
 }
-
-/// Software cost of issuing one asynchronous operation (submission +
-/// completion handling, an io_uring/SPDK-style toll), charged to the
-/// issuing task's clock. This is why near memory prefers plain loads:
-/// when the device latency is smaller than the bookkeeping, sync wins.
-pub const ASYNC_ISSUE_OVERHEAD_NS: f64 = 150.0;
 
 /// Books one access's transfer on the ledger from `start` — every access
 /// the runtime charges, the [`Accessor`]'s, `ftol`'s and healing's, is
@@ -217,6 +212,7 @@ impl<'a> Accessor<'a> {
         if factor < 1.0 {
             self.stats.degraded_time += took;
         }
+        self.mgr.hotness.record(region, bytes, self.now);
         self.trace.push(TraceEvent::Access {
             region: region.0,
             dev,
@@ -255,7 +251,8 @@ impl<'a> Accessor<'a> {
             .access_cost_parts(self.compute, dev, bytes, AccessOp::Read, AccessPattern::Sequential)
             .expect("placement guaranteed reachable by the runtime");
         let (finish, _) = book_access(self.ledger, self.faults, dev, &parts, self.now);
-        let decode = SimDuration::from_nanos_f64(bytes as f64 * HOST_DECODE_NS_PER_BYTE);
+        let per_byte = calibration::mechanisms().host_decode_ns_per_byte.value;
+        let decode = SimDuration::from_nanos_f64(bytes as f64 * per_byte);
         let took = (finish - self.now) + decode;
         let by = match self.who {
             // Task indices are `TaskId`'s `u32` widened by the executor.
@@ -362,8 +359,11 @@ impl<'a> Accessor<'a> {
             .topo
             .access_cost_parts(self.compute, dev, bytes, op, pattern)
             .expect("placement guaranteed reachable by the runtime");
-        // Issuing costs CPU time (submission/completion bookkeeping).
-        self.now += SimDuration::from_nanos_f64(ASYNC_ISSUE_OVERHEAD_NS);
+        // Issuing costs CPU time (submission/completion bookkeeping, an
+        // io_uring/SPDK-style toll). This is why near memory prefers
+        // plain loads: when the device latency is smaller than the
+        // bookkeeping, sync wins.
+        self.now += SimDuration::from_nanos_f64(calibration::mechanisms().async_issue_ns.value);
         // Transfers queue on the device ledger from "now": they run in the
         // background while the task keeps computing.
         let (device_done, factor) =
@@ -372,6 +372,7 @@ impl<'a> Accessor<'a> {
             self.stats.degraded_time += device_done - self.now;
         }
         let latency = SimDuration::from_nanos_f64(parts.latency_ns);
+        self.mgr.hotness.record(region, bytes, self.now);
         self.trace.push(TraceEvent::Access {
             region: region.0,
             dev,

@@ -115,8 +115,8 @@ pub struct HotStat {
 /// Tracks region hotness with exponential decay.
 #[derive(Debug, Default)]
 pub struct HotnessTracker {
-    /// Hashed, not a slab beside the pool's: the executor forgets a
-    /// region when it is freed, so the live set stays small while ids
+    /// Hashed, not a slab beside the pool's: the region manager forgets
+    /// a region when it is freed, so the live set stays small while ids
     /// grow without bound, and `decay` must visit live entries only.
     /// `hot`/`cold` sort what they collect, so map order never shows.
     stats: FxHashMap<RegionId, HotStat>,

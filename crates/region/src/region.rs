@@ -13,7 +13,9 @@
 //! Inside a run every allocation and free goes through its `*_traced`
 //! methods, which push an `Alloc` or `Free` event exactly when the pool
 //! allocated or freed; code that owns a bare manager (`ftol`, tests)
-//! uses the untraced `alloc` / `release`.
+//! uses the untraced `alloc` / `release`. The manager also keeps the
+//! regions' hotness: every access an [`crate::access::Accessor`] charges
+//! is recorded, and a freed region is forgotten.
 
 use std::collections::hash_map::Entry;
 
@@ -23,6 +25,7 @@ use disagg_hwsim::time::SimTime;
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::{Trace, TraceEvent};
 
+use crate::hotness::HotnessTracker;
 use crate::pool::{AllocError, MemoryPool, Placement, RegionId};
 use crate::props::PropertySet;
 use crate::typed::RegionType;
@@ -273,6 +276,9 @@ pub struct RegionManager {
     /// O(regions of that owner), not a scan of every live region. Never
     /// iterated.
     owners: FxHashMap<OwnerId, Owned>,
+    /// Decayed access statistics of the live regions, fed by the
+    /// accessor at every charged access whether or not anything traces.
+    pub(crate) hotness: HotnessTracker,
 }
 
 impl RegionManager {
@@ -282,6 +288,7 @@ impl RegionManager {
             pool: MemoryPool::new(topo),
             meta: FxHashMap::default(),
             owners: FxHashMap::default(),
+            hotness: HotnessTracker::new(),
         }
     }
 
@@ -311,6 +318,17 @@ impl RegionManager {
     /// Mutable pool access (for the migration engine).
     pub fn pool_mut(&mut self) -> &mut MemoryPool {
         &mut self.pool
+    }
+
+    /// The live regions' decayed hotness (what tiering plans from).
+    pub fn hotness(&self) -> &HotnessTracker {
+        &self.hotness
+    }
+
+    /// Mutable hotness, for the decay tick: the executor applies one
+    /// when a wave starts.
+    pub fn hotness_mut(&mut self) -> &mut HotnessTracker {
+        &mut self.hotness
     }
 
     /// Allocates a region on `dev` with the given type, properties, and
@@ -613,6 +631,7 @@ impl RegionManager {
             return Ok(None);
         }
         self.meta.remove(&id);
+        self.hotness.forget(id);
         Ok(Some(self.pool.free(id)?))
     }
 

@@ -27,6 +27,6 @@ pub mod schedule;
 
 pub use cost::{CostModel, TopologyAwareness};
 pub use enforce::{needs_encryption, xor_cipher, Auditor, Violation};
-pub use lifetime::{HandoverOutcome, HandoverPolicy, LifetimeManager, TRANSFER_OVERHEAD};
+pub use lifetime::{HandoverOutcome, HandoverPolicy, LifetimeManager};
 pub use placement::{PlacementDecision, PlacementEngine, PlacementPolicy};
 pub use schedule::{SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};

@@ -15,6 +15,7 @@
 //! The copy's allocation and the source's release go through the
 //! [`RegionManager`]'s traced path, like every allocation in a run.
 
+use disagg_hwsim::calibration;
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::ids::ComputeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -36,9 +37,6 @@ pub enum HandoverPolicy {
     /// Always copy (models systems without a shared address space).
     AlwaysCopy,
 }
-
-/// Bookkeeping cost of a pure ownership transfer (metadata update).
-pub const TRANSFER_OVERHEAD: SimDuration = SimDuration::from_nanos(150);
 
 /// The result of a handover.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,7 +104,7 @@ impl LifetimeManager {
                 region,
                 transferred: true,
                 bytes_copied: 0,
-                took: TRANSFER_OVERHEAD,
+                took: SimDuration::from_nanos(calibration::mechanisms().ownership_transfer_ns.value),
             });
         }
         self.copy_to(
@@ -193,6 +191,10 @@ mod tests {
     use disagg_region::props::PropertySet;
 
     const P: OwnerId = OwnerId::Task { job: 0, task: 0 };
+
+    fn transfer_overhead() -> SimDuration {
+        SimDuration::from_nanos(calibration::mechanisms().ownership_transfer_ns.value)
+    }
     const C: OwnerId = OwnerId::Task { job: 0, task: 1 };
 
     #[test]
@@ -215,7 +217,7 @@ mod tests {
         assert!(o.transferred);
         assert_eq!(o.bytes_copied, 0);
         assert_eq!(o.region, out);
-        assert_eq!(o.took, TRANSFER_OVERHEAD);
+        assert_eq!(o.took, transfer_overhead());
         assert_eq!(&mgr.bytes(out, C).unwrap()[..64], &[0xEE; 64]);
         assert_eq!(trace.bytes_transferred_by_ownership(), 1 << 20);
         assert_eq!(trace.bytes_moved(), 0);
@@ -241,7 +243,7 @@ mod tests {
         assert!(!o.transferred);
         assert_eq!(o.bytes_copied, 1 << 20);
         assert_ne!(o.region, out);
-        assert!(o.took > TRANSFER_OVERHEAD);
+        assert!(o.took > transfer_overhead());
         assert_eq!(&mgr.bytes(o.region, C).unwrap()[..32], &[0xAB; 32]);
         // Producer's region was released, and the trace books the copy's
         // allocation and the source's free.

@@ -13,6 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use disagg_hwsim::calibration;
 use disagg_hwsim::ids::ComputeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
@@ -164,11 +165,6 @@ fn total_order_key(x: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Average fabric bandwidth used for cross-device communication estimates
-/// (bytes/ns). A constant keeps ranking cheap; the executor charges real
-/// path costs later.
-const AVG_COMM_BW: f64 = 20.0;
-
 /// Penalty multiplier applied to estimated durations on devices the task
 /// merely *prefers* not to use (soft preference).
 const NON_PREFERRED_PENALTY: f64 = 2.0;
@@ -291,6 +287,10 @@ impl Scheduler {
             comm: SimDuration,
         }
         let bw = Self::best_bws(topo);
+        // Cross-device communication is estimated at one assumed fabric
+        // bandwidth: a constant keeps ranking cheap, and the executor
+        // charges real path costs later.
+        let fabric_bw = calibration::mechanisms().planner_fabric_bpns.value;
         // Distinct compute preferences per batch are few (Any plus a
         // handful of Prefer/Require kinds): dedup the eligible lists
         // instead of collecting one Vec per task.
@@ -339,7 +339,7 @@ impl Scheduler {
                     elig: elig as u32,
                     durs_at: durs_at as u32,
                     avg: sum / eligible.len() as f64,
-                    comm: SimDuration::from_nanos_f64(t.output_bytes as f64 / AVG_COMM_BW),
+                    comm: SimDuration::from_nanos_f64(t.output_bytes as f64 / fabric_bw),
                 });
             }
         }
@@ -352,7 +352,7 @@ impl Scheduler {
                 let mut best_succ = 0.0f64;
                 for &s in spec.dag.successors(task) {
                     let succ = base[si] + s.index();
-                    let comm = spec.tasks[task.index()].output_bytes as f64 / AVG_COMM_BW;
+                    let comm = spec.tasks[task.index()].output_bytes as f64 / fabric_bw;
                     best_succ = best_succ.max(comm + rank[succ]);
                 }
                 rank[i] = items[i].avg + best_succ;

@@ -83,6 +83,9 @@ pub struct Request {
 /// runs the whole stream as one batch under quota admission only. The
 /// control law has no settings — its constants are the four below:
 ///
+/// - The runtime's half of the plane: [`Runtime::enable_fault_control`]
+///   (circuit breakers, retry budgets, fail-fast isolation) is on for
+///   the run and after it.
 /// - The request stream is split into `EPOCHS` **epochs**; each epoch's
 ///   admitted jobs run as one submission.
 /// - **Deadline shedding**, per arrival: a request whose completion
@@ -263,6 +266,10 @@ impl ServeLayer {
             .chain(cfg.tenant_slos.iter().map(|&(t, _)| t));
         if overridden.any(|t| t >= cfg.tenants) {
             return invalid("a per-tenant quota or SLO names a tenant the run does not have");
+        }
+
+        if cfg.control.is_some() {
+            rt.enable_fault_control();
         }
 
         let mut rng = SimRng::new(cfg.seed);

@@ -5,6 +5,7 @@
 
 use disagg::hwsim::presets::disaggregated_rack;
 use disagg::hwsim::time::SimDuration;
+use disagg::hwsim::trace::TraceEvent;
 use disagg::obs::nearest_rank;
 use disagg::prelude::*;
 
@@ -338,6 +339,63 @@ fn request_attribution_is_conservative_and_deterministic_under_faults() {
     );
 }
 
+/// 48 requests 15 µs apart under the serving controls.
+fn dense() -> ServeConfig {
+    use disagg::serve::ControlPlane;
+    ServeConfig {
+        arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(15) },
+        requests: 48,
+        control: Some(ControlPlane::default()),
+        ..cfg()
+    }
+}
+
+/// A traced runtime whose first two nodes crash and recover while
+/// [`dense`] runs (its healthy horizon is probed first), retrying after
+/// a detection delay and a backoff — and no fault-control setting.
+fn crashing_runtime() -> Runtime {
+    use disagg::hwsim::fault::{FaultInjector, FaultKind};
+
+    let horizon = {
+        let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+        let mut rt = Runtime::new(topo, RuntimeConfig::default());
+        mix().run(&mut rt, &dense()).expect("probe run").makespan
+    };
+    let (topo, rack) = disaggregated_rack(2, 4, 1, 8);
+    let mut faults = FaultInjector::none();
+    let mttf = horizon.0 / 4;
+    for k in 1..=2u64 {
+        let node = rack.nodes[(k as usize - 1) % rack.nodes.len()];
+        faults.schedule(SimTime(k * mttf), FaultKind::NodeCrash(node));
+        faults.schedule(SimTime(k * mttf + mttf / 2), FaultKind::NodeRecover(node));
+    }
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(
+        RecoveryPolicy::default()
+            .with_detection_delay(SimDuration(2_000))
+            .with_backoff(SimDuration(1_000)),
+    );
+    Runtime::new(topo, config)
+}
+
+/// `ServeConfig::control` is the one switch for the control plane: on a
+/// runtime built with no fault-control setting, the controlled run
+/// under a crash plan trips breakers, and the same run uncontrolled has
+/// none.
+#[test]
+fn the_serving_control_switch_turns_on_the_runtimes_breakers() {
+    let mut rt = crashing_runtime();
+    let report = mix().run(&mut rt, &dense()).expect("controlled serving run");
+    assert!(!report.breaker_transitions.is_empty(), "the crashes must trip a breaker");
+    assert!(rt.trace().events().iter().any(|e| matches!(e, TraceEvent::BreakerTrip { .. })));
+
+    let mut rt = crashing_runtime();
+    let report = mix()
+        .run(&mut rt, &ServeConfig { control: None, ..dense() })
+        .expect("uncontrolled serving run");
+    assert!(rt.trace().events().iter().any(|e| matches!(e, TraceEvent::TaskRetry { .. })));
+    assert!(report.breaker_transitions.is_empty(), "no control plane, no breakers");
+}
+
 /// The full fault-aware control plane — retry budgets, circuit
 /// breakers, deadline shedding, and brownout degradation — must be
 /// bit-for-bit deterministic across two executions under an active
@@ -345,41 +403,8 @@ fn request_attribution_is_conservative_and_deterministic_under_faults() {
 /// shed/degraded/fast-failed count agrees.
 #[test]
 fn fault_aware_controls_are_deterministic_across_runs() {
-    use disagg::hwsim::fault::{FaultInjector, FaultKind};
-    use disagg::serve::ControlPlane;
-
-    let dense = || ServeConfig {
-        arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(15) },
-        requests: 48,
-        control: Some(ControlPlane::default()),
-        ..cfg()
-    };
-
-    // Probe the healthy horizon so the fault windows land mid-run.
-    let horizon = {
-        let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
-        let mut rt = Runtime::new(topo, RuntimeConfig::default());
-        mix().run(&mut rt, &dense()).expect("probe run").makespan
-    };
-
     let serve_controlled = || {
-        let (topo, rack) = disaggregated_rack(2, 4, 1, 8);
-        let mut faults = FaultInjector::none();
-        let mttf = horizon.0 / 4;
-        for k in 1..=2u64 {
-            let node = rack.nodes[(k as usize - 1) % rack.nodes.len()];
-            faults.schedule(SimTime(k * mttf), FaultKind::NodeCrash(node));
-            faults.schedule(SimTime(k * mttf + mttf / 2), FaultKind::NodeRecover(node));
-        }
-        let config = RuntimeConfig::traced()
-            .with_faults(faults)
-            .with_recovery(
-                RecoveryPolicy::default()
-                    .with_detection_delay(SimDuration(2_000))
-                    .with_backoff(SimDuration(1_000)),
-            )
-            .with_fault_control();
-        let mut rt = Runtime::new(topo, config);
+        let mut rt = crashing_runtime();
         let mut layer = mix();
         layer.register_degraded("chain", |req: &Request| {
             let mut j = JobBuilder::new("chain-lite");
