@@ -244,11 +244,7 @@ pub fn observed_artifacts(id: &str, scenario: &Scenario) -> Option<Result<Artifa
     if let Err(e) = validate_chrome_trace(&doc) {
         return Some(Err(format!("{id}: emitted chrome trace is invalid: {e}")));
     }
-    let metrics_json = report
-        .metrics
-        .as_ref()
-        .map(|m| m.to_json())
-        .unwrap_or_else(|| "{}".to_string());
+    let metrics_json = obs.registry.snapshot().to_json();
     let (spans, paths) = report.critical_paths(3);
     Some(Ok(Artifacts {
         id: id.to_string(),

@@ -376,8 +376,8 @@ fn run_point(
             r.verdict == Verdict::Completed && r.latency.map(|l| l <= slo.p99).unwrap_or(false)
         })
         .count();
-    let breaker_trips = report
-        .breaker_transitions
+    let breaker_trips = rt
+        .breaker_transitions()
         .iter()
         .filter(|t| t.to == disagg_core::breaker::BreakerState::Open)
         .count();

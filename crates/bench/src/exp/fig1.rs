@@ -114,8 +114,8 @@ fn run_waves(
             .collect();
         let report = rt.execute(jobs).expect("wave runs");
         total_makespan += report.makespan;
-        let used: u64 = report
-            .devices
+        let used: u64 = rt
+            .devices()
             .iter()
             .filter(|d| job_devices.contains(&d.dev))
             .map(|d| d.peak_bytes)

@@ -8,6 +8,7 @@
 
 use disagg_core::prelude::*;
 use disagg_hwsim::presets::single_server;
+use disagg_hwsim::trace::TraceEvent;
 use disagg_workloads::hospital::{decode_count, expected, hospital_job, HospitalConfig};
 use disagg_workloads::util::final_output;
 
@@ -59,9 +60,11 @@ pub fn run(scenario: &Scenario) -> Table {
         "verified: {} patients alerted == ground truth {} (of {} recognized faces)",
         patients, exp.patients, exp.faces
     ));
+    // Every region the run placed is audited: one check per `Alloc`.
+    let checks = rt.trace().count(|e| matches!(e, TraceEvent::Alloc { .. }));
     t.note(format!(
         "placement audit: {} checks, {} violations",
-        report.placements.len(),
+        checks,
         report.violations.len()
     ));
     t.claim(

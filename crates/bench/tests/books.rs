@@ -1,11 +1,12 @@
 //! A run's books balance. Every allocation and free inside a run goes
-//! through the region manager's traced path, so over a run's slice of
-//! the trace, Σ `Alloc` − Σ `Free` is exactly what the run left in the
-//! pool: resident bytes after the run minus resident bytes before it.
-//! Checked on the serving experiment's saturated pass, on a controlled
-//! serving run under faults (retries, fast-fails, sheds, degrades), on
-//! the rack batch under admission with job-wide state, on a task body
-//! that allocates for itself, and under copy-based handover.
+//! through the region manager's traced path, and the wave audit (debug
+//! builds, so every test) asserts at each wave's end that the pool moved
+//! by exactly the `Alloc` − `Free` bytes the trace counted and that no
+//! task of the wave still owns a live region. These runs drive it through
+//! the serving experiment's saturated pass, a controlled serving run
+//! under faults (retries, fast-fails, sheds, degrades), the rack batch
+//! under admission with job-wide state, a task body that allocates for
+//! itself, and copy-based handover, and check what each leaves resident.
 
 use disagg_bench::{exp, Scenario};
 use disagg_core::prelude::{Runtime, RuntimeConfig};
@@ -26,35 +27,12 @@ fn resident(rt: &Runtime) -> i64 {
     rt.topology().mem_ids().map(|d| pool.allocated(d) as i64).sum()
 }
 
-/// Runs `run` on `rt` and checks the run's books: its `Alloc`/`Free`
-/// walk must end where the pool ends. Returns what `run` returned.
-fn balanced<R>(name: &str, rt: &mut Runtime, run: impl FnOnce(&mut Runtime) -> R) -> R {
-    let (before, mark) = (resident(rt), rt.trace().len());
-    let out = run(rt);
-    let (mut allocs, mut walk) = (0, 0i64);
-    for e in &rt.trace().events()[mark..] {
-        match *e {
-            TraceEvent::Alloc { bytes, .. } => {
-                allocs += 1;
-                walk += bytes as i64;
-            }
-            TraceEvent::Free { bytes, .. } => walk -= bytes as i64,
-            _ => {}
-        }
-    }
-    assert!(allocs > 0, "{name}: the run must allocate");
-    assert_eq!(walk, resident(rt) - before, "{name}: Alloc − Free against the pool");
-    out
-}
-
 #[test]
 fn the_saturated_serving_pass_ends_where_the_pool_ends() {
     let cfg = exp::serving::saturated_config(&Scenario::default());
     let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-    let report = balanced("serving", &mut rt, |rt| {
-        exp::serving::templates().run(rt, &cfg).expect("saturated serving pass")
-    });
+    let report = exp::serving::templates().run(&mut rt, &cfg).expect("saturated serving pass");
     assert!(report.run.handover_copies > 0, "the pass must copy on handover");
     assert_eq!(resident(&rt), 0, "a serving pass leaves nothing behind");
     assert!(report.peak_util > 0.0);
@@ -92,9 +70,7 @@ fn a_controlled_serving_run_under_faults_balances() {
         control: Some(ControlPlane::default()),
         ..ServeConfig::default()
     };
-    let report = balanced("controlled serving", &mut rt, |rt| {
-        exp::chaos_serve::templates().run(rt, &cfg).expect("controlled serving run")
-    });
+    let report = exp::chaos_serve::templates().run(&mut rt, &cfg).expect("controlled serving run");
     let retries = rt.trace().count(|e| matches!(e, TraceEvent::TaskRetry { .. }));
     let seen = (retries, report.fast_failed, report.shed, report.degraded);
     assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0, "{seen:?}");
@@ -123,12 +99,13 @@ fn rack_jobs() -> Vec<JobSpec> {
 fn rack_batches_under_admission_balance_wave_after_wave() {
     let (topo, _rack) = disaggregated_rack(3, 16, 3, 128);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_admission(0.8));
-    for round in 0..2 {
-        balanced(&format!("rack batch {round}"), &mut rt, |rt| {
-            rt.execute(rack_jobs()).expect("rack batch")
-        });
+    let mut left = Vec::new();
+    for _ in 0..2 {
+        rt.execute(rack_jobs()).expect("rack batch");
+        left.push(resident(&rt));
     }
-    assert!(resident(&rt) > 0, "persistent results stay resident");
+    assert!(left[0] > 0, "persistent results stay resident");
+    assert!(left[1] > left[0], "each batch adds its own persistent results");
 }
 
 #[test]
@@ -145,7 +122,7 @@ fn a_task_body_s_own_allocations_are_booked() {
         ctx.publish_app("kept", kept);
         Ok(())
     }));
-    balanced("task body", &mut rt, |rt| rt.execute(job.build().unwrap()).expect("run"));
+    rt.execute(job.build().unwrap()).expect("run");
     assert_eq!(resident(&rt), 8192);
 }
 
@@ -153,9 +130,7 @@ fn a_task_body_s_own_allocations_are_booked() {
 fn copy_based_handover_books_the_copies_and_their_sources() {
     let (topo, _ids) = single_server();
     let mut rt = Runtime::new(topo, RuntimeConfig::compute_centric());
-    let report = balanced("compute-centric dbms", &mut rt, |rt| {
-        rt.execute(dbms::query_job(dbms::DbmsConfig::default())).expect("dbms query")
-    });
+    let report = rt.execute(dbms::query_job(dbms::DbmsConfig::default())).expect("dbms query");
     assert!(report.handover_copies > 0, "AlwaysCopy must copy");
     assert_eq!(report.ownership_transfers, 0);
 }

@@ -50,9 +50,13 @@
 //! in-degrees (`Wave::push_input`), the co-placement accessor list is a
 //! reused scratch, a [`TaskReport`](crate::report::TaskReport) keeps its
 //! placements inline and is given its spec's name at the end of the
-//! wave, and `report.tasks`, the engine's decision log and the pool's
-//! slot table are reserved from the wave's task and edge counts
-//! (`tests/alloc_budget.rs` holds the whole path to a budget).
+//! wave, and `report.tasks` and the pool's slot table are reserved from
+//! the wave's task and edge counts (`tests/alloc_budget.rs` holds the
+//! whole path to a budget).
+//!
+//! Debug builds close every wave with the wave audit (`crate::audit`):
+//! the pool moved by exactly what the trace booked, and none of the
+//! wave's tasks still owns a live region.
 
 mod task;
 
@@ -61,7 +65,6 @@ use std::collections::BinaryHeap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_dataflow::task::TaskId;
-use disagg_hwsim::contention::ResourceKey;
 use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::ComputeId;
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -69,10 +72,11 @@ use disagg_hwsim::trace::TraceEvent;
 use disagg_region::pool::RegionId;
 use disagg_region::region::OwnerId;
 use disagg_region::typed::RegionType;
+use disagg_sched::enforce::check_placement;
 use disagg_sched::schedule::{Schedule, Scheduler};
 
 use crate::error::DisaggError;
-use crate::report::{DeviceSummary, RunReport};
+use crate::report::RunReport;
 use crate::runtime::Runtime;
 
 use task::{enqueue, service, QueueEntry};
@@ -268,9 +272,8 @@ pub(crate) fn run_wave(
     let t0 = rt.clock;
     let moved_mark = rt.trace.bytes_moved();
     let ownership_mark = rt.trace.bytes_transferred_by_ownership();
-    // Report only this run's audit findings, not the runtime's whole
-    // history.
-    let audit_mark = rt.auditor.violations.len();
+    #[cfg(debug_assertions)]
+    let books = crate::audit::Books::open(rt);
     let job_ids: Vec<JobId> = jobs
         .iter()
         .map(|_| {
@@ -285,6 +288,7 @@ pub(crate) fn run_wave(
     // Job-wide global state, placed where every assigned device can
     // address it.
     let mut global_state: Vec<Option<RegionId>> = vec![None; jobs.len()];
+    let mut violations = Vec::new();
     for (ji, (&jid, spec)) in job_ids.iter().zip(jobs.iter()).enumerate() {
         if spec.global_state_bytes == 0 {
             continue;
@@ -311,8 +315,7 @@ pub(crate) fn run_wave(
             OwnerId::Job(jid.0),
             t0,
         )?;
-        rt.auditor
-            .check_placement(&rt.topo, computes[0], id, dev, &props);
+        check_placement(&rt.topo, computes[0], id, dev, &props, &mut violations);
         global_state[ji] = Some(id);
     }
 
@@ -335,9 +338,8 @@ pub(crate) fn run_wave(
         inputs_at.push(total_edges);
     }
     // A wave allocates about a region per task and a copy per fan-out
-    // edge, and places each of them once.
+    // edge.
     rt.mgr.pool_mut().reserve(total_tasks + total_edges as usize);
-    rt.engine.decisions.reserve(total_tasks + total_edges as usize);
 
     let slots = |c: ComputeId| rt.topo.compute(c).slots;
     let mut w = Wave {
@@ -375,6 +377,7 @@ pub(crate) fn run_wave(
         events: 0,
         report: RunReport {
             tasks: Vec::with_capacity(total_tasks),
+            violations,
             ..RunReport::default()
         },
     };
@@ -439,6 +442,8 @@ pub(crate) fn run_wave(
     for &jid in &w.job_ids {
         rt.mgr.release_all_traced(&mut rt.trace, OwnerId::Job(jid.0), end);
     }
+    #[cfg(debug_assertions)]
+    books.close(rt, &w.job_ids, &jobs);
 
     rt.clock = end;
     let mut report = w.report;
@@ -449,18 +454,6 @@ pub(crate) fn run_wave(
     report.bytes_moved = rt.trace.bytes_moved() - moved_mark;
     report.bytes_ownership_transferred =
         rt.trace.bytes_transferred_by_ownership() - ownership_mark;
-    report.placements = std::mem::take(&mut rt.engine.decisions);
-    report.violations = rt.auditor.violations[audit_mark..].to_vec();
-    report.devices = rt
-        .topo
-        .mem_ids()
-        .map(|dev| DeviceSummary {
-            dev,
-            peak_bytes: rt.mgr.pool().peak(dev),
-            capacity: rt.mgr.pool().capacity(dev),
-            bytes_transferred: rt.ledger.stats(ResourceKey::Mem(dev)).bytes.round() as u64,
-        })
-        .collect();
     // `(job, task)` is unique per report, so the order is fully decided.
     report
         .tasks
@@ -483,6 +476,5 @@ pub(crate) fn run_wave(
             }
         }
     }
-    report.metrics = rt.config.observer.metrics();
     Ok(report)
 }

@@ -3,8 +3,9 @@
 //!
 //! Everything here runs inside the event loop's commit step (see the
 //! module docs in [`super`]): handlers mutate the [`Runtime`] — the
-//! pool, ledger, trace, and auditor — one event at a time, in
-//! `(SimTime, seq)` order.
+//! pool, ledger and trace — and the wave's report one event at a time,
+//! in `(SimTime, seq)` order. Every region a task's run places is audited
+//! against its declared properties into that report.
 
 use std::cmp::Reverse;
 
@@ -16,14 +17,13 @@ use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::fault::FaultKind;
 use disagg_hwsim::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
 use disagg_hwsim::time::{SimDuration, SimTime};
-use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::TraceEvent;
 use disagg_region::access::{AccessStats, Accessor};
-use disagg_region::pool::{MemoryPool, RegionId};
+use disagg_region::pool::RegionId;
 use disagg_region::props::PropertySet;
 use disagg_region::region::OwnerId;
 use disagg_region::typed::RegionType;
-use disagg_sched::enforce::needs_encryption;
+use disagg_sched::enforce::{check_placement, needs_encryption, Violation};
 use disagg_sched::placement::PlacementEngine;
 use disagg_sched::schedule::Scheduler;
 
@@ -57,21 +57,30 @@ pub(crate) struct Queued {
 }
 
 /// Adapter exposing the placement engine as the programming model's
-/// [`Placer`] trait (for ad-hoc allocations inside task bodies).
+/// [`Placer`] trait (for ad-hoc allocations inside task bodies): the
+/// engine picks, the task's accessor allocates, and the placement is
+/// audited into the wave's report like any other.
 struct EnginePlacer<'e> {
     engine: &'e mut PlacementEngine,
+    violations: &'e mut Vec<Violation>,
 }
 
 impl Placer for EnginePlacer<'_> {
     fn place(
         &mut self,
-        topo: &Topology,
-        pool: &MemoryPool,
-        compute: ComputeId,
-        props: &PropertySet,
+        acc: &mut Accessor<'_>,
+        rtype: RegionType,
+        props: PropertySet,
         size: u64,
-    ) -> Option<MemDeviceId> {
-        self.engine.choose(topo, pool, compute, props, size)
+    ) -> Result<RegionId, TaskError> {
+        let (topo, compute) = (acc.topology(), acc.compute);
+        let dev = self
+            .engine
+            .choose(topo, acc.manager().pool(), compute, &props, size)
+            .ok_or_else(|| TaskError::new("no device satisfies the requested properties"))?;
+        let region = acc.alloc(dev, size, rtype, props.clone())?;
+        check_placement(acc.topology(), compute, region, dev, &props, self.violations);
+        Ok(region)
     }
 }
 
@@ -112,7 +121,10 @@ fn run_body_once(
     if !rt.config.faults.is_empty() {
         acc = acc.with_faults(&rt.config.faults);
     }
-    let mut placer = EnginePlacer { engine: &mut rt.engine };
+    let mut placer = EnginePlacer {
+        engine: &mut rt.engine,
+        violations: &mut w.report.violations,
+    };
     let mut ctx = TaskCtx::new(&mut acc, regions, &mut placer, published, &mut rt.app_published);
     let result = (tspec.body)(&mut ctx);
     (acc.now, acc.stats, result)
@@ -203,7 +215,7 @@ fn create_declared(
     let dev = chosen.ok_or(DisaggError::Placement { job: jid, task, what })?;
     let who = OwnerId::Task { job: jid.0, task: task.0 as u64 };
     let id = rt.mgr.alloc_traced(&mut rt.trace, dev, bytes, rtype, props.clone(), who, at)?;
-    rt.auditor.check_placement(&rt.topo, compute, id, dev, &props);
+    check_placement(&rt.topo, compute, id, dev, &props, &mut w.report.violations);
     placements.push((kind, id, dev));
     *slot = Some(id);
     Ok(())
@@ -579,10 +591,6 @@ pub(crate) fn run_task(
     }
 
     if let Err(error) = body_result {
-        // Record the denial if it was a confidentiality rejection.
-        if error.is_confidentiality_denial() {
-            rt.auditor.record_denial(RegionId(u64::MAX), None, Some(jid.0));
-        }
         return Err(DisaggError::Task {
             job: jid,
             task,
@@ -664,6 +672,7 @@ pub(crate) fn run_task(
                         &mut rt.ledger,
                         &mut rt.trace,
                         &mut rt.engine,
+                        &mut w.report.violations,
                         out,
                         None,
                         to,
@@ -688,6 +697,7 @@ pub(crate) fn run_task(
                     &mut rt.ledger,
                     &mut rt.trace,
                     &mut rt.engine,
+                    &mut w.report.violations,
                     out,
                     who,
                     to,

@@ -38,6 +38,8 @@
 //! assert!(report.placements_clean());
 //! ```
 
+#[cfg(debug_assertions)]
+mod audit;
 pub mod breaker;
 pub mod config;
 pub mod error;
@@ -75,9 +77,7 @@ pub mod prelude {
     pub use disagg_hwsim::device::{AccessPattern, MemDeviceKind};
     pub use disagg_hwsim::time::{SimDuration, SimTime};
     pub use disagg_hwsim::topology::Topology;
-    pub use disagg_obs::{
-        CollectingObserver, FullObserver, MetricsSnapshot, Observer, ObserverSlot,
-    };
+    pub use disagg_obs::{FullObserver, MetricsSnapshot, Observer, ObserverSlot};
     pub use disagg_region::props::{
         AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet,
     };

@@ -1,19 +1,20 @@
 //! Execution reports: what the runtime tells you after a run.
 //!
 //! Experiments regenerate the paper's tables from these reports: makespan,
-//! bytes physically moved vs handed over by ownership transfer, per-device
-//! bandwidth and capacity utilization, placement decisions, and the
-//! property audit.
+//! bytes physically moved vs handed over by ownership transfer, where each
+//! task's regions went, and the property audit. A report says what its
+//! run did and nothing else, so the reports of consecutive runs add up;
+//! what accumulates across runs — device peaks
+//! ([`Runtime::devices`](crate::Runtime::devices)), an observer's
+//! metrics — is read from the runtime and the sink.
 
 use disagg_dataflow::job::JobId;
 use disagg_dataflow::task::TaskId;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::{SimDuration, SimTime};
-use disagg_obs::MetricsSnapshot;
 use disagg_region::access::AccessStats;
 use disagg_region::pool::RegionId;
 use disagg_sched::enforce::Violation;
-use disagg_sched::placement::PlacementDecision;
 
 /// Which of a task's declared regions a placement is for. A byte, where
 /// the `&'static str` it replaces was sixteen in every [`TaskReport`]
@@ -160,12 +161,13 @@ pub struct FailedJob {
     pub reason: FailReason,
 }
 
-/// Per-device usage summary.
+/// Per-device usage summary, cumulative over a runtime's life
+/// ([`Runtime::devices`](crate::Runtime::devices)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceSummary {
     /// The device.
     pub dev: MemDeviceId,
-    /// Peak bytes allocated during the run.
+    /// Peak bytes ever allocated on it.
     pub peak_bytes: u64,
     /// Device capacity.
     pub capacity: u64,
@@ -200,12 +202,10 @@ pub struct RunReport {
     pub ownership_transfers: u64,
     /// Number of physical handover copies.
     pub handover_copies: u64,
-    /// Every placement decision the engine made.
-    pub placements: Vec<PlacementDecision>,
-    /// Property-audit findings (empty placements-clean run ⇒ all good).
+    /// Property-audit findings: every region the run placed (declared,
+    /// job-wide, copied on handover, allocated by a body) judged against
+    /// its declared properties; empty when all were honored.
     pub violations: Vec<Violation>,
-    /// Per-device usage.
-    pub devices: Vec<DeviceSummary>,
     /// Simulation events processed by the executor's event loop (ready,
     /// edge-done, and lane-free events across all waves). Dividing by
     /// wall-clock gives the simulator's events/sec throughput.
@@ -213,9 +213,6 @@ pub struct RunReport {
     /// Dataflow edges the executor honored, as `(job, from, to)` — the
     /// DAG the critical-path analyzer walks.
     pub edges: Vec<(JobId, TaskId, TaskId)>,
-    /// Metrics snapshot from the attached observer, if it keeps one
-    /// (see [`crate::RuntimeConfig::with_observer`]).
-    pub metrics: Option<MetricsSnapshot>,
     /// Request-tagged jobs that failed fast under failure isolation
     /// ([`crate::Runtime::enable_fault_control`]); empty on every
     /// run that completes normally or does not isolate.
@@ -234,9 +231,7 @@ fn append<T>(into: &mut Vec<T>, mut next: Vec<T>) {
 impl RunReport {
     /// Folds in the report of the run that followed this one on the same
     /// runtime — the next admission wave, the next serving epoch. Runs
-    /// are back to back, so makespans and counters add and lists extend;
-    /// per-device summaries and the metrics snapshot are cumulative
-    /// inside the runtime, so the later run's replace the earlier's.
+    /// are back to back, so makespans and counters add and lists extend.
     pub fn absorb(&mut self, next: RunReport) {
         self.makespan += next.makespan;
         append(&mut self.tasks, next.tasks);
@@ -244,15 +239,10 @@ impl RunReport {
         self.bytes_ownership_transferred += next.bytes_ownership_transferred;
         self.ownership_transfers += next.ownership_transfers;
         self.handover_copies += next.handover_copies;
-        append(&mut self.placements, next.placements);
         append(&mut self.violations, next.violations);
-        self.devices = next.devices;
         self.events += next.events;
         append(&mut self.edges, next.edges);
         append(&mut self.failed_jobs, next.failed_jobs);
-        if next.metrics.is_some() {
-            self.metrics = next.metrics;
-        }
     }
 
     /// Reports for one job.
@@ -277,21 +267,7 @@ impl RunReport {
 
     /// True if every placement honored its declared properties.
     pub fn placements_clean(&self) -> bool {
-        self.denials() == self.violations.len()
-    }
-
-    /// Denied confidential accesses (enforcement events) among the
-    /// violations: enforcement working, not a breach.
-    pub fn denials(&self) -> usize {
-        self.violations
-            .iter()
-            .filter(|v| matches!(v, Violation::ConfidentialAccessDenied { .. }))
-            .count()
-    }
-
-    /// Device summary for one device.
-    pub fn device(&self, dev: MemDeviceId) -> Option<&DeviceSummary> {
-        self.devices.iter().find(|d| d.dev == dev)
+        self.violations.is_empty()
     }
 }
 
@@ -323,31 +299,32 @@ mod tests {
     }
 
     #[test]
-    fn absorb_adds_counters_appends_lists_and_keeps_the_latest_devices() {
-        let device = |peak_bytes| DeviceSummary {
-            dev: MemDeviceId(0),
-            peak_bytes,
-            capacity: 100,
-            bytes_transferred: 0,
-        };
-        let run = |makespan, edge: u32, peak| RunReport {
+    fn absorb_adds_counters_and_appends_lists() {
+        use disagg_region::props::Unmet;
+        let run = |makespan, edge: u32| RunReport {
             makespan: SimDuration(makespan),
             events: 3,
             bytes_moved: 10,
             edges: vec![(JobId(0), TaskId(edge), TaskId(edge + 1))],
-            devices: vec![device(peak)],
+            violations: vec![Violation {
+                region: RegionId(u64::from(edge)),
+                dev: MemDeviceId(0),
+                unmet: Unmet::Persistence,
+            }],
             ..RunReport::default()
         };
         let mut all = RunReport::default();
-        all.absorb(run(5, 0, 40));
-        all.absorb(run(7, 2, 60));
+        all.absorb(run(5, 0));
+        all.absorb(run(7, 2));
         assert_eq!(all.makespan, SimDuration(12));
         assert_eq!((all.events, all.bytes_moved), (6, 20));
         assert_eq!(
             all.edges,
             vec![(JobId(0), TaskId(0), TaskId(1)), (JobId(0), TaskId(2), TaskId(3))]
         );
-        assert_eq!(all.devices, vec![device(60)]);
+        let regions: Vec<RegionId> = all.violations.iter().map(|v| v.region).collect();
+        assert_eq!(regions, [RegionId(0), RegionId(2)]);
+        assert!(!all.placements_clean());
     }
 
     #[test]
@@ -373,24 +350,5 @@ mod tests {
             bytes_transferred: 0,
         };
         assert_eq!(empty.peak_utilization(), 0.0);
-    }
-
-    #[test]
-    fn clean_report_with_denials_is_still_clean() {
-        let mut r = RunReport::default();
-        assert!(r.placements_clean());
-        r.violations.push(Violation::ConfidentialAccessDenied {
-            region: RegionId(1),
-            owner_job: Some(0),
-            accessor_job: Some(1),
-        });
-        assert!(r.placements_clean());
-        assert_eq!(r.denials(), 1);
-        r.violations.push(Violation::Persistence {
-            region: RegionId(2),
-            dev: MemDeviceId(0),
-        });
-        assert!(!r.placements_clean());
-        assert_eq!(r.denials(), 1, "a breach is not a denial");
     }
 }

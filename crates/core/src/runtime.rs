@@ -23,7 +23,7 @@ use disagg_hwsim::fx::FxHashMap;
 
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_hwsim::calibration;
-use disagg_hwsim::contention::BandwidthLedger;
+use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -33,13 +33,12 @@ use disagg_region::access::book_access;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionManager};
-use disagg_sched::enforce::Auditor;
 use disagg_sched::lifetime::LifetimeManager;
 use disagg_sched::placement::PlacementEngine;
 
 use crate::breaker::{BreakerBank, BreakerTransition, RetryBudgets};
 use crate::config::RuntimeConfig;
-use crate::report::RunReport;
+use crate::report::{DeviceSummary, RunReport};
 use crate::submission::Submission;
 
 pub use crate::error::{DisaggError, RuntimeError};
@@ -54,7 +53,6 @@ pub struct Runtime {
     pub(crate) trace: Trace,
     pub(crate) engine: PlacementEngine,
     pub(crate) lifetime: LifetimeManager,
-    pub(crate) auditor: Auditor,
     /// Application-scope named regions published across jobs.
     pub(crate) app_published: FxHashMap<String, RegionId>,
     /// Per-node circuit breakers — `Some` once
@@ -90,7 +88,6 @@ impl Runtime {
             trace,
             engine,
             lifetime: LifetimeManager::new(config.handover),
-            auditor: Auditor::default(),
             app_published: FxHashMap::default(),
             breakers: None,
             retry_budgets: None,
@@ -120,6 +117,22 @@ impl Runtime {
     /// The event trace.
     pub fn trace(&self) -> &Trace {
         &self.trace
+    }
+
+    /// Every memory device's usage so far, in id order: its peak
+    /// allocation and the bytes the ledger booked through it, over the
+    /// runtime's whole life — cumulative, unlike a run's report.
+    pub fn devices(&self) -> Vec<DeviceSummary> {
+        let pool = self.mgr.pool();
+        self.topo
+            .mem_ids()
+            .map(|dev| DeviceSummary {
+                dev,
+                peak_bytes: pool.peak(dev),
+                capacity: pool.capacity(dev),
+                bytes_transferred: self.ledger.stats(ResourceKey::Mem(dev)).bytes.round() as u64,
+            })
+            .collect()
     }
 
     /// The current virtual time.

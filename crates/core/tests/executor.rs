@@ -1256,24 +1256,35 @@ fn independent_jobs_interleave_on_the_devices() {
 
 #[test]
 fn reports_contain_only_their_own_runs_findings() {
-    // Run 1 provokes a confidential denial; run 2 is clean. Each report
-    // carries its own findings, not the runtime's whole history.
-    let (topo, _) = single_server();
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-
-    let mut secret = JobBuilder::new("secret");
-    secret.task(
-        TaskSpec::new("keeper")
-            .confidential(true)
-            .persistent(true)
-            .output_bytes(1024)
-            .body(|ctx| {
-                ctx.write_output(0, b"shh")?;
-                Ok(())
-            }),
+    // Run 1 breaks a declared property; run 2 is clean. Each report
+    // carries its own findings, not the runtime's whole history. A
+    // topology-blind engine (the E13 ablation) judges latency without
+    // the path, so a GPU task's low-latency scratch lands on the CPU's
+    // cache: 10 ns from the CPU, 430 ns from the GPU.
+    let (topo, ids) = single_server();
+    let mut rt = Runtime::new(
+        topo,
+        RuntimeConfig::traced().with_awareness(disagg_sched::cost::TopologyAwareness::Blind),
     );
-    let r1 = rt.execute(secret.build().unwrap()).unwrap();
-    assert!(r1.violations.is_empty());
+
+    let mut blind = JobBuilder::new("blind");
+    blind.task(
+        TaskSpec::new("scratchy")
+            .require(ComputeKind::Gpu)
+            .mem_latency(LatencyClass::Low)
+            .private_scratch(1 << 20)
+            .body(|_| Ok(())),
+    );
+    let r1 = rt.execute(blind.build().unwrap()).unwrap();
+    let found: Vec<_> = r1.violations.iter().map(|v| (v.dev, v.unmet)).collect();
+    assert_eq!(
+        found,
+        [(
+            ids.cache,
+            disagg_region::props::Unmet::Latency { required_ns: 200.0, achieved_ns: 430.0 }
+        )]
+    );
+    assert!(!r1.placements_clean());
 
     let mut clean = JobBuilder::new("clean");
     clean.task(TaskSpec::new("noop").body(|_| Ok(())));

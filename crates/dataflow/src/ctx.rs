@@ -9,13 +9,13 @@
 //!
 //! Ad-hoc allocations made inside the body go through the [`Placer`]
 //! trait, which the runtime system implements; this keeps the *placement
-//! policy* out of the programming model, as the paper demands.
+//! policy* (and its audit) out of the programming model, as the paper
+//! demands.
 
 use disagg_hwsim::fx::FxHashMap;
 
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::device::AccessPattern;
-use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::SimDuration;
 use disagg_region::access::Accessor;
 use disagg_region::pool::RegionId;
@@ -24,20 +24,20 @@ use disagg_region::typed::RegionType;
 
 use crate::task::TaskError;
 
-/// Resolves a declarative memory request to a physical device. Implemented
-/// by the runtime system's placement optimizer; task bodies stay
-/// device-agnostic.
+/// Resolves a declarative memory request to a region on a physical
+/// device. Implemented by the runtime system's placement optimizer; task
+/// bodies stay device-agnostic.
 pub trait Placer {
-    /// Picks the best feasible device for `props` as seen from `compute`,
-    /// with at least `size` bytes free. `None` if no device qualifies.
+    /// Places a region of `size` bytes with `props` for the task behind
+    /// `acc`, as seen from its compute device, and allocates it through
+    /// [`Accessor::alloc`]. An error when no device qualifies.
     fn place(
         &mut self,
-        topo: &disagg_hwsim::topology::Topology,
-        pool: &disagg_region::pool::MemoryPool,
-        compute: disagg_hwsim::ids::ComputeId,
-        props: &PropertySet,
+        acc: &mut Accessor<'_>,
+        rtype: RegionType,
+        props: PropertySet,
         size: u64,
-    ) -> Option<MemDeviceId>;
+    ) -> Result<RegionId, TaskError>;
 }
 
 /// The regions the runtime pre-allocated for a task. Handles only: the
@@ -224,17 +224,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
         props: PropertySet,
         size: u64,
     ) -> Result<RegionId, TaskError> {
-        let dev = self
-            .placer
-            .place(
-                self.acc.topology(),
-                self.acc.manager().pool(),
-                self.acc.compute,
-                &props,
-                size,
-            )
-            .ok_or_else(|| TaskError::new("no device satisfies the requested properties"))?;
-        Ok(self.acc.alloc(dev, size, rtype, props)?)
+        self.placer.place(self.acc, rtype, props, size)
     }
 
     /// Publishes a region under a name for other tasks of the job to
@@ -263,6 +253,7 @@ impl<'a, 'b> TaskCtx<'a, 'b> {
 mod tests {
     use super::*;
     use disagg_hwsim::contention::BandwidthLedger;
+    use disagg_hwsim::ids::MemDeviceId;
     use disagg_hwsim::presets::single_server;
     use disagg_hwsim::time::SimTime;
     use disagg_hwsim::trace::{Trace, TraceEvent};
@@ -272,13 +263,12 @@ mod tests {
     impl Placer for FixedPlacer {
         fn place(
             &mut self,
-            _topo: &disagg_hwsim::topology::Topology,
-            _pool: &disagg_region::pool::MemoryPool,
-            _compute: disagg_hwsim::ids::ComputeId,
-            _props: &PropertySet,
-            _size: u64,
-        ) -> Option<MemDeviceId> {
-            Some(self.0)
+            acc: &mut Accessor<'_>,
+            rtype: RegionType,
+            props: PropertySet,
+            size: u64,
+        ) -> Result<RegionId, TaskError> {
+            Ok(acc.alloc(self.0, size, rtype, props)?)
         }
     }
 
@@ -286,13 +276,12 @@ mod tests {
     impl Placer for NoPlacer {
         fn place(
             &mut self,
-            _topo: &disagg_hwsim::topology::Topology,
-            _pool: &disagg_region::pool::MemoryPool,
-            _compute: disagg_hwsim::ids::ComputeId,
-            _props: &PropertySet,
+            _acc: &mut Accessor<'_>,
+            _rtype: RegionType,
+            _props: PropertySet,
             _size: u64,
-        ) -> Option<MemDeviceId> {
-            None
+        ) -> Result<RegionId, TaskError> {
+            Err(TaskError::new("no device satisfies the requested properties"))
         }
     }
 
@@ -415,6 +404,9 @@ mod tests {
             .alloc(RegionType::GlobalScratch, PropertySet::new(), 256)
             .unwrap_err();
         assert!(err.msg.contains("no device"));
+        // The placer's refusal reaches the body with nothing allocated.
+        assert_eq!(mgr.live_count(), 0);
+        assert!(trace.events().is_empty());
     }
 
     #[test]

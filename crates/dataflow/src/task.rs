@@ -123,16 +123,15 @@ impl Default for WorkProfile {
     }
 }
 
-/// Machine-readable classification of a task-body failure, so layers
-/// above (audit, recovery) can react to *what* failed without sniffing
-/// the message text.
+/// Machine-readable classification of a task-body failure, so callers
+/// can react to *what* failed without sniffing the message text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TaskErrorKind {
     /// An ordinary failure with no special runtime handling.
     #[default]
     Generic,
     /// The body was denied access to a confidential region it does not
-    /// own; the runtime's auditor records these.
+    /// own; the run fails with this kind, enforcement having held.
     ConfidentialityDenied,
 }
 

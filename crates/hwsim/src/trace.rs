@@ -320,6 +320,8 @@ pub struct Trace {
     /// accessors (and the executor's per-wave deltas) never scan.
     bytes_moved: u64,
     bytes_by_ownership: u64,
+    bytes_allocated: u64,
+    bytes_freed: u64,
 }
 
 impl std::fmt::Debug for Trace {
@@ -330,6 +332,8 @@ impl std::fmt::Debug for Trace {
             .field("tap", &self.tap.as_ref().map(|_| "..."))
             .field("bytes_moved", &self.bytes_moved)
             .field("bytes_by_ownership", &self.bytes_by_ownership)
+            .field("bytes_allocated", &self.bytes_allocated)
+            .field("bytes_freed", &self.bytes_freed)
             .finish()
     }
 }
@@ -366,6 +370,8 @@ impl Trace {
                 self.bytes_moved += bytes;
             }
             TraceEvent::OwnershipTransfer { bytes, .. } => self.bytes_by_ownership += bytes,
+            TraceEvent::Alloc { bytes, .. } => self.bytes_allocated += bytes,
+            TraceEvent::Free { bytes, .. } => self.bytes_freed += bytes,
             _ => {}
         }
         if self.enabled {
@@ -410,6 +416,16 @@ impl Trace {
         self.bytes_by_ownership
     }
 
+    /// Total bytes of the pushed `Alloc` events, buffered or not. O(1).
+    pub fn bytes_allocated(&self) -> u64 {
+        self.bytes_allocated
+    }
+
+    /// Total bytes of the pushed `Free` events, buffered or not. O(1).
+    pub fn bytes_freed(&self) -> u64 {
+        self.bytes_freed
+    }
+
     /// Count of events matching a predicate.
     pub fn count(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
         self.events.iter().filter(|e| pred(e)).count()
@@ -420,6 +436,8 @@ impl Trace {
         self.events.clear();
         self.bytes_moved = 0;
         self.bytes_by_ownership = 0;
+        self.bytes_allocated = 0;
+        self.bytes_freed = 0;
     }
 }
 
@@ -481,6 +499,20 @@ mod tests {
         assert_eq!(t.bytes_transferred_by_ownership(), 1_000);
         t.clear();
         assert_eq!((t.bytes_moved(), t.bytes_transferred_by_ownership()), (0, 0));
+    }
+
+    #[test]
+    fn allocated_and_freed_bytes_are_counted_buffered_or_not() {
+        for mut t in [Trace::enabled(), Trace::disabled()] {
+            let dev = MemDeviceId(0);
+            t.push(TraceEvent::Alloc { region: 1, dev, bytes: 4_096, at: SimTime(0) });
+            t.push(TraceEvent::Alloc { region: 2, dev, bytes: 64, at: SimTime(1) });
+            t.push(TraceEvent::Free { region: 1, dev, bytes: 4_096, at: SimTime(2) });
+            assert_eq!((t.bytes_allocated(), t.bytes_freed()), (4_160, 4_096));
+            assert_eq!(t.bytes_moved(), 0);
+            t.clear();
+            assert_eq!((t.bytes_allocated(), t.bytes_freed()), (0, 0));
+        }
     }
 
     #[test]

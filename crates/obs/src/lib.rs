@@ -48,8 +48,8 @@ pub use export::{
 pub use metrics::{
     nearest_rank, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use observer::{CollectingObserver, FullObserver, Observer, ObserverSlot};
+pub use observer::{FullObserver, Observer, ObserverSlot};
 pub use request::{
-    assemble_request_spans, slo_burn, slo_burn_by, tail_attribution, Attribution, BurnWindow,
+    assemble_request_spans, slo_burn_by, tail_attribution, Attribution, BurnWindow,
     RequestSpan, Segment, SegmentKind, TenantAttribution, TenantBurn,
 };

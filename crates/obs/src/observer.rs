@@ -6,7 +6,8 @@
 //! happens* instead of waiting for the run to finish. The default is no
 //! sink at all (the null [`ObserverSlot`]: no tap is even installed);
 //! [`FullObserver`] buffers events and maintains the metrics registry at
-//! once.
+//! once. A caller reads results from the sink it holds — the runtime's
+//! report does not carry them.
 //!
 //! [`ObserverSlot`] is the handle a [`RuntimeConfig`] carries: a
 //! cloneable, shareable reference so the caller keeps access to the
@@ -21,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 use disagg_hwsim::trace::TraceEvent;
 
-use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsRegistry;
 
 /// A streaming sink for execution events.
 ///
@@ -32,26 +33,6 @@ use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 pub trait Observer: Send {
     /// Called once per event, at emission time.
     fn on_event(&mut self, event: &TraceEvent);
-
-    /// A snapshot of this observer's metrics, if it keeps any. The
-    /// runtime attaches this to the `RunReport` at the end of a run.
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        None
-    }
-}
-
-/// Buffers the raw event stream (for equivalence tests and custom
-/// post-processing).
-#[derive(Debug, Default)]
-pub struct CollectingObserver {
-    /// Every event seen, in emission order.
-    pub events: Vec<TraceEvent>,
-}
-
-impl Observer for CollectingObserver {
-    fn on_event(&mut self, event: &TraceEvent) {
-        self.events.push(event.clone());
-    }
 }
 
 /// The everything sink: buffered events + metrics registry,
@@ -76,19 +57,14 @@ impl Observer for FullObserver {
         self.registry.record(event);
         self.events.push(event.clone());
     }
-
-    fn metrics(&self) -> Option<MetricsSnapshot> {
-        Some(self.registry.snapshot())
-    }
 }
 
 /// The observer handle a runtime config carries.
 ///
 /// `Default` is the null slot: no sink, no tap, and observability-off
-/// costs one untaken branch per event. Build an active slot with
-/// [`ObserverSlot::new`] (slot owns the sink) or
-/// [`ObserverSlot::shared`] (caller keeps an `Arc` to read results back
-/// out after the run):
+/// costs one untaken branch per event. An active slot shares its sink
+/// with the caller ([`ObserverSlot::shared`]), who reads results back out
+/// of it after the run:
 ///
 /// ```
 /// use std::sync::{Arc, Mutex};
@@ -98,17 +74,13 @@ impl Observer for FullObserver {
 /// let slot = ObserverSlot::shared(sink.clone());
 /// assert!(slot.is_active());
 /// // ... hand `slot` to the RuntimeConfig, run, then:
-/// let _events = &sink.lock().unwrap().events;
+/// let full = sink.lock().unwrap();
+/// let (_events, _metrics) = (&full.events, full.registry.snapshot());
 /// ```
 #[derive(Clone, Default)]
 pub struct ObserverSlot(Option<Arc<Mutex<dyn Observer + Send>>>);
 
 impl ObserverSlot {
-    /// A slot owning the given sink.
-    pub fn new(observer: impl Observer + 'static) -> Self {
-        ObserverSlot(Some(Arc::new(Mutex::new(observer))))
-    }
-
     /// A slot sharing an existing sink with the caller.
     pub fn shared<O: Observer + 'static>(observer: Arc<Mutex<O>>) -> Self {
         ObserverSlot(Some(observer))
@@ -125,13 +97,6 @@ impl ObserverSlot {
         if let Some(obs) = &self.0 {
             obs.lock().expect("observer lock").on_event(event);
         }
-    }
-
-    /// The sink's metrics snapshot, if it keeps one.
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.0
-            .as_ref()
-            .and_then(|obs| obs.lock().expect("observer lock").metrics())
     }
 }
 
@@ -164,12 +129,11 @@ mod tests {
         let slot = ObserverSlot::default();
         assert!(!slot.is_active());
         slot.emit(&ev(0, 1)); // must not panic
-        assert!(slot.metrics().is_none());
     }
 
     #[test]
     fn collecting_observer_preserves_order() {
-        let sink = Arc::new(Mutex::new(CollectingObserver::default()));
+        let sink = Arc::new(Mutex::new(FullObserver::new()));
         let slot = ObserverSlot::shared(sink.clone());
         assert!(slot.is_active());
         for i in 0..5 {
@@ -184,17 +148,13 @@ mod tests {
 
     #[test]
     fn cloned_slots_share_one_sink() {
-        let slot = ObserverSlot::new(CollectingObserver::default());
+        let sink = Arc::new(Mutex::new(FullObserver::new()));
+        let slot = ObserverSlot::shared(sink.clone());
         let twin = slot.clone();
         slot.emit(&ev(0, 1));
         twin.emit(&ev(1, 2));
-        // Both events hit the same registry: count via metrics-free
-        // path by swapping in a FullObserver instead.
-        let full = ObserverSlot::new(FullObserver::new());
-        let other = full.clone();
-        full.emit(&ev(0, 1));
-        other.emit(&ev(1, 2));
-        let snap = full.metrics().expect("full observer keeps metrics");
-        assert_eq!(snap.counter("events"), 2);
+        let full = sink.lock().unwrap();
+        assert_eq!(full.events.len(), 2);
+        assert_eq!(full.registry.snapshot().counter("events"), 2);
     }
 }

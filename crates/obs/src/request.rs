@@ -420,12 +420,7 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
                 }),
             }
         }
-        debug_assert_eq!(
-            attribution.total(),
-            SimTime(end) - SimTime(arrival),
-            "sweep must tile the sojourn exactly"
-        );
-        spans.push(RequestSpan {
+        let span = RequestSpan {
             request,
             tenant,
             job: lo + i as u64,
@@ -433,10 +428,30 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
             end: SimTime(end),
             segments,
             attribution,
-        });
+        };
+        #[cfg(debug_assertions)]
+        audit_span(&span);
+        spans.push(span);
     }
     spans.sort_by_key(|s| s.request);
     spans
+}
+
+/// The serving check of the runtime's wave audit, compiled into debug
+/// builds only (`disagg_core` audits the pool and the owners at each
+/// wave's end): a request span's components sum to its latency.
+///
+/// # Panics
+///
+/// When they do not.
+#[cfg(debug_assertions)]
+fn audit_span(span: &RequestSpan) {
+    assert_eq!(
+        span.attribution.total(),
+        span.latency(),
+        "wave audit: request {}'s span components do not sum to its latency",
+        span.request
+    );
 }
 
 /// How many exemplar requests to surface per tenant.
@@ -541,17 +556,11 @@ pub struct TenantBurn {
 /// Computes per-tenant SLO burn curves: the run `[min arrival, max
 /// end]` is cut into `windows` equal virtual-time windows, each request
 /// lands in the window holding its completion time, and a request is
-/// bad when its sojourn exceeds `threshold` (the p99 SLO). Ordered by
-/// tenant; every tenant carries every window so curves align.
-pub fn slo_burn(spans: &[RequestSpan], threshold: SimDuration, windows: usize) -> Vec<TenantBurn> {
-    slo_burn_by(spans, windows, |_| Some(threshold))
-}
-
-/// [`slo_burn`] with a per-tenant SLO threshold: tenants for which
-/// `threshold_of` returns `None` are held to no SLO and get no burn
-/// curve. The window grid is shared across tenants (derived from *all*
-/// spans), so the curves stay aligned even when only some tenants carry
-/// SLOs.
+/// bad when its sojourn exceeds its tenant's threshold (the p99 SLO).
+/// Tenants for which `threshold_of` returns `None` are held to no SLO
+/// and get no burn curve. Ordered by tenant; the window grid is shared
+/// across tenants (derived from *all* spans), so every curve carries
+/// every window and the curves align.
 pub fn slo_burn_by(
     spans: &[RequestSpan],
     windows: usize,
@@ -1040,7 +1049,7 @@ mod tests {
         );
         // `control: Some` also turns on the runtime's breakers, so the
         // differential covers a trace with trips and probes in it.
-        assert!(!report.breaker_transitions.is_empty(), "the crashes must trip a breaker");
+        assert!(!rt.breaker_transitions().is_empty(), "the crashes must trip a breaker");
         assert!(events.iter().any(|e| matches!(e, TraceEvent::BreakerTrip { .. })));
         let spans = assemble_request_spans(events);
         assert_eq!(
@@ -1267,6 +1276,25 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "request 7's span components do not sum to its latency")]
+    fn a_span_whose_components_miss_its_latency_breaks_the_books() {
+        audit_span(&RequestSpan {
+            request: 7,
+            tenant: 0,
+            job: 0,
+            arrival: SimTime(0),
+            end: SimTime(10),
+            segments: Vec::new(),
+            attribution: Attribution {
+                queue: SimDuration(4),
+                compute: SimDuration(5),
+                ..Attribution::default()
+            },
+        });
+    }
+
+    #[test]
     fn burn_windows_bucket_by_completion_and_align_across_tenants() {
         let mk = |request, tenant, arrival, end| RequestSpan {
             request,
@@ -1282,7 +1310,7 @@ mod tests {
             mk(1, 0, 0, 95),    // bad (latency 95 > 50), window 3
             mk(2, 1, 5, 40),    // good, window 1
         ];
-        let burn = slo_burn(&spans, SimDuration(50), 4);
+        let burn = slo_burn_by(&spans, 4, |_| Some(SimDuration(50)));
         assert_eq!(burn.len(), 2);
         for b in &burn {
             assert_eq!(b.windows.len(), 4, "curves align across tenants");
@@ -1294,6 +1322,6 @@ mod tests {
         assert_eq!(t0.windows[1].burn_rate(), 0.0);
         let t1 = &burn[1];
         assert_eq!((t1.windows[1].good, t1.windows[1].bad), (1, 0));
-        assert!(slo_burn(&[], SimDuration(1), 4).is_empty());
+        assert!(slo_burn_by(&[], 4, |_| Some(SimDuration(1))).is_empty());
     }
 }

@@ -31,6 +31,6 @@ pub use access::{AccessStats, Accessor};
 pub use hotness::{HotStat, HotnessTracker, TaggedPtr};
 pub use migrate::{migrate, TieringPolicy};
 pub use pool::{AllocError, MemoryPool, Placement, RegionId};
-pub use props::{AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet};
+pub use props::{AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet, Unmet};
 pub use region::{OwnerId, Ownership, RegionError, RegionManager, RegionMeta};
 pub use typed::RegionType;

@@ -250,38 +250,86 @@ impl PropertySet {
         dev.bandwidth(self.hint.dominant_op()).min(path.bandwidth_bpns)
     }
 
-    /// Hard feasibility: can a region with these properties live on `dev`
-    /// when accessed over `path`?
+    /// The hard conditions a region with these properties fails on `dev`
+    /// when accessed over `path` (`None`: no route at all) — the one rule
+    /// placement filters by ([`satisfied_by`](Self::satisfied_by)) and
+    /// the runtime's audit reports from:
     ///
-    /// - `persistent` requires a persistent device.
-    /// - `coherent` requires a device inside the coherence domain.
-    /// - `mode == Sync` requires a device capable of synchronous access.
-    /// - latency/bandwidth classes bound the achieved values.
+    /// - there must be a route;
+    /// - `persistent` requires a persistent device;
+    /// - `coherent` requires a device inside the coherence domain;
+    /// - `mode == Sync` requires a device capable of synchronous access;
+    /// - latency/bandwidth classes bound the achieved values (judged only
+    ///   over a route).
     ///
     /// Confidentiality is *not* a device constraint: it is enforced by the
     /// runtime through isolation and encryption (see `sched::enforce`).
-    pub fn satisfied_by(&self, dev: &MemDeviceModel, path: PathCost) -> bool {
-        if self.persistent && !dev.persistent {
-            return false;
-        }
-        if self.coherent && !dev.coherent {
-            return false;
-        }
-        if self.mode == AccessMode::Sync && !dev.sync.allows_sync() {
-            return false;
-        }
-        if let Some(max) = self.latency.max_ns() {
-            if self.achieved_latency_ns(dev, path) > max {
-                return false;
-            }
-        }
-        if let Some(min) = self.bandwidth.min_bpns() {
-            if self.achieved_bandwidth_bpns(dev, path) < min {
-                return false;
-            }
-        }
-        true
+    pub fn unmet(
+        &self,
+        dev: &MemDeviceModel,
+        path: Option<PathCost>,
+    ) -> impl Iterator<Item = Unmet> {
+        let latency = self.latency.max_ns().zip(path).and_then(|(required_ns, path)| {
+            let achieved_ns = self.achieved_latency_ns(dev, path);
+            (achieved_ns > required_ns).then_some(Unmet::Latency {
+                required_ns,
+                achieved_ns,
+            })
+        });
+        let bandwidth = self.bandwidth.min_bpns().zip(path).and_then(|(required_bpns, path)| {
+            let achieved_bpns = self.achieved_bandwidth_bpns(dev, path);
+            (achieved_bpns < required_bpns).then_some(Unmet::Bandwidth {
+                required_bpns,
+                achieved_bpns,
+            })
+        });
+        [
+            path.is_none().then_some(Unmet::Unreachable),
+            (self.persistent && !dev.persistent).then_some(Unmet::Persistence),
+            (self.coherent && !dev.coherent).then_some(Unmet::Coherence),
+            (self.mode == AccessMode::Sync && !dev.sync.allows_sync()).then_some(Unmet::SyncAccess),
+            latency,
+            bandwidth,
+        ]
+        .into_iter()
+        .flatten()
     }
+
+    /// Hard feasibility: can a region with these properties live on `dev`
+    /// when accessed over `path`? True when [`unmet`](Self::unmet) finds
+    /// nothing.
+    pub fn satisfied_by(&self, dev: &MemDeviceModel, path: PathCost) -> bool {
+        self.unmet(dev, Some(path)).next().is_none()
+    }
+}
+
+/// One hard condition of a [`PropertySet`] that a placement fails (see
+/// [`PropertySet::unmet`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Unmet {
+    /// The accessing compute device has no route to the device.
+    Unreachable,
+    /// Persistent data on a volatile device.
+    Persistence,
+    /// A coherent (shareable) region outside the coherence domain.
+    Coherence,
+    /// Synchronous access declared on a device that only serves
+    /// asynchronous access.
+    SyncAccess,
+    /// Achieved latency above the declared class.
+    Latency {
+        /// Declared bound, ns.
+        required_ns: f64,
+        /// Achieved value, ns.
+        achieved_ns: f64,
+    },
+    /// Achieved bandwidth below the declared class.
+    Bandwidth {
+        /// Declared bound, bytes/ns.
+        required_bpns: f64,
+        /// Achieved value, bytes/ns.
+        achieved_bpns: f64,
+    },
 }
 
 #[cfg(test)]
@@ -380,6 +428,39 @@ mod tests {
             .with_latency(LatencyClass::Medium);
         // PMem write latency 450 ns still fits Medium (≤ 1 µs).
         assert!(p.satisfied_by(&dev(MemDeviceKind::Pmem), LOCAL));
+    }
+
+    #[test]
+    fn unmet_names_every_failed_condition() {
+        let p = PropertySet::new()
+            .persistent(true)
+            .coherent(true)
+            .with_latency(LatencyClass::Low)
+            .with_bandwidth(BandwidthClass::High);
+        let far = dev(MemDeviceKind::FarMemory);
+        let got: Vec<Unmet> = p.unmet(&far, Some(LOCAL)).collect();
+        assert_eq!(
+            got,
+            [
+                Unmet::Persistence,
+                Unmet::Coherence,
+                Unmet::SyncAccess,
+                Unmet::Latency {
+                    required_ns: 200.0,
+                    achieved_ns: far.latency(AccessOp::Read)
+                },
+                Unmet::Bandwidth {
+                    required_bpns: 100.0,
+                    achieved_bpns: far.bandwidth(AccessOp::Read)
+                },
+            ]
+        );
+        assert!(!p.satisfied_by(&far, LOCAL));
+        // Without a route only what the device alone decides is judged.
+        let dram = dev(MemDeviceKind::Dram);
+        let got: Vec<Unmet> = p.unmet(&dram, None).collect();
+        assert_eq!(got, [Unmet::Unreachable, Unmet::Persistence]);
+        assert_eq!(PropertySet::new().unmet(&dram, Some(LOCAL)).count(), 0);
     }
 
     #[test]

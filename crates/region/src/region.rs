@@ -393,6 +393,11 @@ impl RegionManager {
         self.pool.is_live(id)
     }
 
+    /// True if `owner` holds any live region. O(1), allocation-free.
+    pub fn owns_any(&self, owner: OwnerId) -> bool {
+        self.owners.contains_key(&owner)
+    }
+
     /// Live regions owned (exclusively or shared) by `owner`.
     pub fn owned_by(&self, owner: OwnerId) -> Vec<RegionId> {
         let mut v = match self.owners.get(&owner) {

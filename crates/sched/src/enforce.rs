@@ -2,134 +2,45 @@
 //!
 //! Declaring properties is only half the story; the runtime must *enforce*
 //! them (Challenge 3: "How to enforce deployment policies at runtime?").
-//! The [`Auditor`] checks every placement decision against the declared
-//! properties and records violations; confidential data leaving the
-//! platform's trust boundary must be encrypted, for which this module
-//! supplies the (cost-modelled) cipher.
+//! [`check_placement`] judges every placement of a run against its
+//! region's declared properties with the rule placement itself filters by
+//! ([`PropertySet::unmet`]) and records what fails in the running wave's
+//! report; confidential data leaving the platform's trust boundary must be
+//! encrypted, for which this module supplies the (cost-modelled) cipher.
 
 use disagg_hwsim::device::Attachment;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::topology::Topology;
 use disagg_region::pool::RegionId;
-use disagg_region::props::PropertySet;
+use disagg_region::props::{PropertySet, Unmet};
 
-/// A detected property violation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Violation {
-    /// Persistent data placed on a volatile device.
-    Persistence {
-        /// The region.
-        region: RegionId,
-        /// The offending device.
-        dev: MemDeviceId,
-    },
-    /// Achieved latency exceeds the declared class.
-    Latency {
-        /// The region.
-        region: RegionId,
-        /// The offending device.
-        dev: MemDeviceId,
-        /// Declared bound, ns.
-        required_ns: f64,
-        /// Achieved value, ns.
-        achieved_ns: f64,
-    },
-    /// Achieved bandwidth below the declared class.
-    Bandwidth {
-        /// The region.
-        region: RegionId,
-        /// The offending device.
-        dev: MemDeviceId,
-        /// Declared bound, bytes/ns.
-        required_bpns: f64,
-        /// Achieved value, bytes/ns.
-        achieved_bpns: f64,
-    },
-    /// A coherent (shareable) region placed outside the coherence domain.
-    Coherence {
-        /// The region.
-        region: RegionId,
-        /// The offending device.
-        dev: MemDeviceId,
-    },
-    /// A cross-job access to confidential data was attempted (and denied).
-    ConfidentialAccessDenied {
-        /// The region.
-        region: RegionId,
-        /// The job owning the secret.
-        owner_job: Option<u64>,
-        /// The job that tried.
-        accessor_job: Option<u64>,
-    },
+/// A placement that fails one of its region's declared hard properties.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Violation {
+    /// The region.
+    pub region: RegionId,
+    /// The device it was placed on.
+    pub dev: MemDeviceId,
+    /// The condition it fails.
+    pub unmet: Unmet,
 }
 
-/// Audits placements and records enforcement events.
-#[derive(Debug, Default)]
-pub struct Auditor {
-    /// Violations found (empty after a clean run), denied confidential
-    /// accesses among them.
-    pub violations: Vec<Violation>,
-}
-
-impl Auditor {
-    /// Verifies that `region`'s placement on `dev` honors `props` as seen
-    /// from `compute`. Any breach is recorded.
-    pub fn check_placement(
-        &mut self,
-        topo: &Topology,
-        compute: ComputeId,
-        region: RegionId,
-        dev: MemDeviceId,
-        props: &PropertySet,
-    ) {
-        let model = topo.mem(dev);
-        if props.persistent && !model.persistent {
-            self.violations.push(Violation::Persistence { region, dev });
-        }
-        if props.coherent && !model.coherent {
-            self.violations.push(Violation::Coherence { region, dev });
-        }
-        if let Some(path) = topo.path(compute, dev) {
-            if let Some(max) = props.latency.max_ns() {
-                let achieved = props.achieved_latency_ns(model, path);
-                if achieved > max {
-                    self.violations.push(Violation::Latency {
-                        region,
-                        dev,
-                        required_ns: max,
-                        achieved_ns: achieved,
-                    });
-                }
-            }
-            if let Some(min) = props.bandwidth.min_bpns() {
-                let achieved = props.achieved_bandwidth_bpns(model, path);
-                if achieved < min {
-                    self.violations.push(Violation::Bandwidth {
-                        region,
-                        dev,
-                        required_bpns: min,
-                        achieved_bpns: achieved,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Records a *denied* cross-job access to a confidential region. A
-    /// denial is enforcement working as intended; it lands in
-    /// `violations` so reports can show the attempted breach.
-    pub fn record_denial(
-        &mut self,
-        region: RegionId,
-        owner_job: Option<u64>,
-        accessor_job: Option<u64>,
-    ) {
-        self.violations.push(Violation::ConfidentialAccessDenied {
-            region,
-            owner_job,
-            accessor_job,
-        });
-    }
+/// Judges `region`'s placement on `dev` against `props` as seen from
+/// `compute`, pushing one [`Violation`] per failed condition onto `out`.
+pub fn check_placement(
+    topo: &Topology,
+    compute: ComputeId,
+    region: RegionId,
+    dev: MemDeviceId,
+    props: &PropertySet,
+    out: &mut Vec<Violation>,
+) {
+    let path = topo.path(compute, dev);
+    out.extend(
+        props
+            .unmet(topo.mem(dev), path)
+            .map(|unmet| Violation { region, dev, unmet }),
+    );
 }
 
 /// Whether confidential data on this device leaves the platform's trust
@@ -163,80 +74,97 @@ pub fn xor_cipher(data: &mut [u8], key: u64) {
 mod tests {
     use super::*;
     use disagg_hwsim::presets::single_server;
-    use disagg_region::props::{BandwidthClass, LatencyClass};
+    use disagg_region::props::{AccessMode, BandwidthClass, LatencyClass};
+
+    /// What the audit finds for a placement on `dev`, judged from `compute`.
+    fn unmet(
+        topo: &Topology,
+        compute: ComputeId,
+        dev: MemDeviceId,
+        props: &PropertySet,
+    ) -> Vec<Unmet> {
+        let mut out = Vec::new();
+        check_placement(topo, compute, RegionId(1), dev, props, &mut out);
+        assert!(out.iter().all(|v| (v.region, v.dev) == (RegionId(1), dev)));
+        out.into_iter().map(|v| v.unmet).collect()
+    }
 
     #[test]
     fn clean_placement_passes() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::default();
         let props = PropertySet::new().with_latency(LatencyClass::Low);
-        a.check_placement(&topo, ids.cpu, RegionId(1), ids.dram, &props);
-        assert!(a.violations.is_empty());
+        assert_eq!(unmet(&topo, ids.cpu, ids.dram, &props), []);
     }
 
     #[test]
     fn persistent_on_volatile_is_flagged() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::default();
         let props = PropertySet::new().persistent(true);
-        a.check_placement(&topo, ids.cpu, RegionId(1), ids.dram, &props);
-        assert!(matches!(a.violations[..], [Violation::Persistence { .. }]));
+        assert_eq!(
+            unmet(&topo, ids.cpu, ids.dram, &props),
+            [Unmet::Persistence]
+        );
     }
 
     #[test]
     fn latency_breach_reports_required_and_achieved() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::default();
-        let props = PropertySet::new().with_latency(LatencyClass::Low);
-        a.check_placement(&topo, ids.cpu, RegionId(2), ids.far, &props);
-        match &a.violations[0] {
-            Violation::Latency { required_ns, achieved_ns, .. } => {
-                assert_eq!(*required_ns, 200.0);
-                assert!(*achieved_ns > 2_000.0);
+        let props = PropertySet::new()
+            .with_latency(LatencyClass::Low)
+            .with_mode(AccessMode::Async);
+        match unmet(&topo, ids.cpu, ids.far, &props)[..] {
+            [Unmet::Latency {
+                required_ns,
+                achieved_ns,
+            }] => {
+                assert_eq!(required_ns, 200.0);
+                assert!(achieved_ns > 2_000.0);
             }
-            other => panic!("expected latency violation, got {other:?}"),
+            ref other => panic!("expected one latency violation, got {other:?}"),
         }
     }
 
     #[test]
     fn bandwidth_breach_is_flagged() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::default();
         let props = PropertySet::new().with_bandwidth(BandwidthClass::High);
-        a.check_placement(&topo, ids.cpu, RegionId(3), ids.pmem, &props);
-        assert!(a
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::Bandwidth { .. })));
+        assert!(matches!(
+            unmet(&topo, ids.cpu, ids.pmem, &props)[..],
+            [Unmet::Bandwidth { .. }]
+        ));
     }
 
     #[test]
     fn coherent_outside_domain_is_flagged() {
         let (topo, ids) = single_server();
-        let mut a = Auditor::default();
         let props = PropertySet::new()
             .coherent(true)
-            .with_mode(disagg_region::props::AccessMode::Async);
-        a.check_placement(&topo, ids.cpu, RegionId(4), ids.far, &props);
-        assert!(a
-            .violations
-            .iter()
-            .any(|v| matches!(v, Violation::Coherence { .. })));
+            .with_mode(AccessMode::Async);
+        assert_eq!(unmet(&topo, ids.cpu, ids.far, &props), [Unmet::Coherence]);
     }
 
     #[test]
-    fn denials_count_as_enforcement_not_breach() {
-        let mut a = Auditor::default();
-        a.record_denial(RegionId(5), Some(1), Some(2));
+    fn the_audit_judges_by_the_placement_rule() {
+        // Synchronous access to an async-only device: the condition the
+        // audit used to skip while placement filtered on it.
+        let (topo, ids) = single_server();
         assert_eq!(
-            a.violations,
-            [Violation::ConfidentialAccessDenied {
-                region: RegionId(5),
-                owner_job: Some(1),
-                accessor_job: Some(2),
-            }],
-            "a denial is reported once, as what it is"
+            unmet(&topo, ids.cpu, ids.far, &PropertySet::new()),
+            [Unmet::SyncAccess]
         );
+        // Audit and filter agree on every device of the server.
+        let props = PropertySet::new().with_latency(LatencyClass::Medium);
+        for dev in topo.mem_ids() {
+            let path = topo
+                .path(ids.cpu, dev)
+                .expect("the CPU reaches every device");
+            let feasible = props.satisfied_by(topo.mem(dev), path);
+            assert_eq!(
+                unmet(&topo, ids.cpu, dev, &props).is_empty(),
+                feasible,
+                "{dev}"
+            );
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   devices with per-device parallelism.
 //! - [`lifetime`]: output→input handover (ownership transfer vs copy) and
 //!   release-on-last-owner cleanup (Challenge 3; Figure 4).
-//! - [`enforce`]: placement auditing, confidential-access denial
-//!   accounting, and the trust-boundary encryption rule.
+//! - [`enforce`]: the placement audit and the trust-boundary encryption
+//!   rule.
 
 pub mod cost;
 pub mod enforce;
@@ -26,7 +26,7 @@ pub mod placement;
 pub mod schedule;
 
 pub use cost::{CostModel, TopologyAwareness};
-pub use enforce::{needs_encryption, xor_cipher, Auditor, Violation};
+pub use enforce::{check_placement, needs_encryption, xor_cipher, Violation};
 pub use lifetime::{HandoverOutcome, HandoverPolicy, LifetimeManager};
-pub use placement::{PlacementDecision, PlacementEngine, PlacementPolicy};
+pub use placement::{PlacementEngine, PlacementPolicy};
 pub use schedule::{SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};

@@ -13,7 +13,8 @@
 //!   bytes are copied at full transfer cost.
 //!
 //! The copy's allocation and the source's release go through the
-//! [`RegionManager`]'s traced path, like every allocation in a run.
+//! [`RegionManager`]'s traced path, like every allocation in a run, and
+//! the copy's placement is audited like every other.
 
 use disagg_hwsim::calibration;
 use disagg_hwsim::contention::BandwidthLedger;
@@ -26,6 +27,7 @@ use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionError, RegionManager};
 use disagg_region::typed::RegionType;
 
+use crate::enforce::{check_placement, Violation};
 use crate::placement::PlacementEngine;
 
 /// Handover strategy (the E7 ablation switch).
@@ -80,6 +82,7 @@ impl LifetimeManager {
         ledger: &mut BandwidthLedger,
         trace: &mut Trace,
         engine: &mut PlacementEngine,
+        violations: &mut Vec<Violation>,
         region: RegionId,
         from: OwnerId,
         to: OwnerId,
@@ -113,6 +116,7 @@ impl LifetimeManager {
             ledger,
             trace,
             engine,
+            violations,
             region,
             Some(from),
             to,
@@ -122,10 +126,11 @@ impl LifetimeManager {
     }
 
     /// Copies a region's contents into a fresh region placed for
-    /// `consumer_compute` and owned by `to`. If `release_from` is set, the
-    /// source region is released by that owner afterwards. Used for the
-    /// copy path of handover and for fan-out edges beyond the first
-    /// consumer (who got the transfer).
+    /// `consumer_compute` and owned by `to`, auditing the placement into
+    /// `violations` (the copy keeps its source's properties). If
+    /// `release_from` is set, the source region is released by that owner
+    /// afterwards. Used for the copy path of handover and for fan-out
+    /// edges beyond the first consumer (who got the transfer).
     #[allow(clippy::too_many_arguments)]
     pub fn copy_to(
         &self,
@@ -134,6 +139,7 @@ impl LifetimeManager {
         ledger: &mut BandwidthLedger,
         trace: &mut Trace,
         engine: &mut PlacementEngine,
+        violations: &mut Vec<Violation>,
         region: RegionId,
         release_from: Option<OwnerId>,
         to: OwnerId,
@@ -150,7 +156,9 @@ impl LifetimeManager {
                 consumer: consumer_compute,
                 size: placement.size,
             })?;
-        let new = mgr.alloc_traced(trace, dst_dev, placement.size, RegionType::Input, props, to, now)?;
+        let input = RegionType::Input;
+        let new = mgr.alloc_traced(trace, dst_dev, placement.size, input, props.clone(), to, now)?;
+        check_placement(topo, consumer_compute, new, dst_dev, &props, violations);
 
         // Real byte copy of whatever the source ever had written.
         mgr.copy_contents(region, new)?;
@@ -212,7 +220,7 @@ mod tests {
         mgr.write(out, P, 0, &[0xEE; 64]).unwrap();
 
         let o = lm
-            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, ids.gpu, SimTime::ZERO)
+            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, P, C, ids.gpu, SimTime::ZERO)
             .unwrap();
         assert!(o.transferred);
         assert_eq!(o.bytes_copied, 0);
@@ -238,7 +246,7 @@ mod tests {
         mgr.write(out, P, 0, &[0xAB; 32]).unwrap();
 
         let o = lm
-            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, ids.cpu, SimTime::ZERO)
+            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, P, C, ids.cpu, SimTime::ZERO)
             .unwrap();
         assert!(!o.transferred);
         assert_eq!(o.bytes_copied, 1 << 20);
@@ -298,7 +306,7 @@ mod tests {
             .unwrap();
         mgr.write(out, P, 0, &[7; 8]).unwrap();
         let o = lm
-            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, cpu1, SimTime::ZERO)
+            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, P, C, cpu1, SimTime::ZERO)
             .unwrap();
         assert!(!o.transferred, "cpu1 cannot address d0; must copy");
         assert_eq!(mgr.placement(o.region).unwrap().dev, d1);
@@ -324,7 +332,7 @@ mod tests {
             .unwrap();
 
         let err = lm
-            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, cpu1, SimTime::ZERO)
+            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, P, C, cpu1, SimTime::ZERO)
             .unwrap_err();
         assert_eq!(err, RegionError::NoPlacement { region: out, consumer: cpu1, size: 4096 });
         let msg = err.to_string();
@@ -353,12 +361,12 @@ mod tests {
         // First consumer gets the transfer…
         let c2 = OwnerId::Task { job: 0, task: 2 };
         let o1 = lm
-            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, rack.cpus[0], SimTime::ZERO)
+            .handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, P, C, rack.cpus[0], SimTime::ZERO)
             .unwrap();
         assert!(o1.transferred);
         // …the second gets an independent copy (no release of the source).
         let o2 = lm
-            .copy_to(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, None, c2, rack.cpus[1], SimTime::ZERO)
+            .copy_to(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, None, c2, rack.cpus[1], SimTime::ZERO)
             .unwrap();
         assert!(!o2.transferred);
         assert!(mgr.is_live(out));
@@ -381,7 +389,7 @@ mod tests {
         let out = mgr
             .alloc(ids.dram, 4096, RegionType::Output, PropertySet::new(), P, SimTime::ZERO)
             .unwrap();
-        lm.handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, out, P, C, ids.gpu, SimTime::ZERO)
+        lm.handover(&mut mgr, &topo, &mut ledger, &mut trace, &mut engine, &mut Vec::new(), out, P, C, ids.gpu, SimTime::ZERO)
             .unwrap();
         assert_eq!(mgr.live_count(), 4);
         // The producer's exit frees its three scratch regions; the output it

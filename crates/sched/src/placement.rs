@@ -39,21 +39,6 @@ pub enum PlacementPolicy {
     FirstFit,
 }
 
-/// A placement decision trace entry (for the audit log).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementDecision {
-    /// The executing compute device the request was resolved against.
-    pub compute: ComputeId,
-    /// Requested size.
-    pub size: u64,
-    /// Chosen device.
-    pub dev: MemDeviceId,
-    /// The cost-model score of the chosen device.
-    pub score: f64,
-    /// How many devices were feasible.
-    pub feasible: usize,
-}
-
 /// What a [`ScoreTable`] row is keyed on: the executing device, the
 /// request size, and every [`PropertySet`] field
 /// [`CostModel::static_score`] reads (`confidential` is not one). The
@@ -153,8 +138,6 @@ pub struct PlacementEngine {
     model: CostModel,
     /// Active policy.
     pub policy: PlacementPolicy,
-    /// Decision log (cleared by the caller between runs as needed).
-    pub decisions: Vec<PlacementDecision>,
     table: ScoreTable,
     /// `choose_shared`'s row offsets, one per accessor (accessor lists
     /// are not deduplicated and have no fixed bound).
@@ -183,14 +166,6 @@ impl PlacementEngine {
     }
 
     /// Chooses a device for a request from a single compute device.
-    ///
-    /// One streaming pass over the devices instead of building and
-    /// sorting a ranked `Vec` per call (this sits under every region
-    /// allocation): each policy's pick is a running extremum over the
-    /// feasible set, reproducing exactly what the former
-    /// rank-then-select computed. Devices are visited in id order, so
-    /// "keep the earlier on ties" selects the smaller id (the sort's
-    /// tie-break) and "replace on ties" the larger.
     pub fn choose(
         &mut self,
         topo: &Topology,
@@ -199,6 +174,41 @@ impl PlacementEngine {
         props: &PropertySet,
         size: u64,
     ) -> Option<MemDeviceId> {
+        self.pick(topo, pool, compute, props, size).map(|(dev, _)| dev)
+    }
+
+    /// Chooses a device for a region that several compute devices will
+    /// touch (a producer's output and its consumers): every listed device
+    /// must be able to address it, and the summed cost is minimized. This
+    /// is what makes output→input handover an ownership transfer.
+    pub fn choose_shared(
+        &mut self,
+        topo: &Topology,
+        pool: &MemoryPool,
+        computes: &[ComputeId],
+        props: &PropertySet,
+        size: u64,
+    ) -> Option<MemDeviceId> {
+        self.pick_shared(topo, pool, computes, props, size).map(|(dev, _)| dev)
+    }
+
+    /// [`choose`](Self::choose)'s device and its score.
+    ///
+    /// One streaming pass over the devices instead of building and
+    /// sorting a ranked `Vec` per call (this sits under every region
+    /// allocation): each policy's pick is a running extremum over the
+    /// feasible set, reproducing exactly what the former
+    /// rank-then-select computed. Devices are visited in id order, so
+    /// "keep the earlier on ties" selects the smaller id (the sort's
+    /// tie-break) and "replace on ties" the larger.
+    fn pick(
+        &mut self,
+        topo: &Topology,
+        pool: &MemoryPool,
+        compute: ComputeId,
+        props: &PropertySet,
+        size: u64,
+    ) -> Option<(MemDeviceId, f64)> {
         use std::cmp::Ordering;
 
         let locals = match self.policy {
@@ -207,7 +217,6 @@ impl PlacementEngine {
         };
         self.table.prepare(topo, 1);
         let row = self.table.row(&self.model, topo, compute, props, size);
-        let mut feasible = 0usize;
         // Minimum (score, id): Declarative's pick and everyone's fallback.
         let mut best: Option<(MemDeviceId, f64)> = None;
         // Maximum (score, id): WorstFeasible's pick.
@@ -225,7 +234,6 @@ impl PlacementEngine {
                 continue;
             };
             let score = self.model.finish(cell, pool.utilization(dev));
-            feasible += 1;
             if first.is_none() {
                 first = Some((dev, score));
             }
@@ -241,34 +249,24 @@ impl PlacementEngine {
                 best_local = Some((dev, score));
             }
         }
-        let (dev, score) = match self.policy {
-            PlacementPolicy::Declarative => best?,
-            PlacementPolicy::WorstFeasible => worst?,
-            PlacementPolicy::FirstFit => first?,
-            PlacementPolicy::ComputeCentric => best_local.or(best)?,
-        };
-        self.decisions.push(PlacementDecision {
-            compute,
-            size,
-            dev,
-            score,
-            feasible,
-        });
-        Some(dev)
+        match self.policy {
+            PlacementPolicy::Declarative => best,
+            PlacementPolicy::WorstFeasible => worst,
+            PlacementPolicy::FirstFit => first,
+            PlacementPolicy::ComputeCentric => best_local.or(best),
+        }
     }
 
-    /// Chooses a device for a region that several compute devices will
-    /// touch (a producer's output and its consumers): every listed device
-    /// must be able to address it, and the summed cost is minimized. This
-    /// is what makes output→input handover an ownership transfer.
-    pub fn choose_shared(
+    /// [`choose_shared`](Self::choose_shared)'s device and its summed
+    /// score.
+    fn pick_shared(
         &mut self,
         topo: &Topology,
         pool: &MemoryPool,
         computes: &[ComputeId],
         props: &PropertySet,
         size: u64,
-    ) -> Option<MemDeviceId> {
+    ) -> Option<(MemDeviceId, f64)> {
         assert!(!computes.is_empty(), "choose_shared needs at least one accessor");
         self.table.prepare(topo, computes.len());
         self.shared_rows.clear();
@@ -277,7 +275,6 @@ impl PlacementEngine {
             self.shared_rows.push(row);
         }
         let mut best: Option<(MemDeviceId, f64)> = None;
-        let mut feasible = 0usize;
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
@@ -298,7 +295,6 @@ impl PlacementEngine {
             if !ok {
                 continue;
             }
-            feasible += 1;
             let better = match (self.policy, best) {
                 (_, None) => true,
                 (PlacementPolicy::WorstFeasible, Some((_, b))) => total > b,
@@ -308,15 +304,7 @@ impl PlacementEngine {
                 best = Some((dev, total));
             }
         }
-        let (dev, score) = best?;
-        self.decisions.push(PlacementDecision {
-            compute: computes[0],
-            size,
-            dev,
-            score,
-            feasible,
-        });
-        Some(dev)
+        best
     }
 }
 
@@ -352,14 +340,10 @@ mod tests {
         let mut best = PlacementEngine::new(PlacementPolicy::Declarative);
         let mut worst = PlacementEngine::new(PlacementPolicy::WorstFeasible);
         let props = PropertySet::new().with_hint(AccessHint::random_reads());
-        let b = best.choose(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
-        let w = worst.choose(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
+        let (b, b_score) = best.pick(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
+        let (w, w_score) = worst.pick(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
         assert_ne!(b, w);
-        assert_eq!(
-            best.decisions[0].feasible, worst.decisions[0].feasible,
-            "same feasibility set, different pick"
-        );
-        assert!(worst.decisions[0].score > best.decisions[0].score);
+        assert!(w_score > b_score);
     }
 
     #[test]
@@ -406,7 +390,6 @@ mod tests {
             .persistent(true)
             .with_latency(LatencyClass::Low);
         assert!(eng.choose(&topo, &pool, ids.cpu, &props, 64).is_none());
-        assert!(eng.decisions.is_empty());
     }
 
     #[test]
@@ -457,7 +440,7 @@ mod tests {
         assert_eq!(dev, ids.cache);
     }
 
-    /// `choose` as it was before the score table — a scan over
+    /// `pick` as it was before the score table — a scan over
     /// [`CostModel::score`] — kept as the oracle.
     fn reference_choose(
         model: &CostModel,
@@ -467,10 +450,9 @@ mod tests {
         compute: ComputeId,
         props: &PropertySet,
         size: u64,
-    ) -> Option<PlacementDecision> {
+    ) -> Option<(MemDeviceId, f64)> {
         use std::cmp::Ordering;
         let locals = &topo.compute(compute).local_mem;
-        let mut feasible = 0usize;
         let (mut best, mut worst, mut first, mut best_local) = (None, None, None, None);
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
@@ -480,7 +462,6 @@ mod tests {
             else {
                 continue;
             };
-            feasible += 1;
             if first.is_none() {
                 first = Some((dev, score));
             }
@@ -496,16 +477,15 @@ mod tests {
                 best_local = Some((dev, score));
             }
         }
-        let (dev, score) = match policy {
-            PlacementPolicy::Declarative => best?,
-            PlacementPolicy::WorstFeasible => worst?,
-            PlacementPolicy::FirstFit => first?,
-            PlacementPolicy::ComputeCentric => best_local.or(best)?,
-        };
-        Some(PlacementDecision { compute, size, dev, score, feasible })
+        match policy {
+            PlacementPolicy::Declarative => best,
+            PlacementPolicy::WorstFeasible => worst,
+            PlacementPolicy::FirstFit => first,
+            PlacementPolicy::ComputeCentric => best_local.or(best),
+        }
     }
 
-    /// `choose_shared` before the score table.
+    /// `pick_shared` before the score table.
     fn reference_choose_shared(
         model: &CostModel,
         policy: PlacementPolicy,
@@ -514,9 +494,8 @@ mod tests {
         computes: &[ComputeId],
         props: &PropertySet,
         size: u64,
-    ) -> Option<PlacementDecision> {
+    ) -> Option<(MemDeviceId, f64)> {
         let mut best: Option<(MemDeviceId, f64)> = None;
-        let mut feasible = 0usize;
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
@@ -535,7 +514,6 @@ mod tests {
             if !ok {
                 continue;
             }
-            feasible += 1;
             let better = match (policy, best) {
                 (_, None) => true,
                 (PlacementPolicy::WorstFeasible, Some((_, b))) => total > b,
@@ -545,8 +523,7 @@ mod tests {
                 best = Some((dev, total));
             }
         }
-        let (dev, score) = best?;
-        Some(PlacementDecision { compute: computes[0], size, dev, score, feasible })
+        best
     }
 
     fn random_props(rng: &mut SimRng, size: u64) -> PropertySet {
@@ -637,11 +614,10 @@ mod tests {
                             } else {
                                 random_props(&mut rng, size)
                             };
-                            let logged = eng.decisions.len();
                             let (got, want) = if rng.chance(0.5) {
                                 let c = *rng.pick(&computes);
                                 (
-                                    eng.choose(topo, &pool, c, &props, size),
+                                    eng.pick(topo, &pool, c, &props, size),
                                     reference_choose(&eng.model, policy, topo, &pool, c, &props, size),
                                 )
                             } else {
@@ -650,37 +626,23 @@ mod tests {
                                     .map(|_| *rng.pick(&computes))
                                     .collect();
                                 (
-                                    eng.choose_shared(topo, &pool, &list, &props, size),
+                                    eng.pick_shared(topo, &pool, &list, &props, size),
                                     reference_choose_shared(
                                         &eng.model, policy, topo, &pool, &list, &props, size,
                                     ),
                                 )
                             };
-                            assert_eq!(got, want.as_ref().map(|d| d.dev), "{what} step {step}");
+                            let bits =
+                                |p: Option<(MemDeviceId, f64)>| p.map(|(d, s)| (d, s.to_bits()));
+                            assert_eq!(bits(got), bits(want), "{what} step {step}");
                             match want {
-                                None => {
-                                    refused += 1;
-                                    assert_eq!(eng.decisions.len(), logged, "{what} step {step}");
-                                }
-                                Some(want) => {
+                                None => refused += 1,
+                                Some((dev, _)) => {
                                     placed += 1;
-                                    let d = eng.decisions.last().unwrap();
-                                    assert_eq!(eng.decisions.len(), logged + 1);
-                                    assert_eq!(
-                                        (d.compute, d.size, d.dev, d.score.to_bits(), d.feasible),
-                                        (
-                                            want.compute,
-                                            want.size,
-                                            want.dev,
-                                            want.score.to_bits(),
-                                            want.feasible
-                                        ),
-                                        "{what} step {step}"
-                                    );
                                     // (A fragmented arena may refuse what
                                     // its free total would hold.)
                                     if size > 0 && rng.chance(0.5) {
-                                        held.extend(pool.alloc(want.dev, size));
+                                        held.extend(pool.alloc(dev, size));
                                     }
                                 }
                             }
@@ -703,15 +665,11 @@ mod tests {
         // lookups of one placement, whose first offset must stay good.
         eng.choose(&topo, &pool, ids.cpu, &props, 1 << 40);
         for size in 1..=3 * ScoreTable::MAX_ROWS as u64 {
-            let got = eng.choose_shared(&topo, &pool, &both, &props, size);
+            let got = eng.pick_shared(&topo, &pool, &both, &props, size);
             let want =
                 reference_choose_shared(&eng.model, eng.policy, &topo, &pool, &both, &props, size);
-            assert_eq!(got, want.as_ref().map(|d| d.dev), "size {size}");
-            assert_eq!(
-                eng.decisions.last().map(|d| d.score.to_bits()),
-                want.map(|d| d.score.to_bits()),
-                "size {size}"
-            );
+            let bits = |p: Option<(MemDeviceId, f64)>| p.map(|(d, s)| (d, s.to_bits()));
+            assert_eq!(bits(got), bits(want), "size {size}");
             assert!(eng.table.rows.len() <= ScoreTable::MAX_ROWS);
             assert_eq!(eng.table.cells.len(), eng.table.rows.len() * topo.mem_devices().len());
         }
@@ -731,21 +689,8 @@ mod tests {
             for c in topo.compute_ids() {
                 let got = eng.choose(topo, &pool, c, &props, 4096);
                 let want = reference_choose(&eng.model, eng.policy, topo, &pool, c, &props, 4096);
-                assert_eq!(got, want.map(|d| d.dev));
+                assert_eq!(got, want.map(|(d, _)| d));
             }
         }
-    }
-
-    #[test]
-    fn decision_log_captures_context() {
-        let (topo, ids) = single_server();
-        let pool = MemoryPool::new(&topo);
-        let mut eng = PlacementEngine::new(PlacementPolicy::Declarative);
-        eng.choose(&topo, &pool, ids.cpu, &PropertySet::new(), 4096).unwrap();
-        assert_eq!(eng.decisions.len(), 1);
-        let d = &eng.decisions[0];
-        assert_eq!(d.compute, ids.cpu);
-        assert_eq!(d.size, 4096);
-        assert!(d.feasible >= 1);
     }
 }

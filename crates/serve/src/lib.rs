@@ -332,28 +332,15 @@ impl ServeLayer {
             .sum();
 
         // The run's one set of books: a record per request, pushed at
-        // admission and completed when its epoch has executed, and the
-        // per-tenant tallies kept in step with them.
-        let slo_for = |tenant: usize| -> Option<Slo> {
-            cfg.tenant_slos
-                .iter()
-                .find(|(t, _)| *t == tenant)
-                .map(|(_, s)| *s)
-                .or(cfg.slo)
-        };
-        let mut tenants: Vec<TenantStats> = (0..cfg.tenants)
-            .map(|tenant| TenantStats {
-                tenant,
-                offered: 0,
-                admitted: 0,
-                rejected: 0,
-                shed: 0,
-                fast_failed: 0,
-                degraded: 0,
-                p50: SimDuration::ZERO,
-                p99: SimDuration::ZERO,
-                slo: slo_for(tenant),
-                slo_met: true,
+        // admission and completed when its epoch has executed. The
+        // per-tenant stats are read off them when the run is over.
+        let slos: Vec<Option<Slo>> = (0..cfg.tenants)
+            .map(|tenant| {
+                cfg.tenant_slos
+                    .iter()
+                    .find(|(t, _)| *t == tenant)
+                    .map(|(_, s)| *s)
+                    .or(cfg.slo)
             })
             .collect();
         let mut records: Vec<RequestRecord> = Vec::with_capacity(cfg.requests);
@@ -384,11 +371,9 @@ impl ServeLayer {
                 let arrival_abs = t0 + req.arrival;
                 let svc = est_service[req.tenant % est_service.len()];
                 let template = &self.templates[req.tenant % self.templates.len()];
-                let ts = &mut tenants[req.tenant];
-                ts.offered += 1;
                 let mut degrade = browned[req.tenant] && template.degraded.is_some();
                 let verdict = 'admit: {
-                    if let (true, Some(slo)) = (control, ts.slo) {
+                    if let (true, Some(slo)) = (control, slos[req.tenant]) {
                         quotas.release_until(arrival_abs);
                         let depth = quotas.inflight(req.tenant);
                         // Latency budget already burned waiting for this
@@ -444,23 +429,12 @@ impl ServeLayer {
                     // Until its epoch has run and says otherwise.
                     Verdict::Completed
                 };
-                let admitted = verdict == Verdict::Completed;
-                match verdict {
-                    Verdict::Shed => ts.shed += 1,
-                    Verdict::Rejected => ts.rejected += 1,
-                    _ => {
-                        ts.admitted += 1;
-                        ts.degraded += usize::from(degrade);
-                    }
-                }
                 records.push(RequestRecord {
-                    index: req.index,
                     tenant: req.tenant,
                     arrival: req.arrival,
-                    admitted,
                     latency: None,
                     verdict,
-                    degraded: admitted && degrade,
+                    degraded: verdict.admitted() && degrade,
                 });
             }
             if jobs.is_empty() {
@@ -496,7 +470,6 @@ impl ServeLayer {
                 let room = |first: usize| first * rest + first * rest / 4;
                 rt.reserve_trace(room(rt.trace().len() - trace_mark));
                 run_acc.tasks.reserve_exact(room(run_acc.tasks.len()));
-                run_acc.placements.reserve_exact(room(run_acc.placements.len()));
                 run_acc.edges.reserve_exact(room(run_acc.edges.len()));
             }
 
@@ -507,17 +480,12 @@ impl ServeLayer {
             ran.fill(0);
             bad.fill(0);
             for rec in &records[epoch_records..] {
-                let ts = &mut tenants[rec.tenant];
                 let missed = match rec.verdict {
                     Verdict::Rejected => continue,
-                    Verdict::Shed => true,
-                    Verdict::FastFailed => {
-                        ts.fast_failed += 1;
-                        true
-                    }
+                    Verdict::Shed | Verdict::FastFailed => true,
                     Verdict::Completed => {
                         let lat = rec.latency.expect("a job that did not fail ran its tasks");
-                        ts.slo.is_some_and(|slo| lat > slo.p99)
+                        slos[rec.tenant].is_some_and(|slo| lat > slo.p99)
                     }
                 };
                 ran[rec.tenant] += 1;
@@ -536,14 +504,7 @@ impl ServeLayer {
             }
         }
 
-        for ts in &mut tenants {
-            (ts.p50, ts.p99) =
-                report::sojourn_quantiles(records.iter().filter(|r| r.tenant == ts.tenant));
-            ts.slo_met = match ts.slo {
-                Some(slo) if ts.admitted > 0 => ts.p50 <= slo.p50 && ts.p99 <= slo.p99,
-                _ => true,
-            };
-        }
+        let tenants = report::tenant_stats(&records, &slos);
 
         // Everything below reads this run's own slice of the trace
         // (empty when the runtime does not trace).
@@ -557,12 +518,7 @@ impl ServeLayer {
         // against each tenant's p99.
         let spans = disagg_obs::assemble_request_spans(events);
         let tail = disagg_obs::tail_attribution(&spans);
-        let slo_of = |tenant: u64| {
-            tenants
-                .get(tenant as usize)
-                .and_then(|ts| ts.slo)
-                .map(|slo| slo.p99)
-        };
+        let slo_of = |tenant: u64| slos.get(tenant as usize).copied().flatten().map(|slo| slo.p99);
         let burn = disagg_obs::slo_burn_by(&spans, BURN_WINDOWS, slo_of);
 
         Ok(ServeReport {
@@ -580,7 +536,6 @@ impl ServeLayer {
             spans,
             tail_attribution: tail,
             burn,
-            breaker_transitions: rt.breaker_transitions().to_vec(),
             run: run_acc,
         })
     }
@@ -1021,7 +976,6 @@ mod tests {
             spans: Vec::new(),
             tail_attribution: Vec::new(),
             burn: Vec::new(),
-            breaker_transitions: Vec::new(),
             run: RunReport::default(),
         };
         assert_eq!(r.goodput(), 5);

@@ -5,7 +5,6 @@
 //! bit-for-bit identical [`ServeReport`] on every execution — latency
 //! SLOs included.
 
-use disagg_core::breaker::BreakerTransition;
 use disagg_core::report::RunReport;
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::{nearest_rank, RequestSpan, TenantAttribution, TenantBurn};
@@ -34,17 +33,22 @@ pub enum Verdict {
     FastFailed,
 }
 
-/// One request's fate.
+impl Verdict {
+    /// Whether admission let the request through: it completed or
+    /// failed fast.
+    pub fn admitted(self) -> bool {
+        matches!(self, Verdict::Completed | Verdict::FastFailed)
+    }
+}
+
+/// One request's fate; its position in [`ServeReport::requests`] is its
+/// position in the arrival sequence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestRecord {
-    /// Position in the arrival sequence.
-    pub index: usize,
     /// The tenant that issued it.
     pub tenant: usize,
     /// Arrival offset relative to the serving run's start.
     pub arrival: SimDuration,
-    /// Whether admission let it through.
-    pub admitted: bool,
     /// Sojourn time (arrival → last task finish); `None` unless the
     /// request completed.
     pub latency: Option<SimDuration>,
@@ -56,8 +60,9 @@ pub struct RequestRecord {
     pub degraded: bool,
 }
 
-/// Per-tenant serving outcome.
-#[derive(Debug, Clone, PartialEq)]
+/// Per-tenant serving outcome, read off the request records when the
+/// run is over.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantStats {
     /// Tenant index (Zipf rank: tenant 0 is the hottest).
     pub tenant: usize,
@@ -142,35 +147,69 @@ pub struct ServeReport {
     /// good/bad counts against each tenant's p99 SLO). Empty without a
     /// trace or when no tenant carries an SLO.
     pub burn: Vec<TenantBurn>,
-    /// Every circuit-breaker transition the runtime committed during
-    /// the run, in commit order. Empty when the runtime has no breaker
-    /// policy configured.
-    pub breaker_transitions: Vec<BreakerTransition>,
     /// The underlying executor report for the admitted batch.
     pub run: RunReport,
 }
 
-/// The p50 and p99 sojourn of the completed requests among `requests`:
-/// exact order statistics ([`nearest_rank`]) over the latencies the
-/// records hold; zero when none completed.
-pub(crate) fn sojourn_quantiles<'a>(
-    requests: impl Iterator<Item = &'a RequestRecord>,
-) -> (SimDuration, SimDuration) {
-    let mut lats: Vec<u64> = requests.filter_map(|r| r.latency).map(|l| l.as_nanos()).collect();
-    lats.sort_unstable();
-    let at = |p| nearest_rank(&lats, p).map_or(SimDuration::ZERO, SimDuration::from_nanos);
+/// The p50 and p99 of sorted sojourns in ns: exact order statistics
+/// ([`nearest_rank`]); zero when there are none.
+fn quantiles(sorted: &[u64]) -> (SimDuration, SimDuration) {
+    let at = |p| nearest_rank(sorted, p).map_or(SimDuration::ZERO, SimDuration::from_nanos);
     (at(0.50), at(0.99))
+}
+
+/// The p50 and p99 sojourn of the completed requests among `requests`.
+fn sojourn_quantiles(requests: &[RequestRecord]) -> (SimDuration, SimDuration) {
+    let mut lats: Vec<u64> =
+        requests.iter().filter_map(|r| r.latency).map(|l| l.as_nanos()).collect();
+    lats.sort_unstable();
+    quantiles(&lats)
+}
+
+/// The per-tenant books, read off the request records in one pass —
+/// the records are the run's one set of books: how many requests each
+/// tenant offered and how each was disposed of, and the p50/p99 of its
+/// completed requests held against `slos[tenant]`.
+pub(crate) fn tenant_stats(records: &[RequestRecord], slos: &[Option<Slo>]) -> Vec<TenantStats> {
+    let mut tenants: Vec<TenantStats> = slos
+        .iter()
+        .enumerate()
+        .map(|(tenant, &slo)| TenantStats { tenant, slo, ..TenantStats::default() })
+        .collect();
+    let mut lats: Vec<Vec<u64>> = vec![Vec::new(); slos.len()];
+    for r in records {
+        let ts = &mut tenants[r.tenant];
+        ts.offered += 1;
+        ts.admitted += usize::from(r.verdict.admitted());
+        ts.degraded += usize::from(r.degraded);
+        match r.verdict {
+            Verdict::Rejected => ts.rejected += 1,
+            Verdict::Shed => ts.shed += 1,
+            Verdict::FastFailed => ts.fast_failed += 1,
+            Verdict::Completed => {}
+        }
+        lats[r.tenant].extend(r.latency.map(|l| l.as_nanos()));
+    }
+    for (ts, mut lats) in tenants.iter_mut().zip(lats) {
+        lats.sort_unstable();
+        (ts.p50, ts.p99) = quantiles(&lats);
+        ts.slo_met = match ts.slo {
+            Some(slo) if ts.admitted > 0 => ts.p50 <= slo.p50 && ts.p99 <= slo.p99,
+            _ => true,
+        };
+    }
+    tenants
 }
 
 impl ServeReport {
     /// p50 sojourn across all completed requests.
     pub fn p50(&self) -> SimDuration {
-        sojourn_quantiles(self.requests.iter()).0
+        sojourn_quantiles(&self.requests).0
     }
 
     /// p99 sojourn across all completed requests.
     pub fn p99(&self) -> SimDuration {
-        sojourn_quantiles(self.requests.iter()).1
+        sojourn_quantiles(&self.requests).1
     }
 
     /// Requests that completed successfully (admitted minus fast-fails).

@@ -73,7 +73,7 @@ fn main() {
     println!("tiering pass migrated {} regions", moved.len());
 
     // Utilization per pool device.
-    for d in &report.devices {
+    for d in &rt.devices() {
         if d.peak_bytes > 0 {
             println!(
                 "  {:?}: peak {:.1}% of {} GiB",

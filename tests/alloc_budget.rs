@@ -27,8 +27,8 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 static BIG_REALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// A block this large is a run-wide buffer (the trace, the report's
-/// lists, the planner's decision log): growing it copies everything
-/// written so far.
+/// lists, the pool's slot table): growing it copies everything written
+/// so far.
 const BIG: usize = 256 << 10;
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -79,18 +79,19 @@ fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 /// Allocator calls per executed task allowed in a closed batch, with
-/// the jobs built beforehand (measured: 228 calls for 9 216 tasks,
+/// the jobs built beforehand (measured: 226 calls for 9 216 tasks,
 /// 0.025; 7.75 before the commit path stopped allocating).
 const BATCH_CALLS_PER_TASK: f64 = 0.031;
 /// The same for a traced serving run, end to end: request stream,
 /// template instantiation, planning, execution, span assembly
-/// (measured: 30 607 calls for 4 964 tasks, 6.17, most of it the
+/// (measured: 30 551 calls for 4 964 tasks, 6.15, most of it the
 /// template building its job; 7.78 while `Dag::new` took seven arrays
 /// and a name check a hash set, 14.5 before that).
 const SERVE_CALLS_PER_TASK: f64 = 7.7;
 /// Reallocations of [`BIG`] blocks allowed in that serving run
 /// (measured: 2 — the trace sized once after the first epoch, and the
-/// planner's decision log; 5 while the trace doubled its way up and the
+/// pool's slot table, which a wave's `MemoryPool::reserve` grows by
+/// doubling, once; 5 while the trace doubled its way up and the
 /// report's reservation fell short).
 const SERVE_BIG_REALLOCS: u64 = 2;
 

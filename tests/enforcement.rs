@@ -148,13 +148,18 @@ fn audit_counts_every_placement_in_a_run() {
             .private_scratch(4096)
             .global_scratch(4096)
             .output_bytes(4096)
-            .body(|_| Ok(())),
+            .body(|ctx| {
+                ctx.alloc(RegionType::GlobalScratch, PropertySet::new().persistent(true), 4096)?;
+                Ok(())
+            }),
     );
     let b = j.task(TaskSpec::new("b").body(|_| Ok(())));
     j.edge(a, b);
     let spec = j.global_state(4096).build().unwrap();
     let report = rt.execute(spec).unwrap();
-    // global state + scratch + gscratch + output = 4 placements audited.
-    assert_eq!(report.placements.len(), 4);
+    // global state + scratch + gscratch + output + the body's own
+    // region: five placements, each an `Alloc`, each audited.
+    let allocs = rt.trace().count(|e| matches!(e, disagg::hwsim::trace::TraceEvent::Alloc { .. }));
+    assert_eq!(allocs, 5);
     assert!(report.placements_clean());
 }

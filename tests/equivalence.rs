@@ -226,7 +226,7 @@ fn rack_scale_batch_matches_pre_refactor_golden() {
 
 /// The streaming observer sees the exact event sequence the buffered
 /// trace records: running the rack-scale golden workload with a
-/// [`CollectingObserver`] attached yields a stream whose FNV digest
+/// [`FullObserver`] attached yields a stream whose FNV digest
 /// equals the buffered trace's digest — which is itself pinned above in
 /// [`rack_scale_batch_matches_pre_refactor_golden`]. Observability is a
 /// view, not a fork.
@@ -235,7 +235,7 @@ fn streaming_observer_matches_buffered_trace() {
     use std::sync::{Arc, Mutex};
 
     let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
-    let sink = Arc::new(Mutex::new(CollectingObserver::default()));
+    let sink = Arc::new(Mutex::new(FullObserver::new()));
     let mut rt = Runtime::new(
         topo,
         RuntimeConfig::traced()
@@ -298,7 +298,7 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
     // buffered trace, and a non-empty metrics snapshot.
     let full = sink.lock().unwrap();
     assert_eq!(full.events.len(), rt.trace().events().len());
-    assert!(full.metrics().is_some_and(|m| !m.is_empty()));
+    assert!(!full.registry.snapshot().is_empty());
 }
 
 #[test]
@@ -327,7 +327,7 @@ fn assert_untraced_reports_the_same(
             r.bytes_ownership_transferred,
             r.ownership_transfers,
             r.handover_copies,
-            r.devices,
+            rt.devices(),
         )
     };
     let traced = aggregates(workload(RuntimeConfig::traced()));
