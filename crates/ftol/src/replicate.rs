@@ -6,6 +6,14 @@
 //! nearest live replica; losing a replica triggers re-replication from a
 //! survivor. The erasure-coded alternative lives in [`crate::stripe`];
 //! experiment E12 compares the two, reproducing the Carbink trade-off.
+//!
+//! The amplification is the model's, charged in virtual time; the host
+//! follows [`crate::stripe`]'s rule, *move each byte once*. Replicas are
+//! pool regions of one size, so a whole-region write lands in the first
+//! live replica and is copied to the others with `copy_contents`, which
+//! for dense replicas shares the buffer instead (the pool's copy-on-write
+//! backing, see [`disagg_region::pool`]); a recovered replica shares its
+//! survivor's the same way. A partial write still writes each replica.
 
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::device::{AccessOp, AccessPattern};
@@ -75,7 +83,9 @@ impl ReplicatedRegion {
 
     /// Writes to *all* live replicas (replication writes are mirrored).
     /// The write completes when the slowest replica acknowledges; total
-    /// bytes written are amplified N×.
+    /// bytes written are amplified N×. On the host a whole-region write
+    /// lands once: the first live replica takes the bytes and the others
+    /// share its buffer until one of them is written again.
     #[allow(clippy::too_many_arguments)]
     pub fn write(
         &mut self,
@@ -93,8 +103,13 @@ impl ReplicatedRegion {
         }
         let mut slowest = SimDuration::ZERO;
         let bytes = data.len() as u64;
-        for &i in &alive {
-            mgr.write(self.replicas[i], self.owner, offset, data)?;
+        let whole = offset == 0 && bytes == self.size;
+        for (n, &i) in alive.iter().enumerate() {
+            if whole && n > 0 {
+                mgr.copy_contents(self.replicas[alive[0]], self.replicas[i])?;
+            } else {
+                mgr.write(self.replicas[i], self.owner, offset, data)?;
+            }
             slowest = slowest.max(charge_local(topo, ledger, self.devs[i], bytes, AccessOp::Write, now));
             self.bytes_written += bytes;
         }
@@ -183,8 +198,8 @@ impl ReplicatedRegion {
         }
         let sources = self.sources(mgr, faults, alive, 0, self.size, now);
         let src = *sources.first().ok_or(FtolError::AllReplicasDown)?;
-        // Allocate the new replica and copy the survivor's bytes: one
-        // pool-to-pool copy of what was ever written, no bounce buffer.
+        // Allocate the new replica and copy the survivor's bytes: the
+        // two share one buffer, so no byte moves on the host.
         let new = alloc_on(mgr, &[spare], self.size, self.owner, now)?[0];
         mgr.copy_contents(self.replicas[src], new)?;
         // The old replica's backing is gone with its device; drop our
@@ -419,6 +434,46 @@ mod tests {
             .unwrap();
         assert_eq!(ledger.stats(ResourceKey::Mem(clean)).bytes, size as f64);
         assert_eq!(ledger.stats(ResourceKey::Mem(tainted)).reservations, 0);
+    }
+
+    #[test]
+    fn a_whole_write_lands_once_and_the_other_replicas_share_it() {
+        let (topo, mut mgr, mut ledger, pool, _) = fixture();
+        let size = 8192;
+        let mut rr = ReplicatedRegion::create(&mut mgr, &topo, &pool[..3], size, OWNER, SimTime::ZERO)
+            .unwrap();
+        let paid = |mgr: &RegionManager| mgr.pool().bytes_materialized();
+        let none = FaultInjector::none();
+        rr.write(&mut mgr, &topo, &mut ledger, &none, 0, &[1u8; 8192], SimTime::ZERO)
+            .unwrap();
+        assert_eq!(paid(&mgr), size, "one buffer for three replicas");
+        assert_eq!(rr.bytes_written, 3 * size, "the model still amplifies");
+
+        // Replica 2's device fails: a whole write reaches the live two
+        // and leaves replica 2's bytes as they were.
+        let faults = FaultInjector::with_events(vec![disagg_hwsim::fault::FaultEvent {
+            at: SimTime(10),
+            kind: FaultKind::DeviceFail(rr.devs[2]),
+        }]);
+        rr.write(&mut mgr, &topo, &mut ledger, &faults, 0, &[2u8; 8192], SimTime(20))
+            .unwrap();
+        assert_eq!(paid(&mgr), 2 * size, "replica 0 un-shares once; replica 1 shares it");
+        // A partial write changes every live replica, there and only there.
+        rr.write(&mut mgr, &topo, &mut ledger, &faults, 100, &[3u8; 50], SimTime(30))
+            .unwrap();
+        assert_eq!(paid(&mgr), 3 * size, "the first writer of a shared buffer copies it");
+        let mut want = vec![2u8; 8192];
+        want[100..150].fill(3);
+        for &r in &rr.replicas[..2] {
+            assert!(mgr.bytes(r, OWNER).unwrap() == want);
+        }
+        assert!(mgr.bytes(rr.replicas[2], OWNER).unwrap() == [1u8; 8192]);
+
+        // Recovery shares the survivor's buffer: nothing materializes.
+        rr.recover(&mut mgr, &topo, &mut ledger, &faults, 2, pool[3], SimTime(40))
+            .unwrap();
+        assert_eq!(paid(&mgr), 3 * size);
+        assert!(mgr.bytes(rr.replicas[2], OWNER).unwrap() == want);
     }
 
     /// `a` and `b` agree to the nanosecond the ledger rounds a

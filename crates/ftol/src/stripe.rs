@@ -22,6 +22,11 @@
 //! write codes 100 columns, not `k × span_size` bytes); a degraded read
 //! serves surviving spans from the pool and decodes just the lost windows
 //! straight into the caller's buffer; recovery decodes the one lost span.
+//! Bytes computed whole are not copied again: parity encoded over every
+//! column, and a rebuilt span, become their span's backing
+//! ([`RegionManager::replace_contents`]). The same rule covers
+//! replication ([`crate::replicate`]): a whole-region write lands once
+//! and the other replicas share it.
 
 use disagg_hwsim::calibration;
 use disagg_hwsim::contention::BandwidthLedger;
@@ -220,7 +225,8 @@ impl StripedRegion {
     /// and their parity. Span I/O proceeds in parallel; the write
     /// completes with the slowest span. The model charges a full parity
     /// rewrite (Carbink re-encodes the span set); the host re-encodes only
-    /// the columns the write changed, straight from the pool's bytes. An
+    /// the columns the write changed, straight from the pool's bytes, and
+    /// parity encoded over every column becomes its span's buffer. An
     /// empty write changes nothing and costs nothing.
     pub fn write(
         &mut self,
@@ -252,8 +258,13 @@ impl StripedRegion {
                 .map(|i| Ok(&mgr.bytes(self.spans[i], self.owner)?[lo as usize..hi as usize]))
                 .collect::<Result<_, FtolError>>()?;
             let parity = self.rs.encode_slices(&columns)?;
-            for (p, bytes) in parity.iter().enumerate() {
-                mgr.write(self.spans[k + p], self.owner, lo, bytes)?;
+            for (p, bytes) in parity.into_iter().enumerate() {
+                let span = self.spans[k + p];
+                if hi - lo == self.span_size {
+                    mgr.replace_contents(span, self.owner, bytes)?;
+                } else {
+                    mgr.write(span, self.owner, lo, &bytes)?;
+                }
             }
         }
         // Parity arithmetic reads k spans and produces m spans.
@@ -357,7 +368,8 @@ impl StripedRegion {
 
     /// Rebuilds the span lost on `lost` onto `spare`: read `k` surviving
     /// spans a read would trust (alive and uncorrupted), decode the lost
-    /// one (and only it), write it. Returns the recovery duration.
+    /// one (and only it), write it — on the host, the decoded buffer
+    /// becomes the new span. Returns the recovery duration.
     #[allow(clippy::too_many_arguments)]
     pub fn recover(
         &mut self,
@@ -386,7 +398,7 @@ impl StripedRegion {
         let decode = self.arithmetic_cost(self.span_size);
 
         let new = alloc_on(mgr, &[spare], self.span_size, self.owner, now)?[0];
-        mgr.write(new, self.owner, 0, &rebuilt)?;
+        mgr.replace_contents(new, self.owner, rebuilt)?;
         let _ = mgr.release(self.spans[lost], self.owner);
         self.spans[lost] = new;
         self.devs[lost] = spare;
@@ -718,6 +730,44 @@ mod tests {
             .unwrap();
         let want = local(span, AccessOp::Read) + sr.arithmetic_cost(span);
         assert!(near(degraded, want), "degraded read {degraded} vs {want}");
+    }
+
+    #[test]
+    fn parity_computed_whole_and_rebuilt_spans_are_adopted_and_stay_consistent() {
+        let (topo, mut mgr, mut ledger, pool) = fixture(7);
+        let mut sr =
+            StripedRegion::create(&mut mgr, &topo, &pool[..6], 4000, 4, 2, OWNER, SimTime::ZERO)
+                .unwrap();
+        let rs = ReedSolomon::new(4, 2).unwrap();
+        let paid = |mgr: &RegionManager| mgr.pool().bytes_materialized();
+        let mut data = payload(4000);
+        sr.write(&mut mgr, &topo, &mut ledger, 0, &data, SimTime::ZERO).unwrap();
+        assert!(rs.verify(&span_bytes(&sr, &mgr)).unwrap());
+        assert_eq!(paid(&mgr), 6 * 1000, "every span once, parity adopted");
+
+        // A write into two spans' edges re-encodes 150 columns in place;
+        // one that covers every column adopts fresh parity again.
+        for (offset, len, adopted) in [(900, 150, 0), (500, 3000, 2 * 1000)] {
+            let before = paid(&mgr);
+            let patch = vec![offset as u8; len];
+            sr.write(&mut mgr, &topo, &mut ledger, offset as u64, &patch, SimTime(1)).unwrap();
+            data[offset..offset + len].copy_from_slice(&patch);
+            assert!(rs.verify(&span_bytes(&sr, &mgr)).unwrap(), "parity after [{offset}, +{len})");
+            assert_eq!(paid(&mgr) - before, adopted);
+        }
+
+        // Recovery decodes one span into the buffer that becomes it.
+        let faults = FaultInjector::with_events(vec![FaultEvent {
+            at: SimTime(5),
+            kind: FaultKind::DeviceFail(sr.devs[1]),
+        }]);
+        let before = paid(&mgr);
+        sr.recover(&mut mgr, &topo, &mut ledger, &faults, 1, pool[6], SimTime(10)).unwrap();
+        assert_eq!(paid(&mgr) - before, 1000, "exactly one span");
+        assert!(rs.verify(&span_bytes(&sr, &mgr)).unwrap());
+        let mut buf = vec![0u8; 4000];
+        sr.read(&mgr, &topo, &mut ledger, &faults, 0, &mut buf, SimTime(20)).unwrap();
+        assert_eq!(buf, data);
     }
 
     /// The six spans of `sr` as the codec sees them.

@@ -20,20 +20,51 @@
 //!   materializes nothing;
 //! - `copy_between` moves only materialized extents: an unwritten source
 //!   is zeros, so it costs nothing into an unwritten destination and a
-//!   `fill(0)` into a written one.
+//!   `fill(0)` into a written one;
+//! - and bytes move once: a dense buffer is copy-on-write, so
+//!   `copy_between` of a whole dense region into a dense region of the
+//!   same size shares it (O(1)) until either side is written, and
+//!   [`MemoryPool::adopt`] moves a buffer a caller computed a region's
+//!   bytes in (a parity row, a rebuilt span) in as its contents.
 //!
 //! "Materialized or not" is the only state; there is no dirty tracking.
 //! What still materializes is everything that really holds data: app
 //! task bodies and `Accessor` writes, contiguous views, and the
-//! replica/stripe regions of `disagg-ftol`. What no longer does is the
+//! replica/stripe regions of `disagg-ftol` — once per replica set, not
+//! once per replica. What no longer does is the
 //! synthetic output of a task body that only charges compute time, and
 //! every handover copy of it. The rule exists because the eager version
 //! was measured: one 48-request serving pass allocated ≈1 GiB of such
 //! outputs and copied ≈1.25 GiB of zeros between them, ≈80 % of the
-//! pass in the kernel. `vec![0; n]` is a `calloc`, which is free only
-//! while glibc serves it with fresh `mmap` pages; freeing a few large
-//! buffers raises glibc's dynamic mmap threshold (up to 32 MiB), after
-//! which the same callocs come from the brk heap and are `memset`.
+//! pass in the kernel.
+//!
+//! A materialized byte is not free, even when nothing reads it. The
+//! first 12 MiB `vec![0; n]` (a `calloc`) of a process is `mmap`ed;
+//! freeing it raises glibc's mmap threshold to its size and the trim
+//! threshold to twice that, so the same callocs on later passes come from
+//! the brk heap (their addresses sit in `[heap]` from the second pass
+//! on). They still fault, page by page, on every pass: a pass frees them
+//! together at the top of the heap, glibc gives the pages back to the
+//! kernel (inferred from the counts: fresh heap pages are not `memset`,
+//! they fault on first touch), and the next pass touches fresh ones.
+//! `ftol`'s durable phase alone, replayed against one 12 MiB payload
+//! (minor faults and ms per pass, medians of passes 6–30, x86-64, glibc
+//! 2.36), before and after replicas, copies and coded spans stopped
+//! materializing a buffer per region:
+//!
+//! | step | faults before | ms before | faults after | ms after |
+//! |---|---|---|---|---|
+//! | replica write (3 × 12 MiB, now 1 × 12 MiB shared) | 6 880 | 20.0 | 3 040 | 6.9 |
+//! | replica recover (a 12 MiB copy, now a share) | 3 072 | 9.0 | 0 | 0.0 |
+//! | striped write (4 data + 2 parity spans of 3 MiB) | 0 | 8.8 | 4 656 | 12.9 |
+//! | stripe recover (one 3 MiB span) | 0 | 3.7 | 768 | 4.0 |
+//! | freeing both managers | 0 | 2.9 | 0 | 0.0 |
+//! | the whole phase, reads included | 9 952 | 54.0 | 8 464 | 30.6 |
+//!
+//! Which step faults depends on what the heap held before it: with
+//! less retained, the striped write's spans now land on returned pages
+//! too. In the benchmark's full `apps_chaos` pass (apps first) the
+//! total fell 16 096 → 8 632 minor faults.
 //! [`MemoryPool::bytes_materialized`] counts what was paid for.
 //!
 //! # Hot-path layout
@@ -48,6 +79,7 @@
 //! per-page lookup at all.
 
 use std::cell::{Cell, OnceCell};
+use std::sync::Arc;
 
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::topology::Topology;
@@ -90,6 +122,16 @@ pub enum AllocError {
         /// The region's logical size.
         size: u64,
     },
+    /// A buffer offered as a region's whole contents is not the
+    /// region's size.
+    SizeMismatch {
+        /// The region.
+        region: RegionId,
+        /// Bytes in the buffer.
+        len: u64,
+        /// The region's logical size.
+        size: u64,
+    },
 }
 
 impl std::fmt::Display for AllocError {
@@ -105,6 +147,9 @@ impl std::fmt::Display for AllocError {
             }
             AllocError::OutOfBounds { region, len, size } => {
                 write!(f, "copy of {len} bytes exceeds region {region} of {size} bytes")
+            }
+            AllocError::SizeMismatch { region, len, size } => {
+                write!(f, "a buffer of {len} bytes cannot be region {region} of {size} bytes")
             }
         }
     }
@@ -218,12 +263,16 @@ const SPARSE_PAGE: u64 = 64 << 10;
 
 /// Backing storage for a region's bytes. Nothing is allocated until a
 /// write (or, for `Dense`, a contiguous view) needs it; bytes that were
-/// never materialized read as zero.
+/// never materialized read as zero. Every method that materializes
+/// bytes adds them to `paid`, the pool's running count.
 #[derive(Debug)]
 enum Backing {
     /// One contiguous buffer of `len` bytes (small regions), allocated
-    /// zeroed the first time it is written or viewed.
-    Dense { buf: OnceCell<Vec<u8>>, len: usize },
+    /// zeroed the first time it is written or viewed. Copy-on-write: a
+    /// whole-region copy into another dense region of the same size
+    /// hands it the same buffer, and whichever side writes first takes
+    /// a private copy (`Arc::make_mut`).
+    Dense { buf: OnceCell<Arc<Vec<u8>>>, len: usize },
     /// Lazily materialized pages; unmapped pages read as zero. The
     /// logical size lives in the pool's placement table.
     Sparse {
@@ -264,20 +313,39 @@ fn find_page(pages: &[(u64, Box<[u8]>)], cursor: &Cell<usize>, page: u64) -> Opt
     }
 }
 
+/// Adds `bytes` to a running count of materialized bytes.
+fn pay(paid: &Cell<u64>, bytes: u64) {
+    paid.set(paid.get() + bytes);
+}
+
+/// A dense buffer for reading: allocated zeroed if nothing has
+/// materialized it yet.
+fn dense<'a>(buf: &'a OnceCell<Arc<Vec<u8>>>, len: usize, paid: &Cell<u64>) -> &'a [u8] {
+    buf.get_or_init(|| {
+        pay(paid, len as u64);
+        Arc::new(vec![0u8; len])
+    })
+}
+
+/// A dense buffer for writing: allocated zeroed if nothing has
+/// materialized it yet, and copied first if another region shares it.
+fn dense_mut<'a>(buf: &'a mut OnceCell<Arc<Vec<u8>>>, len: usize, paid: &Cell<u64>) -> &'a mut [u8] {
+    dense(buf, len, paid);
+    let shared = buf.get_mut().expect("materialized above");
+    // The pool never makes a `Weak`, so the strong count alone says
+    // whether `make_mut` copies.
+    if Arc::strong_count(shared) > 1 {
+        pay(paid, len as u64);
+    }
+    Arc::make_mut(shared).as_mut_slice()
+}
+
 impl Backing {
     fn new(size: u64) -> Backing {
         if size <= DENSE_BACKING_LIMIT {
             Backing::Dense { buf: OnceCell::new(), len: size as usize }
         } else {
             Backing::Sparse { pages: Vec::new(), cursor: Cell::new(0) }
-        }
-    }
-
-    /// Host bytes this backing holds (0 until something is written).
-    fn materialized(&self) -> u64 {
-        match self {
-            Backing::Dense { buf, .. } => buf.get().map_or(0, |v| v.len() as u64),
-            Backing::Sparse { pages, .. } => pages.len() as u64 * SPARSE_PAGE,
         }
     }
 
@@ -328,13 +396,13 @@ impl Backing {
         }
     }
 
-    fn write(&mut self, offset: u64, data: &[u8]) {
+    fn write(&mut self, offset: u64, data: &[u8], paid: &Cell<u64>) {
         if data.is_empty() {
             return;
         }
         match self {
-            Backing::Dense { .. } => {
-                let v = self.as_mut_slice().expect("dense backing has a contiguous view");
+            Backing::Dense { buf, len } => {
+                let v = dense_mut(buf, *len, paid);
                 v[offset as usize..offset as usize + data.len()].copy_from_slice(data);
             }
             Backing::Sparse { pages, cursor } => {
@@ -347,6 +415,7 @@ impl Backing {
                     let i = match find_page(pages, cursor, page) {
                         Some(i) => i,
                         None => {
+                            pay(paid, SPARSE_PAGE);
                             let at = pages.partition_point(|&(p, _)| p < page);
                             pages.insert(
                                 at,
@@ -365,14 +434,14 @@ impl Backing {
 
     /// Zeroes `[start, end)` wherever the backing holds bytes there;
     /// what was never materialized is zero already and stays absent.
-    fn zero(&mut self, start: u64, end: u64) {
+    fn zero(&mut self, start: u64, end: u64, paid: &Cell<u64>) {
         if start >= end {
             return;
         }
         match self {
-            Backing::Dense { buf, .. } => {
-                if let Some(v) = buf.get_mut() {
-                    v[start as usize..end as usize].fill(0);
+            Backing::Dense { buf, len } => {
+                if buf.get().is_some() {
+                    dense_mut(buf, *len, paid)[start as usize..end as usize].fill(0);
                 }
             }
             Backing::Sparse { pages, .. } => {
@@ -391,44 +460,41 @@ impl Backing {
     }
 
     /// Makes `self[..len]` equal `src[..len]`, touching only what either
-    /// side has materialized. The caller has checked `len` against both
-    /// logical sizes.
-    fn copy_from(&mut self, src: &Backing, len: u64) {
-        match src {
-            Backing::Dense { buf, .. } => match buf.get() {
-                Some(v) => self.write(0, &v[..len as usize]),
-                None => self.zero(0, len),
+    /// side has materialized. A whole dense region copied into a dense
+    /// region of the same size takes the source's state: its buffer,
+    /// shared, or no buffer at all. The caller has checked `len` against
+    /// both logical sizes.
+    fn copy_from(&mut self, src: &Backing, len: u64, paid: &Cell<u64>) {
+        match (&mut *self, src) {
+            (Backing::Dense { buf, len: dst_len }, Backing::Dense { buf: from, len: src_len })
+                if len == *dst_len as u64 && len == *src_len as u64 =>
+            {
+                *buf = from.clone();
+            }
+            (_, Backing::Dense { buf, .. }) => match buf.get() {
+                Some(v) => self.write(0, &v[..len as usize], paid),
+                None => self.zero(0, len, paid),
             },
-            Backing::Sparse { pages, .. } => {
+            (_, Backing::Sparse { pages, .. }) => {
                 let mut pos = 0u64;
                 for (p, bytes) in pages {
                     let base = *p * SPARSE_PAGE;
                     if base >= len {
                         break;
                     }
-                    self.zero(pos, base);
+                    self.zero(pos, base, paid);
                     let take = (len - base).min(SPARSE_PAGE);
-                    self.write(base, &bytes[..take as usize]);
+                    self.write(base, &bytes[..take as usize], paid);
                     pos = base + take;
                 }
-                self.zero(pos, len);
+                self.zero(pos, len, paid);
             }
         }
     }
 
-    fn as_slice(&self) -> Option<&[u8]> {
+    fn as_slice(&self, paid: &Cell<u64>) -> Option<&[u8]> {
         match self {
-            Backing::Dense { buf, len } => Some(buf.get_or_init(|| vec![0u8; *len])),
-            Backing::Sparse { .. } => None,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> Option<&mut [u8]> {
-        match self {
-            Backing::Dense { buf, len } => {
-                buf.get_or_init(|| vec![0u8; *len]);
-                buf.get_mut().map(Vec::as_mut_slice)
-            }
+            Backing::Dense { buf, len } => Some(dense(buf, *len, paid)),
             Backing::Sparse { .. } => None,
         }
     }
@@ -449,8 +515,10 @@ pub struct MemoryPool {
     /// reused, so a freed region leaves a `None` tombstone.
     slots: Vec<Option<RegionSlot>>,
     live: usize,
-    /// Backing bytes held by regions that have since been freed.
-    retired_materialized: u64,
+    /// Backing bytes ever materialized, counted where they materialize:
+    /// a shared buffer has no single slot to count it in. A `Cell`
+    /// because a contiguous view (`data`, `&self`) can materialize.
+    materialized: Cell<u64>,
 }
 
 impl MemoryPool {
@@ -460,7 +528,7 @@ impl MemoryPool {
             arenas: topo.mem_devices().iter().map(|m| Arena::new(m.capacity)).collect(),
             slots: Vec::new(),
             live: 0,
-            retired_materialized: 0,
+            materialized: Cell::new(0),
         }
     }
 
@@ -471,11 +539,14 @@ impl MemoryPool {
             .ok_or(AllocError::UnknownRegion(id))
     }
 
-    fn slot_mut(&mut self, id: RegionId) -> Result<&mut RegionSlot, AllocError> {
-        self.slots
+    /// A live slot to change, and the count its new bytes go to.
+    fn slot_mut(&mut self, id: RegionId) -> Result<(&mut RegionSlot, &Cell<u64>), AllocError> {
+        let slot = self
+            .slots
             .get_mut(id.0 as usize)
             .and_then(Option::as_mut)
-            .ok_or(AllocError::UnknownRegion(id))
+            .ok_or(AllocError::UnknownRegion(id))?;
+        Ok((slot, &self.materialized))
     }
 
     /// Makes room in the slot table for `regions` more allocations, so a
@@ -516,7 +587,6 @@ impl MemoryPool {
         let placement = slot.placement;
         self.arenas[placement.dev.index()].dealloc(placement.offset, placement.size);
         self.live -= 1;
-        self.retired_materialized += slot.backing.materialized();
         Ok(placement)
     }
 
@@ -538,7 +608,7 @@ impl MemoryPool {
     pub fn data(&self, id: RegionId) -> Result<&[u8], AllocError> {
         self.slot(id)?
             .backing
-            .as_slice()
+            .as_slice(&self.materialized)
             .ok_or(AllocError::NotContiguous(id))
     }
 
@@ -551,14 +621,37 @@ impl MemoryPool {
 
     /// Writes `data` at `offset` (works for any backing).
     pub fn write_at(&mut self, id: RegionId, offset: u64, data: &[u8]) -> Result<(), AllocError> {
-        self.slot_mut(id)?.backing.write(offset, data);
+        let (slot, paid) = self.slot_mut(id)?;
+        slot.backing.write(offset, data, paid);
+        Ok(())
+    }
+
+    /// Moves `bytes` in as the whole contents of a dense region, in place
+    /// of copying them: the buffer a caller computed a region's bytes in
+    /// becomes its backing. `bytes` must be exactly the region's size
+    /// ([`AllocError::SizeMismatch`]), and the region dense-backed
+    /// ([`AllocError::NotContiguous`]).
+    pub fn adopt(&mut self, id: RegionId, bytes: Vec<u8>) -> Result<(), AllocError> {
+        let (slot, paid) = self.slot_mut(id)?;
+        let (len, size) = (bytes.len() as u64, slot.placement.size);
+        let Backing::Dense { buf, .. } = &mut slot.backing else {
+            return Err(AllocError::NotContiguous(id));
+        };
+        if len != size {
+            return Err(AllocError::SizeMismatch { region: id, len, size });
+        }
+        *buf = OnceCell::from(Arc::new(bytes));
+        pay(paid, len);
         Ok(())
     }
 
     /// Makes the first `len` bytes of `dst` equal those of `src` (works
     /// for any backing combination; used by handover copies and
     /// replication). Only materialized extents move: unwritten source
-    /// bytes are zeros, which an unwritten destination already holds.
+    /// bytes are zeros, which an unwritten destination already holds. A
+    /// whole dense region copied into a dense region of the same size
+    /// moves nothing: the two share one buffer until either is written
+    /// (O(1), and no bytes materialize).
     /// Copying a region onto itself, or zero bytes, does nothing.
     pub fn copy_between(
         &mut self,
@@ -586,7 +679,7 @@ impl MemoryPool {
         let (Some(src_slot), Some(dst_slot)) = (src_slot, dst_slot) else {
             unreachable!("both regions were live above");
         };
-        dst_slot.backing.copy_from(&src_slot.backing, len);
+        dst_slot.backing.copy_from(&src_slot.backing, len, &self.materialized);
         Ok(())
     }
 
@@ -609,7 +702,7 @@ impl MemoryPool {
             offset,
             size: old.size,
         };
-        self.slot_mut(id)?.placement = new;
+        self.slot_mut(id)?.0.placement = new;
         Ok(new)
     }
 
@@ -638,14 +731,17 @@ impl MemoryPool {
         self.arenas[dev.index()].fragmentation()
     }
 
-    /// Total backing bytes this pool has ever materialized: a dense
-    /// region counts its whole buffer from its first write or contiguous
-    /// view, a sparse region `SPARSE_PAGE` per page written. Monotone,
-    /// and exact per seed — the laziness tests and the bench driver's
-    /// throughput line read it. Walks the slab; not for hot paths.
+    /// Total backing bytes the host has paid for, counted where they
+    /// materialize: a dense buffer on its region's first write or
+    /// contiguous view, a sparse page when first written, a private copy
+    /// when a shared dense buffer is first written ([`copy_between`]
+    /// shares; the share itself adds 0), and an adopted buffer once.
+    /// Freeing subtracts nothing: monotone, and exact per seed — the
+    /// laziness tests, fig4's and `tests/serving.rs` read it.
+    ///
+    /// [`copy_between`]: MemoryPool::copy_between
     pub fn bytes_materialized(&self) -> u64 {
-        let live: u64 = self.slots.iter().flatten().map(|s| s.backing.materialized()).sum();
-        self.retired_materialized + live
+        self.materialized.get()
     }
 
     /// Number of live allocations.
@@ -982,6 +1078,49 @@ mod tests {
         assert_eq!(buf, [0xC3; 64]);
     }
 
+    #[test]
+    fn materialized_bytes_count_shares_unshares_and_adoptions_once() {
+        let (mut pool, dev) = pool_with_capacity(1 << 30);
+        let [a, b, c] = [4096, 4096, 4096].map(|size| pool.alloc(dev, size).unwrap());
+        pool.write_at(a, 0, &[1; 4096]).unwrap();
+        assert_eq!(pool.bytes_materialized(), 4096);
+        // Two shares of one buffer: nothing materializes.
+        pool.copy_between(a, b, 4096).unwrap();
+        pool.copy_between(b, c, 4096).unwrap();
+        assert_eq!(pool.bytes_materialized(), 4096);
+        // The first writer copies; the last holder writes in place.
+        pool.write_at(b, 0, &[2]).unwrap();
+        pool.write_at(a, 1, &[3]).unwrap();
+        assert_eq!(pool.bytes_materialized(), 3 * 4096);
+        pool.write_at(c, 2, &[4]).unwrap();
+        assert_eq!(pool.bytes_materialized(), 3 * 4096);
+        assert_eq!(pool.data(a).unwrap()[..3], [1, 3, 1]);
+        assert_eq!(pool.data(b).unwrap()[..3], [2, 1, 1]);
+        assert_eq!(pool.data(c).unwrap()[..3], [1, 1, 4]);
+        // A partial copy still copies, into the destination's own buffer.
+        pool.copy_between(a, b, 100).unwrap();
+        assert_eq!(pool.data(b).unwrap()[..3], [1, 3, 1]);
+        assert_eq!(pool.bytes_materialized(), 3 * 4096);
+
+        // An adopted buffer is the region's contents, counted once.
+        let mut bytes = vec![7u8; 4096];
+        bytes[9] = 8;
+        pool.adopt(c, bytes).unwrap();
+        assert_eq!(pool.bytes_materialized(), 4 * 4096);
+        assert_eq!(pool.data(c).unwrap()[8..10], [7, 8]);
+        pool.free(c).unwrap();
+        assert_eq!(pool.bytes_materialized(), 4 * 4096);
+        // Only a whole dense region takes one.
+        let sparse = pool.alloc(dev, DENSE_BACKING_LIMIT + 1).unwrap();
+        assert_eq!(pool.adopt(sparse, vec![0; 4]), Err(AllocError::NotContiguous(sparse)));
+        assert_eq!(
+            pool.adopt(a, vec![0; 4095]),
+            Err(AllocError::SizeMismatch { region: a, len: 4095, size: 4096 })
+        );
+        assert_eq!(pool.adopt(c, vec![0; 4096]), Err(AllocError::UnknownRegion(c)));
+        assert_eq!(pool.bytes_materialized(), 4 * 4096);
+    }
+
     /// The naive eager model the pool is checked against: every byte
     /// anybody wrote, by offset; everything else is zero.
     struct ModelRegion {
@@ -1031,6 +1170,7 @@ mod tests {
         // sequences actually reached.
         let (mut zeroing, mut sparse_to_dense, mut dense_to_sparse) = (0, 0, 0);
         let (mut partial, mut straddling) = (0, 0);
+        let (mut shares, mut unshares) = (0, 0);
 
         for seed in [1, 7, 42, 1234] {
             let mut rng = SimRng::new(seed);
@@ -1055,7 +1195,7 @@ mod tests {
                 }
                 let before = pool.bytes_materialized();
                 let ids: Vec<RegionId> = model.keys().copied().collect();
-                let op = rng.next_below(10);
+                let op = rng.next_below(11);
                 if ids.len() < 2 || (op == 0 && ids.len() < 6) {
                     let sizes: &[u64] = if rng.chance(0.35) { &SPARSE_SIZES } else { &DENSE_SIZES };
                     let (dev, size) = (*rng.pick(&devs), *rng.pick(sizes));
@@ -1108,6 +1248,45 @@ mod tests {
                         pool.write_at(id, at, &[0x5A]).unwrap();
                         m.written.insert(at, 0x5A);
                     }
+                    10 => {
+                        // A whole-region copy into a region of the same
+                        // size, a fresh one when no other has it: dense
+                        // regions share one buffer from here on.
+                        let size = m.size;
+                        let dst = match ids.iter().find(|&&d| d != id && model[&d].size == size) {
+                            Some(&d) => d,
+                            None if model.len() < 8 => {
+                                let dev = *rng.pick(&devs);
+                                let d = pool.alloc(dev, size).unwrap();
+                                model.insert(d, ModelRegion { dev, size, written: BTreeMap::new() });
+                                d
+                            }
+                            None => continue,
+                        };
+                        pool.copy_between(id, dst, size).unwrap();
+                        let (dense, written) = (!is_sparse(&model[&id]), model[&id].written.clone());
+                        model.get_mut(&dst).unwrap().written = written;
+                        if dense {
+                            assert_eq!(pool.bytes_materialized(), before, "a share materializes nothing");
+                            shares += 1;
+                        }
+                        // A write to either side does not show on the other.
+                        if rng.chance(0.5) {
+                            let side = if rng.chance(0.5) { id } else { dst };
+                            let (at, byte) = (rng.next_below(size), rng.next_below(256) as u8);
+                            let paid = pool.bytes_materialized();
+                            pool.write_at(side, at, &[byte]).unwrap();
+                            model.get_mut(&side).unwrap().written.insert(at, byte);
+                            if dense {
+                                // The writer's own copy: un-shared, or
+                                // zeroed if neither side had a buffer.
+                                assert_eq!(pool.bytes_materialized(), paid + size);
+                                unshares += 1;
+                            }
+                        }
+                        assert_region_matches(&pool, id, &model[&id], &mut rng);
+                        assert_region_matches(&pool, dst, &model[&dst], &mut rng);
+                    }
                     _ => {
                         let dst = *rng.pick(&ids);
                         let (src_size, dst_size) = (model[&id].size, model[&dst].size);
@@ -1154,6 +1333,8 @@ mod tests {
             ("dense into sparse", dense_to_sparse),
             ("partial len over written bytes", partial),
             ("page-straddling write", straddling),
+            ("whole dense copy shares a buffer", shares),
+            ("write after a share", unshares),
         ] {
             assert!(hits > 0, "no sequence reached: {case}");
         }

@@ -490,6 +490,22 @@ impl RegionManager {
         Ok(dev)
     }
 
+    /// Makes `bytes` the whole contents of `id` by moving the buffer in
+    /// ([`MemoryPool::adopt`]), enforcing ownership; `bytes` must be the
+    /// region's size and the region dense-backed. Returns the backing
+    /// device. For a caller that computed a region's bytes in a buffer
+    /// of its own: writing them would copy every byte once more.
+    pub fn replace_contents(
+        &mut self,
+        id: RegionId,
+        who: OwnerId,
+        bytes: Vec<u8>,
+    ) -> Result<MemDeviceId, RegionError> {
+        self.check_access(id, who)?;
+        self.pool.adopt(id, bytes)?;
+        Ok(self.pool.placement(id)?.dev)
+    }
+
     /// Borrows a region's bytes read-only (zero-copy view for owners).
     /// Only contiguous (dense-backed) regions support this; regions above
     /// [`crate::pool::DENSE_BACKING_LIMIT`] must use [`RegionManager::read`].
@@ -500,7 +516,9 @@ impl RegionManager {
 
     /// Copies the full contents of `src` into `dst` (both must be live;
     /// `dst` must be at least as large). Works for regions of any size and
-    /// moves only bytes that were ever written. Ownership checks are
+    /// moves only bytes that were ever written; a dense `dst` of `src`'s
+    /// size shares `src`'s buffer until either is written
+    /// ([`MemoryPool::copy_between`]). Ownership checks are
     /// the caller's job — this is runtime-internal plumbing for handover
     /// copies and migrations.
     pub fn copy_contents(&mut self, src: RegionId, dst: RegionId) -> Result<u64, RegionError> {

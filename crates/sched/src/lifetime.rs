@@ -372,6 +372,12 @@ mod tests {
         assert!(mgr.is_live(out));
         assert!(mgr.is_live(o2.region));
         assert_eq!(&mgr.bytes(o2.region, c2).unwrap()[..16], &[3; 16]);
+        // On the host the copy shares the source's buffer until one side
+        // writes, and the write stays on its side.
+        assert_eq!(mgr.pool().bytes_materialized(), 8192);
+        mgr.write(o2.region, c2, 0, &[4; 16]).unwrap();
+        assert_eq!(mgr.pool().bytes_materialized(), 2 * 8192);
+        assert_eq!(&mgr.bytes(out, C).unwrap()[..16], &[3; 16]);
     }
 
     #[test]
