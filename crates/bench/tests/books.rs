@@ -1,10 +1,12 @@
 //! A run's books balance. Every allocation and free inside a run goes
 //! through the region manager's traced path, and the wave audit (debug
 //! builds, so every test) asserts at each wave's end that the pool moved
-//! by exactly the `Alloc` − `Free` bytes the trace counted and that no
-//! task of the wave still owns a live region. These runs drive it through
-//! the serving experiment's saturated pass, a controlled serving run
-//! under faults (retries, fast-fails, sheds, degrades), the rack batch
+//! by exactly the `Alloc` − `Free` bytes the trace counted, that no task
+//! of the wave still owns a live region and that no device ran more
+//! attempts at once than it has slots. These runs drive it through the
+//! serving experiment's saturated pass, a controlled serving run under
+//! faults (retries, fast-fails, sheds, degrades), the quick
+//! chaos-under-load sweep, the rack batch
 //! under admission with job-wide state, a task body that allocates for
 //! itself, and copy-based handover, and check what each leaves resident.
 
@@ -75,6 +77,17 @@ fn a_controlled_serving_run_under_faults_balances() {
     let seen = (retries, report.fast_failed, report.shed, report.degraded);
     assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0, "{seen:?}");
     assert_eq!(resident(&rt), 0);
+}
+
+/// The quick chaos-under-load sweep, both variants at every load, closes
+/// each wave's books, the lane check among them: a retried task waits
+/// for a free lane like any dispatch, so no device runs more attempts at
+/// once than it has slots. Its crash windows retry tasks onto GPUs whose
+/// lanes are all busy.
+#[test]
+fn the_quick_chaos_under_load_sweep_runs_no_device_past_its_slots() {
+    let record = exp::chaos_serve::measure(&Scenario { quick: true, seed: 0 });
+    assert!(record.rows.iter().any(|r| r.breaker_trips > 0), "the crashes must interrupt attempts");
 }
 
 /// The four apps of the equivalence rack batch: each places job-wide

@@ -130,7 +130,7 @@ impl Runtime {
                 dev,
                 peak_bytes: pool.peak(dev),
                 capacity: pool.capacity(dev),
-                bytes_transferred: self.ledger.stats(ResourceKey::Mem(dev)).bytes.round() as u64,
+                bytes_transferred: self.ledger.bytes(ResourceKey::Mem(dev)).round() as u64,
             })
             .collect()
     }

@@ -363,7 +363,7 @@ mod tests {
         assert!(ComputePref::Prefer(ComputeKind::Gpu).allows(ComputeKind::Cpu));
         assert!(ComputePref::Require(ComputeKind::Gpu).allows(ComputeKind::Gpu));
         assert!(!ComputePref::Require(ComputeKind::Gpu).allows(ComputeKind::Cpu));
-        assert_eq!(ComputePref::Prefer(ComputeKind::Tpu).kind(), Some(ComputeKind::Tpu));
+        assert_eq!(ComputePref::Prefer(ComputeKind::Gpu).kind(), Some(ComputeKind::Gpu));
         assert_eq!(ComputePref::Any.kind(), None);
     }
 

@@ -432,8 +432,8 @@ mod tests {
         let mut ledger = BandwidthLedger::default_buckets();
         rr.recover(&mut mgr, &topo, &mut ledger, &faults, 0, pool[3], SimTime(100))
             .unwrap();
-        assert_eq!(ledger.stats(ResourceKey::Mem(clean)).bytes, size as f64);
-        assert_eq!(ledger.stats(ResourceKey::Mem(tainted)).reservations, 0);
+        assert_eq!(ledger.bytes(ResourceKey::Mem(clean)), size as f64);
+        assert_eq!(ledger.bytes(ResourceKey::Mem(tainted)), 0.0);
     }
 
     #[test]
@@ -525,7 +525,7 @@ mod tests {
             .access_cost_parts(cpus[0], other, 4 << 20, AccessOp::Read, AccessPattern::Sequential)
             .unwrap();
         book_access(&mut busy, None, other, &stream, SimTime(10));
-        assert!(busy.stats(ResourceKey::Link(link)).reservations > 0);
+        assert!(busy.bytes(ResourceKey::Link(link)) > 0.0);
         let (contended, _) = read(&mut busy, &none, &mut buf);
         assert!(contended > healthy, "busy uplink {contended} vs idle {healthy}");
 

@@ -292,11 +292,10 @@ const MEM: [MemRecord; 9] = [
     },
 ];
 
-/// The per-element rates encode *relative* strengths: GPUs and TPUs are
-/// an order of magnitude faster on data-parallel and tensor work but
-/// slower and launch-heavy on scalar work; DPUs are modest but sit next
-/// to the network.
-const COMPUTE: [ComputeRecord; 5] = [
+/// The per-element rates encode *relative* strengths: GPUs are an order
+/// of magnitude faster on data-parallel and tensor work but slower and
+/// launch-heavy on scalar work.
+const COMPUTE: [ComputeRecord; 2] = [
     ComputeRecord {
         kind: ComputeKind::Cpu,
         slots: uncited(32),
@@ -308,24 +307,6 @@ const COMPUTE: [ComputeRecord; 5] = [
         slots: uncited(8),
         ns_per_elem: [uncited(8.0), uncited(0.02), uncited(0.05), uncited(0.5)],
         launch_overhead_ns: uncited(10_000.0),
-    },
-    ComputeRecord {
-        kind: ComputeKind::Tpu,
-        slots: uncited(4),
-        ns_per_elem: [uncited(20.0), uncited(0.10), uncited(0.01), uncited(4.0)],
-        launch_overhead_ns: uncited(20_000.0),
-    },
-    ComputeRecord {
-        kind: ComputeKind::Fpga,
-        slots: uncited(4),
-        ns_per_elem: [uncited(4.0), uncited(0.05), uncited(0.20), uncited(0.05)],
-        launch_overhead_ns: uncited(50_000.0),
-    },
-    ComputeRecord {
-        kind: ComputeKind::Dpu,
-        slots: uncited(8),
-        ns_per_elem: [uncited(2.0), uncited(0.50), uncited(4.0), uncited(0.8)],
-        launch_overhead_ns: uncited(1_000.0),
     },
 ];
 
@@ -446,9 +427,9 @@ mod tests {
     #[test]
     fn every_numeric_entry_names_a_source_or_uncited() {
         let all = entries();
-        // 9 device kinds × 7, 5 compute kinds × 6, 8 link kinds × 2, and
+        // 9 device kinds × 7, 2 compute kinds × 6, 8 link kinds × 2, and
         // six mechanism costs.
-        assert_eq!(all.len(), 9 * 7 + 5 * 6 + 8 * 2 + 6);
+        assert_eq!(all.len(), 9 * 7 + 2 * 6 + 8 * 2 + 6);
         let mut names: Vec<&str> = all.iter().map(|(n, _, _)| n.as_str()).collect();
         names.sort_unstable();
         names.dedup();

@@ -1,7 +1,8 @@
 //! Compute-device models.
 //!
 //! The paper's Figure 1 pools CPUs, GPUs, TPUs, and FPGAs behind a runtime
-//! system. For placement and scheduling, what matters about a compute
+//! system; the simulation models the two kinds its experiments place work
+//! on, CPUs and GPUs. For placement and scheduling, what matters about a compute
 //! device is (a) how fast it executes a given class of work, (b) how many
 //! concurrent tasks it can host, and (c) which memories are *local* to it —
 //! the crux of Figure 3, where the "fast and local" region maps to DRAM for
@@ -18,32 +19,17 @@ pub enum ComputeKind {
     Cpu,
     /// Throughput-oriented GPU.
     Gpu,
-    /// Matrix-multiply accelerator.
-    Tpu,
-    /// Reconfigurable fabric.
-    Fpga,
-    /// SmartNIC / data processing unit (near-network compute).
-    Dpu,
 }
 
 impl ComputeKind {
     /// All compute kinds.
-    pub const ALL: [ComputeKind; 5] = [
-        ComputeKind::Cpu,
-        ComputeKind::Gpu,
-        ComputeKind::Tpu,
-        ComputeKind::Fpga,
-        ComputeKind::Dpu,
-    ];
+    pub const ALL: [ComputeKind; 2] = [ComputeKind::Cpu, ComputeKind::Gpu];
 
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {
             ComputeKind::Cpu => "CPU",
             ComputeKind::Gpu => "GPU",
-            ComputeKind::Tpu => "TPU",
-            ComputeKind::Fpga => "FPGA",
-            ComputeKind::Dpu => "DPU",
         }
     }
 }
@@ -145,28 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn tpu_dominates_tensor_work() {
-        let best = ComputeKind::ALL
-            .iter()
-            .map(|&k| (k, ComputeModel::preset(k).elem_cost(WorkClass::Tensor)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap()
-            .0;
-        assert_eq!(best, ComputeKind::Tpu);
-    }
-
-    #[test]
-    fn fpga_dominates_crypto_work() {
-        let best = ComputeKind::ALL
-            .iter()
-            .map(|&k| (k, ComputeModel::preset(k).elem_cost(WorkClass::Crypto)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap()
-            .0;
-        assert_eq!(best, ComputeKind::Fpga);
-    }
-
-    #[test]
     fn exec_cost_includes_launch_overhead() {
         let gpu = ComputeModel::preset(ComputeKind::Gpu);
         let zero = gpu.exec_cost(WorkClass::Vector, 0);
@@ -178,9 +142,7 @@ mod tests {
     #[test]
     fn accelerators_pay_higher_launch_overhead_than_cpu() {
         let cpu = ComputeModel::preset(ComputeKind::Cpu).launch_overhead_ns;
-        for kind in [ComputeKind::Gpu, ComputeKind::Tpu, ComputeKind::Fpga] {
-            assert!(ComputeModel::preset(kind).launch_overhead_ns > cpu);
-        }
+        assert!(ComputeModel::preset(ComputeKind::Gpu).launch_overhead_ns > cpu);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::fx::FxHashMap;
 use crate::ids::{LinkId, MemDeviceId};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A contended resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,20 +34,6 @@ pub enum ResourceKey {
     Mem(MemDeviceId),
     /// An interconnect link.
     Link(LinkId),
-}
-
-/// Per-resource usage statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ResourceStats {
-    /// Total bytes transferred through the resource.
-    pub bytes: f64,
-    /// Total busy time accumulated (may exceed wall time when parallel).
-    pub busy: SimDuration,
-    /// Number of reservations made.
-    pub reservations: u64,
-    /// Most reservations sharing any one time bucket: how many accessors
-    /// the resource was charged for at its most contended instant.
-    pub peak_overlap: u32,
 }
 
 /// Sentinel quantum for a ring slot that holds nothing.
@@ -66,17 +52,15 @@ struct Slot {
     quantum: u64,
     /// Bytes already reserved in the quantum.
     used: f64,
-    /// Reservations touching the quantum.
-    accessors: u32,
 }
 
 impl Slot {
     const fn empty() -> Slot {
-        Slot { quantum: EMPTY, used: 0.0, accessors: 0 }
+        Slot { quantum: EMPTY, used: 0.0 }
     }
 }
 
-/// Per-resource ring of bucket state plus aggregate statistics.
+/// Per-resource ring of bucket state plus the bytes it has carried.
 #[derive(Debug)]
 struct Lane {
     /// Power-of-two ring; slot for quantum `q` is `q & mask`.
@@ -87,7 +71,8 @@ struct Lane {
     /// in virtual time than the ring retains — pathological, but must
     /// not corrupt the newer bucket).
     spill: FxHashMap<u64, Slot>,
-    stats: ResourceStats,
+    /// Total bytes transferred through the resource.
+    bytes: f64,
 }
 
 impl Lane {
@@ -96,7 +81,7 @@ impl Lane {
             slots: vec![Slot::empty(); INITIAL_SLOTS],
             mask: INITIAL_SLOTS as u64 - 1,
             spill: FxHashMap::default(),
-            stats: ResourceStats::default(),
+            bytes: 0.0,
         }
     }
 
@@ -239,38 +224,13 @@ impl BandwidthLedger {
             own_ns += avail / bw_bpns;
             bucket += 1;
         }
-        // Charge the overlap: every bucket this transfer touched gains
-        // one accessor, and the resource's peak concurrent-accessor
-        // count is the contention actually experienced.
-        let mut peak = 0u32;
-        for b in first_bucket..=bucket {
-            let slot = lane.slot_mut(b);
-            slot.accessors += 1;
-            peak = peak.max(slot.accessors);
-        }
-        let st = &mut lane.stats;
-        st.bytes += bytes;
-        st.busy += finish - start;
-        st.reservations += 1;
-        st.peak_overlap = st.peak_overlap.max(peak);
+        lane.bytes += bytes;
         finish
     }
 
-    /// Statistics for one resource (zeroes if never used).
-    pub fn stats(&self, resource: ResourceKey) -> ResourceStats {
-        self.lane_of
-            .get(&resource)
-            .map(|&i| self.lanes[i as usize].stats)
-            .unwrap_or_default()
-    }
-
-    /// Fraction of a resource's bandwidth consumed over `[0, horizon)`.
-    pub fn utilization(&self, resource: ResourceKey, bw_bpns: f64, horizon: SimDuration) -> f64 {
-        if horizon == SimDuration::ZERO || bw_bpns <= 0.0 {
-            return 0.0;
-        }
-        let bytes = self.stats(resource).bytes;
-        (bytes / (bw_bpns * horizon.as_nanos_f64())).min(1.0)
+    /// Bytes transferred through one resource (zero if never used).
+    pub fn bytes(&self, resource: ResourceKey) -> f64 {
+        self.lane_of.get(&resource).map_or(0.0, |&i| self.lanes[i as usize].bytes)
     }
 }
 
@@ -337,31 +297,8 @@ mod tests {
         let mut ledger = BandwidthLedger::new(1_000);
         ledger.reserve(DEV, SimTime(0), 5_000.0, 10.0);
         ledger.reserve(DEV, SimTime(0), 5_000.0, 10.0);
-        let st = ledger.stats(DEV);
-        assert_eq!(st.bytes, 10_000.0);
-        assert_eq!(st.reservations, 2);
-        assert!(st.busy > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut ledger = BandwidthLedger::new(1_000);
-        ledger.reserve(DEV, SimTime(0), 10_000.0, 10.0);
-        let u = ledger.utilization(DEV, 10.0, SimDuration::from_nanos(2_000));
-        assert!((u - 0.5).abs() < 1e-9, "expected 50% utilization, got {u}");
-        assert_eq!(ledger.utilization(DEV, 10.0, SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
-    fn peak_overlap_counts_concurrent_accessors() {
-        let mut ledger = BandwidthLedger::new(1_000);
-        // Three small transfers share the first bucket.
-        for _ in 0..3 {
-            ledger.reserve(DEV, SimTime(0), 100.0, 10.0);
-        }
-        // A fourth lands in a later, empty window.
-        ledger.reserve(DEV, SimTime(50_000), 100.0, 10.0);
-        assert_eq!(ledger.stats(DEV).peak_overlap, 3);
+        assert_eq!(ledger.bytes(DEV), 10_000.0);
+        assert_eq!(ledger.bytes(ResourceKey::Mem(MemDeviceId(1))), 0.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   (cache, HBM, DRAM, PMem, CXL-DRAM, disaggregated/far memory, SSD, HDD),
 //!   parameterized by latency, bandwidth, access granularity, attachment,
 //!   coherence, and persistence.
-//! - [`compute`]: compute-device models (CPU, GPU, TPU, FPGA, DPU).
+//! - [`compute`]: compute-device models (CPU, GPU).
 //! - [`topology`]: an explicit link graph (NUMA, PCIe, CXL, NIC) connecting
 //!   compute and memory devices, with shortest-path cost resolution and
 //!   ready-made presets for the paper's Figure 1 architectures.

@@ -108,85 +108,6 @@ pub fn single_server() -> (Topology, SingleServer) {
     )
 }
 
-/// Handles into an [`accelerator_server`] topology.
-#[derive(Debug, Clone, Copy)]
-pub struct AcceleratorServer {
-    /// General-purpose CPU.
-    pub cpu: ComputeId,
-    /// GPU with local GDDR.
-    pub gpu: ComputeId,
-    /// TPU with local HBM.
-    pub tpu: ComputeId,
-    /// FPGA (PCIe peer, no local memory of its own).
-    pub fpga: ComputeId,
-    /// SmartNIC DPU sitting on the path to far memory.
-    pub dpu: ComputeId,
-    /// Socket DRAM.
-    pub dram: MemDeviceId,
-    /// GPU-local GDDR.
-    pub gddr: MemDeviceId,
-    /// TPU-local HBM.
-    pub hbm: MemDeviceId,
-    /// CXL expander shared over the hub.
-    pub cxl: MemDeviceId,
-    /// NIC-attached far memory (one hop from the DPU).
-    pub far: MemDeviceId,
-}
-
-/// Builds the "accelerator zoo": one host with a CPU, GPU, TPU, FPGA,
-/// and DPU, each next to the memory that suits it — the heterogeneous
-/// pool of the paper's Figure 1b in a single chassis. Exercises
-/// scheduling across all five compute classes.
-pub fn accelerator_server() -> (Topology, AcceleratorServer) {
-    let mut b = Topology::builder();
-    let node = b.node("host");
-    let far_node = b.node("memblade");
-
-    let cpu = b.compute(node, ComputeModel::preset(ComputeKind::Cpu));
-    let gpu = b.compute(node, ComputeModel::preset(ComputeKind::Gpu));
-    let tpu = b.compute(node, ComputeModel::preset(ComputeKind::Tpu));
-    let fpga = b.compute(node, ComputeModel::preset(ComputeKind::Fpga));
-    let dpu = b.compute(far_node, ComputeModel::preset(ComputeKind::Dpu));
-
-    let dram = b.mem(node, MemDeviceModel::preset(MemDeviceKind::Dram));
-    let gddr = b.mem(node, MemDeviceModel::preset(MemDeviceKind::Gddr));
-    let hbm = b.mem(node, MemDeviceModel::preset(MemDeviceKind::Hbm));
-    let cxl = b.mem(node, MemDeviceModel::preset(MemDeviceKind::CxlDram));
-    let far = b.mem(far_node, MemDeviceModel::preset(MemDeviceKind::FarMemory));
-
-    b.link(cpu, dram, LinkKind::MemBus);
-    b.link(gpu, gddr, LinkKind::GpuBus);
-    b.link(tpu, hbm, LinkKind::GpuBus);
-    b.link(cpu, Endpoint::Hub(node), LinkKind::PcieCxl);
-    b.link(gpu, Endpoint::Hub(node), LinkKind::PciePeer);
-    b.link(tpu, Endpoint::Hub(node), LinkKind::PciePeer);
-    b.link(fpga, Endpoint::Hub(node), LinkKind::PciePeer);
-    b.link(Endpoint::Hub(node), cxl, LinkKind::PcieCxl);
-    b.link(Endpoint::Hub(node), dram, LinkKind::MemBus);
-    // The DPU lives on the memory blade: far memory is local to it.
-    b.link(Endpoint::Hub(node), Endpoint::Hub(far_node), LinkKind::Nic);
-    b.link(Endpoint::Hub(far_node), far, LinkKind::MemBus);
-    b.link(dpu, far, LinkKind::MemBus);
-    b.link(dpu, Endpoint::Hub(far_node), LinkKind::MemBus);
-
-    let topo = b.build().expect("accelerator_server preset is valid");
-    (
-        topo,
-        AcceleratorServer {
-            cpu,
-            gpu,
-            tpu,
-            fpga,
-            dpu,
-            dram,
-            gddr,
-            hbm,
-            cxl,
-            far,
-        },
-    )
-}
-
 /// Handles into a [`two_socket`] topology.
 #[derive(Debug, Clone, Copy)]
 pub struct TwoSocket {
@@ -532,33 +453,5 @@ mod tests {
         let local: u64 = rack.drams.iter().map(|&d| topo.mem(d).capacity).sum();
         let pooled: u64 = rack.pool.iter().map(|&d| topo.mem(d).capacity).sum();
         assert!(pooled > local);
-    }
-
-    #[test]
-    fn accelerator_server_gives_each_device_its_local_memory() {
-        let (topo, h) = accelerator_server();
-        assert!(topo.compute(h.gpu).is_local(h.gddr));
-        assert!(topo.compute(h.tpu).is_local(h.hbm));
-        assert!(topo.compute(h.dpu).is_local(h.far));
-        assert!(topo.compute(h.cpu).is_local(h.dram));
-        assert!(!topo.compute(h.fpga).is_local(h.dram));
-        // Everyone reaches the CXL pool.
-        for c in [h.cpu, h.gpu, h.tpu, h.fpga] {
-            assert!(topo.reachable(c, h.cxl));
-        }
-    }
-
-    #[test]
-    fn dpu_reaches_far_memory_cheaply_and_the_cpu_does_not() {
-        let (topo, h) = accelerator_server();
-        let from_dpu = topo
-            .access_cost(h.dpu, h.far, 4096, AccessOp::Read, AccessPattern::Sequential)
-            .unwrap();
-        let from_cpu = topo
-            .access_cost(h.cpu, h.far, 4096, AccessOp::Read, AccessPattern::Sequential)
-            .unwrap();
-        assert!(from_dpu.as_nanos() * 10 < from_cpu.as_nanos() * 12,
-            "DPU {from_dpu} should be comfortably cheaper than CPU {from_cpu}");
-        assert!(from_dpu < from_cpu);
     }
 }

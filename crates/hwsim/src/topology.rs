@@ -59,8 +59,8 @@ pub enum LinkKind {
     /// PCIe/CXL attachment as seen from the host CPU (root-complex side;
     /// the attached device's latency already includes one traversal).
     PcieCxl,
-    /// A peer PCIe device's path to the root complex (a discrete GPU or
-    /// DPU crossing PCIe to reach host-side memory pays this per hop).
+    /// A peer PCIe device's path to the root complex (a discrete GPU
+    /// crossing PCIe to reach host-side memory pays this per hop).
     PciePeer,
     /// CXL switch fabric hop (memory pooling).
     CxlFabric,

@@ -176,8 +176,8 @@ pub enum TraceEvent {
         /// Detection time.
         at: SimTime,
     },
-    /// A task attempt was abandoned to a fault and the task re-placed
-    /// elsewhere.
+    /// A task attempt was abandoned to a fault and the task re-queued on
+    /// a replacement device.
     TaskRetry {
         /// Job identifier.
         job: u64,
@@ -189,10 +189,10 @@ pub enum TraceEvent {
         to: ComputeId,
         /// Retry number (1 = first retry).
         attempt: u32,
-        /// When the new attempt was launched.
+        /// When the task re-enters the replacement's ready queue.
         at: SimTime,
-        /// Virtual time burned on the abandoned attempt (including
-        /// detection delay and backoff).
+        /// Virtual time burned on the abandoned attempt, from its start
+        /// through the detection delay and the backoff.
         lost: SimDuration,
     },
     /// Lost or corrupted region bytes were transparently rebuilt from

@@ -22,7 +22,7 @@
 //! invariants (non-empty, named lanes, well-formed spans), so tests and
 //! `exp_driver --trace-out` never write a file Perfetto would reject.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
 use disagg_hwsim::device::AccessOp;
@@ -119,12 +119,17 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
         parts.push(std::mem::take(&mut m));
     }
 
-    // Task spans: join TaskStart with its TaskFinish (both are emitted
-    // per (job, task); finish may carry a future timestamp).
-    let mut finishes: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+    // Task spans, one per attempt: a TaskStart joins the end of its
+    // attempt, the TaskFinish or, for an attempt a fault abandoned, its
+    // FaultDetected (an end may carry a future timestamp). A task's
+    // attempts run one after another, so its n-th start pairs with its
+    // n-th end.
+    let mut ends: BTreeMap<(u64, u64), VecDeque<u64>> = BTreeMap::new();
     for e in events {
-        if let TraceEvent::TaskFinish { job, task, at, .. } = *e {
-            finishes.insert((job, task), at.as_nanos());
+        if let TraceEvent::TaskFinish { job, task, at, .. }
+        | TraceEvent::FaultDetected { job, task, at, .. } = *e
+        {
+            ends.entry((job, task)).or_default().push_back(at.as_nanos());
         }
     }
 
@@ -133,7 +138,10 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
         match *e {
             TraceEvent::TaskStart { job, task, on, at } => {
                 let start = at.as_nanos();
-                let end = finishes.get(&(job, task)).copied().unwrap_or(start);
+                let end = ends
+                    .get_mut(&(job, task))
+                    .and_then(VecDeque::pop_front)
+                    .unwrap_or(start);
                 span(
                     &mut s,
                     PID_COMPUTE,

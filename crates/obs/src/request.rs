@@ -13,8 +13,9 @@
 //! - **compute** — at least one task of the request was executing;
 //! - **transfer** — dataflow handover gaps between tasks (outputs in
 //!   flight, no task running or queued progress);
-//! - **recovery** — time lost to interrupted attempts (detection
-//!   delay plus backoff, from `TaskRetry.lost`) or spent rebuilding
+//! - **recovery** — time lost to interrupted attempts (from each lost
+//!   attempt's start through its detection and the backoff, from
+//!   `TaskRetry.lost`) or spent rebuilding
 //!   corrupted bytes (`Reconstruct`).
 //!
 //! The decomposition is an interval sweep over the request's sojourn:
@@ -45,7 +46,8 @@ pub enum SegmentKind {
     Compute,
     /// Dataflow handover: outputs in flight between tasks.
     Transfer,
-    /// Retry loss (detection + backoff) or reconstruction of lost bytes.
+    /// A lost attempt (its run, detection and backoff) or reconstruction
+    /// of lost bytes.
     Recovery,
 }
 

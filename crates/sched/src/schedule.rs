@@ -491,7 +491,7 @@ mod tests {
     use disagg_dataflow::job::JobBuilder;
     use disagg_dataflow::task::TaskSpec;
     use disagg_hwsim::compute::{ComputeKind, WorkClass};
-    use disagg_hwsim::presets::single_server;
+    use disagg_hwsim::presets::{single_server, two_socket};
 
     fn pipeline(n: usize, class: WorkClass, elems: u64) -> JobSpec {
         let mut job = JobBuilder::new("pipe");
@@ -566,9 +566,9 @@ mod tests {
 
     #[test]
     fn missing_required_device_errors() {
-        let (topo, _) = single_server();
-        let mut job = JobBuilder::new("tpu-only");
-        job.task(TaskSpec::new("x").require(ComputeKind::Tpu));
+        let (topo, _) = two_socket();
+        let mut job = JobBuilder::new("gpu-only");
+        job.task(TaskSpec::new("x").require(ComputeKind::Gpu));
         let spec = job.build().unwrap();
         assert_eq!(
             Scheduler::new(SchedPolicy::Heft)
@@ -730,25 +730,5 @@ mod tests {
         for w in ranked.windows(2) {
             assert!(w[0].1 <= w[1].1, "cheapest-first order");
         }
-    }
-
-    #[test]
-    fn accelerator_zoo_routes_each_work_class_to_its_device() {
-        use disagg_hwsim::presets::accelerator_server;
-        let (topo, _h) = accelerator_server();
-        let mut job = JobBuilder::new("zoo");
-        let scalar = job.task(TaskSpec::new("scalar").work(WorkClass::Scalar, 50_000_000));
-        let vector = job.task(TaskSpec::new("vector").work(WorkClass::Vector, 500_000_000));
-        let tensor = job.task(TaskSpec::new("tensor").work(WorkClass::Tensor, 500_000_000));
-        let crypto = job.task(TaskSpec::new("crypto").work(WorkClass::Crypto, 500_000_000));
-        let spec = job.build().unwrap();
-        let sched = Scheduler::new(SchedPolicy::Heft)
-            .plan(&topo, &[(JobId(0), &spec)])
-            .unwrap();
-        let kind = |t| topo.compute(sched.assignment(JobId(0), t).unwrap()).kind;
-        assert_eq!(kind(scalar), ComputeKind::Cpu);
-        assert_eq!(kind(vector), ComputeKind::Gpu);
-        assert_eq!(kind(tensor), ComputeKind::Tpu);
-        assert_eq!(kind(crypto), ComputeKind::Fpga);
     }
 }

@@ -592,3 +592,102 @@ fn one_lane_fixed_service_known_answer() {
         assert_eq!(kinds, expected, "request {k}");
     }
 }
+
+/// The known answer for a retry that waits for a lane: two one-lane
+/// CPUs on two nodes, request 0's single task on the first and a long
+/// blocker (request 1) on the second. The first node crashes halfway
+/// through request 0's attempt; the detector notices `d` later and the
+/// task re-enters the surviving CPU's ready queue after a backoff `b`,
+/// while the blocker still holds its only lane. So request 0 must read
+/// recovery = the lost attempt through detection and backoff, queue =
+/// the wait for the blocker's lane, compute = one clean run, in that
+/// order, and nothing else; a Chrome export carries both attempts.
+#[test]
+fn a_retry_waiting_for_a_busy_lane_known_answer() {
+    use disagg::hwsim::compute::ComputeModel;
+    use disagg::hwsim::device::MemDeviceModel;
+    use disagg::hwsim::fault::{FaultEvent, FaultInjector, FaultKind};
+    use disagg::hwsim::ids::ComputeId;
+    use disagg::hwsim::topology::LinkKind;
+    use disagg::obs::{assemble_request_spans, chrome_trace, validate_chrome_trace, SegmentKind};
+
+    let (d, b) = (SimDuration(2_000), SimDuration(1_000));
+    let two_nodes = || {
+        let mut t = Topology::builder();
+        for name in ["a", "b"] {
+            let n = t.node(name);
+            let cpu =
+                t.compute(n, ComputeModel { slots: 1, ..ComputeModel::preset(ComputeKind::Cpu) });
+            let dram = t.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
+            t.link(cpu, dram, LinkKind::MemBus);
+        }
+        t.build().expect("two one-lane nodes")
+    };
+    let job = |name: &str, elems: u64| {
+        let mut j = JobBuilder::new(name);
+        j.task(TaskSpec::new("work").work(WorkClass::Scalar, elems).require(ComputeKind::Cpu).body(
+            move |ctx| {
+                ctx.compute(WorkClass::Scalar, elems);
+                Ok(())
+            },
+        ));
+        j.build().expect("one-task job")
+    };
+    let submission = || {
+        Submission::batch(vec![job("victim", 40_000), job("blocker", 400_000)])
+            .requests(vec![(0, 0), (1, 0)])
+    };
+
+    // Where each request lands and how long it runs, from a healthy run.
+    let mut healthy = Runtime::new(two_nodes(), RuntimeConfig::traced());
+    let report = healthy.execute(submission()).expect("healthy run");
+    let [victim, blocker] = [0, 1].map(|j| {
+        report.tasks.iter().find(|t| t.job.0 == j).expect("every request runs its task").clone()
+    });
+    assert_ne!(victim.compute, blocker.compute, "the requests run side by side");
+    assert_eq!((victim.start, blocker.start), (SimTime::ZERO, SimTime::ZERO));
+    let s = victim.duration();
+
+    let crash_at = SimTime(s.0 / 2);
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: crash_at,
+        kind: FaultKind::NodeCrash(healthy.topology().node_of_compute(victim.compute)),
+    }]);
+    let recovery = RecoveryPolicy::default().with_detection_delay(d).with_backoff(b);
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery);
+    let mut rt = Runtime::new(two_nodes(), config);
+    let report = rt.execute(submission()).expect("faulty run");
+    let relaunch = crash_at + d + b;
+    let lane_free = blocker.finish;
+    assert!(relaunch < lane_free, "the blocker must hold the lane at relaunch");
+
+    let spans = assemble_request_spans(rt.trace().events());
+    let span = spans.iter().find(|sp| sp.request == 0).expect("request 0 has a span");
+    let a = &span.attribution;
+    assert_eq!(a.recovery, relaunch - SimTime::ZERO, "the lost attempt");
+    assert_eq!(a.queue, lane_free - relaunch, "the wait for the blocker's lane");
+    assert_eq!(a.compute, s, "one clean run");
+    assert_eq!((a.admission, a.transfer), (SimDuration::ZERO, SimDuration::ZERO));
+    assert_eq!(a.total(), span.latency());
+    assert_eq!(span.end, lane_free + s);
+    let kinds: Vec<SegmentKind> = span.segments.iter().map(|seg| seg.kind).collect();
+    assert_eq!(kinds, [SegmentKind::Recovery, SegmentKind::Queue, SegmentKind::Compute]);
+    // The report keeps the first attempt's start and the retry's device.
+    let retried = report.tasks.iter().find(|t| t.job.0 == 0).expect("request 0 finishes");
+    assert_eq!((retried.start, retried.finish), (SimTime::ZERO, lane_free + s));
+    assert_eq!(retried.compute, blocker.compute);
+
+    // Both attempts are spans on their devices' lanes: the lost one ends
+    // at its detection, the retry runs from the lane's release.
+    let doc = chrome_trace(rt.trace().events(), rt.topology());
+    validate_chrome_trace(&doc).expect("valid Chrome trace");
+    let attempts: Vec<&str> =
+        doc.lines().filter(|l| l.contains("\"name\":\"job0/task0\"")).collect();
+    assert_eq!(attempts.len(), 2, "{attempts:?}");
+    let us = |t: SimTime| format!("{}.{:03}", t.0 / 1_000, t.0 % 1_000);
+    let lane = |c: ComputeId| format!("\"tid\":{}", c.0);
+    assert!(attempts[0].contains(&lane(victim.compute)), "{}", attempts[0]);
+    assert!(attempts[0].contains(&format!("\"dur\":{}", us(crash_at + d))), "{}", attempts[0]);
+    assert!(attempts[1].contains(&lane(blocker.compute)), "{}", attempts[1]);
+    assert!(attempts[1].contains(&format!("\"ts\":{}", us(lane_free))), "{}", attempts[1]);
+}
