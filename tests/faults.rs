@@ -1,8 +1,9 @@
 //! Failure-recovery scenarios, end to end: silent-corruption detection
 //! and online reconstruction on the access path, replica failover,
 //! erasure-coded decode after a device loss, retry-budget exhaustion
-//! surfacing a clean typed error, and bit-for-bit determinism of a
-//! faulty run.
+//! surfacing a clean typed error, a retried streaming producer that
+//! still feeds its consumer in order, work queued on a crashed node
+//! moving to a live one, and bit-for-bit determinism of a faulty run.
 
 use disagg::ftol::replicate::ReplicatedRegion;
 use disagg::ftol::stripe::StripedRegion;
@@ -12,7 +13,7 @@ use disagg::prelude::*;
 use disagg::presets::{disaggregated_rack, single_server};
 use disagg::region::access::Accessor;
 use disagg::region::region::RegionManager;
-use disagg::workloads::dbms;
+use disagg::workloads::{dbms, streaming};
 
 const WHO: OwnerId = OwnerId::App;
 
@@ -139,6 +140,122 @@ fn exhausted_retry_budget_surfaces_a_clean_error() {
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }
+}
+
+/// A crash interrupts the stream job's `source` halfway through, after
+/// it has started streaming to `window-aggregate`. The lost attempt's
+/// chunks are gone with it, so the consumer is fed by the retry: it
+/// starts no earlier than the retry's dispatch, and still before the
+/// retry finishes (the retry streams too). Debug builds also hold the
+/// whole run to an event loop that never commits in the virtual past.
+#[test]
+fn a_retried_streaming_source_feeds_its_consumer_from_the_retry() {
+    let job = || streaming::windowed_job(streaming::StreamConfig::default());
+    let (topo, _) = disaggregated_rack(2, 16, 2, 64);
+    let mut healthy = Runtime::new(topo, RuntimeConfig::default());
+    let report = healthy.execute(vec![job()]).unwrap();
+    let task = |r: &RunReport, name: &str| r.tasks.iter().find(|t| t.name == name).unwrap().clone();
+    let (source, agg) = (task(&report, "source"), task(&report, "window-aggregate"));
+    assert!(agg.start < source.finish, "the healthy pair pipelines");
+
+    let crash_at = SimTime(source.start.0 + source.duration().0 / 2);
+    let node = healthy.topology().node_of_compute(source.compute);
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: crash_at,
+        kind: FaultKind::NodeCrash(node),
+    }]);
+    let recovery = RecoveryPolicy::default()
+        .with_detection_delay(SimDuration(2_000))
+        .with_backoff(SimDuration(1_000));
+    let (topo, _) = disaggregated_rack(2, 16, 2, 64);
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery);
+    let mut rt = Runtime::new(topo, config);
+    let report = rt.execute(vec![job()]).unwrap();
+    let (source, agg) = (task(&report, "source"), task(&report, "window-aggregate"));
+    let dispatches: Vec<SimTime> = rt
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::TaskDispatch { task: 0, at, .. } => Some(at),
+            _ => None,
+        })
+        .collect();
+    let [first, retry] = dispatches[..] else {
+        panic!("the source runs twice: {dispatches:?}");
+    };
+    assert_eq!(source.start, first, "the report keeps the first attempt's start");
+    assert!(retry > crash_at);
+    assert!(agg.start >= retry, "consumer at {:?}, retry dispatched at {retry:?}", agg.start);
+    assert!(agg.start < source.finish, "the retry pipelines too");
+}
+
+/// A task waiting for a lane on a node that crashes is not dispatched
+/// there when the lane frees at the crash's detection: it moves to the
+/// live node. Node `a` is twenty times faster than `b`, so the plan puts
+/// both independent tasks on `a`'s one lane, the second queued behind
+/// the first; `a` crashes halfway through the first.
+#[test]
+fn a_task_queued_on_a_crashed_node_moves_to_a_live_one() {
+    use disagg::hwsim::compute::ComputeModel;
+    use disagg::hwsim::device::MemDeviceModel;
+    use disagg::hwsim::topology::LinkKind;
+
+    let topo = || {
+        let mut t = Topology::builder();
+        for (name, slowdown) in [("a", 1.0), ("b", 20.0)] {
+            let n = t.node(name);
+            let cpu = ComputeModel::preset(ComputeKind::Cpu);
+            let ns_per_elem = cpu.ns_per_elem.map(|ns| ns * slowdown);
+            let cpu = t.compute(n, ComputeModel { slots: 1, ns_per_elem, ..cpu });
+            let dram = t.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
+            t.link(cpu, dram, LinkKind::MemBus);
+        }
+        t.build().expect("two one-lane nodes")
+    };
+    let job = || {
+        let mut j = JobBuilder::new("pair");
+        for name in ["first", "second"] {
+            let body = |ctx: &mut TaskCtx<'_, '_>| {
+                ctx.compute(WorkClass::Scalar, 100_000);
+                Ok(())
+            };
+            j.task(
+                TaskSpec::new(name)
+                    .work(WorkClass::Scalar, 100_000)
+                    .require(ComputeKind::Cpu)
+                    .body(body),
+            );
+        }
+        j.build().unwrap()
+    };
+    let mut healthy = Runtime::new(topo(), RuntimeConfig::default());
+    let report = healthy.execute(vec![job()]).unwrap();
+    let task = |r: &RunReport, name: &str| r.tasks.iter().find(|t| t.name == name).unwrap().clone();
+    let (first, second) = (task(&report, "first"), task(&report, "second"));
+    let a = first.compute;
+    assert_eq!(second.compute, a, "the plan queues both tasks on a");
+    assert_eq!(second.start, first.finish);
+
+    let crash_at = SimTime(first.finish.0 / 2);
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: crash_at,
+        kind: FaultKind::NodeCrash(healthy.topology().node_of_compute(a)),
+    }]);
+    let recovery = RecoveryPolicy::default()
+        .with_detection_delay(SimDuration(2_000))
+        .with_backoff(SimDuration(1_000));
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery);
+    let mut rt = Runtime::new(topo(), config);
+    let report = rt.execute(vec![job()]).unwrap();
+    for e in rt.trace().events() {
+        if let TraceEvent::TaskDispatch { task, on, at, .. } = *e {
+            assert!(on != a || at < crash_at, "task {task} dispatched on the dead node at {at:?}");
+        }
+    }
+    let (first, second) = (task(&report, "first"), task(&report, "second"));
+    assert!(first.compute != a && second.compute != a);
+    assert!(second.start >= crash_at + SimDuration(2_000), "it moves when the crash is detected");
 }
 
 /// The same faulty submission — crash, recovery, corruption, degraded
