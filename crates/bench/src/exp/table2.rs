@@ -8,13 +8,26 @@
 //! device exactly where Table 2's properties allow it, and no placement
 //! violates its bundle.
 
-use disagg_hwsim::ids::ComputeId;
+use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::presets::single_server;
+use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::typed::RegionType;
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
 
 use crate::{Scenario, Shape, Table};
+
+/// The device the engine places a 32 MiB region of `rtype` on when `c`
+/// asks, or `None` if no reachable device of `topo` satisfies the bundle.
+fn resolve(
+    engine: &mut PlacementEngine,
+    topo: &Topology,
+    pool: &MemoryPool,
+    c: ComputeId,
+    rtype: RegionType,
+) -> Option<MemDeviceId> {
+    engine.choose(topo, pool, c, &rtype.properties(), 32 << 20)
+}
 
 /// Runs E2: resolves each Table 2 region type from the CPU and the GPU.
 pub fn run(_: &Scenario) -> Table {
@@ -32,18 +45,19 @@ pub fn run(_: &Scenario) -> Table {
     for rtype in RegionType::TABLE2 {
         for &(c, cname) in &computes {
             let props = rtype.properties();
-            let dev = engine
-                .choose(&topo, &pool, c, &props, 32 << 20)
-                .expect("single_server satisfies every Table 2 bundle");
-            let path = topo.path(c, dev).expect("chosen devices are reachable");
+            let dev = resolve(&mut engine, &topo, &pool, c, rtype);
             if rtype != RegionType::PrivateScratch {
-                shared_on_coherent.push(f64::from(topo.mem(dev).coherent));
+                shared_on_coherent.push(dev.map_or(0.0, |d| f64::from(topo.mem(d).coherent)));
             }
+            let satisfied = dev.is_some_and(|d| {
+                let path = topo.path(c, d).expect("chosen devices are reachable");
+                props.satisfied_by(topo.mem(d), path)
+            });
             t.row(vec![
                 rtype.name().to_string(),
                 cname.to_string(),
-                topo.mem(dev).kind.name().to_string(),
-                if props.satisfied_by(topo.mem(dev), path) { "yes" } else { "NO" }.to_string(),
+                dev.map_or("none", |d| topo.mem(d).kind.name()).to_string(),
+                if satisfied { "yes" } else { "NO" }.to_string(),
             ]);
         }
     }
@@ -77,4 +91,29 @@ pub fn run(_: &Scenario) -> Table {
         shared_on_coherent,
     );
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use disagg_hwsim::compute::{ComputeKind, ComputeModel};
+    use disagg_hwsim::device::{MemDeviceKind, MemDeviceModel};
+    use disagg_hwsim::topology::LinkKind;
+
+    /// A CPU with only block storage: no coherent memory anywhere.
+    #[test]
+    fn a_bundle_no_device_satisfies_resolves_to_none() {
+        let mut b = Topology::builder();
+        let node = b.node("host0");
+        let cpu = b.compute(node, ComputeModel::preset(ComputeKind::Cpu));
+        let ssd = b.mem(node, MemDeviceModel::preset(MemDeviceKind::Ssd));
+        b.link(cpu, ssd, LinkKind::PcieCxl);
+        let topo = b.build().expect("valid topology");
+        assert!(topo.mem_devices().iter().all(|m| !m.coherent));
+        let pool = MemoryPool::new(&topo);
+        let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
+        for rtype in [RegionType::GlobalState, RegionType::GlobalScratch] {
+            assert_eq!(resolve(&mut engine, &topo, &pool, cpu, rtype), None, "{}", rtype.name());
+        }
+    }
 }
