@@ -4,9 +4,20 @@ use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::ObserverSlot;
 use disagg_sched::cost::TopologyAwareness;
-use disagg_sched::lifetime::HandoverPolicy;
 use disagg_sched::placement::PlacementPolicy;
 use disagg_sched::schedule::SchedPolicy;
+
+/// How a finished task's output reaches its successors (§2.3, Figure 4;
+/// the E7 ablation switch). Either way the executor's handover copies
+/// whatever a transfer cannot serve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum HandoverPolicy {
+    /// Transfer ownership whenever the consumer can address the memory.
+    #[default]
+    TransferWhenPossible,
+    /// Always copy (models systems without a shared address space).
+    AlwaysCopy,
+}
 
 /// How the runtime detects and recovers from mid-task faults
 /// (Challenge 8(3)). All delays are virtual time, so recovery behavior

@@ -22,12 +22,14 @@ use disagg_hwsim::trace::TraceEvent;
 use disagg_region::access::{AccessStats, Accessor};
 use disagg_region::pool::RegionId;
 use disagg_region::props::PropertySet;
-use disagg_region::region::OwnerId;
+use disagg_region::migrate::charge_copy;
+use disagg_region::region::{OwnerId, RegionError};
 use disagg_region::typed::RegionType;
 use disagg_sched::enforce::{check_placement, needs_encryption, Violation};
 use disagg_sched::placement::PlacementEngine;
 use disagg_sched::schedule::Scheduler;
 
+use crate::config::HandoverPolicy;
 use crate::error::DisaggError;
 use crate::report::{FailReason, FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
 use crate::runtime::Runtime;
@@ -531,6 +533,83 @@ fn abandon(
     Ok(())
 }
 
+/// Hands `out`, the output of a task of job `ji` on `producer` that
+/// finished at `now`, to its consumer `s` as the consumer's next input,
+/// and counts the handover in the wave's report. Returns how long the
+/// handover takes and whether ownership moved without a copy.
+///
+/// §2.3: "handover is just a memory ownership transfer, and physical data
+/// movement is minimized". The first consumer (`release` names the
+/// producer, who lets go of `out`) takes the region itself when its
+/// device addresses it in place, the region's type can be transferred
+/// and the policy is [`HandoverPolicy::TransferWhenPossible`]: O(1)
+/// bookkeeping, zero bytes on any wire (Figure 4). Otherwise — and for
+/// every fan-out consumer after the first (`release` is `None`) — the
+/// bytes are copied into a fresh region the placement engine chooses for
+/// the consumer, with the source's properties, audited like every other
+/// placement and priced by [`charge_copy`]; the first consumer's copy
+/// then releases the source.
+#[allow(clippy::too_many_arguments)]
+fn hand_over(
+    rt: &mut Runtime,
+    w: &mut Wave,
+    ji: usize,
+    out: RegionId,
+    release: Option<OwnerId>,
+    s: TaskId,
+    producer: ComputeId,
+    now: SimTime,
+) -> Result<(SimDuration, bool), DisaggError> {
+    let jid = w.job_ids[ji];
+    let cons = w.schedule.assignment(jid, s).unwrap_or(producer);
+    let to = OwnerId::Task { job: jid.0, task: s.0 as u64 };
+    let src = rt.mgr.placement(out)?;
+    let meta = rt.mgr.meta(out)?;
+    let (region, took, transferred) = match release {
+        // A producer is always a task.
+        Some(from @ OwnerId::Task { task: from_task, .. })
+            if rt.config.handover == HandoverPolicy::TransferWhenPossible
+                && rt.topo.reachable(cons, src.dev)
+                && meta.rtype.transferable() =>
+        {
+            rt.mgr.transfer(out, from, to)?;
+            rt.trace.push(TraceEvent::OwnershipTransfer {
+                region: out.0,
+                from_task,
+                to_task: s.0 as u64,
+                bytes: src.size,
+                at: now,
+            });
+            let took = calibration::mechanisms().ownership_transfer_ns.value;
+            (out, SimDuration::from_nanos(took), true)
+        }
+        _ => {
+            let props = meta.props.clone();
+            let dev = rt
+                .engine
+                .choose(&rt.topo, rt.mgr.pool(), cons, &props, src.size)
+                .ok_or(RegionError::NoPlacement { region: out, consumer: cons, size: src.size })?;
+            let input = RegionType::Input;
+            let new = rt.mgr.alloc_traced(&mut rt.trace, dev, src.size, input, props.clone(), to, now)?;
+            check_placement(&rt.topo, cons, new, dev, &props, &mut w.report.violations);
+            rt.mgr.copy_contents(out, new)?;
+            let took = charge_copy(&rt.topo, &mut rt.ledger, &mut rt.trace, out, src, dev, now);
+            if let Some(from) = release {
+                rt.mgr.release_traced(&mut rt.trace, out, from, now)?;
+            }
+            (new, took, false)
+        }
+    };
+    if transferred {
+        w.report.ownership_transfers += 1;
+    } else {
+        w.report.handover_copies += 1;
+    }
+    let gs = w.gx(ji, s);
+    w.push_input(gs, region);
+    Ok((took, transferred))
+}
+
 /// Runs one attempt of a task dispatched at `at` on `compute`: creates
 /// its declared regions — chosen by their properties on a first attempt,
 /// on the interrupted attempt's devices on a retry — and runs the body
@@ -684,59 +763,14 @@ pub(crate) fn run_task(
         } else {
             // Copies for fan-out consumers beyond the first...
             for &s in &succs[1..] {
-                let cons = w.schedule.assignment(jid, s).unwrap_or(compute);
-                let to = OwnerId::Task { job: jid.0, task: s.0 as u64 };
-                let o = rt
-                    .lifetime
-                    .copy_to(
-                        &mut rt.mgr,
-                        &rt.topo,
-                        &mut rt.ledger,
-                        &mut rt.trace,
-                        &mut rt.engine,
-                        &mut w.report.violations,
-                        out,
-                        None,
-                        to,
-                        cons,
-                        finish,
-                    )
-                    .map_err(DisaggError::Region)?;
-                w.report.handover_copies += 1;
-                let gs = w.gx(ji, s);
-                w.push_input(gs, o.region);
-                w.push_event(finish + o.took, EventKind::EdgeDone { ji, task: s });
+                let (took, _) = hand_over(rt, w, ji, out, None, s, compute, finish)?;
+                w.push_event(finish + took, EventKind::EdgeDone { ji, task: s });
             }
-            // ...then the transfer (or copy) to the first.
+            // ...then the transfer (or copy) to the first. Only a pure
+            // ownership transfer can pipeline.
             let s0 = succs[0];
-            let cons = w.schedule.assignment(jid, s0).unwrap_or(compute);
-            let to = OwnerId::Task { job: jid.0, task: s0.0 as u64 };
-            let o = rt
-                .lifetime
-                .handover(
-                    &mut rt.mgr,
-                    &rt.topo,
-                    &mut rt.ledger,
-                    &mut rt.trace,
-                    &mut rt.engine,
-                    &mut w.report.violations,
-                    out,
-                    who,
-                    to,
-                    cons,
-                    finish,
-                )
-                .map_err(DisaggError::Region)?;
-            if o.transferred {
-                w.report.ownership_transfers += 1;
-            } else {
-                w.report.handover_copies += 1;
-            }
-            let gs0 = w.gx(ji, s0);
-            w.push_input(gs0, o.region);
-            // Only a pure ownership transfer can pipeline.
-            let release = release_to(s0, o.transferred);
-            w.push_event(release + o.took, EventKind::EdgeDone { ji, task: s0 });
+            let (took, transferred) = hand_over(rt, w, ji, out, Some(who), s0, compute, finish)?;
+            w.push_event(release_to(s0, transferred) + took, EventKind::EdgeDone { ji, task: s0 });
         }
     } else {
         // No output region: successors are gated on (pipelined) finish

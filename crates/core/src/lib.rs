@@ -64,7 +64,7 @@ pub use disagg_obs as obs;
 /// Everything an application or experiment typically imports.
 pub mod prelude {
     pub use crate::breaker::{BreakerBank, BreakerState, BreakerTransition, RetryBudgets};
-    pub use crate::config::{RecoveryPolicy, RuntimeConfig};
+    pub use crate::config::{HandoverPolicy, RecoveryPolicy, RuntimeConfig};
     pub use crate::error::{DisaggError, RuntimeError};
     pub use crate::profile::{RunProfile, TaskProfile};
     pub use crate::report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
@@ -77,12 +77,14 @@ pub mod prelude {
     pub use disagg_hwsim::device::{AccessPattern, MemDeviceKind};
     pub use disagg_hwsim::time::{SimDuration, SimTime};
     pub use disagg_hwsim::topology::Topology;
-    pub use disagg_obs::{FullObserver, MetricsSnapshot, Observer, ObserverSlot};
+    pub use disagg_obs::{FullObserver, MetricsSnapshot, ObserverSlot};
     pub use disagg_region::props::{
         AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet,
     };
     pub use disagg_region::typed::RegionType;
-    pub use disagg_sched::lifetime::HandoverPolicy;
     pub use disagg_sched::placement::PlacementPolicy;
     pub use disagg_sched::schedule::SchedPolicy;
 }
+
+#[cfg(test)]
+mod lifetime;

@@ -33,7 +33,6 @@ use disagg_region::access::book_access;
 use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionManager};
-use disagg_sched::lifetime::LifetimeManager;
 use disagg_sched::placement::PlacementEngine;
 
 use crate::breaker::{BreakerBank, BreakerTransition, RetryBudgets};
@@ -52,7 +51,6 @@ pub struct Runtime {
     pub(crate) ledger: BandwidthLedger,
     pub(crate) trace: Trace,
     pub(crate) engine: PlacementEngine,
-    pub(crate) lifetime: LifetimeManager,
     /// Application-scope named regions published across jobs.
     pub(crate) app_published: FxHashMap<String, RegionId>,
     /// Per-node circuit breakers — `Some` once
@@ -87,7 +85,6 @@ impl Runtime {
             ledger: BandwidthLedger::default_buckets(),
             trace,
             engine,
-            lifetime: LifetimeManager::new(config.handover),
             app_published: FxHashMap::default(),
             breakers: None,
             retry_budgets: None,

@@ -2,7 +2,10 @@
 
 use disagg_core::prelude::*;
 use disagg_hwsim::fault::{FaultEvent, FaultInjector, FaultKind};
+use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::presets::{disaggregated_rack, single_server};
+use disagg_hwsim::trace::TraceEvent;
+use disagg_region::region::RegionError;
 
 fn passthrough(bytes: usize) -> impl Fn(&mut TaskCtx<'_, '_>) -> Result<(), TaskError> {
     move |ctx| {
@@ -39,6 +42,14 @@ fn linear_pipeline_is_all_ownership_transfers() {
     assert!(report.makespan > SimDuration::ZERO);
     // 4 handovers of 1 MiB avoided any wire movement.
     assert_eq!(report.bytes_ownership_transferred, 4 << 20);
+    // Each transfer takes the mechanism's fixed overhead, no more: the
+    // consumer starts exactly that long after its producer finishes.
+    let transfer = SimDuration::from_nanos(
+        disagg_hwsim::calibration::mechanisms().ownership_transfer_ns.value,
+    );
+    for pair in report.tasks.windows(2) {
+        assert_eq!(pair[1].start - pair[0].finish, transfer);
+    }
 }
 
 #[test]
@@ -63,6 +74,23 @@ fn always_copy_baseline_moves_every_byte() {
     assert_eq!(report.ownership_transfers, 0);
     assert_eq!(report.handover_copies, 2);
     assert!(report.bytes_moved >= 2 << 20, "copies must move the bytes");
+    // Each copy books its allocation, then the copy, then the source's
+    // free, all at the producer's finish.
+    let mut copies = 0;
+    for w in rt.trace().events().windows(3) {
+        let TraceEvent::Migrate { region: src, from, to, bytes, at, .. } = w[1] else {
+            continue;
+        };
+        copies += 1;
+        assert!(
+            matches!(w[0], TraceEvent::Alloc { region, dev, bytes: b, at: t }
+                if region != src && (dev, b, t) == (to, bytes, at)),
+            "{:?}",
+            w[0]
+        );
+        assert_eq!(w[2], TraceEvent::Free { region: src, dev: from, bytes, at });
+    }
+    assert_eq!(copies, 2);
 }
 
 #[test]
@@ -235,6 +263,132 @@ fn fan_out_gives_first_consumer_the_transfer_and_copies_the_rest() {
     let report = rt.execute(job.build().unwrap()).unwrap();
     assert_eq!(report.ownership_transfers, 1);
     assert_eq!(report.handover_copies, 2);
+    // On the host both copies share the source's buffer: only the
+    // producer's write materialized bytes.
+    assert_eq!(rt.manager().pool().bytes_materialized(), 1 << 16);
+}
+
+#[test]
+fn a_fan_out_copy_stops_sharing_when_it_is_written() {
+    let (topo, _) = single_server();
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let mut job = JobBuilder::new("fanout");
+    let src = job.task(
+        TaskSpec::new("src")
+            .output_bytes(1 << 16)
+            .body(|ctx| {
+                ctx.write_output(0, &[3u8; 1 << 16])?;
+                Ok(())
+            }),
+    );
+    // Each consumer sees the producer's bytes; the last one then writes
+    // its own copy.
+    let consumers: Vec<TaskId> = (0..3)
+        .map(|i| {
+            job.task(TaskSpec::new(format!("c{i}")).body(move |ctx| {
+                let mut buf = [0u8; 16];
+                ctx.read_input(0, &mut buf)?;
+                if buf != [3u8; 16] {
+                    return Err(TaskError::new("a copy must carry the producer's bytes"));
+                }
+                if i == 2 {
+                    let input = ctx.input()?;
+                    ctx.async_write(input, 0, &[4u8; 16])?;
+                    ctx.wait_async();
+                }
+                Ok(())
+            }))
+        })
+        .collect();
+    for &c in &consumers {
+        job.edge(src, c);
+    }
+    let report = rt.execute(job.build().unwrap()).unwrap();
+    assert_eq!(report.handover_copies, 2);
+    // The write gave its copy a buffer of its own; nothing else did.
+    assert_eq!(rt.manager().pool().bytes_materialized(), 2 << 16);
+}
+
+/// Two islands with no route between them: a CPU and its DRAM, and a
+/// GPU and its GDDR of `gddr_bytes`. Returns `(topology, gpu, gddr)`.
+fn islands(gddr_bytes: u64) -> (Topology, ComputeId, MemDeviceId) {
+    use disagg_hwsim::compute::ComputeModel;
+    use disagg_hwsim::device::MemDeviceModel;
+    use disagg_hwsim::topology::LinkKind;
+
+    let mut b = Topology::builder();
+    let host = b.node("host");
+    let card = b.node("card");
+    let cpu = b.compute(host, ComputeModel::preset(ComputeKind::Cpu));
+    let gpu = b.compute(card, ComputeModel::preset(ComputeKind::Gpu));
+    let dram = b.mem(host, MemDeviceModel::preset_with_capacity(MemDeviceKind::Dram, 1 << 24));
+    let gddr = b.mem(card, MemDeviceModel::preset_with_capacity(MemDeviceKind::Gddr, gddr_bytes));
+    b.link(cpu, dram, LinkKind::MemBus);
+    b.link(gpu, gddr, LinkKind::GpuBus);
+    (b.build().unwrap(), gpu, gddr)
+}
+
+/// A CPU producer writing 4 KiB of 7s and a GPU consumer checking them.
+fn cpu_to_gpu() -> JobSpec {
+    let mut job = JobBuilder::new("islands");
+    let p = job.task(
+        TaskSpec::new("p")
+            .require(ComputeKind::Cpu)
+            .output_bytes(4096)
+            .body(|ctx| {
+                ctx.write_output(0, &[7u8; 8])?;
+                Ok(())
+            }),
+    );
+    let c = job.task(TaskSpec::new("c").require(ComputeKind::Gpu).body(|ctx| {
+        let mut buf = [0u8; 8];
+        ctx.read_input(0, &mut buf)?;
+        if buf != [7u8; 8] {
+            return Err(TaskError::new("the copy must carry the producer's bytes"));
+        }
+        Ok(())
+    }));
+    job.edge(p, c);
+    job.build().unwrap()
+}
+
+#[test]
+fn unaddressable_region_falls_back_to_copy() {
+    // The GPU cannot address the producer's DRAM: handover must fall
+    // back to a physical copy, into the GDDR it can reach.
+    let (topo, _, gddr) = islands(1 << 24);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let report = rt.execute(cpu_to_gpu()).unwrap();
+    assert_eq!((report.ownership_transfers, report.handover_copies), (0, 1));
+    let copies: Vec<MemDeviceId> = rt
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::Migrate { to, .. } => Some(to),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(copies, [gddr]);
+}
+
+#[test]
+fn copy_with_nowhere_to_go_names_the_consumer_and_keeps_the_source() {
+    // The GPU reaches only its GDDR, and the GDDR is too small.
+    let (topo, gpu, gddr) = islands(2048);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let err = rt.execute(cpu_to_gpu()).unwrap_err();
+    let DisaggError::Region(err @ RegionError::NoPlacement { consumer, size, .. }) = err else {
+        panic!("expected NoPlacement, got {err:?}");
+    };
+    assert_eq!((consumer, size), (gpu, 4096));
+    let msg = err.to_string();
+    assert!(msg.contains(&gpu.to_string()) && msg.contains("4096"), "{msg}");
+    // Nothing was copied, allocated on the GDDR or freed on the way out.
+    let events = rt.trace().events();
+    assert!(!events.iter().any(|e| matches!(e, TraceEvent::Migrate { .. } | TraceEvent::Free { .. })));
+    assert!(!events.iter().any(|e| matches!(*e, TraceEvent::Alloc { dev, .. } if dev == gddr)));
+    assert_eq!(rt.manager().live_count(), 1, "the producer's output stays live");
 }
 
 #[test]

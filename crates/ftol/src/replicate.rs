@@ -208,12 +208,12 @@ impl ReplicatedRegion {
         self.replicas[lost] = new;
         self.devs[lost] = spare;
 
-        let base = topo
-            .transfer_cost(self.devs[src], spare, self.size)
-            .ok_or(FtolError::Unreachable(self.devs[src], spare))?;
-        let fin = reserve_copy(topo, ledger, self.devs[src], spare, self.size, now);
+        if topo.mem_path(self.devs[src], spare).is_none() {
+            return Err(FtolError::Unreachable(self.devs[src], spare));
+        }
+        let took = reserve_copy(topo, ledger, self.devs[src], spare, self.size, now);
         self.bytes_written += self.size;
-        Ok(base.max(fin - now))
+        Ok(took)
     }
 }
 
@@ -434,6 +434,57 @@ mod tests {
             .unwrap();
         assert_eq!(ledger.bytes(ResourceKey::Mem(clean)), size as f64);
         assert_eq!(ledger.bytes(ResourceKey::Mem(tainted)), 0.0);
+    }
+
+    /// A copy has one price: migrating a region and recovering a replica
+    /// of the same bytes between the same two devices take what
+    /// `reserve_copy` says — the uncontended `transfer_cost` on an idle
+    /// ledger, the booked time once the link is busy.
+    #[test]
+    fn migration_and_replica_recovery_pay_one_copy_price() {
+        use disagg_region::migrate::migrate;
+        use disagg_region::typed::RegionType;
+        use disagg_hwsim::trace::Trace;
+
+        let (topo, _, _, pool, _) = fixture();
+        let (src, spare, size, now) = (pool[1], pool[2], 1 << 20, SimTime(100));
+        let link = topo.mem_path(src, spare).unwrap().bottleneck_link.unwrap();
+        // A fresh ledger, or one whose `src`→`spare` link is busy.
+        let ledger = |busy: bool| {
+            let mut l = BandwidthLedger::default_buckets();
+            if busy {
+                l.reserve(ResourceKey::Link(link), now, (64 << 20) as f64, 1.0);
+            }
+            l
+        };
+        let migrated = |busy: bool| {
+            let mut mgr = RegionManager::new(&topo);
+            let id = mgr
+                .alloc(src, size, RegionType::GlobalScratch, Default::default(), OWNER, now)
+                .unwrap();
+            let mut trace = Trace::disabled();
+            migrate(&mut mgr, &topo, &mut ledger(busy), &mut trace, id, spare, now).unwrap().1
+        };
+        let recovered = |busy: bool| {
+            let mut mgr = RegionManager::new(&topo);
+            let mut rr =
+                ReplicatedRegion::create(&mut mgr, &topo, &[pool[0], src], size, OWNER, now).unwrap();
+            let faults = FaultInjector::with_events(vec![disagg_hwsim::fault::FaultEvent {
+                at: SimTime::ZERO,
+                kind: FaultKind::DeviceFail(pool[0]),
+            }]);
+            rr.recover(&mut mgr, &topo, &mut ledger(busy), &faults, 0, spare, now).unwrap()
+        };
+        let floor = topo.transfer_cost(src, spare, size).unwrap();
+        for busy in [false, true] {
+            let price = reserve_copy(&topo, &mut ledger(busy), src, spare, size, now);
+            assert_eq!((migrated(busy), recovered(busy)), (price, price), "busy: {busy}");
+            if busy {
+                assert!(price > floor, "{price:?} vs {floor:?}");
+            } else {
+                assert_eq!(price, floor);
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! *cross-layer* ones — who stalled on which remote device, when, and
 //! why — while the run is still in flight:
 //!
-//! - [`observer`] — the streaming [`Observer`] event sink the executor
-//!   emits into as events happen, and the cloneable [`ObserverSlot`]
-//!   config handle whose default — no sink — costs nothing;
+//! - [`observer`] — the streaming [`FullObserver`] event sink the
+//!   executor emits into as events happen, and the cloneable
+//!   [`ObserverSlot`] config handle whose default — no sink — costs
+//!   nothing;
 //! - [`metrics`] — a deterministic [`MetricsRegistry`] of counters and
 //!   log2-bucket histograms (queue wait, access latency, migration
 //!   sizes, per-device bytes), all recorded in *virtual* time so two
@@ -48,7 +49,7 @@ pub use export::{
 pub use metrics::{
     nearest_rank, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
-pub use observer::{FullObserver, Observer, ObserverSlot};
+pub use observer::{FullObserver, ObserverSlot};
 pub use request::{
     assemble_request_spans, slo_burn_by, tail_attribution, Attribution, BurnWindow,
     RequestSpan, Segment, SegmentKind, TenantAttribution, TenantBurn,

@@ -1,13 +1,16 @@
 //! The streaming event sink.
 //!
 //! The runtime's execution machinery (executor, accessors, migration,
-//! lifetime handover) already funnels every observable action through
-//! [`Trace::push`]; an [`Observer`] taps that same stream *as it
-//! happens* instead of waiting for the run to finish. The default is no
-//! sink at all (the null [`ObserverSlot`]: no tap is even installed);
-//! [`FullObserver`] buffers events and maintains the metrics registry at
-//! once. A caller reads results from the sink it holds — the runtime's
-//! report does not carry them.
+//! handover) already funnels every observable action through
+//! [`Trace::push`]; an observer taps that same stream *as it happens*
+//! instead of waiting for the run to finish. The default is no sink at
+//! all (the null [`ObserverSlot`]: no tap is even installed); the one
+//! sink, [`FullObserver`], buffers events and maintains the metrics
+//! registry at once. Everything it derives is a deterministic function
+//! of the event sequence: events carry *virtual* timestamps and arrive
+//! in emission order (the same order the buffered trace records), so it
+//! is bit-for-bit reproducible across runs. A caller reads results from
+//! the sink it holds — the runtime's report does not carry them.
 //!
 //! [`ObserverSlot`] is the handle a [`RuntimeConfig`] carries: a
 //! cloneable, shareable reference so the caller keeps access to the
@@ -24,17 +27,6 @@ use disagg_hwsim::trace::TraceEvent;
 
 use crate::metrics::MetricsRegistry;
 
-/// A streaming sink for execution events.
-///
-/// Implementations must be deterministic functions of the event
-/// sequence: events carry *virtual* timestamps and arrive in emission
-/// order (the same order the buffered trace records), so anything
-/// derived from them is bit-for-bit reproducible across runs.
-pub trait Observer: Send {
-    /// Called once per event, at emission time.
-    fn on_event(&mut self, event: &TraceEvent);
-}
-
 /// The everything sink: buffered events + metrics registry,
 /// maintained incrementally from one stream.
 #[derive(Debug, Default)]
@@ -50,9 +42,8 @@ impl FullObserver {
     pub fn new() -> Self {
         FullObserver::default()
     }
-}
 
-impl Observer for FullObserver {
+    /// Takes one event, at emission time.
     fn on_event(&mut self, event: &TraceEvent) {
         self.registry.record(event);
         self.events.push(event.clone());
@@ -78,11 +69,11 @@ impl Observer for FullObserver {
 /// let (_events, _metrics) = (&full.events, full.registry.snapshot());
 /// ```
 #[derive(Clone, Default)]
-pub struct ObserverSlot(Option<Arc<Mutex<dyn Observer + Send>>>);
+pub struct ObserverSlot(Option<Arc<Mutex<FullObserver>>>);
 
 impl ObserverSlot {
     /// A slot sharing an existing sink with the caller.
-    pub fn shared<O: Observer + 'static>(observer: Arc<Mutex<O>>) -> Self {
+    pub fn shared(observer: Arc<Mutex<FullObserver>>) -> Self {
         ObserverSlot(Some(observer))
     }
 

@@ -34,25 +34,25 @@ pub fn migrate(
     if old.dev == to {
         return Ok((old, SimDuration::ZERO));
     }
-    let base = topo
-        .transfer_cost(old.dev, to, old.size)
-        .ok_or(RegionError::IncoherentShare {
-            // No route between the devices: reuse the closest error shape
-            // without inventing a new variant for an unreachable copy.
-            region: id,
-            dev: to,
-        })?;
+    if topo.mem_path(old.dev, to).is_none() {
+        // No route between the devices: reuse the closest error shape
+        // without inventing a new variant for an unreachable copy.
+        return Err(RegionError::IncoherentShare { region: id, dev: to });
+    }
     let new = mgr.pool_mut().rebind(id, to)?;
-    let took = charge_copy(topo, ledger, trace, id, old, to, base, now);
+    let took = charge_copy(topo, ledger, trace, id, old, to, now);
     Ok((new, took))
 }
 
 /// Books one copy of `bytes` from device `src` onto `to`, starting at
 /// `now`: read bandwidth at the source, write bandwidth at the
 /// destination and the narrowest interconnect link between them (which
-/// other traffic contends with). Returns when the last of the three
-/// reservations finishes. Every physical copy the runtime makes is
-/// booked here: [`charge_copy`]'s and `ftol`'s replica recovery.
+/// other traffic contends with). Returns how long the copy takes: the
+/// longer of the bookings and the uncontended
+/// [`Topology::transfer_cost`], or the bookings alone where no route
+/// joins the devices (a caller that refuses such a copy checks
+/// [`Topology::mem_path`] first). Every physical copy the runtime makes
+/// is priced here: [`charge_copy`]'s and `ftol`'s replica recovery.
 pub fn reserve_copy(
     topo: &Topology,
     ledger: &mut BandwidthLedger,
@@ -60,7 +60,8 @@ pub fn reserve_copy(
     to: MemDeviceId,
     bytes: u64,
     now: SimTime,
-) -> SimTime {
+) -> SimDuration {
+    let floor = topo.transfer_cost(src, to, bytes).unwrap_or(SimDuration::ZERO);
     let bytes = bytes as f64;
     let f1 = ledger.reserve(ResourceKey::Mem(src), now, bytes, topo.mem(src).read_bw_bpns);
     let f2 = ledger.reserve(ResourceKey::Mem(to), now, bytes, topo.mem(to).write_bw_bpns);
@@ -71,16 +72,13 @@ pub fn reserve_copy(
             finish = finish.max(f3);
         }
     }
-    finish
+    floor.max(finish - now)
 }
 
 /// Charges one device-to-device copy of the region at `src` onto `to`,
-/// starting at `now`, and traces it as one [`TraceEvent::Migrate`]. The
-/// copy is booked by [`reserve_copy`] and takes the longer of that and
-/// `base`, the uncontended [`Topology::transfer_cost`] (the caller
-/// decides what a missing route means). Migration, handover copies and
-/// fan-out are all priced here.
-#[allow(clippy::too_many_arguments)]
+/// starting at `now`, priced by [`reserve_copy`], and traces it as one
+/// [`TraceEvent::Migrate`]. Migration, handover copies and fan-out are
+/// all charged here.
 pub fn charge_copy(
     topo: &Topology,
     ledger: &mut BandwidthLedger,
@@ -88,10 +86,9 @@ pub fn charge_copy(
     region: RegionId,
     src: Placement,
     to: MemDeviceId,
-    base: SimDuration,
     now: SimTime,
 ) -> SimDuration {
-    let took = base.max(reserve_copy(topo, ledger, src.dev, to, src.size, now) - now);
+    let took = reserve_copy(topo, ledger, src.dev, to, src.size, now);
     trace.push(TraceEvent::Migrate {
         region: region.0,
         from: src.dev,

@@ -881,6 +881,24 @@ mod tests {
     }
 
     #[test]
+    fn task_exit_releases_everything() {
+        let (_topo, mut mgr, dram, _) = setup();
+        for _ in 0..3 {
+            alloc(&mut mgr, dram, RegionType::PrivateScratch, T0);
+        }
+        let out = alloc(&mut mgr, dram, RegionType::Output, T0);
+        mgr.transfer(out, T0, T1).unwrap();
+        assert_eq!(mgr.live_count(), 4);
+        // The producer's exit frees its three scratch regions; the output
+        // it handed over belongs to the consumer and stays live.
+        let mut trace = Trace::enabled();
+        mgr.release_all_traced(&mut trace, T0, SimTime(100));
+        assert_eq!(mgr.live_count(), 1);
+        assert!(mgr.is_live(out));
+        assert_eq!(trace.count(|e| matches!(e, TraceEvent::Free { .. })), 3);
+    }
+
+    #[test]
     fn the_traced_path_books_exactly_what_the_pool_does() {
         let (topo, mut mgr, dram, far) = setup();
         let mut trace = Trace::enabled();

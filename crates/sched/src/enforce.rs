@@ -5,8 +5,13 @@
 //! [`check_placement`] judges every placement of a run against its
 //! region's declared properties with the rule placement itself filters by
 //! ([`PropertySet::unmet`]) and records what fails in the running wave's
-//! report; confidential data leaving the platform's trust boundary must be
-//! encrypted, for which this module supplies the (cost-modelled) cipher.
+//! report. [`needs_encryption`] draws the platform's trust boundary: a
+//! confidential task pays [`WorkClass::Crypto`] time on its compute device
+//! for the bytes it wrote, once per region it placed outside the boundary
+//! (the executor charges it). No byte is transformed: the encryption is a
+//! cost, not a cipher.
+//!
+//! [`WorkClass::Crypto`]: disagg_hwsim::compute::WorkClass::Crypto
 
 use disagg_hwsim::device::Attachment;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
@@ -50,24 +55,6 @@ pub fn check_placement(
 /// within the coherent/secured enclosure.
 pub fn needs_encryption(topo: &Topology, dev: MemDeviceId) -> bool {
     matches!(topo.mem(dev).attachment, Attachment::Nic | Attachment::Sata)
-}
-
-/// A simple stream cipher (xorshift keystream) standing in for AES-class
-/// memory encryption. It is *not* cryptographically strong — the
-/// simulation needs a real, invertible byte transform with modelled cost,
-/// not security. Applying it twice with the same key round-trips.
-pub fn xor_cipher(data: &mut [u8], key: u64) {
-    let mut state = key | 1;
-    for chunk in data.chunks_mut(8) {
-        // xorshift64.
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let ks = state.to_le_bytes();
-        for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-            *b ^= k;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,29 +162,5 @@ mod tests {
         assert!(!needs_encryption(&topo, ids.gddr));
         assert!(needs_encryption(&topo, ids.far));
         assert!(needs_encryption(&topo, ids.hdd));
-    }
-
-    #[test]
-    fn cipher_round_trips_and_actually_scrambles() {
-        let mut data = *b"patient record: confidential!!!!";
-        let original = data;
-        xor_cipher(&mut data, 0xDEAD_BEEF);
-        assert_ne!(data, original, "ciphertext must differ");
-        let differing = data
-            .iter()
-            .zip(original.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert!(differing > data.len() / 2, "most bytes should change");
-        xor_cipher(&mut data, 0xDEAD_BEEF);
-        assert_eq!(data, original, "decryption restores plaintext");
-    }
-
-    #[test]
-    fn cipher_keys_matter() {
-        let mut data = *b"secret";
-        xor_cipher(&mut data, 1);
-        xor_cipher(&mut data, 2);
-        assert_ne!(&data, b"secret", "wrong key must not decrypt");
     }
 }

@@ -1,5 +1,5 @@
-//! The runtime system (RTS): cost model, placement, scheduling,
-//! lifetimes, and enforcement.
+//! The runtime system (RTS): cost model, placement, scheduling and
+//! enforcement.
 //!
 //! This crate is the paper's envisioned runtime underneath the
 //! declarative programming model. Its responsibilities, straight from
@@ -14,19 +14,19 @@
 //!   worst-feasible baselines the experiments compare against.
 //! - [`schedule`]: HEFT-style list scheduling over heterogeneous compute
 //!   devices with per-device parallelism.
-//! - [`lifetime`]: output→input handover (ownership transfer vs copy) and
-//!   release-on-last-owner cleanup (Challenge 3; Figure 4).
 //! - [`enforce`]: the placement audit and the trust-boundary encryption
 //!   rule.
+//!
+//! Handover (ownership transfer vs copy, Challenge 3; Figure 4) and the
+//! release of a region when its last owner exits are steps of the
+//! executor in `disagg-core`.
 
 pub mod cost;
 pub mod enforce;
-pub mod lifetime;
 pub mod placement;
 pub mod schedule;
 
 pub use cost::{CostModel, TopologyAwareness};
-pub use enforce::{check_placement, needs_encryption, xor_cipher, Violation};
-pub use lifetime::{HandoverOutcome, HandoverPolicy, LifetimeManager};
+pub use enforce::{check_placement, needs_encryption, Violation};
 pub use placement::{PlacementEngine, PlacementPolicy};
 pub use schedule::{SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};
