@@ -2,7 +2,7 @@
 //!
 //! Virtual time is single-threaded by design — one event loop per
 //! [`Runtime`] keeps the simulation bit-for-bit deterministic. Sweeps
-//! are not: the 18 experiments and intra-experiment config
+//! are not: the 17 experiments and intra-experiment config
 //! sweeps are independent simulations, so the driver fans them across
 //! cores with `std::thread::scope` (no external dependencies) and
 //! merges results back in submission order. The merge is index-stable:
@@ -36,15 +36,10 @@ use disagg_hwsim::presets::{
 };
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
-use disagg_workloads::dbms::query_job;
-use disagg_workloads::hospital::hospital_job;
-use disagg_workloads::hpc::{stencil_job, HpcConfig};
-use disagg_workloads::ml::training_job;
-use disagg_workloads::streaming::windowed_job;
 
 use disagg_obs::json::escape;
 
-use crate::exp::{chaos, fig2};
+use crate::apps::App;
 use crate::{exp, Claim, Scenario, Table, Verdict};
 
 /// The grid's seeds besides the record's: [`seed_grid`] re-runs the
@@ -158,40 +153,26 @@ pub fn representative(
     id: &str,
     scenario: &Scenario,
 ) -> Option<(Topology, RuntimeConfig, Vec<JobSpec>)> {
-    let quick = scenario.quick;
     let config = RuntimeConfig::default();
-    let dbms = || query_job(chaos::dbms(scenario));
+    let dbms = || App::Dbms.job(scenario);
     let some = |topo: Topology, jobs: Vec<JobSpec>| Some((topo, config.clone(), jobs));
     match id {
         // Static tables: a small pipeline on the plain server stands in.
-        "table1" | "table2" | "table3" | "fig3" | "ablation" => {
-            some(single_server().0, vec![dbms()])
-        }
+        "table1" | "table2" | "ingredients" | "fig3" => some(single_server().0, vec![dbms()]),
         // The CXL-pool rack of fig1 has no persistent tier, so the rack
         // representative is the fully disaggregated one.
         "fig1" => some(disaggregated_rack(4, 16, 4, 256).0, vec![dbms()]),
-        "fig2" => some(single_server().0, vec![hospital_job(fig2::config(scenario))]),
+        "fig2" => some(single_server().0, vec![App::Hospital.job(scenario)]),
         // two_socket is DRAM-only, so the NUMA representative runs a
         // plain layered DAG (no persistent outputs to place).
         "numa" => some(two_socket().0, stress_jobs(1, 4, 4)),
-        "fig4" => some(
-            single_server().0,
-            vec![stencil_job(HpcConfig {
-                cells: if quick { 2_048 } else { 8_192 },
-                seed: scenario.stream(HpcConfig::default().seed),
-                ..HpcConfig::default()
-            })],
-        ),
+        "fig4" => some(single_server().0, vec![App::Hpc.job(scenario)]),
         "naive" | "tiering" => some(hetero_storage_server().0, vec![dbms()]),
-        "async" | "stream" => {
-            some(single_server().0, vec![windowed_job(chaos::stream(scenario))])
-        }
-        "ftol" => {
-            some(disaggregated_rack(4, 16, 4, 256).0, vec![training_job(chaos::ml(scenario))])
-        }
+        "async" | "stream" => some(single_server().0, vec![App::Stream.job(scenario)]),
+        "ftol" => some(disaggregated_rack(4, 16, 4, 256).0, vec![App::Ml.job(scenario)]),
         "online" => some(
             disaggregated_rack(4, 16, 4, 256).0,
-            stress_jobs(if quick { 2 } else { 4 }, 4, 4),
+            stress_jobs(if scenario.quick { 2 } else { 4 }, 4, 4),
         ),
         // The chaos representative crashes a node halfway through the
         // fault-free makespan (probed first), so the observer sees the

@@ -10,18 +10,15 @@
 //! — is virtual time, so two runs of the sweep are byte-identical.
 
 use disagg_core::prelude::{Runtime, RuntimeConfig};
-use disagg_core::{RecoveryPolicy, RunReport};
-use disagg_dataflow::job::{JobId, JobSpec};
+use disagg_core::RecoveryPolicy;
+use disagg_dataflow::job::JobId;
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
 use disagg_hwsim::presets::{disaggregated_rack, Rack};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::TraceEvent;
-use disagg_workloads::dbms::{self, DbmsConfig};
-use disagg_workloads::ml::{self, MlConfig};
-use disagg_workloads::streaming::{self, StreamConfig};
-use disagg_workloads::util::final_output;
 
+use crate::apps::App;
 use crate::{fmt_dur, Fragment, Scenario, Shape, Table};
 
 /// One (workload, MTTF) sweep point.
@@ -77,75 +74,8 @@ fn fragment(rows: &[ChaosRow]) -> Fragment {
     Fragment { parent: "", members: format!("\"chaos\": [\n{}\n  ]", rows.join(",\n")) }
 }
 
-/// One workload of the sweep. Function pointers because [`JobSpec`]
-/// bodies are one-shot: every run rebuilds its job.
-struct Workload {
-    name: &'static str,
-    /// A fresh job at the scenario's size and seed.
-    job: fn(&Scenario) -> JobSpec,
-    /// Whether a finished run's final output, decoded, equals the
-    /// workload's own reference for the same scenario.
-    output_matches: fn(&Scenario, &Runtime, &RunReport) -> bool,
-}
-
-/// The sweep's DBMS query at `scenario`'s size and seed.
-pub(crate) fn dbms(scenario: &Scenario) -> DbmsConfig {
-    DbmsConfig {
-        tuples: if scenario.quick { 2_000 } else { 20_000 },
-        probe_tuples: if scenario.quick { 1_000 } else { 10_000 },
-        seed: scenario.stream(DbmsConfig::default().seed),
-        ..DbmsConfig::default()
-    }
-}
-
-/// The sweep's ML training job at `scenario`'s size and seed.
-pub(crate) fn ml(scenario: &Scenario) -> MlConfig {
-    MlConfig {
-        samples: if scenario.quick { 1_024 } else { 4_096 },
-        seed: scenario.stream(MlConfig::default().seed),
-        ..MlConfig::default()
-    }
-}
-
-/// The sweep's streaming job at `scenario`'s size and seed.
-pub(crate) fn stream(scenario: &Scenario) -> StreamConfig {
-    StreamConfig {
-        events: if scenario.quick { 4_000 } else { 20_000 },
-        seed: scenario.stream(StreamConfig::default().seed),
-        ..StreamConfig::default()
-    }
-}
-
-/// The three workloads of the sweep.
-fn workloads() -> [Workload; 3] {
-    [
-        Workload {
-            name: "dbms",
-            job: |scenario| dbms::query_job(dbms(scenario)),
-            output_matches: |scenario, rt, report| {
-                let want = dbms::expected(&dbms(scenario));
-                dbms::decode_result(&final_output(rt, report, JobId(0), "hash-join"))
-                    == (want.join_matches, want.groups as u64, want.total_sum)
-            },
-        },
-        Workload {
-            name: "ml",
-            job: |scenario| ml::training_job(ml(scenario)),
-            output_matches: |scenario, rt, report| {
-                ml::decode_model(&final_output(rt, report, JobId(0), "train"))
-                    == ml::expected_model(&ml(scenario))
-            },
-        },
-        Workload {
-            name: "stream",
-            job: |scenario| streaming::windowed_job(stream(scenario)),
-            output_matches: |scenario, rt, report| {
-                streaming::decode_result(&final_output(rt, report, JobId(0), "sink"))
-                    == streaming::expected_windows(&stream(scenario))
-            },
-        },
-    ]
-}
+/// The sweep's workloads.
+const APPS: [App; 3] = [App::Dbms, App::Ml, App::Stream];
 
 /// MTTF levels as (label, divisor): `mttf = baseline / divisor`.
 fn levels(scenario: &Scenario) -> &'static [(&'static str, u64)] {
@@ -194,12 +124,12 @@ fn chaos_plan(topo: &Topology, rack: &Rack, baseline: SimDuration, mttf: SimDura
     f
 }
 
-fn run_once(w: &Workload, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
+fn run_once(app: App, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
     let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
     let config = RuntimeConfig::traced().with_faults(faults).with_recovery(policy());
     let mut rt = Runtime::new(topo, config);
     let report = rt
-        .execute((w.job)(scenario))
+        .execute(app.job(scenario))
         .expect("chaos sweep point completes within its retry budget");
     let (mut retries, mut detected, mut reconstructs) = (0u64, 0u64, 0u64);
     for e in rt.trace().events() {
@@ -211,14 +141,14 @@ fn run_once(w: &Workload, scenario: &Scenario, faults: FaultInjector) -> ChaosRo
         }
     }
     ChaosRow {
-        workload: w.name,
+        workload: app.name(),
         mttf: "none",
         makespan: report.makespan,
         baseline: report.makespan,
         retries,
         detected,
         reconstructs,
-        output_matches: (w.output_matches)(scenario, &rt, &report),
+        output_matches: app.output_matches(scenario, &rt, &report, JobId(0)),
     }
 }
 
@@ -226,15 +156,15 @@ fn run_once(w: &Workload, scenario: &Scenario, faults: FaultInjector) -> ChaosRo
 /// one faulty run per MTTF level.
 pub fn measure(scenario: &Scenario) -> Vec<ChaosRow> {
     let mut rows = Vec::new();
-    for w in workloads() {
-        let base = run_once(&w, scenario, FaultInjector::none());
+    for app in APPS {
+        let base = run_once(app, scenario, FaultInjector::none());
         let baseline = base.makespan;
         rows.push(base);
         for &(label, divisor) in levels(scenario) {
             let mttf = SimDuration(baseline.0 / divisor);
             let (topo, rack) = disaggregated_rack(4, 16, 4, 256);
             let plan = chaos_plan(&topo, &rack, baseline, mttf);
-            rows.push(ChaosRow { mttf: label, baseline, ..run_once(&w, scenario, plan) });
+            rows.push(ChaosRow { mttf: label, baseline, ..run_once(app, scenario, plan) });
         }
     }
     rows

@@ -9,23 +9,15 @@
 use disagg_core::prelude::*;
 use disagg_hwsim::presets::single_server;
 use disagg_hwsim::trace::TraceEvent;
-use disagg_workloads::hospital::{decode_count, expected, hospital_job, HospitalConfig};
+use disagg_workloads::hospital::{decode_count, expected, hospital_job};
 use disagg_workloads::util::final_output;
 
+use crate::apps::hospital_config;
 use crate::{fmt_dur, Scenario, Shape, Table};
-
-/// The hospital job's config at `scenario`'s size and seed.
-pub(crate) fn config(scenario: &Scenario) -> HospitalConfig {
-    HospitalConfig {
-        frames: if scenario.quick { 4 } else { 16 },
-        seed: scenario.stream(HospitalConfig::default().seed),
-        ..HospitalConfig::default()
-    }
-}
 
 /// Runs E5.
 pub fn run(scenario: &Scenario) -> Table {
-    let cfg = config(scenario);
+    let cfg = hospital_config(scenario);
     let exp = expected(&cfg);
     let (topo, _) = single_server();
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());

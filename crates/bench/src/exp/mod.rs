@@ -1,7 +1,6 @@
 //! Experiment modules, one per paper artifact. See the crate docs for
 //! the mapping table.
 
-pub mod ablation;
 pub mod asynk;
 pub mod chaos;
 pub mod chaos_serve;
@@ -10,6 +9,7 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod ftol;
+pub mod ingredients;
 pub mod naive;
 pub mod numa;
 pub mod online;
@@ -17,7 +17,6 @@ pub mod serving;
 pub mod table1;
 pub mod table2;
 pub mod stream;
-pub mod table3;
 pub mod tiering;
 
 use crate::{Scenario, Table};
@@ -30,7 +29,7 @@ pub fn all() -> Vec<Experiment> {
     vec![
         ("table1", table1::run as fn(&Scenario) -> Table),
         ("table2", table2::run),
-        ("table3", table3::run),
+        ("ingredients", ingredients::run),
         ("fig1", fig1::run),
         ("fig2", fig2::run),
         ("fig3", fig3::run),
@@ -42,7 +41,6 @@ pub fn all() -> Vec<Experiment> {
         ("tiering", tiering::run),
         ("stream", stream::run),
         ("online", online::run),
-        ("ablation", ablation::run),
         ("chaos", chaos::run),
         ("serving", serving::run),
         ("chaos_serve", chaos_serve::run),

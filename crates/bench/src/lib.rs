@@ -25,7 +25,7 @@
 //! |---|---|---|
 //! | [`exp::table1`] | Table 1 (device properties) | `table1` |
 //! | [`exp::table2`] | Table 2 (region types → devices) | `table2` |
-//! | [`exp::table3`] | Table 3 (application types) | `table3` |
+//! | [`exp::ingredients`] | Table 3 (application types) and §2: what memory-centric placement, topology-aware costs, HEFT and ownership transfer each buy, on the server and the rack (E3) | `ingredients` |
 //! | [`exp::fig1`] | Figure 1 (compute- vs memory-centric) and the §1 utilization / cost claims (E11) | `fig1` |
 //! | [`exp::fig2`] | Figure 2 (hospital dataflow) | `fig2` |
 //! | [`exp::fig3`] | Figure 3 (per-device region mapping) | `fig3` |
@@ -37,11 +37,11 @@
 //! | [`exp::tiering`] | hotness-driven tiering (Challenges 1-3) | `tiering` |
 //! | [`exp::stream`] | §2.1 batch vs streamed task chains | `stream` |
 //! | [`exp::online`] | §2.1 online serving of an arriving job mix | `online` |
-//! | [`exp::ablation`] | design-choice ablations (E13) | `ablation` |
 //! | [`exp::chaos`] | Challenge 8(3) makespan under injected faults | `chaos` |
 //! | [`exp::serving`] | §2.1 open-loop multi-tenant serving sweep | `serving` |
 //! | [`exp::chaos_serve`] | Challenge 8 fault-aware serving control plane | `chaos_serve` |
 
+mod apps;
 mod claim;
 pub mod driver;
 pub mod exp;

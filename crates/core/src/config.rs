@@ -114,16 +114,16 @@ impl RecoveryPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
     /// How declarative memory requests are resolved to devices.
-    /// Switched by `table3`, `fig1`, `online` and `ablation`
-    /// (compute-centric and worst-feasible baselines).
+    /// Switched by `ingredients`, `fig1`, `naive` and `online`
+    /// (compute-centric, worst-feasible and first-fit baselines).
     pub placement: PlacementPolicy,
     /// How tasks are assigned to compute devices. Switched by
-    /// `ablation` (round-robin).
+    /// `ingredients` (round-robin).
     pub sched: SchedPolicy,
     /// How outputs reach successors (transfer vs copy). Switched by
-    /// `fig4`, `ablation` and every compute-centric baseline.
+    /// `fig4`, `ingredients` and every compute-centric baseline.
     pub handover: HandoverPolicy,
-    /// Cost-model topology awareness. Switched by `ablation` (E13).
+    /// Cost-model topology awareness. Switched by `ingredients`.
     pub awareness: TopologyAwareness,
     /// Record a full event trace (costs memory on big runs). On in
     /// almost every experiment; off in the benchmark's `batch_dag`.

@@ -1412,7 +1412,7 @@ fn independent_jobs_interleave_on_the_devices() {
 fn reports_contain_only_their_own_runs_findings() {
     // Run 1 breaks a declared property; run 2 is clean. Each report
     // carries its own findings, not the runtime's whole history. A
-    // topology-blind engine (the E13 ablation) judges latency without
+    // topology-blind engine (`ingredients`' ablation) judges latency without
     // the path, so a GPU task's low-latency scratch lands on the CPU's
     // cache: 10 ns from the CPU, 430 ns from the GPU.
     let (topo, ids) = single_server();

@@ -31,7 +31,7 @@ const W_PRESSURE: f64 = 0.05;
 const W_DOLLARS: f64 = 0.01;
 
 /// Ablation switch: ignore the interconnect path entirely (treat every
-/// device as if it were local). Used by experiment E13 to show what
+/// device as if it were local). Used by `ingredients` (E3) to show what
 /// topology awareness buys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopologyAwareness {

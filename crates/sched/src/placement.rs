@@ -151,7 +151,7 @@ impl PlacementEngine {
     }
 
     /// An engine whose cost model sees interconnect paths, or not (the
-    /// E13 ablation).
+    /// topology-blind column of `ingredients`).
     pub fn with_awareness(policy: PlacementPolicy, awareness: TopologyAwareness) -> Self {
         PlacementEngine {
             model: CostModel { awareness },
@@ -179,8 +179,10 @@ impl PlacementEngine {
 
     /// Chooses a device for a region that several compute devices will
     /// touch (a producer's output and its consumers): every listed device
-    /// must be able to address it, and the summed cost is minimized. This
-    /// is what makes output→input handover an ownership transfer.
+    /// must be able to address it, and the policy ranks the devices by
+    /// summed cost (compute-centric: the first accessor's local memory
+    /// first). This is what makes output→input handover an ownership
+    /// transfer.
     pub fn choose_shared(
         &mut self,
         topo: &Topology,
@@ -274,7 +276,15 @@ impl PlacementEngine {
             let row = self.table.row(&self.model, topo, c, props, size);
             self.shared_rows.push(row);
         }
+        let locals = match self.policy {
+            PlacementPolicy::ComputeCentric => Some(&topo.compute(computes[0]).local_mem),
+            _ => None,
+        };
+        // The policy's pick over every device (ComputeCentric: its
+        // fallback); ties keep the lower id.
         let mut best: Option<(MemDeviceId, f64)> = None;
+        // Minimum (total, id) among the first accessor's local devices.
+        let mut best_local: Option<(MemDeviceId, f64)> = None;
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
@@ -298,13 +308,19 @@ impl PlacementEngine {
             let better = match (self.policy, best) {
                 (_, None) => true,
                 (PlacementPolicy::WorstFeasible, Some((_, b))) => total > b,
+                (PlacementPolicy::FirstFit, Some(_)) => false,
                 (_, Some((_, b))) => total < b,
             };
             if better {
                 best = Some((dev, total));
             }
+            if locals.is_some_and(|l| l.contains(&dev))
+                && best_local.is_none_or(|(_, b)| total < b)
+            {
+                best_local = Some((dev, total));
+            }
         }
-        best
+        best_local.or(best)
     }
 }
 
@@ -440,6 +456,27 @@ mod tests {
         assert_eq!(dev, ids.cache);
     }
 
+    #[test]
+    fn choose_shared_follows_the_policy() {
+        let (topo, ids) = single_server();
+        let pool = MemoryPool::new(&topo);
+        let props = PropertySet::new().with_hint(AccessHint::mixed_random());
+        let shared = |policy, computes: &[ComputeId]| {
+            PlacementEngine::new(policy)
+                .choose_shared(&topo, &pool, computes, &props, 1 << 20)
+                .unwrap()
+        };
+        // Randomly accessed data the GPU and the CPU share: the
+        // optimizer meets them in the middle, on PMem.
+        assert_eq!(shared(PlacementPolicy::Declarative, &[ids.gpu, ids.cpu]), ids.pmem);
+        // Compute-centric keeps it in the first accessor's local memory
+        // when the others can reach it too; the CPU's locals hold PMem.
+        assert_eq!(shared(PlacementPolicy::ComputeCentric, &[ids.gpu, ids.cpu]), ids.gddr);
+        assert_eq!(shared(PlacementPolicy::ComputeCentric, &[ids.cpu, ids.gpu]), ids.pmem);
+        // First fit takes the lowest id both can use, whatever it costs.
+        assert_eq!(shared(PlacementPolicy::FirstFit, &[ids.gpu, ids.cpu]), ids.cache);
+    }
+
     /// `pick` as it was before the score table — a scan over
     /// [`CostModel::score`] — kept as the oracle.
     fn reference_choose(
@@ -485,7 +522,8 @@ mod tests {
         }
     }
 
-    /// `pick_shared` before the score table.
+    /// `pick_shared` as a scan over [`CostModel::score`]: each policy's
+    /// device among those every accessor can use, ranked by summed score.
     fn reference_choose_shared(
         model: &CostModel,
         policy: PlacementPolicy,
@@ -495,7 +533,8 @@ mod tests {
         props: &PropertySet,
         size: u64,
     ) -> Option<(MemDeviceId, f64)> {
-        let mut best: Option<(MemDeviceId, f64)> = None;
+        let locals = &topo.compute(computes[0]).local_mem;
+        let mut feasible: Vec<(MemDeviceId, f64)> = Vec::new();
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
                 continue;
@@ -511,19 +550,26 @@ mod tests {
                     }
                 }
             }
-            if !ok {
-                continue;
-            }
-            let better = match (policy, best) {
-                (_, None) => true,
-                (PlacementPolicy::WorstFeasible, Some((_, b))) => total > b,
-                (_, Some((_, b))) => total < b,
-            };
-            if better {
-                best = Some((dev, total));
+            if ok {
+                feasible.push((dev, total));
             }
         }
-        best
+        // Strict comparisons: the lowest id wins every tie.
+        let min = |set: &[(MemDeviceId, f64)]| {
+            set.iter().copied().fold(None, |m: Option<(MemDeviceId, f64)>, (d, t)| {
+                if m.is_none_or(|(_, b)| t < b) { Some((d, t)) } else { m }
+            })
+        };
+        let max = feasible.iter().copied().fold(None, |m: Option<(MemDeviceId, f64)>, (d, t)| {
+            if m.is_none_or(|(_, b)| t > b) { Some((d, t)) } else { m }
+        });
+        let local: Vec<_> = feasible.iter().copied().filter(|(d, _)| locals.contains(d)).collect();
+        match policy {
+            PlacementPolicy::Declarative => min(&feasible),
+            PlacementPolicy::WorstFeasible => max,
+            PlacementPolicy::FirstFit => feasible.first().copied(),
+            PlacementPolicy::ComputeCentric => min(&local).or(min(&feasible)),
+        }
     }
 
     fn random_props(rng: &mut SimRng, size: u64) -> PropertySet {
