@@ -1,5 +1,6 @@
-//! The paper's five applications at a scenario's size and seed: the one
-//! place an experiment takes a job, or an app's reference check, from.
+//! The paper's five applications at a scenario's size and seed. This is
+//! the one place an experiment takes a job, or an app's reference check,
+//! from.
 
 use disagg_core::prelude::{JobId, JobSpec, RunReport, Runtime};
 use disagg_workloads::dbms::{self, DbmsConfig};

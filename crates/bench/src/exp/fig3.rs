@@ -8,8 +8,10 @@
 //! access pattern against the *other* device's choice.
 
 use disagg_hwsim::device::{AccessOp, AccessPattern};
+use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::presets::single_server;
+use disagg_hwsim::time::SimTime;
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::{AccessHint, LatencyClass, PropertySet};
 use disagg_sched::placement::{PlacementEngine, PlacementPolicy};
@@ -27,6 +29,7 @@ pub fn run(scenario: &Scenario) -> Table {
         .with_latency(LatencyClass::Low)
         .with_hint(AccessHint::mixed_random());
     let size = 1u64 << 30;
+    let calm = FaultInjector::none();
 
     let cost = |c: ComputeId, d: MemDeviceId| {
         topo.access_cost(c, d, bytes, AccessOp::Read, AccessPattern::Random)
@@ -34,10 +37,10 @@ pub fn run(scenario: &Scenario) -> Table {
             .unwrap_or(f64::INFINITY)
     };
     let cpu_choice = engine
-        .choose(&topo, &pool, h.cpu, &props, size)
+        .choose(&topo, &pool, &calm, h.cpu, &props, size, SimTime::ZERO)
         .expect("CPU viewpoint resolvable");
     let gpu_choice = engine
-        .choose(&topo, &pool, h.gpu, &props, size)
+        .choose(&topo, &pool, &calm, h.gpu, &props, size, SimTime::ZERO)
         .expect("GPU viewpoint resolvable");
     let mut t = Table::new(
         "fig3",

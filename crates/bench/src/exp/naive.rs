@@ -11,6 +11,7 @@
 use disagg_hwsim::compute::WorkClass;
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::device::AccessPattern;
+use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::presets::hetero_storage_server;
 use disagg_hwsim::time::{SimDuration, SimTime};
@@ -102,7 +103,7 @@ pub fn measure(scenario: &Scenario) -> (Vec<TierRow>, Vec<(String, String)>) {
     .map(|&(name, policy)| {
         let mut engine = PlacementEngine::new(policy);
         let dev = engine
-            .choose(&topo, &pool, h.cpu, &props, bytes)
+            .choose(&topo, &pool, &FaultInjector::none(), h.cpu, &props, bytes, SimTime::ZERO)
             .expect("feasible");
         (name.to_string(), topo.mem(dev).kind.name().to_string())
     })

@@ -8,8 +8,10 @@
 //! device exactly where Table 2's properties allow it, and no placement
 //! violates its bundle.
 
+use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::presets::single_server;
+use disagg_hwsim::time::SimTime;
 use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::typed::RegionType;
@@ -26,7 +28,8 @@ fn resolve(
     c: ComputeId,
     rtype: RegionType,
 ) -> Option<MemDeviceId> {
-    engine.choose(topo, pool, c, &rtype.properties(), 32 << 20)
+    let calm = FaultInjector::none();
+    engine.choose(topo, pool, &calm, c, &rtype.properties(), 32 << 20, SimTime::ZERO)
 }
 
 /// Runs E2: resolves each Table 2 region type from the CPU and the GPU.

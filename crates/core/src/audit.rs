@@ -14,7 +14,8 @@
 //!   fault-free commit path allocates nothing for it.
 //!
 //! The books open before the wave's first allocation, and while the wave
-//! runs they assert that no event commits earlier than the one before it.
+//! runs they assert that no event commits earlier than the one before it
+//! and ([`placed`]) that every region lands on a device its compute can use.
 //! One more check sits where serving spans are assembled
 //! (`disagg_obs::assemble_request_spans`, debug builds only as well):
 //! every span's components sum to its latency.
@@ -22,8 +23,10 @@
 //! [`Trace::push`]: disagg_hwsim::trace::Trace::push
 
 use disagg_dataflow::job::{JobId, JobSpec};
-use disagg_hwsim::ids::ComputeId;
+use disagg_hwsim::fault::{FaultInjector, Target};
+use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::SimTime;
+use disagg_hwsim::topology::Topology;
 use disagg_region::region::OwnerId;
 
 use crate::runtime::Runtime;
@@ -37,6 +40,21 @@ pub(crate) struct Books {
     attempts: Vec<(ComputeId, SimTime, SimTime)>,
     /// The time of the last event the wave committed.
     now: SimTime,
+}
+
+/// Asserts that `dev`, allocated at `at` for a region of the task on
+/// `compute`, is usable from `compute` then.
+pub(crate) fn placed(
+    faults: &FaultInjector,
+    topo: &Topology,
+    compute: ComputeId,
+    dev: MemDeviceId,
+    at: SimTime,
+) {
+    assert!(
+        faults.usable(topo, Target::Mem { dev, from: Some(compute) }, at),
+        "wave audit: a region for {compute:?} is allocated on unusable {dev:?} at {at:?}"
+    );
 }
 
 /// Bytes allocated in the runtime's pool, over every device.

@@ -60,7 +60,7 @@
 //! the pool moved by exactly what the trace booked, none of the wave's
 //! tasks still owns a live region, and no device ran more attempts at
 //! once than it has slots. While the wave runs, the audit asserts that
-//! committed event times never decrease.
+//! event times never decrease and that regions land on usable devices.
 
 mod task;
 
@@ -80,7 +80,7 @@ use disagg_sched::enforce::check_placement;
 use disagg_sched::schedule::{Schedule, Scheduler};
 
 use crate::error::DisaggError;
-use crate::report::{RunReport, TaskPlacements};
+use crate::report::RunReport;
 use crate::runtime::Runtime;
 
 use task::{enqueue, queue_on, service, QueueEntry};
@@ -101,16 +101,14 @@ pub(crate) enum EventKind {
     Retry { ji: usize, task: TaskId, to: ComputeId },
 }
 
-/// What a task a fault has interrupted carries into its next attempt.
+/// What a task a fault has interrupted carries into its next attempt —
+/// not its regions: the retry places its own, like a first attempt.
 pub(crate) struct Retry {
     /// Attempts interrupted so far: the retry count.
     pub attempts: u32,
     /// The index of the last fault event that interrupted an attempt; a
     /// later attempt looks only past it.
     pub handled: usize,
-    /// The interrupted attempt's placements, until the retry's dispatch
-    /// re-creates those regions on the same devices (empty after it).
-    pub lost: TaskPlacements,
 }
 
 /// Mutable per-wave state threaded through the event loop.
@@ -270,7 +268,7 @@ fn commit(
             if w.failed[ji] {
                 return Ok(());
             }
-            queue_on(rt, w, jobs, ji, task, to, at)
+            queue_on(rt, w, jobs, ji, task, to, at, at)
         }
     }
 }
@@ -316,14 +314,17 @@ pub(crate) fn run_wave(
             .collect();
         computes.dedup();
         let props = RegionType::GlobalState.properties();
+        let (size, faults) = (spec.global_state_bytes, &rt.config.faults);
         let dev = rt
             .engine
-            .choose_shared(&rt.topo, rt.mgr.pool(), &computes, &props, spec.global_state_bytes)
+            .choose_shared(&rt.topo, rt.mgr.pool(), faults, &computes, &props, size, t0)
             .ok_or(DisaggError::Placement {
                 job: jid,
                 task: TaskId(0),
                 what: "global state",
             })?;
+        #[cfg(debug_assertions)]
+        crate::audit::placed(faults, &rt.topo, computes[0], dev, t0);
         let id = rt.mgr.alloc_traced(
             &mut rt.trace,
             dev,

@@ -15,8 +15,8 @@ use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_dataflow::task::{TaskError, TaskId, TaskSpec};
 use disagg_hwsim::calibration;
 use disagg_hwsim::compute::WorkClass;
-use disagg_hwsim::fault::FaultKind;
-use disagg_hwsim::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
+use disagg_hwsim::fault::{FaultInjector, FaultKind, Target};
+use disagg_hwsim::ids::{ComputeId, LinkId, NodeId};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::TraceEvent;
 use disagg_region::access::{AccessStats, Accessor};
@@ -61,10 +61,12 @@ pub(crate) struct Queued {
 
 /// Adapter exposing the placement engine as the programming model's
 /// [`Placer`] trait (for ad-hoc allocations inside task bodies): the
-/// engine picks, the task's accessor allocates, and the placement is
-/// audited into the wave's report like any other.
+/// engine picks among the devices usable at the body's current virtual
+/// time, the task's accessor allocates, and the placement is audited into
+/// the wave's report like any other.
 struct EnginePlacer<'e> {
     engine: &'e mut PlacementEngine,
+    faults: &'e FaultInjector,
     violations: &'e mut Vec<Violation>,
 }
 
@@ -76,12 +78,14 @@ impl Placer for EnginePlacer<'_> {
         props: PropertySet,
         size: u64,
     ) -> Result<RegionId, TaskError> {
-        let (topo, compute) = (acc.topology(), acc.compute);
+        let (topo, compute, at) = (acc.topology(), acc.compute, acc.now);
         let dev = self
             .engine
-            .choose(topo, acc.manager().pool(), compute, &props, size)
+            .choose(topo, acc.manager().pool(), self.faults, compute, &props, size, at)
             .ok_or_else(|| TaskError::new("no device satisfies the requested properties"))?;
         let region = acc.alloc(dev, size, rtype, props.clone())?;
+        #[cfg(debug_assertions)]
+        crate::audit::placed(self.faults, acc.topology(), compute, dev, at);
         check_placement(acc.topology(), compute, region, dev, &props, self.violations);
         Ok(region)
     }
@@ -118,14 +122,11 @@ fn run_body_once(
         compute,
         who,
         at + launch,
-    );
-    // Fault awareness costs a per-access schedule query, so the calm
-    // path skips it entirely and stays bit-for-bit identical.
-    if !rt.config.faults.is_empty() {
-        acc = acc.with_faults(&rt.config.faults);
-    }
+    )
+    .with_faults(&rt.config.faults);
     let mut placer = EnginePlacer {
         engine: &mut rt.engine,
+        faults: &rt.config.faults,
         violations: &mut w.report.violations,
     };
     let mut ctx = TaskCtx::new(&mut acc, regions, &mut placer, published, &mut rt.app_published);
@@ -134,12 +135,12 @@ fn run_body_once(
 }
 
 /// How a task's declared region of `kind` comes to exist at `at`, for an
-/// attempt running on `compute`: properties from the region type and
-/// the task's resolved declarations, a device chosen by them — or `on`,
-/// the device an interrupted attempt's region lay on — then the traced
-/// allocation (zeroed, owned by the task), the audit of the placement,
-/// and the entry in `placements` / `regions`. A kind
-/// the task declares no bytes for is skipped.
+/// attempt running on `compute` — a first attempt or a retry alike:
+/// properties from the region type and the task's resolved declarations,
+/// a device chosen by them among those usable from `compute` at `at`,
+/// then the traced allocation (zeroed, owned by the task), the audit of
+/// the placement, and the entry in `placements` / `regions`. A kind the
+/// task declares no bytes for is skipped.
 #[allow(clippy::too_many_arguments)]
 fn create_declared(
     rt: &mut Runtime,
@@ -148,7 +149,6 @@ fn create_declared(
     jid: JobId,
     task: TaskId,
     kind: PlacedKind,
-    on: Option<MemDeviceId>,
     compute: ComputeId,
     at: SimTime,
     placements: &mut TaskPlacements,
@@ -178,44 +178,44 @@ fn create_declared(
     }
     let mut props = rtype.properties();
     props.confidential = eff.confidential;
+    let (topo, pool, faults) = (&rt.topo, rt.mgr.pool(), &rt.config.faults);
     let chosen = match kind {
         PlacedKind::PrivateScratch => {
             if let Some(latency) = eff.mem_latency {
                 props.latency = latency;
             }
-            on.or_else(|| rt.engine.choose(&rt.topo, rt.mgr.pool(), compute, &props, bytes))
+            rt.engine.choose(topo, pool, faults, compute, &props, bytes, at)
         }
         PlacedKind::Output => {
             props.persistent = eff.persistent;
-            on.or_else(|| {
-                // Co-placement: every consumer must be able to address
-                // the output for handover to be a pure transfer.
-                w.accessors.clear();
-                w.accessors.push(compute);
-                for &s in spec.dag.successors(task) {
-                    if let Some(c) = w.schedule.assignment(jid, s) {
-                        if !w.accessors.contains(&c) {
-                            w.accessors.push(c);
-                        }
+            // Co-placement: every consumer must be able to address the
+            // output for handover to be a pure transfer.
+            w.accessors.clear();
+            w.accessors.push(compute);
+            for &s in spec.dag.successors(task) {
+                if let Some(c) = w.schedule.assignment(jid, s) {
+                    if !w.accessors.contains(&c) {
+                        w.accessors.push(c);
                     }
                 }
-                // Failing that, producer-only placement (handover will
-                // copy).
-                rt.engine
-                    .choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, bytes)
-                    .or_else(|| rt.engine.choose(&rt.topo, rt.mgr.pool(), compute, &props, bytes))
-            })
+            }
+            // Failing that, producer-only placement (handover will copy).
+            rt.engine
+                .choose_shared(topo, pool, faults, &w.accessors, &props, bytes, at)
+                .or_else(|| rt.engine.choose(topo, pool, faults, compute, &props, bytes, at))
         }
-        PlacedKind::GlobalScratch => on.or_else(|| {
+        PlacedKind::GlobalScratch => {
             w.accessors.clear();
             w.accessors.extend(
                 (0..spec.tasks.len()).filter_map(|t| w.schedule.assignment(jid, TaskId(t as u32))),
             );
             w.accessors.dedup();
-            rt.engine.choose_shared(&rt.topo, rt.mgr.pool(), &w.accessors, &props, bytes)
-        }),
+            rt.engine.choose_shared(topo, pool, faults, &w.accessors, &props, bytes, at)
+        }
     };
     let dev = chosen.ok_or(DisaggError::Placement { job: jid, task, what })?;
+    #[cfg(debug_assertions)]
+    crate::audit::placed(&rt.config.faults, &rt.topo, compute, dev, at);
     let who = OwnerId::Task { job: jid.0, task: task.0 as u64 };
     let id = rt.mgr.alloc_traced(&mut rt.trace, dev, bytes, rtype, props.clone(), who, at)?;
     check_placement(&rt.topo, compute, id, dev, &props, &mut w.report.violations);
@@ -280,7 +280,7 @@ fn breaker_admits(rt: &mut Runtime, node: NodeId, at: SimTime, key: (u64, u64)) 
 }
 
 /// The cheapest live candidate for (re)placing `task` at `at`: the
-/// first in the scheduler's cost ranking whose node is up and whose
+/// first in the scheduler's cost ranking that is usable and whose
 /// breaker admits `key`. When *every* live candidate is breaker-blocked
 /// the pick falls back to plain liveness — breakers degrade placement
 /// quality, never availability.
@@ -293,7 +293,7 @@ fn pick_candidate(
 ) -> Option<ComputeId> {
     let live: Vec<(ComputeId, NodeId)> =
         Scheduler::ranked_candidates_where(&rt.topo, spec, task, |c| {
-            !rt.config.faults.node_down(rt.topo.node_of_compute(c), at)
+            rt.config.faults.usable(&rt.topo, Target::Compute(c), at)
         })
         .into_iter()
         .map(|(c, _)| (c, rt.topo.node_of_compute(c)))
@@ -356,16 +356,17 @@ pub(crate) fn enqueue(
     // breakers are configured) if its node's breaker is open.
     let mut compute = w.schedule.assignment(jid, task).expect("every task is scheduled");
     let key = (jid.0, u64::from(task.0));
-    let node = rt.topo.node_of_compute(compute);
-    if rt.config.faults.node_down(node, at) || !breaker_admits(rt, node, at, key) {
+    let (node, target) = (rt.topo.node_of_compute(compute), Target::Compute(compute));
+    if !rt.config.faults.usable(&rt.topo, target, at) || !breaker_admits(rt, node, at, key) {
         compute = pick_candidate(rt, &jobs[ji], task, at, key)
             .ok_or(DisaggError::NoComputeAvailable { job: jid, task })?;
     }
-    queue_on(rt, w, jobs, ji, task, compute, at)
+    queue_on(rt, w, jobs, ji, task, compute, at, at)
 }
 
-/// Task `task` of job `ji` joins `compute`'s ready queue at `at`, then
-/// the device tries to dispatch.
+/// Task `task` of job `ji` joins `compute`'s ready queue at `at`, its
+/// wait counted from `queued_at`, then the device tries to dispatch.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn queue_on(
     rt: &mut Runtime,
     w: &mut Wave,
@@ -374,6 +375,7 @@ pub(crate) fn queue_on(
     task: TaskId,
     compute: ComputeId,
     at: SimTime,
+    queued_at: SimTime,
 ) -> Result<(), DisaggError> {
     let jid = w.job_ids[ji];
     let rank = w.schedule.entry(jid, task).expect("every task is scheduled").rank;
@@ -383,7 +385,7 @@ pub(crate) fn queue_on(
         on: compute,
         at,
     });
-    w.queues[compute.index()].push(Reverse(queue_key(rank, at, ji, task)));
+    w.queues[compute.index()].push(Reverse(queue_key(rank, queued_at, ji, task)));
     service(rt, w, jobs, compute, at)
 }
 
@@ -401,7 +403,7 @@ pub(crate) fn service(
 ) -> Result<(), DisaggError> {
     let ci = compute.index();
     while w.lanes[ci].peek().is_some_and(|&Reverse(free)| free <= now) {
-        let Some(Reverse((rank, queued_at, ji, task))) = w.queues[ci].pop() else {
+        let Some(Reverse((_, queued_at, ji, task))) = w.queues[ci].pop() else {
             return Ok(());
         };
         if w.failed[ji] {
@@ -409,20 +411,11 @@ pub(crate) fn service(
             // it without taking the lane.
             continue;
         }
-        if !rt.config.faults.is_empty()
-            && rt.config.faults.node_down(rt.topo.node_of_compute(compute), now)
-        {
+        if !rt.config.faults.usable(&rt.topo, Target::Compute(compute), now) {
             let jid = w.job_ids[ji];
             let to = pick_candidate(rt, &jobs[ji], task, now, (jid.0, u64::from(task.0)))
                 .ok_or(DisaggError::NoComputeAvailable { job: jid, task })?;
-            rt.trace.push(TraceEvent::TaskQueued {
-                job: jid.0,
-                task: task.0 as u64,
-                on: to,
-                at: now,
-            });
-            w.queues[to.index()].push(Reverse((rank, queued_at, ji, task)));
-            service(rt, w, jobs, to, now)?;
+            queue_on(rt, w, jobs, ji, task, to, now, queued_at)?;
             continue;
         }
         w.lanes[ci].pop();
@@ -455,11 +448,7 @@ fn abandon(
     let jid = w.job_ids[ji];
     let g = w.gx(ji, task);
     let policy = rt.config.recovery;
-    let retry = w.retries.entry(g).or_insert(Retry {
-        attempts: 0,
-        handled: idx,
-        lost: TaskPlacements::default(),
-    });
+    let retry = w.retries.entry(g).or_insert(Retry { attempts: 0, handled: idx });
     retry.attempts += 1;
     retry.handled = idx;
     let retries = retry.attempts;
@@ -528,7 +517,6 @@ fn abandon(
     for &(_, id, _) in &placements {
         rt.mgr.release_traced(&mut rt.trace, id, who, detect_at)?;
     }
-    w.retries.get_mut(&g).expect("recorded above").lost = placements;
     w.push_event(relaunch_at, EventKind::Retry { ji, task, to });
     Ok(())
 }
@@ -587,8 +575,10 @@ fn hand_over(
             let props = meta.props.clone();
             let dev = rt
                 .engine
-                .choose(&rt.topo, rt.mgr.pool(), cons, &props, src.size)
+                .choose(&rt.topo, rt.mgr.pool(), &rt.config.faults, cons, &props, src.size, now)
                 .ok_or(RegionError::NoPlacement { region: out, consumer: cons, size: src.size })?;
+            #[cfg(debug_assertions)]
+            crate::audit::placed(&rt.config.faults, &rt.topo, cons, dev, now);
             let input = RegionType::Input;
             let new = rt.mgr.alloc_traced(&mut rt.trace, dev, src.size, input, props.clone(), to, now)?;
             check_placement(&rt.topo, cons, new, dev, &props, &mut w.report.violations);
@@ -611,11 +601,12 @@ fn hand_over(
 }
 
 /// Runs one attempt of a task dispatched at `at` on `compute`: creates
-/// its declared regions — chosen by their properties on a first attempt,
-/// on the interrupted attempt's devices on a retry — and runs the body
-/// against the virtual clock. An attempt a fault interrupts is handed to
-/// [`abandon`]; one that finishes hands its output over to successors
-/// and emits their edge events.
+/// its declared regions, placed by their properties at `at` — a retry's
+/// exactly as a first attempt's, so none lands on a device the fault
+/// made unusable — and runs the body against the virtual clock. An
+/// attempt a fault interrupts is handed to [`abandon`]; one that
+/// finishes hands its output over to successors and emits their edge
+/// events.
 pub(crate) fn run_task(
     rt: &mut Runtime,
     w: &mut Wave,
@@ -655,27 +646,13 @@ pub(crate) fn run_task(
         global_state: w.global_state[ji],
         ..TaskRegions::default()
     };
-    match w.retries.get_mut(&g).map(|r| std::mem::take(&mut r.lost)) {
-        // A retry: the interrupted attempt's regions were freed at its
-        // detection and are re-created zeroed on the devices it chose, so
-        // the retry never sees the lost attempt's partial results.
-        Some(lost) => {
-            for &(kind, _, dev) in &lost {
-                let on = Some(dev);
-                create_declared(
-                    rt, w, spec, jid, task, kind, on, compute, at, &mut placements, &mut regions,
-                )?;
-            }
-        }
-        None => {
-            w.start_at[g] = at;
-            let kinds = [PlacedKind::PrivateScratch, PlacedKind::Output, PlacedKind::GlobalScratch];
-            for kind in kinds {
-                create_declared(
-                    rt, w, spec, jid, task, kind, None, compute, at, &mut placements, &mut regions,
-                )?;
-            }
-        }
+    // A retry's regions are new: the interrupted attempt's were freed at
+    // its detection, so the retry never sees its partial results.
+    if !w.retries.contains_key(&g) {
+        w.start_at[g] = at;
+    }
+    for kind in [PlacedKind::PrivateScratch, PlacedKind::Output, PlacedKind::GlobalScratch] {
+        create_declared(rt, w, spec, jid, task, kind, compute, at, &mut placements, &mut regions)?;
     }
 
     // --- Execute the body. ---

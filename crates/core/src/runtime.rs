@@ -25,6 +25,7 @@ use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_hwsim::calibration;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
+use disagg_hwsim::fault::Target;
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::{AccessCostParts, PathCost, Topology};
@@ -325,11 +326,11 @@ impl Runtime {
     }
 
     /// Online reconstruction after device loss (Challenge 8(3)): every
-    /// App-scoped region whose backing device has failed by the current
-    /// virtual time is rebuilt onto a live device in another failure
-    /// domain. The pool rebinds the region id in place, the destination
-    /// pays a device-local sequential write of the region, booked like
-    /// any access, plus the host decode toll, and a
+    /// App-scoped region whose device is unusable (failed, or its node
+    /// down) at the current virtual time is rebuilt onto a usable device
+    /// in another failure domain. The pool rebinds the region id in place,
+    /// the destination pays a device-local sequential write of the region,
+    /// booked like any access, plus the host decode toll, and a
     /// [`TraceEvent::Reconstruct`] records the repair. In the simulation
     /// the manager still holds the bytes, which stands in for restoring
     /// from a surviving replica or erasure-coded stripe. Regions with no
@@ -345,6 +346,8 @@ impl Runtime {
         let Some(vantage) = self.topo.compute_ids().next() else {
             return Ok(Vec::new());
         };
+        let usable =
+            |dev| self.config.faults.usable(&self.topo, Target::Mem { dev, from: None }, now);
         let mut healed = Vec::new();
         let mut longest = SimDuration::ZERO;
         for id in self.mgr.owned_by(OwnerId::App) {
@@ -352,7 +355,7 @@ impl Runtime {
                 continue;
             }
             let placement = self.mgr.placement(id)?;
-            if !self.config.faults.device_failed(placement.dev, now) {
+            if usable(placement.dev) {
                 continue;
             }
             let failed_node = self.topo.node_of_mem(placement.dev);
@@ -361,11 +364,10 @@ impl Runtime {
                 self.engine
                     .model()
                     .rank(&self.topo, self.mgr.pool(), vantage, &props, placement.size);
-            let Some((dev, _)) = ranked.into_iter().find(|&(d, _)| {
-                self.topo.node_of_mem(d) != failed_node
-                    && !self.config.faults.device_failed(d, now)
-                    && !self.config.faults.node_down(self.topo.node_of_mem(d), now)
-            }) else {
+            let Some((dev, _)) = ranked
+                .into_iter()
+                .find(|&(d, _)| self.topo.node_of_mem(d) != failed_node && usable(d))
+            else {
                 continue;
             };
             self.mgr.pool_mut().rebind(id, dev)?;

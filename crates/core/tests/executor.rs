@@ -721,6 +721,62 @@ fn mid_task_node_crash_retries_on_a_survivor() {
 }
 
 #[test]
+fn a_retry_places_its_regions_off_the_crashed_node() {
+    // The task's scratch sits on its node's DRAM. The node crashes
+    // halfway through and stays down; the retry runs on the other server
+    // while it is still down, so none of the retry's regions may land on
+    // the crashed node — they are placed afresh, like a first attempt's.
+    let mk_job = || {
+        let mut j = JobBuilder::new("scratchy");
+        j.task(
+            TaskSpec::new("work")
+                .require(ComputeKind::Cpu)
+                .work(WorkClass::Scalar, 2_000_000)
+                .private_scratch(1 << 20)
+                .output_bytes(4096)
+                .body(|ctx| {
+                    ctx.scratch_write(0, &[1u8; 4096])?;
+                    ctx.compute(WorkClass::Scalar, 2_000_000);
+                    ctx.write_output(0, &[2u8; 4096])?;
+                    Ok(())
+                }),
+        );
+        j.build().unwrap()
+    };
+    let (topo, rack) = disaggregated_rack(2, 32, 2, 64);
+    let victim = topo.node_of_compute(rack.cpus[0]);
+    let healthy = Runtime::new(topo.clone(), RuntimeConfig::traced()).execute(mk_job()).unwrap();
+    let t = &healthy.tasks[0];
+    assert_eq!(topo.node_of_compute(t.compute), victim);
+    let (_, _, scratch_dev) = *t
+        .placements
+        .iter()
+        .find(|(kind, _, _)| *kind == "private_scratch")
+        .expect("the task declares scratch");
+    assert_eq!(topo.node_of_mem(scratch_dev), victim, "the scratch sits on the victim's DRAM");
+
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: t.start + t.duration() / 2,
+        kind: FaultKind::NodeCrash(victim),
+    }]);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_faults(faults));
+    let report = rt.execute(mk_job()).unwrap();
+    let retries =
+        rt.trace().events().iter().filter(|e| matches!(e, TraceEvent::TaskRetry { .. })).count();
+    assert_eq!(retries, 1, "the crash interrupts the attempt once");
+    let retried = &report.tasks[0];
+    assert_ne!(rt.topology().node_of_compute(retried.compute), victim);
+    for &(kind, _, dev) in retried.placements.iter() {
+        assert_ne!(
+            rt.topology().node_of_mem(dev),
+            victim,
+            "the retry's {kind} is on {dev:?}, on the crashed node"
+        );
+    }
+    assert!(report.violations.is_empty(), "{:?}", report.violations);
+}
+
+#[test]
 fn an_interrupted_attempt_leaves_nothing_in_the_retrys_scratch() {
     // The body read-modify-writes a counter in its private scratch. A
     // node crash halfway through loses the attempt; the retry must see
@@ -843,53 +899,54 @@ fn healing_a_failed_persistent_region_pays_a_device_local_write_plus_decode() {
     let (_, home) = output(&healthy.execute(keep()).unwrap());
     let failed_at = healthy.now() + SimDuration::from_micros(10);
 
-    // The same run, then the home blade fails while a later job runs;
-    // healing after that job rebinds the region to the other blade.
-    let faults = FaultInjector::with_events(vec![FaultEvent {
-        at: failed_at,
-        kind: FaultKind::DeviceFail(home),
-    }]);
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_faults(faults));
-    let (region, placed) = output(&rt.execute(keep()).unwrap());
-    assert_eq!(placed, home);
-    rt.execute(vec![(SimDuration::from_millis(1), later())]).unwrap();
-    let healed: Vec<_> = rt
-        .trace()
-        .events()
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::Reconstruct { region: r, dev, bytes, at, took, .. } => {
-                Some((r, dev, bytes, at, took))
-            }
-            _ => None,
-        })
-        .collect();
-    let [(r, dev, bytes, at, took)] = healed[..] else {
-        panic!("one rebuild expected: {healed:?}")
-    };
-    assert_eq!((r, bytes), (region.0, 1000));
-    assert!(at >= failed_at);
-    assert_ne!(dev, home);
-    assert_eq!(rt.manager().placement(region).unwrap().dev, dev);
-    assert_eq!(rt.manager().bytes(region, OwnerId::App).unwrap(), &[9u8; 1000][..]);
+    // The same run, then the home blade fails — the device, or its whole
+    // node — while a later job runs; healing after that job rebinds the
+    // region to the other blade.
+    let home_node = topo.node_of_mem(home);
+    for kind in [FaultKind::DeviceFail(home), FaultKind::NodeCrash(home_node)] {
+        let faults = FaultInjector::with_events(vec![FaultEvent { at: failed_at, kind }]);
+        let mut rt = Runtime::new(topo.clone(), RuntimeConfig::traced().with_faults(faults));
+        let (region, placed) = output(&rt.execute(keep()).unwrap());
+        assert_eq!(placed, home);
+        rt.execute(vec![(SimDuration::from_millis(1), later())]).unwrap();
+        let healed: Vec<_> = rt
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Reconstruct { region: r, dev, bytes, at, took, .. } => {
+                    Some((r, dev, bytes, at, took))
+                }
+                _ => None,
+            })
+            .collect();
+        let [(r, dev, bytes, at, took)] = healed[..] else {
+            panic!("one rebuild expected: {healed:?}")
+        };
+        assert_eq!((r, bytes), (region.0, 1000));
+        assert!(at >= failed_at);
+        assert_ne!(dev, home);
+        assert_eq!(rt.manager().placement(region).unwrap().dev, dev);
+        assert_eq!(rt.manager().bytes(region, OwnerId::App).unwrap(), &[9u8; 1000][..]);
 
-    // The charge: a device-local sequential write of the region on the
-    // idle destination, booked like any access, plus the decode toll.
-    let parts = AccessCostParts::of(
-        rt.topology().mem(dev),
-        PathCost::LOCAL,
-        bytes,
-        AccessOp::Write,
-        AccessPattern::Sequential,
-    );
-    let (write_done, _) =
-        book_access(&mut BandwidthLedger::default_buckets(), None, dev, &parts, at);
-    let per_byte = calibration::mechanisms().host_decode_ns_per_byte.value;
-    let decode = SimDuration::from_nanos_f64(bytes as f64 * per_byte);
-    assert_eq!(took, (write_done - at) + decode);
-    // Known answer on Pmem: 450 ns write latency, 1000 B rounded to four
-    // 256 B granules streamed at 3 B/ns (341.3 → 342 ns), 500 ns decode.
-    assert_eq!(took.as_nanos(), 450 + 342 + 500);
+        // The charge: a device-local sequential write of the region on the
+        // idle destination, booked like any access, plus the decode toll.
+        let parts = AccessCostParts::of(
+            rt.topology().mem(dev),
+            PathCost::LOCAL,
+            bytes,
+            AccessOp::Write,
+            AccessPattern::Sequential,
+        );
+        let (write_done, _) =
+            book_access(&mut BandwidthLedger::default_buckets(), None, dev, &parts, at);
+        let per_byte = calibration::mechanisms().host_decode_ns_per_byte.value;
+        let decode = SimDuration::from_nanos_f64(bytes as f64 * per_byte);
+        assert_eq!(took, (write_done - at) + decode);
+        // Known answer on Pmem: 450 ns write latency, 1000 B rounded to four
+        // 256 B granules streamed at 3 B/ns (341.3 → 342 ns), 500 ns decode.
+        assert_eq!(took.as_nanos(), 450 + 342 + 500);
+    }
 }
 
 #[test]

@@ -26,7 +26,7 @@ pub use stripe::{ParityEngine, StripedRegion};
 
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::device::{AccessOp, AccessPattern};
-use disagg_hwsim::fault::FaultInjector;
+use disagg_hwsim::fault::{FaultInjector, Target};
 use disagg_hwsim::ids::MemDeviceId;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::{AccessCostParts, PathCost, Topology};
@@ -61,13 +61,10 @@ fn alloc_on(
     Ok(devices.iter().map(alloc).collect::<Result<_, _>>()?)
 }
 
-/// Indices into `devs` whose device and node are alive at `t`.
+/// Indices into `devs` whose device and node are up at `t`.
 fn alive(devs: &[MemDeviceId], topo: &Topology, faults: &FaultInjector, t: SimTime) -> Vec<usize> {
     (0..devs.len())
-        .filter(|&i| {
-            let dev = devs[i];
-            !faults.device_failed(dev, t) && !faults.node_down(topo.node_of_mem(dev), t)
-        })
+        .filter(|&i| faults.usable(topo, Target::Mem { dev: devs[i], from: None }, t))
         .collect()
 }
 

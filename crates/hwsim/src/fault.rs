@@ -7,8 +7,9 @@
 //! times. Because the schedule is data, every failure experiment is
 //! reproducible.
 
-use crate::ids::{LinkId, MemDeviceId, NodeId};
+use crate::ids::{ComputeId, LinkId, MemDeviceId, NodeId};
 use crate::time::SimTime;
+use crate::topology::Topology;
 
 /// What kind of fault occurs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +59,21 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// What a liveness query ([`FaultInjector::usable`]) asks about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target {
+    /// A compute device: usable while its node is up.
+    Compute(ComputeId),
+    /// A memory device, as reached from the compute device `from` — the
+    /// one that would use it — or in itself when `from` is `None`.
+    Mem {
+        /// The memory device.
+        dev: MemDeviceId,
+        /// The compute device whose path to `dev` must be up, if any.
+        from: Option<ComputeId>,
+    },
+}
+
 /// A time-ordered fault schedule with point-in-time liveness queries.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
@@ -66,8 +82,8 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     /// An injector with no faults.
-    pub fn none() -> Self {
-        FaultInjector::default()
+    pub const fn none() -> Self {
+        FaultInjector { events: Vec::new() }
     }
 
     /// Builds an injector from a list of events (sorted internally).
@@ -93,38 +109,42 @@ impl FaultInjector {
         self.events.is_empty()
     }
 
-    /// True if `node` is down at time `t` (crashed without a later
-    /// recovery at or before `t`).
-    pub fn node_down(&self, node: NodeId, t: SimTime) -> bool {
-        let mut down = false;
+    /// True if `target` can be used at `t`: its node is up and, for a
+    /// memory device, the device has not failed and the bottleneck link
+    /// of the path from `from` (when given) is not down. Each condition
+    /// holds from its fault event until the matching recovery
+    /// (`NodeRecover`, `DeviceRecover`, `LinkUp`) at or before `t`. This
+    /// is the one liveness rule: placement, dispatch, healing and the
+    /// fault-tolerance layer all ask it. An empty plan answers `true`
+    /// without looking at the topology.
+    pub fn usable(&self, topo: &Topology, target: Target, t: SimTime) -> bool {
+        if self.events.is_empty() {
+            return true;
+        }
+        let (node, dev, link) = match target {
+            Target::Compute(c) => (topo.node_of_compute(c), None, None),
+            Target::Mem { dev, from } => (
+                topo.node_of_mem(dev),
+                Some(dev),
+                from.and_then(|c| topo.path(c, dev)?.bottleneck_link),
+            ),
+        };
+        let (mut node_down, mut failed, mut link_down) = (false, false, false);
         for e in &self.events {
             if e.at > t {
                 break;
             }
             match e.kind {
-                FaultKind::NodeCrash(n) if n == node => down = true,
-                FaultKind::NodeRecover(n) if n == node => down = false,
+                FaultKind::NodeCrash(n) if n == node => node_down = true,
+                FaultKind::NodeRecover(n) if n == node => node_down = false,
+                FaultKind::DeviceFail(d) if Some(d) == dev => failed = true,
+                FaultKind::DeviceRecover(d) if Some(d) == dev => failed = false,
+                FaultKind::LinkDown(l) if Some(l) == link => link_down = true,
+                FaultKind::LinkUp(l) if Some(l) == link => link_down = false,
                 _ => {}
             }
         }
-        down
-    }
-
-    /// True if `dev` is failed at time `t` (failed without a later
-    /// recovery at or before `t`).
-    pub fn device_failed(&self, dev: MemDeviceId, t: SimTime) -> bool {
-        let mut failed = false;
-        for e in &self.events {
-            if e.at > t {
-                break;
-            }
-            match e.kind {
-                FaultKind::DeviceFail(d) if d == dev => failed = true,
-                FaultKind::DeviceRecover(d) if d == dev => failed = false,
-                _ => {}
-            }
-        }
-        failed
+        !(node_down || failed || link_down)
     }
 
     /// The bandwidth multiplier in effect on `link` at time `t`: 1.0
@@ -164,41 +184,104 @@ impl FaultInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presets::{disaggregated_rack, Rack};
+
+    /// Two servers and two memory blades.
+    fn rack() -> (Topology, Rack) {
+        disaggregated_rack(2, 32, 2, 64)
+    }
+
+    fn event(at: u64, kind: FaultKind) -> FaultEvent {
+        FaultEvent { at: SimTime(at), kind }
+    }
 
     #[test]
     fn no_faults_means_everything_up() {
+        let (topo, rack) = rack();
         let inj = FaultInjector::none();
-        assert!(!inj.node_down(NodeId(0), SimTime(1_000)));
-        assert!(!inj.device_failed(MemDeviceId(0), SimTime(1_000)));
+        assert!(inj.usable(&topo, Target::Compute(rack.cpus[0]), SimTime(1_000)));
+        let blade = Target::Mem { dev: rack.pool[0], from: Some(rack.cpus[0]) };
+        assert!(inj.usable(&topo, blade, SimTime(1_000)));
         assert_eq!(inj.link_degradation(LinkId(0), SimTime(1_000)), 1.0);
     }
 
     #[test]
     fn crash_takes_effect_at_its_time() {
-        let inj = FaultInjector::with_events(vec![FaultEvent {
-            at: SimTime(500),
-            kind: FaultKind::NodeCrash(NodeId(1)),
-        }]);
-        assert!(!inj.node_down(NodeId(1), SimTime(499)));
-        assert!(inj.node_down(NodeId(1), SimTime(500)));
-        assert!(inj.node_down(NodeId(1), SimTime(10_000)));
-        assert!(!inj.node_down(NodeId(0), SimTime(10_000)));
+        let (topo, rack) = rack();
+        let inj = FaultInjector::with_events(vec![event(500, FaultKind::NodeCrash(rack.nodes[1]))]);
+        let cpu1 = Target::Compute(rack.cpus[1]);
+        assert!(inj.usable(&topo, cpu1, SimTime(499)));
+        assert!(!inj.usable(&topo, cpu1, SimTime(500)));
+        assert!(!inj.usable(&topo, cpu1, SimTime(10_000)));
+        assert!(inj.usable(&topo, Target::Compute(rack.cpus[0]), SimTime(10_000)));
     }
 
     #[test]
     fn recovery_clears_a_crash() {
+        let (topo, rack) = rack();
         let inj = FaultInjector::with_events(vec![
-            FaultEvent {
-                at: SimTime(500),
-                kind: FaultKind::NodeCrash(NodeId(1)),
-            },
-            FaultEvent {
-                at: SimTime(900),
-                kind: FaultKind::NodeRecover(NodeId(1)),
-            },
+            event(500, FaultKind::NodeCrash(rack.nodes[1])),
+            event(900, FaultKind::NodeRecover(rack.nodes[1])),
         ]);
-        assert!(inj.node_down(NodeId(1), SimTime(700)));
-        assert!(!inj.node_down(NodeId(1), SimTime(900)));
+        let cpu1 = Target::Compute(rack.cpus[1]);
+        assert!(!inj.usable(&topo, cpu1, SimTime(700)));
+        assert!(inj.usable(&topo, cpu1, SimTime(900)));
+    }
+
+    #[test]
+    fn usable_covers_the_device_its_node_and_the_path_from_the_compute() {
+        let (topo, rack) = rack();
+        let (cpu0, cpu1) = (rack.cpus[0], rack.cpus[1]);
+        let (dram0, blade0) = (rack.drams[0], rack.pool[0]);
+        let on = topo.path(cpu0, blade0).unwrap().bottleneck_link.expect("a remote path");
+        let off = topo.path(cpu1, blade0).unwrap().bottleneck_link.expect("a remote path");
+        assert_ne!(on, off, "each server reaches the blade over its own link");
+        let inj = FaultInjector::with_events(vec![
+            // The device fails and is serviced.
+            event(100, FaultKind::DeviceFail(blade0)),
+            event(200, FaultKind::DeviceRecover(blade0)),
+            // Its node crashes and recovers.
+            event(300, FaultKind::NodeCrash(topo.node_of_mem(blade0))),
+            event(400, FaultKind::NodeRecover(topo.node_of_mem(blade0))),
+            // The bottleneck link of cpu0's path goes down and comes up.
+            event(500, FaultKind::LinkDown(on)),
+            event(600, FaultKind::LinkUp(on)),
+            // A link off that path goes down for good.
+            event(700, FaultKind::LinkDown(off)),
+        ]);
+        let from0 = Target::Mem { dev: blade0, from: Some(cpu0) };
+        let itself = Target::Mem { dev: blade0, from: None };
+        let usable = |target, t| inj.usable(&topo, target, SimTime(t));
+        let times = [50, 100, 199, 200, 300, 399, 400, 500, 599, 600, 700];
+        let timeline: Vec<(u64, bool, bool)> =
+            times.into_iter().map(|t| (t, usable(from0, t), usable(itself, t))).collect();
+        assert_eq!(
+            timeline,
+            [
+                (50, true, true),
+                (100, false, false),
+                (199, false, false),
+                (200, true, true),
+                (300, false, false),
+                (399, false, false),
+                (400, true, true),
+                // A down link on the path cuts cpu0 off; the device itself
+                // is fine.
+                (500, false, true),
+                (599, false, true),
+                (600, true, true),
+                // A down link off the path changes nothing for cpu0.
+                (700, true, true),
+            ]
+        );
+        // A failed blade leaves the rest of its node usable.
+        assert!(usable(Target::Mem { dev: rack.pool[1], from: Some(cpu0) }, 150));
+        // The off-path link is cpu1's bottleneck: it cannot use the blade.
+        assert!(!usable(Target::Mem { dev: blade0, from: Some(cpu1) }, 700));
+        // The crashed memory blade hosts no compute, and server 0's DRAM
+        // and CPU never went down.
+        assert!(usable(Target::Mem { dev: dram0, from: Some(cpu0) }, 350));
+        assert!(usable(Target::Compute(cpu0), 350));
     }
 
     #[test]
@@ -240,21 +323,17 @@ mod tests {
 
     #[test]
     fn device_recovery_clears_a_failure() {
+        let (topo, rack) = rack();
         let inj = FaultInjector::with_events(vec![
-            FaultEvent {
-                at: SimTime(100),
-                kind: FaultKind::DeviceFail(MemDeviceId(2)),
-            },
-            FaultEvent {
-                at: SimTime(400),
-                kind: FaultKind::DeviceRecover(MemDeviceId(2)),
-            },
+            event(100, FaultKind::DeviceFail(rack.pool[0])),
+            event(400, FaultKind::DeviceRecover(rack.pool[0])),
         ]);
-        assert!(!inj.device_failed(MemDeviceId(2), SimTime(99)));
-        assert!(inj.device_failed(MemDeviceId(2), SimTime(100)));
-        assert!(inj.device_failed(MemDeviceId(2), SimTime(399)));
-        assert!(!inj.device_failed(MemDeviceId(2), SimTime(400)));
-        assert!(!inj.device_failed(MemDeviceId(3), SimTime(200)));
+        let dev = |dev| Target::Mem { dev, from: None };
+        assert!(inj.usable(&topo, dev(rack.pool[0]), SimTime(99)));
+        assert!(!inj.usable(&topo, dev(rack.pool[0]), SimTime(100)));
+        assert!(!inj.usable(&topo, dev(rack.pool[0]), SimTime(399)));
+        assert!(inj.usable(&topo, dev(rack.pool[0]), SimTime(400)));
+        assert!(inj.usable(&topo, dev(rack.pool[1]), SimTime(200)));
     }
 
     #[test]

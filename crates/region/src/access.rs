@@ -166,10 +166,10 @@ impl<'a> Accessor<'a> {
     /// Makes accesses fault-aware: reads verify checksums against the
     /// injector's `Corrupt` ranges (reconstructing transparently on a
     /// hit) and transfers over degraded links run at the degraded
-    /// bandwidth. Callers should only attach a non-empty injector — an
-    /// empty one adds queries for nothing.
+    /// bandwidth. An empty injector is not attached, so the calm path
+    /// makes no per-access fault query and stays bit-for-bit identical.
     pub fn with_faults(mut self, faults: &'a FaultInjector) -> Self {
-        self.faults = Some(faults);
+        self.faults = (!faults.is_empty()).then_some(faults);
         self
     }
 

@@ -7,6 +7,12 @@
 //! devices ([`PlacementEngine::choose_shared`]) so that handover can be a
 //! pure ownership transfer instead of a copy.
 //!
+//! Placement is fault-aware: both entry points take the allocation time
+//! and the run's fault plan, and skip every device that is not
+//! [usable](FaultInjector::usable) then from the computes that will touch
+//! it. An empty plan is checked once per placement, outside the device
+//! loop, so the calm path is the fault-blind one.
+//!
 //! Three strategies are provided because the paper's Figure 1 is a
 //! comparison: the **declarative** memory-centric optimizer (our vision),
 //! the **compute-centric** strategy (always use the executing device's
@@ -14,8 +20,10 @@
 //! used to bound how bad naïve placement can get (experiment E9).
 
 use disagg_hwsim::device::{AccessOp, AccessPattern};
+use disagg_hwsim::fault::{FaultInjector, Target};
 use disagg_hwsim::fx::FxHashMap;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
+use disagg_hwsim::time::SimTime;
 use disagg_hwsim::topology::Topology;
 use disagg_region::pool::MemoryPool;
 use disagg_region::props::PropertySet;
@@ -165,16 +173,20 @@ impl PlacementEngine {
         &self.model
     }
 
-    /// Chooses a device for a request from a single compute device.
+    /// Chooses a device for a request from a single compute device,
+    /// among those `faults` leaves usable from it at `at`.
+    #[allow(clippy::too_many_arguments)]
     pub fn choose(
         &mut self,
         topo: &Topology,
         pool: &MemoryPool,
+        faults: &FaultInjector,
         compute: ComputeId,
         props: &PropertySet,
         size: u64,
+        at: SimTime,
     ) -> Option<MemDeviceId> {
-        self.pick(topo, pool, compute, props, size).map(|(dev, _)| dev)
+        self.pick(topo, pool, faults, compute, props, size, at).map(|(dev, _)| dev)
     }
 
     /// Chooses a device for a region that several compute devices will
@@ -182,16 +194,20 @@ impl PlacementEngine {
     /// must be able to address it, and the policy ranks the devices by
     /// summed cost (compute-centric: the first accessor's local memory
     /// first). This is what makes output→input handover an ownership
-    /// transfer.
+    /// transfer. A device `faults` leaves unusable at `at` from any of
+    /// them is skipped.
+    #[allow(clippy::too_many_arguments)]
     pub fn choose_shared(
         &mut self,
         topo: &Topology,
         pool: &MemoryPool,
+        faults: &FaultInjector,
         computes: &[ComputeId],
         props: &PropertySet,
         size: u64,
+        at: SimTime,
     ) -> Option<MemDeviceId> {
-        self.pick_shared(topo, pool, computes, props, size).map(|(dev, _)| dev)
+        self.pick_shared(topo, pool, faults, computes, props, size, at).map(|(dev, _)| dev)
     }
 
     /// [`choose`](Self::choose)'s device and its score.
@@ -203,13 +219,16 @@ impl PlacementEngine {
     /// rank-then-select computed. Devices are visited in id order, so
     /// "keep the earlier on ties" selects the smaller id (the sort's
     /// tie-break) and "replace on ties" the larger.
+    #[allow(clippy::too_many_arguments)]
     fn pick(
         &mut self,
         topo: &Topology,
         pool: &MemoryPool,
+        faults: &FaultInjector,
         compute: ComputeId,
         props: &PropertySet,
         size: u64,
+        at: SimTime,
     ) -> Option<(MemDeviceId, f64)> {
         use std::cmp::Ordering;
 
@@ -227,6 +246,7 @@ impl PlacementEngine {
         let mut first: Option<(MemDeviceId, f64)> = None;
         // Minimum (score, id) among the executor's local devices.
         let mut best_local: Option<(MemDeviceId, f64)> = None;
+        let faulty = !faults.is_empty();
         let cells = &self.table.cells[row..];
         for (dev, cell) in topo.mem_ids().zip(cells) {
             if pool.capacity(dev) - pool.allocated(dev) < size {
@@ -235,6 +255,9 @@ impl PlacementEngine {
             let Some(cell) = *cell else {
                 continue;
             };
+            if faulty && !faults.usable(topo, Target::Mem { dev, from: Some(compute) }, at) {
+                continue;
+            }
             let score = self.model.finish(cell, pool.utilization(dev));
             if first.is_none() {
                 first = Some((dev, score));
@@ -261,13 +284,16 @@ impl PlacementEngine {
 
     /// [`choose_shared`](Self::choose_shared)'s device and its summed
     /// score.
+    #[allow(clippy::too_many_arguments)]
     fn pick_shared(
         &mut self,
         topo: &Topology,
         pool: &MemoryPool,
+        faults: &FaultInjector,
         computes: &[ComputeId],
         props: &PropertySet,
         size: u64,
+        at: SimTime,
     ) -> Option<(MemDeviceId, f64)> {
         assert!(!computes.is_empty(), "choose_shared needs at least one accessor");
         self.table.prepare(topo, computes.len());
@@ -285,8 +311,16 @@ impl PlacementEngine {
         let mut best: Option<(MemDeviceId, f64)> = None;
         // Minimum (total, id) among the first accessor's local devices.
         let mut best_local: Option<(MemDeviceId, f64)> = None;
+        let faulty = !faults.is_empty();
         for dev in topo.mem_ids() {
             if pool.capacity(dev) - pool.allocated(dev) < size {
+                continue;
+            }
+            if faulty
+                && !computes
+                    .iter()
+                    .all(|&c| faults.usable(topo, Target::Mem { dev, from: Some(c) }, at))
+            {
                 continue;
             }
             let utilization = pool.utilization(dev);
@@ -331,6 +365,9 @@ mod tests {
     use disagg_hwsim::rng::SimRng;
     use disagg_region::props::{AccessHint, LatencyClass};
 
+    /// The fault plan of a calm run.
+    static CALM: FaultInjector = FaultInjector::none();
+
     #[test]
     fn declarative_places_fast_local_scratch_per_device() {
         // The Figure 3 experiment in miniature: the same logical request
@@ -343,8 +380,10 @@ mod tests {
             .with_hint(AccessHint::mixed_random());
         // Big enough that the tiny cache scratchpad cannot hold it.
         let size = 1 << 30;
-        let from_cpu = eng.choose(&topo, &pool, ids.cpu, &props, size).unwrap();
-        let from_gpu = eng.choose(&topo, &pool, ids.gpu, &props, size).unwrap();
+        let from_cpu =
+            eng.choose(&topo, &pool, &CALM, ids.cpu, &props, size, SimTime::ZERO).unwrap();
+        let from_gpu =
+            eng.choose(&topo, &pool, &CALM, ids.gpu, &props, size, SimTime::ZERO).unwrap();
         assert_eq!(from_cpu, ids.dram);
         assert_eq!(from_gpu, ids.gddr);
     }
@@ -356,8 +395,10 @@ mod tests {
         let mut best = PlacementEngine::new(PlacementPolicy::Declarative);
         let mut worst = PlacementEngine::new(PlacementPolicy::WorstFeasible);
         let props = PropertySet::new().with_hint(AccessHint::random_reads());
-        let (b, b_score) = best.pick(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
-        let (w, w_score) = worst.pick(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
+        let (b, b_score) =
+            best.pick(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
+        let (w, w_score) =
+            worst.pick(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
         assert_ne!(b, w);
         assert!(w_score > b_score);
     }
@@ -370,7 +411,7 @@ mod tests {
         // A streaming request the declarative optimizer would send to HBM;
         // compute-centric still picks a CPU-local device.
         let props = PropertySet::new().with_hint(AccessHint::streaming());
-        let dev = eng.choose(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
+        let dev = eng.choose(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
         assert!(topo.compute(ids.cpu).local_mem.contains(&dev));
     }
 
@@ -386,7 +427,8 @@ mod tests {
         ] {
             let mut eng = PlacementEngine::new(policy);
             let props = PropertySet::new().persistent(true);
-            let dev = eng.choose(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
+            let dev =
+                eng.choose(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
             assert!(
                 topo.mem(dev).persistent,
                 "{policy:?} placed persistent data on volatile {dev}"
@@ -405,7 +447,7 @@ mod tests {
         let props = PropertySet::new()
             .persistent(true)
             .with_latency(LatencyClass::Low);
-        assert!(eng.choose(&topo, &pool, ids.cpu, &props, 64).is_none());
+        assert!(eng.choose(&topo, &pool, &CALM, ids.cpu, &props, 64, SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -415,7 +457,7 @@ mod tests {
         let mut eng = PlacementEngine::new(PlacementPolicy::Declarative);
         let props = PropertySet::new().with_hint(AccessHint::streaming());
         let dev = eng
-            .choose_shared(&topo, &pool, &[ids.cpu, ids.gpu], &props, 1 << 20)
+            .choose_shared(&topo, &pool, &CALM, &[ids.cpu, ids.gpu], &props, 1 << 20, SimTime::ZERO)
             .unwrap();
         assert!(topo.reachable(ids.cpu, dev));
         assert!(topo.reachable(ids.gpu, dev));
@@ -432,7 +474,7 @@ mod tests {
         // hub-attached device both can reach with moderate cost).
         let props = PropertySet::new().with_hint(AccessHint::mixed_random());
         let shared = eng
-            .choose_shared(&topo, &pool, &[ids.cpu, ids.gpu], &props, 1 << 26)
+            .choose_shared(&topo, &pool, &CALM, &[ids.cpu, ids.gpu], &props, 1 << 26, SimTime::ZERO)
             .unwrap();
         let m = CostModel::new();
         let total = |d| {
@@ -450,7 +492,7 @@ mod tests {
         let pool = MemoryPool::new(&topo);
         let mut eng = PlacementEngine::new(PlacementPolicy::FirstFit);
         let props = PropertySet::new();
-        let dev = eng.choose(&topo, &pool, ids.cpu, &props, 1 << 20).unwrap();
+        let dev = eng.choose(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
         // First feasible by id order: the cache (mem0) qualifies for a
         // property-free 1 MiB request.
         assert_eq!(dev, ids.cache);
@@ -463,7 +505,7 @@ mod tests {
         let props = PropertySet::new().with_hint(AccessHint::mixed_random());
         let shared = |policy, computes: &[ComputeId]| {
             PlacementEngine::new(policy)
-                .choose_shared(&topo, &pool, computes, &props, 1 << 20)
+                .choose_shared(&topo, &pool, &CALM, computes, &props, 1 << 20, SimTime::ZERO)
                 .unwrap()
         };
         // Randomly accessed data the GPU and the CPU share: the
@@ -475,6 +517,45 @@ mod tests {
         assert_eq!(shared(PlacementPolicy::ComputeCentric, &[ids.cpu, ids.gpu]), ids.pmem);
         // First fit takes the lowest id both can use, whatever it costs.
         assert_eq!(shared(PlacementPolicy::FirstFit, &[ids.gpu, ids.cpu]), ids.cache);
+    }
+
+    #[test]
+    fn placement_skips_devices_that_are_unusable_at_its_time() {
+        use disagg_hwsim::fault::{FaultEvent, FaultKind};
+        let (topo, ids) = single_server();
+        let pool = MemoryPool::new(&topo);
+        let props = PropertySet::new()
+            .with_latency(LatencyClass::Low)
+            .with_hint(AccessHint::mixed_random());
+        let size = 1 << 30;
+        let faults = FaultInjector::with_events(vec![
+            FaultEvent { at: SimTime(100), kind: FaultKind::DeviceFail(ids.dram) },
+            FaultEvent { at: SimTime(200), kind: FaultKind::DeviceRecover(ids.dram) },
+        ]);
+        let mut eng = PlacementEngine::new(PlacementPolicy::Declarative);
+        let mut at = |t| eng.choose(&topo, &pool, &faults, ids.cpu, &props, size, SimTime(t));
+        // The calm answer before the failure and after the repair; in
+        // between, the next best device.
+        assert_eq!(at(99), Some(ids.dram));
+        let during = at(100).expect("another device qualifies");
+        assert_ne!(during, ids.dram);
+        assert_eq!(at(200), Some(ids.dram));
+        assert_eq!(
+            eng.choose(&topo, &pool, &CALM, ids.cpu, &props, size, SimTime(150)),
+            Some(ids.dram)
+        );
+        // A shared placement skips it as well.
+        let both = [ids.cpu, ids.gpu];
+        let shared = |eng: &mut PlacementEngine, faults, t| {
+            eng.choose_shared(&topo, &pool, faults, &both, &PropertySet::new(), 1 << 20, SimTime(t))
+        };
+        let calm = shared(&mut eng, &CALM, 150).unwrap();
+        let fail = FaultInjector::with_events(vec![FaultEvent {
+            at: SimTime(100),
+            kind: FaultKind::DeviceFail(calm),
+        }]);
+        assert_eq!(shared(&mut eng, &fail, 99), Some(calm));
+        assert_ne!(shared(&mut eng, &fail, 150), Some(calm));
     }
 
     /// `pick` as it was before the score table — a scan over
@@ -663,7 +744,7 @@ mod tests {
                             let (got, want) = if rng.chance(0.5) {
                                 let c = *rng.pick(&computes);
                                 (
-                                    eng.pick(topo, &pool, c, &props, size),
+                                    eng.pick(topo, &pool, &CALM, c, &props, size, SimTime::ZERO),
                                     reference_choose(&eng.model, policy, topo, &pool, c, &props, size),
                                 )
                             } else {
@@ -672,7 +753,9 @@ mod tests {
                                     .map(|_| *rng.pick(&computes))
                                     .collect();
                                 (
-                                    eng.pick_shared(topo, &pool, &list, &props, size),
+                                    eng.pick_shared(
+                                        topo, &pool, &CALM, &list, &props, size, SimTime::ZERO,
+                                    ),
                                     reference_choose_shared(
                                         &eng.model, policy, topo, &pool, &list, &props, size,
                                     ),
@@ -709,9 +792,9 @@ mod tests {
         let both = [ids.cpu, ids.gpu];
         // One row, then two a call: the limit falls between the two
         // lookups of one placement, whose first offset must stay good.
-        eng.choose(&topo, &pool, ids.cpu, &props, 1 << 40);
+        eng.choose(&topo, &pool, &CALM, ids.cpu, &props, 1 << 40, SimTime::ZERO);
         for size in 1..=3 * ScoreTable::MAX_ROWS as u64 {
-            let got = eng.pick_shared(&topo, &pool, &both, &props, size);
+            let got = eng.pick_shared(&topo, &pool, &CALM, &both, &props, size, SimTime::ZERO);
             let want =
                 reference_choose_shared(&eng.model, eng.policy, &topo, &pool, &both, &props, size);
             let bits = |p: Option<(MemDeviceId, f64)>| p.map(|(d, s)| (d, s.to_bits()));
@@ -733,7 +816,7 @@ mod tests {
         for topo in [&a, &b, &a] {
             let pool = MemoryPool::new(topo);
             for c in topo.compute_ids() {
-                let got = eng.choose(topo, &pool, c, &props, 4096);
+                let got = eng.choose(topo, &pool, &CALM, c, &props, 4096, SimTime::ZERO);
                 let want = reference_choose(&eng.model, eng.policy, topo, &pool, c, &props, 4096);
                 assert_eq!(got, want.map(|(d, _)| d));
             }

@@ -9,6 +9,7 @@
 use disagg::ftol::reedsolomon::ReedSolomon;
 use disagg::hwsim::compute::{ComputeKind, ComputeModel};
 use disagg::hwsim::device::{MemDeviceKind, MemDeviceModel};
+use disagg::hwsim::fault::FaultInjector;
 use disagg::presets::single_server;
 use disagg::hwsim::rng::SimRng;
 use disagg::hwsim::time::SimTime;
@@ -183,7 +184,9 @@ fn placement_respects_hard_properties() {
             .persistent(persistent)
             .coherent(coherent)
             .with_mode(if asynchronous { AccessMode::Async } else { AccessMode::Sync });
-        if let Some(dev) = engine.choose(&topo, &pool, ids.cpu, &props, size) {
+        let calm = FaultInjector::none();
+        let picked = engine.choose(&topo, &pool, &calm, ids.cpu, &props, size, SimTime::ZERO);
+        if let Some(dev) = picked {
             let model = topo.mem(dev);
             assert!(!persistent || model.persistent);
             assert!(!coherent || model.coherent);
@@ -396,6 +399,63 @@ fn admission_runs_every_job_once() {
     });
 }
 
+/// A random job of one to seven tasks with random forward edges; each
+/// task draws its scratch, output, confidentiality, persistence and
+/// compute kind. Returns it with its number of persistent sinks.
+fn random_job(rng: &mut SimRng) -> (disagg::prelude::JobSpec, usize) {
+    use disagg::prelude::*;
+    use disagg::hwsim::compute::{ComputeKind, WorkClass};
+
+    let n_tasks = rng.range(1, 8) as usize;
+    let density = rng.next_f64() * 0.8;
+    let mut job = JobBuilder::new("fuzz");
+    let mut ids = Vec::new();
+    for i in 0..n_tasks {
+        let mut spec = TaskSpec::new(format!("t{i}"))
+            .work(WorkClass::Scalar, rng.next_below(1_000_000))
+            .body(|ctx| {
+                if ctx.regions.output.is_some() {
+                    ctx.write_output(0, &[1u8; 16])?;
+                }
+                if ctx.regions.private_scratch.is_some() {
+                    ctx.scratch_write(0, &[2u8; 8])?;
+                }
+                Ok(())
+            });
+        if rng.chance(0.5) {
+            spec = spec.private_scratch(64 + rng.next_below(1 << 20));
+        }
+        if rng.chance(0.7) {
+            spec = spec.output_bytes(64 + rng.next_below(1 << 20));
+        }
+        if rng.chance(0.3) {
+            spec = spec.confidential(true);
+        }
+        let persistent = rng.chance(0.3);
+        if persistent {
+            spec = spec.persistent(true);
+        }
+        if rng.chance(0.3) {
+            spec = spec.on(if rng.chance(0.5) { ComputeKind::Gpu } else { ComputeKind::Cpu });
+        }
+        ids.push((job.task(spec), persistent));
+    }
+    let mut has_successor = vec![false; n_tasks];
+    for i in 0..n_tasks {
+        for j in (i + 1)..n_tasks {
+            if rng.next_f64() < density {
+                job.edge(ids[i].0, ids[j].0);
+                has_successor[i] = true;
+            }
+        }
+    }
+    // Persistent outputs that reach a successor are consumed, not
+    // retained; only terminal persistent outputs survive.
+    let persistent_sinks =
+        ids.iter().zip(&has_successor).filter(|&(&(_, p), &succ)| p && !succ).count();
+    (job.build().unwrap(), persistent_sinks)
+}
+
 /// The executor never panics on random jobs: it either runs them or
 /// returns a structured error; afterwards only persistent outputs may
 /// survive in the pool.
@@ -403,64 +463,11 @@ fn admission_runs_every_job_once() {
 fn executor_is_total_over_random_jobs() {
     for_cases("executor_is_total_over_random_jobs", 12, 24, |rng| {
         use disagg::prelude::*;
-        use disagg::hwsim::compute::{ComputeKind, WorkClass};
 
-        let n_tasks = rng.range(1, 8) as usize;
-        let density = rng.next_f64() * 0.8;
+        let (spec, persistent_sinks) = random_job(rng);
+        let n_tasks = spec.tasks.len();
         let (topo, _) = single_server();
         let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-
-        let mut job = JobBuilder::new("fuzz");
-        let mut ids = Vec::new();
-        let mut persistent_sinks = 0usize;
-        for i in 0..n_tasks {
-            let mut spec = TaskSpec::new(format!("t{i}"))
-                .work(WorkClass::Scalar, rng.next_below(1_000_000))
-                .body(|ctx| {
-                    if ctx.regions.output.is_some() {
-                        ctx.write_output(0, &[1u8; 16])?;
-                    }
-                    if ctx.regions.private_scratch.is_some() {
-                        ctx.scratch_write(0, &[2u8; 8])?;
-                    }
-                    Ok(())
-                });
-            if rng.chance(0.5) {
-                spec = spec.private_scratch(64 + rng.next_below(1 << 20));
-            }
-            if rng.chance(0.7) {
-                spec = spec.output_bytes(64 + rng.next_below(1 << 20));
-            }
-            if rng.chance(0.3) {
-                spec = spec.confidential(true);
-            }
-            let persistent = rng.chance(0.3);
-            if persistent {
-                spec = spec.persistent(true);
-            }
-            if rng.chance(0.3) {
-                spec = spec.on(if rng.chance(0.5) { ComputeKind::Gpu } else { ComputeKind::Cpu });
-            }
-            ids.push((job.task(spec), persistent));
-        }
-        let mut has_successor = vec![false; n_tasks];
-        for i in 0..n_tasks {
-            for j in (i + 1)..n_tasks {
-                if rng.next_f64() < density {
-                    job.edge(ids[i].0, ids[j].0);
-                    has_successor[i] = true;
-                }
-            }
-        }
-        // Persistent outputs that reach a successor are consumed, not
-        // retained; only terminal persistent outputs survive.
-        for (i, &(_, p)) in ids.iter().enumerate() {
-            if p && !has_successor[i] {
-                persistent_sinks += 1;
-            }
-        }
-
-        let spec = job.build().unwrap();
         match rt.execute(spec) {
             Ok(report) => {
                 assert_eq!(report.tasks.len(), n_tasks);
@@ -474,6 +481,64 @@ fn executor_is_total_over_random_jobs() {
             }
         }
     });
+}
+
+/// Metamorphic: failing a memory device that the fault-free run never
+/// allocates on changes nothing. Placement skips the failed device, but
+/// it was never the pick, and no attempt's regions sit on it, so nothing
+/// is interrupted: makespan, bytes moved and every task's device, times
+/// and placements equal the fault-free run's.
+#[test]
+fn failing_an_unused_device_changes_nothing() {
+    let mut exercised = 0u64;
+    for_cases("failing_an_unused_device_changes_nothing", 16, 64, |rng| {
+        use disagg::prelude::*;
+        use disagg::hwsim::trace::TraceEvent;
+        use disagg::presets::disaggregated_rack;
+
+        let on_rack = rng.chance(0.5);
+        let topo = || if on_rack { disaggregated_rack(2, 16, 2, 64).0 } else { single_server().0 };
+        // The same job twice, from one draw.
+        let mut job_rng = rng.clone();
+        let (spec, _) = random_job(rng);
+        let mut calm_rt = Runtime::new(topo(), RuntimeConfig::traced());
+        let Ok(calm) = calm_rt.execute(spec) else {
+            return;
+        };
+        let mut used: Vec<_> = calm_rt
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Alloc { dev, .. } => Some(dev),
+                _ => None,
+            })
+            .collect();
+        used.sort_unstable();
+        used.dedup();
+        let unused: Vec<_> = topo().mem_ids().filter(|d| used.binary_search(d).is_err()).collect();
+        if unused.is_empty() {
+            return;
+        }
+        let dev = *rng.pick(&unused);
+        let at = SimTime(rng.next_below(calm.makespan.as_nanos().max(1)));
+        let fail = FaultEvent { at, kind: FaultKind::DeviceFail(dev) };
+        let faults = FaultInjector::with_events(vec![fail]);
+        let mut rt = Runtime::new(topo(), RuntimeConfig::traced().with_faults(faults));
+        let (spec, _) = random_job(&mut job_rng);
+        let report = rt.execute(spec).expect("the calm run succeeded");
+        assert_eq!(report.makespan, calm.makespan, "{dev:?} failed at {at:?}");
+        assert_eq!(report.bytes_moved, calm.bytes_moved);
+        let tasks = |r: &RunReport| -> Vec<_> {
+            r.tasks
+                .iter()
+                .map(|t| (t.job, t.task, t.compute, t.start, t.finish, t.placements.to_vec()))
+                .collect()
+        };
+        assert_eq!(tasks(&report), tasks(&calm), "{dev:?} failed at {at:?}");
+        exercised += 1;
+    });
+    assert!(exercised >= cases(8, 32), "only {exercised} cases failed an unused device");
 }
 
 /// Shortest-path resolution over random topologies is symmetric
