@@ -12,16 +12,17 @@
 
 use disagg_hwsim::contention::BandwidthLedger;
 use disagg_hwsim::device::AccessPattern;
+use disagg_hwsim::fault::FaultInjector;
 use disagg_hwsim::presets::single_server;
 use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::Trace;
 use disagg_region::access::Accessor;
-use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::props::{AccessMode, PropertySet};
 use disagg_region::region::{OwnerId, RegionManager};
 use disagg_region::typed::RegionType;
+use disagg_sched::{PlacementEngine, PlacementPolicy, TieringPolicy};
 use disagg_workloads::gen::Zipf;
 
 use crate::{fmt_dur, fmt_ratio, Scenario, Shape, Table};
@@ -74,9 +75,8 @@ pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
     let mut rng = SimRng::new(scenario.stream(99));
     // Tier order restricted to the three homes: tiering moves data among
     // the pool tiers, not onto the CPU cache.
-    let mut policy = TieringPolicy::new(vec![h.dram, h.cxl, h.far]);
-    policy.promote_score = 4.0;
-    policy.demote_score = 0.5;
+    let policy = TieringPolicy::new(vec![h.dram, h.cxl, h.far]);
+    let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
 
     let mut now = SimTime::ZERO;
     let mut epoch_access = Vec::with_capacity(epochs);
@@ -98,12 +98,10 @@ pub fn measure_one(tiering_on: bool, scenario: &Scenario) -> EpochSeries {
         // The tiering pass.
         let mut mig_time = SimDuration::ZERO;
         if tiering_on {
-            for (id, to) in policy.plan(&mgr, &topo, mgr.hotness()) {
-                let (_, took) =
-                    migrate(&mut mgr, &topo, &mut ledger, &mut trace, id, to, now)
-                        .expect("migration");
-                mig_time = mig_time.max(took);
-            }
+            let calm = FaultInjector::none();
+            (_, mig_time) = policy.apply(
+                &mut engine, &mut mgr, &topo, &mut ledger, &mut trace, &calm, h.cpu, now,
+            );
             now += mig_time;
         }
         epoch_migration.push(mig_time);

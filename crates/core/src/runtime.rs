@@ -26,15 +26,15 @@ use disagg_hwsim::calibration;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
 use disagg_hwsim::fault::Target;
-use disagg_hwsim::ids::MemDeviceId;
+use disagg_hwsim::ids::{ComputeId, MemDeviceId};
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::{AccessCostParts, PathCost, Topology};
 use disagg_hwsim::trace::{RebuildFor, Trace, TraceEvent};
 use disagg_region::access::book_access;
-use disagg_region::migrate::{migrate, TieringPolicy};
 use disagg_region::pool::RegionId;
 use disagg_region::region::{OwnerId, RegionManager};
 use disagg_sched::placement::PlacementEngine;
+use disagg_sched::TieringPolicy;
 
 use crate::breaker::{BreakerBank, BreakerTransition, RetryBudgets};
 use crate::config::RuntimeConfig;
@@ -190,32 +190,27 @@ impl Runtime {
 
     /// Runs one hotness-driven tiering pass over the surviving regions
     /// (the RTS "optimize the placement of memory regions" duty,
-    /// Challenges 1-3): hot regions promote toward fast tiers, cold ones
-    /// demote, declared properties are never violated. Returns what moved.
+    /// Challenges 1-3), [`TieringPolicy::apply`] from the vantage compute,
+    /// and advances the clock by the pass. Returns what moved.
     pub fn run_tiering(
         &mut self,
         policy: &TieringPolicy,
-    ) -> Result<Vec<(RegionId, MemDeviceId, SimDuration)>, RuntimeError> {
-        let planned = policy.plan(&self.mgr, &self.topo, self.mgr.hotness());
-        let mut done = Vec::with_capacity(planned.len());
-        let mut longest = SimDuration::ZERO;
-        for (id, to) in planned {
-            let (_, took) = migrate(
-                &mut self.mgr,
-                &self.topo,
-                &mut self.ledger,
-                &mut self.trace,
-                id,
-                to,
-                self.clock,
-            )?;
-            longest = longest.max(took);
-            done.push((id, to, took));
-        }
-        // Migrations of distinct regions proceed in parallel; the pass
-        // costs the longest copy.
-        self.clock += longest;
-        Ok(done)
+    ) -> Vec<(RegionId, MemDeviceId, SimDuration)> {
+        let Some(vantage) = self.vantage() else {
+            return Vec::new();
+        };
+        let (moved, took) = policy.apply(
+            &mut self.engine, &mut self.mgr, &self.topo, &mut self.ledger, &mut self.trace,
+            &self.config.faults, vantage, self.clock,
+        );
+        self.clock += took;
+        moved
+    }
+
+    /// The compute the runtime places from when no task is asking — the
+    /// heal and tiering: the first compute device.
+    fn vantage(&self) -> Option<ComputeId> {
+        self.topo.compute_ids().next()
     }
 
     /// Predicted memory footprint of a job: every declared region, all
@@ -343,11 +338,10 @@ impl Runtime {
             return Ok(Vec::new());
         }
         let now = self.clock;
-        let Some(vantage) = self.topo.compute_ids().next() else {
+        let Some(vantage) = self.vantage() else {
             return Ok(Vec::new());
         };
-        let usable =
-            |dev| self.config.faults.usable(&self.topo, Target::Mem { dev, from: None }, now);
+        let topo = &self.topo;
         let mut healed = Vec::new();
         let mut longest = SimDuration::ZERO;
         for id in self.mgr.owned_by(OwnerId::App) {
@@ -355,24 +349,26 @@ impl Runtime {
                 continue;
             }
             let placement = self.mgr.placement(id)?;
-            if usable(placement.dev) {
+            let lost = Target::Mem { dev: placement.dev, from: None };
+            if self.config.faults.usable(topo, lost, now) {
                 continue;
             }
-            let failed_node = self.topo.node_of_mem(placement.dev);
-            let props = self.mgr.meta(id)?.props.clone();
-            let ranked =
-                self.engine
-                    .model()
-                    .rank(&self.topo, self.mgr.pool(), vantage, &props, placement.size);
-            let Some((dev, _)) = ranked
-                .into_iter()
-                .find(|&(d, _)| self.topo.node_of_mem(d) != failed_node && usable(d))
-            else {
+            let failed_node = topo.node_of_mem(placement.dev);
+            let Some(dev) = self.engine.choose_where(
+                topo,
+                self.mgr.pool(),
+                &self.config.faults,
+                vantage,
+                &self.mgr.meta(id)?.props,
+                placement.size,
+                now,
+                |d| topo.node_of_mem(d) != failed_node,
+            ) else {
                 continue;
             };
             self.mgr.pool_mut().rebind(id, dev)?;
             let parts = AccessCostParts::of(
-                self.topo.mem(dev),
+                topo.mem(dev),
                 PathCost::LOCAL,
                 placement.size,
                 AccessOp::Write,

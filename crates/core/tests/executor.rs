@@ -843,6 +843,47 @@ fn an_interrupted_attempt_leaves_nothing_in_the_retrys_scratch() {
     assert_eq!(rt.manager().live_count(), healthy_rt.manager().live_count());
 }
 
+/// The heal leaves the failure domain: with one of two persistent
+/// devices on a blade failed, a region stranded on it is rebuilt on the
+/// other blade, not on the failed device's healthy neighbour (which ties
+/// with it on cost and has the lower id).
+#[test]
+fn healing_skips_the_failed_devices_node() {
+    use disagg_hwsim::compute::ComputeModel;
+    use disagg_hwsim::device::MemDeviceModel;
+    use disagg_hwsim::topology::LinkKind;
+    use disagg_region::props::PropertySet;
+    use disagg_region::region::OwnerId;
+    use disagg_region::typed::RegionType;
+
+    let mut b = Topology::builder();
+    let host = b.node("host");
+    let cpu = b.compute(host, ComputeModel::preset(ComputeKind::Cpu));
+    let blade_a = b.node("blade-a");
+    let blade_b = b.node("blade-b");
+    let pmem = |b: &mut disagg_hwsim::topology::TopologyBuilder, node| {
+        let dev = b.mem(node, MemDeviceModel::preset(MemDeviceKind::Pmem));
+        b.link(cpu, dev, LinkKind::PcieCxl);
+        dev
+    };
+    let lost = pmem(&mut b, blade_a);
+    let neighbour = pmem(&mut b, blade_a);
+    let other = pmem(&mut b, blade_b);
+    let topo = b.build().unwrap();
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: SimTime::ZERO,
+        kind: FaultKind::DeviceFail(lost),
+    }]);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_faults(faults));
+    let props = PropertySet::new().persistent(true);
+    let id = rt
+        .manager_mut()
+        .alloc(lost, 4096, RegionType::GlobalScratch, props, OwnerId::App, SimTime::ZERO)
+        .unwrap();
+    assert!(neighbour < other);
+    assert_eq!(rt.heal_failed_persistent().unwrap(), vec![(id, other)]);
+}
+
 #[test]
 fn healing_a_failed_persistent_region_pays_a_device_local_write_plus_decode() {
     use disagg_hwsim::calibration;
@@ -1071,7 +1112,7 @@ fn app_published_confidential_regions_stay_isolated() {
 
 #[test]
 fn runtime_tiering_promotes_hot_app_regions_and_respects_properties() {
-    use disagg_region::migrate::TieringPolicy;
+    use disagg_sched::TieringPolicy;
     use disagg_region::props::{AccessMode, PropertySet};
     use disagg_region::region::OwnerId;
     use disagg_region::typed::RegionType;
@@ -1120,9 +1161,8 @@ fn runtime_tiering_promotes_hot_app_regions_and_respects_properties() {
     rt.execute(j.build().unwrap()).unwrap();
     assert!(rt.manager().hotness().stat(hot).score > 0.0, "heat must accumulate");
 
-    let mut policy = TieringPolicy::new(vec![dram, cxl, pmem]);
-    policy.promote_score = 4.0;
-    let moved = rt.run_tiering(&policy).unwrap();
+    let policy = TieringPolicy::new(vec![dram, cxl, pmem]);
+    let moved = rt.run_tiering(&policy);
     assert!(
         moved.iter().any(|&(r, to, _)| r == hot && to == dram),
         "the hot CXL region should promote to DRAM: {moved:?}"
@@ -1140,7 +1180,7 @@ fn runtime_tiering_promotes_hot_app_regions_and_respects_properties() {
 /// jobs end with the same hotness, and tiering plans the same moves.
 #[test]
 fn hotness_and_tiering_do_not_depend_on_tracing() {
-    use disagg_region::migrate::TieringPolicy;
+    use disagg_sched::TieringPolicy;
     use disagg_region::props::{AccessMode, PropertySet};
     use disagg_region::region::OwnerId;
     use disagg_region::typed::RegionType;
@@ -1175,9 +1215,8 @@ fn hotness_and_tiering_do_not_depend_on_tracing() {
             rt.execute(j.build().unwrap()).unwrap();
         }
         let heat = rt.manager().hotness().hot(0.0);
-        let mut policy = TieringPolicy::new(vec![ids.dram, ids.cxl, ids.pmem]);
-        policy.promote_score = 4.0;
-        let moved = rt.run_tiering(&policy).unwrap();
+        let policy = TieringPolicy::new(vec![ids.dram, ids.cxl, ids.pmem]);
+        let moved = rt.run_tiering(&policy);
         (hot, heat, moved)
     };
     let (hot, traced_heat, traced_moved) = run(RuntimeConfig::traced());
@@ -1186,6 +1225,95 @@ fn hotness_and_tiering_do_not_depend_on_tracing() {
     let (_, heat, moved) = run(RuntimeConfig::default());
     assert_eq!(heat, traced_heat, "untraced hotness");
     assert_eq!(moved, traced_moved, "untraced tiering");
+}
+
+/// An App-scoped region of `size` bytes with `props` on `dev`, touched
+/// `accesses` times and then left to cool for `decays` ticks.
+fn tiered_region(
+    rt: &mut Runtime,
+    dev: MemDeviceId,
+    size: u64,
+    props: disagg_region::props::PropertySet,
+    accesses: usize,
+    decays: usize,
+) -> disagg_region::pool::RegionId {
+    use disagg_region::region::OwnerId;
+    use disagg_region::typed::RegionType;
+    let mgr = rt.manager_mut();
+    let id = mgr
+        .alloc(dev, size, RegionType::GlobalScratch, props, OwnerId::App, SimTime::ZERO)
+        .unwrap();
+    for _ in 0..accesses {
+        mgr.hotness_mut().record(id, 64, SimTime::ZERO);
+    }
+    for _ in 0..decays {
+        mgr.hotness_mut().decay();
+    }
+    id
+}
+
+/// Demotion is a placement under the region's own properties: a cold
+/// region that declared a medium latency bound stays on CXL rather than
+/// moving to far memory, which the CPU reads at more than a microsecond.
+#[test]
+fn tiering_keeps_a_cold_region_within_its_latency_class() {
+    use disagg_region::props::{AccessMode, LatencyClass, PropertySet};
+    use disagg_sched::TieringPolicy;
+
+    let (topo, ids) = single_server();
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let props = PropertySet::new().with_mode(AccessMode::Async).with_latency(LatencyClass::Medium);
+    let bounded = tiered_region(&mut rt, ids.cxl, 1 << 20, props, 1, 2);
+    let moved = rt.run_tiering(&TieringPolicy::new(vec![ids.dram, ids.cxl, ids.far]));
+    assert!(moved.is_empty(), "{moved:?}");
+    assert_eq!(rt.manager().placement(bounded).unwrap().dev, ids.cxl);
+}
+
+/// A full tier is skipped, not fatal: the pass still demotes the other
+/// cold region and charges the clock for it.
+#[test]
+fn tiering_skips_a_full_tier_and_charges_the_clock() {
+    use disagg_region::props::{AccessMode, PropertySet};
+    use disagg_sched::TieringPolicy;
+
+    let (topo, ids) = single_server();
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let props = PropertySet::new().with_mode(AccessMode::Async);
+    // Both cold. The DRAM one is the larger, so the CXL one leaving does
+    // not make room for it.
+    let blocked = tiered_region(&mut rt, ids.dram, 2 << 20, props.clone(), 1, 2);
+    let free = tiered_region(&mut rt, ids.cxl, 1 << 20, props.clone(), 1, 2);
+    let pool = rt.manager().pool();
+    let rest = pool.capacity(ids.cxl) - pool.allocated(ids.cxl);
+    tiered_region(&mut rt, ids.cxl, rest, props, 0, 0);
+    let before = rt.now();
+    let moved = rt.run_tiering(&TieringPolicy::new(vec![ids.dram, ids.cxl, ids.far]));
+    assert_eq!(moved.len(), 1, "{moved:?}");
+    let (id, to, took) = moved[0];
+    assert_eq!((id, to), (free, ids.far));
+    assert!(took > SimDuration::ZERO);
+    assert_eq!(rt.now(), before + took, "the pass costs its copy");
+    assert_eq!(rt.manager().placement(blocked).unwrap().dev, ids.dram);
+}
+
+/// Promotion sees liveness: with DRAM failed, a hot CXL region has no
+/// faster tier to go to and stays where it is.
+#[test]
+fn tiering_does_not_promote_onto_a_failed_device() {
+    use disagg_region::props::{AccessMode, PropertySet};
+    use disagg_sched::TieringPolicy;
+
+    let (topo, ids) = single_server();
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: SimTime::ZERO,
+        kind: FaultKind::DeviceFail(ids.dram),
+    }]);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_faults(faults));
+    let props = PropertySet::new().with_mode(AccessMode::Async);
+    let hot = tiered_region(&mut rt, ids.cxl, 1 << 20, props, 20, 0);
+    let moved = rt.run_tiering(&TieringPolicy::new(vec![ids.dram, ids.cxl, ids.far]));
+    assert!(moved.is_empty(), "{moved:?}");
+    assert_eq!(rt.manager().placement(hot).unwrap().dev, ids.cxl);
 }
 
 // ---------------------------------------------------------------------

@@ -16,8 +16,8 @@
 //!   charging virtual time (and contention) for every operation.
 //! - [`hotness`]: pointer tagging, swizzling, and decayed hotness
 //!   statistics.
-//! - [`mod@migrate`]: physical migration between devices and watermark
-//!   tiering.
+//! - [`mod@migrate`]: physical migration between devices, and the price
+//!   of every device-to-device copy.
 
 pub mod access;
 pub mod hotness;
@@ -29,7 +29,7 @@ pub mod typed;
 
 pub use access::{AccessStats, Accessor};
 pub use hotness::{HotStat, HotnessTracker, TaggedPtr};
-pub use migrate::{migrate, TieringPolicy};
+pub use migrate::migrate;
 pub use pool::{AllocError, MemoryPool, Placement, RegionId};
 pub use props::{AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet, Unmet};
 pub use region::{OwnerId, Ownership, RegionError, RegionManager, RegionMeta};

@@ -1,12 +1,10 @@
-//! Region migration and watermark-based tiering.
+//! Region migration, and the price of every physical copy.
 //!
-//! The runtime may move a region between physical devices after placement:
-//! promoting hot data toward fast memory, demoting cold data toward
-//! capacity tiers, or evacuating a device ahead of planned maintenance.
-//! A migration is a *physical* copy — it pays the full transfer cost on
-//! both devices and the path between them, unlike an ownership transfer,
-//! which is free. The contrast between the two is exactly the paper's
-//! Figure 4 experiment.
+//! The runtime may move a region between physical devices after placement
+//! (tiering, in `disagg-sched`, picks where). A migration is a *physical*
+//! copy — it pays the full transfer cost on both devices and the path
+//! between them, unlike an ownership transfer, which is free. The
+//! contrast between the two is exactly the paper's Figure 4 experiment.
 
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::ids::MemDeviceId;
@@ -14,7 +12,6 @@ use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::{Trace, TraceEvent};
 
-use crate::hotness::HotnessTracker;
 use crate::pool::{Placement, RegionId};
 use crate::region::{RegionError, RegionManager};
 
@@ -100,119 +97,6 @@ pub fn charge_copy(
     took
 }
 
-/// A tier list, fastest first, with promote/demote watermarks.
-#[derive(Debug, Clone)]
-pub struct TieringPolicy {
-    /// Devices ordered fastest → slowest.
-    pub tiers: Vec<MemDeviceId>,
-    /// Regions with hotness score at or above this are promotion
-    /// candidates.
-    pub promote_score: f64,
-    /// Regions with score strictly below this are demotion candidates.
-    pub demote_score: f64,
-    /// Do not fill a faster tier beyond this utilization when promoting.
-    pub high_watermark: f64,
-}
-
-impl TieringPolicy {
-    /// A sensible default policy over the given tier order.
-    pub fn new(tiers: Vec<MemDeviceId>) -> Self {
-        TieringPolicy {
-            tiers,
-            promote_score: 8.0,
-            demote_score: 1.0,
-            high_watermark: 0.9,
-        }
-    }
-
-    /// Builds a tier order from the topology itself: every memory device,
-    /// fastest (lowest read latency) first. Storage-class devices make
-    /// natural demotion targets; the watermark keeps promotion sane.
-    pub fn by_latency(topo: &Topology) -> Self {
-        let mut tiers: Vec<MemDeviceId> = topo.mem_ids().collect();
-        tiers.sort_by(|&a, &b| {
-            topo.mem(a)
-                .read_lat_ns
-                .total_cmp(&topo.mem(b).read_lat_ns)
-                .then(a.cmp(&b))
-        });
-        TieringPolicy::new(tiers)
-    }
-
-    fn tier_rank(&self, dev: MemDeviceId) -> Option<usize> {
-        self.tiers.iter().position(|&d| d == dev)
-    }
-
-    /// True if moving the region to `target` would not break its declared
-    /// properties (persistence, coherence, sync capability are device
-    /// attributes; latency/bandwidth classes are re-audited by the caller
-    /// against the actual accessor).
-    fn target_safe(mgr: &RegionManager, topo: &Topology, id: RegionId, target: MemDeviceId) -> bool {
-        let Ok(meta) = mgr.meta(id) else { return false };
-        let dev = topo.mem(target);
-        if meta.props.persistent && !dev.persistent {
-            return false;
-        }
-        if meta.props.coherent && !dev.coherent {
-            return false;
-        }
-        if meta.props.mode == crate::props::AccessMode::Sync && !dev.sync.allows_sync() {
-            return false;
-        }
-        true
-    }
-
-    /// Plans migrations: hot regions move one tier up (if capacity under
-    /// the watermark allows), cold regions move one tier down. Declared
-    /// properties are never violated: a persistent region will not be
-    /// "promoted" onto volatile memory. Returns `(region, destination)`
-    /// pairs; the caller executes them with [`migrate`].
-    pub fn plan(
-        &self,
-        mgr: &RegionManager,
-        topo: &Topology,
-        hotness: &HotnessTracker,
-    ) -> Vec<(RegionId, MemDeviceId)> {
-        let mut planned: Vec<(RegionId, MemDeviceId)> = Vec::new();
-        // Track planned inflow so one pass doesn't overshoot a watermark.
-        let mut planned_in: Vec<u64> = vec![0; self.tiers.len()];
-
-        for (id, score) in hotness.hot(self.promote_score) {
-            let Ok(p) = mgr.placement(id) else { continue };
-            let Some(rank) = self.tier_rank(p.dev) else { continue };
-            if rank == 0 {
-                continue; // Already in the fastest tier.
-            }
-            // Climb to the highest safe tier with watermark headroom.
-            let pool = mgr.pool();
-            let target = (0..rank)
-                .find(|&t| {
-                    let up = self.tiers[t];
-                    let would_use = pool.allocated(up) + planned_in[t] + p.size;
-                    Self::target_safe(mgr, topo, id, up)
-                        && (would_use as f64) <= self.high_watermark * pool.capacity(up) as f64
-                });
-            if let Some(t) = target {
-                planned_in[t] += p.size;
-                planned.push((id, self.tiers[t]));
-                let _ = score;
-            }
-        }
-        for (id, _score) in hotness.cold(self.demote_score) {
-            let Ok(p) = mgr.placement(id) else { continue };
-            let Some(rank) = self.tier_rank(p.dev) else { continue };
-            if rank + 1 >= self.tiers.len() {
-                continue; // Already in the slowest tier.
-            }
-            let down = self.tiers[rank + 1];
-            if Self::target_safe(mgr, topo, id, down) {
-                planned.push((id, down));
-            }
-        }
-        planned
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,68 +167,5 @@ mod tests {
         assert!(migrate(&mut mgr, &topo, &mut ledger, &mut trace, id, dram, SimTime::ZERO).is_err());
         // Region remains usable at the old placement.
         assert_eq!(mgr.placement(id).unwrap().dev, cxl);
-    }
-
-    #[test]
-    fn tiering_promotes_hot_and_demotes_cold() {
-        let (_topo, mut mgr, dram, cxl) = setup();
-        let hot = alloc(&mut mgr, cxl, 256);
-        let cold = alloc(&mut mgr, dram, 256);
-        let mut tracker = HotnessTracker::new();
-        for _ in 0..20 {
-            tracker.record(hot, 64, SimTime(0));
-        }
-        tracker.record(cold, 64, SimTime(0));
-        for _ in 0..8 {
-            tracker.decay();
-        }
-        // Re-heat the hot region after decay.
-        for _ in 0..20 {
-            tracker.record(hot, 64, SimTime(1));
-        }
-        let policy = TieringPolicy::new(vec![dram, cxl]);
-        let plan = policy.plan(&mgr, &_topo, &tracker);
-        assert!(plan.contains(&(hot, dram)), "hot region promotes to DRAM");
-        assert!(plan.contains(&(cold, cxl)), "cold region demotes to CXL");
-    }
-
-    #[test]
-    fn tiering_respects_high_watermark() {
-        let (_topo, mut mgr, dram, cxl) = setup();
-        // Fill DRAM (4096 B) beyond the 90% watermark.
-        let _filler = alloc(&mut mgr, dram, 3800);
-        let hot = alloc(&mut mgr, cxl, 1024);
-        let mut tracker = HotnessTracker::new();
-        for _ in 0..50 {
-            tracker.record(hot, 64, SimTime(0));
-        }
-        let policy = TieringPolicy::new(vec![dram, cxl]);
-        let plan = policy.plan(&mgr, &_topo, &tracker);
-        assert!(
-            !plan.iter().any(|&(r, _)| r == hot),
-            "promotion must not breach the watermark"
-        );
-    }
-
-    #[test]
-    fn tiering_ignores_regions_already_in_extreme_tiers() {
-        let (_topo, mut mgr, dram, cxl) = setup();
-        let hot_in_fast = alloc(&mut mgr, dram, 64);
-        let cold_in_slow = alloc(&mut mgr, cxl, 64);
-        let mut tracker = HotnessTracker::new();
-        for _ in 0..50 {
-            tracker.record(hot_in_fast, 64, SimTime(0));
-        }
-        tracker.record(cold_in_slow, 1, SimTime(0));
-        // Make the cold one *actually* cold.
-        for _ in 0..10 {
-            tracker.decay();
-        }
-        for _ in 0..50 {
-            tracker.record(hot_in_fast, 64, SimTime(1));
-        }
-        let policy = TieringPolicy::new(vec![dram, cxl]);
-        let plan = policy.plan(&mgr, &_topo, &tracker);
-        assert!(plan.is_empty(), "nothing to do: {plan:?}");
     }
 }

@@ -12,6 +12,7 @@
 //! - [`cost`]: the topology-aware cost model (Challenge 2).
 //! - [`placement`]: the optimizer plus the compute-centric and
 //!   worst-feasible baselines the experiments compare against.
+//! - [`tiering`]: hotness-driven tiering, each target the optimizer's.
 //! - [`schedule`]: HEFT-style list scheduling over heterogeneous compute
 //!   devices with per-device parallelism.
 //! - [`enforce`]: the placement audit and the trust-boundary encryption
@@ -25,8 +26,10 @@ pub mod cost;
 pub mod enforce;
 pub mod placement;
 pub mod schedule;
+pub mod tiering;
 
 pub use cost::{CostModel, TopologyAwareness};
 pub use enforce::{check_placement, needs_encryption, Violation};
 pub use placement::{PlacementEngine, PlacementPolicy};
 pub use schedule::{SchedError, SchedPolicy, Schedule, ScheduleEntry, Scheduler};
+pub use tiering::TieringPolicy;

@@ -5,10 +5,12 @@
 //! executing compute device*, then take the cost-model argmin. For
 //! dataflow outputs the optimizer also considers the consumers' compute
 //! devices ([`PlacementEngine::choose_shared`]) so that handover can be a
-//! pure ownership transfer instead of a copy.
+//! pure ownership transfer instead of a copy. A caller with a constraint
+//! of its own (the heal, tiering) narrows the filter with
+//! [`PlacementEngine::choose_where`].
 //!
-//! Placement is fault-aware: both entry points take the allocation time
-//! and the run's fault plan, and skip every device that is not
+//! Placement is fault-aware: every entry point takes the allocation time
+//! and the run's fault plan, and skips every device that is not
 //! [usable](FaultInjector::usable) then from the computes that will touch
 //! it. An empty plan is checked once per placement, outside the device
 //! loop, so the calm path is the fault-blind one.
@@ -168,11 +170,6 @@ impl PlacementEngine {
         }
     }
 
-    /// The cost model placements are ranked under.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Chooses a device for a request from a single compute device,
     /// among those `faults` leaves usable from it at `at`.
     #[allow(clippy::too_many_arguments)]
@@ -186,7 +183,24 @@ impl PlacementEngine {
         size: u64,
         at: SimTime,
     ) -> Option<MemDeviceId> {
-        self.pick(topo, pool, faults, compute, props, size, at).map(|(dev, _)| dev)
+        self.choose_where(topo, pool, faults, compute, props, size, at, |_| true)
+    }
+
+    /// [`choose`](Self::choose) among the devices `keep` accepts, a
+    /// caller's constraint on top of the engine's filter.
+    #[allow(clippy::too_many_arguments)]
+    pub fn choose_where(
+        &mut self,
+        topo: &Topology,
+        pool: &MemoryPool,
+        faults: &FaultInjector,
+        compute: ComputeId,
+        props: &PropertySet,
+        size: u64,
+        at: SimTime,
+        keep: impl Fn(MemDeviceId) -> bool,
+    ) -> Option<MemDeviceId> {
+        self.pick(topo, pool, faults, compute, props, size, at, keep).map(|(dev, _)| dev)
     }
 
     /// Chooses a device for a region that several compute devices will
@@ -210,7 +224,7 @@ impl PlacementEngine {
         self.pick_shared(topo, pool, faults, computes, props, size, at).map(|(dev, _)| dev)
     }
 
-    /// [`choose`](Self::choose)'s device and its score.
+    /// [`choose_where`](Self::choose_where)'s device and its score.
     ///
     /// One streaming pass over the devices instead of building and
     /// sorting a ranked `Vec` per call (this sits under every region
@@ -229,6 +243,7 @@ impl PlacementEngine {
         props: &PropertySet,
         size: u64,
         at: SimTime,
+        keep: impl Fn(MemDeviceId) -> bool,
     ) -> Option<(MemDeviceId, f64)> {
         use std::cmp::Ordering;
 
@@ -255,7 +270,9 @@ impl PlacementEngine {
             let Some(cell) = *cell else {
                 continue;
             };
-            if faulty && !faults.usable(topo, Target::Mem { dev, from: Some(compute) }, at) {
+            if !keep(dev)
+                || faulty && !faults.usable(topo, Target::Mem { dev, from: Some(compute) }, at)
+            {
                 continue;
             }
             let score = self.model.finish(cell, pool.utilization(dev));
@@ -395,10 +412,11 @@ mod tests {
         let mut best = PlacementEngine::new(PlacementPolicy::Declarative);
         let mut worst = PlacementEngine::new(PlacementPolicy::WorstFeasible);
         let props = PropertySet::new().with_hint(AccessHint::random_reads());
+        let all = |_| true;
         let (b, b_score) =
-            best.pick(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
+            best.pick(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO, all).unwrap();
         let (w, w_score) =
-            worst.pick(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO).unwrap();
+            worst.pick(&topo, &pool, &CALM, ids.cpu, &props, 1 << 20, SimTime::ZERO, all).unwrap();
         assert_ne!(b, w);
         assert!(w_score > b_score);
     }
@@ -559,7 +577,9 @@ mod tests {
     }
 
     /// `pick` as it was before the score table — a scan over
-    /// [`CostModel::score`] — kept as the oracle.
+    /// [`CostModel::score`] — kept as the oracle, over the devices `keep`
+    /// accepts.
+    #[allow(clippy::too_many_arguments)]
     fn reference_choose(
         model: &CostModel,
         policy: PlacementPolicy,
@@ -568,12 +588,13 @@ mod tests {
         compute: ComputeId,
         props: &PropertySet,
         size: u64,
+        keep: impl Fn(MemDeviceId) -> bool,
     ) -> Option<(MemDeviceId, f64)> {
         use std::cmp::Ordering;
         let locals = &topo.compute(compute).local_mem;
         let (mut best, mut worst, mut first, mut best_local) = (None, None, None, None);
         for dev in topo.mem_ids() {
-            if pool.capacity(dev) - pool.allocated(dev) < size {
+            if pool.capacity(dev) - pool.allocated(dev) < size || !keep(dev) {
                 continue;
             }
             let Some(score) = model.score(topo, compute, dev, props, size, pool.utilization(dev))
@@ -743,9 +764,15 @@ mod tests {
                             };
                             let (got, want) = if rng.chance(0.5) {
                                 let c = *rng.pick(&computes);
+                                // Half the time every device, otherwise
+                                // a random subset of them.
+                                let mask = if rng.chance(0.5) { u64::MAX } else { rng.next_u64() };
+                                let keep = |d: MemDeviceId| mask >> (d.index() % 64) & 1 == 1;
                                 (
-                                    eng.pick(topo, &pool, &CALM, c, &props, size, SimTime::ZERO),
-                                    reference_choose(&eng.model, policy, topo, &pool, c, &props, size),
+                                    eng.pick(topo, &pool, &CALM, c, &props, size, SimTime::ZERO, keep),
+                                    reference_choose(
+                                        &eng.model, policy, topo, &pool, c, &props, size, keep,
+                                    ),
                                 )
                             } else {
                                 // Un-deduplicated, up to twelve entries.
@@ -817,7 +844,8 @@ mod tests {
             let pool = MemoryPool::new(topo);
             for c in topo.compute_ids() {
                 let got = eng.choose(topo, &pool, &CALM, c, &props, 4096, SimTime::ZERO);
-                let want = reference_choose(&eng.model, eng.policy, topo, &pool, c, &props, 4096);
+                let want =
+                    reference_choose(&eng.model, eng.policy, topo, &pool, c, &props, 4096, |_| true);
                 assert_eq!(got, want.map(|(d, _)| d));
             }
         }

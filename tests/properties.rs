@@ -322,52 +322,76 @@ fn region_rw_round_trips() {
     });
 }
 
-/// Tiering plans never violate declared properties, whatever the
-/// hotness distribution: a persistent region never lands on volatile
-/// memory, a sync region never on async-only storage.
+/// A tiering pass moves a region only where the placement engine would
+/// put it, whatever the hotness, the declared latency classes and the
+/// faults: every target meets the region's properties as seen from the
+/// vantage compute (`PropertySet::unmet` is empty), and is usable from it
+/// at the pass's time.
 #[test]
 fn tiering_never_violates_properties() {
     for_cases("tiering_never_violates_properties", 12, 32, |rng| {
-        use disagg::region::hotness::HotnessTracker;
-        use disagg::region::migrate::TieringPolicy;
+        use disagg::hwsim::contention::BandwidthLedger;
+        use disagg::hwsim::fault::{FaultEvent, FaultKind, Target};
+        use disagg::hwsim::trace::Trace;
+        use disagg::region::props::LatencyClass;
+        use disagg::sched::TieringPolicy;
+        const LAT: [LatencyClass; 4] =
+            [LatencyClass::Low, LatencyClass::Medium, LatencyClass::High, LatencyClass::Any];
 
         let n_regions = rng.range(4, 20) as usize;
         let (topo, ids) = single_server();
         let mut mgr = RegionManager::new(&topo);
-        let mut tracker = HotnessTracker::new();
         let homes = [ids.dram, ids.pmem, ids.cxl, ids.far, ids.ssd];
         for i in 0..n_regions {
             let heat = rng.next_below(60) as u32;
-            // Mix persistent and volatile, sync and async regions.
+            // Mix persistent and volatile, sync and async regions, and
+            // every latency class.
             let persistent = i % 3 == 0;
             let asynchronous = i % 2 == 0;
             let props = PropertySet::new()
                 .persistent(persistent)
-                .with_mode(if asynchronous { AccessMode::Async } else { AccessMode::Sync });
+                .with_mode(if asynchronous { AccessMode::Async } else { AccessMode::Sync })
+                .with_latency(*rng.pick(&LAT));
             let home = if persistent {
                 if asynchronous { ids.ssd } else { ids.pmem }
             } else {
-                homes[rng.next_below(3) as usize]
+                homes[rng.next_below(4) as usize]
             };
             let r = mgr
                 .alloc(home, 4096, RegionType::GlobalScratch, props, OwnerId::App, SimTime::ZERO)
                 .unwrap();
             for _ in 0..heat {
-                tracker.record(r, 64, SimTime(1));
+                mgr.hotness_mut().record(r, 64, SimTime(1));
             }
         }
+        // A few decay ticks turn the lightly touched regions cold.
+        for _ in 0..rng.next_below(4) {
+            mgr.hotness_mut().decay();
+        }
+        // Sometimes a device has failed or a node has crashed.
+        let kind = match rng.next_below(3) {
+            0 => None,
+            1 => Some(FaultKind::DeviceFail(*rng.pick(&homes))),
+            _ => Some(FaultKind::NodeCrash(topo.node_of_mem(*rng.pick(&[ids.dram, ids.far])))),
+        };
+        let faults = FaultInjector::with_events(
+            kind.into_iter().map(|kind| FaultEvent { at: SimTime::ZERO, kind }).collect(),
+        );
+        let now = SimTime(10);
+        let mut engine = PlacementEngine::new(PlacementPolicy::Declarative);
+        let mut ledger = BandwidthLedger::default_buckets();
+        let mut trace = Trace::disabled();
         let policy = TieringPolicy::by_latency(&topo);
-        for (id, target) in policy.plan(&mgr, &topo, &tracker) {
-            let meta = mgr.meta(id).unwrap();
-            let dev = topo.mem(target);
-            assert!(
-                !meta.props.persistent || dev.persistent,
-                "persistent region planned onto volatile {target:?}"
-            );
-            assert!(
-                meta.props.mode != AccessMode::Sync || dev.sync.allows_sync(),
-                "sync region planned onto async-only {target:?}"
-            );
+        let (moved, _) = policy.apply(
+            &mut engine, &mut mgr, &topo, &mut ledger, &mut trace, &faults, ids.cpu, now,
+        );
+        for (id, target, _) in moved {
+            let props = &mgr.meta(id).unwrap().props;
+            let unmet: Vec<_> =
+                props.unmet(topo.mem(target), topo.path(ids.cpu, target)).collect();
+            assert!(unmet.is_empty(), "region moved onto {target:?}, which misses {unmet:?}");
+            let seen = Target::Mem { dev: target, from: Some(ids.cpu) };
+            assert!(faults.usable(&topo, seen, now), "region moved onto unusable {target:?}");
         }
     });
 }
