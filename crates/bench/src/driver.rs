@@ -2,7 +2,7 @@
 //!
 //! Virtual time is single-threaded by design — one event loop per
 //! [`Runtime`] keeps the simulation bit-for-bit deterministic. Sweeps
-//! are not: the 17 experiments and intra-experiment config
+//! are not: the 15 experiments and intra-experiment config
 //! sweeps are independent simulations, so the driver fans them across
 //! cores with `std::thread::scope` (no external dependencies) and
 //! merges results back in submission order. The merge is index-stable:
@@ -11,7 +11,7 @@
 //!
 //! The driver also renders the machine-readable `BENCH_disagg.json`:
 //! every table, every claim with its verdict — at the scenario's seed,
-//! and across the [`seed_grid`] — plus the raw records behind three of
+//! and across the [`seed_grid`] — plus the raw records behind two of
 //! the tables, all virtual time, so the record is a pure function of
 //! the source and a model change shows up as a diff. Host wall-clock is
 //! `benchmark/`'s job; the only clock read here is the progress timer
@@ -170,10 +170,6 @@ pub fn representative(
         "naive" | "tiering" => some(hetero_storage_server().0, vec![dbms()]),
         "async" | "stream" => some(single_server().0, vec![App::Stream.job(scenario)]),
         "ftol" => some(disaggregated_rack(4, 16, 4, 256).0, vec![App::Ml.job(scenario)]),
-        "online" => some(
-            disaggregated_rack(4, 16, 4, 256).0,
-            stress_jobs(if scenario.quick { 2 } else { 4 }, 4, 4),
-        ),
         // The chaos representative crashes a node halfway through the
         // fault-free makespan (probed first), so the observer sees the
         // detect → retry path.
@@ -236,15 +232,15 @@ pub fn observed_artifacts(id: &str, scenario: &Scenario) -> Option<Result<Artifa
     }))
 }
 
-/// One traced saturation serving pass rendered as Perfetto documents:
-/// the full trace (device lanes plus one request-span lane per tenant)
-/// and the exemplar-only view (each tenant's p99 exemplar requests
-/// broken into latency-component segments). Both documents are
+/// One traced saturation serving pass — the `serving` experiment's
+/// heaviest `calm` point of its `transfer` mix — rendered as Perfetto
+/// documents: the full trace (device lanes plus one request-span lane
+/// per tenant) and the exemplar-only view (each tenant's p99 exemplar
+/// requests broken into latency-component segments). Both documents are
 /// validated before being returned, so callers never write a file
 /// Perfetto would reject.
 pub fn serving_trace_artifacts(scenario: &Scenario) -> Result<(String, String), String> {
-    let layer = exp::serving::templates();
-    let cfg = exp::serving::saturated_config(scenario);
+    let (layer, cfg) = exp::serving::traced_pass(scenario);
     let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());
     let report = layer
@@ -293,6 +289,10 @@ struct Spread {
     /// margin — and its seed, the lowest on ties; `None` on an empty
     /// grid.
     worst: Option<(u64, Verdict)>,
+    /// The claim's table renders byte-identically at every grid seed:
+    /// the seed moves nothing the claim reads, so its `k/n` would count
+    /// one run `n` times.
+    invariant: bool,
 }
 
 impl Spread {
@@ -310,7 +310,13 @@ impl Spread {
         let rank = |v: &Verdict| {
             (v.holds, v.margin.unwrap_or(if v.holds { f64::INFINITY } else { f64::NEG_INFINITY }))
         };
+        let rendered = table.render();
+        let invariant = !grid.is_empty()
+            && grid.iter().all(|(_, tables)| {
+                tables.iter().any(|t| t.id == table.id && t.render() == rendered)
+            });
         Spread {
+            invariant,
             held: at.iter().filter(|(_, v)| v.holds).count(),
             seeds: at.len(),
             worst: at.into_iter().min_by(|(_, a), (_, b)| {
@@ -320,15 +326,20 @@ impl Spread {
         }
     }
 
-    /// `k/n`, the record's `holds_in`.
+    /// `k/n`, or `seed-invariant`: the record's `holds_in`.
     fn holds_in(&self) -> String {
-        format!("{}/{}", self.held, self.seeds)
+        if self.invariant {
+            "seed-invariant".to_string()
+        } else {
+            format!("{}/{}", self.held, self.seeds)
+        }
     }
 }
 
 /// The form EXPERIMENTS.md embeds: a scorecard with one row per claim —
 /// its verdict at the tables' seed, and in how many of `grid`'s seeds it
-/// holds with the worst of them — then every table, both in registry
+/// holds with the worst of them, or `seed-invariant` where its table
+/// reads the same at every seed — then every table, both in registry
 /// order.
 pub fn markdown(tables: &[Table], grid: &[(u64, Vec<Table>)]) -> String {
     let mut out = String::from(
@@ -337,6 +348,7 @@ pub fn markdown(tables: &[Table], grid: &[(u64, Vec<Table>)]) -> String {
     for (t, c, v) in verdicts(tables) {
         let spread = Spread::of(grid, t, c);
         let seeds = match spread.worst {
+            _ if spread.invariant => spread.holds_in(),
             Some((seed, Verdict { margin: Some(m), .. })) => {
                 format!("{}, min {m:.4} at seed {seed}", spread.holds_in())
             }
@@ -365,10 +377,9 @@ pub fn markdown(tables: &[Table], grid: &[(u64, Vec<Table>)]) -> String {
 /// Renders the machine-readable benchmark record (`BENCH_disagg.json`)
 /// of `tables`, run at `scenario`: every table, every claim with its
 /// verdict and how it fares across `grid` (`holds_in` seeds of the
-/// grid's, and the worst verdict's `min_margin` and `min_seed`), then
-/// the raw-record fragments the tables carry — at the top level, or
-/// grouped under the object a fragment names. Hand-rolled JSON keeps
-/// the workspace dependency-free.
+/// grid's, or `seed-invariant`, and the worst verdict's `min_margin`
+/// and `min_seed`), then the raw-record fragments the tables carry.
+/// Hand-rolled JSON keeps the workspace dependency-free.
 pub fn bench_json(tables: &[Table], grid: &[(u64, Vec<Table>)], scenario: &Scenario) -> String {
     let number = |m: Option<f64>| m.map_or("null".to_string(), |m| format!("{m:.4}"));
     let experiments: Vec<String> = tables.iter().map(|t| format!("    {}", t.to_json())).collect();
@@ -397,19 +408,7 @@ pub fn bench_json(tables: &[Table], grid: &[(u64, Vec<Table>)], scenario: &Scena
         format!("\"experiments\": [\n{}\n  ]", experiments.join(",\n")),
         format!("\"claims\": [\n{}\n  ]", claims.join(",\n")),
     ];
-    let mut objects: Vec<(&str, Vec<&str>)> = Vec::new();
-    for f in tables.iter().filter_map(|t| t.record.as_ref()) {
-        if f.parent.is_empty() {
-            members.push(f.members.clone());
-        } else if let Some((_, parts)) = objects.iter_mut().find(|(name, _)| *name == f.parent) {
-            parts.push(&f.members);
-        } else {
-            objects.push((f.parent, vec![&f.members]));
-        }
-    }
-    for (name, parts) in objects {
-        members.push(format!("\"{name}\": {{\n{}\n  }}", parts.join(",\n")));
-    }
+    members.extend(tables.iter().filter_map(|t| t.record.as_ref()).map(|f| f.members.clone()));
     format!("{{\n  {}\n}}\n", members.join(",\n  "))
 }
 
@@ -435,12 +434,11 @@ mod tests {
             t.record = record;
             t
         };
-        let frag = |parent, members: &str| Some(Fragment { parent, members: members.into() });
+        let frag = |members: &str| Some(Fragment { members: members.into() });
         let tables = vec![
             table("table1", None),
-            table("chaos", frag("", "\"chaos\": [{\"slowdown\": 1.5000}]")),
-            table("serving", frag("serving", "\"tenants\": 2, \"sweep\": []")),
-            table("chaos_serve", frag("serving", "\"chaos\": {\"rows\": []}")),
+            table("chaos", frag("\"chaos\": [{\"slowdown\": 1.5000}]")),
+            table("serving", frag("\"serving\": {\"tenants\": 2, \"rows\": []}")),
         ];
         let s = bench_json(&tables, &[], &Scenario { quick: true, seed: 0 });
         let v = disagg_obs::json::parse(&s).expect("the record is valid JSON");
@@ -448,15 +446,14 @@ mod tests {
         assert_eq!(v.get("quick"), Some(&disagg_obs::json::Value::Bool(true)));
         let exps = v.get("experiments").and_then(|v| v.as_arr()).expect("experiments");
         let ids: Vec<_> = exps.iter().map(|e| e.get("id").and_then(|v| v.as_str())).collect();
-        assert_eq!(ids, [Some("table1"), Some("chaos"), Some("serving"), Some("chaos_serve")]);
+        assert_eq!(ids, [Some("table1"), Some("chaos"), Some("serving")]);
         assert_eq!(exps[0].get("rows").and_then(|v| v.as_arr()).map(<[_]>::len), Some(1));
-        // Top-level fragments stand alone; fragments naming the same
-        // object merge into it.
+        // Each fragment lands at the top level.
         let chaos = v.get("chaos").and_then(|v| v.as_arr()).expect("chaos section");
         assert_eq!(chaos[0].get("slowdown").and_then(|v| v.as_f64()), Some(1.5));
         let serving = v.get("serving").expect("serving section");
         assert_eq!(serving.get("tenants").and_then(|v| v.as_f64()), Some(2.0));
-        assert!(serving.get("chaos").and_then(|c| c.get("rows")).is_some(), "serving.chaos nests");
+        assert!(serving.get("rows").and_then(|v| v.as_arr()).is_some());
         // A partial suite simply lacks the sections nobody measured.
         let partial = disagg_obs::json::parse(&bench_json(&tables[..1], &[], &Scenario::default())).unwrap();
         assert!(partial.get("chaos").is_none() && partial.get("serving").is_none());
@@ -524,5 +521,13 @@ mod tests {
         // worse than any failure that has one.
         let lacking = [(1, vec![table(Some(1.0))]), (5, vec![table(None)])];
         assert!(markdown(&tables, &lacking).contains("| 0.5000 | 0/2, fails at seed 5 |"));
+        // A table that renders the same at every grid seed is
+        // seed-invariant, not "k/n": the grid ran one thing n times.
+        let same: Vec<(u64, Vec<Table>)> = (1..=3).map(|seed| (seed, vec![table(Some(4.0))])).collect();
+        assert!(markdown(&tables, &same).contains("| yes | 0.5000 | seed-invariant |"));
+        let v = parse(&bench_json(&tables, &same, &Scenario::default())).expect("valid JSON");
+        let claims = v.get("claims").and_then(Value::as_arr).expect("claims");
+        assert!(claims.iter().all(|c| c.get("holds_in") == Some(&Value::Str("seed-invariant".into()))));
+        assert_eq!(claims[1].get("min_margin").and_then(|v| v.as_f64()), Some(0.5));
     }
 }

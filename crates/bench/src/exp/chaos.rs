@@ -71,7 +71,7 @@ fn fragment(rows: &[ChaosRow]) -> Fragment {
             )
         })
         .collect();
-    Fragment { parent: "", members: format!("\"chaos\": [\n{}\n  ]", rows.join(",\n")) }
+    Fragment { members: format!("\"chaos\": [\n{}\n  ]", rows.join(",\n")) }
 }
 
 /// The sweep's workloads.

@@ -3,7 +3,6 @@
 
 pub mod asynk;
 pub mod chaos;
-pub mod chaos_serve;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
@@ -12,7 +11,6 @@ pub mod ftol;
 pub mod ingredients;
 pub mod naive;
 pub mod numa;
-pub mod online;
 pub mod serving;
 pub mod table1;
 pub mod table2;
@@ -40,9 +38,7 @@ pub fn all() -> Vec<Experiment> {
         ("ftol", ftol::run),
         ("tiering", tiering::run),
         ("stream", stream::run),
-        ("online", online::run),
         ("chaos", chaos::run),
         ("serving", serving::run),
-        ("chaos_serve", chaos_serve::run),
     ]
 }

@@ -36,10 +36,8 @@
 //! | [`exp::ftol`] | Challenge 8(3) replication vs erasure coding | `ftol` |
 //! | [`exp::tiering`] | hotness-driven tiering (Challenges 1-3) | `tiering` |
 //! | [`exp::stream`] | §2.1 batch vs streamed task chains | `stream` |
-//! | [`exp::online`] | §2.1 online serving of an arriving job mix | `online` |
 //! | [`exp::chaos`] | Challenge 8(3) makespan under injected faults | `chaos` |
-//! | [`exp::serving`] | §2.1 open-loop multi-tenant serving sweep | `serving` |
-//! | [`exp::chaos_serve`] | Challenge 8 fault-aware serving control plane | `chaos_serve` |
+//! | [`exp::serving`] | §2.1 open-loop multi-tenant serving, swept over mix, offered load and variant: the saturation knee, compute-centric vs declarative, and Challenge 8's fault-aware control plane under node crashes | `serving` |
 
 mod apps;
 mod claim;
@@ -54,14 +52,12 @@ use disagg_hwsim::time::SimDuration;
 use disagg_obs::json::escape;
 
 /// The raw numbers behind an experiment's table, as the JSON object
-/// members (`"key": value, ...`) it contributes to the benchmark
-/// record. Each record-bearing experiment renders its own, beside its
-/// record type; [`driver::bench_json`] only concatenates them.
+/// members (`"key": value, ...`) it contributes to the top level of the
+/// benchmark record. Each record-bearing experiment renders its own,
+/// beside its record type; [`driver::bench_json`] only concatenates
+/// them.
 #[derive(Debug, Clone)]
 pub(crate) struct Fragment {
-    /// The top-level object the members belong to (`"serving"`), or
-    /// `""` for the record's top level itself.
-    pub(crate) parent: &'static str,
     /// Comma-joined members, every field virtual-time-only.
     pub(crate) members: String,
 }

@@ -5,8 +5,8 @@
 //! of the wave still owns a live region and that no device ran more
 //! attempts at once than it has slots. These runs drive it through the
 //! serving experiment's saturated pass, a controlled serving run under
-//! faults (retries, fast-fails, sheds, degrades), the quick
-//! chaos-under-load sweep, the rack batch
+//! faults (retries, fast-fails, sheds, degrades), the quick serving
+//! sweep, the rack batch
 //! under admission with job-wide state, a task body that allocates for
 //! itself, and copy-based handover, and check what each leaves resident.
 
@@ -31,10 +31,10 @@ fn resident(rt: &Runtime) -> i64 {
 
 #[test]
 fn the_saturated_serving_pass_ends_where_the_pool_ends() {
-    let cfg = exp::serving::saturated_config(&Scenario::default());
+    let (layer, cfg) = exp::serving::traced_pass(&Scenario::default());
     let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-    let report = exp::serving::templates().run(&mut rt, &cfg).expect("saturated serving pass");
+    let report = layer.run(&mut rt, &cfg).expect("saturated serving pass");
     assert!(report.run.handover_copies > 0, "the pass must copy on handover");
     assert_eq!(resident(&rt), 0, "a serving pass leaves nothing behind");
     assert!(report.peak_util > 0.0);
@@ -72,22 +72,39 @@ fn a_controlled_serving_run_under_faults_balances() {
         control: Some(ControlPlane::default()),
         ..ServeConfig::default()
     };
-    let report = exp::chaos_serve::templates().run(&mut rt, &cfg).expect("controlled serving run");
+    let report = exp::serving::crunch_templates().run(&mut rt, &cfg).expect("controlled serving run");
     let retries = rt.trace().count(|e| matches!(e, TraceEvent::TaskRetry { .. }));
     let seen = (retries, report.fast_failed, report.shed, report.degraded);
     assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0, "{seen:?}");
     assert_eq!(resident(&rt), 0);
 }
 
-/// The quick chaos-under-load sweep, both variants at every load, closes
-/// each wave's books, the lane check among them: a retried task waits
-/// for a free lane like any dispatch, so no device runs more attempts at
-/// once than it has slots. Its crash windows retry tasks onto GPUs whose
-/// lanes are all busy.
+/// The quick serving sweep, every variant at every load, closes each
+/// wave's books, the lane check among them: a retried task waits for a
+/// free lane like any dispatch, so no device runs more attempts at once
+/// than it has slots. Its crash windows retry tasks onto GPUs whose
+/// lanes are all busy. Every faulted run's fault era lies inside the
+/// arrival span of the calm run at its load, which that run outlives,
+/// so each faulted run has post-fault burn windows to recover in.
 #[test]
-fn the_quick_chaos_under_load_sweep_runs_no_device_past_its_slots() {
-    let record = exp::chaos_serve::measure(&Scenario { quick: true, seed: 0 });
+fn the_quick_serving_sweep_runs_no_device_past_its_slots() {
+    use exp::serving::Variant;
+    let record = exp::serving::measure(&Scenario { quick: true, seed: 0 });
     assert!(record.rows.iter().any(|r| r.breaker_trips > 0), "the crashes must interrupt attempts");
+    let mut seen = 0;
+    for r in &record.rows {
+        let Some(era) = r.faults else { continue };
+        let calm = record
+            .rows
+            .iter()
+            .find(|c| c.mix == r.mix && c.load == r.load && c.variant == Variant::Calm)
+            .expect("every faulted load has a calm row");
+        let (start, end, last) = (era.start.0, era.end.0, calm.last_arrival);
+        assert!(start < end && end < last.0, "{} {}: era {start}..{end}, {last}", r.mix, r.load);
+        assert!(last <= calm.makespan, "{} {}: the calm run outlives its arrivals", r.mix, r.load);
+        seen += 1;
+    }
+    assert_eq!(seen, 4, "two faulted variants at each of the quick sweep's two crunch loads");
 }
 
 /// The four apps of the equivalence rack batch: each places job-wide

@@ -86,7 +86,7 @@ fn record_is_written_only_when_asked() {
 
 #[test]
 fn record_bearing_experiments_are_measured_once() {
-    let ids = ["chaos", "serving", "chaos_serve"];
+    let ids = ["chaos", "serving"];
     let (out, _) = run("once", &["--quick", "--only", &ids.join(","), "--json", "rec.json"]);
     assert_eq!(out.status.code(), Some(0));
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -135,8 +135,8 @@ pub struct RuntimeConfig {
     /// Attached by `exp_driver --trace-out`/`--metrics-out` and the
     /// benchmark's `batch_dag` observer probe.
     pub observer: ObserverSlot,
-    /// Injected faults for this run. Set by `chaos`, `chaos_serve`,
-    /// the benchmark's `apps_chaos` and `examples/far_memory_resilience`.
+    /// Injected faults for this run. Set by `chaos`, `serving`'s
+    /// faulted rows, the benchmark's `apps_chaos` and `examples/far_memory_resilience`.
     pub faults: FaultInjector,
     /// How mid-task faults are detected and retried. Set wherever
     /// `faults` is.

@@ -248,9 +248,9 @@ impl ServeLayer {
     /// # Errors
     ///
     /// [`RuntimeError::InvalidConfig`], before anything runs, if no
-    /// template is registered, `cfg.tenants == 0`, or a per-tenant
-    /// quota or SLO names a tenant `>= cfg.tenants`; otherwise whatever
-    /// the executor returns.
+    /// template is registered, `cfg.tenants == 0`, the Zipf skew is
+    /// negative or not finite, or a per-tenant quota or SLO names a
+    /// tenant `>= cfg.tenants`; otherwise whatever the executor returns.
     pub fn run(&self, rt: &mut Runtime, cfg: &ServeConfig) -> Result<ServeReport, RuntimeError> {
         let invalid = |what| Err(RuntimeError::InvalidConfig { what });
         if self.templates.is_empty() {
@@ -258,6 +258,9 @@ impl ServeLayer {
         }
         if cfg.tenants == 0 {
             return invalid("a serving run needs at least one tenant");
+        }
+        if !(cfg.zipf_theta.is_finite() && cfg.zipf_theta >= 0.0) {
+            return invalid("the tenant mix's Zipf skew must be finite and non-negative");
         }
         let mut overridden = cfg
             .tenant_quotas

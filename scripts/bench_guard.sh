@@ -8,8 +8,8 @@
 # and (3) cover each claim's `holds_in` / `min_margin` / `min_seed` too;
 # only a claim that fails at the record's seed 0 fails (1).
 #
-# The record holds only virtual-time numbers (all 17 tables plus the
-# chaos / serving / serving.chaos sections), so it is a pure function of
+# The record holds only virtual-time numbers (all 15 tables plus the
+# chaos and serving sections), so it is a pure function of
 # the source: there is no tolerance, no sample count and no host class
 # to tune. A change to the cost model, the scheduler or an experiment
 # shows up as a diff; if the change is intended, regenerate the record

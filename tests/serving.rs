@@ -230,6 +230,20 @@ fn tenant_quota_rejects_without_collateral_damage() {
     assert_eq!(report.admitted + report.rejected, report.offered);
 }
 
+/// A tenant-mix skew the Zipf draw cannot take — negative or not
+/// finite — is a typed error before anything runs, not a panic inside
+/// the run.
+#[test]
+fn a_bad_zipf_skew_is_a_typed_error() {
+    for theta in [f64::NAN, -1.0, f64::INFINITY] {
+        let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+        let got = mix().run(&mut rt, &ServeConfig { zipf_theta: theta, ..cfg() });
+        assert!(matches!(got, Err(RuntimeError::InvalidConfig { .. })), "skew {theta}: {:?}", got.err());
+        assert!(rt.trace().events().is_empty(), "skew {theta}: nothing may run");
+    }
+}
+
 /// Per-request attribution over a faulty serving mix: every admitted
 /// request's five components (admission + queue + compute + transfer +
 /// recovery) sum *exactly* to its end-to-end latency — conservative and
