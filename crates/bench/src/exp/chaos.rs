@@ -87,7 +87,7 @@ fn levels(scenario: &Scenario) -> &'static [(&'static str, u64)] {
 }
 
 /// The recovery policy every sweep point runs with: a real (non-oracle)
-/// detector, exponential backoff, and a bounded retry budget.
+/// detector, exponential backoff, and a bounded per-task retry cap.
 fn policy() -> RecoveryPolicy {
     RecoveryPolicy::default()
         .with_max_retries(8)
@@ -130,7 +130,7 @@ fn run_once(app: App, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
     let mut rt = Runtime::new(topo, config);
     let report = rt
         .execute(app.job(scenario))
-        .expect("chaos sweep point completes within its retry budget");
+        .expect("chaos sweep point completes within its retry cap");
     let (mut retries, mut detected, mut reconstructs) = (0u64, 0u64, 0u64);
     for e in rt.trace().events() {
         match e {

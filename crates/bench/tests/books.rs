@@ -4,14 +4,15 @@
 //! by exactly the `Alloc` − `Free` bytes the trace counted, that no task
 //! of the wave still owns a live region and that no device ran more
 //! attempts at once than it has slots. These runs drive it through the
-//! serving experiment's saturated pass, a controlled serving run under
-//! faults (retries, fast-fails, sheds, degrades), the quick serving
+//! serving experiment's saturated pass, a serving run under faults with
+//! the control plane (retries, fast-fails, sheds, degrades) and without
+//! it (a request that runs out of retries fails alone), the quick serving
 //! sweep, the rack batch
 //! under admission with job-wide state, a task body that allocates for
 //! itself, and copy-based handover, and check what each leaves resident.
 
 use disagg_bench::{exp, Scenario};
-use disagg_core::prelude::{Runtime, RuntimeConfig};
+use disagg_core::prelude::{DisaggError, Runtime, RuntimeConfig};
 use disagg_core::RecoveryPolicy;
 use disagg_dataflow::{JobBuilder, JobSpec, TaskSpec};
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
@@ -20,7 +21,7 @@ use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::TraceEvent;
 use disagg_region::props::PropertySet;
 use disagg_region::typed::RegionType;
-use disagg_serve::{ArrivalProcess, ControlPlane, ServeConfig, Slo};
+use disagg_serve::{ArrivalProcess, ControlPlane, ServeConfig, ServeReport, Slo, Verdict};
 use disagg_workloads::{dbms, hospital, ml, streaming};
 
 /// Bytes resident in the runtime's pool.
@@ -40,12 +41,14 @@ fn the_saturated_serving_pass_ends_where_the_pool_ends() {
     assert!(report.peak_util > 0.0);
 }
 
-#[test]
-fn a_controlled_serving_run_under_faults_balances() {
+/// The crunch mix on a rack whose servers crash in short windows
+/// rotating over three of the four, so a retried task is often hit
+/// again and, with one retry allowed, its request fails alone; run with
+/// `control` as its control plane.
+fn serve_through_a_crash_storm(
+    control: Option<ControlPlane>,
+) -> (Runtime, Result<ServeReport, DisaggError>) {
     let (topo, rack) = disaggregated_rack(4, 8, 2, 32);
-    // Short crash windows rotating over three of the four servers, so a
-    // retried task is often hit again and, with one retry allowed, its
-    // request fails fast.
     let mut faults = FaultInjector::none();
     for k in 0..24u64 {
         let node = rack.nodes[(k % 3) as usize];
@@ -69,13 +72,36 @@ fn a_controlled_serving_run_under_faults_balances() {
         zipf_theta: 1.0,
         quota: Some(512 << 20),
         slo: Some(Slo { p50: SimDuration::from_micros(300), p99: SimDuration::from_micros(900) }),
-        control: Some(ControlPlane::default()),
+        control,
         ..ServeConfig::default()
     };
-    let report = exp::serving::crunch_templates().run(&mut rt, &cfg).expect("controlled serving run");
+    let report = exp::serving::crunch_templates().run(&mut rt, &cfg);
+    (rt, report)
+}
+
+#[test]
+fn a_controlled_serving_run_under_faults_balances() {
+    let (rt, report) = serve_through_a_crash_storm(Some(ControlPlane::default()));
+    let report = report.expect("controlled serving run");
     let retries = rt.trace().count(|e| matches!(e, TraceEvent::TaskRetry { .. }));
     let seen = (retries, report.fast_failed, report.shed, report.degraded);
     assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0, "{seen:?}");
+    assert_eq!(resident(&rt), 0);
+}
+
+/// Failure isolation is the executor's rule, not part of the control
+/// plane: without one, a request whose task runs out of retries still
+/// fails alone and the rest of the stream completes.
+#[test]
+fn a_request_fails_alone_without_the_control_plane() {
+    let (rt, report) = serve_through_a_crash_storm(None);
+    let report = report.expect("an uncontrolled run survives its requests' failures");
+    assert!(report.fast_failed >= 1, "one retry is too few for some request");
+    assert_eq!(report.fast_failed, report.run.failed_jobs.len());
+    assert!(
+        report.requests.iter().any(|r| r.verdict == Verdict::Completed),
+        "the rest of the stream completes"
+    );
     assert_eq!(resident(&rt), 0);
 }
 

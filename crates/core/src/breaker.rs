@@ -1,8 +1,7 @@
-//! Fault-aware control-plane state: per-node circuit breakers and
-//! per-tenant retry budgets.
+//! Fault-aware control-plane state: per-node circuit breakers.
 //!
-//! Both live on the [`crate::Runtime`] and are mutated **only from the
-//! executor's commit path**, so every transition lands in the event
+//! The bank lives on the [`crate::Runtime`] and is mutated **only from
+//! the executor's commit path**, so every transition lands in the event
 //! loop's `(time, seq)` order — the breaker log is as deterministic as
 //! the trace itself.
 //!
@@ -210,59 +209,6 @@ impl BreakerBank {
     }
 }
 
-/// Virtual time per retry token refilled.
-const REFILL_INTERVAL: SimDuration = SimDuration::from_micros(100);
-
-/// Retry-token bucket capacity: the burst of retries one tenant may
-/// spend before refills gate further attempts.
-const RETRY_BUDGET_CAPACITY: u32 = 4;
-
-/// Per-tenant retry budgets: token buckets in virtual time, charged once
-/// per executor `TaskRetry` and refilled one token per 100 µs up to
-/// `RETRY_BUDGET_CAPACITY`; every tenant starts full. When a tenant's
-/// bucket is empty its requests fail fast instead of retrying — a fault
-/// storm cannot metastasize into a retry storm.
-#[derive(Debug, Default)]
-pub struct RetryBudgets {
-    /// tenant -> (tokens, refill anchor). The anchor only advances by
-    /// whole refill intervals so fractional refill time is never lost.
-    buckets: FxHashMap<u64, (u32, SimTime)>,
-}
-
-impl RetryBudgets {
-    /// Tries to spend one retry token for `tenant` at `now`. Returns
-    /// false when the bucket is empty — the caller fails the request
-    /// fast instead of retrying.
-    pub fn charge(&mut self, tenant: u64, now: SimTime) -> bool {
-        let (tokens, anchor) = self
-            .buckets
-            .entry(tenant)
-            .or_insert((RETRY_BUDGET_CAPACITY, SimTime::ZERO));
-        if now > *anchor {
-            let refills = now.since(*anchor).0 / REFILL_INTERVAL.0;
-            let refill = refills.min(u64::from(RETRY_BUDGET_CAPACITY)) as u32;
-            if *tokens < RETRY_BUDGET_CAPACITY {
-                *tokens = (*tokens + refill).min(RETRY_BUDGET_CAPACITY);
-            }
-            *anchor = SimTime(anchor.0 + refills * REFILL_INTERVAL.0);
-        }
-        if *tokens > 0 {
-            *tokens -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Remaining tokens for `tenant` without refilling or charging.
-    pub fn remaining(&self, tenant: u64) -> u32 {
-        self.buckets
-            .get(&tenant)
-            .map(|&(t, _)| t)
-            .unwrap_or(RETRY_BUDGET_CAPACITY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,25 +259,5 @@ mod tests {
         let (ok, _) = b.allows(n, refault + COOLDOWN, (2, 0));
         assert!(ok);
         assert_eq!(b.transitions().len(), 4, "trip, probe, re-trip, re-probe");
-    }
-
-    #[test]
-    fn retry_budget_spends_and_refills_in_virtual_time() {
-        let mut r = RetryBudgets::default();
-        assert_eq!(r.remaining(5), RETRY_BUDGET_CAPACITY);
-        for k in 0..RETRY_BUDGET_CAPACITY {
-            assert!(r.charge(5, SimTime(u64::from(k) * 1_000)));
-        }
-        assert!(!r.charge(5, SimTime(5_000)), "bucket empty");
-        assert!(!r.charge(5, SimTime(99_999)), "not a full interval yet");
-        assert!(r.charge(5, SimTime(100_001)), "one token refilled");
-        assert!(!r.charge(5, SimTime(110_000)));
-        // Refill caps at capacity no matter how long the idle gap.
-        for _ in 0..RETRY_BUDGET_CAPACITY {
-            assert!(r.charge(5, SimTime(100_000_000)));
-        }
-        assert!(!r.charge(5, SimTime(100_000_000)));
-        // Tenants are independent.
-        assert!(r.charge(6, SimTime(0)));
     }
 }

@@ -25,7 +25,8 @@ pub enum HandoverPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// How many times one task may be re-placed after being interrupted
-    /// before the run surfaces [`crate::DisaggError::RetriesExhausted`].
+    /// before the run surfaces [`crate::DisaggError::RetriesExhausted`]
+    /// (a request-tagged job fails alone instead).
     /// The default (3) bounds the work a flapping node can waste.
     pub max_retries: u32,
     /// Virtual time between a fault striking and the runtime noticing
@@ -50,7 +51,7 @@ impl Default for RecoveryPolicy {
 }
 
 impl RecoveryPolicy {
-    /// Sets the retry budget.
+    /// Sets the per-task retry cap.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
@@ -86,9 +87,9 @@ impl RecoveryPolicy {
     /// - **Exhaustion** is the *caller's* check, made *before* asking
     ///   for a delay: the executor compares the attempt count against
     ///   `max_retries` and surfaces
-    ///   [`crate::DisaggError::RetriesExhausted`] (or, past a tenant's
-    ///   retry budget, [`crate::DisaggError::RetryBudgetExhausted`])
-    ///   instead of scheduling another relaunch.
+    ///   [`crate::DisaggError::RetriesExhausted`] (a request-tagged job
+    ///   fails alone instead, [`crate::RunReport::failed_jobs`]) rather
+    ///   than scheduling another relaunch.
     ///
     /// Use [`exhausted`](Self::exhausted) to ask the policy directly.
     pub fn backoff_for(&self, attempt: u32) -> SimDuration {

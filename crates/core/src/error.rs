@@ -49,27 +49,13 @@ pub enum DisaggError {
         task: TaskId,
     },
     /// A task kept being interrupted by faults until its
-    /// [`crate::RecoveryPolicy`] retry budget ran out.
+    /// [`crate::RecoveryPolicy`] retry cap ran out.
     RetriesExhausted {
         /// The job.
         job: JobId,
         /// The task.
         task: TaskId,
         /// Attempts made (initial execution + retries).
-        attempts: u32,
-    },
-    /// A task was interrupted by a fault but its tenant's retry budget
-    /// (token bucket, [`crate::RetryBudgets`]) was empty: the
-    /// request fails fast instead of spending more of the
-    /// [`crate::RecoveryPolicy`] cap during a fault storm.
-    RetryBudgetExhausted {
-        /// The job.
-        job: JobId,
-        /// The task.
-        task: TaskId,
-        /// The tenant whose bucket ran dry.
-        tenant: u64,
-        /// Attempts made before the budget gated further retries.
         attempts: u32,
     },
     /// A [`Submission`](crate::Submission) was malformed: the arrival
@@ -151,13 +137,7 @@ impl std::fmt::Display for DisaggError {
             DisaggError::RetriesExhausted { job, task, attempts } => {
                 write!(
                     f,
-                    "{job}/{task} kept failing: retry budget exhausted after {attempts} attempts"
-                )
-            }
-            DisaggError::RetryBudgetExhausted { job, task, tenant, attempts } => {
-                write!(
-                    f,
-                    "{job}/{task} failed fast: tenant {tenant}'s retry budget empty after {attempts} attempts"
+                    "{job}/{task} kept failing: retry cap exhausted after {attempts} attempts"
                 )
             }
             DisaggError::Submission { jobs, offsets } => {

@@ -158,8 +158,8 @@ pub(crate) struct Wave {
     /// Job-scoped published-region maps (user-facing string keys).
     pub published: Vec<FxHashMap<String, RegionId>>,
     pub global_state: Vec<Option<RegionId>>,
-    /// Per-job tenant identity from the submission's request tags —
-    /// what the retry-budget buckets are keyed on.
+    /// Per-job tenant identity from the submission's request tags: a
+    /// tagged job that exhausts its retries fails alone.
     pub tenants: Vec<Option<u64>>,
     /// Jobs declared failed under fail-fast isolation: their remaining
     /// events are committed as no-ops instead of erroring the wave.

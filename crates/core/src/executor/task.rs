@@ -31,7 +31,7 @@ use disagg_sched::schedule::Scheduler;
 
 use crate::config::HandoverPolicy;
 use crate::error::DisaggError;
-use crate::report::{FailReason, FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
+use crate::report::{FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
 use crate::runtime::Runtime;
 
 use super::{EventKind, Retry, Wave};
@@ -304,20 +304,12 @@ fn pick_candidate(
         .map(|&(c, _)| c)
 }
 
-/// Fails a whole job fast under fault control
-/// ([`Runtime::enable_fault_control`]):
-/// the wave keeps draining, every not-yet-run task of the job is
-/// cancelled (its pending events commit as no-ops), the regions already
-/// handed over to cancelled tasks are scheduled for release, and the
-/// report records why.
-fn fail_job(
-    w: &mut Wave,
-    spec: &JobSpec,
-    ji: usize,
-    task: TaskId,
-    at: SimTime,
-    reason: FailReason,
-) {
+/// Fails request-tagged job `ji`, of `tenant`, alone: the wave
+/// keeps draining, every not-yet-run task of the job is cancelled (its
+/// pending events commit as no-ops), the regions already handed over
+/// to cancelled tasks are scheduled for release, and the report records
+/// the failure.
+fn fail_job(w: &mut Wave, spec: &JobSpec, ji: usize, task: TaskId, at: SimTime, tenant: u64) {
     let jid = w.job_ids[ji];
     w.failed[ji] = true;
     for t in 0..spec.tasks.len() {
@@ -331,13 +323,7 @@ fn fail_job(
         // (The failing task's own exit below also covers its placements.)
         w.defer_exit(at, OwnerId::Task { job: jid.0, task: u64::from(t_id.0) });
     }
-    w.report.failed_jobs.push(FailedJob {
-        job: jid,
-        task,
-        tenant: w.tenants[ji],
-        at,
-        reason,
-    });
+    w.report.failed_jobs.push(FailedJob { job: jid, task, tenant, at });
 }
 
 /// A ready task joins its assigned device's queue (rerouted if the
@@ -431,8 +417,8 @@ pub(crate) fn service(
 /// ready queue of the cheapest surviving candidate from the scheduler's
 /// cost ranking after the policy's exponential backoff (task bodies are
 /// re-runnable `Fn`s), so the makespan pays for every attempt. The retry
-/// budget bounds how much work a flapping resource can waste before the
-/// run, or under fault control the job, fails cleanly.
+/// cap bounds how much work a flapping resource can waste before the
+/// run, or for a request-tagged job the job alone, fails cleanly.
 #[allow(clippy::too_many_arguments)]
 fn abandon(
     rt: &mut Runtime,
@@ -455,36 +441,14 @@ fn abandon(
     let detect_at = fault_at + policy.detection_delay;
     w.end_attempt(compute, start, detect_at);
 
-    // Exhaustion checks, in contract order: the per-task retry cap first
-    // (the legacy `RecoveryPolicy` contract), then the tenant's retry
-    // budget — a failed charge fails the request fast instead of burning
-    // another attempt.
-    let tenant = w.tenants[ji];
-    let exhausted = if policy.exhausted(retries) {
-        Some(FailReason::RetriesExhausted)
-    } else if let (Some(t), Some(budgets)) = (tenant, rt.retry_budgets.as_mut()) {
-        (!budgets.charge(t, detect_at)).then_some(FailReason::RetryBudgetExhausted)
-    } else {
-        None
-    };
-    if let Some(reason) = exhausted {
-        // Isolation is part of the control plane: on exactly when the
-        // breakers are.
-        if rt.breakers.is_some() && tenant.is_some() {
-            fail_job(w, spec, ji, task, detect_at, reason);
+    // Past the retry cap a request fails alone; an untagged batch job
+    // fails the run.
+    if policy.exhausted(retries) {
+        if let Some(tenant) = w.tenants[ji] {
+            fail_job(w, spec, ji, task, detect_at, tenant);
             return Ok(());
         }
-        return Err(match reason {
-            FailReason::RetriesExhausted => {
-                DisaggError::RetriesExhausted { job: jid, task, attempts: retries }
-            }
-            FailReason::RetryBudgetExhausted => DisaggError::RetryBudgetExhausted {
-                job: jid,
-                task,
-                tenant: tenant.unwrap_or(0),
-                attempts: retries,
-            },
-        });
+        return Err(DisaggError::RetriesExhausted { job: jid, task, attempts: retries });
     }
     rt.trace.push(TraceEvent::FaultDetected {
         job: jid.0,

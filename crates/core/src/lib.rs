@@ -49,11 +49,11 @@ pub mod report;
 pub mod runtime;
 pub mod submission;
 
-pub use breaker::{BreakerBank, BreakerState, BreakerTransition, RetryBudgets};
+pub use breaker::{BreakerBank, BreakerState, BreakerTransition};
 pub use config::{RecoveryPolicy, RuntimeConfig};
 pub use error::{DisaggError, RuntimeError};
 pub use profile::{RunProfile, TaskProfile};
-pub use report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
+pub use report::{DeviceSummary, FailedJob, RunReport, TaskReport};
 pub use runtime::Runtime;
 pub use submission::Submission;
 
@@ -63,11 +63,11 @@ pub use disagg_obs as obs;
 
 /// Everything an application or experiment typically imports.
 pub mod prelude {
-    pub use crate::breaker::{BreakerBank, BreakerState, BreakerTransition, RetryBudgets};
+    pub use crate::breaker::{BreakerBank, BreakerState, BreakerTransition};
     pub use crate::config::{HandoverPolicy, RecoveryPolicy, RuntimeConfig};
     pub use crate::error::{DisaggError, RuntimeError};
     pub use crate::profile::{RunProfile, TaskProfile};
-    pub use crate::report::{DeviceSummary, FailReason, FailedJob, RunReport, TaskReport};
+    pub use crate::report::{DeviceSummary, FailedJob, RunReport, TaskReport};
     pub use crate::runtime::Runtime;
     pub use crate::submission::Submission;
     pub use disagg_dataflow::ctx::TaskCtx;

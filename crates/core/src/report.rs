@@ -134,31 +134,18 @@ impl TaskReport {
     }
 }
 
-/// Why a fault-isolated job failed (see
-/// [`crate::Runtime::enable_fault_control`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailReason {
-    /// The task burned through the [`crate::RecoveryPolicy`] retry cap.
-    RetriesExhausted,
-    /// The tenant's retry-budget token bucket was empty.
-    RetryBudgetExhausted,
-}
-
-/// One request-tagged job that failed fast under failure isolation
-/// instead of erroring the whole submission.
+/// One request-tagged job whose task exhausted its retries and that
+/// failed alone instead of erroring the whole submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailedJob {
     /// The job.
     pub job: JobId,
     /// The task whose retries ran out.
     pub task: TaskId,
-    /// The tenant the job's request belongs to (`None` for untagged
-    /// jobs — only possible when isolation is extended beyond serving).
-    pub tenant: Option<u64>,
+    /// The tenant the job's request belongs to.
+    pub tenant: u64,
     /// Virtual time the job was declared failed.
     pub at: SimTime,
-    /// What exhausted it.
-    pub reason: FailReason,
 }
 
 /// Per-device usage summary, cumulative over a runtime's life
@@ -213,9 +200,8 @@ pub struct RunReport {
     /// Dataflow edges the executor honored, as `(job, from, to)` — the
     /// DAG the critical-path analyzer walks.
     pub edges: Vec<(JobId, TaskId, TaskId)>,
-    /// Request-tagged jobs that failed fast under failure isolation
-    /// ([`crate::Runtime::enable_fault_control`]); empty on every
-    /// run that completes normally or does not isolate.
+    /// Request-tagged jobs whose task exhausted its retries and that
+    /// failed alone; empty on every run where no request did.
     pub failed_jobs: Vec<FailedJob>,
 }
 

@@ -36,7 +36,7 @@ use disagg_region::region::{OwnerId, RegionManager};
 use disagg_sched::placement::PlacementEngine;
 use disagg_sched::TieringPolicy;
 
-use crate::breaker::{BreakerBank, BreakerTransition, RetryBudgets};
+use crate::breaker::{BreakerBank, BreakerTransition};
 use crate::config::RuntimeConfig;
 use crate::report::{DeviceSummary, RunReport};
 use crate::submission::Submission;
@@ -58,9 +58,6 @@ pub struct Runtime {
     /// [`Runtime::enable_fault_control`] ran. Mutated exclusively from
     /// the executor's commit path.
     pub(crate) breakers: Option<BreakerBank>,
-    /// Per-tenant retry-budget buckets — `Some` exactly when `breakers`
-    /// is.
-    pub(crate) retry_budgets: Option<RetryBudgets>,
     pub(crate) next_job: u64,
     pub(crate) clock: SimTime,
 }
@@ -88,7 +85,6 @@ impl Runtime {
             engine,
             app_published: FxHashMap::default(),
             breakers: None,
-            retry_budgets: None,
             next_job: 0,
             clock: SimTime::ZERO,
             topo,
@@ -160,21 +156,17 @@ impl Runtime {
         self.trace.reserve(events);
     }
 
-    /// Turns on the runtime half of the fault-control plane, for good
-    /// (the settings are constants in [`crate::breaker`]): per-node
-    /// circuit breakers that take a node that keeps faulting out of the
-    /// candidate ranking, per-tenant retry budgets that fail a request
-    /// fast with [`DisaggError::RetryBudgetExhausted`] instead of
-    /// grinding through the full [`RuntimeConfig::recovery`] policy, and
-    /// failure isolation — a request-tagged job whose task exhausts its
-    /// retries or budget fails *alone* ([`RunReport::failed_jobs`])
-    /// while the wave continues. Budgets and isolation only bind
-    /// request-tagged jobs: untagged batch jobs have no tenant to
-    /// charge. A serving run with `ServeConfig::control` set calls this;
-    /// without it a runtime executes the same code path as ever.
+    /// Turns on the runtime half of the fault-control plane, for good:
+    /// per-node circuit breakers (their settings are constants in
+    /// [`crate::breaker`]) that take a node that keeps faulting out of
+    /// the candidate ranking. A serving run with `ServeConfig::control`
+    /// set calls this; without it a runtime executes the same code path
+    /// as ever. Failure isolation is not part of the switch: a
+    /// request-tagged job whose task exhausts [`RuntimeConfig::recovery`]'s
+    /// retries always fails *alone* ([`RunReport::failed_jobs`]) while
+    /// the wave continues.
     pub fn enable_fault_control(&mut self) {
         self.breakers.get_or_insert_with(BreakerBank::default);
-        self.retry_budgets.get_or_insert_with(RetryBudgets::default);
     }
 
     /// Every circuit-breaker transition so far, in commit order (empty

@@ -84,8 +84,10 @@ pub struct Request {
 /// control law has no settings — its constants are the four below:
 ///
 /// - The runtime's half of the plane: [`Runtime::enable_fault_control`]
-///   (circuit breakers, retry budgets, fail-fast isolation) is on for
-///   the run and after it.
+///   (per-node circuit breakers) is on for the run and after it.
+///   Failure isolation is not part of the plane: with or without it, a
+///   request whose task exhausts the runtime's retry cap fails alone
+///   ([`Verdict::FastFailed`]) while the rest of the stream runs on.
 /// - The request stream is split into `EPOCHS` **epochs**; each epoch's
 ///   admitted jobs run as one submission.
 /// - **Deadline shedding**, per arrival: a request whose completion
@@ -98,6 +100,10 @@ pub struct Request {
 ///   degraded template while any circuit breaker is open or more than
 ///   `BROWNOUT_BAD_FRACTION` of its requests in the closing epoch were
 ///   shed, failed fast or finished over p99.
+///
+/// What each control buys, measured by removing it alone from the
+/// `serving` experiment's faulted `crunch` rows, is EXPERIMENTS.md's
+/// "What each serving control buys".
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlPlane {}
 

@@ -28,8 +28,10 @@ pub enum Verdict {
     /// Shed at admission: the deadline check predicted the request
     /// could not meet its SLO, so it never entered the system.
     Shed,
-    /// Admitted, but failed fast during execution — its tenant's retry
-    /// budget emptied or its retries ran out under failure isolation.
+    /// Admitted, but a task of its job exhausted the runtime's retry cap
+    /// ([`disagg_core::RecoveryPolicy::max_retries`]): the request
+    /// failed alone while the rest of the stream ran on, with or
+    /// without the control plane.
     FastFailed,
 }
 
@@ -75,7 +77,8 @@ pub struct TenantStats {
     /// Requests shed by the deadline check (zero without a control
     /// plane).
     pub shed: usize,
-    /// Admitted requests that failed fast during execution.
+    /// Admitted requests that failed alone during execution (retry cap
+    /// exhausted).
     pub fast_failed: usize,
     /// Admitted requests served from the tenant's degraded template.
     pub degraded: usize,
@@ -113,8 +116,8 @@ pub struct ServeReport {
     /// Requests shed by the deadline check (zero without a control
     /// plane).
     pub shed: usize,
-    /// Admitted requests that failed fast during execution (retry
-    /// budget emptied or retries exhausted under failure isolation).
+    /// Admitted requests that failed alone during execution: a task of
+    /// the job exhausted the runtime's retry cap.
     pub fast_failed: usize,
     /// Admitted requests served from a degraded template (brownout).
     pub degraded: usize,

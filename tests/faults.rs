@@ -1,6 +1,6 @@
 //! Failure-recovery scenarios, end to end: silent-corruption detection
 //! and online reconstruction on the access path, replica failover,
-//! erasure-coded decode after a device loss, retry-budget exhaustion
+//! erasure-coded decode after a device loss, retry-cap exhaustion
 //! surfacing a clean typed error, a retried streaming producer that
 //! still feeds its consumer in order, work queued on a crashed node
 //! moving to a live one, and bit-for-bit determinism of a faulty run.
@@ -116,10 +116,11 @@ fn long_job() -> JobSpec {
     job.build().unwrap()
 }
 
-/// When every node goes down mid-task and the budget is zero, the run
-/// fails with the typed `RetriesExhausted` — not a panic, not a hang.
+/// When every node goes down mid-task and the retry cap is zero, the
+/// untagged batch run fails with the typed `RetriesExhausted` — not a
+/// panic, not a hang.
 #[test]
-fn exhausted_retry_budget_surfaces_a_clean_error() {
+fn exhausted_retry_cap_surfaces_a_clean_error() {
     // Probe the healthy makespan to aim the crash mid-task.
     let (topo, _) = disaggregated_rack(2, 16, 2, 64);
     let mut rt = Runtime::new(topo, RuntimeConfig::default());
@@ -136,7 +137,7 @@ fn exhausted_retry_budget_surfaces_a_clean_error() {
     let mut rt = Runtime::new(topo, config);
     match rt.execute(vec![long_job()]) {
         Err(DisaggError::RetriesExhausted { attempts, .. }) => {
-            assert_eq!(attempts, 1, "budget 0 means one interrupted attempt");
+            assert_eq!(attempts, 1, "a cap of 0 means one interrupted attempt");
         }
         other => panic!("expected RetriesExhausted, got {other:?}"),
     }

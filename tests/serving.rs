@@ -410,8 +410,8 @@ fn the_serving_control_switch_turns_on_the_runtimes_breakers() {
     assert!(rt.breaker_transitions().is_empty(), "no control plane, no breakers");
 }
 
-/// The full fault-aware control plane — retry budgets, circuit
-/// breakers, deadline shedding, and brownout degradation — must be
+/// The full fault-aware control plane — circuit breakers, epochs,
+/// deadline shedding, and brownout degradation — must be
 /// bit-for-bit deterministic across two executions under an active
 /// fault plan: every request verdict, latency, breaker transition, and
 /// shed/degraded/fast-failed count agrees.
