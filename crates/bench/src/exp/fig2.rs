@@ -37,7 +37,7 @@ pub fn run(scenario: &Scenario) -> Table {
                 .unwrap_or_else(|| "-".to_string())
         };
         t.row(vec![
-            task.name.clone(),
+            task.name.to_string(),
             rt.topology().compute(task.compute).kind.name().to_string(),
             dev_name("private_scratch"),
             dev_name("output"),

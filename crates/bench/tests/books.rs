@@ -12,16 +12,19 @@
 //! itself, and copy-based handover, and check what each leaves resident.
 
 use disagg_bench::{exp, Scenario};
-use disagg_core::prelude::{DisaggError, Runtime, RuntimeConfig};
+use disagg_core::prelude::{ComputeKind, DisaggError, Runtime, RuntimeConfig, WorkClass};
 use disagg_core::RecoveryPolicy;
 use disagg_dataflow::{JobBuilder, JobSpec, TaskSpec};
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
 use disagg_hwsim::presets::{disaggregated_rack, single_server};
+use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::trace::TraceEvent;
 use disagg_region::props::PropertySet;
 use disagg_region::typed::RegionType;
-use disagg_serve::{ArrivalProcess, ControlPlane, ServeConfig, ServeReport, Slo, Verdict};
+use disagg_serve::{
+    ArrivalProcess, ControlPlane, Request, ServeConfig, ServeLayer, ServeReport, Slo, Verdict,
+};
 use disagg_workloads::{dbms, hospital, ml, streaming};
 
 /// Bytes resident in the runtime's pool.
@@ -65,7 +68,14 @@ fn serve_through_a_crash_storm(
                 .with_backoff(SimDuration(1_000)),
         );
     let mut rt = Runtime::new(topo, config);
-    let cfg = ServeConfig {
+    let report = exp::serving::crunch_templates().run(&mut rt, &storm_config(control));
+    (rt, report)
+}
+
+/// The request stream of [`serve_through_a_crash_storm`]: 72 requests
+/// of six tenants under a 512 MiB quota each and a 900 µs p99 SLO.
+fn storm_config(control: Option<ControlPlane>) -> ServeConfig {
+    ServeConfig {
         arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(20) },
         requests: 72,
         tenants: 6,
@@ -74,9 +84,7 @@ fn serve_through_a_crash_storm(
         slo: Some(Slo { p50: SimDuration::from_micros(300), p99: SimDuration::from_micros(900) }),
         control,
         ..ServeConfig::default()
-    };
-    let report = exp::serving::crunch_templates().run(&mut rt, &cfg);
-    (rt, report)
+    }
 }
 
 #[test]
@@ -87,6 +95,125 @@ fn a_controlled_serving_run_under_faults_balances() {
     let seen = (retries, report.fast_failed, report.shed, report.degraded);
     assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0 && seen.3 > 0, "{seen:?}");
     assert_eq!(resident(&rt), 0);
+}
+
+/// One request per epoch, the first running 2 ms and the rest 2 µs,
+/// every server crashing for 1 µs halfway through the first: with no
+/// retry allowed, that request fails alone. Its wave's end is its last
+/// finish, which a failed attempt does not set, so the next epochs start
+/// while the failed attempt still holds its output, freed at the
+/// failure's detection — a pool movement timed after later epochs'.
+fn serve_past_a_late_failure() -> (Runtime, ServeReport) {
+    let mut layer = ServeLayer::new();
+    layer.register("one", |req: &Request| {
+        let elems = if req.index == 0 { 2_000_000 } else { 2_000 };
+        let mut j = JobBuilder::new("one");
+        j.task(
+            TaskSpec::new("work")
+                .work(WorkClass::Scalar, elems)
+                .require(ComputeKind::Cpu)
+                .output_bytes(4096)
+                .body(move |ctx| {
+                    ctx.compute(WorkClass::Scalar, elems);
+                    Ok(())
+                }),
+        );
+        j.build().expect("one-task template")
+    });
+    let cfg = ServeConfig {
+        arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(5) },
+        requests: 8,
+        tenants: 1,
+        quota: Some(512 << 20),
+        control: Some(ControlPlane::default()),
+        ..ServeConfig::default()
+    };
+    let (topo, rack) = disaggregated_rack(4, 8, 2, 32);
+    let first = cfg.arrivals.sample_offsets(1, &mut SimRng::new(cfg.seed).fork(0))[0];
+    let probe = Request { index: 0, tenant: 0, arrival: first, seed: 0 };
+    let alone = layer.service_time(&topo, &probe);
+    let crash = SimTime(first.0 + alone.0 / 2);
+    let mut faults = FaultInjector::none();
+    for &node in &rack.nodes {
+        faults.schedule(crash, FaultKind::NodeCrash(node));
+        faults.schedule(crash + SimDuration(1_000), FaultKind::NodeRecover(node));
+    }
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(
+        RecoveryPolicy::default().with_max_retries(0).with_detection_delay(SimDuration(2_000)),
+    );
+    let mut rt = Runtime::new(topo, config);
+    let report = layer.run(&mut rt, &cfg).expect("a run past a late failure");
+    assert_eq!(report.fast_failed, 1, "the first request fails alone");
+    (rt, report)
+}
+
+/// A serving run closes its books epoch by epoch: each epoch's request
+/// spans are assembled from its own slice of the trace right after it
+/// runs, and the utilization curve walks one epoch's pool movements at a
+/// time. Both must equal the books of the run's whole trace slice —
+/// `assemble_request_spans` over all of it, and the curve and peak of
+/// one stable sort of every `Alloc`/`Free` — in eight-epoch controlled
+/// runs: calm, under the crash storm (retries, fast-fails, sheds,
+/// degrades), and past a late failure whose free is timed after the
+/// next epochs' movements. Spans come from one of the first two epochs
+/// and from the last, so an epoch's spans dropped or out of place break
+/// the equality.
+#[test]
+fn per_epoch_books_equal_whole_run_books() {
+    let calm = {
+        let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
+        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+        let cfg = storm_config(Some(ControlPlane::default()));
+        let report = exp::serving::crunch_templates().run(&mut rt, &cfg);
+        (rt, report.expect("calm controlled run"), 72, 6)
+    };
+    let (rt, report) = serve_through_a_crash_storm(Some(ControlPlane::default()));
+    let storm = (rt, report.expect("controlled run under faults"), 72, 6);
+    let (rt, report) = serve_past_a_late_failure();
+    let late = (rt, report, 8, 1);
+    let runs = [("calm", calm), ("storm", storm), ("late", late)];
+    for (name, (rt, report, requests, tenants)) in runs {
+        let events = rt.trace().events();
+        assert_eq!(report.spans, disagg_obs::assemble_request_spans(events), "{name}: spans");
+        let first = report.spans[0].request;
+        let last = report.spans[report.spans.len() - 1].request;
+        let epoch = requests as u64 / 8;
+        let spread = first <= epoch && last >= requests as u64 - epoch;
+        assert!(spread, "{name}: spans {first}..={last}");
+
+        // The whole-slice walk: every movement sorted at once, stably.
+        let capacity = (512u64 << 20) * tenants;
+        let mut deltas: Vec<(SimTime, i64)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Alloc { bytes, at, .. } => Some((at, bytes as i64)),
+                TraceEvent::Free { bytes, at, .. } => Some((at, -(bytes as i64))),
+                _ => None,
+            })
+            .collect();
+        deltas.sort_by_key(|&(at, _)| at);
+        let (mut level, mut peak, mut next) = (0i64, 0i64, 0usize);
+        for &(_, d) in &deltas {
+            level += d;
+            peak = peak.max(level);
+        }
+        level = 0;
+        let span = report.makespan.as_nanos();
+        let whole: Vec<(SimDuration, u64)> = (0..33u64)
+            .map(|k| {
+                let off = SimDuration::from_nanos(span * k / 32);
+                while next < deltas.len() && deltas[next].0 <= SimTime::ZERO + off {
+                    level += deltas[next].1;
+                    next += 1;
+                }
+                (off, (level as f64 / capacity as f64).to_bits())
+            })
+            .collect();
+        let curve: Vec<(SimDuration, u64)> =
+            report.util_curve.iter().map(|u| (u.at, u.frac.to_bits())).collect();
+        assert_eq!(curve, whole, "{name}: utilization curve");
+        assert_eq!(report.peak_util, peak as f64 / capacity as f64, "{name}: peak");
+    }
 }
 
 /// Failure isolation is the executor's rule, not part of the control

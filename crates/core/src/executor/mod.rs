@@ -51,10 +51,9 @@
 //! consumer sit in one flat buffer sliced by prefix sums of the
 //! in-degrees (`Wave::push_input`), the co-placement accessor list is a
 //! reused scratch, a [`TaskReport`](crate::report::TaskReport) keeps its
-//! placements inline and is given its spec's name at the end of the
-//! wave, and `report.tasks` and the pool's slot table are reserved from
-//! the wave's task and edge counts (`tests/alloc_budget.rs` holds the
-//! whole path to a budget).
+//! placements inline and shares its spec's name, and `report.tasks` is
+//! reserved from the wave's task count (`tests/alloc_budget.rs` holds
+//! the whole path to a budget).
 //!
 //! Debug builds close every wave with the wave audit (`crate::audit`):
 //! the pool moved by exactly what the trace booked, none of the wave's
@@ -66,6 +65,7 @@ mod task;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use disagg_dataflow::job::{JobId, JobSpec};
 use disagg_dataflow::task::TaskId;
@@ -279,7 +279,7 @@ fn commit(
 /// into the trace at arrival for request-centric attribution.
 pub(crate) fn run_wave(
     rt: &mut Runtime,
-    mut jobs: Vec<JobSpec>,
+    jobs: Vec<JobSpec>,
     offsets: Vec<SimDuration>,
     tags: Vec<Option<(u64, u64)>>,
 ) -> Result<RunReport, DisaggError> {
@@ -356,10 +356,6 @@ pub(crate) fn run_wave(
         total_edges += d;
         inputs_at.push(total_edges);
     }
-    // A wave allocates about a region per task and a copy per fan-out
-    // edge.
-    rt.mgr.pool_mut().reserve(total_tasks + total_edges as usize);
-
     let mut w = Wave {
         job_ids,
         schedule,
@@ -475,12 +471,15 @@ pub(crate) fn run_wave(
     report
         .tasks
         .sort_unstable_by_key(|t| (t.finish, t.job, t.task));
-    // The specs die with this call and each task ran once, so its report
-    // takes the name rather than a copy of it.
+    // Each report shares its own spec's name. A name repeats across the
+    // wave's jobs (every instance of a serving template spells its tasks
+    // alike), so the reports of equal names are given the first one's
+    // string and the specs' copies die with them when this call ends.
     if let Some(&JobId(first)) = w.job_ids.first() {
+        let mut names: FxHashMap<&str, &Arc<str>> = FxHashMap::default();
         for t in &mut report.tasks {
-            let spec = &mut jobs[(t.job.0 - first) as usize];
-            t.name = std::mem::take(&mut spec.tasks[t.task.index()].name);
+            let name = &jobs[(t.job.0 - first) as usize].tasks[t.task.index()].name;
+            t.name = Arc::clone(names.entry(name).or_insert(name));
         }
     }
     // The DAG the wave honored, for critical-path analysis.

@@ -9,6 +9,7 @@
 //! against its declared properties into that report.
 
 use std::cmp::Reverse;
+use std::sync::Arc;
 
 use disagg_dataflow::ctx::{Placer, TaskCtx, TaskRegions};
 use disagg_dataflow::job::{JobId, JobSpec};
@@ -620,12 +621,6 @@ pub(crate) fn run_task(
     }
 
     // --- Execute the body. ---
-    rt.trace.push(TraceEvent::TaskStart {
-        job: jid.0,
-        task: task.0 as u64,
-        on: compute,
-        at,
-    });
     let (mut finish, stats, body_result) =
         run_body_once(rt, w, ji, g, tspec, regions, compute, who, at);
     if body_result.is_ok() && !rt.config.faults.is_empty() {
@@ -639,7 +634,7 @@ pub(crate) fn run_task(
         return Err(DisaggError::Task {
             job: jid,
             task,
-            name: tspec.name.clone(),
+            name: tspec.name.to_string(),
             error,
         });
     }
@@ -738,8 +733,8 @@ pub(crate) fn run_task(
     w.report.tasks.push(TaskReport {
         job: jid,
         task,
-        // Moved in from the spec when the wave ends (`run_wave`).
-        name: String::new(),
+        // Shared with the spec; `run_wave` merges equal names at its end.
+        name: Arc::clone(&tspec.name),
         compute,
         // A retried task's span runs from its first attempt's start.
         start: w.start_at[g],

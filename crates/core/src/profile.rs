@@ -45,7 +45,7 @@ impl TaskProfile {
         let async_stall = t.stats.async_stall;
         let accounted = compute + sync_stall + async_stall;
         TaskProfile {
-            name: t.name.clone(),
+            name: t.name.to_string(),
             total,
             compute,
             sync_stall,
@@ -154,7 +154,7 @@ impl RunReport {
                 disagg_obs::TaskSpan {
                     job: t.job.0,
                     task: t.task.0 as u64,
-                    name: t.name.clone(),
+                    name: t.name.to_string(),
                     lane: t.compute.0,
                     start: t.start,
                     finish: t.finish,

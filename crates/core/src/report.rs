@@ -8,6 +8,8 @@
 //! ([`Runtime::devices`](crate::Runtime::devices)), an observer's
 //! metrics — is read from the runtime and the sink.
 
+use std::sync::Arc;
+
 use disagg_dataflow::job::JobId;
 use disagg_dataflow::task::TaskId;
 use disagg_hwsim::ids::{ComputeId, MemDeviceId};
@@ -104,17 +106,18 @@ impl<'a> IntoIterator for &'a TaskPlacements {
 }
 
 /// Where one task ran and what it did. Built without touching the
-/// allocator: the placements are inline and the name is the
-/// [`TaskSpec`](disagg_dataflow::task::TaskSpec)'s own string, moved in
-/// when the wave that consumed the spec ends.
+/// allocator: the placements are inline and the name is shared with the
+/// [`TaskSpec`](disagg_dataflow::task::TaskSpec). When the wave that
+/// consumed the specs ends, the reports of equal names are given one
+/// string between them (see `run_wave`).
 #[derive(Debug, Clone)]
 pub struct TaskReport {
     /// The job.
     pub job: JobId,
     /// The task.
     pub task: TaskId,
-    /// Task name.
-    pub name: String,
+    /// Task name, one shared string per distinct name in a wave.
+    pub name: Arc<str>,
     /// Compute device it ran on.
     pub compute: ComputeId,
     /// Actual start time.
@@ -238,7 +241,7 @@ impl RunReport {
 
     /// The task report by job and name.
     pub fn task_by_name(&self, job: JobId, name: &str) -> Option<&TaskReport> {
-        self.tasks.iter().find(|t| t.job == job && t.name == name)
+        self.tasks.iter().find(|t| t.job == job && &*t.name == name)
     }
 
     /// Fraction of handovers that were pure ownership transfers.

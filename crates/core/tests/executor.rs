@@ -695,7 +695,7 @@ fn mid_task_node_crash_retries_on_a_survivor() {
         healthy
             .tasks
             .iter()
-            .filter(|t| t.name == "work")
+            .filter(|t| &*t.name == "work")
             .count(),
         1
     );

@@ -76,7 +76,7 @@ impl JobSpec {
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
         self.tasks
             .iter()
-            .position(|t| t.name == name)
+            .position(|t| &*t.name == name)
             .map(|i| TaskId(i as u32))
     }
 }
@@ -145,11 +145,11 @@ impl JobBuilder {
         // right after an earlier use of it; the first repeat in task
         // order is the one reported.
         let mut names: Vec<(&str, usize)> =
-            self.tasks.iter().enumerate().map(|(i, t)| (t.name.as_str(), i)).collect();
+            self.tasks.iter().enumerate().map(|(i, t)| (&*t.name, i)).collect();
         names.sort_unstable();
         let repeat = names.windows(2).filter(|w| w[0].0 == w[1].0).map(|w| w[1].1).min();
         if let Some(i) = repeat {
-            return Err(JobError::DuplicateTaskName(self.tasks[i].name.clone()));
+            return Err(JobError::DuplicateTaskName(self.tasks[i].name.to_string()));
         }
         let dag = Dag::new(self.tasks.len(), &self.edges)?;
         Ok(JobSpec {

@@ -7,6 +7,8 @@
 //! against a [`crate::ctx::TaskCtx`]. The body never names a physical
 //! device; the runtime resolves every memory request at placement time.
 
+use std::sync::Arc;
+
 use disagg_hwsim::compute::{ComputeKind, WorkClass};
 use disagg_region::props::LatencyClass;
 
@@ -189,7 +191,9 @@ pub type TaskBody = Box<dyn Fn(&mut TaskCtx<'_, '_>) -> Result<(), TaskError>>;
 /// A complete task specification.
 pub struct TaskSpec {
     /// Human-readable name (Figure 2b: "Preprocessing", "Face Recog.", …).
-    pub name: String,
+    /// Shared rather than owned: the reports of a wave's tasks carry one
+    /// copy of each distinct name between them, not one apiece.
+    pub name: Arc<str>,
     /// Compute-device binding.
     pub compute: ComputePref,
     /// Declarative properties (holes inherit from the job).
@@ -224,7 +228,7 @@ impl TaskSpec {
     /// Starts a task spec with a no-op body and no requirements.
     pub fn new(name: impl Into<String>) -> Self {
         TaskSpec {
-            name: name.into(),
+            name: Arc::from(name.into()),
             compute: ComputePref::Any,
             props: TaskProps::default(),
             work: WorkProfile::default(),
@@ -318,7 +322,7 @@ mod tests {
             .work(WorkClass::Tensor, 1_000_000)
             .private_scratch(1 << 20)
             .output_bytes(4096);
-        assert_eq!(t.name, "face-recognition");
+        assert_eq!(&*t.name, "face-recognition");
         assert_eq!(t.compute, ComputePref::Prefer(ComputeKind::Gpu));
         assert_eq!(t.props.confidential, Some(true));
         assert_eq!(t.props.mem_latency, Some(LatencyClass::Low));

@@ -13,7 +13,7 @@ use crate::time::{SimDuration, SimTime};
 
 /// Whose access triggered a [`TraceEvent::Reconstruct`]. Its own enum
 /// rather than two `Option<u64>`s: those alone made `Reconstruct` — one
-/// rare variant — set the size of all eighteen (72 bytes an event, a
+/// rare variant — set the size of every event (72 bytes, a
 /// third of a traced serving pass's memory); this packs into 16.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildFor {
@@ -116,17 +116,6 @@ pub enum TraceEvent {
         /// When.
         at: SimTime,
     },
-    /// A task began executing.
-    TaskStart {
-        /// Job identifier.
-        job: u64,
-        /// Task index within the job.
-        task: u64,
-        /// Where it runs.
-        on: ComputeId,
-        /// When.
-        at: SimTime,
-    },
     /// A task finished.
     TaskFinish {
         /// Job identifier.
@@ -150,15 +139,17 @@ pub enum TraceEvent {
         /// When it became ready.
         at: SimTime,
     },
-    /// A queued task was picked by the dispatcher and occupied a lane.
+    /// A queued task was picked by the dispatcher, occupied a lane and
+    /// began executing: the start of one attempt (a retried task is
+    /// dispatched once per attempt).
     TaskDispatch {
         /// Job identifier.
         job: u64,
         /// Task index within the job.
         task: u64,
-        /// The dispatching device.
+        /// The dispatching device, where the attempt runs.
         on: ComputeId,
-        /// Dispatch time.
+        /// Dispatch time: when the attempt starts.
         at: SimTime,
         /// Time spent waiting in the ready queue.
         waited: SimDuration,
@@ -288,7 +279,6 @@ impl TraceEvent {
             | TraceEvent::Access { at, .. }
             | TraceEvent::Migrate { at, .. }
             | TraceEvent::OwnershipTransfer { at, .. }
-            | TraceEvent::TaskStart { at, .. }
             | TraceEvent::TaskFinish { at, .. }
             | TraceEvent::TaskQueued { at, .. }
             | TraceEvent::TaskDispatch { at, .. }
@@ -555,14 +545,14 @@ mod tests {
         let mut t = Trace::enabled();
         t.push(access(0, 1));
         t.push(access(0, 1));
-        t.push(TraceEvent::TaskStart {
+        t.push(TraceEvent::TaskFinish {
             job: 0,
             task: 0,
             on: ComputeId(0),
             at: SimTime(0),
         });
         assert_eq!(t.count(|e| matches!(e, TraceEvent::Access { .. })), 2);
-        assert_eq!(t.count(|e| matches!(e, TraceEvent::TaskStart { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::TaskFinish { .. })), 1);
     }
 
     #[test]

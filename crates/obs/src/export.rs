@@ -119,11 +119,11 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
         parts.push(std::mem::take(&mut m));
     }
 
-    // Task spans, one per attempt: a TaskStart joins the end of its
-    // attempt, the TaskFinish or, for an attempt a fault abandoned, its
-    // FaultDetected (an end may carry a future timestamp). A task's
-    // attempts run one after another, so its n-th start pairs with its
-    // n-th end.
+    // Task spans, one per attempt: a TaskDispatch, the attempt's start,
+    // joins the end of its attempt, the TaskFinish or, for an attempt a
+    // fault abandoned, its FaultDetected (an end may carry a future
+    // timestamp). A task's attempts run one after another, so its n-th
+    // dispatch pairs with its n-th end.
     let mut ends: BTreeMap<(u64, u64), VecDeque<u64>> = BTreeMap::new();
     for e in events {
         if let TraceEvent::TaskFinish { job, task, at, .. }
@@ -136,8 +136,14 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
     for e in events {
         let mut s = String::new();
         match *e {
-            TraceEvent::TaskStart { job, task, on, at } => {
+            TraceEvent::TaskDispatch { job, task, on, at, waited } => {
+                let args = format!("\"job\":{job},\"task\":{task}");
                 let start = at.as_nanos();
+                let w = waited.as_nanos();
+                if w > 0 {
+                    span(&mut s, PID_COMPUTE, on.0, "queue-wait", start - w, w, &args);
+                    parts.push(std::mem::take(&mut s));
+                }
                 let end = ends
                     .get_mut(&(job, task))
                     .and_then(VecDeque::pop_front)
@@ -149,22 +155,8 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
                     &format!("job{job}/task{task}"),
                     start,
                     end.saturating_sub(start),
-                    &format!("\"job\":{job},\"task\":{task}"),
+                    &args,
                 );
-            }
-            TraceEvent::TaskDispatch { job, task, on, at, waited } => {
-                let w = waited.as_nanos();
-                if w > 0 {
-                    span(
-                        &mut s,
-                        PID_COMPUTE,
-                        on.0,
-                        "queue-wait",
-                        at.as_nanos() - w,
-                        w,
-                        &format!("\"job\":{job},\"task\":{task}"),
-                    );
-                }
             }
             TraceEvent::Access { region, dev, bytes, op, at, took } => {
                 let name = match op {
@@ -516,7 +508,6 @@ mod tests {
                 at: SimTime(100),
                 waited: SimDuration(100),
             },
-            TraceEvent::TaskStart { job: 0, task: 0, on: ComputeId(0), at: SimTime(100) },
             TraceEvent::TaskFinish { job: 0, task: 0, on: ComputeId(0), at: SimTime(1_600) },
             TraceEvent::Access {
                 region: 1,

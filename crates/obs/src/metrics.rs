@@ -165,6 +165,42 @@ impl HistogramSnapshot {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
+    /// `dev.mem{N}.allocs` and `dev.mem{N}.bytes` by memory device:
+    /// built at a device's first event, not formatted at every one.
+    mem_keys: Vec<[String; 2]>,
+    /// `dev.cpu{N}.dispatches` and `dev.cpu{N}.faults` by compute device.
+    cpu_keys: Vec<[String; 2]>,
+}
+
+/// Adds `by` to a counter (creating it at 0).
+fn add(counters: &mut BTreeMap<String, u64>, name: &str, by: u64) {
+    if let Some(c) = counters.get_mut(name) {
+        *c += by;
+    } else {
+        counters.insert(name.to_string(), by);
+    }
+}
+
+/// Device `dev`'s counter names from `table`, which `name` extends up
+/// to `dev` on first use.
+fn device_keys(
+    table: &mut Vec<[String; 2]>,
+    dev: u32,
+    name: impl Fn(usize) -> [String; 2],
+) -> &[String; 2] {
+    let i = dev as usize;
+    while table.len() <= i {
+        table.push(name(table.len()));
+    }
+    &table[i]
+}
+
+fn mem_keys(table: &mut Vec<[String; 2]>, dev: u32) -> &[String; 2] {
+    device_keys(table, dev, |n| [format!("dev.mem{n}.allocs"), format!("dev.mem{n}.bytes")])
+}
+
+fn cpu_keys(table: &mut Vec<[String; 2]>, dev: u32) -> &[String; 2] {
+    device_keys(table, dev, |n| [format!("dev.cpu{n}.dispatches"), format!("dev.cpu{n}.faults")])
 }
 
 impl MetricsRegistry {
@@ -175,11 +211,7 @@ impl MetricsRegistry {
 
     /// Adds `by` to a counter (creating it at 0).
     pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
+        add(&mut self.counters, name, by);
     }
 
     /// Records a value into a histogram (creating it empty).
@@ -213,20 +245,21 @@ impl MetricsRegistry {
                 self.incr("events.alloc", 1);
                 self.incr("bytes.allocated", bytes);
                 self.observe("alloc_bytes", bytes);
-                self.incr(&format!("dev.mem{}.allocs", dev.0), 1);
+                add(&mut self.counters, &mem_keys(&mut self.mem_keys, dev.0)[0], 1);
             }
             TraceEvent::Free { .. } => self.incr("events.free", 1),
             TraceEvent::Access { dev, bytes, took, .. } => {
                 self.incr("events.access", 1);
                 self.incr("bytes.moved", bytes);
-                self.incr(&format!("dev.mem{}.bytes", dev.0), bytes);
+                add(&mut self.counters, &mem_keys(&mut self.mem_keys, dev.0)[1], bytes);
                 self.observe("access_ns", took.as_nanos());
             }
             TraceEvent::Migrate { from, to, bytes, took, .. } => {
                 self.incr("events.migrate", 1);
                 self.incr("bytes.moved", bytes);
-                self.incr(&format!("dev.mem{}.bytes", from.0), bytes);
-                self.incr(&format!("dev.mem{}.bytes", to.0), bytes);
+                for dev in [from, to] {
+                    add(&mut self.counters, &mem_keys(&mut self.mem_keys, dev.0)[1], bytes);
+                }
                 self.observe("migrate_bytes", bytes);
                 self.observe("migrate_ns", took.as_nanos());
             }
@@ -238,18 +271,14 @@ impl MetricsRegistry {
             TraceEvent::TaskQueued { .. } => self.incr("events.task_queued", 1),
             TraceEvent::TaskDispatch { on, waited, .. } => {
                 self.incr("events.task_dispatch", 1);
-                self.incr(&format!("dev.cpu{}.dispatches", on.0), 1);
+                add(&mut self.counters, &cpu_keys(&mut self.cpu_keys, on.0)[0], 1);
                 self.observe("queue_wait_ns", waited.as_nanos());
-            }
-            TraceEvent::TaskStart { on, .. } => {
-                self.incr("events.task_start", 1);
-                self.incr(&format!("dev.cpu{}.tasks", on.0), 1);
             }
             TraceEvent::TaskFinish { .. } => self.incr("events.task_finish", 1),
             TraceEvent::FaultDetected { on, .. } => {
                 self.incr("events.fault_detected", 1);
                 self.incr("faults.detected", 1);
-                self.incr(&format!("dev.cpu{}.faults", on.0), 1);
+                add(&mut self.counters, &cpu_keys(&mut self.cpu_keys, on.0)[1], 1);
             }
             TraceEvent::TaskRetry { lost, .. } => {
                 self.incr("events.task_retry", 1);

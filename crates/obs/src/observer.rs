@@ -107,7 +107,7 @@ mod tests {
     use disagg_hwsim::time::SimTime;
 
     fn ev(task: u64, at: u64) -> TraceEvent {
-        TraceEvent::TaskStart {
+        TraceEvent::TaskFinish {
             job: 0,
             task,
             on: ComputeId(0),

@@ -231,8 +231,8 @@ struct JobRecord {
     first_queued: Option<u64>,
     /// Latest `TaskFinish`.
     last_finish: Option<u64>,
-    /// Latest `TaskStart` per task, indexed by the task's job-local
-    /// index.
+    /// Latest `TaskDispatch` (an attempt's start) per task, indexed by
+    /// the task's job-local index.
     starts: Vec<Option<u64>>,
     /// Classified intervals, in trace order.
     covering: Vec<Covering>,
@@ -292,18 +292,16 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
                 at,
                 waited,
                 ..
-            } if waited > SimDuration::ZERO => {
+            } => {
                 if let Some(rec) = tagged(&mut table, lo, job) {
-                    rec.covering.push(Covering {
-                        start: at.as_nanos() - waited.as_nanos(),
-                        end: at.as_nanos(),
-                        kind: SegmentKind::Queue,
-                        task: Some(task),
-                    });
-                }
-            }
-            TraceEvent::TaskStart { job, task, at, .. } => {
-                if let Some(rec) = tagged(&mut table, lo, job) {
+                    if waited > SimDuration::ZERO {
+                        rec.covering.push(Covering {
+                            start: at.as_nanos() - waited.as_nanos(),
+                            end: at.as_nanos(),
+                            kind: SegmentKind::Queue,
+                            task: Some(task),
+                        });
+                    }
                     let ti = task as usize;
                     if ti >= rec.starts.len() {
                         rec.starts.resize(ti + 1, None);
@@ -358,10 +356,12 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
     }
 
     // Sweep pass: tile each request's sojourn with single-component
-    // segments, in job order. `cuts` and `open` are scratch reused
-    // across requests.
+    // segments, in job order. `cuts`, `open` and `segments` are scratch
+    // reused across requests; a span keeps a copy of its segments at
+    // their exact length.
     let mut spans: Vec<RequestSpan> = Vec::new();
     let mut cuts: Vec<u64> = Vec::new();
+    let mut segments: Vec<Segment> = Vec::new();
     // The intervals open at the sweep position as `(rank, task, end)`,
     // best claim on top. The window's kind and task are the key itself,
     // so equal keys need no further order.
@@ -393,7 +393,7 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
         // task on priority ties).
         open.clear();
         let mut reached = 0usize;
-        let mut segments: Vec<Segment> = Vec::new();
+        segments.clear();
         let mut attribution = Attribution::default();
         for pair in cuts.windows(2) {
             let (a, b) = (pair[0], pair[1]);
@@ -428,7 +428,7 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
             job: lo + i as u64,
             arrival: SimTime(arrival),
             end: SimTime(end),
-            segments,
+            segments: segments.clone(),
             attribution,
         };
         #[cfg(debug_assertions)]
@@ -631,10 +631,6 @@ mod tests {
         }
     }
 
-    fn start(job: u64, task: u64, at: u64) -> TraceEvent {
-        TraceEvent::TaskStart { job, task, on: ComputeId(0), at: SimTime(at) }
-    }
-
     fn finish(job: u64, task: u64, at: u64) -> TraceEvent {
         TraceEvent::TaskFinish { job, task, on: ComputeId(0), at: SimTime(at) }
     }
@@ -682,7 +678,9 @@ mod tests {
     }
 
     /// The `BTreeMap`-keyed assembly this module shipped before the dense
-    /// table, kept verbatim as the oracle the tests below compare against.
+    /// table, kept as the oracle the tests below compare against; it
+    /// reads an attempt's start from its `TaskDispatch`, as the trace has
+    /// no other start event.
     fn reference_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
         // Tag pass: job -> (request, tenant, arrival).
         let mut tag_of_job: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
@@ -723,15 +721,15 @@ mod tests {
                     at,
                     waited,
                     ..
-                } if tagged(job) && waited > SimDuration::ZERO => {
-                    covering.entry(job).or_default().push(Covering {
-                        start: at.as_nanos() - waited.as_nanos(),
-                        end: at.as_nanos(),
-                        kind: SegmentKind::Queue,
-                        task: Some(task),
-                    });
-                }
-                TraceEvent::TaskStart { job, task, at, .. } if tagged(job) => {
+                } if tagged(job) => {
+                    if waited > SimDuration::ZERO {
+                        covering.entry(job).or_default().push(Covering {
+                            start: at.as_nanos() - waited.as_nanos(),
+                            end: at.as_nanos(),
+                            kind: SegmentKind::Queue,
+                            task: Some(task),
+                        });
+                    }
                     task_start.insert((job, task), at.as_nanos());
                 }
                 TraceEvent::TaskFinish { job, task, at, .. } if tagged(job) => {
@@ -858,8 +856,8 @@ mod tests {
     /// A random trace that is hostile rather than causal: two disjoint
     /// tagged job-id ranges with untagged jobs inside, between and
     /// around them, times drawn from a small range so intervals overlap
-    /// and tie, re-tagged jobs, restarted and twice-finished tasks,
-    /// finishes with no start, retries that lost time, reconstructions
+    /// and tie, re-tagged jobs, re-dispatched and twice-finished tasks,
+    /// finishes with no dispatch, retries that lost time, reconstructions
     /// with and without an owner — all shuffled, so events of a job
     /// precede its tag.
     fn random_trace(seed: u64) -> Vec<TraceEvent> {
@@ -883,17 +881,13 @@ mod tests {
                 let at = rng.range(50, 1_000);
                 events.push(queued(job, task, at));
                 let dispatched = at + rng.next_below(80);
-                events.push(dispatch(
-                    job,
-                    task,
-                    dispatched,
-                    rng.next_below(dispatched.min(120)),
-                ));
                 if rng.chance(0.9) {
-                    events.push(start(job, task, dispatched));
+                    let waited = rng.next_below(dispatched.min(120));
+                    events.push(dispatch(job, task, dispatched, waited));
                 }
                 if rng.chance(0.2) {
-                    events.push(start(job, task, dispatched + rng.next_below(40)));
+                    let again = dispatched + rng.next_below(40);
+                    events.push(dispatch(job, task, again, rng.next_below(again.min(120))));
                 }
                 if rng.chance(0.3) {
                     let relaunch = dispatched + rng.range(1, 200);
@@ -1076,7 +1070,6 @@ mod tests {
             tag(9, 2, 100, 0),
             queued(100, 0, 5),
             dispatch(100, 0, 5, 0),
-            start(100, 0, 5),
         ];
         events.push(finish(100, 0, 20));
         // Middles become ready at 30 (a 10 ns handover), wait for one of
@@ -1086,7 +1079,6 @@ mod tests {
             let begin = 30 + 16 * (m / 8);
             events.push(queued(100, task, 30));
             events.push(dispatch(100, task, begin, begin - 30));
-            events.push(start(100, task, begin));
         }
         for m in 0..MID {
             events.push(finish(100, 1 + m, 30 + 16 * (m / 8) + 16));
@@ -1099,7 +1091,6 @@ mod tests {
         let sink = MID + 1;
         events.push(queued(100, sink, last_mid_end + 6));
         events.push(dispatch(100, sink, last_mid_end + 6, 0));
-        events.push(start(100, sink, last_mid_end + 6));
         events.push(finish(100, sink, last_mid_end + 26));
 
         let spans = assemble_request_spans(&events);
@@ -1174,8 +1165,7 @@ mod tests {
             tag(42, 1, 0, 0),
             // Admission: nothing queued until t=10.
             queued(0, 0, 10),
-            dispatch(0, 0, 25, 15), // queue wait [10, 25)
-            start(0, 0, 25),
+            dispatch(0, 0, 25, 15), // queue wait [10, 25), then compute
             // Retry: attempt lost [40, 60), relaunched at 60.
             TraceEvent::TaskRetry {
                 job: 0,
@@ -1190,7 +1180,6 @@ mod tests {
             // Handover gap [100, 120), then task 1 runs back-to-back.
             queued(0, 1, 120),
             dispatch(0, 1, 120, 0),
-            start(0, 1, 120),
             finish(0, 1, 150),
         ];
         let spans = assemble_request_spans(&events);
@@ -1216,7 +1205,7 @@ mod tests {
     #[test]
     fn untagged_jobs_and_empty_traces_produce_no_spans() {
         assert!(assemble_request_spans(&[]).is_empty());
-        let events = vec![queued(0, 0, 0), start(0, 0, 5), finish(0, 0, 9)];
+        let events = vec![queued(0, 0, 0), dispatch(0, 0, 5, 5), finish(0, 0, 9)];
         assert!(assemble_request_spans(&events).is_empty());
         // A tag whose job never ran is skipped, not fabricated.
         let events = vec![tag(1, 0, 7, 0)];
@@ -1231,10 +1220,8 @@ mod tests {
             tag(0, 0, 0, 0),
             queued(0, 0, 0),
             dispatch(0, 0, 10, 10),
-            start(0, 0, 10),
             queued(0, 1, 0),
             dispatch(0, 1, 20, 20),
-            start(0, 1, 20),
             finish(0, 0, 50),
             finish(0, 1, 60),
         ];

@@ -115,7 +115,7 @@ pub struct HotStat {
 /// Tracks region hotness with exponential decay.
 #[derive(Debug, Default)]
 pub struct HotnessTracker {
-    /// Hashed, not a slab beside the pool's: the region manager forgets
+    /// Hashed, not a table indexed by id: the region manager forgets
     /// a region when it is freed, so the live set stays small while ids
     /// grow without bound, and `decay` must visit live entries only.
     /// `hot`/`cold` sort what they collect, so map order never shows.

@@ -70,15 +70,24 @@
 //! # Hot-path layout
 //!
 //! [`RegionId`]s are issued from a monotone counter and never reused, so
-//! per-region state (placement + backing) lives in one dense slab `Vec`
-//! indexed by the id — no hashing on the allocate/free/read/write paths,
-//! and `live()` iterates in id order, which is deterministic. Sparse
+//! per-region state (placement + backing) lives in one dense slot table
+//! indexed by `id - base` — no hashing on the allocate/free/read/write
+//! paths, and `live()` iterates in id order, which is deterministic. The
+//! table is a window, not a history: it runs from the oldest live region
+//! to the newest one allocated, a region freed inside it leaves a
+//! tombstone, and freeing the oldest drops the tombstones in front of the
+//! next live one (each slot is dropped once, so O(1) amortized). A
+//! 32 000-request serving pass allocates 79 668 regions and ends with
+//! none live, and its table never spans more than 512 of them. One
+//! region that lives long pins the front, and the window then grows with
+//! every allocation after it. Sparse
 //! backings keep their materialized pages in a sorted `Vec` with a
 //! last-page cursor so sequential streams resolve pages in O(1), and
 //! reads of ranges no page has ever touched zero-fill without any
 //! per-page lookup at all.
 
 use std::cell::{Cell, OnceCell};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use disagg_hwsim::ids::MemDeviceId;
@@ -500,7 +509,7 @@ impl Backing {
     }
 }
 
-/// Per-region state in the slab.
+/// Per-region state in the slot table.
 #[derive(Debug)]
 struct RegionSlot {
     placement: Placement,
@@ -511,9 +520,12 @@ struct RegionSlot {
 #[derive(Debug)]
 pub struct MemoryPool {
     arenas: Vec<Arena>,
-    /// Dense slab indexed by `RegionId`; ids are monotone and never
-    /// reused, so a freed region leaves a `None` tombstone.
-    slots: Vec<Option<RegionSlot>>,
+    /// Region `base + i` at `slots[i]`, from the oldest live region to
+    /// the newest allocated; a region freed behind the front leaves a
+    /// `None` tombstone until the front passes it.
+    slots: VecDeque<Option<RegionSlot>>,
+    /// The id of `slots[0]`; `base + slots.len()` is the next id issued.
+    base: u64,
     live: usize,
     /// Backing bytes ever materialized, counted where they materialize:
     /// a shared buffer has no single slot to count it in. A `Cell`
@@ -526,34 +538,31 @@ impl MemoryPool {
     pub fn new(topo: &Topology) -> Self {
         MemoryPool {
             arenas: topo.mem_devices().iter().map(|m| Arena::new(m.capacity)).collect(),
-            slots: Vec::new(),
+            slots: VecDeque::new(),
+            base: 0,
             live: 0,
             materialized: Cell::new(0),
         }
     }
 
+    /// `id`'s index in the slot table; `None` before the window (freed
+    /// long ago) or past it (never issued).
+    fn index(&self, id: RegionId) -> Option<usize> {
+        let i = id.0.checked_sub(self.base)?;
+        (i < self.slots.len() as u64).then_some(i as usize)
+    }
+
     fn slot(&self, id: RegionId) -> Result<&RegionSlot, AllocError> {
-        self.slots
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
+        self.index(id)
+            .and_then(|i| self.slots[i].as_ref())
             .ok_or(AllocError::UnknownRegion(id))
     }
 
     /// A live slot to change, and the count its new bytes go to.
     fn slot_mut(&mut self, id: RegionId) -> Result<(&mut RegionSlot, &Cell<u64>), AllocError> {
-        let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
-            .ok_or(AllocError::UnknownRegion(id))?;
+        let i = self.index(id).ok_or(AllocError::UnknownRegion(id))?;
+        let slot = self.slots[i].as_mut().ok_or(AllocError::UnknownRegion(id))?;
         Ok((slot, &self.materialized))
-    }
-
-    /// Makes room in the slot table for `regions` more allocations, so a
-    /// caller that knows how many it is about to make (an executor wave)
-    /// spares the table its doubling reallocations.
-    pub fn reserve(&mut self, regions: usize) {
-        self.slots.reserve(regions);
     }
 
     /// Allocates `size` bytes on `dev`. The region reads as zeros; no host
@@ -568,8 +577,8 @@ impl MemoryPool {
             requested: size,
             free: arena.free_bytes(),
         })?;
-        let id = RegionId(self.slots.len() as u64);
-        self.slots.push(Some(RegionSlot {
+        let id = RegionId(self.base + self.slots.len() as u64);
+        self.slots.push_back(Some(RegionSlot {
             placement: Placement { dev, offset, size },
             backing: Backing::new(size),
         }));
@@ -580,13 +589,17 @@ impl MemoryPool {
     /// Frees an allocation, returning its former placement.
     pub fn free(&mut self, id: RegionId) -> Result<Placement, AllocError> {
         let slot = self
-            .slots
-            .get_mut(id.0 as usize)
-            .and_then(Option::take)
+            .index(id)
+            .and_then(|i| self.slots[i].take())
             .ok_or(AllocError::UnknownRegion(id))?;
         let placement = slot.placement;
         self.arenas[placement.dev.index()].dealloc(placement.offset, placement.size);
         self.live -= 1;
+        // The window starts at the oldest live region.
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
         Ok(placement)
     }
 
@@ -668,18 +681,12 @@ impl MemoryPool {
         if src == dst || len == 0 {
             return Ok(());
         }
-        // Split the slab so both slots can be borrowed at once.
-        let (s, d) = (src.0 as usize, dst.0 as usize);
-        let (low, high) = self.slots.split_at_mut(s.max(d));
-        let (src_slot, dst_slot) = if s < d {
-            (&low[s], &mut high[0])
-        } else {
-            (&high[0], &mut low[d])
-        };
-        let (Some(src_slot), Some(dst_slot)) = (src_slot, dst_slot) else {
-            unreachable!("both regions were live above");
-        };
-        dst_slot.backing.copy_from(&src_slot.backing, len, &self.materialized);
+        // Lift the source out so both slots can be borrowed at once.
+        let s = self.index(src).expect("the source was live above");
+        let src_slot = self.slots[s].take().expect("the source was live above");
+        let (dst_slot, paid) = self.slot_mut(dst).expect("the destination was live above");
+        dst_slot.backing.copy_from(&src_slot.backing, len, paid);
+        self.slots[s] = Some(src_slot);
         Ok(())
     }
 
@@ -754,7 +761,7 @@ impl MemoryPool {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (RegionId(i as u64), s.placement)))
+            .filter_map(|(i, s)| s.as_ref().map(|s| (RegionId(self.base + i as u64), s.placement)))
     }
 }
 
@@ -935,6 +942,120 @@ mod tests {
         ids.sort();
         assert_eq!(ids, vec![a, b]);
         assert_eq!(pool.live_count(), 2);
+    }
+
+    /// The slot table is a window from the oldest live region to the
+    /// newest allocated. Random allocs, frees, copies and rebinds on two
+    /// devices, checked against a `BTreeMap` of the live regions and
+    /// their first bytes: ids strictly increase, a freed id answers
+    /// `UnknownRegion` to every call for good, `live()` lists the
+    /// reference's regions in id order, and the table never holds more
+    /// than twice the window's id span plus a constant (it holds exactly
+    /// the span) — also when a region allocated first and never freed
+    /// pins its front, so the span grows with every allocation.
+    #[test]
+    fn the_slot_table_spans_the_live_window_only() {
+        const STEPS: usize = 8_000;
+        for (seed, pinned) in [(1, false), (7, false), (42, true), (1234, true)] {
+            let mut rng = SimRng::new(seed);
+            let mut b = Topology::builder();
+            let n = b.node("host");
+            let cpu = b.compute(n, ComputeModel::preset(ComputeKind::Cpu));
+            let devs = [MemDeviceKind::Dram, MemDeviceKind::Pmem]
+                .map(|k| b.mem(n, MemDeviceModel::preset_with_capacity(k, 1 << 30)));
+            for d in devs {
+                b.link(cpu, d, LinkKind::MemBus);
+            }
+            let mut pool = MemoryPool::new(&b.build().unwrap());
+            // Live id -> (device, size, first byte).
+            let mut model: BTreeMap<RegionId, (MemDeviceId, u64, u8)> = BTreeMap::new();
+            let mut freed: Vec<RegionId> = Vec::new();
+            let mut newest: Option<RegionId> = None;
+            let mut widest = 0u64;
+            let pin = pinned.then(|| pool.alloc(devs[0], 64).unwrap());
+            if let Some(id) = pin {
+                model.insert(id, (devs[0], 64, 0));
+                newest = Some(id);
+            }
+
+            for _ in 0..STEPS {
+                let ids: Vec<RegionId> =
+                    model.keys().copied().filter(|&id| Some(id) != pin).collect();
+                // About 16 regions live at a time, freed in random order.
+                let op = rng.next_below(8);
+                if ids.len() < 2 || (op < 3 && ids.len() < 16) {
+                    let (dev, size) = (*rng.pick(&devs), rng.range(1, 4_096));
+                    let id = pool.alloc(dev, size).unwrap();
+                    assert!(newest.is_none_or(|last| last < id), "{id} after {newest:?}");
+                    newest = Some(id);
+                    let byte = rng.next_below(256) as u8;
+                    pool.write_at(id, 0, &[byte]).unwrap();
+                    model.insert(id, (dev, size, byte));
+                } else {
+                    let id = *rng.pick(&ids);
+                    match op {
+                        0..=4 => {
+                            assert_eq!(pool.free(id).unwrap().size, model[&id].1);
+                            model.remove(&id);
+                            freed.push(id);
+                        }
+                        5 => {
+                            let src = *rng.pick(&ids);
+                            pool.copy_between(src, id, 1).unwrap();
+                            let byte = model[&src].2;
+                            model.get_mut(&id).unwrap().2 = byte;
+                        }
+                        6 => {
+                            let to = *rng.pick(&devs);
+                            assert_eq!(pool.rebind(id, to).unwrap().dev, to);
+                            model.get_mut(&id).unwrap().0 = to;
+                        }
+                        _ if !freed.is_empty() => {
+                            let gone = *rng.pick(&freed);
+                            let unknown = AllocError::UnknownRegion(gone);
+                            assert!(!pool.is_live(gone));
+                            assert_eq!(pool.placement(gone), Err(unknown.clone()));
+                            assert_eq!(pool.read_at(gone, 0, &mut [0]), Err(unknown.clone()));
+                            assert_eq!(pool.write_at(gone, 0, &[1]), Err(unknown.clone()));
+                            assert_eq!(pool.copy_between(id, gone, 1), Err(unknown.clone()));
+                            assert_eq!(pool.copy_between(gone, id, 1), Err(unknown.clone()));
+                            assert_eq!(pool.rebind(gone, devs[1]), Err(unknown.clone()));
+                            assert_eq!(pool.free(gone), Err(unknown));
+                        }
+                        _ => {}
+                    }
+                }
+
+                let listed: Vec<(RegionId, MemDeviceId, u64)> =
+                    pool.live().map(|(id, p)| (id, p.dev, p.size)).collect();
+                let want: Vec<(RegionId, MemDeviceId, u64)> =
+                    model.iter().map(|(&id, &(dev, size, _))| (id, dev, size)).collect();
+                assert_eq!(listed, want, "seed {seed}");
+                assert_eq!(pool.live_count(), model.len());
+                let span = match (model.keys().next(), newest) {
+                    (Some(oldest), Some(last)) => last.0 - oldest.0 + 1,
+                    _ => 0,
+                };
+                widest = widest.max(span);
+                let held = pool.slots.len() as u64;
+                assert!(held <= 2 * span + 8, "seed {seed}: {held} slots for a span of {span}");
+                assert!(pool.slots.capacity() as u64 <= 2 * widest + 8);
+            }
+            for (&id, &(_, _, byte)) in &model {
+                let mut first = [0u8];
+                pool.read_at(id, 0, &mut first).unwrap();
+                assert_eq!(first[0], byte, "seed {seed}: {id}");
+            }
+            for &gone in &freed {
+                assert_eq!(pool.free(gone), Err(AllocError::UnknownRegion(gone)));
+            }
+            let issued = newest.unwrap().0 + 1;
+            if pinned {
+                assert!(widest + 1 >= issued, "the pinned region holds the window open");
+            } else {
+                assert!(issued > 10 * widest, "{issued} ids issued through a window of {widest}");
+            }
+        }
     }
 
     #[test]

@@ -265,11 +265,14 @@ impl Owned {
 #[derive(Debug)]
 pub struct RegionManager {
     pool: MemoryPool,
-    /// Live regions only. Hashed rather than a slab beside the pool's:
-    /// ids grow without bound while the live set stays small, and a
-    /// slab measured no faster and 6 MiB heavier on a 32 000-request
-    /// serving pass (DESIGN.md "Performance engineering"). Keys come
-    /// from the pool, so the unkeyed Fx hash is safe; never iterated.
+    /// Live regions only. Hashed rather than a table beside the pool's:
+    /// the pool's slot table is a window from the oldest live id to the
+    /// newest, and one long-lived region holds it open, while this map
+    /// holds the live set whatever the ids. A slab over every id ever
+    /// issued measured no faster and 6 MiB heavier on a 32 000-request
+    /// serving pass (DESIGN.md "Performance engineering"); a window was
+    /// not measured. Keys come from the pool, so the unkeyed Fx hash is
+    /// safe; never iterated.
     meta: FxHashMap<RegionId, RegionMeta>,
     /// Owner → regions index, kept in sync with `meta` ownership so
     /// task-exit cleanup (`release_all_traced`, called once per task) is

@@ -63,6 +63,7 @@ use disagg_hwsim::rng::SimRng;
 use disagg_hwsim::time::{SimDuration, SimTime};
 use disagg_hwsim::topology::Topology;
 use disagg_hwsim::trace::TraceEvent;
+use disagg_obs::{assemble_request_spans, RequestSpan};
 use disagg_workloads::gen::Zipf;
 
 /// Context handed to a job template when instantiating one request.
@@ -354,6 +355,12 @@ impl ServeLayer {
             .collect();
         let mut records: Vec<RequestRecord> = Vec::with_capacity(cfg.requests);
         let mut run_acc = RunReport::default();
+        // Request-centric observability: one causal span per admitted
+        // request, assembled from each epoch's own slice of the
+        // `RequestTag`-stamped event stream as soon as the epoch has run.
+        let mut spans: Vec<RequestSpan> = Vec::new();
+        // Where each epoch's events begin in the trace, and when it began.
+        let mut epoch_marks: Vec<(usize, SimTime)> = Vec::new();
 
         let t0 = rt.now();
         let trace_mark = rt.trace().len();
@@ -371,6 +378,8 @@ impl ServeLayer {
             // quota admission; browned-out tenants instantiate their
             // degraded template.
             let epoch_start = rt.now();
+            let epoch_mark = rt.trace().len();
+            epoch_marks.push((epoch_mark - trace_mark, epoch_start));
             let epoch_records = records.len();
             let mut jobs: Vec<JobSpec> = Vec::with_capacity(chunk.len());
             let mut offs: Vec<SimDuration> = Vec::with_capacity(chunk.len());
@@ -468,6 +477,10 @@ impl ServeLayer {
                 rec.latency = None;
             }
             run_acc.absorb(run);
+            // A job's events all lie in its own epoch's slice, and the
+            // epochs' requests follow one another, so the epochs' spans
+            // line up in request order.
+            spans.append(&mut assemble_request_spans(&rt.trace().events()[epoch_mark..]));
             // Size the run once: the first epoch that ran stands for
             // the epochs still to come, so the trace and the report's
             // lists grow in one step instead of doubling their way up
@@ -480,6 +493,7 @@ impl ServeLayer {
                 rt.reserve_trace(room(rt.trace().len() - trace_mark));
                 run_acc.tasks.reserve_exact(room(run_acc.tasks.len()));
                 run_acc.edges.reserve_exact(room(run_acc.edges.len()));
+                spans.reserve_exact(room(spans.len()));
             }
 
             // Close the epoch's books. A shed admission is an SLO miss
@@ -515,17 +529,14 @@ impl ServeLayer {
 
         let tenants = report::tenant_stats(&records, &slos);
 
-        // Everything below reads this run's own slice of the trace
-        // (empty when the runtime does not trace).
+        // This run's own slice of the trace (empty when the runtime does
+        // not trace), walked epoch by epoch.
         let events = &rt.trace().events()[trace_mark..];
         let (util_curve, peak_util) =
-            util_curve(events, t0, run_acc.makespan, pool_at_start, pool_capacity);
+            util_curve(events, &epoch_marks, t0, run_acc.makespan, pool_at_start, pool_capacity);
 
-        // Request-centric observability: one causal span per admitted
-        // request (assembled from the `RequestTag`-stamped event
-        // stream), per-tenant tail attribution, and SLO burn curves
-        // against each tenant's p99.
-        let spans = disagg_obs::assemble_request_spans(events);
+        // Per-tenant tail attribution, and SLO burn curves against each
+        // tenant's p99.
         let tail = disagg_obs::tail_attribution(&spans);
         let slo_of = |tenant: u64| slos.get(tenant as usize).copied().flatten().map(|slo| slo.p99);
         let burn = disagg_obs::slo_burn_by(&spans, BURN_WINDOWS, slo_of);
@@ -562,8 +573,21 @@ const BURN_WINDOWS: usize = 16;
 /// a run is traced, so the walk never goes below zero and ends where the
 /// pool ends. Fractions are not clamped (see [`UtilSample::frac`]).
 /// Empty when the runtime traces nothing or the run was empty.
+///
+/// The walk takes the pool movements in time order, trace order among
+/// equal times, one epoch at a time: `epochs` holds where each epoch's
+/// events begin in `events` and the instant it began. Nothing of an
+/// epoch happens before it began, so a movement timed before the next
+/// epoch's start precedes all of that epoch's; the rest wait to be
+/// sorted in with the next epoch's, ahead of its movements at equal
+/// times. (They are the frees at a wave's last instant, and later ones:
+/// a fast-failed request's regions are freed when its failure is
+/// detected, which the wave's end does not wait for.) The order is the
+/// one a stable sort of the whole run's movements gives, with one
+/// epoch's movements in memory, not the run's.
 fn util_curve(
     events: &[TraceEvent],
+    epochs: &[(usize, SimTime)],
     t0: SimTime,
     makespan: SimDuration,
     at_start: u64,
@@ -572,42 +596,48 @@ fn util_curve(
     if capacity == 0 || makespan == SimDuration::ZERO {
         return (Vec::new(), 0.0);
     }
-    // (time, signed delta) of every pool movement inside the run.
-    let mut deltas: Vec<(SimTime, i64)> = events
-        .iter()
-        .filter_map(|e| match *e {
-            TraceEvent::Alloc { bytes, at, .. } => Some((at, bytes as i64)),
-            TraceEvent::Free { bytes, at, .. } => Some((at, -(bytes as i64))),
-            _ => None,
-        })
-        .collect();
-    if deltas.is_empty() {
+    let delta = |e: &TraceEvent| match *e {
+        TraceEvent::Alloc { bytes, at, .. } => Some((at, bytes as i64)),
+        TraceEvent::Free { bytes, at, .. } => Some((at, -(bytes as i64))),
+        _ => None,
+    };
+    const SAMPLES: usize = 33;
+    let span = makespan.as_nanos();
+    let offset = |k: usize| SimDuration::from_nanos(span * k as u64 / (SAMPLES as u64 - 1));
+    let mut curve = Vec::with_capacity(SAMPLES);
+    let (mut level, mut peak) = (at_start as i64, at_start as i64);
+    // One movement in time order, after the samples due before it: a
+    // sample reads every movement at or before its instant.
+    let mut step = |at: SimTime, d: i64| {
+        while curve.len() < SAMPLES && t0 + offset(curve.len()) < at {
+            let frac = level as f64 / capacity as f64;
+            curve.push(UtilSample { at: offset(curve.len()), frac });
+        }
+        level += d;
+        debug_assert!(level >= 0, "resident bytes below zero at {at}: a free without its alloc");
+        peak = peak.max(level);
+    };
+    // Sorted (time, signed delta) pool movements not yet walked.
+    let mut pending: Vec<(SimTime, i64)> = Vec::new();
+    let mut moved = false;
+    for (k, &(begin, start)) in epochs.iter().enumerate() {
+        let end = epochs.get(k + 1).map_or(events.len(), |&(next, _)| next);
+        let before = pending.partition_point(|&(at, _)| at < start);
+        for (at, d) in pending.drain(..before) {
+            step(at, d);
+        }
+        pending.extend(events[begin..end].iter().filter_map(delta));
+        pending.sort_by_key(|&(at, _)| at);
+        moved |= !pending.is_empty();
+    }
+    for (at, d) in pending {
+        step(at, d);
+    }
+    if !moved {
         return (Vec::new(), 0.0);
     }
-    deltas.sort_by_key(|&(at, _)| at);
-
-    let mut peak = at_start as i64;
-    let mut walk = at_start as i64;
-    for &(at, d) in &deltas {
-        walk += d;
-        debug_assert!(walk >= 0, "resident bytes below zero at {at}: a free without its alloc");
-        peak = peak.max(walk);
-    }
-
-    const SAMPLES: usize = 33;
-    let mut curve = Vec::with_capacity(SAMPLES);
-    let span = makespan.as_nanos();
-    let mut level = at_start as i64;
-    let mut next = 0usize;
-    for k in 0..SAMPLES {
-        let off = SimDuration::from_nanos(span * k as u64 / (SAMPLES as u64 - 1));
-        let cut = t0 + off;
-        while next < deltas.len() && deltas[next].0 <= cut {
-            level += deltas[next].1;
-            next += 1;
-        }
-        curve.push(UtilSample { at: off, frac: level as f64 / capacity as f64 });
-    }
+    // The samples after the last movement.
+    step(SimTime(u64::MAX), 0);
     (curve, peak as f64 / capacity as f64)
 }
 

@@ -89,10 +89,11 @@ const BATCH_CALLS_PER_TASK: f64 = 0.031;
 /// and a name check a hash set, 14.5 before that).
 const SERVE_CALLS_PER_TASK: f64 = 7.7;
 /// Reallocations of [`BIG`] blocks allowed in that serving run
-/// (measured: 2 — the trace sized once after the first epoch, and the
-/// pool's slot table, which a wave's `MemoryPool::reserve` grows by
-/// doubling, once; 5 while the trace doubled its way up and the
-/// report's reservation fell short).
+/// (measured: 0 since the pool's slot table spans only the live regions
+/// and the trace records a task's start once; 2 before — the trace sized
+/// once after the first epoch, and the slot table, which a wave's
+/// reservation grew by doubling, once; 5 while the trace doubled its way
+/// up and the report's reservation fell short).
 const SERVE_BIG_REALLOCS: u64 = 2;
 
 /// `layers` x `width` tasks, every non-source task fed by two tasks of

@@ -174,8 +174,12 @@ fn diamond_golden() -> Golden {
         handover_copies: 1,
         task_hash: 0xe293e7ebc900f096,
         // Re-pinned when every allocation in a run became traced: the
-        // trace gained the `Alloc` of the fan-out handover copy.
-        trace_hash: 0x35c809dc1e4db700,
+        // trace gained the `Alloc` of the fan-out handover copy. Re-pinned
+        // again when a task's start came to be recorded once, by its
+        // `TaskDispatch`: the value is the previous trace's digest with
+        // the separate start event that followed each dispatch left out,
+        // and likewise below.
+        trace_hash: 0x30d0b3d396b5f258,
     }
 }
 
@@ -187,7 +191,7 @@ fn quickstart_golden() -> Golden {
         ownership_transfers: 1,
         handover_copies: 0,
         task_hash: 0x051fb5a6ca2dff73,
-        trace_hash: 0x457003e2a7ed9e5a,
+        trace_hash: 0x90f0473587785d46,
     }
 }
 
@@ -201,8 +205,9 @@ fn rack_golden() -> Golden {
         task_hash: 0xbdf775c46689c0e8,
         // Re-pinned when every allocation in a run became traced: the
         // trace gained the two handover copies' `Alloc`s and seven
-        // `Free`s of job-scoped regions released at wave end.
-        trace_hash: 0x55826fa98cc3d234,
+        // `Free`s of job-scoped regions released at wave end; then lost
+        // its separate start events.
+        trace_hash: 0x56d2df6e665a2e3b,
     }
 }
 

@@ -155,7 +155,7 @@ fn a_retried_streaming_source_feeds_its_consumer_from_the_retry() {
     let (topo, _) = disaggregated_rack(2, 16, 2, 64);
     let mut healthy = Runtime::new(topo, RuntimeConfig::default());
     let report = healthy.execute(vec![job()]).unwrap();
-    let task = |r: &RunReport, name: &str| r.tasks.iter().find(|t| t.name == name).unwrap().clone();
+    let task = |r: &RunReport, name: &str| r.tasks.iter().find(|t| &*t.name == name).unwrap().clone();
     let (source, agg) = (task(&report, "source"), task(&report, "window-aggregate"));
     assert!(agg.start < source.finish, "the healthy pair pipelines");
 
@@ -232,7 +232,7 @@ fn a_task_queued_on_a_crashed_node_moves_to_a_live_one() {
     };
     let mut healthy = Runtime::new(topo(), RuntimeConfig::default());
     let report = healthy.execute(vec![job()]).unwrap();
-    let task = |r: &RunReport, name: &str| r.tasks.iter().find(|t| t.name == name).unwrap().clone();
+    let task = |r: &RunReport, name: &str| r.tasks.iter().find(|t| &*t.name == name).unwrap().clone();
     let (first, second) = (task(&report, "first"), task(&report, "second"));
     let a = first.compute;
     assert_eq!(second.compute, a, "the plan queues both tasks on a");
