@@ -12,7 +12,9 @@
 //! itself, and copy-based handover, and check what each leaves resident.
 
 use disagg_bench::{exp, Scenario};
-use disagg_core::prelude::{ComputeKind, DisaggError, Runtime, RuntimeConfig, WorkClass};
+use disagg_core::prelude::{
+    ComputeKind, DisaggError, RunReport, Runtime, RuntimeConfig, WorkClass,
+};
 use disagg_core::RecoveryPolicy;
 use disagg_dataflow::{JobBuilder, JobSpec, TaskSpec};
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
@@ -99,10 +101,9 @@ fn a_controlled_serving_run_under_faults_balances() {
 
 /// One request per epoch, the first running 2 ms and the rest 2 µs,
 /// every server crashing for 1 µs halfway through the first: with no
-/// retry allowed, that request fails alone. Its wave's end is its last
-/// finish, which a failed attempt does not set, so the next epochs start
-/// while the failed attempt still holds its output, freed at the
-/// failure's detection — a pool movement timed after later epochs'.
+/// retry allowed, that request fails alone. Its failed attempt holds its
+/// output until the failure's detection, 1 ms in, long after the wave's
+/// last finish.
 fn serve_past_a_late_failure() -> (Runtime, ServeReport) {
     let mut layer = ServeLayer::new();
     layer.register("one", |req: &Request| {
@@ -154,8 +155,7 @@ fn serve_past_a_late_failure() -> (Runtime, ServeReport) {
 /// `assemble_request_spans` over all of it, and the curve and peak of
 /// one stable sort of every `Alloc`/`Free` — in eight-epoch controlled
 /// runs: calm, under the crash storm (retries, fast-fails, sheds,
-/// degrades), and past a late failure whose free is timed after the
-/// next epochs' movements. Spans come from one of the first two epochs
+/// degrades), and past a late failure. Spans come from one of the first two epochs
 /// and from the last, so an epoch's spans dropped or out of place break
 /// the equality.
 #[test]
@@ -213,6 +213,82 @@ fn per_epoch_books_equal_whole_run_books() {
             report.util_curve.iter().map(|u| (u.at, u.frac.to_bits())).collect();
         assert_eq!(curve, whole, "{name}: utilization curve");
         assert_eq!(report.peak_util, peak as f64 / capacity as f64, "{name}: peak");
+    }
+}
+
+/// A wave ends after every attempt it started, completed or not: the
+/// late failure's wave lasts until its interrupted attempt ends at the
+/// failure's detection and frees its output (1 006 184 ns; the wave's
+/// last finish is 33 193 ns), and the next epoch starts after that.
+#[test]
+fn a_wave_ends_after_every_attempt_it_started() {
+    let (rt, report) = serve_past_a_late_failure();
+    let failed = report.run.failed_jobs[0];
+    let mut lost = None;
+    for e in rt.trace().events() {
+        if let TraceEvent::TaskAttempt { job, end, completed, .. } = *e {
+            if job == failed.job.0 {
+                assert!(!completed, "the failed request's one attempt is interrupted");
+                lost = Some(end);
+            } else {
+                let lost = lost.expect("the first epoch runs the failed request alone");
+                assert!(e.at() >= lost, "job {job} starts at {:?}, before {lost:?}", e.at());
+            }
+        }
+    }
+    let lost = lost.expect("the interrupted attempt is traced");
+    assert_eq!(lost, failed.at, "it ends at the failure's detection");
+    let freed = rt.trace().events().iter().any(|e| {
+        matches!(*e, TraceEvent::Free { at, .. } if at == lost)
+    });
+    assert!(freed, "its output is freed when it ends");
+    assert!(SimTime::ZERO + report.makespan >= lost, "the run lasts until {lost:?}");
+}
+
+/// Checks that `run`'s trace records every attempt of its tasks once:
+/// the completed attempts' events are the task reports, device and
+/// finish; each interrupted attempt's event ends at its detection, a
+/// `FaultDetected` there or, when its retries ran out, its job's
+/// failure. Returns how many attempts were interrupted.
+fn assert_one_event_per_attempt(events: &[TraceEvent], run: &RunReport) -> usize {
+    let (mut done, mut cut, mut detected) = (Vec::new(), Vec::new(), Vec::new());
+    for e in events {
+        match *e {
+            TraceEvent::TaskAttempt { job, task, on, end, completed: true, .. } => {
+                done.push((job, task, on, end));
+            }
+            TraceEvent::TaskAttempt { job, task, end, .. } => cut.push((job, task, end)),
+            TraceEvent::FaultDetected { job, task, at, .. } => detected.push((job, task, at)),
+            _ => {}
+        }
+    }
+    let mut reported: Vec<_> =
+        run.tasks.iter().map(|t| (t.job.0, u64::from(t.task.0), t.compute, t.finish)).collect();
+    detected.extend(run.failed_jobs.iter().map(|f| (f.job.0, u64::from(f.task.0), f.at)));
+    for v in [&mut done, &mut reported] {
+        v.sort_unstable();
+    }
+    for v in [&mut cut, &mut detected] {
+        v.sort_unstable();
+    }
+    assert_eq!(done, reported, "one completed attempt per task report");
+    assert_eq!(cut, detected, "one interrupted attempt per detection or fast-fail");
+    cut.len()
+}
+
+/// Under the crash storm, with and without the control plane, each
+/// attempt is one trace event, and the spans read from those events are
+/// the run's: retried and fast-failed requests alike.
+#[test]
+fn each_attempt_is_one_event_under_a_crash_storm() {
+    for control in [Some(ControlPlane::default()), None] {
+        let (rt, report) = serve_through_a_crash_storm(control);
+        let report = report.expect("serving run under faults");
+        assert!(report.fast_failed > 0, "the storm fails some request alone");
+        let events = rt.trace().events();
+        let fast_failed = report.run.failed_jobs.len();
+        assert!(assert_one_event_per_attempt(events, &report.run) > fast_failed, "retries too");
+        assert_eq!(report.spans, disagg_obs::assemble_request_spans(events));
     }
 }
 

@@ -148,9 +148,11 @@ pub(crate) struct Wave {
     /// Scratch for the compute devices that will touch a region being
     /// placed (`PlacementEngine::choose_shared`'s accessor list).
     pub accessors: Vec<ComputeId>,
-    /// First-attempt start and final finish, per task.
+    /// First-attempt start, per task.
     pub start_at: Vec<SimTime>,
-    pub finish_at: Vec<SimTime>,
+    /// The latest end of any attempt so far, completed or interrupted:
+    /// the wave ends there.
+    pub last_end: SimTime,
     /// The retry state of every task a fault has interrupted, keyed by
     /// global task number. Few tasks are ever interrupted, so this is a
     /// map, and a fault-free wave leaves it empty.
@@ -186,12 +188,14 @@ impl Wave {
     }
 
     /// Ends an attempt that started at `start` on `compute` at `end`: the
-    /// lane it took is free again from `end`, and the device is woken
-    /// then so queued work dispatches the instant it opens.
+    /// lane it took is free again from `end`, the device is woken then so
+    /// queued work dispatches the instant it opens, and the wave lasts at
+    /// least until `end`.
     #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub(crate) fn end_attempt(&mut self, compute: ComputeId, start: SimTime, end: SimTime) {
         #[cfg(debug_assertions)]
         self.books.attempt(compute, start, end);
+        self.last_end = self.last_end.max(end);
         self.lanes[compute.index()].push(Reverse(end));
         self.push_event(end, EventKind::LaneFree { compute });
     }
@@ -377,7 +381,7 @@ pub(crate) fn run_wave(
         inputs_len: vec![0; total_tasks],
         accessors: Vec::new(),
         start_at: vec![SimTime::ZERO; total_tasks],
-        finish_at: vec![SimTime::ZERO; total_tasks],
+        last_end: t0,
         retries: FxHashMap::default(),
         published: jobs.iter().map(|_| FxHashMap::default()).collect(),
         global_state,
@@ -448,9 +452,10 @@ pub(crate) fn run_wave(
     );
 
     // End of wave: flush the remaining task exits in time order, then
-    // release job-scoped regions as the last task finishes; App-scoped
-    // (persistent) regions survive.
-    let end = w.finish_at.iter().copied().fold(t0, SimTime::max);
+    // release job-scoped regions as the last attempt ends — a finish, or
+    // the detection of an interrupted attempt, which a failed request's
+    // last one may be; App-scoped (persistent) regions survive.
+    let end = w.last_end;
     w.flush_exits(rt, None);
     for &jid in &w.job_ids {
         rt.mgr.release_all_traced(&mut rt.trace, OwnerId::Job(jid.0), end);

@@ -366,12 +366,6 @@ pub(crate) fn queue_on(
 ) -> Result<(), DisaggError> {
     let jid = w.job_ids[ji];
     let rank = w.schedule.entry(jid, task).expect("every task is scheduled").rank;
-    rt.trace.push(TraceEvent::TaskQueued {
-        job: jid.0,
-        task: task.0 as u64,
-        on: compute,
-        at,
-    });
     w.queues[compute.index()].push(Reverse(queue_key(rank, queued_at, ji, task)));
     service(rt, w, jobs, compute, at)
 }
@@ -411,10 +405,11 @@ pub(crate) fn service(
     Ok(())
 }
 
-/// Ends an attempt that `fault` — `(index, strike time)` in the fault
-/// schedule — interrupted: its work is lost. The attempt holds its lane
-/// until the virtual-time detection delay has passed and its regions are
-/// released then. Unless its retries are spent, the task re-enters the
+/// Ends the attempt `q` dispatched at `start` on `compute` that `fault`
+/// — `(index, strike time)` in the fault schedule — interrupted: its
+/// work is lost. The attempt holds its lane until the virtual-time
+/// detection delay has passed, is traced as ending then, and its regions
+/// are released then. Unless its retries are spent, the task re-enters the
 /// ready queue of the cheapest surviving candidate from the scheduler's
 /// cost ranking after the policy's exponential backoff (task bodies are
 /// re-runnable `Fn`s), so the makespan pays for every attempt. The retry
@@ -425,21 +420,30 @@ fn abandon(
     rt: &mut Runtime,
     w: &mut Wave,
     spec: &JobSpec,
-    ji: usize,
-    task: TaskId,
+    q: Queued,
     compute: ComputeId,
     start: SimTime,
     (idx, fault_at): (usize, SimTime),
     placements: TaskPlacements,
 ) -> Result<(), DisaggError> {
+    let (ji, task) = (q.ji, q.task);
     let jid = w.job_ids[ji];
-    let g = w.gx(ji, task);
     let policy = rt.config.recovery;
+    let detect_at = fault_at + policy.detection_delay;
+    rt.trace.push(TraceEvent::TaskAttempt {
+        job: jid.0,
+        task: task.0 as u64,
+        on: compute,
+        at: start,
+        waited: start - q.queued_at,
+        end: detect_at,
+        completed: false,
+    });
+    let g = w.gx(ji, task);
     let retry = w.retries.entry(g).or_insert(Retry { attempts: 0, handled: idx });
     retry.attempts += 1;
     retry.handled = idx;
     let retries = retry.attempts;
-    let detect_at = fault_at + policy.detection_delay;
     w.end_attempt(compute, start, detect_at);
 
     // Past the retry cap a request fails alone; an untagged batch job
@@ -591,14 +595,6 @@ pub(crate) fn run_task(
         task: task.0 as u64,
     };
 
-    rt.trace.push(TraceEvent::TaskDispatch {
-        job: jid.0,
-        task: task.0 as u64,
-        on: compute,
-        at,
-        waited: at - q.queued_at,
-    });
-
     // Flush exits whose virtual finish precedes this start: their
     // regions are genuinely gone by the time this task allocates.
     w.flush_exits(rt, Some(at));
@@ -626,7 +622,7 @@ pub(crate) fn run_task(
     if body_result.is_ok() && !rt.config.faults.is_empty() {
         let handled = w.retries.get(&g).map(|r| r.handled);
         if let Some(fault) = first_interrupt(rt, compute, &placements, handled, at, finish) {
-            return abandon(rt, w, spec, ji, task, compute, at, fault, placements);
+            return abandon(rt, w, spec, q, compute, at, fault, placements);
         }
     }
 
@@ -655,11 +651,14 @@ pub(crate) fn run_task(
         }
     }
 
-    rt.trace.push(TraceEvent::TaskFinish {
+    rt.trace.push(TraceEvent::TaskAttempt {
         job: jid.0,
         task: task.0 as u64,
         on: compute,
-        at: finish,
+        at,
+        waited: at - q.queued_at,
+        end: finish,
+        completed: true,
     });
     // A clean finish heals: the node's strike count resets, and any
     // breaker this task held a half-open probe slot on closes.
@@ -670,7 +669,6 @@ pub(crate) fn run_task(
         }
     }
     w.end_attempt(compute, at, finish);
-    w.finish_at[g] = finish;
 
     // --- Handover to successors: emit one EdgeDone per outgoing edge
     // at the instant the consumer can actually address the data. ---

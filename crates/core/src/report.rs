@@ -179,7 +179,8 @@ impl DeviceSummary {
 /// The full result of running a batch of jobs.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Virtual time from submission to last task finish.
+    /// Virtual time from submission to the end of the last task attempt:
+    /// a finish, or the detection that ended an interrupted attempt.
     pub makespan: SimDuration,
     /// One report per executed task, in completion order.
     pub tasks: Vec<TaskReport>,

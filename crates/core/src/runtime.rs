@@ -376,7 +376,7 @@ impl Runtime {
                 bytes: placement.size,
                 at: now,
                 took,
-                by: RebuildFor::Nobody,
+                by: Box::new(RebuildFor::Nobody),
             });
             longest = longest.max(took);
             healed.push((id, dev));

@@ -14,7 +14,8 @@ use crate::time::{SimDuration, SimTime};
 /// Whose access triggered a [`TraceEvent::Reconstruct`]. Its own enum
 /// rather than two `Option<u64>`s: those alone made `Reconstruct` — one
 /// rare variant — set the size of every event (72 bytes, a
-/// third of a traced serving pass's memory); this packs into 16.
+/// third of a traced serving pass's memory); this packs into 16, which
+/// `Reconstruct` keeps behind a `Box`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildFor {
     /// A task's access.
@@ -116,33 +117,12 @@ pub enum TraceEvent {
         /// When.
         at: SimTime,
     },
-    /// A task finished.
-    TaskFinish {
-        /// Job identifier.
-        job: u64,
-        /// Task index within the job.
-        task: u64,
-        /// Where it ran.
-        on: ComputeId,
-        /// When.
-        at: SimTime,
-    },
-    /// A task's dependencies were all satisfied and it entered a
-    /// compute device's ready queue.
-    TaskQueued {
-        /// Job identifier.
-        job: u64,
-        /// Task index within the job.
-        task: u64,
-        /// The device whose queue it joined.
-        on: ComputeId,
-        /// When it became ready.
-        at: SimTime,
-    },
-    /// A queued task was picked by the dispatcher, occupied a lane and
-    /// began executing: the start of one attempt (a retried task is
-    /// dispatched once per attempt).
-    TaskDispatch {
+    /// One attempt of a task, recorded once its outcome is known: it
+    /// waited `waited` in a ready queue, was dispatched onto a lane of
+    /// `on` at `at` and ended at `end` — its finish when `completed`, or
+    /// else the detection instant at which a fault-interrupted attempt
+    /// frees its lane. A retried task records one per attempt.
+    TaskAttempt {
         /// Job identifier.
         job: u64,
         /// Task index within the job.
@@ -151,8 +131,12 @@ pub enum TraceEvent {
         on: ComputeId,
         /// Dispatch time: when the attempt starts.
         at: SimTime,
-        /// Time spent waiting in the ready queue.
+        /// Time spent in the ready queue before `at`.
         waited: SimDuration,
+        /// When the attempt ended.
+        end: SimTime,
+        /// Whether the attempt finished (`false`: a fault interrupted it).
+        completed: bool,
     },
     /// The recovery layer noticed a fault that interrupted a running
     /// task (emitted at detection time, i.e. fault time + detection
@@ -199,8 +183,9 @@ pub enum TraceEvent {
         at: SimTime,
         /// Simulated transfer + decode cost.
         took: SimDuration,
-        /// Whose access triggered the rebuild.
-        by: RebuildFor,
+        /// Whose access triggered the rebuild. Boxed: inline, this one
+        /// rare variant would set every event's size at 56 bytes.
+        by: Box<RebuildFor>,
     },
     /// A circuit breaker opened: enough `FaultDetected` strikes landed
     /// on one node that placement stops offering it candidates until the
@@ -267,8 +252,9 @@ pub enum TraceEvent {
     },
 }
 
-// A traced serving pass buffers over half a million of these.
-const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 56);
+// A traced serving pass buffers a third of a million of these. The
+// largest variants (`TaskAttempt`, `TaskRetry`, `Migrate`) fill 48.
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 48);
 
 impl TraceEvent {
     /// The timestamp of the event.
@@ -279,9 +265,7 @@ impl TraceEvent {
             | TraceEvent::Access { at, .. }
             | TraceEvent::Migrate { at, .. }
             | TraceEvent::OwnershipTransfer { at, .. }
-            | TraceEvent::TaskFinish { at, .. }
-            | TraceEvent::TaskQueued { at, .. }
-            | TraceEvent::TaskDispatch { at, .. }
+            | TraceEvent::TaskAttempt { at, .. }
             | TraceEvent::FaultDetected { at, .. }
             | TraceEvent::TaskRetry { at, .. }
             | TraceEvent::Reconstruct { at, .. }
@@ -545,14 +529,17 @@ mod tests {
         let mut t = Trace::enabled();
         t.push(access(0, 1));
         t.push(access(0, 1));
-        t.push(TraceEvent::TaskFinish {
+        t.push(TraceEvent::TaskAttempt {
             job: 0,
             task: 0,
             on: ComputeId(0),
             at: SimTime(0),
+            waited: SimDuration::ZERO,
+            end: SimTime(5),
+            completed: true,
         });
         assert_eq!(t.count(|e| matches!(e, TraceEvent::Access { .. })), 2);
-        assert_eq!(t.count(|e| matches!(e, TraceEvent::TaskFinish { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::TaskAttempt { .. })), 1);
     }
 
     #[test]

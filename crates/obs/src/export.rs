@@ -22,7 +22,7 @@
 //! invariants (non-empty, named lanes, well-formed spans), so tests and
 //! `exp_driver --trace-out` never write a file Perfetto would reject.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use disagg_hwsim::device::AccessOp;
@@ -119,24 +119,12 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
         parts.push(std::mem::take(&mut m));
     }
 
-    // Task spans, one per attempt: a TaskDispatch, the attempt's start,
-    // joins the end of its attempt, the TaskFinish or, for an attempt a
-    // fault abandoned, its FaultDetected (an end may carry a future
-    // timestamp). A task's attempts run one after another, so its n-th
-    // dispatch pairs with its n-th end.
-    let mut ends: BTreeMap<(u64, u64), VecDeque<u64>> = BTreeMap::new();
-    for e in events {
-        if let TraceEvent::TaskFinish { job, task, at, .. }
-        | TraceEvent::FaultDetected { job, task, at, .. } = *e
-        {
-            ends.entry((job, task)).or_default().push_back(at.as_nanos());
-        }
-    }
-
     for e in events {
         let mut s = String::new();
         match *e {
-            TraceEvent::TaskDispatch { job, task, on, at, waited } => {
+            // One slice per attempt, from its dispatch to its finish or,
+            // for an attempt a fault interrupted, its detection.
+            TraceEvent::TaskAttempt { job, task, on, at, waited, end, .. } => {
                 let args = format!("\"job\":{job},\"task\":{task}");
                 let start = at.as_nanos();
                 let w = waited.as_nanos();
@@ -144,19 +132,9 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
                     span(&mut s, PID_COMPUTE, on.0, "queue-wait", start - w, w, &args);
                     parts.push(std::mem::take(&mut s));
                 }
-                let end = ends
-                    .get_mut(&(job, task))
-                    .and_then(VecDeque::pop_front)
-                    .unwrap_or(start);
-                span(
-                    &mut s,
-                    PID_COMPUTE,
-                    on.0,
-                    &format!("job{job}/task{task}"),
-                    start,
-                    end.saturating_sub(start),
-                    &args,
-                );
+                let name = format!("job{job}/task{task}");
+                let dur = end.as_nanos().saturating_sub(start);
+                span(&mut s, PID_COMPUTE, on.0, &name, start, dur, &args);
             }
             TraceEvent::Access { region, dev, bytes, op, at, took } => {
                 let name = match op {
@@ -255,9 +233,7 @@ fn device_parts(events: &[TraceEvent], topo: &Topology) -> Vec<String> {
                     &format!("\"region\":{region},\"bytes\":{bytes}"),
                 );
             }
-            TraceEvent::TaskFinish { .. }
-            | TraceEvent::TaskQueued { .. }
-            | TraceEvent::RequestTag { .. }
+            TraceEvent::RequestTag { .. }
             // Breaker and serving-control events have no device lane in
             // the Chrome view; they surface via metrics and the CSV.
             | TraceEvent::BreakerTrip { .. }
@@ -500,15 +476,15 @@ mod tests {
     fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Alloc { region: 1, dev: MemDeviceId(0), bytes: 4096, at: SimTime(0) },
-            TraceEvent::TaskQueued { job: 0, task: 0, on: ComputeId(0), at: SimTime(0) },
-            TraceEvent::TaskDispatch {
+            TraceEvent::TaskAttempt {
                 job: 0,
                 task: 0,
                 on: ComputeId(0),
                 at: SimTime(100),
                 waited: SimDuration(100),
+                end: SimTime(1_600),
+                completed: true,
             },
-            TraceEvent::TaskFinish { job: 0, task: 0, on: ComputeId(0), at: SimTime(1_600) },
             TraceEvent::Access {
                 region: 1,
                 dev: MemDeviceId(0),
@@ -549,6 +525,24 @@ mod tests {
         assert_eq!(stats.mem_spans, 2);
         assert_eq!(stats.first_ns, 0, "queue wait starts at t=0");
         assert_eq!(stats.last_ns, 1_600, "task span ends at finish");
+    }
+
+    /// An attempt a fault interrupted is drawn up to its detection,
+    /// whether or not a retry follows it.
+    #[test]
+    fn an_interrupted_attempt_is_drawn_to_its_detection() {
+        let (topo, _) = presets::single_server();
+        let lost = TraceEvent::TaskAttempt {
+            job: 0,
+            task: 0,
+            on: ComputeId(0),
+            at: SimTime(100),
+            waited: SimDuration::ZERO,
+            end: SimTime(2_600),
+            completed: false,
+        };
+        let stats = validate_chrome_trace(&chrome_trace(&[lost], &topo)).expect("valid");
+        assert_eq!((stats.task_spans, stats.first_ns, stats.last_ns), (1, 100, 2_600));
     }
 
     #[test]

@@ -268,13 +268,11 @@ impl MetricsRegistry {
                 self.incr("bytes.ownership", bytes);
                 self.observe("transfer_bytes", bytes);
             }
-            TraceEvent::TaskQueued { .. } => self.incr("events.task_queued", 1),
-            TraceEvent::TaskDispatch { on, waited, .. } => {
-                self.incr("events.task_dispatch", 1);
+            TraceEvent::TaskAttempt { on, waited, .. } => {
+                self.incr("events.task_attempt", 1);
                 add(&mut self.counters, &cpu_keys(&mut self.cpu_keys, on.0)[0], 1);
                 self.observe("queue_wait_ns", waited.as_nanos());
             }
-            TraceEvent::TaskFinish { .. } => self.incr("events.task_finish", 1),
             TraceEvent::FaultDetected { on, .. } => {
                 self.incr("events.fault_detected", 1);
                 self.incr("faults.detected", 1);
@@ -556,12 +554,14 @@ mod tests {
             at: SimTime(10),
             took: SimDuration(100),
         });
-        r.record(&TraceEvent::TaskDispatch {
+        r.record(&TraceEvent::TaskAttempt {
             job: 0,
             task: 1,
             on: ComputeId(0),
             at: SimTime(50),
             waited: SimDuration(40),
+            end: SimTime(55),
+            completed: true,
         });
         r.record(&TraceEvent::Migrate {
             region: 0,
@@ -572,6 +572,8 @@ mod tests {
             took: SimDuration(5),
         });
         assert_eq!(r.counter("events"), 3);
+        assert_eq!(r.counter("events.task_attempt"), 1);
+        assert_eq!(r.counter("dev.cpu0.dispatches"), 1);
         assert_eq!(r.counter("bytes.moved"), 4196);
         assert_eq!(r.counter("dev.mem2.bytes"), 4196);
         assert_eq!(r.counter("dev.mem0.bytes"), 100);

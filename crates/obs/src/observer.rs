@@ -104,14 +104,17 @@ impl fmt::Debug for ObserverSlot {
 mod tests {
     use super::*;
     use disagg_hwsim::ids::ComputeId;
-    use disagg_hwsim::time::SimTime;
+    use disagg_hwsim::time::{SimDuration, SimTime};
 
     fn ev(task: u64, at: u64) -> TraceEvent {
-        TraceEvent::TaskFinish {
+        TraceEvent::TaskAttempt {
             job: 0,
             task,
             on: ComputeId(0),
             at: SimTime(at),
+            waited: SimDuration::ZERO,
+            end: SimTime(at),
+            completed: true,
         }
     }
 

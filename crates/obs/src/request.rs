@@ -227,13 +227,10 @@ struct JobRecord {
     /// `(request, tenant, arrival)` of the job's last `RequestTag`;
     /// `None` for an untagged job inside the tagged id range.
     tag: Option<(u64, u64, u64)>,
-    /// Earliest `TaskQueued`.
+    /// Earliest queue entry, `at − waited`, over the job's attempts.
     first_queued: Option<u64>,
-    /// Latest `TaskFinish`.
+    /// Latest end of a completed attempt.
     last_finish: Option<u64>,
-    /// Latest `TaskDispatch` (an attempt's start) per task, indexed by
-    /// the task's job-local index.
-    starts: Vec<Option<u64>>,
     /// Classified intervals, in trace order.
     covering: Vec<Covering>,
 }
@@ -250,11 +247,11 @@ fn tagged(table: &mut [JobRecord], lo: u64, job: u64) -> Option<&mut JobRecord> 
 /// Requests whose jobs never finished a task (nothing executed) are
 /// skipped. Output is ordered by request id.
 ///
-/// A runtime issues job ids consecutively and task ids are job-local
-/// indices, so per-job state lives in one `Vec` indexed by `job - lowest
-/// tagged job` (sized by the tagged job-id range, whatever the trace
-/// holds besides) and per-task start times in a `Vec` indexed by task:
-/// an array hit per trace event, no tree or hash lookup.
+/// A runtime issues job ids consecutively, so per-job state lives in one
+/// `Vec` indexed by `job - lowest tagged job` (sized by the tagged job-id
+/// range, whatever the trace holds besides): an array hit per trace
+/// event, no tree or hash lookup. Each [`TraceEvent::TaskAttempt`]
+/// carries its own queue wait, start and end, so nothing is paired up.
 pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
     // Tag pass: the tagged job-id range, then job -> (request, tenant,
     // arrival); a job's last tag wins.
@@ -280,40 +277,21 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
     // the sojourn bounds.
     for e in events {
         match *e {
-            TraceEvent::TaskQueued { job, at, .. } => {
+            TraceEvent::TaskAttempt { job, task, at, waited, end, completed, .. } => {
                 if let Some(rec) = tagged(&mut table, lo, job) {
-                    let t = at.as_nanos();
-                    rec.first_queued = Some(rec.first_queued.map_or(t, |f| f.min(t)));
-                }
-            }
-            TraceEvent::TaskDispatch {
-                job,
-                task,
-                at,
-                waited,
-                ..
-            } => {
-                if let Some(rec) = tagged(&mut table, lo, job) {
-                    if waited > SimDuration::ZERO {
+                    let (start, queued) = (at.as_nanos(), at.as_nanos() - waited.as_nanos());
+                    rec.first_queued = Some(rec.first_queued.map_or(queued, |f| f.min(queued)));
+                    if queued < start {
                         rec.covering.push(Covering {
-                            start: at.as_nanos() - waited.as_nanos(),
-                            end: at.as_nanos(),
+                            start: queued,
+                            end: start,
                             kind: SegmentKind::Queue,
                             task: Some(task),
                         });
                     }
-                    let ti = task as usize;
-                    if ti >= rec.starts.len() {
-                        rec.starts.resize(ti + 1, None);
-                    }
-                    rec.starts[ti] = Some(at.as_nanos());
-                }
-            }
-            TraceEvent::TaskFinish { job, task, at, .. } => {
-                if let Some(rec) = tagged(&mut table, lo, job) {
-                    let t = at.as_nanos();
-                    rec.last_finish = Some(rec.last_finish.map_or(t, |f| f.max(t)));
-                    if let Some(&Some(start)) = rec.starts.get(task as usize) {
+                    if completed {
+                        let t = end.as_nanos();
+                        rec.last_finish = Some(rec.last_finish.map_or(t, |f| f.max(t)));
                         rec.covering.push(Covering {
                             start,
                             end: t,
@@ -339,7 +317,7 @@ pub fn assemble_request_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
                     });
                 }
             }
-            TraceEvent::Reconstruct { by, at, took, .. } if took > SimDuration::ZERO => {
+            TraceEvent::Reconstruct { ref by, at, took, .. } if took > SimDuration::ZERO => {
                 let Some(job) = by.job() else { continue };
                 let task = by.task();
                 if let Some(rec) = tagged(&mut table, lo, job) {
@@ -617,22 +595,22 @@ mod tests {
         TraceEvent::RequestTag { request, tenant, job, at: SimTime(at) }
     }
 
-    fn queued(job: u64, task: u64, at: u64) -> TraceEvent {
-        TraceEvent::TaskQueued { job, task, on: ComputeId(0), at: SimTime(at) }
-    }
-
-    fn dispatch(job: u64, task: u64, at: u64, waited: u64) -> TraceEvent {
-        TraceEvent::TaskDispatch {
+    fn attempt(job: u64, task: u64, at: u64, waited: u64, end: u64, completed: bool) -> TraceEvent {
+        TraceEvent::TaskAttempt {
             job,
             task,
             on: ComputeId(0),
             at: SimTime(at),
             waited: SimDuration(waited),
+            end: SimTime(end),
+            completed,
         }
     }
 
-    fn finish(job: u64, task: u64, at: u64) -> TraceEvent {
-        TraceEvent::TaskFinish { job, task, on: ComputeId(0), at: SimTime(at) }
+    /// A completed attempt that queued at `queued`, started at `at` and
+    /// finished at `end`.
+    fn ran(job: u64, task: u64, queued: u64, at: u64, end: u64) -> TraceEvent {
+        attempt(job, task, at, at - queued, end, true)
     }
 
     fn retry(job: u64, task: u64, at: u64, lost: u64) -> TraceEvent {
@@ -654,11 +632,11 @@ mod tests {
             bytes: 64,
             at: SimTime(at),
             took: SimDuration(took),
-            by: match (job, task) {
+            by: Box::new(match (job, task) {
                 (Some(job), Some(task)) => RebuildFor::Task { job, task: task as u32 },
                 (Some(job), None) => RebuildFor::Job(job),
                 (None, _) => RebuildFor::Nobody,
-            },
+            }),
         }
     }
 
@@ -678,9 +656,9 @@ mod tests {
     }
 
     /// The `BTreeMap`-keyed assembly this module shipped before the dense
-    /// table, kept as the oracle the tests below compare against; it
-    /// reads an attempt's start from its `TaskDispatch`, as the trace has
-    /// no other start event.
+    /// table, kept as the oracle the tests below compare against. It
+    /// gathers a job's attempts first and derives the job's queue entry,
+    /// last finish and queue and compute intervals from them afterwards.
     fn reference_spans(events: &[TraceEvent]) -> Vec<RequestSpan> {
         // Tag pass: job -> (request, tenant, arrival).
         let mut tag_of_job: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
@@ -699,53 +677,19 @@ mod tests {
             return Vec::new();
         }
 
-        // Collection pass: per tagged job, the classified intervals plus
-        // the sojourn bounds.
-        let mut first_queued: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut last_finish: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut task_start: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        // Collection pass: per tagged job, its attempts as `(task,
+        // queued, start, end, completed)` and its recovery intervals.
+        let mut attempts: BTreeMap<u64, Vec<(u64, u64, u64, u64, bool)>> = BTreeMap::new();
         let mut covering: BTreeMap<u64, Vec<Covering>> = BTreeMap::new();
         let tagged = |job: u64| tag_of_job.contains_key(&job);
         for e in events {
             match *e {
-                TraceEvent::TaskQueued { job, at, .. } if tagged(job) => {
-                    let t = at.as_nanos();
-                    first_queued
-                        .entry(job)
-                        .and_modify(|f| *f = (*f).min(t))
-                        .or_insert(t);
-                }
-                TraceEvent::TaskDispatch {
-                    job,
-                    task,
-                    at,
-                    waited,
-                    ..
-                } if tagged(job) => {
-                    if waited > SimDuration::ZERO {
-                        covering.entry(job).or_default().push(Covering {
-                            start: at.as_nanos() - waited.as_nanos(),
-                            end: at.as_nanos(),
-                            kind: SegmentKind::Queue,
-                            task: Some(task),
-                        });
-                    }
-                    task_start.insert((job, task), at.as_nanos());
-                }
-                TraceEvent::TaskFinish { job, task, at, .. } if tagged(job) => {
-                    let t = at.as_nanos();
-                    last_finish
-                        .entry(job)
-                        .and_modify(|f| *f = (*f).max(t))
-                        .or_insert(t);
-                    if let Some(&start) = task_start.get(&(job, task)) {
-                        covering.entry(job).or_default().push(Covering {
-                            start,
-                            end: t,
-                            kind: SegmentKind::Compute,
-                            task: Some(task),
-                        });
-                    }
+                TraceEvent::TaskAttempt { job, task, at, waited, end, completed, .. }
+                    if tagged(job) =>
+                {
+                    let (start, end) = (at.as_nanos(), end.as_nanos());
+                    let queued = start - waited.as_nanos();
+                    attempts.entry(job).or_default().push((task, queued, start, end, completed));
                 }
                 TraceEvent::TaskRetry {
                     job,
@@ -761,7 +705,7 @@ mod tests {
                         task: Some(task),
                     });
                 }
-                TraceEvent::Reconstruct { by, at, took, .. } if took > SimDuration::ZERO => {
+                TraceEvent::Reconstruct { ref by, at, took, .. } if took > SimDuration::ZERO => {
                     if let Some(job) = by.job().filter(|&job| tagged(job)) {
                         covering.entry(job).or_default().push(Covering {
                             start: at.as_nanos(),
@@ -779,16 +723,25 @@ mod tests {
         // segments.
         let mut spans: Vec<RequestSpan> = Vec::with_capacity(tag_of_job.len());
         for (&job, &(request, tenant, arrival)) in &tag_of_job {
-            let Some(&end) = last_finish.get(&job) else {
+            let tries = attempts.remove(&job).unwrap_or_default();
+            let finishes = tries.iter().filter(|a| a.4).map(|a| a.3);
+            let Some(end) = finishes.max() else {
                 continue; // nothing executed for this request
             };
             let end = end.max(arrival);
-            let fq = first_queued
-                .get(&job)
-                .copied()
-                .unwrap_or(end)
-                .clamp(arrival, end);
+            let fq = tries.iter().map(|a| a.1).min().unwrap_or(end).clamp(arrival, end);
             let mut ivs: Vec<Covering> = covering.remove(&job).unwrap_or_default();
+            for &(task, queued, start, finish, completed) in &tries {
+                let task = Some(task);
+                if queued < start {
+                    let kind = SegmentKind::Queue;
+                    ivs.push(Covering { start: queued, end: start, kind, task });
+                }
+                if completed {
+                    let kind = SegmentKind::Compute;
+                    ivs.push(Covering { start, end: finish, kind, task });
+                }
+            }
             for iv in &mut ivs {
                 iv.start = iv.start.clamp(arrival, end);
                 iv.end = iv.end.clamp(arrival, end);
@@ -856,10 +809,10 @@ mod tests {
     /// A random trace that is hostile rather than causal: two disjoint
     /// tagged job-id ranges with untagged jobs inside, between and
     /// around them, times drawn from a small range so intervals overlap
-    /// and tie, re-tagged jobs, re-dispatched and twice-finished tasks,
-    /// finishes with no dispatch, retries that lost time, reconstructions
-    /// with and without an owner — all shuffled, so events of a job
-    /// precede its tag.
+    /// and tie, re-tagged jobs, tasks with up to three attempts (a
+    /// quarter of them interrupted, so some jobs never finish a task),
+    /// retries that lost time, reconstructions with and without an owner
+    /// — all shuffled, so events of a job precede its tag.
     fn random_trace(seed: u64) -> Vec<TraceEvent> {
         let mut rng = SimRng::new(seed);
         let mut events = Vec::new();
@@ -878,16 +831,13 @@ mod tests {
                 }
             }
             for task in 0..1 + rng.next_below(6) {
-                let at = rng.range(50, 1_000);
-                events.push(queued(job, task, at));
-                let dispatched = at + rng.next_below(80);
-                if rng.chance(0.9) {
-                    let waited = rng.next_below(dispatched.min(120));
-                    events.push(dispatch(job, task, dispatched, waited));
-                }
-                if rng.chance(0.2) {
-                    let again = dispatched + rng.next_below(40);
-                    events.push(dispatch(job, task, again, rng.next_below(again.min(120))));
+                let dispatched = rng.range(50, 1_080);
+                // Attempts, interrupted or not, may overlap and tie.
+                for _ in 0..1 + rng.next_below(3) {
+                    let at = dispatched + rng.next_below(40);
+                    let waited = rng.next_below(at.min(120));
+                    let end = at + rng.next_below(400);
+                    events.push(attempt(job, task, at, waited, end, rng.chance(0.75)));
                 }
                 if rng.chance(0.3) {
                     let relaunch = dispatched + rng.range(1, 200);
@@ -907,9 +857,6 @@ mod tests {
                         dispatched + rng.next_below(100),
                         rng.next_below(60),
                     ));
-                }
-                for _ in 0..rng.next_below(3) {
-                    events.push(finish(job, task, dispatched + rng.next_below(400)));
                 }
             }
         }
@@ -1024,7 +971,7 @@ mod tests {
                 },
             );
         }
-        let config = RuntimeConfig::traced().with_faults(faults).with_recovery(
+        let config = RuntimeConfig::traced().with_faults(faults.clone()).with_recovery(
             RecoveryPolicy::default()
                 .with_detection_delay(SimDuration(2_000))
                 .with_backoff(SimDuration(1_000)),
@@ -1057,6 +1004,17 @@ mod tests {
             .iter()
             .any(|s| s.attribution.recovery > SimDuration::ZERO));
         assert_eq!(spans, reference_spans(events));
+
+        // With no retry allowed, the crashes fail requests alone: the
+        // last attempt of each such request ends interrupted.
+        let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+        let recovery = RecoveryPolicy::default().with_max_retries(0);
+        let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery);
+        let mut rt = Runtime::new(topo, config);
+        let report = layer.run(&mut rt, &cfg).expect("serving run failing requests alone");
+        assert!(report.fast_failed > 0, "the crashes must fail a request");
+        let events = rt.trace().events();
+        assert_eq!(assemble_request_spans(events), reference_spans(events));
     }
 
     /// One 512-task fan-out request: a source, 510 staggered middles on
@@ -1066,22 +1024,12 @@ mod tests {
     #[test]
     fn a_512_task_fan_out_sweeps_like_the_reference() {
         const MID: u64 = 510;
-        let mut events = vec![
-            tag(9, 2, 100, 0),
-            queued(100, 0, 5),
-            dispatch(100, 0, 5, 0),
-        ];
-        events.push(finish(100, 0, 20));
+        let mut events = vec![tag(9, 2, 100, 0), ran(100, 0, 5, 5, 20)];
         // Middles become ready at 30 (a 10 ns handover), wait for one of
         // 8 lanes, and run 16 ns each: lane round `r` starts at 30 + 16 r.
         for m in 0..MID {
-            let task = 1 + m;
             let begin = 30 + 16 * (m / 8);
-            events.push(queued(100, task, 30));
-            events.push(dispatch(100, task, begin, begin - 30));
-        }
-        for m in 0..MID {
-            events.push(finish(100, 1 + m, 30 + 16 * (m / 8) + 16));
+            events.push(ran(100, 1 + m, 30, begin, begin + 16));
         }
         let last_mid_end = 30 + 16 * ((MID - 1) / 8) + 16;
         // Two reconstructions in the middle of the fan-out, one owned by
@@ -1089,9 +1037,7 @@ mod tests {
         events.push(reconstruct(Some(100), Some(7), 100, 10));
         events.push(reconstruct(Some(100), None, 200, 4));
         let sink = MID + 1;
-        events.push(queued(100, sink, last_mid_end + 6));
-        events.push(dispatch(100, sink, last_mid_end + 6, 0));
-        events.push(finish(100, sink, last_mid_end + 26));
+        events.push(ran(100, sink, last_mid_end + 6, last_mid_end + 6, last_mid_end + 26));
 
         let spans = assemble_request_spans(&events);
         assert_eq!(spans, reference_spans(&events));
@@ -1163,9 +1109,9 @@ mod tests {
     fn sweep_tiles_the_sojourn_exactly() {
         let events = vec![
             tag(42, 1, 0, 0),
-            // Admission: nothing queued until t=10.
-            queued(0, 0, 10),
-            dispatch(0, 0, 25, 15), // queue wait [10, 25), then compute
+            // Admission: nothing queued until t=10; queue wait [10, 25),
+            // then compute [25, 100) minus the recovery slice.
+            ran(0, 0, 10, 25, 100),
             // Retry: attempt lost [40, 60), relaunched at 60.
             TraceEvent::TaskRetry {
                 job: 0,
@@ -1176,11 +1122,8 @@ mod tests {
                 at: SimTime(60),
                 lost: SimDuration(20),
             },
-            finish(0, 0, 100), // compute [25, 100) minus the recovery slice
             // Handover gap [100, 120), then task 1 runs back-to-back.
-            queued(0, 1, 120),
-            dispatch(0, 1, 120, 0),
-            finish(0, 1, 150),
+            ran(0, 1, 120, 120, 150),
         ];
         let spans = assemble_request_spans(&events);
         assert_eq!(spans.len(), 1);
@@ -1205,10 +1148,11 @@ mod tests {
     #[test]
     fn untagged_jobs_and_empty_traces_produce_no_spans() {
         assert!(assemble_request_spans(&[]).is_empty());
-        let events = vec![queued(0, 0, 0), dispatch(0, 0, 5, 5), finish(0, 0, 9)];
+        let events = vec![ran(0, 0, 0, 5, 9)];
         assert!(assemble_request_spans(&events).is_empty());
-        // A tag whose job never ran is skipped, not fabricated.
-        let events = vec![tag(1, 0, 7, 0)];
+        // A tag whose job never ran is skipped, not fabricated; nor does
+        // an interrupted attempt alone make a span.
+        let events = vec![tag(1, 0, 7, 0), attempt(7, 0, 5, 5, 9, false)];
         assert!(assemble_request_spans(&events).is_empty());
     }
 
@@ -1218,12 +1162,8 @@ mod tests {
         // request spends 50 ns in compute, not 80.
         let events = vec![
             tag(0, 0, 0, 0),
-            queued(0, 0, 0),
-            dispatch(0, 0, 10, 10),
-            queued(0, 1, 0),
-            dispatch(0, 1, 20, 20),
-            finish(0, 0, 50),
-            finish(0, 1, 60),
+            ran(0, 0, 0, 10, 50),
+            ran(0, 1, 0, 20, 60),
         ];
         let spans = assemble_request_spans(&events);
         let a = &spans[0].attribution;

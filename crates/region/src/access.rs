@@ -266,7 +266,7 @@ impl<'a> Accessor<'a> {
             bytes,
             at: self.now,
             took,
-            by,
+            by: Box::new(by),
         });
         Ok(took)
     }

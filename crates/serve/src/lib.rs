@@ -359,8 +359,8 @@ impl ServeLayer {
         // request, assembled from each epoch's own slice of the
         // `RequestTag`-stamped event stream as soon as the epoch has run.
         let mut spans: Vec<RequestSpan> = Vec::new();
-        // Where each epoch's events begin in the trace, and when it began.
-        let mut epoch_marks: Vec<(usize, SimTime)> = Vec::new();
+        // Where each epoch's events begin in the run's trace slice.
+        let mut epoch_marks: Vec<usize> = Vec::new();
 
         let t0 = rt.now();
         let trace_mark = rt.trace().len();
@@ -379,7 +379,7 @@ impl ServeLayer {
             // degraded template.
             let epoch_start = rt.now();
             let epoch_mark = rt.trace().len();
-            epoch_marks.push((epoch_mark - trace_mark, epoch_start));
+            epoch_marks.push(epoch_mark - trace_mark);
             let epoch_records = records.len();
             let mut jobs: Vec<JobSpec> = Vec::with_capacity(chunk.len());
             let mut offs: Vec<SimDuration> = Vec::with_capacity(chunk.len());
@@ -576,18 +576,15 @@ const BURN_WINDOWS: usize = 16;
 ///
 /// The walk takes the pool movements in time order, trace order among
 /// equal times, one epoch at a time: `epochs` holds where each epoch's
-/// events begin in `events` and the instant it began. Nothing of an
-/// epoch happens before it began, so a movement timed before the next
-/// epoch's start precedes all of that epoch's; the rest wait to be
-/// sorted in with the next epoch's, ahead of its movements at equal
-/// times. (They are the frees at a wave's last instant, and later ones:
-/// a fast-failed request's regions are freed when its failure is
-/// detected, which the wave's end does not wait for.) The order is the
-/// one a stable sort of the whole run's movements gives, with one
+/// events begin in `events`. An epoch begins where the one before it
+/// ended, and a wave ends after every attempt it started and every
+/// region it freed, so no movement of an epoch is timed after any of the
+/// next epoch's. Sorting each epoch's movements in turn thus gives the
+/// order one stable sort of the whole run's movements gives, with one
 /// epoch's movements in memory, not the run's.
 fn util_curve(
     events: &[TraceEvent],
-    epochs: &[(usize, SimTime)],
+    epochs: &[usize],
     t0: SimTime,
     makespan: SimDuration,
     at_start: u64,
@@ -617,21 +614,18 @@ fn util_curve(
         debug_assert!(level >= 0, "resident bytes below zero at {at}: a free without its alloc");
         peak = peak.max(level);
     };
-    // Sorted (time, signed delta) pool movements not yet walked.
-    let mut pending: Vec<(SimTime, i64)> = Vec::new();
+    // One epoch's (time, signed delta) pool movements.
+    let mut deltas: Vec<(SimTime, i64)> = Vec::new();
     let mut moved = false;
-    for (k, &(begin, start)) in epochs.iter().enumerate() {
-        let end = epochs.get(k + 1).map_or(events.len(), |&(next, _)| next);
-        let before = pending.partition_point(|&(at, _)| at < start);
-        for (at, d) in pending.drain(..before) {
+    for (k, &begin) in epochs.iter().enumerate() {
+        let end = epochs.get(k + 1).copied().unwrap_or(events.len());
+        deltas.clear();
+        deltas.extend(events[begin..end].iter().filter_map(delta));
+        deltas.sort_by_key(|&(at, _)| at);
+        moved |= !deltas.is_empty();
+        for &(at, d) in &deltas {
             step(at, d);
         }
-        pending.extend(events[begin..end].iter().filter_map(delta));
-        pending.sort_by_key(|&(at, _)| at);
-        moved |= !pending.is_empty();
-    }
-    for (at, d) in pending {
-        step(at, d);
     }
     if !moved {
         return (Vec::new(), 0.0);

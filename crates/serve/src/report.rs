@@ -121,7 +121,7 @@ pub struct ServeReport {
     pub fast_failed: usize,
     /// Admitted requests served from a degraded template (brownout).
     pub degraded: usize,
-    /// Virtual time from run start to the last task finish.
+    /// Virtual time from run start to the end of the last task attempt.
     pub makespan: SimDuration,
     /// Per-tenant outcomes, indexed by tenant.
     pub tenants: Vec<TenantStats>,

@@ -9,13 +9,15 @@
 //! rather than waiting for someone to profile. A serving run is also
 //! held to sizing its run-wide buffers once: few reallocations of large
 //! blocks, and a report whose task list is not left half empty by a
-//! doubling.
+//! doubling; and to a trace that records each task attempt once, in
+//! 48-byte events.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use disagg::hwsim::presets::disaggregated_rack;
 use disagg::hwsim::time::SimDuration;
+use disagg::hwsim::trace::TraceEvent;
 use disagg::prelude::*;
 
 /// Counts every request for memory (`alloc`, `alloc_zeroed`, `realloc`),
@@ -84,10 +86,16 @@ fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 const BATCH_CALLS_PER_TASK: f64 = 0.031;
 /// The same for a traced serving run, end to end: request stream,
 /// template instantiation, planning, execution, span assembly
-/// (measured: 30 551 calls for 4 964 tasks, 6.15, most of it the
-/// template building its job; 7.78 while `Dag::new` took seven arrays
-/// and a name check a hash set, 14.5 before that).
+/// (measured: 33 120 calls for 4 964 tasks, 6.67, most of it the
+/// template building its job; 7.05 while span assembly kept a start
+/// table per job, 6.15 before a spec's name became shared, 7.78 while
+/// `Dag::new` took seven arrays and a name check a hash set, 14.5 before
+/// that).
 const SERVE_CALLS_PER_TASK: f64 = 7.7;
+/// Trace events per executed task in that serving run (measured: 19 514
+/// events for 4 964 tasks, 3.93; 5.93 while an attempt was three events,
+/// queued, dispatched and finished).
+const SERVE_EVENTS_PER_TASK: f64 = 4.9;
 /// Reallocations of [`BIG`] blocks allowed in that serving run
 /// (measured: 0 since the pool's slot table spans only the live regions
 /// and the trace records a task's start once; 2 before — the trace sized
@@ -200,6 +208,15 @@ fn committing_a_task_stays_within_its_allocation_budget() {
     let (served, calls, big) = calls_during(|| layer.run(&mut rt, &cfg).expect("serving run"));
     let tasks = served.run.tasks.len();
     assert!(tasks >= 2_000, "most requests are admitted and run: {tasks} tasks");
+    let (events, size) = (rt.trace().len(), std::mem::size_of::<TraceEvent>());
+    let per_task = events as f64 / tasks as f64;
+    eprintln!("serve: {events} trace events of {size} B, {per_task:.3} per task");
+    assert_eq!(size, 48, "a trace event grew past 48 bytes");
+    assert!(
+        per_task <= SERVE_EVENTS_PER_TASK,
+        "serving {tasks} tasks traced {events} events ({per_task:.2} per task, budget \
+         {SERVE_EVENTS_PER_TASK}): a task attempt is recorded more than once again"
+    );
     let per_task = calls as f64 / tasks as f64;
     let slots = served.run.tasks.capacity();
     eprintln!(

@@ -176,10 +176,13 @@ fn diamond_golden() -> Golden {
         // Re-pinned when every allocation in a run became traced: the
         // trace gained the `Alloc` of the fan-out handover copy. Re-pinned
         // again when a task's start came to be recorded once, by its
-        // `TaskDispatch`: the value is the previous trace's digest with
+        // dispatch event: the value is the previous trace's digest with
         // the separate start event that followed each dispatch left out,
-        // and likewise below.
-        trace_hash: 0x30d0b3d396b5f258,
+        // and likewise below. Re-pinned again when an attempt came to be
+        // one `TaskAttempt`: the value is the previous trace's digest with
+        // its queue and dispatch events dropped and each finish event
+        // replaced by its attempt's event, and likewise below.
+        trace_hash: 0x82df238bf82ce338,
     }
 }
 
@@ -191,7 +194,7 @@ fn quickstart_golden() -> Golden {
         ownership_transfers: 1,
         handover_copies: 0,
         task_hash: 0x051fb5a6ca2dff73,
-        trace_hash: 0x90f0473587785d46,
+        trace_hash: 0xdf051f250ada6366,
     }
 }
 
@@ -206,8 +209,8 @@ fn rack_golden() -> Golden {
         // Re-pinned when every allocation in a run became traced: the
         // trace gained the two handover copies' `Alloc`s and seven
         // `Free`s of job-scoped regions released at wave end; then lost
-        // its separate start events.
-        trace_hash: 0x56d2df6e665a2e3b,
+        // its separate start events; then became one event per attempt.
+        trace_hash: 0x7f22d479416d0785,
     }
 }
 

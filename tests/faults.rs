@@ -116,6 +116,36 @@ fn long_job() -> JobSpec {
     job.build().unwrap()
 }
 
+/// Checks that `rt`'s trace records every attempt of `report`'s tasks
+/// once: the completed attempts' events are the task reports, device and
+/// finish, and each interrupted attempt's event ends where a
+/// `FaultDetected` detects it. Returns how many attempts were
+/// interrupted.
+fn assert_one_event_per_attempt(rt: &Runtime, report: &RunReport) -> usize {
+    let (mut done, mut cut, mut detected) = (Vec::new(), Vec::new(), Vec::new());
+    for e in rt.trace().events() {
+        match *e {
+            TraceEvent::TaskAttempt { job, task, on, end, completed: true, .. } => {
+                done.push((job, task, on, end));
+            }
+            TraceEvent::TaskAttempt { job, task, on, end, .. } => cut.push((job, task, on, end)),
+            TraceEvent::FaultDetected { job, task, on, at } => detected.push((job, task, on, at)),
+            _ => {}
+        }
+    }
+    let mut reported: Vec<_> = report
+        .tasks
+        .iter()
+        .map(|t| (t.job.0, u64::from(t.task.0), t.compute, t.finish))
+        .collect();
+    for v in [&mut done, &mut reported, &mut cut, &mut detected] {
+        v.sort_unstable();
+    }
+    assert_eq!(done, reported, "one completed attempt per task report");
+    assert_eq!(cut, detected, "one interrupted attempt per detection");
+    cut.len()
+}
+
 /// When every node goes down mid-task and the retry cap is zero, the
 /// untagged batch run fails with the typed `RetriesExhausted` — not a
 /// panic, not a hang.
@@ -172,13 +202,14 @@ fn a_retried_streaming_source_feeds_its_consumer_from_the_retry() {
     let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery);
     let mut rt = Runtime::new(topo, config);
     let report = rt.execute(vec![job()]).unwrap();
+    assert_eq!(assert_one_event_per_attempt(&rt, &report), 1);
     let (source, agg) = (task(&report, "source"), task(&report, "window-aggregate"));
     let dispatches: Vec<SimTime> = rt
         .trace()
         .events()
         .iter()
         .filter_map(|e| match *e {
-            TraceEvent::TaskDispatch { task: 0, at, .. } => Some(at),
+            TraceEvent::TaskAttempt { task: 0, at, .. } => Some(at),
             _ => None,
         })
         .collect();
@@ -249,8 +280,9 @@ fn a_task_queued_on_a_crashed_node_moves_to_a_live_one() {
     let config = RuntimeConfig::traced().with_faults(faults).with_recovery(recovery);
     let mut rt = Runtime::new(topo(), config);
     let report = rt.execute(vec![job()]).unwrap();
+    assert_eq!(assert_one_event_per_attempt(&rt, &report), 1, "the first task's");
     for e in rt.trace().events() {
-        if let TraceEvent::TaskDispatch { task, on, at, .. } = *e {
+        if let TraceEvent::TaskAttempt { task, on, at, .. } = *e {
             assert!(on != a || at < crash_at, "task {task} dispatched on the dead node at {at:?}");
         }
     }
@@ -286,6 +318,7 @@ fn faulty_run_is_bit_for_bit_deterministic() {
             ..dbms::DbmsConfig::default()
         });
         let report = rt.execute(vec![job]).unwrap();
+        assert!(assert_one_event_per_attempt(&rt, &report) > 0, "the crash interrupts a task");
         let trace: Vec<String> = rt.trace().events().iter().map(|e| format!("{e:?}")).collect();
         (report.makespan, trace)
     };

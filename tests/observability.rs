@@ -119,8 +119,7 @@ fn metrics_snapshot_agrees_with_the_run_report() {
     let snap = sink.lock().unwrap().registry.snapshot();
 
     let tasks = report.tasks.len() as u64;
-    assert_eq!(snap.counter("events.task_dispatch"), tasks);
-    assert_eq!(snap.counter("events.task_finish"), tasks);
+    assert_eq!(snap.counter("events.task_attempt"), tasks);
     assert_eq!(snap.counter("events.transfer"), report.ownership_transfers);
     assert!(snap.counter("bytes.moved") > 0, "data movement was metered");
     assert!(
