@@ -30,7 +30,8 @@ pub fn run(scenario: &Scenario) -> Table {
     );
     for task in report.job_tasks(JobId(0)) {
         let dev_name = |kind: &str| {
-            task.placements
+            report
+                .placements_of(task)
                 .iter()
                 .find(|(k, _, _)| *k == kind)
                 .map(|(_, _, d)| rt.topology().mem(*d).kind.name().to_string())

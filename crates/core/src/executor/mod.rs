@@ -50,10 +50,11 @@
 //! Committing a task allocates nothing: the inputs handed to each
 //! consumer sit in one flat buffer sliced by prefix sums of the
 //! in-degrees (`Wave::push_input`), the co-placement accessor list is a
-//! reused scratch, a [`TaskReport`](crate::report::TaskReport) keeps its
-//! placements inline and shares its spec's name, and `report.tasks` is
-//! reserved from the wave's task count (`tests/alloc_budget.rs` holds
-//! the whole path to a budget).
+//! reused scratch, a [`TaskReport`](crate::report::TaskReport) is a
+//! fixed record that shares its spec's name, its placements go straight
+//! into the report's run-wide list, and `report.tasks` and that list are
+//! reserved from the wave's task and declared-region counts
+//! (`tests/alloc_budget.rs` holds the whole path to a budget).
 //!
 //! Debug builds close every wave with the wave audit (`crate::audit`):
 //! the pool moved by exactly what the trace booked, none of the wave's
@@ -343,11 +344,19 @@ pub(crate) fn run_wave(
     }
 
     // One-time global task numbering: per-job offsets into flat arenas.
+    // The wave's declared regions bound its report's placements: an
+    // interrupted attempt's leave the list before its retry adds its own.
     let mut task_base = Vec::with_capacity(jobs.len());
-    let mut total_tasks = 0usize;
+    let (mut total_tasks, mut declared) = (0usize, 0usize);
     for spec in &jobs {
         task_base.push(total_tasks);
         total_tasks += spec.tasks.len();
+        declared += spec
+            .tasks
+            .iter()
+            .map(|t| [t.private_scratch, t.output_bytes, t.global_scratch])
+            .map(|bytes| bytes.iter().filter(|&&b| b > 0).count())
+            .sum::<usize>();
     }
     let mut deps_left: Vec<u32> = Vec::with_capacity(total_tasks);
     for spec in &jobs {
@@ -392,6 +401,7 @@ pub(crate) fn run_wave(
         events: 0,
         report: RunReport {
             tasks: Vec::with_capacity(total_tasks),
+            placements: Vec::with_capacity(declared),
             violations,
             ..RunReport::default()
         },

@@ -32,7 +32,7 @@ use disagg_sched::schedule::Scheduler;
 
 use crate::config::HandoverPolicy;
 use crate::error::DisaggError;
-use crate::report::{FailedJob, Placed, PlacedKind, TaskPlacements, TaskReport};
+use crate::report::{FailedJob, Placed, PlacedKind};
 use crate::runtime::Runtime;
 
 use super::{EventKind, Retry, Wave};
@@ -140,8 +140,8 @@ fn run_body_once(
 /// properties from the region type and the task's resolved declarations,
 /// a device chosen by them among those usable from `compute` at `at`,
 /// then the traced allocation (zeroed, owned by the task), the audit of
-/// the placement, and the entry in `placements` / `regions`. A kind the
-/// task declares no bytes for is skipped.
+/// the placement, and the entry in the wave report's `placements` and in
+/// `regions`. A kind the task declares no bytes for is skipped.
 #[allow(clippy::too_many_arguments)]
 fn create_declared(
     rt: &mut Runtime,
@@ -152,7 +152,6 @@ fn create_declared(
     kind: PlacedKind,
     compute: ComputeId,
     at: SimTime,
-    placements: &mut TaskPlacements,
     regions: &mut TaskRegions<'_>,
 ) -> Result<(), DisaggError> {
     let tspec = &spec.tasks[task.index()];
@@ -220,7 +219,7 @@ fn create_declared(
     let who = OwnerId::Task { job: jid.0, task: task.0 as u64 };
     let id = rt.mgr.alloc_traced(&mut rt.trace, dev, bytes, rtype, props.clone(), who, at)?;
     check_placement(&rt.topo, compute, id, dev, &props, &mut w.report.violations);
-    placements.push((kind, id, dev));
+    w.report.placements.push((kind, id, dev));
     *slot = Some(id);
     Ok(())
 }
@@ -409,12 +408,14 @@ pub(crate) fn service(
 /// — `(index, strike time)` in the fault schedule — interrupted: its
 /// work is lost. The attempt holds its lane until the virtual-time
 /// detection delay has passed, is traced as ending then, and its regions
-/// are released then. Unless its retries are spent, the task re-enters the
-/// ready queue of the cheapest surviving candidate from the scheduler's
-/// cost ranking after the policy's exponential backoff (task bodies are
-/// re-runnable `Fn`s), so the makespan pays for every attempt. The retry
-/// cap bounds how much work a flapping resource can waste before the
-/// run, or for a request-tagged job the job alone, fails cleanly.
+/// — the wave report's placements from `placed_at` on, which leave the
+/// report — are released then. Unless its retries are spent, the task
+/// re-enters the ready queue of the cheapest surviving candidate from the
+/// scheduler's cost ranking after the policy's exponential backoff (task
+/// bodies are re-runnable `Fn`s), so the makespan pays for every
+/// attempt. The retry cap bounds how much work a flapping resource can
+/// waste before the run, or for a request-tagged job the job alone,
+/// fails cleanly.
 #[allow(clippy::too_many_arguments)]
 fn abandon(
     rt: &mut Runtime,
@@ -424,7 +425,7 @@ fn abandon(
     compute: ComputeId,
     start: SimTime,
     (idx, fault_at): (usize, SimTime),
-    placements: TaskPlacements,
+    placed_at: usize,
 ) -> Result<(), DisaggError> {
     let (ji, task) = (q.ji, q.task);
     let jid = w.job_ids[ji];
@@ -450,6 +451,7 @@ fn abandon(
     // fails the run.
     if policy.exhausted(retries) {
         if let Some(tenant) = w.tenants[ji] {
+            w.report.placements.truncate(placed_at);
             fail_job(w, spec, ji, task, detect_at, tenant);
             return Ok(());
         }
@@ -483,7 +485,7 @@ fn abandon(
         lost: relaunch_at - start,
     });
     let who = OwnerId::Task { job: jid.0, task: task.0 as u64 };
-    for &(_, id, _) in &placements {
+    for (_, id, _) in w.report.placements.drain(placed_at..) {
         rt.mgr.release_traced(&mut rt.trace, id, who, detect_at)?;
     }
     w.push_event(relaunch_at, EventKind::Retry { ji, task, to });
@@ -601,7 +603,7 @@ pub(crate) fn run_task(
 
     // --- Region allocation, by declared properties. ---
     let g = w.gx(ji, task);
-    let mut placements = TaskPlacements::default();
+    let placed_at = w.report.placements.len();
     // Output, scratch and state handles; `run_body_once` adds the inputs.
     let mut regions = TaskRegions {
         global_state: w.global_state[ji],
@@ -613,7 +615,7 @@ pub(crate) fn run_task(
         w.start_at[g] = at;
     }
     for kind in [PlacedKind::PrivateScratch, PlacedKind::Output, PlacedKind::GlobalScratch] {
-        create_declared(rt, w, spec, jid, task, kind, compute, at, &mut placements, &mut regions)?;
+        create_declared(rt, w, spec, jid, task, kind, compute, at, &mut regions)?;
     }
 
     // --- Execute the body. ---
@@ -621,8 +623,9 @@ pub(crate) fn run_task(
         run_body_once(rt, w, ji, g, tspec, regions, compute, who, at);
     if body_result.is_ok() && !rt.config.faults.is_empty() {
         let handled = w.retries.get(&g).map(|r| r.handled);
-        if let Some(fault) = first_interrupt(rt, compute, &placements, handled, at, finish) {
-            return abandon(rt, w, spec, q, compute, at, fault, placements);
+        let placed = &w.report.placements[placed_at..];
+        if let Some(fault) = first_interrupt(rt, compute, placed, handled, at, finish) {
+            return abandon(rt, w, spec, q, compute, at, fault, placed_at);
         }
     }
 
@@ -638,7 +641,7 @@ pub(crate) fn run_task(
     // Confidential data leaving the trust boundary pays the encryption
     // toll on every written byte.
     if eff.confidential {
-        let crypto_bytes: u64 = placements
+        let crypto_bytes: u64 = w.report.placements[placed_at..]
             .iter()
             .filter(|(_, _, dev)| needs_encryption(&rt.topo, *dev))
             .map(|_| stats.bytes_written)
@@ -728,17 +731,17 @@ pub(crate) fn run_task(
     w.defer_exit(finish, who);
 
     w.ran[g] = true;
-    w.report.tasks.push(TaskReport {
-        job: jid,
+    w.report.push_task(
+        jid,
         task,
         // Shared with the spec; `run_wave` merges equal names at its end.
-        name: Arc::clone(&tspec.name),
+        Arc::clone(&tspec.name),
         compute,
         // A retried task's span runs from its first attempt's start.
-        start: w.start_at[g],
+        w.start_at[g],
         finish,
+        placed_at,
         stats,
-        placements,
-    });
+    );
     Ok(())
 }

@@ -47,8 +47,9 @@ mod tests {
     }
 
     /// The region `task` wrote its output into.
-    fn output_of(task: &TaskReport) -> u64 {
-        task.placements
+    fn output_of(report: &RunReport, task: &TaskReport) -> u64 {
+        report
+            .placements_of(task)
             .iter()
             .find(|(k, _, _)| *k == "output")
             .unwrap()
@@ -71,7 +72,7 @@ mod tests {
         assert_eq!((report.ownership_transfers, report.handover_copies), (1, 0));
         // The consumer took the producer's own region, after exactly the
         // transfer's fixed overhead, and no byte crossed a wire.
-        let out = output_of(&report.tasks[0]);
+        let out = output_of(&report, &report.tasks[0]);
         let handed: Vec<(u64, u64, u64, u64)> = rt
             .trace()
             .events()
@@ -117,7 +118,7 @@ mod tests {
         assert_eq!(rt.trace().bytes_moved(), (1 << 20) + 2 * 64);
         // The trace books the copy's allocation, then the copy, then the
         // release of the producer's region, all at the producer's finish.
-        let out = output_of(&report.tasks[0]);
+        let out = output_of(&report, &report.tasks[0]);
         let at = report.tasks[0].finish;
         let books: Vec<TraceEvent> = rt
             .trace()
@@ -177,7 +178,7 @@ mod tests {
             job.edge(p, c2);
             job.edge(c2, c1);
             let report = rt.execute(job.build().unwrap()).unwrap();
-            let src = output_of(&report.tasks[0]);
+            let src = output_of(&report, &report.tasks[0]);
             // The producer's region went to c1 whole and was copied for c2.
             let events = rt.trace().events();
             assert!(events.iter().any(|e| matches!(*e,

@@ -38,11 +38,12 @@ pub struct TaskProfile {
 }
 
 impl TaskProfile {
-    fn from_report(t: &TaskReport) -> TaskProfile {
+    fn from_report(report: &RunReport, t: &TaskReport) -> TaskProfile {
         let total = t.duration();
-        let compute = t.stats.compute_time;
-        let sync_stall = t.stats.sync_stall;
-        let async_stall = t.stats.async_stall;
+        let stats = report.access_of(t);
+        let compute = stats.compute_time;
+        let sync_stall = stats.sync_stall;
+        let async_stall = stats.async_stall;
         let accounted = compute + sync_stall + async_stall;
         TaskProfile {
             name: t.name.to_string(),
@@ -84,7 +85,7 @@ impl RunProfile {
     /// Builds the profile from a run report.
     pub fn new(report: &RunReport) -> RunProfile {
         RunProfile {
-            tasks: report.tasks.iter().map(TaskProfile::from_report).collect(),
+            tasks: report.tasks.iter().map(|t| TaskProfile::from_report(report, t)).collect(),
         }
     }
 
@@ -150,7 +151,7 @@ impl RunReport {
             .tasks
             .iter()
             .map(|t| {
-                let p = TaskProfile::from_report(t);
+                let p = TaskProfile::from_report(self, t);
                 disagg_obs::TaskSpan {
                     job: t.job.0,
                     task: t.task.0 as u64,

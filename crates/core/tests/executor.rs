@@ -189,8 +189,8 @@ fn hospital_dataflow_properties_are_honored() {
     // The persistent alert output survived on a persistent device and is
     // still live (App scope) after the job finished.
     let alert = report.task_by_name(JobId(0), "alert-caregivers").unwrap();
-    let (_, out_region, out_dev) = alert
-        .placements
+    let (_, out_region, out_dev) = report
+        .placements_of(alert)
         .iter()
         .find(|(kind, _, _)| *kind == "output")
         .expect("alert task has an output placement");
@@ -226,9 +226,7 @@ fn figure3_same_request_maps_to_dram_on_cpu_and_gddr_on_gpu() {
     let report = rt.execute(job.build().unwrap()).unwrap();
     let scratch_dev = |name: &str| {
         report
-            .task_by_name(JobId(0), name)
-            .unwrap()
-            .placements
+            .placements_of(report.task_by_name(JobId(0), name).unwrap())
             .iter()
             .find(|(k, _, _)| *k == "private_scratch")
             .unwrap()
@@ -491,8 +489,8 @@ fn confidential_region_cross_job_access_is_denied() {
             .body(passthrough(4096)),
     );
     let report0 = rt.execute(job0.build().unwrap()).unwrap();
-    let (_, secret, _) = report0.tasks[0]
-        .placements
+    let (_, secret, _) = report0
+        .placements_of(&report0.tasks[0])
         .iter()
         .find(|(k, _, _)| *k == "output")
         .copied()
@@ -748,8 +746,8 @@ fn a_retry_places_its_regions_off_the_crashed_node() {
     let healthy = Runtime::new(topo.clone(), RuntimeConfig::traced()).execute(mk_job()).unwrap();
     let t = &healthy.tasks[0];
     assert_eq!(topo.node_of_compute(t.compute), victim);
-    let (_, _, scratch_dev) = *t
-        .placements
+    let (_, _, scratch_dev) = *healthy
+        .placements_of(t)
         .iter()
         .find(|(kind, _, _)| *kind == "private_scratch")
         .expect("the task declares scratch");
@@ -766,7 +764,9 @@ fn a_retry_places_its_regions_off_the_crashed_node() {
     assert_eq!(retries, 1, "the crash interrupts the attempt once");
     let retried = &report.tasks[0];
     assert_ne!(rt.topology().node_of_compute(retried.compute), victim);
-    for &(kind, _, dev) in retried.placements.iter() {
+    // The interrupted attempt's placements left the report with it.
+    assert_eq!(report.placements_of(retried).len(), report.placements.len());
+    for &(kind, _, dev) in report.placements_of(retried) {
         assert_ne!(
             rt.topology().node_of_mem(dev),
             victim,
@@ -807,8 +807,8 @@ fn an_interrupted_attempt_leaves_nothing_in_the_retrys_scratch() {
         j.build().unwrap()
     };
     let output = |rt: &Runtime, report: &RunReport| {
-        let (_, region, _) = report.tasks[0]
-            .placements
+        let (_, region, _) = report
+            .placements_of(&report.tasks[0])
             .iter()
             .find(|(kind, _, _)| *kind == "output")
             .expect("the task declares an output");
@@ -926,8 +926,8 @@ fn healing_a_failed_persistent_region_pays_a_device_local_write_plus_decode() {
         j.build().unwrap()
     };
     let output = |report: &RunReport| {
-        let (_, region, dev) = report.tasks[0]
-            .placements
+        let (_, region, dev) = report
+            .placements_of(&report.tasks[0])
             .iter()
             .find(|(kind, _, _)| *kind == "output")
             .copied()

@@ -81,7 +81,7 @@ fn corrupted(
 ) -> bool {
     mgr.placement(region).is_ok_and(|p| {
         let lo = p.offset + offset;
-        faults.corrupted_ranges(p.dev, t).iter().any(|&(o, l)| o < lo + len && lo < o + l)
+        faults.corrupted_ranges(p.dev, t).any(|(o, l)| o < lo + len && lo < o + l)
     })
 }
 

@@ -168,16 +168,17 @@ impl FaultInjector {
         factor
     }
 
-    /// Returns the corrupted byte ranges on `dev` visible at time `t`.
-    pub fn corrupted_ranges(&self, dev: MemDeviceId, t: SimTime) -> Vec<(u64, u64)> {
-        self.events
-            .iter()
-            .take_while(|e| e.at <= t)
-            .filter_map(|e| match e.kind {
-                FaultKind::Corrupt { dev: d, offset, len } if d == dev => Some((offset, len)),
-                _ => None,
-            })
-            .collect()
+    /// The corrupted byte ranges on `dev` visible at time `t`, as
+    /// `(offset, len)`, read straight off the schedule.
+    pub fn corrupted_ranges(
+        &self,
+        dev: MemDeviceId,
+        t: SimTime,
+    ) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.events.iter().take_while(move |e| e.at <= t).filter_map(move |e| match e.kind {
+            FaultKind::Corrupt { dev: d, offset, len } if d == dev => Some((offset, len)),
+            _ => None,
+        })
     }
 }
 
@@ -316,9 +317,9 @@ mod tests {
                 },
             },
         ]);
-        assert_eq!(inj.corrupted_ranges(MemDeviceId(0), SimTime(15)).len(), 1);
-        assert_eq!(inj.corrupted_ranges(MemDeviceId(0), SimTime(25)).len(), 2);
-        assert!(inj.corrupted_ranges(MemDeviceId(1), SimTime(25)).is_empty());
+        assert_eq!(inj.corrupted_ranges(MemDeviceId(0), SimTime(15)).count(), 1);
+        assert_eq!(inj.corrupted_ranges(MemDeviceId(0), SimTime(25)).count(), 2);
+        assert_eq!(inj.corrupted_ranges(MemDeviceId(1), SimTime(25)).next(), None);
     }
 
     #[test]

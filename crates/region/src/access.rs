@@ -233,8 +233,7 @@ impl<'a> Accessor<'a> {
         let hi = lo + len;
         faults
             .corrupted_ranges(placement.dev, self.now)
-            .iter()
-            .map(|&(c_off, c_len)| {
+            .map(|(c_off, c_len)| {
                 let c_hi = c_off + c_len;
                 c_hi.min(hi).saturating_sub(c_off.max(lo))
             })

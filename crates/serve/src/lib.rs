@@ -492,6 +492,7 @@ impl ServeLayer {
                 let room = |first: usize| first * rest + first * rest / 4;
                 rt.reserve_trace(room(rt.trace().len() - trace_mark));
                 run_acc.tasks.reserve_exact(room(run_acc.tasks.len()));
+                run_acc.placements.reserve_exact(room(run_acc.placements.len()));
                 run_acc.edges.reserve_exact(room(run_acc.edges.len()));
                 spans.reserve_exact(room(spans.len()));
             }

@@ -294,7 +294,7 @@ mod tests {
         let mut rt = Runtime::new(topo, RuntimeConfig::traced());
         let report = rt.execute(query_job(cfg)).unwrap();
         let agg = report.task_by_name(JobId(0), "hash-aggregate").unwrap();
-        let kinds: Vec<&str> = agg.placements.iter().map(|(k, _, _)| k.name()).collect();
+        let kinds: Vec<&str> = report.placements_of(agg).iter().map(|(k, _, _)| k.name()).collect();
         assert!(kinds.contains(&"private_scratch"));
         assert!(kinds.contains(&"global_scratch"));
         assert!(kinds.contains(&"output"));

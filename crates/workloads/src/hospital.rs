@@ -256,8 +256,8 @@ mod tests {
         for name in ["preprocessing", "face-recognition"] {
             let t = report.task_by_name(JobId(0), name).unwrap();
             assert_eq!(rt.topology().compute(t.compute).kind, ComputeKind::Gpu);
-            let (_, _, dev) = t
-                .placements
+            let (_, _, dev) = report
+                .placements_of(t)
                 .iter()
                 .find(|(k, _, _)| *k == "private_scratch")
                 .expect("scratch placed");
@@ -272,8 +272,8 @@ mod tests {
         let mut rt = Runtime::new(topo, RuntimeConfig::traced());
         let report = rt.execute(hospital_job(cfg)).unwrap();
         let t5 = report.task_by_name(JobId(0), "alert-caregivers").unwrap();
-        let (_, region, dev) = t5
-            .placements
+        let (_, region, dev) = report
+            .placements_of(t5)
             .iter()
             .find(|(k, _, _)| *k == "output")
             .expect("alert output placed");

@@ -180,7 +180,7 @@ mod tests {
         let mut rt = Runtime::new(topo, RuntimeConfig::traced());
         let report = rt.execute(stencil_job(cfg)).unwrap();
         let solve = report.task_by_name(JobId(0), "solve").unwrap();
-        assert_eq!(solve.stats.async_ops, 4, "8 sweeps / every 2 = 4 checkpoints");
+        assert_eq!(report.access_of(solve).async_ops, 4, "8 sweeps / every 2 = 4 checkpoints");
     }
 
     #[test]

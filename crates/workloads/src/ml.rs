@@ -186,7 +186,7 @@ mod tests {
         let report = rt.execute(training_job(cfg)).unwrap();
         let train = report.task_by_name(JobId(0), "train").unwrap();
         assert_eq!(rt.topology().compute(train.compute).kind, ComputeKind::Gpu);
-        assert_eq!(train.stats.async_ops as usize, cfg.epochs);
+        assert_eq!(report.access_of(train).async_ops as usize, cfg.epochs);
     }
 
     #[test]

@@ -35,8 +35,8 @@ pub fn final_output(rt: &Runtime, report: &RunReport, job: JobId, task_name: &st
     let task = report
         .task_by_name(job, task_name)
         .unwrap_or_else(|| panic!("no task '{task_name}' in report"));
-    let (_, region, _) = task
-        .placements
+    let (_, region, _) = report
+        .placements_of(task)
         .iter()
         .find(|(k, _, _)| *k == "output")
         .unwrap_or_else(|| panic!("task '{task_name}' has no output placement"));

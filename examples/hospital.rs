@@ -21,8 +21,8 @@ fn main() {
 
     println!("hospital dataflow: {} tasks, makespan {}", report.tasks.len(), report.makespan);
     for t in &report.tasks {
-        let placements: Vec<String> = t
-            .placements
+        let placements: Vec<String> = report
+            .placements_of(t)
             .iter()
             .map(|(k, _, d)| format!("{k}={}", rt.topology().mem(*d).kind.name()))
             .collect();
@@ -45,8 +45,8 @@ fn main() {
     let alert = report
         .task_by_name(JobId(0), "alert-caregivers")
         .expect("alert task ran");
-    let (_, region, dev) = alert
-        .placements
+    let (_, region, dev) = report
+        .placements_of(alert)
         .iter()
         .find(|(k, _, _)| *k == "output")
         .expect("alert output placed");

@@ -30,7 +30,7 @@ fn main() {
             rt.topology().compute(t.compute).kind.name(),
             t.start.to_string(),
             t.finish.to_string(),
-            t.stats.async_ops
+            report.access_of(t).async_ops
         );
     }
 

@@ -57,7 +57,7 @@ fn main() {
             t.start,
             t.finish
         );
-        for (kind, region, dev) in &t.placements {
+        for (kind, region, dev) in report.placements_of(t) {
             println!(
                 "      {kind:15} {region} on {}",
                 rt.topology().mem(*dev).kind.name()

@@ -9,8 +9,9 @@
 //! rather than waiting for someone to profile. A serving run is also
 //! held to sizing its run-wide buffers once: few reallocations of large
 //! blocks, and a report whose task list is not left half empty by a
-//! doubling; and to a trace that records each task attempt once, in
-//! 48-byte events.
+//! doubling; to a trace that records each task attempt once, in
+//! 48-byte events; and to task reports of 72 bytes whose placements and
+//! access statistics live once, in the run's lists.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,6 +104,12 @@ const SERVE_EVENTS_PER_TASK: f64 = 4.9;
 /// reservation grew by doubling, once; 5 while the trace doubled its way
 /// up and the report's reservation fell short).
 const SERVE_BIG_REALLOCS: u64 = 2;
+/// Report bytes per task in that serving run: the task records plus
+/// the run's placement and access-statistics lists (measured: 84.1 —
+/// 72-byte records, 0.76 placements of 16 bytes a task and no access
+/// entry, the templates' tasks only computing; 184 while each record
+/// held an 80-byte `AccessStats` and room for three placements inline).
+const SERVE_REPORT_BYTES_PER_TASK: f64 = 90.0;
 
 /// `layers` x `width` tasks, every non-source task fed by two tasks of
 /// the layer before, each with a 4 KiB output.
@@ -236,5 +243,24 @@ fn committing_a_task_stays_within_its_allocation_budget() {
     assert!(
         slots as f64 <= 1.5 * tasks as f64,
         "the run report holds {slots} task slots for {tasks} tasks: sized short, it doubled"
+    );
+
+    let run = &served.run;
+    let record = std::mem::size_of::<TaskReport>();
+    let bytes = tasks * record
+        + run.placements.len() * std::mem::size_of::<disagg::report::Placed>()
+        + run.access.len() * std::mem::size_of::<disagg::region::access::AccessStats>();
+    let per_task = bytes as f64 / tasks as f64;
+    eprintln!(
+        "serve: {record}-byte task records, {} placements, {} access entries: {per_task:.1} \
+         report bytes per task",
+        run.placements.len(),
+        run.access.len()
+    );
+    assert!(record <= 72, "a task record grew to {record} bytes, past 72");
+    assert!(
+        per_task <= SERVE_REPORT_BYTES_PER_TASK,
+        "the run report holds {per_task:.1} bytes per task (budget \
+         {SERVE_REPORT_BYTES_PER_TASK}): a per-task fact is inline again"
     );
 }

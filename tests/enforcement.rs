@@ -54,7 +54,7 @@ fn confidential_data_beyond_the_trust_boundary_pays_the_crypto_toll() {
         let report = rt.execute(persist_job(confidential, bytes)).unwrap();
         let t = &report.tasks[0];
         // The output must be on the NIC-attached device either way.
-        let (_, _, dev) = t.placements.iter().find(|(k, _, _)| *k == "output").unwrap();
+        let (_, _, dev) = report.placements_of(t).iter().find(|(k, _, _)| *k == "output").unwrap();
         assert!(rt.topology().mem(*dev).persistent);
         t.duration()
     };

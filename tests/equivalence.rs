@@ -356,3 +356,90 @@ fn untraced_runs_report_what_traced_runs_report() {
         (Runtime::new(topo, config), vec![dbms::query_job(dbms::DbmsConfig::default())])
     });
 }
+
+/// FNV-1a digest of what each task of `report` did beyond its schedule:
+/// the regions it placed, and where, and its accessor's statistics.
+fn facts_digest(report: &RunReport) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for t in &report.tasks {
+        let facts = format!(
+            "{}/{}/{:?}/{:?}",
+            t.job.0,
+            t.task.0,
+            report.placements_of(t),
+            report.access_of(t)
+        );
+        fnv(&mut h, facts.as_bytes());
+    }
+    h
+}
+
+/// One app alone on the rack the goldens above run on.
+fn app_alone(job: JobSpec) -> (Runtime, Vec<JobSpec>) {
+    let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
+    (Runtime::new(topo, RuntimeConfig::traced()), vec![job])
+}
+
+/// A small query under a node crash and a corrupted megabyte of DRAM:
+/// retried attempts, whose placements are dropped, and reads served by
+/// reconstruction.
+fn faulty_query() -> (Runtime, Vec<JobSpec>) {
+    use disagg::hwsim::fault::{FaultInjector, FaultKind};
+    use disagg::hwsim::time::SimTime;
+
+    let (topo, rack) = disagg::presets::disaggregated_rack(2, 16, 2, 64);
+    let mut faults = FaultInjector::none();
+    faults.schedule(SimTime(20_000), FaultKind::NodeCrash(rack.nodes[0]));
+    faults.schedule(SimTime(60_000), FaultKind::NodeRecover(rack.nodes[0]));
+    faults.schedule(
+        SimTime(10_000),
+        FaultKind::Corrupt { dev: rack.drams[0], offset: 0, len: 1 << 20 },
+    );
+    let config = RuntimeConfig::traced().with_faults(faults).with_recovery(
+        RecoveryPolicy::default()
+            .with_detection_delay(SimDuration(2_000))
+            .with_backoff(SimDuration(1_000)),
+    );
+    let job = dbms::query_job(dbms::DbmsConfig {
+        tuples: 2_000,
+        probe_tuples: 1_000,
+        ..dbms::DbmsConfig::default()
+    });
+    (Runtime::new(topo, config), vec![job])
+}
+
+/// Every task's placements and access statistics, digested per
+/// workload: the goldens' three workloads, the five apps alone, and a
+/// faulty query. Pinned from reports that held both inline in each
+/// task's record; they are read through the run's lists now.
+#[test]
+fn every_task_reports_the_same_facts() {
+    use disagg::hwsim::trace::TraceEvent;
+    use disagg::workloads::hpc;
+
+    let alone = |(rt, job): (Runtime, JobSpec)| (rt, vec![job]);
+    let workloads = [
+        ("diamond", alone(diamond_workload(RuntimeConfig::traced())), 0xc9034c664639dc62),
+        ("quickstart", alone(quickstart_workload()), 0xfbc16acfd21608de),
+        ("rack", rack_batch(RuntimeConfig::traced()), 0x1936b6828bec45fd),
+        ("dbms", app_alone(dbms::query_job(Default::default())), 0x0fe982a3a8820c21),
+        ("ml", app_alone(ml::training_job(Default::default())), 0xd242b9538435d363),
+        ("stream", app_alone(streaming::windowed_job(Default::default())), 0x62695e4d9fb5fda8),
+        ("hpc", app_alone(hpc::stencil_job(Default::default())), 0xa782d3603cdbc0b6),
+        ("hospital", app_alone(hospital::hospital_job(Default::default())), 0x53eab854b743a22a),
+        ("faulty query", faulty_query(), 0x57fa7fb12a171496),
+    ];
+    for (name, (mut rt, jobs), want) in workloads {
+        let report = rt.execute(Submission::batch(jobs)).unwrap();
+        assert_eq!(facts_digest(&report), want, "{name}: placements and access statistics");
+        // Every placement in the list is some record's: an interrupted
+        // attempt's left with it.
+        let placed: usize = report.tasks.iter().map(|t| report.placements_of(t).len()).sum();
+        assert_eq!(placed, report.placements.len(), "{name}: placements");
+        if name == "faulty query" {
+            let retry = |e: &TraceEvent| matches!(e, TraceEvent::TaskRetry { .. });
+            assert!(rt.trace().count(retry) > 0, "the crash interrupts an attempt");
+            assert!(report.access.iter().any(|s| s.bytes_reconstructed > 0), "a read is repaired");
+        }
+    }
+}

@@ -115,8 +115,8 @@ fn persistent_results_survive_across_batches_and_crashes() {
             }),
     );
     let report = rt.execute(job.build().unwrap()).unwrap();
-    let (_, region, dev) = report.tasks[0]
-        .placements
+    let (_, region, dev) = report
+        .placements_of(&report.tasks[0])
         .iter()
         .find(|(k, _, _)| *k == "output")
         .copied()
@@ -152,8 +152,8 @@ fn confidential_jobs_are_isolated_from_each_other() {
             }),
     );
     let report = rt.execute(secret_job.build().unwrap()).unwrap();
-    let (_, secret, _) = report.tasks[0]
-        .placements
+    let (_, secret, _) = report
+        .placements_of(&report.tasks[0])
         .iter()
         .find(|(k, _, _)| *k == "output")
         .copied()

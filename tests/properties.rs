@@ -556,7 +556,7 @@ fn failing_an_unused_device_changes_nothing() {
         let tasks = |r: &RunReport| -> Vec<_> {
             r.tasks
                 .iter()
-                .map(|t| (t.job, t.task, t.compute, t.start, t.finish, t.placements.to_vec()))
+                .map(|t| (t.job, t.task, t.compute, t.start, t.finish, r.placements_of(t).to_vec()))
                 .collect()
         };
         assert_eq!(tasks(&report), tasks(&calm), "{dev:?} failed at {at:?}");
