@@ -128,18 +128,18 @@ mod tests {
     /// seed), so its check is held to another size's reference instead.
     #[test]
     fn each_output_check_rejects_another_seeds_reference() {
-        let own = Scenario { quick: true, seed: 0 };
+        const OWN: Scenario = Scenario { quick: true, seed: 0, trace_out: None };
         for app in [App::Dbms, App::Ml, App::Stream, App::Hpc, App::Hospital] {
             let mut rt = Runtime::new(single_server().0, RuntimeConfig::traced());
-            let report = rt.execute(app.job(&own)).expect("app runs");
-            assert!(app.output_matches(&own, &rt, &report, JobId(0)), "{}", app.name());
+            let report = rt.execute(app.job(&OWN)).expect("app runs");
+            assert!(app.output_matches(&OWN, &rt, &report, JobId(0)), "{}", app.name());
             let other = match app {
-                App::Hospital => Scenario { quick: false, ..own },
-                _ => Scenario { seed: 1, ..own },
+                App::Hospital => Scenario { quick: false, ..OWN },
+                _ => Scenario { seed: 1, ..OWN },
             };
             assert!(!app.output_matches(&other, &rt, &report, JobId(0)), "{}", app.name());
         }
-        let seeds = |seed| hospital::expected(&hospital_config(&Scenario { seed, ..own }));
+        let seeds = |seed| hospital::expected(&hospital_config(&Scenario { seed, ..OWN }));
         assert_eq!(seeds(0), seeds(1), "the hospital reference does not move with the seed");
     }
 }

@@ -14,7 +14,7 @@
 
 use std::io::Write;
 
-use disagg_bench::{driver, Scenario};
+use disagg_bench::{driver, Scenario, TraceOut};
 
 const USAGE: &str = "\
 usage: exp_driver [flags]
@@ -32,16 +32,12 @@ usage: exp_driver [flags]
   --verify         fail (exit 1) if a claim does not hold, and
                    additionally run serially and fail if parallel
                    output is not byte-identical
-  --trace-out DIR  re-run each experiment's representative workload
-                   with a full observer and write Perfetto-loadable
-                   Chrome traces, folded flamegraph stacks, and
-                   critical-path reports under DIR (validated before
-                   writing; exit 1 on an invalid trace); also writes a
-                   traced serving pass as serving.trace.json (one
-                   request-span lane per tenant) plus the exemplar-only
-                   serving.exemplars.trace.json
-  --metrics-out P  write the per-experiment metrics snapshots as one
-                   JSON object to P
+  --trace-out DIR  write each run an experiment builds as the validated
+                   Perfetto trace, folded stacks, critical paths and
+                   metrics DIR/<exp>.<label>.{trace.json, folded.txt,
+                   critical.txt, metrics.json}; a serving run's trace
+                   has one request lane per tenant, and its exemplar
+                   view is <exp>.<label>.exemplars.trace.json
   --help           print this and exit
 ";
 
@@ -55,7 +51,6 @@ struct Opts {
     json: Option<String>,
     verify: bool,
     trace_out: Option<String>,
-    metrics_out: Option<String>,
 }
 
 /// Strict flag parsing: an unknown flag, a missing value, or an
@@ -88,7 +83,6 @@ fn parse(args: &[String]) -> Result<Option<Opts>, String> {
             }
             "--json" => o.json = Some(value()?),
             "--trace-out" => o.trace_out = Some(value()?),
-            "--metrics-out" => o.metrics_out = Some(value()?),
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -109,7 +103,7 @@ fn main() {
         }
     };
     let Opts {
-        scenario,
+        mut scenario,
         serial,
         threads,
         only,
@@ -117,7 +111,6 @@ fn main() {
         json,
         verify,
         trace_out,
-        metrics_out,
     } = opts;
     let threads = if serial {
         1
@@ -129,6 +122,13 @@ fn main() {
         })
     };
 
+    if let Some(dir) = &trace_out {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("failed to create {dir}: {e}");
+            std::process::exit(1);
+        }
+        scenario.trace_out = Some(TraceOut::new(dir));
+    }
     let tables = driver::run_experiments(&only, &scenario, threads);
     let grid = if markdown || json.is_some() {
         driver::seed_grid(&only, &scenario, threads)
@@ -153,89 +153,12 @@ fn main() {
             std::process::exit(1);
         }
         let render = |ts: &[disagg_bench::Table]| ts.iter().map(|t| t.render()).collect::<String>();
-        if render(&tables) != render(&driver::run_experiments(&only, &scenario, 1)) {
+        let serial = Scenario { trace_out: None, ..scenario.clone() };
+        if render(&tables) != render(&driver::run_experiments(&only, &serial, 1)) {
             eprintln!("VERIFY FAILED: parallel output differs from serial run");
             std::process::exit(1);
         }
         eprintln!("verify: parallel output byte-identical to serial");
-    }
-
-    if trace_out.is_some() || metrics_out.is_some() {
-        if let Some(dir) = &trace_out {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("failed to create {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-        let mut metrics_entries: Vec<(String, String)> = Vec::new();
-        for t in &tables {
-            let Some(outcome) = driver::observed_artifacts(t.id, &scenario) else {
-                continue;
-            };
-            let art = match outcome {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            };
-            if let Some(dir) = &trace_out {
-                let write = |name: &str, body: &str| {
-                    let path = format!("{dir}/{name}");
-                    if let Err(e) = std::fs::write(&path, body) {
-                        eprintln!("failed to write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                write(&format!("{}.trace.json", art.id), &art.chrome_trace);
-                write(&format!("{}.folded.txt", art.id), &art.folded);
-                write(&format!("{}.critical.txt", art.id), &art.critical_paths);
-                eprintln!("trace artifacts: {dir}/{}.{{trace.json,folded.txt,critical.txt}}", art.id);
-            }
-            metrics_entries.push((art.id.clone(), art.metrics_json.clone()));
-        }
-        // A traced serving pass rides along: the full device+tenant
-        // trace plus the exemplar-only tail view, both validated.
-        if let Some(dir) = &trace_out {
-            match driver::serving_trace_artifacts(&scenario) {
-                Ok((full, exemplars)) => {
-                    for (name, body) in [
-                        ("serving.trace.json", &full),
-                        ("serving.exemplars.trace.json", &exemplars),
-                    ] {
-                        let path = format!("{dir}/{name}");
-                        if let Err(e) = std::fs::write(&path, body) {
-                            eprintln!("failed to write {path}: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                    eprintln!(
-                        "trace artifacts: {dir}/serving.{{trace.json,exemplars.trace.json}}"
-                    );
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        if let Some(path) = &metrics_out {
-            let body = format!(
-                "{{\n{}\n}}\n",
-                metrics_entries
-                    .iter()
-                    .map(|(id, m)| format!("  \"{id}\": {m}"))
-                    .collect::<Vec<_>>()
-                    .join(",\n")
-            );
-            match std::fs::File::create(path).and_then(|mut f| f.write_all(body.as_bytes())) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("failed to write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
     }
 
     if let Some(json_path) = json {

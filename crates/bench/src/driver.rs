@@ -1,7 +1,7 @@
 //! Parallel experiment driver.
 //!
 //! Virtual time is single-threaded by design — one event loop per
-//! [`Runtime`] keeps the simulation bit-for-bit deterministic. Sweeps
+//! [`Runtime`](disagg_core::Runtime) keeps the simulation bit-for-bit deterministic. Sweeps
 //! are not: the 15 experiments and intra-experiment config
 //! sweeps are independent simulations, so the driver fans them across
 //! cores with `std::thread::scope` (no external dependencies) and
@@ -18,28 +18,11 @@
 //! on stderr.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
-
-use disagg_core::obs::{
-    chrome_trace, folded_stacks, render_critical_paths, validate_chrome_trace, FullObserver,
-    ObserverSlot,
-};
-use disagg_core::prelude::{RecoveryPolicy, Runtime, RuntimeConfig};
-use disagg_dataflow::job::JobSpec;
-use disagg_dataflow::task::TaskId;
-use disagg_dataflow::{JobBuilder, TaskSpec};
-use disagg_hwsim::compute::WorkClass;
-use disagg_hwsim::fault::{FaultInjector, FaultKind};
-use disagg_hwsim::presets::{
-    disaggregated_rack, hetero_storage_server, single_server, two_socket,
-};
-use disagg_hwsim::time::{SimDuration, SimTime};
-use disagg_hwsim::topology::Topology;
 
 use disagg_obs::json::escape;
 
-use crate::apps::App;
 use crate::{exp, Claim, Scenario, Table, Verdict};
 
 /// The grid's seeds besides the record's: [`seed_grid`] re-runs the
@@ -83,7 +66,9 @@ where
 }
 
 /// Runs the experiment suite — all of it, or the ids in `only` — at
-/// `scenario` across `threads` workers, each experiment once. Tables
+/// `scenario` across `threads` workers, each experiment once; with
+/// `scenario.trace_out` set, each writes the artifacts of every run it
+/// builds ([`Scenario::observed`]). Tables
 /// come back in registry order regardless of completion order; the
 /// seconds each took go to stderr as progress (`id`, or `id@seed` off
 /// the record's seed 0) and nowhere else.
@@ -94,7 +79,7 @@ pub fn run_experiments(only: &[String], scenario: &Scenario, threads: usize) -> 
         .collect();
     sweep(suite, threads, |(id, runner)| {
         let t = Instant::now();
-        let table = runner(scenario);
+        let table = runner(&scenario.of_experiment(id));
         let label = match scenario.seed {
             0 => id.to_string(),
             seed => format!("{id}@{seed}"),
@@ -105,163 +90,14 @@ pub fn run_experiments(only: &[String], scenario: &Scenario, threads: usize) -> 
 }
 
 /// The suite at `scenario`'s size and each seed `1..=`[`SEEDS`], as
-/// `(seed, tables)` in seed order.
+/// `(seed, tables)` in seed order. The grid writes no artifacts.
 pub fn seed_grid(only: &[String], scenario: &Scenario, threads: usize) -> Vec<(u64, Vec<Table>)> {
     (1..=SEEDS)
-        .map(|seed| (seed, run_experiments(only, &Scenario { seed, ..*scenario }, threads)))
-        .collect()
-}
-
-/// The rack-scale event-loop stress workload: `jobs` layered DAGs of
-/// `layers`×`width` small tasks each, every non-source task depending
-/// on two tasks of the previous layer.
-pub fn stress_jobs(jobs: usize, layers: usize, width: usize) -> Vec<JobSpec> {
-    (0..jobs)
-        .map(|j| {
-            let mut job = JobBuilder::new(format!("sweep{j}"));
-            let mut prev: Vec<TaskId> = Vec::new();
-            for l in 0..layers {
-                let cur: Vec<_> = (0..width)
-                    .map(|i| {
-                        job.task(
-                            TaskSpec::new(format!("t{l}_{i}"))
-                                .work(WorkClass::Scalar, 10_000)
-                                .output_bytes(4096),
-                        )
-                    })
-                    .collect();
-                for (i, &t) in cur.iter().enumerate() {
-                    if l > 0 {
-                        job.edge(prev[i % prev.len()], t);
-                        job.edge(prev[(i + 1) % prev.len()], t);
-                    }
-                }
-                prev = cur;
-            }
-            job.build().expect("stress job is a valid DAG")
+        .map(|seed| {
+            let at = Scenario { quick: scenario.quick, seed, trace_out: None };
+            (seed, run_experiments(only, &at, threads))
         })
         .collect()
-}
-
-/// A representative observed workload for one experiment id: the
-/// topology, config, and jobs whose event stream stands in for the
-/// experiment's behavior. Experiments construct their runtimes
-/// internally (often many per sweep), so trace artifacts re-run one
-/// matching workload with an observer attached instead of threading an
-/// observer through every sweep point.
-pub fn representative(
-    id: &str,
-    scenario: &Scenario,
-) -> Option<(Topology, RuntimeConfig, Vec<JobSpec>)> {
-    let config = RuntimeConfig::default();
-    let dbms = || App::Dbms.job(scenario);
-    let some = |topo: Topology, jobs: Vec<JobSpec>| Some((topo, config.clone(), jobs));
-    match id {
-        // Static tables: a small pipeline on the plain server stands in.
-        "table1" | "table2" | "ingredients" | "fig3" => some(single_server().0, vec![dbms()]),
-        // The CXL-pool rack of fig1 has no persistent tier, so the rack
-        // representative is the fully disaggregated one.
-        "fig1" => some(disaggregated_rack(4, 16, 4, 256).0, vec![dbms()]),
-        "fig2" => some(single_server().0, vec![App::Hospital.job(scenario)]),
-        // two_socket is DRAM-only, so the NUMA representative runs a
-        // plain layered DAG (no persistent outputs to place).
-        "numa" => some(two_socket().0, stress_jobs(1, 4, 4)),
-        "fig4" => some(single_server().0, vec![App::Hpc.job(scenario)]),
-        "naive" | "tiering" => some(hetero_storage_server().0, vec![dbms()]),
-        "async" | "stream" => some(single_server().0, vec![App::Stream.job(scenario)]),
-        "ftol" => some(disaggregated_rack(4, 16, 4, 256).0, vec![App::Ml.job(scenario)]),
-        // The chaos representative crashes a node halfway through the
-        // fault-free makespan (probed first), so the observer sees the
-        // detect → retry path.
-        "chaos" => {
-            let mut probe = Runtime::new(disaggregated_rack(4, 16, 4, 256).0, config.clone());
-            let t = probe.execute(vec![dbms()]).expect("chaos probe run").makespan;
-            let (topo, rack) = disaggregated_rack(4, 16, 4, 256);
-            let mut faults = FaultInjector::none();
-            faults.schedule(SimTime(t.0 / 2), FaultKind::NodeCrash(rack.nodes[0]));
-            faults.schedule(SimTime(t.0 / 2 + t.0 / 4), FaultKind::NodeRecover(rack.nodes[0]));
-            let recovery = RecoveryPolicy::default()
-                .with_detection_delay(SimDuration(2_000))
-                .with_backoff(SimDuration(1_000));
-            Some((topo, config.with_faults(faults).with_recovery(recovery), vec![dbms()]))
-        }
-        _ => None,
-    }
-}
-
-/// The observability artifacts of one representative run.
-#[derive(Debug, Clone)]
-pub struct Artifacts {
-    /// Experiment id the run represents.
-    pub id: String,
-    /// Perfetto-loadable Chrome trace-event JSON (validated).
-    pub chrome_trace: String,
-    /// Metrics snapshot as JSON.
-    pub metrics_json: String,
-    /// Folded flamegraph stacks (`job;task;layer count`).
-    pub folded: String,
-    /// Rendered top-3 critical paths with per-layer attribution.
-    pub critical_paths: String,
-}
-
-/// Runs the representative workload for `id` with a full observer
-/// attached and returns its artifacts. The emitted Chrome trace is
-/// round-trip validated before being returned; a validation failure is
-/// a bug, so it errors rather than writing a broken file.
-pub fn observed_artifacts(id: &str, scenario: &Scenario) -> Option<Result<Artifacts, String>> {
-    let (topo, config, jobs) = representative(id, scenario)?;
-    let sink = Arc::new(Mutex::new(FullObserver::new()));
-    let mut rt = Runtime::new(topo, config.with_observer(ObserverSlot::shared(sink.clone())));
-    let report = match rt.execute(jobs) {
-        Ok(r) => r,
-        Err(e) => return Some(Err(format!("{id}: representative run failed: {e:?}"))),
-    };
-    let obs = sink.lock().expect("observer lock");
-    let doc = chrome_trace(&obs.events, rt.topology());
-    if let Err(e) = validate_chrome_trace(&doc) {
-        return Some(Err(format!("{id}: emitted chrome trace is invalid: {e}")));
-    }
-    let metrics_json = obs.registry.snapshot().to_json();
-    let (spans, paths) = report.critical_paths(3);
-    Some(Ok(Artifacts {
-        id: id.to_string(),
-        chrome_trace: doc,
-        metrics_json,
-        folded: folded_stacks(&spans),
-        critical_paths: render_critical_paths(&spans, &paths),
-    }))
-}
-
-/// One traced saturation serving pass — the `serving` experiment's
-/// heaviest `calm` point of its `transfer` mix — rendered as Perfetto
-/// documents: the full trace (device lanes plus one request-span lane
-/// per tenant) and the exemplar-only view (each tenant's p99 exemplar
-/// requests broken into latency-component segments). Both documents are
-/// validated before being returned, so callers never write a file
-/// Perfetto would reject.
-pub fn serving_trace_artifacts(scenario: &Scenario) -> Result<(String, String), String> {
-    let (layer, cfg) = exp::serving::traced_pass(scenario);
-    let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-    let report = layer
-        .run(&mut rt, &cfg)
-        .map_err(|e| format!("serving trace pass failed: {e}"))?;
-    let doc = disagg_core::obs::serving_chrome_trace(
-        rt.trace().events(),
-        rt.topology(),
-        &report.spans,
-    );
-    let stats = validate_chrome_trace(&doc).map_err(|e| format!("invalid serving trace: {e}"))?;
-    if stats.request_spans != report.admitted {
-        return Err(format!(
-            "serving trace carries {} request spans for {} admitted requests",
-            stats.request_spans, report.admitted
-        ));
-    }
-    let exemplars = disagg_core::obs::exemplar_chrome_trace(&report.spans)
-        .ok_or("serving pass produced no exemplar requests")?;
-    validate_chrome_trace(&exemplars).map_err(|e| format!("invalid exemplar trace: {e}"))?;
-    Ok((doc, exemplars))
 }
 
 /// Every claim that does not hold, as `experiment.id FAILS (margin …):
@@ -440,7 +276,7 @@ mod tests {
             table("chaos", frag("\"chaos\": [{\"slowdown\": 1.5000}]")),
             table("serving", frag("\"serving\": {\"tenants\": 2, \"rows\": []}")),
         ];
-        let s = bench_json(&tables, &[], &Scenario { quick: true, seed: 0 });
+        let s = bench_json(&tables, &[], &Scenario { quick: true, ..Scenario::default() });
         let v = disagg_obs::json::parse(&s).expect("the record is valid JSON");
         assert_eq!(v.get("schema").and_then(|v| v.as_str()), Some("disagg-bench-v3"));
         assert_eq!(v.get("quick"), Some(&disagg_obs::json::Value::Bool(true)));

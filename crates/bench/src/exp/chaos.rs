@@ -9,7 +9,7 @@
 //! bandwidth. Everything — fault times, detection, backoff, re-placement
 //! — is virtual time, so two runs of the sweep are byte-identical.
 
-use disagg_core::prelude::{Runtime, RuntimeConfig};
+use disagg_core::prelude::RuntimeConfig;
 use disagg_core::RecoveryPolicy;
 use disagg_dataflow::job::JobId;
 use disagg_hwsim::fault::{FaultInjector, FaultKind};
@@ -124,13 +124,16 @@ fn chaos_plan(topo: &Topology, rack: &Rack, baseline: SimDuration, mttf: SimDura
     f
 }
 
-fn run_once(app: App, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
+/// Runs `app` under `faults`, the plan of MTTF level `mttf`; the row's
+/// baseline is its own makespan until the caller sets it.
+fn run_once(app: App, scenario: &Scenario, mttf: &'static str, faults: FaultInjector) -> ChaosRow {
     let (topo, _rack) = disaggregated_rack(4, 16, 4, 256);
     let config = RuntimeConfig::traced().with_faults(faults).with_recovery(policy());
-    let mut rt = Runtime::new(topo, config);
+    let mut rt = scenario.runtime(topo, config);
     let report = rt
         .execute(app.job(scenario))
         .expect("chaos sweep point completes within its retry cap");
+    scenario.observed(&format!("{}.{mttf}", app.name()), &rt, &report);
     let (mut retries, mut detected, mut reconstructs) = (0u64, 0u64, 0u64);
     for e in rt.trace().events() {
         match e {
@@ -142,7 +145,7 @@ fn run_once(app: App, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
     }
     ChaosRow {
         workload: app.name(),
-        mttf: "none",
+        mttf,
         makespan: report.makespan,
         baseline: report.makespan,
         retries,
@@ -157,14 +160,14 @@ fn run_once(app: App, scenario: &Scenario, faults: FaultInjector) -> ChaosRow {
 pub fn measure(scenario: &Scenario) -> Vec<ChaosRow> {
     let mut rows = Vec::new();
     for app in APPS {
-        let base = run_once(app, scenario, FaultInjector::none());
+        let base = run_once(app, scenario, "none", FaultInjector::none());
         let baseline = base.makespan;
         rows.push(base);
         for &(label, divisor) in levels(scenario) {
             let mttf = SimDuration(baseline.0 / divisor);
             let (topo, rack) = disaggregated_rack(4, 16, 4, 256);
             let plan = chaos_plan(&topo, &rack, baseline, mttf);
-            rows.push(ChaosRow { mttf: label, baseline, ..run_once(app, scenario, plan) });
+            rows.push(ChaosRow { baseline, ..run_once(app, scenario, label, plan) });
         }
     }
     rows

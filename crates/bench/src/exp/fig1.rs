@@ -92,11 +92,14 @@ pub fn plan(scenario: &Scenario) -> Plan {
     }
 }
 
-/// Runs the wave plan on one architecture. `mk_runtime` builds a fresh
-/// runtime per wave (so peaks are per-wave); `provisioned` counts the
-/// device capacities that the architecture had to buy for job memory.
+/// Runs the wave plan on one architecture, `arch` in its runs' labels.
+/// `mk_runtime` builds a fresh runtime per wave (so peaks are
+/// per-wave); `provisioned` counts the device capacities that the
+/// architecture had to buy for job memory.
 fn run_waves(
     p: &Plan,
+    scenario: &Scenario,
+    arch: &str,
     mut mk_runtime: impl FnMut() -> (Runtime, Vec<disagg_hwsim::ids::MemDeviceId>),
     name: &'static str,
     dollars: f64,
@@ -113,6 +116,7 @@ fn run_waves(
             .map(|(i, &d)| demand_job(format!("job{i}"), d, p.traffic))
             .collect();
         let report = rt.execute(jobs).expect("wave runs");
+        scenario.observed(&format!("{arch}.wave{waves}"), &rt, &report);
         total_makespan += report.makespan;
         let used: u64 = rt
             .devices()
@@ -155,12 +159,11 @@ pub fn measure(scenario: &Scenario) -> (ArchResult, ArchResult) {
             .sum();
         run_waves(
             &p,
+            scenario,
+            "compute-centric",
             || {
                 let (topo, rack) = compute_centric_rack(p.servers, static_per_node_gib);
-                (
-                    Runtime::new(topo, RuntimeConfig::compute_centric()),
-                    rack.drams.clone(),
-                )
+                (scenario.runtime(topo, RuntimeConfig::compute_centric()), rack.drams.clone())
             },
             "Fig 1a compute-centric",
             dollars,
@@ -195,11 +198,13 @@ pub fn measure(scenario: &Scenario) -> (ArchResult, ArchResult) {
             .sum();
         run_waves(
             &p,
+            scenario,
+            "cxl-pool",
             || {
                 let (topo, rack) = cxl_pool_rack(p.servers, local_gib, blades, blade_gib);
                 let devs: Vec<_> =
                     rack.drams.iter().chain(rack.pool.iter()).copied().collect();
-                (Runtime::new(topo, RuntimeConfig::traced()), devs)
+                (scenario.runtime(topo, RuntimeConfig::traced()), devs)
             },
             "Fig 1b memory-centric",
             dollars,

@@ -20,8 +20,9 @@ pub fn run(scenario: &Scenario) -> Table {
     let cfg = hospital_config(scenario);
     let exp = expected(&cfg);
     let (topo, _) = single_server();
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let mut rt = scenario.runtime(topo, RuntimeConfig::traced());
     let report = rt.execute(hospital_job(cfg)).expect("hospital job runs");
+    scenario.observed("hospital", &rt, &report);
 
     let mut t = Table::new(
         "fig2",

@@ -39,11 +39,18 @@ fn pipeline_job(n: usize, buffer: u64) -> JobSpec {
 }
 
 /// Handover-attributable bytes: Migrate trace events are exactly the
-/// physical handover copies in this job (no tiering runs here).
-fn run_once(policy: HandoverPolicy, n: usize, buffer: u64) -> (u64, SimDuration) {
+/// physical handover copies in this job (no tiering runs here). `name`
+/// labels the policy's runs.
+fn run_once(
+    scenario: &Scenario,
+    (name, policy): (&str, HandoverPolicy),
+    n: usize,
+    buffer: u64,
+) -> (u64, SimDuration) {
     let (topo, _) = single_server();
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_handover(policy));
+    let mut rt = scenario.runtime(topo, RuntimeConfig::traced().with_handover(policy));
     let report = rt.execute(pipeline_job(n, buffer)).expect("pipeline runs");
+    scenario.observed(&format!("{name}.{}KiB", buffer >> 10), &rt, &report);
     let moved = rt
         .trace()
         .events()
@@ -79,8 +86,9 @@ pub fn run(scenario: &Scenario) -> Table {
     let (mut transferred, mut copied_per_edge, mut speedups) = (Vec::new(), Vec::new(), Vec::new());
     for &buffer in sizes {
         let (transfer_moved, transfer_makespan) =
-            run_once(HandoverPolicy::TransferWhenPossible, n, buffer);
-        let (copy_moved, copy_makespan) = run_once(HandoverPolicy::AlwaysCopy, n, buffer);
+            run_once(scenario, ("transfer", HandoverPolicy::TransferWhenPossible), n, buffer);
+        let (copy_moved, copy_makespan) =
+            run_once(scenario, ("copy", HandoverPolicy::AlwaysCopy), n, buffer);
         let speedup = copy_makespan.as_nanos_f64() / transfer_makespan.as_nanos_f64();
         transferred.push(transfer_moved as f64);
         copied_per_edge.push(copy_moved as f64 / (buffer * (n as u64 - 1)) as f64);

@@ -69,10 +69,12 @@ fn measure(scenario: &Scenario) -> Vec<Row> {
     for (topology, machine) in &topologies {
         for (workload, apps) in WORKLOADS {
             let mut row = Row { topology, workload, ..Row::default() };
-            for (k, (_, config)) in configs().into_iter().enumerate() {
-                let mut rt = Runtime::new(machine.clone(), config);
+            for (k, (column, config)) in configs().into_iter().enumerate() {
+                let mut rt = scenario.runtime(machine.clone(), config);
                 let jobs: Vec<JobSpec> = apps.iter().map(|app| app.job(scenario)).collect();
                 let report = rt.execute(jobs).expect("workload runs");
+                let change = column.to_lowercase().replace("- ", "no-");
+                scenario.observed(&format!("{topology}.{workload}.{change}"), &rt, &report);
                 row.makespan[k] = report.makespan;
                 row.bytes_moved[k] = report.bytes_moved;
                 let matches = |(i, app): (usize, &App)| {

@@ -209,6 +209,14 @@ pub struct ServingRow {
     pub faults: Option<FaultEra>,
 }
 
+impl ServingRow {
+    /// The name of the point's run among the experiment's artifacts:
+    /// `mix.load.variant`, as `transfer.4.00x.calm`.
+    pub fn label(&self) -> String {
+        format!("{}.{}.{}", self.mix, self.load, self.variant.name())
+    }
+}
+
 /// The serving record: the sweep, where `transfer` saturates, and the
 /// per-tenant, utilization and tail detail of that run.
 #[derive(Debug, Clone)]
@@ -245,7 +253,7 @@ impl ServingRecord {
 
     /// Index into `rows` of the knee run: the knee, or the heaviest
     /// `transfer` `calm` row when the knee rule does not fire.
-    fn knee_run(&self) -> usize {
+    pub fn knee_run(&self) -> usize {
         self.knee.unwrap_or_else(|| {
             let calm = |r: &ServingRow| r.mix == TRANSFER.name && r.variant == Variant::Calm;
             self.rows.iter().rposition(calm).expect("the sweep has calm transfer rows")
@@ -573,16 +581,6 @@ fn config(
     }
 }
 
-/// The traced serving pass of `driver::serving_trace_artifacts`: the
-/// `transfer` mix's heaviest `calm` point, ~8x its service capacity.
-pub fn traced_pass(scenario: &Scenario) -> (ServeLayer, ServeConfig) {
-    let layer = (TRANSFER.templates)();
-    let svc = mean_service(&layer, scenario);
-    let &(_, divisor) = TRANSFER.levels(scenario).last().expect("transfer has load levels");
-    let cfg = config(&TRANSFER, scenario, svc, divisor, Variant::Calm);
-    (layer, cfg)
-}
-
 /// The recovery policy the faulted variants run with: a real detector,
 /// exponential backoff, and a bounded per-task retry cap.
 fn recovery() -> RecoveryPolicy {
@@ -661,9 +659,9 @@ fn fault_era(report: &ServeReport, start: SimTime, end: SimTime) -> FaultEra {
     era
 }
 
-/// Runs one point and folds its report into a row; `span` is the
-/// same-load `calm` row's last arrival, which anchors a faulted point's
-/// fault plan.
+/// Serves one point on a fresh rack and folds its report into a row;
+/// `span` is the same-load `calm` row's last arrival, which anchors a
+/// faulted point's fault plan. The runtime it ran on comes back too.
 fn run_point(
     mix: &Mix,
     scenario: &Scenario,
@@ -671,7 +669,7 @@ fn run_point(
     &(load, divisor): &Level,
     variant: Variant,
     span: SimDuration,
-) -> (ServingRow, ServeReport) {
+) -> (ServingRow, ServeReport, Runtime) {
     let (topo, rack) = disaggregated_rack(4, 8, 2, 32);
     let cfg = config(mix, scenario, svc, divisor, variant);
     let (runtime, era) = match variant {
@@ -683,7 +681,7 @@ fn run_point(
             (runtime, Some((start, end)))
         }
     };
-    let mut rt = Runtime::new(topo, runtime);
+    let mut rt = scenario.runtime(topo, runtime);
     let report = (mix.templates)().run(&mut rt, &cfg).expect("a serving point completes");
     let slo = mix.slo(svc);
     // Sheds, rejections, fast-fails and over-SLO completions all miss.
@@ -714,7 +712,18 @@ fn run_point(
         last_arrival: report.requests.iter().map(|r| r.arrival).max().unwrap_or(report.makespan),
         faults: era.map(|(start, end)| fault_era(&report, start, end)),
     };
-    (row, report)
+    scenario.observed_serving(&row.label(), &rt, &report);
+    (row, report, rt)
+}
+
+/// The `calm` point of `mix` at `load`, served exactly as the sweep
+/// serves it, with the runtime it ran on.
+pub fn calm_point(scenario: &Scenario, mix: &str, load: &str) -> (ServeReport, Runtime) {
+    let mix = MIXES.into_iter().find(|m| m.name == mix).expect("a mix of the sweep");
+    let level = mix.levels(scenario).iter().find(|l| l.0 == load).expect("a load of the sweep");
+    let svc = mean_service(&(mix.templates)(), scenario);
+    let (_, report, rt) = run_point(mix, scenario, svc, level, Variant::Calm, SimDuration::ZERO);
+    (report, rt)
 }
 
 /// Runs the sweep — every mix, level and variant — and extracts the
@@ -740,7 +749,7 @@ pub fn measure(scenario: &Scenario) -> ServingRecord {
         for level in mix.levels(scenario) {
             let mut span = SimDuration::ZERO;
             for &variant in mix.variants {
-                let (row, report) = run_point(mix, scenario, svc, level, variant, span);
+                let (row, report, _) = run_point(mix, scenario, svc, level, variant, span);
                 if variant == Variant::Calm {
                     span = row.last_arrival;
                     if mix.name == TRANSFER.name {

@@ -47,10 +47,11 @@ pub fn run(scenario: &Scenario) -> Table {
     for &stages in depths {
         let run = |streaming| {
             let (topo, _) = single_server();
-            let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-            rt.execute(chain_job(stages, streaming, elems))
-                .expect("chain runs")
-                .makespan
+            let mut rt = scenario.runtime(topo, RuntimeConfig::traced());
+            let report = rt.execute(chain_job(stages, streaming, elems)).expect("chain runs");
+            let mode = if streaming { "streamed" } else { "batch" };
+            scenario.observed(&format!("{mode}.stages{stages}"), &rt, &report);
+            report.makespan
         };
         let (batch, streamed) = (run(false), run(true));
         let speedup = batch.as_nanos_f64() / streamed.as_nanos_f64();

@@ -46,7 +46,7 @@ pub mod exp;
 mod scenario;
 
 pub use claim::{Claim, Shape, Verdict};
-pub use scenario::Scenario;
+pub use scenario::{Scenario, TraceOut};
 
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::json::escape;

@@ -35,12 +35,11 @@ fn resident(rt: &Runtime) -> i64 {
     rt.topology().mem_ids().map(|d| pool.allocated(d) as i64).sum()
 }
 
+/// The sweep's heaviest `transfer` point, served as the experiment
+/// serves it.
 #[test]
 fn the_saturated_serving_pass_ends_where_the_pool_ends() {
-    let (layer, cfg) = exp::serving::traced_pass(&Scenario::default());
-    let (topo, _rack) = disaggregated_rack(4, 8, 2, 32);
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
-    let report = layer.run(&mut rt, &cfg).expect("saturated serving pass");
+    let (report, rt) = exp::serving::calm_point(&Scenario::default(), "transfer", "8.00x");
     assert!(report.run.handover_copies > 0, "the pass must copy on handover");
     assert_eq!(resident(&rt), 0, "a serving pass leaves nothing behind");
     assert!(report.peak_util > 0.0);
@@ -318,7 +317,7 @@ fn a_request_fails_alone_without_the_control_plane() {
 #[test]
 fn the_quick_serving_sweep_runs_no_device_past_its_slots() {
     use exp::serving::Variant;
-    let record = exp::serving::measure(&Scenario { quick: true, seed: 0 });
+    let record = exp::serving::measure(&Scenario { quick: true, ..Scenario::default() });
     assert!(record.rows.iter().any(|r| r.breaker_trips > 0), "the crashes must interrupt attempts");
     let mut seen = 0;
     for r in &record.rows {

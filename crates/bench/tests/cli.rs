@@ -1,9 +1,14 @@
 //! `exp_driver` parses its flags strictly: a removed or misspelled flag
 //! fails loudly instead of silently running the whole suite, `--help`
-//! is cheap, and none of these invocations writes a file.
+//! is cheap, and it writes only the files it is asked for.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use disagg_bench::{exp, Scenario};
+use disagg_obs::json::{parse, Value};
+use disagg_obs::validate_chrome_trace;
 
 /// Runs the driver in a fresh empty working directory and returns its
 /// output plus what it left behind there.
@@ -52,6 +57,8 @@ fn removed_and_unknown_flags_fail_loudly() {
     assert_usage_error("nothru", &["--quick", "--no-thru"], "--no-thru");
     assert_usage_error("thruonly", &["--thru-only"], "--thru-only");
     assert_usage_error("bogus", &["--bogus"], "--bogus");
+    // Each run's metrics sit beside its trace (`--trace-out`).
+    assert_usage_error("metrics", &["--quick", "--metrics-out", "m.json"], "--metrics-out");
 }
 
 #[test]
@@ -94,4 +101,72 @@ fn record_bearing_experiments_are_measured_once() {
         let runs = stderr.lines().filter(|l| l.split_whitespace().next() == Some(id)).count();
         assert_eq!(runs, 1, "{id} progress lines: {stderr}");
     }
+}
+
+/// `--trace-out` writes one artifact set per run the experiments build,
+/// named after the row the run feeds, and nothing for a run no
+/// experiment built: every trace validates, and the exemplars of the
+/// serving run the record's tail attribution reads are the record's.
+#[test]
+fn trace_out_writes_the_runs_the_experiments_build() {
+    let dir = std::env::temp_dir().join(format!("exp_driver_cli_{}_traces", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp_driver"))
+        .args(["--quick", "--only", "fig1,fig4,serving", "--trace-out", "traces"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn exp_driver");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let traces = dir.join("traces");
+    let written: BTreeSet<String> = std::fs::read_dir(&traces)
+        .expect("the trace directory")
+        .map(|e| e.expect("dir entry").file_name().into_string().expect("a UTF-8 name"))
+        .collect();
+
+    let quick = Scenario { quick: true, ..Scenario::default() };
+    let plan = exp::fig1::plan(&quick);
+    let waves = plan.demands.len() / plan.servers;
+    let record = exp::serving::measure(&quick);
+    let mut runs: Vec<String> = ["compute-centric", "cxl-pool"]
+        .iter()
+        .flat_map(|arch| (0..waves).map(move |w| format!("fig1.{arch}.wave{w}")))
+        .collect();
+    for policy in ["transfer", "copy"] {
+        runs.extend(["64KiB", "1024KiB", "16384KiB"].map(|b| format!("fig4.{policy}.{b}")));
+    }
+    runs.extend(record.rows.iter().map(|r| format!("serving.{}", r.label())));
+    assert_eq!(runs.iter().collect::<BTreeSet<_>>().len(), runs.len(), "unique names: {runs:?}");
+    let mut expected = BTreeSet::new();
+    for run in &runs {
+        for suffix in ["trace.json", "folded.txt", "critical.txt", "metrics.json"] {
+            expected.insert(format!("{run}.{suffix}"));
+        }
+        if run.starts_with("serving.") {
+            expected.insert(format!("{run}.exemplars.trace.json"));
+        }
+    }
+    assert_eq!(written, expected, "one artifact set per run");
+
+    let read = |name: &str| std::fs::read_to_string(traces.join(name)).expect("an artifact");
+    for name in written.iter().filter(|n| n.ends_with(".trace.json")) {
+        if let Err(e) = validate_chrome_trace(&read(name)) {
+            panic!("{name}: {e}");
+        }
+    }
+    let knee = &record.rows[record.knee_run()];
+    let doc = parse(&read(&format!("serving.{}.exemplars.trace.json", knee.label()))).expect("JSON");
+    let shown: BTreeSet<u64> = doc
+        .get("traceEvents")
+        .and_then(Value::as_arr)
+        .expect("traceEvents")
+        .iter()
+        .filter_map(|e| e.get("args")?.get("request")?.as_f64())
+        .map(|id| id as u64)
+        .collect();
+    let exemplars: BTreeSet<u64> =
+        record.tail_attribution.iter().flat_map(|t| t.exemplars.iter().copied()).collect();
+    assert!(!exemplars.is_empty());
+    assert_eq!(shown, exemplars, "the knee run's exemplars are the record's");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,7 @@
 use disagg_bench::{driver, exp, Scenario, Table};
 use disagg_obs::json::{parse, Value};
 
-const QUICK: Scenario = Scenario { quick: true, seed: 0 };
+const QUICK: Scenario = Scenario { quick: true, seed: 0, trace_out: None };
 
 /// The experiments that draw random streams, in registry order: the
 /// only ones whose tables move with the seed.

@@ -115,7 +115,7 @@ impl RecoveryPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeConfig {
     /// How declarative memory requests are resolved to devices.
-    /// Switched by `ingredients`, `fig1`, `naive` and `online`
+    /// Switched by `ingredients`, `fig1`, `naive` and `serving`
     /// (compute-centric, worst-feasible and first-fit baselines).
     pub placement: PlacementPolicy,
     /// How tasks are assigned to compute devices. Switched by
@@ -133,8 +133,7 @@ pub struct RuntimeConfig {
     /// Streaming event sink: sees every trace event at emission time,
     /// independent of whether `trace` buffers them. The default is the
     /// null slot — no tap is installed and observability costs nothing.
-    /// Attached by `exp_driver --trace-out`/`--metrics-out` and the
-    /// benchmark's `batch_dag` observer probe.
+    /// Attached by the benchmark's `batch_dag` observer probe.
     pub observer: ObserverSlot,
     /// Injected faults for this run. Set by `chaos`, `serving`'s
     /// faulted rows, the benchmark's `apps_chaos` and `examples/far_memory_resilience`.

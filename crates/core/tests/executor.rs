@@ -1096,10 +1096,7 @@ fn app_published_confidential_regions_stay_isolated() {
     snoop.task(TaskSpec::new("snoop").body(|ctx| {
         let r = ctx.lookup("leaky").ok_or_else(|| TaskError::new("gone"))?;
         let mut buf = [0u8; 10];
-        match ctx.async_read(r, 0, &mut buf) {
-            Err(e) => Err(TaskError::from(e)),
-            Ok(_) => Ok(()),
-        }
+        ctx.async_read(r, 0, &mut buf).map(|_| ())
     }));
     let err = rt.execute(snoop.build().unwrap()).unwrap_err();
     match err {

@@ -655,6 +655,10 @@ mod tests {
         }
     }
 
+    /// One attempt of a tagged job as `(task, queued, start, end,
+    /// completed)`, times in nanoseconds.
+    type Attempt = (u64, u64, u64, u64, bool);
+
     /// The `BTreeMap`-keyed assembly this module shipped before the dense
     /// table, kept as the oracle the tests below compare against. It
     /// gathers a job's attempts first and derives the job's queue entry,
@@ -677,9 +681,9 @@ mod tests {
             return Vec::new();
         }
 
-        // Collection pass: per tagged job, its attempts as `(task,
-        // queued, start, end, completed)` and its recovery intervals.
-        let mut attempts: BTreeMap<u64, Vec<(u64, u64, u64, u64, bool)>> = BTreeMap::new();
+        // Collection pass: per tagged job, its attempts and its recovery
+        // intervals.
+        let mut attempts: BTreeMap<u64, Vec<Attempt>> = BTreeMap::new();
         let mut covering: BTreeMap<u64, Vec<Covering>> = BTreeMap::new();
         let tagged = |job: u64| tag_of_job.contains_key(&job);
         for e in events {

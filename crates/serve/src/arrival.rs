@@ -29,15 +29,26 @@ fn exp_draw(mean: SimDuration, rng: &mut SimRng) -> SimDuration {
 impl ArrivalProcess {
     /// Draws `n` arrival offsets (relative to the submission instant),
     /// in nondecreasing order.
+    ///
+    /// # Panics
+    ///
+    /// If an offset overflows virtual time; `ServeLayer::run` returns
+    /// `InvalidConfig` for such a process instead.
     pub fn sample_offsets(&self, n: usize, rng: &mut SimRng) -> Vec<SimDuration> {
+        self.checked_offsets(n, rng).expect("arrival offsets overflow virtual time")
+    }
+
+    /// The draws of [`Self::sample_offsets`], or `None` once an offset
+    /// would overflow virtual time.
+    pub(crate) fn checked_offsets(&self, n: usize, rng: &mut SimRng) -> Option<Vec<SimDuration>> {
         let ArrivalProcess::Poisson { mean_gap } = *self;
         let mut t = SimDuration::ZERO;
-        (0..n)
-            .map(|_| {
-                t += exp_draw(mean_gap, rng);
-                t
-            })
-            .collect()
+        let mut offsets = Vec::with_capacity(n);
+        for _ in 0..n {
+            t = SimDuration(t.0.checked_add(exp_draw(mean_gap, rng).0)?);
+            offsets.push(t);
+        }
+        Some(offsets)
     }
 }
 

@@ -256,8 +256,9 @@ impl ServeLayer {
     ///
     /// [`RuntimeError::InvalidConfig`], before anything runs, if no
     /// template is registered, `cfg.tenants == 0`, the Zipf skew is
-    /// negative or not finite, or a per-tenant quota or SLO names a
-    /// tenant `>= cfg.tenants`; otherwise whatever the executor returns.
+    /// negative or not finite, a per-tenant quota or SLO names a
+    /// tenant `>= cfg.tenants`, or an arrival overflows virtual time;
+    /// otherwise whatever the executor returns.
     pub fn run(&self, rt: &mut Runtime, cfg: &ServeConfig) -> Result<ServeReport, RuntimeError> {
         let invalid = |what| Err(RuntimeError::InvalidConfig { what });
         if self.templates.is_empty() {
@@ -277,13 +278,20 @@ impl ServeLayer {
         if overridden.any(|t| t >= cfg.tenants) {
             return invalid("a per-tenant quota or SLO names a tenant the run does not have");
         }
+        let mut rng = SimRng::new(cfg.seed);
+        // Offsets are nondecreasing, so the last one is the latest arrival.
+        let fits = |offsets: &Vec<SimDuration>| {
+            offsets.last().is_none_or(|last| rt.now().0.checked_add(last.0).is_some())
+        };
+        let Some(offsets) = cfg.arrivals.checked_offsets(cfg.requests, &mut rng.fork(0)).filter(fits)
+        else {
+            return invalid("an arrival overflows virtual time");
+        };
 
         if cfg.control.is_some() {
             rt.enable_fault_control();
         }
 
-        let mut rng = SimRng::new(cfg.seed);
-        let offsets = cfg.arrivals.sample_offsets(cfg.requests, &mut rng.fork(0));
         let zipf = Zipf::new(cfg.tenants, cfg.zipf_theta);
         let mut tenant_rng = rng.fork(1);
         let mut seed_rng = rng.fork(2);
@@ -721,6 +729,33 @@ mod tests {
             );
             assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
         }
+    }
+
+    /// An arrival gap whose draws overflow virtual time is refused
+    /// before anything runs; in a debug build the sum used to panic in
+    /// `SimDuration`'s `+=`, and a release build wrapped it.
+    #[test]
+    fn an_arrival_past_the_end_of_time_is_a_typed_error() {
+        let (topo, _ids) = single_server();
+        let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+        let cfg = ServeConfig {
+            arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration(u64::MAX / 2) },
+            requests: 16,
+            ..ServeConfig::default()
+        };
+        let got = layer().run(&mut rt, &cfg);
+        assert!(
+            matches!(got, Err(RuntimeError::InvalidConfig { .. })),
+            "{:?}",
+            got.err()
+        );
+        assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
+        assert!(rt.trace().events().is_empty(), "nothing ran");
+        // The same draws fit when the gaps are small enough.
+        let fits = ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(10) };
+        let mut rng = SimRng::new(7);
+        let checked = fits.checked_offsets(16, &mut rng.clone()).expect("fits");
+        assert_eq!(checked, fits.sample_offsets(16, &mut rng));
     }
 
     #[test]
