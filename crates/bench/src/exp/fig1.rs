@@ -96,7 +96,7 @@ pub fn plan(scenario: &Scenario) -> Plan {
 /// `mk_runtime` builds a fresh runtime per wave (so peaks are
 /// per-wave); `provisioned` counts the device capacities that the
 /// architecture had to buy for job memory.
-fn run_waves(
+fn run_plan(
     p: &Plan,
     scenario: &Scenario,
     arch: &str,
@@ -157,7 +157,7 @@ pub fn measure(scenario: &Scenario) -> (ArchResult, ArchResult) {
             .iter()
             .map(|&d| topo0.mem(d).cost_per_gib * (topo0.mem(d).capacity / GIB) as f64)
             .sum();
-        run_waves(
+        run_plan(
             &p,
             scenario,
             "compute-centric",
@@ -196,7 +196,7 @@ pub fn measure(scenario: &Scenario) -> (ArchResult, ArchResult) {
             .iter()
             .map(|&d| topo0.mem(d).cost_per_gib * (topo0.mem(d).capacity / GIB) as f64)
             .sum();
-        run_waves(
+        run_plan(
             &p,
             scenario,
             "cxl-pool",

@@ -572,12 +572,11 @@ fn config(
         seed: scenario.stream(mix.stream),
         // 512 MiB per tenant — two concurrent `transfer` ingests;
         // generous at light load, binding for the ingest tenants past
-        // the knee. The sum of quotas (3 GiB) is also the utilization
+        // the knee. Tenants × quota (3 GiB) is also the utilization
         // curve's denominator.
         quota: Some(512u64 << 20),
         slo: Some(mix.slo(svc)),
         control: (variant == Variant::FaultsControls).then(ControlPlane::default),
-        ..ServeConfig::default()
     }
 }
 

@@ -7,9 +7,9 @@
 //! serving experiment's saturated pass, a serving run under faults with
 //! the control plane (retries, fast-fails, sheds, degrades) and without
 //! it (a request that runs out of retries fails alone), the quick serving
-//! sweep, the rack batch
-//! under admission with job-wide state, a task body that allocates for
-//! itself, and copy-based handover, and check what each leaves resident.
+//! sweep, the rack batch (twice on one runtime) with job-wide state, a
+//! task body that allocates for itself, and copy-based handover, and
+//! check what each leaves resident.
 
 use disagg_bench::{exp, Scenario};
 use disagg_core::prelude::{
@@ -356,7 +356,7 @@ fn rack_jobs() -> Vec<JobSpec> {
 #[test]
 fn rack_batches_under_admission_balance_wave_after_wave() {
     let (topo, _rack) = disaggregated_rack(3, 16, 3, 128);
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_admission(0.8));
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
     let mut left = Vec::new();
     for _ in 0..2 {
         rt.execute(rack_jobs()).expect("rack batch");

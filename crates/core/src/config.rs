@@ -141,12 +141,6 @@ pub struct RuntimeConfig {
     /// How mid-task faults are detected and retried. Set wherever
     /// `faults` is.
     pub recovery: RecoveryPolicy,
-    /// Memory-aware admission control: when set, a submitted batch is
-    /// split into waves so that each wave's *predicted* memory footprint
-    /// stays below this fraction of the pool's free capacity. `None`
-    /// admits everything at once (a too-big batch then fails placement).
-    /// Set by `examples/rack_scale`.
-    pub admission_watermark: Option<f64>,
 }
 
 impl RuntimeConfig {
@@ -210,14 +204,6 @@ impl RuntimeConfig {
     /// Sets cost-model topology awareness.
     pub fn with_awareness(mut self, a: TopologyAwareness) -> Self {
         self.awareness = a;
-        self
-    }
-
-    /// Enables memory-aware admission control at the given watermark
-    /// (clamped to `[0.05, 1.0]`; [`crate::Runtime::execute`] rejects a
-    /// non-finite one).
-    pub fn with_admission(mut self, watermark: f64) -> Self {
-        self.admission_watermark = Some(watermark);
         self
     }
 

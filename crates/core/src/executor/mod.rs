@@ -1,7 +1,7 @@
 //! The discrete-event, out-of-order executor.
 //!
-//! `run_wave` drives one admission wave of jobs through virtual time
-//! as a proper event simulation instead of a serial drain:
+//! `run_wave` drives one submission's jobs through virtual time as a
+//! proper event simulation instead of a serial drain:
 //!
 //! - an **event heap** keyed on [`SimTime`] orders everything that can
 //!   change executor state: a job arriving, a dataflow edge being
@@ -278,7 +278,7 @@ fn commit(
     }
 }
 
-/// Runs one admission wave (the whole batch when admission is off).
+/// Runs one submission's jobs, all admitted at once, as one wave.
 /// `offsets` are per-job arrival delays relative to the wave start;
 /// `tags` are optional per-job `(request, tenant)` identities stamped
 /// into the trace at arrival for request-centric attribution.

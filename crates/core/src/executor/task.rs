@@ -415,7 +415,8 @@ pub(crate) fn service(
 /// bodies are re-runnable `Fn`s), so the makespan pays for every
 /// attempt. The retry cap bounds how much work a flapping resource can
 /// waste before the run, or for a request-tagged job the job alone,
-/// fails cleanly.
+/// fails cleanly. A detection or relaunch time past the end of virtual
+/// time is [`DisaggError::InvalidConfig`].
 #[allow(clippy::too_many_arguments)]
 fn abandon(
     rt: &mut Runtime,
@@ -430,7 +431,10 @@ fn abandon(
     let (ji, task) = (q.ji, q.task);
     let jid = w.job_ids[ji];
     let policy = rt.config.recovery;
-    let detect_at = fault_at + policy.detection_delay;
+    let overflow = || DisaggError::InvalidConfig {
+        what: "a recovery delay overflows virtual time",
+    };
+    let detect_at = fault_at.checked_add(policy.detection_delay).ok_or_else(overflow)?;
     rt.trace.push(TraceEvent::TaskAttempt {
         job: jid.0,
         task: task.0 as u64,
@@ -474,7 +478,7 @@ fn abandon(
     let key = (jid.0, u64::from(task.0));
     let to = pick_candidate(rt, spec, task, detect_at, key)
         .ok_or(DisaggError::NoComputeAvailable { job: jid, task })?;
-    let relaunch_at = detect_at + policy.backoff_for(retries);
+    let relaunch_at = detect_at.checked_add(policy.backoff_for(retries)).ok_or_else(overflow)?;
     rt.trace.push(TraceEvent::TaskRetry {
         job: jid.0,
         task: task.0 as u64,

@@ -200,7 +200,7 @@ fn append<T>(into: &mut Vec<T>, mut next: Vec<T>) {
 
 impl RunReport {
     /// Folds in the report of the run that followed this one on the same
-    /// runtime — the next admission wave, the next serving epoch. Runs
+    /// runtime, such as the next serving epoch. Runs
     /// are back to back, so makespans and counters add and lists extend.
     /// `next`'s records are rebased onto the extended lists.
     pub fn absorb(&mut self, mut next: RunReport) {

@@ -21,7 +21,7 @@
 
 use disagg_hwsim::fx::FxHashMap;
 
-use disagg_dataflow::job::{JobId, JobSpec};
+use disagg_dataflow::job::JobId;
 use disagg_hwsim::calibration;
 use disagg_hwsim::contention::{BandwidthLedger, ResourceKey};
 use disagg_hwsim::device::{AccessOp, AccessPattern};
@@ -205,41 +205,16 @@ impl Runtime {
         self.topo.compute_ids().next()
     }
 
-    /// Predicted memory footprint of a job: every declared region, all
-    /// assumed live at once (the conservative bound admission needs).
-    /// Public so higher layers (e.g. the serving layer's per-tenant
-    /// quotas) charge the same estimate the runtime's own admission
-    /// waves use.
-    pub fn predicted_footprint(spec: &JobSpec) -> u64 {
-        spec.global_state_bytes
-            + spec
-                .tasks
-                .iter()
-                .map(|t| t.private_scratch + t.output_bytes + t.global_scratch)
-                .sum::<u64>()
-    }
-
     /// Executes a [`Submission`] — the one entry point for every
     /// submission shape.
     ///
     /// A closed batch runs at the current virtual time; with arrival
     /// offsets attached, each job's tasks may not start before its
     /// offset — an open stream of submissions rather than a closed
-    /// batch. Admission control ([`RuntimeConfig::admission_watermark`])
-    /// applies to both shapes: jobs whose combined predicted footprint
-    /// would overflow the watermark wait for the previous wave to
-    /// finish, with arrival offsets preserved across waves —
-    /// resource-aware scheduling instead of a hard placement failure. A
-    /// non-finite watermark is [`DisaggError::InvalidConfig`], before
-    /// anything runs.
+    /// batch. Every job is admitted at once: a batch whose regions do
+    /// not fit fails placement ([`DisaggError::Placement`]).
     pub fn execute(&mut self, sub: impl Into<Submission>) -> Result<RunReport, RuntimeError> {
         let Submission { jobs, offsets, tags } = sub.into();
-        let watermark = self.config.admission_watermark;
-        if watermark.is_some_and(|w| !w.is_finite()) {
-            return Err(DisaggError::InvalidConfig {
-                what: "admission watermark is not a finite number",
-            });
-        }
         let n = jobs.len();
         let attached = [offsets.as_ref().map(Vec::len), tags.as_ref().map(Vec::len)];
         if let Some(len) = attached.into_iter().flatten().find(|&len| len != n) {
@@ -250,66 +225,11 @@ impl Runtime {
             Some(t) => t.into_iter().map(Some).collect(),
             None => vec![None; n],
         };
-        let report = self.run_waves(jobs, offsets, tags, watermark)?;
+        let report = crate::executor::run_wave(self, jobs, offsets, tags)?;
         // Online reconstruction: heal persistent regions whose device
         // died during the run (a no-op without scheduled faults).
         self.heal_failed_persistent()?;
         Ok(report)
-    }
-
-    fn run_waves(
-        &mut self,
-        jobs: Vec<JobSpec>,
-        offsets: Vec<SimDuration>,
-        tags: Vec<Option<(u64, u64)>>,
-        watermark: Option<f64>,
-    ) -> Result<RunReport, RuntimeError> {
-        let Some(watermark) = watermark else {
-            return crate::executor::run_wave(self, jobs, offsets, tags);
-        };
-        let free: u64 = self
-            .topo
-            .mem_ids()
-            .map(|d| self.mgr.pool().capacity(d) - self.mgr.pool().allocated(d))
-            .sum();
-        let budget = (free as f64 * watermark.clamp(0.05, 1.0)) as u64;
-
-        // Arrival offsets are anchored at submission time; a job held
-        // back to a later wave keeps its *absolute* arrival, re-expressed
-        // relative to that wave's start (zero once the wave starts after
-        // the arrival — the job was ready, admission was the gate).
-        let t0 = self.clock;
-        let mut combined = RunReport::default();
-        let mut wave: Vec<JobSpec> = Vec::new();
-        let mut wave_offsets: Vec<SimDuration> = Vec::new();
-        let mut wave_tags: Vec<Option<(u64, u64)>> = Vec::new();
-        let mut wave_bytes = 0u64;
-        let mut queue = jobs.into_iter().zip(offsets).zip(tags).peekable();
-        while let Some(((job, offset), tag)) = queue.next() {
-            wave_bytes += Self::predicted_footprint(&job);
-            wave.push(job);
-            wave_offsets.push(offset);
-            wave_tags.push(tag);
-            // The wave closes when the next job would overflow the
-            // budget, or when there is no next job.
-            let closes = queue
-                .peek()
-                .is_none_or(|((next, _), _)| wave_bytes + Self::predicted_footprint(next) > budget);
-            if closes {
-                let start = self.clock;
-                let offs: Vec<SimDuration> =
-                    wave_offsets.drain(..).map(|o| (t0 + o) - start).collect();
-                let report = crate::executor::run_wave(
-                    self,
-                    std::mem::take(&mut wave),
-                    offs,
-                    std::mem::take(&mut wave_tags),
-                )?;
-                combined.absorb(report);
-                wave_bytes = 0;
-            }
-        }
-        Ok(combined)
     }
 
     /// Online reconstruction after device loss (Challenge 8(3)): every

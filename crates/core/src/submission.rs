@@ -2,8 +2,8 @@
 //!
 //! [`Runtime::execute`](crate::Runtime::execute) is the runtime's only
 //! entry point. A [`Submission`] covers the three shapes of work — one
-//! job, a closed batch (with optional admission waves), and a batch
-//! whose jobs arrive over virtual time — in one builder:
+//! job, a closed batch, and a batch whose jobs arrive over virtual
+//! time — in one builder. Every job of a submission is admitted at once:
 //!
 //! ```
 //! use disagg_core::prelude::*;
@@ -17,12 +17,11 @@
 //!     j.build().unwrap()
 //! };
 //!
-//! // A closed batch (admitted in memory-aware waves when the runtime
-//! // is configured `with_admission`):
+//! // A closed batch:
 //! let report = rt.execute(Submission::batch(vec![mk("a"), mk("b")])).unwrap();
 //! assert_eq!(report.tasks.len(), 2);
 //!
-//! // An open arrival stream — arrivals and admission compose.
+//! // An open arrival stream: each job's tasks wait for its offset.
 //! let report = rt
 //!     .execute(
 //!         Submission::batch(vec![mk("c"), mk("d")])
@@ -40,10 +39,7 @@ use disagg_hwsim::time::SimDuration;
 /// request identities.
 ///
 /// Built with [`Submission::batch`] / [`Submission::job`] /
-/// [`Submission::arriving`] and refined with the builder methods. The
-/// runtime's configured
-/// [`admission_watermark`](crate::RuntimeConfig::admission_watermark)
-/// applies to arrival streams just like to closed batches.
+/// [`Submission::arriving`] and refined with the builder methods.
 #[derive(Debug)]
 pub struct Submission {
     pub(crate) jobs: Vec<JobSpec>,

@@ -40,6 +40,12 @@ impl SimTime {
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
+
+    /// `self + d`, or `None` past the end of virtual time.
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {

@@ -86,8 +86,11 @@ impl Histogram {
     /// a log2 bucket and differ by less than 2× — then linearly
     /// interpolates *within* the bucket assuming its values spread
     /// evenly over `[lo, hi]`: the `pos`-th of `n` values lands at
-    /// `lo + span * pos / (n + 1)`. Integer math throughout, so the
-    /// estimate is bit-for-bit reproducible.
+    /// `lo + span * pos / (n + 1)`, clamped to the observed `[min, max]`
+    /// (every sample lies there, so the clamp only brings the estimate
+    /// closer). It is an estimate, not a bound: it may fall on either
+    /// side of the exact value. Integer math throughout, so the estimate
+    /// is bit-for-bit reproducible.
     pub fn quantile_bound(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -102,7 +105,8 @@ impl Histogram {
                 let (lo, hi) = bucket_bounds(i);
                 let pos = (rank - seen) as u128;
                 let span = (hi - lo) as u128;
-                return lo + (span * pos / (n as u128 + 1)) as u64;
+                let estimate = lo + (span * pos / (n as u128 + 1)) as u64;
+                return estimate.clamp(self.min, self.max);
             }
             seen += n;
         }
@@ -380,7 +384,7 @@ impl MetricsSnapshot {
         for (k, h) in &self.histograms {
             let _ = writeln!(
                 out,
-                "{k:<width$}  count={} sum={} min={} p50<={} p99<={} max={}",
+                "{k:<width$}  count={} sum={} min={} p50~{} p99~{} max={}",
                 h.count, h.sum, h.min, h.p50, h.p99, h.max
             );
         }
@@ -524,16 +528,27 @@ mod tests {
             h.observe(v);
         }
         assert_eq!(h.quantile_bound(0.50), 5); // was 7: bucket [4,7] upper bound
-        assert_eq!(h.quantile_bound(0.99), 1535); // was 2047: bucket [1024,2047]
+        // Bucket [1024, 2047] interpolates to 1535 (2047 before that),
+        // past the largest sample: the clamp reads the max.
+        assert_eq!(h.quantile_bound(0.99), 1024);
 
         // Several values in one bucket spread evenly across it.
         let mut h = Histogram::default();
-        for _ in 0..3 {
-            h.observe(1000); // bucket 10 covers [512, 1023]
+        for v in [600u64, 800, 1000] {
+            h.observe(v); // bucket 10 covers [512, 1023]
         }
         assert_eq!(h.quantile_bound(0.25), 512 + 511 / 4); // was 1023
         assert_eq!(h.quantile_bound(0.50), 512 + 511 * 2 / 4);
         assert_eq!(h.quantile_bound(1.0), 512 + 511 * 3 / 4);
+        // Three equal values: the spread is clamped to the one value
+        // (639, 767 and 895 before the clamp).
+        let mut h = Histogram::default();
+        for _ in 0..3 {
+            h.observe(1000);
+        }
+        for p in [0.25, 0.50, 1.0] {
+            assert_eq!(h.quantile_bound(p), 1000);
+        }
 
         // Degenerate buckets interpolate to their single value.
         let mut h = Histogram::default();
@@ -541,6 +556,20 @@ mod tests {
         h.observe(1);
         assert_eq!(h.quantile_bound(0.50), 0);
         assert_eq!(h.quantile_bound(1.0), 1);
+
+        // The estimate never leaves the observed range: three 3s sit in
+        // bucket [2, 3], where interpolation alone says 2.
+        let mut h = Histogram::default();
+        for _ in 0..3 {
+            h.observe(3);
+        }
+        assert_eq!(h.quantile_bound(0.50), 3); // was 2, below every sample
+        assert_eq!(h.quantile_bound(0.99), 3);
+        let mut r = MetricsRegistry::new();
+        for _ in 0..3 {
+            r.observe("x", 3);
+        }
+        assert!(r.snapshot().render().contains("min=3 p50~3 p99~3 max=3"));
     }
 
     #[test]
@@ -603,6 +632,6 @@ mod tests {
         assert!(json.contains("\"a\": 1"));
         assert!(json.contains("\"log2_buckets\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert!(s1.render().contains("p50<="));
+        assert!(s1.render().contains("p50~"));
     }
 }

@@ -38,7 +38,11 @@ use crate::metrics::nearest_rank;
 /// The latency component a span segment belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SegmentKind {
-    /// Waiting for an admission wave before any task could queue.
+    /// From the job's tagged arrival to its first queue entry. The
+    /// executor queues a job's source tasks at its arrival, and a
+    /// serving epoch tags each request at the later of its arrival and
+    /// the epoch's start, so the wait for the epoch falls outside the
+    /// span and this component reads zero.
     Admission,
     /// Waiting in a compute device's ready queue.
     Queue,
@@ -104,7 +108,7 @@ impl Segment {
 /// components of a [`RequestSpan`] sum exactly to its latency.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Attribution {
-    /// Admission-wave wait before the first enqueue.
+    /// Tagged arrival to the first enqueue ([`SegmentKind::Admission`]).
     pub admission: SimDuration,
     /// Ready-queue wait with nothing computing.
     pub queue: SimDuration,

@@ -1,24 +1,39 @@
-//! Per-tenant memory-quota admission.
+//! Per-tenant memory-quota admission: the one admission barrier above
+//! the executor, and the one home of the charge it levies.
 //!
-//! The serving layer decides admission *before* handing the batch to
-//! the executor, using the same footprint predictor the runtime's own
-//! admission waves charge ([`disagg_core::Runtime::predicted_footprint`])
-//! plus a calibrated per-template service-time estimate. Decisions are
-//! therefore causal (made in arrival order, from information available
-//! at the arrival instant) — a rejected request is rejected identically
-//! on every execution.
+//! The serving layer decides admission *before* handing an epoch's jobs
+//! to the executor. Each request is charged its job's
+//! [`predicted_footprint`] against its tenant's quota, for as long as a
+//! calibrated per-template service-time estimate says it runs.
+//! Decisions are therefore causal (made in arrival order, from
+//! information available at the arrival instant) — a rejected request
+//! is rejected identically on every execution.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use disagg_dataflow::job::JobSpec;
 use disagg_hwsim::time::{SimDuration, SimTime};
 
+/// Predicted memory footprint of a job: every declared region — scratch,
+/// outputs and global state — all assumed live at once. It has no term
+/// for the copies a handover makes, nor for a task body's own
+/// allocations.
+pub fn predicted_footprint(spec: &JobSpec) -> u64 {
+    spec.global_state_bytes
+        + spec
+            .tasks
+            .iter()
+            .map(|t| t.private_scratch + t.output_bytes + t.global_scratch)
+            .sum::<u64>()
+}
+
 /// Tracks each tenant's outstanding (admitted but not yet estimated to
-/// have finished) memory footprint against its quota.
+/// have finished) memory footprint against the one per-tenant quota.
 #[derive(Debug)]
 pub struct QuotaTracker {
-    /// Per-tenant quota in bytes (`u64::MAX` = unlimited).
-    quotas: Vec<u64>,
+    /// Every tenant's quota in bytes (`u64::MAX` = unlimited).
+    quota: u64,
     /// Per-tenant outstanding predicted bytes.
     outstanding: Vec<u64>,
     /// Per-tenant count of in-flight admitted requests — the queue-depth
@@ -30,27 +45,15 @@ pub struct QuotaTracker {
 }
 
 impl QuotaTracker {
-    /// A tracker for `tenants` tenants, all starting at `quota` bytes
+    /// A tracker for `tenants` tenants, each held to `quota` bytes
     /// (`None` = unlimited).
     pub fn new(tenants: usize, quota: Option<u64>) -> QuotaTracker {
         QuotaTracker {
-            quotas: vec![quota.unwrap_or(u64::MAX); tenants],
+            quota: quota.unwrap_or(u64::MAX),
             outstanding: vec![0; tenants],
             depth: vec![0; tenants],
             inflight: BinaryHeap::new(),
         }
-    }
-
-    /// Overrides one tenant's quota.
-    pub fn set_quota(&mut self, tenant: usize, quota: u64) {
-        if let Some(q) = self.quotas.get_mut(tenant) {
-            *q = quota;
-        }
-    }
-
-    /// The quota currently applied to a tenant.
-    pub fn quota(&self, tenant: usize) -> u64 {
-        self.quotas.get(tenant).copied().unwrap_or(u64::MAX)
     }
 
     /// Releases every in-flight request whose estimated finish is at or
@@ -79,7 +82,7 @@ impl QuotaTracker {
     ) -> bool {
         self.release_until(now);
         let used = self.outstanding[tenant];
-        if used.saturating_add(bytes) > self.quotas[tenant] {
+        if used.saturating_add(bytes) > self.quota {
             return false;
         }
         self.outstanding[tenant] = used + bytes;
@@ -144,14 +147,5 @@ mod tests {
         q.release_until(SimTime(20_000));
         assert_eq!(q.inflight(0), 0);
         assert_eq!(q.inflight(1), 0);
-    }
-
-    #[test]
-    fn per_tenant_override_applies() {
-        let mut q = QuotaTracker::new(2, Some(1000));
-        q.set_quota(1, 10);
-        assert!(q.admit(0, 500, SimTime::ZERO, SimDuration::ZERO));
-        assert!(!q.admit(1, 500, SimTime::ZERO, SimDuration::ZERO));
-        assert_eq!(q.quota(1), 10);
     }
 }

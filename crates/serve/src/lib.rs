@@ -12,12 +12,12 @@
 //!   (`disagg_workloads::gen::Zipf`) — tenant 0 is the hottest.
 //! - **Templates**: each tenant maps to a registered job template; a
 //!   template instantiates a fresh DAG per request from a derived seed.
-//! - **Admission** ([`QuotaTracker`]): per-tenant memory-pool quotas
-//!   charged with the runtime's own footprint predictor and a
-//!   calibrated service-time estimate; decisions are causal and
-//!   identical on every execution.
-//! - **SLOs** ([`Slo`]): per-tenant p50/p99 sojourn targets in virtual
-//!   time, held against exact order statistics
+//! - **Admission** ([`QuotaTracker`]): one memory-pool quota per tenant,
+//!   charged with [`admission::predicted_footprint`] and a calibrated
+//!   service-time estimate; decisions are causal and identical on every
+//!   execution.
+//! - **SLOs** ([`Slo`]): one p50/p99 sojourn target for every tenant, in
+//!   virtual time, held per tenant against exact order statistics
 //!   (`disagg_obs::nearest_rank`) of the completed requests' latencies.
 //!
 //! The whole pipeline is virtual-time-only: a seeded [`ServeConfig`]
@@ -126,14 +126,10 @@ pub struct ServeConfig {
     pub zipf_theta: f64,
     /// Root seed; everything downstream forks from it.
     pub seed: u64,
-    /// Default per-tenant memory quota in bytes (`None` = unlimited).
+    /// Every tenant's memory quota in bytes (`None` = unlimited).
     pub quota: Option<u64>,
-    /// Per-tenant quota overrides as `(tenant, bytes)`.
-    pub tenant_quotas: Vec<(usize, u64)>,
-    /// Default per-tenant latency SLO (`None` = no SLO).
+    /// Every tenant's latency SLO (`None` = no SLO).
     pub slo: Option<Slo>,
-    /// Per-tenant SLO overrides as `(tenant, slo)`.
-    pub tenant_slos: Vec<(usize, Slo)>,
     /// Overload/fault controls; `None` runs one batch under quota
     /// admission only.
     pub control: Option<ControlPlane>,
@@ -148,9 +144,7 @@ impl Default for ServeConfig {
             zipf_theta: 0.9,
             seed: 42,
             quota: None,
-            tenant_quotas: Vec::new(),
             slo: None,
-            tenant_slos: Vec::new(),
             control: None,
         }
     }
@@ -256,8 +250,7 @@ impl ServeLayer {
     ///
     /// [`RuntimeError::InvalidConfig`], before anything runs, if no
     /// template is registered, `cfg.tenants == 0`, the Zipf skew is
-    /// negative or not finite, a per-tenant quota or SLO names a
-    /// tenant `>= cfg.tenants`, or an arrival overflows virtual time;
+    /// negative or not finite, or an arrival overflows virtual time;
     /// otherwise whatever the executor returns.
     pub fn run(&self, rt: &mut Runtime, cfg: &ServeConfig) -> Result<ServeReport, RuntimeError> {
         let invalid = |what| Err(RuntimeError::InvalidConfig { what });
@@ -269,14 +262,6 @@ impl ServeLayer {
         }
         if !(cfg.zipf_theta.is_finite() && cfg.zipf_theta >= 0.0) {
             return invalid("the tenant mix's Zipf skew must be finite and non-negative");
-        }
-        let mut overridden = cfg
-            .tenant_quotas
-            .iter()
-            .map(|&(t, _)| t)
-            .chain(cfg.tenant_slos.iter().map(|&(t, _)| t));
-        if overridden.any(|t| t >= cfg.tenants) {
-            return invalid("a per-tenant quota or SLO names a tenant the run does not have");
         }
         let mut rng = SimRng::new(cfg.seed);
         // Offsets are nondecreasing, so the last one is the latest arrival.
@@ -308,7 +293,7 @@ impl ServeLayer {
         }
 
         // Admission estimates: one representative request per template,
-        // timed alone; footprints come from the runtime's own predictor.
+        // timed alone; footprints come from `predicted_footprint`.
         let est_service: Vec<SimDuration> = (0..self.templates.len())
             .map(|ti| {
                 let probe = Request {
@@ -321,27 +306,18 @@ impl ServeLayer {
             })
             .collect();
         let mut quotas = QuotaTracker::new(cfg.tenants, cfg.quota);
-        for &(tenant, bytes) in &cfg.tenant_quotas {
-            quotas.set_quota(tenant, bytes);
-        }
 
-        // Utilization denominator: the admission-managed pool — the sum
-        // of finite per-tenant quotas when any are configured, the
-        // rack's total memory capacity otherwise. Measuring against the
-        // managed pool keeps the curve legible: request footprints are
-        // invisible against multi-TiB rack capacity. Snapshotted before
-        // the run so `pool_at_start` reads pre-run residency.
-        let quota_pool: u64 = (0..cfg.tenants)
-            .map(|t| quotas.quota(t))
-            .filter(|&q| q != u64::MAX)
-            .sum();
-        let pool_capacity: u64 = if quota_pool > 0 {
-            quota_pool
-        } else {
-            rt.topology()
-                .mem_ids()
-                .map(|d| rt.manager().pool().capacity(d))
-                .sum()
+        // Utilization denominator: the admission-managed pool — tenants
+        // × quota when a finite, non-zero quota is set, the rack's total
+        // memory capacity otherwise. Measuring against the managed pool
+        // keeps the curve legible: request footprints are invisible
+        // against multi-TiB rack capacity. Snapshotted before the run so
+        // `pool_at_start` reads pre-run residency.
+        let pool_capacity: u64 = match cfg.quota {
+            Some(quota) if quota > 0 && quota != u64::MAX => {
+                quota.saturating_mul(cfg.tenants as u64)
+            }
+            _ => rt.topology().mem_ids().map(|d| rt.manager().pool().capacity(d)).sum(),
         };
         let pool_at_start: u64 = rt
             .topology()
@@ -352,15 +328,6 @@ impl ServeLayer {
         // The run's one set of books: a record per request, pushed at
         // admission and completed when its epoch has executed. The
         // per-tenant stats are read off them when the run is over.
-        let slos: Vec<Option<Slo>> = (0..cfg.tenants)
-            .map(|tenant| {
-                cfg.tenant_slos
-                    .iter()
-                    .find(|(t, _)| *t == tenant)
-                    .map(|(_, s)| *s)
-                    .or(cfg.slo)
-            })
-            .collect();
         let mut records: Vec<RequestRecord> = Vec::with_capacity(cfg.requests);
         let mut run_acc = RunReport::default();
         // Request-centric observability: one causal span per admitted
@@ -399,7 +366,7 @@ impl ServeLayer {
                 let template = &self.templates[req.tenant % self.templates.len()];
                 let mut degrade = browned[req.tenant] && template.degraded.is_some();
                 let verdict = 'admit: {
-                    if let (true, Some(slo)) = (control, slos[req.tenant]) {
+                    if let (true, Some(slo)) = (control, cfg.slo) {
                         quotas.release_until(arrival_abs);
                         let depth = quotas.inflight(req.tenant);
                         // Latency budget already burned waiting for this
@@ -433,7 +400,7 @@ impl ServeLayer {
                         Some(lite) if degrade => lite(req),
                         _ => (template.make)(req),
                     };
-                    let footprint = Runtime::predicted_footprint(&job);
+                    let footprint = admission::predicted_footprint(&job);
                     if !quotas.admit(req.tenant, footprint, arrival_abs, svc) {
                         break 'admit Verdict::Rejected;
                     }
@@ -467,10 +434,9 @@ impl ServeLayer {
                 continue;
             }
 
-            // Execute the epoch; runtime-level admission (watermark
-            // waves) still applies underneath the quotas. The executor
-            // hands out sequential JobIds in submission order, so job
-            // `base + k` is the request in `epoch_slots[k]`.
+            // Execute the epoch. The executor hands out sequential JobIds
+            // in submission order, so job `base + k` is the request in
+            // `epoch_slots[k]`.
             let base = rt.next_job_id().0;
             let run: RunReport =
                 rt.execute(Submission::batch(jobs).arrivals(offs).requests(tags))?;
@@ -517,7 +483,7 @@ impl ServeLayer {
                     Verdict::Shed | Verdict::FastFailed => true,
                     Verdict::Completed => {
                         let lat = rec.latency.expect("a job that did not fail ran its tasks");
-                        slos[rec.tenant].is_some_and(|slo| lat > slo.p99)
+                        cfg.slo.is_some_and(|slo| lat > slo.p99)
                     }
                 };
                 ran[rec.tenant] += 1;
@@ -536,7 +502,7 @@ impl ServeLayer {
             }
         }
 
-        let tenants = report::tenant_stats(&records, &slos);
+        let tenants = report::tenant_stats(&records, cfg.tenants, cfg.slo);
 
         // This run's own slice of the trace (empty when the runtime does
         // not trace), walked epoch by epoch.
@@ -547,8 +513,7 @@ impl ServeLayer {
         // Per-tenant tail attribution, and SLO burn curves against each
         // tenant's p99.
         let tail = disagg_obs::tail_attribution(&spans);
-        let slo_of = |tenant: u64| slos.get(tenant as usize).copied().flatten().map(|slo| slo.p99);
-        let burn = disagg_obs::slo_burn_by(&spans, BURN_WINDOWS, slo_of);
+        let burn = disagg_obs::slo_burn_by(&spans, BURN_WINDOWS, |_| cfg.slo.map(|slo| slo.p99));
 
         Ok(ServeReport {
             offered: cfg.requests,
@@ -664,6 +629,27 @@ mod tests {
         l
     }
 
+    /// `layer()`'s light template for even tenants, and a heavy one for
+    /// odd tenants: 16× the output bytes (1 MiB against 64 KiB) and a
+    /// body that computes for about 10 ms.
+    fn mixed_layer() -> ServeLayer {
+        let mut l = layer();
+        l.register("heavy", |_req: &Request| {
+            let mut j = JobBuilder::new("heavy");
+            j.task(
+                TaskSpec::new("work")
+                    .work(WorkClass::Scalar, 10_000_000)
+                    .output_bytes(1 << 20)
+                    .body(|ctx| {
+                        ctx.compute(WorkClass::Scalar, 10_000_000);
+                        Ok(())
+                    }),
+            );
+            j.build().unwrap()
+        });
+        l
+    }
+
     #[test]
     fn serving_run_accounts_every_request() {
         let (topo, _ids) = single_server();
@@ -710,25 +696,6 @@ mod tests {
             got.err()
         );
         assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
-    }
-
-    #[test]
-    fn an_override_for_a_tenant_the_run_lacks_is_a_typed_error() {
-        let slo = Slo { p50: SimDuration::from_micros(1), p99: SimDuration::from_micros(1) };
-        for cfg in [
-            ServeConfig { tenants: 2, tenant_quotas: vec![(2, 1 << 20)], ..ServeConfig::default() },
-            ServeConfig { tenants: 2, tenant_slos: vec![(0, slo), (7, slo)], ..ServeConfig::default() },
-        ] {
-            let (topo, _ids) = single_server();
-            let mut rt = Runtime::new(topo, RuntimeConfig::default());
-            let got = layer().run(&mut rt, &cfg);
-            assert!(
-                matches!(got, Err(RuntimeError::InvalidConfig { .. })),
-                "{:?}",
-                got.err()
-            );
-            assert_eq!(rt.now(), SimTime::ZERO, "nothing ran");
-        }
     }
 
     /// An arrival gap whose draws overflow virtual time is refused
@@ -797,11 +764,12 @@ mod tests {
             requests: 40,
             tenants: 2,
             zipf_theta: 1.0,
-            // Quota below one request's footprint for tenant 1 only.
-            tenant_quotas: vec![(1, 1)],
+            // Above a light request's 64 KiB footprint, below a heavy
+            // one's 1 MiB: tenant 1's template never fits.
+            quota: Some(256 << 10),
             ..ServeConfig::default()
         };
-        let report = layer().run(&mut rt, &cfg).unwrap();
+        let report = mixed_layer().run(&mut rt, &cfg).unwrap();
         assert_eq!(report.tenants[1].admitted, 0, "tenant 1 can never fit");
         assert!(report.tenants[0].admitted > 0, "tenant 0 unaffected");
         assert_eq!(report.admitted + report.rejected, 40);
@@ -811,22 +779,19 @@ mod tests {
     fn slo_verdicts_follow_the_quantiles() {
         let (topo, _ids) = single_server();
         let mut rt = Runtime::new(topo, RuntimeConfig::default());
-        let generous = Slo {
-            p50: SimDuration::from_secs(1),
-            p99: SimDuration::from_secs(1),
-        };
-        let impossible = Slo {
-            p50: SimDuration::from_nanos(1),
-            p99: SimDuration::from_nanos(1),
+        // Generous for tenant 0's light template, out of reach for
+        // tenant 1's heavy one.
+        let slo = Slo {
+            p50: SimDuration::from_millis(1),
+            p99: SimDuration::from_millis(1),
         };
         let cfg = ServeConfig {
             requests: 16,
             tenants: 2,
-            slo: Some(generous),
-            tenant_slos: vec![(1, impossible)],
+            slo: Some(slo),
             ..ServeConfig::default()
         };
-        let report = layer().run(&mut rt, &cfg).unwrap();
+        let report = mixed_layer().run(&mut rt, &cfg).unwrap();
         assert!(report.tenants[0].slo_met);
         if report.tenants[1].admitted > 0 {
             assert!(!report.tenants[1].slo_met);

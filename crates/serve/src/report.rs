@@ -9,7 +9,7 @@ use disagg_core::report::RunReport;
 use disagg_hwsim::time::SimDuration;
 use disagg_obs::{nearest_rank, RequestSpan, TenantAttribution, TenantBurn};
 
-/// A per-tenant latency SLO in virtual time.
+/// A latency SLO in virtual time, held per tenant.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slo {
     /// Target median sojourn (arrival → last task finish).
@@ -87,7 +87,7 @@ pub struct TenantStats {
     pub p50: SimDuration,
     /// Tail sojourn of the tenant's completed requests.
     pub p99: SimDuration,
-    /// The SLO this tenant was held to, if any.
+    /// The SLO this tenant was held to, if any: the run's one SLO.
     pub slo: Option<Slo>,
     /// Whether both p50 and p99 stayed within the SLO (vacuously true
     /// without an SLO or without admitted requests).
@@ -129,8 +129,8 @@ pub struct ServeReport {
     pub requests: Vec<RequestRecord>,
     /// Pooled-memory utilization over the run (empty when the runtime
     /// was built without tracing). Fractions are measured against the
-    /// admission-managed pool: the sum of finite per-tenant quotas when
-    /// any are configured, the rack's total memory capacity otherwise.
+    /// admission-managed pool: tenants × quota when a quota is set, the
+    /// rack's total memory capacity otherwise.
     pub util_curve: Vec<UtilSample>,
     /// Exact peak utilization over the run — computed from the full
     /// Alloc/Free event walk, so it catches allocations too short-lived
@@ -171,17 +171,18 @@ fn sojourn_quantiles(requests: &[RequestRecord]) -> (SimDuration, SimDuration) {
 
 /// The per-tenant books, read off the request records in one pass —
 /// the records are the run's one set of books: how many requests each
-/// tenant offered and how each was disposed of, and the p50/p99 of its
-/// completed requests held against `slos[tenant]`.
-pub(crate) fn tenant_stats(records: &[RequestRecord], slos: &[Option<Slo>]) -> Vec<TenantStats> {
-    let mut tenants: Vec<TenantStats> = slos
-        .iter()
-        .enumerate()
-        .map(|(tenant, &slo)| TenantStats { tenant, slo, ..TenantStats::default() })
-        .collect();
-    let mut lats: Vec<Vec<u64>> = vec![Vec::new(); slos.len()];
+/// of the `tenants` tenants offered and how each was disposed of, and
+/// the p50/p99 of its completed requests held against `slo`.
+pub(crate) fn tenant_stats(
+    records: &[RequestRecord],
+    tenants: usize,
+    slo: Option<Slo>,
+) -> Vec<TenantStats> {
+    let mut stats: Vec<TenantStats> =
+        (0..tenants).map(|tenant| TenantStats { tenant, slo, ..TenantStats::default() }).collect();
+    let mut lats: Vec<Vec<u64>> = vec![Vec::new(); tenants];
     for r in records {
-        let ts = &mut tenants[r.tenant];
+        let ts = &mut stats[r.tenant];
         ts.offered += 1;
         ts.admitted += usize::from(r.verdict.admitted());
         ts.degraded += usize::from(r.degraded);
@@ -193,7 +194,7 @@ pub(crate) fn tenant_stats(records: &[RequestRecord], slos: &[Option<Slo>]) -> V
         }
         lats[r.tenant].extend(r.latency.map(|l| l.as_nanos()));
     }
-    for (ts, mut lats) in tenants.iter_mut().zip(lats) {
+    for (ts, mut lats) in stats.iter_mut().zip(lats) {
         lats.sort_unstable();
         (ts.p50, ts.p99) = quantiles(&lats);
         ts.slo_met = match ts.slo {
@@ -201,7 +202,7 @@ pub(crate) fn tenant_stats(records: &[RequestRecord], slos: &[Option<Slo>]) -> V
             _ => true,
         };
     }
-    tenants
+    stats
 }
 
 impl ServeReport {

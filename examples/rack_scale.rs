@@ -1,7 +1,7 @@
 //! The whole vision on one rack: lean compute nodes over a CXL memory
-//! pool, a mixed batch of application jobs admitted under a memory
-//! watermark, hotness-driven tiering between batches, and the cross-layer
-//! profile of where the time went.
+//! pool, a mixed batch of application jobs placed by declared
+//! properties, a hotness-driven tiering pass after the batch, and the
+//! cross-layer profile of where the time went.
 //!
 //! Run with: `cargo run --example rack_scale`
 
@@ -19,7 +19,7 @@ fn main() {
         rack.pool.len(),
         topo.total_mem_capacity() / (1 << 30)
     );
-    let mut rt = Runtime::new(topo, RuntimeConfig::traced().with_admission(0.8));
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
 
     let jobs = vec![
         dbms::query_job(dbms::DbmsConfig {
@@ -65,8 +65,10 @@ fn main() {
         );
     }
 
-    // Between batches, the runtime re-tiers what survived (persistent
-    // results) based on observed heat.
+    // After the batch, the runtime re-tiers what survived (persistent
+    // results) by observed heat. Here nothing moves: the four survivors
+    // sit on the persistent blade, and their heat lies between the
+    // policy's demote and promote scores.
     let moved = rt.run_tiering(&TieringPolicy::by_latency(rt.topology()));
     println!("tiering pass migrated {} regions", moved.len());
 

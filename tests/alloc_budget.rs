@@ -208,7 +208,6 @@ fn committing_a_task_stays_within_its_allocation_budget() {
             p99: SimDuration(40_000),
         }),
         control: Some(ControlPlane::default()),
-        ..ServeConfig::default()
     };
     let (topo, _) = disaggregated_rack(4, 8, 2, 32);
     let mut rt = Runtime::new(topo, RuntimeConfig::traced());

@@ -118,7 +118,7 @@ fn quickstart_workload() -> (Runtime, JobSpec) {
 
 fn rack_batch(config: RuntimeConfig) -> (Runtime, Vec<JobSpec>) {
     let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
-    let rt = Runtime::new(topo, config.with_admission(0.8));
+    let rt = Runtime::new(topo, config);
     let jobs = vec![
         dbms::query_job(dbms::DbmsConfig {
             tuples: 8_000,
@@ -246,9 +246,7 @@ fn streaming_observer_matches_buffered_trace() {
     let sink = Arc::new(Mutex::new(FullObserver::new()));
     let mut rt = Runtime::new(
         topo,
-        RuntimeConfig::traced()
-            .with_admission(0.8)
-            .with_observer(ObserverSlot::shared(sink.clone())),
+        RuntimeConfig::traced().with_observer(ObserverSlot::shared(sink.clone())),
     );
     let (_, jobs) = rack_batch(RuntimeConfig::traced());
     rt.execute(Submission::batch(jobs)).unwrap();
@@ -290,9 +288,7 @@ fn null_and_full_observers_agree_on_the_golden_digest() {
     let sink = Arc::new(Mutex::new(FullObserver::new()));
     let mut rt = Runtime::new(
         topo,
-        RuntimeConfig::traced()
-            .with_admission(0.8)
-            .with_observer(ObserverSlot::shared(sink.clone())),
+        RuntimeConfig::traced().with_observer(ObserverSlot::shared(sink.clone())),
     );
     let (_, jobs) = rack_batch(RuntimeConfig::traced());
     let report = rt.execute(Submission::batch(jobs)).unwrap();

@@ -173,6 +173,55 @@ fn exhausted_retry_cap_surfaces_a_clean_error() {
     }
 }
 
+/// Four two-task jobs on a two-server rack whose node 0 crashes at
+/// `crash_at`, run under `recovery`.
+fn crash_node_zero(recovery: RecoveryPolicy, crash_at: SimTime) -> Result<RunReport, DisaggError> {
+    let (topo, rack) = disaggregated_rack(2, 4, 1, 8);
+    let faults = FaultInjector::with_events(vec![FaultEvent {
+        at: crash_at,
+        kind: FaultKind::NodeCrash(rack.nodes[0]),
+    }]);
+    let config = RuntimeConfig::default().with_faults(faults).with_recovery(recovery);
+    let jobs = (0..4)
+        .map(|i| {
+            let mut j = JobBuilder::new(format!("pair{i}"));
+            let first = j.task(TaskSpec::new("first").output_bytes(4096).body(|ctx| {
+                ctx.compute(WorkClass::Scalar, 100_000);
+                Ok(())
+            }));
+            let second = j.task(TaskSpec::new("second").work(WorkClass::Scalar, 1_000));
+            j.edge(first, second);
+            j.build().unwrap()
+        })
+        .collect::<Vec<_>>();
+    Runtime::new(topo, config).execute(jobs)
+}
+
+/// A detection delay or relaunch backoff that carries a fault's
+/// detection or relaunch past the end of virtual time is a typed
+/// `InvalidConfig`. The sum used to panic in a debug build and wrap in a
+/// release one, relaunching the task before the fault.
+#[test]
+fn a_recovery_delay_past_the_end_of_time_is_a_typed_error() {
+    let never = SimDuration(u64::MAX);
+    for recovery in [
+        RecoveryPolicy::default().with_detection_delay(never),
+        RecoveryPolicy::default().with_backoff(never),
+    ] {
+        let got = crash_node_zero(recovery, SimTime(1));
+        assert!(matches!(got, Err(DisaggError::InvalidConfig { .. })), "{recovery:?}: {got:?}");
+    }
+    // A delay that still fits, with no retries, exhausts them cleanly.
+    let fits = RecoveryPolicy::default()
+        .with_detection_delay(SimDuration(u64::MAX - 5))
+        .with_max_retries(0);
+    let got = crash_node_zero(fits, SimTime(1));
+    assert!(matches!(got, Err(DisaggError::RetriesExhausted { .. })), "{got:?}");
+    // A crash at the end of time strikes after every task has finished.
+    let report = crash_node_zero(RecoveryPolicy::default(), SimTime(u64::MAX - 1)).unwrap();
+    assert_eq!(report.tasks.len(), 8);
+}
+
 /// A crash interrupts the stream job's `source` halfway through, after
 /// it has started streaming to `window-aggregate`. The lost attempt's
 /// chunks are gone with it, so the consumer is fed by the retry: it

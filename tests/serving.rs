@@ -205,19 +205,19 @@ fn a_used_runtime_serves_like_a_fresh_one() {
     assert_eq!(used.makespan, fresh.makespan);
 }
 
-/// A tenant whose quota cannot hold even one request footprint is
-/// starved out while every other tenant proceeds untouched.
+/// A tenant whose template's footprint the quota cannot hold is starved
+/// out while the other tenant proceeds untouched. With two tenants,
+/// tenant 0 is served by `chain` (1 MiB) and tenant 1 by `fan` (7 MiB).
 #[test]
 fn tenant_quota_rejects_without_collateral_damage() {
     let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
     let mut rt = Runtime::new(topo, RuntimeConfig::default());
-    let mut c = cfg();
-    c.tenant_quotas = vec![(1, 1024)]; // far below any template footprint
+    let c = ServeConfig { tenants: 2, quota: Some(6 << 20), ..cfg() };
     let report = mix().run(&mut rt, &c).expect("serving run");
 
     let starved = &report.tenants[1];
     assert!(starved.offered > 0, "seeded mix must offer tenant 1 traffic");
-    assert_eq!(starved.admitted, 0, "1 KiB quota cannot admit any request");
+    assert_eq!(starved.admitted, 0, "a 6 MiB quota cannot admit a 7 MiB request");
     assert_eq!(starved.rejected, starved.offered);
     for t in report.tenants.iter().filter(|t| t.tenant != 1) {
         assert_eq!(t.rejected, 0, "tenant {} must be untouched", t.tenant);
