@@ -72,9 +72,8 @@ impl Scenario {
     /// folded.txt, critical.txt, metrics.json}`; `label` names the row the
     /// run feeds. Nothing is re-run: the files render the run's buffered
     /// trace, and the metrics are that trace folded through
-    /// [`MetricsRegistry::record`] — what a streaming observer of the run
-    /// counts. A trace that does not validate, or a file that cannot be
-    /// written, panics.
+    /// [`MetricsRegistry::of`], the run's one source of metrics. A trace
+    /// that does not validate, or a file that cannot be written, panics.
     pub fn observed(&self, label: &str, rt: &Runtime, report: &RunReport) {
         self.write(label, rt, report, &[]);
     }
@@ -106,8 +105,7 @@ impl Scenario {
             valid(&exemplars);
             files.push(("exemplars.trace.json", exemplars));
         }
-        let mut metrics = MetricsRegistry::new();
-        events.iter().for_each(|e| metrics.record(e));
+        let metrics = MetricsRegistry::of(events);
         let (task_spans, paths) = report.critical_paths(3);
         files.push(("folded.txt", folded_stacks(&task_spans)));
         files.push(("critical.txt", render_critical_paths(&task_spans, &paths)));

@@ -126,15 +126,11 @@ pub struct RuntimeConfig {
     pub handover: HandoverPolicy,
     /// Cost-model topology awareness. Switched by `ingredients`.
     pub awareness: TopologyAwareness,
-    /// Record a full event trace (costs memory on big runs). On in
-    /// almost every experiment; off in the benchmark's `batch_dag`.
-    /// The report's aggregates read the same either way.
+    /// Record a full event trace (costs memory on big runs): the run's
+    /// one copy of its events, which every exporter, span and metric
+    /// reads. On in almost every experiment; off in the benchmark's
+    /// `batch_dag`. The report's aggregates read the same either way.
     pub trace: bool,
-    /// Streaming event sink: sees every trace event at emission time,
-    /// independent of whether `trace` buffers them. The default is the
-    /// null slot — no tap is installed and observability costs nothing.
-    /// Attached by the benchmark's `batch_dag` observer probe.
-    pub observer: ObserverSlot,
     /// Injected faults for this run. Set by `chaos`, `serving`'s
     /// faulted rows, the benchmark's `apps_chaos` and `examples/far_memory_resilience`.
     pub faults: FaultInjector,
@@ -182,10 +178,15 @@ impl RuntimeConfig {
         self
     }
 
-    /// Attaches a streaming observer (use [`ObserverSlot::shared`] to
-    /// keep a handle for reading results back after the run).
-    pub fn with_observer(mut self, o: ObserverSlot) -> Self {
-        self.observer = o;
+    /// Ignored: a run's events have one path, its buffered trace, and
+    /// its metrics are that trace folded
+    /// ([`disagg_obs::MetricsRegistry::of`]). The streaming observer this
+    /// used to attach was deleted; the method remains, inert, only
+    /// because `benchmark/` still calls it for its
+    /// `obs.full_observer_over_null_host` probe, which now reads ≈ 1.0;
+    /// the benchmark PR that retires that probe, ROADMAP 6(d), removes
+    /// this with it.
+    pub fn with_observer(self, _slot: ObserverSlot) -> Self {
         self
     }
 

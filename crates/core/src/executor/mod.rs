@@ -280,13 +280,14 @@ fn commit(
 
 /// Runs one submission's jobs, all admitted at once, as one wave.
 /// `offsets` are per-job arrival delays relative to the wave start;
-/// `tags` are optional per-job `(request, tenant)` identities stamped
-/// into the trace at arrival for request-centric attribution.
+/// `tags` are optional per-job `(request, tenant, waited)` identities
+/// stamped into the trace at the request's arrival, `waited` before the
+/// job's release, for request-centric attribution.
 pub(crate) fn run_wave(
     rt: &mut Runtime,
     jobs: Vec<JobSpec>,
     offsets: Vec<SimDuration>,
-    tags: Vec<Option<(u64, u64)>>,
+    tags: Vec<Option<(u64, u64, SimDuration)>>,
 ) -> Result<RunReport, DisaggError> {
     let t0 = rt.clock;
     let moved_mark = rt.trace.bytes_moved();
@@ -394,7 +395,7 @@ pub(crate) fn run_wave(
         retries: FxHashMap::default(),
         published: jobs.iter().map(|_| FxHashMap::default()).collect(),
         global_state,
-        tenants: tags.iter().map(|t| t.map(|(_, tenant)| tenant)).collect(),
+        tenants: tags.iter().map(|t| t.map(|(_, tenant, _)| tenant)).collect(),
         failed: vec![false; jobs.len()],
         ran: vec![false; total_tasks],
         failed_tasks: 0,
@@ -409,22 +410,24 @@ pub(crate) fn run_wave(
         books,
     };
 
-    // Seed the frontier: source tasks become ready when their job
-    // arrives. Request-tagged jobs stamp their identity into the trace
-    // here, before any event commits, so the tag block leads the wave.
+    // Seed the frontier: source tasks become ready when their job is
+    // released. Request-tagged jobs stamp their identity into the trace
+    // here, before any event commits, so the tag block leads the wave;
+    // the tag is stamped at the request's own arrival, `waited` before
+    // the release, so its span covers the wait for submission.
     let mut arrivals: Vec<(SimTime, u64, EventKind)> = Vec::new();
     for (ji, spec) in jobs.iter().enumerate() {
-        let arrival = t0 + offsets[ji];
-        if let Some(&Some((request, tenant))) = tags.get(ji) {
+        let release = t0 + offsets[ji];
+        if let Some(&Some((request, tenant, waited))) = tags.get(ji) {
             rt.trace.push(TraceEvent::RequestTag {
                 request,
                 tenant,
                 job: w.job_ids[ji].0,
-                at: arrival,
+                at: SimTime(release.as_nanos().saturating_sub(waited.as_nanos())),
             });
         }
         for task in spec.dag.frontier() {
-            arrivals.push((arrival, w.seq, EventKind::Ready { ji, task }));
+            arrivals.push((release, w.seq, EventKind::Ready { ji, task }));
             w.seq += 1;
         }
     }

@@ -57,7 +57,7 @@ pub use report::{DeviceSummary, FailedJob, RunReport, TaskReport};
 pub use runtime::Runtime;
 pub use submission::Submission;
 
-/// Re-export of the observability crate (observers, metrics,
+/// Re-export of the observability crate (metrics, spans,
 /// exporters), so `disagg_core::obs::*` is the one-stop surface.
 pub use disagg_obs as obs;
 
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use disagg_hwsim::device::{AccessPattern, MemDeviceKind};
     pub use disagg_hwsim::time::{SimDuration, SimTime};
     pub use disagg_hwsim::topology::Topology;
-    pub use disagg_obs::{FullObserver, MetricsSnapshot, ObserverSlot};
+    pub use disagg_obs::MetricsSnapshot;
     pub use disagg_region::props::{
         AccessHint, AccessMode, BandwidthClass, LatencyClass, PropertySet,
     };

@@ -5,8 +5,8 @@
 //! task's regions went, and the property audit. A report says what its
 //! run did and nothing else, so the reports of consecutive runs add up;
 //! what accumulates across runs — device peaks
-//! ([`Runtime::devices`](crate::Runtime::devices)), an observer's
-//! metrics — is read from the runtime and the sink.
+//! ([`Runtime::devices`](crate::Runtime::devices)), the trace and the
+//! metrics folded from it — is read from the runtime.
 
 use std::sync::Arc;
 

@@ -66,18 +66,11 @@ impl Runtime {
     /// Creates a runtime over a topology.
     pub fn new(topo: Topology, config: RuntimeConfig) -> Self {
         let engine = PlacementEngine::with_awareness(config.placement, config.awareness);
-        let mut trace = if config.trace {
+        let trace = if config.trace {
             Trace::enabled()
         } else {
             Trace::disabled()
         };
-        // Stream events to the configured observer as they are emitted.
-        // The null slot installs no tap at all, so observability-off
-        // costs exactly one untaken branch per event.
-        if config.observer.is_active() {
-            let slot = config.observer.clone();
-            trace.set_tap(Box::new(move |e| slot.emit(e)));
-        }
         Runtime {
             mgr: RegionManager::new(&topo),
             ledger: BandwidthLedger::default_buckets(),
@@ -143,7 +136,8 @@ impl Runtime {
 
     /// Pushes an externally produced event into the runtime's trace —
     /// the serving layer uses this to annotate shed and degraded
-    /// requests so the observer pipeline sees them in order.
+    /// requests, so the trace records them in order among the run's
+    /// own events.
     pub fn annotate(&mut self, e: TraceEvent) {
         self.trace.push(e);
     }
@@ -221,7 +215,7 @@ impl Runtime {
             return Err(DisaggError::Submission { jobs: n, offsets: len });
         }
         let offsets = offsets.unwrap_or_else(|| vec![SimDuration::ZERO; n]);
-        let tags: Vec<Option<(u64, u64)>> = match tags {
+        let tags: Vec<Option<(u64, u64, SimDuration)>> = match tags {
             Some(t) => t.into_iter().map(Some).collect(),
             None => vec![None; n],
         };

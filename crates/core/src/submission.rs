@@ -44,12 +44,13 @@ use disagg_hwsim::time::SimDuration;
 pub struct Submission {
     pub(crate) jobs: Vec<JobSpec>,
     pub(crate) offsets: Option<Vec<SimDuration>>,
-    /// Per-job `(request, tenant)` identities for request-centric
-    /// observability. When set, the executor stamps a
+    /// Per-job `(request, tenant, waited)` identities for
+    /// request-centric observability (see [`Submission::requests`]).
+    /// When set, the executor stamps a
     /// [`TraceEvent::RequestTag`](disagg_hwsim::trace::TraceEvent) per
-    /// job at its arrival, so the whole trace can be attributed back to
-    /// requests; untagged submissions emit nothing extra.
-    pub(crate) tags: Option<Vec<(u64, u64)>>,
+    /// job at its request's arrival, so the whole trace can be attributed
+    /// back to requests; untagged submissions emit nothing extra.
+    pub(crate) tags: Option<Vec<(u64, u64, SimDuration)>>,
 }
 
 impl Submission {
@@ -78,11 +79,16 @@ impl Submission {
         self
     }
 
-    /// Attaches per-job `(request, tenant)` identities (must be one per
-    /// job; checked at execution time). Each tagged job gets a
-    /// `RequestTag` trace event at its arrival so spans, retries, and
-    /// reconstructions can be attributed to the owning request.
-    pub fn requests(mut self, tags: Vec<(u64, u64)>) -> Submission {
+    /// Attaches per-job `(request, tenant, waited)` identities (must be
+    /// one per job; checked at execution time). `waited` is how long
+    /// before its job's release (the wave start plus its arrival offset)
+    /// the request arrived — the time it spent waiting to be submitted —
+    /// so a request can never arrive after its job is released. Each
+    /// tagged job gets a `RequestTag` trace event stamped at its
+    /// request's arrival, `release − waited` (clamped at time zero), so
+    /// spans, retries, and reconstructions can be attributed to the
+    /// owning request and its span covers the wait.
+    pub fn requests(mut self, tags: Vec<(u64, u64, SimDuration)>) -> Submission {
         self.tags = Some(tags);
         self
     }
@@ -137,10 +143,10 @@ mod tests {
 
         let s = Submission::job(job("solo"))
             .arrivals(vec![SimDuration::from_nanos(5)])
-            .requests(vec![(17, 3)]);
+            .requests(vec![(17, 3, SimDuration::ZERO)]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.offsets.as_ref().unwrap().len(), 1);
-        assert_eq!(s.tags.as_ref().unwrap(), &[(17, 3)]);
+        assert_eq!(s.tags.as_ref().unwrap(), &[(17, 3, SimDuration::ZERO)]);
 
         let s = Submission::arriving(vec![
             (SimDuration::ZERO, job("x")),

@@ -247,7 +247,7 @@ pub enum TraceEvent {
         tenant: u64,
         /// The job instantiated for the request.
         job: u64,
-        /// The job's arrival time.
+        /// The request's arrival; its job is released at or after it.
         at: SimTime,
     },
 }
@@ -279,37 +279,19 @@ impl TraceEvent {
     }
 }
 
-/// A streaming hook called once per event, at emission time, before the
-/// event is (maybe) buffered. Observability layers above this crate
-/// install one to see events as they happen instead of post-mortem.
-pub type TraceTap = Box<dyn FnMut(&TraceEvent) + Send>;
-
-/// An append-only event log with aggregate queries.
-#[derive(Default)]
+/// An append-only event log with aggregate queries: a run's one copy of
+/// its events. Observability layers read it after (or between) waves;
+/// nothing streams events past it.
+#[derive(Debug, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
     enabled: bool,
-    tap: Option<TraceTap>,
     /// Running totals over every pushed event, buffered or not, so the
     /// accessors (and the executor's per-wave deltas) never scan.
     bytes_moved: u64,
     bytes_by_ownership: u64,
     bytes_allocated: u64,
     bytes_freed: u64,
-}
-
-impl std::fmt::Debug for Trace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Trace")
-            .field("events", &self.events)
-            .field("enabled", &self.enabled)
-            .field("tap", &self.tap.as_ref().map(|_| "..."))
-            .field("bytes_moved", &self.bytes_moved)
-            .field("bytes_by_ownership", &self.bytes_by_ownership)
-            .field("bytes_allocated", &self.bytes_allocated)
-            .field("bytes_freed", &self.bytes_freed)
-            .finish()
-    }
 }
 
 impl Trace {
@@ -321,24 +303,14 @@ impl Trace {
         }
     }
 
-    /// A trace that buffers nothing; it still counts bytes and feeds the tap.
+    /// A trace that buffers nothing; it still counts bytes.
     pub fn disabled() -> Self {
         Trace::default()
     }
 
-    /// Installs a streaming tap. The tap sees every pushed event even
-    /// when buffering is disabled, so a streaming observer does not
-    /// require paying for the in-memory event log.
-    pub fn set_tap(&mut self, tap: TraceTap) {
-        self.tap = Some(tap);
-    }
-
-    /// Records an event: streams it to the tap (if installed), counts its
-    /// bytes (buffered or not), then buffers it (if enabled).
+    /// Records an event: counts its bytes (buffered or not), then
+    /// buffers it (if enabled).
     pub fn push(&mut self, event: TraceEvent) {
-        if let Some(tap) = &mut self.tap {
-            tap(&event);
-        }
         match event {
             TraceEvent::Access { bytes, .. } | TraceEvent::Migrate { bytes, .. } => {
                 self.bytes_moved += bytes;
@@ -550,22 +522,5 @@ mod tests {
         t.push(e);
         t.clear();
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn tap_streams_every_event_even_when_buffering_is_off() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        let seen = Arc::new(AtomicUsize::new(0));
-        for (mut t, buffered) in [(Trace::enabled(), 2), (Trace::disabled(), 0)] {
-            let n = seen.clone();
-            t.set_tap(Box::new(move |_| {
-                n.fetch_add(1, Ordering::Relaxed);
-            }));
-            t.push(access(0, 64));
-            t.push(access(1, 64));
-            assert_eq!(t.len(), buffered);
-        }
-        assert_eq!(seen.load(Ordering::Relaxed), 4, "2 taps x 2 pushes");
     }
 }

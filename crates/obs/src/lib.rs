@@ -1,21 +1,19 @@
-//! # disagg-obs — streaming observability for the disagg runtime
+//! # disagg-obs — observability for the disagg runtime
 //!
 //! The paper's Challenge 8(1) asks how to debug, profile, and optimize
 //! dataflow applications when the runtime system hides the
-//! performance-relevant details across abstraction layers. The buffered
-//! [`Trace`](disagg_hwsim::trace::Trace) answers post-hoc aggregate
-//! questions ("how many bytes moved?"); this crate answers the
-//! *cross-layer* ones — who stalled on which remote device, when, and
-//! why — while the run is still in flight:
+//! performance-relevant details across abstraction layers. A run's
+//! events have one path: the runtime's buffered
+//! [`Trace`](disagg_hwsim::trace::Trace), which answers the aggregate
+//! questions ("how many bytes moved?"). This crate reads that trace to
+//! answer the *cross-layer* ones — who stalled on which remote device,
+//! when, and why:
 //!
-//! - [`observer`] — the streaming [`FullObserver`] event sink the
-//!   executor emits into as events happen, and the cloneable
-//!   [`ObserverSlot`] config handle whose default — no sink — costs
-//!   nothing;
 //! - [`metrics`] — a deterministic [`MetricsRegistry`] of counters and
 //!   log2-bucket histograms (queue wait, access latency, migration
-//!   sizes, per-device bytes), all recorded in *virtual* time so two
-//!   runs of the same submission produce identical snapshots;
+//!   sizes, per-device bytes), all recorded in *virtual* time; a run's
+//!   metrics are its trace folded, [`MetricsRegistry::of`], so two runs
+//!   of the same submission produce identical snapshots;
 //! - [`analyze`] — critical-path extraction over the executed task/edge
 //!   DAG with per-layer attribution (compute / memory stall / runtime);
 //! - [`export`] — Chrome trace-event JSON (loadable in Perfetto, one
@@ -26,11 +24,12 @@
 //!   recovery), per-tenant tail attribution with p99 exemplars, and
 //!   SLO burn-rate curves;
 //! - [`json`] — a dependency-free JSON reader used to validate emitted
-//!   traces.
+//!   traces;
+//! - [`observer`] — two inert names ([`FullObserver`], [`ObserverSlot`])
+//!   the frozen benchmark still builds; they observe nothing.
 //!
-//! Everything here consumes the same [`TraceEvent`]s the buffered trace
-//! records, so the streaming and buffered views of a run are
-//! bit-for-bit interchangeable (pinned by `tests/equivalence.rs`).
+//! Everything here is a function of the [`TraceEvent`]s the buffered
+//! trace records — a view of the run, never a second copy of it.
 //!
 //! [`TraceEvent`]: disagg_hwsim::trace::TraceEvent
 

@@ -1,7 +1,7 @@
 //! The deterministic metrics registry.
 //!
-//! Counters and log2-bucket histograms keyed by name, fed from the
-//! event stream. Every recorded value is *virtual* (virtual
+//! Counters and log2-bucket histograms keyed by name, fed from a run's
+//! buffered trace. Every recorded value is *virtual* (virtual
 //! nanoseconds, byte counts) and every container is ordered
 //! (`BTreeMap`), so two runs of the same submission produce identical
 //! snapshots — metrics are part of the reproducibility contract, not an
@@ -239,6 +239,14 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
+    /// A run's metrics: its buffered events folded through
+    /// [`record`](Self::record), in trace order.
+    pub fn of(events: &[TraceEvent]) -> Self {
+        let mut m = MetricsRegistry::new();
+        events.iter().for_each(|e| m.record(e));
+        m
+    }
+
     /// Feeds one event into the standard runtime metrics: event-kind
     /// counters, byte accounting per device, and the queue-wait /
     /// access-latency / migration-size / task-duration histograms.
@@ -335,8 +343,8 @@ impl MetricsRegistry {
     }
 }
 
-/// What a run's metrics looked like at snapshot time. Attached to
-/// `RunReport` when the runtime carries a metrics-keeping observer.
+/// What a run's metrics looked like at snapshot time; a run's are
+/// `MetricsRegistry::of(rt.trace().events()).snapshot()`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` in name order.

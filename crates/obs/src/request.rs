@@ -7,7 +7,7 @@
 //! five exhaustive components:
 //!
 //! - **admission** — arrival until the job's first task entered a ready
-//!   queue (admission-wave wait);
+//!   queue (the wait for the request's serving epoch);
 //! - **queue** — some task of the request sat in a ready queue and
 //!   nothing of the request was computing;
 //! - **compute** — at least one task of the request was executing;
@@ -38,11 +38,11 @@ use crate::metrics::nearest_rank;
 /// The latency component a span segment belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SegmentKind {
-    /// From the job's tagged arrival to its first queue entry. The
-    /// executor queues a job's source tasks at its arrival, and a
-    /// serving epoch tags each request at the later of its arrival and
-    /// the epoch's start, so the wait for the epoch falls outside the
-    /// span and this component reads zero.
+    /// From the request's tagged arrival to its job's first queue
+    /// entry. The executor queues a job's source tasks at its release,
+    /// and the tag is stamped at the request's arrival, which a serving
+    /// epoch may release later: this component is the wait for the
+    /// epoch, and zero where a request is released when it arrives.
     Admission,
     /// Waiting in a compute device's ready queue.
     Queue,

@@ -358,7 +358,7 @@ impl ServeLayer {
             let epoch_records = records.len();
             let mut jobs: Vec<JobSpec> = Vec::with_capacity(chunk.len());
             let mut offs: Vec<SimDuration> = Vec::with_capacity(chunk.len());
-            let mut tags: Vec<(u64, u64)> = Vec::with_capacity(chunk.len());
+            let mut tags: Vec<(u64, u64, SimDuration)> = Vec::with_capacity(chunk.len());
             let mut epoch_slots: Vec<usize> = Vec::with_capacity(chunk.len());
             for req in chunk {
                 let arrival_abs = t0 + req.arrival;
@@ -414,11 +414,13 @@ impl ServeLayer {
                     epoch_slots.push(req.index);
                     jobs.push(job);
                     // Arrival offsets stay anchored at t0; an epoch
-                    // starting after a request's arrival runs it
+                    // starting after a request's arrival releases it
                     // immediately (the request was ready, batching was
-                    // the gate).
+                    // the gate), and its tag carries that wait, so its
+                    // span starts at its arrival and books the wait as
+                    // admission. One of the two is zero.
                     offs.push(arrival_abs - epoch_start);
-                    tags.push((req.index as u64, req.tenant as u64));
+                    tags.push((req.index as u64, req.tenant as u64, epoch_start - arrival_abs));
                     // Until its epoch has run and says otherwise.
                     Verdict::Completed
                 };
@@ -499,6 +501,15 @@ impl ServeLayer {
                     browned[t] = tripped
                         || (ran[t] > 0 && bad[t] as f64 > BROWNOUT_BAD_FRACTION * ran[t] as f64);
                 }
+            }
+        }
+
+        // Debug builds check that each span explains the latency its
+        // request's record states.
+        #[cfg(debug_assertions)]
+        for s in &spans {
+            if let Some(latency) = records[s.request as usize].latency {
+                assert_eq!(latency, s.latency(), "request {}'s span vs its record", s.request);
             }
         }
 

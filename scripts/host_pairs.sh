@@ -19,11 +19,14 @@
 # pairs of `run --workload W --seed S --seconds N --trace 0` from one
 # working directory, alternating which side goes first, and prints every
 # pair's host_s_per_pass, each side's q1/median/q3 of host_s_per_pass,
-# setup_s and peak_rss_mib, and how many pairs the working tree won on
-# host_s_per_pass (ties count for neither). It ends with one summary row
-# per workload: pairs won, and for each of the three host metrics the
-# change of the median beside the parent's quartile spread (a move
-# smaller than the spread is not resolved).
+# setup_s and peak_rss_mib, how many of each side's runs were slow (a
+# host_s_per_pass above 1.4 × that side's q1: the box's slow phase, in
+# which one run can set a quartile by itself), and how many pairs the
+# working tree won on host_s_per_pass (ties count for neither). It ends
+# with one summary row per workload: pairs won, the slow runs of each
+# side, and for each of the three host metrics the change of the median
+# beside the parent's quartile spread (a move smaller than the spread is
+# not resolved).
 #
 # Exits 1 if a run fails its checks, or if any sim_* metric or the
 # failed count differs between any two runs of a workload: both sides
@@ -93,6 +96,7 @@ import json, statistics, sys
 
 tmp, pairs, seed, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 METRICS = (("host_s_per_pass", "s"), ("setup_s", "s"), ("peak_rss_mib", "MiB"))
+SLOW = 1.4  # a run slower than this × its side's q1 ran in the box's slow phase
 
 def quartiles(xs):
     return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
@@ -115,8 +119,10 @@ for w in workloads:
     for i, (p, c) in enumerate(zip(host["parent"], host["change"])):
         won += c < p
         print(f"pair {i + 1}: host_s_per_pass parent {p:.4g} s, change {c:.4g} s ({c / p - 1:+.1%})")
+    slow = {side: sum(x > SLOW * quartiles(xs)[0] for x in xs) for side, xs in host.items()}
+    print(f"slow runs (host_s_per_pass > {SLOW} x q1): parent {slow['parent']}/{pairs}, change {slow['change']}/{pairs}")
     # The pass time decides the pairs; set-up and memory are reported beside it.
-    row = [f"{w:<11} won {won:>2}/{pairs}"]
+    row = [f"{w:<11} won {won:>2}/{pairs}  slow runs parent {slow['parent']} change {slow['change']}"]
     for metric, unit in METRICS:
         for side in runs:
             q1, med, q3 = quartiles(values(side, metric))

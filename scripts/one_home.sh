@@ -16,31 +16,39 @@
 #   a hit (earlier pattern-action pairs may keep state).
 # - SCOPE `all`: every file under FILES, tests included; PATTERN is an
 #   extended regular expression for `grep -rnE`.
-# - EXCLUDED: space-separated shell globs of files the rule skips.
+# - EXCLUDED: space-separated shell globs of files the rule skips (in
+#   either scope).
 # - EXPECT: the number of hits allowed, optionally followed by the one
 #   file they must all be in (`1 crates/bench/src/exp/serving.rs`).
 set -u
 
 failed=0
 
+# True if file $1 matches one of the globs in $2.
+excluded() {
+  local g
+  for g in $2; do
+    # shellcheck disable=SC2254  # EXCLUDED holds globs
+    case "$1" in $g) return 0 ;; esac
+  done
+  return 1
+}
+
 rule() {
   local name=$1 why=$2 scope=$3 files=$4 excluded=$5 pattern=$6 expect=$7
-  local count=${expect%% *} home= hits f skip g
+  local count=${expect%% *} home= hits f line
   [ "$expect" != "$count" ] && home=${expect#* }
   if [ "$scope" = code ]; then
     # shellcheck disable=SC2086  # FILES is a list of directories
     hits=$(for f in $(find $files -name '*.rs' | sort); do
-      skip=
-      for g in $excluded; do
-        # shellcheck disable=SC2254  # EXCLUDED holds globs
-        case "$f" in $g) skip=1 ;; esac
-      done
-      [ -n "$skip" ] && continue
+      excluded "$f" "$excluded" && continue
       awk -v f="$f" '/^#\[cfg\(test\)\]/{exit} '"$pattern"' {print f":"FNR": "$0}' "$f"
     done)
   else
     # shellcheck disable=SC2086
-    hits=$(grep -rnE "$pattern" $files || true)
+    hits=$(grep -rnE "$pattern" $files | while IFS= read -r line; do
+      excluded "${line%%:*}" "$excluded" || printf '%s\n' "$line"
+    done)
   fi
   local n stray=
   n=$(printf '%s' "$hits" | grep -c . || true)
@@ -202,5 +210,21 @@ rule "Admission has one home" \
   "a second admission barrier or a per-tenant override" \
   all "crates src tests examples" "" \
   'admission_watermark|with_admission|run_waves|tenant_quotas|tenant_slos|set_quota|Runtime::predicted_footprint' 0
+
+# One event path: a run's events go to its buffered Trace and nowhere
+# else, and its metrics are that trace folded (MetricsRegistry::of). The
+# streaming tap and the observer's second buffer are gone: no tap, no
+# emit. FullObserver and ObserverSlot are inert names kept only for the
+# benchmark's probe; they live in obs::observer, its re-export and the
+# one RuntimeConfig::with_observer that takes and drops a slot (11 hits
+# of the first pattern and 12 of the second before the stream went).
+rule "Events have one path" \
+  "a streaming tap or emitter beside the buffered trace" \
+  all "crates src tests examples" "" \
+  'set_tap|TraceTap|on_event|\.emit\(' 0
+rule "Events have one path (inert observer names)" \
+  "FullObserver or ObserverSlot outside obs::observer, its re-export and core::config" \
+  all "crates src tests examples" "crates/obs/src/observer.rs crates/obs/src/lib.rs crates/core/src/config.rs" \
+  'FullObserver|ObserverSlot' 0
 
 exit "$failed"

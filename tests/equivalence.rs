@@ -232,79 +232,6 @@ fn rack_scale_batch_matches_pre_refactor_golden() {
     check("rack", rt, jobs, rack_golden());
 }
 
-/// The streaming observer sees the exact event sequence the buffered
-/// trace records: running the rack-scale golden workload with a
-/// [`FullObserver`] attached yields a stream whose FNV digest
-/// equals the buffered trace's digest — which is itself pinned above in
-/// [`rack_scale_batch_matches_pre_refactor_golden`]. Observability is a
-/// view, not a fork.
-#[test]
-fn streaming_observer_matches_buffered_trace() {
-    use std::sync::{Arc, Mutex};
-
-    let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
-    let sink = Arc::new(Mutex::new(FullObserver::new()));
-    let mut rt = Runtime::new(
-        topo,
-        RuntimeConfig::traced().with_observer(ObserverSlot::shared(sink.clone())),
-    );
-    let (_, jobs) = rack_batch(RuntimeConfig::traced());
-    rt.execute(Submission::batch(jobs)).unwrap();
-
-    let digest = |events: &[disagg::hwsim::trace::TraceEvent]| {
-        let mut h = 0xcbf29ce484222325u64;
-        for e in events {
-            fnv(&mut h, format!("{e:?}").as_bytes());
-        }
-        h
-    };
-    let streamed = digest(&sink.lock().unwrap().events);
-    let buffered = digest(rt.trace().events());
-    assert_eq!(streamed, buffered, "streamed events diverge from buffered trace");
-    assert_eq!(
-        buffered,
-        rack_golden().trace_hash,
-        "attaching an observer must not perturb the golden trace"
-    );
-}
-
-/// Observation is free of semantic weight at both extremes: the default
-/// null-slot run (what every golden above uses) and a run with
-/// the everything-sink [`FullObserver`] attached — metrics registry,
-/// buffered events — produce the *same pinned golden digests*.
-/// Attaching full observability never moves a byte of the schedule or
-/// the trace.
-#[test]
-fn null_and_full_observers_agree_on_the_golden_digest() {
-    use std::sync::{Arc, Mutex};
-
-    // No observer (the default slot) — re-derive the pinned digests.
-    let (mut rt, jobs) = rack_batch(RuntimeConfig::traced());
-    let report = rt.execute(Submission::batch(jobs)).unwrap();
-    let null_digests = report_digest(&report, rt.trace());
-
-    // FullObserver riding the same run.
-    let (topo, _rack) = disagg::presets::disaggregated_rack(3, 16, 3, 128);
-    let sink = Arc::new(Mutex::new(FullObserver::new()));
-    let mut rt = Runtime::new(
-        topo,
-        RuntimeConfig::traced().with_observer(ObserverSlot::shared(sink.clone())),
-    );
-    let (_, jobs) = rack_batch(RuntimeConfig::traced());
-    let report = rt.execute(Submission::batch(jobs)).unwrap();
-    let full_digests = report_digest(&report, rt.trace());
-
-    let golden = rack_golden();
-    assert_eq!(null_digests, (golden.task_hash, golden.trace_hash));
-    assert_eq!(full_digests, null_digests, "observer choice perturbed the run");
-
-    // The full observer genuinely observed: same event count as the
-    // buffered trace, and a non-empty metrics snapshot.
-    let full = sink.lock().unwrap();
-    assert_eq!(full.events.len(), rt.trace().events().len());
-    assert!(!full.registry.snapshot().is_empty());
-}
-
 #[test]
 fn repeated_runs_are_bit_for_bit_identical() {
     let digest = || {

@@ -2,23 +2,16 @@
 //! facade, exported as Chrome traces / folded stacks / critical paths,
 //! and validated structurally. Pins the acceptance criteria for the
 //! observability PR: traces parse and nest within the makespan, the
-//! diamond's critical path is the known longest chain, and the sink's
-//! metrics snapshot agrees with the run report.
+//! diamond's critical path is the known longest chain, and the metrics
+//! folded from the run's trace agree with the run report.
 
-use std::sync::{Arc, Mutex};
-
-use disagg::obs::{chrome_trace, folded_stacks, validate_chrome_trace};
+use disagg::obs::{chrome_trace, folded_stacks, validate_chrome_trace, MetricsRegistry};
 use disagg::prelude::*;
 
-/// Quickstart producer/consumer on the single-server preset, run with a
-/// streaming [`FullObserver`] attached.
-fn observed_quickstart() -> (Runtime, RunReport, Arc<Mutex<FullObserver>>) {
+/// Quickstart producer/consumer on the single-server preset, traced.
+fn observed_quickstart() -> (Runtime, RunReport) {
     let (topo, _ids) = presets::single_server();
-    let sink = Arc::new(Mutex::new(FullObserver::new()));
-    let mut rt = Runtime::new(
-        topo,
-        RuntimeConfig::default().with_observer(ObserverSlot::shared(sink.clone())),
-    );
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
     let mut job = JobBuilder::new("quickstart");
     let produce = job.task(
         TaskSpec::new("produce")
@@ -43,14 +36,13 @@ fn observed_quickstart() -> (Runtime, RunReport, Arc<Mutex<FullObserver>>) {
     );
     job.edge(produce, consume);
     let report = rt.execute(job.build().unwrap()).unwrap();
-    (rt, report, sink)
+    (rt, report)
 }
 
 #[test]
 fn chrome_trace_round_trips_and_nests_within_makespan() {
-    let (rt, report, sink) = observed_quickstart();
-    let obs = sink.lock().unwrap();
-    let doc = chrome_trace(&obs.events, rt.topology());
+    let (rt, report) = observed_quickstart();
+    let doc = chrome_trace(rt.trace().events(), rt.topology());
     let stats = validate_chrome_trace(&doc).expect("emitted trace must parse");
 
     let lanes = rt.topology().compute_devices().len() + rt.topology().mem_devices().len();
@@ -69,7 +61,7 @@ fn chrome_trace_round_trips_and_nests_within_makespan() {
     );
 
     // Deterministic export: same events, same bytes.
-    assert_eq!(doc, chrome_trace(&obs.events, rt.topology()));
+    assert_eq!(doc, chrome_trace(rt.trace().events(), rt.topology()));
 }
 
 #[test]
@@ -114,9 +106,9 @@ fn diamond_critical_path_is_the_heavy_chain() {
 
 #[test]
 fn metrics_snapshot_agrees_with_the_run_report() {
-    let (_rt, report, sink) = observed_quickstart();
-    // The metrics live in the sink the caller holds, not in the report.
-    let snap = sink.lock().unwrap().registry.snapshot();
+    let (rt, report) = observed_quickstart();
+    // The metrics are the run's trace folded, not part of the report.
+    let snap = MetricsRegistry::of(rt.trace().events()).snapshot();
 
     let tasks = report.tasks.len() as u64;
     assert_eq!(snap.counter("events.task_attempt"), tasks);
@@ -129,6 +121,6 @@ fn metrics_snapshot_agrees_with_the_run_report() {
 
     // Virtual-time determinism: a second identical run snapshots
     // byte-identically.
-    let (_rt2, _report2, sink2) = observed_quickstart();
-    assert_eq!(sink2.lock().unwrap().registry.snapshot().to_json(), snap.to_json());
+    let (rt2, _report2) = observed_quickstart();
+    assert_eq!(MetricsRegistry::of(rt2.trace().events()).snapshot().to_json(), snap.to_json());
 }

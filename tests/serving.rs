@@ -532,6 +532,43 @@ fn tenant_quantiles_agree_with_task_spans_and_tail_attribution() {
     }
 }
 
+/// One node whose CPU has a single lane, and its DRAM: a one-server
+/// queue for the known-answer tests.
+fn one_lane() -> Topology {
+    use disagg::hwsim::compute::ComputeModel;
+    use disagg::hwsim::device::MemDeviceModel;
+    use disagg::hwsim::topology::LinkKind;
+
+    let mut b = Topology::builder();
+    let n = b.node("host");
+    let cpu = b.compute(
+        n,
+        ComputeModel {
+            slots: 1,
+            ..ComputeModel::preset(ComputeKind::Cpu)
+        },
+    );
+    let dram = b.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
+    b.link(cpu, dram, LinkKind::MemBus);
+    b.build().expect("one-lane topology")
+}
+
+/// The known-answer tests' request: one task of fixed service time.
+fn request() -> JobSpec {
+    let mut j = JobBuilder::new("unit");
+    j.task(TaskSpec::new("work").work(WorkClass::Scalar, 40_000));
+    j.build().expect("unit job")
+}
+
+/// The service time S of [`request`], from one request alone on
+/// [`one_lane`].
+fn service_time() -> SimDuration {
+    Runtime::new(one_lane(), RuntimeConfig::default())
+        .execute(request())
+        .expect("lone request")
+        .makespan
+}
+
 /// ROADMAP item 4's known-answer case for span assembly: one compute
 /// lane, every request the same single task of service time `s`,
 /// arrivals a fixed gap `g < s` apart. The backlog grows by `s − g` a
@@ -540,36 +577,10 @@ fn tenant_quantiles_agree_with_task_spans_and_tail_attribution() {
 /// queueing in it.
 #[test]
 fn one_lane_fixed_service_known_answer() {
-    use disagg::hwsim::compute::ComputeModel;
-    use disagg::hwsim::device::MemDeviceModel;
-    use disagg::hwsim::topology::LinkKind;
     use disagg::obs::{assemble_request_spans, SegmentKind};
 
     const REQUESTS: u64 = 12;
-    let one_lane = || {
-        let mut b = Topology::builder();
-        let n = b.node("host");
-        let cpu = b.compute(
-            n,
-            ComputeModel {
-                slots: 1,
-                ..ComputeModel::preset(ComputeKind::Cpu)
-            },
-        );
-        let dram = b.mem(n, MemDeviceModel::preset(MemDeviceKind::Dram));
-        b.link(cpu, dram, LinkKind::MemBus);
-        b.build().expect("one-lane topology")
-    };
-    let request = || {
-        let mut j = JobBuilder::new("unit");
-        j.task(TaskSpec::new("work").work(WorkClass::Scalar, 40_000));
-        j.build().expect("unit job")
-    };
-    // The service time, from one request alone on the lane.
-    let s = Runtime::new(one_lane(), RuntimeConfig::default())
-        .execute(request())
-        .expect("lone request")
-        .makespan;
+    let s = service_time();
     let g = SimDuration(s.0 * 3 / 5);
     assert!(
         SimDuration::ZERO < g && g < s,
@@ -579,7 +590,7 @@ fn one_lane_fixed_service_known_answer() {
     let mut rt = Runtime::new(one_lane(), RuntimeConfig::traced());
     let submission = Submission::batch((0..REQUESTS).map(|_| request()).collect())
         .arrivals((0..REQUESTS).map(|k| SimDuration(k * g.0)).collect())
-        .requests((0..REQUESTS).map(|k| (k, 0)).collect());
+        .requests((0..REQUESTS).map(|k| (k, 0, SimDuration::ZERO)).collect());
     rt.execute(submission).expect("backlogged run");
 
     let spans = assemble_request_spans(rt.trace().events());
@@ -605,6 +616,108 @@ fn one_lane_fixed_service_known_answer() {
         };
         assert_eq!(kinds, expected, "request {k}");
     }
+}
+
+/// A tag carries how long its request waited before its job's release,
+/// and the executor stamps the `RequestTag` that long before the release:
+/// the span starts at the request's arrival and books the wait as
+/// admission. The wait is a duration, so an arrival after its job's
+/// release cannot be stated.
+#[test]
+fn a_wait_before_release_is_admission_known_answer() {
+    use disagg::obs::{assemble_request_spans, SegmentKind};
+
+    let s = service_time();
+    let (release, waited) = (SimDuration(5 * s.0), SimDuration(2 * s.0));
+    let mut rt = Runtime::new(one_lane(), RuntimeConfig::traced());
+    let submission =
+        Submission::job(request()).arrivals(vec![release]).requests(vec![(7, 0, waited)]);
+    rt.execute(submission).expect("tagged run");
+
+    let spans = assemble_request_spans(rt.trace().events());
+    let [span] = &spans[..] else { panic!("one request, {} spans", spans.len()) };
+    assert_eq!(span.arrival, SimTime(release.0 - waited.0));
+    assert_eq!((span.attribution.admission, span.attribution.compute), (waited, s));
+    assert_eq!(span.latency(), waited + s);
+    let kinds: Vec<SegmentKind> = span.segments.iter().map(|seg| seg.kind).collect();
+    assert_eq!(kinds, [SegmentKind::Admission, SegmentKind::Compute]);
+}
+
+/// ROADMAP item 13(a)'s M/D/1 case: Poisson arrivals at ρ = 0.5 (mean
+/// gap 2S) on one lane of fixed service S, uncontrolled. Per request, the
+/// span books the whole wait as queue and one S as compute, nothing
+/// else. Pooled over seeds 1–8 of 10 000 requests each, the mean wait is
+/// Pollaczek–Khinchine's ρS / (2(1 − ρ)) within ±5 %, a tolerance fixed
+/// before measuring (one seed of 10 000 alone swings about ±7 %).
+#[test]
+fn one_lane_poisson_waits_match_pollaczek_khinchine() {
+    const REQUESTS: usize = 10_000;
+    const RHO: f64 = 0.5;
+    let s = service_time();
+    let mut layer = ServeLayer::new();
+    layer.register("unit", |_: &Request| request());
+    let (mut waited, mut served) = (SimDuration::ZERO, 0u64);
+    for seed in 1..=8 {
+        let cfg = ServeConfig {
+            arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration(2 * s.0) },
+            requests: REQUESTS,
+            tenants: 1,
+            seed,
+            ..ServeConfig::default()
+        };
+        let mut rt = Runtime::new(one_lane(), RuntimeConfig::traced());
+        let report = layer.run(&mut rt, &cfg).expect("M/D/1 run");
+        assert_eq!(report.spans.len(), REQUESTS, "seed {seed}: every request is served");
+        for span in &report.spans {
+            let latency = report.requests[span.request as usize].latency.expect("served");
+            let wait = latency.saturating_sub(s);
+            let a = &span.attribution;
+            let at = (seed, span.request);
+            assert_eq!(a.queue, wait, "seed {}, request {}: queue", at.0, at.1);
+            assert_eq!(a.compute, s, "seed {}, request {}: compute", at.0, at.1);
+            assert_eq!(
+                (a.admission, a.transfer, a.recovery),
+                (SimDuration::ZERO, SimDuration::ZERO, SimDuration::ZERO),
+                "seed {}, request {}",
+                at.0,
+                at.1
+            );
+            waited += wait;
+            served += 1;
+        }
+    }
+    let mean = waited.as_nanos_f64() / served as f64;
+    let pk = RHO * s.as_nanos_f64() / (2.0 * (1.0 - RHO));
+    assert!(
+        (mean / pk - 1.0).abs() <= 0.05,
+        "mean wait {mean:.1} ns against Pollaczek–Khinchine's {pk:.1} ns (S = {s})"
+    );
+}
+
+/// A controlled run serves in epochs, and a request that arrived before
+/// its epoch began waits for it. The request's span starts at its
+/// arrival, so it states the latency its record does, and the epoch
+/// wait is its admission segment.
+#[test]
+fn a_controlled_span_states_its_records_latency() {
+    use disagg::serve::ControlPlane;
+    let (topo, _rack) = disaggregated_rack(2, 4, 1, 8);
+    let mut rt = Runtime::new(topo, RuntimeConfig::traced());
+    let cfg = ServeConfig {
+        arrivals: ArrivalProcess::Poisson { mean_gap: SimDuration::from_micros(2) },
+        requests: 64,
+        control: Some(ControlPlane::default()),
+        ..cfg()
+    };
+    let report = mix().run(&mut rt, &cfg).expect("serving run");
+    assert!(!report.spans.is_empty(), "the run serves requests");
+    let mut admission = SimDuration::ZERO;
+    for span in &report.spans {
+        let record = &report.requests[span.request as usize];
+        assert_eq!(record.latency, Some(span.latency()), "request {}", span.request);
+        admission += span.attribution.admission;
+    }
+    assert!(admission > SimDuration::ZERO, "the epoch waits are booked as admission");
 }
 
 /// The known answer for a retry that waits for a lane: two one-lane
@@ -649,7 +762,7 @@ fn a_retry_waiting_for_a_busy_lane_known_answer() {
     };
     let submission = || {
         Submission::batch(vec![job("victim", 40_000), job("blocker", 400_000)])
-            .requests(vec![(0, 0), (1, 0)])
+            .requests(vec![(0, 0, SimDuration::ZERO), (1, 0, SimDuration::ZERO)])
     };
 
     // Where each request lands and how long it runs, from a healthy run.
